@@ -10,7 +10,6 @@
 // namespace with quotas (-max-tenants, -tenant-idle), and with
 // -replicas k > 1 reads are routed to the least-loaded live copy of
 // each fragment, fenced so a session always sees its own writes.
-// -isolate restores the legacy cluster-per-connection model.
 //
 // Distributed (workers need -max-watches -1: the shared session
 // aggregates every tenant's watches in one worker session, so the
@@ -92,7 +91,6 @@ func main() {
 	tenantAffected := flag.Float64("tenant-affected", 0, "per-tenant update budget in affected-set units per second, post-paid against each batch's real re-verification size (0 = unlimited)")
 	tenantAffectedBurst := flag.Int("tenant-affected-burst", 0, "per-tenant affected-set budget bucket size (0 = 4x -tenant-affected, at least 1)")
 	tenantInbox := flag.Int("tenant-inbox", 0, "per-watch cap on a tenant's undrained coalesced delta ids; overflow drops the state and marks the watch resync (0 = 4096, negative = unlimited)")
-	isolate := flag.Bool("isolate", false, "legacy mode: a private cluster per connection instead of the shared multi-tenant session (incompatible with -journal)")
 	journalDir := flag.String("journal", "", "directory for the snapshot+journal; existing state is recovered at startup and the front end serves one durable session shared by all connections")
 	fsync := flag.Bool("fsync", false, "fsync every journaled update batch before fanning it out")
 	compactBytes := flag.Int64("compact-bytes", 16<<20, "fold the mutation journal into a fresh snapshot once it exceeds this many bytes (0 = compact only at startup)")
@@ -136,13 +134,11 @@ func main() {
 		pool = ha.NewDialPool(addrs)
 		workerCount = len(addrs)
 		log.Printf("qgpcluster: using %d TCP worker endpoints: %s", len(addrs), *workers)
-		if !*isolate {
-			// The coordinator cannot configure remote workers; a stock
-			// qgpd keeps its default 16-watch session cap, so tenants
-			// collectively hit it early (each rejection is returned to
-			// that one caller; the shared cluster stays up).
-			log.Printf("qgpcluster: shared multi-tenant session over remote workers: run each qgpd with -max-watches -1, or watch registrations are capped by the workers' per-session default")
-		}
+		// The coordinator cannot configure remote workers; a stock qgpd
+		// keeps its default 16-watch session cap, so tenants collectively
+		// hit it early (each rejection is returned to that one caller; the
+		// shared cluster stays up).
+		log.Printf("qgpcluster: shared multi-tenant session over remote workers: run each qgpd with -max-watches -1, or watch registrations are capped by the workers' per-session default")
 	} else {
 		if *spawn < 1 {
 			log.Fatalf("qgpcluster: -spawn must be at least 1")
@@ -152,24 +148,16 @@ func main() {
 		// session aggregates every tenant's watches in one worker session,
 		// so the per-session watch cap is lifted — quotas are per tenant
 		// at the front end.
-		wcfg := server.Config{IdleTimeout: 24 * time.Hour, Metrics: reg}
-		if !*isolate {
-			wcfg.MaxWatches = -1
-		}
-		pool = ha.NewSpawnPool(*spawn, wcfg)
+		pool = ha.NewSpawnPool(*spawn, server.Config{IdleTimeout: 24 * time.Hour, MaxWatches: -1, Metrics: reg})
 		workerCount = *spawn
 		log.Printf("qgpcluster: spawning %d embedded workers per session", *spawn)
 	}
 	clusterCfg.Pool = pool
 	newWorkers := func() ([]cluster.Transport, error) { return pool.Primaries(workerCount) }
 
-	if *isolate && *journalDir != "" {
-		log.Fatalf("qgpcluster: -isolate is incompatible with -journal (durability requires the shared session)")
-	}
 	feCfg := cluster.FrontendConfig{
 		Cluster:    clusterCfg,
 		NewWorkers: newWorkers,
-		Isolate:    *isolate,
 		Tenancy: tenant.Config{
 			MaxTenants:     *maxTenants,
 			IdleTimeout:    *tenantIdle,
@@ -246,10 +234,8 @@ func main() {
 			// Per-tenant rows (watches, pending inbox sizes, throttle and
 			// overflow counts) next to the topology, so one curl answers
 			// "who is being limited and who is not draining".
-			if tm := fe.Tenants(); tm != nil {
-				if rows := tm.List(); len(rows) > 0 {
-					out["tenants"] = rows
-				}
+			if rows := fe.Tenants().List(); len(rows) > 0 {
+				out["tenants"] = rows
 			}
 			mmu.Lock()
 			stats := make([]ha.MonitorStats, 0, len(monitors))

@@ -31,10 +31,8 @@ import (
 )
 
 func main() {
-	// The front end owns ONE cluster shared by every connection (the
-	// default; -isolate restores the old cluster-per-connection model),
-	// with fragment replicas placed from a worker pool for read
-	// scale-out.
+	// The front end owns ONE cluster shared by every connection, with
+	// fragment replicas placed from a worker pool for read scale-out.
 	pool := ha.NewSpawnPool(4, server.Config{})
 	fe := cluster.NewFrontend(cluster.FrontendConfig{
 		Cluster:    cluster.Config{D: 2, Replicas: 2, Pool: pool},

@@ -400,6 +400,14 @@ func (c *Coordinator) Graph() *graph.Graph {
 	return c.g.Clone()
 }
 
+// Size returns the authoritative graph's node and edge counts — what
+// Graph() would report, without the |G| copy.
+func (c *Coordinator) Size() (nodes, edges int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.g.NumNodes(), c.g.NumEdges()
+}
+
 // D returns the hop radius the fragmentation preserves.
 func (c *Coordinator) D() int { return c.cfg.D }
 

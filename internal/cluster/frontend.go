@@ -2,45 +2,34 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
-	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/server"
-	"repro/internal/stats"
 	"repro/internal/tenant"
 )
 
 // FrontendConfig tunes a Frontend.
 type FrontendConfig struct {
-	// Cluster is the coordinator configuration applied to every session
-	// (including Replicas, Pool and, for durable sessions, Journal). In
-	// shared-session mode a zero MaxWatches is lifted to unlimited: the
-	// one coordinator aggregates every tenant's watches, and quotas are
+	// Cluster is the coordinator configuration applied to the shared
+	// session (including Replicas, Pool and, for a durable session,
+	// Journal). A zero MaxWatches is lifted to unlimited: the one
+	// coordinator aggregates every tenant's watches, and quotas are
 	// enforced per tenant by the session manager instead.
 	Cluster Config
 	// NewWorkers supplies a fresh set of worker transports for a
 	// cluster's coordinator. Required. The coordinator built over them
 	// owns and closes them.
 	NewWorkers func() ([]Transport, error)
-	// Isolate restores the legacy cluster-per-connection model: every
-	// TCP connection gets a private fragmentation and watch namespace,
-	// torn down on disconnect. The default (false) is ONE shared cluster
-	// session multiplexed across connections by the tenant layer — k
-	// clients cost one fragmentation, not k. Ignored (forced off) when
-	// Durable is set: durability requires the shared session.
-	Isolate bool
 	// Tenancy tunes the shared session's tenant manager (quotas, idle
 	// eviction). Zero values take the tenant package defaults; Logf and
-	// Metrics default to this config's Logf and Cluster.Metrics. Unused
-	// in Isolate mode.
+	// Metrics default to this config's Logf and Cluster.Metrics.
 	Tenancy tenant.Config
 	// Durable, when non-nil, backs the shared session with a journal:
 	// updates are journaled before fan-out and a restarted front end
@@ -48,8 +37,8 @@ type FrontendConfig struct {
 	Durable *DurableState
 	// OnSession, when set, is called with each coordinator the front
 	// end builds; the returned stop function is called when that
-	// coordinator is replaced or its session ends. internal/ha attaches
-	// its health monitor here.
+	// coordinator is replaced or the front end shuts down. internal/ha
+	// attaches its health monitor here.
 	OnSession func(*Coordinator) (stop func())
 	// MaxLineBytes bounds one request line (default 64 MiB).
 	MaxLineBytes int
@@ -77,267 +66,130 @@ type DurableState struct {
 	Watches map[string]string
 }
 
-func (c *FrontendConfig) fill() {
-	if c.MaxLineBytes <= 0 {
-		c.MaxLineBytes = 64 << 20
-	}
-	if c.MaxGraphSize <= 0 {
-		c.MaxGraphSize = 50_000_000
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
-	}
-}
-
 // Frontend exposes a Coordinator through the qgpd wire protocol, so any
 // existing client (internal/client, netcat, the examples) can talk to a
-// cluster exactly as it talks to a single server.
+// cluster exactly as it talks to a single server. Serve and ServeConn are
+// the embedded server.Host's — the listener lifecycle and request loop
+// qgpd runs — so framing cannot diverge between qgpd and qgpcluster.
 //
-// By default every connection shares ONE cluster session — one
-// fragmentation, one coordinator write path — and the tenant layer
-// (internal/tenant) gives each connection (or named session, via the
-// session command) a private watch namespace with quotas and lifecycle.
-// Reads are routed to the least-loaded live copy of each fragment, fenced
-// by the tenant's last write so a session never misses its own update.
-// FrontendConfig.Isolate restores the legacy cluster-per-connection
-// model.
+// Every connection shares ONE cluster session — one fragmentation, one
+// coordinator write path — and the tenant layer (internal/tenant) gives
+// each connection (or named session, via the session command) a private
+// watch namespace with quotas and lifecycle. Reads are routed to the
+// least-loaded live copy of each fragment, fenced by the tenant's last
+// write so a session never misses its own update.
 //
 // Commands gen, load, match, update, watch, unwatch, stats, partition,
-// metrics, explain, profile, ping and (shared mode) session, sessions,
-// endsession, deltas are served; commands that only make sense against a
-// local graph (pmatch, rule, rpqfilter) report an error naming the
-// limitation.
+// metrics, explain, profile, ping, session, sessions, endsession and
+// deltas are served; commands that only make sense against a local graph
+// (pmatch, rule, rpqfilter) report an error naming the limitation.
 type Frontend struct {
-	cfg FrontendConfig
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]bool
-	coords   map[*Coordinator]bool // live session coordinators, for Health
-	shutdown bool
-	wg       sync.WaitGroup
-
-	// Shared-session mode (the default): one cluster session for every
-	// connection, multiplexed by the tenant manager. smu guards the
-	// session bookkeeping (rebuilds, lazy durable recovery); requests
-	// snapshot the coordinator under smu and then run concurrently —
-	// the coordinator's own RWMutex serializes writes against routed
-	// reads.
-	smu     sync.Mutex
-	ssess   *feSession
-	srecov  bool // durable recovery applied (or superseded by gen/load)
+	*server.Host
+	cfg     FrontendConfig
 	tenants *tenant.Manager
+
+	// smu guards the shared session's bookkeeping (rebuilds, lazy durable
+	// recovery); requests snapshot the coordinator under smu and then run
+	// concurrently — the coordinator's own RWMutex serializes writes
+	// against routed reads.
+	smu sync.Mutex
+	// coord is the shared coordinator, nil until gen, load or durable
+	// recovery builds it. Written under smu; atomic so Health can read it
+	// while a rebuild holds smu.
+	coord  atomic.Pointer[Coordinator]
+	stop   func() // OnSession cleanup for coord (e.g. a health monitor)
+	srecov bool   // durable recovery applied (or superseded by gen/load)
 }
 
-// NewFrontend returns a front-end server for cluster sessions.
+// NewFrontend returns a front-end server for the shared cluster session.
 func NewFrontend(cfg FrontendConfig) *Frontend {
-	cfg.fill()
-	if cfg.Durable != nil {
-		cfg.Isolate = false // durability requires the one shared session
+	if cfg.MaxGraphSize <= 0 {
+		cfg.MaxGraphSize = 50_000_000
 	}
-	f := &Frontend{cfg: cfg, conns: make(map[net.Conn]bool), coords: make(map[*Coordinator]bool)}
-	if !cfg.Isolate {
-		f.ssess = &feSession{}
-		tcfg := cfg.Tenancy
-		if tcfg.Logf == nil {
-			tcfg.Logf = cfg.Logf
-		}
-		if tcfg.Metrics == nil {
-			tcfg.Metrics = cfg.Cluster.Metrics
-		}
-		f.tenants = tenant.NewManager(tcfg, f)
-		f.tenants.Start()
+	f := &Frontend{cfg: cfg}
+	f.Host = server.NewHost(server.ProtocolConfig{
+		MaxLineBytes: cfg.MaxLineBytes,
+		IdleTimeout:  cfg.IdleTimeout,
+		Logf:         cfg.Logf,
+		Name:         "cluster frontend",
+	}, f.openConn)
+	tcfg := cfg.Tenancy
+	if tcfg.Logf == nil {
+		tcfg.Logf = f.Logf
 	}
+	if tcfg.Metrics == nil {
+		tcfg.Metrics = cfg.Cluster.Metrics
+	}
+	f.tenants = tenant.NewManager(tcfg, f)
+	f.tenants.Start()
 	return f
 }
 
-// Tenants exposes the shared session's tenant manager (nil in Isolate
-// mode) for supervision and tests.
+// Tenants exposes the shared session's tenant manager for supervision
+// and tests.
 func (f *Frontend) Tenants() *tenant.Manager { return f.tenants }
-
-// Serve accepts connections until Shutdown. It always returns a non-nil
-// error; after Shutdown the error is net.ErrClosed.
-func (f *Frontend) Serve(ln net.Listener) error {
-	f.mu.Lock()
-	if f.shutdown {
-		f.mu.Unlock()
-		return net.ErrClosed
-	}
-	f.ln = ln
-	f.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		f.mu.Lock()
-		if f.shutdown {
-			f.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		f.conns[conn] = true
-		f.wg.Add(1)
-		f.mu.Unlock()
-		go func() {
-			defer f.wg.Done()
-			f.ServeConn(conn)
-			f.mu.Lock()
-			delete(f.conns, conn)
-			f.mu.Unlock()
-		}()
-	}
-}
 
 // Shutdown stops accepting, closes the listener and all connections,
 // waits for in-flight handlers (or the context), and releases the shared
 // session's coordinator and workers.
 func (f *Frontend) Shutdown(ctx context.Context) error {
-	f.mu.Lock()
-	f.shutdown = true
-	if f.ln != nil {
-		f.ln.Close()
-	}
-	for c := range f.conns {
-		c.Close()
-	}
-	f.mu.Unlock()
-
 	// Stop the idle sweeper before waiting on handlers: it does not
 	// depend on them, and the deadline return below must not leak a
 	// goroutine that would keep evicting (Unwatch round trips) against a
 	// coordinator the caller is about to close. The sweeper never blocks
 	// indefinitely — an in-flight EvictIdle's fan-outs run against the
 	// still-open shared session with bounded failover retries.
-	if f.tenants != nil {
-		f.tenants.Stop()
-	}
-	done := make(chan struct{})
-	go func() {
-		f.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
+	f.tenants.Stop()
+	if err := f.Host.Shutdown(ctx); err != nil {
 		// A handler may still hold smu; skip the shared teardown rather
 		// than block past the caller's deadline.
-		return ctx.Err()
+		return err
 	}
 	// All handlers have returned, so smu is free.
 	f.smu.Lock()
-	if f.ssess != nil {
-		f.ssess.close()
-	}
+	f.closeClusterLocked()
 	f.smu.Unlock()
 	return nil
 }
 
-// feSession is one cluster session's state. The coordinator owns its
-// worker transports (including any pool-acquired replicas), so closing
-// the session cannot leak worker sessions even on an abrupt client
-// disconnect.
-type feSession struct {
-	coord *Coordinator
-	stop  func() // OnSession cleanup (e.g. a health monitor)
-	unreg func() // removes coord from the front end's Health tracking
-
-	// Stats cache. Shared-session handlers run concurrently, so it has
-	// its own lock rather than riding on smu.
-	stmu sync.Mutex
-	st   *stats.Stats
+// closeClusterLocked tears the shared cluster down: the supervisor hook
+// is stopped and the coordinator releases every worker transport it owns
+// (including any pool-acquired replicas). Callers hold smu.
+func (f *Frontend) closeClusterLocked() {
+	if f.stop != nil {
+		f.stop()
+		f.stop = nil
+	}
+	if coord := f.coord.Swap(nil); coord != nil {
+		coord.Close()
+	}
 }
 
-func (sess *feSession) cachedStats(g *graph.Graph) *stats.Stats {
-	sess.stmu.Lock()
-	st := sess.st
-	sess.stmu.Unlock()
-	if st != nil {
-		return st
-	}
-	st = stats.Collect(g)
-	sess.stmu.Lock()
-	sess.st = st
-	sess.stmu.Unlock()
-	return st
-}
-
-func (sess *feSession) invalidateStats() {
-	sess.stmu.Lock()
-	sess.st = nil
-	sess.stmu.Unlock()
-}
-
-// reset tears the session's cluster down: the supervisor hook is
-// stopped and the coordinator releases every worker transport it owns.
-func (sess *feSession) reset() {
-	if sess.stop != nil {
-		sess.stop()
-		sess.stop = nil
-	}
-	if sess.unreg != nil {
-		sess.unreg()
-		sess.unreg = nil
-	}
-	if sess.coord != nil {
-		sess.coord.Close()
-		sess.coord = nil
-	}
-	sess.invalidateStats()
-}
-
-func (sess *feSession) close() { sess.reset() }
-
-// connState is one connection's slice of front-end state: its private
-// cluster session in Isolate mode, its tenant attachment in shared mode.
-// ServeProtocol serves one request at a time per connection, so connState
-// needs no lock.
+// connState is one connection's tenant attachment. A connection serves
+// one request at a time, so connState needs no lock.
 type connState struct {
-	sess      *feSession // Isolate mode only
-	tenant    string     // attached tenant session; "" until first use
-	ephemeral bool       // created for this connection; evict on disconnect
+	tenant    string // attached tenant session; "" until first use
+	ephemeral bool   // created for this connection; evict on disconnect
 }
 
-// ServeConn serves the protocol on one established connection and blocks
-// until it closes. The request loop itself is the server package's
-// ServeProtocol, so framing cannot diverge between qgpd and qgpcluster.
-func (f *Frontend) ServeConn(conn net.Conn) {
+// openConn starts one connection's state (server.Host calls it per
+// connection). A dropped connection — graceful or abrupt — releases the
+// tenant attachment: an ephemeral session is evicted with its last
+// connection, a named one lingers until idle timeout.
+func (f *Frontend) openConn() (func(*server.Request) server.Response, func()) {
 	cs := &connState{}
-	if f.cfg.Isolate {
-		cs.sess = &feSession{}
-	}
-	defer func() {
-		// A dropped connection — graceful or abrupt — tears down the
-		// per-connection cluster (Isolate) or releases the tenant
-		// attachment (shared; an ephemeral session is evicted with its
-		// last connection, a named one lingers until idle timeout).
-		if cs.sess != nil {
-			cs.sess.close()
-		}
-		if cs.tenant != "" && f.tenants != nil {
+	handle := func(req *server.Request) server.Response { return f.handle(cs, req) }
+	return handle, func() {
+		if cs.tenant != "" {
 			f.tenants.Release(cs.tenant, cs.ephemeral)
 		}
-	}()
-	server.ServeProtocol(conn, server.ProtocolConfig{
-		MaxLineBytes: f.cfg.MaxLineBytes,
-		IdleTimeout:  f.cfg.IdleTimeout,
-		Logf:         f.cfg.Logf,
-		Name:         "cluster frontend",
-	}, func(req *server.Request) server.Response { return f.handle(cs, req) })
+	}
 }
 
 func (f *Frontend) handle(cs *connState, req *server.Request) server.Response {
 	start := time.Now()
 	var resp server.Response
-	var err error
-	if f.cfg.Isolate {
-		err = f.handleIsolated(cs.sess, req, &resp)
-	} else {
-		err = f.handleShared(cs, req, &resp)
-	}
+	err := f.dispatch(cs, req, &resp)
 	if err != nil {
 		resp.Error = err.Error()
 		var thr *tenant.ErrThrottled
@@ -346,7 +198,7 @@ func (f *Frontend) handle(cs *connState, req *server.Request) server.Response {
 			// this long instead of guessing (or hammering).
 			resp.RetryAfterMS = float64(thr.RetryAfter.Microseconds()) / 1000
 		}
-	} else if cs.tenant != "" && f.tenants != nil {
+	} else if cs.tenant != "" {
 		// Per-tenant latency: served commands land in the tenant's
 		// match.ms/update.ms histograms (windowed p95 via obs.Windows).
 		// Errors and rejections stay out — a throttle refusal costing
@@ -355,7 +207,7 @@ func (f *Frontend) handle(cs *connState, req *server.Request) server.Response {
 			f.tenants.Observe(cs.tenant, op, start)
 		}
 	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	resp.ElapsedMS = server.MsSince(start)
 	return resp
 }
 
@@ -388,45 +240,16 @@ func observeClass(req *server.Request) string {
 	return admissionClass(req)
 }
 
-// handleIsolated dispatches against the connection's private cluster
-// session (legacy model).
-func (f *Frontend) handleIsolated(sess *feSession, req *server.Request, resp *server.Response) error {
-	switch req.Cmd {
-	case "ping":
-		resp.Pong = true
-		return nil
-	case "gen", "load":
-		g, err := f.buildGraph(req)
-		if err != nil {
-			return err
-		}
-		if err := f.buildCluster(sess, g, false); err != nil {
-			return err
-		}
-		g = sess.coord.Graph() // normalized version
-		resp.Nodes, resp.Edges = g.NumNodes(), g.NumEdges()
-		return nil
-	case "metrics":
-		resp.Obs = f.cfg.Cluster.Metrics.JSON()
-		return nil
-	case "session", "sessions", "endsession", "deltas":
-		return fmt.Errorf("command %q needs the shared-session front end; this one runs with -isolate (cluster per connection)", req.Cmd)
-	}
-	if sess.coord == nil {
-		return errNoCluster
-	}
-	return f.dispatch(sess, sess.coord, nil, req, resp)
-}
-
-// handleShared dispatches against the one shared cluster session,
+// dispatch serves one command against the shared cluster session,
 // multiplexed across connections by the tenant manager.
-func (f *Frontend) handleShared(cs *connState, req *server.Request, resp *server.Response) error {
+func (f *Frontend) dispatch(cs *connState, req *server.Request, resp *server.Response) error {
+	// Commands the front end or the tenant layer answers by itself.
 	switch req.Cmd {
 	case "ping":
 		resp.Pong = true
 		return nil
 	case "gen", "load":
-		return f.handleSharedGraph(req, resp)
+		return f.handleGraph(req, resp)
 	case "metrics":
 		resp.Obs = f.cfg.Cluster.Metrics.JSON()
 		return nil
@@ -475,7 +298,10 @@ func (f *Frontend) handleShared(cs *connState, req *server.Request, resp *server
 		}
 		return f.tenants.Unwatch(cs.tenant, req.Watch)
 	}
-	sess, coord, err := f.sharedSession()
+
+	// Everything else runs against the shared coordinator, so a missing
+	// graph is reported before anything command-specific.
+	coord, err := f.sharedCoordinator()
 	if err != nil {
 		return err
 	}
@@ -490,39 +316,27 @@ func (f *Frontend) handleShared(cs *connState, req *server.Request, resp *server
 			return err
 		}
 	}
-	return f.dispatch(sess, coord, cs, req, resp)
-}
-
-// dispatch serves the commands common to both models against a concrete
-// coordinator. cs is nil in Isolate mode: no tenant layer, so no fences
-// and updates return every watch's deltas directly.
-func (f *Frontend) dispatch(sess *feSession, coord *Coordinator, cs *connState, req *server.Request, resp *server.Response) error {
 	switch req.Cmd {
 	case "match":
-		return f.handleMatch(coord, cs, req, resp)
+		return f.handleMatch(coord, cs, req, resp, false)
 	case "update":
-		return f.handleUpdate(sess, coord, cs, req, resp)
-	case "watch": // Isolate mode only; shared watch goes via the tenant manager
-		q, err := core.Parse(req.Pattern)
-		if err != nil {
-			return err
+		return f.handleUpdate(coord, cs, req, resp, false)
+	case "profile":
+		// Like the single server's profile command: an update batch
+		// profiles the maintenance pipeline, a pattern profiles a match.
+		switch {
+		case len(req.Updates) > 0:
+			return f.handleUpdate(coord, cs, req, resp, true)
+		case req.Pattern != "":
+			return f.handleMatch(coord, cs, req, resp, true)
 		}
-		answers, err := coord.Watch(req.Watch, q)
-		if err != nil {
-			return err
-		}
-		server.FillMatches(resp, answers, req.Limit)
-		return nil
-	case "unwatch":
-		return coord.Unwatch(req.Watch)
+		return fmt.Errorf("profile: request carries neither a pattern nor an update batch")
 	case "stats":
-		return f.handleStats(sess, coord, cs, req, resp)
+		return f.handleStats(coord, cs, req, resp)
 	case "partition":
 		return f.handlePartition(coord, resp)
 	case "explain":
 		return f.handleExplain(coord, req, resp)
-	case "profile":
-		return f.handleProfile(sess, coord, cs, req, resp)
 	case "pmatch", "rule", "rpqfilter", "fragment", "assign":
 		return fmt.Errorf("command %q is not served by the cluster front end; connect to a worker qgpd for it", req.Cmd)
 	default:
@@ -581,20 +395,21 @@ func (f *Frontend) handleEndSession(cs *connState, req *server.Request, resp *se
 	return nil
 }
 
-// sharedSession returns the shared session and a snapshot of its current
+// sharedCoordinator returns a snapshot of the shared session's current
 // coordinator, applying lazy durable recovery on first use. A failed
 // recovery is returned to the requesting client and retried on the next
 // request.
-func (f *Frontend) sharedSession() (*feSession, *Coordinator, error) {
+func (f *Frontend) sharedCoordinator() (*Coordinator, error) {
 	f.smu.Lock()
 	defer f.smu.Unlock()
 	if err := f.recoverLocked(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if f.ssess.coord == nil {
-		return nil, nil, errNoCluster
+	coord := f.coord.Load()
+	if coord == nil {
+		return nil, server.ErrNoGraph
 	}
-	return f.ssess, f.ssess.coord, nil
+	return coord, nil
 }
 
 // recoverLocked builds the shared cluster from journal-recovered state on
@@ -610,17 +425,17 @@ func (f *Frontend) recoverLocked() error {
 		f.srecov = true
 		return nil
 	}
-	if err := f.buildCluster(f.ssess, f.cfg.Durable.Graph, true); err != nil {
+	coord, err := f.buildCluster(f.cfg.Durable.Graph)
+	if err != nil {
 		return fmt.Errorf("recovering journaled cluster: %w", err)
 	}
 	for _, name := range sortedKeys(f.cfg.Durable.Watches) {
 		q, err := core.Parse(f.cfg.Durable.Watches[name])
-		if err != nil {
-			f.ssess.close()
-			return fmt.Errorf("recovering watch %q: %w", name, err)
+		if err == nil {
+			_, err = coord.Watch(name, q)
 		}
-		if _, err := f.ssess.coord.Watch(name, q); err != nil {
-			f.ssess.close()
+		if err != nil {
+			f.closeClusterLocked()
 			return fmt.Errorf("recovering watch %q: %w", name, err)
 		}
 	}
@@ -637,10 +452,10 @@ func (f *Frontend) recoverLocked() error {
 	return nil
 }
 
-// handleSharedGraph serves gen and load on the shared session: the one
-// cluster is rebuilt and every tenant's watch table reset (their watches
-// and version fences died with the old coordinator).
-func (f *Frontend) handleSharedGraph(req *server.Request, resp *server.Response) error {
+// handleGraph serves gen and load: the one cluster is rebuilt and every
+// tenant's watch table reset (their watches and version fences died with
+// the old coordinator).
+func (f *Frontend) handleGraph(req *server.Request, resp *server.Response) error {
 	g, err := f.buildGraph(req)
 	if err != nil {
 		return err
@@ -648,12 +463,13 @@ func (f *Frontend) handleSharedGraph(req *server.Request, resp *server.Response)
 	f.smu.Lock()
 	defer f.smu.Unlock()
 	f.srecov = true // an explicit graph supersedes journal recovery
-	if err := f.buildCluster(f.ssess, g, f.cfg.Durable != nil); err != nil {
+	coord, err := f.buildCluster(g)
+	if err != nil {
 		return err
 	}
 	f.tenants.Reset()
-	g = f.ssess.coord.Graph() // normalized version
-	resp.Nodes, resp.Edges = g.NumNodes(), g.NumEdges()
+	// The coordinator normalized g (duplicate parallel edges collapse).
+	resp.Nodes, resp.Edges = coord.Size()
 	return nil
 }
 
@@ -676,7 +492,7 @@ func (f *Frontend) buildGraph(req *server.Request) (*graph.Graph, error) {
 // through the front end rather than capturing a coordinator keeps the
 // registrar valid across graph rebuilds.
 func (f *Frontend) Watch(name string, q *core.Pattern) ([]graph.NodeID, error) {
-	_, coord, err := f.sharedSession()
+	coord, err := f.sharedCoordinator()
 	if err != nil {
 		return nil, err
 	}
@@ -685,87 +501,77 @@ func (f *Frontend) Watch(name string, q *core.Pattern) ([]graph.NodeID, error) {
 
 // Unwatch implements tenant.Registrar.
 func (f *Frontend) Unwatch(name string) error {
-	_, coord, err := f.sharedSession()
+	coord, err := f.sharedCoordinator()
 	if err != nil {
 		return err
 	}
 	return coord.Unwatch(name)
 }
 
-// ClusterHealth is one live cluster session's slice of the front end's
+// ClusterHealth is the shared cluster's slice of the front end's
 // /healthz document.
 type ClusterHealth struct {
 	Fragments []FragmentHealth `json:"fragments"`
 	Error     string           `json:"error,omitempty"`
 }
 
-// Health reports the topology and per-fragment liveness of every live
-// cluster session, shaped for the debug listener's /healthz endpoint.
-// With no session yet (no client has loaded a graph) the document is
-// healthy but empty. The error is non-nil — a 503 from the debug handler
-// — when a session has fail-stopped or a fragment's primary fails its
-// probe.
+// Health reports the topology and per-fragment liveness of the shared
+// cluster, shaped for the debug listener's /healthz endpoint. With no
+// cluster yet (no client has loaded a graph) the document is healthy but
+// empty. The error is non-nil — a 503 from the debug handler — when the
+// coordinator has fail-stopped or a fragment's primary fails its probe.
 func (f *Frontend) Health() (interface{}, error) {
-	f.mu.Lock()
-	coords := make([]*Coordinator, 0, len(f.coords))
-	for c := range f.coords {
-		coords = append(coords, c)
-	}
-	f.mu.Unlock()
 	doc := struct {
 		Status   string          `json:"status"`
 		Sessions int             `json:"sessions"`
 		Clusters []ClusterHealth `json:"clusters,omitempty"`
-	}{Status: "ok", Sessions: len(coords)}
-	var firstErr error
-	for _, c := range coords {
-		fhs, err := c.Health()
-		ch := ClusterHealth{Fragments: fhs}
-		if err != nil {
-			ch.Error = err.Error()
-			if firstErr == nil {
-				firstErr = err
-			}
-		} else {
-			for _, fh := range fhs {
-				if !fh.PrimaryAlive && firstErr == nil {
-					firstErr = fmt.Errorf("fragment %d primary failed its probe: %s", fh.Fragment, fh.PrimaryError)
-				}
+	}{Status: "ok"}
+	coord := f.coord.Load()
+	if coord == nil {
+		return doc, nil
+	}
+	fhs, err := coord.Health()
+	ch := ClusterHealth{Fragments: fhs}
+	if err != nil {
+		ch.Error = err.Error()
+	} else {
+		for _, fh := range fhs {
+			if !fh.PrimaryAlive {
+				err = fmt.Errorf("fragment %d primary failed its probe: %s", fh.Fragment, fh.PrimaryError)
+				break
 			}
 		}
-		doc.Clusters = append(doc.Clusters, ch)
 	}
-	if firstErr != nil {
+	doc.Sessions, doc.Clusters = 1, []ClusterHealth{ch}
+	if err != nil {
 		doc.Status = "degraded"
 	}
-	return doc, firstErr
+	return doc, err
 }
 
-var errNoCluster = errors.New("no graph loaded: run gen or load first")
-
-// buildCluster replaces the session's coordinator with a fresh one over
-// g: fresh worker transports, and for a durable session the journal is
-// attached (cluster.New records g as the new durable graph).
-func (f *Frontend) buildCluster(sess *feSession, g *graph.Graph, durable bool) error {
+// buildCluster replaces the shared coordinator with a fresh one over g:
+// fresh worker transports, and for a durable front end the journal is
+// attached (cluster.New records g as the new durable graph). Callers hold
+// smu.
+func (f *Frontend) buildCluster(g *graph.Graph) (*Coordinator, error) {
 	// The old cluster's sessions are released first: a failed rebuild
-	// leaves the front-end session refusing queries (errNoCluster-style
-	// errors via nil coord) rather than serving a graph the client
-	// believes it replaced.
-	sess.reset()
+	// leaves the front end refusing queries (server.ErrNoGraph via the nil
+	// coordinator) rather than serving a graph the client believes it
+	// replaced.
+	f.closeClusterLocked()
 	ts, err := f.cfg.NewWorkers()
 	if err != nil {
-		return fmt.Errorf("workers: %w", err)
+		return nil, fmt.Errorf("workers: %w", err)
 	}
 	if len(ts) == 0 {
-		return errors.New("workers: NewWorkers returned an empty set")
+		return nil, errors.New("workers: NewWorkers returned an empty set")
 	}
 	ccfg := f.cfg.Cluster
-	if durable {
+	ccfg.Journal = nil
+	if f.cfg.Durable != nil {
 		ccfg.Journal = f.cfg.Durable.Journal
-	} else {
-		ccfg.Journal = nil
 	}
-	if !f.cfg.Isolate && ccfg.MaxWatches == 0 {
+	if ccfg.MaxWatches == 0 {
 		// The shared coordinator aggregates every tenant's watches;
 		// quotas are per tenant in the manager, so the per-session cap
 		// makes no sense here. An explicit positive cap is respected.
@@ -774,53 +580,53 @@ func (f *Frontend) buildCluster(sess *feSession, g *graph.Graph, durable bool) e
 	coord, err := New(g, ts, ccfg)
 	if err != nil {
 		CloseAll(ts) // New failed: ownership stayed with us
-		return err
+		return nil, err
 	}
-	sess.coord = coord
-	f.mu.Lock()
-	f.coords[coord] = true
-	f.mu.Unlock()
-	sess.unreg = func() {
-		f.mu.Lock()
-		delete(f.coords, coord)
-		f.mu.Unlock()
-	}
+	f.coord.Store(coord)
 	if f.cfg.OnSession != nil {
-		sess.stop = f.cfg.OnSession(coord)
+		f.stop = f.cfg.OnSession(coord)
 	}
-	return nil
+	return coord, nil
 }
 
-func (f *Frontend) handleMatch(coord *Coordinator, cs *connState, req *server.Request, resp *server.Response) error {
+// handleMatch serves match and (profile true) the pattern form of
+// profile, whose merged cluster-level document travels in Profile with
+// each worker's own document embedded verbatim.
+func (f *Frontend) handleMatch(coord *Coordinator, cs *connState, req *server.Request, resp *server.Response, profile bool) error {
 	q, err := core.Parse(req.Pattern)
 	if err != nil {
 		return err
 	}
-	res, err := coord.MatchWith(q, f.matchOptions(cs, req))
+	opts := &MatchOptions{Engine: req.Engine, Budget: req.Budget, Planner: req.Planner}
+	if cs.tenant != "" {
+		// An attached tenant's reads are fenced at its last accepted
+		// write, so replica routing can never serve it a copy that
+		// predates its own update.
+		opts.MinVersion = f.tenants.NoteRead(cs.tenant)
+	}
+	var res *MatchResult
+	var prof *MatchProfile
+	if profile {
+		res, prof, err = coord.ProfileMatch(q, opts)
+	} else {
+		res, err = coord.MatchWith(q, opts)
+	}
 	if err != nil {
 		return err
 	}
 	server.FillMatches(resp, res.Matches, req.Limit)
 	resp.Metrics = &res.Metrics
+	if profile {
+		return server.MarshalProfile(resp, prof)
+	}
 	return nil
 }
 
-// matchOptions builds a read's options; an attached tenant's reads are
-// fenced at its last accepted write, so replica routing can never serve
-// it a copy that predates its own update.
-func (f *Frontend) matchOptions(cs *connState, req *server.Request) *MatchOptions {
-	opts := &MatchOptions{
-		Engine:  req.Engine,
-		Budget:  req.Budget,
-		Planner: req.Planner,
-	}
-	if cs != nil && cs.tenant != "" && f.tenants != nil {
-		opts.MinVersion = f.tenants.NoteRead(cs.tenant)
-	}
-	return opts
-}
-
-func (f *Frontend) handleUpdate(sess *feSession, coord *Coordinator, cs *connState, req *server.Request, resp *server.Response) error {
+// handleUpdate serves update and (profile true) the batch form of
+// profile. The writer gets only its own namespace's deltas back (other
+// tenants drain theirs with the deltas command) and its fence advances
+// to the batch's version token.
+func (f *Frontend) handleUpdate(coord *Coordinator, cs *connState, req *server.Request, resp *server.Response, profile bool) error {
 	// The combined-batch fields are coordinator→worker routing, not
 	// client vocabulary: the coordinator computes assignment and the
 	// affected set itself. Reject rather than silently drop them, as
@@ -828,31 +634,18 @@ func (f *Frontend) handleUpdate(sess *feSession, coord *Coordinator, cs *connSta
 	if len(req.Owned) > 0 || req.Scoped || len(req.Affected) > 0 {
 		return fmt.Errorf("update fields owned/scoped/affected are not served by the cluster front end; the coordinator computes routing itself")
 	}
-	if cs != nil {
-		if err := f.ensureTenant(cs); err != nil {
-			return err
-		}
+	var res *UpdateResult
+	var prof *UpdateProfile
+	var err error
+	if profile {
+		res, prof, err = coord.UpdateProfiled(req.Updates)
+	} else {
+		res, err = coord.Update(req.Updates)
 	}
-	res, err := coord.Update(req.Updates)
 	if err != nil {
 		return err
 	}
-	sess.invalidateStats()
 	resp.Nodes, resp.Edges = res.Nodes, res.Edges
-	f.finishWrite(cs, res, resp)
-	return nil
-}
-
-// finishWrite routes an accepted update's deltas and fence. In shared
-// mode the writer gets only its own namespace's deltas back (other
-// tenants drain theirs with the deltas command) and its fence advances to
-// the batch's version token; in Isolate mode the response carries every
-// delta, as a private cluster always did.
-func (f *Frontend) finishWrite(cs *connState, res *UpdateResult, resp *server.Response) {
-	if cs == nil || f.tenants == nil {
-		resp.Deltas = res.Deltas
-		return
-	}
 	resp.Deltas = f.tenants.RecordDeltas(cs.tenant, res.Deltas)
 	f.tenants.NoteWrite(cs.tenant, res.Version)
 	// Post-paid budget accounting: the batch's real cost — the size of
@@ -860,6 +653,10 @@ func (f *Frontend) finishWrite(cs *connState, res *UpdateResult, resp *server.Re
 	// now that it is known. See tenant.Config.AffectedPerSec.
 	f.tenants.ChargeAffected(cs.tenant, res.AffectedSize)
 	resp.Session = cs.tenant
+	if profile {
+		return server.MarshalProfile(resp, prof)
+	}
+	return nil
 }
 
 // handleExplain fans the plan-only command out and returns the merged
@@ -873,75 +670,17 @@ func (f *Frontend) handleExplain(coord *Coordinator, req *server.Request, resp *
 	if err != nil {
 		return err
 	}
-	return fillProfile(resp, ex)
+	return server.MarshalProfile(resp, ex)
 }
 
-// handleProfile dispatches like the single server's profile command: a
-// pattern profiles a cluster match, an update batch profiles the
-// maintenance pipeline. The merged cluster-level document travels in
-// Profile with each worker's own document embedded verbatim.
-func (f *Frontend) handleProfile(sess *feSession, coord *Coordinator, cs *connState, req *server.Request, resp *server.Response) error {
-	switch {
-	case len(req.Updates) > 0:
-		// Same client-vocabulary boundary as handleUpdate.
-		if len(req.Owned) > 0 || req.Scoped || len(req.Affected) > 0 {
-			return fmt.Errorf("update fields owned/scoped/affected are not served by the cluster front end; the coordinator computes routing itself")
-		}
-		if cs != nil {
-			if err := f.ensureTenant(cs); err != nil {
-				return err
-			}
-		}
-		res, prof, err := coord.UpdateProfiled(req.Updates)
-		if err != nil {
-			return err
-		}
-		sess.invalidateStats()
-		resp.Nodes, resp.Edges = res.Nodes, res.Edges
-		f.finishWrite(cs, res, resp)
-		return fillProfile(resp, prof)
-	case req.Pattern != "":
-		q, err := core.Parse(req.Pattern)
-		if err != nil {
-			return err
-		}
-		res, prof, err := coord.ProfileMatch(q, f.matchOptions(cs, req))
-		if err != nil {
-			return err
-		}
-		server.FillMatches(resp, res.Matches, req.Limit)
-		resp.Metrics = &res.Metrics
-		return fillProfile(resp, prof)
-	default:
-		return fmt.Errorf("profile: request carries neither a pattern nor an update batch")
-	}
-}
-
-// fillProfile serializes a merged profile document into the response.
-func fillProfile(resp *server.Response, doc interface{}) error {
-	b, err := json.Marshal(doc)
-	if err != nil {
-		return fmt.Errorf("profile: %w", err)
-	}
-	resp.Profile = b
-	return nil
-}
-
-// handleStats serves statistics. Shared mode fans out to the fragment
-// copies through the replica-read router (Coordinator.Stats) — the
-// front end no longer clones the authoritative graph, so a stats burst
-// neither pins the front-end process nor blocks behind writers.
-// Isolate mode keeps the private cluster's frontend-side collection.
-// Both shapes render through server.FillStatsRows, so the TopK cap and
-// output format are one code path.
-func (f *Frontend) handleStats(sess *feSession, coord *Coordinator, cs *connState, req *server.Request, resp *server.Response) error {
-	if cs == nil {
-		g := coord.Graph()
-		server.FillStats(resp, g, sess.cachedStats(g), req.TopK)
-		return nil
-	}
+// handleStats fans out to the fragment copies through the replica-read
+// router (Coordinator.Stats), so a stats burst neither pins the
+// front-end process nor blocks behind writers, and renders through
+// server.FillStatsRows — the TopK cap and output format are the single
+// server's code path.
+func (f *Frontend) handleStats(coord *Coordinator, cs *connState, req *server.Request, resp *server.Response) error {
 	var minV uint64
-	if cs.tenant != "" && f.tenants != nil {
+	if cs.tenant != "" {
 		// Fenced like a match: a tenant's stats reflect its own writes
 		// even when served from a replica.
 		minV = f.tenants.Fence(cs.tenant)

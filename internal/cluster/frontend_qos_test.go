@@ -1,12 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +16,7 @@ import (
 	"repro/internal/tenant"
 )
 
-// startQoSFrontend starts a shared-mode front end with admission
+// startQoSFrontend starts a front end with admission
 // control configured and a metrics registry attached.
 func startQoSFrontend(t *testing.T, tcfg tenant.Config, reg *obs.Registry) (string, *Frontend) {
 	t.Helper()
@@ -229,43 +229,56 @@ func TestFrontendTwoTenantFairness(t *testing.T) {
 	}
 }
 
-// TestFrontendStatsConsistency: the shared front end's fanned-out,
-// replica-routed stats must be byte-identical to the isolate mode's
-// frontend-side collection over the same graph — same counts, same
-// label names, same rendered rows — and both must honor TopK the same
-// way.
+// TestFrontendStatsConsistency: the front end's fanned-out,
+// replica-routed stats must be byte-identical to a standalone
+// server.Server's collection over the same graph (the reference
+// renderer) — same counts, same label names, same rendered rows — and
+// both must honor TopK the same way.
 func TestFrontendStatsConsistency(t *testing.T) {
 	reg := obs.NewRegistry()
-	sharedAddr, _ := startQoSFrontend(t, tenant.Config{}, reg)
-	var builds atomic.Int64
-	isoAddr, _ := startSharedFrontend(t, true, &builds)
-
+	sharedAddr, fe := startQoSFrontend(t, tenant.Config{}, reg)
 	shared := dialFrontend(t, sharedAddr)
-	iso := dialFrontend(t, isoAddr)
-	for _, c := range []*client.Client{shared, iso} {
-		if _, _, err := c.Gen("social", 300, 5); err != nil {
-			t.Fatalf("gen: %v", err)
-		}
+	if _, _, err := shared.Gen("social", 300, 5); err != nil {
+		t.Fatalf("gen: %v", err)
 	}
+
+	// The reference loads the coordinator's normalized graph, so both
+	// sides summarize the same edge set.
+	var text bytes.Buffer
+	if _, err := fe.coord.Load().Graph().WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{Logf: func(string, ...interface{}) {}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	ref := dialFrontend(t, ln.Addr().String())
+	if _, _, err := ref.LoadText(text.String()); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+
 	routedBefore := reg.Counter("cluster.read.primary").Value() + reg.Counter("cluster.read.replica").Value()
 	for _, topK := range []int{0, 3} {
 		rs, err := shared.Stats(topK)
 		if err != nil {
 			t.Fatalf("shared stats: %v", err)
 		}
-		ri, err := iso.Stats(topK)
+		ri, err := ref.Stats(topK)
 		if err != nil {
-			t.Fatalf("isolate stats: %v", err)
+			t.Fatalf("reference stats: %v", err)
 		}
 		if rs.Nodes != ri.Nodes || rs.Edges != ri.Edges || rs.Labels != ri.Labels {
-			t.Fatalf("counts diverge: shared %d/%d/%d, isolate %d/%d/%d",
+			t.Fatalf("counts diverge: shared %d/%d/%d, reference %d/%d/%d",
 				rs.Nodes, rs.Edges, rs.Labels, ri.Nodes, ri.Edges, ri.Labels)
 		}
 		if !reflect.DeepEqual(rs.LabelNames, ri.LabelNames) {
 			t.Fatalf("label names diverge: %v vs %v", rs.LabelNames, ri.LabelNames)
 		}
 		if !reflect.DeepEqual(rs.Triples, ri.Triples) {
-			t.Fatalf("rendered rows diverge (topK=%d):\nshared  %v\nisolate %v", topK, rs.Triples, ri.Triples)
+			t.Fatalf("rendered rows diverge (topK=%d):\nshared    %v\nreference %v", topK, rs.Triples, ri.Triples)
 		}
 		if !reflect.DeepEqual(rs.TripleRows, ri.TripleRows) {
 			t.Fatalf("structured rows diverge (topK=%d)", topK)

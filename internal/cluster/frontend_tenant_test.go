@@ -12,13 +12,12 @@ import (
 	"repro/internal/server"
 )
 
-// startSharedFrontend starts a front end in the default shared-session
-// mode, counting how many worker sets (i.e. fragmentations) it builds.
-func startSharedFrontend(t *testing.T, isolate bool, builds *atomic.Int64) (string, *Frontend) {
+// startSharedFrontend starts a front end, counting how many worker sets
+// (i.e. fragmentations) it builds.
+func startSharedFrontend(t *testing.T, builds *atomic.Int64) (string, *Frontend) {
 	t.Helper()
 	fe := NewFrontend(FrontendConfig{
 		Cluster: Config{D: 2},
-		Isolate: isolate,
 		NewWorkers: func() ([]Transport, error) {
 			builds.Add(1)
 			return InProcessN(2, server.Config{MaxWatches: -1}), nil
@@ -54,7 +53,7 @@ func dialFrontend(t *testing.T, addr string) *client.Client {
 // loaded, and no second worker set is ever built.
 func TestFrontendSharedSession(t *testing.T) {
 	var builds atomic.Int64
-	addr, _ := startSharedFrontend(t, false, &builds)
+	addr, _ := startSharedFrontend(t, &builds)
 	c1 := dialFrontend(t, addr)
 	c2 := dialFrontend(t, addr)
 
@@ -78,38 +77,12 @@ func TestFrontendSharedSession(t *testing.T) {
 	}
 }
 
-// TestFrontendIsolateMode: the -isolate flag restores per-connection
-// clusters — a second connection has no graph, and session commands are
-// refused.
-func TestFrontendIsolateMode(t *testing.T) {
-	var builds atomic.Int64
-	addr, _ := startSharedFrontend(t, true, &builds)
-	c1 := dialFrontend(t, addr)
-	c2 := dialFrontend(t, addr)
-
-	if _, _, err := c1.Gen("social", 150, 4); err != nil {
-		t.Fatalf("gen: %v", err)
-	}
-	if _, err := c2.Match(testPatterns[0], nil); err == nil {
-		t.Fatal("isolate mode: second connection saw the first one's graph")
-	}
-	if _, _, err := c2.Gen("social", 150, 4); err != nil {
-		t.Fatalf("gen c2: %v", err)
-	}
-	if n := builds.Load(); n != 2 {
-		t.Fatalf("isolate mode built %d clusters for two gens, want 2", n)
-	}
-	if _, err := c1.Session("alice"); err == nil {
-		t.Fatal("isolate mode accepted the session command")
-	}
-}
-
 // TestFrontendTenantNamespaces drives the tenant layer over the wire:
 // private watch names, writer-only update deltas, cross-tenant delta
 // drains, session listing and eviction.
 func TestFrontendTenantNamespaces(t *testing.T) {
 	var builds atomic.Int64
-	addr, _ := startSharedFrontend(t, false, &builds)
+	addr, _ := startSharedFrontend(t, &builds)
 	alice := dialFrontend(t, addr)
 	bob := dialFrontend(t, addr)
 
@@ -197,7 +170,7 @@ func TestFrontendTenantNamespaces(t *testing.T) {
 // names a session gets an auto-created one, evicted on disconnect.
 func TestFrontendEphemeralSessionDiesWithConnection(t *testing.T) {
 	var builds atomic.Int64
-	addr, fe := startSharedFrontend(t, false, &builds)
+	addr, fe := startSharedFrontend(t, &builds)
 	c1 := dialFrontend(t, addr)
 	if _, _, err := c1.Gen("social", 150, 4); err != nil {
 		t.Fatalf("gen: %v", err)

@@ -1,14 +1,12 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/server"
 )
@@ -49,8 +47,7 @@ func (c *Coordinator) Match(q *core.Pattern) (*MatchResult, error) {
 
 // MatchWith is Match with per-call options.
 func (c *Coordinator) MatchWith(q *core.Pattern, opts *MatchOptions) (*MatchResult, error) {
-	res, _, err := c.matchWith(q, opts, nil)
-	return res, err
+	return c.matchWith(q, opts, nil)
 }
 
 // ProfileMatch is MatchWith plus a merged cluster-level profile: each
@@ -60,156 +57,91 @@ func (c *Coordinator) MatchWith(q *core.Pattern, opts *MatchOptions) (*MatchResu
 // own stage documents embedded verbatim.
 func (c *Coordinator) ProfileMatch(q *core.Pattern, opts *MatchOptions) (*MatchResult, *MatchProfile, error) {
 	prof := &MatchProfile{Op: "match"}
-	res, prof, err := c.matchWith(q, opts, prof)
-	return res, prof, err
+	res, err := c.matchWith(q, opts, prof)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, prof, nil
 }
 
-// matchWith runs one cluster match; prof non-nil switches the workers to
-// the profile command and collects the merged profile.
-//
-// The fan-out first runs under the read side of c.mu with each
-// fragment's request routed to its least-loaded live copy (readroute.go),
-// so concurrent matches overlap across the k copies of every fragment.
-// Only when a fragment has no live copy does the call retry under the
-// write lock, where sendPrimary can promote a warm replica or re-ship
-// the fragment.
-func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *MatchProfile) (res *MatchResult, _ *MatchProfile, err error) {
+// matchWith runs one cluster match through routedRead; prof non-nil
+// switches the workers to the profile command and fills the merged
+// profile.
+func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *MatchProfile) (res *MatchResult, err error) {
 	if err := q.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("cluster: %w", err)
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if need := parallel.RequiredHops(q); need > c.cfg.D {
-		return nil, nil, fmt.Errorf("cluster: pattern needs %d-hop preservation but the fragmentation has d=%d", need, c.cfg.D)
+		return nil, fmt.Errorf("cluster: pattern needs %d-hop preservation but the fragmentation has d=%d", need, c.cfg.D)
 	}
 	start := time.Now()
 	tr := c.cfg.Tracer.Start("match")
 	defer func() { tr.Finish(err) }()
 
-	// The failed first attempt returns a nil profile; keep the caller's
-	// prof pointer so the write-locked retry still profiles (matchLocked
-	// re-initializes it from scratch).
-	var out *MatchProfile
-	c.mu.RLock()
-	res, out, err = c.matchLocked(q, opts, prof, tr, start, true)
-	c.mu.RUnlock()
-	if errors.Is(err, errReadFailover) {
-		// A fragment lost every live copy mid-read: take the write lock,
-		// drop the suspects and rerun the fan-out through sendPrimary,
-		// which fails over (promotion or re-ship) as needed. Matching
-		// does not change fragment state, so the retry is always safe.
-		c.om.readFellBack()
-		c.mu.Lock()
-		c.pruneSuspectsLocked()
-		res, out, err = c.matchLocked(q, opts, prof, tr, start, false)
-		c.mu.Unlock()
-	}
-	return res, out, err
-}
-
-// matchLocked runs the fan-out and merge under whichever side of c.mu
-// the caller holds: readPath true routes each fragment across its
-// copies (read lock, no state mutation), false uses sendPrimary with
-// full failover (write lock).
-func (c *Coordinator) matchLocked(q *core.Pattern, opts *MatchOptions, prof *MatchProfile, tr *obs.Trace, start time.Time, readPath bool) (res *MatchResult, _ *MatchProfile, err error) {
-	if err := c.refuseLocked(); err != nil {
-		return nil, nil, err
-	}
-
-	engine, budget, planner := c.cfg.Engine, c.cfg.Budget, false
+	req := server.Request{Cmd: "match", Pattern: q.String(), Engine: c.cfg.Engine, Budget: c.cfg.Budget}
 	var minV uint64
 	if opts != nil {
 		if opts.Engine != "" {
-			engine = opts.Engine
+			req.Engine = opts.Engine
 		}
 		if opts.Budget > 0 {
-			budget = opts.Budget
+			req.Budget = opts.Budget
 		}
-		planner = opts.Planner
+		req.Planner = opts.Planner
 		minV = opts.MinVersion
 	}
-	cmd := "match"
 	if prof != nil {
-		cmd = "profile"
-		if engine == "" {
-			prof.Engine = "qmatch"
-		} else {
-			prof.Engine = engine
-		}
-		prof.Workers = len(c.workers)
-		prof.Fragments = make([]FragmentProfile, len(c.workers))
+		req.Cmd = "profile"
 	}
-	pattern := q.String()
-	responses := make([]*server.Response, len(c.workers))
-	err = c.fanOut(func(w *worker) error {
-		t0 := time.Now()
-		req := &server.Request{
-			Cmd:     cmd,
-			Pattern: pattern,
-			Engine:  engine,
-			Budget:  budget,
-			Planner: planner,
-		}
-		var resp *server.Response
-		var err error
-		if readPath {
-			resp, err = c.sendRead(w, cmd, req, minV)
-		} else {
-			resp, err = c.sendPrimary(w, cmd, req, c.g)
-		}
-		if err != nil {
-			return err
-		}
-		// The round trip measured here minus the worker-reported compute
-		// time (resp.ElapsedMS) is serialization + wire + queueing: the
-		// trace annotation makes a slow worker distinguishable from a
-		// slow link.
-		tr.Span(w.id, "rtt", t0)
-		tr.Annotatef("w%d:compute=%.2fms answers=%d", w.id, resp.ElapsedMS, len(resp.Matches))
-		if c.om != nil {
-			c.om.workerMatchMS[w.id].ObserveSince(t0)
-		}
-		if prof != nil {
-			// Each goroutine writes only its own slot; no lock needed.
-			prof.Fragments[w.id] = FragmentProfile{
-				Worker:    w.id,
-				Answers:   len(resp.Matches),
-				ComputeMS: resp.ElapsedMS,
-				RTTMS:     msSince(t0),
-				Profile:   resp.Profile,
+	err = c.routedRead(tr, req, minV, func(replies []workerReply) error {
+		tm := time.Now()
+		out := &MatchResult{PerWorker: make([]int, len(replies))}
+		merged := make(map[graph.NodeID]bool)
+		for i, r := range replies {
+			tr.Annotatef("w%d:compute=%.2fms answers=%d", i, r.resp.ElapsedMS, len(r.resp.Matches))
+			if c.om != nil {
+				c.om.workerMatchMS[i].Observe(r.rttMS)
+			}
+			out.PerWorker[i] = len(r.resp.Matches)
+			if err := c.workers[i].mergeGlobal(r.resp.Matches, merged); err != nil {
+				return err
+			}
+			// Per-worker engine metrics fold into the cluster-wide totals:
+			// ownership partitions the focus candidates, so sums over the
+			// workers are exactly the single-process work counts.
+			if r.resp.Metrics != nil {
+				out.Metrics.Add(*r.resp.Metrics)
 			}
 		}
-		responses[w.id] = resp
+		out.Matches = sortedSet(merged)
+		tr.Span(-1, "merge", tm)
+		if prof != nil {
+			prof.Engine = req.Engine
+			if prof.Engine == "" {
+				prof.Engine = "qmatch"
+			}
+			prof.Workers = len(replies)
+			prof.Fragments = make([]FragmentProfile, len(replies))
+			for i, r := range replies {
+				prof.Fragments[i] = FragmentProfile{
+					Worker:    i,
+					Answers:   len(r.resp.Matches),
+					ComputeMS: r.resp.ElapsedMS,
+					RTTMS:     r.rttMS,
+					Profile:   r.resp.Profile,
+				}
+			}
+			prof.Matches = len(out.Matches)
+			prof.MergeMS = server.MsSince(tm)
+			prof.TotalMS = server.MsSince(start)
+			prof.Metrics = out.Metrics
+		}
+		if c.om != nil {
+			c.om.matchCount.Inc()
+			c.om.matchMS.ObserveSince(start)
+		}
+		res = out
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	tm := time.Now()
-	out := &MatchResult{PerWorker: make([]int, len(c.workers))}
-	merged := make(map[graph.NodeID]bool)
-	for i, resp := range responses {
-		out.PerWorker[i] = len(resp.Matches)
-		if err := c.workers[i].mergeGlobal(resp.Matches, merged); err != nil {
-			return nil, nil, err
-		}
-		// Per-worker engine metrics fold into the cluster-wide totals:
-		// ownership partitions the focus candidates, so sums over the
-		// workers are exactly the single-process work counts.
-		if resp.Metrics != nil {
-			out.Metrics.Add(*resp.Metrics)
-		}
-	}
-	out.Matches = sortedSet(merged)
-	tr.Span(-1, "merge", tm)
-	if prof != nil {
-		prof.Matches = len(out.Matches)
-		prof.MergeMS = msSince(tm)
-		prof.TotalMS = msSince(start)
-		prof.Metrics = out.Metrics
-	}
-	if c.om != nil {
-		c.om.matchCount.Inc()
-		c.om.matchMS.ObserveSince(start)
-	}
-	return out, prof, nil
+	return res, err
 }

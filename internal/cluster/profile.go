@@ -2,13 +2,10 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/match"
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -99,60 +96,22 @@ type FragmentExplain struct {
 	Plan   json.RawMessage `json:"plan,omitempty"`
 }
 
-// Explain fans the explain command out to every worker and merges the
-// per-fragment plan documents. Nothing is executed. Like Match it is
-// read-only, so it routes across fragment copies under the read lock
-// and falls back to the write-locked failover path only when a fragment
-// has no live copy.
+// Explain fans the explain command out to every worker (routedRead:
+// nothing is executed, so it routes across fragment copies like Match)
+// and merges the per-fragment plan documents.
 func (c *Coordinator) Explain(q *core.Pattern) (res *ExplainResult, err error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	tr := c.cfg.Tracer.Start("explain")
 	defer func() { tr.Finish(err) }()
-	c.mu.RLock()
-	res, err = c.explainLocked(q, tr, true)
-	c.mu.RUnlock()
-	if errors.Is(err, errReadFailover) {
-		c.om.readFellBack()
-		c.mu.Lock()
-		c.pruneSuspectsLocked()
-		res, err = c.explainLocked(q, tr, false)
-		c.mu.Unlock()
-	}
-	return res, err
-}
-
-func (c *Coordinator) explainLocked(q *core.Pattern, tr *obs.Trace, readPath bool) (*ExplainResult, error) {
-	if err := c.refuseLocked(); err != nil {
-		return nil, err
-	}
-	out := &ExplainResult{Op: "explain", Workers: len(c.workers), Fragments: make([]FragmentExplain, len(c.workers))}
-	pattern := q.String()
-	err := c.fanOut(func(w *worker) error {
-		t0 := time.Now()
-		req := &server.Request{Cmd: "explain", Pattern: pattern}
-		var resp *server.Response
-		var err error
-		if readPath {
-			resp, err = c.sendRead(w, "explain", req, 0)
-		} else {
-			resp, err = c.sendPrimary(w, "explain", req, c.g)
+	req := server.Request{Cmd: "explain", Pattern: q.String()}
+	err = c.routedRead(tr, req, 0, func(replies []workerReply) error {
+		res = &ExplainResult{Op: "explain", Workers: len(replies), Fragments: make([]FragmentExplain, len(replies))}
+		for i, r := range replies {
+			res.Fragments[i] = FragmentExplain{Worker: i, Plan: r.resp.Profile}
 		}
-		if err != nil {
-			return err
-		}
-		tr.Span(w.id, "rtt", t0)
-		out.Fragments[w.id] = FragmentExplain{Worker: w.id, Plan: resp.Profile}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// msSince returns the elapsed time since t0 in fractional milliseconds.
-func msSince(t0 time.Time) float64 {
-	return float64(time.Since(t0).Microseconds()) / 1000
+	return res, err
 }

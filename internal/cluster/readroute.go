@@ -16,7 +16,7 @@ package cluster
 //     and skipped; the next write-locked operation (update, repair)
 //     prunes it. No promotion or re-shipping happens here.
 //   - When a fragment has no eligible copy left, the read fails with
-//     errReadFailover and the caller retries the whole fan-out under
+//     errReadFailover and routedRead retries the whole fan-out under
 //     the write lock, where sendPrimary can promote a warm replica or
 //     re-ship the fragment.
 //
@@ -33,15 +33,80 @@ package cluster
 import (
 	"errors"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/client"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
 // errReadFailover reports that a fragment had no live eligible copy on
-// the lock-free read path; the caller retries under the write lock,
+// the lock-free read path; routedRead retries under the write lock,
 // where failover can run.
 var errReadFailover = errors.New("cluster: read routing: no live fragment copy")
+
+// workerReply is one fragment's answer to a routed read and the
+// coordinator-measured round trip that fetched it. The round trip minus
+// the worker-reported compute time (resp.ElapsedMS) is serialization +
+// wire + queueing, which tells a slow worker from a slow link.
+type workerReply struct {
+	resp  *server.Response
+	rttMS float64
+}
+
+// routedRead is the one read-only fan-out behind Match, Explain and
+// Stats. It sends a copy of req to every fragment under the read side of
+// c.mu, each routed to its least-loaded live copy synced to minV, so
+// concurrent reads overlap across the k copies of every fragment. Only
+// when a fragment has no live copy left does it count a fallback, take
+// the write lock, drop the suspects and rerun the whole fan-out through
+// sendPrimary, which fails over (promotion or re-ship) as needed; reads
+// do not change fragment state, so the rerun is always safe. merge runs
+// on the replies (indexed by worker id) under whichever lock the
+// successful fan-out held, so it may read coordinator bookkeeping.
+func (c *Coordinator) routedRead(tr *obs.Trace, req server.Request, minV uint64, merge func([]workerReply) error) error {
+	run := func(readPath bool) error {
+		if err := c.refuseLocked(); err != nil {
+			return err
+		}
+		replies := make([]workerReply, len(c.workers))
+		err := c.fanOut(func(w *worker) error {
+			t0 := time.Now()
+			// Each worker sends its own copy: client.Do stamps the
+			// request's ID in place.
+			r := req
+			var resp *server.Response
+			var err error
+			if readPath {
+				resp, err = c.sendRead(w, req.Cmd, &r, minV)
+			} else {
+				resp, err = c.sendPrimary(w, req.Cmd, &r, c.g)
+			}
+			if err != nil {
+				return err
+			}
+			tr.Span(w.id, "rtt", t0)
+			// Each goroutine writes only its own slot; no lock needed.
+			replies[w.id] = workerReply{resp: resp, rttMS: server.MsSince(t0)}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		return merge(replies)
+	}
+	c.mu.RLock()
+	err := run(true)
+	c.mu.RUnlock()
+	if errors.Is(err, errReadFailover) {
+		c.om.readFellBack()
+		c.mu.Lock()
+		c.pruneSuspectsLocked()
+		err = run(false)
+		c.mu.Unlock()
+	}
+	return err
+}
 
 // sendRead routes one read-only request to the least-loaded live copy
 // of w's fragment whose synced version is at least minV. A transport

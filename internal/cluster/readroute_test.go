@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,35 +201,68 @@ func TestReadFailoverKeepsProfile(t *testing.T) {
 
 // TestReadFailoverFallback: killing every copy of a fragment makes the
 // lock-free read path fail over to the write-locked path, which repairs
-// the cluster from the pool; the match still answers correctly.
+// the cluster from the pool. Match, Explain and Stats all recover through
+// that one path (routedRead): each call answers exactly what it answered
+// before the kill and counts exactly one fallback.
 func TestReadFailoverFallback(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(200, 13))
-	pool := newTestPool(6)
-	ts := InProcessN(2, server.Config{})
-	c, err := New(g, ts, Config{D: 2, Replicas: 2, Pool: pool, Logf: func(string, ...interface{}) {}})
+	pool := newTestPool(12)
+	reg := obs.NewRegistry()
+	c, err := New(g, InProcessN(2, server.Config{}), Config{D: 2, Replicas: 2, Pool: pool,
+		Metrics: reg, Logf: func(string, ...interface{}) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	q := mustParse(t, testPatterns[0])
-	want, err := c.Match(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fallbacks := reg.Counter("cluster.read.fallbacks")
 
-	// Kill fragment 0 outright: primary transport and its warm replica.
-	c.workers[0].primary.t.Close()
-	for _, r := range c.workers[0].replicas {
-		r.t.Close()
+	ops := []struct {
+		name string
+		run  func() (interface{}, error)
+	}{
+		{"Match", func() (interface{}, error) {
+			res, err := c.Match(q)
+			if err != nil {
+				return nil, err
+			}
+			return res.Matches, nil
+		}},
+		{"Explain", func() (interface{}, error) { return c.Explain(q) }},
+		{"Stats", func() (interface{}, error) {
+			st, err := c.Stats(0)
+			if err != nil {
+				return nil, err
+			}
+			sort.Slice(st.Rows, func(i, j int) bool {
+				a, b := st.Rows[i], st.Rows[j]
+				return a.Src+"|"+a.Edge+"|"+a.Dst < b.Src+"|"+b.Edge+"|"+b.Dst
+			})
+			return st, nil
+		}},
 	}
-	got, err := c.Match(q)
-	if err != nil {
-		t.Fatalf("match after killing every copy of fragment 0: %v", err)
-	}
-	if len(got.Matches) != len(want.Matches) {
-		t.Fatalf("answers diverged after read failover: %d vs %d", len(got.Matches), len(want.Matches))
-	}
-	if c.om != nil && c.om.readFallbacks.Value() == 0 {
-		t.Fatal("fallback path did not record itself") // only with metrics configured
+	for _, op := range ops {
+		want, err := op.run()
+		if err != nil {
+			t.Fatalf("%s on the healthy cluster: %v", op.name, err)
+		}
+		// Kill fragment 0 outright: primary transport and every warm
+		// replica (none after an earlier iteration's re-ship).
+		w := c.workers[0]
+		w.primary.t.Close()
+		for _, r := range w.replicas {
+			r.t.Close()
+		}
+		before := fallbacks.Value()
+		got, err := op.run()
+		if err != nil {
+			t.Fatalf("%s after killing every copy of fragment 0: %v", op.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s diverged across read failover:\n got %+v\nwant %+v", op.name, got, want)
+		}
+		if n := fallbacks.Value() - before; n != 1 {
+			t.Fatalf("%s took the fallback path %d times, want exactly 1", op.name, n)
+		}
 	}
 }

@@ -1,11 +1,8 @@
 package cluster
 
 import (
-	"errors"
 	"sort"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -31,57 +28,30 @@ type ClusterStats struct {
 	Rows   []server.TripleRow // summed triple classes, unordered
 }
 
-// Stats fans the stats command out across fragment copies and merges
-// the owned-restricted summaries. minV is the read-your-writes fence
-// (0 accepts any live copy), exactly as for Match.
+// Stats fans the stats command out across fragment copies (routedRead)
+// and merges the owned-restricted summaries. minV is the
+// read-your-writes fence (0 accepts any live copy), exactly as for
+// Match.
 func (c *Coordinator) Stats(minV uint64) (res *ClusterStats, err error) {
 	tr := c.cfg.Tracer.Start("stats")
 	defer func() { tr.Finish(err) }()
-	c.mu.RLock()
-	res, err = c.statsLocked(tr, minV, true)
-	c.mu.RUnlock()
-	if errors.Is(err, errReadFailover) {
-		c.om.readFellBack()
-		c.mu.Lock()
-		c.pruneSuspectsLocked()
-		res, err = c.statsLocked(tr, minV, false)
-		c.mu.Unlock()
-	}
+	// TopK 1 keeps the workers' rendered-string work minimal; the merge
+	// consumes only the complete structured rows.
+	req := server.Request{Cmd: "stats", TopK: 1}
+	err = c.routedRead(tr, req, minV, func(replies []workerReply) error {
+		res = mergeStats(replies)
+		return nil
+	})
 	return res, err
 }
 
-func (c *Coordinator) statsLocked(tr *obs.Trace, minV uint64, readPath bool) (*ClusterStats, error) {
-	if err := c.refuseLocked(); err != nil {
-		return nil, err
-	}
-	responses := make([]*server.Response, len(c.workers))
-	err := c.fanOut(func(w *worker) error {
-		t0 := time.Now()
-		// TopK 1 keeps the workers' rendered-string work minimal; the
-		// merge consumes only the complete structured rows.
-		req := &server.Request{Cmd: "stats", TopK: 1}
-		var resp *server.Response
-		var err error
-		if readPath {
-			resp, err = c.sendRead(w, "stats", req, minV)
-		} else {
-			resp, err = c.sendPrimary(w, "stats", req, c.g)
-		}
-		if err != nil {
-			return err
-		}
-		tr.Span(w.id, "rtt", t0)
-		responses[w.id] = resp
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
+// mergeStats sums the workers' owned-restricted summaries per class.
+func mergeStats(replies []workerReply) *ClusterStats {
 	out := &ClusterStats{}
 	rowIx := make(map[[3]string]int)
 	labels := make(map[string]bool)
-	for _, resp := range responses {
+	for _, r := range replies {
+		resp := r.resp
 		out.Nodes += resp.Nodes
 		out.Edges += resp.Edges
 		for _, l := range resp.LabelNames {
@@ -104,5 +74,5 @@ func (c *Coordinator) statsLocked(tr *obs.Trace, minV uint64, readPath bool) (*C
 		out.Labels = append(out.Labels, l)
 	}
 	sort.Strings(out.Labels)
-	return out, nil
+	return out
 }

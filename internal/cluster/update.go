@@ -137,7 +137,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	newG := c.vg.Graph()
 	tr.Span(-1, "apply", tapply)
 	if prof != nil {
-		prof.ApplyMS = msSince(tapply)
+		prof.ApplyMS = server.MsSince(tapply)
 	}
 	// The batch is accepted: journal it before any worker sees it, so a
 	// coordinator crash during fan-out cannot lose an applied batch.
@@ -156,7 +156,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 			return nil, fmt.Errorf("cluster: journal: %w", err)
 		}
 		if prof != nil {
-			prof.JournalMS = msSince(tj)
+			prof.JournalMS = server.MsSince(tj)
 		}
 	}
 	taff := time.Now()
@@ -190,7 +190,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	}
 	tr.Annotatef("batch=%d touched=%d affected=%d matcand=%d", len(specs), len(touched), len(reverify), len(matCand))
 	if prof != nil {
-		prof.AffectedMS = msSince(taff)
+		prof.AffectedMS = server.MsSince(taff)
 		prof.BatchSize = len(specs)
 		prof.Touched = len(touched)
 		prof.Nodes = newG.NumNodes()
@@ -253,7 +253,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 			// Each goroutine writes only its own slot; no lock needed.
 			wp = &WorkerUpdateProfile{
 				Worker:    w.id,
-				PlanMS:    msSince(tplan),
+				PlanMS:    server.MsSince(tplan),
 				Mutations: len(p.batch),
 				Affected:  len(p.affected),
 				Assigned:  len(p.assignL),
@@ -285,7 +285,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 			c.om.workerUpdateMS[w.id].ObserveSince(trtt)
 		}
 		if wp != nil {
-			wp.RTTMS = msSince(trtt)
+			wp.RTTMS = server.MsSince(trtt)
 			wp.Profile = resp.Profile
 		}
 		updDeltas[w.id] = resp.Deltas
@@ -302,7 +302,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 			c.mirror(w, req)
 			tr.Span(w.id, "mirror", tmir)
 			if wp != nil {
-				wp.MirrorMS = msSince(tmir)
+				wp.MirrorMS = server.MsSince(tmir)
 			}
 		}
 		return nil
@@ -312,7 +312,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		return nil, err
 	}
 	if prof != nil {
-		prof.FanoutMS = msSince(tfan)
+		prof.FanoutMS = server.MsSince(tfan)
 		for _, wp := range workerProfs {
 			if wp != nil {
 				prof.Workers = append(prof.Workers, *wp)
@@ -343,8 +343,8 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	out.Deltas = merged
 	tr.Span(-1, "merge", tm)
 	if prof != nil {
-		prof.MergeMS = msSince(tm)
-		prof.TotalMS = msSince(start)
+		prof.MergeMS = server.MsSince(tm)
+		prof.TotalMS = server.MsSince(start)
 	}
 	if c.om != nil {
 		c.om.updateCount.Inc()

@@ -3,7 +3,6 @@ package dynamic
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -185,42 +184,6 @@ func (m *Matcher) ApplyShared(old graph.View, newG *graph.Graph, touched []graph
 // locally (where fragment materialization traffic would inflate it).
 func (m *Matcher) ApplyScoped(newG *graph.Graph, affected []graph.NodeID) (Delta, error) {
 	return m.reverify(newG, affected)
-}
-
-// Stages splits one incremental maintenance step into its two phases:
-// computing the affected region (the two-radius BFS of AffectedWithin)
-// and re-verifying the candidates it yielded. It is the update profile's
-// per-watch timing record.
-type Stages struct {
-	AffectedMS float64 `json:"affected_ms"`
-	VerifyMS   float64 `json:"verify_ms"`
-}
-
-// ApplySharedStaged is ApplyShared with per-stage timings.
-func (m *Matcher) ApplySharedStaged(old graph.View, newG *graph.Graph, touched []graph.NodeID) (Delta, Stages, error) {
-	var st Stages
-	t0 := time.Now()
-	affected := AffectedWithin(old, newG, touched, m.hops)
-	st.AffectedMS = msSince(t0)
-	t1 := time.Now()
-	d, err := m.reverify(newG, affected)
-	st.VerifyMS = msSince(t1)
-	return d, st, err
-}
-
-// ApplyScopedStaged is ApplyScoped with per-stage timings; the affected
-// region arrived precomputed, so only the verify phase is timed.
-func (m *Matcher) ApplyScopedStaged(newG *graph.Graph, affected []graph.NodeID) (Delta, Stages, error) {
-	var st Stages
-	t0 := time.Now()
-	d, err := m.reverify(newG, affected)
-	st.VerifyMS = msSince(t0)
-	return d, st, err
-}
-
-// msSince returns the elapsed time since t0 in fractional milliseconds.
-func msSince(t0 time.Time) float64 {
-	return float64(time.Since(t0).Microseconds()) / 1000
 }
 
 // reverify re-evaluates the given candidates over newG and splices the

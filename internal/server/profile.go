@@ -69,14 +69,15 @@ type WatchStageProfile struct {
 	Removed    int     `json:"removed"`
 }
 
-// msSince returns the elapsed time since t0 in fractional milliseconds.
-func msSince(t0 time.Time) float64 {
+// MsSince returns the elapsed time since t0 in fractional milliseconds,
+// the unit of every timing on the wire and in profile documents.
+func MsSince(t0 time.Time) float64 {
 	return float64(time.Since(t0).Microseconds()) / 1000
 }
 
 func (s *Server) handleExplain(sess *session, req *Request, resp *Response) error {
 	if sess.g == nil {
-		return errNoGraph
+		return ErrNoGraph
 	}
 	if req.Pattern == "" {
 		return fmt.Errorf("explain: empty pattern")
@@ -89,7 +90,7 @@ func (s *Server) handleExplain(sess *session, req *Request, resp *Response) erro
 	if err != nil {
 		return err
 	}
-	return marshalProfile(resp, ExplainDoc{Op: "explain", Plan: ex})
+	return MarshalProfile(resp, ExplainDoc{Op: "explain", Plan: ex})
 }
 
 // handleProfile dispatches on the request's payload: an update batch
@@ -102,66 +103,26 @@ func (s *Server) handleProfile(sess *session, req *Request, resp *Response) erro
 		if err := s.handleUpdate(sess, req, resp, prof); err != nil {
 			return err
 		}
-		prof.TotalMS = msSince(t0)
-		return marshalProfile(resp, prof)
+		prof.TotalMS = MsSince(t0)
+		return MarshalProfile(resp, prof)
 	case req.Pattern != "":
-		return s.handleProfileMatch(sess, req, resp)
+		engine := req.Engine
+		if engine == "" {
+			engine = "qmatch"
+		}
+		doc := &MatchProfileDoc{Op: "match", Engine: engine, Planner: req.Planner}
+		if err := s.handleMatch(sess, req, resp, doc); err != nil {
+			return err
+		}
+		return MarshalProfile(resp, doc)
 	default:
 		return fmt.Errorf("profile: request carries neither a pattern nor an update batch")
 	}
 }
 
-func (s *Server) handleProfileMatch(sess *session, req *Request, resp *Response) error {
-	if sess.g == nil {
-		return errNoGraph
-	}
-	q, err := core.Parse(req.Pattern)
-	if err != nil {
-		return err
-	}
-	engine := req.Engine
-	if engine == "" {
-		engine = "qmatch"
-	}
-	doc := &MatchProfileDoc{Op: "match", Engine: engine, Planner: req.Planner}
-	if ex, exErr := plan.Explain(sess.g, sess.stats(), q); exErr == nil {
-		doc.Plan = ex
-	}
-	t0 := time.Now()
-	if sess.owned != nil && len(sess.owned) == 0 {
-		// A fragment owning no nodes answers for nothing (see handleMatch).
-		FillMatches(resp, nil, req.Limit)
-		resp.Metrics = &match.Metrics{}
-		doc.Profile = &match.Profile{}
-		doc.TotalMS = msSince(t0)
-		return marshalProfile(resp, doc)
-	}
-	opts := s.matchOptions(sess, req)
-	opts.CollectProfile = true
-	var res *match.Result
-	switch req.Engine {
-	case "qmatch", "":
-		res, err = match.QMatch(sess.g, q, opts)
-	case "qmatchn":
-		res, err = match.QMatchN(sess.g, q, opts)
-	case "enum":
-		res, err = match.Enum(sess.g, q, opts)
-	default:
-		return fmt.Errorf("unknown engine %q", req.Engine)
-	}
-	if err != nil {
-		return err
-	}
-	FillMatches(resp, res.Matches, req.Limit)
-	resp.Metrics = &res.Metrics
-	doc.Profile = res.Profile
-	doc.Matches = resp.Total
-	doc.TotalMS = msSince(t0)
-	return marshalProfile(resp, doc)
-}
-
-// marshalProfile serializes a profile document into the response.
-func marshalProfile(resp *Response, doc interface{}) error {
+// MarshalProfile serializes a profile document into the response's
+// Profile field; shared with the cluster front end.
+func MarshalProfile(resp *Response, doc interface{}) error {
 	b, err := json.Marshal(doc)
 	if err != nil {
 		return fmt.Errorf("profile: %w", err)

@@ -8,16 +8,10 @@
 package server
 
 import (
-	"bufio"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
-	"net"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -78,44 +72,40 @@ func (c *Config) fill() {
 	if c.DefaultBudget == 0 {
 		c.DefaultBudget = 50_000_000
 	}
-	if c.MaxLineBytes <= 0 {
-		c.MaxLineBytes = 64 << 20
-	}
 	if c.MaxGraphSize <= 0 {
 		c.MaxGraphSize = 50_000_000
 	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 5 * time.Minute
-	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
-	}
 }
 
-// Server serves the QGP query protocol.
+// Server serves the QGP query protocol. Serve, ServeConn and Shutdown are
+// the embedded Host's; each connection is one session.
 type Server struct {
+	*Host
 	cfg     Config
 	sem     chan struct{}
 	om      *serverMetrics
 	started time.Time
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]bool
-	shutdown bool
-	wg       sync.WaitGroup
 }
 
 // New returns a server with the given configuration.
 func New(cfg Config) *Server {
 	cfg.fill()
-	return &Server{
+	s := &Server{
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		om:      newServerMetrics(cfg.Metrics),
 		started: time.Now(),
-		conns:   make(map[net.Conn]bool),
 	}
+	s.Host = NewHost(ProtocolConfig{
+		MaxLineBytes: cfg.MaxLineBytes,
+		IdleTimeout:  cfg.IdleTimeout,
+		Logf:         cfg.Logf,
+		Name:         "server",
+	}, func() (func(*Request) Response, func()) {
+		sess := &session{}
+		return func(req *Request) Response { return s.handle(sess, req) }, nil
+	})
+	return s
 }
 
 // commands is the full wire vocabulary; serverMetrics pre-resolves one
@@ -176,66 +166,6 @@ func (sm *serverMetrics) record(cmd string, start time.Time, failed bool) {
 	m.ms.ObserveSince(start)
 }
 
-// Serve accepts connections on ln until Shutdown. It always returns a
-// non-nil error; after Shutdown the error is net.ErrClosed.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.shutdown {
-		s.mu.Unlock()
-		return net.ErrClosed
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		if s.shutdown {
-			s.mu.Unlock()
-			conn.Close()
-			return net.ErrClosed
-		}
-		s.conns[conn] = true
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Shutdown stops accepting, closes the listener and all connections, and
-// waits for in-flight handlers (or the context).
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.shutdown = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // session is the per-connection state.
 type session struct {
 	g *graph.Graph
@@ -274,75 +204,6 @@ func (sess *session) stats() *stats.Stats {
 	return sess.st
 }
 
-// ServeConn serves the protocol on one established connection and blocks
-// until it closes. It lets a server be embedded without a listener — the
-// cluster's in-process transport pairs it with net.Pipe. Connections
-// served this way are not tracked by Shutdown; close them directly.
-func (s *Server) ServeConn(conn net.Conn) { s.serveConn(conn) }
-
-func (s *Server) serveConn(conn net.Conn) {
-	sess := &session{}
-	ServeProtocol(conn, ProtocolConfig{
-		MaxLineBytes: s.cfg.MaxLineBytes,
-		IdleTimeout:  s.cfg.IdleTimeout,
-		Logf:         s.cfg.Logf,
-		Name:         "server",
-	}, func(req *Request) Response { return s.handle(sess, req) })
-}
-
-// ProtocolConfig tunes ServeProtocol.
-type ProtocolConfig struct {
-	MaxLineBytes int
-	IdleTimeout  time.Duration
-	Logf         func(format string, args ...interface{})
-	// Name prefixes log lines ("server", "cluster frontend", ...).
-	Name string
-}
-
-// ServeProtocol runs the newline-delimited JSON request loop on one
-// connection, dispatching each decoded request to handle and writing its
-// response with the ID/OK/Error envelope filled in. It closes conn and
-// returns when the peer disconnects, a line exceeds MaxLineBytes, or the
-// connection idles out. The server and the cluster front end share this
-// loop, so protocol framing cannot diverge between them.
-func ServeProtocol(conn net.Conn, cfg ProtocolConfig, handle func(*Request) Response) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), cfg.MaxLineBytes)
-	out := bufio.NewWriter(conn)
-	enc := json.NewEncoder(out)
-
-	for {
-		conn.SetReadDeadline(time.Now().Add(cfg.IdleTimeout))
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil && !errors.Is(err, net.ErrClosed) {
-				cfg.Logf("%s: %v: read: %v", cfg.Name, conn.RemoteAddr(), err)
-			}
-			return
-		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var req Request
-		resp := Response{}
-		if err := json.Unmarshal(line, &req); err != nil {
-			resp.Error = fmt.Sprintf("bad request: %v", err)
-		} else {
-			resp = handle(&req)
-		}
-		resp.ID = req.ID
-		resp.OK = resp.Error == ""
-		if err := enc.Encode(&resp); err != nil {
-			cfg.Logf("%s: %v: write: %v", cfg.Name, conn.RemoteAddr(), err)
-			return
-		}
-		if err := out.Flush(); err != nil {
-			return
-		}
-	}
-}
-
 // handle runs one request under the concurrency semaphore.
 func (s *Server) handle(sess *session, req *Request) Response {
 	s.sem <- struct{}{}
@@ -376,7 +237,7 @@ func (s *Server) handle(sess *session, req *Request) Response {
 	case "stats":
 		err = s.handleStats(sess, req, &resp)
 	case "match":
-		err = s.handleMatch(sess, req, &resp)
+		err = s.handleMatch(sess, req, &resp, nil)
 	case "pmatch":
 		err = s.handlePMatch(sess, req, &resp)
 	case "rule":
@@ -403,7 +264,7 @@ func (s *Server) handle(sess *session, req *Request) Response {
 	if err != nil {
 		resp.Error = err.Error()
 	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	resp.ElapsedMS = MsSince(start)
 	s.om.record(req.Cmd, start, err != nil)
 	tr.Finish(err)
 	return resp
@@ -413,15 +274,14 @@ func (s *Server) handle(sess *session, req *Request) Response {
 // /healthz endpoint serves for qgpd: process uptime and the number of
 // open connections (sessions).
 func (s *Server) Health() (interface{}, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	conns, shuttingDown := s.state()
 	status := "ok"
-	if s.shutdown {
+	if shuttingDown {
 		status = "shutting-down"
 	}
 	return map[string]interface{}{
 		"status":        status,
-		"connections":   len(s.conns),
+		"connections":   conns,
 		"uptimeSeconds": time.Since(s.started).Seconds(),
 	}, nil
 }
@@ -482,8 +342,8 @@ func (s *Server) handleGraph(sess *session, req *Request, resp *Response) error 
 // watch; an error anywhere in the batch leaves the session graph
 // unchanged (ApplyVersioned validates up front, and post-apply
 // validation failures roll the batch back) and the watches untouched.
-// The batch is applied once and shared across the watches
-// (Matcher.ApplyShared with the pre-batch old view), not per watch.
+// The batch is applied once and shared across the watches (each derives
+// its affected region from the pre-batch old view), not per watch.
 //
 // On a fragment session the request may additionally carry the cluster
 // coordinator's routing: Scoped + Affected narrow re-verification to the
@@ -493,7 +353,7 @@ func (s *Server) handleGraph(sess *session, req *Request, resp *Response) error 
 // to send update and assign separately.
 func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof *UpdateProfileDoc) error {
 	if sess.g == nil {
-		return errNoGraph
+		return ErrNoGraph
 	}
 	if len(req.Updates) == 0 && len(req.Owned) == 0 {
 		return fmt.Errorf("update: empty batch")
@@ -515,7 +375,7 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 			return err
 		}
 		if prof != nil {
-			prof.ApplyMS = msSince(tApply)
+			prof.ApplyMS = MsSince(tApply)
 		}
 		ng = sess.vg.Graph() // same pointer as sess.g: the batch applied in place
 	}
@@ -557,19 +417,16 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 		// AddFocus below reports the new candidates.
 		for _, name := range watchNames(sess) {
 			m := sess.watches[name]
-			var delta dynamic.Delta
-			var stages dynamic.Stages
-			var err error
-			switch {
-			case req.Scoped && prof != nil:
-				delta, stages, err = m.ApplyScopedStaged(ng, scoped)
-			case req.Scoped:
-				delta, err = m.ApplyScoped(ng, scoped)
-			case prof != nil:
-				delta, stages, err = m.ApplySharedStaged(old, ng, touched)
-			default:
-				delta, err = m.ApplyShared(old, ng, touched)
+			// The two-radius pipeline: the affected region (the coordinator
+			// computed it when scoped), then candidate re-verification.
+			tAffected := time.Now()
+			affected := scoped
+			if !req.Scoped {
+				affected = dynamic.AffectedWithin(old, ng, touched, m.Hops())
 			}
+			affectedMS := MsSince(tAffected)
+			tVerify := time.Now()
+			delta, err := m.ApplyScoped(ng, affected)
 			if err != nil {
 				return fmt.Errorf("watch %q: %w", name, err)
 			}
@@ -577,8 +434,8 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 				prof.Watches = append(prof.Watches, WatchStageProfile{
 					Watch:      name,
 					Affected:   delta.Affected,
-					AffectedMS: stages.AffectedMS,
-					VerifyMS:   stages.VerifyMS,
+					AffectedMS: affectedMS,
+					VerifyMS:   MsSince(tVerify),
 					Added:      len(delta.Added),
 					Removed:    len(delta.Removed),
 				})
@@ -643,7 +500,7 @@ func appendDelta(resp *Response, name string, delta dynamic.Delta) {
 // watch's delta.
 func (s *Server) handleWatch(sess *session, req *Request, resp *Response) error {
 	if sess.g == nil {
-		return errNoGraph
+		return ErrNoGraph
 	}
 	if req.Watch == "" {
 		return fmt.Errorf("watch: empty name")
@@ -686,7 +543,7 @@ func (s *Server) handleUnwatch(sess *session, req *Request, resp *Response) erro
 
 func (s *Server) handleStats(sess *session, req *Request, resp *Response) error {
 	if sess.g == nil {
-		return errNoGraph
+		return ErrNoGraph
 	}
 	if sess.owned != nil {
 		// A fragment worker reports its owned share only: the fragment
@@ -704,7 +561,9 @@ func (s *Server) handleStats(sess *session, req *Request, resp *Response) error 
 	return nil
 }
 
-var errNoGraph = errors.New("no graph loaded: run gen or load first")
+// ErrNoGraph answers every graph-backed command before gen or load; the
+// cluster front end reports a missing cluster with the same error.
+var ErrNoGraph = errors.New("no graph loaded: run gen or load first")
 
 // watchCap resolves Config.MaxWatches: 0 means the historical default
 // of 16, negative lifts the cap.
@@ -737,43 +596,65 @@ func (s *Server) matchOptions(sess *session, req *Request) *match.Options {
 	return opts
 }
 
-func (s *Server) handleMatch(sess *session, req *Request, resp *Response) error {
+// engineFunc resolves a wire engine name to its matching algorithm.
+func engineFunc(name string) (func(*graph.Graph, *core.Pattern, *match.Options) (*match.Result, error), error) {
+	switch name {
+	case "qmatch", "":
+		return match.QMatch, nil
+	case "qmatchn":
+		return match.QMatchN, nil
+	case "enum":
+		return match.Enum, nil
+	}
+	return nil, fmt.Errorf("unknown engine %q", name)
+}
+
+// handleMatch evaluates a pattern over the session graph. A non-nil doc
+// (the profile command) additionally collects the per-stage profile and
+// the planner's estimates into it.
+func (s *Server) handleMatch(sess *session, req *Request, resp *Response, doc *MatchProfileDoc) error {
 	if sess.g == nil {
-		return errNoGraph
+		return ErrNoGraph
 	}
 	q, err := core.Parse(req.Pattern)
 	if err != nil {
 		return err
 	}
-	// A fragment owning no nodes answers for nothing; Options.FocusRestrict
-	// cannot express an empty restriction (empty means unrestricted).
-	if sess.owned != nil && len(sess.owned) == 0 {
-		FillMatches(resp, nil, req.Limit)
-		resp.Metrics = &match.Metrics{}
-		return nil
+	if doc != nil {
+		if ex, exErr := plan.Explain(sess.g, sess.stats(), q); exErr == nil {
+			doc.Plan = ex
+		}
 	}
+	t0 := time.Now()
 	var res *match.Result
-	switch req.Engine {
-	case "qmatch", "":
-		res, err = match.QMatch(sess.g, q, s.matchOptions(sess, req))
-	case "qmatchn":
-		res, err = match.QMatchN(sess.g, q, s.matchOptions(sess, req))
-	case "enum":
-		res, err = match.Enum(sess.g, q, s.matchOptions(sess, req))
-	default:
-		return fmt.Errorf("unknown engine %q", req.Engine)
-	}
-	if err != nil {
-		return err
+	if sess.owned != nil && len(sess.owned) == 0 {
+		// A fragment owning no nodes answers for nothing; Options.FocusRestrict
+		// cannot express an empty restriction (empty means unrestricted).
+		res = &match.Result{Profile: &match.Profile{}}
+	} else {
+		run, err := engineFunc(req.Engine)
+		if err != nil {
+			return err
+		}
+		opts := s.matchOptions(sess, req)
+		opts.CollectProfile = doc != nil
+		if res, err = run(sess.g, q, opts); err != nil {
+			return err
+		}
 	}
 	FillMatches(resp, res.Matches, req.Limit)
 	resp.Metrics = &res.Metrics
+	if doc != nil {
+		doc.Profile = res.Profile
+		doc.Matches = resp.Total
+		doc.TotalMS = MsSince(t0)
+	}
 	return nil
 }
 
 func (s *Server) handlePMatch(sess *session, req *Request, resp *Response) error {
 	if sess.g == nil {
-		return errNoGraph
+		return ErrNoGraph
 	}
 	q, err := core.Parse(req.Pattern)
 	if err != nil {
@@ -810,7 +691,7 @@ func (s *Server) handlePMatch(sess *session, req *Request, resp *Response) error
 
 func (s *Server) handleRule(sess *session, req *Request, resp *Response) error {
 	if sess.g == nil {
-		return errNoGraph
+		return ErrNoGraph
 	}
 	q1, err := core.Parse(req.Pattern)
 	if err != nil {
@@ -842,7 +723,7 @@ func (s *Server) handleRule(sess *session, req *Request, resp *Response) error {
 
 func (s *Server) handleRPQFilter(sess *session, req *Request, resp *Response) error {
 	if sess.g == nil {
-		return errNoGraph
+		return ErrNoGraph
 	}
 	q, err := core.Parse(req.Pattern)
 	if err != nil {
@@ -852,7 +733,11 @@ func (s *Server) handleRPQFilter(sess *session, req *Request, resp *Response) er
 	if err != nil {
 		return err
 	}
-	res, err := match.QMatch(sess.g, q, s.matchOptions(sess, req))
+	run, err := engineFunc(req.Engine)
+	if err != nil {
+		return err
+	}
+	res, err := run(sess.g, q, s.matchOptions(sess, req))
 	if err != nil {
 		return err
 	}
@@ -865,7 +750,7 @@ func (s *Server) handleRPQFilter(sess *session, req *Request, resp *Response) er
 
 func (s *Server) handlePartition(sess *session, req *Request, resp *Response) error {
 	if sess.g == nil {
-		return errNoGraph
+		return ErrNoGraph
 	}
 	workers := req.Workers
 	if workers <= 0 {

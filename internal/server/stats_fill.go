@@ -9,10 +9,9 @@ import (
 )
 
 // This file is the ONE code path that turns graph statistics into a
-// stats response. The single server, the cluster front end's isolate
-// mode and the shared front end's fan-out merge all land in
-// FillStatsRows, so the TopK cap, the row ordering and the rendered
-// string format cannot drift between deployment shapes.
+// stats response. The single server and the cluster front end's fan-out
+// merge both land in FillStatsRows, so the TopK cap, the row ordering and
+// the rendered string format cannot drift between deployment shapes.
 
 // StatsTopK resolves a stats request's TopK: non-positive takes the
 // historical default of 10 rendered triple classes.
