@@ -95,10 +95,10 @@ func main() {
 	// PROFILE an update: register a standing watch, apply a small batch,
 	// and verify the incremental claim — the affected region stays far
 	// below |V|, so maintenance work is proportional to the change. The
-	// watch is a 1-hop pattern: the affected region is the watch-radius
-	// ball around the touched endpoints, and on a dense social graph a
-	// 2-hop ball already covers most of the graph — radius is the lever
-	// that decides how incremental maintenance can be.
+	// affected candidates are found by walking the pattern's own labels
+	// and directions back from the changed edge: for this watch only the
+	// source of the inserted follow edge can flip, however large the
+	// undirected ball around its endpoints is on a dense social graph.
 	const watchPattern = "qgp\nn xo person *\nn z person\ne xo z follow >=3\n"
 	if _, err := c.Watch("campaign", watchPattern); err != nil {
 		log.Fatal(err)

@@ -4,7 +4,7 @@ package bitset
 
 import "math/bits"
 
-// Set is a fixed-capacity bit set over [0, Len).
+// Set is a bit set over [0, Len); only Grow changes its capacity.
 type Set struct {
 	words []uint64
 	n     int
@@ -17,6 +17,18 @@ func New(n int) *Set {
 
 // Len returns the capacity of the set.
 func (s *Set) Len() int { return s.n }
+
+// Grow raises the capacity to n, keeping the elements; a smaller n is a
+// no-op. Sets over a graph's node ids grow with the graph.
+func (s *Set) Grow(n int) {
+	if n <= s.n {
+		return
+	}
+	for len(s.words) < (n+63)/64 {
+		s.words = append(s.words, 0)
+	}
+	s.n = n
+}
 
 // Add inserts i.
 func (s *Set) Add(i int) { s.words[i>>6] |= 1 << (uint(i) & 63) }

@@ -125,11 +125,11 @@ type Coordinator struct {
 	vg      *graph.Versioned
 	workers []*worker
 	watches map[string]string // watch name → pattern DSL (for failover re-registration)
-	// watchHops tracks each watch's maintenance radius; Update re-verifies
-	// only within the largest registered radius instead of the (usually
-	// wider) fragmentation radius D.
-	watchHops map[string]int
-	closed    bool
+	// plans holds one reach plan per distinct pattern among the watches,
+	// counted by the names holding it — the mirror of the workers' watch
+	// engine groups. Update ships the union of the plans' affected sets.
+	plans  map[string]*planRef
+	closed bool
 	// failed is set when a worker failed mid-update with no failover
 	// left, leaving fragments possibly inconsistent; every later
 	// request is refused.
@@ -139,6 +139,13 @@ type Coordinator struct {
 	// the tokens as a read-your-writes fence (MatchOptions.MinVersion).
 	// Guarded by mu: written under the write lock, read under either.
 	version uint64
+}
+
+// planRef is one distinct standing pattern's reach plan and the number
+// of watch names holding the pattern.
+type planRef struct {
+	plan *dynamic.ReachPlan
+	refs int
 }
 
 // replica is one worker session holding a copy of a fragment. The
@@ -214,7 +221,7 @@ func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 	// The normalized graph is a fresh copy (dynamic.Apply rebuilds), so
 	// the versioned core can own it outright.
 	vg := graph.NewVersioned(g)
-	c := &Coordinator{cfg: cfg, g: vg.Graph(), vg: vg, watches: make(map[string]string), watchHops: make(map[string]int)}
+	c := &Coordinator{cfg: cfg, g: vg.Graph(), vg: vg, watches: make(map[string]string), plans: make(map[string]*planRef)}
 	c.om = newCoordMetrics(cfg.Metrics, len(ts))
 	c.workers = make([]*worker, len(ts))
 	for i, f := range p.Fragments {
@@ -289,6 +296,10 @@ func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 type coordMetrics struct {
 	matchCount, updateCount, watchCount *obs.Counter
 	matchMS, updateMS                   *obs.Histogram
+	// watchGroups is the number of distinct standing patterns (watchCount
+	// counts registered names); affectedRatio the last batch's shipped
+	// affected union over |V|, in parts per million.
+	watchGroups, affectedRatio *obs.Gauge
 	// Per-worker wire round-trip latency: a slow fan-out is attributed
 	// to a specific worker/fragment here even without tracing.
 	workerMatchMS, workerUpdateMS []*obs.Histogram
@@ -314,6 +325,8 @@ func newCoordMetrics(reg *obs.Registry, workers int) *coordMetrics {
 		matchCount:     reg.Counter("cluster.match.count"),
 		updateCount:    reg.Counter("cluster.update.count"),
 		watchCount:     reg.Counter("cluster.watch.count"),
+		watchGroups:    reg.Gauge("cluster.watch.groups"),
+		affectedRatio:  reg.Gauge("cluster.update.affected_ratio"),
 		matchMS:        reg.Histogram("cluster.match.ms", obs.LatencyBucketsMS),
 		updateMS:       reg.Histogram("cluster.update.ms", obs.LatencyBucketsMS),
 		updateBatch:    reg.Histogram("cluster.update.batch_size", obs.SizeBuckets),

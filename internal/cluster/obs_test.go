@@ -108,9 +108,63 @@ func TestUpdateAffectedSizeProportionalToChange(t *testing.T) {
 	if res.AffectedSize >= n/10 {
 		t.Fatalf("1-edge batch affected %d of %d nodes; want ≪ |V| (the d-hop ball around the endpoints)", res.AffectedSize, n)
 	}
-	h := reg.Snapshot().Histograms["cluster.update.affected_size"]
+	snap := reg.Snapshot()
+	h := snap.Histograms["cluster.update.affected_size"]
 	if h.Count != 1 || h.Sum != float64(res.AffectedSize) {
 		t.Fatalf("cluster.update.affected_size = {count %d, sum %v}, want one observation of %d", h.Count, h.Sum, res.AffectedSize)
+	}
+	// The same invariant as a live gauge: the last batch's shipped
+	// affected set over |V|, in parts per million.
+	if got, want := snap.Gauges["cluster.update.affected_ratio"], int64(res.AffectedSize)*1_000_000/n; got != want {
+		t.Fatalf("cluster.update.affected_ratio = %d ppm, want %d", got, want)
+	}
+}
+
+// TestWatchGroupsGauge: cluster.watch.groups follows the distinct
+// patterns among the standing watches, not their names, and names sharing
+// a pattern receive the same delta.
+func TestWatchGroupsGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := newEmbedded(t, obsRing(t, 60), 2, Config{D: 2, Metrics: reg, Logf: quietLogf})
+	groups := func() int64 { return reg.Snapshot().Gauges["cluster.watch.groups"] }
+	two := mustParse(t, "qgp\nn xo person *\nn z person\ne xo z follow >=2\n")
+	for i, w := range []struct {
+		name string
+		q    string
+		want int64
+	}{{"a", "", 1}, {"b", "", 1}, {"c", testPatterns[0], 2}} {
+		q := two
+		if w.q != "" {
+			q = mustParse(t, w.q)
+		}
+		if _, err := c.Watch(w.name, q); err != nil {
+			t.Fatalf("Watch %s: %v", w.name, err)
+		}
+		if got := groups(); got != w.want {
+			t.Fatalf("after %d watches cluster.watch.groups = %d, want %d", i+1, got, w.want)
+		}
+	}
+	res, err := c.Update([]server.UpdateSpec{{Op: "addEdge", From: 5, To: 9, Label: "follow"}})
+	if err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	byName := make(map[string]server.WatchDelta)
+	for _, d := range res.Deltas {
+		byName[d.Watch] = d
+	}
+	if a, b := byName["a"], byName["b"]; len(a.Added) != 1 || a.Added[0] != 5 || !reflect.DeepEqual(a.Added, b.Added) || a.Affected != b.Affected {
+		t.Fatalf("names of one pattern got deltas %+v and %+v, want node 5 added under both", a, b)
+	}
+	for _, w := range []struct {
+		name string
+		want int64
+	}{{"a", 2}, {"b", 1}, {"c", 0}} {
+		if err := c.Unwatch(w.name); err != nil {
+			t.Fatalf("Unwatch %s: %v", w.name, err)
+		}
+		if got := groups(); got != w.want {
+			t.Fatalf("after unwatching %s cluster.watch.groups = %d, want %d", w.name, got, w.want)
+		}
 	}
 }
 

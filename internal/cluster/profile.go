@@ -51,8 +51,8 @@ type UpdateProfile struct {
 	BatchSize int    `json:"batch_size"`
 	Touched   int    `json:"touched"`
 	Nodes     int    `json:"nodes"`
-	// AffectedSize is the coordinator-computed re-verification region
-	// (largest standing-watch radius); WorkRatio = AffectedSize / Nodes.
+	// AffectedSize is the re-verification set the coordinator shipped
+	// (UpdateResult.AffectedSize); WorkRatio = AffectedSize / Nodes.
 	// The incremental claim is WorkRatio ≪ 1 for small batches.
 	AffectedSize int     `json:"affected_size"`
 	WorkRatio    float64 `json:"work_ratio"`

@@ -90,8 +90,10 @@ func TestUpdateProfiledWorkRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The generator gives 1 -follow-> 2, so removing it is a real change;
+	// re-adding it would be a no-op batch, which can flip nobody.
 	res, prof, err := c.UpdateProfiled([]server.UpdateSpec{
-		{Op: "addEdge", From: 1, To: 2, Label: "follow"},
+		{Op: "removeEdge", From: 1, To: 2, Label: "follow"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,12 +136,12 @@ func TestUpdateProfiledWorkRatio(t *testing.T) {
 		}
 	}
 	// Profiled and plain updates converge to the same graph state.
-	res2, err := c.Update([]server.UpdateSpec{{Op: "removeEdge", From: 1, To: 2, Label: "follow"}})
+	res2, err := c.Update([]server.UpdateSpec{{Op: "addEdge", From: 1, To: 2, Label: "follow"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Edges != res.Edges-1 {
-		t.Fatalf("edge counts diverged: %d after remove, %d after profiled add", res2.Edges, res.Edges)
+	if res2.Edges != res.Edges+1 {
+		t.Fatalf("edge counts diverged: %d after add, %d after profiled remove", res2.Edges, res.Edges)
 	}
 }
 

@@ -19,8 +19,8 @@ type UpdateResult struct {
 	// one entry per standing watch that changed or was re-verified
 	// anywhere. Affected sums the workers' re-verified candidate counts;
 	// workers re-verify exactly the coordinator-computed affected set
-	// restricted to their owned candidates, so the sum tracks the
-	// single-process count at the largest standing-watch radius.
+	// restricted to their owned candidates (plus any node the batch
+	// assigned them), so the sum tracks AffectedSize.
 	Deltas []server.WatchDelta
 	// Contacted lists the workers (ascending id) that received traffic:
 	// exactly those whose fragment mirrors changed, whose owned candidates
@@ -28,11 +28,11 @@ type UpdateResult struct {
 	// created. The others were not spoken to — the paper's "coordinator Sc
 	// assigns the changes to each fragment" routing (§5.2).
 	Contacted []int
-	// AffectedSize is the size of the coordinator-computed re-verification
-	// region (nodes within the largest standing-watch radius of a touched
-	// node, old or new graph) — the "work proportional to the change"
-	// observable: for a small batch on a large graph it should be far
-	// below |V|.
+	// AffectedSize is the size of the re-verification set the coordinator
+	// shipped: the union, over the distinct standing patterns, of the
+	// focus candidates each pattern's reach plan says the batch can have
+	// flipped — the "work proportional to the change" observable: for a
+	// small batch on a large graph it should be far below |V|.
 	AffectedSize int
 	// Version is the coordinator batch counter after this batch. A
 	// caller that fences its later reads with MatchOptions.MinVersion =
@@ -63,10 +63,9 @@ func (p *workerPlan) empty() bool {
 
 // Update applies a global mutation batch: the coordinator applies it to
 // its authoritative graph, journals it (when configured) before any
-// fan-out, computes the affected regions (every node within the
-// fragmentation radius of a touched node for materialization upkeep,
-// and within the largest standing-watch radius for re-verification, in
-// the old or new graph), and
+// fan-out, computes the affected regions (the ball around the batch's
+// insertions for materialization upkeep, the standing patterns'
+// reach-plan candidates for re-verification), and
 // routes one combined wire batch to only the workers whose fragments
 // intersect that region — local mutations, newly assigned owned nodes,
 // and the affected set restricted to the worker's owned candidates all
@@ -160,21 +159,20 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		}
 	}
 	taff := time.Now()
-	// Two affected regions: answer re-verification needs every node
-	// within the largest standing-watch radius of a touched node (old or
-	// new graph), while fragment materialization upkeep is bounded by the
-	// (D-1)-ball around inserted-edge endpoints and batch-created nodes —
-	// a node can only move into an owned node's D-hop ball along a path
-	// through an inserted edge, and deletions never extend a fragment.
-	// Neither region needs the full D-hop ball of the whole touched set,
-	// which for a 1-edge batch can cover most of a dense graph.
-	reverifyHops := 0
-	for _, h := range c.watchHops {
-		if h > reverifyHops {
-			reverifyHops = h
-		}
+	// Two affected regions: answer re-verification needs the focus
+	// candidates the standing patterns' reach plans walk to from the
+	// changed edges (the union over the distinct patterns is what ships),
+	// while fragment materialization upkeep is bounded by the (D-1)-ball
+	// around inserted-edge endpoints and batch-created nodes — a node can
+	// only move into an owned node's D-hop ball along a path through an
+	// inserted edge, and deletions never extend a fragment. Neither
+	// needs the D-hop ball of the whole touched set, which for a 1-edge
+	// batch can cover most of a dense graph.
+	reach := make(map[graph.NodeID]bool)
+	for _, ref := range c.plans {
+		ref.plan.Mark(reach, oldG, newG, touched)
 	}
-	reverify := dynamic.AffectedWithin(oldG, newG, touched, reverifyHops)
+	reverify := sortedSet(reach)
 	var insEnds []graph.NodeID
 	for _, u := range ups {
 		if u.Op == store.OpAddEdge {
@@ -202,6 +200,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	if c.om != nil {
 		c.om.updateBatch.Observe(float64(len(specs)))
 		c.om.updateAffected.Observe(float64(len(reverify)))
+		c.om.affectedRatio.Set(int64(len(reverify)) * 1_000_000 / int64(newG.NumNodes()))
 	}
 
 	// Assign each node the batch created to the worker owning the fewest.
@@ -359,8 +358,8 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 // no owned candidate needs re-verification or materialization upkeep,
 // and no new node is being assigned to it. matCand is the (D-1)-ball
 // around inserted-edge endpoints and batch-created nodes (it bounds
-// materialization maintenance); reverify is the affected region at the
-// largest standing-watch radius (it scopes answer re-verification).
+// materialization maintenance); reverify is the union of the standing
+// patterns' reach-plan candidates (it scopes answer re-verification).
 func (c *Coordinator) planFor(w *worker, oldG graph.View, newG *graph.Graph, ups []dynamic.Update, touched, matCand, reverify []graph.NodeID, assignTo map[graph.NodeID]int) *workerPlan {
 	oldN := oldG.NumNodes()
 	var roots []graph.NodeID // owned candidates whose d-hop neighborhood must stay materialized
@@ -370,7 +369,7 @@ func (c *Coordinator) planFor(w *worker, oldG graph.View, newG *graph.Graph, ups
 		}
 	}
 	// The re-verification scope: the worker's owned share of the
-	// watch-radius affected set, in its (pre-batch, since owned nodes are
+	// shipped affected set, in its (pre-batch, since owned nodes are
 	// always already materialized) local ids. Newly assigned nodes are
 	// excluded — the assignment itself evaluates them.
 	var affectedL []int64

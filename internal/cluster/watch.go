@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/server"
@@ -17,10 +18,11 @@ import (
 // and returns the merged initial answer set; every later Update reports
 // the watch's merged answer delta. ClusterWatch of the ISSUE's API naming.
 //
-// Each worker maintains the answers of its owned focus candidates with a
-// restricted dynamic.Matcher, so maintenance work is sharded the same way
-// matching is. Watches live only on primaries: a replica promoted by
-// failover re-registers them before serving.
+// Each worker maintains the answers of its owned focus candidates in its
+// session's dynamic.Engine (one restricted evaluation per distinct
+// pattern, however many names hold it), so maintenance work is sharded
+// the same way matching is. Watches live only on primaries: a replica
+// promoted by failover re-registers them before serving.
 func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeID, err error) {
 	if name == "" {
 		return nil, fmt.Errorf("cluster: watch: empty name")
@@ -99,7 +101,12 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 		}
 	}
 	c.watches[name] = pattern
-	c.watchHops[name] = parallel.RequiredHops(q)
+	ref := c.plans[pattern]
+	if ref == nil {
+		ref = &planRef{plan: dynamic.NewReachPlan(q)}
+		c.plans[pattern] = ref
+	}
+	ref.refs++
 	if c.cfg.Journal != nil {
 		if err := c.cfg.Journal.WatchRegistered(name, pattern); err != nil {
 			// The watch is live on every worker but not durable; a
@@ -111,6 +118,7 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 	}
 	if c.om != nil {
 		c.om.watchCount.Inc()
+		c.om.watchGroups.Set(int64(len(c.plans)))
 	}
 	return sortedSet(merged), nil
 }
@@ -158,8 +166,15 @@ func (c *Coordinator) Unwatch(name string) error {
 		c.failed = err
 		return err
 	}
+	if ref := c.plans[c.watches[name]]; ref.refs > 1 {
+		ref.refs--
+	} else {
+		delete(c.plans, c.watches[name])
+	}
 	delete(c.watches, name)
-	delete(c.watchHops, name)
+	if c.om != nil {
+		c.om.watchGroups.Set(int64(len(c.plans)))
+	}
 	if c.cfg.Journal != nil {
 		if err := c.cfg.Journal.WatchRemoved(name); err != nil {
 			c.failed = fmt.Errorf("journal unwatch %q: %w", name, err)

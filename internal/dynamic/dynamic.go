@@ -8,9 +8,13 @@
 // where d = parallel.RequiredHops(Q). An update therefore can only change
 // the membership of focus nodes within d undirected hops of a touched
 // node — measured in the old graph for deletions and in the new graph for
-// insertions. Matcher re-verifies exactly that affected set and reuses
-// every other cached answer; Repartition reloads exactly the affected
-// owners' neighborhoods.
+// insertions (AffectedWithin, the reference bound). Inside that ball the
+// pattern decides: ReachPlan walks the pattern's own labels and
+// directions back from each changed edge, and Matcher re-verifies only
+// the candidates the walk reaches, reusing every other cached answer.
+// Engine holds a session's standing watches, one Matcher per distinct
+// pattern however many names subscribe to it. Repartition reloads exactly
+// the affected owners' neighborhoods.
 //
 // Updates reuse the mutation vocabulary of internal/store, so a store's
 // journaled history is directly replayable into a Matcher.
@@ -163,6 +167,10 @@ func ApplyVersioned(vg *graph.Versioned, ups []Update) (*graph.OldView, []graph.
 // an insertion affects nodes that can reach them after. The old side is
 // a graph.View so a versioned core's cheap pre-batch OldView serves it
 // without materializing a second graph.
+//
+// This label-blind ball is the reference bound tests and benchmarks hold
+// ReachPlan.Affected against; production re-verification runs on the
+// reach plan, and materialization upkeep on Ball.
 func AffectedWithin(oldG, newG graph.View, touched []graph.NodeID, hops int) []graph.NodeID {
 	n := oldG.NumNodes()
 	if m := newG.NumNodes(); m > n {

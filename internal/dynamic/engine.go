@@ -1,0 +1,169 @@
+package dynamic
+
+import (
+	"fmt"
+	"sort"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+)
+
+// Engine holds every standing watch of one session over one graph. Watches
+// are grouped by canonical pattern text: each distinct pattern is
+// maintained by one Matcher and evaluated once per batch, and its delta is
+// reported under every name subscribed to it — per-batch work follows the
+// distinct patterns and the candidates a batch can flip, not the number of
+// names. On a fragment session the engine also holds the one owned set
+// every group's evaluation is restricted to.
+type Engine struct {
+	g      *graph.Graph
+	owned  *focusSet         // nil: unrestricted
+	groups map[string]*group // by pattern text
+	byName map[string]*group
+	names  []string // subscribed names, ascending
+}
+
+// group is one distinct pattern and the number of names subscribed to it.
+type group struct {
+	pattern string
+	m       *Matcher
+	refs    int
+	last    NamedDelta // the current batch's result, fanned out per name
+}
+
+// NamedDelta is one watch's share of a batch: its group's delta under the
+// watch's name. Names subscribed to one pattern share the Delta's slices.
+type NamedDelta struct {
+	Name string
+	Delta
+	// AffectedTime and VerifyTime are the group's stage timings (affected
+	// set, candidate re-verification), for profile documents.
+	AffectedTime, VerifyTime time.Duration
+}
+
+// NewEngine returns an engine with no watches over g. A non-nil owned
+// (even empty) makes it a fragment's engine: only those candidates are
+// evaluated and maintained, and Assign extends them.
+func NewEngine(g *graph.Graph, owned []graph.NodeID) (*Engine, error) {
+	e := &Engine{g: g, groups: make(map[string]*group), byName: make(map[string]*group)}
+	if owned != nil {
+		var err error
+		if e.owned, err = newFocusSet(g, owned); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+// Names returns the number of registered watch names; Groups the number
+// of distinct patterns they hold.
+func (e *Engine) Names() int  { return len(e.names) }
+func (e *Engine) Groups() int { return len(e.groups) }
+
+// Restricted reports whether the engine is a fragment's: evaluation is
+// limited to an owned set.
+func (e *Engine) Restricted() bool { return e.owned != nil }
+
+// Owned returns the fragment's owned candidates, ascending (nil on an
+// unrestricted engine). The slice is the engine's own: read, do not keep.
+func (e *Engine) Owned() []graph.NodeID {
+	if e.owned == nil {
+		return nil
+	}
+	return e.owned.ids
+}
+
+// Watch registers q under name and returns its current answers. A pattern
+// some other name already holds joins that group without an evaluation.
+func (e *Engine) Watch(name string, q *core.Pattern) ([]graph.NodeID, error) {
+	if _, dup := e.byName[name]; dup {
+		return nil, fmt.Errorf("watch %q already registered", name)
+	}
+	pattern := q.String()
+	gr := e.groups[pattern]
+	if gr == nil {
+		m, err := newMatcher(e.g, q, e.owned)
+		if err != nil {
+			return nil, err
+		}
+		gr = &group{pattern: pattern, m: m}
+		e.groups[pattern] = gr
+	}
+	gr.refs++
+	e.byName[name] = gr
+	i := sort.SearchStrings(e.names, name)
+	e.names = append(e.names, "")
+	copy(e.names[i+1:], e.names[i:])
+	e.names[i] = name
+	return gr.m.Answers(), nil
+}
+
+// Unwatch removes name; the last name of a pattern frees its group.
+func (e *Engine) Unwatch(name string) error {
+	gr, ok := e.byName[name]
+	if !ok {
+		return fmt.Errorf("no watch named %q", name)
+	}
+	delete(e.byName, name)
+	i := sort.SearchStrings(e.names, name)
+	e.names = append(e.names[:i], e.names[i+1:]...)
+	if gr.refs--; gr.refs == 0 {
+		delete(e.groups, gr.pattern)
+	}
+	return nil
+}
+
+// Apply maintains every group for a batch the caller already applied
+// (old, newG and touched as for Matcher.ApplyShared), each re-verifying
+// its own pattern's reach, and returns one delta per name, ascending.
+func (e *Engine) Apply(old graph.View, newG *graph.Graph, touched []graph.NodeID) ([]NamedDelta, error) {
+	e.g = newG
+	return e.run(func(m *Matcher) []graph.NodeID {
+		return e.owned.filter(m.plan.Affected(old, newG, touched))
+	})
+}
+
+// ApplyScoped is Apply with the affected candidates given (a cluster
+// worker gets the union over the coordinator's patterns): they are
+// intersected with the owned set once and every group re-verifies them.
+func (e *Engine) ApplyScoped(newG *graph.Graph, affected []graph.NodeID) ([]NamedDelta, error) {
+	e.g = newG
+	affected = e.owned.filter(affected)
+	return e.run(func(*Matcher) []graph.NodeID { return affected })
+}
+
+// Assign extends a fragment engine's owned set and returns, per name, the
+// answers the new candidates contribute.
+func (e *Engine) Assign(add []graph.NodeID) ([]NamedDelta, error) {
+	if e.owned == nil {
+		return nil, fmt.Errorf("dynamic: Assign on an unrestricted engine")
+	}
+	fresh, err := e.owned.add(e.g, add)
+	if err != nil {
+		return nil, err
+	}
+	return e.run(func(*Matcher) []graph.NodeID { return fresh })
+}
+
+// run evaluates every group once over the engine's graph — scope picks
+// the group's candidates, all within the owned set — and fans the results
+// out per name.
+func (e *Engine) run(scope func(*Matcher) []graph.NodeID) ([]NamedDelta, error) {
+	for _, gr := range e.groups {
+		t0 := time.Now()
+		cands := scope(gr.m)
+		t1 := time.Now()
+		d, err := gr.m.reverify(e.g, cands)
+		if err != nil {
+			return nil, fmt.Errorf("watch pattern %q: %w", gr.pattern, err)
+		}
+		gr.last = NamedDelta{Delta: d, AffectedTime: t1.Sub(t0), VerifyTime: time.Since(t1)}
+	}
+	out := make([]NamedDelta, len(e.names))
+	for i, name := range e.names {
+		out[i] = e.byName[name].last
+		out[i].Name = name
+	}
+	return out, nil
+}

@@ -1,0 +1,250 @@
+package dynamic
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// enginePatterns are four distinct radius-1 patterns; name i holds pattern
+// i % 4, so eight names make four groups of two.
+var enginePatterns = []string{
+	"qgp\nn xo person *\nn z person\ne xo z follow >=3\n",
+	"qgp\nn xo person *\nn z person\ne xo z follow =0\n",
+	"qgp\nn xo person *\nn z person\ne xo z follow <=5\n",
+	"qgp\nn xo person *\nn z person\nn p product\ne xo z follow >=1\ne z p like =0\n",
+}
+
+func enginePattern(t *testing.T, i int) *core.Pattern {
+	t.Helper()
+	q, err := core.Parse(enginePatterns[i%len(enginePatterns)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// verified is the number of focus candidates the engine's matchers have
+// evaluated so far: one count per candidate per evaluation.
+func verified(e *Engine) (n int) {
+	for _, gr := range e.groups {
+		n += gr.m.Verified
+	}
+	return n
+}
+
+// TestEngineSharesEvaluation: eight names over four patterns are four
+// matchers, each batch evaluates each pattern once, and every name gets
+// its group's delta — checked against one standalone matcher per name, on
+// an unrestricted session and on a fragment owning every other node.
+func TestEngineSharesEvaluation(t *testing.T) {
+	base := gen.Social(gen.DefaultSocial(120, 5))
+	var half []graph.NodeID
+	for v := 0; v < base.NumNodes(); v += 2 {
+		half = append(half, graph.NodeID(v))
+	}
+	for _, tc := range []struct {
+		name  string
+		owned []graph.NodeID
+	}{{"unrestricted", nil}, {"fragment", half}} {
+		t.Run(tc.name, func(t *testing.T) {
+			vg := graph.NewVersioned(base.Clone())
+			e, err := NewEngine(vg.Graph(), tc.owned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracles := make(map[string]*Matcher)
+			for i := 0; i < 8; i++ {
+				name, q := fmt.Sprintf("w%d", i), enginePattern(t, i)
+				got, err := e.Watch(name, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var m *Matcher
+				if tc.owned == nil {
+					m, err = NewMatcher(vg.Graph(), q)
+				} else {
+					m, err = NewMatcherRestricted(vg.Graph(), q, tc.owned)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, m.Answers()) {
+					t.Fatalf("%s: initial answers %v, standalone %v", name, got, m.Answers())
+				}
+				oracles[name] = m
+			}
+			if e.Names() != 8 || e.Groups() != 4 {
+				t.Fatalf("names=%d groups=%d, want 8 and 4", e.Names(), e.Groups())
+			}
+
+			r := rand.New(rand.NewSource(17))
+			changed := 0
+			for round := 0; round < 40; round++ {
+				old, touched, err := ApplyVersioned(vg, randomBatch(r, vg.Graph(), false))
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := verified(e)
+				deltas, err := e.Apply(old, vg.Graph(), touched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(deltas) != 8 {
+					t.Fatalf("round %d: %d deltas, want one per name", round, len(deltas))
+				}
+				// One evaluation per pattern: the work done is the four
+				// groups' candidates, where per-name evaluation would
+				// have done every name's.
+				perGroup, perName := 0, 0
+				seen := make(map[*group]bool)
+				for i, d := range deltas {
+					if want := fmt.Sprintf("w%d", i); d.Name != want {
+						t.Fatalf("round %d: delta %d is for %q, want %q (ascending names)", round, i, d.Name, want)
+					}
+					perName += d.Affected
+					if gr := e.byName[d.Name]; !seen[gr] {
+						seen[gr] = true
+						perGroup += d.Affected
+					}
+					want, err := oracles[d.Name].ApplyShared(old, vg.Graph(), touched)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(d.Delta, want) {
+						t.Fatalf("round %d %s: delta %+v, standalone %+v", round, d.Name, d.Delta, want)
+					}
+					changed += len(d.Added) + len(d.Removed)
+				}
+				if got := verified(e) - before; got != perGroup || perName != 2*perGroup {
+					t.Fatalf("round %d: verified %d candidates; one evaluation per pattern is %d, one per name %d", round, got, perGroup, perName)
+				}
+			}
+			if changed == 0 {
+				t.Fatal("no delta ever carried a change: the batches do not exercise the watches")
+			}
+			for name, m := range oracles {
+				if got := e.byName[name].m.Answers(); !reflect.DeepEqual(got, m.Answers()) {
+					t.Fatalf("%s: answers %v, standalone %v", name, got, m.Answers())
+				}
+			}
+		})
+	}
+}
+
+// TestEngineGroupLifetime: a group lives as long as one name holds its
+// pattern; duplicate and unknown names are errors.
+func TestEngineGroupLifetime(t *testing.T) {
+	g := gen.Social(gen.DefaultSocial(60, 3))
+	e, err := NewEngine(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"b", "a"} {
+		if _, err := e.Watch(name, enginePattern(t, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Watch("c", enginePattern(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Watch("a", enginePattern(t, 2)); err == nil {
+		t.Fatal("duplicate name accepted")
+	}
+	if e.Names() != 3 || e.Groups() != 2 {
+		t.Fatalf("names=%d groups=%d, want 3 and 2", e.Names(), e.Groups())
+	}
+	shared := e.byName["a"]
+	if shared != e.byName["b"] || shared == e.byName["c"] {
+		t.Fatal("names of one pattern do not share a group, or distinct patterns do")
+	}
+	if err := e.Unwatch("a"); err != nil {
+		t.Fatal(err)
+	}
+	if e.Groups() != 2 || e.byName["b"] != shared {
+		t.Fatal("unwatching one of two names dropped their group")
+	}
+	if err := e.Unwatch("b"); err != nil {
+		t.Fatal(err)
+	}
+	if e.Names() != 1 || e.Groups() != 1 {
+		t.Fatalf("names=%d groups=%d after the pattern's last name left, want 1 and 1", e.Names(), e.Groups())
+	}
+	if err := e.Unwatch("b"); err == nil {
+		t.Fatal("unwatch of an unknown name accepted")
+	}
+	// A pattern coming back is evaluated afresh.
+	if _, err := e.Watch("b", enginePattern(t, 0)); err != nil || e.byName["b"] == shared {
+		t.Fatalf("re-registered pattern reused a freed group (err %v)", err)
+	}
+}
+
+// TestEngineAssign: nodes assigned to a fragment are evaluated once per
+// pattern, the answers they add are reported under every name, and the
+// owned list stays sorted without a rebuild.
+func TestEngineAssign(t *testing.T) {
+	g := gen.Social(gen.DefaultSocial(100, 8))
+	var first, rest []graph.NodeID
+	for v := 0; v < g.NumNodes(); v++ {
+		if v%3 == 0 {
+			first = append(first, graph.NodeID(v))
+		} else {
+			rest = append(rest, graph.NodeID(v))
+		}
+	}
+	e, err := NewEngine(g, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := e.Watch(fmt.Sprintf("w%d", i), enginePattern(t, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := verified(e)
+	deltas, err := e.Assign(append([]graph.NodeID{first[0]}, rest...)) // first[0] is already owned
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := verified(e) - before; got != 4*len(rest) {
+		t.Fatalf("assignment verified %d candidates, want %d new nodes × 4 patterns", got, len(rest))
+	}
+	if len(e.Owned()) != g.NumNodes() {
+		t.Fatalf("owned %d nodes, want all %d", len(e.Owned()), g.NumNodes())
+	}
+	for i, v := range e.Owned() {
+		if v != graph.NodeID(i) {
+			t.Fatalf("owned list out of order at %d: %v", i, e.Owned()[:i+1])
+		}
+	}
+	added := 0
+	for i, d := range deltas {
+		// Owning everything, the engine answers like a whole-graph matcher.
+		whole, err := NewMatcher(g, enginePattern(t, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.byName[d.Name].m.Answers(); !reflect.DeepEqual(got, whole.Answers()) {
+			t.Fatalf("%s: answers after assignment %v, whole graph %v", d.Name, got, whole.Answers())
+		}
+		if i >= 4 && !reflect.DeepEqual(d.Delta, deltas[i-4].Delta) {
+			t.Fatalf("%s and %s hold one pattern but got deltas %+v and %+v", d.Name, deltas[i-4].Name, d.Delta, deltas[i-4].Delta)
+		}
+		added += len(d.Added)
+	}
+	if added == 0 {
+		t.Fatal("assignment added no answer under any name")
+	}
+	if _, err := e.Assign([]graph.NodeID{graph.NodeID(g.NumNodes())}); err == nil {
+		t.Fatal("assignment of a node outside the graph accepted")
+	}
+	free, _ := NewEngine(g, nil)
+	if _, err := free.Assign(rest); err == nil {
+		t.Fatal("assignment on an unrestricted engine accepted")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -11,11 +12,12 @@ import (
 )
 
 // Matcher maintains the answer set Q(xo, G) of one pattern under graph
-// updates. After each batch it re-verifies only the focus candidates whose
-// d-hop neighborhood the batch could have changed (d = the pattern's
-// required hops) and reuses every other cached answer.
+// updates. After each batch it re-verifies only the focus candidates the
+// pattern's reach plan says the batch can have flipped and reuses every
+// other cached answer.
 type Matcher struct {
 	q    *core.Pattern
+	plan *ReachPlan
 	hops int
 	g    *graph.Graph
 	// vg is the matcher's private versioned core, adopted lazily on the
@@ -26,8 +28,9 @@ type Matcher struct {
 	ans map[graph.NodeID]bool
 	// restrict, when non-nil, limits the maintained answer set to these
 	// focus candidates (a cluster worker answers only for the nodes it
-	// owns); nil means every node is a candidate.
-	restrict map[graph.NodeID]bool
+	// owns); nil means every node is a candidate. An Engine's matchers
+	// all share the engine's one set.
+	restrict *focusSet
 
 	// Verified counts the focus candidates re-verified by Apply calls —
 	// the measurable saving over full recomputation.
@@ -54,19 +57,19 @@ func NewMatcher(g *graph.Graph, q *core.Pattern) (*Matcher, error) {
 // non-owned nodes of a d-hop-preserving fragment may lack part of their
 // neighborhood, so their local answers would be wrong anyway.
 func NewMatcherRestricted(g *graph.Graph, q *core.Pattern, focus []graph.NodeID) (*Matcher, error) {
-	restrict := make(map[graph.NodeID]bool, len(focus))
-	for _, v := range focus {
-		restrict[v] = true
+	restrict, err := newFocusSet(g, focus)
+	if err != nil {
+		return nil, err
 	}
 	return newMatcher(g, q, restrict)
 }
 
-func newMatcher(g *graph.Graph, q *core.Pattern, restrict map[graph.NodeID]bool) (*Matcher, error) {
+func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Matcher{q: q, hops: parallel.RequiredHops(q), g: g, restrict: restrict, ans: make(map[graph.NodeID]bool)}
-	if restrict != nil && len(restrict) == 0 {
+	m := &Matcher{q: q, plan: NewReachPlan(q), hops: parallel.RequiredHops(q), g: g, restrict: restrict, ans: make(map[graph.NodeID]bool)}
+	if restrict != nil && len(restrict.ids) == 0 {
 		// No candidates yet (a fragment owning nothing); AddFocus extends.
 		// Options.FocusRestrict cannot express this: an empty list there
 		// means unrestricted.
@@ -74,7 +77,7 @@ func newMatcher(g *graph.Graph, q *core.Pattern, restrict map[graph.NodeID]bool)
 	}
 	var opts *match.Options
 	if restrict != nil {
-		opts = &match.Options{FocusRestrict: sortedNodeSet(restrict)}
+		opts = &match.Options{FocusRestrict: restrict.ids}
 	}
 	res, err := match.QMatch(g, q, opts)
 	if err != nil {
@@ -94,40 +97,20 @@ func (m *Matcher) AddFocus(vs []graph.NodeID) (Delta, error) {
 	if m.restrict == nil {
 		return Delta{}, fmt.Errorf("dynamic: AddFocus on an unrestricted matcher")
 	}
-	fresh := make([]graph.NodeID, 0, len(vs))
-	for _, v := range vs {
-		if v < 0 || int(v) >= m.g.NumNodes() {
-			return Delta{}, fmt.Errorf("dynamic: AddFocus node %d outside [0, %d)", v, m.g.NumNodes())
-		}
-		if !m.restrict[v] {
-			m.restrict[v] = true
-			fresh = append(fresh, v)
-		}
-	}
-	var d Delta
-	if len(fresh) == 0 {
-		return d, nil
-	}
-	d.Affected = len(fresh)
-	m.Verified += len(fresh)
-	res, err := match.QMatch(m.g, m.q, &match.Options{FocusRestrict: fresh})
+	fresh, err := m.restrict.add(m.g, vs)
 	if err != nil {
 		return Delta{}, err
 	}
-	for _, v := range res.Matches {
-		if !m.ans[v] {
-			m.ans[v] = true
-			d.Added = append(d.Added, v)
-		}
-	}
-	sortNodeIDs(d.Added)
-	return d, nil
+	// The new candidates were no answers, so re-verifying them reports
+	// exactly the answers they contribute.
+	return m.reverify(m.g, fresh)
 }
 
 // Graph returns the matcher's current graph version.
 func (m *Matcher) Graph() *graph.Graph { return m.g }
 
-// Hops returns the maintenance radius d used for affected-set computation.
+// Hops returns the pattern's required hops d: the radius of the ball
+// (AffectedWithin) that bounds the reach plan's affected sets.
 func (m *Matcher) Hops() int { return m.hops }
 
 // Answers returns the current answer set, sorted.
@@ -148,7 +131,7 @@ func (m *Matcher) Answers() []graph.NodeID {
 // The batch runs through a private versioned core: the first Apply
 // clones the construction-time graph (so the caller's graph is never
 // mutated) and every later batch edits that clone in place, costing
-// |batch| + |affected d-hop region| instead of |G|.
+// |batch| + |affected candidates| instead of |G|.
 func (m *Matcher) Apply(ups []Update) (Delta, error) {
 	if m.vg == nil || m.vg.Graph() != m.g {
 		// Adopt (or re-adopt, after an interleaved ApplyShared moved the
@@ -160,7 +143,7 @@ func (m *Matcher) Apply(ups []Update) (Delta, error) {
 	if err != nil {
 		return Delta{}, err
 	}
-	return m.reverify(m.g, AffectedWithin(old, m.g, touched, m.hops))
+	return m.ApplyShared(old, m.g, touched)
 }
 
 // ApplyShared maintains the answers for a batch the caller already
@@ -171,35 +154,24 @@ func (m *Matcher) Apply(ups []Update) (Delta, error) {
 // session with many standing watches) applies the batch once and
 // shares the result, instead of applying it per watch.
 func (m *Matcher) ApplyShared(old graph.View, newG *graph.Graph, touched []graph.NodeID) (Delta, error) {
-	return m.reverify(newG, AffectedWithin(old, newG, touched, m.hops))
+	return m.ApplyScoped(newG, m.plan.Affected(old, newG, touched))
 }
 
 // ApplyScoped maintains the answers for a batch the caller already
 // applied, re-verifying exactly the given candidates (intersected with
 // the matcher's focus restriction). The caller must guarantee affected
-// is a superset of the focus candidates whose m.Hops()-neighborhood the
-// batch changed — a cluster worker gets this set from the coordinator,
-// which computes it once on the global graph within the fragmentation
-// radius d >= Hops(), so the worker does not re-expand the batch
+// is a superset of the focus candidates the batch can have flipped — a
+// cluster worker gets this set from the coordinator, which computes it
+// once on the global graph, so the worker does not re-expand the batch
 // locally (where fragment materialization traffic would inflate it).
 func (m *Matcher) ApplyScoped(newG *graph.Graph, affected []graph.NodeID) (Delta, error) {
-	return m.reverify(newG, affected)
+	return m.reverify(newG, m.restrict.filter(affected))
 }
 
-// reverify re-evaluates the given candidates over newG and splices the
-// result into the cached answer set, committing newG as the matcher's
-// graph.
+// reverify re-evaluates the given candidates (already within the
+// restriction) over newG and splices the result into the cached answer
+// set, committing newG as the matcher's graph.
 func (m *Matcher) reverify(newG *graph.Graph, affected []graph.NodeID) (Delta, error) {
-	if m.restrict != nil {
-		kept := make([]graph.NodeID, 0, len(affected))
-		for _, v := range affected {
-			if m.restrict[v] {
-				kept = append(kept, v)
-			}
-		}
-		affected = kept
-	}
-
 	var d Delta
 	d.Affected = len(affected)
 	m.Verified += len(affected)
@@ -241,4 +213,55 @@ func sortedNodeSet(m map[graph.NodeID]bool) []graph.NodeID {
 	}
 	sortNodeIDs(out)
 	return out
+}
+
+// focusSet is a restriction's candidate set: one bitset for membership
+// tests plus the ascending id list evaluations and stats read. It only
+// grows — assignment inserts, nothing is rebuilt.
+type focusSet struct {
+	bits *bitset.Set
+	ids  []graph.NodeID
+}
+
+func newFocusSet(g *graph.Graph, vs []graph.NodeID) (*focusSet, error) {
+	s := &focusSet{bits: bitset.New(g.NumNodes())}
+	_, err := s.add(g, vs)
+	return s, err
+}
+
+// add inserts the nodes of g among vs that are not yet members and
+// returns them; a node outside g is an error and adds nothing.
+func (s *focusSet) add(g *graph.Graph, vs []graph.NodeID) (fresh []graph.NodeID, err error) {
+	for _, v := range vs {
+		if v < 0 || int(v) >= g.NumNodes() {
+			return nil, fmt.Errorf("dynamic: focus node %d outside [0, %d)", v, g.NumNodes())
+		}
+	}
+	s.bits.Grow(g.NumNodes())
+	for _, v := range vs {
+		if s.bits.Contains(int(v)) {
+			continue
+		}
+		s.bits.Add(int(v))
+		i := sort.Search(len(s.ids), func(i int) bool { return s.ids[i] > v })
+		s.ids = append(s.ids, 0)
+		copy(s.ids[i+1:], s.ids[i:])
+		s.ids[i] = v
+		fresh = append(fresh, v)
+	}
+	return fresh, nil
+}
+
+// filter returns the members among vs, in order; a nil set admits all.
+func (s *focusSet) filter(vs []graph.NodeID) []graph.NodeID {
+	if s == nil {
+		return vs
+	}
+	kept := make([]graph.NodeID, 0, len(vs))
+	for _, v := range vs {
+		if int(v) < s.bits.Len() && s.bits.Contains(int(v)) {
+			kept = append(kept, v)
+		}
+	}
+	return kept
 }

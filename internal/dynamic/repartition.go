@@ -32,9 +32,10 @@ func Repartition(p *partition.Partition, oldG, newG *graph.Graph, touched []grap
 	var st RepartitionStats
 	np := &partition.Partition{G: newG, D: p.D, Fragments: make([]*partition.Fragment, len(p.Fragments))}
 
-	// Affected owners: within D of a touched node in either version.
+	// Affected owners: within D of a touched node in the new graph — a
+	// neighborhood only gains nodes along a path through an insertion.
 	affected := make(map[graph.NodeID]bool)
-	for _, v := range AffectedWithin(oldG, newG, touched, p.D) {
+	for _, v := range Ball(newG, touched, p.D) {
 		affected[v] = true
 	}
 

@@ -49,17 +49,19 @@ type UpdateProfileDoc struct {
 	ApplyMS   float64 `json:"apply_ms"`
 	// AffectedSize is the number of focus candidates re-verified: the
 	// coordinator-computed scope when Scoped, otherwise the widest
-	// per-watch affected region. WorkRatio = AffectedSize / Nodes; the
+	// per-pattern reach. WorkRatio = AffectedSize / Nodes; the
 	// incremental claim is that it stays ≪ 1 for small batches.
-	AffectedSize int                 `json:"affected_size"`
-	WorkRatio    float64             `json:"work_ratio"`
-	Watches      []WatchStageProfile `json:"watches,omitempty"`
-	TotalMS      float64             `json:"total_ms"`
+	AffectedSize int     `json:"affected_size"`
+	WorkRatio    float64 `json:"work_ratio"`
+	// Groups is the number of distinct patterns evaluated; the Watches
+	// rows of names sharing a pattern repeat their group's one evaluation.
+	Groups  int                 `json:"groups,omitempty"`
+	Watches []WatchStageProfile `json:"watches,omitempty"`
+	TotalMS float64             `json:"total_ms"`
 }
 
-// WatchStageProfile is one standing watch's share of an update: the
-// two-radius pipeline split into affected-region computation and
-// candidate re-verification.
+// WatchStageProfile is one standing watch's share of an update, split
+// into affected-set computation and candidate re-verification.
 type WatchStageProfile struct {
 	Watch      string  `json:"watch"`
 	Affected   int     `json:"affected"`
@@ -71,9 +73,9 @@ type WatchStageProfile struct {
 
 // MsSince returns the elapsed time since t0 in fractional milliseconds,
 // the unit of every timing on the wire and in profile documents.
-func MsSince(t0 time.Time) float64 {
-	return float64(time.Since(t0).Microseconds()) / 1000
-}
+func MsSince(t0 time.Time) float64 { return durMS(time.Since(t0)) }
+
+func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 func (s *Server) handleExplain(sess *session, req *Request, resp *Response) error {
 	if sess.g == nil {

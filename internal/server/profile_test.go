@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -144,6 +145,46 @@ func TestProfileUpdateCommand(t *testing.T) {
 	}
 	if doc.WorkRatio <= 0 || doc.WorkRatio > 1 {
 		t.Errorf("WorkRatio = %v, want within (0, 1]", doc.WorkRatio)
+	}
+}
+
+// TestProfileUpdateGroups: names holding one pattern share an evaluation.
+// The document says how many distinct patterns were evaluated, and the
+// shared names' rows repeat their group's numbers.
+func TestProfileUpdateGroups(t *testing.T) {
+	c, _ := startServer(t, server.Config{})
+	if _, _, err := c.LoadText(tinyGraphText); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct{ name, pattern string }{
+		{"a", followPattern},
+		{"b", followPattern},
+		{"c", "qgp\nn xo Person *\nn z Person\ne xo z follow =0\n"},
+	} {
+		if _, err := c.Watch(w.name, w.pattern); err != nil {
+			t.Fatalf("watch %s: %v", w.name, err)
+		}
+	}
+	resp, err := c.ProfileUpdate(
+		server.UpdateSpec{Op: "addEdge", From: 3, To: 2, Label: "follow"},
+		server.UpdateSpec{Op: "addEdge", From: 2, To: 4, Label: "buy"},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc server.UpdateProfileDoc
+	if err := json.Unmarshal(resp.Profile, &doc); err != nil {
+		t.Fatalf("profile document does not parse: %v\n%s", err, resp.Profile)
+	}
+	if doc.Groups != 2 || len(doc.Watches) != 3 || len(resp.Deltas) != 3 {
+		t.Fatalf("groups=%d rows=%d deltas=%d, want 2 patterns under 3 names: %s", doc.Groups, len(doc.Watches), len(resp.Deltas), resp.Profile)
+	}
+	a, b := doc.Watches[0], doc.Watches[1]
+	if a.Watch != "a" || b.Watch != "b" || a.Affected <= 0 || a.Affected != b.Affected || a.Added != b.Added || a.VerifyMS != b.VerifyMS {
+		t.Errorf("rows of one pattern differ: %+v vs %+v", a, b)
+	}
+	if !reflect.DeepEqual(resp.Deltas[0].Added, resp.Deltas[1].Added) || len(resp.Deltas[0].Added) != 1 {
+		t.Errorf("names of one pattern got deltas %+v and %+v, want p3 added under both", resp.Deltas[0], resp.Deltas[1])
 	}
 }
 

@@ -10,7 +10,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -172,29 +171,32 @@ type session struct {
 	// vg is the versioned core maintaining g in place: handleUpdate
 	// applies batches as deltas instead of rebuilding the graph, so g's
 	// pointer stays stable across updates (only setGraph replaces it).
-	vg      *graph.Versioned
-	st      *stats.Stats // lazily computed, reset on graph change
-	watches map[string]*dynamic.Matcher
-	// owned, when non-nil, marks the session as a cluster worker holding a
-	// d-hop-preserving fragment: these are the focus candidates (local
-	// ids) the worker owns and answers for. match restricts evaluation to
+	vg *graph.Versioned
+	st *stats.Stats // lazily computed, reset on graph change
+	// eng holds the standing watches (one evaluation per distinct
+	// pattern) and, when the session is a cluster worker holding a
+	// d-hop-preserving fragment, the owned set: the focus candidates
+	// (local ids) the worker answers for. match restricts evaluation to
 	// them and watch maintains only their membership; non-owned fragment
 	// nodes may lack part of their neighborhood, so their local answers
-	// would be wrong.
-	owned []graph.NodeID
+	// would be wrong. Nil until the session has a graph.
+	eng *dynamic.Engine
 }
 
 // setGraph replaces the session graph wholesale (gen/load/fragment);
 // standing watches are dropped because their cached answers refer to the
-// old graph's node ids, and fragment ownership is dropped because it names
-// the old graph's nodes. Incremental changes go through handleUpdate,
-// which maintains the watches instead.
-func (sess *session) setGraph(g *graph.Graph) {
-	sess.vg = graph.NewVersioned(g)
-	sess.g = sess.vg.Graph()
-	sess.st = nil
-	sess.watches = nil
-	sess.owned = nil
+// old graph's node ids, and fragment ownership is replaced (owned non-nil
+// makes the session a fragment's) because it names the old graph's nodes.
+// Incremental changes go through handleUpdate, which maintains the
+// watches instead.
+func (sess *session) setGraph(g *graph.Graph, owned []graph.NodeID) error {
+	vg := graph.NewVersioned(g)
+	eng, err := dynamic.NewEngine(vg.Graph(), owned)
+	if err != nil {
+		return err
+	}
+	sess.vg, sess.g, sess.st, sess.eng = vg, vg.Graph(), nil, eng
+	return nil
 }
 
 func (sess *session) stats() *stats.Stats {
@@ -221,10 +223,8 @@ func (s *Server) handle(sess *session, req *Request) Response {
 		// worker from one that restarted blank or lost its fragment.
 		if sess.g != nil {
 			resp.Nodes, resp.Edges = sess.g.NumNodes(), sess.g.NumEdges()
-		}
-		if sess.owned != nil {
-			resp.Fragment = true
-			resp.Owned = len(sess.owned)
+			resp.Fragment = sess.eng.Restricted()
+			resp.Owned = len(sess.eng.Owned())
 		}
 	case "gen", "load":
 		err = s.handleGraph(sess, req, &resp)
@@ -332,7 +332,9 @@ func (s *Server) handleGraph(sess *session, req *Request, resp *Response) error 
 	if g.Size() > s.cfg.MaxGraphSize {
 		return fmt.Errorf("graph size %d exceeds server cap %d", g.Size(), s.cfg.MaxGraphSize)
 	}
-	sess.setGraph(g)
+	if err := sess.setGraph(g, nil); err != nil {
+		return err
+	}
 	resp.Nodes, resp.Edges = g.NumNodes(), g.NumEdges()
 	return nil
 }
@@ -342,8 +344,9 @@ func (s *Server) handleGraph(sess *session, req *Request, resp *Response) error 
 // watch; an error anywhere in the batch leaves the session graph
 // unchanged (ApplyVersioned validates up front, and post-apply
 // validation failures roll the batch back) and the watches untouched.
-// The batch is applied once and shared across the watches (each derives
-// its affected region from the pre-batch old view), not per watch.
+// The batch is applied once and handed to the session's watch engine,
+// which evaluates each distinct pattern once over the candidates the
+// batch can flip and reports the delta under every subscribed name.
 //
 // On a fragment session the request may additionally carry the cluster
 // coordinator's routing: Scoped + Affected narrow re-verification to the
@@ -358,7 +361,7 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 	if len(req.Updates) == 0 && len(req.Owned) == 0 {
 		return fmt.Errorf("update: empty batch")
 	}
-	if (req.Scoped || len(req.Owned) > 0) && sess.owned == nil {
+	if (req.Scoped || len(req.Owned) > 0) && !sess.eng.Restricted() {
 		return fmt.Errorf("update: scoped or owning update on a session holding no fragment: run fragment first")
 	}
 	ng := sess.g
@@ -414,39 +417,37 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 	sess.st = nil
 	if len(req.Updates) > 0 {
 		// An assign-only batch skips this: nothing changed in the graph,
-		// AddFocus below reports the new candidates.
-		for _, name := range watchNames(sess) {
-			m := sess.watches[name]
-			// The two-radius pipeline: the affected region (the coordinator
-			// computed it when scoped), then candidate re-verification.
-			tAffected := time.Now()
-			affected := scoped
-			if !req.Scoped {
-				affected = dynamic.AffectedWithin(old, ng, touched, m.Hops())
-			}
-			affectedMS := MsSince(tAffected)
-			tVerify := time.Now()
-			delta, err := m.ApplyScoped(ng, affected)
-			if err != nil {
-				return fmt.Errorf("watch %q: %w", name, err)
-			}
-			if prof != nil {
+		// Assign below reports the new candidates.
+		var deltas []dynamic.NamedDelta
+		if req.Scoped {
+			deltas, err = sess.eng.ApplyScoped(ng, scoped)
+		} else {
+			deltas, err = sess.eng.Apply(old, ng, touched)
+		}
+		if err != nil {
+			return err
+		}
+		appendDeltas(resp, deltas)
+		if prof != nil {
+			prof.Groups = sess.eng.Groups()
+			for _, d := range deltas {
 				prof.Watches = append(prof.Watches, WatchStageProfile{
-					Watch:      name,
-					Affected:   delta.Affected,
-					AffectedMS: affectedMS,
-					VerifyMS:   MsSince(tVerify),
-					Added:      len(delta.Added),
-					Removed:    len(delta.Removed),
+					Watch:      d.Name,
+					Affected:   d.Affected,
+					AffectedMS: durMS(d.AffectedTime),
+					VerifyMS:   durMS(d.VerifyTime),
+					Added:      len(d.Added),
+					Removed:    len(d.Removed),
 				})
 			}
-			appendDelta(resp, name, delta)
 		}
 	}
 	if len(assign) > 0 {
-		if err := assignOwned(sess, assign, resp); err != nil {
+		deltas, err := sess.eng.Assign(assign)
+		if err != nil {
 			return fmt.Errorf("update: %w", err)
 		}
+		appendDeltas(resp, deltas)
 	}
 	resp.Nodes, resp.Edges = ng.NumNodes(), ng.NumEdges()
 	if prof != nil {
@@ -457,8 +458,8 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 		if req.Scoped {
 			prof.AffectedSize = len(scoped)
 		} else {
-			// Unscoped: the affected region differs per watch (radii
-			// differ); report the widest.
+			// Unscoped: the affected candidates differ per pattern;
+			// report the widest.
 			for _, w := range prof.Watches {
 				if w.Affected > prof.AffectedSize {
 					prof.AffectedSize = w.Affected
@@ -472,27 +473,19 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 	return nil
 }
 
-// watchNames returns the session's standing-watch names in deterministic
-// order.
-func watchNames(sess *session) []string {
-	names := make([]string, 0, len(sess.watches))
-	for name := range sess.watches {
-		names = append(names, name)
+// appendDeltas converts the engine's per-watch answer deltas to the wire
+// format.
+func appendDeltas(resp *Response, deltas []dynamic.NamedDelta) {
+	for _, d := range deltas {
+		wd := WatchDelta{Watch: d.Name, Affected: d.Affected}
+		for _, v := range d.Added {
+			wd.Added = append(wd.Added, int64(v))
+		}
+		for _, v := range d.Removed {
+			wd.Removed = append(wd.Removed, int64(v))
+		}
+		resp.Deltas = append(resp.Deltas, wd)
 	}
-	sort.Strings(names)
-	return names
-}
-
-// appendDelta converts one watch's answer delta to the wire format.
-func appendDelta(resp *Response, name string, delta dynamic.Delta) {
-	wd := WatchDelta{Watch: name, Affected: delta.Affected}
-	for _, v := range delta.Added {
-		wd.Added = append(wd.Added, int64(v))
-	}
-	for _, v := range delta.Removed {
-		wd.Removed = append(wd.Removed, int64(v))
-	}
-	resp.Deltas = append(resp.Deltas, wd)
 }
 
 // handleWatch registers a standing pattern under a name; the response
@@ -505,47 +498,34 @@ func (s *Server) handleWatch(sess *session, req *Request, resp *Response) error 
 	if req.Watch == "" {
 		return fmt.Errorf("watch: empty name")
 	}
-	if _, dup := sess.watches[req.Watch]; dup {
-		return fmt.Errorf("watch %q already registered", req.Watch)
-	}
-	if max := s.watchCap(); max > 0 && len(sess.watches) >= max {
+	if max := s.watchCap(); max > 0 && sess.eng.Names() >= max {
 		return fmt.Errorf("watch: session limit of %d standing patterns reached", max)
 	}
 	q, err := core.Parse(req.Pattern)
 	if err != nil {
 		return err
 	}
-	var m *dynamic.Matcher
-	if sess.owned != nil {
-		m, err = dynamic.NewMatcherRestricted(sess.g, q, sess.owned)
-	} else {
-		m, err = dynamic.NewMatcher(sess.g, q)
-	}
+	answers, err := sess.eng.Watch(req.Watch, q)
 	if err != nil {
 		return err
 	}
-	if sess.watches == nil {
-		sess.watches = make(map[string]*dynamic.Matcher)
-	}
-	sess.watches[req.Watch] = m
-	FillMatches(resp, m.Answers(), req.Limit)
+	FillMatches(resp, answers, req.Limit)
 	return nil
 }
 
 // handleUnwatch removes a standing pattern.
 func (s *Server) handleUnwatch(sess *session, req *Request, resp *Response) error {
-	if _, ok := sess.watches[req.Watch]; !ok {
+	if sess.g == nil {
 		return fmt.Errorf("no watch named %q", req.Watch)
 	}
-	delete(sess.watches, req.Watch)
-	return nil
+	return sess.eng.Unwatch(req.Watch)
 }
 
 func (s *Server) handleStats(sess *session, req *Request, resp *Response) error {
 	if sess.g == nil {
 		return ErrNoGraph
 	}
-	if sess.owned != nil {
+	if sess.eng.Restricted() {
 		// A fragment worker reports its owned share only: the fragment
 		// also materializes other workers' nodes (neighborhood shipped
 		// for the owned candidates' benefit), which whole-fragment stats
@@ -554,7 +534,7 @@ func (s *Server) handleStats(sess *session, req *Request, resp *Response) error 
 		// coordinator serve stats from fragment copies instead of
 		// pinning a frontend-side graph clone. Not cached: the owned
 		// pass is O(|fragment|) and stats calls are rare.
-		FillStats(resp, sess.g, stats.CollectOwned(sess.g, sess.owned), req.TopK)
+		FillStats(resp, sess.g, stats.CollectOwned(sess.g, sess.eng.Owned()), req.TopK)
 		return nil
 	}
 	FillStats(resp, sess.g, sess.stats(), req.TopK)
@@ -590,9 +570,7 @@ func (s *Server) matchOptions(sess *session, req *Request) *match.Options {
 	if req.Planner {
 		opts.OrderBy = plan.OrderFunc(sess.g, sess.stats())
 	}
-	if sess.owned != nil {
-		opts.FocusRestrict = sess.owned
-	}
+	opts.FocusRestrict = sess.eng.Owned()
 	return opts
 }
 
@@ -627,7 +605,7 @@ func (s *Server) handleMatch(sess *session, req *Request, resp *Response, doc *M
 	}
 	t0 := time.Now()
 	var res *match.Result
-	if sess.owned != nil && len(sess.owned) == 0 {
+	if sess.eng.Restricted() && len(sess.eng.Owned()) == 0 {
 		// A fragment owning no nodes answers for nothing; Options.FocusRestrict
 		// cannot express an empty restriction (empty means unrestricted).
 		res = &match.Result{Profile: &match.Profile{}}
@@ -788,8 +766,9 @@ func (s *Server) handleFragment(sess *session, req *Request, resp *Response) err
 	if err != nil {
 		return fmt.Errorf("fragment: %w", err)
 	}
-	sess.setGraph(g)
-	sess.owned = owned
+	if err := sess.setGraph(g, owned); err != nil {
+		return fmt.Errorf("fragment: %w", err)
+	}
 	resp.Nodes, resp.Edges = g.NumNodes(), g.NumEdges()
 	return nil
 }
@@ -800,43 +779,19 @@ func (s *Server) handleFragment(sess *session, req *Request, resp *Response) err
 // cluster coordinator normally folds assignment into the update batch
 // itself; the standalone command remains for direct protocol use.)
 func (s *Server) handleAssign(sess *session, req *Request, resp *Response) error {
-	if sess.owned == nil {
+	if sess.g == nil || !sess.eng.Restricted() {
 		return fmt.Errorf("assign: session holds no fragment: run fragment first")
 	}
 	add, err := localNodes(sess.g, req.Owned)
 	if err != nil {
 		return fmt.Errorf("assign: %w", err)
 	}
-	if err := assignOwned(sess, add, resp); err != nil {
+	deltas, err := sess.eng.Assign(add)
+	if err != nil {
 		return fmt.Errorf("assign: %w", err)
 	}
+	appendDeltas(resp, deltas)
 	resp.Nodes, resp.Edges = sess.g.NumNodes(), sess.g.NumEdges()
-	return nil
-}
-
-// assignOwned extends a fragment session's owned set with the validated
-// local ids and appends the per-watch deltas the new candidates
-// contribute; shared by the assign command and the combined cluster
-// update batch.
-func assignOwned(sess *session, add []graph.NodeID, resp *Response) error {
-	have := make(map[graph.NodeID]bool, len(sess.owned))
-	for _, v := range sess.owned {
-		have[v] = true
-	}
-	for _, v := range add {
-		if !have[v] {
-			have[v] = true
-			sess.owned = append(sess.owned, v)
-		}
-	}
-	sort.Slice(sess.owned, func(i, j int) bool { return sess.owned[i] < sess.owned[j] })
-	for _, name := range watchNames(sess) {
-		delta, err := sess.watches[name].AddFocus(add)
-		if err != nil {
-			return fmt.Errorf("watch %q: %w", name, err)
-		}
-		appendDelta(resp, name, delta)
-	}
 	return nil
 }
 

@@ -101,9 +101,9 @@ type Config struct {
 	RateQPS   float64
 	RateBurst int
 	// AffectedPerSec budgets each tenant's update work in affected-set
-	// units per second: the coordinator's re-verification region size
-	// (UpdateResult.AffectedSize), i.e. what the update actually cost
-	// the shared cluster. The budget is post-paid — see limits.go —
+	// units per second: the focus candidates the coordinator ships for
+	// re-verification (UpdateResult.AffectedSize), i.e. what the update
+	// actually cost the shared cluster. The budget is post-paid — see limits.go —
 	// so a huge batch drives the balance negative rather than being
 	// under-charged. 0 = unlimited. AffectedBurst is the bucket
 	// capacity (0 = 4×AffectedPerSec, at least 1).
