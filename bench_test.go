@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -89,6 +90,29 @@ func BenchmarkQMatchSocial(b *testing.B) {
 		if _, err := match.QMatch(g, q, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkQMatchMix runs QMatch on each pattern of the benchmark's mix
+// (fixture.Mix, one per quantifier family) over the benchmark's social
+// graph size, so the engine hot path is measurable from the root module.
+// allocs/op is reported because it still scales with the number of focus
+// candidates (matchFocus builds a map of witness sets per candidate).
+func BenchmarkQMatchMix(b *testing.B) {
+	g := gen.Social(gen.DefaultSocial(6000, 1))
+	for _, m := range fixture.Mix {
+		q, err := core.Parse(m.DSL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(m.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := match.QMatch(g, q, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -103,12 +103,19 @@ func FuzzVersionedApply(f *testing.F) {
 			if !reflect.DeepEqual(gn, preNodes) || !reflect.DeepEqual(ge, preEdges) {
 				t.Fatalf("rejected batch mutated the versioned graph (batch %+v)", ups)
 			}
+			if err := vg.Graph().CheckIndex(); err != nil {
+				t.Fatalf("after a rejected batch: %v (batch %+v)", err, ups)
+			}
 			return
 		}
 		if !reflect.DeepEqual(touchedO, touchedV) {
 			t.Fatalf("touched sets diverge: oracle %v vs versioned %v (batch %+v)", touchedO, touchedV, ups)
 		}
 		requireCanonEqual(t, ng, vg.Graph(), "fuzz")
+		// The label-run index is replaced with the rows it summarizes.
+		if err := vg.Graph().CheckIndex(); err != nil {
+			t.Fatalf("after apply: %v (batch %+v)", err, ups)
+		}
 
 		// The old view must still render the pre-batch graph, and rolling
 		// back must restore it exactly.
@@ -122,6 +129,9 @@ func FuzzVersionedApply(f *testing.F) {
 		gn, ge := canon(vg.Graph())
 		if !reflect.DeepEqual(gn, preNodes) || !reflect.DeepEqual(ge, preEdges) {
 			t.Fatalf("rollback did not restore the pre-batch graph (batch %+v)", ups)
+		}
+		if err := vg.Graph().CheckIndex(); err != nil {
+			t.Fatalf("after rollback: %v (batch %+v)", err, ups)
 		}
 	})
 }

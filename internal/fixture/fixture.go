@@ -2,6 +2,7 @@
 // and G2 of Figure 2 and patterns Q1..Q5 of Figures 1 and 3 — together
 // with the answer sets the paper derives for them (Examples 3, 4, 6, 7).
 // Tests across the repository assert against these known-good values.
+// Mix is the one fixture not from the paper: the benchmark's pattern mix.
 package fixture
 
 import (
@@ -167,4 +168,16 @@ func Q5() *core.Pattern {
 	q.AddEdge("z", "prof", "is_a", core.Exists())
 	q.AddEdge("z", "phd", "is_a", core.Negated())
 	return q
+}
+
+// Mix is the pattern mix pinned by the benchmark/ module's match workloads
+// (a module of its own, so it keeps its own copy): one DSL pattern per
+// quantifier family, over the labels of gen.Social graphs.
+var Mix = []struct{ Name, DSL string }{
+	{"numeric", "qgp\nn xo person *\nn z person\ne xo z follow >=3\n"},
+	{"path2", "qgp\nn xo person *\nn z person\nn p product\ne xo z follow >=2\ne z p recom >=1\n"},
+	{"ratio", "qgp\nn xo person *\nn z person\nn y album\ne xo z follow >=30%\ne z y like\n"},
+	{"negation", "qgp\nn xo person *\nn z person\nn p product\ne xo z follow >=1\ne z p bad_rating =0\n"},
+	{"selective", "qgp\nn xo person *\nn z person\nn p product\ne xo z follow >=30\ne z p buy\n"},
+	{"universal", "qgp\nn xo person *\nn z person\nn c city\ne xo z follow =100%\ne z c in\n"},
 }

@@ -6,6 +6,12 @@
 // A Graph is built incrementally with AddNode/AddEdge and must be finalized
 // with Finalize before queries. Finalize sorts adjacency lists (by label,
 // then endpoint) and builds the label index; it is idempotent.
+//
+// Every adjacency row carries a label-run index: the (label, end offset)
+// of each maximal same-label stretch of the row. Rows hold a handful of
+// distinct labels, so Me(v) — OutByLabel/InByLabel, and with it CountOut
+// and HasEdge — is a scan of a few pairs instead of binary searches over
+// the whole row. A row and its runs are always replaced together.
 package graph
 
 import (
@@ -40,9 +46,94 @@ type Graph struct {
 
 	finalized bool
 	byLabel   map[LabelID][]NodeID
-	// outCount[v][label] = number of distinct out-neighbors of v via label,
-	// i.e. |Me(v)| in the paper's notation. Built by Finalize.
-	outCount []map[LabelID]int32
+	// outRuns[v] / inRuns[v] index the label runs of out[v] / in[v]; valid
+	// while finalized.
+	outRuns [][]labelRun
+	inRuns  [][]labelRun
+}
+
+// labelRun closes one same-label stretch of a sorted adjacency row: the
+// run's edges end at offset end (exclusive) and begin where the previous
+// run ended.
+type labelRun struct {
+	label LabelID
+	end   int32
+}
+
+// endsRun reports whether row[i] is the last edge of its label run.
+func endsRun(row []Edge, i int) bool {
+	return i+1 == len(row) || row[i+1].Label != row[i].Label
+}
+
+// appendRuns appends the label runs of a sorted row to dst.
+func appendRuns(dst []labelRun, row []Edge) []labelRun {
+	for i, e := range row {
+		if endsRun(row, i) {
+			dst = append(dst, labelRun{e.Label, int32(i + 1)})
+		}
+	}
+	return dst
+}
+
+// indexRows rebuilds the run index of every row into one backing array
+// per direction.
+func indexRows(adj [][]Edge) [][]labelRun {
+	total := 0
+	for _, row := range adj {
+		for i := range row {
+			if endsRun(row, i) {
+				total++
+			}
+		}
+	}
+	backing := make([]labelRun, 0, total)
+	runs := make([][]labelRun, len(adj))
+	for v, row := range adj {
+		lo := len(backing)
+		backing = appendRuns(backing, row)
+		// Full slice expression: a later in-place rebuild of this row's
+		// runs must not grow into its neighbour's.
+		runs[v] = backing[lo:len(backing):len(backing)]
+	}
+	return runs
+}
+
+// compactRows moves the rows into one backing array, dropping the growth
+// slack AddEdge's appends left behind (about two fifths of the edge
+// storage of a generated social graph). Rows are carved with full slice
+// expressions, so a later append to one cannot reach its neighbour.
+func compactRows(adj [][]Edge) {
+	total := 0
+	for _, row := range adj {
+		total += len(row)
+	}
+	backing := make([]Edge, 0, total)
+	for v, row := range adj {
+		if len(row) == 0 {
+			adj[v] = nil
+			continue
+		}
+		lo := len(backing)
+		backing = append(backing, row...)
+		adj[v] = backing[lo:len(backing):len(backing)]
+	}
+}
+
+// labelSlice returns the stretch of row carrying label l: a scan of the
+// row's runs, which are as many as the row has distinct labels.
+func labelSlice(row []Edge, runs []labelRun, l LabelID) []Edge {
+	i := 0
+	for i < len(runs) && runs[i].label < l {
+		i++
+	}
+	if i == len(runs) || runs[i].label != l {
+		return nil
+	}
+	start := int32(0)
+	if i > 0 {
+		start = runs[i-1].end
+	}
+	return row[start:runs[i].end]
 }
 
 // New returns an empty graph with capacity hints for n nodes.
@@ -111,7 +202,8 @@ func (g *Graph) NodeLabel(v NodeID) LabelID { return g.nodeLabel[v] }
 func (g *Graph) NodeLabelName(v NodeID) string { return g.interner.Name(g.nodeLabel[v]) }
 
 // Finalize sorts adjacency, removes duplicate parallel edges with identical
-// labels, and builds the node-label and out-degree-per-label indexes.
+// labels, packs the rows of each direction into one array, and builds the
+// node-label index and the rows' label-run indexes.
 func (g *Graph) Finalize() {
 	if g.finalized {
 		return
@@ -142,19 +234,15 @@ func (g *Graph) Finalize() {
 	removedOut := dedup(g.out)
 	dedup(g.in)
 	g.numEdges -= removedOut
+	compactRows(g.out)
+	compactRows(g.in)
 
 	g.byLabel = make(map[LabelID][]NodeID)
 	for v, l := range g.nodeLabel {
 		g.byLabel[l] = append(g.byLabel[l], NodeID(v))
 	}
-	g.outCount = make([]map[LabelID]int32, len(g.out))
-	for v, es := range g.out {
-		m := make(map[LabelID]int32, 4)
-		for _, e := range es {
-			m[e.Label]++
-		}
-		g.outCount[v] = m
-	}
+	g.outRuns = indexRows(g.out)
+	g.inRuns = indexRows(g.in)
 	g.finalized = true
 }
 
@@ -180,32 +268,35 @@ func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
 // label l. This is Me(v) from the paper for an edge labeled l.
 func (g *Graph) OutByLabel(v NodeID, l LabelID) []Edge {
 	g.mustFinal()
-	es := g.out[v]
-	lo := sort.Search(len(es), func(i int) bool { return es[i].Label >= l })
-	hi := sort.Search(len(es), func(i int) bool { return es[i].Label > l })
-	return es[lo:hi]
+	return labelSlice(g.out[v], g.outRuns[v], l)
 }
 
 // InByLabel returns the in-edges of v carrying label l.
 func (g *Graph) InByLabel(v NodeID, l LabelID) []Edge {
 	g.mustFinal()
-	es := g.in[v]
-	lo := sort.Search(len(es), func(i int) bool { return es[i].Label >= l })
-	hi := sort.Search(len(es), func(i int) bool { return es[i].Label > l })
-	return es[lo:hi]
+	return labelSlice(g.in[v], g.inRuns[v], l)
 }
 
-// CountOut returns |Me(v)| — the number of out-edges of v labeled l.
+// CountOut returns |Me(v)| — the number of out-edges of v labeled l. Rows
+// are deduplicated, so it is the length of v's l-run.
 func (g *Graph) CountOut(v NodeID, l LabelID) int {
-	g.mustFinal()
-	return int(g.outCount[v][l])
+	return len(g.OutByLabel(v, l))
 }
 
-// HasEdge reports whether the edge (from, to) with label l exists.
+// HasEdge reports whether the edge (from, to) with label l exists: one
+// binary search inside from's l-run.
 func (g *Graph) HasEdge(from, to NodeID, l LabelID) bool {
 	es := g.OutByLabel(from, l)
-	i := sort.Search(len(es), func(i int) bool { return es[i].To >= to })
-	return i < len(es) && es[i].To == to
+	lo, hi := 0, len(es)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if es[mid].To < to {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(es) && es[lo].To == to
 }
 
 // NodesByLabel returns all nodes carrying label l. The slice must not be

@@ -70,11 +70,11 @@ var (
 
 // Versioned wraps a finalized Graph and maintains it in place under
 // mutation batches. The wrapped graph stays finalized at all times:
-// adjacency rows keep their (label, endpoint) sort order and the
-// byLabel / outCount indexes are edited incrementally, so queries
-// never pay a re-Finalize. Not safe for concurrent use; callers
-// serialize Apply/Rollback against readers the same way they would
-// serialize rebuilds.
+// adjacency rows keep their (label, endpoint) sort order, every row a
+// batch copies gets its label-run index recomputed with it, and byLabel
+// is edited incrementally, so queries never pay a re-Finalize. Not safe
+// for concurrent use; callers serialize Apply/Rollback against readers
+// the same way they would serialize rebuilds.
 type Versioned struct {
 	g   *Graph
 	ver Version
@@ -273,15 +273,9 @@ func (g *Graph) Clone() *Graph {
 			ng.byLabel[l] = append([]NodeID(nil), vs...)
 		}
 	}
-	if g.outCount != nil {
-		ng.outCount = make([]map[LabelID]int32, len(g.outCount))
-		for v, m := range g.outCount {
-			nm := make(map[LabelID]int32, len(m))
-			for l, c := range m {
-				nm[l] = c
-			}
-			ng.outCount[v] = nm
-		}
+	if g.finalized {
+		ng.outRuns = indexRows(ng.out)
+		ng.inRuns = indexRows(ng.in)
 	}
 	return ng
 }
@@ -391,7 +385,8 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 			g.nodeLabel = append(g.nodeLabel, l)
 			g.out = append(g.out, nil)
 			g.in = append(g.in, nil)
-			g.outCount = append(g.outCount, make(map[LabelID]int32, 4))
+			g.outRuns = append(g.outRuns, nil)
+			g.inRuns = append(g.inRuns, nil)
 			// Ids ascend, so appending keeps byLabel rows sorted.
 			g.byLabel[l] = append(g.byLabel[l], id)
 			dirtyOut[id], dirtyIn[id] = true, true
@@ -408,7 +403,6 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 				g.out[m.From] = row
 				g.in[m.To], _ = insertSorted(g.in[m.To], Edge{To: m.From, Label: l})
 				g.numEdges++
-				g.outCount[m.From][l]++
 			}
 			touched[m.From], touched[m.To] = true, true
 
@@ -423,9 +417,6 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 					g.out[m.From] = row
 					g.in[m.To], _ = removeSorted(g.in[m.To], Edge{To: m.From, Label: l})
 					g.numEdges--
-					if g.outCount[m.From][l]--; g.outCount[m.From][l] == 0 {
-						delete(g.outCount[m.From], l)
-					}
 				}
 			}
 			touched[m.From], touched[m.To] = true, true
@@ -453,14 +444,19 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 				}
 				cowOut(e.To)
 				g.out[e.To], _ = removeSorted(g.out[e.To], Edge{To: v, Label: e.Label})
-				if g.outCount[e.To][e.Label]--; g.outCount[e.To][e.Label] == 0 {
-					delete(g.outCount[e.To], e.Label)
-				}
 			}
 			g.numEdges -= len(outs) + len(ins) - selfLoops
 			g.out[v], g.in[v] = nil, nil
-			g.outCount[v] = make(map[LabelID]int32, 4)
 		}
+	}
+	// A row and its runs are replaced together: exactly the rows the
+	// batch copied (or created) are re-indexed, O(degree) each. Nothing
+	// else holds the displaced runs, so their storage is reused.
+	for v := range dirtyOut {
+		g.outRuns[v] = appendRuns(g.outRuns[v][:0], g.out[v])
+	}
+	for v := range dirtyIn {
+		g.inRuns[v] = appendRuns(g.inRuns[v][:0], g.in[v])
 	}
 
 	vg.ver++
@@ -497,18 +493,16 @@ func (vg *Versioned) Rollback(ov *OldView) error {
 	g.nodeLabel = g.nodeLabel[:ov.numNodes]
 	g.out = g.out[:ov.numNodes]
 	g.in = g.in[:ov.numNodes]
-	g.outCount = g.outCount[:ov.numNodes]
-	// Restore displaced rows and recompute their degree counts.
+	g.outRuns = g.outRuns[:ov.numNodes]
+	g.inRuns = g.inRuns[:ov.numNodes]
+	// Restore displaced rows, and their runs with them.
 	for v, row := range ov.prevOut {
 		g.out[v] = row
-		m := make(map[LabelID]int32, 4)
-		for _, e := range row {
-			m[e.Label]++
-		}
-		g.outCount[v] = m
+		g.outRuns[v] = appendRuns(g.outRuns[v][:0], row)
 	}
 	for v, row := range ov.prevIn {
 		g.in[v] = row
+		g.inRuns[v] = appendRuns(g.inRuns[v][:0], row)
 	}
 	g.numEdges = ov.numEdges
 	vg.ver++

@@ -2,7 +2,6 @@ package match
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/bitset"
@@ -53,10 +52,16 @@ var ErrBudgetExceeded = fmt.Errorf("match: extension budget exceeded")
 
 // combineRestrictions intersects the caller's FocusRestrict option with an
 // algorithm-internal restriction (IncQMatch). A nil result means no
-// restriction.
-func combineRestrictions(n int, opts *Options, internal []graph.NodeID) *bitset.Set {
+// restriction. FocusRestrict arrives from outside the engine, so an id
+// that is not a node of the graph is an error, not a bitset panic.
+func combineRestrictions(n int, opts *Options, internal []graph.NodeID) (*bitset.Set, error) {
 	var fromOpts, fromInternal *bitset.Set
 	if opts != nil && len(opts.FocusRestrict) > 0 {
+		for _, v := range opts.FocusRestrict {
+			if v < 0 || int(v) >= n {
+				return nil, fmt.Errorf("match: FocusRestrict names node %d, outside the graph's [0, %d)", v, n)
+			}
+		}
 		fromOpts = toBitset(opts.FocusRestrict, n)
 	}
 	if internal != nil {
@@ -64,12 +69,12 @@ func combineRestrictions(n int, opts *Options, internal []graph.NodeID) *bitset.
 	}
 	switch {
 	case fromOpts == nil:
-		return fromInternal
+		return fromInternal, nil
 	case fromInternal == nil:
-		return fromOpts
+		return fromOpts, nil
 	default:
 		fromOpts.IntersectWith(fromInternal)
-		return fromOpts
+		return fromOpts, nil
 	}
 }
 
@@ -136,7 +141,7 @@ func eval(g *graph.Graph, q *core.Pattern, opts *Options, cfg evalConfig) (*Resu
 	// Q(xo, G) = Π(Q)(xo, G) \ ⋃e Π(Q+e)(xo, G). Only the intersection with
 	// the base answers matters, so IncQMatch restricts the focus candidates
 	// of each positified pattern to the cached Π(Q) matches.
-	excluded := make(map[graph.NodeID]bool)
+	out := base
 	for _, ei := range neg {
 		pp, _ := q.PiPlus(ei)
 		if !pp.Connected() {
@@ -152,19 +157,25 @@ func eval(g *graph.Graph, q *core.Pattern, opts *Options, cfg evalConfig) (*Resu
 		if err != nil {
 			return nil, err
 		}
-		for _, v := range minus {
-			excluded[v] = true
-		}
-	}
-	out := base[:0:0]
-	for _, v := range base {
-		if !excluded[v] {
-			out = append(out, v)
-		}
+		out = subtractSorted(out, minus)
 	}
 	res.Matches = out
 	finishProfile(res, t0)
 	return res, nil
+}
+
+// subtractSorted returns a \ b for ascending slices, as a fresh slice.
+func subtractSorted(a, b []graph.NodeID) []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(a))
+	for _, v := range a {
+		for len(b) > 0 && b[0] < v {
+			b = b[1:]
+		}
+		if len(b) == 0 || b[0] != v {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // finishProfile stamps the evaluation total onto a collected profile.
@@ -199,7 +210,10 @@ func evalPattern(g *graph.Graph, p *core.Pattern, name string, opts *Options, cf
 	if opts != nil && opts.OrderBy != nil {
 		pref = opts.OrderBy(p)
 	}
-	set := combineRestrictions(g.NumNodes(), opts, restrict)
+	set, err := combineRestrictions(g.NumNodes(), opts, restrict)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.useSim && set != nil && set.Count()*8 <= g.NumNodes() {
 		// Focus-scoped fast path: simulation and the acceptance filter
 		// cost O(|G|) per evaluation no matter how few focus candidates
@@ -246,7 +260,6 @@ func evalPattern(g *graph.Graph, p *core.Pattern, name string, opts *Options, cf
 	if pr.budgetExceeded {
 		return nil, ErrBudgetExceeded
 	}
-	sort.Slice(answers, func(i, j int) bool { return answers[i] < answers[j] })
 	if pp != nil {
 		pp.EvalMS = msSince(t1)
 		pp.Answers = len(answers)

@@ -4,11 +4,19 @@
 // optimized QMatch/DMatch algorithm with simulation-based filtering,
 // quantifier-aware pruning and early acceptance, and the incremental
 // IncQMatch procedure for negated edges (§4 of the paper).
+//
+// All three search phases — counting, acceptance of a conventional
+// pattern, acceptance over finished counts — are one recursion
+// (program.extend). Injectivity is a comparison against the at most
+// |pattern| nodes already bound (and of those only the ones sharing the new
+// node's label), not a |V|-sized stamp array: a program is compiled per
+// pattern per batch on the scoped update path, where anything proportional
+// to |V| is the dominant cost. The program's search scratch makes it
+// single-goroutine; every evaluation compiles its own.
 package match
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -26,7 +34,9 @@ type program struct {
 	order     []int           // pattern node indexes; order[0] is the focus
 	anchors   []anchorInfo    // per position ≥ 1: how to generate candidates
 	checks    [][]int         // per position: edges verified once this node binds
+	rivals    [][]int         // per position: earlier-ordered nodes with the same label
 	quant     []int           // non-existential, non-negated edge indexes
+	quantOut  [][]int         // per pattern node: its quantified out-edges
 
 	// cand[u] over-approximates the stratified-isomorphism images of u
 	// (label-only for Enum, dual simulation for QMatch). Counting is sound
@@ -42,8 +52,12 @@ type program struct {
 	// (count == total); such patterns cannot early-accept.
 	hasEQ bool
 
-	used    []uint32 // injectivity stamps, indexed by graph node
-	version uint32
+	// Search scratch (so a program must not be shared between
+	// goroutines): the current assignment by pattern node, and the count
+	// each quantified edge must reach at its bound source, valid during
+	// an early-accepting counting search (see bind).
+	assign []graph.NodeID
+	need   []int
 
 	// budget, when > 0, caps total extension attempts; budgetExceeded is
 	// set when the cap fires and the evaluation must be discarded.
@@ -51,9 +65,13 @@ type program struct {
 	budgetExceeded bool
 }
 
+// anchorInfo says where a position's candidates come from: the label-l
+// children (out) or parents (!out) of the image of pattern node at, which
+// the matched prefix already binds.
 type anchorInfo struct {
-	edge int
-	out  bool // true: anchor is Edges[edge].From, candidates are its children
+	at  int
+	l   graph.LabelID
+	out bool
 }
 
 var errNoMatches = fmt.Errorf("match: empty candidate set")
@@ -78,9 +96,11 @@ func compile(g *graph.Graph, p *core.Pattern, useSim, quantFilter bool, pref []i
 			return nil, errNoMatches
 		}
 	}
+	pr.quantOut = make([][]int, len(p.Nodes))
 	for i, e := range p.Edges {
 		if !e.Q.IsExistential() {
 			pr.quant = append(pr.quant, i)
+			pr.quantOut[e.From] = append(pr.quantOut[e.From], i)
 			// Only GE quantifiers (and the universal = 100%, whose count
 			// cannot overshoot) admit early acceptance; EQ/LE/NE need the
 			// exact final counts.
@@ -134,7 +154,8 @@ func compile(g *graph.Graph, p *core.Pattern, useSim, quantFilter bool, pref []i
 	}
 
 	pr.buildOrder(pref)
-	pr.used = make([]uint32, g.NumNodes())
+	pr.assign = make([]graph.NodeID, len(p.Nodes))
+	pr.need = make([]int, len(p.Edges))
 	return pr, nil
 }
 
@@ -153,14 +174,14 @@ func (pr *program) acceptanceFilter() []*bitset.Set {
 		var removed []int
 		accept[e.From].ForEach(func(vi int) bool {
 			v := graph.NodeID(vi)
-			total := pr.g.CountOut(v, l)
-			need, ok := e.Q.Threshold(total)
+			children := pr.g.OutByLabel(v, l)
+			need, ok := e.Q.Threshold(len(children))
 			if !ok {
 				removed = append(removed, vi)
 				return true
 			}
 			upper := 0
-			for _, ge := range pr.g.OutByLabel(v, l) {
+			for _, ge := range children {
 				if pr.cand[e.To].Contains(int(ge.To)) {
 					upper++
 				}
@@ -239,6 +260,16 @@ func (pr *program) buildOrder(pref []int) {
 
 	pr.anchors = make([]anchorInfo, len(pr.order))
 	pr.checks = make([][]int, len(pr.order))
+	// Candidate sets are label-exact, so only an earlier node with the
+	// same label can already hold the image a later one is offered.
+	pr.rivals = make([][]int, len(pr.order))
+	for i, u := range pr.order {
+		for _, r := range pr.order[:i] {
+			if p.Nodes[r].Label == p.Nodes[u].Label {
+				pr.rivals[i] = append(pr.rivals[i], r)
+			}
+		}
+	}
 	seen := make([]bool, len(p.Edges))
 	for i := 1; i < len(pr.order); i++ {
 		u := pr.order[i]
@@ -254,9 +285,8 @@ func (pr *program) buildOrder(pref []int) {
 			default:
 				continue
 			}
-			_ = other
 			if !anchorSet {
-				pr.anchors[i] = anchorInfo{edge: ei, out: out}
+				pr.anchors[i] = anchorInfo{at: other, l: pr.edgeLabel[ei], out: out}
 				anchorSet = true
 				seen[ei] = true
 				continue
@@ -291,15 +321,4 @@ func prefRank(pref []int, n int) []int {
 		rank[u] = i
 	}
 	return rank
-}
-
-// focusCandidates returns the acceptance-filtered focus candidates, sorted.
-func (pr *program) focusCandidates() []graph.NodeID {
-	var out []graph.NodeID
-	pr.accept[pr.p.Focus].ForEach(func(vi int) bool {
-		out = append(out, graph.NodeID(vi))
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

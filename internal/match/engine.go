@@ -1,6 +1,9 @@
 package match
 
 import (
+	"math"
+
+	"repro/internal/bitset"
 	"repro/internal/graph"
 )
 
@@ -30,82 +33,100 @@ func (m *Metrics) Add(other Metrics) {
 }
 
 // run enumerates isomorphisms of the compiled pattern with the focus bound
-// to vx, over the candidate sets selected by restrict (one bitset per
-// pattern node; nil entries fall back to pr.cand). onIso is invoked for
-// every complete isomorphism; returning false stops the enumeration.
+// to vx, over the candidate sets in sets (one bitset per pattern node).
+// With exact non-nil, a node additionally binds only to images whose
+// finished child counts satisfy its quantified out-edges — the acceptance
+// search over a completed count. With early set (a counting search that
+// may accept before it is exhausted), every binding also fixes the
+// thresholds imagesSatisfied compares against. onIso is invoked for every
+// complete isomorphism; returning false stops the enumeration.
 //
-// assign is indexed by pattern node; the slice passed to onIso is reused
+// The assignment passed to onIso is indexed by pattern node; it is reused
 // across calls and must not be retained.
-func (pr *program) run(vx graph.NodeID, acceptance bool, m *Metrics, onIso func(assign []graph.NodeID) bool) {
-	pr.version++
-	if pr.version == 0 { // stamp wrap-around: reset
-		for i := range pr.used {
-			pr.used[i] = 0
-		}
-		pr.version = 1
-	}
-	assign := make([]graph.NodeID, len(pr.p.Nodes))
-	assign[pr.p.Focus] = vx
-	pr.used[vx] = pr.version
+func (pr *program) run(vx graph.NodeID, sets []*bitset.Set, exact witnesses, early bool, m *Metrics, onIso func(assign []graph.NodeID) bool) {
+	pr.bind(pr.p.Focus, vx, early)
+	pr.extend(1, sets, exact, early, m, onIso)
+}
 
-	sets := pr.cand
-	if acceptance {
-		sets = pr.accept
+// bind assigns w to pattern node u. With early set it also fixes, once
+// per binding instead of once per verification, the count each quantified
+// out-edge of u must reach at w (noNeed when the quantifier is
+// unsatisfiable there).
+func (pr *program) bind(u int, w graph.NodeID, early bool) {
+	pr.assign[u] = w
+	if !early {
+		return
 	}
+	for _, ei := range pr.quantOut[u] {
+		need, ok := pr.p.Edges[ei].Q.Threshold(pr.g.CountOut(w, pr.edgeLabel[ei]))
+		if !ok {
+			need = noNeed
+		}
+		pr.need[ei] = need
+	}
+}
 
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(pr.order) {
-			m.Verifications++
-			return onIso(assign)
-		}
-		u := pr.order[i]
-		a := pr.anchors[i]
-		e := pr.p.Edges[a.edge]
-		l := pr.edgeLabel[a.edge]
-		var edges []graph.Edge
-		if a.out {
-			edges = pr.g.OutByLabel(assign[e.From], l)
-		} else {
-			edges = pr.g.InByLabel(assign[e.To], l)
-		}
-		for _, ge := range edges {
-			w := ge.To
-			m.Extensions++
-			if pr.budget > 0 && m.Extensions > pr.budget {
-				pr.budgetExceeded = true
-				return false
-			}
-			if pr.used[w] == pr.version || !sets[u].Contains(int(w)) {
-				continue
-			}
-			if !pr.checkBoundEdges(i, u, w, assign) {
-				continue
-			}
-			assign[u] = w
-			pr.used[w] = pr.version
-			cont := rec(i + 1)
-			pr.used[w] = pr.version - 1
-			if !cont {
-				return false
-			}
-		}
-		return true
+// noNeed is a threshold no count reaches.
+const noNeed = math.MaxInt
+
+// extend binds the pattern node at position i of the matching order to
+// every admissible child (or parent) of its anchor and recurses; it
+// reports whether the enumeration should continue.
+func (pr *program) extend(i int, sets []*bitset.Set, exact witnesses, early bool, m *Metrics, onIso func(assign []graph.NodeID) bool) bool {
+	if i == len(pr.order) {
+		m.Verifications++
+		return onIso(pr.assign)
 	}
-	rec(1)
+	u := pr.order[i]
+	a := pr.anchors[i]
+	var edges []graph.Edge
+	if a.out {
+		edges = pr.g.OutByLabel(pr.assign[a.at], a.l)
+	} else {
+		edges = pr.g.InByLabel(pr.assign[a.at], a.l)
+	}
+next:
+	for _, ge := range edges {
+		w := ge.To
+		m.Extensions++
+		if pr.budget > 0 && m.Extensions > pr.budget {
+			pr.budgetExceeded = true
+			return false
+		}
+		if !sets[u].Contains(int(w)) {
+			continue
+		}
+		// Injectivity: only an earlier node with u's label can hold w.
+		for _, r := range pr.rivals[i] {
+			if pr.assign[r] == w {
+				continue next
+			}
+		}
+		if exact != nil && !pr.countOK(exact, u, w) {
+			continue
+		}
+		if !pr.checkBoundEdges(i, u, w) {
+			continue
+		}
+		pr.bind(u, w, early)
+		if !pr.extend(i+1, sets, exact, early, m, onIso) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkBoundEdges verifies the pattern edges that become fully bound when
 // node u is assigned w.
-func (pr *program) checkBoundEdges(i, u int, w graph.NodeID, assign []graph.NodeID) bool {
+func (pr *program) checkBoundEdges(i, u int, w graph.NodeID) bool {
 	for _, ei := range pr.checks[i] {
 		e := pr.p.Edges[ei]
 		l := pr.edgeLabel[ei]
 		var from, to graph.NodeID
 		if e.From == u {
-			from, to = w, assign[e.To]
+			from, to = w, pr.assign[e.To]
 		} else {
-			from, to = assign[e.From], w
+			from, to = pr.assign[e.From], w
 		}
 		if !pr.g.HasEdge(from, to, l) {
 			return false

@@ -2,7 +2,6 @@ package match
 
 import (
 	"repro/internal/bitset"
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -10,6 +9,29 @@ import (
 type realizedKey struct {
 	edge int
 	v    graph.NodeID
+}
+
+// witnesses collects, for one focus candidate vx, the children realized
+// per (quantified edge, image of its source): Me(vx, h(u), Q) of §2.2.
+// It is a fresh map of sets per candidate — the largest remaining share of
+// matchFocus. The reusable open-addressing table meant to replace it
+// (same add/count) is not built yet: see ROADMAP item 2.
+type witnesses map[realizedKey]map[graph.NodeID]struct{}
+
+// add records w as a realized child of v over pattern edge ei.
+func (ws witnesses) add(ei int, v, w graph.NodeID) {
+	k := realizedKey{ei, v}
+	s := ws[k]
+	if s == nil {
+		s = make(map[graph.NodeID]struct{})
+		ws[k] = s
+	}
+	s[w] = struct{}{}
+}
+
+// count returns |Me(vx, v, Q)| over pattern edge ei.
+func (ws witnesses) count(ei int, v graph.NodeID) int {
+	return len(ws[realizedKey{ei, v}])
 }
 
 // evalPositive computes the focus matches of a compiled positive pattern.
@@ -26,11 +48,7 @@ type realizedKey struct {
 // termination: once some isomorphism's images all meet their (monotone)
 // thresholds, vx is accepted without exhausting the search.
 func evalPositive(pr *program, restrict *bitset.Set, earlyAccept bool, m *Metrics) []graph.NodeID {
-	quantOut := make([][]int, len(pr.p.Nodes))
-	for _, ei := range pr.quant {
-		e := pr.p.Edges[ei]
-		quantOut[e.From] = append(quantOut[e.From], ei)
-	}
+	early := earlyAccept && !pr.hasEQ
 
 	// Iterate candidates in ascending bit order (ForEach is ordered)
 	// instead of materializing and sorting them, and walk whichever of
@@ -48,7 +66,7 @@ func evalPositive(pr *program, restrict *bitset.Set, earlyAccept bool, m *Metric
 		}
 		vx := graph.NodeID(vi)
 		m.FocusCandidates++
-		if pr.matchFocus(vx, quantOut, earlyAccept, m) {
+		if pr.matchFocus(vx, early, m) {
 			answers = append(answers, vx)
 		}
 		return !pr.budgetExceeded
@@ -59,36 +77,27 @@ func evalPositive(pr *program, restrict *bitset.Set, earlyAccept bool, m *Metric
 	return answers
 }
 
-// matchFocus decides whether vx is a match of the focus.
-func (pr *program) matchFocus(vx graph.NodeID, quantOut [][]int, earlyAccept bool, m *Metrics) bool {
+// matchFocus decides whether vx is a match of the focus; early allows
+// acceptance before the counting search is exhausted.
+func (pr *program) matchFocus(vx graph.NodeID, early bool, m *Metrics) bool {
+	found := false
+	stopAtFirst := func([]graph.NodeID) bool {
+		found = true
+		return false
+	}
 	if len(pr.quant) == 0 {
 		// Conventional pattern: existence of one isomorphism suffices.
-		found := false
-		pr.run(vx, true, m, func([]graph.NodeID) bool {
-			found = true
-			return false
-		})
+		pr.run(vx, pr.accept, nil, false, m, stopAtFirst)
 		return found
 	}
 
-	realized := make(map[realizedKey]map[graph.NodeID]struct{})
+	realized := make(witnesses)
 	foundAny := false
 	accepted := false
-	canEarly := earlyAccept && !pr.hasEQ
-
-	pr.run(vx, false, m, func(assign []graph.NodeID) bool {
+	pr.run(vx, pr.cand, nil, early, m, func(assign []graph.NodeID) bool {
 		foundAny = true
-		for _, ei := range pr.quant {
-			e := pr.p.Edges[ei]
-			k := realizedKey{ei, assign[e.From]}
-			s := realized[k]
-			if s == nil {
-				s = make(map[graph.NodeID]struct{})
-				realized[k] = s
-			}
-			s[assign[e.To]] = struct{}{}
-		}
-		if canEarly && pr.imagesSatisfied(assign, realized) {
+		pr.countImages(realized, assign)
+		if early && pr.imagesSatisfied(realized, assign) {
 			accepted = true
 			m.EarlyAccepts++
 			return false
@@ -105,108 +114,46 @@ func (pr *program) matchFocus(vx graph.NodeID, quantOut [][]int, earlyAccept boo
 	// Counts are now exact. Search for one isomorphism whose images are all
 	// count-valid, pruning candidates through the per-node count filter.
 	m.AcceptSearches++
-	countOK := func(u int, w graph.NodeID) bool {
-		for _, ei := range quantOut[u] {
-			e := pr.p.Edges[ei]
-			total := pr.g.CountOut(w, pr.edgeLabel[ei])
-			if !e.Q.Satisfied(len(realized[realizedKey{ei, w}]), total) {
-				return false
-			}
-		}
-		return true
-	}
-	if !countOK(pr.p.Focus, vx) {
+	if !pr.countOK(realized, pr.p.Focus, vx) {
 		return false
 	}
-	ok := false
-	pr.runFiltered(vx, m, countOK, func([]graph.NodeID) bool {
-		ok = true
-		return false
-	})
-	return ok
+	pr.run(vx, pr.accept, realized, false, m, stopAtFirst)
+	return found
 }
 
-// imagesSatisfied reports whether every image of the current isomorphism
-// already meets its quantifier with the (monotonically growing) realized
-// counts. Only sound for GE and universal-EQ quantifiers.
-func (pr *program) imagesSatisfied(assign []graph.NodeID, realized map[realizedKey]map[graph.NodeID]struct{}) bool {
+// countImages records one isomorphism's witnesses: for every quantified
+// edge (u, u′), h(u′) is a realized child of h(u).
+func (pr *program) countImages(realized witnesses, assign []graph.NodeID) {
 	for _, ei := range pr.quant {
 		e := pr.p.Edges[ei]
-		v := assign[e.From]
-		total := pr.g.CountOut(v, pr.edgeLabel[ei])
-		need, ok := e.Q.Threshold(total)
-		if !ok {
+		realized.add(ei, assign[e.From], assign[e.To])
+	}
+}
+
+// countOK reports whether w, as the image of u, satisfies every quantified
+// out-edge of u under the (exact) counts.
+func (pr *program) countOK(exact witnesses, u int, w graph.NodeID) bool {
+	for _, ei := range pr.quantOut[u] {
+		total := pr.g.CountOut(w, pr.edgeLabel[ei])
+		if !pr.p.Edges[ei].Q.Satisfied(exact.count(ei, w), total) {
 			return false
-		}
-		cur := len(realized[realizedKey{ei, v}])
-		switch {
-		case e.Q.Op() == core.GE:
-			if cur < need {
-				return false
-			}
-		default: // universal EQ: need == total, counts cannot overshoot
-			if cur != need {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// runFiltered is run over the acceptance sets with an additional per-node
-// candidate predicate.
-func (pr *program) runFiltered(vx graph.NodeID, m *Metrics, filter func(u int, w graph.NodeID) bool, onIso func([]graph.NodeID) bool) {
-	pr.version++
-	if pr.version == 0 {
-		for i := range pr.used {
-			pr.used[i] = 0
+// imagesSatisfied reports whether every image of the current isomorphism
+// already meets its quantifier with the (monotonically growing) counts.
+// Only sound for GE and universal-EQ quantifiers; for the latter the need
+// is the total, which a count of distinct children cannot overshoot, so
+// reaching it is equality.
+func (pr *program) imagesSatisfied(realized witnesses, assign []graph.NodeID) bool {
+	for _, ei := range pr.quant {
+		if realized.count(ei, assign[pr.p.Edges[ei].From]) < pr.need[ei] {
+			return false
 		}
-		pr.version = 1
 	}
-	assign := make([]graph.NodeID, len(pr.p.Nodes))
-	assign[pr.p.Focus] = vx
-	pr.used[vx] = pr.version
-
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(pr.order) {
-			m.Verifications++
-			return onIso(assign)
-		}
-		u := pr.order[i]
-		a := pr.anchors[i]
-		e := pr.p.Edges[a.edge]
-		l := pr.edgeLabel[a.edge]
-		var edges []graph.Edge
-		if a.out {
-			edges = pr.g.OutByLabel(assign[e.From], l)
-		} else {
-			edges = pr.g.InByLabel(assign[e.To], l)
-		}
-		for _, ge := range edges {
-			w := ge.To
-			m.Extensions++
-			if pr.budget > 0 && m.Extensions > pr.budget {
-				pr.budgetExceeded = true
-				return false
-			}
-			if pr.used[w] == pr.version || !pr.accept[u].Contains(int(w)) {
-				continue
-			}
-			if !filter(u, w) || !pr.checkBoundEdges(i, u, w, assign) {
-				continue
-			}
-			assign[u] = w
-			pr.used[w] = pr.version
-			cont := rec(i + 1)
-			pr.used[w] = pr.version - 1
-			if !cont {
-				return false
-			}
-		}
-		return true
-	}
-	rec(1)
+	return true
 }
 
 // toBitset converts a node list into a bitset of capacity n.

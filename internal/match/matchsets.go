@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -30,12 +31,16 @@ func MatchSets(g *graph.Graph, q *core.Pattern, opts *Options) (map[string][]gra
 		images[i] = make(map[graph.NodeID]struct{})
 	}
 
+	restrict, err := combineRestrictions(g.NumNodes(), opts, nil)
+	if err != nil {
+		return nil, err
+	}
 	pr, err := compile(g, q, true, true, nil)
 	if err == nil {
 		if opts != nil {
 			pr.budget = opts.ExtensionBudget
 		}
-		if err := collectMatchSets(pr, opts, images); err != nil {
+		if err := collectMatchSets(pr, restrict, images); err != nil {
 			return nil, err
 		}
 	}
@@ -55,63 +60,33 @@ func MatchSets(g *graph.Graph, q *core.Pattern, opts *Options) (map[string][]gra
 // records every image. Validity needs exact counts, so early acceptance is
 // disabled and each accepted candidate re-enumerates over the count-valid
 // filter.
-func collectMatchSets(pr *program, opts *Options, images []map[graph.NodeID]struct{}) error {
-	quantOut := make([][]int, len(pr.p.Nodes))
-	for _, ei := range pr.quant {
-		e := pr.p.Edges[ei]
-		quantOut[e.From] = append(quantOut[e.From], ei)
-	}
-	restrict := combineRestrictions(pr.g.NumNodes(), opts, nil)
-
+func collectMatchSets(pr *program, restrict *bitset.Set, images []map[graph.NodeID]struct{}) error {
 	var m Metrics
-	for _, vx := range pr.focusCandidates() {
-		if restrict != nil && !restrict.Contains(int(vx)) {
-			continue
+	pr.accept[pr.p.Focus].ForEach(func(vi int) bool {
+		if restrict != nil && !restrict.Contains(vi) {
+			return true
 		}
-		realized := make(map[realizedKey]map[graph.NodeID]struct{})
+		vx := graph.NodeID(vi)
+		realized := make(witnesses)
 		found := false
-		pr.run(vx, false, &m, func(assign []graph.NodeID) bool {
+		pr.run(vx, pr.cand, nil, false, &m, func(assign []graph.NodeID) bool {
 			found = true
-			for _, ei := range pr.quant {
-				e := pr.p.Edges[ei]
-				k := realizedKey{ei, assign[e.From]}
-				s := realized[k]
-				if s == nil {
-					s = make(map[graph.NodeID]struct{})
-					realized[k] = s
-				}
-				s[assign[e.To]] = struct{}{}
-			}
+			pr.countImages(realized, assign)
 			return true
 		})
-		if pr.budgetExceeded {
-			return ErrBudgetExceeded
+		if !found || pr.budgetExceeded || !pr.countOK(realized, pr.p.Focus, vx) {
+			return !pr.budgetExceeded
 		}
-		if !found {
-			continue
-		}
-		countOK := func(u int, w graph.NodeID) bool {
-			for _, ei := range quantOut[u] {
-				e := pr.p.Edges[ei]
-				total := pr.g.CountOut(w, pr.edgeLabel[ei])
-				if !e.Q.Satisfied(len(realized[realizedKey{ei, w}]), total) {
-					return false
-				}
-			}
-			return true
-		}
-		if !countOK(pr.p.Focus, vx) {
-			continue
-		}
-		pr.runFiltered(vx, &m, countOK, func(assign []graph.NodeID) bool {
+		pr.run(vx, pr.accept, realized, false, &m, func(assign []graph.NodeID) bool {
 			for u, w := range assign {
 				images[u][w] = struct{}{}
 			}
 			return true
 		})
-		if pr.budgetExceeded {
-			return ErrBudgetExceeded
-		}
+		return !pr.budgetExceeded
+	})
+	if pr.budgetExceeded {
+		return ErrBudgetExceeded
 	}
 	return nil
 }

@@ -2,6 +2,13 @@
 // the paper's Appendix B (Lemma 13): a quantifier-aware dual simulation
 // that over-approximates isomorphism participation and is used by QMatch
 // to shrink candidate sets before search.
+//
+// Refinement is a worklist, not a sweep: one full pass checks every
+// candidate once, and from then on a candidate is re-checked only when a
+// node it has an edge to — under a pattern edge's label and direction —
+// has just been removed, the only event that can break a local condition
+// that held before. The greatest fixpoint is unique, so the result is the
+// one sweeping every set until nothing changes reaches.
 package simulation
 
 import (
@@ -55,74 +62,137 @@ func Candidates(g *graph.Graph, p *core.Pattern, quantified bool) ([]*bitset.Set
 		}
 	}
 
-	for changed := true; changed; {
-		changed = false
+	r := refiner{g: g, p: p, sets: sets, edgeLabel: edgeLabel, quantified: quantified}
+	r.left = make([]int, len(sets))
+	for u := range sets {
+		r.left[u] = sets[u].Count()
+	}
+	// Round one re-checks everything; each later round only the marked.
+	marked := make([]*bitset.Set, len(sets))
+	for u := range marked {
+		marked[u] = sets[u].Clone()
+	}
+	for {
 		for u := range p.Nodes {
-			var removed []int
-			sets[u].ForEach(func(vi int) bool {
-				if !simOK(g, p, sets, edgeLabel, u, graph.NodeID(vi), quantified) {
-					removed = append(removed, vi)
+			marked[u].IntersectWith(sets[u])
+			marked[u].ForEach(func(vi int) bool {
+				if !r.simOK(u, graph.NodeID(vi)) {
+					r.remove(u, graph.NodeID(vi))
 				}
 				return true
 			})
-			for _, vi := range removed {
-				sets[u].Remove(vi)
-				changed = true
-			}
-			if sets[u].Empty() {
+			marked[u].Clear()
+			if r.left[u] == 0 {
 				return sets, false
 			}
 		}
+		if len(r.gone) == 0 {
+			return sets, true
+		}
+		// The removal of v from C(u) can only invalidate parents of v in
+		// C(u″) for an edge (u″, u), which lose a child, and children of v
+		// in C(u′) for an edge (u, u′), which lose a parent. Marking makes
+		// the next round re-check each of them once, however many of its
+		// neighbours went.
+		for _, rm := range r.gone {
+			for i, e := range p.Edges {
+				if e.IsNegated() {
+					continue
+				}
+				if e.To == rm.u {
+					for _, ge := range g.InByLabel(rm.v, edgeLabel[i]) {
+						marked[e.From].Add(int(ge.To))
+					}
+				}
+				if e.From == rm.u {
+					for _, ge := range g.OutByLabel(rm.v, edgeLabel[i]) {
+						marked[e.To].Add(int(ge.To))
+					}
+				}
+			}
+		}
+		r.gone = r.gone[:0]
 	}
-	return sets, true
+}
+
+// refiner is the state of one Candidates refinement.
+type refiner struct {
+	g          *graph.Graph
+	p          *core.Pattern
+	sets       []*bitset.Set
+	edgeLabel  []graph.LabelID
+	quantified bool
+
+	left []int     // per pattern node: candidates remaining
+	gone []removal // this round's removals; their neighbours are re-checked next round
+}
+
+type removal struct {
+	u int
+	v graph.NodeID
+}
+
+func (r *refiner) remove(u int, v graph.NodeID) {
+	r.sets[u].Remove(int(v))
+	r.left[u]--
+	r.gone = append(r.gone, removal{u, v})
 }
 
 // simOK checks the local simulation conditions for candidate v of pattern
 // node u.
-func simOK(g *graph.Graph, p *core.Pattern, sets []*bitset.Set, edgeLabel []graph.LabelID, u int, v graph.NodeID, quantified bool) bool {
-	for i, e := range p.Edges {
+func (r *refiner) simOK(u int, v graph.NodeID) bool {
+	for i, e := range r.p.Edges {
 		if e.IsNegated() {
 			continue
 		}
-		l := edgeLabel[i]
-		if e.From == u {
-			total := g.CountOut(v, l)
-			need := 1
-			if quantified {
-				var ok bool
-				need, ok = e.Q.Threshold(total)
-				if !ok {
-					return false
-				}
-				if need < 1 {
-					need = 1 // the edge must still be embeddable
-				}
-			}
-			cnt := 0
-			for _, ge := range g.OutByLabel(v, l) {
-				if sets[e.To].Contains(int(ge.To)) {
-					cnt++
-					if cnt >= need {
-						break
-					}
-				}
-			}
-			if cnt < need {
-				return false
-			}
+		if e.From == u && !r.childrenOK(i, v) {
+			return false
 		}
-		if e.To == u {
-			found := false
-			for _, ge := range g.InByLabel(v, l) {
-				if sets[e.From].Contains(int(ge.To)) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return false
-			}
+		if e.To == u && !r.parentOK(i, v) {
+			return false
 		}
 	}
 	return true
+}
+
+// childrenOK reports whether v, a candidate of pattern edge i's source,
+// keeps enough children via the edge's label in the target's set.
+func (r *refiner) childrenOK(i int, v graph.NodeID) bool {
+	e := r.p.Edges[i]
+	children := r.g.OutByLabel(v, r.edgeLabel[i])
+	need := 1
+	if r.quantified {
+		var ok bool
+		need, ok = e.Q.Threshold(len(children))
+		if !ok {
+			return false
+		}
+		if need < 1 {
+			need = 1 // the edge must still be embeddable
+		}
+	}
+	if len(children) < need {
+		return false
+	}
+	to := r.sets[e.To]
+	for _, ge := range children {
+		if to.Contains(int(ge.To)) {
+			if need--; need == 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// parentOK reports whether v, a candidate of pattern edge i's target,
+// keeps a parent via the edge's label in the source's set.
+func (r *refiner) parentOK(i int, v graph.NodeID) bool {
+	from := r.sets[r.p.Edges[i].From]
+	for _, ge := range r.g.InByLabel(v, r.edgeLabel[i]) {
+		if from.Contains(int(ge.To)) {
+			return true
+		}
+	}
+	return false
 }
