@@ -6,6 +6,7 @@
 package repro
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/match"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/server"
 )
 
 func runExperiment(b *testing.B, id int) {
@@ -113,6 +115,32 @@ func BenchmarkQMatchMix(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkWireAnswer encodes and decodes one match Response carrying
+// 3 000 ascending ids out of 6 000 — what one answer costs on each of the
+// two hops it crosses (worker → coordinator, front end → client).
+// BenchmarkMergeRuns in internal/cluster is the coordinator's step between
+// them.
+func BenchmarkWireAnswer(b *testing.B) {
+	resp := server.Response{ID: 1, OK: true, Total: 3000, ElapsedMS: 1.25, Matches: make(server.IDList, 3000)}
+	for i := range resp.Matches {
+		resp.Matches[i] = int64(2 * i)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		line, err := json.Marshal(&resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var back server.Response
+		if err := json.Unmarshal(line, &back); err != nil {
+			b.Fatal(err)
+		}
+		if len(back.Matches) != len(resp.Matches) {
+			b.Fatalf("decoded %d ids of %d", len(back.Matches), len(resp.Matches))
+		}
 	}
 }
 

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -482,26 +483,56 @@ func (c *Coordinator) fanOut(fn func(w *worker) error) error {
 	return nil
 }
 
-// global maps a worker-local node id from a wire response back to the
-// global id space.
-func (w *worker) global(local int64) (graph.NodeID, error) {
-	if local < 0 || int(local) >= len(w.toGlobal) {
-		return 0, fmt.Errorf("cluster: worker %d returned local node %d outside [0, %d)", w.id, local, len(w.toGlobal))
+// globalRun translates a worker's answer ids, local to its fragment as
+// they came off the wire, into an ascending run of global ids. A worker
+// answers in ascending local order and local ids follow w.toGlobal, which
+// starts out as the fragment's ascending node list; once an update has
+// appended an older node to it (fragment extension, update.go) the
+// translation is no longer monotone, and the reply is outside input in any
+// case — so order is checked on the way and a run that comes out unsorted
+// is sorted, that run only.
+func (w *worker) globalRun(locals []int64) ([]graph.NodeID, error) {
+	run := make([]graph.NodeID, len(locals))
+	ascending := true
+	for i, local := range locals {
+		if local < 0 || int(local) >= len(w.toGlobal) {
+			return nil, fmt.Errorf("cluster: worker %d returned local node %d outside [0, %d)", w.id, local, len(w.toGlobal))
+		}
+		run[i] = w.toGlobal[local]
+		ascending = ascending && (i == 0 || run[i-1] <= run[i])
 	}
-	return w.toGlobal[local], nil
+	if !ascending {
+		slices.Sort(run)
+	}
+	return run, nil
 }
 
-// mergeGlobal converts a worker's local answer ids and folds them into a
-// global set.
-func (w *worker) mergeGlobal(locals []int64, into map[graph.NodeID]bool) error {
-	for _, v := range locals {
-		g, err := w.global(v)
-		if err != nil {
-			return err
-		}
-		into[g] = true
+// mergeRuns merges ascending runs into one ascending list, consuming the
+// runs. Ownership partitions the nodes, so the workers' runs are disjoint
+// and this is the coordinator's whole step of PQMatch (§5): a disjoint
+// union. An id that appears twice all the same, within a run or in two, is
+// kept once.
+func mergeRuns(runs [][]graph.NodeID) []graph.NodeID {
+	total := 0
+	for _, r := range runs {
+		total += len(r)
 	}
-	return nil
+	out := make([]graph.NodeID, 0, total)
+	for {
+		least := -1
+		for i, r := range runs {
+			if len(r) > 0 && (least < 0 || r[0] < runs[least][0]) {
+				least = i
+			}
+		}
+		if least < 0 {
+			return out
+		}
+		if v := runs[least][0]; len(out) == 0 || out[len(out)-1] != v {
+			out = append(out, v)
+		}
+		runs[least] = runs[least][1:]
+	}
 }
 
 func sortedSet(m map[graph.NodeID]bool) []graph.NodeID {

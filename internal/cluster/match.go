@@ -96,14 +96,15 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *Match
 	err = c.routedRead(tr, req, minV, func(replies []workerReply) error {
 		tm := time.Now()
 		out := &MatchResult{PerWorker: make([]int, len(replies))}
-		merged := make(map[graph.NodeID]bool)
+		runs := make([][]graph.NodeID, len(replies))
 		for i, r := range replies {
 			tr.Annotatef("w%d:compute=%.2fms answers=%d", i, r.resp.ElapsedMS, len(r.resp.Matches))
 			if c.om != nil {
 				c.om.workerMatchMS[i].Observe(r.rttMS)
 			}
 			out.PerWorker[i] = len(r.resp.Matches)
-			if err := c.workers[i].mergeGlobal(r.resp.Matches, merged); err != nil {
+			var err error
+			if runs[i], err = c.workers[i].globalRun(r.resp.Matches); err != nil {
 				return err
 			}
 			// Per-worker engine metrics fold into the cluster-wide totals:
@@ -113,7 +114,7 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *Match
 				out.Metrics.Add(*r.resp.Metrics)
 			}
 		}
-		out.Matches = sortedSet(merged)
+		out.Matches = mergeRuns(runs)
 		tr.Span(-1, "merge", tm)
 		if prof != nil {
 			prof.Engine = req.Engine

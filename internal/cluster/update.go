@@ -570,43 +570,37 @@ func hasEdge(g graph.View, from, to graph.NodeID, label string) bool {
 // the nodes), affected counts sum.
 func (c *Coordinator) mergeDeltas(byWorker [][]server.WatchDelta) ([]server.WatchDelta, error) {
 	type acc struct {
-		added, removed map[graph.NodeID]bool
+		added, removed [][]graph.NodeID
 		affected       int
 	}
 	byWatch := make(map[string]*acc)
+	var names []string
 	for wid, deltas := range byWorker {
-		w := c.workers[wid]
 		for _, d := range deltas {
 			a := byWatch[d.Watch]
 			if a == nil {
-				a = &acc{added: make(map[graph.NodeID]bool), removed: make(map[graph.NodeID]bool)}
+				a = &acc{}
 				byWatch[d.Watch] = a
+				names = append(names, d.Watch)
 			}
+			added, err := c.workers[wid].globalRun(d.Added)
+			if err != nil {
+				return nil, err
+			}
+			removed, err := c.workers[wid].globalRun(d.Removed)
+			if err != nil {
+				return nil, err
+			}
+			a.added, a.removed = append(a.added, added), append(a.removed, removed)
 			a.affected += d.Affected
-			if err := w.mergeGlobal(d.Added, a.added); err != nil {
-				return nil, err
-			}
-			if err := w.mergeGlobal(d.Removed, a.removed); err != nil {
-				return nil, err
-			}
 		}
-	}
-	names := make([]string, 0, len(byWatch))
-	for name := range byWatch {
-		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := make([]server.WatchDelta, 0, len(names))
-	for _, name := range names {
+	out := make([]server.WatchDelta, len(names))
+	for i, name := range names {
 		a := byWatch[name]
-		wd := server.WatchDelta{Watch: name, Affected: a.affected}
-		for _, v := range sortedSet(a.added) {
-			wd.Added = append(wd.Added, int64(v))
-		}
-		for _, v := range sortedSet(a.removed) {
-			wd.Removed = append(wd.Removed, int64(v))
-		}
-		out = append(out, wd)
+		out[i] = server.WatchDelta{Watch: name, Affected: a.affected,
+			Added: server.IDs(mergeRuns(a.added)), Removed: server.IDs(mergeRuns(a.removed))}
 	}
 	return out, nil
 }

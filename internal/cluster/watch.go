@@ -60,7 +60,6 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 	}
 
 	pattern := q.String()
-	merged := make(map[graph.NodeID]bool)
 	responses := make([]*server.Response, len(c.workers))
 	err = c.fanOut(func(w *worker) error {
 		t0 := time.Now()
@@ -94,8 +93,9 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 		c.failed = err
 		return nil, err
 	}
+	runs := make([][]graph.NodeID, len(responses))
 	for i, resp := range responses {
-		if err := c.workers[i].mergeGlobal(resp.Matches, merged); err != nil {
+		if runs[i], err = c.workers[i].globalRun(resp.Matches); err != nil {
 			c.failed = err
 			return nil, err
 		}
@@ -120,7 +120,7 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 		c.om.watchCount.Inc()
 		c.om.watchGroups.Set(int64(len(c.plans)))
 	}
-	return sortedSet(merged), nil
+	return mergeRuns(runs), nil
 }
 
 // rollbackWatchLocked removes a partially registered watch from the

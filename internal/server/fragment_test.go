@@ -41,14 +41,14 @@ func TestFragmentRestrictsAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("match: %v", err)
 	}
-	if !reflect.DeepEqual(resp.Matches, []int64{0}) {
+	if !reflect.DeepEqual(resp.Matches, server.IDList{0}) {
 		t.Fatalf("fragment match = %v, want [0]", resp.Matches)
 	}
 	wresp, err := c.Watch("w", fragPattern)
 	if err != nil {
 		t.Fatalf("watch: %v", err)
 	}
-	if !reflect.DeepEqual(wresp.Matches, []int64{0}) {
+	if !reflect.DeepEqual(wresp.Matches, server.IDList{0}) {
 		t.Fatalf("fragment watch answers = %v, want [0]", wresp.Matches)
 	}
 
@@ -57,14 +57,14 @@ func TestFragmentRestrictsAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("assign: %v", err)
 	}
-	if len(aresp.Deltas) != 1 || !reflect.DeepEqual(aresp.Deltas[0].Added, []int64{1}) {
+	if len(aresp.Deltas) != 1 || !reflect.DeepEqual(aresp.Deltas[0].Added, server.IDList{1}) {
 		t.Fatalf("assign deltas = %+v, want watch w +[1]", aresp.Deltas)
 	}
 	resp, err = c.Match(fragPattern, nil)
 	if err != nil {
 		t.Fatalf("match after assign: %v", err)
 	}
-	if !reflect.DeepEqual(resp.Matches, []int64{0, 1}) {
+	if !reflect.DeepEqual(resp.Matches, server.IDList{0, 1}) {
 		t.Fatalf("match after assign = %v, want [0 1]", resp.Matches)
 	}
 
@@ -74,7 +74,7 @@ func TestFragmentRestrictsAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("update: %v", err)
 	}
-	if len(uresp.Deltas) != 1 || !reflect.DeepEqual(uresp.Deltas[0].Removed, []int64{0}) {
+	if len(uresp.Deltas) != 1 || !reflect.DeepEqual(uresp.Deltas[0].Removed, server.IDList{0}) {
 		t.Fatalf("update deltas = %+v, want watch w -[0]", uresp.Deltas)
 	}
 }

@@ -1,7 +1,10 @@
 package server
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -25,6 +28,10 @@ var protocolSeeds = []string{
 	`{"id":11,"cmd":"match","pattern":"qgp\nn xo person *\nn z person\ne xo z follow >=1\n","engine":"qmatchn","budget":100000,"limit":10,"planner":true}`,
 	`{"id":12,"cmd":"partition","workers":4,"d":2}`,
 	`{"id":13,"cmd":"metrics"}`,
+	// The same shapes with their id lists packed, as the coordinator
+	// sends them: owned [3], affected [0,1]; owned [5,2,9] (unsorted).
+	`{"id":14,"cmd":"update","updates":[{"op":"addNode","label":"person"}],"owned":"Bg==","scoped":true,"affected":"AAI="}`,
+	`{"id":15,"cmd":"assign","owned":"CgUO"}`,
 }
 
 // FuzzRequestRoundTrip asserts the wire format is lossless for every
@@ -86,6 +93,9 @@ func FuzzResponseRoundTrip(f *testing.F) {
 		`{"id":7,"ok":true,"deltas":[{"watch":"w","affected":0}]}`,
 		`{"id":9,"ok":false,"error":"watch \"w\" already registered"}`,
 		`{"id":11,"ok":true,"matches":[0,2,5],"total":3,"elapsedMs":1.25}`,
+		// Packed id lists: matches [0,2,5]; added [1,4], removed [2].
+		`{"id":14,"ok":true,"matches":"AAQG","total":3}`,
+		`{"id":15,"ok":true,"deltas":[{"watch":"w","added":"AgY=","removed":"BA==","affected":7}]}`,
 		`{"id":13,"ok":true,"obs":{"counters":{"server.cmd.match.count":2},"gauges":{},"histograms":{"server.cmd.match.ms":{"count":2,"sum":1.5,"bounds":[1,10],"counts":[1,1,0]}}}}`,
 	}
 	for _, s := range seeds {
@@ -112,4 +122,81 @@ func FuzzResponseRoundTrip(f *testing.F) {
 			t.Fatalf("canonical encoding is not a fixpoint:\n first: %s\nsecond: %s", b, b2)
 		}
 	})
+}
+
+// FuzzIDList holds the id-list codec to what the protocol header promises.
+// The input is read three ways. As a JSON value: decoding never panics,
+// and what decodes re-encodes to a form that decodes to the same list. As
+// a raw varint block (base64'd and quoted here): never a panic, never a
+// list longer than the block. As a list of int64s, eight bytes each:
+// packing then decoding is the identity, and the plain array spelling of
+// the same list decodes equal.
+func FuzzIDList(f *testing.F) {
+	le := func(vs ...int64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		}
+		return b
+	}
+	for _, seed := range [][]byte{
+		[]byte(`"AAQG"`), []byte(`[0,2,5]`), []byte(`null`), []byte(`""`), []byte(`"gA=="`),
+		[]byte(`"AAQ"`), []byte(`"\/\/8="`), []byte(`[1.5]`), []byte(`"`), []byte(`{"a":1}`),
+		le(), le(0, 2, 5), le(5, 2, 9, 2), le(-1, -1<<40, 7),
+		le(math.MinInt64, math.MaxInt64, math.MinInt64, 0, math.MaxInt64),
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x80},
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var direct IDList
+		_ = direct.UnmarshalJSON(data) // any bytes: an error at most
+
+		var l IDList
+		if err := json.Unmarshal(data, &l); err == nil {
+			packed, err := json.Marshal(l)
+			if err != nil {
+				t.Fatalf("marshal %v: %v", l, err)
+			}
+			var again IDList
+			if err := json.Unmarshal(packed, &again); err != nil || !sameIDs(l, again) {
+				t.Fatalf("%s decoded to %v, re-encoded to %s, decoded to %v (%v)", data, l, packed, again, err)
+			}
+		}
+
+		block := `"` + base64.StdEncoding.EncodeToString(data) + `"`
+		var fromBlock IDList
+		if err := fromBlock.UnmarshalJSON([]byte(block)); err == nil && len(fromBlock) > len(data) {
+			t.Fatalf("a %d-byte block decoded to %d ids", len(data), len(fromBlock))
+		}
+
+		list := make(IDList, len(data)/8)
+		for i := range list {
+			list[i] = int64(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		packed, err := json.Marshal(list)
+		if err != nil {
+			t.Fatalf("marshal %v: %v", list, err)
+		}
+		if len(packed) < 2 || packed[0] != '"' {
+			t.Fatalf("%v encoded as %s, want the packed string form", list, packed)
+		}
+		array, err := json.Marshal([]int64(list))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fromPacked, fromArray IDList
+		if err := json.Unmarshal(packed, &fromPacked); err != nil || !sameIDs(list, fromPacked) {
+			t.Fatalf("%v packed as %s decoded to %v (%v)", list, packed, fromPacked, err)
+		}
+		if err := json.Unmarshal(array, &fromArray); err != nil || !sameIDs(list, fromArray) {
+			t.Fatalf("%v as the array %s decoded to %v (%v)", list, array, fromArray, err)
+		}
+	})
+}
+
+// sameIDs compares two id lists element by element; nil and empty are the
+// same list, as on the wire.
+func sameIDs(a, b IDList) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }

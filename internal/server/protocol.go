@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/dynamic"
+	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/store"
 )
@@ -79,6 +84,17 @@ import (
 // Response.RetryAfterMS, the backoff after which capacity returns.
 //
 // The session graph persists across requests on the same connection.
+//
+// Id lists. Every list of node ids — matches, identified, a watch delta's
+// added/removed, a fragment's owned and affected — is an IDList. It is
+// written in one form only, a JSON string: the base64 (standard alphabet,
+// padded) of one signed varint per id, each the difference to the id
+// before it and the first the id itself. An ascending answer set costs a
+// byte or two per id instead of a decimal number, and neither side walks
+// it through reflection. A hand-typed request may still spell a list as a
+// plain array, "owned":[0,1]; the reply is packed either way. To read one:
+// base64 -d, then decode zigzag varints (binary.Varint) and keep a
+// running sum — "matches":"AAQG" is 00 04 06, deltas 0 +2 +3, ids 0 2 5.
 
 // Request is one client command.
 type Request struct {
@@ -134,7 +150,7 @@ type Request struct {
 	// it is the nodes to add to it — an update batch from a cluster
 	// coordinator carries the nodes it assigns to this worker inline, so
 	// routing one global batch costs one round trip, not two.
-	Owned []int64 `json:"owned,omitempty"`
+	Owned IDList `json:"owned,omitempty"`
 
 	// update, fragment sessions only: Scoped marks Affected as the
 	// coordinator-computed global affected set translated to this
@@ -146,8 +162,8 @@ type Request struct {
 	// benefit). Scoped distinguishes an intentionally empty set — nothing
 	// owned here is affected, e.g. a batch that only materializes
 	// neighborhood — from an ordinary unscoped update.
-	Scoped   bool    `json:"scoped,omitempty"`
-	Affected []int64 `json:"affected,omitempty"`
+	Scoped   bool   `json:"scoped,omitempty"`
+	Affected IDList `json:"affected,omitempty"`
 }
 
 // UpdateSpec is one graph mutation in the wire format of the update
@@ -204,7 +220,7 @@ type Response struct {
 	Edges int `json:"edges,omitempty"`
 
 	// match family
-	Matches   []int64        `json:"matches,omitempty"`
+	Matches   IDList         `json:"matches,omitempty"`
 	Total     int            `json:"total,omitempty"` // before Limit
 	Metrics   *match.Metrics `json:"metrics,omitempty"`
 	ElapsedMS float64        `json:"elapsedMs,omitempty"`
@@ -213,7 +229,7 @@ type Response struct {
 	Support    int     `json:"support,omitempty"`
 	Confidence float64 `json:"confidence,omitempty"`
 	Lift       float64 `json:"lift,omitempty"`
-	Identified []int64 `json:"identified,omitempty"`
+	Identified IDList  `json:"identified,omitempty"`
 
 	// partition
 	Skew      float64 `json:"skew,omitempty"`
@@ -261,16 +277,92 @@ type Response struct {
 // WatchDelta reports how one update batch changed a standing pattern's
 // answers.
 type WatchDelta struct {
-	Watch    string  `json:"watch"`
-	Added    []int64 `json:"added,omitempty"`
-	Removed  []int64 `json:"removed,omitempty"`
-	Affected int     `json:"affected"` // focus candidates re-verified
+	Watch    string `json:"watch"`
+	Added    IDList `json:"added,omitempty"`
+	Removed  IDList `json:"removed,omitempty"`
+	Affected int    `json:"affected"` // focus candidates re-verified
 	// Resync (multi-tenant front end, deltas command) means the delta
 	// stream for this watch is incomplete — its bounded pending inbox
 	// overflowed, or an update raced the watch's registration — and
 	// Added/Removed must be ignored: re-read the full answer set
 	// (re-register, or re-run the pattern as a match) instead.
 	Resync bool `json:"resync,omitempty"`
+}
+
+// IDList is a list of node ids with the packed wire form described in the
+// protocol header. Only this type knows the form; everything else treats
+// it as the []int64 it is.
+type IDList []int64
+
+// IDs is a list of graph nodes as the wire's id list; an empty one is nil,
+// as an absent list decodes.
+func IDs(nodes []graph.NodeID) IDList {
+	if len(nodes) == 0 {
+		return nil
+	}
+	out := make(IDList, len(nodes))
+	for i, v := range nodes {
+		out[i] = int64(v)
+	}
+	return out
+}
+
+// MarshalJSON writes the packed form. Differences wrap around in int64, so
+// any list round-trips, sorted or not.
+func (l IDList) MarshalJSON() ([]byte, error) {
+	// Two bytes hold a difference below 8192; wider ones grow the slice.
+	raw := make([]byte, 0, 2*len(l))
+	var prev int64
+	for _, v := range l {
+		raw = binary.AppendVarint(raw, v-prev)
+		prev = v
+	}
+	out := make([]byte, 2+base64.StdEncoding.EncodedLen(len(raw)))
+	out[0], out[len(out)-1] = '"', '"'
+	base64.StdEncoding.Encode(out[1:], raw)
+	return out, nil
+}
+
+// UnmarshalJSON reads the packed form or a plain JSON array (or null). The
+// input is a peer's: a malformed block is an error, and the list allocated
+// is never longer than the block.
+func (l *IDList) UnmarshalJSON(b []byte) error {
+	if len(b) < 2 || b[0] != '"' {
+		return json.Unmarshal(b, (*[]int64)(l))
+	}
+	s := b[1 : len(b)-1]
+	if bytes.IndexByte(s, '\\') >= 0 { // another encoder's escapes, e.g. \/
+		var unquoted string
+		if err := json.Unmarshal(b, &unquoted); err != nil {
+			return err
+		}
+		s = []byte(unquoted)
+	}
+	raw := make([]byte, base64.StdEncoding.DecodedLen(len(s)))
+	n, err := base64.StdEncoding.Decode(raw, s)
+	if err != nil {
+		return fmt.Errorf("id list: %w", err)
+	}
+	raw = raw[:n]
+	count := 0
+	for _, c := range raw {
+		if c < 0x80 { // the last byte of a varint
+			count++
+		}
+	}
+	out := make(IDList, 0, count)
+	var prev int64
+	for len(raw) > 0 {
+		d, n := binary.Varint(raw)
+		if n <= 0 {
+			return errors.New("id list: truncated or overlong varint")
+		}
+		raw = raw[n:]
+		prev += d
+		out = append(out, prev)
+	}
+	*l = out
+	return nil
 }
 
 // TripleRow is one edge class of the stats command in structured form:

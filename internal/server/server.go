@@ -477,14 +477,7 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 // format.
 func appendDeltas(resp *Response, deltas []dynamic.NamedDelta) {
 	for _, d := range deltas {
-		wd := WatchDelta{Watch: d.Name, Affected: d.Affected}
-		for _, v := range d.Added {
-			wd.Added = append(wd.Added, int64(v))
-		}
-		for _, v := range d.Removed {
-			wd.Removed = append(wd.Removed, int64(v))
-		}
-		resp.Deltas = append(resp.Deltas, wd)
+		resp.Deltas = append(resp.Deltas, WatchDelta{Watch: d.Name, Added: IDs(d.Added), Removed: IDs(d.Removed), Affected: d.Affected})
 	}
 }
 
@@ -692,9 +685,7 @@ func (s *Server) handleRule(sess *session, req *Request, resp *Response) error {
 	resp.Confidence = ev.Confidence
 	resp.Lift = ev.Lift
 	if req.Eta > 0 && ev.Confidence >= req.Eta {
-		for _, v := range ev.Matches {
-			resp.Identified = append(resp.Identified, int64(v))
-		}
+		resp.Identified = IDs(ev.Matches)
 	}
 	return nil
 }
@@ -814,8 +805,5 @@ func FillMatches(resp *Response, matches []graph.NodeID, limit int) {
 	if limit > 0 && len(matches) > limit {
 		matches = matches[:limit]
 	}
-	resp.Matches = make([]int64, len(matches))
-	for i, v := range matches {
-		resp.Matches[i] = int64(v)
-	}
+	resp.Matches = IDs(matches)
 }

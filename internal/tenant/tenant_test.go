@@ -173,7 +173,7 @@ func TestDeltaRoutingAndCoalescing(t *testing.T) {
 		{Watch: "orphan", Added: []int64{9}}, // unknown tenant: dropped
 	}
 	own := m.RecordDeltas("writer", deltas)
-	if len(own) != 1 || own[0].Watch != "w" || !reflect.DeepEqual(own[0].Added, []int64{1}) {
+	if len(own) != 1 || own[0].Watch != "w" || !reflect.DeepEqual(own[0].Added, server.IDList{1}) {
 		t.Fatalf("writer's own deltas: %+v", own)
 	}
 	// The writer's own deltas are NOT also queued.
@@ -194,7 +194,7 @@ func TestDeltaRoutingAndCoalescing(t *testing.T) {
 		t.Fatalf("reader drain: %+v", ds)
 	}
 	d := ds[0]
-	if d.Watch != "w" || !reflect.DeepEqual(d.Added, []int64{6, 8}) || len(d.Removed) != 0 || d.Affected != 4 {
+	if d.Watch != "w" || !reflect.DeepEqual(d.Added, server.IDList{6, 8}) || len(d.Removed) != 0 || d.Affected != 4 {
 		t.Fatalf("coalesced delta wrong: %+v", d)
 	}
 	// Drained means gone.
