@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -174,16 +173,15 @@ type replica struct {
 
 // worker is the coordinator's book-keeping for one fragment. The
 // invariant between updates: every copy's session graph equals the
-// subgraph of c.g induced by nodes, with local ids toGlobal[local].
+// subgraph of c.g induced by the nodes ids holds as materialized, with
+// local ids ids.toGlobal[local]; the nodes ids holds as owned are the
+// fragment's answer set.
 type worker struct {
 	id       int
 	primary  *replica
-	replicas []*replica                    // warm mirrors, promotion order
-	dropped  int                           // replicas discarded after mirror/probe failures
-	nodes    map[graph.NodeID]bool         // materialized global nodes
-	owned    map[graph.NodeID]bool         // owned global nodes (answer set, disjoint across workers)
-	toLocal  map[graph.NodeID]graph.NodeID // global → local id
-	toGlobal []graph.NodeID                // local id → global
+	replicas []*replica // warm mirrors, promotion order
+	dropped  int        // replicas discarded after mirror/probe failures
+	ids      idSpace
 }
 
 // New fragments g across the given worker transports (one fragment per
@@ -225,26 +223,16 @@ func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 	c := &Coordinator{cfg: cfg, g: vg.Graph(), vg: vg, watches: make(map[string]string), plans: make(map[string]*planRef)}
 	c.om = newCoordMetrics(cfg.Metrics, len(ts))
 	c.workers = make([]*worker, len(ts))
-	for i, f := range p.Fragments {
-		w := &worker{
-			id:      i,
-			primary: &replica{t: ts[i], endpoint: endpointOf(ts[i])},
-			nodes:   make(map[graph.NodeID]bool, len(f.Nodes)),
-			owned:   make(map[graph.NodeID]bool, len(f.Owned)),
-			toLocal: make(map[graph.NodeID]graph.NodeID, len(f.Nodes)),
-		}
-		for _, v := range f.Nodes {
-			w.nodes[v] = true
-		}
-		c.workers[i] = w
+	for i := range c.workers {
+		c.workers[i] = &worker{id: i, primary: &replica{t: ts[i], endpoint: endpointOf(ts[i])}}
 	}
 	// Ownership bookkeeping comes from the partition's routing-table view;
 	// OwnerMap also guarantees each node has exactly one owner.
-	for v, wid := range p.OwnerMap() {
+	owner := p.OwnerMap()
+	for v, wid := range owner {
 		if wid < 0 {
 			return nil, fmt.Errorf("cluster: node %d has no owning fragment", v)
 		}
-		c.workers[wid].owned[graph.NodeID(v)] = true
 	}
 	// Replica placement load is the partition's owned-node count per
 	// fragment: the weight a fragment's sessions add to a pool endpoint.
@@ -252,14 +240,13 @@ func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 	err = c.fanOut(func(w *worker) error {
 		f := p.Fragments[w.id]
 		sub, toGlobal := g.Induced(f.Nodes)
-		w.toGlobal = toGlobal
-		for local, global := range toGlobal {
-			w.toLocal[global] = graph.NodeID(local)
+		for _, gv := range toGlobal {
+			w.ids.add(gv)
+			if owner[gv] == w.id {
+				w.ids.setOwned(gv)
+			}
 		}
-		ownedLocal := make([]int64, len(f.Owned))
-		for j, v := range f.Owned {
-			ownedLocal[j] = int64(w.toLocal[v])
-		}
+		ownedLocal := w.ids.ownedLocal()
 		var buf bytes.Buffer
 		if _, err := sub.WriteTo(&buf); err != nil {
 			return fmt.Errorf("cluster: worker %d: serialize fragment: %w", w.id, err)
@@ -445,7 +432,7 @@ func (c *Coordinator) FragmentSizes() []int {
 	defer c.mu.RUnlock()
 	sizes := make([]int, len(c.workers))
 	for i, w := range c.workers {
-		sizes[i] = len(w.nodes)
+		sizes[i] = len(w.ids.toGlobal)
 	}
 	return sizes
 }
@@ -481,30 +468,6 @@ func (c *Coordinator) fanOut(fn func(w *worker) error) error {
 		}
 	}
 	return nil
-}
-
-// globalRun translates a worker's answer ids, local to its fragment as
-// they came off the wire, into an ascending run of global ids. A worker
-// answers in ascending local order and local ids follow w.toGlobal, which
-// starts out as the fragment's ascending node list; once an update has
-// appended an older node to it (fragment extension, update.go) the
-// translation is no longer monotone, and the reply is outside input in any
-// case — so order is checked on the way and a run that comes out unsorted
-// is sorted, that run only.
-func (w *worker) globalRun(locals []int64) ([]graph.NodeID, error) {
-	run := make([]graph.NodeID, len(locals))
-	ascending := true
-	for i, local := range locals {
-		if local < 0 || int(local) >= len(w.toGlobal) {
-			return nil, fmt.Errorf("cluster: worker %d returned local node %d outside [0, %d)", w.id, local, len(w.toGlobal))
-		}
-		run[i] = w.toGlobal[local]
-		ascending = ascending && (i == 0 || run[i-1] <= run[i])
-	}
-	if !ascending {
-		slices.Sort(run)
-	}
-	return run, nil
 }
 
 // mergeRuns merges ascending runs into one ascending list, consuming the

@@ -11,7 +11,7 @@ package cluster
 //
 //   - A fragment's local id space is its toGlobal order, and
 //     graph.Induced preserves the order of its input node list, so
-//     re-shipping Induced(state, w.toGlobal) reproduces the exact local
+//     re-shipping Induced(state, w.ids.toGlobal) reproduces the exact local
 //     id space of the lost session — answer merging and standing-watch
 //     deltas keep working unchanged.
 //   - A combined update batch (mutations + assigned nodes + affected
@@ -151,14 +151,14 @@ func (c *Coordinator) enlistWatches(r *replica) error {
 }
 
 // reship rebuilds w's fragment on a fresh pool session from state.
-// Induced preserves the order of w.toGlobal, so the new session's local
+// Induced preserves the order of w.ids.toGlobal, so the new session's local
 // id space is identical to the lost one's.
 func (c *Coordinator) reship(w *worker, state graph.View) (*replica, error) {
 	req, err := w.shipRequest(state)
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.newCopy(w, req, len(w.owned))
+	r, err := c.newCopy(w, req, w.ids.owned)
 	if err != nil {
 		return nil, err
 	}
@@ -171,17 +171,12 @@ func (c *Coordinator) reship(w *worker, state graph.View) (*replica, error) {
 // shipRequest serializes w's fragment at the given authoritative-graph
 // sync point into a fragment command.
 func (w *worker) shipRequest(state graph.View) (*server.Request, error) {
-	sub, _ := graph.InducedOf(state, w.toGlobal)
+	sub, _ := graph.InducedOf(state, w.ids.toGlobal)
 	var buf bytes.Buffer
 	if _, err := sub.WriteTo(&buf); err != nil {
 		return nil, fmt.Errorf("serialize fragment %d: %w", w.id, err)
 	}
-	ownedLocal := make([]int64, 0, len(w.owned))
-	for gv := range w.owned {
-		ownedLocal = append(ownedLocal, int64(w.toLocal[gv]))
-	}
-	sort.Slice(ownedLocal, func(i, j int) bool { return ownedLocal[i] < ownedLocal[j] })
-	return &server.Request{Cmd: "fragment", Data: buf.String(), Owned: ownedLocal}, nil
+	return &server.Request{Cmd: "fragment", Data: buf.String(), Owned: w.ids.ownedLocal()}, nil
 }
 
 // newCopy obtains a fresh session from the pool — off the endpoints
@@ -315,10 +310,10 @@ func (w *worker) probe(r *replica) error {
 		return &WorkerError{Worker: w.id, Endpoint: r.endpoint, Op: "probe",
 			Err: errors.New("session no longer holds a fragment")}
 	}
-	if resp.Nodes != len(w.toGlobal) || resp.Owned != len(w.owned) {
+	if resp.Nodes != len(w.ids.toGlobal) || resp.Owned != w.ids.owned {
 		return &WorkerError{Worker: w.id, Endpoint: r.endpoint, Op: "probe",
 			Err: fmt.Errorf("state mismatch: session has %d nodes / %d owned, expected %d / %d",
-				resp.Nodes, resp.Owned, len(w.toGlobal), len(w.owned))}
+				resp.Nodes, resp.Owned, len(w.ids.toGlobal), w.ids.owned)}
 	}
 	return nil
 }
@@ -416,8 +411,8 @@ func (c *Coordinator) Status() []FragmentStatus {
 		out[i] = FragmentStatus{
 			Fragment:     i,
 			Endpoint:     w.primary.endpoint,
-			Materialized: len(w.nodes),
-			Owned:        len(w.owned),
+			Materialized: len(w.ids.toGlobal),
+			Owned:        w.ids.owned,
 			Replicas:     len(w.replicas),
 			Dropped:      w.dropped,
 		}
@@ -454,8 +449,8 @@ func (c *Coordinator) Health() ([]FragmentHealth, error) {
 		fh := FragmentHealth{
 			Fragment:     i,
 			Endpoint:     w.primary.endpoint,
-			Materialized: len(w.nodes),
-			Owned:        len(w.owned),
+			Materialized: len(w.ids.toGlobal),
+			Owned:        w.ids.owned,
 			Replicas:     len(w.replicas),
 			Dropped:      w.dropped,
 		}

@@ -76,7 +76,10 @@ func TestMergeRunsMatchesMapMerge(t *testing.T) {
 // monotone — or whose reply is not ascending — still yields an ascending
 // run, and an id outside the mapping is an error naming the worker.
 func TestGlobalRunSortsUnsortedTranslation(t *testing.T) {
-	w := &worker{id: 3, toGlobal: []graph.NodeID{10, 20, 30, 5}}
+	w := &worker{id: 3}
+	for _, gv := range []graph.NodeID{10, 20, 30, 5} {
+		w.ids.add(gv)
+	}
 	run, err := w.globalRun([]int64{0, 2, 3})
 	if err != nil || !reflect.DeepEqual(run, []graph.NodeID{5, 10, 30}) {
 		t.Fatalf("globalRun = %v, %v; want [5 10 30]", run, err)
@@ -89,6 +92,21 @@ func TestGlobalRunSortsUnsortedTranslation(t *testing.T) {
 	}
 }
 
+// extensionBatches extend the fragment holding twoIslands' second island
+// with lower global ids, then give it new owned nodes behind them.
+var extensionBatches = [][]server.UpdateSpec{
+	{{Op: "addEdge", From: 45, To: 5, Label: "follow"}},
+	{
+		{Op: "addNode", Label: "person"},
+		{Op: "addNode", Label: "person"},
+		{Op: "addEdge", From: 60, To: 45, Label: "follow"},
+		{Op: "addEdge", From: 60, To: 46, Label: "follow"},
+		{Op: "addEdge", From: 61, To: 4, Label: "follow"},
+		{Op: "addEdge", From: 61, To: 44, Label: "follow"},
+		{Op: "addEdge", From: 46, To: 47, Label: "follow"},
+	},
+}
+
 // TestFragmentExtendedWithLowerID is the differential case for a fragment
 // whose id mapping stops being ascending: an update links the second
 // island to the first, so the worker holding the second island appends
@@ -99,7 +117,7 @@ func TestFragmentExtendedWithLowerID(t *testing.T) {
 	c := newEmbedded(t, twoIslands(t), 2, Config{D: 2})
 	var far *worker
 	for _, w := range c.workers {
-		if w.owned[45] && !w.nodes[5] {
+		if w.ids.owns(45) && !w.ids.has(5) {
 			far = w
 		}
 	}
@@ -112,20 +130,8 @@ func TestFragmentExtendedWithLowerID(t *testing.T) {
 	}
 	before := globalAnswers(t, c.Graph(), q)
 
-	batches := [][]server.UpdateSpec{
-		{{Op: "addEdge", From: 45, To: 5, Label: "follow"}},
-		{
-			{Op: "addNode", Label: "person"},
-			{Op: "addNode", Label: "person"},
-			{Op: "addEdge", From: 60, To: 45, Label: "follow"},
-			{Op: "addEdge", From: 60, To: 46, Label: "follow"},
-			{Op: "addEdge", From: 61, To: 4, Label: "follow"},
-			{Op: "addEdge", From: 61, To: 44, Label: "follow"},
-			{Op: "addEdge", From: 46, To: 47, Label: "follow"},
-		},
-	}
 	var added, removed []int64
-	for i, specs := range batches {
+	for i, specs := range extensionBatches {
 		res, err := c.Update(specs)
 		if err != nil {
 			t.Fatalf("Update %d: %v", i, err)
@@ -141,10 +147,10 @@ func TestFragmentExtendedWithLowerID(t *testing.T) {
 			removed = append(removed, d.Removed...)
 		}
 	}
-	if slices.IsSorted(far.toGlobal) {
-		t.Fatalf("worker %d's toGlobal is still ascending (%v): the scenario did not happen", far.id, far.toGlobal)
+	if slices.IsSorted(far.ids.toGlobal) {
+		t.Fatalf("worker %d's toGlobal is still ascending (%v): the scenario did not happen", far.id, far.ids.toGlobal)
 	}
-	if !far.owned[60] && !far.owned[61] {
+	if !far.ids.owns(60) && !far.ids.owns(61) {
 		t.Fatalf("worker %d was assigned neither new node", far.id)
 	}
 

@@ -184,7 +184,7 @@ func TestWorkerReplyIsOutsideInput(t *testing.T) {
 			worker: 0,
 			rewrite: func(c *Coordinator, clean []graph.NodeID, resp *server.Response) error {
 				for _, v := range clean {
-					if lv, held := c.workers[0].toLocal[v]; held && c.workers[1].owned[v] {
+					if lv, held := c.workers[0].ids.local(v); held && c.workers[1].ids.owns(v) {
 						resp.Matches = append(resp.Matches, int64(lv))
 						return nil
 					}

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -186,6 +188,28 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	if len(insEnds) > 0 {
 		matCand = dynamic.Ball(newG, insEnds, c.cfg.D-1)
 	}
+	// The edges the batch can have changed, whichever fragments hold them:
+	// its net edge mutations plus the edges a removed node lost.
+	var changed []edgeKey
+	for _, u := range ups {
+		switch u.Op {
+		case store.OpAddEdge, store.OpRemoveEdge:
+			if l := newG.LookupLabel(u.Label); l != graph.NoLabel {
+				changed = append(changed, edgeKey{graph.NodeID(u.From), graph.NodeID(u.To), l})
+			}
+		case store.OpRemoveNode:
+			v := graph.NodeID(u.From)
+			if int(v) >= oldG.NumNodes() {
+				continue
+			}
+			for _, e := range oldG.Out(v) {
+				changed = append(changed, edgeKey{v, e.To, e.Label})
+			}
+			for _, e := range oldG.In(v) {
+				changed = append(changed, edgeKey{e.To, v, e.Label})
+			}
+		}
+	}
 	tr.Annotatef("batch=%d touched=%d affected=%d matcand=%d", len(specs), len(touched), len(reverify), len(matCand))
 	if prof != nil {
 		prof.AffectedMS = server.MsSince(taff)
@@ -203,20 +227,21 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		c.om.affectedRatio.Set(int64(len(reverify)) * 1_000_000 / int64(newG.NumNodes()))
 	}
 
-	// Assign each node the batch created to the worker owning the fewest.
-	assignTo := make(map[graph.NodeID]int)
+	// Assign each node the batch created to the worker owning the fewest:
+	// assignTo[i] is the worker of node oldG.NumNodes()+i.
+	assignTo := make([]int, newG.NumNodes()-oldG.NumNodes())
 	ownedCount := make([]int, len(c.workers))
 	for i, w := range c.workers {
-		ownedCount[i] = len(w.owned)
+		ownedCount[i] = w.ids.owned
 	}
-	for v := oldG.NumNodes(); v < newG.NumNodes(); v++ {
+	for v := range assignTo {
 		best := 0
 		for i := 1; i < len(ownedCount); i++ {
 			if ownedCount[i] < ownedCount[best] {
 				best = i
 			}
 		}
-		assignTo[graph.NodeID(v)] = best
+		assignTo[v] = best
 		ownedCount[best]++
 	}
 
@@ -235,7 +260,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	tfan := time.Now()
 	err = c.fanOut(func(w *worker) error {
 		tplan := time.Now()
-		p := c.planFor(w, oldG, newG, ups, touched, matCand, reverify, assignTo)
+		p := c.planFor(w, oldG, newG, changed, touched, matCand, reverify, assignTo)
 		if p == nil || p.empty() {
 			if c.om != nil {
 				c.om.workersSkipped.Inc()
@@ -289,12 +314,10 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		}
 		updDeltas[w.id] = resp.Deltas
 		for _, gv := range p.newMat {
-			w.toLocal[gv] = graph.NodeID(len(w.toGlobal))
-			w.toGlobal = append(w.toGlobal, gv)
-			w.nodes[gv] = true
+			w.ids.add(gv)
 		}
 		for _, gv := range p.assign {
-			w.owned[gv] = true
+			w.ids.setOwned(gv)
 		}
 		if len(w.replicas) > 0 {
 			tmir := time.Now()
@@ -359,39 +382,42 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 // and no new node is being assigned to it. matCand is the (D-1)-ball
 // around inserted-edge endpoints and batch-created nodes (it bounds
 // materialization maintenance); reverify is the union of the standing
-// patterns' reach-plan candidates (it scopes answer re-verification).
-func (c *Coordinator) planFor(w *worker, oldG graph.View, newG *graph.Graph, ups []dynamic.Update, touched, matCand, reverify []graph.NodeID, assignTo map[graph.NodeID]int) *workerPlan {
+// patterns' reach-plan candidates (it scopes answer re-verification);
+// both ascend. changed lists the edges the batch can have changed
+// anywhere; assignTo[i] is the worker the batch's i-th created node goes
+// to. planFor only reads its inputs and the worker's id space: the caller
+// extends the latter once the primary holds the batch.
+func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph, changed []edgeKey, touched, matCand, reverify []graph.NodeID, assignTo []int) *workerPlan {
+	ids := &w.ids
 	oldN := oldG.NumNodes()
-	var roots []graph.NodeID // owned candidates whose d-hop neighborhood must stay materialized
+	// Owned candidates whose d-hop neighborhood must stay materialized,
+	// followed by the nodes the batch assigns here (all ≥ oldN, so the
+	// list ascends): the roots of the expansion below.
+	var roots []graph.NodeID
 	for _, v := range matCand {
-		if w.owned[v] {
+		if ids.owns(v) {
 			roots = append(roots, v)
 		}
 	}
+	var assign []graph.NodeID
+	for i, wid := range assignTo {
+		if wid == w.id {
+			assign = append(assign, graph.NodeID(oldN+i))
+		}
+	}
+	roots = append(roots, assign...)
 	// The re-verification scope: the worker's owned share of the
 	// shipped affected set, in its (pre-batch, since owned nodes are
 	// always already materialized) local ids. Newly assigned nodes are
 	// excluded — the assignment itself evaluates them.
 	var affectedL []int64
 	for _, gv := range reverify {
-		if w.owned[gv] {
-			affectedL = append(affectedL, int64(w.toLocal[gv]))
+		if ids.owns(gv) {
+			affectedL = append(affectedL, int64(ids.toLocal[gv]))
 		}
 	}
-	touchedMat := false
-	for _, v := range touched {
-		if w.nodes[v] {
-			touchedMat = true
-			break
-		}
-	}
-	var assign []graph.NodeID
-	for v := oldN; v < newG.NumNodes(); v++ {
-		if assignTo[graph.NodeID(v)] == w.id {
-			assign = append(assign, graph.NodeID(v))
-		}
-	}
-	if !touchedMat && len(roots) == 0 && len(assign) == 0 && len(affectedL) == 0 {
+	touchedMat := slices.ContainsFunc(touched, ids.has)
+	if !touchedMat && len(roots) == 0 && len(affectedL) == 0 {
 		return nil
 	}
 
@@ -411,55 +437,57 @@ func (c *Coordinator) planFor(w *worker, oldG graph.View, newG *graph.Graph, ups
 	// always-expand-every-root code was the planner's measured hot
 	// spot), or from each root asking "which pool nodes are within d
 	// hops?" when a multi-region batch makes the pool large while this
-	// worker has few roots.
-	needed := make(map[graph.NodeID]bool)
-	if len(roots)+len(assign) > 0 {
+	// worker has few roots. Pool and roots ascend, so membership in
+	// either is a binary search and newMat comes out ascending.
+	var newMat []graph.NodeID
+	if len(roots) > 0 {
 		var pool []graph.NodeID
 		for _, u := range matCand {
-			if !w.nodes[u] {
+			if !ids.has(u) {
 				pool = append(pool, u)
 			}
 		}
-		if len(pool) <= len(roots)+len(assign) {
-			rootSet := make(map[graph.NodeID]bool, len(roots)+len(assign))
-			for _, v := range roots {
-				rootSet[v] = true
-			}
-			for _, v := range assign {
-				rootSet[v] = true
-			}
+		if len(pool) <= len(roots) {
 			for _, u := range pool {
-				for _, r := range newG.Neighborhood(u, c.cfg.D) {
-					if rootSet[r] {
-						needed[u] = true
-						break
+				if slices.ContainsFunc(newG.Neighborhood(u, c.cfg.D), func(r graph.NodeID) bool {
+					_, isRoot := slices.BinarySearch(roots, r)
+					return isRoot
+				}) {
+					newMat = append(newMat, u)
+				}
+			}
+		} else {
+			needed := make([]bool, len(pool))
+			for _, root := range roots {
+				for _, u := range newG.Neighborhood(root, c.cfg.D) {
+					if i, inPool := slices.BinarySearch(pool, u); inPool {
+						needed[i] = true
 					}
 				}
 			}
-		} else if len(pool) > 0 {
-			inPool := make(map[graph.NodeID]bool, len(pool))
-			for _, u := range pool {
-				inPool[u] = true
-			}
-			for _, root := range append(append([]graph.NodeID(nil), roots...), assign...) {
-				for _, u := range newG.Neighborhood(root, c.cfg.D) {
-					if inPool[u] {
-						needed[u] = true
-					}
+			for i, u := range pool {
+				if needed[i] {
+					newMat = append(newMat, u)
 				}
 			}
 		}
 	}
-	newMat := sortedSet(needed)
 
+	// Local ids after the batch: a newly materialized node follows the
+	// current id space in newMat order.
 	localOf := func(gv graph.NodeID) graph.NodeID {
-		if lv, ok := w.toLocal[gv]; ok {
+		if lv, ok := ids.local(gv); ok {
 			return lv
 		}
-		// Newly materialized: its local id follows the current space in
-		// newMat order; binary search for its index.
-		i := sort.Search(len(newMat), func(i int) bool { return newMat[i] >= gv })
-		return graph.NodeID(len(w.toGlobal) + i)
+		i, _ := slices.BinarySearch(newMat, gv)
+		return graph.NodeID(len(ids.toGlobal) + i)
+	}
+	matNew := func(v graph.NodeID) bool {
+		if ids.has(v) {
+			return true
+		}
+		_, ok := slices.BinarySearch(newMat, v)
+		return ok
 	}
 
 	batch := make([]server.UpdateSpec, 0, len(newMat))
@@ -468,71 +496,29 @@ func (c *Coordinator) planFor(w *worker, oldG graph.View, newG *graph.Graph, ups
 	}
 
 	// Edge diff between the old and new induced subgraphs. The global
-	// edge delta is exactly the batch's net edge mutations plus the edges
-	// a removed node lost, and the mirror additionally gains every edge
-	// incident to a newly materialized node — so the candidate set comes
-	// straight from the batch and newMat adjacency instead of rescanning
-	// every touched node's (possibly hub-sized) neighborhood.
-	type ekey struct {
-		from, to graph.NodeID
-		label    string
-	}
-	matOld := func(v graph.NodeID) bool { return w.nodes[v] }
-	matNew := func(v graph.NodeID) bool { return w.nodes[v] || needed[v] }
-	candidates := make(map[ekey]bool)
-	for _, u := range ups {
-		switch u.Op {
-		case store.OpAddEdge, store.OpRemoveEdge:
-			candidates[ekey{graph.NodeID(u.From), graph.NodeID(u.To), u.Label}] = true
-		case store.OpRemoveNode:
-			v := graph.NodeID(u.From)
-			if int(v) >= oldN {
-				continue
-			}
-			for _, e := range oldG.Out(v) {
-				candidates[ekey{v, e.To, oldG.LabelName(e.Label)}] = true
-			}
-			for _, e := range oldG.In(v) {
-				candidates[ekey{e.To, v, oldG.LabelName(e.Label)}] = true
-			}
-		}
-	}
-	collectNew := func(v graph.NodeID) {
-		if !matNew(v) {
-			return
-		}
+	// edge delta is within changed, and the mirror additionally gains
+	// every edge incident to a newly materialized node — so the candidate
+	// set comes straight from the batch and newMat adjacency instead of
+	// rescanning every touched node's (possibly hub-sized) neighborhood.
+	keys := slices.Clone(changed)
+	for _, v := range newMat {
 		for _, e := range newG.Out(v) {
 			if matNew(e.To) {
-				candidates[ekey{v, e.To, newG.LabelName(e.Label)}] = true
+				keys = append(keys, edgeKey{v, e.To, e.Label})
 			}
 		}
 		for _, e := range newG.In(v) {
 			if matNew(e.To) {
-				candidates[ekey{e.To, v, newG.LabelName(e.Label)}] = true
+				keys = append(keys, edgeKey{e.To, v, e.Label})
 			}
 		}
 	}
-	for _, v := range newMat {
-		collectNew(v)
-	}
-
-	keys := make([]ekey, 0, len(candidates))
-	for k := range candidates {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		if a.to != b.to {
-			return a.to < b.to
-		}
-		return a.label < b.label
+	slices.SortFunc(keys, func(a, b edgeKey) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to), cmp.Compare(a.label, b.label))
 	})
-	for _, k := range keys {
-		oldHas := matOld(k.from) && matOld(k.to) && hasEdge(oldG, k.from, k.to, k.label)
-		newHas := matNew(k.from) && matNew(k.to) && hasEdge(newG, k.from, k.to, k.label)
+	for _, k := range slices.Compact(keys) {
+		oldHas := ids.has(k.from) && ids.has(k.to) && oldG.HasEdge(k.from, k.to, k.label)
+		newHas := matNew(k.from) && matNew(k.to) && newG.HasEdge(k.from, k.to, k.label)
 		if oldHas == newHas {
 			continue
 		}
@@ -544,7 +530,7 @@ func (c *Coordinator) planFor(w *worker, oldG graph.View, newG *graph.Graph, ups
 			Op:    op,
 			From:  int64(localOf(k.from)),
 			To:    int64(localOf(k.to)),
-			Label: k.label,
+			Label: newG.LabelName(k.label),
 		})
 	}
 
@@ -555,12 +541,11 @@ func (c *Coordinator) planFor(w *worker, oldG graph.View, newG *graph.Graph, ups
 	return &workerPlan{batch: batch, newMat: newMat, assign: assign, assignL: assignL, affected: affectedL}
 }
 
-func hasEdge(g graph.View, from, to graph.NodeID, label string) bool {
-	l := g.LookupLabel(label)
-	if l == graph.NoLabel {
-		return false
-	}
-	return g.HasEdge(from, to, l)
+// edgeKey names one labelled edge of the authoritative graph; the
+// pre-batch view and the post-batch graph share one label id space.
+type edgeKey struct {
+	from, to graph.NodeID
+	label    graph.LabelID
 }
 
 // mergeDeltas folds the workers' local watch deltas (indexed by worker

@@ -16,7 +16,10 @@ import (
 // pattern's reach plan says the batch can have flipped and reuses every
 // other cached answer.
 type Matcher struct {
-	q    *core.Pattern
+	// prep is the pattern prepared once; every evaluation, the initial one
+	// and each batch's re-verification, is a Run of it over the graph's
+	// current version.
+	prep *match.Prepared
 	plan *ReachPlan
 	hops int
 	g    *graph.Graph
@@ -65,10 +68,11 @@ func NewMatcherRestricted(g *graph.Graph, q *core.Pattern, focus []graph.NodeID)
 }
 
 func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, error) {
-	if err := q.Validate(); err != nil {
+	prep, err := match.Prepare(q)
+	if err != nil {
 		return nil, err
 	}
-	m := &Matcher{q: q, plan: NewReachPlan(q), hops: parallel.RequiredHops(q), g: g, restrict: restrict, ans: make(map[graph.NodeID]bool)}
+	m := &Matcher{prep: prep, plan: NewReachPlan(q), hops: parallel.RequiredHops(q), g: g, restrict: restrict, ans: make(map[graph.NodeID]bool)}
 	if restrict != nil && len(restrict.ids) == 0 {
 		// No candidates yet (a fragment owning nothing); AddFocus extends.
 		// Options.FocusRestrict cannot express this: an empty list there
@@ -79,7 +83,7 @@ func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, 
 	if restrict != nil {
 		opts = &match.Options{FocusRestrict: restrict.ids}
 	}
-	res, err := match.QMatch(g, q, opts)
+	res, err := prep.Run(g, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +180,7 @@ func (m *Matcher) reverify(newG *graph.Graph, affected []graph.NodeID) (Delta, e
 	d.Affected = len(affected)
 	m.Verified += len(affected)
 	if len(affected) > 0 {
-		res, err := match.QMatch(newG, m.q, &match.Options{FocusRestrict: affected})
+		res, err := m.prep.Run(newG, &match.Options{FocusRestrict: affected})
 		if err != nil {
 			return Delta{}, err
 		}

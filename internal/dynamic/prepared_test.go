@@ -1,0 +1,198 @@
+package dynamic
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/fixture"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/match"
+	"repro/internal/store"
+)
+
+func parsePattern(t testing.TB, dsl string) *core.Pattern {
+	t.Helper()
+	q, err := core.Parse(dsl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestPreparedFollowsVersions: one match.Prepared per pattern, prepared
+// before the first batch, is run at every version of a graph.Versioned
+// that random batches edit in place (inserts, deletes, node creation,
+// tombstones) and equals a fresh QMatch there — answers and metrics,
+// unrestricted and scoped to eight candidates. Two patterns name a label
+// the graph only learns mid-stream, an edge label and a node label: empty
+// before, and matched by the batch that brings the label, because labels
+// are resolved per run and never kept in the Prepared.
+func TestPreparedFollowsVersions(t *testing.T) {
+	const batches, lateAt = 230, 100
+	patterns := make([]*core.Pattern, 0, len(fixture.Mix)+2)
+	for _, m := range fixture.Mix {
+		patterns = append(patterns, parsePattern(t, m.DSL))
+	}
+	late := len(patterns)
+	patterns = append(patterns,
+		parsePattern(t, "qgp\nn xo person *\nn z person\ne xo z endorse >=1\n"),
+		parsePattern(t, "qgp\nn xo person *\nn z gadget\ne xo z follow >=1\n"))
+
+	vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(120, 11)))
+	preps := make([]*match.Prepared, len(patterns))
+	for i, q := range patterns {
+		var err error
+		if preps[i], err = match.Prepare(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := rand.New(rand.NewSource(17))
+	applied := 0
+	for round := 0; round < batches; round++ {
+		ups := randomBatch(r, vg.Graph(), false)
+		if round == lateAt {
+			n := int32(vg.Graph().NumNodes())
+			ups = []Update{store.AddNode("gadget"), store.AddEdge(0, n, "follow"), store.AddEdge(1, 2, "endorse")}
+		}
+		if _, _, err := ApplyVersioned(vg, ups); err != nil {
+			t.Fatalf("round %d: %v (batch %+v)", round, err, ups)
+		}
+		applied++
+		g := vg.Graph()
+		scope := make([]graph.NodeID, 8)
+		for i := range scope {
+			scope[i] = graph.NodeID(r.Intn(g.NumNodes()))
+		}
+		slices.Sort(scope)
+		for i, q := range patterns {
+			for _, opts := range []*match.Options{nil, {FocusRestrict: scope}} {
+				want, err := match.QMatch(g, q, opts)
+				if err != nil {
+					t.Fatalf("round %d, pattern %d: QMatch: %v", round, i, err)
+				}
+				got, err := preps[i].Run(g, opts)
+				if err != nil {
+					t.Fatalf("round %d, pattern %d: Run: %v", round, i, err)
+				}
+				if !reflect.DeepEqual(got.Matches, want.Matches) || got.Metrics != want.Metrics {
+					t.Fatalf("round %d, pattern %d, scoped=%v: reused Prepared gives %v %+v, fresh QMatch %v %+v",
+						round, i, opts != nil, got.Matches, got.Metrics, want.Matches, want.Metrics)
+				}
+				if i >= late && opts == nil {
+					switch {
+					case round < lateAt && len(got.Matches) != 0:
+						t.Fatalf("round %d, pattern %d: %v before its label exists", round, i, got.Matches)
+					case round == lateAt && len(got.Matches) == 0:
+						t.Fatalf("round %d, pattern %d: no match right after the batch that brought its label", round, i)
+					}
+				}
+			}
+		}
+	}
+	if applied < 200 {
+		t.Fatalf("only %d batches applied", applied)
+	}
+}
+
+// scopedGraph is a graph of n persons on a follow ring in which eight
+// spread-out candidates each follow the next five nodes as well. Whatever
+// n is, the candidates' neighborhoods are the same, so a re-verification
+// scoped to them does the same work: what it allocates may not depend on n.
+func scopedGraph(n int) (*graph.Graph, []graph.NodeID) {
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddNode("person")
+	}
+	for i := 0; i < n; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%n), "follow")
+	}
+	affected := make([]graph.NodeID, 8)
+	for i := range affected {
+		c := graph.NodeID(10 + 20*i)
+		affected[i] = c
+		for k := graph.NodeID(2); k <= 5; k++ {
+			g.AddEdge(c, c+k, "follow")
+		}
+	}
+	g.Finalize()
+	return g, affected
+}
+
+// scopedSizes are the two graph sizes a scoped re-verification is measured
+// at: |V| ≈ 2 000 and |V| ≈ 32 000.
+var scopedSizes = []int{2_000, 32_000}
+
+// scopedWatches are radius-1 standing patterns: a counting one, and a
+// negated one whose Π(Q+e) runs under an IncQMatch restriction.
+var scopedWatches = []struct{ name, dsl string }{
+	{"follow>=3", "qgp\nn xo person *\nn z person\ne xo z follow >=3\n"},
+	{"follow=0", "qgp\nn xo person *\nn z person\ne xo z follow =0\n"},
+}
+
+// TestScopedReverifyAllocatesNothingSizedByV: re-verifying eight affected
+// candidates of a radius-1 watch allocates the same number of objects and
+// the same number of bytes on a graph sixteen times the size.
+func TestScopedReverifyAllocatesNothingSizedByV(t *testing.T) {
+	for _, w := range scopedWatches {
+		var allocs [2]float64
+		var bytes [2]uint64
+		for i, n := range scopedSizes {
+			g, affected := scopedGraph(n)
+			m, err := NewMatcher(g, parsePattern(t, w.dsl))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reverify := func() {
+				if d, err := m.ApplyScoped(g, affected); err != nil || d.Affected != len(affected) {
+					t.Fatalf("ApplyScoped: %+v, %v", d, err)
+				}
+			}
+			allocs[i] = testing.AllocsPerRun(50, reverify)
+			const runs = 50
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for k := 0; k < runs; k++ {
+				reverify()
+			}
+			runtime.ReadMemStats(&after)
+			bytes[i] = (after.TotalAlloc - before.TotalAlloc) / runs
+		}
+		if allocs[0] != allocs[1] || bytes[0] != bytes[1] {
+			t.Errorf("%s: %v allocs, %d B per re-verification at |V|=%d; %v allocs, %d B at |V|=%d",
+				w.name, allocs[0], bytes[0], scopedSizes[0], allocs[1], bytes[1], scopedSizes[1])
+		}
+	}
+}
+
+// BenchmarkReverifyScoped is one batch's re-verification of one watch
+// group: eight affected candidates of a radius-1 pattern through the
+// matcher's prepared pattern. B/op and allocs/op must read the same at
+// both graph sizes; ns/op may differ by what colder memory costs, not by
+// a factor that follows |V|.
+func BenchmarkReverifyScoped(b *testing.B) {
+	for _, w := range scopedWatches {
+		for _, n := range scopedSizes {
+			b.Run(fmt.Sprintf("%s/V=%d", w.name, n), func(b *testing.B) {
+				g, affected := scopedGraph(n)
+				m, err := NewMatcher(g, parsePattern(b, w.dsl))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := m.ApplyScoped(g, affected); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

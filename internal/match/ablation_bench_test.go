@@ -26,7 +26,7 @@ func runAblation(b *testing.B, cfg evalConfig) {
 	g, q := ablationWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval(g, q, nil, cfg); err != nil {
+		if _, err := prepareRun(g, q, nil, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestAblationConfigsAgree(t *testing.T) {
 	}
 	var want []graph.NodeID
 	for i, cfg := range configs {
-		res, err := eval(g, q, nil, cfg)
+		res, err := prepareRun(g, q, nil, cfg)
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}

@@ -32,8 +32,9 @@ func (m *Metrics) Add(other Metrics) {
 	m.IncCandidates += other.IncCandidates
 }
 
-// run enumerates isomorphisms of the compiled pattern with the focus bound
-// to vx, over the candidate sets in sets (one bitset per pattern node).
+// run enumerates isomorphisms of the bound pattern with the focus bound
+// to vx, over the candidate sets in sets (one bitset per pattern node, or
+// nil for the label classes: pr.cand or pr.accept).
 // With exact non-nil, a node additionally binds only to images whose
 // finished child counts satisfy its quantified out-edges — the acceptance
 // search over a completed count. With early set (a counting search that
@@ -81,9 +82,13 @@ func (pr *program) extend(i int, sets []*bitset.Set, exact witnesses, early bool
 	a := pr.anchors[i]
 	var edges []graph.Edge
 	if a.out {
-		edges = pr.g.OutByLabel(pr.assign[a.at], a.l)
+		edges = pr.g.OutByLabel(pr.assign[a.at], pr.edgeLabel[a.edge])
 	} else {
-		edges = pr.g.InByLabel(pr.assign[a.at], a.l)
+		edges = pr.g.InByLabel(pr.assign[a.at], pr.edgeLabel[a.edge])
+	}
+	var set *bitset.Set // nil: u's label class
+	if sets != nil {
+		set = sets[u]
 	}
 next:
 	for _, ge := range edges {
@@ -93,7 +98,11 @@ next:
 			pr.budgetExceeded = true
 			return false
 		}
-		if !sets[u].Contains(int(w)) {
+		if set != nil {
+			if !set.Contains(int(w)) {
+				continue
+			}
+		} else if pr.g.NodeLabel(w) != pr.nodeLabel[u] {
 			continue
 		}
 		// Injectivity: only an earlier node with u's label can hold w.

@@ -34,7 +34,7 @@ func (ws witnesses) count(ei int, v graph.NodeID) int {
 	return len(ws[realizedKey{ei, v}])
 }
 
-// evalPositive computes the focus matches of a compiled positive pattern.
+// evalPositive computes the focus matches of a bound positive pattern.
 //
 // Semantics (§2.2, flat counting): vx matches iff there is a stratified
 // isomorphism h0 with h0(xo) = vx such that for every edge e = (u, u′),
@@ -47,24 +47,10 @@ func (ws witnesses) count(ei int, v graph.NodeID) int {
 // and by parallel workers). earlyAccept enables QMatch's early
 // termination: once some isomorphism's images all meet their (monotone)
 // thresholds, vx is accepted without exhausting the search.
-func evalPositive(pr *program, restrict *bitset.Set, earlyAccept bool, m *Metrics) []graph.NodeID {
+func evalPositive(pr *program, restrict *restriction, earlyAccept bool, m *Metrics) []graph.NodeID {
 	early := earlyAccept && !pr.hasEQ
-
-	// Iterate candidates in ascending bit order (ForEach is ordered)
-	// instead of materializing and sorting them, and walk whichever of
-	// the acceptance set and the restriction is smaller — a scoped
-	// re-verification restricts to a handful of nodes and must not pay
-	// a full sweep over every label-compatible candidate.
-	iter, filter := pr.accept[pr.p.Focus], restrict
-	if restrict != nil && restrict.Count() < iter.Count() {
-		iter, filter = restrict, pr.accept[pr.p.Focus]
-	}
 	var answers []graph.NodeID
-	iter.ForEach(func(vi int) bool {
-		if filter != nil && !filter.Contains(vi) {
-			return true
-		}
-		vx := graph.NodeID(vi)
+	pr.eachFocus(restrict, func(vx graph.NodeID) bool {
 		m.FocusCandidates++
 		if pr.matchFocus(vx, early, m) {
 			answers = append(answers, vx)
@@ -75,6 +61,42 @@ func evalPositive(pr *program, restrict *bitset.Set, earlyAccept bool, m *Metric
 		return nil
 	}
 	return answers
+}
+
+// eachFocus visits accept[focus] ∩ restrict in ascending order, stopping
+// when visit returns false. It walks whichever side is cheaper to
+// enumerate: a short restriction list as it stands — a scoped
+// re-verification restricts to a handful of nodes and must not pay a sweep
+// over, or a bitset of, every label-compatible candidate — otherwise the
+// smaller of the two bitsets.
+func (pr *program) eachFocus(restrict *restriction, visit func(vx graph.NodeID) bool) {
+	focus := pr.p.Focus
+	switch {
+	case restrict != nil && (restrict.bits == nil || pr.accept == nil):
+		for _, v := range restrict.ids {
+			if pr.admits(pr.accept, focus, v) && !visit(v) {
+				return
+			}
+		}
+	case pr.accept == nil:
+		for _, v := range pr.g.NodesByLabel(pr.nodeLabel[focus]) {
+			if !visit(v) {
+				return
+			}
+		}
+	default:
+		iter := pr.accept[focus]
+		var filter *bitset.Set
+		if restrict != nil {
+			filter = restrict.bits
+			if filter.Count() < iter.Count() {
+				iter, filter = filter, iter
+			}
+		}
+		iter.ForEach(func(vi int) bool {
+			return (filter != nil && !filter.Contains(vi)) || visit(graph.NodeID(vi))
+		})
+	}
 }
 
 // matchFocus decides whether vx is a match of the focus; early allows

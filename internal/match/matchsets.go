@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -35,7 +34,7 @@ func MatchSets(g *graph.Graph, q *core.Pattern, opts *Options) (map[string][]gra
 	if err != nil {
 		return nil, err
 	}
-	pr, err := compile(g, q, true, true, nil)
+	pr, err := newPositive("", q).bind(g, true, true, nil)
 	if err == nil {
 		if opts != nil {
 			pr.budget = opts.ExtensionBudget
@@ -60,13 +59,9 @@ func MatchSets(g *graph.Graph, q *core.Pattern, opts *Options) (map[string][]gra
 // records every image. Validity needs exact counts, so early acceptance is
 // disabled and each accepted candidate re-enumerates over the count-valid
 // filter.
-func collectMatchSets(pr *program, restrict *bitset.Set, images []map[graph.NodeID]struct{}) error {
+func collectMatchSets(pr *program, restrict *restriction, images []map[graph.NodeID]struct{}) error {
 	var m Metrics
-	pr.accept[pr.p.Focus].ForEach(func(vi int) bool {
-		if restrict != nil && !restrict.Contains(vi) {
-			return true
-		}
-		vx := graph.NodeID(vi)
+	pr.eachFocus(restrict, func(vx graph.NodeID) bool {
 		realized := make(witnesses)
 		found := false
 		pr.run(vx, pr.cand, nil, false, &m, func(assign []graph.NodeID) bool {
