@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -16,6 +17,7 @@ import (
 type testPool struct {
 	mu        sync.Mutex
 	endpoints int
+	cfg       server.Config // of every worker handed out
 	next      int
 	handed    []*closeCounting
 	avoids    []map[int]bool
@@ -28,7 +30,7 @@ func (p *testPool) Get(weight int, avoid map[int]bool) (Transport, int, error) {
 	defer p.mu.Unlock()
 	ep := p.next % p.endpoints
 	p.next++
-	t := &closeCounting{Transport: InProcess(server.Config{})}
+	t := &closeCounting{Transport: InProcess(p.cfg)}
 	p.handed = append(p.handed, t)
 	cp := make(map[int]bool, len(avoid))
 	for k, v := range avoid {
@@ -243,4 +245,100 @@ func TestReplicaDropAndRepair(t *testing.T) {
 	} else if want := globalAnswers(t, ref, q); !reflect.DeepEqual(nodeIDs(got.Matches), nodeIDs(want)) {
 		t.Fatalf("answers after repair %v != oracle %v", got.Matches, want)
 	}
+}
+
+// TestPromotedReplicaAdvancesOlderBounds: a warm replica that served reads
+// early holds pattern bounds at the graph version of those reads, while
+// mirrored batches move its graph on and every later read goes to the
+// primary. When the primaries die and the replicas are promoted, their
+// sessions must carry those bounds across the batches they missed reading
+// — and answer like a single process.
+func TestPromotedReplicaAdvancesOlderBounds(t *testing.T) {
+	g := gen.Social(gen.DefaultSocial(300, 13))
+	replicaMetrics := obs.NewRegistry()
+	pool := newTestPool(4)
+	pool.cfg = server.Config{Metrics: replicaMetrics}
+	ts := InProcessN(2, server.Config{})
+	c, err := New(g, ts, Config{D: 2, Replicas: 2, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	patterns := testPatterns[:3] // >=3, path, negation: all of radius <= 2
+
+	// Bursts of concurrent reads until every fragment's replica served one.
+	replicasRead := func() bool {
+		for _, counts := range c.ReadDistribution() {
+			if counts[1] == 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for burst := 0; !replicasRead(); burst++ {
+		if burst == 50 {
+			t.Fatalf("replicas served no read in 50 bursts: %v", c.ReadDistribution())
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 12; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if _, err := c.Match(mustParse(t, patterns[i%len(patterns)])); err != nil {
+					t.Errorf("burst read: %v", err)
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+	early := replicaMetrics.Snapshot().Counters["server.match.bound_built"]
+	if early == 0 {
+		t.Fatal("the replicas' sessions bound no pattern")
+	}
+
+	ref := c.Graph()
+	check := func(what string) {
+		t.Helper()
+		for i, dsl := range patterns {
+			q := mustParse(t, dsl)
+			got, err := c.Match(q)
+			if err != nil {
+				t.Fatalf("%s, pattern %d: %v", what, i, err)
+			}
+			if want := globalAnswers(t, ref, q); !reflect.DeepEqual(nodeIDs(got.Matches), nodeIDs(want)) {
+				t.Fatalf("%s, pattern %d: %d answers, single process %d", what, i, len(got.Matches), len(want))
+			}
+		}
+	}
+	persons := ref.NodesByLabelName("person")
+	// Small batches: what they touch must stay within the |V|/8 ids a
+	// worker session logs, or the replicas would rebuild instead.
+	for round := 0; round < 4; round++ {
+		a, b := persons[7*round], persons[7*round+3]
+		specs := []server.UpdateSpec{
+			{Op: "addEdge", From: int64(a), To: int64(b), Label: "follow"},
+			{Op: "removeEdge", From: int64(b), To: int64(ref.OutByLabel(b, ref.LookupLabel("follow"))[0].To), Label: "follow"},
+			{Op: "addNode", Label: "person"},
+		}
+		if _, err := c.Update(specs); err != nil {
+			t.Fatal(err)
+		}
+		ref = applySpecs(t, ref, specs)
+		check("sequential reads, served by the primaries") // one reader: ties go to the primary
+	}
+	before := replicaMetrics.Snapshot().Counters
+
+	ts[0].Close()
+	ts[1].Close()
+	check("after both primaries died")
+	after := replicaMetrics.Snapshot().Counters
+	if after["server.match.bound_repaired"] == before["server.match.bound_repaired"] {
+		t.Fatalf("the promoted replicas repaired no bound: before %v, after %v", before, after)
+	}
+	specs := []server.UpdateSpec{{Op: "removeNode", From: int64(persons[1])}}
+	if _, err := c.Update(specs); err != nil {
+		t.Fatal(err)
+	}
+	ref = applySpecs(t, ref, specs)
+	check("one batch after promotion")
 }

@@ -44,6 +44,11 @@ type Graph struct {
 	in        [][]Edge
 	numEdges  int
 
+	// version advances on every change to nodes or edges (building calls,
+	// Versioned.Apply, Versioned.Rollback), so state derived from the graph
+	// can tell whether it still describes it.
+	version Version
+
 	finalized bool
 	byLabel   map[LabelID][]NodeID
 	// outRuns[v] / inRuns[v] index the label runs of out[v] / in[v]; valid
@@ -151,6 +156,11 @@ func (g *Graph) NumNodes() int { return len(g.nodeLabel) }
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return g.numEdges }
 
+// Version returns the token of the graph's current state: it differs from
+// every earlier state's, so a holder of derived state (an OldView, a
+// match.Bound) compares tokens instead of trusting that nobody wrote.
+func (g *Graph) Version() Version { return g.version }
+
 // Size returns |G| = |V| + |E|, the size measure used by the paper.
 func (g *Graph) Size() int { return g.NumNodes() + g.NumEdges() }
 
@@ -178,6 +188,7 @@ func (g *Graph) AddNodeLabel(l LabelID) NodeID {
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	g.finalized = false
+	g.version++
 	return id
 }
 
@@ -193,6 +204,7 @@ func (g *Graph) AddEdgeLabel(from, to NodeID, l LabelID) {
 	g.in[to] = append(g.in[to], Edge{To: from, Label: l})
 	g.numEdges++
 	g.finalized = false
+	g.version++
 }
 
 // NodeLabel returns the label id of node v.

@@ -15,10 +15,10 @@ import (
 	"sort"
 )
 
-// Version is a monotonically increasing token identifying a Versioned
-// graph's state. Every successful Apply (and Rollback) advances it; an
-// OldView is pinned to the version its batch created and panics if
-// read after a later one.
+// Version is a monotonically increasing token identifying a graph's
+// state. It lives on the Graph: every successful Versioned.Apply (and
+// Rollback) advances it, as does every building call; an OldView is pinned
+// to the version its batch created and panics if read after a later one.
 type Version uint64
 
 // MutationOp enumerates the graph-level delta vocabulary. It mirrors
@@ -76,8 +76,7 @@ var (
 // for concurrent use; callers serialize Apply/Rollback against readers
 // the same way they would serialize rebuilds.
 type Versioned struct {
-	g   *Graph
-	ver Version
+	g *Graph
 }
 
 // NewVersioned wraps g (finalizing it if needed) for in-place
@@ -91,8 +90,8 @@ func NewVersioned(g *Graph) *Versioned {
 // across Apply calls — the graph mutates in place.
 func (vg *Versioned) Graph() *Graph { return vg.g }
 
-// Version returns the current version token.
-func (vg *Versioned) Version() Version { return vg.ver }
+// Version returns the live graph's current version token.
+func (vg *Versioned) Version() Version { return vg.g.version }
 
 // OldView is a read-only handle on the graph as it was immediately
 // before one Apply batch. It holds only the adjacency rows that batch
@@ -114,7 +113,7 @@ type OldView struct {
 }
 
 func (ov *OldView) check() {
-	if ov.vg.ver != ov.validAt {
+	if ov.vg.g.version != ov.validAt {
 		panic("graph: OldView read after a later Apply/Rollback")
 	}
 }
@@ -252,6 +251,7 @@ func (g *Graph) Clone() *Graph {
 		out:       make([][]Edge, len(g.out)),
 		in:        make([][]Edge, len(g.in)),
 		numEdges:  g.numEdges,
+		version:   g.version,
 		finalized: g.finalized,
 	}
 	for v := range g.out {
@@ -459,8 +459,8 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 		g.inRuns[v] = appendRuns(g.inRuns[v][:0], g.in[v])
 	}
 
-	vg.ver++
-	ov.validAt = vg.ver
+	g.version++
+	ov.validAt = g.version
 	ts := make([]NodeID, 0, len(touched))
 	for v := range touched {
 		ts = append(ts, v)
@@ -479,10 +479,10 @@ func (vg *Versioned) Rollback(ov *OldView) error {
 	if ov == nil || ov.vg != vg {
 		return fmt.Errorf("graph: rollback with a view from a different graph")
 	}
-	if vg.ver != ov.validAt {
-		return fmt.Errorf("graph: rollback of a stale view (version %d, now %d)", ov.validAt, vg.ver)
-	}
 	g := vg.g
+	if g.version != ov.validAt {
+		return fmt.Errorf("graph: rollback of a stale view (version %d, now %d)", ov.validAt, g.version)
+	}
 	// Un-append the batch's new nodes. Their byLabel entries are the
 	// tails of their rows: every pre-batch entry is a smaller id.
 	for v := ov.numNodes; v < len(g.nodeLabel); v++ {
@@ -505,6 +505,6 @@ func (vg *Versioned) Rollback(ov *OldView) error {
 		g.inRuns[v] = appendRuns(g.inRuns[v][:0], row)
 	}
 	g.numEdges = ov.numEdges
-	vg.ver++
+	g.version++
 	return nil
 }

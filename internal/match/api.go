@@ -128,7 +128,7 @@ func QMatch(g *graph.Graph, q *core.Pattern, opts *Options) (*Result, error) {
 // re-evaluated from scratch over the full candidate space (the ablation
 // baseline of Exp-1 and Exp-2).
 func QMatchN(g *graph.Graph, q *core.Pattern, opts *Options) (*Result, error) {
-	return prepareRun(g, q, opts, evalConfig{useSim: true, quantFilter: true, earlyAccept: true, incremental: false})
+	return prepareRun(g, q, opts, qmatchNConfig)
 }
 
 // Enum is the enumerate-then-verify baseline (§7): a conventional
@@ -138,7 +138,7 @@ func QMatchN(g *graph.Graph, q *core.Pattern, opts *Options) (*Result, error) {
 // verifies quantifiers afterwards — no quantifier-aware pruning, no early
 // acceptance, no incremental negation handling.
 func Enum(g *graph.Graph, q *core.Pattern, opts *Options) (*Result, error) {
-	return prepareRun(g, q, opts, evalConfig{useSim: true, quantFilter: false, earlyAccept: false, incremental: false})
+	return prepareRun(g, q, opts, enumConfig)
 }
 
 // evalConfig is the engine variant: which of the paper's optimizations an
@@ -150,7 +150,11 @@ type evalConfig struct {
 	incremental bool
 }
 
-var qmatchConfig = evalConfig{useSim: true, quantFilter: true, earlyAccept: true, incremental: true}
+var (
+	qmatchConfig  = evalConfig{useSim: true, quantFilter: true, earlyAccept: true, incremental: true}
+	qmatchNConfig = evalConfig{useSim: true, quantFilter: true, earlyAccept: true}
+	enumConfig    = evalConfig{useSim: true}
+)
 
 func prepareRun(g *graph.Graph, q *core.Pattern, opts *Options, cfg evalConfig) (*Result, error) {
 	p, err := prepare(q, cfg)
@@ -160,12 +164,12 @@ func prepareRun(g *graph.Graph, q *core.Pattern, opts *Options, cfg evalConfig) 
 	return p.Run(g, opts)
 }
 
-// Prepared is a QGP ready to be evaluated with QMatch over any graph, any
-// number of times: everything evaluation derives from the pattern alone —
-// validation, Π(Q) and every Π(Q+e) with their connectivity checks,
-// quantified-edge tables, matching orders — is done. It does not follow
-// later changes to the pattern it was prepared from. A Prepared is
-// immutable and safe for concurrent Run.
+// Prepared is a QGP ready to be evaluated with one engine variant over any
+// graph, any number of times: everything evaluation derives from the
+// pattern alone — validation, Π(Q) and every Π(Q+e) with their
+// connectivity checks, quantified-edge tables, matching orders — is done.
+// It does not follow later changes to the pattern it was prepared from. A
+// Prepared is immutable and safe for concurrent Run and Bind.
 type Prepared struct {
 	cfg evalConfig
 	pi  *positive
@@ -176,6 +180,20 @@ type Prepared struct {
 // pattern is prepared once and Run after every batch.
 func Prepare(q *core.Pattern) (*Prepared, error) {
 	return prepare(q, qmatchConfig)
+}
+
+// PrepareEngine is Prepare for the engine variant of the given wire name:
+// "qmatch" (or empty) for QMatch, "qmatchn" for QMatchN, "enum" for Enum.
+func PrepareEngine(engine string, q *core.Pattern) (*Prepared, error) {
+	switch engine {
+	case "qmatch", "":
+		return prepare(q, qmatchConfig)
+	case "qmatchn":
+		return prepare(q, qmatchNConfig)
+	case "enum":
+		return prepare(q, enumConfig)
+	}
+	return nil, fmt.Errorf("unknown engine %q", engine)
 }
 
 func prepare(q *core.Pattern, cfg evalConfig) (*Prepared, error) {
@@ -197,47 +215,13 @@ func prepare(q *core.Pattern, cfg evalConfig) (*Prepared, error) {
 	return p, nil
 }
 
-// Run evaluates the prepared pattern over g. Labels are resolved against g
-// on every call, so one Prepared follows a graph through its versions —
-// including a label the graph first interns in a later batch.
+// Run evaluates the prepared pattern over g as it stands: Bind followed by
+// one Run of the Bound, so labels are resolved per call and one Prepared
+// follows a graph through its versions — including a label the graph
+// first interns in a later batch. A caller that evaluates the same graph
+// version repeatedly keeps the Bound instead.
 func (p *Prepared) Run(g *graph.Graph, opts *Options) (*Result, error) {
-	res := &Result{}
-	var t0 time.Time
-	if opts != nil && opts.CollectProfile {
-		res.Profile = &Profile{}
-		t0 = time.Now()
-	}
-
-	base, err := p.pi.eval(g, opts, p.cfg, nil, &res.Metrics, res.Profile)
-	if err != nil {
-		return nil, err
-	}
-	if len(p.neg) == 0 || len(base) == 0 {
-		res.Matches = base
-		finishProfile(res, t0)
-		return res, nil
-	}
-
-	// Q(xo, G) = Π(Q)(xo, G) \ ⋃e Π(Q+e)(xo, G). Only the intersection with
-	// the base answers matters, so IncQMatch restricts the focus candidates
-	// of each positified pattern to the cached Π(Q) matches.
-	out := base
-	for _, pp := range p.neg {
-		var restrict []graph.NodeID
-		if p.cfg.incremental {
-			res.Metrics.IncRuns++
-			restrict = base
-			res.Metrics.IncCandidates += len(base)
-		}
-		minus, err := pp.eval(g, opts, p.cfg, restrict, &res.Metrics, res.Profile)
-		if err != nil {
-			return nil, err
-		}
-		out = subtractSorted(out, minus)
-	}
-	res.Matches = out
-	finishProfile(res, t0)
-	return res, nil
+	return p.Bind(g).Run(opts)
 }
 
 // subtractSorted returns a \ b for ascending slices, as a fresh slice.
@@ -266,83 +250,4 @@ func finishProfile(res *Result, t0 time.Time) {
 // msSince returns the elapsed time since t0 in fractional milliseconds.
 func msSince(t0 time.Time) float64 {
 	return float64(time.Since(t0).Microseconds()) / 1000
-}
-
-// eval binds the positive pattern to g and evaluates it. restrict, when
-// non-nil, limits focus candidates (incremental evaluation); the caller's
-// FocusRestrict option is applied on top. prof, when non-nil, receives one
-// PatternProfile entry.
-func (ps *positive) eval(g *graph.Graph, opts *Options, cfg evalConfig, restrict []graph.NodeID, m *Metrics, prof *Profile) ([]graph.NodeID, error) {
-	var pp *PatternProfile
-	var before Metrics
-	var t0 time.Time
-	if prof != nil {
-		prof.Patterns = append(prof.Patterns, PatternProfile{Pattern: ps.name})
-		pp = &prof.Patterns[len(prof.Patterns)-1]
-		before = *m
-		t0 = time.Now()
-	}
-	var pref []int
-	if opts != nil && opts.OrderBy != nil {
-		pref = opts.OrderBy(ps.p)
-	}
-	set, err := combineRestrictions(g.NumNodes(), opts, restrict)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.useSim && set != nil && set.bits == nil {
-		// Focus-scoped fast path (at most |V|/8 focus candidates: every
-		// watch re-verification, every small IncQMatch restriction):
-		// simulation and the acceptance filter cost O(|G|) per evaluation
-		// no matter how few focus candidates are asked about, while the
-		// anchored search itself only visits the candidates'
-		// neighborhoods. The label classes win outright, and since the
-		// search only asks them for membership they stay a predicate on
-		// the node's label: nothing on this path is sized by |V|. Answers
-		// are identical: the filters are sound over-approximations that
-		// prune the search without changing the enumerated isomorphisms.
-		cfg.useSim, cfg.quantFilter = false, false
-		if pp != nil {
-			pp.FastPath = true
-		}
-	}
-	if pp != nil && set != nil {
-		pp.Restricted = len(set.ids)
-	}
-	pr, err := ps.bind(g, cfg.useSim, cfg.quantFilter, pref)
-	if pp != nil {
-		pp.CompileMS = msSince(t0)
-	}
-	if err != nil {
-		if pp != nil {
-			pp.Empty = true
-		}
-		return nil, nil
-	}
-	if pp != nil {
-		for u := range ps.p.Nodes {
-			pp.Nodes = append(pp.Nodes, NodeProfile{
-				Name:       ps.p.Nodes[u].Name,
-				Candidates: pr.size(pr.cand, u),
-				Accepted:   pr.size(pr.accept, u),
-			})
-		}
-		for _, u := range pr.order {
-			pp.Order = append(pp.Order, ps.p.Nodes[u].Name)
-		}
-	}
-	if opts != nil {
-		pr.budget = opts.ExtensionBudget
-	}
-	t1 := time.Now()
-	answers := evalPositive(pr, set, cfg.earlyAccept, m)
-	if pr.budgetExceeded {
-		return nil, ErrBudgetExceeded
-	}
-	if pp != nil {
-		pp.EvalMS = msSince(t1)
-		pp.Answers = len(answers)
-		pp.Metrics = metricsDelta(*m, before)
-	}
-	return answers, nil
 }

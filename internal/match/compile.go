@@ -5,16 +5,23 @@
 // quantifier-aware pruning and early acceptance, and the incremental
 // IncQMatch procedure for negated edges (§4 of the paper).
 //
-// Evaluation is split by what it depends on. Prepare does, once per
-// pattern, everything the pattern alone decides: validation, Π(Q) and each
-// Π(Q+e), and per positive pattern (a positive) the quantified-edge
-// tables and the default matching order with its anchors, checks and
-// rivals. A Prepared is immutable and shared: a standing watch holds one
-// for its lifetime and every worker session may run it at once. Run binds
-// it to one graph (positive.bind): labels are resolved per run — a later
-// batch may intern a label that was absent — candidate sets are built, and
-// a program with O(|Q|) search scratch is allocated, which makes the
-// program, not the Prepared, single-goroutine.
+// Evaluation is split by what it depends on, in three tiers. Prepare does,
+// once per pattern, everything the pattern alone decides: validation, Π(Q)
+// and each Π(Q+e), and per positive pattern (a positive) the
+// quantified-edge tables and the default matching order with its anchors,
+// checks and rivals. A Prepared is immutable and shared: a standing watch
+// holds one for its lifetime and every worker session may run it at once.
+// Bind does, once per graph version, what the pattern and the graph's state
+// decide (a Bound): labels are resolved — a later batch may intern a label
+// that was absent — and, for the first run that needs them, each positive's
+// candidate and acceptance sets are built, the O(|Q|·|G|) prefilter. A
+// holder that sees the graph change calls Advance with the touched nodes
+// and the sets are repaired instead of rebuilt; a Bound nobody advanced
+// notices the graph's version moved and rebinds. Run allocates, per run, a
+// program with O(|Q|) search scratch over the Bound's read-only sets, which
+// makes the program, not the Bound, single-goroutine. Prepared.Run and the
+// one-shot QMatch/QMatchN/Enum are Bind + Run: one path, and for a single
+// evaluation the same work.
 //
 // All three search phases — counting, acceptance of a conventional
 // pattern, acceptance over finished counts — are one recursion
@@ -26,12 +33,9 @@
 package match
 
 import (
-	"fmt"
-
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/simulation"
 )
 
 // positive is what evaluation derives from one positive pattern alone. It
@@ -89,8 +93,9 @@ func newPositive(name string, p *core.Pattern) *positive {
 	return ps
 }
 
-// program is a positive bound to a graph for one run: resolved labels,
-// candidate sets, the matching order in use and the search scratch.
+// program is a bound positive set up for one run: the Bound's resolved
+// labels and candidate sets (shared, read-only), the matching order in use
+// and the search scratch.
 type program struct {
 	g *graph.Graph
 	p *core.Pattern
@@ -101,19 +106,15 @@ type program struct {
 	hasEQ    bool
 	matchOrder
 
+	// From the Bound (shared, read-only).
 	edgeLabel []graph.LabelID // per pattern edge
 	nodeLabel []graph.LabelID // per pattern node
-
-	// cand[u] over-approximates the stratified-isomorphism images of u
-	// (dual simulation for QMatch, label-based otherwise). Counting is
-	// sound against these sets. nil is the label-based sets in predicate
-	// form: w ∈ cand[u] iff g.NodeLabel(w) == nodeLabel[u].
-	cand []*bitset.Set
-	// accept[u] further filters candidates that can appear in a
-	// quantifier-valid match (threshold test of Lemma 13). Only acceptance
-	// search uses it; counting must not (counts range over all stratified
-	// isomorphisms). Without the filter it is cand, nil included.
-	accept []*bitset.Set
+	// cand and accept are the bound positive's sets, or nil on the
+	// focus-scoped fast path: the label classes in predicate form,
+	// w ∈ cand[u] iff g.NodeLabel(w) == nodeLabel[u]. Counting runs against
+	// cand (sound: it over-approximates the stratified isomorphisms); only
+	// the acceptance search may use the threshold-filtered accept.
+	cand, accept []*bitset.Set
 
 	// Search scratch (so a program must not be shared between
 	// goroutines): the current assignment by pattern node, and the count
@@ -126,80 +127,6 @@ type program struct {
 	// set when the cap fires and the evaluation must be discarded.
 	budget         int64
 	budgetExceeded bool
-}
-
-var errNoMatches = fmt.Errorf("match: empty candidate set")
-
-// bind builds the program of one run over g. useSim selects dual
-// simulation (plain, for counting) as the candidate filter; otherwise
-// candidates are label-based. quantFilter additionally computes the
-// acceptance filter from quantifier thresholds. pref, when a valid
-// permutation of node indexes, replaces the default matching order (see
-// buildOrder). bind returns errNoMatches when some candidate set is empty
-// (the caller returns an empty answer).
-func (ps *positive) bind(g *graph.Graph, useSim, quantFilter bool, pref []int) (*program, error) {
-	p := ps.p
-	pr := &program{g: g, p: p, quant: ps.quant, quantOut: ps.quantOut, hasEQ: ps.hasEQ, matchOrder: ps.def}
-
-	labels := make([]graph.LabelID, len(p.Edges)+len(p.Nodes))
-	pr.edgeLabel, pr.nodeLabel = labels[:len(p.Edges):len(p.Edges)], labels[len(p.Edges):]
-	for i, e := range p.Edges {
-		if pr.edgeLabel[i] = g.LookupLabel(e.Label); pr.edgeLabel[i] == graph.NoLabel {
-			return nil, errNoMatches
-		}
-	}
-	for u, n := range p.Nodes {
-		pr.nodeLabel[u] = g.LookupLabel(n.Label)
-		if pr.nodeLabel[u] == graph.NoLabel || len(g.NodesByLabel(pr.nodeLabel[u])) == 0 {
-			return nil, errNoMatches
-		}
-	}
-
-	// Candidate sets: plain dual simulation (stratified-sound) or the
-	// label classes — as a predicate unless the acceptance filter below
-	// has to carve subsets out of them.
-	switch {
-	case useSim:
-		sets, ok := simulation.Candidates(g, p, false)
-		if !ok {
-			return nil, errNoMatches
-		}
-		pr.cand = sets
-	case quantFilter:
-		pr.cand = make([]*bitset.Set, len(p.Nodes))
-		for u := range p.Nodes {
-			pr.cand[u] = toBitset(g.NodesByLabel(pr.nodeLabel[u]), g.NumNodes())
-		}
-	}
-
-	pr.accept = pr.cand
-	if quantFilter {
-		pr.accept = pr.acceptanceFilter()
-		if pr.accept[p.Focus].Empty() {
-			return nil, errNoMatches
-		}
-		// Global pruning rule (Lemma 12): the focus has a match only if
-		// every pattern node u′ has at least pm candidates, where pm is
-		// the largest numeric GE threshold over u′'s incoming quantified
-		// edges — a match of u needs that many distinct children matching
-		// u′.
-		for _, ei := range pr.quant {
-			e := p.Edges[ei]
-			if e.Q.IsRatio() || e.Q.Op() != core.GE {
-				continue
-			}
-			if pr.cand[e.To].Count() < e.Q.N() {
-				return nil, errNoMatches
-			}
-		}
-	}
-
-	if rank := prefRank(pref, len(p.Nodes)); rank != nil {
-		pr.matchOrder = buildOrder(p, rank)
-	}
-	pr.assign = make([]graph.NodeID, len(p.Nodes))
-	pr.need = make([]int, len(p.Edges))
-	return pr, nil
 }
 
 // admits reports w ∈ sets[u], where nil sets are the label classes.
@@ -216,45 +143,6 @@ func (pr *program) size(sets []*bitset.Set, u int) int {
 		return len(pr.g.NodesByLabel(pr.nodeLabel[u]))
 	}
 	return sets[u].Count()
-}
-
-// acceptanceFilter computes accept[u] ⊆ cand[u]: candidates whose viable
-// child counts (within cand, which is stratified-sound) can still satisfy
-// every quantified out-edge threshold. A single pass suffices: thresholds
-// are judged against cand-based upper bounds, which do not shrink.
-func (pr *program) acceptanceFilter() []*bitset.Set {
-	accept := make([]*bitset.Set, len(pr.p.Nodes))
-	for u := range pr.p.Nodes {
-		accept[u] = pr.cand[u].Clone()
-	}
-	for _, ei := range pr.quant {
-		e := pr.p.Edges[ei]
-		l := pr.edgeLabel[ei]
-		var removed []int
-		accept[e.From].ForEach(func(vi int) bool {
-			v := graph.NodeID(vi)
-			children := pr.g.OutByLabel(v, l)
-			need, ok := e.Q.Threshold(len(children))
-			if !ok {
-				removed = append(removed, vi)
-				return true
-			}
-			upper := 0
-			for _, ge := range children {
-				if pr.cand[e.To].Contains(int(ge.To)) {
-					upper++
-				}
-			}
-			if upper < need || upper < 1 {
-				removed = append(removed, vi)
-			}
-			return true
-		})
-		for _, vi := range removed {
-			accept[e.From].Remove(vi)
-		}
-	}
-	return accept
 }
 
 // buildOrder computes a matching order of p: every position after the

@@ -34,13 +34,18 @@ func MatchSets(g *graph.Graph, q *core.Pattern, opts *Options) (map[string][]gra
 	if err != nil {
 		return nil, err
 	}
-	pr, err := newPositive("", q).bind(g, true, true, nil)
-	if err == nil {
-		if opts != nil {
-			pr.budget = opts.ExtensionBudget
-		}
-		if err := collectMatchSets(pr, restrict, images); err != nil {
-			return nil, err
+	// Per-node answers need the full candidate and acceptance sets whatever
+	// the restriction, so there is no fast path to take here.
+	b := (&Prepared{cfg: qmatchConfig, pi: newPositive("", q)}).Bind(g)
+	if bp := &b.pos[0]; !bp.unlabelled {
+		if cand, accept, _ := b.sets(bp); cand != nil {
+			pr := bp.program(g, cand, accept, nil)
+			if opts != nil {
+				pr.budget = opts.ExtensionBudget
+			}
+			if err := collectMatchSets(pr, restrict, images); err != nil {
+				return nil, err
+			}
 		}
 	}
 

@@ -26,6 +26,11 @@ type PatternProfile struct {
 	// small enough that label-based candidates beat paying O(|G|)
 	// simulation and acceptance filtering.
 	FastPath bool `json:"fast_path,omitempty"`
+	// Bound says where the candidate and acceptance sets came from: "built"
+	// by this run, "repaired" by the Bound's Advance since the last run, or
+	// a "hit" on sets an earlier run at this graph version left. Omitted on
+	// the fast path, which has none.
+	Bound string `json:"bound,omitempty"`
 	// Restricted is the focus-restriction size (0 = unrestricted): the
 	// candidate cap IncQMatch or a scoped re-verification imposed.
 	Restricted int `json:"restricted,omitempty"`

@@ -83,6 +83,7 @@ type Server struct {
 	cfg     Config
 	sem     chan struct{}
 	om      *serverMetrics
+	bm      boundMetrics
 	started time.Time
 }
 
@@ -93,6 +94,7 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		om:      newServerMetrics(cfg.Metrics),
+		bm:      newBoundMetrics(cfg.Metrics),
 		started: time.Now(),
 	}
 	s.Host = NewHost(ProtocolConfig{
@@ -101,8 +103,9 @@ func New(cfg Config) *Server {
 		Logf:         cfg.Logf,
 		Name:         "server",
 	}, func() (func(*Request) Response, func()) {
-		sess := &session{}
-		return func(req *Request) Response { return s.handle(sess, req) }, nil
+		sess := &session{bounds: boundCache{m: s.bm}}
+		return func(req *Request) Response { return s.handle(sess, req) },
+			sess.bounds.reset // the live-bounds gauge outlives the session
 	})
 	return s
 }
@@ -181,6 +184,9 @@ type session struct {
 	// nodes may lack part of their neighborhood, so their local answers
 	// would be wrong. Nil until the session has a graph.
 	eng *dynamic.Engine
+	// bounds holds one match.Bound per pattern the session was asked to
+	// match, and the touched sets that advance them (bounds.go).
+	bounds boundCache
 }
 
 // setGraph replaces the session graph wholesale (gen/load/fragment);
@@ -196,6 +202,7 @@ func (sess *session) setGraph(g *graph.Graph, owned []graph.NodeID) error {
 		return err
 	}
 	sess.vg, sess.g, sess.st, sess.eng = vg, vg.Graph(), nil, eng
+	sess.bounds.reset() // bounds are over the old graph
 	return nil
 }
 
@@ -393,6 +400,7 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 		if rerr := sess.vg.Rollback(old); rerr != nil {
 			return fmt.Errorf("%w (rollback failed: %v)", cause, rerr)
 		}
+		sess.bounds.breakLog(ng)
 		return cause
 	}
 	if old != nil && ng.Size() > s.cfg.MaxGraphSize {
@@ -418,6 +426,7 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 	if len(req.Updates) > 0 {
 		// An assign-only batch skips this: nothing changed in the graph,
 		// Assign below reports the new candidates.
+		sess.bounds.noteBatch(ng, touched)
 		var deltas []dynamic.NamedDelta
 		if req.Scoped {
 			deltas, err = sess.eng.ApplyScoped(ng, scoped)
@@ -567,17 +576,17 @@ func (s *Server) matchOptions(sess *session, req *Request) *match.Options {
 	return opts
 }
 
-// engineFunc resolves a wire engine name to its matching algorithm.
-func engineFunc(name string) (func(*graph.Graph, *core.Pattern, *match.Options) (*match.Result, error), error) {
-	switch name {
-	case "qmatch", "":
-		return match.QMatch, nil
-	case "qmatchn":
-		return match.QMatchN, nil
-	case "enum":
-		return match.Enum, nil
+// evaluate runs the request's pattern over the session graph through the
+// session's bound for it: built by the first request, hit while the graph
+// stands still, repaired across the batches in between when it moved.
+func (s *Server) evaluate(sess *session, req *Request, collectProfile bool) (*match.Result, error) {
+	b, err := sess.bounds.bound(sess.g, req)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown engine %q", name)
+	opts := s.matchOptions(sess, req)
+	opts.CollectProfile = collectProfile
+	return b.Run(opts)
 }
 
 // handleMatch evaluates a pattern over the session graph. A non-nil doc
@@ -587,11 +596,11 @@ func (s *Server) handleMatch(sess *session, req *Request, resp *Response, doc *M
 	if sess.g == nil {
 		return ErrNoGraph
 	}
-	q, err := core.Parse(req.Pattern)
-	if err != nil {
-		return err
-	}
 	if doc != nil {
+		q, err := core.Parse(req.Pattern)
+		if err != nil {
+			return err
+		}
 		if ex, exErr := plan.Explain(sess.g, sess.stats(), q); exErr == nil {
 			doc.Plan = ex
 		}
@@ -601,15 +610,13 @@ func (s *Server) handleMatch(sess *session, req *Request, resp *Response, doc *M
 	if sess.eng.Restricted() && len(sess.eng.Owned()) == 0 {
 		// A fragment owning no nodes answers for nothing; Options.FocusRestrict
 		// cannot express an empty restriction (empty means unrestricted).
-		res = &match.Result{Profile: &match.Profile{}}
-	} else {
-		run, err := engineFunc(req.Engine)
-		if err != nil {
+		if _, err := core.Parse(req.Pattern); err != nil {
 			return err
 		}
-		opts := s.matchOptions(sess, req)
-		opts.CollectProfile = doc != nil
-		if res, err = run(sess.g, q, opts); err != nil {
+		res = &match.Result{Profile: &match.Profile{}}
+	} else {
+		var err error
+		if res, err = s.evaluate(sess, req, doc != nil); err != nil {
 			return err
 		}
 	}
@@ -694,19 +701,11 @@ func (s *Server) handleRPQFilter(sess *session, req *Request, resp *Response) er
 	if sess.g == nil {
 		return ErrNoGraph
 	}
-	q, err := core.Parse(req.Pattern)
-	if err != nil {
-		return err
-	}
 	c, err := rpq.ParseConstraint(req.Constraint)
 	if err != nil {
 		return err
 	}
-	run, err := engineFunc(req.Engine)
-	if err != nil {
-		return err
-	}
-	res, err := run(sess.g, q, s.matchOptions(sess, req))
+	res, err := s.evaluate(sess, req, false)
 	if err != nil {
 		return err
 	}
