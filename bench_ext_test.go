@@ -1,9 +1,8 @@
-// Ablation and subsystem benchmarks for the extensions beyond the paper's
-// evaluation section: the statistics-driven planner (vs the default
-// breadth-first order), incremental maintenance under updates (vs full
-// recomputation), the persistent store's write/compact/recover path,
-// bounded regular path queries, and statistics collection. These back the
-// design-choice discussions in DESIGN.md §6.
+// Subsystem benchmarks for the extensions beyond the paper's evaluation
+// section: the persistent store's write/compact/recover path, bounded
+// regular path queries, and statistics collection. The planner and
+// incremental-maintenance ablations are internal/bench's Exp-14 and Exp-15
+// (bench_test.go wraps them).
 package repro
 
 import (
@@ -11,11 +10,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/dynamic"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/match"
-	"repro/internal/plan"
 	"repro/internal/rpq"
 	"repro/internal/stats"
 	"repro/internal/store"
@@ -26,43 +22,6 @@ func benchGraph(b *testing.B) *graph.Graph {
 	return gen.Social(gen.DefaultSocial(2000, 17))
 }
 
-// BenchmarkPlannerAblation compares QMatch with the default breadth-first
-// order against QMatch with the statistics-driven plan, over the same
-// generated pattern workload.
-func BenchmarkPlannerAblation(b *testing.B) {
-	g := benchGraph(b)
-	st := stats.Collect(g)
-	pats := gen.Patterns(g, gen.PatternConfig{Nodes: 5, Edges: 6, RatioBP: 3000, Seed: 5}, 8)
-
-	b.Run("default-order", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range pats {
-				if _, err := match.QMatch(g, q, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("planned-order", func(b *testing.B) {
-		orderBy := plan.OrderFunc(g, st)
-		for i := 0; i < b.N; i++ {
-			for _, q := range pats {
-				if _, err := match.QMatch(g, q, &match.Options{OrderBy: orderBy}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("plan-only", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, q := range pats {
-				pi, _ := q.Pi()
-				plan.Choose(g, st, pi)
-			}
-		}
-	})
-}
-
 // BenchmarkStatsCollect measures the one-pass statistics scan.
 func BenchmarkStatsCollect(b *testing.B) {
 	g := benchGraph(b)
@@ -70,49 +29,6 @@ func BenchmarkStatsCollect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		stats.Collect(g)
 	}
-}
-
-// BenchmarkIncrementalVsRecompute compares maintaining answers under a
-// stream of single-edge updates incrementally against recomputing from
-// scratch after every update — the dynamic-maintenance ablation.
-func BenchmarkIncrementalVsRecompute(b *testing.B) {
-	g := gen.Social(gen.DefaultSocial(800, 29))
-	q := gen.Pattern(g, gen.PatternConfig{Nodes: 3, Edges: 3, RatioBP: 3000, Seed: 11})
-	updates := make([][]dynamic.Update, 20)
-	for i := range updates {
-		f := int32((i * 37) % g.NumNodes())
-		to := int32((i*91 + 13) % g.NumNodes())
-		updates[i] = []dynamic.Update{store.AddEdge(f, to, "follow")}
-	}
-
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m, err := dynamic.NewMatcher(g, q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, ups := range updates {
-				if _, err := m.Apply(ups); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("recompute", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cur := g
-			for _, ups := range updates {
-				ng, _, err := dynamic.Apply(cur, ups)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cur = ng
-				if _, err := match.QMatch(cur, q, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkStore measures journaled writes, compaction, and recovery.

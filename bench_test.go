@@ -174,7 +174,7 @@ func BenchmarkDParSocial(b *testing.B) {
 	}
 }
 
-func BenchmarkPQMatchSocial(b *testing.B) {
+func BenchmarkSocialPQMatch(b *testing.B) {
 	g, q := socialFixture(b, 2000)
 	if parallel.RequiredHops(q) > 2 {
 		b.Skip("generated pattern exceeds d=2")

@@ -3,10 +3,11 @@
 // Usage:
 //
 //	qgpmatch -graph social.g -pattern q.qgp [-algo qmatch|qmatchn|enum]
-//	qgpmatch -graph social.g -pattern q.qgp -workers 4 -threads 2
+//	qgpmatch -graph social.g -pattern q.qgp -workers 4 -threads 2 [-algo ...]
 //
-// With -workers > 1 the graph is partitioned with DPar and evaluated by
-// PQMatch; otherwise the sequential algorithms run. -stats prints work
+// With -workers > 1 the graph is partitioned with DPar and evaluated per
+// fragment by the -algo engine (PQMatch, PQMatchn, PEnum); otherwise that
+// engine runs sequentially. -stats prints work
 // metrics alongside the matches. -planner chooses the matching order from
 // collected graph statistics. -format selects the graph input format:
 // auto (native text/binary, default), csv (edge list: from,to,label), or
@@ -39,8 +40,8 @@ func main() {
 	var (
 		graphFile   = flag.String("graph", "", "graph file (required)")
 		patternFile = flag.String("pattern", "", "pattern file in the QGP DSL (required)")
-		algo        = flag.String("algo", "qmatch", "sequential algorithm: qmatch, qmatchn, enum")
-		workers     = flag.Int("workers", 1, "parallel workers (n > 1 switches to PQMatch)")
+		algo        = flag.String("algo", "qmatch", "engine: qmatch, qmatchn, enum (with -workers: PQMatch, PQMatchn, PEnum)")
+		workers     = flag.Int("workers", 1, "parallel workers (n > 1 partitions with DPar and evaluates per fragment)")
 		threads     = flag.Int("threads", 2, "intra-fragment threads b (with -workers)")
 		showStats   = flag.Bool("stats", false, "print work metrics")
 		limit       = flag.Int("limit", 20, "print at most this many matches (0 = all)")
@@ -73,23 +74,17 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		res, err := parallel.PQMatch(parallel.NewCluster(part), q, *threads)
+		res, err := parallel.Run(parallel.NewCluster(part), q, *algo, *threads)
 		if err != nil {
 			fatal(err)
 		}
 		matches, metrics = res.Matches, res.Metrics
-		fmt.Printf("PQMatch n=%d b=%d d=%d: sim_work=%d total_work=%d\n",
-			*workers, *threads, d, res.SimWork, res.TotalWork)
+		fmt.Printf("PQMatch n=%d b=%d d=%d algo=%s: sim_work=%d total_work=%d\n",
+			*workers, *threads, d, *algo, res.SimWork, res.TotalWork)
 	} else {
-		run := match.QMatch
-		switch *algo {
-		case "qmatch":
-		case "qmatchn":
-			run = match.QMatchN
-		case "enum":
-			run = match.Enum
-		default:
-			fatal(fmt.Errorf("unknown algorithm %q", *algo))
+		prep, err := match.PrepareEngine(*algo, q)
+		if err != nil {
+			fatal(err)
 		}
 		var opts *match.Options
 		if *planner {
@@ -101,7 +96,7 @@ func main() {
 			}
 			opts.CollectProfile = true
 		}
-		res, err := run(g, q, opts)
+		res, err := prep.Run(g, opts)
 		if err != nil {
 			fatal(err)
 		}

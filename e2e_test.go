@@ -51,8 +51,9 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(seq, "matches in") || !strings.Contains(seq, "metrics:") {
 		t.Fatalf("qgpmatch output unexpected:\n%s", seq)
 	}
-	par := run("qgpmatch", "-graph", graphFile, "-pattern", patternFile, "-workers", "2")
-	if !strings.Contains(par, "PQMatch n=2") {
+	// -algo reaches the parallel branch too: this is PEnum, same answers.
+	par := run("qgpmatch", "-graph", graphFile, "-pattern", patternFile, "-workers", "2", "-algo", "enum")
+	if !strings.Contains(par, "PQMatch n=2") || !strings.Contains(par, "algo=enum") {
 		t.Fatalf("parallel qgpmatch output unexpected:\n%s", par)
 	}
 	// Sequential and parallel must report the same match count.
@@ -87,6 +88,12 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 	if err := exec.Command(bins["qgpmatch"], "-graph", graphFile).Run(); err == nil {
 		t.Fatal("qgpmatch accepted missing -pattern")
+	}
+	for _, branch := range [][]string{nil, {"-workers", "2"}} {
+		args := append([]string{"-graph", graphFile, "-pattern", patternFile, "-algo", "bogus"}, branch...)
+		if out, err := exec.Command(bins["qgpmatch"], args...).CombinedOutput(); err == nil || !strings.Contains(string(out), `unknown engine "bogus"`) {
+			t.Fatalf("qgpmatch %v: err=%v\n%s", args, err, out)
+		}
 	}
 }
 

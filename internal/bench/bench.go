@@ -123,16 +123,16 @@ var sequentialAlgos = []struct {
 // that use intra-fragment parallelism.
 type parallelAlgo struct {
 	name    string
-	engine  parallel.Engine
+	engine  string // wire name, resolved by match.PrepareEngine
 	threads func(b int) int
 }
 
 func parallelAlgos() []parallelAlgo {
 	return []parallelAlgo{
-		{"PQMatch", parallel.EngineQMatch, func(b int) int { return b }},
-		{"PQMatchs", parallel.EngineQMatch, func(int) int { return 1 }},
-		{"PQMatchn", parallel.EngineQMatchN, func(b int) int { return b }},
-		{"PEnum", parallel.EngineEnum, func(int) int { return 1 }},
+		{"PQMatch", "qmatch", func(b int) int { return b }},
+		{"PQMatchs", "qmatch", func(int) int { return 1 }},
+		{"PQMatchn", "qmatchn", func(b int) int { return b }},
+		{"PEnum", "enum", func(int) int { return 1 }},
 	}
 }
 

@@ -117,7 +117,7 @@ type Coordinator struct {
 	mu  sync.RWMutex
 	cfg Config
 	om  *coordMetrics
-	g   *graph.Graph // authoritative global graph (edge-set normalized)
+	g   *graph.Graph // authoritative global graph: the coordinator's private copy
 	// vg maintains g in place: Update applies each accepted batch as a
 	// delta through the versioned core instead of rebuilding the graph,
 	// and hands the pre-batch OldView to affected-set computation and
@@ -187,10 +187,10 @@ type worker struct {
 // New fragments g across the given worker transports (one fragment per
 // transport) and ships each fragment with the fragment command; with
 // cfg.Replicas=k > 1 each fragment is also shipped to k-1 replica
-// sessions from cfg.Pool. The input graph is normalized to edge-set
-// semantics (duplicate parallel edges collapse), matching what
-// dynamic.Apply does on every update; Graph returns the normalized
-// version.
+// sessions from cfg.Pool. The coordinator works on a private copy of the
+// input graph — edge-set semantics already hold for it, Finalize having
+// collapsed duplicate parallel edges — which Graph returns and updates
+// advance in place.
 //
 // On success the coordinator owns every transport it holds — ts and any
 // pool acquisitions — and releases them in Close. On error the caller
@@ -209,16 +209,12 @@ func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 	if cfg.Replicas > 1 && cfg.Pool == nil {
 		return nil, fmt.Errorf("cluster: %d replicas requested but no worker pool configured", cfg.Replicas)
 	}
-	g, _, err := dynamic.Apply(g, nil)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: normalize: %w", err)
-	}
+	// A private copy, so the versioned core can own it outright.
+	g = g.Clone()
 	p, err := partition.DPar(g, partition.Config{Workers: len(ts), D: cfg.D, BalanceC: cfg.BalanceC})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	// The normalized graph is a fresh copy (dynamic.Apply rebuilds), so
-	// the versioned core can own it outright.
 	vg := graph.NewVersioned(g)
 	c := &Coordinator{cfg: cfg, g: vg.Graph(), vg: vg, watches: make(map[string]string), plans: make(map[string]*planRef)}
 	c.om = newCoordMetrics(cfg.Metrics, len(ts))

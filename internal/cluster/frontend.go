@@ -468,7 +468,6 @@ func (f *Frontend) handleGraph(req *server.Request, resp *server.Response) error
 		return err
 	}
 	f.tenants.Reset()
-	// The coordinator normalized g (duplicate parallel edges collapse).
 	resp.Nodes, resp.Edges = coord.Size()
 	return nil
 }

@@ -59,7 +59,7 @@ type ReadTracker interface {
 // re-ship and re-register watches (ha.Recover).
 type UpdateJournal interface {
 	// SetGraph replaces the durable graph (called by New with the
-	// normalized authoritative graph once fragments are shipped).
+	// authoritative graph once fragments are shipped).
 	SetGraph(g *graph.Graph) error
 	// AppendBatch records an accepted update batch; the coordinator
 	// calls it after validating the batch against the authoritative

@@ -45,9 +45,9 @@ type edgeKey struct {
 //
 // Apply is the rebuild-the-world path: it re-materializes the full
 // edge-set model and finalizes a whole new graph, costing O(|G|) per
-// batch. The production layers run on ApplyVersioned instead; Apply is
-// retained as the differential oracle the versioned core is verified
-// against (and for one-shot callers that want a fresh graph value).
+// batch. Every serving path runs on ApplyVersioned; Apply is the oracle the
+// versioned core is verified against — its callers are the differential
+// tests, benchmark/'s oracle and internal/bench's recompute baseline.
 func Apply(g *graph.Graph, ups []Update) (*graph.Graph, []graph.NodeID, error) {
 	// Build the edge-set model of g, then replay the batch in order.
 	labels := make([]string, g.NumNodes())

@@ -65,8 +65,10 @@ func (e *Engine) Groups() int { return len(e.groups) }
 // limited to an owned set.
 func (e *Engine) Restricted() bool { return e.owned != nil }
 
-// Owned returns the fragment's owned candidates, ascending (nil on an
-// unrestricted engine). The slice is the engine's own: read, do not keep.
+// Owned returns the fragment's owned candidates, ascending: nil on an
+// unrestricted engine, non-nil and empty on a fragment that owns nothing —
+// match.Options.FocusRestrict's convention, so the result is passed to it as
+// it stands. The slice is the engine's own: read, do not keep.
 func (e *Engine) Owned() []graph.NodeID {
 	if e.owned == nil {
 		return nil

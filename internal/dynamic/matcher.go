@@ -73,14 +73,10 @@ func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, 
 		return nil, err
 	}
 	m := &Matcher{prep: prep, plan: NewReachPlan(q), hops: parallel.RequiredHops(q), g: g, restrict: restrict, ans: make(map[graph.NodeID]bool)}
-	if restrict != nil && len(restrict.ids) == 0 {
-		// No candidates yet (a fragment owning nothing); AddFocus extends.
-		// Options.FocusRestrict cannot express this: an empty list there
-		// means unrestricted.
-		return m, nil
-	}
 	var opts *match.Options
 	if restrict != nil {
+		// ids is never nil: a fragment owning nothing asks about nobody
+		// until AddFocus extends it.
 		opts = &match.Options{FocusRestrict: restrict.ids}
 	}
 	res, err := prep.Run(g, opts)
@@ -220,7 +216,8 @@ func sortedNodeSet(m map[graph.NodeID]bool) []graph.NodeID {
 }
 
 // focusSet is a restriction's candidate set: one bitset for membership
-// tests plus the ascending id list evaluations and stats read. It only
+// tests plus the ascending id list evaluations and stats read — never nil,
+// so as a match.Options.FocusRestrict an empty set means nobody. It only
 // grows — assignment inserts, nothing is rebuilt.
 type focusSet struct {
 	bits *bitset.Set
@@ -228,7 +225,7 @@ type focusSet struct {
 }
 
 func newFocusSet(g *graph.Graph, vs []graph.NodeID) (*focusSet, error) {
-	s := &focusSet{bits: bitset.New(g.NumNodes())}
+	s := &focusSet{bits: bitset.New(g.NumNodes()), ids: []graph.NodeID{}}
 	_, err := s.add(g, vs)
 	return s, err
 }

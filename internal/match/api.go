@@ -21,8 +21,10 @@ type Result struct {
 
 // Options tunes an evaluation.
 type Options struct {
-	// FocusRestrict, when non-empty, restricts evaluation to these focus
-	// candidates. Parallel workers use it to evaluate only the nodes their
+	// FocusRestrict, when non-nil, restricts evaluation to exactly these
+	// focus candidates: nil asks about every node, an empty list about
+	// nobody (a fragment that materialises nodes but owns none answers
+	// nothing). Parallel workers use it to evaluate only the nodes their
 	// fragment covers.
 	FocusRestrict []graph.NodeID
 	// ExtensionBudget, when > 0, aborts the evaluation with
@@ -61,13 +63,14 @@ type restriction struct {
 
 // combineRestrictions intersects the caller's FocusRestrict option with an
 // algorithm-internal restriction (IncQMatch: ascending, distinct answers
-// of an earlier pattern). A nil result means no restriction. FocusRestrict
+// of an earlier pattern). A nil result means no restriction; a nil
+// FocusRestrict is none, an empty one restricts to nobody. FocusRestrict
 // arrives from outside the engine, so an id that is not a node of the
 // graph is an error, not a bitset panic. A small restriction allocates
 // nothing when it is the only one and already ascending.
 func combineRestrictions(n int, opts *Options, internal []graph.NodeID) (*restriction, error) {
 	var r *restriction
-	if opts != nil && len(opts.FocusRestrict) > 0 {
+	if opts != nil && opts.FocusRestrict != nil {
 		for _, v := range opts.FocusRestrict {
 			if v < 0 || int(v) >= n {
 				return nil, fmt.Errorf("match: FocusRestrict names node %d, outside the graph's [0, %d)", v, n)

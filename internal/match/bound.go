@@ -344,6 +344,11 @@ func (b *Bound) Run(opts *Options) (*Result, error) {
 		res.Profile = &Profile{}
 		t0 = time.Now()
 	}
+	if opts != nil && opts.FocusRestrict != nil && len(opts.FocusRestrict) == 0 {
+		// Asked about nobody: nothing to evaluate, and an empty profile.
+		finishProfile(res, t0)
+		return res, nil
+	}
 
 	base, err := b.eval(&b.pos[0], opts, nil, &res.Metrics, res.Profile)
 	if err != nil {

@@ -135,6 +135,49 @@ func TestFocusRestrict(t *testing.T) {
 	}
 }
 
+// TestFocusRestrictNilAndEmpty pins the one restriction rule: nil asks
+// about every node, a non-nil empty list about nobody — a fragment that
+// materialises nodes and owns none must answer nothing.
+func TestFocusRestrictNilAndEmpty(t *testing.T) {
+	f := fixture.NewG1()
+	q := fixture.Q3(2) // has a negated edge: Π(Q) and Π(Q+e) both evaluated
+	for name, algo := range algorithms {
+		all, err := algo(f.G, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all.Matches) == 0 {
+			t.Fatalf("%s: fixture pattern has no answer; the test checks nothing", name)
+		}
+		everyone, err := algo(f.G, q, &Options{FocusRestrict: nil, CollectProfile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(everyone.Matches, all.Matches) {
+			t.Errorf("%s: nil FocusRestrict = %v, unrestricted = %v", name, everyone.Matches, all.Matches)
+		}
+		nobody, err := algo(f.G, q, &Options{FocusRestrict: []graph.NodeID{}, CollectProfile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(nobody.Matches) != 0 || nobody.Metrics != (Metrics{}) {
+			t.Errorf("%s: empty FocusRestrict = %v with metrics %+v, want no answer and no work", name, nobody.Matches, nobody.Metrics)
+		}
+		if nobody.Profile == nil || len(nobody.Profile.Patterns) != 0 {
+			t.Errorf("%s: empty FocusRestrict profile = %+v, want an empty profile, not a nil one", name, nobody.Profile)
+		}
+	}
+	sets, err := MatchSets(f.G, fixture.Q2(), &Options{FocusRestrict: []graph.NodeID{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, vs := range sets {
+		if len(vs) != 0 {
+			t.Errorf("MatchSets with an empty FocusRestrict: %s = %v, want nothing", name, vs)
+		}
+	}
+}
+
 func TestInvalidPatternRejected(t *testing.T) {
 	f := fixture.NewG1()
 	bad := core.NewPattern()

@@ -1,7 +1,12 @@
 // Package parallel implements PQMatch (§5): quantified matching over a
-// d-hop preserving partition with inter-fragment parallelism (one worker
-// goroutine per fragment) and intra-fragment parallelism (mQMatch splits a
-// fragment's owned focus candidates across b threads).
+// d-hop preserving partition with inter-fragment parallelism and
+// intra-fragment parallelism (mQMatch splits a fragment's owned focus
+// candidates across b threads). It is a driver, not an evaluator: the
+// pattern is prepared once per run (match.PrepareEngine, which also owns
+// the engine names), bound once per fragment (match.Bound, shared by the
+// fragment's threads), and each thread asks the bound about exactly its
+// chunk of the owned nodes — match.Options.FocusRestrict, where an empty
+// list means nobody, so a fragment that owns nothing answers nothing.
 //
 // Because the session machine may have a single CPU, results carry both
 // wall-clock time and machine-independent work accounting: TotalWork is
@@ -12,7 +17,7 @@ package parallel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -21,44 +26,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/partition"
 )
-
-// Engine selects the per-fragment matching algorithm.
-type Engine int
-
-const (
-	// EngineQMatch is the optimized algorithm with IncQMatch (PQMatch).
-	EngineQMatch Engine = iota
-	// EngineQMatchN recomputes positified patterns from scratch (PQMatchn).
-	EngineQMatchN
-	// EngineEnum is parallel enumerate-then-verify (PEnum).
-	EngineEnum
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineQMatch:
-		return "PQMatch"
-	case EngineQMatchN:
-		return "PQMatchn"
-	default:
-		return "PEnum"
-	}
-}
-
-// ParseEngine maps the wire-protocol engine names ("qmatch", "qmatchn",
-// "enum"; empty means qmatch) to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "qmatch", "":
-		return EngineQMatch, nil
-	case "qmatchn":
-		return EngineQMatchN, nil
-	case "enum":
-		return EngineEnum, nil
-	default:
-		return 0, fmt.Errorf("parallel: unknown engine %q", s)
-	}
-}
 
 // Cluster is a partitioned graph with per-fragment subgraphs materialized,
 // ready to evaluate any pattern whose RequiredHops is within the
@@ -72,7 +39,7 @@ type Cluster struct {
 type localFragment struct {
 	sub      *graph.Graph
 	toGlobal []graph.NodeID
-	owned    []graph.NodeID // local ids of owned nodes
+	owned    []graph.NodeID // local ids of owned nodes; never nil (nil would ask about everyone)
 }
 
 // NewCluster materializes each fragment's induced subgraph.
@@ -166,11 +133,15 @@ type Result struct {
 	SimWork int64
 }
 
-// Run evaluates a QGP over the cluster with the chosen engine and b
-// intra-fragment threads. It errors when the pattern needs more hops than
-// the partition preserves (matching would silently lose answers).
-func Run(c *Cluster, q *core.Pattern, engine Engine, threads int) (*Result, error) {
-	if err := q.Validate(); err != nil {
+// Run evaluates a QGP over the cluster with the engine of the given wire
+// name (match.PrepareEngine: "qmatch" or empty, "qmatchn", "enum") and b
+// intra-fragment threads, which share their fragment's bound: its candidate
+// sets are built once, not per thread. It errors when the pattern needs
+// more hops than the partition preserves (matching would silently lose
+// answers).
+func Run(c *Cluster, q *core.Pattern, engine string, threads int) (*Result, error) {
+	prep, err := match.PrepareEngine(engine, q)
+	if err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
 	if need := RequiredHops(q); need > c.Part.D {
@@ -180,105 +151,52 @@ func Run(c *Cluster, q *core.Pattern, engine Engine, threads int) (*Result, erro
 		threads = 1
 	}
 
-	algo := match.QMatch
-	switch engine {
-	case EngineQMatchN:
-		algo = match.QMatchN
-	case EngineEnum:
-		algo = match.Enum
-	}
-
 	start := time.Now()
-	type taskResult struct {
-		matches []graph.NodeID
-		metrics match.Metrics
-		work    int64
-		err     error
+	type chunkResult struct {
+		res *match.Result
+		err error
 	}
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		results []taskResult
-		simWork int64
-	)
-	for wi := range c.frags {
-		f := c.frags[wi]
+	results := make([][]chunkResult, len(c.frags))
+	var wg sync.WaitGroup
+	for wi, f := range c.frags {
+		bound := prep.Bind(f.sub)
 		// mQMatch: split the owned focus candidates across b threads.
 		chunks := splitChunks(f.owned, threads)
-		workerMax := make([]int64, len(chunks))
-		workerResults := make([]taskResult, len(chunks))
-		var wwg sync.WaitGroup
+		results[wi] = make([]chunkResult, len(chunks))
 		for ti, chunk := range chunks {
-			wwg.Add(1)
-			go func(ti int, chunk []graph.NodeID) {
-				defer wwg.Done()
-				res, err := algo(f.sub, q, &match.Options{FocusRestrict: chunk})
-				if err != nil {
-					workerResults[ti] = taskResult{err: err}
-					return
-				}
-				global := make([]graph.NodeID, len(res.Matches))
-				for i, v := range res.Matches {
-					global[i] = f.toGlobal[v]
-				}
-				w := res.Metrics.Extensions + int64(res.Metrics.Verifications)
-				workerMax[ti] = w
-				workerResults[ti] = taskResult{matches: global, metrics: res.Metrics, work: w}
-			}(ti, chunk)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cr := &results[wi][ti]
+				cr.res, cr.err = bound.Run(&match.Options{FocusRestrict: chunk})
+			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wwg.Wait()
-			mu.Lock()
-			defer mu.Unlock()
-			for ti := range workerResults {
-				results = append(results, workerResults[ti])
-				if workerMax[ti] > simWork {
-					simWork = workerMax[ti]
-				}
-			}
-		}()
 	}
 	wg.Wait()
 
-	out := &Result{Wall: time.Since(start), SimWork: simWork}
-	seen := make(map[graph.NodeID]bool)
-	for _, tr := range results {
-		if tr.err != nil {
-			return nil, tr.err
-		}
-		out.Metrics.Add(tr.metrics)
-		out.TotalWork += tr.work
-		for _, v := range tr.matches {
-			if !seen[v] {
-				seen[v] = true
-				out.Matches = append(out.Matches, v)
+	out := &Result{Wall: time.Since(start)}
+	for wi, f := range c.frags {
+		for _, cr := range results[wi] {
+			if cr.err != nil {
+				return nil, cr.err
+			}
+			out.Metrics.Add(cr.res.Metrics)
+			w := cr.res.Metrics.Extensions + int64(cr.res.Metrics.Verifications)
+			out.TotalWork += w
+			out.SimWork = max(out.SimWork, w)
+			// Owned sets are disjoint, so no answer arrives twice.
+			for _, v := range cr.res.Matches {
+				out.Matches = append(out.Matches, f.toGlobal[v])
 			}
 		}
 	}
-	sort.Slice(out.Matches, func(i, j int) bool { return out.Matches[i] < out.Matches[j] })
+	slices.Sort(out.Matches)
 	return out, nil
 }
 
 // PQMatch runs the optimized engine with b threads per worker.
 func PQMatch(c *Cluster, q *core.Pattern, threads int) (*Result, error) {
-	return Run(c, q, EngineQMatch, threads)
-}
-
-// PQMatchS is PQMatch without intra-fragment parallelism.
-func PQMatchS(c *Cluster, q *core.Pattern) (*Result, error) {
-	return Run(c, q, EngineQMatch, 1)
-}
-
-// PQMatchN is the parallel version of QMatchN (no incremental evaluation).
-func PQMatchN(c *Cluster, q *core.Pattern, threads int) (*Result, error) {
-	return Run(c, q, EngineQMatchN, threads)
-}
-
-// PEnum is the parallel enumerate-then-verify baseline.
-func PEnum(c *Cluster, q *core.Pattern) (*Result, error) {
-	return Run(c, q, EngineEnum, 1)
+	return Run(c, q, "qmatch", threads)
 }
 
 // splitChunks partitions vs into at most n non-empty chunks of near-equal

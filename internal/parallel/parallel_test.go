@@ -1,7 +1,9 @@
 package parallel_test
 
 import (
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -96,7 +98,7 @@ func TestPQMatchEqualsSequentialGenerated(t *testing.T) {
 			t.Fatal(err)
 		}
 		cl := cluster(t, g, 4, need)
-		for _, engine := range []parallel.Engine{parallel.EngineQMatch, parallel.EngineQMatchN, parallel.EngineEnum} {
+		for _, engine := range []string{"qmatch", "qmatchn", "enum"} {
 			res, err := parallel.Run(cl, q, engine, 2)
 			if err != nil {
 				t.Fatalf("pattern %d engine %v: %v", pi, engine, err)
@@ -123,11 +125,11 @@ func TestWorkAccounting(t *testing.T) {
 	cl1 := cluster(t, g, 1, parallel.RequiredHops(q))
 	cl4 := cluster(t, g, 4, parallel.RequiredHops(q))
 
-	r1, err := parallel.PQMatchS(cl1, q)
+	r1, err := parallel.PQMatch(cl1, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := parallel.PQMatchS(cl4, q)
+	r4, err := parallel.PQMatch(cl4, q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +148,123 @@ func TestWorkAccounting(t *testing.T) {
 	}
 }
 
-func TestEngineString(t *testing.T) {
-	if parallel.EngineQMatch.String() != "PQMatch" ||
-		parallel.EngineQMatchN.String() != "PQMatchn" ||
-		parallel.EngineEnum.String() != "PEnum" {
-		t.Error("Engine.String broken")
+func TestUnknownEngineRejected(t *testing.T) {
+	cl := cluster(t, fixture.NewG1().G, 2, 2)
+	if _, err := parallel.Run(cl, fixture.Q2(), "bogus", 1); err == nil || !strings.Contains(err.Error(), `unknown engine "bogus"`) {
+		t.Fatalf("Run with an unknown engine: err = %v", err)
 	}
+}
+
+// chain is the pattern xo -r quant1→ z -r quant2→ y over nodes labelled a.
+func chain(quant1, quant2 core.Quantifier) *core.Pattern {
+	q := core.NewPattern()
+	q.AddNode("xo", "a")
+	q.AddNode("z", "a")
+	q.AddNode("y", "a")
+	q.AddEdge("xo", "z", "r", quant1)
+	q.AddEdge("z", "y", "r", quant2)
+	return q
+}
+
+func aGraph(n int, edges [][2]graph.NodeID) *graph.Graph {
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddNode("a")
+	}
+	for _, e := range edges {
+		g.AddEdge(e[0], e[1], "r")
+	}
+	g.Finalize()
+	return g
+}
+
+// ownerless counts the fragments that materialise nodes but own none: they
+// must answer nothing, not everything their incomplete neighbourhoods show.
+func ownerless(p *partition.Partition) int {
+	n := 0
+	for _, f := range p.Fragments {
+		if len(f.Nodes) > 0 && len(f.Owned) == 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOwnerlessFragmentAnswersNothing: with 5 workers at D=2, worker 0
+// materialises {0,1} and owns nothing. Over that fragment alone node 0
+// looks like an answer (its z = 1 has lost the edge 1→4 that disqualifies
+// it); an evaluation that took "no owned nodes" for "no restriction"
+// reported it.
+func TestOwnerlessFragmentAnswersNothing(t *testing.T) {
+	g := aGraph(6, [][2]graph.NodeID{{0, 0}, {0, 1}, {1, 4}, {2, 2}, {3, 0}, {4, 0}})
+	q := chain(core.Exists(), core.Negated())
+	p, err := partition.DPar(g, partition.Config{Workers: 5, D: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := p.Fragments[0]; !reflect.DeepEqual(f.Nodes, []graph.NodeID{0, 1}) || len(f.Owned) != 0 {
+		t.Fatalf("fragment 0 = nodes %v owned %v, want nodes [0 1] owning nothing", f.Nodes, f.Owned)
+	}
+	seq, err := match.QMatch(g, q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq.Matches) != 0 {
+		t.Fatalf("QMatch = %v, want no answer", seq.Matches)
+	}
+	for _, engine := range []string{"qmatch", "qmatchn", "enum"} {
+		res, err := parallel.Run(parallel.NewCluster(p), q, engine, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Matches) != 0 {
+			t.Errorf("%s over the partition = %v, QMatch = []", engine, res.Matches)
+		}
+	}
+}
+
+// TestPQMatchEqualsSequentialSmallPartitions sweeps the corner the
+// generated-graph tests never reach: more workers than the graph can feed,
+// so some fragments materialise border nodes and own none.
+func TestPQMatchEqualsSequentialSmallPartitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	patterns := []*core.Pattern{
+		chain(core.Exists(), core.Count(core.GE, 2)),
+		chain(core.Exists(), core.Negated()),
+	}
+	met := 0
+	for round := 0; round < 300; round++ {
+		n := 3 + rng.Intn(7)
+		var edges [][2]graph.NodeID
+		for i := rng.Intn(2 * n); i >= 0; i-- {
+			edges = append(edges, [2]graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))})
+		}
+		g := aGraph(n, edges)
+		for workers := 2; workers <= 6; workers++ {
+			p, err := partition.DPar(g, partition.Config{Workers: workers, D: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			met += ownerless(p)
+			cl := parallel.NewCluster(p)
+			for qi, q := range patterns {
+				seq, err := match.QMatch(g, q, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := parallel.PQMatch(cl, q, 1+rng.Intn(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameIDs(res.Matches, seq.Matches) {
+					t.Fatalf("round %d, %d workers, pattern %d, edges %v: PQMatch = %v, QMatch = %v",
+						round, workers, qi, edges, res.Matches, seq.Matches)
+				}
+			}
+		}
+	}
+	if met == 0 {
+		t.Fatal("the sweep met no fragment that materialises nodes and owns none")
+	}
+	t.Logf("owner-less non-empty fragments met: %d", met)
 }

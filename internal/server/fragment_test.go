@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -26,7 +27,7 @@ e 3 4 follow
 const fragPattern = "qgp\nn xo person *\nn z person\ne xo z follow >=2\n"
 
 // TestFragmentRestrictsAnswers: after fragment, match and watch answer
-// only for the owned focus candidates.
+// only for the owned focus candidates — for none when nothing is owned.
 func TestFragmentRestrictsAnswers(t *testing.T) {
 	c, _ := startServer(t, server.Config{})
 	nodes, edges, err := c.Fragment(fragGraph, []int64{0, 2})
@@ -76,6 +77,36 @@ func TestFragmentRestrictsAnswers(t *testing.T) {
 	}
 	if len(uresp.Deltas) != 1 || !reflect.DeepEqual(uresp.Deltas[0].Removed, server.IDList{0}) {
 		t.Fatalf("update deltas = %+v, want watch w -[0]", uresp.Deltas)
+	}
+
+	// A fragment that materialises nodes and owns none answers nothing, on
+	// every path that evaluates a pattern (unrestricted, 1 still matches).
+	if _, _, err := c.Fragment(fragGraph, []int64{}); err != nil {
+		t.Fatalf("fragment owning nothing: %v", err)
+	}
+	asks := []struct {
+		cmd string
+		ask func() (*server.Response, error)
+	}{
+		{"match", func() (*server.Response, error) { return c.Match(fragPattern, nil) }},
+		{"rpqfilter", func() (*server.Response, error) { return c.RPQFilter(fragPattern, "follow within 1 >=1") }},
+		{"watch", func() (*server.Response, error) { return c.Watch("nobody", fragPattern) }},
+		{"profile", func() (*server.Response, error) { return c.ProfileMatch(fragPattern, nil) }},
+	}
+	for _, a := range asks {
+		resp, err := a.ask()
+		if err != nil {
+			t.Fatalf("%s on a fragment owning nothing: %v", a.cmd, err)
+		}
+		if len(resp.Matches) != 0 || resp.Total != 0 {
+			t.Errorf("%s on a fragment owning nothing = %v (total %d), want no answer", a.cmd, resp.Matches, resp.Total)
+		}
+		if a.cmd == "profile" {
+			var doc server.MatchProfileDoc
+			if err := json.Unmarshal(resp.Profile, &doc); err != nil || doc.Profile == nil || len(doc.Profile.Patterns) != 0 {
+				t.Errorf("profile on a fragment owning nothing = %s (%v), want an empty profile", resp.Profile, err)
+			}
+		}
 	}
 }
 

@@ -572,6 +572,7 @@ func (s *Server) matchOptions(sess *session, req *Request) *match.Options {
 	if req.Planner {
 		opts.OrderBy = plan.OrderFunc(sess.g, sess.stats())
 	}
+	// Nil outside fragment mode; a fragment that owns nothing asks about nobody.
 	opts.FocusRestrict = sess.eng.Owned()
 	return opts
 }
@@ -606,19 +607,9 @@ func (s *Server) handleMatch(sess *session, req *Request, resp *Response, doc *M
 		}
 	}
 	t0 := time.Now()
-	var res *match.Result
-	if sess.eng.Restricted() && len(sess.eng.Owned()) == 0 {
-		// A fragment owning no nodes answers for nothing; Options.FocusRestrict
-		// cannot express an empty restriction (empty means unrestricted).
-		if _, err := core.Parse(req.Pattern); err != nil {
-			return err
-		}
-		res = &match.Result{Profile: &match.Profile{}}
-	} else {
-		var err error
-		if res, err = s.evaluate(sess, req, doc != nil); err != nil {
-			return err
-		}
+	res, err := s.evaluate(sess, req, doc != nil)
+	if err != nil {
+		return err
 	}
 	FillMatches(resp, res.Matches, req.Limit)
 	resp.Metrics = &res.Metrics
@@ -638,10 +629,6 @@ func (s *Server) handlePMatch(sess *session, req *Request, resp *Response) error
 	if err != nil {
 		return err
 	}
-	engine, err := parallel.ParseEngine(req.Engine)
-	if err != nil {
-		return err
-	}
 	workers := req.Workers
 	if workers <= 0 {
 		workers = 4
@@ -658,7 +645,7 @@ func (s *Server) handlePMatch(sess *session, req *Request, resp *Response) error
 	if err != nil {
 		return err
 	}
-	res, err := parallel.Run(parallel.NewCluster(p), q, engine, threads)
+	res, err := parallel.Run(parallel.NewCluster(p), q, req.Engine, threads)
 	if err != nil {
 		return err
 	}

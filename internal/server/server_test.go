@@ -205,6 +205,14 @@ func TestGenStatsPartitionPMatch(t *testing.T) {
 	if fmt.Sprint(seq.Matches) != fmt.Sprint(par.Matches) {
 		t.Fatalf("parallel %v != sequential %v", par.Matches, seq.Matches)
 	}
+	// pmatch forwards the engine name: enum is PEnum, an unknown one fails.
+	penum, err := c.Do(&server.Request{Cmd: "pmatch", Pattern: genPattern, Engine: "enum", Workers: 3})
+	if err != nil || fmt.Sprint(seq.Matches) != fmt.Sprint(penum.Matches) {
+		t.Fatalf("pmatch engine=enum: %v (err %v) != sequential %v", penum, err, seq.Matches)
+	}
+	if _, err := c.Do(&server.Request{Cmd: "pmatch", Pattern: genPattern, Engine: "bogus"}); err == nil || !strings.Contains(err.Error(), `unknown engine "bogus"`) {
+		t.Fatalf("pmatch with an unknown engine: err = %v", err)
+	}
 }
 
 func TestRuleCommand(t *testing.T) {
