@@ -16,7 +16,8 @@
 // each fragment is also shipped to k-1 warm replica sessions placed by a
 // WorkerPool, a failed primary is promoted over or re-shipped from the
 // authoritative graph, and Config.Journal records the durable state that
-// internal/ha replays after a coordinator restart.
+// internal/ha reads back after a coordinator restart and Recover rebuilds
+// the coordinator from.
 //
 // Correctness rests on Lemma 9(1): whether a node answers a pattern Q
 // depends only on the subgraph induced by its d-hop neighborhood, where
@@ -27,7 +28,6 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"log"
@@ -35,11 +35,11 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/server"
 )
 
 // Config tunes a Coordinator.
@@ -82,10 +82,10 @@ type Config struct {
 	// worker failure that no warm replica can cover fail-stops the
 	// coordinator.
 	Pool WorkerPool
-	// Journal, when set, receives the authoritative graph at
-	// construction and every accepted update batch (journaled before
-	// fan-out) and watch change, so internal/ha can rebuild the
-	// coordinator after a restart. Strictly off the hot path when nil.
+	// Journal, when set, receives the graph New is given and every
+	// accepted update batch (journaled before fan-out) and watch change,
+	// so Recover can rebuild the coordinator after a restart. Strictly
+	// off the hot path when nil.
 	Journal UpdateJournal
 	// Logf receives coordinator diagnostics — failovers, replica
 	// promotions, re-ships, dropped mirrors; nil means log.Printf.
@@ -192,11 +192,58 @@ type worker struct {
 // collapsed duplicate parallel edges — which Graph returns and updates
 // advance in place.
 //
+// With cfg.Journal set, g replaces the durable graph and clears the
+// durable watch set (UpdateJournal.SetGraph): New is for a new graph, a
+// restart over what the journal holds goes through Recover.
+//
 // On success the coordinator owns every transport it holds — ts and any
 // pool acquisitions — and releases them in Close. On error the caller
 // keeps ownership of ts; sessions New acquired from the pool are closed
 // before returning.
 func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
+	c, err := build(g, ts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Journal != nil {
+		if err := cfg.Journal.SetGraph(c.g); err != nil {
+			c.closeAcquired(ts)
+			return nil, fmt.Errorf("cluster: journal: %w", err)
+		}
+	}
+	return c, nil
+}
+
+// Recover rebuilds a coordinator after a restart from what the journal
+// read back: g is fragmented and shipped as in New and every watch (name →
+// pattern DSL) registered in ascending name order. cfg.Journal is attached
+// only once all of that has succeeded, so recovery writes nothing to it —
+// it already holds this state — and a failed or interrupted recovery
+// leaves the durable state as it was. Ownership of ts is as with New.
+func Recover(g *graph.Graph, watches map[string]string, ts []Transport, cfg Config) (*Coordinator, error) {
+	journal := cfg.Journal
+	cfg.Journal = nil
+	c, err := build(g, ts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range sortedKeys(watches) {
+		q, err := core.Parse(watches[name])
+		if err == nil {
+			_, err = c.Watch(name, q)
+		}
+		if err != nil {
+			c.closeAcquired(ts)
+			return nil, fmt.Errorf("cluster: recovering watch %q: %w", name, err)
+		}
+	}
+	c.cfg.Journal = journal
+	return c, nil
+}
+
+// build is the construction New and Recover share: partition, ownership
+// bookkeeping, fragments shipped. It never calls cfg.Journal.
+func build(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 	if len(ts) == 0 {
 		return nil, errors.New("cluster: need at least one worker transport")
 	}
@@ -234,20 +281,17 @@ func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 	// fragment: the weight a fragment's sessions add to a pool endpoint.
 	ownedLoad := p.OwnedCounts()
 	err = c.fanOut(func(w *worker) error {
-		f := p.Fragments[w.id]
-		sub, toGlobal := g.Induced(f.Nodes)
-		for _, gv := range toGlobal {
+		// Local ids follow the node list's order, here and on a re-ship.
+		for _, gv := range p.Fragments[w.id].Nodes {
 			w.ids.add(gv)
 			if owner[gv] == w.id {
 				w.ids.setOwned(gv)
 			}
 		}
-		ownedLocal := w.ids.ownedLocal()
-		var buf bytes.Buffer
-		if _, err := sub.WriteTo(&buf); err != nil {
-			return fmt.Errorf("cluster: worker %d: serialize fragment: %w", w.id, err)
+		ship, err := w.shipRequest(g)
+		if err != nil {
+			return fmt.Errorf("cluster: %w", err)
 		}
-		ship := &server.Request{Cmd: "fragment", Data: buf.String(), Owned: ownedLocal}
 		if _, err := w.primary.t.Do(ship); err != nil {
 			return &WorkerError{Worker: w.id, Op: "fragment", Err: err}
 		}
@@ -261,14 +305,8 @@ func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 		return nil
 	})
 	if err != nil {
-		c.closeReplicasLocked()
+		c.closeAcquired(ts)
 		return nil, err
-	}
-	if cfg.Journal != nil {
-		if err := cfg.Journal.SetGraph(g); err != nil {
-			c.closeReplicasLocked()
-			return nil, fmt.Errorf("cluster: journal: %w", err)
-		}
 	}
 	return c, nil
 }

@@ -63,6 +63,8 @@ type DurableState struct {
 	// re-registered when the recovered graph's cluster is built. Names
 	// are coordinator-global: tenant-encoded (tenant.GlobalName) when
 	// written by this build, bare legacy names from older journals.
+	// Graph and Watches are read once: the front end nils both when
+	// recovery has succeeded or gen/load has superseded it.
 	Watches map[string]string
 }
 
@@ -96,9 +98,8 @@ type Frontend struct {
 	// coord is the shared coordinator, nil until gen, load or durable
 	// recovery builds it. Written under smu; atomic so Health can read it
 	// while a rebuild holds smu.
-	coord  atomic.Pointer[Coordinator]
-	stop   func() // OnSession cleanup for coord (e.g. a health monitor)
-	srecov bool   // durable recovery applied (or superseded by gen/load)
+	coord atomic.Pointer[Coordinator]
+	stop  func() // OnSession cleanup for coord (e.g. a health monitor)
 }
 
 // NewFrontend returns a front-end server for the shared cluster session.
@@ -271,36 +272,12 @@ func (f *Frontend) dispatch(cs *connState, req *server.Request, resp *server.Res
 		resp.Deltas = ds
 		resp.Session = cs.tenant
 		return nil
-	case "watch":
-		if err := f.ensureTenant(cs); err != nil {
-			return err
-		}
-		if err := f.tenants.Admit(cs.tenant, "watch"); err != nil {
-			return err
-		}
-		q, err := core.Parse(req.Pattern)
-		if err != nil {
-			return err
-		}
-		// The tenant manager registers the encoded global name through
-		// this front end (tenant.Registrar), reaching the shared
-		// coordinator underneath.
-		answers, err := f.tenants.Watch(cs.tenant, req.Watch, q)
-		if err != nil {
-			return err
-		}
-		server.FillMatches(resp, answers, req.Limit)
-		resp.Session = cs.tenant
-		return nil
-	case "unwatch":
-		if err := f.ensureTenant(cs); err != nil {
-			return err
-		}
-		return f.tenants.Unwatch(cs.tenant, req.Watch)
 	}
 
 	// Everything else runs against the shared coordinator, so a missing
-	// graph is reported before anything command-specific.
+	// graph is reported before anything command-specific — and durable
+	// recovery has restored the tenants' watch tables before watch or
+	// unwatch consults them.
 	coord, err := f.sharedCoordinator()
 	if err != nil {
 		return err
@@ -331,6 +308,32 @@ func (f *Frontend) dispatch(cs *connState, req *server.Request, resp *server.Res
 			return f.handleMatch(coord, cs, req, resp, true)
 		}
 		return fmt.Errorf("profile: request carries neither a pattern nor an update batch")
+	case "watch":
+		if err := f.ensureTenant(cs); err != nil {
+			return err
+		}
+		if err := f.tenants.Admit(cs.tenant, "watch"); err != nil {
+			return err
+		}
+		q, err := core.Parse(req.Pattern)
+		if err != nil {
+			return err
+		}
+		// The tenant manager registers the encoded global name through
+		// this front end (tenant.Registrar), reaching the shared
+		// coordinator underneath.
+		answers, err := f.tenants.Watch(cs.tenant, req.Watch, q)
+		if err != nil {
+			return err
+		}
+		server.FillMatches(resp, answers, req.Limit)
+		resp.Session = cs.tenant
+		return nil
+	case "unwatch":
+		if err := f.ensureTenant(cs); err != nil {
+			return err
+		}
+		return f.tenants.Unwatch(cs.tenant, req.Watch)
 	case "stats":
 		return f.handleStats(coord, cs, req, resp)
 	case "partition":
@@ -413,42 +416,21 @@ func (f *Frontend) sharedCoordinator() (*Coordinator, error) {
 }
 
 // recoverLocked builds the shared cluster from journal-recovered state on
-// the first request after a durable restart: the graph is re-fragmented
-// and re-shipped, every recovered watch re-registered under its global
-// name, and the tenant manager's per-session watch tables rebuilt by
-// decoding those names. Callers hold smu.
+// the first request after a durable restart: Recover re-fragments,
+// re-ships and re-registers every recovered watch under its global name,
+// and the tenant manager rebuilds its per-session watch tables from the
+// same names. The recovered copies are then dropped: a nil Durable.Graph
+// is "nothing (left) to recover". Callers hold smu.
 func (f *Frontend) recoverLocked() error {
-	if f.srecov {
+	d := f.cfg.Durable
+	if d == nil || d.Graph == nil {
 		return nil
 	}
-	if f.cfg.Durable == nil || f.cfg.Durable.Graph == nil {
-		f.srecov = true
-		return nil
-	}
-	coord, err := f.buildCluster(f.cfg.Durable.Graph)
-	if err != nil {
+	if _, err := f.buildCluster(d.Graph, true); err != nil {
 		return fmt.Errorf("recovering journaled cluster: %w", err)
 	}
-	for _, name := range sortedKeys(f.cfg.Durable.Watches) {
-		q, err := core.Parse(f.cfg.Durable.Watches[name])
-		if err == nil {
-			_, err = coord.Watch(name, q)
-		}
-		if err != nil {
-			f.closeClusterLocked()
-			return fmt.Errorf("recovering watch %q: %w", name, err)
-		}
-	}
-	tables := make(map[string]map[string]string)
-	for name, pattern := range f.cfg.Durable.Watches {
-		tn, w := tenant.SplitName(name)
-		if tables[tn] == nil {
-			tables[tn] = make(map[string]string)
-		}
-		tables[tn][w] = pattern
-	}
-	f.tenants.Restore(tables)
-	f.srecov = true
+	f.tenants.Restore(d.Watches)
+	d.Graph, d.Watches = nil, nil
 	return nil
 }
 
@@ -462,8 +444,10 @@ func (f *Frontend) handleGraph(req *server.Request, resp *server.Response) error
 	}
 	f.smu.Lock()
 	defer f.smu.Unlock()
-	f.srecov = true // an explicit graph supersedes journal recovery
-	coord, err := f.buildCluster(g)
+	if d := f.cfg.Durable; d != nil { // an explicit graph supersedes journal recovery
+		d.Graph, d.Watches = nil, nil
+	}
+	coord, err := f.buildCluster(g, false)
 	if err != nil {
 		return err
 	}
@@ -550,9 +534,10 @@ func (f *Frontend) Health() (interface{}, error) {
 
 // buildCluster replaces the shared coordinator with a fresh one over g:
 // fresh worker transports, and for a durable front end the journal is
-// attached (cluster.New records g as the new durable graph). Callers hold
-// smu.
-func (f *Frontend) buildCluster(g *graph.Graph) (*Coordinator, error) {
+// attached. A gen/load graph goes through New, which makes g the durable
+// graph and clears the durable watch set; the recovered graph goes through
+// Recover, which leaves the journal as it found it. Callers hold smu.
+func (f *Frontend) buildCluster(g *graph.Graph, recovered bool) (*Coordinator, error) {
 	// The old cluster's sessions are released first: a failed rebuild
 	// leaves the front end refusing queries (server.ErrNoGraph via the nil
 	// coordinator) rather than serving a graph the client believes it
@@ -576,9 +561,14 @@ func (f *Frontend) buildCluster(g *graph.Graph) (*Coordinator, error) {
 		// makes no sense here. An explicit positive cap is respected.
 		ccfg.MaxWatches = -1
 	}
-	coord, err := New(g, ts, ccfg)
+	var coord *Coordinator
+	if recovered {
+		coord, err = Recover(g, f.cfg.Durable.Watches, ts, ccfg)
+	} else {
+		coord, err = New(g, ts, ccfg)
+	}
 	if err != nil {
-		CloseAll(ts) // New failed: ownership stayed with us
+		CloseAll(ts) // construction failed: ownership stayed with us
 		return nil, err
 	}
 	f.coord.Store(coord)

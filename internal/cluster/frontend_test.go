@@ -13,13 +13,21 @@ import (
 
 func startFrontend(t *testing.T, workers int) *client.Client {
 	t.Helper()
-	fe := NewFrontend(FrontendConfig{
+	_, c := startFrontendWith(t, FrontendConfig{
 		Cluster: Config{D: 2},
 		NewWorkers: func() ([]Transport, error) {
 			return InProcessN(workers, server.Config{}), nil
 		},
-		Logf: func(string, ...interface{}) {},
 	})
+	return c
+}
+
+// startFrontendWith serves a quiet front end built from cfg on a loopback
+// listener and connects one client; both are torn down with the test.
+func startFrontendWith(t *testing.T, cfg FrontendConfig) (*Frontend, *client.Client) {
+	t.Helper()
+	cfg.Logf = func(string, ...interface{}) {}
+	fe := NewFrontend(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +43,7 @@ func startFrontend(t *testing.T, workers int) *client.Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return c
+	return fe, c
 }
 
 // TestFrontendEndToEnd drives a 2-worker cluster through the front-end

@@ -507,13 +507,13 @@ func (c *Coordinator) Close() error {
 	return first
 }
 
-// closeReplicasLocked releases every pool-acquired replica; New's error
-// path uses it so a failed construction does not leak pool sessions
-// (the caller keeps ownership of the primary transports it passed in).
-func (c *Coordinator) closeReplicasLocked() {
-	for _, w := range c.workers {
-		if w == nil {
-			continue
+// closeAcquired releases every session the coordinator took from the pool
+// — warm replicas, and any primary a failover put in place of ts[i] — so
+// a failed New or Recover leaks none while the caller keeps ts.
+func (c *Coordinator) closeAcquired(ts []Transport) {
+	for i, w := range c.workers {
+		if w.primary.t != ts[i] {
+			w.primary.t.Close()
 		}
 		for _, r := range w.replicas {
 			r.t.Close()

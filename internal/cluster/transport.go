@@ -52,14 +52,15 @@ type ReadTracker interface {
 	ReadLoad() int
 }
 
-// UpdateJournal receives the coordinator's durable state: the
-// authoritative graph at construction and every accepted update batch
-// and watch change. internal/ha implements it over internal/store's
-// snapshot+journal so a restarted coordinator can replay, re-fragment,
-// re-ship and re-register watches (ha.Recover).
+// UpdateJournal receives the coordinator's durable state: the graph a
+// new cluster is built over and every accepted update batch and watch
+// change. internal/ha implements it over internal/store's
+// snapshot+journal; after a restart what it read back goes to Recover,
+// which re-fragments, re-ships and re-registers without a call here.
 type UpdateJournal interface {
-	// SetGraph replaces the durable graph (called by New with the
-	// authoritative graph once fragments are shipped).
+	// SetGraph: a new graph replaces the durable state and clears the
+	// watch set. New calls it once fragments are shipped; it is never
+	// called on recovery.
 	SetGraph(g *graph.Graph) error
 	// AppendBatch records an accepted update batch; the coordinator
 	// calls it after validating the batch against the authoritative

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/client"
@@ -188,10 +187,5 @@ func (c *Coordinator) Unwatch(name string) error {
 func (c *Coordinator) Watches() []string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.watches))
-	for name := range c.watches {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+	return sortedKeys(c.watches)
 }

@@ -73,8 +73,8 @@ func newJournalMetrics(reg *obs.Registry) journalMetrics {
 // (watches.json, replaced atomically). It implements
 // cluster.UpdateJournal, so a coordinator built with Config.Journal set
 // records every accepted update batch before fan-out; OpenJournal on
-// the same directory after a restart recovers the graph and watches for
-// Recover to rebuild the cluster from.
+// the same directory after a restart reads the graph and watches back for
+// cluster.Recover to rebuild the coordinator from.
 type Journal struct {
 	dir  string
 	opts JournalOptions
@@ -165,23 +165,6 @@ func (j *Journal) Watches() map[string]string {
 	out := make(map[string]string, len(j.watches))
 	for k, v := range j.watches {
 		out[k] = v
-	}
-	return out
-}
-
-// TenantWatches returns the standing-watch set grouped by tenant session
-// (global names decoded with tenant.SplitName; bare legacy names land
-// under tenant ""). The shape tenant.Manager.Restore takes.
-func (j *Journal) TenantWatches() map[string]map[string]string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make(map[string]map[string]string)
-	for name, pattern := range j.watches {
-		tn, w := tenant.SplitName(name)
-		if out[tn] == nil {
-			out[tn] = make(map[string]string)
-		}
-		out[tn][w] = pattern
 	}
 	return out
 }
@@ -297,8 +280,10 @@ func (j *Journal) Close() error {
 	return j.st.Close()
 }
 
-// writeWatchesLocked replaces watches.json atomically (tmp + rename),
-// mirroring the store's manifest discipline. The on-disk shape is the v2
+// writeWatchesLocked replaces watches.json atomically (tmp + rename);
+// under Options.Fsync the temp file is synced before the rename, as the
+// store's snapshot write does, so an acknowledged watch change is as
+// durable as an acknowledged batch. The on-disk shape is the v2
 // tenant-grouped manifest; the in-memory map stays flat (global names).
 func (j *Journal) writeWatchesLocked() error {
 	m := watchManifest{V: 2, Tenants: make(map[string]map[string]string)}
@@ -315,7 +300,17 @@ func (j *Journal) writeWatchesLocked() error {
 	}
 	path := filepath.Join(j.dir, watchesName)
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("ha: %w", err)
+	}
+	if _, err = f.Write(b); err == nil && j.opts.Fsync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("ha: %w", err)
 	}
 	return os.Rename(tmp, path)

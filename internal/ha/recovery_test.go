@@ -92,7 +92,11 @@ func TestJournalRecovery(t *testing.T) {
 		t.Fatal("journal directory reports no recoverable state")
 	}
 	pool2 := NewSpawnPool(4, server.Config{})
-	c2, err := Recover(j2, pool2, 4, cluster.Config{D: 2, Replicas: 2})
+	ts2, err := pool2.Primaries(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := cluster.Recover(j2.Graph(), j2.Watches(), ts2, cluster.Config{D: 2, Replicas: 2, Pool: pool2, Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +244,11 @@ func TestJournalRecoveryVersionedReplayExact(t *testing.T) {
 	}
 	defer j2.Close()
 	pool2 := NewSpawnPool(2, server.Config{})
-	c2, err := Recover(j2, pool2, 2, cluster.Config{D: 2})
+	ts2, err := pool2.Primaries(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err := cluster.Recover(j2.Graph(), j2.Watches(), ts2, cluster.Config{D: 2, Pool: pool2, Journal: j2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -743,19 +743,20 @@ func (m *Manager) Stop() {
 	m.done = nil
 }
 
-// Restore rebuilds the tenant table from journal-recovered watch tables
-// (tenant -> local watch -> pattern): the watches are already live on the
-// recovered coordinator, so no registrar round trips. Sessions restore
-// with zero connections; they persist until attached or idle-evicted.
-func (m *Manager) Restore(tables map[string]map[string]string) {
+// Restore rebuilds the tenant table from the journal-recovered watch set
+// (global name → pattern, decoded with SplitName): the watches are already
+// live on the recovered coordinator, so no registrar round trips. Sessions
+// restore with zero connections; they persist until attached or
+// idle-evicted. Bare legacy names (a pre-tenant journal) stay registered
+// on the coordinator but belong to no session.
+func (m *Manager) Restore(watches map[string]string) {
 	now := m.now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	total := int64(0)
-	for tn, watches := range tables {
+	for name, pattern := range watches {
+		tn, w := SplitName(name)
 		if tn == "" {
-			// Legacy un-namespaced watches (pre-tenant journal); they stay
-			// registered on the coordinator but belong to no session.
 			continue
 		}
 		st, ok := m.tenants[tn]
@@ -768,11 +769,9 @@ func (m *Manager) Restore(tables map[string]map[string]string) {
 			m.tenants[tn] = st
 			st.lastSeen = now
 		}
-		for w, pattern := range watches {
-			if _, dup := st.watches[w]; !dup {
-				st.watches[w] = pattern
-				total++
-			}
+		if _, dup := st.watches[w]; !dup {
+			st.watches[w] = pattern
+			total++
 		}
 	}
 	m.mActive.Set(int64(len(m.tenants)))

@@ -345,9 +345,9 @@ func TestIdleEviction(t *testing.T) {
 func TestRestoreAndReset(t *testing.T) {
 	reg := &fakeRegistrar{}
 	m := NewManager(Config{}, reg)
-	m.Restore(map[string]map[string]string{
-		"alice": {"w": "p1"},
-		"":      {"legacy": "p2"}, // pre-tenant journal watches: no session
+	m.Restore(map[string]string{
+		GlobalName("alice", "w"): "p1",
+		"legacy":                 "p2", // pre-tenant journal watches: no session
 	})
 	infos := m.List()
 	if len(infos) != 1 || infos[0].Name != "alice" || infos[0].Watches != 1 {
