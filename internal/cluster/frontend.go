@@ -438,7 +438,7 @@ func (f *Frontend) recoverLocked() error {
 // tenant's watch table reset (their watches and version fences died with
 // the old coordinator).
 func (f *Frontend) handleGraph(req *server.Request, resp *server.Response) error {
-	g, err := f.buildGraph(req)
+	g, err := server.BuildGraph(req, f.cfg.MaxGraphSize)
 	if err != nil {
 		return err
 	}
@@ -454,20 +454,6 @@ func (f *Frontend) handleGraph(req *server.Request, resp *server.Response) error
 	f.tenants.Reset()
 	resp.Nodes, resp.Edges = coord.Size()
 	return nil
-}
-
-// buildGraph constructs and size-checks a gen/load graph; the
-// construction is shared with the single server (server.BuildGraph), so
-// the two vocabularies cannot diverge.
-func (f *Frontend) buildGraph(req *server.Request) (*graph.Graph, error) {
-	g, err := server.BuildGraph(req)
-	if err != nil {
-		return nil, err
-	}
-	if g.Size() > f.cfg.MaxGraphSize {
-		return nil, fmt.Errorf("graph size %d exceeds front-end cap %d", g.Size(), f.cfg.MaxGraphSize)
-	}
-	return g, nil
 }
 
 // Watch implements tenant.Registrar: tenant watches land on the current

@@ -1,0 +1,129 @@
+package cluster
+
+import (
+	"errors"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/client"
+	"repro/internal/fixture"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/server"
+)
+
+// flakyPool hands out sessions that fail the commands named in failOn,
+// one entry per Get, then healthy ones.
+type flakyPool struct {
+	*testPool
+	failOn []string
+}
+
+func (p *flakyPool) Get(weight int, avoid map[int]bool) (Transport, int, error) {
+	t, ep, err := p.testPool.Get(weight, avoid)
+	if err == nil && len(p.failOn) > 0 {
+		t, p.failOn = &flakyTransport{Transport: t, failOn: p.failOn[0]}, p.failOn[1:]
+	}
+	return t, ep, err
+}
+
+// TestShippedFragmentEqualsText: what shipRequest puts on the wire — the
+// binary graph format — leaves a worker session holding exactly what the
+// text format through client.Fragment leaves: the same counts, the same
+// owned set, the same local answers to the six-pattern mix. And a
+// fragment re-shipped after its primary was killed — the first attempt
+// dying in the fragment command itself — still answers like a single
+// process.
+func TestShippedFragmentEqualsText(t *testing.T) {
+	g := gen.Social(gen.DefaultSocial(400, 17))
+	pool := &flakyPool{testPool: newTestPool(4)}
+	ts := InProcessN(2, server.Config{})
+	c, err := New(g, ts, Config{D: 2, Pool: pool, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	for _, w := range c.workers {
+		ship, err := w.shipRequest(c.Graph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ship.Format != "binary" {
+			t.Fatalf("fragment %d ships as format %q, want binary", w.id, ship.Format)
+		}
+		sub, _ := graph.InducedOf(c.Graph(), w.ids.toGlobal)
+		var text strings.Builder
+		if _, err := sub.WriteTo(&text); err != nil {
+			t.Fatal(err)
+		}
+		if len(ship.Data) >= text.Len()/2 {
+			t.Errorf("fragment %d: %d bytes of binary against %d of text", w.id, len(ship.Data), text.Len())
+		}
+		tc := InProcess(server.Config{}).(*client.Client)
+		t.Cleanup(func() { tc.Close() })
+		if _, _, err := tc.Fragment(text.String(), ship.Owned); err != nil {
+			t.Fatalf("text fragment %d: %v", w.id, err)
+		}
+		both := func(req server.Request) (*server.Response, *server.Response) {
+			t.Helper()
+			viaText, err := tc.Do(&req)
+			if err != nil {
+				t.Fatalf("fragment %d shipped as text: %s: %v", w.id, req.Cmd, err)
+			}
+			shipped, err := w.primary.t.Do(&req)
+			if err != nil {
+				t.Fatalf("fragment %d as shipped: %s: %v", w.id, req.Cmd, err)
+			}
+			return viaText, shipped
+		}
+		a, b := both(server.Request{Cmd: "ping"})
+		if a.Nodes != b.Nodes || a.Edges != b.Edges || a.Owned != b.Owned || !b.Fragment ||
+			b.Nodes != sub.NumNodes() || b.Edges != sub.NumEdges() || b.Owned != len(ship.Owned) {
+			t.Fatalf("fragment %d: text session holds %d/%d owning %d, shipped session %d/%d owning %d, coordinator %d/%d owning %d",
+				w.id, a.Nodes, a.Edges, a.Owned, b.Nodes, b.Edges, b.Owned, sub.NumNodes(), sub.NumEdges(), len(ship.Owned))
+		}
+		// Every owned person answers the one-node pattern, so its
+		// answers are the owned set as the session holds it.
+		patterns := []string{"qgp\nn xo person *\n"}
+		for _, m := range fixture.Mix {
+			patterns = append(patterns, m.DSL)
+		}
+		for _, dsl := range patterns {
+			a, b := both(server.Request{Cmd: "match", Pattern: dsl})
+			if !reflect.DeepEqual(a.Matches, b.Matches) {
+				t.Fatalf("fragment %d, %q: text session answers %v, shipped session %v", w.id, dsl, a.Matches, b.Matches)
+			}
+		}
+	}
+
+	answersEqualSingleProcess := func(when string) {
+		t.Helper()
+		for _, m := range fixture.Mix {
+			q := mustParse(t, m.DSL)
+			got, err := c.Match(q)
+			if err != nil {
+				t.Fatalf("%s: %v", when, err)
+			}
+			if want := globalAnswers(t, c.Graph(), q); !reflect.DeepEqual(nodeIDs(got.Matches), nodeIDs(want)) {
+				t.Fatalf("%s, %s: cluster answers %v, single process %v", when, m.Name, got.Matches, want)
+			}
+		}
+	}
+	answersEqualSingleProcess("as built")
+
+	// Kill fragment 0's primary. There is no replica, so the next read
+	// re-ships; the first pool session dies in the fragment command.
+	pool.failOn = []string{"fragment"}
+	ts[0].Close()
+	_, err = c.Match(mustParse(t, fixture.Mix[0].DSL))
+	var we *WorkerError
+	if !errors.As(err, &we) || we.Worker != 0 || !strings.Contains(err.Error(), "shipping fragment") {
+		t.Fatalf("match while the re-ship fails: %v, want a WorkerError for worker 0 naming the shipment", err)
+	}
+	answersEqualSingleProcess("after the re-ship")
+	if pool.handedCount() != 2 {
+		t.Fatalf("pool handed out %d sessions, want the failed one and its successor", pool.handedCount())
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary format: a compact serialization for large graphs (the text format
@@ -76,8 +77,12 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadBinary parses a graph in the binary format and finalizes it.
-func ReadBinary(r io.Reader) (*Graph, error) {
+// ReadBinary parses a graph in the binary format and finalizes it. The
+// input may come from the network: maxSize bounds |V|+|E| as the stream
+// declares them, so an over-cap graph is refused from its counts, before
+// its nodes or edges are read (math.MaxInt for a trusted source), and
+// nothing is allocated from a declared count, only from bytes present.
+func ReadBinary(r io.Reader, maxSize int) (*Graph, error) {
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -120,6 +125,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if nNodes > 1<<31 {
 		return nil, fmt.Errorf("graph: implausible node count %d", nNodes)
 	}
+	if nNodes > uint64(maxSize) {
+		return nil, fmt.Errorf("graph: %d nodes exceed the size cap %d", nNodes, maxSize)
+	}
 	for i := uint64(0); i < nNodes; i++ {
 		l, err := get()
 		if err != nil {
@@ -134,6 +142,9 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	nEdges, err := get()
 	if err != nil {
 		return nil, fmt.Errorf("graph: edge count: %w", err)
+	}
+	if nEdges > uint64(maxSize)-nNodes {
+		return nil, fmt.Errorf("graph: %d nodes and %d edges exceed the size cap %d", nNodes, nEdges, maxSize)
 	}
 	prev := uint64(0)
 	for i := uint64(0); i < nEdges; i++ {
@@ -166,7 +177,7 @@ func ReadAuto(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(4)
 	if err == nil && [4]byte(head) == binaryMagic {
-		return ReadBinary(br)
+		return ReadBinary(br, math.MaxInt)
 	}
 	return Read(br)
 }

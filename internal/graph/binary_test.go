@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if err := g.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadBinary(&buf)
+	h, err := ReadBinary(&buf, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		if err := g.WriteBinary(&buf); err != nil {
 			return false
 		}
-		h, err := ReadBinary(&buf)
+		h, err := ReadBinary(&buf, math.MaxInt)
 		if err != nil {
 			return false
 		}
@@ -90,7 +91,7 @@ func TestReadBinaryErrors(t *testing.T) {
 		append([]byte("QGP1"), 1, 2, 'a'), // truncated label
 	}
 	for i, in := range cases {
-		if _, err := ReadBinary(bytes.NewReader(in)); err == nil {
+		if _, err := ReadBinary(bytes.NewReader(in), math.MaxInt); err == nil {
 			t.Errorf("case %d: ReadBinary succeeded on garbage", i)
 		}
 	}
@@ -106,7 +107,7 @@ func TestReadBinaryErrors(t *testing.T) {
 	raw := buf.Bytes()
 	// Append a fake edge count region by corrupting the tail: simplest is
 	// to truncate mid-stream and check the error paths fire.
-	if _, err := ReadBinary(bytes.NewReader(raw[:len(raw)-1])); err == nil {
+	if _, err := ReadBinary(bytes.NewReader(raw[:len(raw)-1]), math.MaxInt); err == nil {
 		// A 1-node 0-edge graph's last byte is the edge count; dropping it
 		// must fail.
 		t.Error("truncated stream accepted")

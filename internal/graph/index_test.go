@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -134,7 +135,7 @@ func TestIndexAcrossCopies(t *testing.T) {
 	if err := g.WriteBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := ReadBinary(&bin)
+	fromBin, err := ReadBinary(&bin, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,7 @@ package partition
 
 import (
 	"fmt"
-
-	"repro/internal/graph"
+	"slices"
 )
 
 // Extend incrementally adapts a d-hop preserving partition to a larger
@@ -27,30 +26,11 @@ func (p *Partition) Extend(dNew int) (*Partition, error) {
 
 	bfs := newBFS(p.G.NumNodes())
 	for i, f := range p.Fragments {
-		present := make(map[graph.NodeID]bool, len(f.Nodes))
-		for _, v := range f.Nodes {
-			present[v] = true
-		}
-		work := f.Work
-		for _, v := range f.Owned {
-			nd := bfs.neighborhood(p.G, v, dNew)
-			loaded := 0
-			for _, u := range nd {
-				if !present[u] {
-					present[u] = true
-					loaded++
-				}
-			}
-			// Incremental cost: only newly loaded data plus the ring scan.
-			work += loaded + 1
-		}
-		nf := &Fragment{
-			Worker: f.Worker,
-			Owned:  append([]graph.NodeID(nil), f.Owned...),
-			Work:   work,
-		}
-		nf.Nodes = sortedKeys(present)
-		nf.Size = fragmentSize(p.G, present)
+		nf := &Fragment{Worker: f.Worker, Owned: slices.Clone(f.Owned)}
+		nf.Nodes, nf.Size = bfs.load(p.G, f.Nodes, f.Owned, dNew)
+		// Incremental cost: only newly loaded data plus one ring scan per
+		// owned node.
+		nf.Work = f.Work + len(nf.Nodes) - len(f.Nodes) + len(f.Owned)
 		out.Fragments[i] = nf
 	}
 	return out, nil

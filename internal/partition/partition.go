@@ -9,7 +9,7 @@ package partition
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -47,11 +47,13 @@ type Partition struct {
 //
 //  1. base partition: a BFS-ordered chunking into Workers balanced pieces
 //     (BFS order keeps neighborhoods contiguous, shrinking borders);
-//  2. border discovery: nodes whose d-hop neighborhood leaves their chunk;
+//  2. border discovery: nodes whose d-hop neighborhood leaves their chunk,
+//     their neighborhoods sized 64 per sweep (blockBFS);
 //  3. balanced loading: each border node's Nd(v) is assigned to a fragment
 //     by the multiple-knapsack heuristic, subject to the c·|G|/n cap;
 //  4. completion: still-uncovered nodes go to the currently smallest
-//     fragment, so the partition is complete.
+//     fragment, so the partition is complete; each fragment then loads
+//     its chunk plus the neighborhoods it was assigned in one BFS.
 func DPar(g *graph.Graph, cfg Config) (*Partition, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("partition: need at least 1 worker, got %d", cfg.Workers)
@@ -81,64 +83,56 @@ func DPar(g *graph.Graph, cfg Config) (*Partition, error) {
 	}
 
 	// (2) Border discovery with early exit: the BFS from v stops at the
-	// first foreign node. Full neighborhoods are collected only for border
-	// nodes. Work accounting: each worker scans its chunk.
-	type borderNode struct {
-		v     graph.NodeID
-		nodes []graph.NodeID // Nd(v)
-		size  int
-	}
-	var borders []borderNode
-	fragNodes := make([]map[graph.NodeID]bool, n)
-	for i := range fragNodes {
-		fragNodes[i] = make(map[graph.NodeID]bool)
-	}
-	for _, v := range order {
-		fragNodes[home[v]][v] = true
-	}
+	// first foreign node. Neighborhoods are sized only for border nodes,
+	// 64 per sweep, and never stored. Work accounting: each worker scans
+	// its chunk and walks its border nodes' neighborhoods.
+	var borders []graph.NodeID
 	bfs := newBFS(g.NumNodes())
 	for _, v := range order {
 		h := home[v]
-		inside, visited := bfs.insideFragment(g, v, cfg.D, home, h)
+		foreign, visited := bfs.insideFragment(g, v, cfg.D, home, h)
 		p.Fragments[h].Work += visited
-		if inside {
+		if foreign < 0 {
 			p.Fragments[h].Owned = append(p.Fragments[h].Owned, v)
-			continue
+		} else {
+			borders = append(borders, v)
 		}
-		nd := bfs.neighborhood(g, v, cfg.D)
-		p.Fragments[h].Work += len(nd)
-		borders = append(borders, borderNode{
-			v:     v,
-			nodes: append([]graph.NodeID(nil), nd...),
-			size:  bfs.size(g, nd),
-		})
+	}
+	count, size := newBlockBFS(g.NumNodes()).sizeAll(g, borders, cfg.D)
+	for i, v := range borders {
+		p.Fragments[home[v]].Work += count[i]
 	}
 
 	// (3) Balanced neighborhood loading via MKP.
 	capTotal := int(cfg.BalanceC * float64(g.Size()) / float64(n))
-	caps := make([]int, n)
-	baseSizes := baseFragmentSizes(g, fragNodes)
-	for i := range caps {
-		caps[i] = capTotal - baseSizes[i]
-		if caps[i] < 0 {
-			caps[i] = 0
+	loads := make([]int, n) // base chunk sizes, then plus what each bin is given
+	for v, h := range home {
+		loads[h]++
+		for _, e := range g.Out(graph.NodeID(v)) {
+			if home[e.To] == h {
+				loads[h]++
+			}
 		}
+	}
+	caps := make([]int, n)
+	for i := range caps {
+		caps[i] = max(capTotal-loads[i], 0)
 	}
 	items := make([]Item, len(borders))
-	for i, b := range borders {
-		items[i] = Item{ID: i, Weight: b.size, Prefer: home[b.v]}
+	for i, v := range borders {
+		items[i] = Item{ID: i, Weight: size[i], Prefer: home[v]}
 	}
 	assignment := AssignMKP(items, caps)
-	loads := append([]int(nil), baseSizes...)
+	given := make([][]graph.NodeID, n)
+	give := func(i, bin int) {
+		given[bin] = append(given[bin], borders[i])
+		p.Fragments[bin].Work += size[i]
+		loads[bin] += size[i]
+	}
 	for i, bin := range assignment {
-		b := borders[i]
-		if bin < 0 {
-			continue
+		if bin >= 0 {
+			give(i, bin)
 		}
-		loadNeighborhood(p.Fragments[bin], fragNodes[bin], b.nodes)
-		p.Fragments[bin].Owned = append(p.Fragments[bin].Owned, b.v)
-		p.Fragments[bin].Work += b.size
-		loads[bin] += b.size
 	}
 
 	// (4) Completion: place leftovers on the smallest fragment.
@@ -146,24 +140,22 @@ func DPar(g *graph.Graph, cfg Config) (*Partition, error) {
 		if bin >= 0 {
 			continue
 		}
-		b := borders[i]
 		smallest := 0
 		for j := 1; j < n; j++ {
 			if loads[j] < loads[smallest] {
 				smallest = j
 			}
 		}
-		loadNeighborhood(p.Fragments[smallest], fragNodes[smallest], b.nodes)
-		p.Fragments[smallest].Owned = append(p.Fragments[smallest].Owned, b.v)
-		p.Fragments[smallest].Work += b.size
-		loads[smallest] += b.size
+		give(i, smallest)
 	}
 
-	// Materialize fragment node lists and sizes.
+	// Materialize: each fragment is its chunk plus the neighborhoods of
+	// the border nodes it was given.
 	for i, f := range p.Fragments {
-		f.Nodes = sortedKeys(fragNodes[i])
-		f.Owned = sortNodes(f.Owned)
-		f.Size = fragmentSize(g, fragNodes[i])
+		base := order[min(i*chunk, len(order)):min((i+1)*chunk, len(order))]
+		f.Nodes, f.Size = bfs.load(g, base, given[i], cfg.D)
+		f.Owned = append(f.Owned, given[i]...)
+		slices.Sort(f.Owned)
 	}
 	return p, nil
 }
@@ -263,20 +255,22 @@ func (p *Partition) Validate() error {
 	for i := range ownedBy {
 		ownedBy[i] = -1
 	}
-	for _, f := range p.Fragments {
-		present := make(map[graph.NodeID]bool, len(f.Nodes))
+	bfs := newBFS(p.G.NumNodes())
+	member := make([]int, p.G.NumNodes()) // last fragment (1-based) to hold the node
+	for i, f := range p.Fragments {
 		for _, v := range f.Nodes {
-			present[v] = true
+			member[v] = i + 1
 		}
 		for _, v := range f.Owned {
 			if ownedBy[v] >= 0 {
 				return fmt.Errorf("partition: node %d owned by workers %d and %d", v, ownedBy[v], f.Worker)
 			}
 			ownedBy[v] = f.Worker
-			for _, u := range p.G.Neighborhood(v, p.D) {
-				if !present[u] {
-					return fmt.Errorf("partition: worker %d owns %d but misses neighbor %d", f.Worker, v, u)
-				}
+			if member[v] != i+1 {
+				return fmt.Errorf("partition: worker %d owns %d but does not hold it", f.Worker, v)
+			}
+			if u, _ := bfs.insideFragment(p.G, v, p.D, member, i+1); u >= 0 {
+				return fmt.Errorf("partition: worker %d owns %d but misses neighbor %d", f.Worker, v, u)
 			}
 		}
 	}
@@ -290,69 +284,23 @@ func (p *Partition) Validate() error {
 
 func bfsOrder(g *graph.Graph) []graph.NodeID {
 	seen := make([]bool, g.NumNodes())
-	order := make([]graph.NodeID, 0, g.NumNodes())
-	for start := 0; start < g.NumNodes(); start++ {
+	order := make([]graph.NodeID, 0, g.NumNodes()) // doubles as the BFS queue
+	for start := range seen {
 		if seen[start] {
 			continue
 		}
-		queue := []graph.NodeID{graph.NodeID(start)}
 		seen[start] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			for _, e := range g.Out(v) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					queue = append(queue, e.To)
-				}
-			}
-			for _, e := range g.In(v) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					queue = append(queue, e.To)
+		order = append(order, graph.NodeID(start))
+		for head := len(order) - 1; head < len(order); head++ {
+			for _, es := range [2][]graph.Edge{g.Out(order[head]), g.In(order[head])} {
+				for _, e := range es {
+					if !seen[e.To] {
+						seen[e.To] = true
+						order = append(order, e.To)
+					}
 				}
 			}
 		}
 	}
 	return order
-}
-
-func loadNeighborhood(f *Fragment, present map[graph.NodeID]bool, nodes []graph.NodeID) {
-	for _, u := range nodes {
-		present[u] = true
-	}
-}
-
-func baseFragmentSizes(g *graph.Graph, fragNodes []map[graph.NodeID]bool) []int {
-	sizes := make([]int, len(fragNodes))
-	for i, m := range fragNodes {
-		sizes[i] = fragmentSize(g, m)
-	}
-	return sizes
-}
-
-func fragmentSize(g *graph.Graph, present map[graph.NodeID]bool) int {
-	edges := 0
-	for v := range present {
-		for _, e := range g.Out(v) {
-			if present[e.To] {
-				edges++
-			}
-		}
-	}
-	return len(present) + edges
-}
-
-func sortedKeys(m map[graph.NodeID]bool) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	return sortNodes(out)
-}
-
-func sortNodes(vs []graph.NodeID) []graph.NodeID {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
 }

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -211,5 +213,403 @@ func TestSkewOfIgnoresEmptyFragments(t *testing.T) {
 		if got := SkewOf(c.sizes); got != c.want {
 			t.Errorf("SkewOf(%v) = %v, want %v", c.sizes, got, c.want)
 		}
+	}
+}
+
+// referenceDPar is the border phase as it was before the block kernel —
+// one BFS and one induced-edge scan per border node, every Nd(v) stored,
+// one membership set per fragment — kept as the oracle DPar must equal field
+// by field. It also returns the adjacency slots its per-node sizing read,
+// the unit the block kernel's cost is compared in.
+func referenceDPar(g *graph.Graph, cfg Config) (*Partition, int) {
+	if cfg.BalanceC == 0 {
+		cfg.BalanceC = 2.5
+	}
+	n := cfg.Workers
+	p := &Partition{G: g, D: cfg.D, Fragments: make([]*Fragment, n)}
+	for i := range p.Fragments {
+		p.Fragments[i] = &Fragment{Worker: i}
+	}
+	if g.NumNodes() == 0 {
+		return p, 0
+	}
+	order := bfsOrder(g)
+	home := make([]int, g.NumNodes())
+	chunk := (len(order) + n - 1) / n
+	fragNodes := make([][]bool, n)
+	for i := range fragNodes {
+		fragNodes[i] = make([]bool, g.NumNodes())
+	}
+	for i, v := range order {
+		home[v] = i / chunk
+		fragNodes[home[v]][v] = true
+	}
+
+	type borderNode struct {
+		v     graph.NodeID
+		nodes []graph.NodeID // Nd(v)
+		size  int
+	}
+	var borders []borderNode
+	visits := 0
+	bfs := newBFS(g.NumNodes())
+	for _, v := range order {
+		h := home[v]
+		foreign, visited := bfs.insideFragment(g, v, cfg.D, home, h)
+		p.Fragments[h].Work += visited
+		if foreign < 0 {
+			p.Fragments[h].Owned = append(p.Fragments[h].Owned, v)
+			continue
+		}
+		// neighborhood: plain bounded BFS from v alone.
+		in := make([]bool, g.NumNodes())
+		in[v] = true
+		nd := []graph.NodeID{v}
+		frontier := 0
+		for hop := 0; hop < cfg.D; hop++ {
+			for end := len(nd); frontier < end; frontier++ {
+				u := nd[frontier]
+				visits += len(g.Out(u)) + len(g.In(u))
+				for _, es := range [][]graph.Edge{g.Out(u), g.In(u)} {
+					for _, e := range es {
+						if !in[e.To] {
+							in[e.To] = true
+							nd = append(nd, e.To)
+						}
+					}
+				}
+			}
+		}
+		// size: |nodes| + |induced edges|.
+		size := len(nd)
+		for _, u := range nd {
+			visits += len(g.Out(u))
+			for _, e := range g.Out(u) {
+				if in[e.To] {
+					size++
+				}
+			}
+		}
+		p.Fragments[h].Work += len(nd)
+		borders = append(borders, borderNode{v: v, nodes: nd, size: size})
+	}
+
+	fragmentSize := func(present []bool) int {
+		size := 0
+		for v, in := range present {
+			if !in {
+				continue
+			}
+			size++
+			for _, e := range g.Out(graph.NodeID(v)) {
+				if present[e.To] {
+					size++
+				}
+			}
+		}
+		return size
+	}
+	capTotal := int(cfg.BalanceC * float64(g.Size()) / float64(n))
+	caps := make([]int, n)
+	loads := make([]int, n)
+	for i := range caps {
+		loads[i] = fragmentSize(fragNodes[i])
+		caps[i] = max(capTotal-loads[i], 0)
+	}
+	items := make([]Item, len(borders))
+	for i, b := range borders {
+		items[i] = Item{ID: i, Weight: b.size, Prefer: home[b.v]}
+	}
+	assignment := AssignMKP(items, caps)
+	place := func(b borderNode, bin int) {
+		for _, u := range b.nodes {
+			fragNodes[bin][u] = true
+		}
+		p.Fragments[bin].Owned = append(p.Fragments[bin].Owned, b.v)
+		p.Fragments[bin].Work += b.size
+		loads[bin] += b.size
+	}
+	for i, bin := range assignment {
+		if bin >= 0 {
+			place(borders[i], bin)
+		}
+	}
+	for i, bin := range assignment {
+		if bin >= 0 {
+			continue
+		}
+		smallest := 0
+		for j := 1; j < n; j++ {
+			if loads[j] < loads[smallest] {
+				smallest = j
+			}
+		}
+		place(borders[i], smallest)
+	}
+	for i, f := range p.Fragments {
+		for v, in := range fragNodes[i] {
+			if in {
+				f.Nodes = append(f.Nodes, graph.NodeID(v))
+			}
+		}
+		slices.Sort(f.Owned)
+		f.Size = fragmentSize(fragNodes[i])
+	}
+	return p, visits
+}
+
+// bordersOf returns the border nodes DPar's second phase finds, in BFS
+// order.
+func bordersOf(g *graph.Graph, workers, d int) []graph.NodeID {
+	p, err := DPar(g, Config{Workers: workers, D: 0}) // d=0: every node stays in its base chunk
+	if err != nil {
+		panic(err)
+	}
+	bfs, home := newBFS(g.NumNodes()), p.OwnerMap()
+	var borders []graph.NodeID
+	for _, v := range bfsOrder(g) {
+		if u, _ := bfs.insideFragment(g, v, d, home, home[v]); u >= 0 {
+			borders = append(borders, v)
+		}
+	}
+	return borders
+}
+
+func equalToReference(t *testing.T, what string, g *graph.Graph, cfg Config) {
+	t.Helper()
+	got, err := DPar(g, cfg)
+	if err != nil {
+		t.Fatalf("%s: DPar: %v", what, err)
+	}
+	want, _ := referenceDPar(g, cfg)
+	for i, w := range want.Fragments {
+		f := got.Fragments[i]
+		if !slices.Equal(f.Nodes, w.Nodes) || !slices.Equal(f.Owned, w.Owned) || f.Size != w.Size || f.Work != w.Work {
+			t.Fatalf("%s: fragment %d differs from the reference:\n got %d nodes, %d owned, size %d, work %d\nwant %d nodes, %d owned, size %d, work %d",
+				what, i, len(f.Nodes), len(f.Owned), f.Size, f.Work, len(w.Nodes), len(w.Owned), w.Size, w.Work)
+		}
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+}
+
+// sweepGraph draws a small multigraph with self-loops, parallel edges
+// under several labels, isolated nodes and (when sparse) many components.
+func sweepGraph(r *rand.Rand) *graph.Graph {
+	n := 1 + r.Intn(300)
+	g := graph.New(n)
+	for i := 0; i < n; i++ {
+		g.AddNode("n")
+	}
+	live := 1 + r.Intn(n) // nodes past live stay isolated
+	m := r.Intn(1 + live*(1+r.Intn(4)))
+	if r.Intn(4) == 0 {
+		m = r.Intn(1 + live/2) // sparse: disconnected components
+	}
+	for i := 0; i < m; i++ {
+		a, b := graph.NodeID(r.Intn(live)), graph.NodeID(r.Intn(live))
+		switch r.Intn(10) {
+		case 0:
+			b = a
+		case 1:
+			g.AddEdge(a, b, "x") // a parallel edge under a second label
+		}
+		g.AddEdge(a, b, string(rune('a'+r.Intn(2))))
+	}
+	g.Finalize()
+	return g
+}
+
+// TestDParEqualsReferenceSweep: the block kernel changes how the border
+// phase is computed, not what it computes.
+func TestDParEqualsReferenceSweep(t *testing.T) {
+	graphs := 2500
+	if testing.Short() {
+		graphs = 300
+	}
+	completed := 0
+	for seed := 0; seed < graphs; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		g := sweepGraph(r)
+		cfg := Config{Workers: 1 + r.Intn(6), D: r.Intn(4)}
+		if r.Intn(2) == 0 {
+			// Caps at or under the base chunks: the knapsack places little
+			// and completion most.
+			cfg.BalanceC = 0.2 + r.Float64()
+			completed++
+		}
+		equalToReference(t, fmt.Sprintf("seed %d (|V|=%d |E|=%d %+v)", seed, g.NumNodes(), g.NumEdges(), cfg), g, cfg)
+	}
+	if completed < graphs/3 {
+		t.Fatalf("only %d of %d graphs ran with a tight cap", completed, graphs)
+	}
+}
+
+// TestDParEqualsReferenceBenchmarkShapes: the graphs the benchmark
+// partitions (persons 4000 and 6000, graph seed 1), so Work and with it
+// qgpbench's partition-work figures are pinned where they are reported.
+func TestDParEqualsReferenceBenchmarkShapes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two 160k-edge reference partitions")
+	}
+	for _, persons := range []int{4000, 6000} {
+		g := gen.Social(gen.DefaultSocial(persons, 1))
+		for _, workers := range []int{2, 4} {
+			equalToReference(t, fmt.Sprintf("persons=%d workers=%d", persons, workers), g, Config{Workers: workers, D: 2})
+		}
+	}
+}
+
+// TestBlockEdges pins the source counts at which a block is empty,
+// alone, one short of full, full, one over and two full plus one — first
+// on the kernel, whose sources may be any nodes, then through DPar on
+// paths cut in the middle (being a border node is mutual, so no graph has
+// exactly one: 2 stands in).
+func TestBlockEdges(t *testing.T) {
+	g := gen.SmallWorld(gen.SmallWorldConfig{Nodes: 400, Edges: 1200, Seed: 3})
+	order := bfsOrder(g)
+	k := newBlockBFS(g.NumNodes())
+	for _, n := range []int{0, 1, 63, 64, 65, 129} {
+		for d := 0; d <= 3; d++ {
+			count, size := k.sizeAll(g, order[:n], d)
+			for i, v := range order[:n] {
+				nd := g.Neighborhood(v, d)
+				sub, _ := g.Induced(nd)
+				if count[i] != len(nd) || size[i] != sub.Size() {
+					t.Fatalf("%d sources, d=%d, source %d: got |Nd|=%d size=%d, want %d and %d", n, d, i, count[i], size[i], len(nd), sub.Size())
+				}
+			}
+		}
+	}
+
+	// A path of n nodes in BFS order 0..n-1, cut at ⌈n/2⌉: the d nodes on
+	// either side of the cut are border nodes, or all of a shorter side.
+	for _, c := range []struct{ borders, n, d int }{
+		{0, 10, 0}, {2, 10, 1}, {63, 63, 32}, {64, 200, 32}, {65, 65, 33}, {129, 129, 65},
+	} {
+		g := graph.New(c.n)
+		for i := 0; i < c.n; i++ {
+			g.AddNode("n")
+		}
+		for i := 0; i+1 < c.n; i++ {
+			g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), "e")
+		}
+		g.Finalize()
+		cfg := Config{Workers: 2, D: c.d}
+		if got := len(bordersOf(g, 2, c.d)); got != c.borders {
+			t.Fatalf("path n=%d d=%d has %d border nodes, want %d", c.n, c.d, got, c.borders)
+		}
+		equalToReference(t, fmt.Sprintf("path n=%d d=%d", c.n, c.d), g, cfg)
+	}
+}
+
+// TestLaneCounter holds the bit-sliced counter to plain per-lane
+// counting: random words, more than 2^16 additions so the ripple reaches
+// plane 16, drained at lengths that leave the adder tree's buffer empty,
+// full-but-one and part full.
+func TestLaneCounter(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var c laneCounter
+	for _, adds := range []int{0, 1, 7, 8, 9, 1<<16 + 8, 1<<17 + 5, 3} {
+		var want [64]int
+		for i := 0; i < adds; i++ {
+			x := r.Uint64()
+			if i%5 == 0 {
+				x |= 1 // lane 0 is incremented on most additions
+			}
+			c.add(x)
+			for l := range want {
+				want[l] += int(x >> l & 1)
+			}
+		}
+		lanes := 1 + r.Intn(64)
+		if adds > 1<<16 {
+			lanes = 64
+		}
+		got := make([]int, lanes)
+		c.drain(got)
+		if !slices.Equal(got, want[:lanes]) {
+			t.Fatalf("%d additions, %d lanes:\n got %v\nwant %v", adds, lanes, got, want[:lanes])
+		}
+		if c != (laneCounter{}) {
+			t.Fatalf("%d additions: drain left state behind", adds)
+		}
+	}
+}
+
+// grid is a w×h lattice with edges right and down: neighborhoods are
+// small and, outside a block's 64 BFS-adjacent sources, disjoint — the
+// shape on which sharing a sweep buys the kernel least.
+func grid(w, h int) *graph.Graph {
+	g := graph.New(w * h)
+	for i := 0; i < w*h; i++ {
+		g.AddNode("n")
+	}
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			v := graph.NodeID(y*w + x)
+			if x+1 < w {
+				g.AddEdge(v, v+1, "e")
+			}
+			if y+1 < h {
+				g.AddEdge(v, v+graph.NodeID(w), "e")
+			}
+		}
+	}
+	g.Finalize()
+	return g
+}
+
+var benchShapes = []struct {
+	name string
+	g    func() *graph.Graph
+}{
+	{"social", func() *graph.Graph { return gen.Social(gen.DefaultSocial(2000, 1)) }},
+	{"grid", func() *graph.Graph { return grid(46, 45) }}, // 2070 nodes, as many as social persons=2000
+}
+
+// TestBlockKernelEdgeVisits: sizing 64 neighborhoods per sweep never
+// reads more adjacency slots than sizing them one by one, and on the
+// grid — nothing shared beyond the block — its word-wide bookkeeping has
+// to be paid for by that alone, so it may not read more than the
+// reference does there either (the bar is 1.5×; it is in fact under 1×).
+func TestBlockKernelEdgeVisits(t *testing.T) {
+	for _, s := range benchShapes {
+		g := s.g()
+		for _, d := range []int{1, 2, 3} {
+			cfg := Config{Workers: 4, D: d}
+			_, ref := referenceDPar(g, cfg)
+			borders := bordersOf(g, cfg.Workers, d)
+			k := newBlockBFS(g.NumNodes())
+			k.sizeAll(g, borders, d)
+			t.Logf("%s d=%d: %d border nodes, %d slots read against the reference's %d (%.2fx)",
+				s.name, d, len(borders), k.visits, ref, float64(k.visits)/float64(max(ref, 1)))
+			if 2*k.visits > 3*ref {
+				t.Errorf("%s d=%d: block kernel read %d adjacency slots, reference %d", s.name, d, k.visits, ref)
+			}
+		}
+	}
+}
+
+var sinkPartition *Partition
+
+func BenchmarkDPar(b *testing.B) {
+	for _, s := range benchShapes {
+		g := s.g()
+		b.Run(s.name, func(b *testing.B) {
+			for b.Loop() {
+				p, err := DPar(g, Config{Workers: 4, D: 2})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkPartition = p
+			}
+		})
+		b.Run(s.name+"/reference", func(b *testing.B) {
+			for b.Loop() {
+				sinkPartition, _ = referenceDPar(g, Config{Workers: 4, D: 2})
+			}
+		})
 	}
 }

@@ -1,10 +1,16 @@
 package server_test
 
 import (
+	"bytes"
+	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/client"
+	"repro/internal/graph"
 	"repro/internal/server"
 )
 
@@ -128,5 +134,83 @@ func TestFragmentValidation(t *testing.T) {
 	}
 	if _, err := c.Assign([]int64{0}); err == nil {
 		t.Fatal("assign after gen should fail: session is no longer a fragment")
+	}
+}
+
+// binaryData is a text-format graph re-encoded the way a coordinator
+// ships a fragment: the binary format, base64.
+func binaryData(t *testing.T, text string) string {
+	t.Helper()
+	g, err := graph.Read(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return base64.StdEncoding.EncodeToString(buf.Bytes())
+}
+
+// TestFragmentBinaryFormat: format "binary" carries the same graph as the
+// text format, for fragment and for load; a request whose Data does not
+// decode — bad base64, a torn or over-cap binary graph, a format nobody
+// knows — is a protocol error that leaves the session and its graph as
+// they were.
+func TestFragmentBinaryFormat(t *testing.T) {
+	c, _ := startServer(t, server.Config{MaxGraphSize: 10})
+	data := binaryData(t, fragGraph)
+	fragment := func(format, data string) (*server.Response, error) {
+		return c.Do(&server.Request{Cmd: "fragment", Format: format, Data: data, Owned: server.IDList{0, 2}})
+	}
+	holdsFragment := func(when string) {
+		t.Helper()
+		resp, err := c.Match(fragPattern, nil)
+		if err != nil {
+			t.Fatalf("%s: match: %v", when, err)
+		}
+		if !reflect.DeepEqual(resp.Matches, server.IDList{0}) {
+			t.Fatalf("%s: match = %v, want [0]", when, resp.Matches)
+		}
+		if resp, err = c.Do(&server.Request{Cmd: "ping"}); err != nil || !resp.Fragment || resp.Nodes != 5 || resp.Owned != 2 {
+			t.Fatalf("%s: ping = %+v, %v; want a fragment of 5 nodes owning 2", when, resp, err)
+		}
+	}
+
+	resp, err := fragment("binary", data)
+	if err != nil {
+		t.Fatalf("binary fragment: %v", err)
+	}
+	if resp.Nodes != 5 || resp.Edges != 5 {
+		t.Fatalf("binary fragment loaded %d/%d, want 5/5", resp.Nodes, resp.Edges)
+	}
+	holdsFragment("after a binary fragment")
+
+	raw, _ := base64.StdEncoding.DecodeString(data)
+	bad := []struct{ what, format, data string }{
+		{"malformed base64", "binary", data[:len(data)/2] + "!" + data[len(data)/2:]},
+		{"base64 of something else", "binary", base64.StdEncoding.EncodeToString([]byte(fragGraph))},
+		{"torn binary graph", "binary", base64.StdEncoding.EncodeToString(raw[:len(raw)-3])},
+		{"text sent as binary", "binary", fragGraph},
+		{"unknown format", "yaml", data},
+		{"over the size cap", "binary", binaryData(t, fragGraph+"e 4 0 follow\n")},
+	}
+	for _, b := range bad {
+		for _, cmd := range []string{"fragment", "load"} {
+			_, err := c.Do(&server.Request{Cmd: cmd, Format: b.format, Data: b.data, Owned: server.IDList{0}})
+			var se *client.ServerError
+			if !errors.As(err, &se) {
+				t.Fatalf("%s with %s: %v, want a protocol error", cmd, b.what, err)
+			}
+			holdsFragment(cmd + " with " + b.what)
+		}
+	}
+
+	// load takes the format too, and then the session is no fragment.
+	if resp, err = c.Do(&server.Request{Cmd: "load", Format: "binary", Data: data}); err != nil || resp.Nodes != 5 || resp.Edges != 5 {
+		t.Fatalf("binary load = %+v, %v", resp, err)
+	}
+	if resp, err = c.Match(fragPattern, nil); err != nil || !reflect.DeepEqual(resp.Matches, server.IDList{0, 1}) {
+		t.Fatalf("match after binary load = %v, %v; want [0 1]", resp.Matches, err)
 	}
 }

@@ -19,6 +19,8 @@ var protocolSeeds = []string{
 	`{"id":2,"cmd":"gen","kind":"social","size":200,"seed":42}`,
 	`{"id":3,"cmd":"load","format":"text","data":"graph\nn person\nn person\ne 0 1 follow\n"}`,
 	`{"id":4,"cmd":"fragment","data":"graph\nn person\nn person\nn product\ne 0 1 follow\ne 1 2 bad_rating\n","owned":[0,1]}`,
+	// The same fragment as a coordinator ships it: binary format, base64.
+	`{"id":16,"cmd":"fragment","format":"binary","data":"UUdQMQQGcGVyc29uB3Byb2R1Y3QGZm9sbG93CmJhZF9yYXRpbmcDAAABAgABAgECAw==","owned":"AAI="}`,
 	`{"id":5,"cmd":"assign","owned":[2]}`,
 	`{"id":6,"cmd":"update","updates":[{"op":"addEdge","from":0,"to":2,"label":"follow"},{"op":"removeEdge","from":1,"to":2,"label":"bad_rating"}]}`,
 	`{"id":7,"cmd":"update","updates":[{"op":"addNode","label":"person"},{"op":"addEdge","from":3,"to":0,"label":"follow"}],"owned":[3],"scoped":true,"affected":[0,1]}`,

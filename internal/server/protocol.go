@@ -24,7 +24,8 @@ import (
 //	ping      — liveness check; also reports fragment state (node/owned
 //	            counts) so cluster supervision can verify worker health
 //	gen       — generate a synthetic graph into the session
-//	load      — load a graph from inline text (graph DSL or JSON document)
+//	load      — load a graph from inline Data: the graph text format, a
+//	            JSON document, or the binary graph format as base64
 //	update    — apply a mutation batch to the session graph; a cluster
 //	            coordinator sends one combined batch per worker that can
 //	            also carry newly owned nodes (Owned) and the
@@ -42,7 +43,8 @@ import (
 //	partition — build a partition and report balance
 //	fragment  — load a d-hop-preserving fragment (subgraph + owned nodes):
 //	            the session becomes a cluster worker; match and watch then
-//	            answer only for the owned focus candidates
+//	            answer only for the owned focus candidates. Data as for
+//	            load; a coordinator ships the binary format
 //	assign    — extend a fragment session's owned set (the coordinator
 //	            assigns newly created nodes to this worker)
 //	metrics   — snapshot of the server's metrics registry (counters,
@@ -106,8 +108,8 @@ type Request struct {
 	Size int    `json:"size,omitempty"`
 	Seed int64  `json:"seed,omitempty"`
 
-	// load
-	Format string `json:"format,omitempty"` // text | json
+	// load / fragment
+	Format string `json:"format,omitempty"` // text (default) | json | binary (graph.WriteBinary, base64 in Data)
 	Data   string `json:"data,omitempty"`
 
 	// match / pmatch / rpqfilter / rule

@@ -8,6 +8,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"strings"
@@ -293,10 +295,13 @@ func (s *Server) Health() (interface{}, error) {
 	}, nil
 }
 
-// BuildGraph constructs the graph a gen or load request describes
-// (dispatching on req.Cmd); the server and the cluster front end share
-// this so their gen/load vocabularies cannot diverge.
-func BuildGraph(req *Request) (*graph.Graph, error) {
+// BuildGraph constructs the graph a gen, load or fragment request
+// describes (dispatching on req.Cmd) and refuses one whose |V|+|E| exceeds
+// maxSize; the server and the cluster front end share this so their
+// gen/load vocabularies cannot diverge.
+func BuildGraph(req *Request, maxSize int) (*graph.Graph, error) {
+	var g *graph.Graph
+	var err error
 	switch req.Cmd {
 	case "gen":
 		size := req.Size
@@ -305,39 +310,58 @@ func BuildGraph(req *Request) (*graph.Graph, error) {
 		}
 		switch req.Kind {
 		case "social", "":
-			return gen.Social(gen.DefaultSocial(size, req.Seed)), nil
+			g = gen.Social(gen.DefaultSocial(size, req.Seed))
 		case "knowledge":
-			return gen.Knowledge(gen.DefaultKnowledge(size, req.Seed)), nil
+			g = gen.Knowledge(gen.DefaultKnowledge(size, req.Seed))
 		case "smallworld":
-			return gen.SmallWorld(gen.SmallWorldConfig{Nodes: size, Edges: 2 * size, Labels: 30, Seed: req.Seed}), nil
+			g = gen.SmallWorld(gen.SmallWorldConfig{Nodes: size, Edges: 2 * size, Labels: 30, Seed: req.Seed})
 		default:
-			return nil, fmt.Errorf("unknown graph kind %q", req.Kind)
+			err = fmt.Errorf("unknown graph kind %q", req.Kind)
 		}
-	case "load":
-		switch req.Format {
-		case "text", "":
-			return graph.Read(strings.NewReader(req.Data))
-		case "json":
-			res, err := load.JSON(strings.NewReader(req.Data))
-			if err != nil {
-				return nil, err
-			}
-			return res.Graph, nil
-		default:
-			return nil, fmt.Errorf("unknown load format %q", req.Format)
-		}
+	case "load", "fragment":
+		g, err = decodeGraph(req.Format, req.Data, maxSize)
 	default:
-		return nil, fmt.Errorf("BuildGraph: not a gen or load request: %q", req.Cmd)
+		err = fmt.Errorf("BuildGraph: not a gen, load or fragment request: %q", req.Cmd)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if g.Size() > maxSize {
+		return nil, fmt.Errorf("graph size %d exceeds cap %d", g.Size(), maxSize)
+	}
+	return g, nil
+}
+
+// decodeGraph reads the graph a load or fragment request carries in Data:
+// the line-oriented text format, the JSON document format, or the binary
+// format as base64 — what a cluster coordinator ships fragments in, and
+// the one format refused from its declared counts, before the graph is
+// built, when it exceeds maxSize.
+func decodeGraph(format, data string, maxSize int) (*graph.Graph, error) {
+	switch format {
+	case "text", "":
+		return graph.Read(strings.NewReader(data))
+	case "binary":
+		raw, err := base64.StdEncoding.DecodeString(data)
+		if err != nil {
+			return nil, err
+		}
+		return graph.ReadBinary(bytes.NewReader(raw), maxSize)
+	case "json":
+		res, err := load.JSON(strings.NewReader(data))
+		if err != nil {
+			return nil, err
+		}
+		return res.Graph, nil
+	default:
+		return nil, fmt.Errorf("unknown graph format %q", format)
 	}
 }
 
 func (s *Server) handleGraph(sess *session, req *Request, resp *Response) error {
-	g, err := BuildGraph(req)
+	g, err := BuildGraph(req, s.cfg.MaxGraphSize)
 	if err != nil {
 		return err
-	}
-	if g.Size() > s.cfg.MaxGraphSize {
-		return fmt.Errorf("graph size %d exceeds server cap %d", g.Size(), s.cfg.MaxGraphSize)
 	}
 	if err := sess.setGraph(g, nil); err != nil {
 		return err
@@ -727,17 +751,14 @@ func (s *Server) handlePartition(sess *session, req *Request, resp *Response) er
 }
 
 // handleFragment turns the session into a cluster worker: Data carries a
-// d-hop-preserving fragment subgraph in the text format (local node ids)
-// and Owned lists the local ids of the focus candidates this worker owns.
-// Subsequent match and watch commands answer only for the owned set;
-// update commands mutate the fragment and maintain the watches.
+// d-hop-preserving fragment subgraph (local node ids) in any format load
+// takes and Owned lists the local ids of the focus candidates this worker
+// owns. Subsequent match and watch commands answer only for the owned
+// set; update commands mutate the fragment and maintain the watches.
 func (s *Server) handleFragment(sess *session, req *Request, resp *Response) error {
-	g, err := graph.Read(strings.NewReader(req.Data))
+	g, err := BuildGraph(req, s.cfg.MaxGraphSize)
 	if err != nil {
 		return err
-	}
-	if g.Size() > s.cfg.MaxGraphSize {
-		return fmt.Errorf("fragment size %d exceeds server cap %d", g.Size(), s.cfg.MaxGraphSize)
 	}
 	owned, err := localNodes(g, req.Owned)
 	if err != nil {

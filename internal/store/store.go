@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -401,7 +402,7 @@ func (s *Store) loadSnapshot(path string) error {
 		return fmt.Errorf("store: manifest names missing snapshot: %w", err)
 	}
 	defer f.Close()
-	g, err := graph.ReadBinary(f)
+	g, err := graph.ReadBinary(f, math.MaxInt)
 	if err != nil {
 		return fmt.Errorf("store: snapshot: %w", err)
 	}
