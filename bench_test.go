@@ -144,6 +144,56 @@ func BenchmarkWireAnswer(b *testing.B) {
 	}
 }
 
+// BenchmarkWireUpdate encodes and decodes what one fragment copy is sent
+// and answers for the benchmark-shaped batch (4 follow edges in, 4 out, on
+// social persons=4000, 8 standing watches): the worker update request —
+// the packed batch, the scoped affected set — and its response with one
+// delta per watch. A batch crosses this codec once per fragment copy it
+// concerns, after the client's own request did at the front end.
+func BenchmarkWireUpdate(b *testing.B) {
+	req := server.Request{ID: 7, Cmd: "update", Scoped: true, Affected: server.IDList{311, 1207, 1846, 2210, 2987, 3405}}
+	for i := int64(0); i < 8; i++ {
+		op := "addEdge"
+		if i >= 4 {
+			op = "removeEdge"
+		}
+		req.Updates = append(req.Updates, server.UpdateSpec{Op: op, From: 97 + 431*i, To: 3911 - 389*i, Label: "follow"})
+	}
+	resp := server.Response{ID: 7, OK: true, Nodes: 4147, Edges: 78011}
+	for i := 0; i < 8; i++ {
+		d := server.WatchDelta{Watch: fmt.Sprintf("w%d", i), Affected: 6}
+		if i%2 == 0 {
+			d.Added = server.IDList{1207}
+			d.Removed = server.IDList{2210, 2987}
+		}
+		resp.Deltas = append(resp.Deltas, d)
+	}
+	b.ReportAllocs()
+	var line, reply []byte
+	for i := 0; i < b.N; i++ {
+		var err error
+		if line, err = json.Marshal(&req); err != nil {
+			b.Fatal(err)
+		}
+		var gotReq server.Request
+		if err := json.Unmarshal(line, &gotReq); err != nil {
+			b.Fatal(err)
+		}
+		if reply, err = json.Marshal(&resp); err != nil {
+			b.Fatal(err)
+		}
+		var gotResp server.Response
+		if err := json.Unmarshal(reply, &gotResp); err != nil {
+			b.Fatal(err)
+		}
+		if len(gotReq.Updates) != len(req.Updates) || len(gotResp.Deltas) != len(resp.Deltas) {
+			b.Fatalf("decoded %d ops of %d, %d deltas of %d", len(gotReq.Updates), len(req.Updates), len(gotResp.Deltas), len(resp.Deltas))
+		}
+	}
+	b.ReportMetric(float64(len(line)), "req-bytes")
+	b.ReportMetric(float64(len(reply)), "resp-bytes")
+}
+
 func BenchmarkQMatchNSocial(b *testing.B) {
 	g, q := socialFixture(b, 2000)
 	b.ResetTimer()

@@ -122,7 +122,10 @@ type Coordinator struct {
 	// delta through the versioned core instead of rebuilding the graph,
 	// and hands the pre-batch OldView to affected-set computation and
 	// failover re-shipping.
-	vg      *graph.Versioned
+	vg *graph.Versioned
+	// ball is Update's scratch for the ball around a batch's insertions;
+	// guarded by the write side of mu, like the graph it walks.
+	ball    dynamic.BallScratch
 	workers []*worker
 	watches map[string]string // watch name → pattern DSL (for failover re-registration)
 	// plans holds one reach plan per distinct pattern among the watches,

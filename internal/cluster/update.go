@@ -186,7 +186,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	}
 	var matCand []graph.NodeID
 	if len(insEnds) > 0 {
-		matCand = dynamic.Ball(newG, insEnds, c.cfg.D-1)
+		matCand = c.ball.Ball(newG, insEnds, c.cfg.D-1)
 	}
 	// The edges the batch can have changed, whichever fragments hold them:
 	// its net edge mutations plus the edges a removed node lost.

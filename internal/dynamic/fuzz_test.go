@@ -4,7 +4,10 @@ package dynamic
 // it through the versioned in-place core and through the rebuild oracle,
 // and demands the two paths agree: same accept/reject decision, and on
 // acceptance a canonically identical finalized graph plus the same
-// touched set. A rejected batch must leave the versioned graph untouched.
+// touched set, an old view equal to the pre-batch graph however it is
+// read, and a rollback that restores that graph — after which a second
+// batch goes through the same. A rejected batch must leave the versioned
+// graph untouched.
 //
 // The byte decoder is deliberately total — every input decodes to SOME
 // batch (possibly invalid, exercising the rejection path), so the fuzzer
@@ -12,6 +15,7 @@ package dynamic
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -82,6 +86,8 @@ func FuzzVersionedApply(f *testing.F) {
 	f.Add([]byte{1, 19, 0})                           // AddEdge from node 17: out of range
 	f.Add([]byte{3, 0, 0})                            // RemoveNode -2: negative
 	f.Add([]byte{0, 0, 2, 1, 16, 14})                 // AddNode then edge onto the new node
+	f.Add([]byte{1, 8, 8, 3, 8, 0})                   // edge onto node 6, then node 6 removed: an edit under a dropped row
+	f.Add([]byte{3, 2, 0, 1, 2, 5, 1, 9, 2})          // node 0 removed, then edges onto the tombstone
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ups := decodeBatch(data)
@@ -90,48 +96,100 @@ func FuzzVersionedApply(f *testing.F) {
 		}
 		base := fuzzBase()
 		vg := graph.NewVersioned(base.Clone())
-		preNodes, preEdges := canon(vg.Graph())
-
-		ng, touchedO, errO := Apply(base, ups)
-		old, touchedV, errV := ApplyVersioned(vg, ups)
-
-		if (errO == nil) != (errV == nil) {
-			t.Fatalf("error divergence: oracle=%v versioned=%v (batch %+v)", errO, errV, ups)
-		}
-		if errO != nil {
-			gn, ge := canon(vg.Graph())
-			if !reflect.DeepEqual(gn, preNodes) || !reflect.DeepEqual(ge, preEdges) {
-				t.Fatalf("rejected batch mutated the versioned graph (batch %+v)", ups)
-			}
-			if err := vg.Graph().CheckIndex(); err != nil {
-				t.Fatalf("after a rejected batch: %v (batch %+v)", err, ups)
-			}
+		if !fuzzApplyBoth(t, base, vg, ups, data) {
 			return
 		}
-		if !reflect.DeepEqual(touchedO, touchedV) {
-			t.Fatalf("touched sets diverge: oracle %v vs versioned %v (batch %+v)", touchedO, touchedV, ups)
-		}
-		requireCanonEqual(t, ng, vg.Graph(), "fuzz")
-		// The label-run index is replaced with the rows it summarizes.
-		if err := vg.Graph().CheckIndex(); err != nil {
-			t.Fatalf("after apply: %v (batch %+v)", err, ups)
-		}
-
-		// The old view must still render the pre-batch graph, and rolling
-		// back must restore it exactly.
-		on, oe := canon(old)
-		if !reflect.DeepEqual(on, preNodes) || !reflect.DeepEqual(oe, preEdges) {
-			t.Fatalf("old view diverges from the pre-batch graph (batch %+v)", ups)
-		}
-		if err := vg.Rollback(old); err != nil {
-			t.Fatalf("rollback: %v", err)
-		}
-		gn, ge := canon(vg.Graph())
-		if !reflect.DeepEqual(gn, preNodes) || !reflect.DeepEqual(ge, preEdges) {
-			t.Fatalf("rollback did not restore the pre-batch graph (batch %+v)", ups)
-		}
-		if err := vg.Graph().CheckIndex(); err != nil {
-			t.Fatalf("after rollback: %v (batch %+v)", err, ups)
+		// A second batch over the rolled-back graph, whose rows now carry
+		// the slack and the shifted tails the first one left: none of
+		// that may leak into a row.
+		if ups = decodeBatch(data[1:]); len(ups) > 0 {
+			fuzzApplyBoth(t, base, vg, ups, data[1:])
 		}
 	})
+}
+
+// fuzzApplyBoth applies ups to vg in place and to base through the rebuild
+// oracle, which leaves base as it was: the pre-batch graph the old view is
+// held against, row for row — vg began as base's clone, so the two agree
+// on the id of every label base knows. It compares decision, result,
+// touched set, old view and rollback, and reports whether the batch was
+// accepted; vg is back at base's state either way. reads picks the rows of
+// the old view that are read before all of them are.
+func fuzzApplyBoth(t *testing.T, base *graph.Graph, vg *graph.Versioned, ups []Update, reads []byte) bool {
+	preNodes, preEdges := canon(base)
+	ng, touchedO, errO := Apply(base, ups)
+	old, touchedV, errV := ApplyVersioned(vg, ups)
+
+	if (errO == nil) != (errV == nil) {
+		t.Fatalf("error divergence: oracle=%v versioned=%v (batch %+v)", errO, errV, ups)
+	}
+	if errO != nil {
+		gn, ge := canon(vg.Graph())
+		if !reflect.DeepEqual(gn, preNodes) || !reflect.DeepEqual(ge, preEdges) {
+			t.Fatalf("rejected batch mutated the versioned graph (batch %+v)", ups)
+		}
+		if err := vg.Graph().CheckIndex(); err != nil {
+			t.Fatalf("after a rejected batch: %v (batch %+v)", err, ups)
+		}
+		return false
+	}
+	if !reflect.DeepEqual(touchedO, touchedV) {
+		t.Fatalf("touched sets diverge: oracle %v vs versioned %v (batch %+v)", touchedO, touchedV, ups)
+	}
+	requireCanonEqual(t, ng, vg.Graph(), "fuzz")
+	// The label-run index is replaced with the rows it summarizes.
+	if err := vg.Graph().CheckIndex(); err != nil {
+		t.Fatalf("after apply: %v (batch %+v)", err, ups)
+	}
+
+	// The old view builds a pre-batch row when it is first read. Read it
+	// the way its callers do — a few rows, in any order, membership before
+	// the row, ids the batch created among them — and then all of it.
+	n := base.NumNodes()
+	oldRow := func(v graph.NodeID, in bool) {
+		got, want := old.Out(v), []graph.Edge(nil)
+		if in {
+			got = old.In(v)
+		}
+		if int(v) < n {
+			want = base.Out(v)
+			if in {
+				want = base.In(v)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("old view row of %d (in=%v) is %v, the pre-batch graph has %v (batch %+v)", v, in, got, want, ups)
+		}
+	}
+	for _, b := range reads {
+		v, in := graph.NodeID(int(b>>1)%(n+2)), b&1 == 1
+		if !in {
+			to := graph.NodeID(int(b) % n)
+			for l := graph.LabelID(0); int(l) < base.Labels(); l++ {
+				if got, want := old.HasEdge(v, to, l), int(v) < n && base.HasEdge(v, to, l); got != want {
+					t.Fatalf("old view HasEdge(%d, %d, %d) = %v, the pre-batch graph says %v (batch %+v)", v, to, l, got, want, ups)
+				}
+			}
+		}
+		oldRow(v, in)
+	}
+	for v := graph.NodeID(0); int(v) < n+2; v++ {
+		oldRow(v, false)
+		oldRow(v, true)
+	}
+	on, oe := canon(old)
+	if !reflect.DeepEqual(on, preNodes) || !reflect.DeepEqual(oe, preEdges) {
+		t.Fatalf("old view diverges from the pre-batch graph (batch %+v)", ups)
+	}
+	if err := vg.Rollback(old); err != nil {
+		t.Fatalf("rollback: %v", err)
+	}
+	gn, ge := canon(vg.Graph())
+	if !reflect.DeepEqual(gn, preNodes) || !reflect.DeepEqual(ge, preEdges) {
+		t.Fatalf("rollback did not restore the pre-batch graph (batch %+v)", ups)
+	}
+	if err := vg.Graph().CheckIndex(); err != nil {
+		t.Fatalf("after rollback: %v (batch %+v)", err, ups)
+	}
+	return true
 }

@@ -35,7 +35,7 @@ func Repartition(p *partition.Partition, oldG, newG *graph.Graph, touched []grap
 	// Affected owners: within D of a touched node in the new graph — a
 	// neighborhood only gains nodes along a path through an insertion.
 	affected := make(map[graph.NodeID]bool)
-	for _, v := range Ball(newG, touched, p.D) {
+	for _, v := range new(BallScratch).Ball(newG, touched, p.D) {
 		affected[v] = true
 	}
 

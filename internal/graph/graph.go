@@ -335,32 +335,7 @@ func (g *Graph) Labels() int { return g.interner.Len() }
 // (including v itself), in ascending order. This is the node set of Nd(v).
 func (g *Graph) Neighborhood(v NodeID, d int) []NodeID {
 	g.mustFinal()
-	seen := map[NodeID]bool{v: true}
-	frontier := []NodeID{v}
-	for hop := 0; hop < d; hop++ {
-		var next []NodeID
-		for _, u := range frontier {
-			for _, e := range g.out[u] {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-			for _, e := range g.in[u] {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-		}
-		frontier = next
-	}
-	out := make([]NodeID, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return viewNeighborhood(g, v, d)
 }
 
 // NeighborhoodSize returns |Nd(v)| measured as nodes + edges of the induced

@@ -1,18 +1,21 @@
 // Versioned in-place graph maintenance: apply a mutation batch as a
 // delta over the live adjacency instead of rebuilding the world. A
-// batch applied through Versioned.Apply edits the finalized indexes
-// directly (copy-on-write per adjacency row) and hands back an OldView
-// — a cheap pre-batch read handle over exactly the rows the batch
-// displaced — so the §5.2 affected-set computation ("deletions in the
-// old graph, insertions in the new") works without two full graphs.
-// Per-batch cost is proportional to |batch| plus the degree of the
-// touched nodes, the Berkholz–Keppeler–Schweikardt target of cost
-// proportional to the change rather than the database.
+// batch applied through Versioned.Apply edits the adjacency rows where
+// they lie, writes each row edit to an undo log, and hands back an
+// OldView — a pre-batch read handle that rebuilds an edited row from the
+// live row and the log when somebody reads it — so the §5.2 affected-set
+// computation ("deletions in the old graph, insertions in the new") works
+// without two full graphs, and a caller that never looks back pays
+// nothing for the view. Per-batch cost is proportional to |batch| plus
+// the degree of the touched nodes, the Berkholz–Keppeler–Schweikardt
+// target of cost proportional to the change rather than the database.
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 )
 
 // Version is a monotonically increasing token identifying a graph's
@@ -71,12 +74,123 @@ var (
 // Versioned wraps a finalized Graph and maintains it in place under
 // mutation batches. The wrapped graph stays finalized at all times:
 // adjacency rows keep their (label, endpoint) sort order, every row a
-// batch copies gets its label-run index recomputed with it, and byLabel
+// batch edits gets its label-run index recomputed with it, and byLabel
 // is edited incrementally, so queries never pay a re-Finalize. Not safe
 // for concurrent use; callers serialize Apply/Rollback against readers
-// the same way they would serialize rebuilds.
+// the same way they would serialize rebuilds. A row slice read from the
+// graph is good until the next Apply or Rollback, which edit it in place.
 type Versioned struct {
 	g *Graph
+
+	// State of the latest batch, reused by the next. mark has one byte per
+	// node — out-row edited, in-row edited, touched — and marked lists the
+	// nodes carrying any, so a batch resets what its predecessor set and
+	// nothing else. log holds the batch's row edits in application order;
+	// dropped the rows a removed node lost whole (kept, not copied).
+	mark    []uint8
+	marked  []NodeID
+	log     []rowOp
+	dropped [][]Edge
+
+	// visits counts log entries written or read, for the tests that pin
+	// what a hub's removal costs.
+	visits int
+}
+
+const (
+	markOut     uint8 = 1 << iota // out-row edited by the latest batch
+	markIn                        // in-row edited
+	markTouched                   // in the batch's touched set
+)
+
+// rowOp is one edit of one adjacency row, as the undo log records it.
+type rowOp struct {
+	v    NodeID
+	kind uint8 // opInsert, opRemove or opDrop
+	in   bool  // the in-row of v, not the out-row
+	e    Edge  // the edge inserted or removed; for opDrop, e.To indexes dropped
+}
+
+const (
+	opInsert uint8 = iota
+	opRemove
+	opDrop
+)
+
+// rows returns the adjacency table of a direction and its mark bit.
+func (vg *Versioned) rows(in bool) ([][]Edge, uint8) {
+	if in {
+		return vg.g.in, markIn
+	}
+	return vg.g.out, markOut
+}
+
+// touch puts v into the batch's touched set, with bits for an edited row.
+func (vg *Versioned) touch(v NodeID, bits uint8) {
+	if vg.mark[v] == 0 {
+		vg.marked = append(vg.marked, v)
+	}
+	vg.mark[v] |= bits | markTouched
+}
+
+// record logs one edit of a row of v.
+func (vg *Versioned) record(op rowOp, bit uint8) {
+	vg.touch(op.v, bit)
+	vg.log = append(vg.log, op)
+	vg.visits++
+}
+
+// edit inserts e into (opInsert) or removes it from (opRemove) a row of v,
+// where the row lies, and logs the edit if the row changed.
+func (vg *Versioned) edit(kind uint8, in bool, v NodeID, e Edge) bool {
+	rows, bit := vg.rows(in)
+	var changed bool
+	if kind == opInsert {
+		rows[v], changed = insertSorted(rows[v], e)
+	} else {
+		rows[v], changed = removeSorted(rows[v], e)
+	}
+	if changed {
+		vg.record(rowOp{v: v, kind: kind, in: in, e: e}, bit)
+	}
+	return changed
+}
+
+// drop empties a row of v; the log keeps the slice.
+func (vg *Versioned) drop(in bool, v NodeID) {
+	rows, bit := vg.rows(in)
+	if len(rows[v]) == 0 {
+		return
+	}
+	vg.record(rowOp{v: v, kind: opDrop, in: in, e: Edge{To: NodeID(len(vg.dropped))}}, bit)
+	vg.dropped = append(vg.dropped, rows[v])
+	rows[v] = nil
+}
+
+// undo reverses one logged edit on row. After an opDrop the result is the
+// log's own slice.
+func (vg *Versioned) undo(op rowOp, row []Edge) []Edge {
+	vg.visits++
+	switch op.kind {
+	case opInsert:
+		row, _ = removeSorted(row, op.e)
+	case opRemove:
+		row, _ = insertSorted(row, op.e)
+	default:
+		row = vg.dropped[op.e.To]
+	}
+	return row
+}
+
+// reindex recomputes the label runs of the rows of v that bits name.
+func (vg *Versioned) reindex(v NodeID, bits uint8) {
+	g := vg.g
+	if bits&markOut != 0 {
+		g.outRuns[v] = appendRuns(g.outRuns[v][:0], g.out[v])
+	}
+	if bits&markIn != 0 {
+		g.inRuns[v] = appendRuns(g.inRuns[v][:0], g.in[v])
+	}
 }
 
 // NewVersioned wraps g (finalizing it if needed) for in-place
@@ -94,28 +208,90 @@ func (vg *Versioned) Graph() *Graph { return vg.g }
 func (vg *Versioned) Version() Version { return vg.g.version }
 
 // OldView is a read-only handle on the graph as it was immediately
-// before one Apply batch. It holds only the adjacency rows that batch
-// displaced (copy-on-write) and delegates everything else to the live
-// graph, so it costs O(|batch| + degree of touched nodes), not O(|G|).
-// It is valid until the next Apply or Rollback on the same Versioned;
-// reads after that panic rather than silently serving mixed versions.
+// before one Apply batch. A row the batch did not edit is the live row;
+// an edited one is rebuilt from the live row and the batch's undo log the
+// first time it is read, and kept. It costs nothing until then, and
+// O(degree + the row's edits) per row read after, never O(|G|). It is
+// valid until the next Apply or Rollback on the same Versioned; reads
+// after that panic rather than silently serving mixed versions. Readers
+// may share it between goroutines.
 type OldView struct {
 	vg      *Versioned
 	validAt Version
 
 	numNodes int
 	numEdges int
-	// prevOut/prevIn hold the pre-batch adjacency rows of exactly the
-	// nodes whose rows the batch replaced. Absent nodes were untouched,
-	// so the live rows still are the pre-batch rows.
-	prevOut map[NodeID][]Edge
-	prevIn  map[NodeID][]Edge
+
+	// mu guards old, the batch's log indexed by row on the first read of
+	// an edited row: one entry per log entry, sorted by (node, direction,
+	// log position), so a row's edits are one stretch in application
+	// order, found by binary search. The stretch's first entry holds the
+	// row once it is rebuilt.
+	mu  sync.Mutex
+	old []oldRow
+}
+
+type oldRow struct {
+	key   uint64 // node<<33 | direction<<32 | log position
+	row   []Edge
+	built bool
+}
+
+func rowKey(v NodeID, in bool) uint64 {
+	k := uint64(v) << 33
+	if in {
+		k |= 1 << 32
+	}
+	return k
 }
 
 func (ov *OldView) check() {
 	if ov.vg.g.version != ov.validAt {
 		panic("graph: OldView read after a later Apply/Rollback")
 	}
+}
+
+// row returns a pre-batch row of v.
+func (ov *OldView) row(in bool, v NodeID) []Edge {
+	ov.check()
+	if int(v) >= ov.numNodes {
+		return nil
+	}
+	vg := ov.vg
+	rows, bit := vg.rows(in)
+	if vg.mark[v]&bit == 0 {
+		return rows[v]
+	}
+	ov.mu.Lock()
+	defer ov.mu.Unlock()
+	if ov.old == nil {
+		ov.old = make([]oldRow, len(vg.log))
+		for i, op := range vg.log {
+			ov.old[i].key = rowKey(op.v, op.in) | uint64(i)
+		}
+		vg.visits += len(vg.log)
+		slices.SortFunc(ov.old, func(a, b oldRow) int { return cmp.Compare(a.key, b.key) })
+	}
+	key := rowKey(v, in)
+	lo, _ := slices.BinarySearchFunc(ov.old, key, func(r oldRow, k uint64) int { return cmp.Compare(r.key, k) })
+	if first := &ov.old[lo]; first.built {
+		return first.row
+	}
+	hi := lo
+	for hi < len(ov.old) && ov.old[hi].key>>32 == key>>32 {
+		hi++
+	}
+	// Undo the row's edits newest first, on a copy with room for every edge
+	// they removed: the live row stays as it is.
+	row := append(make([]Edge, 0, len(rows[v])+hi-lo), rows[v]...)
+	for i := hi - 1; i >= lo; i-- {
+		op := vg.log[uint32(ov.old[i].key)]
+		if row = vg.undo(op, row); op.kind == opDrop && i > lo {
+			row = slices.Clone(row) // the log's own slice, and Rollback wants it back unchanged
+		}
+	}
+	ov.old[lo].row, ov.old[lo].built = row, true
+	return row
 }
 
 // NumNodes returns the pre-batch node count.
@@ -139,28 +315,10 @@ func (ov *OldView) LookupLabel(s string) LabelID { ov.check(); return ov.vg.g.Lo
 
 // Out returns the pre-batch out-adjacency of v (sorted by label, then
 // endpoint). Nodes created by the batch have no pre-batch adjacency.
-func (ov *OldView) Out(v NodeID) []Edge {
-	ov.check()
-	if int(v) >= ov.numNodes {
-		return nil
-	}
-	if row, ok := ov.prevOut[v]; ok {
-		return row
-	}
-	return ov.vg.g.out[v]
-}
+func (ov *OldView) Out(v NodeID) []Edge { return ov.row(false, v) }
 
 // In returns the pre-batch in-adjacency of v (Edge.To is the source).
-func (ov *OldView) In(v NodeID) []Edge {
-	ov.check()
-	if int(v) >= ov.numNodes {
-		return nil
-	}
-	if row, ok := ov.prevIn[v]; ok {
-		return row
-	}
-	return ov.vg.g.in[v]
-}
+func (ov *OldView) In(v NodeID) []Edge { return ov.row(true, v) }
 
 // HasEdge reports whether (from, to, l) existed before the batch.
 func (ov *OldView) HasEdge(from, to NodeID, l LabelID) bool {
@@ -168,14 +326,9 @@ func (ov *OldView) HasEdge(from, to NodeID, l LabelID) bool {
 	if int(from) >= ov.numNodes || int(to) >= ov.numNodes {
 		return false
 	}
-	row := ov.Out(from)
-	i := sort.Search(len(row), func(i int) bool {
-		if row[i].Label != l {
-			return row[i].Label > l
-		}
-		return row[i].To >= to
-	})
-	return i < len(row) && row[i] == (Edge{To: to, Label: l})
+	row, e := ov.Out(from), Edge{To: to, Label: l}
+	i := findEdge(row, e)
+	return i < len(row) && row[i] == e
 }
 
 // Neighborhood returns the nodes within d undirected hops of v in the
@@ -187,22 +340,22 @@ func (ov *OldView) Neighborhood(v NodeID, d int) []NodeID {
 
 // viewNeighborhood is Graph.Neighborhood generalized to any View.
 func viewNeighborhood(g View, v NodeID, d int) []NodeID {
-	seen := map[NodeID]bool{v: true}
+	seen := map[NodeID]struct{}{v: {}}
 	frontier := []NodeID{v}
 	for hop := 0; hop < d; hop++ {
 		var next []NodeID
+		visit := func(u NodeID) {
+			if _, ok := seen[u]; !ok {
+				seen[u] = struct{}{}
+				next = append(next, u)
+			}
+		}
 		for _, u := range frontier {
 			for _, e := range g.Out(u) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
+				visit(e.To)
 			}
 			for _, e := range g.In(u) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
+				visit(e.To)
 			}
 		}
 		frontier = next
@@ -211,7 +364,7 @@ func viewNeighborhood(g View, v NodeID, d int) []NodeID {
 	for u := range seen {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -280,19 +433,35 @@ func (g *Graph) Clone() *Graph {
 	return ng
 }
 
-// insertSorted inserts e into a (label, endpoint)-sorted row, reporting
-// whether it was absent (and therefore inserted).
-func insertSorted(row []Edge, e Edge) ([]Edge, bool) {
-	i := sort.Search(len(row), func(i int) bool {
-		if row[i].Label != e.Label {
-			return row[i].Label > e.Label
+// findEdge returns where e is, or would go, in a (label, endpoint)-sorted
+// row.
+func findEdge(row []Edge, e Edge) int {
+	lo, hi := 0, len(row)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r := row[mid]; r.Label < e.Label || r.Label == e.Label && r.To < e.To {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return row[i].To >= e.To
-	})
+	}
+	return lo
+}
+
+// insertSorted inserts e into a (label, endpoint)-sorted row, in place
+// when the row has room, reporting whether it was absent (and therefore
+// inserted). A full row moves to one an eighth longer, not to append's
+// double: a maintained row is edited for as long as the graph lives, and
+// doubling left the benchmark's graphs up to twice the size of their edges.
+func insertSorted(row []Edge, e Edge) ([]Edge, bool) {
+	i := findEdge(row, e)
 	if i < len(row) && row[i] == e {
 		return row, false
 	}
-	row = append(row, Edge{})
+	if len(row) == cap(row) {
+		row = append(make([]Edge, 0, len(row)+len(row)/8+2), row...)
+	}
+	row = row[:len(row)+1]
 	copy(row[i+1:], row[i:])
 	row[i] = e
 	return row, true
@@ -301,12 +470,7 @@ func insertSorted(row []Edge, e Edge) ([]Edge, bool) {
 // removeSorted removes e from a sorted row, reporting whether it was
 // present (and therefore removed).
 func removeSorted(row []Edge, e Edge) ([]Edge, bool) {
-	i := sort.Search(len(row), func(i int) bool {
-		if row[i].Label != e.Label {
-			return row[i].Label > e.Label
-		}
-		return row[i].To >= e.To
-	})
+	i := findEdge(row, e)
 	if i >= len(row) || row[i] != e {
 		return row, false
 	}
@@ -343,40 +507,20 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 		}
 	}
 
-	ov := &OldView{
-		vg:       vg,
-		numNodes: g.NumNodes(),
-		numEdges: g.numEdges,
-		prevOut:  make(map[NodeID][]Edge),
-		prevIn:   make(map[NodeID][]Edge),
+	// The batch before this one is history: its view goes stale below,
+	// so its marks, log and dropped rows make room for this batch's.
+	for _, v := range vg.marked {
+		vg.mark[v] = 0
 	}
-	// Copy-on-write: the first edit of a pre-batch row parks the
-	// original slice in the OldView and installs a private copy in the
-	// live graph. Rows of nodes created by this batch are born owned.
-	dirtyOut := make(map[NodeID]bool)
-	dirtyIn := make(map[NodeID]bool)
-	cowOut := func(v NodeID) {
-		if dirtyOut[v] {
-			return
-		}
-		dirtyOut[v] = true
-		if int(v) < ov.numNodes {
-			ov.prevOut[v] = g.out[v]
-			g.out[v] = append([]Edge(nil), g.out[v]...)
-		}
+	vg.marked = vg.marked[:0]
+	vg.log = vg.log[:0]
+	clear(vg.dropped)
+	vg.dropped = vg.dropped[:0]
+	if n > len(vg.mark) {
+		vg.mark = append(vg.mark, make([]uint8, n-len(vg.mark))...)
 	}
-	cowIn := func(v NodeID) {
-		if dirtyIn[v] {
-			return
-		}
-		dirtyIn[v] = true
-		if int(v) < ov.numNodes {
-			ov.prevIn[v] = g.in[v]
-			g.in[v] = append([]Edge(nil), g.in[v]...)
-		}
-	}
+	ov := &OldView{vg: vg, numNodes: g.NumNodes(), numEdges: g.numEdges}
 
-	touched := make(map[NodeID]bool)
 	for _, m := range muts {
 		switch m.Op {
 		case MutAddNode:
@@ -389,83 +533,65 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 			g.inRuns = append(g.inRuns, nil)
 			// Ids ascend, so appending keeps byLabel rows sorted.
 			g.byLabel[l] = append(g.byLabel[l], id)
-			dirtyOut[id], dirtyIn[id] = true, true
-			touched[id] = true
+			vg.touch(id, 0)
 
 		case MutAddEdge:
 			// If the edge already exists its label is already interned,
 			// so Intern never adds a label on a no-op.
 			l := g.interner.Intern(m.Label)
-			cowOut(m.From)
-			cowIn(m.To)
-			row, inserted := insertSorted(g.out[m.From], Edge{To: m.To, Label: l})
-			if inserted {
-				g.out[m.From] = row
-				g.in[m.To], _ = insertSorted(g.in[m.To], Edge{To: m.From, Label: l})
+			if vg.edit(opInsert, false, m.From, Edge{To: m.To, Label: l}) {
+				vg.edit(opInsert, true, m.To, Edge{To: m.From, Label: l})
 				g.numEdges++
 			}
-			touched[m.From], touched[m.To] = true, true
+			vg.touch(m.From, 0)
+			vg.touch(m.To, 0)
 
 		case MutRemoveEdge:
 			// Lookup, not Intern: removing via a never-seen label must
 			// not grow the interner.
-			if l := g.interner.Lookup(m.Label); l != NoLabel {
-				cowOut(m.From)
-				cowIn(m.To)
-				row, removed := removeSorted(g.out[m.From], Edge{To: m.To, Label: l})
-				if removed {
-					g.out[m.From] = row
-					g.in[m.To], _ = removeSorted(g.in[m.To], Edge{To: m.From, Label: l})
-					g.numEdges--
-				}
+			if l := g.interner.Lookup(m.Label); l != NoLabel && vg.edit(opRemove, false, m.From, Edge{To: m.To, Label: l}) {
+				vg.edit(opRemove, true, m.To, Edge{To: m.From, Label: l})
+				g.numEdges--
 			}
-			touched[m.From], touched[m.To] = true, true
+			vg.touch(m.From, 0)
+			vg.touch(m.To, 0)
 
 		case MutRemoveNode:
 			v := m.From
-			touched[v] = true
-			cowOut(v)
-			cowIn(v)
+			vg.touch(v, 0)
 			outs, ins := g.out[v], g.in[v]
 			selfLoops := 0
 			for _, e := range outs {
-				touched[e.To] = true
+				vg.touch(e.To, 0)
 				if e.To == v {
 					selfLoops++
 					continue
 				}
-				cowIn(e.To)
-				g.in[e.To], _ = removeSorted(g.in[e.To], Edge{To: v, Label: e.Label})
+				vg.edit(opRemove, true, e.To, Edge{To: v, Label: e.Label})
 			}
 			for _, e := range ins {
-				touched[e.To] = true
+				vg.touch(e.To, 0)
 				if e.To == v {
 					continue // its mirror died with out[v]
 				}
-				cowOut(e.To)
-				g.out[e.To], _ = removeSorted(g.out[e.To], Edge{To: v, Label: e.Label})
+				vg.edit(opRemove, false, e.To, Edge{To: v, Label: e.Label})
 			}
 			g.numEdges -= len(outs) + len(ins) - selfLoops
-			g.out[v], g.in[v] = nil, nil
+			vg.drop(false, v)
+			vg.drop(true, v)
 		}
 	}
-	// A row and its runs are replaced together: exactly the rows the
-	// batch copied (or created) are re-indexed, O(degree) each. Nothing
-	// else holds the displaced runs, so their storage is reused.
-	for v := range dirtyOut {
-		g.outRuns[v] = appendRuns(g.outRuns[v][:0], g.out[v])
-	}
-	for v := range dirtyIn {
-		g.inRuns[v] = appendRuns(g.inRuns[v][:0], g.in[v])
+	// A row and its runs change together: exactly the rows the batch
+	// edited are re-indexed, O(degree) each, into the storage of the runs
+	// they replace.
+	for _, v := range vg.marked {
+		vg.reindex(v, vg.mark[v])
 	}
 
 	g.version++
 	ov.validAt = g.version
-	ts := make([]NodeID, 0, len(touched))
-	for v := range touched {
-		ts = append(ts, v)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	ts := slices.Clone(vg.marked)
+	slices.Sort(ts)
 	return ov, ts, nil
 }
 
@@ -483,6 +609,12 @@ func (vg *Versioned) Rollback(ov *OldView) error {
 	if g.version != ov.validAt {
 		return fmt.Errorf("graph: rollback of a stale view (version %d, now %d)", ov.validAt, g.version)
 	}
+	// One pass over the log, newest edit first, on the live rows.
+	for i := len(vg.log) - 1; i >= 0; i-- {
+		op := vg.log[i]
+		rows, _ := vg.rows(op.in)
+		rows[op.v] = vg.undo(op, rows[op.v])
+	}
 	// Un-append the batch's new nodes. Their byLabel entries are the
 	// tails of their rows: every pre-batch entry is a smaller id.
 	for v := ov.numNodes; v < len(g.nodeLabel); v++ {
@@ -495,14 +627,10 @@ func (vg *Versioned) Rollback(ov *OldView) error {
 	g.in = g.in[:ov.numNodes]
 	g.outRuns = g.outRuns[:ov.numNodes]
 	g.inRuns = g.inRuns[:ov.numNodes]
-	// Restore displaced rows, and their runs with them.
-	for v, row := range ov.prevOut {
-		g.out[v] = row
-		g.outRuns[v] = appendRuns(g.outRuns[v][:0], row)
-	}
-	for v, row := range ov.prevIn {
-		g.in[v] = row
-		g.inRuns[v] = appendRuns(g.inRuns[v][:0], row)
+	for _, v := range vg.marked {
+		if int(v) < ov.numNodes {
+			vg.reindex(v, vg.mark[v])
+		}
 	}
 	g.numEdges = ov.numEdges
 	g.version++

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -34,6 +35,10 @@ var protocolSeeds = []string{
 	// sends them: owned [3], affected [0,1]; owned [5,2,9] (unsorted).
 	`{"id":14,"cmd":"update","updates":[{"op":"addNode","label":"person"}],"owned":"Bg==","scoped":true,"affected":"AAI="}`,
 	`{"id":15,"cmd":"assign","owned":"CgUO"}`,
+	// An update as every sender writes it since batches are packed (the
+	// two ops of line 6), and one whose array names an op nobody knows.
+	`{"id":17,"cmd":"update","updates":"AgZmb2xsb3cKYmFkX3JhdGluZwIABAADAgQB","scoped":true,"affected":"AAI="}`,
+	`{"id":18,"cmd":"update","updates":[{"op":"frob","from":1}]}`,
 }
 
 // FuzzRequestRoundTrip asserts the wire format is lossless for every
@@ -56,6 +61,15 @@ func FuzzRequestRoundTrip(f *testing.F) {
 		var req Request
 		if err := json.Unmarshal(line, &req); err != nil {
 			t.Skip() // not a decodable request line
+		}
+		if _, err := ToUpdates(req.Updates); err != nil {
+			// The array form can spell an op nobody knows. Every handler
+			// refuses such a batch and the packed form has no code for
+			// it, so it must fail to encode, not travel as something else.
+			if _, err := json.Marshal(&req); err == nil {
+				t.Fatalf("a request with an unknown op encoded: %s", line)
+			}
+			t.Skip()
 		}
 		b, err := json.Marshal(&req)
 		if err != nil {
@@ -193,6 +207,104 @@ func FuzzIDList(f *testing.F) {
 		}
 		if err := json.Unmarshal(array, &fromArray); err != nil || !sameIDs(list, fromArray) {
 			t.Fatalf("%v as the array %s decoded to %v (%v)", list, array, fromArray, err)
+		}
+	})
+}
+
+// fuzzBatch decodes any bytes into a batch of known ops, 18 bytes an op:
+// the op, from and to as whole int64s (negative and past 2³¹ included),
+// and a label out of 255 and the empty one.
+func fuzzBatch(data []byte) Batch {
+	b := make(Batch, 0, len(data)/18)
+	for ; len(data) >= 18; data = data[18:] {
+		u := UpdateSpec{
+			Op:   batchOps[1+int(data[0])%(len(batchOps)-1)],
+			From: int64(binary.LittleEndian.Uint64(data[1:])),
+			To:   int64(binary.LittleEndian.Uint64(data[9:])),
+		}
+		if data[17] != 0 {
+			u.Label = "label" + strconv.Itoa(int(data[17]))
+		}
+		b = append(b, u)
+	}
+	return b
+}
+
+// sameBatch compares two batches op by op; nil and empty are the same
+// batch, as on the wire.
+func sameBatch(a, b Batch) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// FuzzBatch holds the batch codec to what the protocol header promises,
+// the way FuzzIDList does for id lists. The input is read three ways. As a
+// JSON value: decoding never panics, and a batch of known ops re-encodes
+// to a form that decodes to the same batch. As a raw block (base64'd and
+// quoted here): never a panic, never a batch longer than the block. As a
+// batch (fuzzBatch): packing then decoding is the identity, and the array
+// of objects spelling the same batch decodes equal.
+func FuzzBatch(f *testing.F) {
+	op := func(code byte, from, to int64, label byte) []byte {
+		b := binary.LittleEndian.AppendUint64([]byte{code}, uint64(from))
+		return append(binary.LittleEndian.AppendUint64(b, uint64(to)), label)
+	}
+	var manyLabels []byte
+	for i := 0; i < 300; i++ {
+		manyLabels = append(manyLabels, op(1, int64(i), 0, byte(i))...)
+	}
+	for _, seed := range [][]byte{
+		[]byte(`"AQZmb2xsb3cCAgQA"`), []byte(`[{"op":"addEdge","from":1,"to":2,"label":"follow"}]`),
+		[]byte(`null`), []byte(`""`), []byte(`"AA=="`), []byte(`[{"op":"frob"}]`), []byte(`"`), []byte(`{"a":1}`),
+		[]byte(`"AQZmb2xsb3cCAgQ="`), []byte(`"AQZmb2xsb3cCAgQB"`), []byte(`"AQZmb2xsb3cFAgQA"`),
+		[]byte(`"BQZmb2xsb3c="`), []byte(`"AQlmb2xsb3c="`), []byte(`"/////w8="`), []byte(`"AQACAv////////////8BAA=="`),
+		[]byte(`"AQAC\/\/\/\/\/\/\/\/\/\/\/\/AQAA"`), []byte(`"AQZmb2xsb3cCAgQA!"`), // TestBatchBlocks says what each is
+		append(append(append(op(0, 0, 0, 0), op(1, 1, 2, 7)...), op(2, -1, 1<<40, 7)...), op(3, math.MinInt64, math.MaxInt64, 0)...),
+		manyLabels,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var direct Batch
+		_ = direct.UnmarshalJSON(data) // any bytes: an error at most
+
+		var b Batch
+		if err := json.Unmarshal(data, &b); err == nil {
+			if _, err := ToUpdates(b); err == nil {
+				packed, err := json.Marshal(b)
+				if err != nil {
+					t.Fatalf("marshal %v: %v", b, err)
+				}
+				var again Batch
+				if err := json.Unmarshal(packed, &again); err != nil || !sameBatch(b, again) {
+					t.Fatalf("%s decoded to %v, re-encoded to %s, decoded to %v (%v)", data, b, packed, again, err)
+				}
+			}
+		}
+
+		block := `"` + base64.StdEncoding.EncodeToString(data) + `"`
+		var fromBlock Batch
+		if err := fromBlock.UnmarshalJSON([]byte(block)); err == nil && cap(fromBlock) > len(data) {
+			t.Fatalf("a %d-byte block decoded to a batch with room for %d ops", len(data), cap(fromBlock))
+		}
+
+		batch := fuzzBatch(data)
+		packed, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatalf("marshal %v: %v", batch, err)
+		}
+		if len(packed) < 2 || packed[0] != '"' {
+			t.Fatalf("%v encoded as %s, want the packed string form", batch, packed)
+		}
+		array, err := json.Marshal([]UpdateSpec(batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fromPacked, fromArray Batch
+		if err := json.Unmarshal(packed, &fromPacked); err != nil || !sameBatch(batch, fromPacked) {
+			t.Fatalf("%v packed as %s decoded to %v (%v)", batch, packed, fromPacked, err)
+		}
+		if err := json.Unmarshal(array, &fromArray); err != nil || !sameBatch(batch, fromArray) {
+			t.Fatalf("%v as the array %s decoded to %v (%v)", batch, array, fromArray, err)
 		}
 	})
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -570,5 +572,119 @@ func TestWatchErrorsAndLifecycle(t *testing.T) {
 	}
 	if err := c.Unwatch("w"); err == nil {
 		t.Error("watch survived a graph replacement")
+	}
+}
+
+// An update is served the same whichever way its batch is spelled: as the
+// array of objects every client written before the packed form sends, or
+// as the packed string. Two sessions run the same script, one per form,
+// over raw lines; every reply — counts, deltas, the final answers, stats
+// and ping — must agree.
+func TestUpdateAcceptsBothForms(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	batches := [][]server.UpdateSpec{
+		{{Op: "addEdge", From: 3, To: 2, Label: "follow"}},
+		{{Op: "addNode", Label: "Person"}, {Op: "addEdge", From: 5, To: 1, Label: "follow"}, {Op: "addEdge", From: 5, To: 2, Label: "follow"}},
+		{{Op: "removeEdge", From: 0, To: 2, Label: "follow"}, {Op: "addEdge", From: 0, To: 0, Label: ""}},
+		{{Op: "removeNode", From: 1}},
+	}
+	session := func(spell func([]server.UpdateSpec) []byte) []server.Response {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		dec := json.NewDecoder(conn)
+		var replies []server.Response
+		send := func(line string) {
+			t.Helper()
+			if _, err := conn.Write([]byte(line + "\n")); err != nil {
+				t.Fatal(err)
+			}
+			var resp server.Response
+			if err := dec.Decode(&resp); err != nil {
+				t.Fatal(err)
+			}
+			if !resp.OK {
+				t.Fatalf("%s: %s", line, resp.Error)
+			}
+			resp.ElapsedMS = 0
+			replies = append(replies, resp)
+		}
+		text, _ := json.Marshal(tinyGraphText)
+		pattern, _ := json.Marshal(followPattern)
+		send(`{"id":1,"cmd":"load","data":` + string(text) + `}`)
+		send(`{"id":2,"cmd":"watch","watch":"buyers","pattern":` + string(pattern) + `}`)
+		for _, b := range batches {
+			send(`{"id":3,"cmd":"update","updates":` + string(spell(b)) + `}`)
+		}
+		send(`{"id":4,"cmd":"match","pattern":` + string(pattern) + `}`)
+		send(`{"id":5,"cmd":"stats","topK":10}`)
+		send(`{"id":6,"cmd":"ping"}`)
+		return replies
+	}
+	array := session(func(b []server.UpdateSpec) []byte {
+		line, err := json.Marshal(b)
+		if err != nil || line[0] != '[' {
+			t.Fatalf("array form: %s (%v)", line, err)
+		}
+		return line
+	})
+	packed := session(func(b []server.UpdateSpec) []byte {
+		line, err := json.Marshal(server.Batch(b))
+		if err != nil || line[0] != '"' {
+			t.Fatalf("packed form: %s (%v)", line, err)
+		}
+		return line
+	})
+	if !reflect.DeepEqual(array, packed) {
+		t.Fatalf("the two forms were served differently:\n array: %+v\npacked: %+v", array, packed)
+	}
+	// The script did something: the first batch brought p3 in, the last
+	// took everybody out.
+	if d := array[2].Deltas; len(d) != 1 || len(d[0].Added) != 1 || d[0].Added[0] != 3 {
+		t.Fatalf("first update's deltas = %+v, want +[3]", d)
+	}
+	if last := array[5]; last.Nodes != 6 || len(last.Deltas) != 1 || len(last.Deltas[0].Removed) == 0 {
+		t.Fatalf("last update = %+v", last)
+	}
+}
+
+// What the batch decoder makes of a peer's block: the header's example,
+// then one block per way of being malformed.
+func TestBatchBlocks(t *testing.T) {
+	for _, c := range []struct{ what, block, err string }{
+		{"the protocol header's example", `"AQZmb2xsb3cCAgQA"`, ""},
+		{"no labels, no ops", `"AA=="`, ""},
+		{"from = MinInt64 under another encoder's escapes", `"AQAC\/\/\/\/\/\/\/\/\/\/\/\/AQAA"`, ""},
+		{"the last op's label index cut off", `"AQZmb2xsb3cCAgQ="`, "truncated"},
+		{"label 1 of a table of 1", `"AQZmb2xsb3cCAgQB"`, "label 1 of a table of 1"},
+		{"opcode 5", `"AQZmb2xsb3cFAgQA"`, "unknown opcode 5"},
+		{"opcode 0", `"AQZmb2xsb3cAAgQA"`, "unknown opcode 0"},
+		{"a table of 5 labels, one present", `"BQZmb2xsb3c="`, "truncated"},
+		{"a label of 9 bytes, 6 present", `"AQlmb2xsb3c="`, "truncated"},
+		{"a table of 2³² labels in a 5-byte block", `"/////w8="`, "truncated"},
+		{"an 11-byte varint for to", `"AQACAv////////////8BAA=="`, "overlong"},
+		{"an empty block", `""`, "truncated"},
+		{"not base64", `"AQZmb2xsb3cCAgQA!"`, "base64"},
+	} {
+		var b server.Batch
+		err := json.Unmarshal([]byte(c.block), &b)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s: %v", c.what, err)
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("%s: err = %v, want one naming %q", c.what, err, c.err)
+		}
+	}
+	var b server.Batch
+	if err := json.Unmarshal([]byte(`"AQZmb2xsb3cCAgQA"`), &b); err != nil || len(b) != 1 || b[0] != (server.UpdateSpec{Op: "addEdge", From: 1, To: 2, Label: "follow"}) {
+		t.Fatalf("the header's example decoded to %+v (%v)", b, err)
+	}
+	if err := json.Unmarshal([]byte(`"AQAC\/\/\/\/\/\/\/\/\/\/\/\/AQAA"`), &b); err != nil || len(b) != 1 || b[0].From != math.MinInt64 {
+		t.Fatalf("the escaped block decoded to %+v (%v)", b, err)
+	}
+	if _, err := json.Marshal(server.Batch{{Op: "teleport"}}); err == nil {
+		t.Fatal("a batch with an unknown op was encoded")
 	}
 }

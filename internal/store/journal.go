@@ -86,10 +86,13 @@ func decodePayload(payload []byte) (seq uint64, m Mutation, err error) {
 	return seq, m, nil
 }
 
-// journalWriter appends records to an open journal file.
+// journalWriter appends records to an open journal file. size is the
+// file's length: learnt when the file is created or opened, advanced by
+// every append, so nobody has to ask the file system per batch.
 type journalWriter struct {
 	f     *os.File
 	buf   []byte
+	size  int64
 	fsync bool
 }
 
@@ -108,7 +111,7 @@ func createJournal(path string, fsync bool) (*journalWriter, error) {
 			return nil, err
 		}
 	}
-	return &journalWriter{f: f, fsync: fsync}, nil
+	return &journalWriter{f: f, size: int64(len(journalMagic)), fsync: fsync}, nil
 }
 
 func openJournalForAppend(path string, fsync bool) (*journalWriter, error) {
@@ -116,7 +119,12 @@ func openJournalForAppend(path string, fsync bool) (*journalWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &journalWriter{f: f, fsync: fsync}, nil
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &journalWriter{f: f, size: fi.Size(), fsync: fsync}, nil
 }
 
 // append writes one batch of records and optionally fsyncs once for the
@@ -126,7 +134,9 @@ func (w *journalWriter) append(seqStart uint64, muts []Mutation) error {
 	for i, m := range muts {
 		w.buf = encodeRecord(w.buf, seqStart+uint64(i), m)
 	}
-	if _, err := w.f.Write(w.buf); err != nil {
+	n, err := w.f.Write(w.buf)
+	w.size += int64(n)
+	if err != nil {
 		return err
 	}
 	if w.fsync {

@@ -166,18 +166,15 @@ func (s *Store) NumEdges() int {
 
 // JournalBytes reports the on-disk size of the mutation journal: the
 // bytes Compact would fold into the next snapshot. Compaction policies
-// (internal/ha) poll it to keep a long-lived store's journal bounded.
+// (internal/ha) poll it around every batch to keep a long-lived store's
+// journal bounded, so it is the appender's own count, not a stat.
 func (s *Store) JournalBytes() (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, fmt.Errorf("store: closed")
 	}
-	fi, err := s.jw.f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	return fi.Size(), nil
+	return s.jw.size, nil
 }
 
 // Apply journals and applies a batch of mutations atomically with respect

@@ -199,6 +199,70 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 }
 
+// JournalBytes is counted, not asked of the file system per batch: it must
+// still be the file's size after appends, after a compaction, after a
+// clean reopen and after reopening over a torn tail.
+func TestJournalBytesTracksTheFile(t *testing.T) {
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, journalName)
+	check := func(s *Store, when string) {
+		t.Helper()
+		got, err := s.JournalBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != fi.Size() {
+			t.Fatalf("%s: JournalBytes = %d, the file holds %d", when, got, fi.Size())
+		}
+	}
+	s := openT(t, dir)
+	check(s, "fresh store")
+	for i := 0; i < 5; i++ {
+		if _, err := s.Apply(AddNode("A"), AddNode("a longer label"), AddEdge(0, 1, "x")); err != nil {
+			t.Fatal(err)
+		}
+		check(s, "after an append")
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "after compaction")
+	if _, err := s.Apply(AddEdge(1, 0, "y"), AddEdge(2, 3, "z")); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "after an append to the compacted journal")
+	s.Close()
+
+	s = openT(t, dir)
+	check(s, "clean reopen")
+	if _, err := s.Apply(RemoveEdge(1, 0, "y")); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "after an append to the reopened journal")
+	s.Close()
+
+	b, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jpath, b[:len(b)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = openT(t, dir)
+	if !s.Recovery().TornTail {
+		t.Fatal("torn tail not detected")
+	}
+	check(s, "reopen over a torn tail")
+	if _, err := s.Apply(AddNode("B")); err != nil {
+		t.Fatal(err)
+	}
+	check(s, "after an append to the repaired journal")
+}
+
 func TestCorruptCRCTruncatesSuffix(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
