@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -20,7 +21,9 @@ import (
 type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
-	sc     *bufio.Scanner
+	in     *server.LineReader // a response line is capped at 64 MiB
+	out    *bufio.Writer
+	enc    *json.Encoder // onto out
 	nextID int64
 	// Timeout bounds each round trip; zero means no deadline.
 	Timeout time.Duration
@@ -38,9 +41,8 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection (useful with net.Pipe in
 // tests).
 func NewClient(conn net.Conn) *Client {
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), 64<<20)
-	return &Client{conn: conn, sc: sc}
+	out := bufio.NewWriter(conn)
+	return &Client{conn: conn, in: server.NewLineReader(conn, 64<<20), out: out, enc: json.NewEncoder(out)}
 }
 
 // Close closes the connection.
@@ -57,23 +59,28 @@ func (c *Client) Do(req *server.Request) (*server.Response, error) {
 	if c.Timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.Timeout))
 	}
-	b, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
+	err := c.enc.Encode(req) // appends the newline that ends the line
+	if err == nil {
+		err = c.out.Flush()
 	}
-	b = append(b, '\n')
-	if _, err := c.conn.Write(b); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("client: write: %w", err)
 	}
-	if !c.sc.Scan() {
-		if err := c.sc.Err(); err != nil {
-			return nil, fmt.Errorf("client: read: %w", err)
-		}
+	line, err := c.in.ReadLine()
+	if err == io.EOF {
 		return nil, fmt.Errorf("client: connection closed by server")
 	}
+	if err != nil {
+		return nil, fmt.Errorf("client: read: %w", err)
+	}
 	var resp server.Response
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
+	if err := json.Unmarshal(line, &resp); err != nil {
 		return nil, fmt.Errorf("client: decode: %w", err)
+	}
+	if resp.ID == 0 && !resp.OK {
+		// The server could not read the line far enough to learn its id
+		// (not JSON, or over its line cap — then it hangs up as well).
+		return nil, fmt.Errorf("client: %s", resp.Error)
 	}
 	if resp.ID != req.ID {
 		return nil, fmt.Errorf("client: response id %d for request %d", resp.ID, req.ID)

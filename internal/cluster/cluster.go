@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -128,10 +127,12 @@ type Coordinator struct {
 	ball    dynamic.BallScratch
 	workers []*worker
 	watches map[string]string // watch name → pattern DSL (for failover re-registration)
-	// plans holds one reach plan per distinct pattern among the watches,
-	// counted by the names holding it — the mirror of the workers' watch
-	// engine groups. Update ships the union of the plans' affected sets.
-	plans  map[string]*planRef
+	// groups holds the distinct patterns among the watches, counted by the
+	// names holding each — the mirror of the workers' watch engine groups —
+	// and reach is their one merged reach plan, recompiled when the set of
+	// distinct patterns changes. Update ships reach's affected set.
+	groups map[string]*groupRef
+	reach  *dynamic.ReachPlan
 	closed bool
 	// failed is set when a worker failed mid-update with no failover
 	// left, leaving fragments possibly inconsistent; every later
@@ -144,10 +145,10 @@ type Coordinator struct {
 	version uint64
 }
 
-// planRef is one distinct standing pattern's reach plan and the number
-// of watch names holding the pattern.
-type planRef struct {
-	plan *dynamic.ReachPlan
+// groupRef is one distinct standing pattern and the number of watch names
+// holding it.
+type groupRef struct {
+	q    *core.Pattern
 	refs int
 }
 
@@ -266,7 +267,7 @@ func build(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	vg := graph.NewVersioned(g)
-	c := &Coordinator{cfg: cfg, g: vg.Graph(), vg: vg, watches: make(map[string]string), plans: make(map[string]*planRef)}
+	c := &Coordinator{cfg: cfg, g: vg.Graph(), vg: vg, watches: make(map[string]string), groups: make(map[string]*groupRef), reach: dynamic.NewReachPlan()}
 	c.om = newCoordMetrics(cfg.Metrics, len(ts))
 	c.workers = make([]*worker, len(ts))
 	for i := range c.workers {
@@ -533,13 +534,4 @@ func mergeRuns(runs [][]graph.NodeID) []graph.NodeID {
 		}
 		runs[least] = runs[least][1:]
 	}
-}
-
-func sortedSet(m map[graph.NodeID]bool) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -165,5 +166,34 @@ func TestFrontendRejectsWorkerRouting(t *testing.T) {
 	// A plain update on the same connection still works.
 	if _, _, err := c.Update(server.UpdateSpec{Op: "addNode", Label: "person"}); err != nil {
 		t.Fatalf("plain update after rejections: %v", err)
+	}
+}
+
+// TestFrontendOversizedLine: the front end shares server.Host's framing, so
+// a request line over its MaxLineBytes is refused in words and the client
+// reports them; the connection is closed behind the refusal.
+func TestFrontendOversizedLine(t *testing.T) {
+	fe := NewFrontend(FrontendConfig{
+		MaxLineBytes: 1 << 10,
+		Logf:         func(string, ...interface{}) {},
+		Cluster:      Config{D: 2},
+		NewWorkers:   func() ([]Transport, error) { return InProcessN(2, server.Config{}), nil },
+	})
+	defer fe.Shutdown(context.Background())
+	cs, ss := net.Pipe()
+	done := make(chan struct{})
+	go func() { defer close(done); fe.ServeConn(ss) }()
+	c := client.NewClient(cs)
+	defer func() { c.Close(); <-done }()
+
+	if _, _, err := c.Gen("social", 50, 3); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	_, _, err := c.LoadText("# " + strings.Repeat("x", 2<<10) + "\ngraph 1\nn 0 person\n")
+	if err == nil || err.Error() != "client: bad request: line exceeds 1024 bytes" {
+		t.Fatalf("2 KiB load under a 1 KiB cap: %v", err)
+	}
+	if err := c.Ping(); err == nil {
+		t.Fatal("the connection survived an over-long line")
 	}
 }

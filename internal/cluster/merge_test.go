@@ -184,6 +184,15 @@ func TestFragmentExtendedWithLowerID(t *testing.T) {
 	}
 }
 
+func sortedSet(m map[graph.NodeID]bool) []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(m))
+	for v := range m {
+		out = append(out, v)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
 var mergeSink []graph.NodeID
 
 // BenchmarkMergeRuns merges an answer of 4 500 ids held by 2 and by 4

@@ -162,19 +162,16 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	}
 	taff := time.Now()
 	// Two affected regions: answer re-verification needs the focus
-	// candidates the standing patterns' reach plans walk to from the
-	// changed edges (the union over the distinct patterns is what ships),
+	// candidates the standing patterns' merged reach plan walks to from the
+	// changed edges (each distinct rule walked once, whatever the number of
+	// patterns sharing it),
 	// while fragment materialization upkeep is bounded by the (D-1)-ball
 	// around inserted-edge endpoints and batch-created nodes — a node can
 	// only move into an owned node's D-hop ball along a path through an
 	// inserted edge, and deletions never extend a fragment. Neither
 	// needs the D-hop ball of the whole touched set, which for a 1-edge
 	// batch can cover most of a dense graph.
-	reach := make(map[graph.NodeID]bool)
-	for _, ref := range c.plans {
-		ref.plan.Mark(reach, oldG, newG, touched)
-	}
-	reverify := sortedSet(reach)
+	reverify := c.reach.Affected(oldG, newG, touched)
 	var insEnds []graph.NodeID
 	for _, u := range ups {
 		if u.Op == store.OpAddEdge {

@@ -100,10 +100,11 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 		}
 	}
 	c.watches[name] = pattern
-	ref := c.plans[pattern]
+	ref := c.groups[pattern]
 	if ref == nil {
-		ref = &planRef{plan: dynamic.NewReachPlan(q)}
-		c.plans[pattern] = ref
+		ref = &groupRef{q: q}
+		c.groups[pattern] = ref
+		c.compileReachLocked()
 	}
 	ref.refs++
 	if c.cfg.Journal != nil {
@@ -117,7 +118,7 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 	}
 	if c.om != nil {
 		c.om.watchCount.Inc()
-		c.om.watchGroups.Set(int64(len(c.plans)))
+		c.om.watchGroups.Set(int64(len(c.groups)))
 	}
 	return mergeRuns(runs), nil
 }
@@ -146,6 +147,16 @@ func (c *Coordinator) rollbackWatchLocked(name string, responses []*server.Respo
 	})
 }
 
+// compileReachLocked recompiles the merged reach plan from the distinct
+// standing patterns. Callers hold c.mu.
+func (c *Coordinator) compileReachLocked() {
+	qs := make([]*core.Pattern, 0, len(c.groups))
+	for _, ref := range c.groups {
+		qs = append(qs, ref.q)
+	}
+	c.reach = dynamic.NewReachPlan(qs...)
+}
+
 // Unwatch removes a standing pattern from every worker.
 func (c *Coordinator) Unwatch(name string) error {
 	c.mu.Lock()
@@ -165,14 +176,15 @@ func (c *Coordinator) Unwatch(name string) error {
 		c.failed = err
 		return err
 	}
-	if ref := c.plans[c.watches[name]]; ref.refs > 1 {
+	if ref := c.groups[c.watches[name]]; ref.refs > 1 {
 		ref.refs--
 	} else {
-		delete(c.plans, c.watches[name])
+		delete(c.groups, c.watches[name])
+		c.compileReachLocked()
 	}
 	delete(c.watches, name)
 	if c.om != nil {
-		c.om.watchGroups.Set(int64(len(c.plans)))
+		c.om.watchGroups.Set(int64(len(c.groups)))
 	}
 	if c.cfg.Journal != nil {
 		if err := c.cfg.Journal.WatchRemoved(name); err != nil {

@@ -31,8 +31,12 @@ import (
 // node is just a node that lost its edges; a created node cannot be
 // reached by any old path and is a candidate by label alone (Π(Q) may be
 // the bare focus).
+//
+// A plan compiled from several patterns is their union: the distinct
+// rules of all of them — patterns that differ only in their quantifiers
+// share every rule — and the set of their focus labels.
 type ReachPlan struct {
-	focus string // the focus node's label
+	focus map[string]bool // the focus nodes' labels
 	rules []reachRule
 }
 
@@ -52,15 +56,18 @@ type reachStep struct {
 	node string
 }
 
-// NewReachPlan compiles q's reach plan.
-func NewReachPlan(q *core.Pattern) *ReachPlan {
-	p := &ReachPlan{focus: q.Nodes[q.Focus].Label}
+// NewReachPlan compiles the reach plan of qs.
+func NewReachPlan(qs ...*core.Pattern) *ReachPlan {
+	p := &ReachPlan{focus: make(map[string]bool)}
 	have := make(map[string]bool)
-	pi, _ := q.Pi()
-	p.addPositive(pi, have)
-	for _, ei := range q.NegatedEdges() {
-		pp, _ := q.PiPlus(ei)
-		p.addPositive(pp, have)
+	for _, q := range qs {
+		p.focus[q.Nodes[q.Focus].Label] = true
+		pi, _ := q.Pi()
+		p.addPositive(pi, have)
+		for _, ei := range q.NegatedEdges() {
+			pp, _ := q.PiPlus(ei)
+			p.addPositive(pp, have)
+		}
 	}
 	return p
 }
@@ -119,17 +126,9 @@ func (p *ReachPlan) addPositive(pos *core.Pattern, have map[string]bool) {
 // touched set (ApplyVersioned's, or Apply's with the pre-batch graph as
 // old).
 func (p *ReachPlan) Affected(old, newG graph.View, touched []graph.NodeID) []graph.NodeID {
-	set := make(map[graph.NodeID]bool)
-	p.Mark(set, old, newG, touched)
-	return sortedNodeSet(set)
-}
-
-// Mark adds Affected's nodes to dst, so a holder of several plans (the
-// cluster coordinator, one per distinct standing pattern) builds their
-// union in one set.
-func (p *ReachPlan) Mark(dst map[graph.NodeID]bool, old, newG graph.View, touched []graph.NodeID) {
+	dst := make(map[graph.NodeID]bool)
 	for _, v := range touched {
-		if int(v) >= old.NumNodes() && newG.NodeLabelName(v) == p.focus {
+		if int(v) >= old.NumNodes() && p.focus[newG.NodeLabelName(v)] {
 			dst[v] = true
 		}
 	}
@@ -160,6 +159,7 @@ func (p *ReachPlan) Mark(dst map[graph.NodeID]bool, old, newG graph.View, touche
 		walk(dst, old, lost, r.path)
 		walk(dst, newG, gained, r.path)
 	}
+	return sortedNodeSet(dst)
 }
 
 // labelRun returns the edges labelled l of an adjacency row (sorted by

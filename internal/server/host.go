@@ -2,10 +2,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -146,28 +148,100 @@ func (h *Host) state() (conns int, shuttingDown bool) {
 	return len(h.conns), h.shutdown
 }
 
+// LineReader is the protocol's line framing, shared by server and client:
+// '\n'- or "\r\n"-terminated lines, and a final unterminated one, read
+// through a fixed 64 KiB buffer. A line that fits is a view into that
+// buffer, valid until the next ReadLine; a longer one is assembled in a
+// buffer of its own that the reader does not keep, so a connection holds
+// 64 KiB between requests, not the largest line it ever carried. Bytes
+// after the line stay buffered for the next call.
+type LineReader struct {
+	br  *bufio.Reader
+	max int
+	err error // sticky: a reader that failed once is finished
+}
+
+// LineTooLong is ReadLine's error once Max bytes arrived without a '\n'.
+type LineTooLong struct{ Max int }
+
+func (e LineTooLong) Error() string { return fmt.Sprintf("line exceeds %d bytes", e.Max) }
+
+// NewLineReader reads lines from r and refuses one of max bytes or more.
+func NewLineReader(r io.Reader, max int) *LineReader {
+	return &LineReader{br: bufio.NewReaderSize(r, 64<<10), max: max}
+}
+
+// ReadLine returns the next line without its terminator, empty ones
+// included. The cap is enforced while a line is assembled: no more than max
+// bytes of a refused one are ever held. A read error ends the stream once
+// the bytes that preceded it were served as a last line.
+func (lr *LineReader) ReadLine() ([]byte, error) {
+	if lr.err != nil {
+		return nil, lr.err
+	}
+	line, err := lr.br.ReadSlice('\n')
+	var chunks [][]byte // the buffer-sized pieces of a line that outgrew the buffer
+	n := len(line)
+	for err == bufio.ErrBufferFull && n < lr.max {
+		chunks = append(chunks, append([]byte(nil), line...))
+		line, err = lr.br.ReadSlice('\n')
+		n += len(line)
+	}
+	if err == nil {
+		n-- // the '\n' does not count
+	}
+	if n >= lr.max {
+		lr.err = LineTooLong{lr.max}
+		return nil, lr.err
+	}
+	if chunks != nil {
+		// One exact-size copy: the line costs twice its length while it is
+		// put together and nothing once its handler returns.
+		long := make([]byte, 0, n+1)
+		for _, c := range chunks {
+			long = append(long, c...)
+		}
+		line = append(long, line...)
+	}
+	if err != nil {
+		lr.err = err
+		if len(line) == 0 {
+			return nil, err
+		}
+	}
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	return bytes.TrimSuffix(line, []byte("\r")), nil
+}
+
 // serveProtocol runs the newline-delimited JSON request loop on one
 // connection, dispatching each decoded request to handle and writing its
 // response with the ID/OK/Error envelope filled in. It closes conn and
-// returns when the peer disconnects, a line exceeds MaxLineBytes, or the
-// connection idles out.
+// returns when the peer disconnects, a line exceeds MaxLineBytes (the peer
+// is told so first), or the connection idles out.
 func (h *Host) serveProtocol(conn net.Conn, handle func(*Request) Response) {
 	cfg := &h.pcfg
 	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 64<<10), cfg.MaxLineBytes)
+	in := NewLineReader(conn, cfg.MaxLineBytes)
 	out := bufio.NewWriter(conn)
 	enc := json.NewEncoder(out)
 
 	for {
 		conn.SetReadDeadline(time.Now().Add(cfg.IdleTimeout))
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil && !errors.Is(err, net.ErrClosed) {
+		line, err := in.ReadLine()
+		if err != nil {
+			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				cfg.Logf("%s: %v: read: %v", cfg.Name, conn.RemoteAddr(), err)
+			}
+			if _, tooLong := err.(LineTooLong); tooLong {
+				// A peer still writing its line is not reading, and net.Pipe
+				// buffers nothing: the refusal gets a second, not forever.
+				// Whether it arrives or not, the connection closes.
+				conn.SetWriteDeadline(time.Now().Add(time.Second))
+				_ = enc.Encode(&Response{Error: fmt.Sprintf("bad request: %v", err)})
+				_ = out.Flush()
 			}
 			return
 		}
-		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}

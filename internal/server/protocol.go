@@ -19,6 +19,10 @@ import (
 // line from the client, one Response per line from the server, matched by
 // Id. Requests on one connection are processed in order; concurrency
 // comes from multiple connections, bounded by Config.MaxConcurrent.
+// Lines end in "\n" or "\r\n", empty ones are skipped, a last line need
+// not be terminated, and requests may be pipelined (LineReader, host.go).
+// A line over the server's cap is answered, with id 0, by
+// "bad request: line exceeds N bytes" and the connection is closed.
 //
 // Commands:
 //

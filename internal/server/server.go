@@ -8,10 +8,10 @@
 package server
 
 import (
-	"bytes"
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -342,11 +342,18 @@ func decodeGraph(format, data string, maxSize int) (*graph.Graph, error) {
 	case "text", "":
 		return graph.Read(strings.NewReader(data))
 	case "binary":
-		raw, err := base64.StdEncoding.DecodeString(data)
+		// Decoded as it is read: the fragment is never held a second time
+		// as raw bytes beside the line that carried it.
+		dec := base64.NewDecoder(base64.StdEncoding, strings.NewReader(data))
+		g, err := graph.ReadBinary(dec, maxSize)
 		if err != nil {
 			return nil, err
 		}
-		return graph.ReadBinary(bytes.NewReader(raw), maxSize)
+		// Base64 damaged past the graph's last byte is still refused.
+		if _, err := io.Copy(io.Discard, dec); err != nil {
+			return nil, err
+		}
+		return g, nil
 	case "json":
 		res, err := load.JSON(strings.NewReader(data))
 		if err != nil {
