@@ -45,12 +45,12 @@ func BenchmarkStore(b *testing.B) {
 		if err := s.ImportGraph(seed); err != nil {
 			b.Fatal(err)
 		}
-		n := int32(seed.NumNodes())
+		n := graph.NodeID(seed.NumNodes())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			muts := make([]store.Mutation, 100)
+			muts := make([]graph.Mutation, 100)
 			for j := range muts {
-				muts[j] = store.AddEdge(int32((i*100+j))%n, int32(i*31+j*7)%n, "follow")
+				muts[j] = graph.AddEdge(graph.NodeID((i*100+j))%n, graph.NodeID(i*31+j*7)%n, "follow")
 			}
 			if _, err := s.Apply(muts...); err != nil {
 				b.Fatal(err)
@@ -69,7 +69,7 @@ func BenchmarkStore(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.Apply(store.AddEdge(int32(i%seed.NumNodes()), 0, "follow")); err != nil {
+			if _, err := s.Apply(graph.AddEdge(graph.NodeID(i%seed.NumNodes()), 0, "follow")); err != nil {
 				b.Fatal(err)
 			}
 			if err := s.Compact(); err != nil {
@@ -87,7 +87,7 @@ func BenchmarkStore(b *testing.B) {
 			b.Fatal(err)
 		}
 		for i := 0; i < 500; i++ {
-			if _, err := s.Apply(store.AddEdge(int32(i%seed.NumNodes()), int32((i*13)%seed.NumNodes()), "follow")); err != nil {
+			if _, err := s.Apply(graph.AddEdge(graph.NodeID(i%seed.NumNodes()), graph.NodeID((i*13)%seed.NumNodes()), "follow")); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -226,7 +226,7 @@ func BenchmarkDParSocial(b *testing.B) {
 
 func BenchmarkSocialPQMatch(b *testing.B) {
 	g, q := socialFixture(b, 2000)
-	if parallel.RequiredHops(q) > 2 {
+	if core.RequiredHops(q) > 2 {
 		b.Skip("generated pattern exceeds d=2")
 	}
 	part, err := partition.DPar(g, partition.Config{Workers: 4, D: 2})

@@ -69,7 +69,7 @@ func main() {
 		if *profile {
 			fatal(fmt.Errorf("-profile applies to the sequential engines; drop -workers"))
 		}
-		d := parallel.RequiredHops(q)
+		d := core.RequiredHops(q)
 		part, err := partition.DPar(g, partition.Config{Workers: *workers, D: d})
 		if err != nil {
 			fatal(err)

@@ -38,9 +38,9 @@ func main() {
 
 	// ...seeded with three people and two products.
 	if _, err := st.Apply(
-		store.AddNode("person"), store.AddNode("person"), store.AddNode("person"),
-		store.AddNode("product"), store.AddNode("product"),
-		store.AddEdge(0, 3, "buy"), // person 0 bought one product
+		graph.AddNode("person"), graph.AddNode("person"), graph.AddNode("person"),
+		graph.AddNode("product"), graph.AddNode("product"),
+		graph.AddEdge(0, 3, "buy"), // person 0 bought one product
 	); err != nil {
 		log.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func main() {
 	fmt.Printf("initial answers: %v (person 0 has only 1 purchase)\n", m.Answers())
 
 	// Stream update batches: journal to the store, maintain the matcher.
-	batches := [][]dynamic.Update{
-		{store.AddEdge(0, 4, "buy")},                             // person 0's second purchase
-		{store.AddEdge(1, 3, "buy"), store.AddEdge(1, 4, "buy")}, // person 1 buys both
-		{store.RemoveEdge(0, 3, "buy")},                          // person 0 returns one
-		{store.AddNode("person"), store.AddEdge(5, 3, "buy"), store.AddEdge(5, 4, "buy")},
+	batches := [][]graph.Mutation{
+		{graph.AddEdge(0, 4, "buy")},                             // person 0's second purchase
+		{graph.AddEdge(1, 3, "buy"), graph.AddEdge(1, 4, "buy")}, // person 1 buys both
+		{graph.RemoveEdge(0, 3, "buy")},                          // person 0 returns one
+		{graph.AddNode("person"), graph.AddEdge(5, 3, "buy"), graph.AddEdge(5, 4, "buy")},
 	}
 	for i, batch := range batches {
 		if _, err := st.Apply(batch...); err != nil {

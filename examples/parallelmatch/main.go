@@ -30,7 +30,7 @@ func main() {
 	q.AddEdge("z", "p", "recom", core.Exists())
 	q.AddEdge("xo", "bad", "bad_rating", core.Negated())
 
-	d := parallel.RequiredHops(q)
+	d := core.RequiredHops(q)
 	fmt.Printf("pattern radius requires d=%d hop preservation\n\n", d)
 	fmt.Printf("%-4s %-10s %-12s %-12s %-8s %s\n",
 		"n", "skew", "sim_work", "total_work", "matches", "speedup")

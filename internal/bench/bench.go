@@ -159,7 +159,7 @@ func patternsFrom(generate func(*graph.Graph, gen.PatternConfig) *core.Pattern, 
 		c.Seed = seed
 		seed += 104729
 		p := generate(g, c)
-		if parallel.RequiredHops(p) > maxHops {
+		if core.RequiredHops(p) > maxHops {
 			continue
 		}
 		// Probe before the full evaluation: the sample-projected Enum cost

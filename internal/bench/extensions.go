@@ -7,10 +7,10 @@ import (
 
 	"repro/internal/dynamic"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/plan"
 	"repro/internal/stats"
-	"repro/internal/store"
 )
 
 // Experiments 14 and 15 are not paper figures: they measure the two
@@ -70,11 +70,11 @@ func exp15(sc Scale, w io.Writer) error {
 	q := patterns[0]
 
 	for _, batches := range []int{5, 10, 20} {
-		ups := make([][]dynamic.Update, batches)
+		ups := make([][]graph.Mutation, batches)
 		for i := range ups {
-			f := int32((i * 37) % g.NumNodes())
-			to := int32((i*91 + 13) % g.NumNodes())
-			ups[i] = []dynamic.Update{store.AddEdge(f, to, "follow")}
+			f := graph.NodeID((i * 37) % g.NumNodes())
+			to := graph.NodeID((i*91 + 13) % g.NumNodes())
+			ups[i] = []graph.Mutation{graph.AddEdge(f, to, "follow")}
 		}
 		x := fmt.Sprintf("%d", batches)
 

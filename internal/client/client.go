@@ -178,12 +178,6 @@ func (c *Client) Fragment(data string, owned []int64) (nodes, edges int, err err
 	return resp.Nodes, resp.Edges, nil
 }
 
-// Assign adds nodes (local ids) to a fragment session's owned set and
-// returns the per-watch answer deltas the new candidates contribute.
-func (c *Client) Assign(owned []int64) (*server.Response, error) {
-	return c.Do(&server.Request{Cmd: "assign", Owned: owned})
-}
-
 // MatchOptions tunes a Match call.
 type MatchOptions struct {
 	Engine  string // qmatch (default) | qmatchn | enum

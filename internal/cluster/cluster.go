@@ -21,7 +21,7 @@
 //
 // Correctness rests on Lemma 9(1): whether a node answers a pattern Q
 // depends only on the subgraph induced by its d-hop neighborhood, where
-// d = parallel.RequiredHops(Q). Each worker owns a set of focus
+// d = core.RequiredHops(Q). Each worker owns a set of focus
 // candidates whose full d-hop neighborhoods are materialized locally, so
 // fragment-local evaluation restricted to owned nodes is exact and the
 // coordinator's merge is a disjoint union.
@@ -47,8 +47,6 @@ type Config struct {
 	// Patterns with RequiredHops > D are rejected: fragment-local
 	// evaluation would silently lose answers.
 	D int
-	// BalanceC is the fragment capacity multiplier of partition.Config.
-	BalanceC float64
 	// Engine is the per-worker matching engine ("qmatch", "qmatchn",
 	// "enum"; empty means qmatch).
 	Engine string
@@ -262,7 +260,7 @@ func build(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 	}
 	// A private copy, so the versioned core can own it outright.
 	g = g.Clone()
-	p, err := partition.DPar(g, partition.Config{Workers: len(ts), D: cfg.D, BalanceC: cfg.BalanceC})
+	p, err := partition.DPar(g, partition.Config{Workers: len(ts), D: cfg.D})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}

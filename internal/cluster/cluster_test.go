@@ -12,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/match"
 	"repro/internal/server"
-	"repro/internal/store"
 )
 
 // Patterns exercised across the tests: an existential/counting mix, a
@@ -328,56 +327,5 @@ func TestUnwatch(t *testing.T) {
 	}
 	if err := c.Unwatch("w"); err == nil {
 		t.Fatal("double Unwatch succeeded")
-	}
-}
-
-// TestRestrictedMatcherDirect covers the dynamic-package API the workers
-// rely on: a restricted matcher maintains exactly the restricted subset
-// and AddFocus extends it.
-func TestRestrictedMatcherDirect(t *testing.T) {
-	g := gen.Social(gen.DefaultSocial(150, 5))
-	q := mustParse(t, testPatterns[0])
-	full, err := dynamic.NewMatcher(g, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := full.Answers()
-	if len(all) < 2 {
-		t.Fatalf("test graph too sparse: %d answers", len(all))
-	}
-	half := all[:len(all)/2]
-	m, err := dynamic.NewMatcherRestricted(g, q, half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m.Answers(), half) {
-		t.Fatalf("restricted answers %v != %v", m.Answers(), half)
-	}
-	d, err := m.AddFocus(all[len(all)/2:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(nodeIDs(d.Added), nodeIDs(all[len(all)/2:])) {
-		t.Fatalf("AddFocus delta %v != %v", d.Added, all[len(all)/2:])
-	}
-	if !reflect.DeepEqual(m.Answers(), all) {
-		t.Fatalf("answers after AddFocus %v != %v", m.Answers(), all)
-	}
-	// Updates on a restricted matcher only report restricted members.
-	ups := []dynamic.Update{store.RemoveNode(int32(all[0]))}
-	delta, err := m.Apply(ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range delta.Removed {
-		found := false
-		for _, w := range all {
-			if v == w {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("restricted matcher reported non-restricted node %d", v)
-		}
 	}
 }

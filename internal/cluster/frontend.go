@@ -340,7 +340,7 @@ func (f *Frontend) dispatch(cs *connState, req *server.Request, resp *server.Res
 		return f.handlePartition(coord, resp)
 	case "explain":
 		return f.handleExplain(coord, req, resp)
-	case "pmatch", "rule", "rpqfilter", "fragment", "assign":
+	case "pmatch", "rule", "rpqfilter", "fragment":
 		return fmt.Errorf("command %q is not served by the cluster front end; connect to a worker qgpd for it", req.Cmd)
 	default:
 		return fmt.Errorf("unknown command %q", req.Cmd)

@@ -51,7 +51,7 @@ type WorkerError struct {
 	// unknown.
 	Endpoint int
 	// Op is the wire operation in flight: "fragment", "replicate",
-	// "update", "assign", "watch", "unwatch", "match", "probe".
+	// "update", "watch", "unwatch", "match", "probe".
 	Op  string
 	Err error
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/parallel"
 	"repro/internal/server"
 )
 
@@ -71,7 +70,7 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *Match
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if need := parallel.RequiredHops(q); need > c.cfg.D {
+	if need := core.RequiredHops(q); need > c.cfg.D {
 		return nil, fmt.Errorf("cluster: pattern needs %d-hop preservation but the fragmentation has d=%d", need, c.cfg.D)
 	}
 	start := time.Now()

@@ -244,7 +244,7 @@ func TestMalformedIDBlock(t *testing.T) {
 		defer clientEnd.Close()
 		rd := bufio.NewReader(clientEnd)
 		for i, block := range blocks {
-			fmt.Fprintf(clientEnd, `{"id":%d,"cmd":"assign","owned":%s}`+"\n", i+1, block)
+			fmt.Fprintf(clientEnd, `{"id":%d,"cmd":"update","owned":%s}`+"\n", i+1, block)
 			line, err := rd.ReadString('\n')
 			if err != nil {
 				t.Fatalf("block %s: no reply: %v", block, err)

@@ -7,10 +7,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/server"
-	"repro/internal/store"
 )
 
 // UpdateResult reports one cluster-wide update batch.
@@ -131,7 +129,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	// pre-batch view the versioned core hands back — the "deletions are
 	// measured in the old graph" side of the affected-set computation and
 	// the sync-point state a mid-batch failover re-ships from.
-	oldG, touched, err := dynamic.ApplyVersioned(c.vg, ups)
+	oldG, touched, err := c.vg.Apply(ups)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -174,8 +172,8 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	reverify := c.reach.Affected(oldG, newG, touched)
 	var insEnds []graph.NodeID
 	for _, u := range ups {
-		if u.Op == store.OpAddEdge {
-			insEnds = append(insEnds, graph.NodeID(u.From), graph.NodeID(u.To))
+		if u.Op == graph.MutAddEdge {
+			insEnds = append(insEnds, u.From, u.To)
 		}
 	}
 	for v := oldG.NumNodes(); v < newG.NumNodes(); v++ {
@@ -190,12 +188,12 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	var changed []edgeKey
 	for _, u := range ups {
 		switch u.Op {
-		case store.OpAddEdge, store.OpRemoveEdge:
+		case graph.MutAddEdge, graph.MutRemoveEdge:
 			if l := newG.LookupLabel(u.Label); l != graph.NoLabel {
-				changed = append(changed, edgeKey{graph.NodeID(u.From), graph.NodeID(u.To), l})
+				changed = append(changed, edgeKey{u.From, u.To, l})
 			}
-		case store.OpRemoveNode:
-			v := graph.NodeID(u.From)
+		case graph.MutRemoveNode:
+			v := u.From
 			if int(v) >= oldG.NumNodes() {
 				continue
 			}

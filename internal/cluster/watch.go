@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynamic"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/server"
 )
 
@@ -29,7 +28,7 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	if need := parallel.RequiredHops(q); need > c.cfg.D {
+	if need := core.RequiredHops(q); need > c.cfg.D {
 		return nil, fmt.Errorf("cluster: pattern needs %d-hop preservation but the fragmentation has d=%d", need, c.cfg.D)
 	}
 	tr := c.cfg.Tracer.Start("watch")

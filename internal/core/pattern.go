@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -266,35 +267,37 @@ func (p *Pattern) undirectedDistances() []int {
 }
 
 // Radius returns the longest shortest undirected distance from the focus
-// to any pattern node (§5.2). Unreachable nodes (possible only through a
-// malformed pattern) are ignored.
-func (p *Pattern) Radius() int {
-	adj := make([][]int, len(p.Nodes))
+// to any node of a connected pattern (§5.2).
+func (p *Pattern) Radius() int { return slices.Max(p.undirectedDistances()) }
+
+// RequiredHops returns the partition radius a pattern needs for
+// fragment-local evaluation to be exact (Lemma 9(1)): the largest need over
+// Π(Q) and every Π(Q+e), where a sub-pattern needs its own radius, plus one
+// extra hop beyond any ratio-quantified edge's source (ratio denominators
+// |Me(v)| count all children of v in G, so those children must be
+// materialized even when they match nothing).
+func RequiredHops(q *Pattern) int {
+	pi, _ := q.Pi()
+	need := pi.hops()
+	for _, ei := range q.NegatedEdges() {
+		pp, _ := q.PiPlus(ei)
+		need = max(need, pp.hops())
+	}
+	return need
+}
+
+// hops is what RequiredHops needs of one negation-free projection (whose
+// nodes all reach the focus): max(radius, 1 + distance of each ratio
+// edge's source).
+func (p *Pattern) hops() int {
+	dist := p.undirectedDistances()
+	need := slices.Max(dist)
 	for _, e := range p.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	dist := make([]int, len(p.Nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[p.Focus] = 0
-	queue := []int{p.Focus}
-	radius := 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				if dist[v] > radius {
-					radius = dist[v]
-				}
-				queue = append(queue, v)
-			}
+		if e.Q.IsRatio() {
+			need = max(need, dist[e.From]+1)
 		}
 	}
-	return radius
+	return need
 }
 
 // OutEdges returns the indexes of edges leaving pattern node u.

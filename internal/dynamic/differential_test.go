@@ -2,7 +2,7 @@ package dynamic
 
 // Differential verification of the versioned in-place graph core against
 // the rebuild-the-world oracle. Apply (the legacy path) re-materializes a
-// fresh finalized graph per batch and is easy to trust; ApplyVersioned
+// fresh finalized graph per batch and is easy to trust; graph.Versioned.Apply
 // edits the same graph in place under copy-on-write. The two must stay
 // bit-exact on everything observable: the finalized graph, the touched
 // set, error behaviour (including leaving the versioned state untouched
@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/store"
 )
 
 // canon renders a graph as interner-independent node and edge lists.
@@ -77,51 +76,51 @@ var batchLabels = []string{"follow", "like", "recom", "in", "buy", "newkind"}
 // not exist — a no-op remove both paths must agree on), node removals
 // including tombstone re-isolation of already-isolated nodes, and —
 // when invalid is true — one out-of-range op both paths must reject.
-func randomBatch(r *rand.Rand, g graph.View, invalid bool) []Update {
-	n := int32(g.NumNodes())
+func randomBatch(r *rand.Rand, g graph.View, invalid bool) []graph.Mutation {
+	n := graph.NodeID(g.NumNodes())
 	size := 1 + r.Intn(6)
-	ups := make([]Update, 0, size+1)
-	added := int32(0) // AddNode ops earlier in this batch extend the range
+	ups := make([]graph.Mutation, 0, size+1)
+	added := graph.NodeID(0) // AddNode ops earlier in this batch extend the range
 	for i := 0; i < size; i++ {
 		lim := n + added
 		switch r.Intn(10) {
 		case 0:
-			ups = append(ups, store.AddNode(batchLabels[r.Intn(len(batchLabels))]))
+			ups = append(ups, graph.AddNode(batchLabels[r.Intn(len(batchLabels))]))
 			added++
 		case 1, 2:
 			// Remove an existing edge when we can find one, else a
 			// (probably absent) random one.
-			v := graph.NodeID(r.Int31n(n))
+			v := graph.NodeID(r.Int31n(int32(n)))
 			if out := g.Out(v); len(out) > 0 {
 				e := out[r.Intn(len(out))]
-				ups = append(ups, store.RemoveEdge(int32(v), int32(e.To), g.LabelName(e.Label)))
+				ups = append(ups, graph.RemoveEdge(v, e.To, g.LabelName(e.Label)))
 			} else {
-				ups = append(ups, store.RemoveEdge(r.Int31n(lim), r.Int31n(lim), batchLabels[r.Intn(len(batchLabels))]))
+				ups = append(ups, graph.RemoveEdge(graph.NodeID(r.Int31n(int32(lim))), graph.NodeID(r.Int31n(int32(lim))), batchLabels[r.Intn(len(batchLabels))]))
 			}
 		case 3:
 			// Tombstone: sometimes re-isolate a node that is already
 			// isolated (or was removed earlier in this run).
-			v := r.Int31n(lim)
+			v := graph.NodeID(r.Int31n(int32(lim)))
 			if r.Intn(2) == 0 {
-				for probe := int32(0); probe < n; probe++ {
+				for probe := graph.NodeID(0); probe < n; probe++ {
 					if isolated(g, graph.NodeID(probe)) {
 						v = probe
 						break
 					}
 				}
 			}
-			ups = append(ups, store.RemoveNode(v))
+			ups = append(ups, graph.RemoveNode(v))
 		default:
-			ups = append(ups, store.AddEdge(r.Int31n(lim), r.Int31n(lim), batchLabels[r.Intn(len(batchLabels))]))
+			ups = append(ups, graph.AddEdge(graph.NodeID(r.Int31n(int32(lim))), graph.NodeID(r.Int31n(int32(lim))), batchLabels[r.Intn(len(batchLabels))]))
 		}
 	}
 	if invalid {
 		at := r.Intn(len(ups) + 1)
-		bad := store.AddEdge(n+added+5, 0, "follow")
+		bad := graph.AddEdge(n+added+5, 0, "follow")
 		if r.Intn(2) == 0 {
-			bad = store.RemoveNode(-1)
+			bad = graph.RemoveNode(-1)
 		}
-		ups = append(ups[:at:at], append([]Update{bad}, ups[at:]...)...)
+		ups = append(ups[:at:at], append([]graph.Mutation{bad}, ups[at:]...)...)
 	}
 	return ups
 }
@@ -154,7 +153,7 @@ func TestDifferentialVersionedVsOracle(t *testing.T) {
 
 				preNodes, preEdges := canon(vg.Graph())
 				ng, touchedO, errO := Apply(oracle, ups)
-				old, touchedV, errV := ApplyVersioned(vg, ups)
+				old, touchedV, errV := vg.Apply(ups)
 
 				if (errO == nil) != (errV == nil) {
 					t.Fatalf("%s: error divergence: oracle=%v versioned=%v (batch %+v)", ctx, errO, errV, ups)
@@ -222,7 +221,7 @@ func TestVersionedRollbackRestoresCanonical(t *testing.T) {
 
 	for round := 0; round < 25; round++ {
 		ups := randomBatch(r, vg.Graph(), false)
-		old, _, err := ApplyVersioned(vg, ups)
+		old, _, err := vg.Apply(ups)
 		if err != nil {
 			continue
 		}

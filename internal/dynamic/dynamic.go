@@ -5,7 +5,7 @@
 //
 // The locality argument is the one behind Lemma 9(1): whether a node vx
 // answers a pattern Q depends only on the subgraph induced by Nd(vx),
-// where d = parallel.RequiredHops(Q). An update therefore can only change
+// where d = core.RequiredHops(Q). An update therefore can only change
 // the membership of focus nodes within d undirected hops of a touched
 // node — measured in the old graph for deletions and in the new graph for
 // insertions (AffectedWithin, the reference bound). Inside that ball the
@@ -13,24 +13,19 @@
 // directions back from each changed edge, and Matcher re-verifies only
 // the candidates the walk reaches, reusing every other cached answer.
 // Engine holds a session's standing watches, one Matcher per distinct
-// pattern however many names subscribe to it. Repartition reloads exactly
-// the affected owners' neighborhoods.
+// pattern however many names subscribe to it.
 //
-// Updates reuse the mutation vocabulary of internal/store, so a store's
-// journaled history is directly replayable into a Matcher.
+// A batch is a []graph.Mutation, the graph's own write vocabulary, applied
+// by graph.Versioned.Apply; Apply and AffectedWithin here are the oracles
+// the serving path is held against.
 package dynamic
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/store"
 )
-
-// Update is one graph change; it is the store's mutation type.
-type Update = store.Mutation
 
 type edgeKey struct {
 	from, to graph.NodeID
@@ -40,16 +35,19 @@ type edgeKey struct {
 // Apply applies a batch of updates to g, in order, and returns the new
 // finalized graph plus the sorted set of touched nodes: endpoints of
 // inserted or removed edges, newly added nodes, and isolated nodes. Node
-// ids are stable: OpRemoveNode isolates the node but keeps its slot (the
-// store's tombstone semantics), so answer sets over old and new graphs
-// are directly comparable.
+// ids are stable: MutRemoveNode isolates the node but keeps its slot, so
+// answer sets over old and new graphs are directly comparable.
 //
 // Apply is the rebuild-the-world path: it re-materializes the full
 // edge-set model and finalizes a whole new graph, costing O(|G|) per
-// batch. Every serving path runs on ApplyVersioned; Apply is the oracle the
-// versioned core is verified against — its callers are the differential
-// tests, benchmark/'s oracle and internal/bench's recompute baseline.
-func Apply(g *graph.Graph, ups []Update) (*graph.Graph, []graph.NodeID, error) {
+// batch. Every serving path runs on graph.Versioned.Apply; Apply is the
+// oracle the versioned core is verified against — its callers are the
+// differential tests, benchmark/'s oracle and internal/bench's recompute
+// baseline.
+func Apply(g *graph.Graph, ups []graph.Mutation) (*graph.Graph, []graph.NodeID, error) {
+	if _, err := graph.CheckBatch(ups, g.NumNodes()); err != nil {
+		return nil, nil, err
+	}
 	// Build the edge-set model of g, then replay the batch in order.
 	labels := make([]string, g.NumNodes())
 	edges := make(map[edgeKey]bool, g.NumEdges())
@@ -64,28 +62,21 @@ func Apply(g *graph.Graph, ups []Update) (*graph.Graph, []graph.NodeID, error) {
 	touched := make(map[graph.NodeID]bool)
 	for _, u := range ups {
 		switch u.Op {
-		case store.OpAddNode:
+		case graph.MutAddNode:
 			labels = append(labels, u.Label)
 			touched[graph.NodeID(len(labels)-1)] = true
-		case store.OpAddEdge, store.OpRemoveEdge:
-			if u.From < 0 || int(u.From) >= len(labels) || u.To < 0 || int(u.To) >= len(labels) {
-				return nil, nil, fmt.Errorf("dynamic: %v references a node outside [0, %d)", u, len(labels))
-			}
-			k := edgeKey{graph.NodeID(u.From), graph.NodeID(u.To), u.Label}
-			if u.Op == store.OpAddEdge {
+		case graph.MutAddEdge, graph.MutRemoveEdge:
+			k := edgeKey{u.From, u.To, u.Label}
+			if u.Op == graph.MutAddEdge {
 				edges[k] = true
 			} else {
 				delete(edges, k)
 			}
 			touched[k.from] = true
 			touched[k.to] = true
-		case store.OpRemoveNode:
-			if u.From < 0 || int(u.From) >= len(labels) {
-				return nil, nil, fmt.Errorf("dynamic: %v references a node outside [0, %d)", u, len(labels))
-			}
-			v := graph.NodeID(u.From)
+		case graph.MutRemoveNode:
 			for k := range edges {
-				if k.from == v || k.to == v {
+				if k.from == u.From || k.to == u.From {
 					delete(edges, k)
 					// Former neighbors are touched too: their adjacency
 					// changed even though no update names them.
@@ -93,9 +84,7 @@ func Apply(g *graph.Graph, ups []Update) (*graph.Graph, []graph.NodeID, error) {
 					touched[k.to] = true
 				}
 			}
-			touched[v] = true
-		default:
-			return nil, nil, fmt.Errorf("dynamic: unknown update op %d", u.Op)
+			touched[u.From] = true
 		}
 	}
 
@@ -130,36 +119,10 @@ func Apply(g *graph.Graph, ups []Update) (*graph.Graph, []graph.NodeID, error) {
 	return ng, out, nil
 }
 
-// ApplyVersioned applies a batch to the versioned graph core in place:
-// the same update semantics (and touched-set contract) as Apply, at
-// cost proportional to |batch| + degree of the touched nodes instead of
-// |G|. It returns the pre-batch old view — the "deletions are measured
-// in the old graph" half of AffectedWithin — plus the sorted touched
-// set. Validation happens up front, so an error leaves the graph at its
-// prior version, untouched.
-func ApplyVersioned(vg *graph.Versioned, ups []Update) (*graph.OldView, []graph.NodeID, error) {
-	muts := make([]graph.Mutation, len(ups))
-	for i, u := range ups {
-		var op graph.MutationOp
-		switch u.Op {
-		case store.OpAddNode:
-			op = graph.MutAddNode
-		case store.OpAddEdge:
-			op = graph.MutAddEdge
-		case store.OpRemoveEdge:
-			op = graph.MutRemoveEdge
-		case store.OpRemoveNode:
-			op = graph.MutRemoveNode
-		default:
-			return nil, nil, fmt.Errorf("dynamic: unknown update op %d", u.Op)
-		}
-		muts[i] = graph.Mutation{Op: op, From: graph.NodeID(u.From), To: graph.NodeID(u.To), Label: u.Label}
-	}
-	old, touched, err := vg.Apply(muts)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dynamic: %w", err)
-	}
-	return old, touched, nil
+// ApplyVersioned is vg.Apply(ups). benchmark/ imports this name; delete
+// after ROADMAP 1(a).
+func ApplyVersioned(vg *graph.Versioned, ups []graph.Mutation) (*graph.OldView, []graph.NodeID, error) {
+	return vg.Apply(ups)
 }
 
 // AffectedWithin returns the sorted set of nodes within hops undirected

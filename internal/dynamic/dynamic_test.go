@@ -9,7 +9,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/store"
 )
 
 func line(t *testing.T) *graph.Graph {
@@ -26,7 +25,7 @@ func line(t *testing.T) *graph.Graph {
 
 func TestApplyAddEdge(t *testing.T) {
 	g := line(t)
-	ng, touched, err := Apply(g, []Update{store.AddEdge(2, 0, "z")})
+	ng, touched, err := Apply(g, []graph.Mutation{graph.AddEdge(2, 0, "z")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +46,7 @@ func TestApplyAddEdge(t *testing.T) {
 
 func TestApplyRemoveEdgeAndNode(t *testing.T) {
 	g := line(t)
-	ng, touched, err := Apply(g, []Update{store.RemoveEdge(0, 1, "x")})
+	ng, touched, err := Apply(g, []graph.Mutation{graph.RemoveEdge(0, 1, "x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +57,7 @@ func TestApplyRemoveEdgeAndNode(t *testing.T) {
 		t.Errorf("touched = %v", touched)
 	}
 
-	ng2, touched2, err := Apply(g, []Update{store.RemoveNode(1)})
+	ng2, touched2, err := Apply(g, []graph.Mutation{graph.RemoveNode(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +75,9 @@ func TestApplyRemoveEdgeAndNode(t *testing.T) {
 
 func TestApplyAddNodeAndConnect(t *testing.T) {
 	g := line(t)
-	ng, touched, err := Apply(g, []Update{
-		store.AddNode("D"),
-		store.AddEdge(3, 0, "x"),
+	ng, touched, err := Apply(g, []graph.Mutation{
+		graph.AddNode("D"),
+		graph.AddEdge(3, 0, "x"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +96,7 @@ func TestApplyAddNodeAndConnect(t *testing.T) {
 func TestApplyInOrderSemantics(t *testing.T) {
 	g := line(t)
 	// Add then remove in the same batch: the edge must not exist.
-	ng, _, err := Apply(g, []Update{store.AddEdge(2, 0, "z"), store.RemoveEdge(2, 0, "z")})
+	ng, _, err := Apply(g, []graph.Mutation{graph.AddEdge(2, 0, "z"), graph.RemoveEdge(2, 0, "z")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestApplyInOrderSemantics(t *testing.T) {
 		t.Error("add-then-remove left the edge present")
 	}
 	// Remove then add: the edge must exist.
-	ng2, _, err := Apply(g, []Update{store.RemoveEdge(0, 1, "x"), store.AddEdge(0, 1, "x")})
+	ng2, _, err := Apply(g, []graph.Mutation{graph.RemoveEdge(0, 1, "x"), graph.AddEdge(0, 1, "x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +115,9 @@ func TestApplyInOrderSemantics(t *testing.T) {
 
 func TestApplyRejectsBadUpdates(t *testing.T) {
 	g := line(t)
-	for _, ups := range [][]Update{
-		{store.AddEdge(0, 9, "x")},
-		{store.RemoveNode(-1)},
+	for _, ups := range [][]graph.Mutation{
+		{graph.AddEdge(0, 9, "x")},
+		{graph.RemoveNode(-1)},
 		{{Op: 99}},
 	} {
 		if _, _, err := Apply(g, ups); err == nil {
@@ -141,7 +140,7 @@ func TestAffectedWithin(t *testing.T) {
 	}
 	// Deleted reachability counts via the old graph: remove B's out-edge,
 	// then nodes near C in the OLD graph must still be affected.
-	ng, touched, err := Apply(g, []Update{store.RemoveEdge(1, 2, "y")})
+	ng, touched, err := Apply(g, []graph.Mutation{graph.RemoveEdge(1, 2, "y")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +177,7 @@ func TestMatcherTracksQuantifierFlips(t *testing.T) {
 	}
 
 	// Second buy edge flips the person in.
-	d, err := m.Apply([]Update{store.AddEdge(int32(pers), int32(p2), "buy")})
+	d, err := m.Apply([]graph.Mutation{graph.AddEdge(pers, p2, "buy")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +189,7 @@ func TestMatcherTracksQuantifierFlips(t *testing.T) {
 	}
 
 	// Removing a buy edge flips them back out.
-	d, err = m.Apply([]Update{store.RemoveEdge(int32(pers), int32(p1), "buy")})
+	d, err = m.Apply([]graph.Mutation{graph.RemoveEdge(pers, p1, "buy")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +225,8 @@ func TestMatcherSkipsUnaffectedRegions(t *testing.T) {
 	}
 
 	// Add a product bought by person 0 only.
-	id := int32(g.NumNodes())
-	d, err := m.Apply([]Update{store.AddNode("Product"), store.AddEdge(int32(persons[0]), id, "buy")})
+	id := graph.NodeID(g.NumNodes())
+	d, err := m.Apply([]graph.Mutation{graph.AddNode("Product"), graph.AddEdge(persons[0], id, "buy")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,25 +261,25 @@ func TestMatcherDifferentialSoak(t *testing.T) {
 		}
 		cur := g
 		for step := 0; step < 25; step++ {
-			var ups []Update
+			var ups []graph.Mutation
 			for k := 0; k < 1+r.Intn(3); k++ {
 				switch r.Intn(4) {
 				case 0:
-					ups = append(ups, store.AddNode("person"))
+					ups = append(ups, graph.AddNode("person"))
 				case 1:
-					f := int32(r.Intn(cur.NumNodes()))
-					to := int32(r.Intn(cur.NumNodes()))
+					f := graph.NodeID(r.Intn(cur.NumNodes()))
+					to := graph.NodeID(r.Intn(cur.NumNodes()))
 					labels := []string{"follow", "like", "buy", "recom"}
-					ups = append(ups, store.AddEdge(f, to, labels[r.Intn(len(labels))]))
+					ups = append(ups, graph.AddEdge(f, to, labels[r.Intn(len(labels))]))
 				case 2:
 					// Remove a random existing edge when possible.
 					v := graph.NodeID(r.Intn(cur.NumNodes()))
 					if es := cur.Out(v); len(es) > 0 {
 						e := es[r.Intn(len(es))]
-						ups = append(ups, store.RemoveEdge(int32(v), int32(e.To), cur.LabelName(e.Label)))
+						ups = append(ups, graph.RemoveEdge(v, e.To, cur.LabelName(e.Label)))
 					}
 				case 3:
-					ups = append(ups, store.RemoveNode(int32(r.Intn(cur.NumNodes()))))
+					ups = append(ups, graph.RemoveNode(graph.NodeID(r.Intn(cur.NumNodes()))))
 				}
 			}
 			if len(ups) == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -65,12 +66,13 @@ func TestEngineSharesEvaluation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var m *Matcher
-				if tc.owned == nil {
-					m, err = NewMatcher(vg.Graph(), q)
-				} else {
-					m, err = NewMatcherRestricted(vg.Graph(), q, tc.owned)
+				var own *focusSet // the standalone matcher's own copy of the owned set
+				if tc.owned != nil {
+					if own, err = newFocusSet(vg.Graph(), tc.owned); err != nil {
+						t.Fatal(err)
+					}
 				}
+				m, err := newMatcher(vg.Graph(), q, own)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,7 +88,7 @@ func TestEngineSharesEvaluation(t *testing.T) {
 			r := rand.New(rand.NewSource(17))
 			changed := 0
 			for round := 0; round < 40; round++ {
-				old, touched, err := ApplyVersioned(vg, randomBatch(r, vg.Graph(), false))
+				old, touched, err := vg.Apply(randomBatch(r, vg.Graph(), false))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,6 +120,10 @@ func TestEngineSharesEvaluation(t *testing.T) {
 					}
 					if !reflect.DeepEqual(d.Delta, want) {
 						t.Fatalf("round %d %s: delta %+v, standalone %+v", round, d.Name, d.Delta, want)
+					}
+					// A fragment reports its owned candidates only.
+					if tc.owned != nil && slices.ContainsFunc(append(slices.Clone(d.Added), d.Removed...), func(v graph.NodeID) bool { return v%2 != 0 }) {
+						t.Fatalf("round %d %s: delta %+v names a node the fragment does not own", round, d.Name, d.Delta)
 					}
 					changed += len(d.Added) + len(d.Removed)
 				}
@@ -201,9 +207,26 @@ func TestEngineAssign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		if _, err := e.Watch(fmt.Sprintf("w%d", i), enginePattern(t, i)); err != nil {
+	// A fragment's watch answers for exactly the owned share of the whole
+	// graph's answers.
+	initial := make([][]graph.NodeID, 8)
+	for i := range initial {
+		var err error
+		if initial[i], err = e.Watch(fmt.Sprintf("w%d", i), enginePattern(t, i)); err != nil {
 			t.Fatal(err)
+		}
+		whole, err := NewMatcher(g, enginePattern(t, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []graph.NodeID
+		for _, v := range whole.Answers() {
+			if v%3 == 0 {
+				want = append(want, v)
+			}
+		}
+		if !slices.Equal(initial[i], want) {
+			t.Fatalf("w%d: fragment answers %v, owned share of the whole graph's %v", i, initial[i], want)
 		}
 	}
 	before := verified(e)
@@ -231,6 +254,13 @@ func TestEngineAssign(t *testing.T) {
 		}
 		if got := e.byName[d.Name].m.Answers(); !reflect.DeepEqual(got, whole.Answers()) {
 			t.Fatalf("%s: answers after assignment %v, whole graph %v", d.Name, got, whole.Answers())
+		}
+		// The delta is the assignment's contribution and nothing else:
+		// what was answered before plus what was added is the whole.
+		got := append(slices.Clone(initial[i]), d.Added...)
+		slices.Sort(got)
+		if len(d.Removed) != 0 || !slices.Equal(got, whole.Answers()) {
+			t.Fatalf("%s: initial %v + added %v - removed %v is not the whole graph's %v", d.Name, initial[i], d.Added, d.Removed, whole.Answers())
 		}
 		if i >= 4 && !reflect.DeepEqual(d.Delta, deltas[i-4].Delta) {
 			t.Fatalf("%s and %s hold one pattern but got deltas %+v and %+v", d.Name, deltas[i-4].Name, d.Delta, deltas[i-4].Delta)

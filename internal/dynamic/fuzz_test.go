@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/store"
 )
 
 // fuzzBase builds a small fixed host graph: a few label classes, a ring
@@ -53,22 +52,22 @@ var fuzzLabels = []string{"follow", "like", "recom", "person", ""}
 // opcode selector, from, to. Endpoint bytes land mostly in range (mod a
 // window slightly past the node count) so both valid and out-of-range
 // references are generated.
-func decodeBatch(data []byte) []Update {
-	var ups []Update
+func decodeBatch(data []byte) []graph.Mutation {
+	var ups []graph.Mutation
 	for i := 0; i+2 < len(data) && len(ups) < 12; i += 3 {
 		op, a, b := data[i], data[i+1], data[i+2]
-		from := int32(a%20) - 2 // [-2, 17]: in range, out of range, negative
-		to := int32(b % 20)
+		from := graph.NodeID(a%20) - 2 // [-2, 17]: in range, out of range, negative
+		to := graph.NodeID(b % 20)
 		label := fuzzLabels[int(b)%len(fuzzLabels)]
 		switch op % 4 {
 		case 0:
-			ups = append(ups, store.AddNode(label))
+			ups = append(ups, graph.AddNode(label))
 		case 1:
-			ups = append(ups, store.AddEdge(from, to, label))
+			ups = append(ups, graph.AddEdge(from, to, label))
 		case 2:
-			ups = append(ups, store.RemoveEdge(from, to, label))
+			ups = append(ups, graph.RemoveEdge(from, to, label))
 		case 3:
-			ups = append(ups, store.RemoveNode(from))
+			ups = append(ups, graph.RemoveNode(from))
 		}
 	}
 	return ups
@@ -115,10 +114,10 @@ func FuzzVersionedApply(f *testing.F) {
 // touched set, old view and rollback, and reports whether the batch was
 // accepted; vg is back at base's state either way. reads picks the rows of
 // the old view that are read before all of them are.
-func fuzzApplyBoth(t *testing.T, base *graph.Graph, vg *graph.Versioned, ups []Update, reads []byte) bool {
+func fuzzApplyBoth(t *testing.T, base *graph.Graph, vg *graph.Versioned, ups []graph.Mutation, reads []byte) bool {
 	preNodes, preEdges := canon(base)
 	ng, touchedO, errO := Apply(base, ups)
-	old, touchedV, errV := ApplyVersioned(vg, ups)
+	old, touchedV, errV := vg.Apply(ups)
 
 	if (errO == nil) != (errV == nil) {
 		t.Fatalf("error divergence: oracle=%v versioned=%v (batch %+v)", errO, errV, ups)

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/parallel"
 )
 
 // Matcher maintains the answer set Q(xo, G) of one pattern under graph
@@ -54,29 +53,21 @@ func NewMatcher(g *graph.Graph, q *core.Pattern) (*Matcher, error) {
 	return newMatcher(g, q, nil)
 }
 
-// NewMatcherRestricted is NewMatcher limited to the given focus
-// candidates: only their membership is evaluated and maintained. A cluster
-// worker uses this to answer exactly for the fragment nodes it owns —
-// non-owned nodes of a d-hop-preserving fragment may lack part of their
-// neighborhood, so their local answers would be wrong anyway.
-func NewMatcherRestricted(g *graph.Graph, q *core.Pattern, focus []graph.NodeID) (*Matcher, error) {
-	restrict, err := newFocusSet(g, focus)
-	if err != nil {
-		return nil, err
-	}
-	return newMatcher(g, q, restrict)
-}
-
+// newMatcher is NewMatcher limited to the focus candidates of restrict
+// when that is non-nil: only their membership is evaluated and maintained.
+// A cluster worker's Engine answers exactly for the fragment nodes it owns
+// this way — non-owned nodes of a d-hop-preserving fragment may lack part
+// of their neighborhood, so their local answers would be wrong anyway.
 func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, error) {
 	prep, err := match.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	m := &Matcher{prep: prep, plan: NewReachPlan(q), hops: parallel.RequiredHops(q), g: g, restrict: restrict, ans: make(map[graph.NodeID]bool)}
+	m := &Matcher{prep: prep, plan: NewReachPlan(q), hops: core.RequiredHops(q), g: g, restrict: restrict, ans: make(map[graph.NodeID]bool)}
 	var opts *match.Options
 	if restrict != nil {
 		// ids is never nil: a fragment owning nothing asks about nobody
-		// until AddFocus extends it.
+		// until Engine.Assign extends it.
 		opts = &match.Options{FocusRestrict: restrict.ids}
 	}
 	res, err := prep.Run(g, opts)
@@ -87,23 +78,6 @@ func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, 
 		m.ans[v] = true
 	}
 	return m, nil
-}
-
-// AddFocus extends a restricted matcher's candidate set (the coordinator
-// assigns a newly created node to this worker) and returns the answer
-// delta contributed by the new candidates. Calling it on an unrestricted
-// matcher is an error: every node is already a candidate.
-func (m *Matcher) AddFocus(vs []graph.NodeID) (Delta, error) {
-	if m.restrict == nil {
-		return Delta{}, fmt.Errorf("dynamic: AddFocus on an unrestricted matcher")
-	}
-	fresh, err := m.restrict.add(m.g, vs)
-	if err != nil {
-		return Delta{}, err
-	}
-	// The new candidates were no answers, so re-verifying them reports
-	// exactly the answers they contribute.
-	return m.reverify(m.g, fresh)
 }
 
 // Graph returns the matcher's current graph version.
@@ -132,14 +106,14 @@ func (m *Matcher) Answers() []graph.NodeID {
 // clones the construction-time graph (so the caller's graph is never
 // mutated) and every later batch edits that clone in place, costing
 // |batch| + |affected candidates| instead of |G|.
-func (m *Matcher) Apply(ups []Update) (Delta, error) {
+func (m *Matcher) Apply(ups []graph.Mutation) (Delta, error) {
 	if m.vg == nil || m.vg.Graph() != m.g {
 		// Adopt (or re-adopt, after an interleaved ApplyShared moved the
 		// matcher onto an external graph) a private versioned copy.
 		m.vg = graph.NewVersioned(m.g.Clone())
 		m.g = m.vg.Graph()
 	}
-	old, touched, err := ApplyVersioned(m.vg, ups)
+	old, touched, err := m.vg.Apply(ups)
 	if err != nil {
 		return Delta{}, err
 	}
@@ -148,7 +122,7 @@ func (m *Matcher) Apply(ups []Update) (Delta, error) {
 
 // ApplyShared maintains the answers for a batch the caller already
 // applied: old is the pre-batch view, and newG and touched are the
-// batch's results over the matcher's current graph (ApplyVersioned's
+// batch's results over the matcher's current graph (Versioned.Apply's
 // OldView/touched, or dynamic.Apply's output with the pre-batch graph
 // as old). A holder of several matchers over one graph (a server
 // session with many standing watches) applies the batch once and

@@ -13,7 +13,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/store"
 )
 
 func parsePattern(t testing.TB, dsl string) *core.Pattern {
@@ -58,10 +57,10 @@ func TestPreparedFollowsVersions(t *testing.T) {
 	for round := 0; round < batches; round++ {
 		ups := randomBatch(r, vg.Graph(), false)
 		if round == lateAt {
-			n := int32(vg.Graph().NumNodes())
-			ups = []Update{store.AddNode("gadget"), store.AddEdge(0, n, "follow"), store.AddEdge(1, 2, "endorse")}
+			n := graph.NodeID(vg.Graph().NumNodes())
+			ups = []graph.Mutation{graph.AddNode("gadget"), graph.AddEdge(0, n, "follow"), graph.AddEdge(1, 2, "endorse")}
 		}
-		if _, _, err := ApplyVersioned(vg, ups); err != nil {
+		if _, _, err := vg.Apply(ups); err != nil {
 			t.Fatalf("round %d: %v (batch %+v)", round, err, ups)
 		}
 		applied++

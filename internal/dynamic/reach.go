@@ -123,7 +123,7 @@ func (p *ReachPlan) addPositive(pos *core.Pattern, have map[string]bool) {
 
 // Affected returns the sorted focus candidates whose membership the batch
 // that turned old into newG can have changed; touched is the batch's
-// touched set (ApplyVersioned's, or Apply's with the pre-batch graph as
+// touched set (Versioned.Apply's, or Apply's with the pre-batch graph as
 // old).
 func (p *ReachPlan) Affected(old, newG graph.View, touched []graph.NodeID) []graph.NodeID {
 	dst := make(map[graph.NodeID]bool)

@@ -20,8 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/parallel"
-	"repro/internal/store"
 )
 
 // reachPatterns covers the quantifier families and the shapes the plan
@@ -90,27 +88,27 @@ func reachGraph(r *rand.Rand) *graph.Graph {
 // reachBatch draws 1..5 ops: edge adds and removes (of existing edges when
 // there are any), node adds (sometimes wired up in the same batch) and
 // tombstones, hubs included.
-func reachBatch(r *rand.Rand, g *graph.Graph) []Update {
-	n := int32(g.NumNodes())
-	var ups []Update
+func reachBatch(r *rand.Rand, g *graph.Graph) []graph.Mutation {
+	n := graph.NodeID(g.NumNodes())
+	var ups []graph.Mutation
 	for k := 1 + r.Intn(5); k > 0; k-- {
 		switch r.Intn(8) {
 		case 0:
-			ups = append(ups, store.AddNode(reachNodeLabels[r.Intn(len(reachNodeLabels))]))
+			ups = append(ups, graph.AddNode(reachNodeLabels[r.Intn(len(reachNodeLabels))]))
 			if r.Intn(2) == 0 {
-				ups = append(ups, store.AddEdge(r.Int31n(n), n, reachEdgeLabels[r.Intn(len(reachEdgeLabels))]))
+				ups = append(ups, graph.AddEdge(graph.NodeID(r.Int31n(int32(n))), n, reachEdgeLabels[r.Intn(len(reachEdgeLabels))]))
 			}
 			n++
 		case 1:
-			ups = append(ups, store.RemoveNode(r.Int31n(n)))
+			ups = append(ups, graph.RemoveNode(graph.NodeID(r.Int31n(int32(n)))))
 		case 2, 3, 4:
 			v := graph.NodeID(r.Intn(g.NumNodes()))
 			if out := g.Out(v); len(out) > 0 {
 				e := out[r.Intn(len(out))]
-				ups = append(ups, store.RemoveEdge(int32(v), int32(e.To), g.LabelName(e.Label)))
+				ups = append(ups, graph.RemoveEdge(v, e.To, g.LabelName(e.Label)))
 			}
 		default:
-			ups = append(ups, store.AddEdge(r.Int31n(n), r.Int31n(n), reachEdgeLabels[r.Intn(len(reachEdgeLabels))]))
+			ups = append(ups, graph.AddEdge(graph.NodeID(r.Int31n(int32(n))), graph.NodeID(r.Int31n(int32(n))), reachEdgeLabels[r.Intn(len(reachEdgeLabels))]))
 		}
 	}
 	return ups
@@ -120,17 +118,17 @@ func reachBatch(r *rand.Rand, g *graph.Graph) []Update {
 // q, through the versioned core and through the rebuild oracle (whose new
 // graph has its own label ids). It reports how many answers flipped and
 // the sizes of the reach and the ball; ok is false for a rejected batch.
-func checkReach(t *testing.T, g *graph.Graph, q *core.Pattern, ups []Update) (flips, reach, ball int, ok bool) {
+func checkReach(t *testing.T, g *graph.Graph, q *core.Pattern, ups []graph.Mutation) (flips, reach, ball int, ok bool) {
 	t.Helper()
 	vg := graph.NewVersioned(g.Clone())
-	old, touched, err := ApplyVersioned(vg, ups)
+	old, touched, err := vg.Apply(ups)
 	if err != nil {
 		return 0, 0, 0, false
 	}
 	ng := vg.Graph()
 	plan := NewReachPlan(q)
 	got := plan.Affected(old, ng, touched)
-	bound := AffectedWithin(old, ng, touched, parallel.RequiredHops(q))
+	bound := AffectedWithin(old, ng, touched, core.RequiredHops(q))
 
 	rebuilt, touchedR, err := Apply(g, ups)
 	if err != nil {
@@ -150,7 +148,7 @@ func checkReach(t *testing.T, g *graph.Graph, q *core.Pattern, ups []Update) (fl
 	reached, bounded := in(got), in(bound)
 	for _, v := range got {
 		if !bounded[v] {
-			t.Fatalf("reach %v leaves the %d-hop ball %v at node %d (batch %+v)", got, parallel.RequiredHops(q), bound, v, ups)
+			t.Fatalf("reach %v leaves the %d-hop ball %v at node %d (batch %+v)", got, core.RequiredHops(q), bound, v, ups)
 		}
 	}
 	before, err := match.QMatch(g, q, nil)
@@ -225,10 +223,10 @@ func TestReachPlanRules(t *testing.T) {
 // checkMerged holds the plan compiled from all of qs against the union of
 // their single-pattern plans on one batch — what the cluster coordinator
 // relies on when it walks one merged plan instead of one per pattern.
-func checkMerged(t *testing.T, g *graph.Graph, qs []*core.Pattern, ups []Update) {
+func checkMerged(t *testing.T, g *graph.Graph, qs []*core.Pattern, ups []graph.Mutation) {
 	t.Helper()
 	vg := graph.NewVersioned(g.Clone())
-	old, touched, err := ApplyVersioned(vg, ups)
+	old, touched, err := vg.Apply(ups)
 	if err != nil {
 		return
 	}

@@ -24,31 +24,92 @@ import (
 // to the version its batch created and panics if read after a later one.
 type Version uint64
 
-// MutationOp enumerates the graph-level delta vocabulary. It mirrors
-// internal/store's mutation ops one-for-one (store depends on graph,
-// not the other way around).
+// MutationOp enumerates the graph's write vocabulary — the one every
+// layer from the wire to the journal speaks. The values are the journal's
+// on-disk opcodes and the packed wire batch's: do not renumber.
 type MutationOp uint8
 
 const (
-	// MutInvalid is the zero op; Apply rejects it.
+	// MutInvalid is the zero op; CheckBatch rejects it.
 	MutInvalid MutationOp = iota
-	// MutAddNode appends a node with Label; From/To are ignored.
+	// MutAddNode appends a node with Label; From/To are ignored. Node ids
+	// are assigned densely in application order, so replaying a journal
+	// reproduces the same ids.
 	MutAddNode
-	// MutAddEdge inserts edge (From, To, Label); a duplicate is a no-op.
+	// MutAddEdge inserts edge (From, To, Label); a duplicate is a no-op
+	// (at most one (from, to, label) edge).
 	MutAddEdge
 	// MutRemoveEdge deletes edge (From, To, Label); absence is a no-op.
 	MutRemoveEdge
 	// MutRemoveNode isolates node From (removes every incident edge)
-	// but keeps its slot and label, the store's tombstone semantics:
-	// node ids stay dense and stable.
+	// but keeps its slot and label — a tombstoned row: node ids stay
+	// dense and stable, queries see an unreachable, degree-0 node.
 	MutRemoveNode
 )
 
-// Mutation is one graph change in the versioned core's vocabulary.
+// Mutation is one graph change. Which fields are meaningful depends on
+// Op: AddNode uses Label; AddEdge/RemoveEdge use From, To, Label;
+// RemoveNode uses From.
 type Mutation struct {
 	Op       MutationOp
 	From, To NodeID
 	Label    string
+}
+
+// AddNode returns a mutation appending a node with the given label.
+func AddNode(label string) Mutation { return Mutation{Op: MutAddNode, Label: label} }
+
+// AddEdge returns a mutation inserting the edge from -> to with a label.
+func AddEdge(from, to NodeID, label string) Mutation {
+	return Mutation{Op: MutAddEdge, From: from, To: to, Label: label}
+}
+
+// RemoveEdge returns a mutation deleting the edge from -> to with a label.
+func RemoveEdge(from, to NodeID, label string) Mutation {
+	return Mutation{Op: MutRemoveEdge, From: from, To: to, Label: label}
+}
+
+// RemoveNode returns a mutation isolating node v (dropping its edges).
+func RemoveNode(v NodeID) Mutation { return Mutation{Op: MutRemoveNode, From: v} }
+
+func (m Mutation) String() string {
+	switch m.Op {
+	case MutAddNode:
+		return fmt.Sprintf("addNode(%s)", m.Label)
+	case MutAddEdge:
+		return fmt.Sprintf("addEdge(%d -%s-> %d)", m.From, m.Label, m.To)
+	case MutRemoveEdge:
+		return fmt.Sprintf("removeEdge(%d -%s-> %d)", m.From, m.Label, m.To)
+	case MutRemoveNode:
+		return fmt.Sprintf("removeNode(%d)", m.From)
+	}
+	return fmt.Sprintf("mutation(op=%d)", m.Op)
+}
+
+// CheckBatch is the one rule a batch must pass before it is applied or
+// journaled: every op is known and every node an op names exists when the
+// op runs — numNodes nodes to begin with, one more after each AddNode, so
+// a batch can add a node and connect it. It returns the node count after
+// the batch.
+func CheckBatch(muts []Mutation, numNodes int) (int, error) {
+	n := numNodes
+	for i, m := range muts {
+		switch m.Op {
+		case MutAddNode:
+			n++
+		case MutAddEdge, MutRemoveEdge:
+			if m.From < 0 || int(m.From) >= n || m.To < 0 || int(m.To) >= n {
+				return 0, fmt.Errorf("graph: mutation %d: %v references a node outside [0, %d)", i, m, n)
+			}
+		case MutRemoveNode:
+			if m.From < 0 || int(m.From) >= n {
+				return 0, fmt.Errorf("graph: mutation %d: %v references a node outside [0, %d)", i, m, n)
+			}
+		default:
+			return 0, fmt.Errorf("graph: mutation %d: unknown op %d", i, m.Op)
+		}
+	}
+	return n, nil
 }
 
 // View is the read surface shared by a live *Graph and an OldView:
@@ -484,27 +545,14 @@ func removeSorted(row []Edge, e Edge) ([]Edge, bool) {
 // nodes, isolated nodes and their former neighbors — bit-exact with
 // the legacy rebuild path's touched semantics.
 //
-// The whole batch is validated up front against the projected node
-// count, so an error leaves the graph untouched at its prior version.
+// The whole batch is validated up front (CheckBatch), so an error leaves
+// the graph untouched at its prior version.
 // On success the version advances and any earlier OldView goes stale.
 func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 	g := vg.g
-	n := g.NumNodes()
-	for _, m := range muts {
-		switch m.Op {
-		case MutAddNode:
-			n++
-		case MutAddEdge, MutRemoveEdge:
-			if m.From < 0 || int(m.From) >= n || m.To < 0 || int(m.To) >= n {
-				return nil, nil, fmt.Errorf("graph: %+v references a node outside [0, %d)", m, n)
-			}
-		case MutRemoveNode:
-			if m.From < 0 || int(m.From) >= n {
-				return nil, nil, fmt.Errorf("graph: %+v references a node outside [0, %d)", m, n)
-			}
-		default:
-			return nil, nil, fmt.Errorf("graph: unknown mutation op %d", m.Op)
-		}
+	n, err := CheckBatch(muts, g.NumNodes())
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// The batch before this one is history: its view goes stale below,

@@ -186,7 +186,7 @@ func TestJournalRecoveryVersionedReplayExact(t *testing.T) {
 	}
 	g := gen.Social(gen.DefaultSocial(150, 17))
 	// Independent replay reference: the same initial graph maintained by
-	// ApplyVersioned alone, no cluster or journal involved.
+	// Versioned.Apply alone, no cluster or journal involved.
 	vg := graph.NewVersioned(g.Clone())
 
 	c, err := cluster.New(g, ts, cluster.Config{D: 2, Pool: pool, Journal: j})
@@ -225,7 +225,7 @@ func TestJournalRecoveryVersionedReplayExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := dynamic.ApplyVersioned(vg, ups); err != nil {
+		if _, _, err := vg.Apply(ups); err != nil {
 			t.Fatalf("batch %d versioned replay: %v", i, err)
 		}
 	}
@@ -255,7 +255,7 @@ func TestJournalRecoveryVersionedReplayExact(t *testing.T) {
 	defer c2.Close()
 
 	// The journal replay (store versioned core) and the independent
-	// ApplyVersioned replay must both reproduce the pre-crash graph
+	// Versioned.Apply replay must both reproduce the pre-crash graph
 	// exactly.
 	recNodes, recEdges := canonGraph(c2.Graph())
 	if !reflect.DeepEqual(recNodes, preNodes) || !reflect.DeepEqual(recEdges, preEdges) {

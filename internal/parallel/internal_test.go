@@ -49,14 +49,15 @@ func TestSplitChunks(t *testing.T) {
 }
 
 func TestPatternHopsUnreachable(t *testing.T) {
-	// patternHops must not panic on nodes unreachable from the focus
-	// (possible only for malformed inputs; the public API validates first).
+	// Nodes unreachable from the focus (possible only for malformed inputs;
+	// the public API validates first) are outside every Π(Q): they neither
+	// panic nor count.
 	p := core.NewPattern()
 	p.AddNode("xo", "a")
 	p.AddNode("b", "b")
 	p.AddNode("orphan", "c")
 	p.AddEdge("xo", "b", "r", core.Exists())
-	if hops := patternHops(p); hops != 1 {
-		t.Fatalf("patternHops = %d, want 1", hops)
+	if hops := RequiredHops(p); hops != 1 {
+		t.Fatalf("RequiredHops = %d, want 1", hops)
 	}
 }

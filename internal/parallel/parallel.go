@@ -60,64 +60,9 @@ func NewCluster(p *partition.Partition) *Cluster {
 	return c
 }
 
-// RequiredHops returns the partition radius a pattern needs for
-// fragment-local evaluation to be exact: the largest radius over Π(Q) and
-// every Π(Q+e), where each sub-pattern needs its own radius, plus one
-// extra hop beyond any ratio-quantified edge's source (ratio denominators
-// |Me(v)| count all children of v in G, so those children must be
-// materialized even when they match nothing).
-func RequiredHops(q *core.Pattern) int {
-	need := 0
-	consider := func(p *core.Pattern) {
-		if r := patternHops(p); r > need {
-			need = r
-		}
-	}
-	pi, _ := q.Pi()
-	consider(pi)
-	for _, ei := range q.NegatedEdges() {
-		pp, _ := q.PiPlus(ei)
-		consider(pp)
-	}
-	return need
-}
-
-// patternHops computes max(radius, 1 + dist(source of each ratio edge)).
-func patternHops(p *core.Pattern) int {
-	adj := make([][]int, len(p.Nodes))
-	for _, e := range p.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	dist := make([]int, len(p.Nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[p.Focus] = 0
-	queue := []int{p.Focus}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range adj[u] {
-			if dist[v] < 0 {
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	need := 0
-	for _, d := range dist {
-		if d > need {
-			need = d
-		}
-	}
-	for _, e := range p.Edges {
-		if e.Q.IsRatio() && dist[e.From] >= 0 && dist[e.From]+1 > need {
-			need = dist[e.From] + 1
-		}
-	}
-	return need
-}
+// RequiredHops is core.RequiredHops(q). benchmark/ imports this name;
+// delete after ROADMAP 1(a).
+func RequiredHops(q *core.Pattern) int { return core.RequiredHops(q) }
 
 // Result is the outcome of a parallel run.
 type Result struct {

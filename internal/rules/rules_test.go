@@ -235,8 +235,8 @@ func TestEvaluateParallelAgreesWithSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	need := parallel.RequiredHops(r.Antecedent)
-	if c := parallel.RequiredHops(r.Consequent); c > need {
+	need := core.RequiredHops(r.Antecedent)
+	if c := core.RequiredHops(r.Consequent); c > need {
 		need = c
 	}
 	part, err := partition.DPar(g, partition.Config{Workers: 3, D: need})

@@ -256,7 +256,7 @@ func TestBoundCacheAssign(t *testing.T) {
 		w.check("owned half, "+fixture.Mix[i].Name, fixture.Mix[i].DSL, nil)
 	}
 	hit0, _, _, _ := w.outcomes()
-	if _, err := w.c.Assign(more); err != nil {
+	if _, err := w.c.Do(&server.Request{Cmd: "update", Owned: more}); err != nil {
 		t.Fatal(err)
 	}
 	w.owned = append(w.owned, more...)

@@ -60,7 +60,7 @@ func TestFragmentRestrictsAnswers(t *testing.T) {
 	}
 
 	// Assigning node 1 surfaces its answer as a watch delta.
-	aresp, err := c.Assign([]int64{1})
+	aresp, err := assign(c, 1)
 	if err != nil {
 		t.Fatalf("assign: %v", err)
 	}
@@ -116,10 +116,16 @@ func TestFragmentRestrictsAnswers(t *testing.T) {
 	}
 }
 
+// assign sends what a coordinator sends to give a worker more nodes to own:
+// an update that carries owned ids and no mutation.
+func assign(c *client.Client, owned ...int64) (*server.Response, error) {
+	return c.Do(&server.Request{Cmd: "update", Owned: owned})
+}
+
 // TestFragmentValidation: bad owned ids and assign-without-fragment fail.
 func TestFragmentValidation(t *testing.T) {
 	c, _ := startServer(t, server.Config{})
-	if _, err := c.Assign([]int64{0}); err == nil {
+	if _, err := assign(c, 0); err == nil {
 		t.Fatal("assign without fragment succeeded")
 	}
 	if _, _, err := c.Fragment(fragGraph, []int64{99}); err == nil {
@@ -132,7 +138,7 @@ func TestFragmentValidation(t *testing.T) {
 	if _, _, err := c.Gen("social", 50, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Assign([]int64{0}); err == nil {
+	if _, err := assign(c, 0); err == nil {
 		t.Fatal("assign after gen should fail: session is no longer a fragment")
 	}
 }

@@ -6,14 +6,15 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 )
 
 // protocolSeeds are request lines captured off the e2e and cluster test
-// traffic: every command the coordinator sends a worker — fragment,
-// assign, and the combined update batch with inline assignment and the
-// scoped affected set — plus the plain client commands, so the fuzzer
+// traffic: every command the coordinator sends a worker — fragment and
+// the combined update batch with inline assignment and the scoped
+// affected set — plus the plain client commands, so the fuzzer
 // starts from the shapes the wire actually carries.
 var protocolSeeds = []string{
 	`{"id":1,"cmd":"ping"}`,
@@ -22,7 +23,7 @@ var protocolSeeds = []string{
 	`{"id":4,"cmd":"fragment","data":"graph\nn person\nn person\nn product\ne 0 1 follow\ne 1 2 bad_rating\n","owned":[0,1]}`,
 	// The same fragment as a coordinator ships it: binary format, base64.
 	`{"id":16,"cmd":"fragment","format":"binary","data":"UUdQMQQGcGVyc29uB3Byb2R1Y3QGZm9sbG93CmJhZF9yYXRpbmcDAAABAgABAgECAw==","owned":"AAI="}`,
-	`{"id":5,"cmd":"assign","owned":[2]}`,
+	`{"id":5,"cmd":"update","owned":[2]}`,
 	`{"id":6,"cmd":"update","updates":[{"op":"addEdge","from":0,"to":2,"label":"follow"},{"op":"removeEdge","from":1,"to":2,"label":"bad_rating"}]}`,
 	`{"id":7,"cmd":"update","updates":[{"op":"addNode","label":"person"},{"op":"addEdge","from":3,"to":0,"label":"follow"}],"owned":[3],"scoped":true,"affected":[0,1]}`,
 	`{"id":8,"cmd":"update","updates":[{"op":"removeNode","from":1}],"scoped":true}`,
@@ -34,11 +35,39 @@ var protocolSeeds = []string{
 	// The same shapes with their id lists packed, as the coordinator
 	// sends them: owned [3], affected [0,1]; owned [5,2,9] (unsorted).
 	`{"id":14,"cmd":"update","updates":[{"op":"addNode","label":"person"}],"owned":"Bg==","scoped":true,"affected":"AAI="}`,
-	`{"id":15,"cmd":"assign","owned":"CgUO"}`,
+	`{"id":15,"cmd":"update","owned":"CgUO"}`,
 	// An update as every sender writes it since batches are packed (the
 	// two ops of line 6), and one whose array names an op nobody knows.
 	`{"id":17,"cmd":"update","updates":"AgZmb2xsb3cKYmFkX3JhdGluZwIABAADAgQB","scoped":true,"affected":"AAI="}`,
 	`{"id":18,"cmd":"update","updates":[{"op":"frob","from":1}]}`,
+	// Ids that are no graph.NodeID: narrowed to 32 bits they would name
+	// nodes 1, 2 → 3 and -1. They travel; ToUpdates refuses them.
+	`{"id":19,"cmd":"update","updates":[{"op":"removeNode","from":4294967297}]}`,
+	`{"id":20,"cmd":"update","updates":[{"op":"addEdge","from":4294967298,"to":-4294967293,"label":"follow"}]}`,
+	`{"id":21,"cmd":"update","updates":[{"op":"removeEdge","to":9223372036854775807,"label":"follow"}]}`,
+}
+
+// knownOps reports whether every op of b is one the packed form has a code
+// for. Such a batch travels, whatever ids it names.
+func knownOps(b Batch) bool {
+	return !slices.ContainsFunc(b, func(u UpdateSpec) bool { return !slices.Contains(batchOps[1:], u.Op) })
+}
+
+// checkToUpdates holds ToUpdates to its contract on a batch of known ops:
+// it refuses the batch, or every id an op uses is that id as a
+// graph.NodeID — nothing is narrowed into another node's id.
+func checkToUpdates(t *testing.T, b Batch) {
+	t.Helper()
+	muts, err := ToUpdates(b)
+	if err != nil {
+		return
+	}
+	for i, u := range b {
+		from, to := u.Op != "addNode", u.Op == "addEdge" || u.Op == "removeEdge"
+		if from && int64(muts[i].From) != u.From || to && int64(muts[i].To) != u.To {
+			t.Fatalf("update %d: %+v became %v", i, u, muts[i])
+		}
+	}
 }
 
 // FuzzRequestRoundTrip asserts the wire format is lossless for every
@@ -62,7 +91,7 @@ func FuzzRequestRoundTrip(f *testing.F) {
 		if err := json.Unmarshal(line, &req); err != nil {
 			t.Skip() // not a decodable request line
 		}
-		if _, err := ToUpdates(req.Updates); err != nil {
+		if !knownOps(req.Updates) {
 			// The array form can spell an op nobody knows. Every handler
 			// refuses such a batch and the packed form has no code for
 			// it, so it must fail to encode, not travel as something else.
@@ -242,7 +271,8 @@ func sameBatch(a, b Batch) bool {
 // to a form that decodes to the same batch. As a raw block (base64'd and
 // quoted here): never a panic, never a batch longer than the block. As a
 // batch (fuzzBatch): packing then decoding is the identity, and the array
-// of objects spelling the same batch decodes equal.
+// of objects spelling the same batch decodes equal. And whatever ids a
+// batch of known ops names, ToUpdates narrows none (checkToUpdates).
 func FuzzBatch(f *testing.F) {
 	op := func(code byte, from, to int64, label byte) []byte {
 		b := binary.LittleEndian.AppendUint64([]byte{code}, uint64(from))
@@ -260,6 +290,11 @@ func FuzzBatch(f *testing.F) {
 		[]byte(`"AQAC\/\/\/\/\/\/\/\/\/\/\/\/AQAA"`), []byte(`"AQZmb2xsb3cCAgQA!"`), // TestBatchBlocks says what each is
 		append(append(append(op(0, 0, 0, 0), op(1, 1, 2, 7)...), op(2, -1, 1<<40, 7)...), op(3, math.MinInt64, math.MaxInt64, 0)...),
 		manyLabels,
+		// protocolSeeds' ids that are no graph.NodeID, both ways.
+		[]byte(`[{"op":"removeNode","from":4294967297}]`),
+		[]byte(`[{"op":"addEdge","from":4294967298,"to":-4294967293,"label":"follow"}]`),
+		[]byte(`[{"op":"removeEdge","to":9223372036854775807,"label":"follow"}]`),
+		append(append(op(3, 1<<32+1, 0, 0), op(1, 1<<32+2, -(1<<32)+3, 7)...), op(2, 0, math.MaxInt64, 7)...),
 	} {
 		f.Add(seed)
 	}
@@ -269,7 +304,8 @@ func FuzzBatch(f *testing.F) {
 
 		var b Batch
 		if err := json.Unmarshal(data, &b); err == nil {
-			if _, err := ToUpdates(b); err == nil {
+			if knownOps(b) {
+				checkToUpdates(t, b)
 				packed, err := json.Marshal(b)
 				if err != nil {
 					t.Fatalf("marshal %v: %v", b, err)
@@ -288,6 +324,7 @@ func FuzzBatch(f *testing.F) {
 		}
 
 		batch := fuzzBatch(data)
+		checkToUpdates(t, batch)
 		packed, err := json.Marshal(batch)
 		if err != nil {
 			t.Fatalf("marshal %v: %v", batch, err)

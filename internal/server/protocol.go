@@ -7,12 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
-	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/store"
 )
 
 // The wire protocol is newline-delimited JSON over TCP: one Request per
@@ -33,10 +32,10 @@ import (
 //	            JSON document, or the binary graph format as base64
 //	update    — apply a mutation batch to the session graph; a cluster
 //	            coordinator sends one combined batch per worker that can
-//	            also carry newly owned nodes (Owned) and the
+//	            also carry newly owned nodes (Owned: the coordinator
+//	            assigns nodes the batch created to this worker) and the
 //	            coordinator-computed affected set (Scoped + Affected),
-//	            collapsing what used to be separate update and assign
-//	            round trips and sparing the worker a local re-expansion
+//	            sparing the worker a local re-expansion
 //	watch     — register a standing pattern; every later update reports
 //	            its answer-set delta (incremental maintenance, §5.2 remark)
 //	unwatch   — remove a standing pattern
@@ -50,8 +49,6 @@ import (
 //	            the session becomes a cluster worker; match and watch then
 //	            answer only for the owned focus candidates. Data as for
 //	            load; a coordinator ships the binary format
-//	assign    — extend a fragment session's owned set (the coordinator
-//	            assigns newly created nodes to this worker)
 //	metrics   — snapshot of the server's metrics registry (counters,
 //	            gauges, histograms) as a JSON document in Obs, so a
 //	            newline-JSON client can scrape a session without the
@@ -164,12 +161,12 @@ type Request struct {
 	// session"; empty on endsession means "the connection's current one".
 	Session string `json:"session,omitempty"`
 
-	// fragment / assign / update: the owned focus candidates, as node ids
-	// local to the fragment subgraph carried in Data. For fragment this is
-	// the full owned set; for assign (or an update on a fragment session)
-	// it is the nodes to add to it — an update batch from a cluster
-	// coordinator carries the nodes it assigns to this worker inline, so
-	// routing one global batch costs one round trip, not two.
+	// fragment / update: the owned focus candidates, as node ids local to
+	// the fragment subgraph carried in Data. For fragment this is the full
+	// owned set; for an update on a fragment session it is the nodes to add
+	// to it — an update batch from a cluster coordinator carries the nodes
+	// it assigns to this worker inline, so routing one global batch costs
+	// one round trip.
 	Owned IDList `json:"owned,omitempty"`
 
 	// update, fragment sessions only: Scoped marks Affected as the
@@ -196,25 +193,42 @@ type UpdateSpec struct {
 	Label string `json:"label,omitempty"`
 }
 
-// ToUpdates converts wire-format update specs to the store's mutation
-// vocabulary; handleUpdate and the cluster coordinator share this mapping.
-func ToUpdates(specs []UpdateSpec) ([]dynamic.Update, error) {
-	ups := make([]dynamic.Update, len(specs))
-	for i, u := range specs {
-		switch u.Op {
-		case "addNode":
-			ups[i] = store.AddNode(u.Label)
-		case "addEdge":
-			ups[i] = store.AddEdge(int32(u.From), int32(u.To), u.Label)
-		case "removeEdge":
-			ups[i] = store.RemoveEdge(int32(u.From), int32(u.To), u.Label)
-		case "removeNode":
-			ups[i] = store.RemoveNode(int32(u.From))
-		default:
-			return nil, fmt.Errorf("update %d: unknown op %q", i, u.Op)
+// ToUpdates translates wire-format update specs into the graph's mutation
+// vocabulary, keeping of each spec the fields its op uses. It is the one
+// place a wire id becomes a graph.NodeID, so it is where an id that is not
+// one is refused: narrowed, it would name some other node, and every later
+// check would see an id in range.
+func ToUpdates(specs []UpdateSpec) ([]graph.Mutation, error) {
+	nodeID := func(i int, id int64) (graph.NodeID, error) {
+		if id < 0 || id > math.MaxInt32 {
+			return 0, fmt.Errorf("update %d: %s names node %d, outside [0, %d]", i, specs[i].Op, id, math.MaxInt32)
 		}
+		return graph.NodeID(id), nil
 	}
-	return ups, nil
+	muts := make([]graph.Mutation, len(specs))
+	for i, u := range specs {
+		// batchOps is in opcode order, and the opcodes are graph.MutationOp's values.
+		m := graph.Mutation{Op: graph.MutationOp(slices.Index(batchOps[1:], u.Op) + 1)}
+		var err error
+		switch m.Op {
+		case graph.MutAddNode:
+			m.Label = u.Label
+		case graph.MutAddEdge, graph.MutRemoveEdge:
+			m.Label = u.Label
+			if m.From, err = nodeID(i, u.From); err == nil {
+				m.To, err = nodeID(i, u.To)
+			}
+		case graph.MutRemoveNode:
+			m.From, err = nodeID(i, u.From)
+		default:
+			err = fmt.Errorf("update %d: unknown op %q", i, u.Op)
+		}
+		if err != nil {
+			return nil, err
+		}
+		muts[i] = m
+	}
+	return muts, nil
 }
 
 // Response is one server reply.

@@ -117,7 +117,7 @@ func New(cfg Config) *Server {
 // registry's maps.
 var commands = []string{
 	"ping", "gen", "load", "update", "watch", "unwatch", "stats", "match",
-	"pmatch", "rule", "rpqfilter", "partition", "fragment", "assign", "metrics",
+	"pmatch", "rule", "rpqfilter", "partition", "fragment", "metrics",
 	"explain", "profile",
 }
 
@@ -257,8 +257,6 @@ func (s *Server) handle(sess *session, req *Request) Response {
 		err = s.handlePartition(sess, req, &resp)
 	case "fragment":
 		err = s.handleFragment(sess, req, &resp)
-	case "assign":
-		err = s.handleAssign(sess, req, &resp)
 	case "metrics":
 		// The registry snapshot over the wire: a newline-JSON client can
 		// scrape a session's server without a debug HTTP listener.
@@ -380,7 +378,7 @@ func (s *Server) handleGraph(sess *session, req *Request, resp *Response) error 
 // handleUpdate applies a mutation batch to the session graph in place
 // through the versioned core and incrementally maintains every standing
 // watch; an error anywhere in the batch leaves the session graph
-// unchanged (ApplyVersioned validates up front, and post-apply
+// unchanged (Versioned.Apply validates up front, and post-apply
 // validation failures roll the batch back) and the watches untouched.
 // The batch is applied once and handed to the session's watch engine,
 // which evaluates each distinct pattern once over the candidates the
@@ -390,8 +388,7 @@ func (s *Server) handleGraph(sess *session, req *Request, resp *Response) error 
 // coordinator's routing: Scoped + Affected narrow re-verification to the
 // coordinator-computed affected set (local ids), and Owned lists nodes
 // the coordinator assigns to this worker, folded into the owned set after
-// the batch applies — one combined round trip where the coordinator used
-// to send update and assign separately.
+// the batch applies — one combined round trip.
 func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof *UpdateProfileDoc) error {
 	if sess.g == nil {
 		return ErrNoGraph
@@ -411,7 +408,7 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 			return err
 		}
 		tApply := time.Now()
-		old, touched, err = dynamic.ApplyVersioned(sess.vg, ups)
+		old, touched, err = sess.vg.Apply(ups)
 		if err != nil {
 			return err
 		}
@@ -669,7 +666,7 @@ func (s *Server) handlePMatch(sess *session, req *Request, resp *Response) error
 		threads = 2
 	}
 	d := req.D
-	if need := parallel.RequiredHops(q); d < need {
+	if need := core.RequiredHops(q); d < need {
 		d = need
 	}
 	p, err := partition.DPar(sess.g, partition.Config{Workers: workers, D: d})
@@ -775,28 +772,6 @@ func (s *Server) handleFragment(sess *session, req *Request, resp *Response) err
 		return fmt.Errorf("fragment: %w", err)
 	}
 	resp.Nodes, resp.Edges = g.NumNodes(), g.NumEdges()
-	return nil
-}
-
-// handleAssign adds nodes to a fragment session's owned set. Standing
-// watches evaluate the new candidates immediately; any answers they
-// contribute are reported as per-watch deltas, mirroring update. (A
-// cluster coordinator normally folds assignment into the update batch
-// itself; the standalone command remains for direct protocol use.)
-func (s *Server) handleAssign(sess *session, req *Request, resp *Response) error {
-	if sess.g == nil || !sess.eng.Restricted() {
-		return fmt.Errorf("assign: session holds no fragment: run fragment first")
-	}
-	add, err := localNodes(sess.g, req.Owned)
-	if err != nil {
-		return fmt.Errorf("assign: %w", err)
-	}
-	deltas, err := sess.eng.Assign(add)
-	if err != nil {
-		return fmt.Errorf("assign: %w", err)
-	}
-	appendDeltas(resp, deltas)
-	resp.Nodes, resp.Edges = sess.g.NumNodes(), sess.g.NumEdges()
 	return nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // Random corruption soak: flip/truncate bytes anywhere in the journal.
@@ -18,10 +20,10 @@ func TestJournalCorruptionSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	history := []Mutation{
-		AddNode("A"), AddNode("B"), AddNode("C"),
-		AddEdge(0, 1, "x"), AddEdge(1, 2, "y"), AddEdge(2, 0, "z"),
-		RemoveEdge(0, 1, "x"), AddNode("D"), AddEdge(3, 0, "w"),
+	history := []graph.Mutation{
+		graph.AddNode("A"), graph.AddNode("B"), graph.AddNode("C"),
+		graph.AddEdge(0, 1, "x"), graph.AddEdge(1, 2, "y"), graph.AddEdge(2, 0, "z"),
+		graph.RemoveEdge(0, 1, "x"), graph.AddNode("D"), graph.AddEdge(3, 0, "w"),
 	}
 	for _, m := range history {
 		if _, err := s.Apply(m); err != nil {
@@ -49,11 +51,11 @@ func TestJournalCorruptionSoak(t *testing.T) {
 		prefixStates[state{0, 0}] = true
 		for _, m := range history {
 			switch m.Op {
-			case OpAddNode:
+			case graph.MutAddNode:
 				nodes++
-			case OpAddEdge:
+			case graph.MutAddEdge:
 				eset[edgeKey{m.From, m.To, m.Label}] = true
-			case OpRemoveEdge:
+			case graph.MutRemoveEdge:
 				delete(eset, edgeKey{m.From, m.To, m.Label})
 			}
 			edges = len(eset)
@@ -99,7 +101,7 @@ func TestJournalCorruptionSoak(t *testing.T) {
 		}
 		// The recovered store must remain writable.
 		if got.nodes > 0 {
-			if _, err := s2.Apply(AddEdge(0, 0, "self")); err != nil {
+			if _, err := s2.Apply(graph.AddEdge(0, 0, "self")); err != nil {
 				t.Fatalf("trial %d: recovered store not writable: %v", trial, err)
 			}
 		}
@@ -117,7 +119,7 @@ func TestManifestCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Apply(AddNode("A"))
+		s.Apply(graph.AddNode("A"))
 		s.Close()
 		return dir
 	}

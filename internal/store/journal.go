@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+
+	"repro/internal/graph"
 )
 
 // Journal record layout (little-endian):
@@ -17,9 +19,9 @@ import (
 // payload:
 //
 //	uvarint seq
-//	byte    op
-//	uvarint from+1 (0 when unused)
-//	uvarint to+1   (0 when unused)
+//	byte    op (graph.MutationOp's value)
+//	uvarint from+1
+//	uvarint to+1
 //	uvarint len(label) + label bytes
 //
 // The file begins with the 8-byte magic "QGJRNL\x00\x01". Recovery reads
@@ -36,7 +38,7 @@ const maxRecordSize = 1 << 20 // 1 MiB; a single mutation is tiny
 // torn tail (e.g. a bad magic header).
 var ErrCorruptJournal = errors.New("store: corrupt journal")
 
-func encodeRecord(buf []byte, seq uint64, m Mutation) []byte {
+func encodeRecord(buf []byte, seq uint64, m graph.Mutation) []byte {
 	var payload []byte
 	payload = binary.AppendUvarint(payload, seq)
 	payload = append(payload, byte(m.Op))
@@ -52,7 +54,7 @@ func encodeRecord(buf []byte, seq uint64, m Mutation) []byte {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-func decodePayload(payload []byte) (seq uint64, m Mutation, err error) {
+func decodePayload(payload []byte) (seq uint64, m graph.Mutation, err error) {
 	rd := payload
 	take := func() (uint64, bool) {
 		v, n := binary.Uvarint(rd)
@@ -66,7 +68,7 @@ func decodePayload(payload []byte) (seq uint64, m Mutation, err error) {
 	if !ok || len(rd) == 0 {
 		return 0, m, fmt.Errorf("%w: truncated payload", ErrCorruptJournal)
 	}
-	m.Op = MutationOp(rd[0])
+	m.Op = graph.MutationOp(rd[0])
 	rd = rd[1:]
 	from, ok := take()
 	if !ok {
@@ -80,8 +82,8 @@ func decodePayload(payload []byte) (seq uint64, m Mutation, err error) {
 	if !ok || uint64(len(rd)) != n {
 		return 0, m, fmt.Errorf("%w: bad label length", ErrCorruptJournal)
 	}
-	m.From = int32(from) - 1
-	m.To = int32(to) - 1
+	m.From = graph.NodeID(from) - 1
+	m.To = graph.NodeID(to) - 1
 	m.Label = string(rd)
 	return seq, m, nil
 }
@@ -129,7 +131,7 @@ func openJournalForAppend(path string, fsync bool) (*journalWriter, error) {
 
 // append writes one batch of records and optionally fsyncs once for the
 // whole batch.
-func (w *journalWriter) append(seqStart uint64, muts []Mutation) error {
+func (w *journalWriter) append(seqStart uint64, muts []graph.Mutation) error {
 	w.buf = w.buf[:0]
 	for i, m := range muts {
 		w.buf = encodeRecord(w.buf, seqStart+uint64(i), m)
@@ -164,7 +166,7 @@ type RecoveryInfo struct {
 // with seq > afterSeq. It stops cleanly at EOF or at the first torn/corrupt
 // record (reported via RecoveryInfo.TornTail). A missing or wrong magic
 // header is a hard error: that file was never a journal.
-func replayJournal(r io.Reader, afterSeq uint64, apply func(seq uint64, m Mutation) error) (RecoveryInfo, error) {
+func replayJournal(r io.Reader, afterSeq uint64, apply func(seq uint64, m graph.Mutation) error) (RecoveryInfo, error) {
 	var info RecoveryInfo
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(journalMagic))

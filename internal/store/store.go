@@ -111,11 +111,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	case err != nil:
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	info, rerr := replayJournal(jf, man.Seq, func(seq uint64, m Mutation) error {
+	info, rerr := replayJournal(jf, man.Seq, func(seq uint64, m graph.Mutation) error {
 		if seq != s.nextSeq {
 			return fmt.Errorf("%w: sequence gap: got %d, want %d", ErrCorruptJournal, seq, s.nextSeq)
 		}
-		if err := s.applyLocked(m); err != nil {
+		if err := s.applyLocked([]graph.Mutation{m}); err != nil {
 			return err
 		}
 		s.nextSeq = seq + 1
@@ -181,74 +181,42 @@ func (s *Store) JournalBytes() (int64, error) {
 // to Graph(): readers see either none or all of the batch. It returns the
 // id of the first node added by the batch (or -1 if none); AddNode ids
 // are assigned densely in batch order.
-func (s *Store) Apply(muts ...Mutation) (firstNode int32, err error) {
+func (s *Store) Apply(muts ...graph.Mutation) (firstNode graph.NodeID, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return -1, fmt.Errorf("store: closed")
 	}
-	// Validate against the projected node count so a batch can add a node
-	// and immediately connect it. (The versioned core re-validates with
-	// the same rules; checking here keeps invalid batches out of the
-	// journal before any bytes are written.)
-	n := s.vg.Graph().NumNodes()
-	firstNode = -1
-	for _, m := range muts {
-		if err := m.validate(n); err != nil {
-			return -1, err
-		}
-		if m.Op == OpAddNode {
-			if firstNode < 0 {
-				firstNode = int32(n)
-			}
-			n++
-		}
+	// The versioned core checks the batch by the same rule; checking here
+	// keeps an invalid batch out of the journal before a byte is written.
+	before := s.vg.Graph().NumNodes()
+	after, err := graph.CheckBatch(muts, before)
+	if err != nil {
+		return -1, fmt.Errorf("store: %w", err)
 	}
 	if err := s.jw.append(s.nextSeq, muts); err != nil {
 		return -1, fmt.Errorf("store: journal append: %w", err)
 	}
-	if _, _, err := s.vg.Apply(toGraphMutations(muts)); err != nil {
-		// Unreachable: the batch passed the identical validation above.
-		return -1, fmt.Errorf("store: %w", err)
+	if err := s.applyLocked(muts); err != nil {
+		return -1, err // unreachable: the batch passed CheckBatch above
 	}
 	s.nextSeq += uint64(len(muts))
-	s.view = nil
-	return firstNode, nil
+	if after == before {
+		return -1, nil
+	}
+	return graph.NodeID(before), nil
 }
 
-// applyLocked applies one validated mutation to the in-memory state
-// (the journal-replay path: records re-apply one at a time through the
-// versioned core, with per-record sequence checking in the caller).
-func (s *Store) applyLocked(m Mutation) error {
-	if err := m.validate(s.vg.Graph().NumNodes()); err != nil {
-		return err
-	}
-	if _, _, err := s.vg.Apply(toGraphMutations([]Mutation{m})); err != nil {
+// applyLocked applies a batch to the in-memory state through the
+// versioned core, which validates it (Apply's second half, and the
+// journal-replay path one record at a time, with per-record sequence
+// checking in the caller).
+func (s *Store) applyLocked(muts []graph.Mutation) error {
+	if _, _, err := s.vg.Apply(muts); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.view = nil
 	return nil
-}
-
-// toGraphMutations converts the store's journal vocabulary to the graph
-// core's delta vocabulary (a one-to-one mapping).
-func toGraphMutations(muts []Mutation) []graph.Mutation {
-	out := make([]graph.Mutation, len(muts))
-	for i, m := range muts {
-		var op graph.MutationOp
-		switch m.Op {
-		case OpAddNode:
-			op = graph.MutAddNode
-		case OpAddEdge:
-			op = graph.MutAddEdge
-		case OpRemoveEdge:
-			op = graph.MutRemoveEdge
-		case OpRemoveNode:
-			op = graph.MutRemoveNode
-		}
-		out[i] = graph.Mutation{Op: op, From: graph.NodeID(m.From), To: graph.NodeID(m.To), Label: m.Label}
-	}
-	return out
 }
 
 // Graph returns the current state as a finalized graph. The returned
@@ -299,7 +267,7 @@ func (s *Store) compactLocked() error {
 	if err := s.writeSnapshotLocked(seq); err != nil {
 		return err
 	}
-	return s.rewriteJournalLocked(nil)
+	return s.rewriteJournalLocked()
 }
 
 // writeSnapshotLocked writes snapshot-<seq>.qg, flips the manifest to it,
@@ -344,9 +312,9 @@ func (s *Store) writeSnapshotLocked(seq uint64) error {
 	return nil
 }
 
-// rewriteJournalLocked replaces the journal with one containing only the
-// given records (usually none, after compaction), atomically by rename.
-func (s *Store) rewriteJournalLocked(records []Mutation) error {
+// rewriteJournalLocked replaces the journal with an empty one (its records
+// are in the snapshot), atomically by rename.
+func (s *Store) rewriteJournalLocked() error {
 	if s.jw != nil {
 		s.jw.Close()
 		s.jw = nil
@@ -355,12 +323,6 @@ func (s *Store) rewriteJournalLocked(records []Mutation) error {
 	jw, err := createJournal(tmp, s.opts.Fsync)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	if len(records) > 0 {
-		if err := jw.append(s.snapSeq+1, records); err != nil {
-			jw.Close()
-			return fmt.Errorf("store: %w", err)
-		}
 	}
 	if err := jw.Close(); err != nil {
 		return fmt.Errorf("store: %w", err)

@@ -14,7 +14,7 @@ import (
 // edgeKey is the tests' reference edge-set model — what the store's
 // in-memory state was before the versioned graph core replaced it.
 type edgeKey struct {
-	from, to int32
+	from, to graph.NodeID
 	label    string
 }
 
@@ -43,8 +43,8 @@ func TestApplyAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	first, err := s.Apply(
-		AddNode("Person"), AddNode("Person"), AddNode("Product"),
-		AddEdge(0, 1, "follow"), AddEdge(1, 2, "buy"),
+		graph.AddNode("Person"), graph.AddNode("Person"), graph.AddNode("Product"),
+		graph.AddEdge(0, 1, "follow"), graph.AddEdge(1, 2, "buy"),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -77,22 +77,22 @@ func TestRemoveEdgeAndNode(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	if _, err := s.Apply(
-		AddNode("A"), AddNode("B"), AddNode("C"),
-		AddEdge(0, 1, "x"), AddEdge(1, 2, "x"), AddEdge(2, 0, "y"),
+		graph.AddNode("A"), graph.AddNode("B"), graph.AddNode("C"),
+		graph.AddEdge(0, 1, "x"), graph.AddEdge(1, 2, "x"), graph.AddEdge(2, 0, "y"),
 	); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(RemoveEdge(0, 1, "x")); err != nil {
+	if _, err := s.Apply(graph.RemoveEdge(0, 1, "x")); err != nil {
 		t.Fatal(err)
 	}
 	if s.NumEdges() != 2 {
 		t.Fatalf("edges after remove = %d, want 2", s.NumEdges())
 	}
 	// Removing an absent edge is a no-op.
-	if _, err := s.Apply(RemoveEdge(0, 1, "x")); err != nil {
+	if _, err := s.Apply(graph.RemoveEdge(0, 1, "x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(RemoveNode(2)); err != nil {
+	if _, err := s.Apply(graph.RemoveNode(2)); err != nil {
 		t.Fatal(err)
 	}
 	if s.NumEdges() != 0 {
@@ -111,17 +111,17 @@ func TestRemoveEdgeAndNode(t *testing.T) {
 
 func TestApplyValidation(t *testing.T) {
 	s := openT(t, t.TempDir())
-	if _, err := s.Apply(AddEdge(0, 1, "x")); err == nil {
+	if _, err := s.Apply(graph.AddEdge(0, 1, "x")); err == nil {
 		t.Error("edge between missing nodes accepted")
 	}
 	// A batch may reference nodes it adds.
-	if _, err := s.Apply(AddNode("A"), AddNode("B"), AddEdge(0, 1, "x")); err != nil {
+	if _, err := s.Apply(graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x")); err != nil {
 		t.Errorf("intra-batch reference rejected: %v", err)
 	}
-	if _, err := s.Apply(Mutation{Op: 99}); err == nil {
+	if _, err := s.Apply(graph.Mutation{Op: 99}); err == nil {
 		t.Error("unknown op accepted")
 	}
-	if _, err := s.Apply(RemoveNode(7)); err == nil {
+	if _, err := s.Apply(graph.RemoveNode(7)); err == nil {
 		t.Error("RemoveNode out of range accepted")
 	}
 	// Failed batches must not change state.
@@ -133,14 +133,14 @@ func TestApplyValidation(t *testing.T) {
 func TestCompactAndReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	if _, err := s.Apply(AddNode("A"), AddNode("B"), AddEdge(0, 1, "x")); err != nil {
+	if _, err := s.Apply(graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	// Journal must be empty now; further mutations append after it.
-	if _, err := s.Apply(AddEdge(1, 0, "x")); err != nil {
+	if _, err := s.Apply(graph.AddEdge(1, 0, "x")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -158,10 +158,10 @@ func TestCompactAndReopen(t *testing.T) {
 func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	if _, err := s.Apply(AddNode("A"), AddNode("B")); err != nil {
+	if _, err := s.Apply(graph.AddNode("A"), graph.AddNode("B")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(AddEdge(0, 1, "x")); err != nil {
+	if _, err := s.Apply(graph.AddEdge(0, 1, "x")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -186,7 +186,7 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 	// The store remains writable after tail repair, and the repaired
 	// journal replays cleanly next time.
-	if _, err := s2.Apply(AddEdge(1, 0, "y")); err != nil {
+	if _, err := s2.Apply(graph.AddEdge(1, 0, "y")); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
@@ -222,7 +222,7 @@ func TestJournalBytesTracksTheFile(t *testing.T) {
 	s := openT(t, dir)
 	check(s, "fresh store")
 	for i := 0; i < 5; i++ {
-		if _, err := s.Apply(AddNode("A"), AddNode("a longer label"), AddEdge(0, 1, "x")); err != nil {
+		if _, err := s.Apply(graph.AddNode("A"), graph.AddNode("a longer label"), graph.AddEdge(0, 1, "x")); err != nil {
 			t.Fatal(err)
 		}
 		check(s, "after an append")
@@ -231,7 +231,7 @@ func TestJournalBytesTracksTheFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(s, "after compaction")
-	if _, err := s.Apply(AddEdge(1, 0, "y"), AddEdge(2, 3, "z")); err != nil {
+	if _, err := s.Apply(graph.AddEdge(1, 0, "y"), graph.AddEdge(2, 3, "z")); err != nil {
 		t.Fatal(err)
 	}
 	check(s, "after an append to the compacted journal")
@@ -239,7 +239,7 @@ func TestJournalBytesTracksTheFile(t *testing.T) {
 
 	s = openT(t, dir)
 	check(s, "clean reopen")
-	if _, err := s.Apply(RemoveEdge(1, 0, "y")); err != nil {
+	if _, err := s.Apply(graph.RemoveEdge(1, 0, "y")); err != nil {
 		t.Fatal(err)
 	}
 	check(s, "after an append to the reopened journal")
@@ -257,7 +257,7 @@ func TestJournalBytesTracksTheFile(t *testing.T) {
 		t.Fatal("torn tail not detected")
 	}
 	check(s, "reopen over a torn tail")
-	if _, err := s.Apply(AddNode("B")); err != nil {
+	if _, err := s.Apply(graph.AddNode("B")); err != nil {
 		t.Fatal(err)
 	}
 	check(s, "after an append to the repaired journal")
@@ -266,10 +266,10 @@ func TestJournalBytesTracksTheFile(t *testing.T) {
 func TestCorruptCRCTruncatesSuffix(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	if _, err := s.Apply(AddNode("A")); err != nil {
+	if _, err := s.Apply(graph.AddNode("A")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(AddNode("B")); err != nil {
+	if _, err := s.Apply(graph.AddNode("B")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -296,7 +296,7 @@ func TestCorruptCRCTruncatesSuffix(t *testing.T) {
 func TestBadMagicIsHardError(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	s.Apply(AddNode("A"))
+	s.Apply(graph.AddNode("A"))
 	s.Close()
 
 	jpath := filepath.Join(dir, journalName)
@@ -311,7 +311,7 @@ func TestBadMagicIsHardError(t *testing.T) {
 func TestMissingSnapshotIsHardError(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	s.Apply(AddNode("A"))
+	s.Apply(graph.AddNode("A"))
 	s.Close()
 	// Remove the snapshot the manifest names.
 	entries, _ := os.ReadDir(dir)
@@ -347,9 +347,9 @@ func TestImportGraph(t *testing.T) {
 
 func TestGraphViewImmutable(t *testing.T) {
 	s := openT(t, t.TempDir())
-	s.Apply(AddNode("A"), AddNode("B"), AddEdge(0, 1, "x"))
+	s.Apply(graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x"))
 	g1 := s.Graph()
-	s.Apply(AddEdge(1, 0, "x"))
+	s.Apply(graph.AddEdge(1, 0, "x"))
 	g2 := s.Graph()
 	if g1.NumEdges() != 1 {
 		t.Errorf("old view mutated: %d edges", g1.NumEdges())
@@ -366,7 +366,7 @@ func TestClosedStoreRejectsWrites(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	s.Close()
-	if _, err := s.Apply(AddNode("A")); err == nil {
+	if _, err := s.Apply(graph.AddNode("A")); err == nil {
 		t.Error("Apply after Close accepted")
 	}
 	if err := s.Compact(); err == nil {
@@ -397,29 +397,29 @@ func TestRandomizedModelEquivalence(t *testing.T) {
 		switch op := r.Intn(10); {
 		case op < 4 || len(model.labels) < 2: // add node
 			l := labels[r.Intn(len(labels))]
-			if _, err := s.Apply(AddNode(l)); err != nil {
+			if _, err := s.Apply(graph.AddNode(l)); err != nil {
 				t.Fatal(err)
 			}
 			model.labels = append(model.labels, l)
 		case op < 7: // add edge
-			f := int32(r.Intn(len(model.labels)))
-			to := int32(r.Intn(len(model.labels)))
+			f := graph.NodeID(r.Intn(len(model.labels)))
+			to := graph.NodeID(r.Intn(len(model.labels)))
 			l := elabels[r.Intn(len(elabels))]
-			if _, err := s.Apply(AddEdge(f, to, l)); err != nil {
+			if _, err := s.Apply(graph.AddEdge(f, to, l)); err != nil {
 				t.Fatal(err)
 			}
 			model.edges[edgeKey{f, to, l}] = true
 		case op < 8: // remove edge
-			f := int32(r.Intn(len(model.labels)))
-			to := int32(r.Intn(len(model.labels)))
+			f := graph.NodeID(r.Intn(len(model.labels)))
+			to := graph.NodeID(r.Intn(len(model.labels)))
 			l := elabels[r.Intn(len(elabels))]
-			if _, err := s.Apply(RemoveEdge(f, to, l)); err != nil {
+			if _, err := s.Apply(graph.RemoveEdge(f, to, l)); err != nil {
 				t.Fatal(err)
 			}
 			delete(model.edges, edgeKey{f, to, l})
 		case op < 9: // remove node (isolate)
-			v := int32(r.Intn(len(model.labels)))
-			if _, err := s.Apply(RemoveNode(v)); err != nil {
+			v := graph.NodeID(r.Intn(len(model.labels)))
+			if _, err := s.Apply(graph.RemoveNode(v)); err != nil {
 				t.Fatal(err)
 			}
 			for k := range model.edges {
@@ -463,7 +463,7 @@ func TestFsyncOptionWorks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(AddNode("A"), AddNode("B"), AddEdge(0, 1, "x")); err != nil {
+	if _, err := s.Apply(graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
