@@ -9,6 +9,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -122,11 +124,16 @@ func BenchmarkQMatchMix(b *testing.B) {
 // 3 000 ascending ids out of 6 000 — what one answer costs on each of the
 // two hops it crosses (worker → coordinator, front end → client).
 // BenchmarkMergeRuns in internal/cluster is the coordinator's step between
-// them.
+// them. It fails itself if the answer's bytes differ from the wire golden
+// internal/server recorded at 6ecd0ac: a faster codec must write the same
+// line.
 func BenchmarkWireAnswer(b *testing.B) {
 	resp := server.Response{ID: 1, OK: true, Total: 3000, ElapsedMS: 1.25, Matches: make(server.IDList, 3000)}
 	for i := range resp.Matches {
 		resp.Matches[i] = int64(2 * i)
+	}
+	if line, err := json.Marshal(&resp); err != nil || string(line) != wireGolden(b, "answer3000") {
+		b.Fatalf("the 3000-id answer encodes as %.80s… (%v), not as the golden", line, err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -144,42 +151,73 @@ func BenchmarkWireAnswer(b *testing.B) {
 	}
 }
 
-// BenchmarkWireUpdate encodes and decodes what one fragment copy is sent
-// and answers for the benchmark-shaped batch (4 follow edges in, 4 out, on
-// social persons=4000, 8 standing watches): the worker update request —
-// the packed batch, the scoped affected set — and its response with one
-// delta per watch. A batch crosses this codec once per fragment copy it
-// concerns, after the client's own request did at the front end.
+// wireGolden returns one case of internal/server's wire golden: the bytes
+// json.Marshal wrote for it at 6ecd0ac.
+func wireGolden(b *testing.B, name string) string {
+	data, err := os.ReadFile("internal/server/testdata/wire-6ecd0ac.golden")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if n, enc, ok := strings.Cut(line, "\t"); ok && n == name {
+			return enc
+		}
+	}
+	b.Fatalf("no case %q in the wire golden", name)
+	return ""
+}
+
+// BenchmarkWireUpdate encodes and decodes both hops of the benchmark-shaped
+// batch (4 follow edges in, 4 out, on social persons=4000, 8 standing
+// watches). worker is what one fragment copy is sent and answers: the
+// update request — the packed batch, the scoped affected set — and the
+// scoped reply, which names only the watches whose answers changed there
+// (2 of the 8). client is the client's request and the front end's reply,
+// one delta per watch. A batch crosses the worker hop once per fragment
+// copy it concerns and the client hop once.
 func BenchmarkWireUpdate(b *testing.B) {
-	req := server.Request{ID: 7, Cmd: "update", Scoped: true, Affected: server.IDList{311, 1207, 1846, 2210, 2987, 3405}}
+	var batch server.Batch
 	for i := int64(0); i < 8; i++ {
 		op := "addEdge"
 		if i >= 4 {
 			op = "removeEdge"
 		}
-		req.Updates = append(req.Updates, server.UpdateSpec{Op: op, From: 97 + 431*i, To: 3911 - 389*i, Label: "follow"})
+		batch = append(batch, server.UpdateSpec{Op: op, From: 97 + 431*i, To: 3911 - 389*i, Label: "follow"})
 	}
-	resp := server.Response{ID: 7, OK: true, Nodes: 4147, Edges: 78011}
+	worker := server.Response{ID: 7, OK: true, Nodes: 4147, Edges: 78011}
+	client := server.Response{ID: 7, OK: true, Nodes: 4147, Edges: 78011, Session: "writer"}
 	for i := 0; i < 8; i++ {
 		d := server.WatchDelta{Watch: fmt.Sprintf("w%d", i), Affected: 6}
-		if i%2 == 0 {
+		if i%4 == 0 {
 			d.Added = server.IDList{1207}
 			d.Removed = server.IDList{2210, 2987}
+			worker.Deltas = append(worker.Deltas, d)
 		}
-		resp.Deltas = append(resp.Deltas, d)
+		client.Deltas = append(client.Deltas, d)
 	}
+	b.Run("worker", func(b *testing.B) {
+		wireRoundTrip(b, &server.Request{ID: 7, Cmd: "update", Updates: batch, Scoped: true, Affected: server.IDList{311, 1207, 1846, 2210, 2987, 3405}}, &worker)
+	})
+	b.Run("client", func(b *testing.B) {
+		wireRoundTrip(b, &server.Request{ID: 7, Cmd: "update", Updates: batch}, &client)
+	})
+}
+
+// wireRoundTrip encodes and decodes req and resp once per iteration and
+// reports their sizes.
+func wireRoundTrip(b *testing.B, req *server.Request, resp *server.Response) {
 	b.ReportAllocs()
 	var line, reply []byte
 	for i := 0; i < b.N; i++ {
 		var err error
-		if line, err = json.Marshal(&req); err != nil {
+		if line, err = json.Marshal(req); err != nil {
 			b.Fatal(err)
 		}
 		var gotReq server.Request
 		if err := json.Unmarshal(line, &gotReq); err != nil {
 			b.Fatal(err)
 		}
-		if reply, err = json.Marshal(&resp); err != nil {
+		if reply, err = json.Marshal(resp); err != nil {
 			b.Fatal(err)
 		}
 		var gotResp server.Response

@@ -486,17 +486,20 @@ func (c *Coordinator) refuseLocked() error {
 }
 
 // fanOut runs fn once per worker concurrently and returns the first error
-// (by worker id) if any failed.
+// (by worker id) if any failed. Worker 0's share runs on the calling
+// goroutine, whose stack has already grown to what encoding a request
+// takes; a fresh goroutine starts from the minimum and grows again.
 func (c *Coordinator) fanOut(fn func(w *worker) error) error {
 	errs := make([]error, len(c.workers))
 	var wg sync.WaitGroup
-	for i, w := range c.workers {
+	for i, w := range c.workers[1:] {
 		wg.Add(1)
-		go func(i int, w *worker) {
+		go func() {
 			defer wg.Done()
-			errs[i] = fn(w)
-		}(i, w)
+			errs[i+1] = fn(w)
+		}()
 	}
+	errs[0] = fn(c.workers[0])
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/graph"
@@ -15,12 +14,14 @@ import (
 type UpdateResult struct {
 	// Nodes and Edges are the global graph's counts after the batch.
 	Nodes, Edges int
-	// Deltas are the merged per-watch answer changes, in global node ids,
-	// one entry per standing watch that changed or was re-verified
-	// anywhere. Affected sums the workers' re-verified candidate counts;
-	// workers re-verify exactly the coordinator-computed affected set
-	// restricted to their owned candidates (plus any node the batch
-	// assigned them), so the sum tracks AffectedSize.
+	// Deltas are the merged per-watch answer changes, in global node ids:
+	// one entry per registered watch, in name order, whenever any worker
+	// was contacted, and none when no worker was. Added/Removed come from
+	// the workers' replies, which name only the watches whose answers
+	// changed there. Affected is the same for every entry: the candidates
+	// the contacted workers re-verified, each its owned share of the
+	// affected set plus the nodes the batch assigned it — so it tracks
+	// AffectedSize.
 	Deltas []server.WatchDelta
 	// Contacted lists the workers (ascending id) that received traffic:
 	// exactly those whose fragment mirrors changed, whose owned candidates
@@ -53,7 +54,7 @@ type workerPlan struct {
 	newMat   []graph.NodeID
 	assign   []graph.NodeID // global ids, for owned-set bookkeeping
 	assignL  []int64        // the same nodes as post-batch local ids
-	affected []int64        // owned ∩ global affected set, local ids
+	affected []int64        // owned ∩ global affected set, local ids; none without a batch
 }
 
 // empty reports whether the plan carries no traffic at all.
@@ -240,12 +241,14 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		ownedCount[best]++
 	}
 
-	// Plan and execute concurrently, one goroutine per worker: planning
-	// reads only shared immutable inputs plus the worker's own state, so
-	// computing it inside the fan-out overlaps the planning of one worker
-	// with the serialization and I/O of another.
+	// Plan and execute concurrently across workers: planning reads only
+	// shared immutable inputs plus the worker's own state, so computing it
+	// inside the fan-out overlaps the planning of one worker with the
+	// serialization and I/O of another. Per worker: the reply's deltas and
+	// how many candidates it re-verified.
 	contacted := make([]bool, len(c.workers))
 	updDeltas := make([][]server.WatchDelta, len(c.workers))
+	reverified := make([]int, len(c.workers))
 	cmd := "update"
 	var workerProfs []*WorkerUpdateProfile
 	if prof != nil {
@@ -307,7 +310,9 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 			wp.RTTMS = server.MsSince(trtt)
 			wp.Profile = resp.Profile
 		}
-		updDeltas[w.id] = resp.Deltas
+		// The primary re-verified what it was shipped: every id in
+		// p.affected is owned there, and every assigned node is new to it.
+		updDeltas[w.id], reverified[w.id] = resp.Deltas, len(p.affected)+len(p.assignL)
 		for _, gv := range p.newMat {
 			w.ids.add(gv)
 		}
@@ -352,12 +357,12 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		}
 	}
 	tm := time.Now()
-	merged, err := c.mergeDeltas(updDeltas)
-	if err != nil {
-		c.failed = err
-		return nil, err
+	if len(out.Contacted) > 0 {
+		if out.Deltas, err = c.mergeDeltas(updDeltas, reverified); err != nil {
+			c.failed = err
+			return nil, err
+		}
 	}
-	out.Deltas = merged
 	tr.Span(-1, "merge", tm)
 	if prof != nil {
 		prof.MergeMS = server.MsSince(tm)
@@ -533,6 +538,12 @@ func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph,
 	for i, gv := range assign {
 		assignL[i] = int64(localOf(gv))
 	}
+	if len(batch) == 0 {
+		// The fragment is unchanged, so are its owned answers (Lemma 9(1)):
+		// a worker re-verifies only alongside a batch, and the plan ships
+		// only what it will re-verify.
+		affectedL = nil
+	}
 	return &workerPlan{batch: batch, newMat: newMat, assign: assign, assignL: assignL, affected: affectedL}
 }
 
@@ -543,26 +554,21 @@ type edgeKey struct {
 	label    graph.LabelID
 }
 
-// mergeDeltas folds the workers' local watch deltas (indexed by worker
-// id; a worker's response may carry several entries per watch, e.g. a
-// re-verification delta and an assignment delta) into global per-watch
-// deltas: added/removed sets are disjoint unions (ownership partitions
-// the nodes), affected counts sum.
-func (c *Coordinator) mergeDeltas(byWorker [][]server.WatchDelta) ([]server.WatchDelta, error) {
-	type acc struct {
-		added, removed [][]graph.NodeID
-		affected       int
+// mergeDeltas folds the contacted workers' replies (indexed by worker id)
+// into one entry per registered watch, in name order. A scoped reply names
+// only the watches whose answers changed there, in local ids, possibly
+// twice — a re-verification delta and an assignment delta; the added and
+// removed sets are disjoint unions (ownership partitions the nodes). Every
+// watch re-verified the same candidates, so Affected is one sum over the
+// workers' reverified counts.
+func (c *Coordinator) mergeDeltas(byWorker [][]server.WatchDelta, reverified []int) ([]server.WatchDelta, error) {
+	affected := 0
+	for _, n := range reverified {
+		affected += n
 	}
-	byWatch := make(map[string]*acc)
-	var names []string
+	runs := make(map[string]*[2][][]graph.NodeID) // watch → added runs, removed runs
 	for wid, deltas := range byWorker {
 		for _, d := range deltas {
-			a := byWatch[d.Watch]
-			if a == nil {
-				a = &acc{}
-				byWatch[d.Watch] = a
-				names = append(names, d.Watch)
-			}
 			added, err := c.workers[wid].globalRun(d.Added)
 			if err != nil {
 				return nil, err
@@ -571,16 +577,21 @@ func (c *Coordinator) mergeDeltas(byWorker [][]server.WatchDelta) ([]server.Watc
 			if err != nil {
 				return nil, err
 			}
-			a.added, a.removed = append(a.added, added), append(a.removed, removed)
-			a.affected += d.Affected
+			r := runs[d.Watch]
+			if r == nil {
+				r = new([2][][]graph.NodeID)
+				runs[d.Watch] = r
+			}
+			r[0], r[1] = append(r[0], added), append(r[1], removed)
 		}
 	}
-	sort.Strings(names)
+	names := sortedKeys(c.watches)
 	out := make([]server.WatchDelta, len(names))
 	for i, name := range names {
-		a := byWatch[name]
-		out[i] = server.WatchDelta{Watch: name, Affected: a.affected,
-			Added: server.IDs(mergeRuns(a.added)), Removed: server.IDs(mergeRuns(a.removed))}
+		out[i] = server.WatchDelta{Watch: name, Affected: affected}
+		if r := runs[name]; r != nil {
+			out[i].Added, out[i].Removed = server.IDs(mergeRuns(r[0])), server.IDs(mergeRuns(r[1]))
+		}
 	}
 	return out, nil
 }

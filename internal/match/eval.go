@@ -15,7 +15,7 @@ type realizedKey struct {
 // per (quantified edge, image of its source): Me(vx, h(u), Q) of §2.2.
 // It is a fresh map of sets per candidate — the largest remaining share of
 // matchFocus. The reusable open-addressing table meant to replace it
-// (same add/count) is not built yet: see ROADMAP item 1.
+// (same add/count) is not built yet: see ROADMAP item 4.
 type witnesses map[realizedKey]map[graph.NodeID]struct{}
 
 // add records w as a realized child of v over pattern edge ei.

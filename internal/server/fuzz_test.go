@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -174,8 +175,9 @@ func FuzzResponseRoundTrip(f *testing.F) {
 // and what decodes re-encodes to a form that decodes to the same list. As
 // a raw varint block (base64'd and quoted here): never a panic, never a
 // list longer than the block. As a list of int64s, eight bytes each:
-// packing then decoding is the identity, and the plain array spelling of
-// the same list decodes equal.
+// json.Marshal writes MarshalText's bytes quoted, packing then decoding is
+// the identity, and the plain array spelling of the same list decodes
+// equal.
 func FuzzIDList(f *testing.F) {
 	le := func(vs ...int64) []byte {
 		var b []byte
@@ -223,8 +225,8 @@ func FuzzIDList(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal %v: %v", list, err)
 		}
-		if len(packed) < 2 || packed[0] != '"' {
-			t.Fatalf("%v encoded as %s, want the packed string form", list, packed)
+		if text, err := list.MarshalText(); err != nil || string(packed) != `"`+string(text)+`"` {
+			t.Fatalf("%v encoded as %s, want its MarshalText %q quoted (%v)", list, packed, text, err)
 		}
 		array, err := json.Marshal([]int64(list))
 		if err != nil {
@@ -270,9 +272,11 @@ func sameBatch(a, b Batch) bool {
 // JSON value: decoding never panics, and a batch of known ops re-encodes
 // to a form that decodes to the same batch. As a raw block (base64'd and
 // quoted here): never a panic, never a batch longer than the block. As a
-// batch (fuzzBatch): packing then decoding is the identity, and the array
-// of objects spelling the same batch decodes equal. And whatever ids a
-// batch of known ops names, ToUpdates narrows none (checkToUpdates).
+// batch (fuzzBatch): json.Marshal writes MarshalText's bytes quoted, the
+// same batch with one op renamed to an unknown one refuses to encode,
+// packing then decoding is the identity, and the array of objects spelling
+// the same batch decodes equal. And whatever ids a batch of known ops
+// names, ToUpdates narrows none (checkToUpdates).
 func FuzzBatch(f *testing.F) {
 	op := func(code byte, from, to int64, label byte) []byte {
 		b := binary.LittleEndian.AppendUint64([]byte{code}, uint64(from))
@@ -329,8 +333,17 @@ func FuzzBatch(f *testing.F) {
 		if err != nil {
 			t.Fatalf("marshal %v: %v", batch, err)
 		}
-		if len(packed) < 2 || packed[0] != '"' {
-			t.Fatalf("%v encoded as %s, want the packed string form", batch, packed)
+		if text, err := batch.MarshalText(); err != nil || string(packed) != `"`+string(text)+`"` {
+			t.Fatalf("%v encoded as %s, want its MarshalText %q quoted (%v)", batch, packed, text, err)
+		}
+		// Any one op renamed to one the packed form has no code for, and
+		// the batch refuses to encode, alone and inside a request.
+		if len(batch) > 0 {
+			bad := slices.Clone(batch)
+			bad[int(data[0])%len(bad)].Op = "frob"
+			if _, err := json.Marshal(&Request{Cmd: "update", Updates: bad}); err == nil || !strings.Contains(err.Error(), `unknown op "frob"`) {
+				t.Fatalf("a batch with an unknown op encoded, or was refused for something else: %v", err)
+			}
 		}
 		array, err := json.Marshal([]UpdateSpec(batch))
 		if err != nil {

@@ -35,7 +35,11 @@ import (
 //	            also carry newly owned nodes (Owned: the coordinator
 //	            assigns nodes the batch created to this worker) and the
 //	            coordinator-computed affected set (Scoped + Affected),
-//	            sparing the worker a local re-expansion
+//	            sparing the worker a local re-expansion. The reply's
+//	            Deltas list every watch with its re-verified count; a
+//	            scoped reply lists only the watches whose answers changed
+//	            (no Deltas when none did): the coordinator knows the rest
+//	            and what it shipped to be re-verified
 //	watch     — register a standing pattern; every later update reports
 //	            its answer-set delta (incremental maintenance, §5.2 remark)
 //	unwatch   — remove a standing pattern
@@ -341,9 +345,11 @@ func IDs(nodes []graph.NodeID) IDList {
 	return out
 }
 
-// MarshalJSON writes the packed form. Differences wrap around in int64, so
-// any list round-trips, sorted or not.
-func (l IDList) MarshalJSON() ([]byte, error) {
+// MarshalText writes the packed form's base64, which encoding/json quotes
+// like any string instead of re-scanning it as it would a json.Marshaler's
+// output. Differences wrap around in int64, so any list round-trips,
+// sorted or not.
+func (l IDList) MarshalText() ([]byte, error) {
 	// Two bytes hold a difference below 8192; wider ones grow the slice.
 	raw := make([]byte, 0, 2*len(l))
 	var prev int64
@@ -351,7 +357,7 @@ func (l IDList) MarshalJSON() ([]byte, error) {
 		raw = binary.AppendVarint(raw, v-prev)
 		prev = v
 	}
-	return packed(raw), nil
+	return base64.StdEncoding.AppendEncode(nil, raw), nil
 }
 
 // UnmarshalJSON reads the packed form or a plain JSON array (or null). The
@@ -386,14 +392,6 @@ func (l *IDList) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// packed writes raw as the JSON string every packed wire form is.
-func packed(raw []byte) []byte {
-	out := make([]byte, 2+base64.StdEncoding.EncodedLen(len(raw)))
-	out[0], out[len(out)-1] = '"', '"'
-	base64.StdEncoding.Encode(out[1:], raw)
-	return out
-}
-
 // unpacked returns the bytes behind the JSON string b, a peer's packed
 // block; what names the form in errors.
 func unpacked(b []byte, what string) ([]byte, error) {
@@ -423,9 +421,10 @@ var batchOps = [...]string{"", "addNode", "addEdge", "removeEdge", "removeNode"}
 
 var errBatchBlock = errors.New("batch: truncated block or overlong varint")
 
-// MarshalJSON writes the packed form. Every field of every op travels,
-// used by the op or not, so any batch of known ops round-trips.
-func (b Batch) MarshalJSON() ([]byte, error) {
+// MarshalText writes the packed form's base64, as IDList's does. Every
+// field of every op travels, used by the op or not, so any batch of known
+// ops round-trips.
+func (b Batch) MarshalText() ([]byte, error) {
 	index := make(map[string]int)
 	var table []byte
 	ops := make([]byte, 0, 8*len(b))
@@ -448,7 +447,7 @@ func (b Batch) MarshalJSON() ([]byte, error) {
 	}
 	raw := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen32+len(table)+len(ops)), uint64(len(index)))
 	raw = append(append(raw, table...), ops...)
-	return packed(raw), nil
+	return base64.StdEncoding.AppendEncode(nil, raw), nil
 }
 
 // UnmarshalJSON reads the packed form or a plain JSON array (or null). The

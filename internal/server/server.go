@@ -388,7 +388,8 @@ func (s *Server) handleGraph(sess *session, req *Request, resp *Response) error 
 // coordinator's routing: Scoped + Affected narrow re-verification to the
 // coordinator-computed affected set (local ids), and Owned lists nodes
 // the coordinator assigns to this worker, folded into the owned set after
-// the batch applies — one combined round trip.
+// the batch applies — one combined round trip. The reply to a scoped
+// request names only the watches whose answers changed.
 func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof *UpdateProfileDoc) error {
 	if sess.g == nil {
 		return ErrNoGraph
@@ -464,7 +465,7 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 		if err != nil {
 			return err
 		}
-		appendDeltas(resp, deltas)
+		appendDeltas(resp, deltas, req.Scoped)
 		if prof != nil {
 			prof.Groups = sess.eng.Groups()
 			for _, d := range deltas {
@@ -484,7 +485,7 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 		if err != nil {
 			return fmt.Errorf("update: %w", err)
 		}
-		appendDeltas(resp, deltas)
+		appendDeltas(resp, deltas, req.Scoped)
 	}
 	resp.Nodes, resp.Edges = ng.NumNodes(), ng.NumEdges()
 	if prof != nil {
@@ -511,9 +512,14 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 }
 
 // appendDeltas converts the engine's per-watch answer deltas to the wire
-// format.
-func appendDeltas(resp *Response, deltas []dynamic.NamedDelta) {
+// format. A scoped reply keeps only the watches whose answers changed: its
+// reader, the coordinator, knows every watch and what it asked to have
+// re-verified, so the rest would be bytes that say nothing.
+func appendDeltas(resp *Response, deltas []dynamic.NamedDelta, scoped bool) {
 	for _, d := range deltas {
+		if scoped && len(d.Added) == 0 && len(d.Removed) == 0 {
+			continue
+		}
 		resp.Deltas = append(resp.Deltas, WatchDelta{Watch: d.Name, Added: IDs(d.Added), Removed: IDs(d.Removed), Affected: d.Affected})
 	}
 }
