@@ -61,7 +61,7 @@ type Config struct {
 	// the primary's endpoint when possible); update and assign batches
 	// are mirrored to replicas after the primary applies them, so a
 	// replica can be promoted on primary failure without re-shipping,
-	// and read-only fan-outs (Match, Explain, ProfileMatch) are routed
+	// and read-only fan-outs (Match, Explain, Stats) are routed
 	// to the least-loaded live copy of each fragment, scaling read
 	// throughput with k.
 	Replicas int

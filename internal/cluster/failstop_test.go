@@ -187,31 +187,31 @@ func TestFrontendFailedRebuild(t *testing.T) {
 		},
 		Logf: func(string, ...interface{}) {},
 	})
-	sess := &connState{}
+	handle, _ := fe.openConn()
 	defer fe.Shutdown(context.Background())
 
-	resp := fe.handle(sess, &server.Request{Cmd: "gen", Kind: "social", Size: 100, Seed: 1})
+	resp := handle(&server.Request{Cmd: "gen", Kind: "social", Size: 100, Seed: 1})
 	if resp.Error != "" {
 		t.Fatalf("gen: %s", resp.Error)
 	}
 	// Second gen fails mid-fragmentation: one worker re-fragmented, one
 	// dead.
 	failOn = "fragment"
-	resp = fe.handle(sess, &server.Request{Cmd: "gen", Kind: "social", Size: 120, Seed: 2})
+	resp = handle(&server.Request{Cmd: "gen", Kind: "social", Size: 120, Seed: 2})
 	if resp.Error == "" {
 		t.Fatal("gen with a dying worker succeeded")
 	}
-	resp = fe.handle(sess, &server.Request{Cmd: "match", Pattern: testPatterns[0]})
+	resp = handle(&server.Request{Cmd: "match", Pattern: testPatterns[0]})
 	if resp.Error == "" {
 		t.Fatal("match served through a stale coordinator after failed re-fragmentation")
 	}
 	// A successful gen recovers the session.
 	failOn = ""
-	resp = fe.handle(sess, &server.Request{Cmd: "gen", Kind: "social", Size: 100, Seed: 1})
+	resp = handle(&server.Request{Cmd: "gen", Kind: "social", Size: 100, Seed: 1})
 	if resp.Error != "" {
 		t.Fatalf("recovery gen: %s", resp.Error)
 	}
-	resp = fe.handle(sess, &server.Request{Cmd: "match", Pattern: testPatterns[0]})
+	resp = handle(&server.Request{Cmd: "match", Pattern: testPatterns[0]})
 	if resp.Error != "" {
 		t.Fatalf("match after recovery: %s", resp.Error)
 	}

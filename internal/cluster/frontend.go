@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/partition"
 	"repro/internal/server"
 	"repro/internal/tenant"
 )
@@ -81,13 +80,14 @@ type DurableState struct {
 // least-loaded live copy of each fragment, fenced by the tenant's last
 // write so a session never misses its own update.
 //
-// Commands gen, load, match, update, watch, unwatch, stats, partition,
-// metrics, explain, profile, ping, session, sessions, endsession and
-// deltas are served; commands that only make sense against a local graph
-// (pmatch, rule, rpqfilter) report an error naming the limitation.
+// Requests go through qgpd's command table (server.Table) over one conn
+// per connection, so the two servers answer a request alike; the table
+// refuses the commands that need a local graph (pmatch, rule, rpqfilter,
+// fragment), and the front end adds the session vocabulary.
 type Frontend struct {
 	*server.Host
 	cfg     FrontendConfig
+	table   *server.Table
 	tenants *tenant.Manager
 
 	// smu guards the shared session's bookkeeping (rebuilds, lazy durable
@@ -107,7 +107,7 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	if cfg.MaxGraphSize <= 0 {
 		cfg.MaxGraphSize = 50_000_000
 	}
-	f := &Frontend{cfg: cfg}
+	f := &Frontend{cfg: cfg, table: server.NewTable(cfg.MaxGraphSize, cfg.Cluster.Metrics)}
 	f.Host = server.NewHost(server.ProtocolConfig{
 		MaxLineBytes: cfg.MaxLineBytes,
 		IdleTimeout:  cfg.IdleTimeout,
@@ -166,184 +166,26 @@ func (f *Frontend) closeClusterLocked() {
 	}
 }
 
-// connState is one connection's tenant attachment. A connection serves
-// one request at a time, so connState needs no lock.
-type connState struct {
-	tenant    string // attached tenant session; "" until first use
-	ephemeral bool   // created for this connection; evict on disconnect
+// conn is one front end connection: the command table's Backend over the
+// shared cluster session, attached to one tenant. A connection serves one
+// request at a time, so conn needs no lock.
+type conn struct {
+	f         *Frontend
+	tenant    string       // attached tenant session; "" until first use
+	ephemeral bool         // created for this connection; evict on disconnect
+	coord     *Coordinator // the shared coordinator, as Ready found it for this request
 }
 
-// openConn starts one connection's state (server.Host calls it per
-// connection). A dropped connection — graceful or abrupt — releases the
-// tenant attachment: an ephemeral session is evicted with its last
-// connection, a named one lingers until idle timeout.
+// openConn starts one connection (server.Host calls it per connection). A
+// dropped connection — graceful or abrupt — releases the tenant
+// attachment: an ephemeral session is evicted with its last connection, a
+// named one lingers until idle timeout.
 func (f *Frontend) openConn() (func(*server.Request) server.Response, func()) {
-	cs := &connState{}
-	handle := func(req *server.Request) server.Response { return f.handle(cs, req) }
-	return handle, func() {
-		if cs.tenant != "" {
-			f.tenants.Release(cs.tenant, cs.ephemeral)
+	c := &conn{f: f}
+	return f.table.Handler(c), func() {
+		if c.tenant != "" {
+			f.tenants.Release(c.tenant, c.ephemeral)
 		}
-	}
-}
-
-func (f *Frontend) handle(cs *connState, req *server.Request) server.Response {
-	start := time.Now()
-	var resp server.Response
-	err := f.dispatch(cs, req, &resp)
-	if err != nil {
-		resp.Error = err.Error()
-		var thr *tenant.ErrThrottled
-		if errors.As(err, &thr) {
-			// Typed retry-after on the wire: a throttled client backs off
-			// this long instead of guessing (or hammering).
-			resp.RetryAfterMS = float64(thr.RetryAfter.Microseconds()) / 1000
-		}
-	} else if cs.tenant != "" {
-		// Per-tenant latency: served commands land in the tenant's
-		// match.ms/update.ms histograms (windowed p95 via obs.Windows).
-		// Errors and rejections stay out — a throttle refusal costing
-		// microseconds would mask the tenant's real service latency.
-		if op := observeClass(req); op != "" {
-			f.tenants.Observe(cs.tenant, op, start)
-		}
-	}
-	resp.ElapsedMS = server.MsSince(start)
-	return resp
-}
-
-// admissionClass maps a wire command to its admission-control class:
-// "update" for writes, "match" for routed reads, "" for free commands.
-// Drains are deliberately free — refusing deltas would keep a throttled
-// tenant's inbox full, the opposite of what the bounded-inbox design
-// wants — as are the session and observability commands.
-func admissionClass(req *server.Request) string {
-	switch req.Cmd {
-	case "update":
-		return "update"
-	case "match", "explain":
-		return "match"
-	case "profile":
-		if len(req.Updates) > 0 {
-			return "update"
-		}
-		return "match"
-	}
-	return ""
-}
-
-// observeClass is admissionClass plus watch registrations, whose
-// initial-answer evaluation is read work.
-func observeClass(req *server.Request) string {
-	if req.Cmd == "watch" {
-		return "match"
-	}
-	return admissionClass(req)
-}
-
-// dispatch serves one command against the shared cluster session,
-// multiplexed across connections by the tenant manager.
-func (f *Frontend) dispatch(cs *connState, req *server.Request, resp *server.Response) error {
-	// Commands the front end or the tenant layer answers by itself.
-	switch req.Cmd {
-	case "ping":
-		resp.Pong = true
-		return nil
-	case "gen", "load":
-		return f.handleGraph(req, resp)
-	case "metrics":
-		resp.Obs = f.cfg.Cluster.Metrics.JSON()
-		return nil
-	case "session":
-		return f.handleSession(cs, req, resp)
-	case "sessions":
-		resp.Tenants = f.tenants.List()
-		return nil
-	case "endsession":
-		return f.handleEndSession(cs, req, resp)
-	case "deltas":
-		if err := f.ensureTenant(cs); err != nil {
-			return err
-		}
-		ds, err := f.tenants.Drain(cs.tenant)
-		if err != nil {
-			return err
-		}
-		resp.Deltas = ds
-		resp.Session = cs.tenant
-		return nil
-	}
-
-	// Everything else runs against the shared coordinator, so a missing
-	// graph is reported before anything command-specific — and durable
-	// recovery has restored the tenants' watch tables before watch or
-	// unwatch consults them.
-	coord, err := f.sharedCoordinator()
-	if err != nil {
-		return err
-	}
-	// Admission control for the commands that cost the shared cluster
-	// work. Attaching first means even a session-less client's first
-	// match is accounted to (and limited by) its ephemeral tenant.
-	if op := admissionClass(req); op != "" {
-		if err := f.ensureTenant(cs); err != nil {
-			return err
-		}
-		if err := f.tenants.Admit(cs.tenant, op); err != nil {
-			return err
-		}
-	}
-	switch req.Cmd {
-	case "match":
-		return f.handleMatch(coord, cs, req, resp, false)
-	case "update":
-		return f.handleUpdate(coord, cs, req, resp, false)
-	case "profile":
-		// Like the single server's profile command: an update batch
-		// profiles the maintenance pipeline, a pattern profiles a match.
-		switch {
-		case len(req.Updates) > 0:
-			return f.handleUpdate(coord, cs, req, resp, true)
-		case req.Pattern != "":
-			return f.handleMatch(coord, cs, req, resp, true)
-		}
-		return fmt.Errorf("profile: request carries neither a pattern nor an update batch")
-	case "watch":
-		if err := f.ensureTenant(cs); err != nil {
-			return err
-		}
-		if err := f.tenants.Admit(cs.tenant, "watch"); err != nil {
-			return err
-		}
-		q, err := core.Parse(req.Pattern)
-		if err != nil {
-			return err
-		}
-		// The tenant manager registers the encoded global name through
-		// this front end (tenant.Registrar), reaching the shared
-		// coordinator underneath.
-		answers, err := f.tenants.Watch(cs.tenant, req.Watch, q)
-		if err != nil {
-			return err
-		}
-		server.FillMatches(resp, answers, req.Limit)
-		resp.Session = cs.tenant
-		return nil
-	case "unwatch":
-		if err := f.ensureTenant(cs); err != nil {
-			return err
-		}
-		return f.tenants.Unwatch(cs.tenant, req.Watch)
-	case "stats":
-		return f.handleStats(coord, cs, req, resp)
-	case "partition":
-		return f.handlePartition(coord, resp)
-	case "explain":
-		return f.handleExplain(coord, req, resp)
-	case "pmatch", "rule", "rpqfilter", "fragment":
-		return fmt.Errorf("command %q is not served by the cluster front end; connect to a worker qgpd for it", req.Cmd)
-	default:
-		return fmt.Errorf("unknown command %q", req.Cmd)
 	}
 }
 
@@ -351,50 +193,15 @@ func (f *Frontend) dispatch(cs *connState, req *server.Request, resp *server.Res
 // session: a client that never sends the session command still gets a
 // private watch namespace and a read-your-writes fence, scoped to its
 // connection.
-func (f *Frontend) ensureTenant(cs *connState) error {
-	if cs.tenant != "" {
+func (c *conn) ensureTenant() error {
+	if c.tenant != "" {
 		return nil
 	}
-	name, err := f.tenants.Attach("")
+	name, err := c.f.tenants.Attach("")
 	if err != nil {
 		return err
 	}
-	cs.tenant, cs.ephemeral = name, true
-	return nil
-}
-
-func (f *Frontend) handleSession(cs *connState, req *server.Request, resp *server.Response) error {
-	name, err := f.tenants.Attach(req.Session)
-	if err != nil {
-		return err
-	}
-	switch {
-	case cs.tenant == name:
-		// Re-attach to the current session: drop the extra hold.
-		f.tenants.Release(name, false)
-	case cs.tenant != "":
-		f.tenants.Release(cs.tenant, cs.ephemeral)
-		fallthrough
-	default:
-		cs.tenant, cs.ephemeral = name, req.Session == ""
-	}
-	resp.Session = name
-	return nil
-}
-
-func (f *Frontend) handleEndSession(cs *connState, req *server.Request, resp *server.Response) error {
-	target := req.Session
-	if target == "" {
-		if cs.tenant == "" {
-			return errors.New("endsession: no session attached to this connection")
-		}
-		target = cs.tenant
-	}
-	f.tenants.Evict(target)
-	if target == cs.tenant {
-		cs.tenant, cs.ephemeral = "", false
-	}
-	resp.Session = target
+	c.tenant, c.ephemeral = name, true
 	return nil
 }
 
@@ -431,28 +238,6 @@ func (f *Frontend) recoverLocked() error {
 	}
 	f.tenants.Restore(d.Watches)
 	d.Graph, d.Watches = nil, nil
-	return nil
-}
-
-// handleGraph serves gen and load: the one cluster is rebuilt and every
-// tenant's watch table reset (their watches and version fences died with
-// the old coordinator).
-func (f *Frontend) handleGraph(req *server.Request, resp *server.Response) error {
-	g, err := server.BuildGraph(req, f.cfg.MaxGraphSize)
-	if err != nil {
-		return err
-	}
-	f.smu.Lock()
-	defer f.smu.Unlock()
-	if d := f.cfg.Durable; d != nil { // an explicit graph supersedes journal recovery
-		d.Graph, d.Watches = nil, nil
-	}
-	coord, err := f.buildCluster(g, false)
-	if err != nil {
-		return err
-	}
-	f.tenants.Reset()
-	resp.Nodes, resp.Edges = coord.Size()
 	return nil
 }
 
@@ -564,119 +349,176 @@ func (f *Frontend) buildCluster(g *graph.Graph, recovered bool) (*Coordinator, e
 	return coord, nil
 }
 
-// handleMatch serves match and (profile true) the pattern form of
-// profile, whose merged cluster-level document travels in Profile with
-// each worker's own document embedded verbatim.
-func (f *Frontend) handleMatch(coord *Coordinator, cs *connState, req *server.Request, resp *server.Response, profile bool) error {
-	q, err := core.Parse(req.Pattern)
-	if err != nil {
+// Ready snapshots the shared coordinator for the request, after durable
+// recovery has restored the tenants' watch tables.
+func (c *conn) Ready() error {
+	coord, err := c.f.sharedCoordinator()
+	c.coord = coord
+	return err
+}
+
+// Admit attaches the connection first, so even a session-less client's
+// first match is accounted to (and limited by) its ephemeral tenant. Drains
+// are free: refusing deltas would keep a throttled tenant's inbox full.
+func (c *conn) Admit(class string) error {
+	if err := c.ensureTenant(); err != nil {
 		return err
 	}
-	opts := &MatchOptions{Engine: req.Engine, Budget: req.Budget, Planner: req.Planner}
-	if cs.tenant != "" {
-		// An attached tenant's reads are fenced at its last accepted
-		// write, so replica routing can never serve it a copy that
-		// predates its own update.
-		opts.MinVersion = f.tenants.NoteRead(cs.tenant)
+	return c.f.tenants.Admit(c.tenant, class)
+}
+
+// Served books the latency in the tenant's match.ms or update.ms; a
+// refusal costing microseconds would mask the tenant's service latency.
+func (c *conn) Served(class string, start time.Time) {
+	c.f.tenants.Observe(c.tenant, class, start)
+}
+
+// SetGraph rebuilds the one cluster over g (gen, load) and resets every
+// tenant's watch table: their watches and version fences died with the old
+// coordinator.
+func (c *conn) SetGraph(g *graph.Graph) (nodes, edges int, err error) {
+	f := c.f
+	f.smu.Lock()
+	defer f.smu.Unlock()
+	if d := f.cfg.Durable; d != nil { // an explicit graph supersedes journal recovery
+		d.Graph, d.Watches = nil, nil
 	}
-	var res *MatchResult
+	coord, err := f.buildCluster(g, false)
+	if err != nil {
+		return 0, 0, err
+	}
+	f.tenants.Reset()
+	nodes, edges = coord.Size()
+	return nodes, edges, nil
+}
+
+// Match reads are fenced at the tenant's last accepted write, so replica
+// routing never serves it a copy that predates its own update.
+func (c *conn) Match(req *server.Request, profile bool) (server.Answer, error) {
+	q, err := core.Parse(req.Pattern)
+	if err != nil {
+		return server.Answer{}, err
+	}
+	opts := &MatchOptions{Engine: req.Engine, Budget: req.Budget, Planner: req.Planner, MinVersion: c.f.tenants.NoteRead(c.tenant)}
 	var prof *MatchProfile
 	if profile {
-		res, prof, err = coord.ProfileMatch(q, opts)
-	} else {
-		res, err = coord.MatchWith(q, opts)
+		prof = &MatchProfile{}
 	}
+	res, err := c.coord.matchWith(q, opts, prof)
 	if err != nil {
-		return err
+		return server.Answer{}, err
 	}
-	server.FillMatches(resp, res.Matches, req.Limit)
-	resp.Metrics = &res.Metrics
-	if profile {
-		return server.MarshalProfile(resp, prof)
-	}
-	return nil
+	return server.Answer{Matches: res.Matches, Metrics: &res.Metrics, Profile: prof}, nil
 }
 
-// handleUpdate serves update and (profile true) the batch form of
-// profile. The writer gets only its own namespace's deltas back (other
-// tenants drain theirs with the deltas command) and its fence advances
-// to the batch's version token.
-func (f *Frontend) handleUpdate(coord *Coordinator, cs *connState, req *server.Request, resp *server.Response, profile bool) error {
-	// The combined-batch fields are coordinator→worker routing, not
-	// client vocabulary: the coordinator computes assignment and the
-	// affected set itself. Reject rather than silently drop them, as
-	// with the other worker-only commands.
+// Update returns the writer only its own namespace's deltas (other tenants
+// drain theirs) and advances its fence to the batch's version.
+func (c *conn) Update(req *server.Request, resp *server.Response, profile bool) (any, error) {
+	// Coordinator→worker routing, not client vocabulary: refused, not dropped.
 	if len(req.Owned) > 0 || req.Scoped || len(req.Affected) > 0 {
-		return fmt.Errorf("update fields owned/scoped/affected are not served by the cluster front end; the coordinator computes routing itself")
+		return nil, fmt.Errorf("update fields owned/scoped/affected are not served by the cluster front end; the coordinator computes routing itself")
 	}
-	var res *UpdateResult
 	var prof *UpdateProfile
-	var err error
 	if profile {
-		res, prof, err = coord.UpdateProfiled(req.Updates)
-	} else {
-		res, err = coord.Update(req.Updates)
+		prof = &UpdateProfile{}
 	}
+	res, err := c.coord.update(req.Updates, prof)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	tenants := c.f.tenants
 	resp.Nodes, resp.Edges = res.Nodes, res.Edges
-	resp.Deltas = f.tenants.RecordDeltas(cs.tenant, res.Deltas)
-	f.tenants.NoteWrite(cs.tenant, res.Version)
-	// Post-paid budget accounting: the batch's real cost — the size of
-	// the re-verification region the coordinator computed — is debited
-	// now that it is known. See tenant.Config.AffectedPerSec.
-	f.tenants.ChargeAffected(cs.tenant, res.AffectedSize)
-	resp.Session = cs.tenant
-	if profile {
-		return server.MarshalProfile(resp, prof)
+	resp.Deltas = tenants.RecordDeltas(c.tenant, res.Deltas)
+	tenants.NoteWrite(c.tenant, res.Version)
+	// Post-paid: the batch's real cost is known now (tenant.Config.AffectedPerSec).
+	tenants.ChargeAffected(c.tenant, res.AffectedSize)
+	resp.Session = c.tenant
+	return prof, nil
+}
+
+// Watch registers in the tenant's namespace; the manager registers the
+// global name through the front end (tenant.Registrar).
+func (c *conn) Watch(name string, q *core.Pattern, resp *server.Response) ([]graph.NodeID, error) {
+	answers, err := c.f.tenants.Watch(c.tenant, name, q)
+	if err != nil {
+		return nil, err
 	}
+	resp.Session = c.tenant
+	return answers, nil
+}
+
+func (c *conn) Unwatch(name string) error {
+	if err := c.ensureTenant(); err != nil {
+		return err
+	}
+	return c.f.tenants.Unwatch(c.tenant, name)
+}
+
+// Stats is routed to fragment copies and fenced like a match.
+func (c *conn) Stats() (*server.StatsSummary, error) {
+	return c.coord.Stats(c.f.tenants.Fence(c.tenant))
+}
+
+// Partition reports the live fragmentation, whatever the request names.
+func (c *conn) Partition(*server.Request) ([]int, error) {
+	return c.coord.FragmentSizes(), nil
+}
+
+func (c *conn) Explain(q *core.Pattern) (any, error) { return c.coord.Explain(q) }
+
+// Ping reports liveness only: the cluster's state is /healthz's.
+func (c *conn) Ping(*server.Response) {}
+
+func (c *conn) Session(req *server.Request, resp *server.Response) error {
+	tenants := c.f.tenants
+	name, err := tenants.Attach(req.Session)
+	if err != nil {
+		return err
+	}
+	switch {
+	case c.tenant == name:
+		// Re-attach to the current session: drop the extra hold.
+		tenants.Release(name, false)
+	case c.tenant != "":
+		tenants.Release(c.tenant, c.ephemeral)
+		fallthrough
+	default:
+		c.tenant, c.ephemeral = name, req.Session == ""
+	}
+	resp.Session = name
 	return nil
 }
 
-// handleExplain fans the plan-only command out and returns the merged
-// per-fragment plan documents in Profile.
-func (f *Frontend) handleExplain(coord *Coordinator, req *server.Request, resp *server.Response) error {
-	q, err := core.Parse(req.Pattern)
-	if err != nil {
-		return err
-	}
-	ex, err := coord.Explain(q)
-	if err != nil {
-		return err
-	}
-	return server.MarshalProfile(resp, ex)
-}
-
-// handleStats fans out to the fragment copies through the replica-read
-// router (Coordinator.Stats), so a stats burst neither pins the
-// front-end process nor blocks behind writers, and renders through
-// server.FillStatsRows — the TopK cap and output format are the single
-// server's code path.
-func (f *Frontend) handleStats(coord *Coordinator, cs *connState, req *server.Request, resp *server.Response) error {
-	var minV uint64
-	if cs.tenant != "" {
-		// Fenced like a match: a tenant's stats reflect its own writes
-		// even when served from a replica.
-		minV = f.tenants.Fence(cs.tenant)
-	}
-	cst, err := coord.Stats(minV)
-	if err != nil {
-		return err
-	}
-	server.FillStatsRows(resp, cst.Nodes, cst.Edges, cst.Labels, cst.Rows, req.TopK)
+func (c *conn) Sessions(_ *server.Request, resp *server.Response) error {
+	resp.Tenants = c.f.tenants.List()
 	return nil
 }
 
-// handlePartition reports the live fragmentation. Pure coordinator
-// bookkeeping under its read lock — no worker round trips, so nothing
-// to route.
-func (f *Frontend) handlePartition(coord *Coordinator, resp *server.Response) error {
-	sizes := coord.FragmentSizes()
-	resp.Fragments = sizes
-	// Skew over non-empty fragments only (partition.SkewOf, shared with
-	// the partition command): an empty fragment means the graph populated
-	// fewer workers, not that a balanced partition is maximally skewed.
-	resp.Skew = partition.SkewOf(sizes)
+func (c *conn) EndSession(req *server.Request, resp *server.Response) error {
+	target := req.Session
+	if target == "" {
+		if c.tenant == "" {
+			return errors.New("endsession: no session attached to this connection")
+		}
+		target = c.tenant
+	}
+	c.f.tenants.Evict(target)
+	if target == c.tenant {
+		c.tenant, c.ephemeral = "", false
+	}
+	resp.Session = target
+	return nil
+}
+
+func (c *conn) Deltas(_ *server.Request, resp *server.Response) error {
+	if err := c.ensureTenant(); err != nil {
+		return err
+	}
+	ds, err := c.f.tenants.Drain(c.tenant)
+	if err != nil {
+		return err
+	}
+	resp.Deltas = ds
+	resp.Session = c.tenant
 	return nil
 }

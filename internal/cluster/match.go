@@ -49,23 +49,10 @@ func (c *Coordinator) MatchWith(q *core.Pattern, opts *MatchOptions) (*MatchResu
 	return c.matchWith(q, opts, nil)
 }
 
-// ProfileMatch is MatchWith plus a merged cluster-level profile: each
-// worker runs the profile command (so its response carries a per-stage
-// match profile of its fragment), and the coordinator assembles one
-// document with per-fragment compute/round-trip timings and the workers'
-// own stage documents embedded verbatim.
-func (c *Coordinator) ProfileMatch(q *core.Pattern, opts *MatchOptions) (*MatchResult, *MatchProfile, error) {
-	prof := &MatchProfile{Op: "match"}
-	res, err := c.matchWith(q, opts, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, prof, nil
-}
-
-// matchWith runs one cluster match through routedRead; prof non-nil
+// matchWith runs one cluster match through routedRead. A non-nil prof
 // switches the workers to the profile command and fills the merged
-// profile.
+// cluster-level profile: per-fragment compute/round-trip timings with the
+// workers' own stage documents embedded verbatim.
 func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *MatchProfile) (res *MatchResult, err error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -116,7 +103,7 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *Match
 		out.Matches = mergeRuns(runs)
 		tr.Span(-1, "merge", tm)
 		if prof != nil {
-			prof.Engine = req.Engine
+			prof.Op, prof.Engine = "match", req.Engine
 			if prof.Engine == "" {
 				prof.Engine = "qmatch"
 			}

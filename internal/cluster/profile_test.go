@@ -24,7 +24,8 @@ func TestProfileMatchMergedDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, prof, err := c.ProfileMatch(q, nil)
+	prof := &MatchProfile{}
+	res, err := c.matchWith(q, nil, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,9 +93,10 @@ func TestUpdateProfiledWorkRatio(t *testing.T) {
 
 	// The generator gives 1 -follow-> 2, so removing it is a real change;
 	// re-adding it would be a no-op batch, which can flip nobody.
-	res, prof, err := c.UpdateProfiled([]server.UpdateSpec{
+	prof := &UpdateProfile{}
+	res, err := c.update([]server.UpdateSpec{
 		{Op: "removeEdge", From: 1, To: 2, Label: "follow"},
-	})
+	}, prof)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,7 +181,8 @@ func TestReadFailoverKeepsProfile(t *testing.T) {
 	for _, r := range c.workers[0].replicas {
 		r.t.Close()
 	}
-	res, prof, err := c.ProfileMatch(q, nil)
+	prof := &MatchProfile{}
+	res, err := c.matchWith(q, nil, prof)
 	if err != nil {
 		t.Fatalf("profiled match after killing every copy of fragment 0: %v", err)
 	}

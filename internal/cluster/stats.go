@@ -17,22 +17,13 @@ import (
 // read-only command that pinned the primary/front end now scales with
 // the replication factor like every other read.
 
-// ClusterStats is the merged cluster-wide summary: exact — equal to
-// collecting over the whole graph in one process — because ownership
-// partitions the nodes and each owned node's full neighborhood is
-// materialized in its owner's fragment.
-type ClusterStats struct {
-	Nodes  int
-	Edges  int
-	Labels []string           // distinct node label names present, sorted
-	Rows   []server.TripleRow // summed triple classes, unordered
-}
-
 // Stats fans the stats command out across fragment copies (routedRead)
 // and merges the owned-restricted summaries. minV is the
 // read-your-writes fence (0 accepts any live copy), exactly as for
-// Match.
-func (c *Coordinator) Stats(minV uint64) (res *ClusterStats, err error) {
+// Match. The merged summary is exact — equal to collecting over the whole
+// graph in one process — because ownership partitions the nodes and each
+// owned node's full neighborhood is materialized in its owner's fragment.
+func (c *Coordinator) Stats(minV uint64) (res *server.StatsSummary, err error) {
 	tr := c.cfg.Tracer.Start("stats")
 	defer func() { tr.Finish(err) }()
 	// TopK 1 keeps the workers' rendered-string work minimal; the merge
@@ -46,8 +37,8 @@ func (c *Coordinator) Stats(minV uint64) (res *ClusterStats, err error) {
 }
 
 // mergeStats sums the workers' owned-restricted summaries per class.
-func mergeStats(replies []workerReply) *ClusterStats {
-	out := &ClusterStats{}
+func mergeStats(replies []workerReply) *server.StatsSummary {
+	out := &server.StatsSummary{}
 	rowIx := make(map[[3]string]int)
 	labels := make(map[string]bool)
 	for _, r := range replies {

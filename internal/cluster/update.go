@@ -79,22 +79,11 @@ func (c *Coordinator) Update(specs []server.UpdateSpec) (*UpdateResult, error) {
 	return c.update(specs, nil)
 }
 
-// UpdateProfiled is Update plus a merged cluster-level profile: contacted
-// workers receive the profile command (so their responses carry per-stage
-// update documents for their fragments), and the coordinator records its
-// own pipeline stage timings — apply, journal, affected-region, fan-out,
-// merge — around them.
-func (c *Coordinator) UpdateProfiled(specs []server.UpdateSpec) (*UpdateResult, *UpdateProfile, error) {
-	prof := &UpdateProfile{Op: "update"}
-	res, err := c.update(specs, prof)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, prof, nil
-}
-
-// update runs one global batch; prof non-nil switches the contacted
-// workers to the profile command and fills the merged profile.
+// update runs one global batch. A non-nil prof switches the contacted
+// workers to the profile command, so their replies carry per-stage update
+// documents for their fragments, and fills the merged cluster-level
+// profile around them: the coordinator's own stages — apply, journal,
+// affected-region, fan-out, merge.
 //
 // The fan-out is pipelined: per-worker planning, serialization and I/O
 // run concurrently across workers (each plan touches only its own
@@ -137,7 +126,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	newG := c.vg.Graph()
 	tr.Span(-1, "apply", tapply)
 	if prof != nil {
-		prof.ApplyMS = server.MsSince(tapply)
+		prof.Op, prof.ApplyMS = "update", server.MsSince(tapply)
 	}
 	// The batch is accepted: journal it before any worker sees it, so a
 	// coordinator crash during fan-out cannot lose an applied batch.

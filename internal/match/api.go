@@ -188,15 +188,31 @@ func Prepare(q *core.Pattern) (*Prepared, error) {
 // PrepareEngine is Prepare for the engine variant of the given wire name:
 // "qmatch" (or empty) for QMatch, "qmatchn" for QMatchN, "enum" for Enum.
 func PrepareEngine(engine string, q *core.Pattern) (*Prepared, error) {
+	cfg, err := engineConfig(engine)
+	if err != nil {
+		return nil, err
+	}
+	return prepare(q, cfg)
+}
+
+// CheckEngine refuses the engine names PrepareEngine refuses, with the same
+// error, before there is a pattern to prepare: a server checks a request's
+// engine before anything runs it.
+func CheckEngine(engine string) error {
+	_, err := engineConfig(engine)
+	return err
+}
+
+func engineConfig(engine string) (evalConfig, error) {
 	switch engine {
 	case "qmatch", "":
-		return prepare(q, qmatchConfig)
+		return qmatchConfig, nil
 	case "qmatchn":
-		return prepare(q, qmatchNConfig)
+		return qmatchNConfig, nil
 	case "enum":
-		return prepare(q, enumConfig)
+		return enumConfig, nil
 	}
-	return nil, fmt.Errorf("unknown engine %q", engine)
+	return evalConfig{}, fmt.Errorf("unknown engine %q", engine)
 }
 
 func prepare(q *core.Pattern, cfg evalConfig) (*Prepared, error) {

@@ -1,11 +1,8 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/match"
 	"repro/internal/plan"
 )
@@ -76,59 +73,3 @@ type WatchStageProfile struct {
 func MsSince(t0 time.Time) float64 { return durMS(time.Since(t0)) }
 
 func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-func (s *Server) handleExplain(sess *session, req *Request, resp *Response) error {
-	if sess.g == nil {
-		return ErrNoGraph
-	}
-	if req.Pattern == "" {
-		return fmt.Errorf("explain: empty pattern")
-	}
-	q, err := core.Parse(req.Pattern)
-	if err != nil {
-		return err
-	}
-	ex, err := plan.Explain(sess.g, sess.stats(), q)
-	if err != nil {
-		return err
-	}
-	return MarshalProfile(resp, ExplainDoc{Op: "explain", Plan: ex})
-}
-
-// handleProfile dispatches on the request's payload: an update batch
-// profiles the maintenance pipeline, a pattern profiles a match.
-func (s *Server) handleProfile(sess *session, req *Request, resp *Response) error {
-	switch {
-	case len(req.Updates) > 0 || len(req.Owned) > 0:
-		prof := &UpdateProfileDoc{Op: "update"}
-		t0 := time.Now()
-		if err := s.handleUpdate(sess, req, resp, prof); err != nil {
-			return err
-		}
-		prof.TotalMS = MsSince(t0)
-		return MarshalProfile(resp, prof)
-	case req.Pattern != "":
-		engine := req.Engine
-		if engine == "" {
-			engine = "qmatch"
-		}
-		doc := &MatchProfileDoc{Op: "match", Engine: engine, Planner: req.Planner}
-		if err := s.handleMatch(sess, req, resp, doc); err != nil {
-			return err
-		}
-		return MarshalProfile(resp, doc)
-	default:
-		return fmt.Errorf("profile: request carries neither a pattern nor an update batch")
-	}
-}
-
-// MarshalProfile serializes a profile document into the response's
-// Profile field; shared with the cluster front end.
-func MarshalProfile(resp *Response, doc interface{}) error {
-	b, err := json.Marshal(doc)
-	if err != nil {
-		return fmt.Errorf("profile: %w", err)
-	}
-	resp.Profile = b
-	return nil
-}

@@ -23,10 +23,13 @@ import (
 // A line over the server's cap is answered, with id 0, by
 // "bad request: line exceeds N bytes" and the connection is closed.
 //
-// Commands:
+// Commands. One table (commands.go) serves qgpd and the cluster front end
+// (internal/cluster.Frontend), so a request both serve is answered alike;
+// where the answers differ by design, the entry says so. Both serve:
 //
-//	ping      — liveness check; also reports fragment state (node/owned
-//	            counts) so cluster supervision can verify worker health
+//	ping      — liveness check; a qgpd session also reports its fragment
+//	            state (node/owned counts) so cluster supervision can
+//	            verify worker health
 //	gen       — generate a synthetic graph into the session
 //	load      — load a graph from inline Data: the graph text format, a
 //	            JSON document, or the binary graph format as base64
@@ -35,24 +38,19 @@ import (
 //	            also carry newly owned nodes (Owned: the coordinator
 //	            assigns nodes the batch created to this worker) and the
 //	            coordinator-computed affected set (Scoped + Affected),
-//	            sparing the worker a local re-expansion. The reply's
-//	            Deltas list every watch with its re-verified count; a
-//	            scoped reply lists only the watches whose answers changed
-//	            (no Deltas when none did): the coordinator knows the rest
-//	            and what it shipped to be re-verified
+//	            sparing the worker a local re-expansion; the front end
+//	            refuses those fields. The reply's Deltas list every watch
+//	            with its re-verified count; a scoped reply lists only the
+//	            watches whose answers changed (no Deltas when none did):
+//	            the coordinator knows the rest and what it shipped to be
+//	            re-verified
 //	watch     — register a standing pattern; every later update reports
 //	            its answer-set delta (incremental maintenance, §5.2 remark)
 //	unwatch   — remove a standing pattern
 //	stats     — summary + top triple classes of the session graph
 //	match     — evaluate a QGP (sequential engines)
-//	pmatch    — evaluate a QGP over a d-hop partition in parallel
-//	rule      — evaluate a QGAR (support, confidence, matches)
-//	rpqfilter — evaluate a QGP, then filter by a quantified path constraint
-//	partition — build a partition and report balance
-//	fragment  — load a d-hop-preserving fragment (subgraph + owned nodes):
-//	            the session becomes a cluster worker; match and watch then
-//	            answer only for the owned focus candidates. Data as for
-//	            load; a coordinator ships the binary format
+//	partition — each fragment's node count and their skew: qgpd partitions
+//	            its graph as asked, the front end reports the live cluster
 //	metrics   — snapshot of the server's metrics registry (counters,
 //	            gauges, histograms) as a JSON document in Obs, so a
 //	            newline-JSON client can scrape a session without the
@@ -61,17 +59,28 @@ import (
 //	explain   — plan a QGP without executing it: the statistics-driven
 //	            matching order and per-step cardinality estimates for
 //	            every positive pattern, as a JSON document in Profile
+//	            (the front end's holds one per fragment)
 //	profile   — execute and report: a match request (Pattern) returns the
 //	            match result plus a per-stage profile (prefilter sizes,
 //	            order, timings, plan estimates); an update request
 //	            (Updates) applies the batch and returns per-stage update
 //	            timings (apply, per-watch affected/verify) and the
 //	            affected-vs-|G| work ratio — both as a JSON document in
-//	            Profile alongside the normal response fields
+//	            Profile alongside the normal response fields (the front
+//	            end's merges one per fragment)
 //
-// The multi-tenant cluster front end (internal/cluster.Frontend over
-// internal/tenant) additionally serves the session vocabulary — a
-// single qgpd worker does not:
+// Only qgpd, whose session holds a graph of its own, serves
+//
+//	pmatch    — evaluate a QGP over a d-hop partition in parallel
+//	rule      — evaluate a QGAR (support, confidence, matches)
+//	rpqfilter — evaluate a QGP, then filter by a quantified path constraint
+//	fragment  — load a d-hop-preserving fragment (subgraph + owned nodes):
+//	            the session becomes a cluster worker; match and watch then
+//	            answer only for the owned focus candidates. Data as for
+//	            load; a coordinator ships the binary format
+//
+// and only the multi-tenant front end (over internal/tenant) the session
+// vocabulary:
 //
 //	session    — attach the connection to a named tenant session
 //	             (Session names it; empty creates a fresh
@@ -271,7 +280,7 @@ type Response struct {
 
 	// partition
 	Skew      float64 `json:"skew,omitempty"`
-	Fragments []int   `json:"fragments,omitempty"` // per-fragment sizes
+	Fragments []int   `json:"fragments,omitempty"` // per fragment, the nodes it materializes
 
 	// stats
 	Labels  int      `json:"labels,omitempty"`

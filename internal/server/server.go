@@ -79,12 +79,11 @@ func (c *Config) fill() {
 }
 
 // Server serves the QGP query protocol. Serve, ServeConn and Shutdown are
-// the embedded Host's; each connection is one session.
+// the embedded Host's; each connection is one session, served through the
+// command table (commands.go).
 type Server struct {
 	*Host
 	cfg     Config
-	sem     chan struct{}
-	om      *serverMetrics
 	bm      boundMetrics
 	started time.Time
 }
@@ -92,12 +91,13 @@ type Server struct {
 // New returns a server with the given configuration.
 func New(cfg Config) *Server {
 	cfg.fill()
-	s := &Server{
-		cfg:     cfg,
-		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		om:      newServerMetrics(cfg.Metrics),
-		bm:      newBoundMetrics(cfg.Metrics),
-		started: time.Now(),
+	s := &Server{cfg: cfg, bm: newBoundMetrics(cfg.Metrics), started: time.Now()}
+	t := &Table{
+		maxGraphSize: cfg.MaxGraphSize,
+		metrics:      cfg.Metrics,
+		sem:          make(chan struct{}, cfg.MaxConcurrent),
+		tracer:       cfg.Tracer,
+		om:           newCmdMetrics(cfg.Metrics),
 	}
 	s.Host = NewHost(ProtocolConfig{
 		MaxLineBytes: cfg.MaxLineBytes,
@@ -105,77 +105,19 @@ func New(cfg Config) *Server {
 		Logf:         cfg.Logf,
 		Name:         "server",
 	}, func() (func(*Request) Response, func()) {
-		sess := &session{bounds: boundCache{m: s.bm}}
-		return func(req *Request) Response { return s.handle(sess, req) },
-			sess.bounds.reset // the live-bounds gauge outlives the session
+		sess := &session{s: s, bounds: boundCache{m: s.bm}}
+		return t.Handler(sess), sess.bounds.reset // the live-bounds gauge outlives the session
 	})
 	return s
 }
 
-// commands is the full wire vocabulary; serverMetrics pre-resolves one
-// instrument set per command so the request path never touches the
-// registry's maps.
-var commands = []string{
-	"ping", "gen", "load", "update", "watch", "unwatch", "stats", "match",
-	"pmatch", "rule", "rpqfilter", "partition", "fragment", "metrics",
-	"explain", "profile",
-}
-
-// cmdMetrics is one command's instruments.
-type cmdMetrics struct {
-	count  *obs.Counter
-	errors *obs.Counter
-	ms     *obs.Histogram
-}
-
-type serverMetrics struct {
-	byCmd   map[string]cmdMetrics
-	unknown cmdMetrics
-}
-
-func newServerMetrics(reg *obs.Registry) *serverMetrics {
-	if reg == nil {
-		return nil
-	}
-	sm := &serverMetrics{byCmd: make(map[string]cmdMetrics, len(commands))}
-	for _, cmd := range commands {
-		sm.byCmd[cmd] = cmdMetrics{
-			count:  reg.Counter("server.cmd." + cmd + ".count"),
-			errors: reg.Counter("server.cmd." + cmd + ".errors"),
-			ms:     reg.Histogram("server.cmd."+cmd+".ms", obs.LatencyBucketsMS),
-		}
-	}
-	sm.unknown = cmdMetrics{
-		count:  reg.Counter("server.cmd.unknown.count"),
-		errors: reg.Counter("server.cmd.unknown.errors"),
-		ms:     reg.Histogram("server.cmd.unknown.ms", obs.LatencyBucketsMS),
-	}
-	return sm
-}
-
-// record books one handled request; a no-op on a nil receiver
-// (Config.Metrics unset).
-func (sm *serverMetrics) record(cmd string, start time.Time, failed bool) {
-	if sm == nil {
-		return
-	}
-	m, ok := sm.byCmd[cmd]
-	if !ok {
-		m = sm.unknown
-	}
-	m.count.Inc()
-	if failed {
-		m.errors.Inc()
-	}
-	m.ms.ObserveSince(start)
-}
-
-// session is the per-connection state.
+// session is the per-connection state: qgpd's Backend.
 type session struct {
+	s *Server
 	g *graph.Graph
-	// vg is the versioned core maintaining g in place: handleUpdate
-	// applies batches as deltas instead of rebuilding the graph, so g's
-	// pointer stays stable across updates (only setGraph replaces it).
+	// vg is the versioned core maintaining g in place: update applies
+	// batches as deltas instead of rebuilding the graph, so g's pointer
+	// stays stable across updates (only setGraph replaces it).
 	vg *graph.Versioned
 	st *stats.Stats // lazily computed, reset on graph change
 	// eng holds the standing watches (one evaluation per distinct
@@ -195,8 +137,8 @@ type session struct {
 // standing watches are dropped because their cached answers refer to the
 // old graph's node ids, and fragment ownership is replaced (owned non-nil
 // makes the session a fragment's) because it names the old graph's nodes.
-// Incremental changes go through handleUpdate, which maintains the
-// watches instead.
+// Incremental changes go through update, which maintains the watches
+// instead.
 func (sess *session) setGraph(g *graph.Graph, owned []graph.NodeID) error {
 	vg := graph.NewVersioned(g)
 	eng, err := dynamic.NewEngine(vg.Graph(), owned)
@@ -215,66 +157,37 @@ func (sess *session) stats() *stats.Stats {
 	return sess.st
 }
 
-// handle runs one request under the concurrency semaphore.
-func (s *Server) handle(sess *session, req *Request) Response {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-	start := time.Now()
-	tr := s.cfg.Tracer.Start(req.Cmd)
+// ErrNoGraph answers every graph-backed command before gen or load; the
+// cluster front end reports a missing cluster with the same error.
+var ErrNoGraph = errors.New("no graph loaded: run gen or load first")
 
-	var resp Response
-	var err error
-	switch req.Cmd {
-	case "ping":
-		resp.Pong = true
-		// A ping also reports the session's fragment state, so a
-		// cluster supervisor probing over this path can tell a healthy
-		// worker from one that restarted blank or lost its fragment.
-		if sess.g != nil {
-			resp.Nodes, resp.Edges = sess.g.NumNodes(), sess.g.NumEdges()
-			resp.Fragment = sess.eng.Restricted()
-			resp.Owned = len(sess.eng.Owned())
-		}
-	case "gen", "load":
-		err = s.handleGraph(sess, req, &resp)
-	case "update":
-		err = s.handleUpdate(sess, req, &resp, nil)
-	case "watch":
-		err = s.handleWatch(sess, req, &resp)
-	case "unwatch":
-		err = s.handleUnwatch(sess, req, &resp)
-	case "stats":
-		err = s.handleStats(sess, req, &resp)
-	case "match":
-		err = s.handleMatch(sess, req, &resp, nil)
-	case "pmatch":
-		err = s.handlePMatch(sess, req, &resp)
-	case "rule":
-		err = s.handleRule(sess, req, &resp)
-	case "rpqfilter":
-		err = s.handleRPQFilter(sess, req, &resp)
-	case "partition":
-		err = s.handlePartition(sess, req, &resp)
-	case "fragment":
-		err = s.handleFragment(sess, req, &resp)
-	case "metrics":
-		// The registry snapshot over the wire: a newline-JSON client can
-		// scrape a session's server without a debug HTTP listener.
-		resp.Obs = s.cfg.Metrics.JSON()
-	case "explain":
-		err = s.handleExplain(sess, req, &resp)
-	case "profile":
-		err = s.handleProfile(sess, req, &resp)
-	default:
-		err = fmt.Errorf("unknown command %q", req.Cmd)
+func (sess *session) Ready() error {
+	if sess.g == nil {
+		return ErrNoGraph
 	}
-	if err != nil {
-		resp.Error = err.Error()
+	return nil
+}
+
+// Admit admits every command: qgpd bounds how many run at once instead.
+func (sess *session) Admit(string) error       { return nil }
+func (sess *session) Served(string, time.Time) {}
+
+func (sess *session) SetGraph(g *graph.Graph) (nodes, edges int, err error) {
+	if err := sess.setGraph(g, nil); err != nil {
+		return 0, 0, err
 	}
-	resp.ElapsedMS = MsSince(start)
-	s.om.record(req.Cmd, start, err != nil)
-	tr.Finish(err)
-	return resp
+	return g.NumNodes(), g.NumEdges(), nil
+}
+
+// Ping reports the session's fragment state, so a cluster supervisor
+// probing over this path can tell a healthy worker from one that restarted
+// blank or lost its fragment.
+func (sess *session) Ping(resp *Response) {
+	if sess.g != nil {
+		resp.Nodes, resp.Edges = sess.g.NumNodes(), sess.g.NumEdges()
+		resp.Fragment = sess.eng.Restricted()
+		resp.Owned = len(sess.eng.Owned())
+	}
 }
 
 // Health reports the server's liveness state — what a -debug-addr
@@ -293,11 +206,10 @@ func (s *Server) Health() (interface{}, error) {
 	}, nil
 }
 
-// BuildGraph constructs the graph a gen, load or fragment request
+// buildGraph constructs the graph a gen, load or fragment request
 // describes (dispatching on req.Cmd) and refuses one whose |V|+|E| exceeds
-// maxSize; the server and the cluster front end share this so their
-// gen/load vocabularies cannot diverge.
-func BuildGraph(req *Request, maxSize int) (*graph.Graph, error) {
+// maxSize.
+func buildGraph(req *Request, maxSize int) (*graph.Graph, error) {
 	var g *graph.Graph
 	var err error
 	switch req.Cmd {
@@ -316,10 +228,8 @@ func BuildGraph(req *Request, maxSize int) (*graph.Graph, error) {
 		default:
 			err = fmt.Errorf("unknown graph kind %q", req.Kind)
 		}
-	case "load", "fragment":
+	default: // load, fragment
 		g, err = decodeGraph(req.Format, req.Data, maxSize)
-	default:
-		err = fmt.Errorf("BuildGraph: not a gen, load or fragment request: %q", req.Cmd)
 	}
 	if err != nil {
 		return nil, err
@@ -363,26 +273,14 @@ func decodeGraph(format, data string, maxSize int) (*graph.Graph, error) {
 	}
 }
 
-func (s *Server) handleGraph(sess *session, req *Request, resp *Response) error {
-	g, err := BuildGraph(req, s.cfg.MaxGraphSize)
-	if err != nil {
-		return err
-	}
-	if err := sess.setGraph(g, nil); err != nil {
-		return err
-	}
-	resp.Nodes, resp.Edges = g.NumNodes(), g.NumEdges()
-	return nil
-}
-
-// handleUpdate applies a mutation batch to the session graph in place
-// through the versioned core and incrementally maintains every standing
-// watch; an error anywhere in the batch leaves the session graph
-// unchanged (Versioned.Apply validates up front, and post-apply
-// validation failures roll the batch back) and the watches untouched.
-// The batch is applied once and handed to the session's watch engine,
-// which evaluates each distinct pattern once over the candidates the
-// batch can flip and reports the delta under every subscribed name.
+// Update applies a mutation batch to the session graph in place through
+// the versioned core and incrementally maintains every standing watch; an
+// error anywhere in the batch leaves the session graph unchanged
+// (Versioned.Apply validates up front, and post-apply validation failures
+// roll the batch back) and the watches untouched. The batch is applied
+// once and handed to the session's watch engine, which evaluates each
+// distinct pattern once over the candidates the batch can flip and reports
+// the delta under every subscribed name.
 //
 // On a fragment session the request may additionally carry the cluster
 // coordinator's routing: Scoped + Affected narrow re-verification to the
@@ -390,15 +288,14 @@ func (s *Server) handleGraph(sess *session, req *Request, resp *Response) error 
 // the coordinator assigns to this worker, folded into the owned set after
 // the batch applies — one combined round trip. The reply to a scoped
 // request names only the watches whose answers changed.
-func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof *UpdateProfileDoc) error {
-	if sess.g == nil {
-		return ErrNoGraph
-	}
-	if len(req.Updates) == 0 && len(req.Owned) == 0 {
-		return fmt.Errorf("update: empty batch")
+func (sess *session) Update(req *Request, resp *Response, profile bool) (any, error) {
+	t0 := time.Now()
+	var prof *UpdateProfileDoc
+	if profile {
+		prof = &UpdateProfileDoc{Op: "update"}
 	}
 	if (req.Scoped || len(req.Owned) > 0) && !sess.eng.Restricted() {
-		return fmt.Errorf("update: scoped or owning update on a session holding no fragment: run fragment first")
+		return nil, fmt.Errorf("update: scoped or owning update on a session holding no fragment: run fragment first")
 	}
 	ng := sess.g
 	var touched []graph.NodeID
@@ -406,12 +303,12 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 	if len(req.Updates) > 0 {
 		ups, err := ToUpdates(req.Updates)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		tApply := time.Now()
 		old, touched, err = sess.vg.Apply(ups)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if prof != nil {
 			prof.ApplyMS = MsSince(tApply)
@@ -432,8 +329,8 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 		sess.bounds.breakLog(ng)
 		return cause
 	}
-	if old != nil && ng.Size() > s.cfg.MaxGraphSize {
-		return revert(fmt.Errorf("updated graph size %d exceeds server cap %d", ng.Size(), s.cfg.MaxGraphSize))
+	if max := sess.s.cfg.MaxGraphSize; old != nil && ng.Size() > max {
+		return nil, revert(fmt.Errorf("updated graph size %d exceeds server cap %d", ng.Size(), max))
 	}
 	// Validate everything the request names — affected candidates and
 	// assigned nodes, both in the post-batch id space — before the
@@ -442,12 +339,12 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 	if req.Scoped {
 		var err error
 		if scoped, err = localNodes(ng, req.Affected); err != nil {
-			return revert(fmt.Errorf("update: %w", err))
+			return nil, revert(fmt.Errorf("update: %w", err))
 		}
 	}
 	assign, err := localNodes(ng, req.Owned)
 	if err != nil {
-		return revert(fmt.Errorf("update: %w", err))
+		return nil, revert(fmt.Errorf("update: %w", err))
 	}
 	// The batch is validated; commit. The graph already mutated in
 	// place, so only the cached statistics reset.
@@ -463,7 +360,7 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 			deltas, err = sess.eng.Apply(old, ng, touched)
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 		appendDeltas(resp, deltas, req.Scoped)
 		if prof != nil {
@@ -483,7 +380,7 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 	if len(assign) > 0 {
 		deltas, err := sess.eng.Assign(assign)
 		if err != nil {
-			return fmt.Errorf("update: %w", err)
+			return nil, fmt.Errorf("update: %w", err)
 		}
 		appendDeltas(resp, deltas, req.Scoped)
 	}
@@ -507,8 +404,9 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response, prof 
 		if prof.Nodes > 0 {
 			prof.WorkRatio = float64(prof.AffectedSize) / float64(prof.Nodes)
 		}
+		prof.TotalMS = MsSince(t0)
 	}
-	return nil
+	return prof, nil
 }
 
 // appendDeltas converts the engine's per-watch answer deltas to the wire
@@ -524,43 +422,23 @@ func appendDeltas(resp *Response, deltas []dynamic.NamedDelta, scoped bool) {
 	}
 }
 
-// handleWatch registers a standing pattern under a name; the response
-// carries the initial answer set. Later update commands report this
-// watch's delta.
-func (s *Server) handleWatch(sess *session, req *Request, resp *Response) error {
-	if sess.g == nil {
-		return ErrNoGraph
+// Watch registers a standing pattern under the session's cap
+// (Config.MaxWatches: 0 is the historical default of 16, negative lifts
+// it).
+func (sess *session) Watch(name string, q *core.Pattern, _ *Response) ([]graph.NodeID, error) {
+	max := sess.s.cfg.MaxWatches
+	if max == 0 {
+		max = 16
 	}
-	if req.Watch == "" {
-		return fmt.Errorf("watch: empty name")
+	if max > 0 && sess.eng.Names() >= max {
+		return nil, fmt.Errorf("watch: session limit of %d standing patterns reached", max)
 	}
-	if max := s.watchCap(); max > 0 && sess.eng.Names() >= max {
-		return fmt.Errorf("watch: session limit of %d standing patterns reached", max)
-	}
-	q, err := core.Parse(req.Pattern)
-	if err != nil {
-		return err
-	}
-	answers, err := sess.eng.Watch(req.Watch, q)
-	if err != nil {
-		return err
-	}
-	FillMatches(resp, answers, req.Limit)
-	return nil
+	return sess.eng.Watch(name, q)
 }
 
-// handleUnwatch removes a standing pattern.
-func (s *Server) handleUnwatch(sess *session, req *Request, resp *Response) error {
-	if sess.g == nil {
-		return fmt.Errorf("no watch named %q", req.Watch)
-	}
-	return sess.eng.Unwatch(req.Watch)
-}
+func (sess *session) Unwatch(name string) error { return sess.eng.Unwatch(name) }
 
-func (s *Server) handleStats(sess *session, req *Request, resp *Response) error {
-	if sess.g == nil {
-		return ErrNoGraph
-	}
+func (sess *session) Stats() (*StatsSummary, error) {
 	if sess.eng.Restricted() {
 		// A fragment worker reports its owned share only: the fragment
 		// also materializes other workers' nodes (neighborhood shipped
@@ -570,95 +448,93 @@ func (s *Server) handleStats(sess *session, req *Request, resp *Response) error 
 		// coordinator serve stats from fragment copies instead of
 		// pinning a frontend-side graph clone. Not cached: the owned
 		// pass is O(|fragment|) and stats calls are rare.
-		FillStats(resp, sess.g, stats.CollectOwned(sess.g, sess.eng.Owned()), req.TopK)
-		return nil
+		return summarize(sess.g, stats.CollectOwned(sess.g, sess.eng.Owned())), nil
 	}
-	FillStats(resp, sess.g, sess.stats(), req.TopK)
-	return nil
-}
-
-// ErrNoGraph answers every graph-backed command before gen or load; the
-// cluster front end reports a missing cluster with the same error.
-var ErrNoGraph = errors.New("no graph loaded: run gen or load first")
-
-// watchCap resolves Config.MaxWatches: 0 means the historical default
-// of 16, negative lifts the cap.
-func (s *Server) watchCap() int {
-	if s.cfg.MaxWatches == 0 {
-		return 16
-	}
-	return s.cfg.MaxWatches
-}
-
-func (s *Server) budget(req *Request) int64 {
-	switch {
-	case req.Budget > 0:
-		return req.Budget
-	case s.cfg.DefaultBudget < 0:
-		return 0
-	default:
-		return s.cfg.DefaultBudget
-	}
-}
-
-func (s *Server) matchOptions(sess *session, req *Request) *match.Options {
-	opts := &match.Options{ExtensionBudget: s.budget(req)}
-	if req.Planner {
-		opts.OrderBy = plan.OrderFunc(sess.g, sess.stats())
-	}
-	// Nil outside fragment mode; a fragment that owns nothing asks about nobody.
-	opts.FocusRestrict = sess.eng.Owned()
-	return opts
+	return summarize(sess.g, sess.stats()), nil
 }
 
 // evaluate runs the request's pattern over the session graph through the
 // session's bound for it: built by the first request, hit while the graph
 // stands still, repaired across the batches in between when it moved.
-func (s *Server) evaluate(sess *session, req *Request, collectProfile bool) (*match.Result, error) {
+func (sess *session) evaluate(req *Request, collectProfile bool) (*match.Result, error) {
 	b, err := sess.bounds.bound(sess.g, req)
 	if err != nil {
 		return nil, err
 	}
-	opts := s.matchOptions(sess, req)
-	opts.CollectProfile = collectProfile
+	opts := &match.Options{ExtensionBudget: req.Budget, CollectProfile: collectProfile}
+	if req.Budget <= 0 {
+		opts.ExtensionBudget = max(sess.s.cfg.DefaultBudget, 0) // -1 disables
+	}
+	if req.Planner {
+		opts.OrderBy = plan.OrderFunc(sess.g, sess.stats())
+	}
+	// Nil outside fragment mode; a fragment that owns nothing asks about nobody.
+	opts.FocusRestrict = sess.eng.Owned()
 	return b.Run(opts)
 }
 
-// handleMatch evaluates a pattern over the session graph. A non-nil doc
-// (the profile command) additionally collects the per-stage profile and
-// the planner's estimates into it.
-func (s *Server) handleMatch(sess *session, req *Request, resp *Response, doc *MatchProfileDoc) error {
-	if sess.g == nil {
-		return ErrNoGraph
-	}
-	if doc != nil {
+// Match evaluates a pattern over the session graph; with profile it also
+// collects the per-stage profile and the planner's estimates.
+func (sess *session) Match(req *Request, profile bool) (Answer, error) {
+	var doc *MatchProfileDoc
+	if profile {
+		engine := req.Engine
+		if engine == "" {
+			engine = "qmatch"
+		}
+		doc = &MatchProfileDoc{Op: "match", Engine: engine, Planner: req.Planner}
 		q, err := core.Parse(req.Pattern)
 		if err != nil {
-			return err
+			return Answer{}, err
 		}
 		if ex, exErr := plan.Explain(sess.g, sess.stats(), q); exErr == nil {
 			doc.Plan = ex
 		}
 	}
 	t0 := time.Now()
-	res, err := s.evaluate(sess, req, doc != nil)
+	res, err := sess.evaluate(req, profile)
 	if err != nil {
-		return err
+		return Answer{}, err
 	}
-	FillMatches(resp, res.Matches, req.Limit)
-	resp.Metrics = &res.Metrics
-	if doc != nil {
+	if profile {
 		doc.Profile = res.Profile
-		doc.Matches = resp.Total
+		doc.Matches = len(res.Matches)
 		doc.TotalMS = MsSince(t0)
 	}
-	return nil
+	return Answer{Matches: res.Matches, Metrics: &res.Metrics, Profile: doc}, nil
 }
 
-func (s *Server) handlePMatch(sess *session, req *Request, resp *Response) error {
-	if sess.g == nil {
-		return ErrNoGraph
+func (sess *session) Explain(q *core.Pattern) (any, error) {
+	ex, err := plan.Explain(sess.g, sess.stats(), q)
+	if err != nil {
+		return nil, err
 	}
+	return ExplainDoc{Op: "explain", Plan: ex}, nil
+}
+
+// Partition builds a d-hop preserving partition of the session graph and
+// reports its fragments' materialized node counts.
+func (sess *session) Partition(req *Request) ([]int, error) {
+	workers := req.Workers
+	if workers <= 0 {
+		workers = 4
+	}
+	d := req.D
+	if d <= 0 {
+		d = 2
+	}
+	p, err := partition.DPar(sess.g, partition.Config{Workers: workers, D: d})
+	if err != nil {
+		return nil, err
+	}
+	sizes := make([]int, len(p.Fragments))
+	for i, f := range p.Fragments {
+		sizes[i] = len(f.Nodes)
+	}
+	return sizes, nil
+}
+
+func (sess *session) pmatch(req *Request, resp *Response) error {
 	q, err := core.Parse(req.Pattern)
 	if err != nil {
 		return err
@@ -683,15 +559,12 @@ func (s *Server) handlePMatch(sess *session, req *Request, resp *Response) error
 	if err != nil {
 		return err
 	}
-	FillMatches(resp, res.Matches, req.Limit)
+	fillMatches(resp, res.Matches, req.Limit)
 	resp.Metrics = &res.Metrics
 	return nil
 }
 
-func (s *Server) handleRule(sess *session, req *Request, resp *Response) error {
-	if sess.g == nil {
-		return ErrNoGraph
-	}
+func (sess *session) rule(req *Request, resp *Response) error {
 	q1, err := core.Parse(req.Pattern)
 	if err != nil {
 		return fmt.Errorf("antecedent: %w", err)
@@ -708,7 +581,7 @@ func (s *Server) handleRule(sess *session, req *Request, resp *Response) error {
 	if err != nil {
 		return err
 	}
-	FillMatches(resp, ev.Matches, req.Limit)
+	fillMatches(resp, ev.Matches, req.Limit)
 	resp.Support = ev.Support
 	resp.Confidence = ev.Confidence
 	resp.Lift = ev.Lift
@@ -718,55 +591,27 @@ func (s *Server) handleRule(sess *session, req *Request, resp *Response) error {
 	return nil
 }
 
-func (s *Server) handleRPQFilter(sess *session, req *Request, resp *Response) error {
-	if sess.g == nil {
-		return ErrNoGraph
-	}
+func (sess *session) rpqFilter(req *Request, resp *Response) error {
 	c, err := rpq.ParseConstraint(req.Constraint)
 	if err != nil {
 		return err
 	}
-	res, err := s.evaluate(sess, req, false)
+	res, err := sess.evaluate(req, false)
 	if err != nil {
 		return err
 	}
-	filtered := rpq.Filter(sess.g, res.Matches, c)
-	FillMatches(resp, filtered, req.Limit)
-	resp.Total = len(filtered)
+	fillMatches(resp, rpq.Filter(sess.g, res.Matches, c), req.Limit)
 	resp.Metrics = &res.Metrics
 	return nil
 }
 
-func (s *Server) handlePartition(sess *session, req *Request, resp *Response) error {
-	if sess.g == nil {
-		return ErrNoGraph
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	d := req.D
-	if d <= 0 {
-		d = 2
-	}
-	p, err := partition.DPar(sess.g, partition.Config{Workers: workers, D: d})
-	if err != nil {
-		return err
-	}
-	resp.Skew = p.Skew()
-	for _, f := range p.Fragments {
-		resp.Fragments = append(resp.Fragments, f.Size)
-	}
-	return nil
-}
-
-// handleFragment turns the session into a cluster worker: Data carries a
+// fragment turns the session into a cluster worker: Data carries a
 // d-hop-preserving fragment subgraph (local node ids) in any format load
 // takes and Owned lists the local ids of the focus candidates this worker
 // owns. Subsequent match and watch commands answer only for the owned
 // set; update commands mutate the fragment and maintain the watches.
-func (s *Server) handleFragment(sess *session, req *Request, resp *Response) error {
-	g, err := BuildGraph(req, s.cfg.MaxGraphSize)
+func (sess *session) fragment(req *Request, resp *Response) error {
+	g, err := buildGraph(req, sess.s.cfg.MaxGraphSize)
 	if err != nil {
 		return err
 	}
@@ -791,14 +636,4 @@ func localNodes(g *graph.Graph, ids []int64) ([]graph.NodeID, error) {
 		out[i] = graph.NodeID(v)
 	}
 	return out, nil
-}
-
-// FillMatches writes an answer set into a response, applying the
-// request's limit; shared with the cluster front end.
-func FillMatches(resp *Response, matches []graph.NodeID, limit int) {
-	resp.Total = len(matches)
-	if limit > 0 && len(matches) > limit {
-		matches = matches[:limit]
-	}
-	resp.Matches = IDs(matches)
 }

@@ -9,9 +9,20 @@ import (
 )
 
 // This file is the ONE code path that turns graph statistics into a
-// stats response. The single server and the cluster front end's fan-out
-// merge both land in FillStatsRows, so the TopK cap, the row ordering and
+// stats response. A session's summary and the cluster's sum of its
+// fragments' both land in fillStats, so the TopK cap, the row ordering and
 // the rendered string format cannot drift between deployment shapes.
+
+// StatsSummary is a stats reply before it is rendered: node and edge
+// counts, every triple class (unordered), and the sorted names of the node
+// labels present. Summaries of owned-restricted fragments add up to the
+// whole graph's (stats.CollectOwned), which is how a cluster answers.
+type StatsSummary struct {
+	Nodes  int
+	Edges  int
+	Labels []string
+	Rows   []TripleRow
+}
 
 // StatsTopK resolves a stats request's TopK: non-positive takes the
 // historical default of 10 rendered triple classes.
@@ -22,40 +33,31 @@ func StatsTopK(k int) int {
 	return k
 }
 
-// StatsRows converts a collected summary to structured, name-based
-// rows (every class, unordered — FillStatsRows sorts) plus the sorted
-// names of the labels present.
-func StatsRows(g *graph.Graph, st *stats.Stats) (rows []TripleRow, labels []string) {
-	rows = make([]TripleRow, 0, len(st.Triples))
+// summarize converts a collected summary to name-based rows.
+func summarize(g *graph.Graph, st *stats.Stats) *StatsSummary {
+	sum := &StatsSummary{Nodes: st.Nodes, Edges: st.Edges, Rows: make([]TripleRow, 0, len(st.Triples))}
 	for t, ts := range st.Triples {
-		rows = append(rows, TripleRow{
+		sum.Rows = append(sum.Rows, TripleRow{
 			Src: g.LabelName(t.Src), Edge: g.LabelName(t.Edge), Dst: g.LabelName(t.Dst),
 			Count: ts.Count, Srcs: ts.SrcNodes, Dsts: ts.DstNodes,
 		})
 	}
-	labels = make([]string, 0, len(st.LabelCount))
+	sum.Labels = make([]string, 0, len(st.LabelCount))
 	for l, n := range st.LabelCount {
 		if n > 0 {
-			labels = append(labels, g.LabelName(l))
+			sum.Labels = append(sum.Labels, g.LabelName(l))
 		}
 	}
-	sort.Strings(labels)
-	return rows, labels
+	sort.Strings(sum.Labels)
+	return sum
 }
 
-// FillStats renders one graph's summary into a response — the
-// single-process path. topK caps only the rendered Triples strings;
-// the structured rows stay complete.
-func FillStats(resp *Response, g *graph.Graph, st *stats.Stats, topK int) {
-	rows, labels := StatsRows(g, st)
-	FillStatsRows(resp, st.Nodes, st.Edges, labels, rows, topK)
-}
-
-// FillStatsRows fills a stats response from structured rows, sorting
-// them by descending count with name ties ascending (deterministic
-// regardless of which worker contributed what), applying the TopK cap
-// to the rendered strings.
-func FillStatsRows(resp *Response, nodes, edges int, labels []string, rows []TripleRow, topK int) {
+// fillStats fills a stats response from a summary, sorting its rows by
+// descending count with name ties ascending (deterministic regardless of
+// which worker contributed what); topK caps only the rendered Triples
+// strings, the structured rows stay complete.
+func fillStats(resp *Response, sum *StatsSummary, topK int) {
+	rows := sum.Rows
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
 		if a.Count != b.Count {
@@ -69,22 +71,22 @@ func FillStatsRows(resp *Response, nodes, edges int, labels []string, rows []Tri
 		}
 		return a.Dst < b.Dst
 	})
-	resp.Nodes, resp.Edges = nodes, edges
-	resp.Labels = len(labels)
-	resp.LabelNames = labels
+	resp.Nodes, resp.Edges = sum.Nodes, sum.Edges
+	resp.Labels = len(sum.Labels)
+	resp.LabelNames = sum.Labels
 	resp.TripleRows = rows
 	k := StatsTopK(topK)
 	if k > len(rows) {
 		k = len(rows)
 	}
 	for _, r := range rows[:k] {
-		resp.Triples = append(resp.Triples, DescribeRow(r))
+		resp.Triples = append(resp.Triples, describeRow(r))
 	}
 }
 
-// DescribeRow renders one triple row in the exact format of
-// stats.Describe, so wire output is stable across the refactor.
-func DescribeRow(r TripleRow) string {
+// describeRow renders one triple row in the exact format of
+// stats.Describe, so the wire and the offline tools read alike.
+func describeRow(r TripleRow) string {
 	fan := 0.0
 	if r.Srcs > 0 {
 		fan = float64(r.Count) / float64(r.Srcs)

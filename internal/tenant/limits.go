@@ -44,6 +44,12 @@ func (e *ErrThrottled) Error() string {
 		e.Tenant, e.Reason, e.RetryAfter.Round(time.Millisecond))
 }
 
+// RetryAfterMS is RetryAfter in the wire's fractional milliseconds
+// (Response.RetryAfterMS).
+func (e *ErrThrottled) RetryAfterMS() float64 {
+	return float64(e.RetryAfter.Microseconds()) / 1000
+}
+
 // bucket is a token bucket refilled on demand: no background goroutine,
 // just elapsed-time accounting against the manager clock (Config.Now in
 // tests). The zero value starts full on first refill.
