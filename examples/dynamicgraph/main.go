@@ -29,21 +29,32 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// A disk-backed store holds the ground truth...
-	st, err := store.Open(dir, store.Options{})
+	// A disk-backed store persists the ground truth, which lives in memory
+	// once: the graph Open hands back, maintained in place...
+	st, g, err := store.Open(dir, store.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer st.Close()
+	vg := graph.NewVersioned(g)
+	// ...where every batch is applied first and then journaled.
+	apply := func(batch ...graph.Mutation) (*graph.OldView, []graph.NodeID) {
+		old, touched, err := vg.Apply(batch)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := st.Append(batch...); err != nil {
+			log.Fatal(err)
+		}
+		return old, touched
+	}
 
-	// ...seeded with three people and two products.
-	if _, err := st.Apply(
+	// Seeded with three people and two products.
+	apply(
 		graph.AddNode("person"), graph.AddNode("person"), graph.AddNode("person"),
 		graph.AddNode("product"), graph.AddNode("product"),
 		graph.AddEdge(0, 3, "buy"), // person 0 bought one product
-	); err != nil {
-		log.Fatal(err)
-	}
+	)
 
 	// The live pattern: buyers of ≥ 2 products.
 	q := core.NewPattern()
@@ -51,13 +62,14 @@ func main() {
 	q.AddNode("y", "product")
 	q.AddEdge("xo", "y", "buy", core.Count(core.GE, 2))
 
-	m, err := dynamic.NewMatcher(st.Graph(), q)
+	m, err := dynamic.NewMatcher(vg.Graph(), q)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("initial answers: %v (person 0 has only 1 purchase)\n", m.Answers())
 
-	// Stream update batches: journal to the store, maintain the matcher.
+	// Stream update batches: apply and journal, maintain the matcher over
+	// the same graph.
 	batches := [][]graph.Mutation{
 		{graph.AddEdge(0, 4, "buy")},                             // person 0's second purchase
 		{graph.AddEdge(1, 3, "buy"), graph.AddEdge(1, 4, "buy")}, // person 1 buys both
@@ -65,10 +77,8 @@ func main() {
 		{graph.AddNode("person"), graph.AddEdge(5, 3, "buy"), graph.AddEdge(5, 4, "buy")},
 	}
 	for i, batch := range batches {
-		if _, err := st.Apply(batch...); err != nil {
-			log.Fatal(err)
-		}
-		delta, err := m.Apply(batch)
+		old, touched := apply(batch...)
+		delta, err := m.ApplyShared(old, vg.Graph(), touched)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -89,12 +99,12 @@ func main() {
 	if err := st.Close(); err != nil {
 		log.Fatal(err)
 	}
-	st2, err := store.Open(dir, store.Options{})
+	st2, g2, err := store.Open(dir, store.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer st2.Close()
-	replayed, err := match.QMatch(st2.Graph(), q, nil)
+	replayed, err := match.QMatch(g2, q, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

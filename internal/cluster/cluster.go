@@ -79,10 +79,10 @@ type Config struct {
 	// worker failure that no warm replica can cover fail-stops the
 	// coordinator.
 	Pool WorkerPool
-	// Journal, when set, receives the graph New is given and every
-	// accepted update batch (journaled before fan-out) and watch change,
-	// so Recover can rebuild the coordinator after a restart. Strictly
-	// off the hot path when nil.
+	// Journal, when set, persists the coordinator's graph and receives
+	// every accepted update batch (journaled before fan-out) and watch
+	// change, so Recover can rebuild the coordinator after a restart.
+	// Strictly off the hot path when nil.
 	Journal UpdateJournal
 	// Logf receives coordinator diagnostics — failovers, replica
 	// promotions, re-ships, dropped mirrors; nil means log.Printf.
@@ -114,7 +114,10 @@ type Coordinator struct {
 	mu  sync.RWMutex
 	cfg Config
 	om  *coordMetrics
-	g   *graph.Graph // authoritative global graph: the coordinator's private copy
+	// g is the authoritative global graph: New's private copy, or the graph
+	// Recover adopted. Its pointer never changes, and Config.Journal
+	// persists it without a copy of its own.
+	g *graph.Graph
 	// vg maintains g in place: Update applies each accepted batch as a
 	// delta through the versioned core instead of rebuilding the graph,
 	// and hands the pre-batch OldView to affected-set computation and
@@ -194,16 +197,16 @@ type worker struct {
 // collapsed duplicate parallel edges — which Graph returns and updates
 // advance in place.
 //
-// With cfg.Journal set, g replaces the durable graph and clears the
-// durable watch set (UpdateJournal.SetGraph): New is for a new graph, a
-// restart over what the journal holds goes through Recover.
+// With cfg.Journal set, that copy becomes the durable graph and the
+// durable watch set is cleared (UpdateJournal.SetGraph): New is for a new
+// graph, a restart over what the journal holds goes through Recover.
 //
 // On success the coordinator owns every transport it holds — ts and any
 // pool acquisitions — and releases them in Close. On error the caller
 // keeps ownership of ts; sessions New acquired from the pool are closed
 // before returning.
 func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
-	c, err := build(g, ts, cfg)
+	c, err := build(g.Clone(), ts, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -218,10 +221,14 @@ func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 
 // Recover rebuilds a coordinator after a restart from what the journal
 // read back: g is fragmented and shipped as in New and every watch (name →
-// pattern DSL) registered in ascending name order. cfg.Journal is attached
-// only once all of that has succeeded, so recovery writes nothing to it —
-// it already holds this state — and a failed or interrupted recovery
-// leaves the durable state as it was. Ownership of ts is as with New.
+// pattern DSL) registered in ascending name order. Unlike New, Recover
+// adopts g as its authoritative graph, without a copy: g is the graph the
+// journal recovered and goes on persisting, so there is one graph in
+// memory, and the caller must not touch it afterwards. cfg.Journal is
+// attached only once all of that has succeeded, so recovery writes nothing
+// to it — it already holds this state — and a failed or interrupted
+// recovery leaves the durable state as it was. Ownership of ts is as with
+// New.
 func Recover(g *graph.Graph, watches map[string]string, ts []Transport, cfg Config) (*Coordinator, error) {
 	journal := cfg.Journal
 	cfg.Journal = nil
@@ -244,7 +251,8 @@ func Recover(g *graph.Graph, watches map[string]string, ts []Transport, cfg Conf
 }
 
 // build is the construction New and Recover share: partition, ownership
-// bookkeeping, fragments shipped. It never calls cfg.Journal.
+// bookkeeping, fragments shipped. g becomes the coordinator's graph, which
+// the versioned core owns outright. build never calls cfg.Journal.
 func build(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 	if len(ts) == 0 {
 		return nil, errors.New("cluster: need at least one worker transport")
@@ -258,8 +266,6 @@ func build(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 	if cfg.Replicas > 1 && cfg.Pool == nil {
 		return nil, fmt.Errorf("cluster: %d replicas requested but no worker pool configured", cfg.Replicas)
 	}
-	// A private copy, so the versioned core can own it outright.
-	g = g.Clone()
 	p, err := partition.DPar(g, partition.Config{Workers: len(ts), D: cfg.D})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)

@@ -57,13 +57,19 @@ type ReadTracker interface {
 // change. internal/ha implements it over internal/store's
 // snapshot+journal; after a restart what it read back goes to Recover,
 // which re-fragments, re-ships and re-registers without a call here.
+//
+// The journal persists the coordinator's graph and keeps none of its own:
+// g is the live graph, which the journal reads only inside SetGraph and
+// AppendBatch, while the coordinator is not changing it; every batch
+// passed to AppendBatch is already applied to it; and an AppendBatch error
+// means the batch is not durable, so the coordinator rolls it back.
 type UpdateJournal interface {
-	// SetGraph: a new graph replaces the durable state and clears the
-	// watch set. New calls it once fragments are shipped; it is never
-	// called on recovery.
+	// SetGraph: g, the coordinator's graph, replaces the durable state and
+	// the watch set is cleared. New calls it once fragments are shipped;
+	// it is never called on recovery.
 	SetGraph(g *graph.Graph) error
 	// AppendBatch records an accepted update batch; the coordinator
-	// calls it after validating the batch against the authoritative
+	// calls it under its write lock, after applying the batch to its
 	// graph and before fanning it out to the workers.
 	AppendBatch(specs []server.UpdateSpec) error
 	// WatchRegistered and WatchRemoved record the standing-watch set.

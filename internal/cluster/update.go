@@ -330,10 +330,6 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 			}
 		}
 	}
-	// c.g already is newG — the batch applied in place; the assignment
-	// keeps the field meaningful if the pointer ever diverges.
-	c.g = newG
-
 	out := &UpdateResult{Nodes: newG.NumNodes(), Edges: newG.NumEdges(), AffectedSize: len(reverify)}
 	// The batch is applied everywhere it needed to go: primaries saw it
 	// first, mirror() dropped every replica that failed it, and

@@ -32,8 +32,8 @@ type JournalOptions struct {
 	// journal then compacts only at construction and torn-tail repair,
 	// the pre-threshold behavior.
 	CompactBytes int64
-	// Logf receives diagnostics (compaction passes and their trigger
-	// sizes); nil means log.Printf.
+	// Logf receives diagnostics (compaction passes, failed ones included,
+	// and their trigger sizes); nil means log.Printf.
 	Logf func(format string, args ...interface{})
 	// Metrics, when set, exposes journal activity in the registry:
 	// ha.journal.batches / .mutations / .compactions / .fsyncs counters
@@ -68,13 +68,18 @@ func newJournalMetrics(reg *obs.Registry) journalMetrics {
 }
 
 // Journal is a coordinator's durable state in one directory: the
-// authoritative graph as internal/store's snapshot + append-only
-// mutation journal, plus the standing-watch set as a small manifest
-// (watches.json, replaced atomically). It implements
-// cluster.UpdateJournal, so a coordinator built with Config.Journal set
-// records every accepted update batch before fan-out; OpenJournal on
-// the same directory after a restart reads the graph and watches back for
-// cluster.Recover to rebuild the coordinator from.
+// coordinator's graph as internal/store's snapshot + append-only mutation
+// journal, plus the standing-watch set as a small manifest (watches.json,
+// replaced atomically). It implements cluster.UpdateJournal, so a
+// coordinator built with Config.Journal set records every accepted update
+// batch before fan-out; OpenJournal on the same directory after a restart
+// reads the graph and watches back for cluster.Recover to rebuild the
+// coordinator from.
+//
+// There is one graph in memory, not two: the journal keeps the graph it was
+// given and never applies a batch to it. After OpenJournal that is the
+// recovered graph, which Recover adopts as the coordinator's own; after
+// SetGraph it is the coordinator's live graph.
 type Journal struct {
 	dir  string
 	opts JournalOptions
@@ -82,6 +87,7 @@ type Journal struct {
 
 	mu      sync.Mutex
 	st      *store.Store
+	g       *graph.Graph // the graph the store persists; every appended batch is applied to it
 	watches map[string]string
 }
 
@@ -89,11 +95,11 @@ type Journal struct {
 // any existing snapshot+journal into the recovered graph.
 func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 	opts.fill()
-	st, err := store.Open(dir, store.Options{Fsync: opts.Fsync})
+	st, g, err := store.Open(dir, store.Options{Fsync: opts.Fsync})
 	if err != nil {
 		return nil, fmt.Errorf("ha: %w", err)
 	}
-	j := &Journal{dir: dir, opts: opts, om: newJournalMetrics(opts.Metrics), st: st, watches: make(map[string]string)}
+	j := &Journal{dir: dir, opts: opts, om: newJournalMetrics(opts.Metrics), st: st, g: g, watches: make(map[string]string)}
 	b, err := os.ReadFile(filepath.Join(dir, watchesName))
 	switch {
 	case errors.Is(err, os.ErrNotExist):
@@ -143,18 +149,22 @@ func (j *Journal) readWatches(b []byte) error {
 }
 
 // HasState reports whether the directory held a recoverable cluster
-// state (a non-empty graph or standing watches).
+// state (a non-empty graph or standing watches). Ask before a coordinator
+// is built over the journal: it reads the graph.
 func (j *Journal) HasState() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.st.NumNodes() > 0 || len(j.watches) > 0
+	return j.g.NumNodes() > 0 || len(j.watches) > 0
 }
 
-// Graph returns the recovered (or current) durable graph.
+// Graph returns the graph the journal persists. After OpenJournal it is
+// the recovered graph, for cluster.Recover to adopt; after SetGraph it is
+// the coordinator's live graph, which only the coordinator may read while
+// it serves.
 func (j *Journal) Graph() *graph.Graph {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.st.Graph()
+	return j.g
 }
 
 // Watches returns a copy of the recovered (or current) standing-watch
@@ -174,23 +184,33 @@ func (j *Journal) Recovery() store.RecoveryInfo {
 	return j.st.Recovery()
 }
 
-// SetGraph replaces the durable graph wholesale (one snapshot write, no
-// per-edge journaling) and clears the watch set: a coordinator built
-// over a new graph starts with no standing watches. Implements
-// cluster.UpdateJournal.
+// SetGraph makes g the durable graph (one snapshot write, no per-edge
+// journaling) and clears the watch set: a coordinator built over a new
+// graph starts with no standing watches. The journal keeps g, without a
+// copy, and snapshots it from then on. Implements cluster.UpdateJournal.
 func (j *Journal) SetGraph(g *graph.Graph) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.st.ImportGraph(g); err != nil {
+	err := j.st.Snapshot(g)
+	if errors.Is(err, store.ErrUnapplied) {
+		// The graph g replaces took batches that are still only in the
+		// journal: fold that graph first, which ends its history, then
+		// start g's.
+		if err = j.st.Snapshot(j.g); err == nil {
+			err = j.st.Snapshot(g)
+		}
+	}
+	if err != nil {
 		return err
 	}
+	j.g = g
 	j.watches = make(map[string]string)
 	return j.writeWatchesLocked()
 }
 
-// AppendBatch journals one accepted update batch, compacting first when
-// the journal has outgrown Options.CompactBytes. Implements
-// cluster.UpdateJournal.
+// AppendBatch journals one batch the coordinator has applied to its graph.
+// Once the journal has outgrown Options.CompactBytes it then snapshots that
+// graph, which already holds the batch. Implements cluster.UpdateJournal.
 func (j *Journal) AppendBatch(specs []server.UpdateSpec) error {
 	muts, err := server.ToUpdates(specs)
 	if err != nil {
@@ -198,38 +218,32 @@ func (j *Journal) AppendBatch(specs []server.UpdateSpec) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.opts.CompactBytes > 0 {
-		size, err := j.st.JournalBytes()
-		if err != nil {
-			return err
-		}
-		if size >= j.opts.CompactBytes {
-			// Compact before the append rather than after: the snapshot
-			// write is the expensive step, and folding it in up front
-			// means a crash between append and compaction never loses
-			// the batch — it is either in the fresh journal suffix or
-			// not yet accepted.
-			if err := j.st.Compact(); err != nil {
-				return err
-			}
-			j.om.compactions.Inc()
-			j.opts.Logf("ha: journal: compacted at %d bytes (threshold %d)", size, j.opts.CompactBytes)
-		}
-	}
-	if _, err = j.st.Apply(muts...); err != nil {
+	if err := j.st.Append(muts...); err != nil {
 		return err
 	}
 	j.om.batches.Inc()
 	j.om.mutations.Add(int64(len(muts)))
 	if j.opts.Fsync {
-		// The store syncs each applied batch when Fsync is on; counting
+		// The store syncs each appended batch when Fsync is on; counting
 		// here (rather than inside the store) keeps the dependency
 		// one-way.
 		j.om.fsyncs.Inc()
 	}
-	if size, serr := j.st.JournalBytes(); serr == nil {
-		j.om.bytes.Set(size)
+	// The store is open: Append just succeeded, and Close waits for j.mu.
+	size, _ := j.st.JournalBytes()
+	if j.opts.CompactBytes > 0 && size >= j.opts.CompactBytes {
+		// The batch is durable from here on, so a failed compaction is
+		// logged, not returned: an error would make the coordinator roll
+		// back a journaled batch. The next batch tries again.
+		if err := j.st.Snapshot(j.g); err != nil {
+			j.opts.Logf("ha: journal: compaction at %d bytes failed: %v", size, err)
+		} else {
+			j.om.compactions.Inc()
+			j.opts.Logf("ha: journal: compacted at %d bytes (threshold %d)", size, j.opts.CompactBytes)
+			size, _ = j.st.JournalBytes()
+		}
 	}
+	j.om.bytes.Set(size)
 	return nil
 }
 
@@ -249,20 +263,6 @@ func (j *Journal) WatchRemoved(name string) error {
 	defer j.mu.Unlock()
 	delete(j.watches, name)
 	return j.writeWatchesLocked()
-}
-
-// Compact folds the mutation journal into a fresh snapshot.
-func (j *Journal) Compact() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.st.Compact(); err != nil {
-		return err
-	}
-	j.om.compactions.Inc()
-	if size, err := j.st.JournalBytes(); err == nil {
-		j.om.bytes.Set(size)
-	}
-	return nil
 }
 
 // JournalBytes reports the on-disk size of the mutation journal — what

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -121,13 +122,9 @@ func TestJournalMetrics(t *testing.T) {
 	t.Cleanup(func() { j.Close() })
 
 	const batches = 40
+	vg := graph.NewVersioned(j.Graph())
 	for i := 0; i < batches; i++ {
-		if err := j.AppendBatch([]server.UpdateSpec{
-			{Op: "addNode", Label: "person"},
-			{Op: "addNode", Label: "product"},
-		}); err != nil {
-			t.Fatal(err)
-		}
+		applyAndAppend(t, j, vg, server.UpdateSpec{Op: "addNode", Label: "person"}, server.UpdateSpec{Op: "addNode", Label: "product"})
 	}
 	s := reg.Snapshot()
 	if got := s.Counters["ha.journal.batches"]; got != batches {

@@ -11,26 +11,21 @@ import (
 
 // Random corruption soak: flip/truncate bytes anywhere in the journal.
 // Open must never panic and must always produce either a usable store
-// (whose state is a prefix of the original history) or a clean error —
+// (whose graph is a prefix of the original history) or a clean error —
 // never silently wrong data past the corruption point.
 func TestJournalCorruptionSoak(t *testing.T) {
 	// Build a reference history once.
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := openT(t, dir)
 	history := []graph.Mutation{
 		graph.AddNode("A"), graph.AddNode("B"), graph.AddNode("C"),
 		graph.AddEdge(0, 1, "x"), graph.AddEdge(1, 2, "y"), graph.AddEdge(2, 0, "z"),
 		graph.RemoveEdge(0, 1, "x"), graph.AddNode("D"), graph.AddEdge(3, 0, "w"),
 	}
 	for _, m := range history {
-		if _, err := s.Apply(m); err != nil {
-			t.Fatal(err)
-		}
+		h.mustApply(t, m)
 	}
-	s.Close()
+	h.Close()
 	pristine, err := os.ReadFile(filepath.Join(dir, journalName))
 	if err != nil {
 		t.Fatal(err)
@@ -91,17 +86,18 @@ func TestJournalCorruptionSoak(t *testing.T) {
 		}
 		writeFile(journalName, corrupted)
 
-		s2, err := Open(td, Options{})
+		s2, g, err := Open(td, Options{})
 		if err != nil {
 			continue // clean refusal is acceptable
 		}
-		got := state{s2.NumNodes(), s2.NumEdges()}
+		got := state{g.NumNodes(), g.NumEdges()}
 		if !prefixStates[got] {
 			t.Fatalf("trial %d: recovered state %+v is not a history prefix", trial, got)
 		}
 		// The recovered store must remain writable.
 		if got.nodes > 0 {
-			if _, err := s2.Apply(graph.AddEdge(0, 0, "self")); err != nil {
+			h2 := &held{s2, graph.NewVersioned(g)}
+			if err := h2.apply(graph.AddEdge(0, 0, "self")); err != nil {
 				t.Fatalf("trial %d: recovered store not writable: %v", trial, err)
 			}
 		}
@@ -115,12 +111,9 @@ func TestJournalCorruptionSoak(t *testing.T) {
 func TestManifestCorruption(t *testing.T) {
 	build := func() string {
 		dir := t.TempDir()
-		s, err := Open(dir, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Apply(graph.AddNode("A"))
-		s.Close()
+		h := openT(t, dir)
+		h.mustApply(t, graph.AddNode("A"))
+		h.Close()
 		return dir
 	}
 	for _, bad := range []string{
@@ -133,7 +126,7 @@ func TestManifestCorruption(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(bad), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Open(dir, Options{}); err == nil {
+		if _, _, err := Open(dir, Options{}); err == nil {
 			t.Errorf("manifest %q accepted", bad)
 		}
 	}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,56 +19,71 @@ type edgeKey struct {
 	label    string
 }
 
-func openT(t *testing.T, dir string) *Store {
+// held is a store with the graph it persists, held the way the store's
+// callers hold it: every batch is applied to the graph in place, then
+// appended.
+type held struct {
+	*Store
+	vg *graph.Versioned
+}
+
+func openT(t *testing.T, dir string) *held {
 	t.Helper()
-	s, err := Open(dir, Options{})
+	s, g, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	return s
+	return &held{s, graph.NewVersioned(g)}
 }
 
-func TestFreshStoreEmpty(t *testing.T) {
-	s := openT(t, t.TempDir())
-	if s.NumNodes() != 0 || s.NumEdges() != 0 {
-		t.Fatalf("fresh store has %d nodes, %d edges", s.NumNodes(), s.NumEdges())
+func (h *held) g() *graph.Graph { return h.vg.Graph() }
+
+// apply applies a batch to the held graph, then journals it.
+func (h *held) apply(muts ...graph.Mutation) error {
+	if _, _, err := h.vg.Apply(muts); err != nil {
+		return err
 	}
-	g := s.Graph()
-	if g.NumNodes() != 0 {
-		t.Fatal("fresh graph not empty")
+	return h.Append(muts...)
+}
+
+func (h *held) mustApply(t *testing.T, muts ...graph.Mutation) {
+	t.Helper()
+	if err := h.apply(muts...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// compact folds the journal into a snapshot of the held graph.
+func (h *held) compact() error { return h.Snapshot(h.g()) }
+
+func TestFreshStoreEmpty(t *testing.T) {
+	h := openT(t, t.TempDir())
+	if h.g().NumNodes() != 0 || h.g().NumEdges() != 0 {
+		t.Fatalf("fresh store has %d nodes, %d edges", h.g().NumNodes(), h.g().NumEdges())
 	}
 }
 
 func TestApplyAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir)
-	first, err := s.Apply(
+	h := openT(t, dir)
+	h.mustApply(t,
 		graph.AddNode("Person"), graph.AddNode("Person"), graph.AddNode("Product"),
 		graph.AddEdge(0, 1, "follow"), graph.AddEdge(1, 2, "buy"),
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != 0 {
-		t.Errorf("first node id = %d, want 0", first)
-	}
-	if s.NumNodes() != 3 || s.NumEdges() != 2 {
-		t.Fatalf("state = %d/%d, want 3/2", s.NumNodes(), s.NumEdges())
-	}
-	if err := s.Close(); err != nil {
+	if err := h.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s2 := openT(t, dir)
-	if s2.NumNodes() != 3 || s2.NumEdges() != 2 {
-		t.Fatalf("reopened = %d/%d, want 3/2", s2.NumNodes(), s2.NumEdges())
+	h2 := openT(t, dir)
+	g := h2.g()
+	if g.NumNodes() != 3 || g.NumEdges() != 2 {
+		t.Fatalf("reopened = %d/%d, want 3/2", g.NumNodes(), g.NumEdges())
 	}
-	g := s2.Graph()
 	if !g.HasEdge(0, 1, g.LookupLabel("follow")) {
 		t.Error("follow edge lost across reopen")
 	}
-	rec := s2.Recovery()
+	rec := h2.Recovery()
 	if rec.Applied != 5 || rec.TornTail {
 		t.Errorf("recovery = %+v, want Applied=5 clean", rec)
 	}
@@ -75,96 +91,144 @@ func TestApplyAndReopen(t *testing.T) {
 
 func TestRemoveEdgeAndNode(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir)
-	if _, err := s.Apply(
+	h := openT(t, dir)
+	h.mustApply(t,
 		graph.AddNode("A"), graph.AddNode("B"), graph.AddNode("C"),
 		graph.AddEdge(0, 1, "x"), graph.AddEdge(1, 2, "x"), graph.AddEdge(2, 0, "y"),
-	); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Apply(graph.RemoveEdge(0, 1, "x")); err != nil {
-		t.Fatal(err)
-	}
-	if s.NumEdges() != 2 {
-		t.Fatalf("edges after remove = %d, want 2", s.NumEdges())
-	}
+	)
+	h.mustApply(t, graph.RemoveEdge(0, 1, "x"))
 	// Removing an absent edge is a no-op.
-	if _, err := s.Apply(graph.RemoveEdge(0, 1, "x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Apply(graph.RemoveNode(2)); err != nil {
-		t.Fatal(err)
-	}
-	if s.NumEdges() != 0 {
-		t.Fatalf("edges after node isolation = %d, want 0", s.NumEdges())
-	}
-	if s.NumNodes() != 3 {
-		t.Fatalf("node slots must remain: %d, want 3", s.NumNodes())
-	}
-	s.Close()
+	h.mustApply(t, graph.RemoveEdge(0, 1, "x"))
+	h.mustApply(t, graph.RemoveNode(2))
+	h.Close()
 
-	s2 := openT(t, dir)
-	if s2.NumEdges() != 0 || s2.NumNodes() != 3 {
-		t.Fatalf("reopen after removals = %d/%d, want 3/0", s2.NumNodes(), s2.NumEdges())
+	g := openT(t, dir).g()
+	if g.NumEdges() != 0 || g.NumNodes() != 3 {
+		t.Fatalf("reopen after removals = %d/%d, want 3/0 (node slots remain)", g.NumNodes(), g.NumEdges())
 	}
 }
 
+// The store checks each batch against the node count its journal has
+// reached, whatever its caller did: a batch graph.CheckBatch refuses is
+// not journaled, and the count moves only with accepted batches.
 func TestApplyValidation(t *testing.T) {
-	s := openT(t, t.TempDir())
-	if _, err := s.Apply(graph.AddEdge(0, 1, "x")); err == nil {
+	dir := t.TempDir()
+	h := openT(t, dir)
+	if err := h.Append(graph.AddEdge(0, 1, "x")); err == nil {
 		t.Error("edge between missing nodes accepted")
 	}
 	// A batch may reference nodes it adds.
-	if _, err := s.Apply(graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x")); err != nil {
+	if err := h.apply(graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x")); err != nil {
 		t.Errorf("intra-batch reference rejected: %v", err)
 	}
-	if _, err := s.Apply(graph.Mutation{Op: 99}); err == nil {
-		t.Error("unknown op accepted")
+	size, _ := h.JournalBytes()
+	for _, bad := range [][]graph.Mutation{
+		{{Op: 99}},
+		{graph.RemoveNode(7)},
+		{graph.AddEdge(1, 2, "x")},
+	} {
+		if err := h.Append(bad...); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
 	}
-	if _, err := s.Apply(graph.RemoveNode(7)); err == nil {
-		t.Error("RemoveNode out of range accepted")
+	if after, _ := h.JournalBytes(); after != size {
+		t.Fatalf("refused batches grew the journal from %d to %d bytes", size, after)
 	}
-	// Failed batches must not change state.
-	if s.NumNodes() != 2 || s.NumEdges() != 1 {
-		t.Fatalf("state after rejected batches = %d/%d, want 2/1", s.NumNodes(), s.NumEdges())
+	h.Close()
+	if g := openT(t, dir).g(); g.NumNodes() != 2 || g.NumEdges() != 1 {
+		t.Fatalf("state after rejected batches = %d/%d, want 2/1", g.NumNodes(), g.NumEdges())
 	}
 }
 
 func TestCompactAndReopen(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir)
-	if _, err := s.Apply(graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
+	h := openT(t, dir)
+	h.mustApply(t, graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x"))
+	if err := h.compact(); err != nil {
 		t.Fatal(err)
 	}
 	// Journal must be empty now; further mutations append after it.
-	if _, err := s.Apply(graph.AddEdge(1, 0, "x")); err != nil {
+	h.mustApply(t, graph.AddEdge(1, 0, "x"))
+	h.Close()
+
+	h2 := openT(t, dir)
+	if g := h2.g(); g.NumNodes() != 2 || g.NumEdges() != 2 {
+		t.Fatalf("after compact+append reopen = %d/%d, want 2/2", g.NumNodes(), g.NumEdges())
+	}
+	if rec := h2.Recovery(); rec.Applied != 1 {
+		t.Errorf("recovery applied = %d, want 1 (only the post-compaction record)", rec.Applied)
+	}
+}
+
+// Snapshot folds only a graph that can hold the records appended since
+// the last snapshot: a caller that journaled a batch without applying it
+// is refused rather than losing the batch. With no such record pending,
+// the graph given replaces the state.
+func TestSnapshotRefusesUnappliedRecords(t *testing.T) {
+	dir := t.TempDir()
+	h := openT(t, dir)
+	h.mustApply(t, graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x"))
+	if err := h.Append(graph.AddNode("C")); err != nil { // journaled, not applied
 		t.Fatal(err)
 	}
-	s.Close()
-
-	s2 := openT(t, dir)
-	if s2.NumNodes() != 2 || s2.NumEdges() != 2 {
-		t.Fatalf("after compact+append reopen = %d/%d, want 2/2", s2.NumNodes(), s2.NumEdges())
+	if err := h.compact(); !errors.Is(err, ErrUnapplied) {
+		t.Fatalf("snapshot of a graph missing a journaled node: %v, want ErrUnapplied", err)
 	}
-	rec := s2.Recovery()
-	if rec.Applied != 1 {
-		t.Errorf("recovery applied = %d, want 1 (only the post-compaction record)", rec.Applied)
+	h.Close()
+	h2 := openT(t, dir)
+	if g := h2.g(); g.NumNodes() != 3 || g.NumEdges() != 1 {
+		t.Fatalf("refused snapshot lost records: reopened %d/%d, want 3/1", g.NumNodes(), g.NumEdges())
+	}
+
+	// Nothing pending after a fold: a new graph replaces the state.
+	if err := h2.compact(); err != nil {
+		t.Fatal(err)
+	}
+	next := gen.Social(gen.DefaultSocial(20, 2))
+	if err := h2.Snapshot(next); err != nil {
+		t.Fatalf("replacing a folded state: %v", err)
+	}
+	h2.Close()
+	if g := openT(t, dir).g(); !graphsEqual(g, next) {
+		t.Fatal("replacement graph differs after reopen")
+	}
+}
+
+// A journal rewrite that fails (here journal.log.tmp is a directory)
+// fails the snapshot, but the store keeps appending to the journal it
+// had, and a reopen recovers every record. Until the rewrite kept its
+// old appender, the next append dereferenced nil.
+func TestFailedJournalRewriteKeepsAppending(t *testing.T) {
+	dir := t.TempDir()
+	h := openT(t, dir)
+	h.mustApply(t, graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x"))
+	if err := os.Mkdir(filepath.Join(dir, journalName+".tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.compact(); err == nil {
+		t.Fatal("snapshot succeeded although the journal could not be rewritten")
+	}
+	h.mustApply(t, graph.AddEdge(1, 0, "y"), graph.AddNode("C"))
+	if _, err := h.JournalBytes(); err != nil {
+		t.Fatal(err)
+	}
+	want := h.g()
+	h.Close()
+	h2 := openT(t, dir)
+	if !graphsEqual(h2.g(), want) {
+		t.Fatalf("reopened %d/%d, want %d/%d", h2.g().NumNodes(), h2.g().NumEdges(), want.NumNodes(), want.NumEdges())
+	}
+	if rec := h2.Recovery(); rec.Applied != 2 || rec.SkippedOld != 3 || rec.TornTail {
+		t.Errorf("recovery = %+v, want the 3 folded records skipped and 2 applied", rec)
 	}
 }
 
 func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir)
-	if _, err := s.Apply(graph.AddNode("A"), graph.AddNode("B")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Apply(graph.AddEdge(0, 1, "x")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	h := openT(t, dir)
+	h.mustApply(t, graph.AddNode("A"), graph.AddNode("B"))
+	h.mustApply(t, graph.AddEdge(0, 1, "x"))
+	h.Close()
 
 	// Truncate the journal mid-record: drop 3 bytes from the end.
 	jpath := filepath.Join(dir, journalName)
@@ -176,26 +240,23 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := openT(t, dir)
-	rec := s2.Recovery()
-	if !rec.TornTail {
+	h2 := openT(t, dir)
+	if !h2.Recovery().TornTail {
 		t.Error("torn tail not detected")
 	}
-	if s2.NumNodes() != 2 || s2.NumEdges() != 0 {
-		t.Fatalf("recovered = %d/%d, want 2 nodes, torn edge dropped", s2.NumNodes(), s2.NumEdges())
+	if g := h2.g(); g.NumNodes() != 2 || g.NumEdges() != 0 {
+		t.Fatalf("recovered = %d/%d, want 2 nodes, torn edge dropped", g.NumNodes(), g.NumEdges())
 	}
 	// The store remains writable after tail repair, and the repaired
 	// journal replays cleanly next time.
-	if _, err := s2.Apply(graph.AddEdge(1, 0, "y")); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	s3 := openT(t, dir)
-	if s3.Recovery().TornTail {
+	h2.mustApply(t, graph.AddEdge(1, 0, "y"))
+	h2.Close()
+	h3 := openT(t, dir)
+	if h3.Recovery().TornTail {
 		t.Error("tail not repaired")
 	}
-	if s3.NumEdges() != 1 {
-		t.Errorf("edges = %d, want 1", s3.NumEdges())
+	if h3.g().NumEdges() != 1 {
+		t.Errorf("edges = %d, want 1", h3.g().NumEdges())
 	}
 }
 
@@ -205,9 +266,9 @@ func TestTornTailRecovery(t *testing.T) {
 func TestJournalBytesTracksTheFile(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, journalName)
-	check := func(s *Store, when string) {
+	check := func(h *held, when string) {
 		t.Helper()
-		got, err := s.JournalBytes()
+		got, err := h.JournalBytes()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,31 +280,25 @@ func TestJournalBytesTracksTheFile(t *testing.T) {
 			t.Fatalf("%s: JournalBytes = %d, the file holds %d", when, got, fi.Size())
 		}
 	}
-	s := openT(t, dir)
-	check(s, "fresh store")
+	h := openT(t, dir)
+	check(h, "fresh store")
 	for i := 0; i < 5; i++ {
-		if _, err := s.Apply(graph.AddNode("A"), graph.AddNode("a longer label"), graph.AddEdge(0, 1, "x")); err != nil {
-			t.Fatal(err)
-		}
-		check(s, "after an append")
+		h.mustApply(t, graph.AddNode("A"), graph.AddNode("a longer label"), graph.AddEdge(0, 1, "x"))
+		check(h, "after an append")
 	}
-	if err := s.Compact(); err != nil {
+	if err := h.compact(); err != nil {
 		t.Fatal(err)
 	}
-	check(s, "after compaction")
-	if _, err := s.Apply(graph.AddEdge(1, 0, "y"), graph.AddEdge(2, 3, "z")); err != nil {
-		t.Fatal(err)
-	}
-	check(s, "after an append to the compacted journal")
-	s.Close()
+	check(h, "after compaction")
+	h.mustApply(t, graph.AddEdge(1, 0, "y"), graph.AddEdge(2, 3, "z"))
+	check(h, "after an append to the compacted journal")
+	h.Close()
 
-	s = openT(t, dir)
-	check(s, "clean reopen")
-	if _, err := s.Apply(graph.RemoveEdge(1, 0, "y")); err != nil {
-		t.Fatal(err)
-	}
-	check(s, "after an append to the reopened journal")
-	s.Close()
+	h = openT(t, dir)
+	check(h, "clean reopen")
+	h.mustApply(t, graph.RemoveEdge(1, 0, "y"))
+	check(h, "after an append to the reopened journal")
+	h.Close()
 
 	b, err := os.ReadFile(jpath)
 	if err != nil {
@@ -252,27 +307,21 @@ func TestJournalBytesTracksTheFile(t *testing.T) {
 	if err := os.WriteFile(jpath, b[:len(b)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s = openT(t, dir)
-	if !s.Recovery().TornTail {
+	h = openT(t, dir)
+	if !h.Recovery().TornTail {
 		t.Fatal("torn tail not detected")
 	}
-	check(s, "reopen over a torn tail")
-	if _, err := s.Apply(graph.AddNode("B")); err != nil {
-		t.Fatal(err)
-	}
-	check(s, "after an append to the repaired journal")
+	check(h, "reopen over a torn tail")
+	h.mustApply(t, graph.AddNode("B"))
+	check(h, "after an append to the repaired journal")
 }
 
 func TestCorruptCRCTruncatesSuffix(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir)
-	if _, err := s.Apply(graph.AddNode("A")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Apply(graph.AddNode("B")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	h := openT(t, dir)
+	h.mustApply(t, graph.AddNode("A"))
+	h.mustApply(t, graph.AddNode("B"))
+	h.Close()
 
 	jpath := filepath.Join(dir, journalName)
 	b, err := os.ReadFile(jpath)
@@ -284,35 +333,35 @@ func TestCorruptCRCTruncatesSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := openT(t, dir)
-	if !s2.Recovery().TornTail {
+	h2 := openT(t, dir)
+	if !h2.Recovery().TornTail {
 		t.Error("CRC corruption not detected")
 	}
-	if s2.NumNodes() != 1 {
-		t.Errorf("nodes = %d, want 1 (valid prefix only)", s2.NumNodes())
+	if n := h2.g().NumNodes(); n != 1 {
+		t.Errorf("nodes = %d, want 1 (valid prefix only)", n)
 	}
 }
 
 func TestBadMagicIsHardError(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir)
-	s.Apply(graph.AddNode("A"))
-	s.Close()
+	h := openT(t, dir)
+	h.mustApply(t, graph.AddNode("A"))
+	h.Close()
 
 	jpath := filepath.Join(dir, journalName)
 	if err := os.WriteFile(jpath, []byte("not a journal at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
+	if _, _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
 
 func TestMissingSnapshotIsHardError(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir)
-	s.Apply(graph.AddNode("A"))
-	s.Close()
+	h := openT(t, dir)
+	h.mustApply(t, graph.AddNode("A"))
+	h.Close()
 	// Remove the snapshot the manifest names.
 	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
@@ -320,66 +369,46 @@ func TestMissingSnapshotIsHardError(t *testing.T) {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-	if _, err := Open(dir, Options{}); err == nil {
+	if _, _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("missing snapshot accepted")
 	}
 }
 
+// A bulk load is one snapshot of the loaded graph, no journaled edges.
 func TestImportGraph(t *testing.T) {
 	dir := t.TempDir()
-	s := openT(t, dir)
+	h := openT(t, dir)
 	g := gen.Social(gen.DefaultSocial(80, 3))
-	if err := s.ImportGraph(g); err != nil {
+	if err := h.Snapshot(g); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumNodes() != g.NumNodes() || s.NumEdges() != g.NumEdges() {
-		t.Fatalf("imported = %d/%d, want %d/%d", s.NumNodes(), s.NumEdges(), g.NumNodes(), g.NumEdges())
-	}
-	s.Close()
-	s2 := openT(t, dir)
-	if !graphsEqual(s2.Graph(), g) {
+	h.Close()
+	h2 := openT(t, dir)
+	if !graphsEqual(h2.g(), g) {
 		t.Fatal("imported graph differs after reopen")
 	}
-	if s2.Recovery().Applied != 0 {
+	if h2.Recovery().Applied != 0 {
 		t.Error("import should leave an empty journal")
 	}
 }
 
-func TestGraphViewImmutable(t *testing.T) {
-	s := openT(t, t.TempDir())
-	s.Apply(graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x"))
-	g1 := s.Graph()
-	s.Apply(graph.AddEdge(1, 0, "x"))
-	g2 := s.Graph()
-	if g1.NumEdges() != 1 {
-		t.Errorf("old view mutated: %d edges", g1.NumEdges())
-	}
-	if g2.NumEdges() != 2 {
-		t.Errorf("new view = %d edges, want 2", g2.NumEdges())
-	}
-	if g1 == g2 {
-		t.Error("Apply must replace the view")
-	}
-}
-
 func TestClosedStoreRejectsWrites(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	s.Close()
-	if _, err := s.Apply(graph.AddNode("A")); err == nil {
-		t.Error("Apply after Close accepted")
+	h := openT(t, t.TempDir())
+	h.Close()
+	if err := h.Append(graph.AddNode("A")); err == nil {
+		t.Error("Append after Close accepted")
 	}
-	if err := s.Compact(); err == nil {
-		t.Error("Compact after Close accepted")
+	if err := h.compact(); err == nil {
+		t.Error("Snapshot after Close accepted")
 	}
-	if err := s.Close(); err != nil {
+	if err := h.Close(); err != nil {
 		t.Errorf("double Close: %v", err)
 	}
 }
 
 // Randomized crash-consistency: apply a random mutation stream with
-// interspersed compactions and reopens; the store must always equal an
-// in-memory reference model.
+// interspersed compactions and reopens; the recovered graph must always
+// equal an in-memory reference model.
 func TestRandomizedModelEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	r := rand.New(rand.NewSource(42))
@@ -389,7 +418,7 @@ func TestRandomizedModelEquivalence(t *testing.T) {
 		edges  map[edgeKey]bool
 	}
 	model := ref{edges: map[edgeKey]bool{}}
-	s := openT(t, dir)
+	h := openT(t, dir)
 
 	labels := []string{"A", "B", "C"}
 	elabels := []string{"x", "y"}
@@ -397,31 +426,23 @@ func TestRandomizedModelEquivalence(t *testing.T) {
 		switch op := r.Intn(10); {
 		case op < 4 || len(model.labels) < 2: // add node
 			l := labels[r.Intn(len(labels))]
-			if _, err := s.Apply(graph.AddNode(l)); err != nil {
-				t.Fatal(err)
-			}
+			h.mustApply(t, graph.AddNode(l))
 			model.labels = append(model.labels, l)
 		case op < 7: // add edge
 			f := graph.NodeID(r.Intn(len(model.labels)))
 			to := graph.NodeID(r.Intn(len(model.labels)))
 			l := elabels[r.Intn(len(elabels))]
-			if _, err := s.Apply(graph.AddEdge(f, to, l)); err != nil {
-				t.Fatal(err)
-			}
+			h.mustApply(t, graph.AddEdge(f, to, l))
 			model.edges[edgeKey{f, to, l}] = true
 		case op < 8: // remove edge
 			f := graph.NodeID(r.Intn(len(model.labels)))
 			to := graph.NodeID(r.Intn(len(model.labels)))
 			l := elabels[r.Intn(len(elabels))]
-			if _, err := s.Apply(graph.RemoveEdge(f, to, l)); err != nil {
-				t.Fatal(err)
-			}
+			h.mustApply(t, graph.RemoveEdge(f, to, l))
 			delete(model.edges, edgeKey{f, to, l})
 		case op < 9: // remove node (isolate)
 			v := graph.NodeID(r.Intn(len(model.labels)))
-			if _, err := s.Apply(graph.RemoveNode(v)); err != nil {
-				t.Fatal(err)
-			}
+			h.mustApply(t, graph.RemoveNode(v))
 			for k := range model.edges {
 				if k.from == v || k.to == v {
 					delete(model.edges, k)
@@ -429,24 +450,25 @@ func TestRandomizedModelEquivalence(t *testing.T) {
 			}
 		default: // compact or reopen
 			if r.Intn(2) == 0 {
-				if err := s.Compact(); err != nil {
+				if err := h.compact(); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				s.Close()
-				s = openT(t, dir)
+				h.Close()
+				h = openT(t, dir)
 			}
 		}
 
 		if step%50 == 0 {
-			if s.NumNodes() != len(model.labels) || s.NumEdges() != len(model.edges) {
+			if g := h.g(); g.NumNodes() != len(model.labels) || g.NumEdges() != len(model.edges) {
 				t.Fatalf("step %d: store %d/%d, model %d/%d",
-					step, s.NumNodes(), s.NumEdges(), len(model.labels), len(model.edges))
+					step, g.NumNodes(), g.NumEdges(), len(model.labels), len(model.edges))
 			}
 		}
 	}
-	// Final deep check through the graph view.
-	g := s.Graph()
+	// Final deep check through a reopen.
+	h.Close()
+	g := openT(t, dir).g()
 	if g.NumNodes() != len(model.labels) || g.NumEdges() != len(model.edges) {
 		t.Fatalf("final: store %d/%d, model %d/%d", g.NumNodes(), g.NumEdges(), len(model.labels), len(model.edges))
 	}
@@ -459,17 +481,15 @@ func TestRandomizedModelEquivalence(t *testing.T) {
 
 func TestFsyncOptionWorks(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{Fsync: true})
+	s, g, err := Open(dir, Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Apply(graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2 := openT(t, dir)
-	if s2.NumNodes() != 2 || s2.NumEdges() != 1 {
-		t.Fatalf("fsync store reopened = %d/%d", s2.NumNodes(), s2.NumEdges())
+	h := &held{s, graph.NewVersioned(g)}
+	h.mustApply(t, graph.AddNode("A"), graph.AddNode("B"), graph.AddEdge(0, 1, "x"))
+	h.Close()
+	if g := openT(t, dir).g(); g.NumNodes() != 2 || g.NumEdges() != 1 {
+		t.Fatalf("fsync store reopened = %d/%d", g.NumNodes(), g.NumEdges())
 	}
 }
 
