@@ -9,7 +9,7 @@
 // named session, via the session wire command) gets a private watch
 // namespace with quotas (-max-tenants, -tenant-idle), and with
 // -replicas k > 1 reads are routed to the least-loaded live copy of
-// each fragment, fenced so a session always sees its own writes.
+// each fragment; every live copy holds every accepted write.
 //
 // Distributed (workers need -max-watches -1: the shared session
 // aggregates every tenant's watches in one worker session, so the

@@ -3,8 +3,8 @@
 // standing watch under the SAME local name — their namespaces keep the
 // watches apart — then Alice mutates the graph: her update response
 // carries only her own watch's delta, Bob picks his up with the deltas
-// command, and Alice's next match is fenced at her write's version token
-// so replica routing can never serve her pre-update state.
+// command, and Alice's next match sees her write whichever fragment copy
+// replica routing picks: every copy applied it before it was accepted.
 //
 // The epilogue walks the QoS layer: Carol's oversized update batch
 // exhausts her post-paid affected-set budget and her next write is
@@ -129,19 +129,19 @@ func main() {
 	}
 	fmt.Printf("bob drained his namespace's delta: -%v on %q\n", bd[0].Removed, bd[0].Watch)
 
-	// Read-your-writes: Alice's next match is fenced at her write's
-	// version token, so whichever replica serves it must be synced past
-	// the write — the removed node can never reappear.
+	// Read-your-writes: every fragment copy applied Alice's write before
+	// the front end answered it, so whichever copy serves her next match,
+	// the removed node can never reappear.
 	post, err := alice.Match(pattern, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, v := range post.Matches {
 		if v == victim {
-			log.Fatalf("fenced read returned alice's removed answer %d", v)
+			log.Fatalf("read after her write returned alice's removed answer %d", v)
 		}
 	}
-	fmt.Printf("alice's fenced re-match: %d answers, her removed node gone\n", post.Total)
+	fmt.Printf("alice's re-match: %d answers, her removed node gone\n", post.Total)
 
 	// The session list is the tenancy observable: watches, writes, reads.
 	infos, err := alice.Sessions()

@@ -19,13 +19,13 @@ import (
 // many tenants reading through replica routing, and a four-worker fan-out
 // under sustained multi-op batches. Claims are made on benchmark/, not here.
 
-// BenchmarkReplicaReads: 8 tenants issue fenced read-only matches against a
+// BenchmarkReplicaReads: 8 tenants issue read-only matches against a
 // 2-worker cluster at replication k=1..3. Every transport carries a
 // simulated 8ms round trip, serialized per copy the way one wire session
 // is, so throughput is bound by overlapping read streams — what
 // replica-read routing buys — rather than by this machine's core count.
 // The limited case pays the front end's per-tenant QoS work on every op —
-// Admit (token bucket), fence lookup, latency Observe — against limits high
+// Admit (token bucket), read count, latency Observe — against limits high
 // enough that nothing throttles.
 func BenchmarkReplicaReads(b *testing.B) {
 	const tenants = 8
@@ -54,12 +54,6 @@ func BenchmarkReplicaReads(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer c.Close()
-			// One write sets the read-your-writes fence every tenant's
-			// matches carry, as the front end does after an update.
-			res, err := c.Update([]server.UpdateSpec{{Op: "addEdge", From: 1, To: 2, Label: "follow"}})
-			if err != nil {
-				b.Fatal(err)
-			}
 			var tm *tenant.Manager
 			if bc.limited {
 				tm = tenant.NewManager(tenant.Config{
@@ -78,19 +72,17 @@ func BenchmarkReplicaReads(b *testing.B) {
 						b.Error(err)
 						return
 					}
-					tm.NoteWrite(name, res.Version)
 				}
 				for pb.Next() {
-					opts := &MatchOptions{MinVersion: res.Version}
 					if tm != nil {
 						if err := tm.Admit(name, "match"); err != nil {
 							b.Error(err)
 							return
 						}
-						opts.MinVersion = tm.NoteRead(name)
+						tm.NoteRead(name)
 					}
 					start := time.Now()
-					if _, err := c.MatchWith(q, opts); err != nil {
+					if _, err := c.Match(q); err != nil {
 						b.Error(err)
 						return
 					}

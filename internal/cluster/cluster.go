@@ -58,22 +58,13 @@ type Config struct {
 	// original design. With k > 1 each fragment is also shipped to k-1
 	// warm replica sessions obtained from Pool (placed on the
 	// least-loaded endpoints by partition.OwnerMap owned counts, off
-	// the primary's endpoint when possible); update and assign batches
-	// are mirrored to replicas after the primary applies them, so a
+	// the primary's endpoint when possible); update batches are
+	// mirrored to replicas after the primary applies them, so a
 	// replica can be promoted on primary failure without re-shipping,
 	// and read-only fan-outs (Match, Explain, Stats) are routed
 	// to the least-loaded live copy of each fragment, scaling read
 	// throughput with k.
 	Replicas int
-	// MaxWatches caps the standing patterns one coordinator holds. 0
-	// keeps the historical per-session default of 16; a negative value
-	// lifts the cap (the multi-tenant front end enforces per-tenant
-	// quotas itself and multiplexes many namespaces over one
-	// coordinator). Workers need a matching server.Config.MaxWatches
-	// (remote qgpd workers: the -max-watches flag); a worker that still
-	// rejects a registration has the partial fan-out rolled back and the
-	// error returned to the one caller (watch.go), not fail-stopped.
-	MaxWatches int
 	// Pool supplies fresh worker sessions for replica placement and
 	// failover re-shipping. Optional when Replicas <= 1: without it, a
 	// worker failure that no warm replica can cover fail-stops the
@@ -113,7 +104,7 @@ type Config struct {
 type Coordinator struct {
 	mu  sync.RWMutex
 	cfg Config
-	om  *coordMetrics
+	om  coordMetrics
 	// g is the authoritative global graph: New's private copy, or the graph
 	// Recover adopted. Its pointer never changes, and Config.Journal
 	// persists it without a copy of its own.
@@ -139,11 +130,9 @@ type Coordinator struct {
 	// left, leaving fragments possibly inconsistent; every later
 	// request is refused.
 	failed error
-	// version counts accepted update batches. Every live copy of every
-	// fragment records the version it is synced to; the read router uses
-	// the tokens as a read-your-writes fence (MatchOptions.MinVersion).
-	// Guarded by mu: written under the write lock, read under either.
-	version uint64
+	// batches counts accepted update batches, for UpdateResult.Version.
+	// Guarded by the write side of mu.
+	batches uint64
 }
 
 // groupRef is one distinct standing pattern and the number of watch names
@@ -159,17 +148,11 @@ type groupRef struct {
 type replica struct {
 	t        Transport
 	endpoint int // pool endpoint hosting the session, -1 unknown
-	// version is the coordinator batch counter this copy is synced to.
-	// Replicas are mirrored synchronously, so at rest every surviving
-	// copy is current; the token is the fence that keeps a routed read
-	// off a copy that missed a batch (it was added mid-history, or a
-	// future async mirror left it behind). Guarded by c.mu.
-	version uint64
 	// inflight counts read-routed requests currently on this copy and
 	// reads the total it has served; both are atomics because the read
 	// path runs under c.mu's read side only.
-	inflight int64
-	reads    int64
+	inflight atomic.Int64
+	reads    atomic.Int64
 	// suspect marks a copy whose transport failed a routed read: reads
 	// skip it (no failover runs under the read lock) and the next
 	// write-locked operation prunes or replaces it.
@@ -182,11 +165,13 @@ type replica struct {
 // local ids ids.toGlobal[local]; the nodes ids holds as owned are the
 // fragment's answer set.
 type worker struct {
-	id       int
-	primary  *replica
-	replicas []*replica // warm mirrors, promotion order
-	dropped  int        // replicas discarded after mirror/probe failures
-	ids      idSpace
+	id int
+	// copies are the sessions holding the fragment: the primary at index
+	// 0, then the warm replicas in promotion order. There is always a
+	// primary, even a dead one waiting for failover.
+	copies  []*replica
+	dropped int // replicas discarded over the coordinator's lifetime (drop)
+	ids     idSpace
 }
 
 // New fragments g across the given worker transports (one fragment per
@@ -275,7 +260,7 @@ func build(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 	c.om = newCoordMetrics(cfg.Metrics, len(ts))
 	c.workers = make([]*worker, len(ts))
 	for i := range c.workers {
-		c.workers[i] = &worker{id: i, primary: &replica{t: ts[i], endpoint: endpointOf(ts[i])}}
+		c.workers[i] = &worker{id: i, copies: []*replica{{t: ts[i], endpoint: endpointOf(ts[i])}}}
 	}
 	// Ownership bookkeeping comes from the partition's routing-table view;
 	// OwnerMap also guarantees each node has exactly one owner.
@@ -300,15 +285,15 @@ func build(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 		if err != nil {
 			return fmt.Errorf("cluster: %w", err)
 		}
-		if _, err := w.primary.t.Do(ship); err != nil {
+		if _, err := w.copies[0].t.Do(ship); err != nil {
 			return &WorkerError{Worker: w.id, Op: "fragment", Err: err}
 		}
-		for len(w.replicas) < cfg.Replicas-1 {
+		for len(w.copies) < cfg.Replicas {
 			r, err := c.newCopy(w, ship, ownedLoad[w.id])
 			if err != nil {
 				return &WorkerError{Worker: w.id, Op: "replicate", Err: err}
 			}
-			w.replicas = append(w.replicas, r)
+			w.copies = append(w.copies, r)
 		}
 		return nil
 	})
@@ -321,8 +306,9 @@ func build(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 
 // coordMetrics holds the coordinator's instruments, resolved from the
 // registry once at construction so the fan-out hot path performs only
-// atomic operations. Every field is nil (and every method call on it a
-// no-op) when Config.Metrics is unset.
+// atomic operations. With no registry configured every instrument is
+// nil, and nil obs instruments are no-ops, so observations need no
+// guards.
 type coordMetrics struct {
 	matchCount, updateCount, watchCount *obs.Counter
 	matchMS, updateMS                   *obs.Histogram
@@ -347,11 +333,8 @@ type coordMetrics struct {
 	readPrimary, readReplica, readFallbacks, readSuspects *obs.Counter
 }
 
-func newCoordMetrics(reg *obs.Registry, workers int) *coordMetrics {
-	if reg == nil {
-		return nil
-	}
-	om := &coordMetrics{
+func newCoordMetrics(reg *obs.Registry, workers int) coordMetrics {
+	om := coordMetrics{
 		matchCount:     reg.Counter("cluster.match.count"),
 		updateCount:    reg.Counter("cluster.update.count"),
 		watchCount:     reg.Counter("cluster.watch.count"),
@@ -379,49 +362,6 @@ func newCoordMetrics(reg *obs.Registry, workers int) *coordMetrics {
 		om.workerUpdateMS[i] = reg.Histogram(fmt.Sprintf("cluster.worker.%d.update.ms", i), obs.LatencyBucketsMS)
 	}
 	return om
-}
-
-// Nil-safe accessors for the per-event instruments used outside the
-// request paths (failover can run on a coordinator whose om is nil).
-func (om *coordMetrics) promoted() {
-	if om != nil {
-		om.promotions.Inc()
-	}
-}
-
-func (om *coordMetrics) reshipped() {
-	if om != nil {
-		om.reships.Inc()
-	}
-}
-
-func (om *coordMetrics) mirrorDropped() {
-	if om != nil {
-		om.mirrorDrops.Inc()
-	}
-}
-
-func (om *coordMetrics) readRouted(toPrimary bool) {
-	if om == nil {
-		return
-	}
-	if toPrimary {
-		om.readPrimary.Inc()
-	} else {
-		om.readReplica.Inc()
-	}
-}
-
-func (om *coordMetrics) readFellBack() {
-	if om != nil {
-		om.readFallbacks.Inc()
-	}
-}
-
-func (om *coordMetrics) readSuspected() {
-	if om != nil {
-		om.readSuspects.Inc()
-	}
 }
 
 // endpointOf reports which pool endpoint hosts a transport, -1 when the
@@ -457,17 +397,6 @@ func (c *Coordinator) D() int { return c.cfg.D }
 // Workers returns the number of workers.
 func (c *Coordinator) Workers() int { return len(c.workers) }
 
-// Version returns the coordinator's accepted-batch counter: 0 for a
-// fresh cluster, incremented by every successful Update. A client that
-// fences its reads with MatchOptions.MinVersion = the Version (or
-// UpdateResult.Version) observed after its last write can never read a
-// fragment copy that has not applied that write.
-func (c *Coordinator) Version() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.version
-}
-
 // FragmentSizes returns each worker's materialized node count.
 func (c *Coordinator) FragmentSizes() []int {
 	c.mu.RLock()
@@ -491,28 +420,37 @@ func (c *Coordinator) refuseLocked() error {
 	return nil
 }
 
-// fanOut runs fn once per worker concurrently and returns the first error
-// (by worker id) if any failed. Worker 0's share runs on the calling
-// goroutine, whose stack has already grown to what encoding a request
-// takes; a fresh goroutine starts from the minimum and grows again.
+// fanOut runs fn once per worker concurrently (each) and returns the
+// first error (by worker id) if any failed.
 func (c *Coordinator) fanOut(fn func(w *worker) error) error {
 	errs := make([]error, len(c.workers))
-	var wg sync.WaitGroup
-	for i, w := range c.workers[1:] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i+1] = fn(w)
-		}()
-	}
-	errs[0] = fn(c.workers[0])
-	wg.Wait()
+	each(len(c.workers), func(i int) { errs[i] = fn(c.workers[i]) })
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// each runs fn(i) for every i in [0, n) concurrently and returns once all
+// have. fn(0) runs on the calling goroutine, whose stack has already grown
+// to what encoding a request takes; a fresh goroutine starts from the
+// minimum and grows again. So n = 1 starts no goroutine.
+func each(n int, fn func(i int)) {
+	if n == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	fn(0)
+	wg.Wait()
 }
 
 // mergeRuns merges ascending runs into one ascending list, consuming the

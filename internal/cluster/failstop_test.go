@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -86,70 +87,79 @@ func TestFailStop(t *testing.T) {
 }
 
 // TestWatchCapRollback: a worker that refuses a watch registration with
-// a protocol error — here its own per-session watch cap, which the
-// coordinator cannot see (the shape of a stock remote qgpd behind a
-// shared multi-tenant front end whose cap is lifted) — does not
-// fail-stop the cluster. The partial registration is rolled back on the
-// workers that accepted it, the error goes to the one caller, and the
-// cluster keeps serving everyone else.
+// a protocol error — here its own per-session watch cap, the only cap
+// there is (the shape of a stock remote qgpd behind a shared
+// multi-tenant front end) — does not fail-stop the cluster. The partial
+// registration is rolled back on the workers that accepted it, the
+// error goes to the one caller, and the cluster keeps serving everyone
+// else.
 func TestWatchCapRollback(t *testing.T) {
-	g := gen.Social(gen.DefaultSocial(100, 1))
-	ts := []Transport{
-		InProcess(server.Config{MaxWatches: -1}),
-		InProcess(server.Config{MaxWatches: 2}),
-	}
-	c, err := New(g, ts, Config{D: 2, MaxWatches: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	q := mustParse(t, testPatterns[0])
-	for _, name := range []string{"w1", "w2"} {
-		if _, err := c.Watch(name, q); err != nil {
-			t.Fatalf("Watch(%s): %v", name, err)
-		}
-	}
+	for _, tc := range []struct {
+		caps    [2]int
+		refuser int // the worker the refusal names: the first to refuse
+	}{
+		{[2]int{-1, 2}, 1}, // worker 0 accepts, worker 1 refuses
+		{[2]int{2, 2}, 0},  // both refuse
+	} {
+		t.Run(fmt.Sprintf("caps %d,%d", tc.caps[0], tc.caps[1]), func(t *testing.T) {
+			g := gen.Social(gen.DefaultSocial(100, 1))
+			ts := []Transport{
+				InProcess(server.Config{MaxWatches: tc.caps[0]}),
+				InProcess(server.Config{MaxWatches: tc.caps[1]}),
+			}
+			c, err := New(g, ts, Config{D: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			q := mustParse(t, testPatterns[0])
+			for _, name := range []string{"w1", "w2"} {
+				if _, err := c.Watch(name, q); err != nil {
+					t.Fatalf("Watch(%s): %v", name, err)
+				}
+			}
 
-	// Third watch: worker 0 accepts, worker 1 rejects at its cap.
-	_, err = c.Watch("w3", q)
-	if err == nil {
-		t.Fatal("watch past the worker-side cap succeeded")
-	}
-	var we *WorkerError
-	if !errors.As(err, &we) {
-		t.Fatalf("cap rejection surfaced as %T (%v), want *WorkerError", err, err)
-	}
-	if we.Worker != 1 || !strings.Contains(err.Error(), "limit") {
-		t.Errorf("cap rejection %v does not name worker 1 and its limit", err)
-	}
+			_, err = c.Watch("w3", q)
+			if err == nil {
+				t.Fatal("watch past the worker-side cap succeeded")
+			}
+			var we *WorkerError
+			if !errors.As(err, &we) {
+				t.Fatalf("cap rejection surfaced as %T (%v), want *WorkerError", err, err)
+			}
+			if we.Worker != tc.refuser || !strings.Contains(err.Error(), "limit") {
+				t.Errorf("cap rejection %v does not name worker %d and its limit", err, tc.refuser)
+			}
 
-	// Not fail-stopped: reads and writes keep serving, and worker 0's
-	// rolled-back registration leaks no w3 delta into updates.
-	if _, err := c.Match(q); err != nil {
-		t.Fatalf("Match after rejected watch: %v", err)
-	}
-	res, err := c.Update([]server.UpdateSpec{{Op: "addNode", Label: "person"}})
-	if err != nil {
-		t.Fatalf("Update after rejected watch: %v", err)
-	}
-	for _, d := range res.Deltas {
-		if d.Watch == "w3" {
-			t.Fatalf("orphan registration leaked a w3 delta: %+v", d)
-		}
-	}
+			// Not fail-stopped: reads and writes keep serving, and a
+			// rolled-back registration leaks no w3 delta into updates.
+			if _, err := c.Match(q); err != nil {
+				t.Fatalf("Match after rejected watch: %v", err)
+			}
+			res, err := c.Update([]server.UpdateSpec{{Op: "addNode", Label: "person"}})
+			if err != nil {
+				t.Fatalf("Update after rejected watch: %v", err)
+			}
+			for _, d := range res.Deltas {
+				if d.Watch == "w3" {
+					t.Fatalf("orphan registration leaked a w3 delta: %+v", d)
+				}
+			}
 
-	// Freeing a slot on worker 1 lets the same name register cleanly on
-	// every worker; an orphan on worker 0 would reject it as a duplicate.
-	if err := c.Unwatch("w1"); err != nil {
-		t.Fatalf("Unwatch(w1): %v", err)
-	}
-	if _, err := c.Watch("w3", q); err != nil {
-		t.Fatalf("re-watch of the rolled-back name: %v", err)
-	}
-	got := c.Watches()
-	want := []string{"w2", "w3"}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Watches() = %v, want %v", got, want)
+			// Freeing a slot lets the same name register cleanly on every
+			// worker; an orphan left on any would reject it as a duplicate.
+			if err := c.Unwatch("w1"); err != nil {
+				t.Fatalf("Unwatch(w1): %v", err)
+			}
+			if _, err := c.Watch("w3", q); err != nil {
+				t.Fatalf("re-watch of the rolled-back name: %v", err)
+			}
+			got := c.Watches()
+			want := []string{"w2", "w3"}
+			if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+				t.Fatalf("Watches() = %v, want %v", got, want)
+			}
+		})
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 type FrontendConfig struct {
 	// Cluster is the coordinator configuration applied to the shared
 	// session (including Replicas, Pool and, for a durable session,
-	// Journal). A zero MaxWatches is lifted to unlimited: the one
-	// coordinator aggregates every tenant's watches, and quotas are
-	// enforced per tenant by the session manager instead.
+	// Journal). Watch quotas are per tenant (Tenancy); the workers hold
+	// every tenant's watches in one session each, so they need their
+	// own cap lifted (server.Config.MaxWatches < 0).
 	Cluster Config
 	// NewWorkers supplies a fresh set of worker transports for a
 	// cluster's coordinator. Required. The coordinator built over them
@@ -77,8 +77,8 @@ type DurableState struct {
 // coordinator write path — and the tenant layer (internal/tenant) gives
 // each connection (or named session, via the session command) a private
 // watch namespace with quotas and lifecycle. Reads are routed to the
-// least-loaded live copy of each fragment, fenced by the tenant's last
-// write so a session never misses its own update.
+// least-loaded live copy of each fragment; every live copy holds every
+// accepted update, so a session never misses its own.
 //
 // Requests go through qgpd's command table (server.Table) over one conn
 // per connection, so the two servers answer a request alike; the table
@@ -191,8 +191,7 @@ func (f *Frontend) openConn() (func(*server.Request) server.Response, func()) {
 
 // ensureTenant lazily attaches the connection to a fresh ephemeral
 // session: a client that never sends the session command still gets a
-// private watch namespace and a read-your-writes fence, scoped to its
-// connection.
+// private watch namespace, scoped to its connection.
 func (c *conn) ensureTenant() error {
 	if c.tenant != "" {
 		return nil
@@ -326,12 +325,6 @@ func (f *Frontend) buildCluster(g *graph.Graph, recovered bool) (*Coordinator, e
 	if f.cfg.Durable != nil {
 		ccfg.Journal = f.cfg.Durable.Journal
 	}
-	if ccfg.MaxWatches == 0 {
-		// The shared coordinator aggregates every tenant's watches;
-		// quotas are per tenant in the manager, so the per-session cap
-		// makes no sense here. An explicit positive cap is respected.
-		ccfg.MaxWatches = -1
-	}
 	var coord *Coordinator
 	if recovered {
 		coord, err = Recover(g, f.cfg.Durable.Watches, ts, ccfg)
@@ -374,8 +367,7 @@ func (c *conn) Served(class string, start time.Time) {
 }
 
 // SetGraph rebuilds the one cluster over g (gen, load) and resets every
-// tenant's watch table: their watches and version fences died with the old
-// coordinator.
+// tenant's watch table: their watches died with the old coordinator.
 func (c *conn) SetGraph(g *graph.Graph) (nodes, edges int, err error) {
 	f := c.f
 	f.smu.Lock()
@@ -392,14 +384,14 @@ func (c *conn) SetGraph(g *graph.Graph) (nodes, edges int, err error) {
 	return nodes, edges, nil
 }
 
-// Match reads are fenced at the tenant's last accepted write, so replica
-// routing never serves it a copy that predates its own update.
+// Match counts a read for the tenant and routes it across fragment copies.
 func (c *conn) Match(req *server.Request, profile bool) (server.Answer, error) {
 	q, err := core.Parse(req.Pattern)
 	if err != nil {
 		return server.Answer{}, err
 	}
-	opts := &MatchOptions{Engine: req.Engine, Budget: req.Budget, Planner: req.Planner, MinVersion: c.f.tenants.NoteRead(c.tenant)}
+	c.f.tenants.NoteRead(c.tenant)
+	opts := &MatchOptions{Engine: req.Engine, Budget: req.Budget, Planner: req.Planner}
 	var prof *MatchProfile
 	if profile {
 		prof = &MatchProfile{}
@@ -412,7 +404,7 @@ func (c *conn) Match(req *server.Request, profile bool) (server.Answer, error) {
 }
 
 // Update returns the writer only its own namespace's deltas (other tenants
-// drain theirs) and advances its fence to the batch's version.
+// drain theirs).
 func (c *conn) Update(req *server.Request, resp *server.Response, profile bool) (any, error) {
 	// Coordinator→worker routing, not client vocabulary: refused, not dropped.
 	if len(req.Owned) > 0 || req.Scoped || len(req.Affected) > 0 {
@@ -454,9 +446,9 @@ func (c *conn) Unwatch(name string) error {
 	return c.f.tenants.Unwatch(c.tenant, name)
 }
 
-// Stats is routed to fragment copies and fenced like a match.
+// Stats is routed to fragment copies like a match.
 func (c *conn) Stats() (*server.StatsSummary, error) {
-	return c.coord.Stats(c.f.tenants.Fence(c.tenant))
+	return c.coord.Stats()
 }
 
 // Partition reports the live fragmentation, whatever the request names.

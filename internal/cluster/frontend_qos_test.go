@@ -85,7 +85,7 @@ func TestFrontendThrottleOnTheWire(t *testing.T) {
 // TestFrontendTwoTenantFairness is the QoS regression: tenant A
 // saturates the shared front end with updates it has no budget for and
 // never drains its inbox; none of A's batches may reach the coordinator
-// (they are refused at admission, before the write lock B's fenced reads
+// (they are refused at admission, before the write lock B's routed reads
 // contend with), A's pending inbox must stay bounded (overflow to a
 // Resync marker, not growth), and both show up in the per-tenant metric
 // series.
@@ -120,8 +120,7 @@ func TestFrontendTwoTenantFairness(t *testing.T) {
 		t.Fatalf("pattern has %d answers; pick another seed", len(wa.Matches))
 	}
 
-	// B removes three of A's watch answers in one batch: B's fence
-	// advances (its later matches are fenced reads), and the delta lands
+	// B removes three of A's watch answers in one batch, and the delta lands
 	// in A's inbox — three ids against a cap of two, so A overflows to a
 	// Resync marker instead of growing.
 	batch := []server.UpdateSpec{
@@ -192,7 +191,7 @@ func TestFrontendTwoTenantFairness(t *testing.T) {
 		t.Errorf("cluster.update.count went %d -> %d under A's saturation: a batch without budget reached the coordinator", served, got)
 	}
 	if limit := 4*baseline + time.Second; contended > limit {
-		t.Errorf("B's %d fenced matches took %v under A's saturation vs %v alone (backstop %v)",
+		t.Errorf("B's %d matches took %v under A's saturation vs %v alone (backstop %v)",
 			rounds, contended, baseline, limit)
 	}
 

@@ -204,8 +204,8 @@ func TestFrontendEphemeralSessionDiesWithConnection(t *testing.T) {
 }
 
 // TestFrontendReadYourWrites: a tenant's match immediately after its own
-// update is fenced at the update's version token, so replica routing can
-// never serve it pre-update state.
+// update sees it, whichever copy replica routing picks: every copy
+// applied the update before it was accepted.
 func TestFrontendReadYourWrites(t *testing.T) {
 	pool := newTestPool(4)
 	fe := NewFrontend(FrontendConfig{

@@ -33,8 +33,8 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/client"
 	"repro/internal/graph"
@@ -75,26 +75,25 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 // is: the worker is alive, so killing it would not help.
 func (c *Coordinator) sendPrimary(w *worker, op string, req *server.Request, state graph.View) (*server.Response, error) {
 	// Each failover consumes a warm replica or a pool session, so the
-	// retry loop is bounded; +2 covers the initial attempt and one
-	// final re-ship after the replica list is exhausted. The bound is
-	// captured up front: failover shrinks w.replicas, and the last
-	// promotion still deserves its retry.
-	attempts := len(w.replicas) + 2
+	// retry loop is bounded: one attempt per copy, and one more after a
+	// final re-ship. The bound is captured up front: failover shrinks
+	// w.copies, and the last promotion still deserves its retry.
+	attempts := len(w.copies) + 1
 	for attempt := 0; attempt < attempts; attempt++ {
-		resp, err := w.primary.t.Do(req)
+		resp, err := w.copies[0].t.Do(req)
 		if err == nil {
 			return resp, nil
 		}
 		var se *client.ServerError
 		if errors.As(err, &se) {
-			return nil, &WorkerError{Worker: w.id, Endpoint: w.primary.endpoint, Op: op, Err: err}
+			return nil, &WorkerError{Worker: w.id, Endpoint: w.copies[0].endpoint, Op: op, Err: err}
 		}
 		if ferr := c.failover(w, state); ferr != nil {
-			return nil, &WorkerError{Worker: w.id, Endpoint: w.primary.endpoint, Op: op,
+			return nil, &WorkerError{Worker: w.id, Endpoint: w.copies[0].endpoint, Op: op,
 				Err: fmt.Errorf("%v; failover: %w", err, ferr)}
 		}
 	}
-	return nil, &WorkerError{Worker: w.id, Endpoint: w.primary.endpoint, Op: op,
+	return nil, &WorkerError{Worker: w.id, Endpoint: w.copies[0].endpoint, Op: op,
 		Err: errors.New("no worker session survived failover")}
 }
 
@@ -107,20 +106,16 @@ func (c *Coordinator) sendPrimary(w *worker, op string, req *server.Request, sta
 // coordinator is not failed: a later call may succeed once the pool
 // recovers.
 func (c *Coordinator) failover(w *worker, state graph.View) error {
-	w.primary.t.Close()
-	for len(w.replicas) > 0 {
-		r := w.replicas[0]
-		w.replicas = w.replicas[1:]
+	w.copies[0].t.Close()
+	for len(w.copies) > 1 {
+		r := w.copies[1]
 		if err := c.enlistWatches(r); err != nil {
-			r.t.Close()
-			w.dropped++
-			c.om.mirrorDropped()
-			c.cfg.Logf("cluster: fragment %d: replica on endpoint %d refused watches during promotion, dropped: %v", w.id, r.endpoint, err)
+			c.drop(w, 1, fmt.Errorf("refused watches during promotion: %w", err))
 			continue
 		}
-		w.primary = r
-		c.om.promoted()
-		c.cfg.Logf("cluster: fragment %d: promoted warm replica on endpoint %d to primary (%d replicas left)", w.id, r.endpoint, len(w.replicas))
+		w.copies = w.copies[1:]
+		c.om.promotions.Inc()
+		c.cfg.Logf("cluster: fragment %d: promoted warm replica on endpoint %d to primary (%d replicas left)", w.id, r.endpoint, len(w.copies)-1)
 		return nil
 	}
 	r, err := c.reship(w, state)
@@ -131,10 +126,24 @@ func (c *Coordinator) failover(w *worker, state graph.View) error {
 		r.t.Close()
 		return fmt.Errorf("re-registering watches on re-shipped fragment: %w", err)
 	}
-	w.primary = r
-	c.om.reshipped()
+	w.copies[0] = r
+	c.om.reships.Inc()
 	c.cfg.Logf("cluster: fragment %d: no warm replica left, re-shipped fragment to endpoint %d", w.id, r.endpoint)
 	return nil
+}
+
+// drop discards warm replica i (i ≥ 1) of w's fragment, whatever the
+// cause — a failed mirror, a refused promotion, a suspect, a failed probe:
+// the session is closed, removed from the copy list, counted in w.dropped
+// and cluster.replica.mirror_drops, and logged with why. Callers hold the
+// write side of c.mu, or run in the fan-out under it on w's own share.
+func (c *Coordinator) drop(w *worker, i int, why error) {
+	r := w.copies[i]
+	r.t.Close()
+	w.copies = slices.Delete(w.copies, i, i+1)
+	w.dropped++
+	c.om.mirrorDrops.Inc()
+	c.cfg.Logf("cluster: fragment %d: replica on endpoint %d dropped: %v", w.id, r.endpoint, why)
 }
 
 // enlistWatches registers every standing watch on a session about to
@@ -159,14 +168,7 @@ func (c *Coordinator) reship(w *worker, state graph.View) (*replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.newCopy(w, req, w.ids.owned)
-	if err != nil {
-		return nil, err
-	}
-	// The fresh copy is built from the authoritative graph at its
-	// current sync point, so it is synced to the current batch version.
-	r.version = c.version
-	return r, nil
+	return c.newCopy(w, req, w.ids.owned)
 }
 
 // shipRequest serializes w's fragment at the given authoritative-graph
@@ -203,11 +205,8 @@ func (c *Coordinator) newCopy(w *worker, ship *server.Request, weight int) (*rep
 // occupiedEndpoints lists the pool endpoints already hosting a copy of
 // the fragment, so placement avoids co-locating copies.
 func (w *worker) occupiedEndpoints() map[int]bool {
-	avoid := make(map[int]bool, len(w.replicas)+1)
-	if w.primary != nil && w.primary.endpoint >= 0 {
-		avoid[w.primary.endpoint] = true
-	}
-	for _, r := range w.replicas {
+	avoid := make(map[int]bool, len(w.copies))
+	for _, r := range w.copies {
 		if r.endpoint >= 0 {
 			avoid[r.endpoint] = true
 		}
@@ -216,57 +215,34 @@ func (w *worker) occupiedEndpoints() map[int]bool {
 }
 
 // mirror forwards a state-changing request the primary has applied to
-// every warm replica, concurrently: replicas only ever wait on the
+// every warm replica, concurrently (each): replicas only ever wait on the
 // primary, not on each other, so k-way replication adds one replica
 // round trip of latency instead of k-1. A replica that fails to apply
 // the request is no longer a faithful mirror and is dropped (Repair
 // recruits a replacement); the primary's result stands either way.
 func (c *Coordinator) mirror(w *worker, req *server.Request) {
-	switch len(w.replicas) {
-	case 0:
-		return
-	case 1:
-		// No fan-out to overlap; skip the goroutine machinery.
-		if _, err := w.replicas[0].t.Do(req); err != nil {
-			ep := w.replicas[0].endpoint
-			w.replicas[0].t.Close()
-			w.replicas = w.replicas[:0]
-			w.dropped++
-			c.om.mirrorDropped()
-			c.cfg.Logf("cluster: fragment %d: replica on endpoint %d failed to mirror %s, dropped: %v", w.id, ep, req.Cmd, err)
+	replicas := w.copies[1:]
+	// client.Do stamps the request's ID in place, so every send after the
+	// first is of its own shallow copy, taken before any send starts (the
+	// slices inside are read-only and safely shared).
+	cps := make([]server.Request, max(len(replicas)-1, 0))
+	for i := range cps {
+		cps[i] = *req
+	}
+	errs := make([]error, len(replicas))
+	each(len(replicas), func(i int) {
+		r := req
+		if i > 0 {
+			r = &cps[i-1]
 		}
-		return
-	}
-	ok := make([]bool, len(w.replicas))
-	var wg sync.WaitGroup
-	for i, r := range w.replicas {
-		wg.Add(1)
-		go func(i int, r *replica) {
-			defer wg.Done()
-			// Each goroutine sends its own shallow copy: client.Do stamps
-			// the request's ID in place, so sharing one Request across
-			// concurrent sends is a data race (the slices inside are
-			// read-only and safely shared).
-			cp := *req
-			if _, err := r.t.Do(&cp); err != nil {
-				r.t.Close()
-				return
-			}
-			ok[i] = true
-		}(i, r)
-	}
-	wg.Wait()
-	kept := w.replicas[:0]
-	for i, r := range w.replicas {
-		if !ok[i] {
-			w.dropped++
-			c.om.mirrorDropped()
-			c.cfg.Logf("cluster: fragment %d: replica on endpoint %d failed to mirror %s, dropped", w.id, r.endpoint, req.Cmd)
-			continue
+		_, errs[i] = replicas[i].t.Do(r)
+	})
+	// From the back, so a drop does not move a replica still to be seen.
+	for i := len(errs) - 1; i >= 0; i-- {
+		if errs[i] != nil {
+			c.drop(w, i+1, fmt.Errorf("mirroring %s: %w", req.Cmd, errs[i]))
 		}
-		kept = append(kept, r)
 	}
-	w.replicas = kept
 }
 
 // ProbeResult reports one fragment's health: nil errors mean the
@@ -290,16 +266,22 @@ func (c *Coordinator) Probe() ([]ProbeResult, error) {
 	if err := c.refuseLocked(); err != nil {
 		return nil, err
 	}
+	return c.probeLocked(), nil
+}
+
+// probeLocked probes every copy of every fragment, fragments concurrently.
+// Callers hold c.mu.
+func (c *Coordinator) probeLocked() []ProbeResult {
 	results := make([]ProbeResult, len(c.workers))
 	c.fanOut(func(w *worker) error {
-		pr := ProbeResult{Fragment: w.id, Primary: w.probe(w.primary)}
-		for _, r := range w.replicas {
-			pr.Replicas = append(pr.Replicas, w.probe(r))
+		errs := make([]error, len(w.copies))
+		for i, r := range w.copies {
+			errs[i] = w.probe(r)
 		}
-		results[w.id] = pr
+		results[w.id] = ProbeResult{Fragment: w.id, Primary: errs[0], Replicas: errs[1:]}
 		return nil
 	})
-	return results, nil
+	return results
 }
 
 // probe checks one fragment copy: reachable, holding a fragment, and at
@@ -336,15 +318,15 @@ func (c *Coordinator) FailOver(fragment int) error {
 	}
 	w := c.workers[fragment]
 	if err := c.failover(w, c.g); err != nil {
-		return &WorkerError{Worker: fragment, Endpoint: w.primary.endpoint, Op: "failover", Err: err}
+		return &WorkerError{Worker: fragment, Endpoint: w.copies[0].endpoint, Op: "failover", Err: err}
 	}
 	return nil
 }
 
 // RepairReport summarizes one Repair pass.
 type RepairReport struct {
-	// Dropped counts replicas discarded because they failed their
-	// probe.
+	// Dropped counts replicas discarded because a routed read marked
+	// them suspect or they failed their probe.
 	Dropped int
 	// Added counts fresh replicas shipped to restore Config.Replicas.
 	Added int
@@ -366,21 +348,16 @@ func (c *Coordinator) Repair() (RepairReport, error) {
 	// when a probe would pass (a transient transport error), the read
 	// router skips suspects forever, so replacing them restores read
 	// capacity.
-	c.pruneSuspectsLocked()
+	rep.Dropped = c.pruneSuspectsLocked()
 	var firstErr error
 	for _, w := range c.workers {
-		kept := w.replicas[:0]
-		for _, r := range w.replicas {
-			if w.probe(r) != nil {
-				r.t.Close()
-				w.dropped++
+		for i := len(w.copies) - 1; i > 0; i-- {
+			if err := w.probe(w.copies[i]); err != nil {
+				c.drop(w, i, err)
 				rep.Dropped++
-				continue
 			}
-			kept = append(kept, r)
 		}
-		w.replicas = kept
-		for len(w.replicas) < c.cfg.Replicas-1 {
+		for len(w.copies) < c.cfg.Replicas {
 			r, err := c.reship(w, c.g)
 			if err != nil {
 				if firstErr == nil {
@@ -388,39 +365,11 @@ func (c *Coordinator) Repair() (RepairReport, error) {
 				}
 				break
 			}
-			w.replicas = append(w.replicas, r)
+			w.copies = append(w.copies, r)
 			rep.Added++
 		}
 	}
 	return rep, firstErr
-}
-
-// FragmentStatus describes one fragment's serving state.
-type FragmentStatus struct {
-	Fragment     int
-	Endpoint     int // primary's pool endpoint, -1 unknown
-	Materialized int // nodes in the fragment
-	Owned        int // focus candidates answered for
-	Replicas     int // warm replicas currently alive
-	Dropped      int // replicas discarded over the coordinator's lifetime
-}
-
-// Status reports the serving state of every fragment.
-func (c *Coordinator) Status() []FragmentStatus {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]FragmentStatus, len(c.workers))
-	for i, w := range c.workers {
-		out[i] = FragmentStatus{
-			Fragment:     i,
-			Endpoint:     w.primary.endpoint,
-			Materialized: len(w.ids.toGlobal),
-			Owned:        w.ids.owned,
-			Replicas:     len(w.replicas),
-			Dropped:      w.dropped,
-		}
-	}
-	return out
 }
 
 // FragmentHealth is one fragment's liveness report, shaped for the
@@ -448,41 +397,34 @@ func (c *Coordinator) Health() ([]FragmentHealth, error) {
 	defer c.mu.RUnlock()
 	out := make([]FragmentHealth, len(c.workers))
 	refused := c.refuseLocked()
+	var probes []ProbeResult
+	if refused == nil {
+		probes = c.probeLocked()
+	}
 	for i, w := range c.workers {
-		fh := FragmentHealth{
+		out[i] = FragmentHealth{
 			Fragment:     i,
-			Endpoint:     w.primary.endpoint,
+			Endpoint:     w.copies[0].endpoint,
 			Materialized: len(w.ids.toGlobal),
 			Owned:        w.ids.owned,
-			Replicas:     len(w.replicas),
+			Replicas:     len(w.copies) - 1,
 			Dropped:      w.dropped,
 		}
-		if refused == nil {
-			if err := w.probe(w.primary); err != nil {
-				fh.PrimaryError = err.Error()
-			} else {
-				fh.PrimaryAlive = true
-			}
-			for _, r := range w.replicas {
-				if w.probe(r) == nil {
-					fh.ReplicasAlive++
-				}
+		if probes == nil {
+			continue
+		}
+		if err := probes[i].Primary; err != nil {
+			out[i].PrimaryError = err.Error()
+		} else {
+			out[i].PrimaryAlive = true
+		}
+		for _, err := range probes[i].Replicas {
+			if err == nil {
+				out[i].ReplicasAlive++
 			}
 		}
-		out[i] = fh
 	}
 	return out, refused
-}
-
-// ReplicaCounts returns each fragment's current warm-replica count.
-func (c *Coordinator) ReplicaCounts() []int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	counts := make([]int, len(c.workers))
-	for i, w := range c.workers {
-		counts[i] = len(w.replicas)
-	}
-	return counts
 }
 
 // Close releases every worker session the coordinator holds — primaries
@@ -497,15 +439,11 @@ func (c *Coordinator) Close() error {
 	c.closed = true
 	var first error
 	for _, w := range c.workers {
-		if err := w.primary.t.Close(); err != nil && first == nil {
-			first = err
-		}
-		for _, r := range w.replicas {
+		for _, r := range w.copies {
 			if err := r.t.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
-		w.replicas = nil
 	}
 	return first
 }
@@ -515,13 +453,11 @@ func (c *Coordinator) Close() error {
 // a failed New or Recover leaks none while the caller keeps ts.
 func (c *Coordinator) closeAcquired(ts []Transport) {
 	for i, w := range c.workers {
-		if w.primary.t != ts[i] {
-			w.primary.t.Close()
+		for _, r := range w.copies {
+			if r.t != ts[i] {
+				r.t.Close()
+			}
 		}
-		for _, r := range w.replicas {
-			r.t.Close()
-		}
-		w.replicas = nil
 	}
 }
 

@@ -147,7 +147,7 @@ func TestReshipAfterFragmentExtension(t *testing.T) {
 	before := globalAnswers(t, c.Graph(), q)
 	handed := pool.handedCount()
 	ts[far.id].Close()
-	far.replicas[0].t.Close()
+	far.copies[1].t.Close()
 	res, err := c.Match(q)
 	if err != nil {
 		t.Fatalf("Match with worker %d's primary and replica dead: %v", far.id, err)

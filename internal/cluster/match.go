@@ -28,12 +28,6 @@ type MatchOptions struct {
 	Engine  string // per-worker engine: qmatch | qmatchn | enum
 	Budget  int64  // extension budget forwarded to workers
 	Planner bool   // let each worker plan its matching order from fragment stats
-	// MinVersion is the read-your-writes fence: the read is only served
-	// from fragment copies synced to this coordinator batch version or
-	// later (Coordinator.Version / UpdateResult.Version after the
-	// caller's last write). The primary always qualifies. 0 accepts any
-	// live copy.
-	MinVersion uint64
 }
 
 // Match evaluates a quantified pattern across the cluster: the pattern is
@@ -65,7 +59,6 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *Match
 	defer func() { tr.Finish(err) }()
 
 	req := server.Request{Cmd: "match", Pattern: q.String(), Engine: c.cfg.Engine, Budget: c.cfg.Budget}
-	var minV uint64
 	if opts != nil {
 		if opts.Engine != "" {
 			req.Engine = opts.Engine
@@ -74,20 +67,17 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *Match
 			req.Budget = opts.Budget
 		}
 		req.Planner = opts.Planner
-		minV = opts.MinVersion
 	}
 	if prof != nil {
 		req.Cmd = "profile"
 	}
-	err = c.routedRead(tr, req, minV, func(replies []workerReply) error {
+	err = c.routedRead(tr, req, func(replies []workerReply) error {
 		tm := time.Now()
 		out := &MatchResult{PerWorker: make([]int, len(replies))}
 		runs := make([][]graph.NodeID, len(replies))
 		for i, r := range replies {
 			tr.Annotatef("w%d:compute=%.2fms answers=%d", i, r.resp.ElapsedMS, len(r.resp.Matches))
-			if c.om != nil {
-				c.om.workerMatchMS[i].Observe(r.rttMS)
-			}
+			c.om.workerMatchMS[i].Observe(r.rttMS)
 			out.PerWorker[i] = len(r.resp.Matches)
 			var err error
 			if runs[i], err = c.workers[i].globalRun(r.resp.Matches); err != nil {
@@ -123,10 +113,8 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *Match
 			prof.TotalMS = server.MsSince(start)
 			prof.Metrics = out.Metrics
 		}
-		if c.om != nil {
-			c.om.matchCount.Inc()
-			c.om.matchMS.ObserveSince(start)
-		}
+		c.om.matchCount.Inc()
+		c.om.matchMS.ObserveSince(start)
 		res = out
 		return nil
 	})

@@ -106,7 +106,7 @@ func (c *Coordinator) Explain(q *core.Pattern) (res *ExplainResult, err error) {
 	tr := c.cfg.Tracer.Start("explain")
 	defer func() { tr.Finish(err) }()
 	req := server.Request{Cmd: "explain", Pattern: q.String()}
-	err = c.routedRead(tr, req, 0, func(replies []workerReply) error {
+	err = c.routedRead(tr, req, func(replies []workerReply) error {
 		res = &ExplainResult{Op: "explain", Workers: len(replies), Fragments: make([]FragmentExplain, len(replies))}
 		for i, r := range replies {
 			res.Fragments[i] = FragmentExplain{Worker: i, Plan: r.resp.Profile}

@@ -20,19 +20,13 @@ package cluster
 //     the write lock, where sendPrimary can promote a warm replica or
 //     re-ship the fragment.
 //
-// Read-your-writes: every copy carries the coordinator batch version it
-// is synced to, and a read fenced with MatchOptions.MinVersion only
-// considers copies at or past that version. The primary always
-// qualifies — it applies every batch before the coordinator accepts it —
-// so a fenced read degrades to the primary rather than failing. Mirrors
-// are synchronous today (surviving replicas are always current at
-// rest), which makes the fence cheap insurance: it is what keeps a
-// tenant's own write visible to its next read even if mirroring ever
-// becomes asynchronous or a copy joins mid-history.
+// Any copy may serve any read, the caller's own last write included:
+// every copy is written under the write lock before a batch is accepted,
+// and a copy that fails is dropped, so under the read lock every live
+// copy is current.
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -56,15 +50,15 @@ type workerReply struct {
 
 // routedRead is the one read-only fan-out behind Match, Explain and
 // Stats. It sends a copy of req to every fragment under the read side of
-// c.mu, each routed to its least-loaded live copy synced to minV, so
-// concurrent reads overlap across the k copies of every fragment. Only
+// c.mu, each routed to its least-loaded live copy, so concurrent reads
+// overlap across the k copies of every fragment. Only
 // when a fragment has no live copy left does it count a fallback, take
 // the write lock, drop the suspects and rerun the whole fan-out through
 // sendPrimary, which fails over (promotion or re-ship) as needed; reads
 // do not change fragment state, so the rerun is always safe. merge runs
 // on the replies (indexed by worker id) under whichever lock the
 // successful fan-out held, so it may read coordinator bookkeeping.
-func (c *Coordinator) routedRead(tr *obs.Trace, req server.Request, minV uint64, merge func([]workerReply) error) error {
+func (c *Coordinator) routedRead(tr *obs.Trace, req server.Request, merge func([]workerReply) error) error {
 	run := func(readPath bool) error {
 		if err := c.refuseLocked(); err != nil {
 			return err
@@ -78,7 +72,7 @@ func (c *Coordinator) routedRead(tr *obs.Trace, req server.Request, minV uint64,
 			var resp *server.Response
 			var err error
 			if readPath {
-				resp, err = c.sendRead(w, req.Cmd, &r, minV)
+				resp, err = c.sendRead(w, req.Cmd, &r)
 			} else {
 				resp, err = c.sendPrimary(w, req.Cmd, &r, c.g)
 			}
@@ -99,7 +93,7 @@ func (c *Coordinator) routedRead(tr *obs.Trace, req server.Request, minV uint64,
 	err := run(true)
 	c.mu.RUnlock()
 	if errors.Is(err, errReadFailover) {
-		c.om.readFellBack()
+		c.om.readFallbacks.Inc()
 		c.mu.Lock()
 		c.pruneSuspectsLocked()
 		err = run(false)
@@ -109,17 +103,16 @@ func (c *Coordinator) routedRead(tr *obs.Trace, req server.Request, minV uint64,
 }
 
 // sendRead routes one read-only request to the least-loaded live copy
-// of w's fragment whose synced version is at least minV. A transport
-// failure marks the copy suspect and the next candidate is tried; a
-// protocol error (the worker answered) is returned as is. Callers hold
-// c.mu's read side.
-func (c *Coordinator) sendRead(w *worker, op string, req *server.Request, minV uint64) (*server.Response, error) {
+// of w's fragment. A transport failure marks the copy suspect and the
+// next candidate is tried; a protocol error (the worker answered) is
+// returned as is. Callers hold c.mu's read side.
+func (c *Coordinator) sendRead(w *worker, op string, req *server.Request) (*server.Response, error) {
 	for {
-		r := w.leastLoadedCopy(minV)
+		r := w.leastLoadedCopy()
 		if r == nil {
 			return nil, errReadFailover
 		}
-		atomic.AddInt64(&r.inflight, 1)
+		r.inflight.Add(1)
 		rt, tracked := r.t.(ReadTracker)
 		if tracked {
 			rt.ReadStart()
@@ -128,10 +121,14 @@ func (c *Coordinator) sendRead(w *worker, op string, req *server.Request, minV u
 		if tracked {
 			rt.ReadEnd()
 		}
-		atomic.AddInt64(&r.inflight, -1)
+		r.inflight.Add(-1)
 		if err == nil {
-			atomic.AddInt64(&r.reads, 1)
-			c.om.readRouted(r == w.primary)
+			r.reads.Add(1)
+			if r == w.copies[0] {
+				c.om.readPrimary.Inc()
+			} else {
+				c.om.readReplica.Inc()
+			}
 			return resp, nil
 		}
 		var se *client.ServerError
@@ -139,32 +136,24 @@ func (c *Coordinator) sendRead(w *worker, op string, req *server.Request, minV u
 			return nil, &WorkerError{Worker: w.id, Endpoint: r.endpoint, Op: op, Err: err}
 		}
 		r.suspect.Store(true)
-		c.om.readSuspected()
+		c.om.readSuspects.Inc()
 		c.cfg.Logf("cluster: fragment %d: copy on endpoint %d failed a routed read, marked suspect: %v", w.id, r.endpoint, err)
 	}
 }
 
-// leastLoadedCopy picks the eligible copy with the lowest read load:
-// not suspect, and synced to minV or later (the primary always
-// qualifies). Returns nil when no copy is eligible.
-func (w *worker) leastLoadedCopy(minV uint64) *replica {
+// leastLoadedCopy picks the copy with the lowest read load that is not
+// suspect, the earliest in the list on a tie. Returns nil when every
+// copy is suspect.
+func (w *worker) leastLoadedCopy() *replica {
 	var best *replica
 	var bestScore int64
-	consider := func(r *replica, isPrimary bool) {
+	for _, r := range w.copies {
 		if r.suspect.Load() {
-			return
+			continue
 		}
-		if !isPrimary && r.version < minV {
-			return
-		}
-		s := r.readScore()
-		if best == nil || s < bestScore {
+		if s := r.readScore(); best == nil || s < bestScore {
 			best, bestScore = r, s
 		}
-	}
-	consider(w.primary, true)
-	for _, r := range w.replicas {
-		consider(r, false)
 	}
 	return best
 }
@@ -177,47 +166,26 @@ func (r *replica) readScore() int64 {
 	if rt, ok := r.t.(ReadTracker); ok {
 		return int64(rt.ReadLoad())
 	}
-	return atomic.LoadInt64(&r.inflight)
+	return r.inflight.Load()
 }
 
 // pruneSuspectsLocked drops every replica a routed read marked suspect,
-// so mirrors stop paying round trips to dead sessions. A suspect
-// primary is left in place: the next sendPrimary contact trips over it
-// and runs real failover (promotion or re-ship), which pruning cannot
-// do for lack of a safe sync point here. Callers hold c.mu's write
-// side.
-func (c *Coordinator) pruneSuspectsLocked() {
+// so mirrors stop paying round trips to dead sessions, and returns how
+// many it dropped. A suspect primary is left in place: the next
+// sendPrimary contact trips over it and runs real failover (promotion
+// or re-ship), which pruning cannot do for lack of a safe sync point
+// here. Callers hold c.mu's write side.
+func (c *Coordinator) pruneSuspectsLocked() int {
+	n := 0
 	for _, w := range c.workers {
-		kept := w.replicas[:0]
-		for _, r := range w.replicas {
-			if r.suspect.Load() {
-				r.t.Close()
-				w.dropped++
-				c.om.mirrorDropped()
-				c.cfg.Logf("cluster: fragment %d: dropping suspect replica on endpoint %d", w.id, r.endpoint)
-				continue
+		for i := len(w.copies) - 1; i > 0; i-- {
+			if w.copies[i].suspect.Load() {
+				c.drop(w, i, errors.New("a routed read marked it suspect"))
+				n++
 			}
-			kept = append(kept, r)
-		}
-		w.replicas = kept
-	}
-}
-
-// bumpVersionLocked advances the coordinator's batch counter after a
-// successful update and stamps every surviving copy as synced to it:
-// contacted primaries applied the batch, surviving replicas mirrored it
-// (mirror drops the ones that failed), and uncontacted fragments were
-// not changed by it, so all their copies are trivially current. Callers
-// hold c.mu's write side.
-func (c *Coordinator) bumpVersionLocked() uint64 {
-	c.version++
-	for _, w := range c.workers {
-		w.primary.version = c.version
-		for _, r := range w.replicas {
-			r.version = c.version
 		}
 	}
-	return c.version
+	return n
 }
 
 // ReadDistribution reports, per fragment, how many routed reads each
@@ -229,12 +197,10 @@ func (c *Coordinator) ReadDistribution() [][]int64 {
 	defer c.mu.RUnlock()
 	out := make([][]int64, len(c.workers))
 	for i, w := range c.workers {
-		counts := make([]int64, 0, len(w.replicas)+1)
-		counts = append(counts, atomic.LoadInt64(&w.primary.reads))
-		for _, r := range w.replicas {
-			counts = append(counts, atomic.LoadInt64(&r.reads))
+		out[i] = make([]int64, len(w.copies))
+		for j, r := range w.copies {
+			out[i][j] = r.reads.Load()
 		}
-		out[i] = counts
 	}
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -12,8 +11,7 @@ import (
 	"repro/internal/server"
 )
 
-// TestLeastLoadedCopy: the router picks by read score, skips suspects,
-// and honors the version fence (primary always eligible).
+// TestLeastLoadedCopy: the router picks by read score and skips suspects.
 func TestLeastLoadedCopy(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(200, 13))
 	pool := newTestPool(4)
@@ -24,38 +22,77 @@ func TestLeastLoadedCopy(t *testing.T) {
 	defer c.Close()
 
 	w := c.workers[0]
-	if len(w.replicas) != 2 {
-		t.Fatalf("expected 2 warm replicas, got %d", len(w.replicas))
+	if len(w.copies) != 3 {
+		t.Fatalf("expected a primary and 2 warm replicas, got %d copies", len(w.copies))
 	}
 	// All idle: any copy qualifies; loading the chosen one must steer the
 	// next pick elsewhere.
-	first := w.leastLoadedCopy(0)
-	atomic.AddInt64(&first.inflight, 5)
-	second := w.leastLoadedCopy(0)
+	first := w.leastLoadedCopy()
+	first.inflight.Add(5)
+	second := w.leastLoadedCopy()
 	if second == first {
 		t.Fatal("router re-picked the loaded copy")
 	}
 
-	// Fence: replicas below minV are ineligible, the primary always is.
-	w.replicas[0].version = 3
-	w.replicas[1].version = 7
-	atomic.AddInt64(&w.primary.inflight, 100) // make the primary maximally unattractive
-	if r := w.leastLoadedCopy(5); r != w.replicas[1] {
-		t.Fatalf("fenced pick chose a copy at version %d, want the one at 7", r.version)
+	// Suspects are skipped outright, however idle.
+	w.copies[0].inflight.Add(100) // make the primary maximally unattractive
+	w.copies[1].suspect.Store(true)
+	w.copies[2].suspect.Store(true)
+	if r := w.leastLoadedCopy(); r != w.copies[0] {
+		t.Fatal("a suspect replica was picked over the loaded primary")
 	}
-	if r := w.leastLoadedCopy(9); r != w.primary {
-		t.Fatal("fence past every replica must degrade to the primary")
-	}
-
-	// Suspects are skipped outright.
-	w.replicas[1].suspect.Store(true)
-	if r := w.leastLoadedCopy(5); r != w.primary {
-		t.Fatal("suspect replica served a fenced read")
-	}
-	w.primary.suspect.Store(true)
-	w.replicas[0].suspect.Store(true)
-	if r := w.leastLoadedCopy(0); r != nil {
+	w.copies[0].suspect.Store(true)
+	if r := w.leastLoadedCopy(); r != nil {
 		t.Fatal("all copies suspect, router still picked one")
+	}
+}
+
+// TestReplicaServesOwnWrite: a read right after an update may be served by
+// any copy, because every copy applied the update before it was accepted.
+// With the primaries loaded, the replicas serve the next Match, and it
+// answers exactly what a single process does on the updated graph.
+func TestReplicaServesOwnWrite(t *testing.T) {
+	g := gen.Social(gen.DefaultSocial(200, 13))
+	pool := newTestPool(4)
+	c, err := New(g, InProcessN(2, server.Config{}), Config{D: 2, Replicas: 3, Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q := mustParse(t, testPatterns[0])
+	before, err := c.Match(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before.Matches) == 0 {
+		t.Fatal("pattern has no answers; pick another seed")
+	}
+	specs := []server.UpdateSpec{{Op: "removeNode", From: int64(before.Matches[0])}}
+	if _, err := c.Update(specs); err != nil {
+		t.Fatal(err)
+	}
+	ref := applySpecs(t, g, specs)
+
+	for _, w := range c.workers {
+		w.copies[0].inflight.Add(100)
+	}
+	pre := c.ReadDistribution()
+	got, err := c.Match(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := globalAnswers(t, ref, q); !reflect.DeepEqual(nodeIDs(got.Matches), nodeIDs(want)) {
+		t.Fatalf("read after the write = %v, single process %v", got.Matches, want)
+	}
+	post := c.ReadDistribution()
+	for i := range post {
+		served := int64(0)
+		for j := 1; j < len(post[i]); j++ {
+			served += post[i][j] - pre[i][j]
+		}
+		if post[i][0] != pre[i][0] || served != 1 {
+			t.Fatalf("fragment %d: the read was not served by a replica (%v -> %v)", i, pre[i], post[i])
+		}
 	}
 }
 
@@ -116,51 +153,6 @@ func TestReadsSpreadAcrossCopies(t *testing.T) {
 	}
 }
 
-// TestMinVersionRestrictsReplicas: a fenced match (MinVersion ahead of
-// every replica) is served — by primaries — and an unfenced one still
-// routes freely. Exercises the MatchOptions plumbing end to end.
-func TestMinVersionRestrictsReplicas(t *testing.T) {
-	g := gen.Social(gen.DefaultSocial(200, 13))
-	pool := newTestPool(4)
-	c, err := New(g, InProcessN(2, server.Config{}), Config{D: 2, Replicas: 2, Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	q := mustParse(t, testPatterns[0])
-
-	res, err := c.Update([]server.UpdateSpec{{Op: "addEdge", From: 1, To: 2, Label: "follow"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Version != 1 || c.Version() != 1 {
-		t.Fatalf("version token %d / coordinator %d, want 1/1", res.Version, c.Version())
-	}
-
-	// Artificially stale every replica; a read fenced at the token must
-	// fall back to primaries and still succeed.
-	for _, w := range c.workers {
-		for _, r := range w.replicas {
-			r.version = 0
-		}
-	}
-	pre := c.ReadDistribution()
-	if _, err := c.MatchWith(q, &MatchOptions{MinVersion: res.Version}); err != nil {
-		t.Fatalf("fenced match: %v", err)
-	}
-	post := c.ReadDistribution()
-	for i := range post {
-		if post[i][0] != pre[i][0]+1 {
-			t.Fatalf("fragment %d: fenced read did not go to the primary (%v -> %v)", i, pre[i], post[i])
-		}
-		for j := 1; j < len(post[i]); j++ {
-			if post[i][j] != pre[i][j] {
-				t.Fatalf("fragment %d: stale replica served a fenced read", i)
-			}
-		}
-	}
-}
-
 // TestReadFailoverKeepsProfile: a profiled match that trips read
 // failover still returns a profile document. Regression: the failed
 // first attempt returns (nil, nil, err), and matchWith used to let that
@@ -177,8 +169,7 @@ func TestReadFailoverKeepsProfile(t *testing.T) {
 	defer c.Close()
 	q := mustParse(t, testPatterns[0])
 
-	c.workers[0].primary.t.Close()
-	for _, r := range c.workers[0].replicas {
+	for _, r := range c.workers[0].copies {
 		r.t.Close()
 	}
 	prof := &MatchProfile{}
@@ -231,7 +222,7 @@ func TestReadFailoverFallback(t *testing.T) {
 		}},
 		{"Explain", func() (interface{}, error) { return c.Explain(q) }},
 		{"Stats", func() (interface{}, error) {
-			st, err := c.Stats(0)
+			st, err := c.Stats()
 			if err != nil {
 				return nil, err
 			}
@@ -249,9 +240,7 @@ func TestReadFailoverFallback(t *testing.T) {
 		}
 		// Kill fragment 0 outright: primary transport and every warm
 		// replica (none after an earlier iteration's re-ship).
-		w := c.workers[0]
-		w.primary.t.Close()
-		for _, r := range w.replicas {
+		for _, r := range c.workers[0].copies {
 			r.t.Close()
 		}
 		before := fallbacks.Value()

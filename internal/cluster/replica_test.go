@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -66,6 +67,17 @@ func (p *testPool) kill(i int) {
 	t.Close()
 }
 
+// replicaCounts reads each fragment's warm-replica count off its copy list.
+func replicaCounts(c *Coordinator) []int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	counts := make([]int, len(c.workers))
+	for i, w := range c.workers {
+		counts[i] = len(w.copies) - 1
+	}
+	return counts
+}
+
 // TestReplicatedNewAndPromotion: with Replicas=2 each fragment gets one
 // warm replica from the pool; killing a primary mid-stream promotes the
 // replica and the cluster keeps answering exactly like a single
@@ -79,8 +91,8 @@ func TestReplicatedNewAndPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if got := c.ReplicaCounts(); !reflect.DeepEqual(got, []int{1, 1}) {
-		t.Fatalf("ReplicaCounts = %v, want [1 1]", got)
+	if got := replicaCounts(c); !reflect.DeepEqual(got, []int{1, 1}) {
+		t.Fatalf("replica counts = %v, want [1 1]", got)
 	}
 	ref := c.Graph()
 	q := mustParse(t, testPatterns[0])
@@ -174,7 +186,7 @@ func TestProtocolErrorDoesNotFailOver(t *testing.T) {
 	if got := pool.handedCount(); got != handedBefore {
 		t.Fatalf("protocol error consumed %d pool sessions", got-handedBefore)
 	}
-	if got := c.ReplicaCounts(); !reflect.DeepEqual(got, []int{1, 1}) {
+	if got := replicaCounts(c); !reflect.DeepEqual(got, []int{1, 1}) {
 		t.Fatalf("protocol error consumed replicas: %v", got)
 	}
 	// The cluster is not failed: real queries still work.
@@ -183,67 +195,109 @@ func TestProtocolErrorDoesNotFailOver(t *testing.T) {
 	}
 }
 
-// TestReplicaDropAndRepair: a replica that dies is dropped at the next
-// mirrored batch without disturbing the primary's result, and Repair
-// restores the replication factor from the pool.
+// TestReplicaDropAndRepair: a replica that dies is dropped — at the next
+// mirrored batch, as a suspect, or by Repair's probe — without disturbing
+// the primary's result; every drop is counted and logged alike whatever
+// dropped it; and Repair restores the replication factor from the pool.
 func TestReplicaDropAndRepair(t *testing.T) {
-	g := gen.Social(gen.DefaultSocial(160, 9))
-	pool := newTestPool(4)
-	c, err := New(g, InProcessN(2, server.Config{}), Config{D: 2, Replicas: 2, Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	ref := c.Graph()
-	q := mustParse(t, testPatterns[0])
-	if _, err := c.Watch("w", q); err != nil {
-		t.Fatal(err)
-	}
-
-	// The first two pool sessions are the two fragments' replicas; kill
-	// both so every fragment loses its mirror.
-	pool.kill(0)
-	pool.kill(1)
-	specs := []server.UpdateSpec{
-		{Op: "addEdge", From: 1, To: 2, Label: "follow"},
-		{Op: "addEdge", From: int64(ref.NumNodes()) - 2, To: int64(ref.NumNodes()) - 1, Label: "follow"},
-	}
-	res, err := c.Update(specs)
-	if err != nil {
-		t.Fatalf("Update with dead replicas: %v", err)
-	}
-	ref = applySpecs(t, ref, specs)
-	if res.Nodes != ref.NumNodes() || res.Edges != ref.NumEdges() {
-		t.Fatalf("counts %d/%d != oracle %d/%d", res.Nodes, res.Edges, ref.NumNodes(), ref.NumEdges())
-	}
-	// Only fragments the batch contacted notice their dead mirror at
-	// mirror time; Repair probes and replaces the rest.
-	rep, err := c.Repair()
-	if err != nil {
-		t.Fatalf("Repair: %v", err)
-	}
-	if got := c.ReplicaCounts(); !reflect.DeepEqual(got, []int{1, 1}) {
-		t.Fatalf("ReplicaCounts after Repair = %v, want [1 1] (report %+v)", got, rep)
-	}
-	if rep.Added == 0 {
-		t.Fatalf("Repair added no replicas: %+v", rep)
-	}
-	// The repaired replicas are faithful mirrors.
-	probes, err := c.Probe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pr := range probes {
-		for i, rerr := range pr.Replicas {
-			if rerr != nil {
-				t.Fatalf("fragment %d replica %d unhealthy after repair: %v", pr.Fragment, i, rerr)
+	for _, tc := range []struct {
+		name     string
+		replicas int
+		// breakTwo breaks one replica of each fragment; with update, a
+		// batch runs before Repair, so mirroring can drop them first.
+		breakTwo func(c *Coordinator, pool *testPool)
+		update   bool
+	}{
+		{"both dead, then a batch", 2, func(_ *Coordinator, pool *testPool) {
+			// The first two pool sessions are the two fragments' replicas.
+			pool.kill(0)
+			pool.kill(1)
+		}, true},
+		{"one dead, one suspect", 3, func(c *Coordinator, _ *testPool) {
+			c.workers[0].copies[1].t.Close()
+			c.workers[1].copies[1].suspect.Store(true)
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := gen.Social(gen.DefaultSocial(160, 9))
+			pool := newTestPool(4)
+			reg := obs.NewRegistry()
+			var mu sync.Mutex
+			var dropLines []string
+			logf := func(format string, args ...interface{}) {
+				if line := fmt.Sprintf(format, args...); strings.Contains(line, " dropped: ") {
+					mu.Lock()
+					dropLines = append(dropLines, line)
+					mu.Unlock()
+				}
 			}
-		}
-	}
-	if got, err := c.Match(q); err != nil {
-		t.Fatal(err)
-	} else if want := globalAnswers(t, ref, q); !reflect.DeepEqual(nodeIDs(got.Matches), nodeIDs(want)) {
-		t.Fatalf("answers after repair %v != oracle %v", got.Matches, want)
+			c, err := New(g, InProcessN(2, server.Config{}), Config{D: 2, Replicas: tc.replicas, Pool: pool, Metrics: reg, Logf: logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			ref := c.Graph()
+			q := mustParse(t, testPatterns[0])
+			if _, err := c.Watch("w", q); err != nil {
+				t.Fatal(err)
+			}
+
+			tc.breakTwo(c, pool)
+			if tc.update {
+				specs := []server.UpdateSpec{
+					{Op: "addEdge", From: 1, To: 2, Label: "follow"},
+					{Op: "addEdge", From: int64(ref.NumNodes()) - 2, To: int64(ref.NumNodes()) - 1, Label: "follow"},
+				}
+				res, err := c.Update(specs)
+				if err != nil {
+					t.Fatalf("Update with dead replicas: %v", err)
+				}
+				ref = applySpecs(t, ref, specs)
+				if res.Nodes != ref.NumNodes() || res.Edges != ref.NumEdges() {
+					t.Fatalf("counts %d/%d != oracle %d/%d", res.Nodes, res.Edges, ref.NumNodes(), ref.NumEdges())
+				}
+			}
+			// Only fragments the batch contacted notice their dead mirror at
+			// mirror time; Repair drops and replaces the rest.
+			drops := reg.Counter("cluster.replica.mirror_drops")
+			beforeRepair := drops.Value()
+			rep, err := c.Repair()
+			if err != nil {
+				t.Fatalf("Repair: %v", err)
+			}
+			want := tc.replicas - 1
+			if got := replicaCounts(c); !reflect.DeepEqual(got, []int{want, want}) {
+				t.Fatalf("replica counts after Repair = %v, want [%d %d] (report %+v)", got, want, want, rep)
+			}
+			if rep.Added != 2 || int64(rep.Dropped) != drops.Value()-beforeRepair {
+				t.Fatalf("Repair reported %+v; it shipped 2 and dropped %d", rep, drops.Value()-beforeRepair)
+			}
+			health, _ := c.Health()
+			dropped := 0
+			for _, fh := range health {
+				dropped += fh.Dropped
+			}
+			if n := drops.Value(); n != 2 || dropped != 2 || len(dropLines) != 2 {
+				t.Fatalf("2 replicas dropped: mirror_drops %d, fragments count %d, %d log lines %q", n, dropped, len(dropLines), dropLines)
+			}
+			// The repaired replicas are faithful mirrors.
+			probes, err := c.Probe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pr := range probes {
+				for i, rerr := range pr.Replicas {
+					if rerr != nil {
+						t.Fatalf("fragment %d replica %d unhealthy after repair: %v", pr.Fragment, i, rerr)
+					}
+				}
+			}
+			if got, err := c.Match(q); err != nil {
+				t.Fatal(err)
+			} else if want := globalAnswers(t, ref, q); !reflect.DeepEqual(nodeIDs(got.Matches), nodeIDs(want)) {
+				t.Fatalf("answers after repair %v != oracle %v", got.Matches, want)
+			}
+		})
 	}
 }
 

@@ -72,7 +72,7 @@ func TestShippedFragmentEqualsText(t *testing.T) {
 			if err != nil {
 				t.Fatalf("fragment %d shipped as text: %s: %v", w.id, req.Cmd, err)
 			}
-			shipped, err := w.primary.t.Do(&req)
+			shipped, err := w.copies[0].t.Do(&req)
 			if err != nil {
 				t.Fatalf("fragment %d as shipped: %s: %v", w.id, req.Cmd, err)
 			}

@@ -18,18 +18,17 @@ import (
 // the replication factor like every other read.
 
 // Stats fans the stats command out across fragment copies (routedRead)
-// and merges the owned-restricted summaries. minV is the
-// read-your-writes fence (0 accepts any live copy), exactly as for
-// Match. The merged summary is exact — equal to collecting over the whole
-// graph in one process — because ownership partitions the nodes and each
-// owned node's full neighborhood is materialized in its owner's fragment.
-func (c *Coordinator) Stats(minV uint64) (res *server.StatsSummary, err error) {
+// and merges the owned-restricted summaries. The merged summary is exact
+// — equal to collecting over the whole graph in one process — because
+// ownership partitions the nodes and each owned node's full neighborhood
+// is materialized in its owner's fragment.
+func (c *Coordinator) Stats() (res *server.StatsSummary, err error) {
 	tr := c.cfg.Tracer.Start("stats")
 	defer func() { tr.Finish(err) }()
 	// TopK 1 keeps the workers' rendered-string work minimal; the merge
 	// consumes only the complete structured rows.
 	req := server.Request{Cmd: "stats", TopK: 1}
-	err = c.routedRead(tr, req, minV, func(replies []workerReply) error {
+	err = c.routedRead(tr, req, func(replies []workerReply) error {
 		res = mergeStats(replies)
 		return nil
 	})

@@ -35,10 +35,8 @@ type UpdateResult struct {
 	// flipped — the "work proportional to the change" observable: for a
 	// small batch on a large graph it should be far below |V|.
 	AffectedSize int
-	// Version is the coordinator batch counter after this batch. A
-	// caller that fences its later reads with MatchOptions.MinVersion =
-	// Version can never read a fragment copy that missed this batch —
-	// the read-your-writes token of the replica-read router.
+	// Version counts the batches the coordinator has accepted, this one
+	// included. benchmark/ reads this name; delete after ROADMAP 1(a).
 	Version uint64
 }
 
@@ -206,11 +204,9 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 			prof.WorkRatio = float64(prof.AffectedSize) / float64(prof.Nodes)
 		}
 	}
-	if c.om != nil {
-		c.om.updateBatch.Observe(float64(len(specs)))
-		c.om.updateAffected.Observe(float64(len(reverify)))
-		c.om.affectedRatio.Set(int64(len(reverify)) * 1_000_000 / int64(newG.NumNodes()))
-	}
+	c.om.updateBatch.Observe(float64(len(specs)))
+	c.om.updateAffected.Observe(float64(len(reverify)))
+	c.om.affectedRatio.Set(int64(len(reverify)) * 1_000_000 / int64(newG.NumNodes()))
 
 	// Assign each node the batch created to the worker owning the fewest:
 	// assignTo[i] is the worker of node oldG.NumNodes()+i.
@@ -249,16 +245,12 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		tplan := time.Now()
 		p := c.planFor(w, oldG, newG, changed, touched, matCand, reverify, assignTo)
 		if p == nil || p.empty() {
-			if c.om != nil {
-				c.om.workersSkipped.Inc()
-			}
+			c.om.workersSkipped.Inc()
 			return nil
 		}
 		tr.Span(w.id, "plan", tplan)
 		contacted[w.id] = true
-		if c.om != nil {
-			c.om.workersRouted.Inc()
-		}
+		c.om.workersRouted.Inc()
 		var wp *WorkerUpdateProfile
 		if prof != nil {
 			// Each goroutine writes only its own slot; no lock needed.
@@ -292,9 +284,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		}
 		tr.Span(w.id, "rtt", trtt)
 		tr.Annotatef("w%d:muts=%d affected=%d", w.id, len(p.batch), len(p.affected))
-		if c.om != nil {
-			c.om.workerUpdateMS[w.id].ObserveSince(trtt)
-		}
+		c.om.workerUpdateMS[w.id].ObserveSince(trtt)
 		if wp != nil {
 			wp.RTTMS = server.MsSince(trtt)
 			wp.Profile = resp.Profile
@@ -308,7 +298,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		for _, gv := range p.assign {
 			w.ids.setOwned(gv)
 		}
-		if len(w.replicas) > 0 {
+		if len(w.copies) > 1 {
 			tmir := time.Now()
 			c.mirror(w, req)
 			tr.Span(w.id, "mirror", tmir)
@@ -330,12 +320,8 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 			}
 		}
 	}
-	out := &UpdateResult{Nodes: newG.NumNodes(), Edges: newG.NumEdges(), AffectedSize: len(reverify)}
-	// The batch is applied everywhere it needed to go: primaries saw it
-	// first, mirror() dropped every replica that failed it, and
-	// uncontacted fragments were untouched — so stamping every surviving
-	// copy with the new version is exact.
-	out.Version = c.bumpVersionLocked()
+	c.batches++
+	out := &UpdateResult{Nodes: newG.NumNodes(), Edges: newG.NumEdges(), AffectedSize: len(reverify), Version: c.batches}
 	for i, hit := range contacted {
 		if hit {
 			out.Contacted = append(out.Contacted, i)
@@ -353,11 +339,9 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		prof.MergeMS = server.MsSince(tm)
 		prof.TotalMS = server.MsSince(start)
 	}
-	if c.om != nil {
-		c.om.updateCount.Inc()
-		c.om.updateFanout.Observe(float64(len(out.Contacted)))
-		c.om.updateMS.ObserveSince(start)
-	}
+	c.om.updateCount.Inc()
+	c.om.updateFanout.Observe(float64(len(out.Contacted)))
+	c.om.updateMS.ObserveSince(start)
 	return out, nil
 }
 

@@ -42,20 +42,6 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 	if _, dup := c.watches[name]; dup {
 		return nil, fmt.Errorf("cluster: watch %q already registered", name)
 	}
-	// Mirror the workers' per-session cap (server.go) before fanning out
-	// so the common overflow is caught without paying a round trip. The
-	// multi-tenant front end lifts both caps (MaxWatches < 0,
-	// server.Config.MaxWatches < 0 — remote qgpd workers need
-	// -max-watches -1) and enforces per-tenant quotas itself; a worker
-	// that still rejects (a misconfigured or stock remote worker keeping
-	// its own cap) is handled below by rolling the fan-out back.
-	max := c.cfg.MaxWatches
-	if max == 0 {
-		max = 16
-	}
-	if max > 0 && len(c.watches) >= max {
-		return nil, fmt.Errorf("cluster: session limit of %d standing patterns reached", max)
-	}
 
 	pattern := q.String()
 	responses := make([]*server.Response, len(c.workers))
@@ -72,9 +58,9 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 	if err != nil {
 		// Some workers may now hold the watch while others don't; deltas
 		// from the orphans would leak into later updates. A protocol
-		// rejection (the worker answered, e.g. a remote qgpd enforcing
-		// its own per-session watch cap, which the coordinator cannot
-		// see) left every contacted worker alive and changed no graph
+		// rejection (the worker answered, e.g. at its per-session watch
+		// cap, server.Config.MaxWatches; the coordinator has no cap of its
+		// own) left every contacted worker alive and changed no graph
 		// state, so the orphans are rolled back and the error stays
 		// scoped to this one caller instead of fail-stopping the shared
 		// cluster for every tenant. A transport failure (worker died
@@ -115,10 +101,8 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 			return nil, c.failed
 		}
 	}
-	if c.om != nil {
-		c.om.watchCount.Inc()
-		c.om.watchGroups.Set(int64(len(c.groups)))
-	}
+	c.om.watchCount.Inc()
+	c.om.watchGroups.Set(int64(len(c.groups)))
 	return mergeRuns(runs), nil
 }
 
@@ -182,9 +166,7 @@ func (c *Coordinator) Unwatch(name string) error {
 		c.compileReachLocked()
 	}
 	delete(c.watches, name)
-	if c.om != nil {
-		c.om.watchGroups.Set(int64(len(c.groups)))
-	}
+	c.om.watchGroups.Set(int64(len(c.groups)))
 	if c.cfg.Journal != nil {
 		if err := c.cfg.Journal.WatchRemoved(name); err != nil {
 			c.failed = fmt.Errorf("journal unwatch %q: %w", name, err)

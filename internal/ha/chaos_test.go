@@ -217,7 +217,7 @@ func TestChaosWorkerKilledMidStream(t *testing.T) {
 			}
 			if tc.replicas > 1 {
 				// Promotion consumed fragment 1's warm replica.
-				if counts := c.ReplicaCounts(); counts[1] != 0 {
+				if counts := replicaCounts(t, c); counts[1] != 0 {
 					t.Errorf("fragment 1 replicas = %d after promotion, want 0 (counts %v)", counts[1], counts)
 				}
 			}

@@ -71,8 +71,8 @@ func TestMonitorFailoverPolicy(t *testing.T) {
 	if st.ReplicasAdded == 0 {
 		t.Fatalf("repair added no replicas: %+v", st)
 	}
-	if got := c.ReplicaCounts(); !reflect.DeepEqual(got, []int{1, 1, 1}) {
-		t.Fatalf("ReplicaCounts after repair = %v, want [1 1 1]", got)
+	if got := replicaCounts(t, c); !reflect.DeepEqual(got, []int{1, 1, 1}) {
+		t.Fatalf("replica counts after repair = %v, want [1 1 1]", got)
 	}
 	probes, err := c.Probe()
 	if err != nil {
@@ -132,4 +132,18 @@ func TestMonitorLoop(t *testing.T) {
 			t.Fatalf("fragment %d unhealthy after loop failover: %v", pr.Fragment, pr.Primary)
 		}
 	}
+}
+
+// replicaCounts reads each fragment's warm-replica count off Health.
+func replicaCounts(t *testing.T, c *cluster.Coordinator) []int {
+	t.Helper()
+	fhs, err := c.Health()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int, len(fhs))
+	for i, fh := range fhs {
+		counts[i] = fh.Replicas
+	}
+	return counts
 }

@@ -17,10 +17,9 @@
 // their local names, every other tenant's are coalesced into its pending
 // inbox until that tenant drains them (the deltas command).
 //
-// Read-your-writes across replicas: NoteWrite remembers the version token
-// the coordinator returned for a tenant's update, Fence returns it, and
-// the front end passes it as MatchOptions.MinVersion so routed reads
-// never land on a replica older than the tenant's last accepted write.
+// A tenant needs nothing here to read its own writes: the coordinator
+// writes every fragment copy before it accepts a batch, so whichever copy
+// serves the tenant's next read already holds it.
 package tenant
 
 import (
@@ -88,8 +87,8 @@ type Config struct {
 	// MaxTenants caps live sessions (0 = 1024, negative = unlimited).
 	MaxTenants int
 	// MaxWatches caps standing patterns per tenant (0 = 16, negative =
-	// unlimited) — the per-tenant replacement for the per-session cap the
-	// front end lifts on the shared coordinator.
+	// unlimited) — the per-tenant replacement for the per-session cap a
+	// shared coordinator's workers run without.
 	MaxWatches int
 	// IdleTimeout evicts named sessions with no attached connection and
 	// no command for this long (0 = 15m, negative = never). Ephemeral
@@ -194,7 +193,6 @@ type pending struct {
 type state struct {
 	watches   map[string]string   // local watch name -> pattern
 	pend      map[string]*pending // local watch name -> undrained delta
-	fence     uint64              // version token of the last accepted write
 	lastSeen  time.Time           // last command on behalf of this tenant
 	refs      int                 // attached connections
 	writes    int64
@@ -546,44 +544,25 @@ func sortedIDs(set map[int64]bool) []int64 {
 	return ids
 }
 
-// NoteWrite records the version token of the tenant's accepted update; a
-// later Fence returns it as the read-your-writes floor.
+// NoteWrite counts an accepted update on behalf of the tenant. version is
+// unused: benchmark/ passes it; delete after ROADMAP 1(a).
 func (m *Manager) NoteWrite(tenant string, version uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if st, ok := m.tenants[tenant]; ok {
-		if version > st.fence {
-			st.fence = version
-		}
 		st.writes++
 		st.lastSeen = m.now()
 	}
 }
 
-// NoteRead counts a routed read on behalf of the tenant and returns its
-// fence: the minimum coordinator version a replica must have mirrored for
-// this tenant's reads to see its own writes.
-func (m *Manager) NoteRead(tenant string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.tenants[tenant]
-	if !ok {
-		return 0
-	}
-	st.reads++
-	st.lastSeen = m.now()
-	return st.fence
-}
-
-// Fence returns the tenant's read-your-writes floor without counting a
-// read.
-func (m *Manager) Fence(tenant string) uint64 {
+// NoteRead counts a routed read on behalf of the tenant.
+func (m *Manager) NoteRead(tenant string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if st, ok := m.tenants[tenant]; ok {
-		return st.fence
+		st.reads++
+		st.lastSeen = m.now()
 	}
-	return 0
 }
 
 // Watches returns the tenant's local watch names, sorted.
@@ -778,10 +757,10 @@ func (m *Manager) Restore(watches map[string]string) {
 	m.mWatches.Add(total)
 }
 
-// Reset drops every session's watch table, pending deltas, and fence —
-// the shared graph was rebuilt (gen/load), so registered watches and
-// version tokens no longer exist on the coordinator. Sessions themselves
-// survive: attached connections keep their names.
+// Reset drops every session's watch table and pending deltas — the shared
+// graph was rebuilt (gen/load), so registered watches no longer exist on
+// the coordinator. Sessions themselves survive: attached connections keep
+// their names.
 func (m *Manager) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -790,7 +769,6 @@ func (m *Manager) Reset() {
 		dropped += int64(len(st.watches))
 		st.watches = make(map[string]string)
 		st.pend = make(map[string]*pending)
-		st.fence = 0
 	}
 	m.mWatches.Add(-dropped)
 }
