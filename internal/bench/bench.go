@@ -89,7 +89,7 @@ func All() []Experiment {
 		{12, "Fig 8(l)", "varying |G| (synthetic)", exp12},
 		{13, "Exp-3", "QGAR mining effectiveness", exp13},
 		{14, "Ext-1", "planner ablation: default vs statistics-driven order", exp14},
-		{15, "Ext-2", "dynamic maintenance: incremental vs recompute", exp15},
+		{15, "Ext-2", "dynamic maintenance: candidates reached, re-judged and flipped per batch", exp15},
 	}
 }
 

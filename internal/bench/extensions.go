@@ -3,9 +3,13 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math/rand"
+	"slices"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dynamic"
+	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -56,61 +60,64 @@ func exp14(sc Scale, w io.Writer) error {
 	return nil
 }
 
-// exp15 — dynamic maintenance: answers kept live over a stream of edge
-// insertions, incrementally (Matcher) vs full recomputation, per batch
-// count.
+// exp15 — dynamic maintenance: each pattern of the benchmark's mix kept as a
+// standing watch over a social graph, under the benchmark's batch shape —
+// 4 follow edges inserted between pseudo-random persons, and the 4 a batch
+// four earlier inserted removed again. Per pattern it reports, per batch,
+// the focus candidates the pattern's reach plan names (what a cluster
+// coordinator ships), those the watch's counts re-judged, and the answers
+// that flipped. The three counts are deterministic; wall_ms is the watch's
+// upkeep alone.
 func exp15(sc Scale, w io.Writer) error {
-	g := gen.Social(gen.DefaultSocial(sc.SocialPersons/2, sc.Seed))
-	patterns := patternsWithHops(g, gen.PatternConfig{
-		Nodes: 3, Edges: 3, RatioBP: 3000, Seed: sc.Seed + 99,
-	}, 1, 2)
-	if len(patterns) == 0 {
-		return fmt.Errorf("exp15: no feasible pattern")
-	}
-	q := patterns[0]
-
-	for _, batches := range []int{5, 10, 20} {
-		ups := make([][]graph.Mutation, batches)
-		for i := range ups {
-			f := graph.NodeID((i * 37) % g.NumNodes())
-			to := graph.NodeID((i*91 + 13) % g.NumNodes())
-			ups[i] = []graph.Mutation{graph.AddEdge(f, to, "follow")}
+	const batches, lag = 200, 4
+	g := gen.Social(gen.DefaultSocial(sc.SocialPersons, sc.Seed))
+	r := rand.New(rand.NewSource(sc.Seed))
+	follows := make([]graph.Mutation, 4*batches)
+	for i := range follows {
+		// gen.Social numbers the persons first.
+		from, to := graph.NodeID(r.Intn(sc.SocialPersons)), graph.NodeID(r.Intn(sc.SocialPersons-1))
+		if to >= from {
+			to++
 		}
-		x := fmt.Sprintf("%d", batches)
-
-		start := time.Now()
-		m, err := dynamic.NewMatcher(g, q)
+		follows[i] = graph.AddEdge(from, to, "follow")
+	}
+	for _, mp := range fixture.Mix {
+		q, err := core.Parse(mp.DSL)
 		if err != nil {
 			return err
 		}
-		verified := 0
-		for _, u := range ups {
-			d, err := m.Apply(u)
-			if err != nil {
-				return err
-			}
-			verified += d.Affected
+		vg := graph.NewVersioned(g.Clone())
+		m, err := dynamic.NewMatcher(vg.Graph(), q)
+		if err != nil {
+			return err
 		}
-		row(w, 15, x, "increment", time.Since(start), int64(verified), int64(verified), len(m.Answers()))
-
-		start = time.Now()
-		cur := g
-		recomputeWork := 0
-		var finalMatches int
-		for _, u := range ups {
-			ng, _, err := dynamic.Apply(cur, u)
+		reachPlan := dynamic.NewReachPlan(q)
+		var upkeep time.Duration
+		reach, judged, flips := 0, 0, 0
+		for i := 0; i < batches; i++ {
+			ups := slices.Clone(follows[4*i : 4*i+4])
+			if i >= lag {
+				for _, f := range follows[4*(i-lag) : 4*(i-lag)+4] {
+					ups = append(ups, graph.RemoveEdge(f.From, f.To, f.Label))
+				}
+			}
+			old, touched, err := vg.Apply(ups)
 			if err != nil {
 				return err
 			}
-			cur = ng
-			res, err := match.QMatch(cur, q, nil)
+			reach += len(reachPlan.Affected(old, vg.Graph(), touched))
+			start := time.Now()
+			d, err := m.ApplyShared(old, vg.Graph(), touched)
 			if err != nil {
 				return err
 			}
-			recomputeWork += res.Metrics.FocusCandidates
-			finalMatches = len(res.Matches)
+			upkeep += time.Since(start)
+			judged += d.Affected
+			flips += len(d.Added) + len(d.Removed)
 		}
-		row(w, 15, x, "recompute", time.Since(start), int64(recomputeWork), int64(recomputeWork), finalMatches)
+		per := func(n int) float64 { return float64(n) / batches }
+		fmt.Fprintf(w, "exp 15  x=%-12s series=%-9s wall_ms=%-9.2f reach_per_batch=%-7.2f rejudged_per_batch=%-7.2f flips_per_batch=%.2f\n",
+			mp.Name, "watch", float64(upkeep.Microseconds())/1000, per(reach), per(judged), per(flips))
 	}
 	return nil
 }

@@ -108,7 +108,16 @@ func TestOneRequestOneAnswer(t *testing.T) {
 		`"cmd":"profile"`,
 		`"cmd":"update"`,
 		`"cmd":"update","updates":[]`,
+		// Billions of nodes, refused by the size cap before anything is
+		// reserved for them.
+		`"cmd":"load","data":"graph 3000000000\n"`,
+		`"cmd":"gen","size":3000000000`,
 	})
+	for i, r := range ts.send(`"cmd":"ping"`) {
+		if !r.OK || !r.Pong {
+			t.Errorf("%s: ping after the refusals: ok=%v error=%q", ts.names[i], r.OK, r.Error)
+		}
+	}
 	snap := ts.workers.Snapshot()
 	for _, cmd := range []string{"match", "profile", "explain", "watch", "update"} {
 		if n := snap.Counters["server.cmd."+cmd+".count"]; n != 0 {

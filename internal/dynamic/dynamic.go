@@ -9,11 +9,15 @@
 // the membership of focus nodes within d undirected hops of a touched
 // node — measured in the old graph for deletions and in the new graph for
 // insertions (AffectedWithin, the reference bound). Inside that ball the
-// pattern decides: ReachPlan walks the pattern's own labels and
-// directions back from each changed edge, and Matcher re-verifies only
-// the candidates the walk reaches, reusing every other cached answer.
-// Engine holds a session's standing watches, one Matcher per distinct
-// pattern however many names subscribe to it.
+// pattern decides. A countable pattern (a tree whose only same-label nodes
+// are adjacent, quantified away from the focus) keeps per-node counts that
+// a batch's edits move, and Matcher re-judges only the candidates whose
+// counts moved, with no search. Any other pattern's ReachPlan walks the
+// pattern's own labels and directions back from each changed edge, and
+// Matcher re-verifies the candidates the walk reaches by a search. Every
+// other cached answer is reused. Engine holds a session's standing
+// watches, one Matcher per distinct pattern however many names subscribe
+// to it.
 //
 // A batch is a []graph.Mutation, the graph's own write vocabulary, applied
 // by graph.Versioned.Apply; Apply and AffectedWithin here are the oracles

@@ -37,8 +37,9 @@ type group struct {
 type NamedDelta struct {
 	Name string
 	Delta
-	// AffectedTime and VerifyTime are the group's stage timings (affected
-	// set, candidate re-verification), for profile documents.
+	// AffectedTime and VerifyTime are the group's stage timings, for profile
+	// documents: finding the candidates (carrying the counts over the batch,
+	// or walking the reach plan) and re-judging them.
 	AffectedTime, VerifyTime time.Duration
 }
 
@@ -116,23 +117,38 @@ func (e *Engine) Unwatch(name string) error {
 	return nil
 }
 
-// Apply maintains every group for a batch the caller already applied
-// (old, newG and touched as for Matcher.ApplyShared), each re-verifying
-// its own pattern's reach, and returns one delta per name, ascending.
-func (e *Engine) Apply(old graph.View, newG *graph.Graph, touched []graph.NodeID) ([]NamedDelta, error) {
-	e.g = newG
-	return e.run(func(m *Matcher) []graph.NodeID {
-		return e.owned.filter(m.plan.Affected(old, newG, touched))
-	})
+// Apply maintains every group for a batch the caller already applied (old,
+// newG and touched as for Matcher.ApplyShared) and returns one delta per
+// name, ascending.
+func (e *Engine) Apply(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID) ([]NamedDelta, error) {
+	return e.advance(old, newG, func(m *Matcher) []graph.NodeID { return m.plan.Affected(old, newG, touched) })
 }
 
-// ApplyScoped is Apply with the affected candidates given (a cluster
-// worker gets the union over the coordinator's patterns): they are
-// intersected with the owned set once and every group re-verifies them.
-func (e *Engine) ApplyScoped(newG *graph.Graph, affected []graph.NodeID) ([]NamedDelta, error) {
+// ApplyScoped is Apply with the affected candidates given: a cluster worker
+// gets the union over the coordinator's patterns, and a group outside the
+// countable class re-verifies those it owns. A counted group reads the
+// batch's edits off old as in Apply.
+func (e *Engine) ApplyScoped(old *graph.OldView, newG *graph.Graph, affected []graph.NodeID) ([]NamedDelta, error) {
+	return e.advance(old, newG, func(*Matcher) []graph.NodeID { return affected })
+}
+
+// advance runs every group over a batch: a counted group re-judges the owned
+// candidates its counts re-judged over the batch's edits, which are read
+// once for all groups; any other group re-verifies the owned candidates
+// reach names.
+func (e *Engine) advance(old *graph.OldView, newG *graph.Graph, reach func(*Matcher) []graph.NodeID) ([]NamedDelta, error) {
 	e.g = newG
-	affected = e.owned.filter(affected)
-	return e.run(func(*Matcher) []graph.NodeID { return affected })
+	var edits []graph.EdgeEdit
+	if len(e.groups) > 0 {
+		edits = old.Edits()
+	}
+	born := graph.NodeID(old.NumNodes())
+	return e.run(func(m *Matcher) []graph.NodeID {
+		if m.counts != nil {
+			return e.owned.filter(m.recount(newG, edits, born))
+		}
+		return e.owned.filter(reach(m))
+	})
 }
 
 // Assign extends a fragment engine's owned set and returns, per name, the
@@ -156,7 +172,7 @@ func (e *Engine) run(scope func(*Matcher) []graph.NodeID) ([]NamedDelta, error) 
 		t0 := time.Now()
 		cands := scope(gr.m)
 		t1 := time.Now()
-		d, err := gr.m.reverify(e.g, cands)
+		d, err := gr.m.verify(e.g, cands)
 		if err != nil {
 			return nil, fmt.Errorf("watch pattern %q: %w", gr.pattern, err)
 		}

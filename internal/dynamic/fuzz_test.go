@@ -4,8 +4,8 @@ package dynamic
 // it through the versioned in-place core and through the rebuild oracle,
 // and demands the two paths agree: same accept/reject decision, and on
 // acceptance a canonically identical finalized graph plus the same
-// touched set, an old view equal to the pre-batch graph however it is
-// read, and a rollback that restores that graph — after which a second
+// touched set, net edits that are the two edge sets' difference, an old
+// view equal to the pre-batch graph however it is read, and a rollback that restores that graph — after which a second
 // batch goes through the same. A rejected batch must leave the versioned
 // graph untouched.
 //
@@ -14,6 +14,7 @@ package dynamic
 // spends its budget on semantics rather than parse errors.
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -141,6 +142,23 @@ func fuzzApplyBoth(t *testing.T, base *graph.Graph, vg *graph.Versioned, ups []g
 		t.Fatalf("after apply: %v (batch %+v)", err, ups)
 	}
 
+	// The net edits are the two edge sets' difference, once each.
+	_, postEdges := canon(ng)
+	var gotGone, gotNew []string
+	for _, ed := range old.Edits() {
+		s := fmt.Sprintf("%d %d %s", ed.From, ed.To, vg.Graph().LabelName(ed.Label))
+		if ed.Added {
+			gotNew = append(gotNew, s)
+		} else {
+			gotGone = append(gotGone, s)
+		}
+	}
+	slices.Sort(gotGone)
+	slices.Sort(gotNew)
+	if added, removed := sortedMinus(postEdges, preEdges), sortedMinus(preEdges, postEdges); !slices.Equal(gotNew, added) || !slices.Equal(gotGone, removed) {
+		t.Fatalf("edits +%v -%v, the batch moved +%v -%v (batch %+v)", gotNew, gotGone, added, removed, ups)
+	}
+
 	// The old view builds a pre-batch row when it is first read. Read it
 	// the way its callers do — a few rows, in any order, membership before
 	// the row, ids the batch created among them — and then all of it.
@@ -191,4 +209,15 @@ func fuzzApplyBoth(t *testing.T, base *graph.Graph, vg *graph.Versioned, ups []g
 		t.Fatalf("after rollback: %v (batch %+v)", err, ups)
 	}
 	return true
+}
+
+// sortedMinus returns a \ b for ascending string slices.
+func sortedMinus(a, b []string) []string {
+	var out []string
+	for _, s := range a {
+		if _, found := slices.BinarySearch(b, s); !found {
+			out = append(out, s)
+		}
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bitset"
@@ -11,21 +12,27 @@ import (
 )
 
 // Matcher maintains the answer set Q(xo, G) of one pattern under graph
-// updates. After each batch it re-verifies only the focus candidates the
-// pattern's reach plan says the batch can have flipped and reuses every
-// other cached answer.
+// updates. A pattern whose Π(Q) and every Π(Q+e) are countable keeps
+// per-node counts that each batch's edits move, and re-judges from them,
+// with no search, the focus candidates whose counts moved. Any other
+// pattern re-verifies by a search the focus candidates its reach plan says
+// the batch can have flipped. Either way every other cached answer is
+// reused.
 type Matcher struct {
-	// prep is the pattern prepared once; every evaluation, the initial one
-	// and each batch's re-verification, is a Run of it over the graph's
-	// current version.
+	// prep is the pattern prepared once; every search, the initial one and
+	// each batch's re-verification, is a Run of it over the graph's current
+	// version.
 	prep *match.Prepared
 	plan *ReachPlan
-	hops int
-	g    *graph.Graph
+	// counts holds Π(Q), then Π(Q+e) per negated edge, when all of them are
+	// countable; nil otherwise, and then every batch searches.
+	counts []*counts
+	hops   int
+	g      *graph.Graph
 	// vg is the matcher's private versioned core, adopted lazily on the
 	// first self-applied batch (Apply clones the caller's graph so the
 	// original is never mutated). Nil while the matcher only follows
-	// externally applied batches via ApplyShared/ApplyScoped.
+	// externally applied batches via ApplyShared.
 	vg  *graph.Versioned
 	ans map[graph.NodeID]bool
 	// restrict, when non-nil, limits the maintained answer set to these
@@ -34,8 +41,8 @@ type Matcher struct {
 	// all share the engine's one set.
 	restrict *focusSet
 
-	// Verified counts the focus candidates re-verified by Apply calls —
-	// the measurable saving over full recomputation.
+	// Verified counts the focus candidates re-judged by Apply calls — the
+	// measurable saving over full recomputation.
 	Verified int
 }
 
@@ -43,8 +50,8 @@ type Matcher struct {
 type Delta struct {
 	Added   []graph.NodeID
 	Removed []graph.NodeID
-	// Affected is the number of focus candidates that had to be
-	// re-verified for this batch.
+	// Affected is the number of focus candidates re-judged for this batch:
+	// those the counts re-judged, or those the reach plan had searched.
 	Affected int
 }
 
@@ -57,20 +64,36 @@ func NewMatcher(g *graph.Graph, q *core.Pattern) (*Matcher, error) {
 // when that is non-nil: only their membership is evaluated and maintained.
 // A cluster worker's Engine answers exactly for the fragment nodes it owns
 // this way — non-owned nodes of a d-hop-preserving fragment may lack part
-// of their neighborhood, so their local answers would be wrong anyway.
+// of their neighborhood, so their local answers would be wrong anyway. The
+// counts, though, cover every node of g: an owned node's verdict reads its
+// neighbours'.
 func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, error) {
 	prep, err := match.Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	m := &Matcher{prep: prep, plan: NewReachPlan(q), hops: core.RequiredHops(q), g: g, restrict: restrict, ans: make(map[graph.NodeID]bool)}
-	var opts *match.Options
+	m := &Matcher{prep: prep, plan: NewReachPlan(q), counts: countsOf(q), hops: core.RequiredHops(q), g: g, restrict: restrict, ans: make(map[graph.NodeID]bool)}
+	var cands []graph.NodeID
 	if restrict != nil {
 		// ids is never nil: a fragment owning nothing asks about nobody
 		// until Engine.Assign extends it.
-		opts = &match.Options{FocusRestrict: restrict.ids}
+		cands = restrict.ids
 	}
-	res, err := prep.Run(g, opts)
+	if m.counts != nil {
+		for _, c := range m.counts {
+			c.build(g)
+		}
+		if cands == nil {
+			cands = g.NodesByLabelName(q.Nodes[q.Focus].Label)
+		}
+		for _, v := range cands {
+			if m.answers(v) {
+				m.ans[v] = true
+			}
+		}
+		return m, nil
+	}
+	res, err := prep.Run(g, &match.Options{FocusRestrict: cands})
 	if err != nil {
 		return nil, err
 	}
@@ -78,6 +101,21 @@ func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, 
 		m.ans[v] = true
 	}
 	return m, nil
+}
+
+// countsOf returns the counts of Π(Q) and of each Π(Q+e), or nil when one
+// of them is not countable.
+func countsOf(q *core.Pattern) []*counts {
+	pi, _ := q.Pi()
+	cs := []*counts{newCounts(pi)}
+	for _, ei := range q.NegatedEdges() {
+		pp, _ := q.PiPlus(ei)
+		cs = append(cs, newCounts(pp))
+	}
+	if slices.Contains(cs, nil) {
+		return nil
+	}
+	return cs
 }
 
 // Graph returns the matcher's current graph version.
@@ -89,18 +127,12 @@ func (m *Matcher) Hops() int { return m.hops }
 
 // Answers returns the current answer set, sorted.
 func (m *Matcher) Answers() []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(m.ans))
-	for v := range m.ans {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return sortedNodeSet(m.ans)
 }
 
-// Apply applies an update batch and incrementally maintains the answers:
-// it evaluates the pattern restricted to the affected focus candidates and
-// splices the result into the cached set. The returned delta lists the
-// membership changes.
+// Apply applies an update batch and incrementally maintains the answers,
+// splicing the re-judged candidates into the cached set. The returned
+// delta lists the membership changes.
 //
 // The batch runs through a private versioned core: the first Apply
 // clones the construction-time graph (so the caller's graph is never
@@ -121,36 +153,40 @@ func (m *Matcher) Apply(ups []graph.Mutation) (Delta, error) {
 }
 
 // ApplyShared maintains the answers for a batch the caller already
-// applied: old is the pre-batch view, and newG and touched are the
-// batch's results over the matcher's current graph (Versioned.Apply's
-// OldView/touched, or dynamic.Apply's output with the pre-batch graph
-// as old). A holder of several matchers over one graph (a server
-// session with many standing watches) applies the batch once and
-// shares the result, instead of applying it per watch.
-func (m *Matcher) ApplyShared(old graph.View, newG *graph.Graph, touched []graph.NodeID) (Delta, error) {
-	return m.ApplyScoped(newG, m.plan.Affected(old, newG, touched))
+// applied: old, newG and touched are Versioned.Apply's pre-batch view, live
+// graph and touched set, and the matcher must have seen every earlier
+// batch. A holder of several matchers over one graph (a server session with
+// many standing watches) applies the batch once and shares the result,
+// instead of applying it per watch.
+func (m *Matcher) ApplyShared(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID) (Delta, error) {
+	var cands []graph.NodeID
+	if m.counts != nil {
+		cands = m.recount(newG, old.Edits(), graph.NodeID(old.NumNodes()))
+	} else {
+		cands = m.plan.Affected(old, newG, touched)
+	}
+	return m.verify(newG, m.restrict.filter(cands))
 }
 
-// ApplyScoped maintains the answers for a batch the caller already
-// applied, re-verifying exactly the given candidates (intersected with
-// the matcher's focus restriction). The caller must guarantee affected
-// is a superset of the focus candidates the batch can have flipped — a
-// cluster worker gets this set from the coordinator, which computes it
-// once on the global graph, so the worker does not re-expand the batch
-// locally (where fragment materialization traffic would inflate it).
-func (m *Matcher) ApplyScoped(newG *graph.Graph, affected []graph.NodeID) (Delta, error) {
-	return m.reverify(newG, m.restrict.filter(affected))
+// recount carries the counts over a batch applied to g (edits and born as
+// for counts.advance) and returns the focus candidates they re-judged,
+// ascending.
+func (m *Matcher) recount(g *graph.Graph, edits []graph.EdgeEdit, born graph.NodeID) []graph.NodeID {
+	judged := m.counts[0].advance(g, edits, born)
+	for _, c := range m.counts[1:] {
+		judged = unionSorted(judged, c.advance(g, edits, born))
+	}
+	return judged
 }
 
-// reverify re-evaluates the given candidates (already within the
-// restriction) over newG and splices the result into the cached answer
-// set, committing newG as the matcher's graph.
-func (m *Matcher) reverify(newG *graph.Graph, affected []graph.NodeID) (Delta, error) {
-	var d Delta
-	d.Affected = len(affected)
-	m.Verified += len(affected)
-	if len(affected) > 0 {
-		res, err := m.prep.Run(newG, &match.Options{FocusRestrict: affected})
+// verify re-judges the candidates (already within the restriction) over
+// newG and splices the verdicts into the cached answer set, committing newG
+// as the matcher's graph: from the counts, which the caller has carried to
+// newG, or by a search restricted to the candidates.
+func (m *Matcher) verify(newG *graph.Graph, cands []graph.NodeID) (Delta, error) {
+	answers := m.answers
+	if m.counts == nil && len(cands) > 0 {
+		res, err := m.prep.Run(newG, &match.Options{FocusRestrict: cands})
 		if err != nil {
 			return Delta{}, err
 		}
@@ -158,22 +194,51 @@ func (m *Matcher) reverify(newG *graph.Graph, affected []graph.NodeID) (Delta, e
 		for _, v := range res.Matches {
 			now[v] = true
 		}
-		for _, v := range affected {
-			was := m.ans[v]
-			switch {
-			case now[v] && !was:
-				m.ans[v] = true
-				d.Added = append(d.Added, v)
-			case !now[v] && was:
-				delete(m.ans, v)
-				d.Removed = append(d.Removed, v)
-			}
+		answers = func(v graph.NodeID) bool { return now[v] }
+	}
+	d := Delta{Affected: len(cands)}
+	m.Verified += len(cands)
+	for _, v := range cands {
+		switch is, was := answers(v), m.ans[v]; {
+		case is && !was:
+			m.ans[v] = true
+			d.Added = append(d.Added, v)
+		case !is && was:
+			delete(m.ans, v)
+			d.Removed = append(d.Removed, v)
 		}
 	}
 	m.g = newG
 	sortNodeIDs(d.Added)
 	sortNodeIDs(d.Removed)
 	return d, nil
+}
+
+// answers reports whether the counts say v answers Q: it matches Π(Q) and
+// no Π(Q+e).
+func (m *Matcher) answers(v graph.NodeID) bool {
+	for i, c := range m.counts {
+		if (c.state[c.p.Focus][v]&valid != 0) != (i == 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// unionSorted returns a ∪ b for ascending slices, as a fresh slice.
+func unionSorted(a, b []graph.NodeID) []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 func sortNodeIDs(vs []graph.NodeID) {

@@ -135,33 +135,45 @@ var scopedWatches = []struct{ name, dsl string }{
 	{"follow=0", "qgp\nn xo person *\nn z person\ne xo z follow =0\n"},
 }
 
+// searching returns a matcher of dsl over g that re-verifies by a search,
+// as a pattern outside the countable class does.
+func searching(t testing.TB, g *graph.Graph, dsl string) *Matcher {
+	m, err := NewMatcher(g, parsePattern(t, dsl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.counts = nil
+	return m
+}
+
+// perRun returns what one call of f allocates, in objects and bytes.
+func perRun(f func()) (float64, uint64) {
+	allocs := testing.AllocsPerRun(50, f)
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < runs; k++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
 // TestScopedReverifyAllocatesNothingSizedByV: re-verifying eight affected
-// candidates of a radius-1 watch allocates the same number of objects and
-// the same number of bytes on a graph sixteen times the size.
+// candidates of a radius-1 watch by a search allocates the same number of
+// objects and the same number of bytes on a graph sixteen times the size.
 func TestScopedReverifyAllocatesNothingSizedByV(t *testing.T) {
 	for _, w := range scopedWatches {
 		var allocs [2]float64
 		var bytes [2]uint64
 		for i, n := range scopedSizes {
 			g, affected := scopedGraph(n)
-			m, err := NewMatcher(g, parsePattern(t, w.dsl))
-			if err != nil {
-				t.Fatal(err)
-			}
-			reverify := func() {
-				if d, err := m.ApplyScoped(g, affected); err != nil || d.Affected != len(affected) {
-					t.Fatalf("ApplyScoped: %+v, %v", d, err)
+			m := searching(t, g, w.dsl)
+			allocs[i], bytes[i] = perRun(func() {
+				if d, err := m.verify(g, affected); err != nil || d.Affected != len(affected) {
+					t.Fatalf("verify: %+v, %v", d, err)
 				}
-			}
-			allocs[i] = testing.AllocsPerRun(50, reverify)
-			const runs = 50
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for k := 0; k < runs; k++ {
-				reverify()
-			}
-			runtime.ReadMemStats(&after)
-			bytes[i] = (after.TotalAlloc - before.TotalAlloc) / runs
+			})
 		}
 		if allocs[0] != allocs[1] || bytes[0] != bytes[1] {
 			t.Errorf("%s: %v allocs, %d B per re-verification at |V|=%d; %v allocs, %d B at |V|=%d",
@@ -170,9 +182,47 @@ func TestScopedReverifyAllocatesNothingSizedByV(t *testing.T) {
 	}
 }
 
+// TestCountedBatchAllocatesNothingSizedByV: a batch that gives each of the
+// eight candidates one more followee, and the batch that takes it back,
+// cost a counted watch — apply, counts carried over, candidates re-judged —
+// the same objects and bytes on a graph sixteen times the size.
+func TestCountedBatchAllocatesNothingSizedByV(t *testing.T) {
+	for _, w := range scopedWatches {
+		var allocs [2]float64
+		var bytes [2]uint64
+		for i, n := range scopedSizes {
+			g, affected := scopedGraph(n)
+			vg := graph.NewVersioned(g)
+			m, err := NewMatcher(g, parsePattern(t, w.dsl))
+			if err != nil || m.counts == nil {
+				t.Fatalf("%s is not counted (%v)", w.name, err)
+			}
+			add, remove := make([]graph.Mutation, len(affected)), make([]graph.Mutation, len(affected))
+			for k, c := range affected {
+				add[k], remove[k] = graph.AddEdge(c, c+7, "follow"), graph.RemoveEdge(c, c+7, "follow")
+			}
+			allocs[i], bytes[i] = perRun(func() {
+				for _, ups := range [][]graph.Mutation{add, remove} {
+					old, touched, err := vg.Apply(ups)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d, err := m.ApplyShared(old, g, touched); err != nil || d.Affected != len(affected) {
+						t.Fatalf("ApplyShared: %+v, %v", d, err)
+					}
+				}
+			})
+		}
+		if allocs[0] != allocs[1] || bytes[0] != bytes[1] {
+			t.Errorf("%s: %v allocs, %d B per batch pair at |V|=%d; %v allocs, %d B at |V|=%d",
+				w.name, allocs[0], bytes[0], scopedSizes[0], allocs[1], bytes[1], scopedSizes[1])
+		}
+	}
+}
+
 // BenchmarkReverifyScoped is one batch's re-verification of one watch
-// group: eight affected candidates of a radius-1 pattern through the
-// matcher's prepared pattern. B/op and allocs/op must read the same at
+// group by a search: eight affected candidates of a radius-1 pattern
+// through the matcher's prepared pattern. B/op and allocs/op must read the same at
 // both graph sizes; ns/op may differ by what colder memory costs, not by
 // a factor that follows |V|.
 func BenchmarkReverifyScoped(b *testing.B) {
@@ -180,14 +230,11 @@ func BenchmarkReverifyScoped(b *testing.B) {
 		for _, n := range scopedSizes {
 			b.Run(fmt.Sprintf("%s/V=%d", w.name, n), func(b *testing.B) {
 				g, affected := scopedGraph(n)
-				m, err := NewMatcher(g, parsePattern(b, w.dsl))
-				if err != nil {
-					b.Fatal(err)
-				}
+				m := searching(b, g, w.dsl)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := m.ApplyScoped(g, affected); err != nil {
+					if _, err := m.verify(g, affected); err != nil {
 						b.Fatal(err)
 					}
 				}

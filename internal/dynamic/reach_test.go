@@ -277,14 +277,22 @@ func TestReachPlanMerged(t *testing.T) {
 	}
 }
 
+// reachSeeds are the batches, in decodeBatch's bytes, that the fuzzers over
+// fuzzBase start from.
+var reachSeeds = [][]byte{
+	{1, 2, 5},                            // AddEdge 0->5 follow
+	{2, 2, 3},                            // RemoveEdge 0->3
+	{3, 5, 0},                            // RemoveNode 3, a person on the ring
+	{0, 0, 3},                            // AddNode person
+	{0, 0, 3, 1, 14, 1},                  // AddNode person, then an edge onto it
+	{1, 3, 4, 0, 0, 1, 2, 4, 2, 3, 6, 0}, // mixed batch
+	{2, 5, 4, 1, 5, 6, 3, 8, 0},          // remove + add + tombstone around node 3
+}
+
 func FuzzReachAffected(f *testing.F) {
-	f.Add([]byte{1, 2, 5})                            // AddEdge 0->5 follow
-	f.Add([]byte{2, 2, 3})                            // RemoveEdge 0->3
-	f.Add([]byte{3, 5, 0})                            // RemoveNode 3, a person on the ring
-	f.Add([]byte{0, 0, 3})                            // AddNode person
-	f.Add([]byte{0, 0, 3, 1, 14, 1})                  // AddNode person, then an edge onto it
-	f.Add([]byte{1, 3, 4, 0, 0, 1, 2, 4, 2, 3, 6, 0}) // mixed batch
-	f.Add([]byte{2, 5, 4, 1, 5, 6, 3, 8, 0})          // remove + add + tombstone around node 3
+	for _, s := range reachSeeds {
+		f.Add(s)
+	}
 
 	qs := parseReachPatterns(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

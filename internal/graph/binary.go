@@ -179,5 +179,5 @@ func ReadAuto(r io.Reader) (*Graph, error) {
 	if err == nil && [4]byte(head) == binaryMagic {
 		return ReadBinary(br, math.MaxInt)
 	}
-	return Read(br)
+	return Read(br, math.MaxInt)
 }

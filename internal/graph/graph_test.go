@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -197,7 +198,7 @@ func TestRoundTripIO(t *testing.T) {
 	if _, err := g.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	h, err := Read(&buf)
+	h, err := Read(&buf, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestReadErrors(t *testing.T) {
 		"graph 1\nz 0",
 	}
 	for _, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
+		if _, err := Read(strings.NewReader(in), math.MaxInt); err == nil {
 			t.Errorf("Read(%q) succeeded, want error", in)
 		}
 	}
@@ -229,7 +230,7 @@ func TestReadErrors(t *testing.T) {
 
 func TestReadCommentsAndBlanks(t *testing.T) {
 	in := "# a comment\ngraph 1\n\nn 0 person\n"
-	g, err := Read(strings.NewReader(in))
+	g, err := Read(strings.NewReader(in), math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if _, err := g.WriteTo(&buf); err != nil {
 			return false
 		}
-		h, err := Read(&buf)
+		h, err := Read(&buf, math.MaxInt)
 		if err != nil {
 			return false
 		}

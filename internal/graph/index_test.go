@@ -125,7 +125,7 @@ func TestIndexAcrossCopies(t *testing.T) {
 	if _, err := g.WriteTo(&text); err != nil {
 		t.Fatal(err)
 	}
-	fromText, err := Read(&text)
+	fromText, err := Read(&text, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}

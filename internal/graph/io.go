@@ -46,8 +46,11 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// Read parses a graph in the text format and finalizes it.
-func Read(r io.Reader) (*Graph, error) {
+// Read parses a graph in the text format and finalizes it. The input may
+// come from the network: a header declaring more than maxSize nodes is
+// refused before anything is built (math.MaxInt for a trusted source), and
+// nothing is allocated from the declared count, only from the lines present.
+func Read(r io.Reader, maxSize int) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	var g *Graph
@@ -71,7 +74,10 @@ func Read(r io.Reader) (*Graph, error) {
 			if err != nil || n < 0 {
 				return nil, fmt.Errorf("graph: line %d: bad node count %q", line, fields[1])
 			}
-			g = New(n)
+			if n > maxSize {
+				return nil, fmt.Errorf("graph: line %d: %d nodes exceed the size cap %d", line, n, maxSize)
+			}
+			g = New(0)
 		case "n":
 			if g == nil {
 				return nil, fmt.Errorf("graph: line %d: node before header", line)

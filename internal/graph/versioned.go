@@ -392,6 +392,53 @@ func (ov *OldView) HasEdge(from, to NodeID, l LabelID) bool {
 	return i < len(row) && row[i] == e
 }
 
+// EdgeEdit is one edge a batch inserted (Added) or removed.
+type EdgeEdit struct {
+	From, To NodeID
+	Label    LabelID
+	Added    bool
+}
+
+// Edits returns the batch's net edge edits, ascending by (From, Label, To):
+// each edge present on one side of the batch and not on the other, once. It
+// reads the undo log alone, O(|log| log |log|). An edge's logged edits
+// alternate, since an insert only logs when the edge is absent and a removal
+// when it is present, so its first edit says whether it existed before the
+// batch and its last whether it exists now: an edge inserted and removed
+// again within the batch is no edit.
+func (ov *OldView) Edits() []EdgeEdit {
+	ov.check()
+	vg := ov.vg
+	var all []EdgeEdit // every logged out-row edit, in log order
+	for _, op := range vg.log {
+		switch {
+		case op.in:
+		case op.kind == opDrop:
+			for _, e := range vg.dropped[op.e.To] {
+				all = append(all, EdgeEdit{From: op.v, To: e.To, Label: e.Label})
+			}
+		default:
+			all = append(all, EdgeEdit{From: op.v, To: op.e.To, Label: op.e.Label, Added: op.kind == opInsert})
+		}
+	}
+	edge := func(a, b EdgeEdit) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Label, b.Label), cmp.Compare(a.To, b.To))
+	}
+	slices.SortStableFunc(all, edge)
+	net := all[:0]
+	for i := 0; i < len(all); {
+		j := i + 1
+		for j < len(all) && edge(all[i], all[j]) == 0 {
+			j++
+		}
+		if all[i].Added == all[j-1].Added {
+			net = append(net, all[j-1])
+		}
+		i = j
+	}
+	return net
+}
+
 // Neighborhood returns the nodes within d undirected hops of v in the
 // pre-batch graph (including v), ascending — Nd(v) over the old view.
 func (ov *OldView) Neighborhood(v NodeID, d int) []NodeID {

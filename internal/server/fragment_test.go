@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"math"
 	"net"
 	"reflect"
 	"strings"
@@ -223,7 +224,7 @@ func TestFragmentValidation(t *testing.T) {
 // ships a fragment: the binary format, base64.
 func binaryData(t *testing.T, text string) string {
 	t.Helper()
-	g, err := graph.Read(strings.NewReader(text))
+	g, err := graph.Read(strings.NewReader(text), math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}

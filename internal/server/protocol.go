@@ -40,10 +40,12 @@ import (
 //	            coordinator-computed affected set (Scoped + Affected),
 //	            sparing the worker a local re-expansion; the front end
 //	            refuses those fields. The reply's Deltas list every watch
-//	            with its re-verified count; a scoped reply lists only the
-//	            watches whose answers changed (no Deltas when none did):
-//	            the coordinator knows the rest and what it shipped to be
-//	            re-verified
+//	            with its affected count: the candidates it re-judged (a
+//	            counted watch's whose counts moved, any other's that its
+//	            reach plan or the shipped set named). A scoped reply lists
+//	            only the watches whose answers changed (no Deltas when none
+//	            did): the coordinator knows the rest, and reports what it
+//	            shipped as the affected count
 //	watch     — register a standing pattern; every later update reports
 //	            its answer-set delta (incremental maintenance, §5.2 remark)
 //	unwatch   — remove a standing pattern
@@ -186,10 +188,11 @@ type Request struct {
 	// coordinator-computed global affected set translated to this
 	// fragment's local ids (owned candidates within the fragmentation
 	// radius of a touched node, in the old or new graph). The worker's
-	// standing watches then re-verify exactly these candidates instead of
-	// re-expanding the local batch, which is inflated by materialization
-	// traffic (neighborhood nodes and edges shipped for other candidates'
-	// benefit). Scoped distinguishes an intentionally empty set — nothing
+	// standing watches outside the countable class then re-verify exactly
+	// these candidates (counted ones re-judge what their counts say)
+	// instead of re-expanding the local batch, which is inflated by
+	// materialization traffic (neighborhood nodes and edges shipped for
+	// other candidates' benefit). Scoped distinguishes an intentionally empty set — nothing
 	// owned here is affected, e.g. a batch that only materializes
 	// neighborhood — from an ordinary unscoped update.
 	Scoped   bool   `json:"scoped,omitempty"`
@@ -327,7 +330,7 @@ type WatchDelta struct {
 	Watch    string `json:"watch"`
 	Added    IDList `json:"added,omitempty"`
 	Removed  IDList `json:"removed,omitempty"`
-	Affected int    `json:"affected"` // focus candidates re-verified
+	Affected int    `json:"affected"` // focus candidates re-judged
 	// Resync (multi-tenant front end, deltas command) means the delta
 	// stream for this watch is incomplete — its bounded pending inbox
 	// overflowed, or an update raced the watch's registration — and

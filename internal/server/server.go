@@ -218,6 +218,11 @@ func buildGraph(req *Request, maxSize int) (*graph.Graph, error) {
 		if size <= 0 {
 			size = 1000
 		}
+		// Every generator makes at least size nodes, and reserves room for
+		// them before the cap below could look.
+		if size > maxSize {
+			return nil, fmt.Errorf("gen size %d exceeds cap %d", size, maxSize)
+		}
 		switch req.Kind {
 		case "social", "":
 			g = gen.Social(gen.DefaultSocial(size, req.Seed))
@@ -242,13 +247,13 @@ func buildGraph(req *Request, maxSize int) (*graph.Graph, error) {
 
 // decodeGraph reads the graph a load or fragment request carries in Data:
 // the line-oriented text format, the JSON document format, or the binary
-// format as base64 — what a cluster coordinator ships fragments in, and
-// the one format refused from its declared counts, before the graph is
-// built, when it exceeds maxSize.
+// format as base64 — what a cluster coordinator ships fragments in. The
+// text and binary readers refuse a graph whose declared counts exceed
+// maxSize before building it.
 func decodeGraph(format, data string, maxSize int) (*graph.Graph, error) {
 	switch format {
 	case "text", "":
-		return graph.Read(strings.NewReader(data))
+		return graph.Read(strings.NewReader(data), maxSize)
 	case "binary":
 		// Decoded as it is read: the fragment is never held a second time
 		// as raw bytes beside the line that carried it.
@@ -284,7 +289,9 @@ func decodeGraph(format, data string, maxSize int) (*graph.Graph, error) {
 //
 // On a fragment session the request may additionally carry the cluster
 // coordinator's routing: Scoped + Affected narrow re-verification to the
-// coordinator-computed affected set (local ids), and Owned lists nodes
+// coordinator-computed affected set (local ids) for the watches whose
+// patterns are not countable (counted ones read the batch's edits off the
+// pre-batch view either way), and Owned lists nodes
 // the coordinator assigns to this worker, folded into the owned set after
 // the batch applies — one combined round trip. The reply to a scoped
 // request names only the watches whose answers changed.
@@ -355,7 +362,7 @@ func (sess *session) Update(req *Request, resp *Response, profile bool) (any, er
 		sess.bounds.noteBatch(ng, touched)
 		var deltas []dynamic.NamedDelta
 		if req.Scoped {
-			deltas, err = sess.eng.ApplyScoped(ng, scoped)
+			deltas, err = sess.eng.ApplyScoped(old, ng, scoped)
 		} else {
 			deltas, err = sess.eng.Apply(old, ng, touched)
 		}

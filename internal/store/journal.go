@@ -88,14 +88,26 @@ func decodePayload(payload []byte) (seq uint64, m graph.Mutation, err error) {
 	return seq, m, nil
 }
 
+// journalFile is what a journalWriter needs of its file; *os.File has it.
+type journalFile interface {
+	io.Writer
+	io.Seeker
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // journalWriter appends records to an open journal file. size is the
 // file's length: learnt when the file is created or opened, advanced by
 // every append, so nobody has to ask the file system per batch.
 type journalWriter struct {
-	f     *os.File
+	f     journalFile
 	buf   []byte
 	size  int64
 	fsync bool
+	// broken is why a failed append's bytes could not be cut from the file:
+	// every later append is refused, since it would land after them.
+	broken error
 }
 
 func createJournal(path string, fsync bool) (*journalWriter, error) {
@@ -130,15 +142,36 @@ func openJournalForAppend(path string, fsync bool) (*journalWriter, error) {
 }
 
 // append writes one batch of records and optionally fsyncs once for the
-// whole batch.
+// whole batch. A batch whose write or fsync fails is cut from the file
+// again, so the journal holds exactly the batches whose append returned
+// nil; if it cannot be cut, the writer refuses every later batch.
 func (w *journalWriter) append(seqStart uint64, muts []graph.Mutation) error {
+	if w.broken != nil {
+		return fmt.Errorf("journal holds a failed append it could not cut: %w", w.broken)
+	}
 	w.buf = w.buf[:0]
 	for i, m := range muts {
 		w.buf = encodeRecord(w.buf, seqStart+uint64(i), m)
 	}
-	n, err := w.f.Write(w.buf)
-	w.size += int64(n)
+	_, err := w.f.Write(w.buf)
+	if err == nil && w.fsync {
+		err = w.f.Sync()
+	}
 	if err != nil {
+		w.broken = w.cut()
+		return err
+	}
+	w.size += int64(len(w.buf))
+	return nil
+}
+
+// cut truncates the file to the size before the failed append and moves
+// the write offset back there.
+func (w *journalWriter) cut() error {
+	if err := w.f.Truncate(w.size); err != nil {
+		return err
+	}
+	if _, err := w.f.Seek(w.size, io.SeekStart); err != nil {
 		return err
 	}
 	if w.fsync {

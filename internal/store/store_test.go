@@ -316,6 +316,99 @@ func TestJournalBytesTracksTheFile(t *testing.T) {
 	check(h, "after an append to the repaired journal")
 }
 
+// faultyFile is a journal file that fails on request, once per request:
+// a write that stops halfway, an fsync after a full write, a truncate.
+type faultyFile struct {
+	journalFile
+	tornWrite, failSync, failTruncate bool
+}
+
+func (f *faultyFile) Write(p []byte) (int, error) {
+	if f.tornWrite {
+		f.tornWrite = false
+		n, _ := f.journalFile.Write(p[:len(p)/2])
+		return n, errors.New("injected: disk full")
+	}
+	return f.journalFile.Write(p)
+}
+
+func (f *faultyFile) Sync() error {
+	if f.failSync {
+		f.failSync = false
+		return errors.New("injected: fsync failed")
+	}
+	return f.journalFile.Sync()
+}
+
+func (f *faultyFile) Truncate(size int64) error {
+	if f.failTruncate {
+		f.failTruncate = false
+		return errors.New("injected: truncate failed")
+	}
+	return f.journalFile.Truncate(size)
+}
+
+// TestFailedAppendLeavesNoBytes: a batch whose append failed — a write that
+// stopped halfway, an fsync that failed after a full write — is cut from
+// the journal, so later batches land where it began and a reopen replays
+// exactly the batches whose Append returned nil, on a fresh journal and on
+// a reopened one alike. A failed append that cannot be cut refuses every
+// later batch, and a reopen stops before it.
+func TestFailedAppendLeavesNoBytes(t *testing.T) {
+	dir := t.TempDir()
+	var accepted []string
+	replayed := func() []string {
+		t.Helper()
+		s, g, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		labels := []string{}
+		for v := 0; v < g.NumNodes(); v++ {
+			labels = append(labels, g.NodeLabelName(graph.NodeID(v)))
+		}
+		return labels
+	}
+	for round, names := range [][]string{{"a", "b", "c", "d", "e"}, {"f", "g", "h", "i", "j"}} {
+		s, _, err := Open(dir, Options{Fsync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault := &faultyFile{journalFile: s.jw.f}
+		s.jw.f = fault
+		for i, name := range names {
+			fault.tornWrite, fault.failSync = i == 1, i == 3
+			err := s.Append(graph.AddNode(name))
+			if fails := i == 1 || i == 3; (err != nil) != fails {
+				t.Fatalf("round %d: append %s: %v", round, name, err)
+			}
+			if err == nil {
+				accepted = append(accepted, name)
+			}
+		}
+		s.Close()
+		if got := replayed(); !reflect.DeepEqual(got, accepted) {
+			t.Fatalf("round %d: reopened with batches %v, accepted %v", round, got, accepted)
+		}
+	}
+
+	s, _, err := Open(dir, Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.jw.f = &faultyFile{journalFile: s.jw.f, tornWrite: true, failTruncate: true}
+	for _, name := range []string{"k", "l"} {
+		if err := s.Append(graph.AddNode(name)); err == nil {
+			t.Fatalf("append %s accepted after a failed append stayed in the journal", name)
+		}
+	}
+	s.Close()
+	if got := replayed(); !reflect.DeepEqual(got, accepted) {
+		t.Fatalf("reopened with batches %v, accepted %v", got, accepted)
+	}
+}
+
 func TestCorruptCRCTruncatesSuffix(t *testing.T) {
 	dir := t.TempDir()
 	h := openT(t, dir)
