@@ -170,9 +170,9 @@ func wireGolden(b *testing.B, name string) string {
 // BenchmarkWireUpdate encodes and decodes both hops of the benchmark-shaped
 // batch (4 follow edges in, 4 out, on social persons=4000, 8 standing
 // watches). worker is what one fragment copy is sent and answers: the
-// update request — the packed batch, the scoped affected set — and the
-// scoped reply, which names only the watches whose answers changed there
-// (2 of the 8). client is the client's request and the front end's reply,
+// update request — the packed batch alone — and the fragment's reply,
+// which names only the watches whose answers changed there (2 of the 8).
+// client is the client's request and the front end's reply,
 // one delta per watch. A batch crosses the worker hop once per fragment
 // copy it concerns and the client hop once.
 func BenchmarkWireUpdate(b *testing.B) {
@@ -196,7 +196,7 @@ func BenchmarkWireUpdate(b *testing.B) {
 		client.Deltas = append(client.Deltas, d)
 	}
 	b.Run("worker", func(b *testing.B) {
-		wireRoundTrip(b, &server.Request{ID: 7, Cmd: "update", Updates: batch, Scoped: true, Affected: server.IDList{311, 1207, 1846, 2210, 2987, 3405}}, &worker)
+		wireRoundTrip(b, &server.Request{ID: 7, Cmd: "update", Updates: batch}, &worker)
 	})
 	b.Run("client", func(b *testing.B) {
 		wireRoundTrip(b, &server.Request{ID: 7, Cmd: "update", Updates: batch}, &client)

@@ -65,7 +65,7 @@ func exp14(sc Scale, w io.Writer) error {
 // 4 follow edges inserted between pseudo-random persons, and the 4 a batch
 // four earlier inserted removed again. Per pattern it reports, per batch,
 // the focus candidates the pattern's reach plan names (what a cluster
-// coordinator ships), those the watch's counts re-judged, and the answers
+// coordinator counts), those the watch's counts re-judged, and the answers
 // that flipped. The three counts are deterministic; wall_ms is the watch's
 // upkeep alone.
 func exp15(sc Scale, w io.Writer) error {

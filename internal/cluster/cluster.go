@@ -122,7 +122,8 @@ type Coordinator struct {
 	// groups holds the distinct patterns among the watches, counted by the
 	// names holding each — the mirror of the workers' watch engine groups —
 	// and reach is their one merged reach plan, recompiled when the set of
-	// distinct patterns changes. Update ships reach's affected set.
+	// distinct patterns changes. Update counts reach's affected set
+	// (UpdateResult.AffectedSize); the workers find their own.
 	groups map[string]*groupRef
 	reach  *dynamic.ReachPlan
 	closed bool
@@ -313,8 +314,8 @@ type coordMetrics struct {
 	matchCount, updateCount, watchCount *obs.Counter
 	matchMS, updateMS                   *obs.Histogram
 	// watchGroups is the number of distinct standing patterns (watchCount
-	// counts registered names); affectedRatio the last batch's shipped
-	// affected union over |V|, in parts per million.
+	// counts registered names); affectedRatio the last batch's affected
+	// union over |V|, in parts per million.
 	watchGroups, affectedRatio *obs.Gauge
 	// Per-worker wire round-trip latency: a slow fan-out is attributed
 	// to a specific worker/fragment here even without tracing.

@@ -187,7 +187,10 @@ func applySpecs(t *testing.T, g *graph.Graph, specs []server.UpdateSpec) *graph.
 // plus ≥2 workers driven through gen → watch → update, asserting after
 // every batch that the merged cluster delta equals the single-process
 // dynamic.Matcher delta, and that the merged standing answers track the
-// single-process answers.
+// single-process answers. Two of the watches are outside the countable
+// class — a same-label node two hops from the focus, and a cycle through a
+// product both persons recommend — so each worker's own reach-plan walk
+// over its fragment is what finds their candidates.
 func TestIncrementalEquivalence(t *testing.T) {
 	for _, workers := range []int{2, 3} {
 		workers := workers
@@ -196,7 +199,10 @@ func TestIncrementalEquivalence(t *testing.T) {
 			c := newEmbedded(t, g, workers, Config{D: 2})
 			ref := c.Graph()
 
-			watched := []string{testPatterns[0], testPatterns[2]}
+			watched := []string{testPatterns[0], testPatterns[2],
+				"qgp\nn xo person *\nn z person\nn y person\ne xo z follow >=1\ne z y follow >=2\n",
+				"qgp\nn xo person *\nn z person\nn p product\ne xo z follow >=1\ne z p recom >=1\ne xo p recom >=1\n",
+			}
 			matchers := make(map[string]*dynamic.Matcher, len(watched))
 			for i, dsl := range watched {
 				name := fmt.Sprintf("w%d", i)

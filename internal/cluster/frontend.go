@@ -407,8 +407,8 @@ func (c *conn) Match(req *server.Request, profile bool) (server.Answer, error) {
 // drain theirs).
 func (c *conn) Update(req *server.Request, resp *server.Response, profile bool) (any, error) {
 	// Coordinator→worker routing, not client vocabulary: refused, not dropped.
-	if len(req.Owned) > 0 || req.Scoped || len(req.Affected) > 0 {
-		return nil, fmt.Errorf("update fields owned/scoped/affected are not served by the cluster front end; the coordinator computes routing itself")
+	if len(req.Owned) > 0 {
+		return nil, fmt.Errorf("update field owned is not served by the cluster front end; the coordinator computes routing itself")
 	}
 	var prof *UpdateProfile
 	if profile {

@@ -51,7 +51,7 @@ type UpdateProfile struct {
 	BatchSize int    `json:"batch_size"`
 	Touched   int    `json:"touched"`
 	Nodes     int    `json:"nodes"`
-	// AffectedSize is the re-verification set the coordinator shipped
+	// AffectedSize is the coordinator's re-verification count
 	// (UpdateResult.AffectedSize); WorkRatio = AffectedSize / Nodes.
 	// The incremental claim is WorkRatio ≪ 1 for small batches.
 	AffectedSize int     `json:"affected_size"`

@@ -133,8 +133,8 @@ func TestUpdateProfiledWorkRatio(t *testing.T) {
 		if err := json.Unmarshal(wp.Profile, &wd); err != nil {
 			t.Fatalf("worker %d profile does not parse: %v\n%s", wp.Worker, err, wp.Profile)
 		}
-		if wd.Op != "update" || !wd.Scoped {
-			t.Errorf("worker %d document wrong (want scoped update): %s", wp.Worker, wp.Profile)
+		if wd.Op != "update" {
+			t.Errorf("worker %d document wrong (want an update): %s", wp.Worker, wp.Profile)
 		}
 	}
 	// Profiled and plain updates converge to the same graph state.
@@ -197,12 +197,12 @@ func TestFrontendProfileCommands(t *testing.T) {
 		t.Fatalf("AffectedSize %d not below |V| %d", up.AffectedSize, up.Nodes)
 	}
 
-	// The coordinator-internal routing fields stay rejected on the
+	// The coordinator-internal routing field stays rejected on the
 	// profile path too.
 	if _, err := c.Do(&server.Request{Cmd: "profile",
 		Updates: []server.UpdateSpec{{Op: "addEdge", From: 0, To: 1, Label: "follow"}},
-		Scoped:  true}); err == nil {
-		t.Fatal("profile update with scoped routing fields succeeded")
+		Owned:   server.IDList{0}}); err == nil {
+		t.Fatal("profile update with the owned routing field succeeded")
 	}
 }
 

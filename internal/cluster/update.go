@@ -18,22 +18,23 @@ type UpdateResult struct {
 	// one entry per registered watch, in name order, whenever any worker
 	// was contacted, and none when no worker was. Added/Removed come from
 	// the workers' replies, which name only the watches whose answers
-	// changed there. Affected is the same for every entry: the candidates
-	// the contacted workers re-verified, each its owned share of the
-	// affected set plus the nodes the batch assigned it — so it tracks
-	// AffectedSize.
+	// changed there. Affected is the same for every entry, counted by the
+	// coordinator: per contacted worker, its owned share of the
+	// AffectedSize set when its batch is non-empty, plus the nodes the
+	// batch assigned it — so it tracks AffectedSize.
 	Deltas []server.WatchDelta
 	// Contacted lists the workers (ascending id) that received traffic:
-	// exactly those whose fragment mirrors changed, whose owned candidates
-	// need re-verification, or that were assigned a node the batch
-	// created. The others were not spoken to — the paper's "coordinator Sc
-	// assigns the changes to each fragment" routing (§5.2).
+	// exactly those whose fragment mirrors changed or that were assigned a
+	// node the batch created. The others were not spoken to — the paper's
+	// "coordinator Sc assigns the changes to each fragment" routing (§5.2).
 	Contacted []int
-	// AffectedSize is the size of the re-verification set the coordinator
-	// shipped: the union, over the distinct standing patterns, of the
-	// focus candidates each pattern's reach plan says the batch can have
-	// flipped — the "work proportional to the change" observable: for a
-	// small batch on a large graph it should be far below |V|.
+	// AffectedSize is the size of the coordinator's re-verification set:
+	// the union, over the distinct standing patterns, of the focus
+	// candidates each pattern's reach plan says the batch can have flipped
+	// — the "work proportional to the change" observable: for a small
+	// batch on a large graph it should be far below |V|. Workers find
+	// their own candidates; this count sizes the merged Affected and the
+	// tenant's update budget.
 	AffectedSize int
 	// Version counts the batches the coordinator has accepted, this one
 	// included. benchmark/ reads this name; delete after ROADMAP 1(a).
@@ -44,15 +45,15 @@ type UpdateResult struct {
 // into what becomes a single wire request: the local mutation batch
 // keeping its fragment mirror equal to the induced subgraph of the new
 // global graph, the globals it newly materializes (local ids follow its
-// current id space, in order), the new nodes it will own (as post-batch
-// local ids), and the owned candidates the coordinator determined need
-// re-verification (pre-batch local ids).
+// current id space, in order) and the new nodes it will own (as post-batch
+// local ids). affected counts the worker's owned share of the coordinator's
+// re-verification set, for the merged Affected; nothing ships it.
 type workerPlan struct {
 	batch    []server.UpdateSpec
 	newMat   []graph.NodeID
 	assign   []graph.NodeID // global ids, for owned-set bookkeeping
 	assignL  []int64        // the same nodes as post-batch local ids
-	affected []int64        // owned ∩ global affected set, local ids; none without a batch
+	affected int            // |owned ∩ reverify|; 0 without a batch
 }
 
 // empty reports whether the plan carries no traffic at all.
@@ -62,16 +63,13 @@ func (p *workerPlan) empty() bool {
 
 // Update applies a global mutation batch: the coordinator applies it to
 // its authoritative graph, journals it (when configured) before any
-// fan-out, computes the affected regions (the ball around the batch's
-// insertions for materialization upkeep, the standing patterns'
-// reach-plan candidates for re-verification), and
-// routes one combined wire batch to only the workers whose fragments
-// intersect that region — local mutations, newly assigned owned nodes,
-// and the affected set restricted to the worker's owned candidates all
-// travel in a single request, so routing a batch costs one round trip
-// per contacted worker. Workers re-verify exactly the carried affected
-// set instead of re-expanding the local batch (which materialization
-// traffic would inflate far beyond the globally affected region).
+// fan-out, computes the ball around the batch's insertions for
+// materialization upkeep, and routes one combined wire batch to only the
+// workers whose fragments it changes — local mutations and newly assigned
+// owned nodes travel in a single request, so routing a batch costs one
+// round trip per contacted worker. Each worker finds the candidates the
+// batch can flip over its own fragment. The standing patterns' merged
+// reach plan sizes UpdateResult.AffectedSize.
 // ClusterUpdate of the ISSUE's API naming.
 func (c *Coordinator) Update(specs []server.UpdateSpec) (*UpdateResult, error) {
 	return c.update(specs, nil)
@@ -147,7 +145,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		}
 	}
 	taff := time.Now()
-	// Two affected regions: answer re-verification needs the focus
+	// Two affected regions: the re-verification count needs the focus
 	// candidates the standing patterns' merged reach plan walks to from the
 	// changed edges (each distinct rule walked once, whatever the number of
 	// patterns sharing it),
@@ -156,12 +154,15 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	// only move into an owned node's D-hop ball along a path through an
 	// inserted edge, and deletions never extend a fragment. Neither
 	// needs the D-hop ball of the whole touched set, which for a 1-edge
-	// batch can cover most of a dense graph.
+	// batch can cover most of a dense graph. The batch's net edge edits, a
+	// removed node's lost edges included, are every edge a fragment can
+	// have to change.
 	reverify := c.reach.Affected(oldG, newG, touched)
+	edits := oldG.Edits()
 	var insEnds []graph.NodeID
-	for _, u := range ups {
-		if u.Op == graph.MutAddEdge {
-			insEnds = append(insEnds, u.From, u.To)
+	for _, e := range edits {
+		if e.Added {
+			insEnds = append(insEnds, e.From, e.To)
 		}
 	}
 	for v := oldG.NumNodes(); v < newG.NumNodes(); v++ {
@@ -170,28 +171,6 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	var matCand []graph.NodeID
 	if len(insEnds) > 0 {
 		matCand = c.ball.Ball(newG, insEnds, c.cfg.D-1)
-	}
-	// The edges the batch can have changed, whichever fragments hold them:
-	// its net edge mutations plus the edges a removed node lost.
-	var changed []edgeKey
-	for _, u := range ups {
-		switch u.Op {
-		case graph.MutAddEdge, graph.MutRemoveEdge:
-			if l := newG.LookupLabel(u.Label); l != graph.NoLabel {
-				changed = append(changed, edgeKey{u.From, u.To, l})
-			}
-		case graph.MutRemoveNode:
-			v := u.From
-			if int(v) >= oldG.NumNodes() {
-				continue
-			}
-			for _, e := range oldG.Out(v) {
-				changed = append(changed, edgeKey{v, e.To, e.Label})
-			}
-			for _, e := range oldG.In(v) {
-				changed = append(changed, edgeKey{e.To, v, e.Label})
-			}
-		}
 	}
 	tr.Annotatef("batch=%d touched=%d affected=%d matcand=%d", len(specs), len(touched), len(reverify), len(matCand))
 	if prof != nil {
@@ -243,7 +222,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	tfan := time.Now()
 	err = c.fanOut(func(w *worker) error {
 		tplan := time.Now()
-		p := c.planFor(w, oldG, newG, changed, touched, matCand, reverify, assignTo)
+		p := c.planFor(w, oldG, newG, edits, touched, matCand, reverify, assignTo)
 		if p == nil || p.empty() {
 			c.om.workersSkipped.Inc()
 			return nil
@@ -258,18 +237,12 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 				Worker:    w.id,
 				PlanMS:    server.MsSince(tplan),
 				Mutations: len(p.batch),
-				Affected:  len(p.affected),
+				Affected:  p.affected,
 				Assigned:  len(p.assignL),
 			}
 			workerProfs[w.id] = wp
 		}
-		req := &server.Request{
-			Cmd:      cmd,
-			Updates:  p.batch,
-			Owned:    p.assignL,
-			Scoped:   true,
-			Affected: p.affected,
-		}
+		req := &server.Request{Cmd: cmd, Updates: p.batch, Owned: p.assignL}
 		// The id mapping is extended only after the primary holds the
 		// batch: failover before that point re-ships the pre-batch
 		// fragment (from the oldG view over the unextended id space) and
@@ -283,15 +256,14 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 			return err
 		}
 		tr.Span(w.id, "rtt", trtt)
-		tr.Annotatef("w%d:muts=%d affected=%d", w.id, len(p.batch), len(p.affected))
+		tr.Annotatef("w%d:muts=%d affected=%d", w.id, len(p.batch), p.affected)
 		c.om.workerUpdateMS[w.id].ObserveSince(trtt)
 		if wp != nil {
 			wp.RTTMS = server.MsSince(trtt)
 			wp.Profile = resp.Profile
 		}
-		// The primary re-verified what it was shipped: every id in
-		// p.affected is owned there, and every assigned node is new to it.
-		updDeltas[w.id], reverified[w.id] = resp.Deltas, len(p.affected)+len(p.assignL)
+		// Every assigned node is new to the primary.
+		updDeltas[w.id], reverified[w.id] = resp.Deltas, p.affected+len(p.assignL)
 		for _, gv := range p.newMat {
 			w.ids.add(gv)
 		}
@@ -347,16 +319,16 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 
 // planFor computes one worker's share of a global batch, or nil when the
 // batch cannot affect the worker: no touched node is materialized there,
-// no owned candidate needs re-verification or materialization upkeep,
-// and no new node is being assigned to it. matCand is the (D-1)-ball
-// around inserted-edge endpoints and batch-created nodes (it bounds
+// no owned candidate is in reverify or needs materialization upkeep, and
+// no new node is being assigned to it. matCand is the (D-1)-ball around
+// inserted-edge endpoints and batch-created nodes (it bounds
 // materialization maintenance); reverify is the union of the standing
-// patterns' reach-plan candidates (it scopes answer re-verification);
-// both ascend. changed lists the edges the batch can have changed
-// anywhere; assignTo[i] is the worker the batch's i-th created node goes
-// to. planFor only reads its inputs and the worker's id space: the caller
-// extends the latter once the primary holds the batch.
-func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph, changed []edgeKey, touched, matCand, reverify []graph.NodeID, assignTo []int) *workerPlan {
+// patterns' reach-plan candidates (the plan counts the worker's share);
+// both ascend. edits are the batch's net edge edits (OldView.Edits);
+// assignTo[i] is the worker the batch's i-th created node goes to. planFor
+// only reads its inputs and the worker's id space: the caller extends the
+// latter once the primary holds the batch.
+func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph, edits []graph.EdgeEdit, touched, matCand, reverify []graph.NodeID, assignTo []int) *workerPlan {
 	ids := &w.ids
 	oldN := oldG.NumNodes()
 	// Owned candidates whose d-hop neighborhood must stay materialized,
@@ -375,18 +347,16 @@ func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph,
 		}
 	}
 	roots = append(roots, assign...)
-	// The re-verification scope: the worker's owned share of the
-	// shipped affected set, in its (pre-batch, since owned nodes are
-	// always already materialized) local ids. Newly assigned nodes are
-	// excluded — the assignment itself evaluates them.
-	var affectedL []int64
+	// The worker's owned share of the re-verification set. Newly assigned
+	// nodes are excluded — the assignment itself evaluates them.
+	affected := 0
 	for _, gv := range reverify {
 		if ids.owns(gv) {
-			affectedL = append(affectedL, int64(ids.toLocal[gv]))
+			affected++
 		}
 	}
 	touchedMat := slices.ContainsFunc(touched, ids.has)
-	if !touchedMat && len(roots) == 0 && len(affectedL) == 0 {
+	if !touchedMat && len(roots) == 0 && affected == 0 {
 		return nil
 	}
 
@@ -465,29 +435,32 @@ func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph,
 	}
 
 	// Edge diff between the old and new induced subgraphs. The global
-	// edge delta is within changed, and the mirror additionally gains
-	// every edge incident to a newly materialized node — so the candidate
-	// set comes straight from the batch and newMat adjacency instead of
-	// rescanning every touched node's (possibly hub-sized) neighborhood.
-	keys := slices.Clone(changed)
+	// edge delta is edits, and the mirror additionally gains every edge
+	// incident to a newly materialized node — so the candidate set comes
+	// straight from the batch and newMat adjacency instead of rescanning
+	// every touched node's (possibly hub-sized) neighborhood. Keys are
+	// compared by edge alone; the pre-batch view and the post-batch graph
+	// share one label id space.
+	keys := slices.Clone(edits)
 	for _, v := range newMat {
 		for _, e := range newG.Out(v) {
 			if matNew(e.To) {
-				keys = append(keys, edgeKey{v, e.To, e.Label})
+				keys = append(keys, graph.EdgeEdit{From: v, To: e.To, Label: e.Label})
 			}
 		}
 		for _, e := range newG.In(v) {
 			if matNew(e.To) {
-				keys = append(keys, edgeKey{e.To, v, e.Label})
+				keys = append(keys, graph.EdgeEdit{From: e.To, To: v, Label: e.Label})
 			}
 		}
 	}
-	slices.SortFunc(keys, func(a, b edgeKey) int {
-		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to), cmp.Compare(a.label, b.label))
-	})
-	for _, k := range slices.Compact(keys) {
-		oldHas := ids.has(k.from) && ids.has(k.to) && oldG.HasEdge(k.from, k.to, k.label)
-		newHas := matNew(k.from) && matNew(k.to) && newG.HasEdge(k.from, k.to, k.label)
+	edge := func(a, b graph.EdgeEdit) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(a.Label, b.Label))
+	}
+	slices.SortFunc(keys, edge)
+	for _, k := range slices.CompactFunc(keys, func(a, b graph.EdgeEdit) bool { return edge(a, b) == 0 }) {
+		oldHas := ids.has(k.From) && ids.has(k.To) && oldG.HasEdge(k.From, k.To, k.Label)
+		newHas := matNew(k.From) && matNew(k.To) && newG.HasEdge(k.From, k.To, k.Label)
 		if oldHas == newHas {
 			continue
 		}
@@ -497,9 +470,9 @@ func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph,
 		}
 		batch = append(batch, server.UpdateSpec{
 			Op:    op,
-			From:  int64(localOf(k.from)),
-			To:    int64(localOf(k.to)),
-			Label: newG.LabelName(k.label),
+			From:  int64(localOf(k.From)),
+			To:    int64(localOf(k.To)),
+			Label: newG.LabelName(k.Label),
 		})
 	}
 
@@ -509,27 +482,19 @@ func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph,
 	}
 	if len(batch) == 0 {
 		// The fragment is unchanged, so are its owned answers (Lemma 9(1)):
-		// a worker re-verifies only alongside a batch, and the plan ships
-		// only what it will re-verify.
-		affectedL = nil
+		// a worker re-verifies only alongside a batch.
+		affected = 0
 	}
-	return &workerPlan{batch: batch, newMat: newMat, assign: assign, assignL: assignL, affected: affectedL}
-}
-
-// edgeKey names one labelled edge of the authoritative graph; the
-// pre-batch view and the post-batch graph share one label id space.
-type edgeKey struct {
-	from, to graph.NodeID
-	label    graph.LabelID
+	return &workerPlan{batch: batch, newMat: newMat, assign: assign, assignL: assignL, affected: affected}
 }
 
 // mergeDeltas folds the contacted workers' replies (indexed by worker id)
-// into one entry per registered watch, in name order. A scoped reply names
-// only the watches whose answers changed there, in local ids, possibly
-// twice — a re-verification delta and an assignment delta; the added and
-// removed sets are disjoint unions (ownership partitions the nodes). Every
-// watch re-verified the same candidates, so Affected is one sum over the
-// workers' reverified counts.
+// into one entry per registered watch, in name order. A worker's reply
+// names only the watches whose answers changed there, in local ids,
+// possibly twice — a re-verification delta and an assignment delta; the
+// added and removed sets are disjoint unions (ownership partitions the
+// nodes). Affected is the coordinator's own count, one sum over the
+// workers' reverified counts for every watch.
 func (c *Coordinator) mergeDeltas(byWorker [][]server.WatchDelta, reverified []int) ([]server.WatchDelta, error) {
 	affected := 0
 	for _, n := range reverified {

@@ -93,14 +93,7 @@ func TestCountsFollowChurn(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
-				var deltas []NamedDelta
-				if tc.owned == nil {
-					deltas, err = e.Apply(old, vg.Graph(), touched)
-				} else {
-					// A worker is shipped the coordinator's affected set; a
-					// counted group does not read it.
-					deltas, err = e.ApplyScoped(old, vg.Graph(), nil)
-				}
+				deltas, err := e.Apply(old, vg.Graph(), touched)
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}

@@ -119,36 +119,17 @@ func (e *Engine) Unwatch(name string) error {
 
 // Apply maintains every group for a batch the caller already applied (old,
 // newG and touched as for Matcher.ApplyShared) and returns one delta per
-// name, ascending.
+// name, ascending. The batch's edits are read once for all groups; each
+// group then re-judges the owned candidates Matcher.candidates names. A
+// fragment's engine needs nothing else: its graph holds every owned
+// candidate's neighbourhood, so its own walk finds what the batch can flip.
 func (e *Engine) Apply(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID) ([]NamedDelta, error) {
-	return e.advance(old, newG, func(m *Matcher) []graph.NodeID { return m.plan.Affected(old, newG, touched) })
-}
-
-// ApplyScoped is Apply with the affected candidates given: a cluster worker
-// gets the union over the coordinator's patterns, and a group outside the
-// countable class re-verifies those it owns. A counted group reads the
-// batch's edits off old as in Apply.
-func (e *Engine) ApplyScoped(old *graph.OldView, newG *graph.Graph, affected []graph.NodeID) ([]NamedDelta, error) {
-	return e.advance(old, newG, func(*Matcher) []graph.NodeID { return affected })
-}
-
-// advance runs every group over a batch: a counted group re-judges the owned
-// candidates its counts re-judged over the batch's edits, which are read
-// once for all groups; any other group re-verifies the owned candidates
-// reach names.
-func (e *Engine) advance(old *graph.OldView, newG *graph.Graph, reach func(*Matcher) []graph.NodeID) ([]NamedDelta, error) {
 	e.g = newG
 	var edits []graph.EdgeEdit
 	if len(e.groups) > 0 {
 		edits = old.Edits()
 	}
-	born := graph.NodeID(old.NumNodes())
-	return e.run(func(m *Matcher) []graph.NodeID {
-		if m.counts != nil {
-			return e.owned.filter(m.recount(newG, edits, born))
-		}
-		return e.owned.filter(reach(m))
-	})
+	return e.run(func(m *Matcher) []graph.NodeID { return m.candidates(old, newG, touched, edits) })
 }
 
 // Assign extends a fragment engine's owned set and returns, per name, the

@@ -159,24 +159,24 @@ func (m *Matcher) Apply(ups []graph.Mutation) (Delta, error) {
 // many standing watches) applies the batch once and shares the result,
 // instead of applying it per watch.
 func (m *Matcher) ApplyShared(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID) (Delta, error) {
-	var cands []graph.NodeID
-	if m.counts != nil {
-		cands = m.recount(newG, old.Edits(), graph.NodeID(old.NumNodes()))
-	} else {
-		cands = m.plan.Affected(old, newG, touched)
-	}
-	return m.verify(newG, m.restrict.filter(cands))
+	return m.verify(newG, m.candidates(old, newG, touched, old.Edits()))
 }
 
-// recount carries the counts over a batch applied to g (edits and born as
-// for counts.advance) and returns the focus candidates they re-judged,
-// ascending.
-func (m *Matcher) recount(g *graph.Graph, edits []graph.EdgeEdit, born graph.NodeID) []graph.NodeID {
-	judged := m.counts[0].advance(g, edits, born)
-	for _, c := range m.counts[1:] {
-		judged = unionSorted(judged, c.advance(g, edits, born))
+// candidates returns the owned focus candidates a batch can have flipped,
+// ascending. A counted pattern carries its counts over the batch's net edits
+// (old.Edits(), which a holder of several matchers reads once for all of
+// them) and names what they re-judged; any other walks its reach plan from
+// touched.
+func (m *Matcher) candidates(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID, edits []graph.EdgeEdit) []graph.NodeID {
+	if m.counts == nil {
+		return m.restrict.filter(m.plan.Affected(old, newG, touched))
 	}
-	return judged
+	born := graph.NodeID(old.NumNodes())
+	judged := m.counts[0].advance(newG, edits, born)
+	for _, c := range m.counts[1:] {
+		judged = unionSorted(judged, c.advance(newG, edits, born))
+	}
+	return m.restrict.filter(judged)
 }
 
 // verify re-judges the candidates (already within the restriction) over

@@ -108,7 +108,7 @@ func OpenJournal(dir string, opts JournalOptions) (*Journal, error) {
 		st.Close()
 		return nil, fmt.Errorf("ha: %w", err)
 	default:
-		if err := j.readWatches(b); err != nil {
+		if j.watches, err = readWatches(b); err != nil {
 			st.Close()
 			return nil, fmt.Errorf("ha: watches manifest: %w", err)
 		}
@@ -127,7 +127,8 @@ type watchManifest struct {
 
 // readWatches parses either manifest generation into the flat
 // global-name → pattern map the coordinator registers from.
-func (j *Journal) readWatches(b []byte) error {
+func readWatches(b []byte) (map[string]string, error) {
+	out := make(map[string]string)
 	var m watchManifest
 	if err := json.Unmarshal(b, &m); err == nil && m.V >= 2 {
 		for tn, watches := range m.Tenants {
@@ -135,17 +136,38 @@ func (j *Journal) readWatches(b []byte) error {
 				if tn == "" {
 					// Legacy un-namespaced watches carried into a v2
 					// manifest keep their bare global names.
-					j.watches[w] = pattern
+					out[w] = pattern
 				} else {
-					j.watches[tenant.GlobalName(tn, w)] = pattern
+					out[tenant.GlobalName(tn, w)] = pattern
 				}
 			}
 		}
-		return nil
+		return out, nil
 	}
 	// Legacy flat map: names are coordinator-global already (and decode
 	// as the "" tenant's watches through tenant.SplitName).
-	return json.Unmarshal(b, &j.watches)
+	if err := json.Unmarshal(b, &out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// encodeWatches writes the flat watch set as the v2 tenant-grouped
+// manifest readWatches reads back. The "" tenant holds bare global names,
+// so a name that merely starts with the separator is kept whole.
+func encodeWatches(watches map[string]string) ([]byte, error) {
+	m := watchManifest{V: 2, Tenants: make(map[string]map[string]string)}
+	for name, pattern := range watches {
+		tn, w := tenant.SplitName(name)
+		if tn == "" {
+			w = name
+		}
+		if m.Tenants[tn] == nil {
+			m.Tenants[tn] = make(map[string]string)
+		}
+		m.Tenants[tn][w] = pattern
+	}
+	return json.Marshal(m)
 }
 
 // HasState reports whether the directory held a recoverable cluster
@@ -286,15 +308,7 @@ func (j *Journal) Close() error {
 // durable as an acknowledged batch. The on-disk shape is the v2
 // tenant-grouped manifest; the in-memory map stays flat (global names).
 func (j *Journal) writeWatchesLocked() error {
-	m := watchManifest{V: 2, Tenants: make(map[string]map[string]string)}
-	for name, pattern := range j.watches {
-		tn, w := tenant.SplitName(name)
-		if m.Tenants[tn] == nil {
-			m.Tenants[tn] = make(map[string]string)
-		}
-		m.Tenants[tn][w] = pattern
-	}
-	b, err := json.Marshal(m)
+	b, err := encodeWatches(j.watches)
 	if err != nil {
 		return err
 	}

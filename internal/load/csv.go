@@ -121,8 +121,6 @@ func CSV(r io.Reader, opts CSVOptions) (*Result, error) {
 		if opts.NodeLabelCol > 0 {
 			srcLabel = strings.TrimSpace(rec[opts.NodeLabelCol])
 		}
-		from := intern(fromID, srcLabel)
-		to := intern(toID, opts.DefaultNodeLabel)
 		label := opts.DefaultEdgeLabel
 		if opts.LabelCol > 0 {
 			label = strings.TrimSpace(rec[opts.LabelCol])
@@ -130,7 +128,14 @@ func CSV(r io.Reader, opts CSVOptions) (*Result, error) {
 				return nil, fmt.Errorf("load: line %d: empty edge label", line)
 			}
 		}
-		res.Graph.AddEdge(from, to, label)
+		// A quoted "\r\r\n" reads as "\r\n", which no edge list can hold:
+		// written back, it would read as "\n" and name another node.
+		for _, s := range []string{fromID, toID, label} {
+			if strings.Contains(s, "\r\n") {
+				return nil, fmt.Errorf("load: line %d: %q holds a CR LF pair, which WriteCSV cannot write back", line, s)
+			}
+		}
+		res.Graph.AddEdge(intern(fromID, srcLabel), intern(toID, opts.DefaultNodeLabel), label)
 	}
 	res.Graph.Finalize()
 	return res, nil

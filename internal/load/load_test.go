@@ -85,6 +85,7 @@ func TestCSVErrors(t *testing.T) {
 		{"emptyFrom", ",b,x\n", CSVOptions{LabelCol: 2}},
 		{"emptyLabel", "a,b,\n", CSVOptions{LabelCol: 2}},
 		{"negativeEndpoint", "a,b\n", CSVOptions{FromCol: -1, LabelCol: -1}},
+		{"crlfInID", "a,\"b\r\r\nc\",x\n", CSVOptions{LabelCol: 2}},
 	}
 	for _, c := range cases {
 		if _, err := CSV(strings.NewReader(c.in), c.opts); err == nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"reflect"
@@ -119,13 +120,13 @@ func TestFragmentRestrictsAnswers(t *testing.T) {
 	}
 }
 
-// TestScopedReplyNamesOnlyChangedWatches: a scoped update — the
-// coordinator's routing vocabulary — is answered with only the watches
-// whose answers changed, on the re-verification list and on the assignment
-// list alike, and with no deltas key at all when nothing changed; an
-// unscoped update, and an unscoped assignment, still list every watch with
-// what it re-verified. Raw lines, so what is absent is seen absent.
-func TestScopedReplyNamesOnlyChangedWatches(t *testing.T) {
+// TestFragmentReplyNamesOnlyChangedWatches: a fragment session — a cluster
+// coordinator's worker — answers an update with only the watches whose
+// answers changed, on the re-verification list and on the assignment list
+// alike, and with no deltas key at all when nothing changed; a session
+// holding a whole graph still lists every watch with what it re-verified.
+// Raw lines, so what is absent is seen absent.
+func TestFragmentReplyNamesOnlyChangedWatches(t *testing.T) {
 	_, addr := startServer(t, server.Config{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -151,9 +152,12 @@ func TestScopedReplyNamesOnlyChangedWatches(t *testing.T) {
 		return keys, resp
 	}
 	quote := func(s string) string { b, _ := json.Marshal(s); return string(b) }
+	watches := func(id int) {
+		send(fmt.Sprintf(`{"id":%d,"cmd":"watch","watch":"w","pattern":%s}`, id, quote(fragPattern)))
+		send(fmt.Sprintf(`{"id":%d,"cmd":"watch","watch":"v","pattern":%s}`, id+1, quote("qgp\nn xo person *\nn z person\ne xo z follow >=1\n")))
+	}
 	send(`{"id":1,"cmd":"fragment","data":` + quote(fragGraph) + `,"owned":[0,2]}`)
-	send(`{"id":2,"cmd":"watch","watch":"w","pattern":` + quote(fragPattern) + `}`)
-	send(`{"id":3,"cmd":"watch","watch":"v","pattern":` + quote("qgp\nn xo person *\nn z person\ne xo z follow >=1\n") + `}`)
+	watches(2)
 
 	only := func(what string, resp server.Response, want server.WatchDelta) {
 		t.Helper()
@@ -162,34 +166,36 @@ func TestScopedReplyNamesOnlyChangedWatches(t *testing.T) {
 		}
 	}
 	// 2 follows 4: one follow, so v gains 2 and w (>=2) does not.
-	_, resp := send(`{"id":4,"cmd":"update","updates":[{"op":"addEdge","from":2,"to":4,"label":"follow"}],"scoped":true,"affected":[2]}`)
-	only("scoped update", resp, server.WatchDelta{Watch: "v", Added: server.IDList{2}, Affected: 1})
+	_, resp := send(`{"id":4,"cmd":"update","updates":[{"op":"addEdge","from":2,"to":4,"label":"follow"}]}`)
+	only("update", resp, server.WatchDelta{Watch: "v", Added: server.IDList{2}, Affected: 1})
 	// Owning 3, which follows 4 alone: v gains 3, w does not.
-	_, resp = send(`{"id":5,"cmd":"update","owned":[3],"scoped":true}`)
-	only("scoped assignment", resp, server.WatchDelta{Watch: "v", Added: server.IDList{3}, Affected: 1})
-	// 1 follows 2, which is re-verified and still follows only 4.
-	if keys, _ := send(`{"id":6,"cmd":"update","updates":[{"op":"addEdge","from":1,"to":2,"label":"follow"}],"scoped":true,"affected":[2]}`); keys["deltas"] != nil {
-		t.Fatalf("a scoped update that changed nothing answered deltas %s", keys["deltas"])
+	_, resp = send(`{"id":5,"cmd":"update","owned":[3]}`)
+	only("assignment", resp, server.WatchDelta{Watch: "v", Added: server.IDList{3}, Affected: 1})
+	// 1 follows 2, which still follows only 4.
+	if keys, _ := send(`{"id":6,"cmd":"update","updates":[{"op":"addEdge","from":1,"to":2,"label":"follow"}]}`); keys["deltas"] != nil {
+		t.Fatalf("an update that changed nothing answered deltas %s", keys["deltas"])
 	}
 	// Owning 4, which follows nobody.
-	if keys, _ := send(`{"id":7,"cmd":"update","owned":[4],"scoped":true}`); keys["deltas"] != nil {
-		t.Fatalf("a scoped assignment that changed nothing answered deltas %s", keys["deltas"])
+	if keys, _ := send(`{"id":7,"cmd":"update","owned":[4]}`); keys["deltas"] != nil {
+		t.Fatalf("an assignment that changed nothing answered deltas %s", keys["deltas"])
 	}
-
-	// Unscoped: 2 loses its one follow, v loses 2, and w — unchanged — is
-	// listed all the same, with the same re-verified count.
-	_, resp = send(`{"id":8,"cmd":"update","updates":[{"op":"removeEdge","from":2,"to":4,"label":"follow"}]}`)
-	if len(resp.Deltas) != 2 || resp.Deltas[0].Watch != "v" || resp.Deltas[1].Watch != "w" {
-		t.Fatalf("unscoped update: deltas %+v, want v and w", resp.Deltas)
-	}
-	if v, w := resp.Deltas[0], resp.Deltas[1]; !reflect.DeepEqual(v.Removed, server.IDList{2}) || len(w.Added)+len(w.Removed) != 0 || w.Affected == 0 || w.Affected != v.Affected {
-		t.Fatalf("unscoped update: deltas %+v, want v -[2] and w unchanged, over the same re-verified candidates", resp.Deltas)
-	}
-	// Unscoped assignment of 1, which follows 0 and 3: both gain it.
-	_, resp = send(`{"id":9,"cmd":"update","owned":[1]}`)
+	// Owning 1, which follows 0 and 3: both gain it.
+	_, resp = send(`{"id":8,"cmd":"update","owned":[1]}`)
 	want := []server.WatchDelta{{Watch: "v", Added: server.IDList{1}, Affected: 1}, {Watch: "w", Added: server.IDList{1}, Affected: 1}}
 	if !reflect.DeepEqual(resp.Deltas, want) {
-		t.Fatalf("unscoped assignment: deltas %+v, want %+v", resp.Deltas, want)
+		t.Fatalf("assignment: deltas %+v, want %+v", resp.Deltas, want)
+	}
+
+	// The same graph whole: 2 loses its one follow, v loses 2, and w —
+	// unchanged — is listed all the same, with the same re-verified count.
+	send(`{"id":9,"cmd":"load","data":` + quote(fragGraph+"e 2 4 follow\n") + `}`)
+	watches(10)
+	_, resp = send(`{"id":12,"cmd":"update","updates":[{"op":"removeEdge","from":2,"to":4,"label":"follow"}]}`)
+	if len(resp.Deltas) != 2 || resp.Deltas[0].Watch != "v" || resp.Deltas[1].Watch != "w" {
+		t.Fatalf("whole-graph update: deltas %+v, want v and w", resp.Deltas)
+	}
+	if v, w := resp.Deltas[0], resp.Deltas[1]; !reflect.DeepEqual(v.Removed, server.IDList{2}) || len(w.Added)+len(w.Removed) != 0 || w.Affected == 0 || w.Affected != v.Affected {
+		t.Fatalf("whole-graph update: deltas %+v, want v -[2] and w unchanged, over the same re-verified candidates", resp.Deltas)
 	}
 }
 

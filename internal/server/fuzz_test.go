@@ -14,8 +14,8 @@ import (
 
 // protocolSeeds are request lines captured off the e2e and cluster test
 // traffic: every command the coordinator sends a worker — fragment and
-// the combined update batch with inline assignment and the scoped
-// affected set — plus the plain client commands, so the fuzzer
+// the combined update batch with inline assignment — plus the plain
+// client commands, so the fuzzer
 // starts from the shapes the wire actually carries.
 var protocolSeeds = []string{
 	`{"id":1,"cmd":"ping"}`,
@@ -26,20 +26,20 @@ var protocolSeeds = []string{
 	`{"id":16,"cmd":"fragment","format":"binary","data":"UUdQMQQGcGVyc29uB3Byb2R1Y3QGZm9sbG93CmJhZF9yYXRpbmcDAAABAgABAgECAw==","owned":"AAI="}`,
 	`{"id":5,"cmd":"update","owned":[2]}`,
 	`{"id":6,"cmd":"update","updates":[{"op":"addEdge","from":0,"to":2,"label":"follow"},{"op":"removeEdge","from":1,"to":2,"label":"bad_rating"}]}`,
-	`{"id":7,"cmd":"update","updates":[{"op":"addNode","label":"person"},{"op":"addEdge","from":3,"to":0,"label":"follow"}],"owned":[3],"scoped":true,"affected":[0,1]}`,
-	`{"id":8,"cmd":"update","updates":[{"op":"removeNode","from":1}],"scoped":true}`,
+	`{"id":7,"cmd":"update","updates":[{"op":"addNode","label":"person"},{"op":"addEdge","from":3,"to":0,"label":"follow"}],"owned":[3]}`,
+	`{"id":8,"cmd":"update","updates":[{"op":"removeNode","from":1}]}`,
 	`{"id":9,"cmd":"watch","watch":"w","pattern":"qgp\nn xo person *\nn z person\ne xo z follow >=3\n"}`,
 	`{"id":10,"cmd":"unwatch","watch":"w"}`,
 	`{"id":11,"cmd":"match","pattern":"qgp\nn xo person *\nn z person\ne xo z follow >=1\n","engine":"qmatchn","budget":100000,"limit":10,"planner":true}`,
 	`{"id":12,"cmd":"partition","workers":4,"d":2}`,
 	`{"id":13,"cmd":"metrics"}`,
 	// The same shapes with their id lists packed, as the coordinator
-	// sends them: owned [3], affected [0,1]; owned [5,2,9] (unsorted).
-	`{"id":14,"cmd":"update","updates":[{"op":"addNode","label":"person"}],"owned":"Bg==","scoped":true,"affected":"AAI="}`,
+	// sends them: owned [3]; owned [5,2,9] (unsorted).
+	`{"id":14,"cmd":"update","updates":[{"op":"addNode","label":"person"}],"owned":"Bg=="}`,
 	`{"id":15,"cmd":"update","owned":"CgUO"}`,
 	// An update as every sender writes it since batches are packed (the
 	// two ops of line 6), and one whose array names an op nobody knows.
-	`{"id":17,"cmd":"update","updates":"AgZmb2xsb3cKYmFkX3JhdGluZwIABAADAgQB","scoped":true,"affected":"AAI="}`,
+	`{"id":17,"cmd":"update","updates":"AgZmb2xsb3cKYmFkX3JhdGluZwIABAADAgQB"}`,
 	`{"id":18,"cmd":"update","updates":[{"op":"frob","from":1}]}`,
 	// Ids that are no graph.NodeID: narrowed to 32 bits they would name
 	// nodes 1, 2 → 3 and -1. They travel; ToUpdates refuses them.

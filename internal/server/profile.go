@@ -42,12 +42,10 @@ type UpdateProfileDoc struct {
 	BatchSize int     `json:"batch_size"`
 	Touched   int     `json:"touched"`
 	Nodes     int     `json:"nodes"`
-	Scoped    bool    `json:"scoped,omitempty"`
 	ApplyMS   float64 `json:"apply_ms"`
-	// AffectedSize is the number of focus candidates re-verified: the
-	// coordinator-computed scope when Scoped, otherwise the widest
-	// per-pattern reach. WorkRatio = AffectedSize / Nodes; the
-	// incremental claim is that it stays ≪ 1 for small batches.
+	// AffectedSize is the number of focus candidates the widest watch
+	// re-judged. WorkRatio = AffectedSize / Nodes; the incremental claim is
+	// that it stays ≪ 1 for small batches.
 	AffectedSize int     `json:"affected_size"`
 	WorkRatio    float64 `json:"work_ratio"`
 	// Groups is the number of distinct patterns evaluated; the Watches

@@ -36,16 +36,13 @@ import (
 //	update    — apply a mutation batch to the session graph; a cluster
 //	            coordinator sends one combined batch per worker that can
 //	            also carry newly owned nodes (Owned: the coordinator
-//	            assigns nodes the batch created to this worker) and the
-//	            coordinator-computed affected set (Scoped + Affected),
-//	            sparing the worker a local re-expansion; the front end
-//	            refuses those fields. The reply's Deltas list every watch
-//	            with its affected count: the candidates it re-judged (a
-//	            counted watch's whose counts moved, any other's that its
-//	            reach plan or the shipped set named). A scoped reply lists
-//	            only the watches whose answers changed (no Deltas when none
-//	            did): the coordinator knows the rest, and reports what it
-//	            shipped as the affected count
+//	            assigns nodes the batch created to this worker); the front
+//	            end refuses Owned. The reply's Deltas list every watch with
+//	            its affected count: the candidates it re-judged (a counted
+//	            watch's whose counts moved, any other's that its reach plan
+//	            named). A fragment session's reply lists only the watches
+//	            whose answers changed (no Deltas when none did): the
+//	            coordinator knows the rest, and reports its own count
 //	watch     — register a standing pattern; every later update reports
 //	            its answer-set delta (incremental maintenance, §5.2 remark)
 //	unwatch   — remove a standing pattern
@@ -105,9 +102,9 @@ import (
 // The session graph persists across requests on the same connection.
 //
 // Id lists. Every list of node ids — matches, identified, a watch delta's
-// added/removed, a fragment's owned and affected — is an IDList. It is
-// written in one form only, a JSON string: the base64 (standard alphabet,
-// padded) of one signed varint per id, each the difference to the id
+// added/removed, a fragment's owned — is an IDList. It is written in one
+// form only, a JSON string: the base64 (standard alphabet, padded) of one
+// signed varint per id, each the difference to the id
 // before it and the first the id itself. An ascending answer set costs a
 // byte or two per id instead of a decimal number, and neither side walks
 // it through reflection. A hand-typed request may still spell a list as a
@@ -181,22 +178,9 @@ type Request struct {
 	// owned set; for an update on a fragment session it is the nodes to add
 	// to it — an update batch from a cluster coordinator carries the nodes
 	// it assigns to this worker inline, so routing one global batch costs
-	// one round trip.
+	// one round trip. Nothing else rides along: the worker finds the
+	// candidates the batch can flip over its own fragment.
 	Owned IDList `json:"owned,omitempty"`
-
-	// update, fragment sessions only: Scoped marks Affected as the
-	// coordinator-computed global affected set translated to this
-	// fragment's local ids (owned candidates within the fragmentation
-	// radius of a touched node, in the old or new graph). The worker's
-	// standing watches outside the countable class then re-verify exactly
-	// these candidates (counted ones re-judge what their counts say)
-	// instead of re-expanding the local batch, which is inflated by
-	// materialization traffic (neighborhood nodes and edges shipped for
-	// other candidates' benefit). Scoped distinguishes an intentionally empty set — nothing
-	// owned here is affected, e.g. a batch that only materializes
-	// neighborhood — from an ordinary unscoped update.
-	Scoped   bool   `json:"scoped,omitempty"`
-	Affected IDList `json:"affected,omitempty"`
 }
 
 // UpdateSpec is one graph mutation in the wire format of the update

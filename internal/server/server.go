@@ -287,22 +287,20 @@ func decodeGraph(format, data string, maxSize int) (*graph.Graph, error) {
 // distinct pattern once over the candidates the batch can flip and reports
 // the delta under every subscribed name.
 //
-// On a fragment session the request may additionally carry the cluster
-// coordinator's routing: Scoped + Affected narrow re-verification to the
-// coordinator-computed affected set (local ids) for the watches whose
-// patterns are not countable (counted ones read the batch's edits off the
-// pre-batch view either way), and Owned lists nodes
-// the coordinator assigns to this worker, folded into the owned set after
-// the batch applies — one combined round trip. The reply to a scoped
-// request names only the watches whose answers changed.
+// On a fragment session the request may additionally carry Owned: nodes
+// the cluster coordinator assigns to this worker, folded into the owned set
+// after the batch applies — one combined round trip. A fragment session
+// finds its re-verification candidates over its own graph, as any session
+// does, and its reply names only the watches whose answers changed.
 func (sess *session) Update(req *Request, resp *Response, profile bool) (any, error) {
 	t0 := time.Now()
 	var prof *UpdateProfileDoc
 	if profile {
 		prof = &UpdateProfileDoc{Op: "update"}
 	}
-	if (req.Scoped || len(req.Owned) > 0) && !sess.eng.Restricted() {
-		return nil, fmt.Errorf("update: scoped or owning update on a session holding no fragment: run fragment first")
+	fragment := sess.eng.Restricted()
+	if len(req.Owned) > 0 && !fragment {
+		return nil, fmt.Errorf("update: owning update on a session holding no fragment: run fragment first")
 	}
 	ng := sess.g
 	var touched []graph.NodeID
@@ -339,16 +337,8 @@ func (sess *session) Update(req *Request, resp *Response, profile bool) (any, er
 	if max := sess.s.cfg.MaxGraphSize; old != nil && ng.Size() > max {
 		return nil, revert(fmt.Errorf("updated graph size %d exceeds server cap %d", ng.Size(), max))
 	}
-	// Validate everything the request names — affected candidates and
-	// assigned nodes, both in the post-batch id space — before the
+	// Validate the assigned nodes, in the post-batch id space, before the
 	// watches see the batch.
-	var scoped []graph.NodeID
-	if req.Scoped {
-		var err error
-		if scoped, err = localNodes(ng, req.Affected); err != nil {
-			return nil, revert(fmt.Errorf("update: %w", err))
-		}
-	}
 	assign, err := localNodes(ng, req.Owned)
 	if err != nil {
 		return nil, revert(fmt.Errorf("update: %w", err))
@@ -360,16 +350,11 @@ func (sess *session) Update(req *Request, resp *Response, profile bool) (any, er
 		// An assign-only batch skips this: nothing changed in the graph,
 		// Assign below reports the new candidates.
 		sess.bounds.noteBatch(ng, touched)
-		var deltas []dynamic.NamedDelta
-		if req.Scoped {
-			deltas, err = sess.eng.ApplyScoped(old, ng, scoped)
-		} else {
-			deltas, err = sess.eng.Apply(old, ng, touched)
-		}
+		deltas, err := sess.eng.Apply(old, ng, touched)
 		if err != nil {
 			return nil, err
 		}
-		appendDeltas(resp, deltas, req.Scoped)
+		appendDeltas(resp, deltas, fragment)
 		if prof != nil {
 			prof.Groups = sess.eng.Groups()
 			for _, d := range deltas {
@@ -389,24 +374,15 @@ func (sess *session) Update(req *Request, resp *Response, profile bool) (any, er
 		if err != nil {
 			return nil, fmt.Errorf("update: %w", err)
 		}
-		appendDeltas(resp, deltas, req.Scoped)
+		appendDeltas(resp, deltas, fragment)
 	}
 	resp.Nodes, resp.Edges = ng.NumNodes(), ng.NumEdges()
 	if prof != nil {
 		prof.BatchSize = len(req.Updates)
 		prof.Touched = len(touched)
-		prof.Scoped = req.Scoped
 		prof.Nodes = ng.NumNodes()
-		if req.Scoped {
-			prof.AffectedSize = len(scoped)
-		} else {
-			// Unscoped: the affected candidates differ per pattern;
-			// report the widest.
-			for _, w := range prof.Watches {
-				if w.Affected > prof.AffectedSize {
-					prof.AffectedSize = w.Affected
-				}
-			}
+		for _, w := range prof.Watches {
+			prof.AffectedSize = max(prof.AffectedSize, w.Affected)
 		}
 		if prof.Nodes > 0 {
 			prof.WorkRatio = float64(prof.AffectedSize) / float64(prof.Nodes)
@@ -417,12 +393,12 @@ func (sess *session) Update(req *Request, resp *Response, profile bool) (any, er
 }
 
 // appendDeltas converts the engine's per-watch answer deltas to the wire
-// format. A scoped reply keeps only the watches whose answers changed: its
-// reader, the coordinator, knows every watch and what it asked to have
-// re-verified, so the rest would be bytes that say nothing.
-func appendDeltas(resp *Response, deltas []dynamic.NamedDelta, scoped bool) {
+// format. A fragment's reply keeps only the watches whose answers changed:
+// its reader, the coordinator, knows every watch and counts what it routed
+// itself, so the rest would be bytes that say nothing.
+func appendDeltas(resp *Response, deltas []dynamic.NamedDelta, fragment bool) {
 	for _, d := range deltas {
-		if scoped && len(d.Added) == 0 && len(d.Removed) == 0 {
+		if fragment && len(d.Added) == 0 && len(d.Removed) == 0 {
 			continue
 		}
 		resp.Deltas = append(resp.Deltas, WatchDelta{Watch: d.Name, Added: IDs(d.Added), Removed: IDs(d.Removed), Affected: d.Affected})

@@ -15,7 +15,9 @@ import (
 
 // wireGoldenFile holds every wireCases value as json.Marshal wrote it at
 // 6ecd0ac, the last build whose id lists and batches were json.Marshalers:
-// one "name<TAB>bytes" line per case.
+// one "name<TAB>bytes" line per case. The request line has since lost the
+// affected set the coordinator no longer sends; every other byte is as
+// written then.
 const wireGoldenFile = "testdata/wire-6ecd0ac.golden"
 
 type wireCase struct {
@@ -24,11 +26,11 @@ type wireCase struct {
 }
 
 // wireCases are what the golden pins: the coordinator's combined update
-// request (packed batch with a multi-byte label, affected, owned), an
-// answer of 3 000 ids, a worker reply with 8 deltas, the empty and nil
-// lists inside a reply, and id lists and batches on their own.
+// request (packed batch with a multi-byte label, owned), an answer of
+// 3 000 ids, a worker reply with 8 deltas, the empty and nil lists inside
+// a reply, and id lists and batches on their own.
 func wireCases() []wireCase {
-	req := &server.Request{ID: 7, Cmd: "update", Scoped: true,
+	req := &server.Request{ID: 7, Cmd: "update",
 		Updates: server.Batch{
 			{Op: "addNode", Label: "Person"},
 			{Op: "addEdge", From: 4147, To: 12, Label: "follow"},
@@ -36,8 +38,7 @@ func wireCases() []wireCase {
 			{Op: "removeEdge", From: 97, To: 3911, Label: "follow"},
 			{Op: "removeNode", From: 2210},
 		},
-		Owned:    server.IDList{4147},
-		Affected: server.IDList{311, 1207, 1846, 2210, 2987, 3405},
+		Owned: server.IDList{4147},
 	}
 	answer := &server.Response{ID: 1, OK: true, Total: 3000, ElapsedMS: 1.25, Matches: make(server.IDList, 3000)}
 	for i := range answer.Matches {

@@ -7,7 +7,7 @@ package tenant
 //     admitted match, update or watch — the blunt per-tenant QPS cap;
 //   - an update budget (Config.AffectedPerSec/AffectedBurst) denominated
 //     in affected-set units, the number of focus candidates the
-//     coordinator ships for re-verification — the union over the
+//     coordinator counts for re-verification — the union over the
 //     distinct standing patterns (UpdateResult.AffectedSize). This is
 //     the incremental-maintenance observable — work proportional to
 //     the change, not the database — so it is what updates actually

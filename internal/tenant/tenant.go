@@ -100,7 +100,7 @@ type Config struct {
 	RateQPS   float64
 	RateBurst int
 	// AffectedPerSec budgets each tenant's update work in affected-set
-	// units per second: the focus candidates the coordinator ships for
+	// units per second: the focus candidates the coordinator counts for
 	// re-verification (UpdateResult.AffectedSize), i.e. what the update
 	// actually cost the shared cluster. The budget is post-paid — see limits.go —
 	// so a huge batch drives the balance negative rather than being
