@@ -88,7 +88,7 @@ func main() {
 	tenantIdle := flag.Duration("tenant-idle", 15*time.Minute, "evict named tenant sessions with no connection after this long idle (negative = never)")
 	tenantQPS := flag.Float64("tenant-qps", 0, "per-tenant admitted commands per second — match, update, watch (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant command bucket size (0 = 2x -tenant-qps, at least 1)")
-	tenantAffected := flag.Float64("tenant-affected", 0, "per-tenant update budget in affected-set units per second — the focus candidates the coordinator counts for re-verification, the union over the distinct standing patterns, typically a handful per changed edge — post-paid against each batch's real count (0 = unlimited)")
+	tenantAffected := flag.Float64("tenant-affected", 0, "per-tenant update budget in affected-set units per second — the focus candidates the workers re-judged, each worker's widest watch group summed, typically a handful per changed edge — post-paid against each batch's real count (0 = unlimited)")
 	tenantAffectedBurst := flag.Int("tenant-affected-burst", 0, "per-tenant affected-set budget bucket size (0 = 4x -tenant-affected, at least 1)")
 	tenantInbox := flag.Int("tenant-inbox", 0, "per-watch cap on a tenant's undrained coalesced delta ids; overflow drops the state and marks the watch resync (0 = 4096, negative = unlimited)")
 	journalDir := flag.String("journal", "", "directory for the snapshot+journal; existing state is recovered at startup and the front end serves one durable session shared by all connections")

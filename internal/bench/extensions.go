@@ -64,8 +64,8 @@ func exp14(sc Scale, w io.Writer) error {
 // standing watch over a social graph, under the benchmark's batch shape —
 // 4 follow edges inserted between pseudo-random persons, and the 4 a batch
 // four earlier inserted removed again. Per pattern it reports, per batch,
-// the focus candidates the pattern's reach plan names (what a cluster
-// coordinator counts), those the watch's counts re-judged, and the answers
+// the focus candidates the pattern's reach plan names (what a search
+// re-verifies), those the watch's counts re-judged, and the answers
 // that flipped. The three counts are deterministic; wall_ms is the watch's
 // upkeep alone.
 func exp15(sc Scale, w io.Writer) error {

@@ -3,12 +3,12 @@
 // with the d-hop-preserving partition of internal/partition, ships each
 // fragment to a worker over the qgpd wire protocol, fans quantified
 // matches out to the workers, and routes update batches to only the
-// workers whose fragments contain affected nodes, where
-// internal/dynamic.Matcher maintains standing answers incrementally.
+// workers whose fragments they change, where internal/dynamic.Matcher
+// maintains standing answers incrementally and counts the work.
 //
-// Workers are stock qgpd processes: the fragment and assign protocol
-// commands (see internal/server) turn an ordinary session into a fragment
-// holder. The Transport interface abstracts how a worker is reached — Dial
+// Workers are stock qgpd processes: the fragment protocol command and
+// update's owned field (see internal/server) turn an ordinary session into
+// a fragment holder. The Transport interface abstracts how a worker is reached — Dial
 // for a TCP worker, InProcess for an embedded one — so the same cluster
 // runs across machines or inside a single test binary.
 //
@@ -111,21 +111,17 @@ type Coordinator struct {
 	g *graph.Graph
 	// vg maintains g in place: Update applies each accepted batch as a
 	// delta through the versioned core instead of rebuilding the graph,
-	// and hands the pre-batch OldView to affected-set computation and
-	// failover re-shipping.
+	// and hands the pre-batch OldView to update planning and failover
+	// re-shipping.
 	vg *graph.Versioned
 	// ball is Update's scratch for the ball around a batch's insertions;
 	// guarded by the write side of mu, like the graph it walks.
 	ball    dynamic.BallScratch
 	workers []*worker
 	watches map[string]string // watch name → pattern DSL (for failover re-registration)
-	// groups holds the distinct patterns among the watches, counted by the
-	// names holding each — the mirror of the workers' watch engine groups —
-	// and reach is their one merged reach plan, recompiled when the set of
-	// distinct patterns changes. Update counts reach's affected set
-	// (UpdateResult.AffectedSize); the workers find their own.
-	groups map[string]*groupRef
-	reach  *dynamic.ReachPlan
+	// groups counts the names holding each distinct pattern among the
+	// watches — the mirror of the workers' watch engine groups.
+	groups map[string]int
 	closed bool
 	// failed is set when a worker failed mid-update with no failover
 	// left, leaving fragments possibly inconsistent; every later
@@ -134,13 +130,6 @@ type Coordinator struct {
 	// batches counts accepted update batches, for UpdateResult.Version.
 	// Guarded by the write side of mu.
 	batches uint64
-}
-
-// groupRef is one distinct standing pattern and the number of watch names
-// holding it.
-type groupRef struct {
-	q    *core.Pattern
-	refs int
 }
 
 // replica is one worker session holding a copy of a fragment. The
@@ -257,7 +246,7 @@ func build(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	vg := graph.NewVersioned(g)
-	c := &Coordinator{cfg: cfg, g: vg.Graph(), vg: vg, watches: make(map[string]string), groups: make(map[string]*groupRef), reach: dynamic.NewReachPlan()}
+	c := &Coordinator{cfg: cfg, g: vg.Graph(), vg: vg, watches: make(map[string]string), groups: make(map[string]int)}
 	c.om = newCoordMetrics(cfg.Metrics, len(ts))
 	c.workers = make([]*worker, len(ts))
 	for i := range c.workers {
@@ -314,14 +303,14 @@ type coordMetrics struct {
 	matchCount, updateCount, watchCount *obs.Counter
 	matchMS, updateMS                   *obs.Histogram
 	// watchGroups is the number of distinct standing patterns (watchCount
-	// counts registered names); affectedRatio the last batch's affected
-	// union over |V|, in parts per million.
+	// counts registered names); affectedRatio the last batch's
+	// AffectedSize over |V|, in parts per million.
 	watchGroups, affectedRatio *obs.Gauge
 	// Per-worker wire round-trip latency: a slow fan-out is attributed
 	// to a specific worker/fragment here even without tracing.
 	workerMatchMS, workerUpdateMS []*obs.Histogram
 	// Update routing: how wide each batch fanned out, how many workers
-	// were skipped, and the size of the batch and its affected region —
+	// were skipped, and the size of the batch and of the work it cost —
 	// the "work proportional to the change" observables.
 	updateBatch, updateAffected, updateFanout *obs.Histogram
 	workersRouted, workersSkipped             *obs.Counter

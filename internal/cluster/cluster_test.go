@@ -122,7 +122,7 @@ func twoIslands(t *testing.T) *graph.Graph {
 }
 
 // TestUpdateRouting is the second acceptance criterion: an update batch is
-// routed to only the workers whose fragments contain affected nodes.
+// routed to only the workers whose fragments it changes.
 func TestUpdateRouting(t *testing.T) {
 	g := twoIslands(t)
 	c := newEmbedded(t, g, 2, Config{D: 2})

@@ -14,8 +14,8 @@ package cluster
 //     re-shipping Induced(state, w.ids.toGlobal) reproduces the exact local
 //     id space of the lost session — answer merging and standing-watch
 //     deltas keep working unchanged.
-//   - A combined update batch (mutations + assigned nodes + affected
-//     set, one request per contacted worker) reaches replicas only
+//   - A combined update batch (mutations + assigned nodes, one request
+//     per contacted worker) reaches replicas only
 //     after the primary applied it, so when a primary dies mid-batch
 //     every warm replica is still at the pre-batch sync point:
 //     promoting one and replaying the batch neither loses nor

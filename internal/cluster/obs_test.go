@@ -113,8 +113,8 @@ func TestUpdateAffectedSizeProportionalToChange(t *testing.T) {
 	if h.Count != 1 || h.Sum != float64(res.AffectedSize) {
 		t.Fatalf("cluster.update.affected_size = {count %d, sum %v}, want one observation of %d", h.Count, h.Sum, res.AffectedSize)
 	}
-	// The same invariant as a live gauge: the last batch's shipped
-	// affected set over |V|, in parts per million.
+	// The same invariant as a live gauge: the last batch's re-judged
+	// candidates over |V|, in parts per million.
 	if got, want := snap.Gauges["cluster.update.affected_ratio"], int64(res.AffectedSize)*1_000_000/n; got != want {
 		t.Fatalf("cluster.update.affected_ratio = %d ppm, want %d", got, want)
 	}

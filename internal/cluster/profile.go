@@ -14,8 +14,8 @@ import (
 // per-stage document (produced by the server's profile command against
 // its fragment) is embedded verbatim as raw JSON, with the coordinator
 // contributing the cross-fragment dimensions a worker cannot see —
-// round-trip vs compute split, fan-out width, merge time, and the global
-// affected-region size.
+// round-trip vs compute split, fan-out width, merge time, and the
+// workers' summed re-verification work.
 
 // MatchProfile is the merged cluster-level profile of one match.
 type MatchProfile struct {
@@ -43,25 +43,27 @@ type FragmentProfile struct {
 }
 
 // UpdateProfile is the merged cluster-level profile of one update batch:
-// the coordinator pipeline stage by stage (apply / journal / affected /
-// fan-out / merge), per contacted worker timings with the worker's own
-// stage document, and the affected-vs-|G| work ratio.
+// the coordinator pipeline stage by stage (apply / journal /
+// materialization ball / fan-out / merge), per contacted worker timings
+// with the worker's own stage document, and the affected-vs-|G| work ratio.
 type UpdateProfile struct {
 	Op        string `json:"op"` // "update"
 	BatchSize int    `json:"batch_size"`
 	Touched   int    `json:"touched"`
 	Nodes     int    `json:"nodes"`
-	// AffectedSize is the coordinator's re-verification count
+	// AffectedSize is the workers' summed re-verification count
 	// (UpdateResult.AffectedSize); WorkRatio = AffectedSize / Nodes.
 	// The incremental claim is WorkRatio ≪ 1 for small batches.
 	AffectedSize int     `json:"affected_size"`
 	WorkRatio    float64 `json:"work_ratio"`
 	ApplyMS      float64 `json:"apply_ms"`
 	JournalMS    float64 `json:"journal_ms,omitempty"`
-	AffectedMS   float64 `json:"affected_ms"`
-	FanoutMS     float64 `json:"fanout_ms"`
-	MergeMS      float64 `json:"merge_ms"`
-	TotalMS      float64 `json:"total_ms"`
+	// AffectedMS times the ball around the batch's insertions that bounds
+	// materialization upkeep; the workers time their own candidates.
+	AffectedMS float64 `json:"affected_ms"`
+	FanoutMS   float64 `json:"fanout_ms"`
+	MergeMS    float64 `json:"merge_ms"`
+	TotalMS    float64 `json:"total_ms"`
 	// Workers has one entry per contacted worker, ascending id; skipped
 	// workers (the routing win) do not appear.
 	Workers []WorkerUpdateProfile `json:"workers,omitempty"`
@@ -74,8 +76,9 @@ type WorkerUpdateProfile struct {
 	RTTMS     float64 `json:"rtt_ms"`
 	MirrorMS  float64 `json:"mirror_ms,omitempty"`
 	Mutations int     `json:"mutations"`
-	Affected  int     `json:"affected"`
-	Assigned  int     `json:"assigned,omitempty"`
+	// Affected is the reply's Total: what the worker re-judged.
+	Affected int `json:"affected"`
+	Assigned int `json:"assigned,omitempty"`
 	// Profile is the worker's own update stage document (apply time,
 	// per-watch affected/verify split), embedded verbatim.
 	Profile json.RawMessage `json:"profile,omitempty"`

@@ -18,23 +18,19 @@ type UpdateResult struct {
 	// one entry per registered watch, in name order, whenever any worker
 	// was contacted, and none when no worker was. Added/Removed come from
 	// the workers' replies, which name only the watches whose answers
-	// changed there. Affected is the same for every entry, counted by the
-	// coordinator: per contacted worker, its owned share of the
-	// AffectedSize set when its batch is non-empty, plus the nodes the
-	// batch assigned it — so it tracks AffectedSize.
+	// changed there. Affected is AffectedSize on every entry.
 	Deltas []server.WatchDelta
 	// Contacted lists the workers (ascending id) that received traffic:
 	// exactly those whose fragment mirrors changed or that were assigned a
 	// node the batch created. The others were not spoken to — the paper's
 	// "coordinator Sc assigns the changes to each fragment" routing (§5.2).
 	Contacted []int
-	// AffectedSize is the size of the coordinator's re-verification set:
-	// the union, over the distinct standing patterns, of the focus
-	// candidates each pattern's reach plan says the batch can have flipped
-	// — the "work proportional to the change" observable: for a small
-	// batch on a large graph it should be far below |V|. Workers find
-	// their own candidates; this count sizes the merged Affected and the
-	// tenant's update budget.
+	// AffectedSize is the re-verification work the batch cost: the sum
+	// over the contacted workers of their replies' Total — each the focus
+	// candidates its widest watch group re-judged, plus the nodes it was
+	// assigned while a watch stands. It is the "work proportional to the
+	// change" observable, far below |V| for a small batch on a large
+	// graph, and sizes the merged Affected and the tenant's update budget.
 	AffectedSize int
 	// Version counts the batches the coordinator has accepted, this one
 	// included. benchmark/ reads this name; delete after ROADMAP 1(a).
@@ -46,14 +42,12 @@ type UpdateResult struct {
 // keeping its fragment mirror equal to the induced subgraph of the new
 // global graph, the globals it newly materializes (local ids follow its
 // current id space, in order) and the new nodes it will own (as post-batch
-// local ids). affected counts the worker's owned share of the coordinator's
-// re-verification set, for the merged Affected; nothing ships it.
+// local ids).
 type workerPlan struct {
-	batch    []server.UpdateSpec
-	newMat   []graph.NodeID
-	assign   []graph.NodeID // global ids, for owned-set bookkeeping
-	assignL  []int64        // the same nodes as post-batch local ids
-	affected int            // |owned ∩ reverify|; 0 without a batch
+	batch   []server.UpdateSpec
+	newMat  []graph.NodeID
+	assign  []graph.NodeID // global ids, for owned-set bookkeeping
+	assignL []int64        // the same nodes as post-batch local ids
 }
 
 // empty reports whether the plan carries no traffic at all.
@@ -68,8 +62,8 @@ func (p *workerPlan) empty() bool {
 // workers whose fragments it changes — local mutations and newly assigned
 // owned nodes travel in a single request, so routing a batch costs one
 // round trip per contacted worker. Each worker finds the candidates the
-// batch can flip over its own fragment. The standing patterns' merged
-// reach plan sizes UpdateResult.AffectedSize.
+// batch can flip over its own fragment and reports how many it re-judged;
+// their sum is UpdateResult.AffectedSize.
 // ClusterUpdate of the ISSUE's API naming.
 func (c *Coordinator) Update(specs []server.UpdateSpec) (*UpdateResult, error) {
 	return c.update(specs, nil)
@@ -79,7 +73,7 @@ func (c *Coordinator) Update(specs []server.UpdateSpec) (*UpdateResult, error) {
 // workers to the profile command, so their replies carry per-stage update
 // documents for their fragments, and fills the merged cluster-level
 // profile around them: the coordinator's own stages — apply, journal,
-// affected-region, fan-out, merge.
+// materialization ball, fan-out, merge.
 //
 // The fan-out is pipelined: per-worker planning, serialization and I/O
 // run concurrently across workers (each plan touches only its own
@@ -112,9 +106,9 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	// The batch applies to the authoritative graph in place; oldG is the
-	// pre-batch view the versioned core hands back — the "deletions are
-	// measured in the old graph" side of the affected-set computation and
-	// the sync-point state a mid-batch failover re-ships from.
+	// pre-batch view the versioned core hands back — the source of the
+	// batch's net edits and the sync-point state a mid-batch failover
+	// re-ships from.
 	oldG, touched, err := c.vg.Apply(ups)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -145,19 +139,14 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		}
 	}
 	taff := time.Now()
-	// Two affected regions: the re-verification count needs the focus
-	// candidates the standing patterns' merged reach plan walks to from the
-	// changed edges (each distinct rule walked once, whatever the number of
-	// patterns sharing it),
-	// while fragment materialization upkeep is bounded by the (D-1)-ball
-	// around inserted-edge endpoints and batch-created nodes — a node can
-	// only move into an owned node's D-hop ball along a path through an
-	// inserted edge, and deletions never extend a fragment. Neither
-	// needs the D-hop ball of the whole touched set, which for a 1-edge
-	// batch can cover most of a dense graph. The batch's net edge edits, a
-	// removed node's lost edges included, are every edge a fragment can
-	// have to change.
-	reverify := c.reach.Affected(oldG, newG, touched)
+	// Fragment materialization upkeep is bounded by the (D-1)-ball around
+	// inserted-edge endpoints and batch-created nodes — a node can only
+	// move into an owned node's D-hop ball along a path through an
+	// inserted edge, and deletions never extend a fragment — not by the
+	// D-hop ball of the whole touched set, which for a 1-edge batch can
+	// cover most of a dense graph. The batch's net edge edits, a removed
+	// node's lost edges included, are every edge a fragment can have to
+	// change.
 	edits := oldG.Edits()
 	var insEnds []graph.NodeID
 	for _, e := range edits {
@@ -172,20 +161,14 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	if len(insEnds) > 0 {
 		matCand = c.ball.Ball(newG, insEnds, c.cfg.D-1)
 	}
-	tr.Annotatef("batch=%d touched=%d affected=%d matcand=%d", len(specs), len(touched), len(reverify), len(matCand))
+	tr.Annotatef("batch=%d touched=%d matcand=%d", len(specs), len(touched), len(matCand))
 	if prof != nil {
 		prof.AffectedMS = server.MsSince(taff)
 		prof.BatchSize = len(specs)
 		prof.Touched = len(touched)
 		prof.Nodes = newG.NumNodes()
-		prof.AffectedSize = len(reverify)
-		if prof.Nodes > 0 {
-			prof.WorkRatio = float64(prof.AffectedSize) / float64(prof.Nodes)
-		}
 	}
 	c.om.updateBatch.Observe(float64(len(specs)))
-	c.om.updateAffected.Observe(float64(len(reverify)))
-	c.om.affectedRatio.Set(int64(len(reverify)) * 1_000_000 / int64(newG.NumNodes()))
 
 	// Assign each node the batch created to the worker owning the fewest:
 	// assignTo[i] is the worker of node oldG.NumNodes()+i.
@@ -209,10 +192,10 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	// shared immutable inputs plus the worker's own state, so computing it
 	// inside the fan-out overlaps the planning of one worker with the
 	// serialization and I/O of another. Per worker: the reply's deltas and
-	// how many candidates it re-verified.
+	// its Total, the candidates it re-judged.
 	contacted := make([]bool, len(c.workers))
 	updDeltas := make([][]server.WatchDelta, len(c.workers))
-	reverified := make([]int, len(c.workers))
+	judged := make([]int, len(c.workers))
 	cmd := "update"
 	var workerProfs []*WorkerUpdateProfile
 	if prof != nil {
@@ -222,7 +205,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	tfan := time.Now()
 	err = c.fanOut(func(w *worker) error {
 		tplan := time.Now()
-		p := c.planFor(w, oldG, newG, edits, touched, matCand, reverify, assignTo)
+		p := c.planFor(w, oldG, newG, edits, touched, matCand, assignTo)
 		if p == nil || p.empty() {
 			c.om.workersSkipped.Inc()
 			return nil
@@ -237,7 +220,6 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 				Worker:    w.id,
 				PlanMS:    server.MsSince(tplan),
 				Mutations: len(p.batch),
-				Affected:  p.affected,
 				Assigned:  len(p.assignL),
 			}
 			workerProfs[w.id] = wp
@@ -256,14 +238,14 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 			return err
 		}
 		tr.Span(w.id, "rtt", trtt)
-		tr.Annotatef("w%d:muts=%d affected=%d", w.id, len(p.batch), p.affected)
+		tr.Annotatef("w%d:muts=%d affected=%d", w.id, len(p.batch), resp.Total)
 		c.om.workerUpdateMS[w.id].ObserveSince(trtt)
 		if wp != nil {
 			wp.RTTMS = server.MsSince(trtt)
+			wp.Affected = resp.Total
 			wp.Profile = resp.Profile
 		}
-		// Every assigned node is new to the primary.
-		updDeltas[w.id], reverified[w.id] = resp.Deltas, p.affected+len(p.assignL)
+		updDeltas[w.id], judged[w.id] = resp.Deltas, resp.Total
 		for _, gv := range p.newMat {
 			w.ids.add(gv)
 		}
@@ -284,6 +266,16 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		c.failed = err
 		return nil, err
 	}
+	c.batches++
+	out := &UpdateResult{Nodes: newG.NumNodes(), Edges: newG.NumEdges(), Version: c.batches}
+	for i, hit := range contacted {
+		if hit {
+			out.Contacted = append(out.Contacted, i)
+			out.AffectedSize += judged[i]
+		}
+	}
+	c.om.updateAffected.Observe(float64(out.AffectedSize))
+	c.om.affectedRatio.Set(int64(out.AffectedSize) * 1_000_000 / int64(out.Nodes))
 	if prof != nil {
 		prof.FanoutMS = server.MsSince(tfan)
 		for _, wp := range workerProfs {
@@ -291,17 +283,14 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 				prof.Workers = append(prof.Workers, *wp)
 			}
 		}
-	}
-	c.batches++
-	out := &UpdateResult{Nodes: newG.NumNodes(), Edges: newG.NumEdges(), AffectedSize: len(reverify), Version: c.batches}
-	for i, hit := range contacted {
-		if hit {
-			out.Contacted = append(out.Contacted, i)
+		prof.AffectedSize = out.AffectedSize
+		if prof.Nodes > 0 {
+			prof.WorkRatio = float64(prof.AffectedSize) / float64(prof.Nodes)
 		}
 	}
 	tm := time.Now()
 	if len(out.Contacted) > 0 {
-		if out.Deltas, err = c.mergeDeltas(updDeltas, reverified); err != nil {
+		if out.Deltas, err = c.mergeDeltas(updDeltas, out.AffectedSize); err != nil {
 			c.failed = err
 			return nil, err
 		}
@@ -319,16 +308,16 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 
 // planFor computes one worker's share of a global batch, or nil when the
 // batch cannot affect the worker: no touched node is materialized there,
-// no owned candidate is in reverify or needs materialization upkeep, and
-// no new node is being assigned to it. matCand is the (D-1)-ball around
-// inserted-edge endpoints and batch-created nodes (it bounds
-// materialization maintenance); reverify is the union of the standing
-// patterns' reach-plan candidates (the plan counts the worker's share);
-// both ascend. edits are the batch's net edge edits (OldView.Edits);
-// assignTo[i] is the worker the batch's i-th created node goes to. planFor
-// only reads its inputs and the worker's id space: the caller extends the
-// latter once the primary holds the batch.
-func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph, edits []graph.EdgeEdit, touched, matCand, reverify []graph.NodeID, assignTo []int) *workerPlan {
+// no owned candidate needs materialization upkeep, and no new node is
+// being assigned to it. An owned candidate the batch can flip lies within
+// d hops of a touched node, which is then materialized here. matCand is
+// the (D-1)-ball around inserted-edge endpoints and batch-created nodes
+// (it bounds materialization maintenance), ascending. edits are the
+// batch's net edge edits (OldView.Edits); assignTo[i] is the worker the
+// batch's i-th created node goes to. planFor only reads its inputs and
+// the worker's id space: the caller extends the latter once the primary
+// holds the batch.
+func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph, edits []graph.EdgeEdit, touched, matCand []graph.NodeID, assignTo []int) *workerPlan {
 	ids := &w.ids
 	oldN := oldG.NumNodes()
 	// Owned candidates whose d-hop neighborhood must stay materialized,
@@ -347,16 +336,7 @@ func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph,
 		}
 	}
 	roots = append(roots, assign...)
-	// The worker's owned share of the re-verification set. Newly assigned
-	// nodes are excluded — the assignment itself evaluates them.
-	affected := 0
-	for _, gv := range reverify {
-		if ids.owns(gv) {
-			affected++
-		}
-	}
-	touchedMat := slices.ContainsFunc(touched, ids.has)
-	if !touchedMat && len(roots) == 0 && affected == 0 {
+	if len(roots) == 0 && !slices.ContainsFunc(touched, ids.has) {
 		return nil
 	}
 
@@ -480,12 +460,7 @@ func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph,
 	for i, gv := range assign {
 		assignL[i] = int64(localOf(gv))
 	}
-	if len(batch) == 0 {
-		// The fragment is unchanged, so are its owned answers (Lemma 9(1)):
-		// a worker re-verifies only alongside a batch.
-		affected = 0
-	}
-	return &workerPlan{batch: batch, newMat: newMat, assign: assign, assignL: assignL, affected: affected}
+	return &workerPlan{batch: batch, newMat: newMat, assign: assign, assignL: assignL}
 }
 
 // mergeDeltas folds the contacted workers' replies (indexed by worker id)
@@ -493,13 +468,8 @@ func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph,
 // names only the watches whose answers changed there, in local ids,
 // possibly twice — a re-verification delta and an assignment delta; the
 // added and removed sets are disjoint unions (ownership partitions the
-// nodes). Affected is the coordinator's own count, one sum over the
-// workers' reverified counts for every watch.
-func (c *Coordinator) mergeDeltas(byWorker [][]server.WatchDelta, reverified []int) ([]server.WatchDelta, error) {
-	affected := 0
-	for _, n := range reverified {
-		affected += n
-	}
+// nodes). Every entry's Affected is affected, the workers' summed work.
+func (c *Coordinator) mergeDeltas(byWorker [][]server.WatchDelta, affected int) ([]server.WatchDelta, error) {
 	runs := make(map[string]*[2][][]graph.NodeID) // watch → added runs, removed runs
 	for wid, deltas := range byWorker {
 		for _, d := range deltas {

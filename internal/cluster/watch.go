@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
-	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/server"
 )
@@ -85,13 +84,7 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 		}
 	}
 	c.watches[name] = pattern
-	ref := c.groups[pattern]
-	if ref == nil {
-		ref = &groupRef{q: q}
-		c.groups[pattern] = ref
-		c.compileReachLocked()
-	}
-	ref.refs++
+	c.groups[pattern]++
 	if c.cfg.Journal != nil {
 		if err := c.cfg.Journal.WatchRegistered(name, pattern); err != nil {
 			// The watch is live on every worker but not durable; a
@@ -130,16 +123,6 @@ func (c *Coordinator) rollbackWatchLocked(name string, responses []*server.Respo
 	})
 }
 
-// compileReachLocked recompiles the merged reach plan from the distinct
-// standing patterns. Callers hold c.mu.
-func (c *Coordinator) compileReachLocked() {
-	qs := make([]*core.Pattern, 0, len(c.groups))
-	for _, ref := range c.groups {
-		qs = append(qs, ref.q)
-	}
-	c.reach = dynamic.NewReachPlan(qs...)
-}
-
 // Unwatch removes a standing pattern from every worker.
 func (c *Coordinator) Unwatch(name string) error {
 	c.mu.Lock()
@@ -159,11 +142,10 @@ func (c *Coordinator) Unwatch(name string) error {
 		c.failed = err
 		return err
 	}
-	if ref := c.groups[c.watches[name]]; ref.refs > 1 {
-		ref.refs--
+	if pattern := c.watches[name]; c.groups[pattern] > 1 {
+		c.groups[pattern]--
 	} else {
-		delete(c.groups, c.watches[name])
-		c.compileReachLocked()
+		delete(c.groups, pattern)
 	}
 	delete(c.watches, name)
 	c.om.watchGroups.Set(int64(len(c.groups)))

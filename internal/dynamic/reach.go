@@ -31,12 +31,8 @@ import (
 // node is just a node that lost its edges; a created node cannot be
 // reached by any old path and is a candidate by label alone (Π(Q) may be
 // the bare focus).
-//
-// A plan compiled from several patterns is their union: the distinct
-// rules of all of them — patterns that differ only in their quantifiers
-// share every rule — and the set of their focus labels.
 type ReachPlan struct {
-	focus map[string]bool // the focus nodes' labels
+	focus string // the focus node's label
 	rules []reachRule
 }
 
@@ -56,25 +52,22 @@ type reachStep struct {
 	node string
 }
 
-// NewReachPlan compiles the reach plan of qs.
-func NewReachPlan(qs ...*core.Pattern) *ReachPlan {
-	p := &ReachPlan{focus: make(map[string]bool)}
+// NewReachPlan compiles the reach plan of q.
+func NewReachPlan(q *core.Pattern) *ReachPlan {
+	p := &ReachPlan{focus: q.Nodes[q.Focus].Label}
 	have := make(map[string]bool)
-	for _, q := range qs {
-		p.focus[q.Nodes[q.Focus].Label] = true
-		pi, _ := q.Pi()
-		p.addPositive(pi, have)
-		for _, ei := range q.NegatedEdges() {
-			pp, _ := q.PiPlus(ei)
-			p.addPositive(pp, have)
-		}
+	pi, _ := q.Pi()
+	p.addPositive(pi, have)
+	for _, ei := range q.NegatedEdges() {
+		pp, _ := q.PiPlus(ei)
+		p.addPositive(pp, have)
 	}
 	return p
 }
 
 // addPositive adds one rule per edge of the positive pattern pos, skipping
-// rules an earlier positive pattern already contributed (have, keyed by
-// the rule's printed form).
+// rules Π(Q) or an earlier Π(Q+e) already contributed (have, keyed by the
+// rule's printed form).
 func (p *ReachPlan) addPositive(pos *core.Pattern, have map[string]bool) {
 	// BFS from the focus; via[u] is the edge that discovered u, so
 	// following via from u spells a shortest pattern path u → focus.
@@ -128,7 +121,7 @@ func (p *ReachPlan) addPositive(pos *core.Pattern, have map[string]bool) {
 func (p *ReachPlan) Affected(old, newG graph.View, touched []graph.NodeID) []graph.NodeID {
 	dst := make(map[graph.NodeID]bool)
 	for _, v := range touched {
-		if int(v) >= old.NumNodes() && p.focus[newG.NodeLabelName(v)] {
+		if int(v) >= old.NumNodes() && newG.NodeLabelName(v) == p.focus {
 			dst[v] = true
 		}
 	}

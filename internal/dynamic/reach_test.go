@@ -220,63 +220,6 @@ func TestReachPlanRules(t *testing.T) {
 	}
 }
 
-// checkMerged holds the plan compiled from all of qs against the union of
-// their single-pattern plans on one batch — what the cluster coordinator
-// relies on when it walks one merged plan instead of one per pattern.
-func checkMerged(t *testing.T, g *graph.Graph, qs []*core.Pattern, ups []graph.Mutation) {
-	t.Helper()
-	vg := graph.NewVersioned(g.Clone())
-	old, touched, err := vg.Apply(ups)
-	if err != nil {
-		return
-	}
-	union := make(map[graph.NodeID]bool)
-	for _, q := range qs {
-		for _, v := range NewReachPlan(q).Affected(old, vg.Graph(), touched) {
-			union[v] = true
-		}
-	}
-	if got, want := NewReachPlan(qs...).Affected(old, vg.Graph(), touched), sortedNodeSet(union); !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged plan reaches %v, the union of the %d plans %v (batch %+v)", got, len(qs), want, ups)
-	}
-}
-
-// TestReachPlanMerged: patterns that differ only in their quantifiers — the
-// benchmark's four standing patterns — compile to one rule, the focus
-// labels are a set, and the merged plan of all of reachPatterns reaches the
-// union of the single plans' nodes on random hub graphs.
-func TestReachPlanMerged(t *testing.T) {
-	var same []*core.Pattern
-	for _, quant := range []string{">=3", "=0", "<=5", ">=10"} {
-		q, err := core.Parse("qgp\nn xo person *\nn z person\ne xo z follow " + quant + "\n")
-		if err != nil {
-			t.Fatal(err)
-		}
-		same = append(same, q)
-	}
-	p := NewReachPlan(same...)
-	if got, want := fmt.Sprintf("%+v", p.rules), fmt.Sprintf("%+v", []reachRule{{src: "person", edge: "follow"}}); got != want {
-		t.Fatalf("four same-shape patterns compile to %s, want the one rule %s", got, want)
-	}
-	qs := parseReachPatterns(t)
-	all := NewReachPlan(qs...)
-	if len(all.focus) != 2 || !all.focus["person"] || !all.focus["product"] {
-		t.Fatalf("focus labels = %v, want person and product", all.focus)
-	}
-	single := 0
-	for _, q := range qs {
-		single += len(NewReachPlan(q).rules)
-	}
-	if len(all.rules) >= single {
-		t.Fatalf("merged plan holds %d rules, the single plans %d together: nothing was shared", len(all.rules), single)
-	}
-	r := rand.New(rand.NewSource(77))
-	for round := 0; round < 400; round++ {
-		g := reachGraph(r)
-		checkMerged(t, g, qs, reachBatch(r, g))
-	}
-}
-
 // reachSeeds are the batches, in decodeBatch's bytes, that the fuzzers over
 // fuzzBase start from.
 var reachSeeds = [][]byte{
@@ -306,6 +249,5 @@ func FuzzReachAffected(f *testing.F) {
 				return // invalid batch: rejected before any affected set exists
 			}
 		}
-		checkMerged(t, base, qs, ups)
 	})
 }

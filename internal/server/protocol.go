@@ -40,9 +40,11 @@ import (
 //	            end refuses Owned. The reply's Deltas list every watch with
 //	            its affected count: the candidates it re-judged (a counted
 //	            watch's whose counts moved, any other's that its reach plan
-//	            named). A fragment session's reply lists only the watches
+//	            named). A qgpd reply's Total is the widest group's count
+//	            plus the nodes Owned added (those only when a watch
+//	            stands). A fragment session's reply lists only the watches
 //	            whose answers changed (no Deltas when none did): the
-//	            coordinator knows the rest, and reports its own count
+//	            coordinator knows the rest, and sums the workers' Totals
 //	watch     — register a standing pattern; every later update reports
 //	            its answer-set delta (incremental maintenance, §5.2 remark)
 //	unwatch   — remove a standing pattern
@@ -253,9 +255,11 @@ type Response struct {
 	Nodes int `json:"nodes,omitempty"`
 	Edges int `json:"edges,omitempty"`
 
-	// match family
+	// match family. Total counts the answers before Limit; a qgpd update
+	// reply's counts its work: the widest watch group's re-judged
+	// candidates plus the nodes Owned added while a watch stands.
 	Matches   IDList         `json:"matches,omitempty"`
-	Total     int            `json:"total,omitempty"` // before Limit
+	Total     int            `json:"total,omitempty"`
 	Metrics   *match.Metrics `json:"metrics,omitempty"`
 	ElapsedMS float64        `json:"elapsedMs,omitempty"`
 

@@ -285,7 +285,9 @@ func decodeGraph(format, data string, maxSize int) (*graph.Graph, error) {
 // roll the batch back) and the watches untouched. The batch is applied
 // once and handed to the session's watch engine, which evaluates each
 // distinct pattern once over the candidates the batch can flip and reports
-// the delta under every subscribed name.
+// the delta under every subscribed name. The reply's Total is the work
+// done: the widest group's re-judged candidates plus the nodes an
+// assignment added, the latter only when the session holds a watch.
 //
 // On a fragment session the request may additionally carry Owned: nodes
 // the cluster coordinator assigns to this worker, folded into the owned set
@@ -355,7 +357,9 @@ func (sess *session) Update(req *Request, resp *Response, profile bool) (any, er
 			return nil, err
 		}
 		appendDeltas(resp, deltas, fragment)
+		resp.Total = widest(deltas)
 		if prof != nil {
+			prof.AffectedSize = resp.Total
 			prof.Groups = sess.eng.Groups()
 			for _, d := range deltas {
 				prof.Watches = append(prof.Watches, WatchStageProfile{
@@ -375,15 +379,13 @@ func (sess *session) Update(req *Request, resp *Response, profile bool) (any, er
 			return nil, fmt.Errorf("update: %w", err)
 		}
 		appendDeltas(resp, deltas, fragment)
+		resp.Total += widest(deltas)
 	}
 	resp.Nodes, resp.Edges = ng.NumNodes(), ng.NumEdges()
 	if prof != nil {
 		prof.BatchSize = len(req.Updates)
 		prof.Touched = len(touched)
 		prof.Nodes = ng.NumNodes()
-		for _, w := range prof.Watches {
-			prof.AffectedSize = max(prof.AffectedSize, w.Affected)
-		}
 		if prof.Nodes > 0 {
 			prof.WorkRatio = float64(prof.AffectedSize) / float64(prof.Nodes)
 		}
@@ -392,10 +394,20 @@ func (sess *session) Update(req *Request, resp *Response, profile bool) (any, er
 	return prof, nil
 }
 
+// widest returns the most candidates one watch group re-judged, 0 with no
+// watch: an assignment to a session holding none judged nobody.
+func widest(deltas []dynamic.NamedDelta) int {
+	n := 0
+	for _, d := range deltas {
+		n = max(n, d.Affected)
+	}
+	return n
+}
+
 // appendDeltas converts the engine's per-watch answer deltas to the wire
 // format. A fragment's reply keeps only the watches whose answers changed:
-// its reader, the coordinator, knows every watch and counts what it routed
-// itself, so the rest would be bytes that say nothing.
+// its reader, the coordinator, knows every watch and reads the reply's
+// Total for the work done, so the rest would be bytes that say nothing.
 func appendDeltas(resp *Response, deltas []dynamic.NamedDelta, fragment bool) {
 	for _, d := range deltas {
 		if fragment && len(d.Added) == 0 && len(d.Removed) == 0 {

@@ -6,15 +6,15 @@ package tenant
 //   - a command bucket (Config.RateQPS/RateBurst) charged one token per
 //     admitted match, update or watch — the blunt per-tenant QPS cap;
 //   - an update budget (Config.AffectedPerSec/AffectedBurst) denominated
-//     in affected-set units, the number of focus candidates the
-//     coordinator counts for re-verification — the union over the
-//     distinct standing patterns (UpdateResult.AffectedSize). This is
-//     the incremental-maintenance observable — work proportional to
-//     the change, not the database — so it is what updates actually
-//     cost the shared cluster, and what tenants are billed for.
+//     in affected-set units, the focus candidates the workers re-judged
+//     — per contacted worker its widest watch group's, summed
+//     (UpdateResult.AffectedSize). This is the incremental-maintenance
+//     observable — work proportional to the change, not the database —
+//     so it is what updates actually cost the shared cluster, and what
+//     tenants are billed for.
 //
 // The affected budget is post-paid: an update's cost is unknown until
-// the coordinator has computed its affected region, so Admit only
+// the workers have re-judged its candidates, so Admit only
 // requires a non-negative balance and ChargeAffected debits the real
 // size afterwards. One oversized batch cannot be under-charged; it
 // drives the balance negative and the tenant's next updates are refused

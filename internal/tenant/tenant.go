@@ -100,8 +100,8 @@ type Config struct {
 	RateQPS   float64
 	RateBurst int
 	// AffectedPerSec budgets each tenant's update work in affected-set
-	// units per second: the focus candidates the coordinator counts for
-	// re-verification (UpdateResult.AffectedSize), i.e. what the update
+	// units per second: the focus candidates the workers re-judged
+	// (UpdateResult.AffectedSize), i.e. what the update
 	// actually cost the shared cluster. The budget is post-paid — see limits.go —
 	// so a huge batch drives the balance negative rather than being
 	// under-charged. 0 = unlimited. AffectedBurst is the bucket
