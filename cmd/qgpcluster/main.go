@@ -113,7 +113,7 @@ func main() {
 	if *trace {
 		logf = log.Printf
 	}
-	tracer := obs.NewTracerWith(logf, traces)
+	tracer := obs.NewTracer(logf, traces)
 	windows := obs.NewWindows(reg, *window)
 	windows.Start()
 	defer windows.Stop()
@@ -248,7 +248,7 @@ func main() {
 			}
 			return out, err
 		}
-		debug, err = obs.ServeWith(*debugAddr, obs.HandlerConfig{
+		debug, err = obs.Serve(*debugAddr, obs.HandlerConfig{
 			Registry: reg,
 			Health:   health,
 			Traces:   traces,

@@ -78,7 +78,7 @@ func main() {
 	if *trace {
 		logf = log.Printf
 	}
-	tracer := obs.NewTracerWith(logf, traces)
+	tracer := obs.NewTracer(logf, traces)
 	windows := obs.NewWindows(reg, *window)
 	windows.Start()
 	defer windows.Stop()
@@ -99,7 +99,7 @@ func main() {
 
 	var debug *obs.DebugServer
 	if *debugAddr != "" {
-		debug, err = obs.ServeWith(*debugAddr, obs.HandlerConfig{
+		debug, err = obs.Serve(*debugAddr, obs.HandlerConfig{
 			Registry: reg,
 			Health:   srv.Health,
 			Traces:   traces,

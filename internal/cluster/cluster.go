@@ -119,10 +119,7 @@ type Coordinator struct {
 	ball    dynamic.BallScratch
 	workers []*worker
 	watches map[string]string // watch name → pattern DSL (for failover re-registration)
-	// groups counts the names holding each distinct pattern among the
-	// watches — the mirror of the workers' watch engine groups.
-	groups map[string]int
-	closed bool
+	closed  bool
 	// failed is set when a worker failed mid-update with no failover
 	// left, leaving fragments possibly inconsistent; every later
 	// request is refused.
@@ -246,7 +243,7 @@ func build(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	vg := graph.NewVersioned(g)
-	c := &Coordinator{cfg: cfg, g: vg.Graph(), vg: vg, watches: make(map[string]string), groups: make(map[string]int)}
+	c := &Coordinator{cfg: cfg, g: vg.Graph(), vg: vg, watches: make(map[string]string)}
 	c.om = newCoordMetrics(cfg.Metrics, len(ts))
 	c.workers = make([]*worker, len(ts))
 	for i := range c.workers {

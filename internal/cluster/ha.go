@@ -75,11 +75,12 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 // is: the worker is alive, so killing it would not help.
 func (c *Coordinator) sendPrimary(w *worker, op string, req *server.Request, state graph.View) (*server.Response, error) {
 	// Each failover consumes a warm replica or a pool session, so the
-	// retry loop is bounded: one attempt per copy, and one more after a
-	// final re-ship. The bound is captured up front: failover shrinks
-	// w.copies, and the last promotion still deserves its retry.
-	attempts := len(w.copies) + 1
-	for attempt := 0; attempt < attempts; attempt++ {
+	// retry loop is bounded: one failover per copy, and one more for a
+	// re-ship. A failover that fails counts as one of them, and whatever
+	// session the last one put in place is still tried. The bound is
+	// captured up front: failover shrinks w.copies.
+	failovers := len(w.copies) + 1
+	for {
 		resp, err := w.copies[0].t.Do(req)
 		if err == nil {
 			return resp, nil
@@ -88,13 +89,16 @@ func (c *Coordinator) sendPrimary(w *worker, op string, req *server.Request, sta
 		if errors.As(err, &se) {
 			return nil, &WorkerError{Worker: w.id, Endpoint: w.copies[0].endpoint, Op: op, Err: err}
 		}
-		if ferr := c.failover(w, state); ferr != nil {
+		ferr := errors.New("no worker session survived failover")
+		for ferr != nil && failovers > 0 {
+			failovers--
+			ferr = c.failover(w, state)
+		}
+		if ferr != nil {
 			return nil, &WorkerError{Worker: w.id, Endpoint: w.copies[0].endpoint, Op: op,
 				Err: fmt.Errorf("%v; failover: %w", err, ferr)}
 		}
 	}
-	return nil, &WorkerError{Worker: w.id, Endpoint: w.copies[0].endpoint, Op: op,
-		Err: errors.New("no worker session survived failover")}
 }
 
 // failover replaces w's dead primary: the first warm replica that

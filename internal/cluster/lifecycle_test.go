@@ -34,7 +34,7 @@ func TestServeLifecycle(t *testing.T) {
 			return server.New(server.Config{Logf: silent, Tracer: obs.NewTracer(func(string, ...interface{}) {
 				entered <- struct{}{}
 				<-release
-			})})
+			}, nil)})
 		}, &server.Request{Cmd: "ping"}},
 		{"Frontend", func(entered chan<- struct{}, release <-chan struct{}) lifecycle {
 			return NewFrontend(FrontendConfig{Logf: silent, NewWorkers: func() ([]Transport, error) {

@@ -225,7 +225,7 @@ func (s *traceSink) all() string {
 func TestClusterTrace(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(150, 5))
 	sink := &traceSink{}
-	c := newEmbedded(t, g, 2, Config{D: 2, Tracer: obs.NewTracer(sink.logf), Logf: quietLogf})
+	c := newEmbedded(t, g, 2, Config{D: 2, Tracer: obs.NewTracer(sink.logf, nil), Logf: quietLogf})
 	q := mustParse(t, testPatterns[0])
 
 	if _, err := c.Match(q); err != nil {

@@ -84,7 +84,6 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 		}
 	}
 	c.watches[name] = pattern
-	c.groups[pattern]++
 	if c.cfg.Journal != nil {
 		if err := c.cfg.Journal.WatchRegistered(name, pattern); err != nil {
 			// The watch is live on every worker but not durable; a
@@ -95,7 +94,7 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 		}
 	}
 	c.om.watchCount.Inc()
-	c.om.watchGroups.Set(int64(len(c.groups)))
+	c.om.watchGroups.Set(c.patternCount())
 	return mergeRuns(runs), nil
 }
 
@@ -142,13 +141,8 @@ func (c *Coordinator) Unwatch(name string) error {
 		c.failed = err
 		return err
 	}
-	if pattern := c.watches[name]; c.groups[pattern] > 1 {
-		c.groups[pattern]--
-	} else {
-		delete(c.groups, pattern)
-	}
 	delete(c.watches, name)
-	c.om.watchGroups.Set(int64(len(c.groups)))
+	c.om.watchGroups.Set(c.patternCount())
 	if c.cfg.Journal != nil {
 		if err := c.cfg.Journal.WatchRemoved(name); err != nil {
 			c.failed = fmt.Errorf("journal unwatch %q: %w", name, err)
@@ -156,6 +150,16 @@ func (c *Coordinator) Unwatch(name string) error {
 		}
 	}
 	return nil
+}
+
+// patternCount is the number of distinct patterns among the watches: the
+// workers' watch groups, one evaluation each. Callers hold c.mu.
+func (c *Coordinator) patternCount() int64 {
+	patterns := make(map[string]bool, len(c.watches))
+	for _, p := range c.watches {
+		patterns[p] = true
+	}
+	return int64(len(patterns))
 }
 
 // Watches returns the registered watch names, sorted.

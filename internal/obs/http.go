@@ -20,13 +20,7 @@ type HandlerConfig struct {
 	Windows  *Windows
 }
 
-// Handler serves the debug endpoint over reg and health only; see
-// HandlerWith for the full configuration.
-func Handler(reg *Registry, health func() (interface{}, error)) http.Handler {
-	return HandlerWith(HandlerConfig{Registry: reg, Health: health})
-}
-
-// HandlerWith serves the debug endpoint:
+// Handler serves the debug endpoint:
 //
 //	/metrics              — the registry as JSON ("{}" when Registry is nil)
 //	/metrics?format=prom  — the registry in Prometheus text exposition format
@@ -41,7 +35,7 @@ func Handler(reg *Registry, health func() (interface{}, error)) http.Handler {
 // request, so it can probe live state. The pprof handlers are mounted
 // explicitly rather than through net/http/pprof's DefaultServeMux side
 // effect, so importing this package does not pollute the global mux.
-func HandlerWith(cfg HandlerConfig) http.Handler {
+func Handler(cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -102,22 +96,16 @@ type DebugServer struct {
 	ln  net.Listener
 }
 
-// Serve starts the debug endpoint on addr with a registry and health
-// callback only; see ServeWith for the full configuration.
-func Serve(addr string, reg *Registry, health func() (interface{}, error)) (*DebugServer, error) {
-	return ServeWith(addr, HandlerConfig{Registry: reg, Health: health})
-}
-
-// ServeWith starts the debug endpoint on addr (":7699", "127.0.0.1:0",
+// Serve starts the debug endpoint on addr (":7699", "127.0.0.1:0",
 // ...) and serves in the background until Close. The listener is bound
 // before returning, so Addr is immediately valid and a bad address fails
 // fast.
-func ServeWith(addr string, cfg HandlerConfig) (*DebugServer, error) {
+func Serve(addr string, cfg HandlerConfig) (*DebugServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: HandlerWith(cfg), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: Handler(cfg), ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
 	return &DebugServer{srv: srv, ln: ln}, nil
 }

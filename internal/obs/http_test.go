@@ -33,7 +33,7 @@ func TestDebugServer(t *testing.T) {
 		}
 		return map[string]interface{}{"status": "ok", "fragments": 2}, nil
 	}
-	d, err := Serve("127.0.0.1:0", reg, health)
+	d, err := Serve("127.0.0.1:0", HandlerConfig{Registry: reg, Health: health})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestDebugServer(t *testing.T) {
 // TestDebugServerNilRegistry: the endpoint must stay up (serving "{}")
 // when no registry is wired, matching the nil-safe instrument contract.
 func TestDebugServerNilRegistry(t *testing.T) {
-	d, err := Serve("127.0.0.1:0", nil, nil)
+	d, err := Serve("127.0.0.1:0", HandlerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

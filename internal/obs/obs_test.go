@@ -48,8 +48,8 @@ func TestNilSafety(t *testing.T) {
 	if trace.ID() != 0 {
 		t.Fatal("nil trace id")
 	}
-	if NewTracer(nil) != nil {
-		t.Fatal("NewTracer(nil) must disable tracing")
+	if NewTracer(nil, nil) != nil {
+		t.Fatal("NewTracer(nil, nil) must disable tracing")
 	}
 }
 

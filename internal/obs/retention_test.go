@@ -64,7 +64,7 @@ func TestTraceBufferSlowFilter(t *testing.T) {
 // flight recorder.
 func TestTraceBufferConcurrent(t *testing.T) {
 	b := NewTraceBuffer(16, 0)
-	tracer := NewTracerWith(nil, b)
+	tracer := NewTracer(nil, b)
 	if tracer == nil {
 		t.Fatal("tracer with a buffer sink must not be nil")
 	}
@@ -137,7 +137,7 @@ func TestNilTraceBuffer(t *testing.T) {
 	if b.Len() != 0 || b.Total() != 0 || b.Snapshot(false, 0) != nil {
 		t.Fatal("nil buffer must be inert")
 	}
-	if NewTracerWith(nil, nil) != nil {
+	if NewTracer(nil, nil) != nil {
 		t.Fatal("tracer with no sinks must be nil (tracing disabled)")
 	}
 }
@@ -252,7 +252,7 @@ func TestDebugServerRetention(t *testing.T) {
 	reg.Counter("test.count").Add(1)
 	reg.Histogram("test.ms", []float64{1, 10}).Observe(0.5)
 	traces := NewTraceBuffer(8, 10)
-	tracer := NewTracerWith(nil, traces)
+	tracer := NewTracer(nil, traces)
 	windows := NewWindows(reg, time.Second)
 	windows.Roll()
 
@@ -261,7 +261,7 @@ func TestDebugServerRetention(t *testing.T) {
 	slow := TraceRecord{ID: 99, Op: "update", DurMS: 25}
 	traces.Record(slow)
 
-	d, err := ServeWith("127.0.0.1:0", HandlerConfig{Registry: reg, Traces: traces, Windows: windows})
+	d, err := Serve("127.0.0.1:0", HandlerConfig{Registry: reg, Traces: traces, Windows: windows})
 	if err != nil {
 		t.Fatal(err)
 	}

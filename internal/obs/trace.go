@@ -17,21 +17,14 @@ type Tracer struct {
 	buf  *TraceBuffer
 }
 
-// NewTracer returns a tracer emitting finished traces through logf — the
-// same diagnostics hook the servers already expose, so trace output goes
-// wherever the component's logging goes. A nil logf returns a nil tracer
-// (tracing disabled).
-func NewTracer(logf func(format string, args ...interface{})) *Tracer {
-	return NewTracerWith(logf, nil)
-}
-
-// NewTracerWith returns a tracer that emits finished traces through logf
-// (when non-nil) and retains them as structured records in buf (when
-// non-nil) — log lines are for following a request live, the buffer is
-// for asking "what were the last N slow requests" after the fact. When
-// both sinks are nil there is nowhere for a trace to go, so the tracer
-// itself is nil (tracing disabled).
-func NewTracerWith(logf func(format string, args ...interface{}), buf *TraceBuffer) *Tracer {
+// NewTracer returns a tracer that emits finished traces through logf
+// (when non-nil) — the same diagnostics hook the servers already expose —
+// and retains them as structured records in buf (when non-nil): log lines
+// are for following a request live, the buffer is for asking "what were
+// the last N slow requests" after the fact. When both sinks are nil there
+// is nowhere for a trace to go, so the tracer itself is nil (tracing
+// disabled).
+func NewTracer(logf func(format string, args ...interface{}), buf *TraceBuffer) *Tracer {
 	if logf == nil && buf == nil {
 		return nil
 	}

@@ -29,7 +29,7 @@ func (lc *logCapture) all() []string {
 
 func TestTraceOutput(t *testing.T) {
 	var lc logCapture
-	tracer := NewTracer(lc.logf)
+	tracer := NewTracer(lc.logf, nil)
 
 	tr1 := tracer.Start("match")
 	tr2 := tracer.Start("update")

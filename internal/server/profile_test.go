@@ -207,7 +207,7 @@ func TestProfileWithoutPayload(t *testing.T) {
 func TestMetricsWireMatchesHTTP(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, _ := startServer(t, server.Config{Metrics: reg})
-	d, err := obs.Serve("127.0.0.1:0", reg, nil)
+	d, err := obs.Serve("127.0.0.1:0", obs.HandlerConfig{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
