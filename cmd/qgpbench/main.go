@@ -19,7 +19,7 @@ import (
 
 func main() {
 	var (
-		expID = flag.Int("exp", 0, "experiment id (1-13); 0 runs all")
+		expID = flag.Int("exp", 0, "experiment id (1-16); 0 runs all")
 		scale = flag.String("scale", "full", "workload scale: small or full")
 		seed  = flag.Int64("seed", 1, "workload seed")
 		list  = flag.Bool("list", false, "list experiments and exit")

@@ -78,8 +78,8 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 
 	list := run("qgpbench", "-list")
-	if got := strings.Count(list, "exp "); got != 15 {
-		t.Fatalf("qgpbench -list shows %d experiments, want 15:\n%s", got, list)
+	if got := strings.Count(list, "exp "); got != 16 {
+		t.Fatalf("qgpbench -list shows %d experiments, want 16:\n%s", got, list)
 	}
 
 	// Invalid usage exits non-zero.

@@ -90,6 +90,7 @@ func All() []Experiment {
 		{13, "Exp-3", "QGAR mining effectiveness", exp13},
 		{14, "Ext-1", "planner ablation: default vs statistics-driven order", exp14},
 		{15, "Ext-2", "dynamic maintenance: candidates reached, re-judged and flipped per batch", exp15},
+		{16, "Ext-3", "a read answered from counts vs QMatch vs a bound-cache hit", exp16},
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 
 func TestAllExperimentsDefined(t *testing.T) {
 	exps := All()
-	if len(exps) != 15 {
-		t.Fatalf("experiments = %d, want 15 (12 figures + Exp-3 + 2 extension ablations)", len(exps))
+	if len(exps) != 16 {
+		t.Fatalf("experiments = %d, want 16 (12 figures + Exp-3 + 3 extension measurements)", len(exps))
 	}
 	for i, e := range exps {
 		if e.ID != i+1 {

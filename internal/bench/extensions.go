@@ -17,9 +17,9 @@ import (
 	"repro/internal/stats"
 )
 
-// Experiments 14 and 15 are not paper figures: they measure the two
-// extension subsystems (planner, dynamic maintenance) with the same row
-// format as the paper experiments, so qgpbench serves both.
+// Experiments 14 to 16 are not paper figures: they measure the extension
+// subsystems (planner, dynamic maintenance, counted reads) with the same
+// row format as the paper experiments, so qgpbench serves both.
 
 // exp14 — planner ablation: QMatch with the default breadth-first order
 // vs the statistics-driven order, per pattern size.
@@ -118,6 +118,88 @@ func exp15(sc Scale, w io.Writer) error {
 		per := func(n int) float64 { return float64(n) / batches }
 		fmt.Fprintf(w, "exp 15  x=%-12s series=%-9s wall_ms=%-9.2f reach_per_batch=%-7.2f rejudged_per_batch=%-7.2f flips_per_batch=%.2f\n",
 			mp.Name, "watch", float64(upkeep.Microseconds())/1000, per(reach), per(judged), per(flips))
+	}
+	return nil
+}
+
+// exp16 — sizing ROADMAP item 11(a): what a read of each pattern of the
+// benchmark's mix costs answered from counts, as a standing watch answers
+// it, against the paper's search. Over a social graph of half the scale's
+// persons (6 000 at full scale), per pattern: series "counts" is
+// dynamic.NewMatcher, the counts built and the answers listed; "qmatch" is
+// match.QMatch; "bound-hit" is a second Run of one Bound at the same graph
+// version, the cost a read pays when the session's bound cache hits. Each
+// time is the median of five runs, and the three answer sets must be equal.
+func exp16(sc Scale, w io.Writer) error {
+	const reps = 5
+	g := gen.Social(gen.DefaultSocial(sc.SocialPersons/2, sc.Seed))
+	median := func(run func() ([]graph.NodeID, error)) ([]graph.NodeID, time.Duration, error) {
+		var ans []graph.NodeID
+		times := make([]time.Duration, reps)
+		for i := range times {
+			start := time.Now()
+			var err error
+			if ans, err = run(); err != nil {
+				return nil, 0, err
+			}
+			times[i] = time.Since(start)
+		}
+		slices.Sort(times)
+		return ans, times[reps/2], nil
+	}
+	for _, mp := range fixture.Mix {
+		q, err := core.Parse(mp.DSL)
+		if err != nil {
+			return err
+		}
+		prep, err := match.Prepare(q)
+		if err != nil {
+			return err
+		}
+		b := prep.Bind(g)
+		if _, err := b.Run(nil); err != nil { // builds the bound's sets
+			return err
+		}
+		series := []struct {
+			name string
+			run  func() ([]graph.NodeID, error)
+		}{
+			{"counts", func() ([]graph.NodeID, error) {
+				m, err := dynamic.NewMatcher(g, q)
+				if err != nil {
+					return nil, err
+				}
+				return m.Answers(), nil
+			}},
+			{"qmatch", func() ([]graph.NodeID, error) {
+				res, err := match.QMatch(g, q, nil)
+				if err != nil {
+					return nil, err
+				}
+				return res.Matches, nil
+			}},
+			{"bound-hit", func() ([]graph.NodeID, error) {
+				res, err := b.Run(nil)
+				if err != nil {
+					return nil, err
+				}
+				return res.Matches, nil
+			}},
+		}
+		var want []graph.NodeID
+		for i, s := range series {
+			ans, wall, err := median(s.run)
+			if err != nil {
+				return err
+			}
+			if i == 0 {
+				want = ans
+			} else if !slices.Equal(ans, want) {
+				return fmt.Errorf("%s: %s answers %d nodes, counts %d", mp.Name, s.name, len(ans), len(want))
+			}
+			fmt.Fprintf(w, "exp 16  x=%-12s series=%-9s wall_ms=%-9.3f matches=%d\n",
+				mp.Name, s.name, float64(wall.Microseconds())/1000, len(ans))
+		}
 	}
 	return nil
 }

@@ -6,7 +6,6 @@
 package client
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,8 +21,7 @@ type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	in     *server.LineReader // a response line is capped at 64 MiB
-	out    *bufio.Writer
-	enc    *json.Encoder // onto out
+	out    *server.LineWriter
 	nextID int64
 	// Timeout bounds each round trip; zero means no deadline.
 	Timeout time.Duration
@@ -41,8 +39,7 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established connection (useful with net.Pipe in
 // tests).
 func NewClient(conn net.Conn) *Client {
-	out := bufio.NewWriter(conn)
-	return &Client{conn: conn, in: server.NewLineReader(conn, 64<<20), out: out, enc: json.NewEncoder(out)}
+	return &Client{conn: conn, in: server.NewLineReader(conn, 64<<20), out: server.NewLineWriter(conn)}
 }
 
 // Close closes the connection.
@@ -59,11 +56,7 @@ func (c *Client) Do(req *server.Request) (*server.Response, error) {
 	if c.Timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.Timeout))
 	}
-	err := c.enc.Encode(req) // appends the newline that ends the line
-	if err == nil {
-		err = c.out.Flush()
-	}
-	if err != nil {
+	if err := c.out.WriteRequest(req); err != nil {
 		return nil, fmt.Errorf("client: write: %w", err)
 	}
 	line, err := c.in.ReadLine()
@@ -74,7 +67,7 @@ func (c *Client) Do(req *server.Request) (*server.Response, error) {
 		return nil, fmt.Errorf("client: read: %w", err)
 	}
 	var resp server.Response
-	if err := json.Unmarshal(line, &resp); err != nil {
+	if err := server.DecodeResponse(line, &resp); err != nil {
 		return nil, fmt.Errorf("client: decode: %w", err)
 	}
 	if resp.ID == 0 && !resp.OK {

@@ -1,15 +1,20 @@
 package server
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
+	"os"
 	"reflect"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/match"
 )
 
 // protocolSeeds are request lines captured off the e2e and cluster test
@@ -48,6 +53,85 @@ var protocolSeeds = []string{
 	`{"id":21,"cmd":"update","updates":[{"op":"removeEdge","to":9223372036854775807,"label":"follow"}]}`,
 }
 
+// codecSeeds are the lines the envelope codec must read and write as
+// encoding/json does where its own reading stops: escaped strings (a
+// tenant watch is named tenant\u001fwatch), HTML-escaped and invalid UTF-8
+// bytes, surrogate pairs and lone halves, numbers in every spelling, and
+// what it leaves to encoding/json — repeated and case-variant keys, null,
+// trailing bytes, an array-spelled list.
+var codecSeeds = []string{
+	`{"id":3,"cmd":"watch","watch":"t1\u001fw0","pattern":"qgp\nn xo person *\n"}`,
+	`{"id":4,"ok":true,"error":"a\u003cb\u003e \u0026 \u2028\u2029 \/ \b\f\t","session":"\ud83d\ude00 \ud83d x \udc00 \uD83D\uDE00"}`,
+	"{\"id\":5,\"cmd\":\"\xff\xfe\xc3(\",\"error\":\"\xed\xa0\x80 \xe2\x80\xa8\"}",
+	`{"id":1e2,"cmd":"ping"}`, `{"id":-0,"ok":true,"cmd":"rule","eta":-0,"elapsedMs":-0}`,
+	`{"id":6,"ok":true,"cmd":"rule","eta":1e-7,"elapsedMs":1.5e-7,"skew":1e21,"lift":123456789012345678901234567890}`,
+	`{"id":7,"ok":true,"cmd":"rule","eta":1E+2,"elapsedMs":2.5e300,"confidence":1e400}`,
+	`{"id":1,"id":2,"cmd":"ping","ok":true}`, `{"ID":1,"Cmd":"ping","OK":true}`, `{"id":null,"cmd":null,"ok":null}`,
+	`{"id":1,"cmd":"ping","ok":true} x`, `{"id":1,"cmd":"ping","ok":true}{}`, ` { "id" : 2 , "cmd" : "ping" , "ok" : true } `,
+	`{"id":8,"cmd":"update","owned":[1,2],"owned":[3]}`, `{"id":8,"ok":true,"matches":[1,2],"matches":"AAQG"}`,
+	`{"id":9,"ok":true,"deltas":[{"watch":"a","affected":1}],"deltas":[]}`, `{"id":9,"ok":true,"deltas":[]}`,
+	`{"id":9,"ok":true,"deltas":[{"watch":"a","Affected":1,"affected":2}]}`, `{"id":9,"ok":true,"deltas":null}`,
+	`{"id":10,"ok":true,"metrics":{"FocusCandidates":1,"Extensions":9223372036854775807,"incRuns":2}}`,
+	`{"id":10,"ok":true,"metrics":null,"total":-9223372036854775808,"nodes":9223372036854775808}`,
+	`{"id":11,"ok":true,"tenants":[{"name":"a","watches":1,"idleMs":2,"conns":1}],"fragments":[1,2],"triples":["a<b"]}`,
+	`{"id":12,"ok":true,"profile":{"a":[1,2,{"b":"]}\""}]},"obs":{ "x" : [ ] }}`,
+	`{"id":13,"cmd":3}`, `{"id":13,"cmd":"x","size":1.5}`, `{"id":14,"cmd":"update","owned":"AAQ"}`, `not json`,
+}
+
+// seedCodec adds protocolSeeds, every value of the wire golden
+// (wire_golden_test.go) and codecSeeds to a target, in that order, so
+// protocolSeeds keep the seed numbers they had before the others joined.
+func seedCodec(f *testing.F) {
+	for _, s := range protocolSeeds {
+		f.Add([]byte(s))
+	}
+	data, err := os.ReadFile("testdata/wire-6ecd0ac.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		_, enc, _ := strings.Cut(line, "\t")
+		f.Add([]byte(enc))
+	}
+	for _, s := range codecSeeds {
+		f.Add([]byte(s))
+	}
+}
+
+// differential holds the envelope codec to encoding/json on one input, both
+// ways. The line decodes to the same error text and to a deeply equal
+// value, a partly decoded one included. That value, and probe's made from
+// the raw bytes (strings that need not be UTF-8, floats that may be NaN, -0
+// or need the e form), encode to identical bytes, or fail on both sides;
+// and the codec reads the bytes it wrote without leaving them to
+// encoding/json.
+func differential[T any](t *testing.T, line []byte, decode func([]byte, *T) error, read func([]byte, *T) bool, encode func([]byte, *T) ([]byte, error), probe func([]byte) *T) {
+	t.Helper()
+	var got, want T
+	err, jerr := decode(line, &got), json.Unmarshal(line, &want)
+	if fmt.Sprint(err) != fmt.Sprint(jerr) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q decodes to\n%+v (%v)\nencoding/json:\n%+v (%v)", line, got, err, want, jerr)
+	}
+	for _, v := range []*T{&want, probe(line)} {
+		b, err := encode(nil, v)
+		jb, jerr := json.Marshal(v)
+		if (err == nil) != (jerr == nil) || !bytes.Equal(b, jb) {
+			t.Fatalf("%+v encodes as\n%s (%v)\nencoding/json:\n%s (%v)", v, b, err, jb, jerr)
+		}
+		var back T
+		if err == nil && !read(b, &back) {
+			t.Fatalf("the codec leaves its own line to encoding/json: %s", b)
+		}
+	}
+}
+
+// rawFloat reads the first eight bytes of raw, zero-padded, as a float64.
+func rawFloat(raw []byte) float64 {
+	var b [8]byte
+	copy(b[:], raw)
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+}
+
 // knownOps reports whether every op of b is one the packed form has a code
 // for. Such a batch travels, whatever ids it names.
 func knownOps(b Batch) bool {
@@ -71,7 +155,8 @@ func checkToUpdates(t *testing.T, b Batch) {
 	}
 }
 
-// FuzzRequestRoundTrip asserts the wire format is lossless for every
+// FuzzRequestRoundTrip holds the envelope codec to encoding/json on every
+// line (differential), then asserts the wire format is lossless for every
 // decodable request line: re-encoding a decoded request must reach a
 // fixpoint after one canonicalization step (encode(decode(line)) ==
 // encode(decode(encode(decode(line))))). One step is allowed because the
@@ -84,10 +169,11 @@ func checkToUpdates(t *testing.T, b Batch) {
 // a different request than the primary acked. This found the
 // empty-vs-absent collection wart the fixpoint formulation encodes.
 func FuzzRequestRoundTrip(f *testing.F) {
-	for _, s := range protocolSeeds {
-		f.Add([]byte(s))
-	}
+	seedCodec(f)
 	f.Fuzz(func(t *testing.T, line []byte) {
+		differential(t, line, DecodeRequest, readRequest, AppendRequest, func(raw []byte) *Request {
+			return &Request{ID: int64(len(raw)), Cmd: string(raw), Data: string(raw), Eta: rawFloat(raw), Updates: fuzzBatch(raw)}
+		})
 		var req Request
 		if err := json.Unmarshal(line, &req); err != nil {
 			t.Skip() // not a decodable request line
@@ -129,9 +215,9 @@ func FuzzRequestRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzResponseRoundTrip is the same fixpoint property for the server →
-// client direction, seeded with the response shapes the handlers emit
-// (fragment ping state, watch deltas, match metrics omitted).
+// FuzzResponseRoundTrip is the same differential and fixpoint property for
+// the server → client direction, seeded with the response shapes the
+// handlers emit (fragment ping state, watch deltas, match metrics omitted).
 func FuzzResponseRoundTrip(f *testing.F) {
 	seeds := []string{
 		`{"id":1,"ok":true,"pong":true,"fragment":true,"ownedCount":2,"nodes":3,"edges":2}`,
@@ -147,7 +233,13 @@ func FuzzResponseRoundTrip(f *testing.F) {
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}
+	seedCodec(f)
 	f.Fuzz(func(t *testing.T, line []byte) {
+		differential(t, line, DecodeResponse, readResponse, AppendResponse, func(raw []byte) *Response {
+			s, x := string(raw), rawFloat(raw)
+			return &Response{ID: -int64(len(raw)), Error: s, ElapsedMS: x, Skew: -x, Metrics: &match.Metrics{Extensions: int64(math.Float64bits(x))},
+				Deltas: []WatchDelta{{Watch: s, Added: IDList{int64(len(raw))}, Resync: true}}, Triples: []string{s}, Obs: raw}
+		})
 		var resp Response
 		if err := json.Unmarshal(line, &resp); err != nil {
 			t.Skip()

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -213,6 +212,44 @@ func (lr *LineReader) ReadLine() ([]byte, error) {
 	return bytes.TrimSuffix(line, []byte("\r")), nil
 }
 
+// LineWriter is the protocol's line writing, shared by server and client:
+// the codec (codec.go) encodes each envelope into one buffer, written with
+// its newline in one Write. The buffer is kept for the next line only up to
+// keptLineBytes, so a connection holds the line in flight, not the largest
+// line it ever sent.
+type LineWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+const keptLineBytes = 64 << 10
+
+// NewLineWriter writes lines to w.
+func NewLineWriter(w io.Writer) *LineWriter { return &LineWriter{w: w} }
+
+// WriteRequest writes r as one line.
+func (lw *LineWriter) WriteRequest(r *Request) error {
+	return lw.write(func(b []byte) ([]byte, error) { return AppendRequest(b, r) })
+}
+
+// WriteResponse writes r as one line.
+func (lw *LineWriter) WriteResponse(r *Response) error {
+	return lw.write(func(b []byte) ([]byte, error) { return AppendResponse(b, r) })
+}
+
+func (lw *LineWriter) write(encode func([]byte) ([]byte, error)) error {
+	line, err := encode(lw.buf[:0])
+	if err != nil {
+		return err
+	}
+	_, err = lw.w.Write(append(line, '\n'))
+	lw.buf = nil
+	if cap(line) <= keptLineBytes {
+		lw.buf = line
+	}
+	return err
+}
+
 // serveProtocol runs the newline-delimited JSON request loop on one
 // connection, dispatching each decoded request to handle and writing its
 // response with the ID/OK/Error envelope filled in. It closes conn and
@@ -222,8 +259,7 @@ func (h *Host) serveProtocol(conn net.Conn, handle func(*Request) Response) {
 	cfg := &h.pcfg
 	defer conn.Close()
 	in := NewLineReader(conn, cfg.MaxLineBytes)
-	out := bufio.NewWriter(conn)
-	enc := json.NewEncoder(out)
+	out := NewLineWriter(conn)
 
 	for {
 		conn.SetReadDeadline(time.Now().Add(cfg.IdleTimeout))
@@ -237,8 +273,7 @@ func (h *Host) serveProtocol(conn net.Conn, handle func(*Request) Response) {
 				// buffers nothing: the refusal gets a second, not forever.
 				// Whether it arrives or not, the connection closes.
 				conn.SetWriteDeadline(time.Now().Add(time.Second))
-				_ = enc.Encode(&Response{Error: fmt.Sprintf("bad request: %v", err)})
-				_ = out.Flush()
+				_ = out.WriteResponse(&Response{Error: fmt.Sprintf("bad request: %v", err)})
 			}
 			return
 		}
@@ -247,18 +282,15 @@ func (h *Host) serveProtocol(conn net.Conn, handle func(*Request) Response) {
 		}
 		var req Request
 		resp := Response{}
-		if err := json.Unmarshal(line, &req); err != nil {
+		if err := DecodeRequest(line, &req); err != nil {
 			resp.Error = fmt.Sprintf("bad request: %v", err)
 		} else {
 			resp = handle(&req)
 		}
 		resp.ID = req.ID
 		resp.OK = resp.Error == ""
-		if err := enc.Encode(&resp); err != nil {
+		if err := out.WriteResponse(&resp); err != nil {
 			cfg.Logf("%s: %v: write: %v", cfg.Name, conn.RemoteAddr(), err)
-			return
-		}
-		if err := out.Flush(); err != nil {
 			return
 		}
 	}

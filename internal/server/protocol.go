@@ -23,6 +23,17 @@ import (
 // A line over the server's cap is answered, with id 0, by
 // "bad request: line exceeds N bytes" and the connection is closed.
 //
+// The envelope has one codec (codec.go), byte-identical to encoding/json:
+// AppendRequest/AppendResponse write what json.Marshal writes, and
+// DecodeRequest/DecodeResponse read that form, escaped strings and
+// whitespace included, without reflection. Anything else falls back to
+// json.Unmarshal on a zero value — null, a key that is not a field's exact
+// name or is repeated, a number that is not an integer where one is
+// wanted, trailing bytes, an id list or batch spelled as an array, any
+// syntax or type error — so every line decodes to encoding/json's value or
+// error, a partly decoded id included. Rare nested values (stats rows,
+// tenants, obs, profile) go through encoding/json one field at a time.
+//
 // Commands. One table (commands.go) serves qgpd and the cluster front end
 // (internal/cluster.Frontend), so a request both serve is answered alike;
 // where the answers differ by design, the entry says so. Both serve:
@@ -345,20 +356,10 @@ func IDs(nodes []graph.NodeID) IDList {
 	return out
 }
 
-// MarshalText writes the packed form's base64, which encoding/json quotes
-// like any string instead of re-scanning it as it would a json.Marshaler's
-// output. Differences wrap around in int64, so any list round-trips,
-// sorted or not.
-func (l IDList) MarshalText() ([]byte, error) {
-	// Two bytes hold a difference below 8192; wider ones grow the slice.
-	raw := make([]byte, 0, 2*len(l))
-	var prev int64
-	for _, v := range l {
-		raw = binary.AppendVarint(raw, v-prev)
-		prev = v
-	}
-	return base64.StdEncoding.AppendEncode(nil, raw), nil
-}
+// MarshalText writes the packed form's base64 (appendIDs, the codec's
+// writer), which encoding/json quotes like any string instead of
+// re-scanning it as it would a json.Marshaler's output.
+func (l IDList) MarshalText() ([]byte, error) { return appendIDs(nil, l), nil }
 
 // UnmarshalJSON reads the packed form or a plain JSON array (or null). The
 // input is a peer's: a malformed block is an error, and the list allocated
@@ -367,9 +368,19 @@ func (l *IDList) UnmarshalJSON(b []byte) error {
 	if len(b) < 2 || b[0] != '"' {
 		return json.Unmarshal(b, (*[]int64)(l))
 	}
-	raw, err := unpacked(b, "id list")
+	out, err := packedIDs(b)
+	if err == nil {
+		*l = out
+	}
+	return err
+}
+
+// packedIDs reads the packed form, the JSON string lit.
+func packedIDs(lit []byte) (IDList, error) {
+	var buf [128]byte
+	raw, err := unpacked(buf[:0], lit, "id list")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	count := 0
 	for _, c := range raw {
@@ -382,28 +393,27 @@ func (l *IDList) UnmarshalJSON(b []byte) error {
 	for len(raw) > 0 {
 		d, n := binary.Varint(raw)
 		if n <= 0 {
-			return errors.New("id list: truncated or overlong varint")
+			return nil, errors.New("id list: truncated or overlong varint")
 		}
 		raw = raw[n:]
 		prev += d
 		out = append(out, prev)
 	}
-	*l = out
-	return nil
+	return out, nil
 }
 
 // unpacked returns the bytes behind the JSON string b, a peer's packed
-// block; what names the form in errors.
-func unpacked(b []byte, what string) ([]byte, error) {
+// block, in buf if they fit; what names the form in errors.
+func unpacked(buf, b []byte, what string) ([]byte, error) {
 	s := b[1 : len(b)-1]
 	if bytes.IndexByte(s, '\\') >= 0 { // another encoder's escapes, e.g. \/
-		var unquoted string
-		if err := json.Unmarshal(b, &unquoted); err != nil {
-			return nil, err
+		var ok bool
+		if s, ok = unquote(nil, b); !ok {
+			return nil, fmt.Errorf("%s: malformed JSON string", what)
 		}
-		s = []byte(unquoted)
 	}
-	raw := make([]byte, base64.StdEncoding.DecodedLen(len(s)))
+	n := base64.StdEncoding.DecodedLen(len(s))
+	raw := slices.Grow(buf[:0], n)[:n]
 	n, err := base64.StdEncoding.Decode(raw, s)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", what, err)
@@ -421,34 +431,9 @@ var batchOps = [...]string{"", "addNode", "addEdge", "removeEdge", "removeNode"}
 
 var errBatchBlock = errors.New("batch: truncated block or overlong varint")
 
-// MarshalText writes the packed form's base64, as IDList's does. Every
-// field of every op travels, used by the op or not, so any batch of known
-// ops round-trips.
-func (b Batch) MarshalText() ([]byte, error) {
-	index := make(map[string]int)
-	var table []byte
-	ops := make([]byte, 0, 8*len(b))
-	for i, u := range b {
-		code := slices.Index(batchOps[1:], u.Op) + 1
-		if code == 0 {
-			return nil, fmt.Errorf("update %d: unknown op %q", i, u.Op)
-		}
-		li, ok := index[u.Label]
-		if !ok {
-			li = len(index)
-			index[u.Label] = li
-			table = binary.AppendUvarint(table, uint64(len(u.Label)))
-			table = append(table, u.Label...)
-		}
-		ops = append(ops, byte(code))
-		ops = binary.AppendVarint(ops, u.From)
-		ops = binary.AppendVarint(ops, u.To)
-		ops = binary.AppendUvarint(ops, uint64(li))
-	}
-	raw := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen32+len(table)+len(ops)), uint64(len(index)))
-	raw = append(append(raw, table...), ops...)
-	return base64.StdEncoding.AppendEncode(nil, raw), nil
-}
+// MarshalText writes the packed form's base64 (appendBatch), as IDList's
+// does.
+func (b Batch) MarshalText() ([]byte, error) { return appendBatch(nil, b) }
 
 // UnmarshalJSON reads the packed form or a plain JSON array (or null). The
 // input is a peer's: a malformed block is an error, and neither the label
@@ -457,20 +442,30 @@ func (b *Batch) UnmarshalJSON(data []byte) error {
 	if len(data) < 2 || data[0] != '"' {
 		return json.Unmarshal(data, (*[]UpdateSpec)(b))
 	}
-	raw, err := unpacked(data, "batch")
+	out, err := packedBatch(data)
+	if err == nil {
+		*b = out
+	}
+	return err
+}
+
+// packedBatch reads the packed form, the JSON string lit.
+func packedBatch(lit []byte) (Batch, error) {
+	var buf [128]byte
+	raw, err := unpacked(buf[:0], lit, "batch")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	n, w := binary.Uvarint(raw)
 	if w <= 0 || n > uint64(len(raw)) { // a label is a byte at least
-		return errBatchBlock
+		return nil, errBatchBlock
 	}
 	raw = raw[w:]
 	labels := make([]string, n)
 	for i := range labels {
 		size, w := binary.Uvarint(raw)
 		if w <= 0 || size > uint64(len(raw)-w) {
-			return errBatchBlock
+			return nil, errBatchBlock
 		}
 		labels[i] = string(raw[w : w+int(size)])
 		raw = raw[w+int(size):]
@@ -479,29 +474,28 @@ func (b *Batch) UnmarshalJSON(data []byte) error {
 	for len(raw) > 0 {
 		code := raw[0]
 		if code == 0 || int(code) >= len(batchOps) {
-			return fmt.Errorf("batch: unknown opcode %d", code)
+			return nil, fmt.Errorf("batch: unknown opcode %d", code)
 		}
 		raw = raw[1:]
 		var ends [2]int64
 		for i := range ends {
 			v, w := binary.Varint(raw)
 			if w <= 0 {
-				return errBatchBlock
+				return nil, errBatchBlock
 			}
 			ends[i], raw = v, raw[w:]
 		}
 		li, w := binary.Uvarint(raw)
 		if w <= 0 {
-			return errBatchBlock
+			return nil, errBatchBlock
 		}
 		raw = raw[w:]
 		if li >= n {
-			return fmt.Errorf("batch: label %d of a table of %d", li, n)
+			return nil, fmt.Errorf("batch: label %d of a table of %d", li, n)
 		}
 		out = append(out, UpdateSpec{Op: batchOps[code], From: ends[0], To: ends[1], Label: labels[li]})
 	}
-	*b = out
-	return nil
+	return out, nil
 }
 
 // TripleRow is one edge class of the stats command in structured form:

@@ -392,6 +392,33 @@ func TestMalformedLineKeepsConnection(t *testing.T) {
 	}
 }
 
+// TestBadRequestReplies pins, byte for byte, the replies to two lines the
+// envelope codec leaves to encoding/json: one that is not JSON (no id
+// could be read, so id 0, and the syntax error), and one whose cmd is a
+// number (the id read before the type error is echoed, with
+// encoding/json's text for it).
+func TestBadRequestReplies(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	in := server.NewLineReader(conn, 1<<20)
+	for _, c := range []struct{ line, reply string }{
+		{"this is not json", `{"id":0,"ok":false,"error":"bad request: invalid character 'h' in literal true (expecting 'r')"}`},
+		{`{"id":5,"cmd":3}`, `{"id":5,"ok":false,"error":"bad request: json: cannot unmarshal number into Go struct field Request.cmd of type string"}`},
+	} {
+		if _, err := conn.Write([]byte(c.line + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := in.ReadLine()
+		if err != nil || string(reply) != c.reply {
+			t.Fatalf("%s: reply\n%s (%v)\nwant\n%s", c.line, reply, err, c.reply)
+		}
+	}
+}
+
 func TestShutdownClosesConnections(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
