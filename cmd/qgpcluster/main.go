@@ -32,20 +32,22 @@
 //
 // Observability: -debug-addr starts an HTTP listener with the metrics
 // registry, a health report and the runtime profiles; -trace logs one
-// structured line per fan-out request with per-worker spans:
+// structured line per request with per-worker spans (a profile request's
+// also nests each worker's own spans under the round trip that waited):
 //
 //	qgpcluster -addr :7688 -spawn 2 -debug-addr :7699 -trace
 //	curl -s localhost:7699/metrics   # counters, gauges, latency histograms
 //	curl -s 'localhost:7699/metrics?format=prom'   # Prometheus text format
 //	curl -s 'localhost:7699/metrics?window=1'      # last-window p50/p95/p99
-//	curl -s 'localhost:7699/debug/traces?slow=1'   # recent slow fan-outs
+//	curl -s 'localhost:7699/debug/traces?slow=1'   # recent slow requests
 //	curl -s localhost:7699/healthz   # topology + per-fragment liveness
 //	curl -s localhost:7699/debug/pprof/   # standard runtime profiles
 //
 // The trace ring buffer behind /debug/traces (-trace-buf, -trace-slow)
-// is always on; -trace additionally logs each finished fan-out. The
-// explain and profile wire commands return merged cluster-level plan and
-// per-stage profile documents with each worker's own document embedded.
+// is always on; -trace additionally logs each finished request. The
+// explain command returns a merged plan document with each worker's own
+// embedded; profile returns the request's trace record, which nests one
+// record per contacted worker under the coordinator's trace id.
 //
 // The same registry snapshot is served over the wire protocol as the
 // metrics command, so a newline-JSON client needs no second port:
@@ -98,8 +100,8 @@ func main() {
 	maxGraph := flag.Int("max-graph", 50_000_000, "maximum session graph size (|V|+|E|)")
 	idle := flag.Duration("idle-timeout", 5*time.Minute, "close idle front-end connections after this long")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this HTTP address (empty: disabled)")
-	trace := flag.Bool("trace", false, "log one structured line per fan-out request with per-worker spans")
-	traceBuf := flag.Int("trace-buf", 128, "retain this many finished fan-out traces for /debug/traces")
+	trace := flag.Bool("trace", false, "log one structured line per request with per-worker spans")
+	traceBuf := flag.Int("trace-buf", 128, "retain this many finished request traces for /debug/traces")
 	traceSlow := flag.Float64("trace-slow", 50, "flag traces at or above this many milliseconds as slow (0 disables)")
 	window := flag.Duration("window", 10*time.Second, "latency percentile window length for /metrics?window=1")
 	flag.Parse()

@@ -34,9 +34,13 @@
 //
 // EXPLAIN/PROFILE: the explain command returns the planner's matching
 // order and cardinality estimates without executing; profile executes a
-// match or update and returns a per-stage document (candidate sizes,
-// order, timings; apply/affected/verify split and the affected-vs-|V|
-// work ratio for updates) in the response's profile field.
+// match or update traced, with or without -trace, and returns the
+// request's trace record in the response's profile field: timed spans
+// (graph.apply, dynamic.affected and dynamic.verify per watch group,
+// match.qmatch), counts
+// (answers; batch, touched, nodes, affected) and a match's engine profile
+// (candidate sizes, order, bound origin). A cluster coordinator's traced
+// hop gets the same record under the coordinator's trace id.
 //
 // Try it with netcat:
 //

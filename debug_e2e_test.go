@@ -162,18 +162,21 @@ func TestClusterDebugEndpointE2E(t *testing.T) {
 		t.Errorf("/debug/pprof/ status %d", code)
 	}
 
-	// A profile command through the front end returns the merged
-	// cluster-level document with per-fragment stages.
-	presp, err := c.ProfileMatch("qgp\nn xo person *\nn z person\ne xo z follow >=3\n", nil)
+	// A profile command through the front end returns the request's trace
+	// record, nesting one record per worker under the trace id it sent. A
+	// plain match is traced by the always-on ring, which keeps its round
+	// trips but asks the workers for no records.
+	const pattern = "qgp\nn xo person *\nn z person\ne xo z follow >=3\n"
+	presp, err := c.ProfileMatch(pattern, nil)
 	if err != nil {
 		t.Fatalf("profile match: %v", err)
 	}
-	var prof struct {
-		Workers   int               `json:"workers"`
-		Fragments []json.RawMessage `json:"fragments"`
+	var prof obs.TraceRecord
+	if err := json.Unmarshal(presp.Profile, &prof); err != nil || joined(prof) != 2 {
+		t.Errorf("profile document does not nest 2 worker records: %v\n%s", err, presp.Profile)
 	}
-	if err := json.Unmarshal(presp.Profile, &prof); err != nil || prof.Workers != 2 || len(prof.Fragments) != 2 {
-		t.Errorf("merged profile document wrong: %v\n%s", err, presp.Profile)
+	if _, err := c.Match(pattern, nil); err != nil {
+		t.Fatalf("match: %v", err)
 	}
 
 	// Prometheus exposition of the same registry.
@@ -198,13 +201,32 @@ func TestClusterDebugEndpointE2E(t *testing.T) {
 	seen := map[string]bool{}
 	for _, tr := range traces {
 		seen[tr.Op] = true
+		want := 0
+		if tr.Op == "profile" {
+			want = 2
+		}
+		if joined(tr) != want {
+			t.Errorf("%s trace %d nests %d worker records under its id, want %d: %+v", tr.Op, tr.ID, joined(tr), want, tr)
+		}
 	}
-	if !seen["update"] || !seen["match"] {
-		t.Errorf("trace buffer missing update/match ops: %v", seen)
+	if !seen["update"] || !seen["match"] || !seen["profile"] {
+		t.Errorf("trace buffer missing update/match/profile ops: %v", seen)
 	}
 
 	// -trace wrote structured fan-out lines to the process log.
 	if !strings.Contains(logBuf.String(), "op=update") {
 		t.Errorf("no trace line for the update in the process log:\n%s", logBuf.String())
 	}
+}
+
+// joined counts the worker records rec nests that carry its trace id.
+func joined(rec obs.TraceRecord) int {
+	n := 0
+	for _, sp := range rec.Spans {
+		var child obs.TraceRecord
+		if json.Unmarshal(sp.Child, &child) == nil && child.ID == rec.ID {
+			n++
+		}
+	}
+	return n
 }

@@ -1,7 +1,7 @@
 // Profiling walkthrough: EXPLAIN a query before running it, PROFILE the
 // execution, compare the planner's estimates with the observed candidate
 // counts, then profile an incremental update and read the work∝change
-// ratio off the document. Runs a qgpd server in-process and drives it
+// ratio off its trace record. Runs a qgpd server in-process and drives it
 // with the stock client — everything shown here works identically over
 // the wire against `qgpd` or `qgpcluster`.
 //
@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/match"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -67,29 +69,31 @@ func main() {
 		fmt.Printf("explain %s: order=%v estimated cost=%.0f\n", pp.Pattern, pp.Order, pp.Cost)
 	}
 
-	// PROFILE: execute and see where the work and time actually went.
+	// PROFILE: execute traced. The document is the request's trace record:
+	// timed spans, counts, and the engine's own profile as the attachment.
 	resp, err := c.ProfileMatch(pattern, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var mp server.MatchProfileDoc
-	if err := json.Unmarshal(resp.Profile, &mp); err != nil {
+	var rec obs.TraceRecord
+	if err := json.Unmarshal(resp.Profile, &rec); err != nil {
 		log.Fatal(err)
 	}
-	if mp.Profile == nil || len(mp.Profile.Patterns) == 0 {
-		log.Fatal("profile document has no stage entries")
+	var mp match.Profile
+	if err := json.Unmarshal(rec.Attachment, &mp); err != nil || len(mp.Patterns) == 0 {
+		log.Fatalf("profile document has no stage entries (%v): %s", err, resp.Profile)
 	}
-	pi := mp.Profile.Patterns[0]
+	pi := mp.Patterns[0]
 	fmt.Printf("profile %s: %d matches in %.2fms (compile %.2fms, eval %.2fms), order=%v\n",
-		pi.Pattern, pi.Answers, mp.TotalMS, pi.CompileMS, pi.EvalMS, pi.Order)
+		pi.Pattern, pi.Answers, rec.DurMS, pi.CompileMS, pi.EvalMS, pi.Order)
 	for _, n := range pi.Nodes {
 		fmt.Printf("  node %-3s candidates=%-5d accepted=%d\n", n.Name, n.Candidates, n.Accepted)
 		if n.Accepted > n.Candidates {
 			log.Fatalf("acceptance filter grew the candidate set for %s", n.Name)
 		}
 	}
-	if mp.Matches != resp.Total {
-		log.Fatalf("document reports %d matches, response %d", mp.Matches, resp.Total)
+	if rec.Counts["answers"] != resp.Total {
+		log.Fatalf("document reports %d matches, response %d", rec.Counts["answers"], resp.Total)
 	}
 
 	// PROFILE an update: register a standing watch, apply a small batch,
@@ -109,18 +113,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var up server.UpdateProfileDoc
+	var up obs.TraceRecord
 	if err := json.Unmarshal(uresp.Profile, &up); err != nil {
 		log.Fatal(err)
 	}
+	affected, nodes := up.Counts["affected"], up.Counts["nodes"]
 	fmt.Printf("update profile: batch=%d touched=%d affected=%d of %d nodes (work ratio %.4f)\n",
-		up.BatchSize, up.Touched, up.AffectedSize, up.Nodes, up.WorkRatio)
-	for _, ws := range up.Watches {
-		fmt.Printf("  watch %s: affected=%d affected_ms=%.3f verify_ms=%.3f\n",
-			ws.Watch, ws.Affected, ws.AffectedMS, ws.VerifyMS)
+		up.Counts["batch"], up.Counts["touched"], affected, nodes, float64(affected)/float64(nodes))
+	for _, sp := range up.Spans {
+		fmt.Printf("  %s %.3fms\n", sp.Name, sp.DurMS)
 	}
-	if up.AffectedSize >= up.Nodes/2 {
-		log.Fatalf("1-edge batch re-verified %d of %d nodes; incremental path broken", up.AffectedSize, up.Nodes)
+	if affected >= nodes/2 {
+		log.Fatalf("1-edge batch re-verified %d of %d nodes; incremental path broken", affected, nodes)
 	}
 	fmt.Println("profiling ok: work proportional to the change")
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -9,6 +8,7 @@ import (
 	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -82,7 +82,7 @@ func TestAffectedSizeIsWorkersJudged(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			deltas, err := eng.Apply(old, vg.Graph(), touched)
+			deltas, err := eng.Apply(old, vg.Graph(), touched, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,25 +121,24 @@ func TestAffectedSizeIsWorkersJudged(t *testing.T) {
 			if len(muts) == 0 {
 				continue
 			}
-			prof := &UpdateProfile{}
-			res, err := c.update(specsOf(muts), prof)
+			var res *UpdateResult
+			rec, err := traced(func(tr *obs.Trace) (err error) {
+				res, err = c.update(specsOf(muts), tr)
+				return err
+			})
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
+			assigned += res.Nodes - ref.NumNodes()
 			if ref, _, err = dynamic.Apply(ref, muts); err != nil {
 				t.Fatal(err)
 			}
 			sum := 0
-			for _, wp := range prof.Workers {
-				var wd server.UpdateProfileDoc
-				if err := json.Unmarshal(wp.Profile, &wd); err != nil {
-					t.Fatalf("worker %d document: %v", wp.Worker, err)
-				}
-				sum += wd.AffectedSize + wp.Assigned
-				assigned += wp.Assigned
+			for _, w := range workerRecords(t, rec) {
+				sum += w.Counts["affected"]
 			}
-			if res.AffectedSize != sum || prof.AffectedSize != sum {
-				t.Fatalf("round %d: AffectedSize %d (profile %d), the workers' documents sum to %d", round, res.AffectedSize, prof.AffectedSize, sum)
+			if res.AffectedSize != sum || rec.Counts["affected"] != sum {
+				t.Fatalf("round %d: AffectedSize %d (record %d), the workers' records sum to %d", round, res.AffectedSize, rec.Counts["affected"], sum)
 			}
 		}
 		if assigned == 0 {

@@ -86,11 +86,11 @@ type Config struct {
 	// batch and affected-set sizes, and failover/mirror events (names
 	// under cluster.*). Nil disables instrumentation at zero cost.
 	Metrics *obs.Registry
-	// Tracer, when set, gives every Match/Update/Watch request a
-	// process-unique id and emits one structured line per request with
-	// per-worker spans (plan, wire round trip, merge), so a slow
-	// fan-out can be attributed to a specific worker/fragment. Nil
-	// disables tracing.
+	// Tracer, when set, traces Match, Update, Watch, Stats and Explain: a
+	// process-unique id and one record per request with per-worker spans
+	// (plan, wire round trip, merge), so a slow fan-out can be attributed
+	// to a specific worker/fragment. A Frontend traces every request it
+	// serves with it. Nil disables tracing.
 	Tracer *obs.Tracer
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/tenant"
 )
@@ -107,7 +108,7 @@ func NewFrontend(cfg FrontendConfig) *Frontend {
 	if cfg.MaxGraphSize <= 0 {
 		cfg.MaxGraphSize = 50_000_000
 	}
-	f := &Frontend{cfg: cfg, table: server.NewTable(cfg.MaxGraphSize, cfg.Cluster.Metrics)}
+	f := &Frontend{cfg: cfg, table: server.NewTable(cfg.MaxGraphSize, cfg.Cluster.Metrics, cfg.Cluster.Tracer)}
 	f.Host = server.NewHost(server.ProtocolConfig{
 		MaxLineBytes: cfg.MaxLineBytes,
 		IdleTimeout:  cfg.IdleTimeout,
@@ -385,38 +386,30 @@ func (c *conn) SetGraph(g *graph.Graph) (nodes, edges int, err error) {
 }
 
 // Match counts a read for the tenant and routes it across fragment copies.
-func (c *conn) Match(req *server.Request, profile bool) (server.Answer, error) {
+func (c *conn) Match(req *server.Request, tr *obs.Trace) (server.Answer, error) {
 	q, err := core.Parse(req.Pattern)
 	if err != nil {
 		return server.Answer{}, err
 	}
 	c.f.tenants.NoteRead(c.tenant)
 	opts := &MatchOptions{Engine: req.Engine, Budget: req.Budget, Planner: req.Planner}
-	var prof *MatchProfile
-	if profile {
-		prof = &MatchProfile{}
-	}
-	res, err := c.coord.matchWith(q, opts, prof)
+	res, err := c.coord.matchWith(q, opts, tr)
 	if err != nil {
 		return server.Answer{}, err
 	}
-	return server.Answer{Matches: res.Matches, Metrics: &res.Metrics, Profile: prof}, nil
+	return server.Answer{Matches: res.Matches, Metrics: &res.Metrics}, nil
 }
 
 // Update returns the writer only its own namespace's deltas (other tenants
 // drain theirs).
-func (c *conn) Update(req *server.Request, resp *server.Response, profile bool) (any, error) {
+func (c *conn) Update(req *server.Request, resp *server.Response, tr *obs.Trace) error {
 	// Coordinator→worker routing, not client vocabulary: refused, not dropped.
 	if len(req.Owned) > 0 {
-		return nil, fmt.Errorf("update field owned is not served by the cluster front end; the coordinator computes routing itself")
+		return fmt.Errorf("update field owned is not served by the cluster front end; the coordinator computes routing itself")
 	}
-	var prof *UpdateProfile
-	if profile {
-		prof = &UpdateProfile{}
-	}
-	res, err := c.coord.update(req.Updates, prof)
+	res, err := c.coord.update(req.Updates, tr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tenants := c.f.tenants
 	resp.Nodes, resp.Edges = res.Nodes, res.Edges
@@ -425,7 +418,7 @@ func (c *conn) Update(req *server.Request, resp *server.Response, profile bool) 
 	// Post-paid: the batch's real cost is known now (tenant.Config.AffectedPerSec).
 	tenants.ChargeAffected(c.tenant, res.AffectedSize)
 	resp.Session = c.tenant
-	return prof, nil
+	return nil
 }
 
 // Watch registers in the tenant's namespace; the manager registers the
@@ -447,8 +440,8 @@ func (c *conn) Unwatch(name string) error {
 }
 
 // Stats is routed to fragment copies like a match.
-func (c *conn) Stats() (*server.StatsSummary, error) {
-	return c.coord.Stats()
+func (c *conn) Stats(tr *obs.Trace) (*server.StatsSummary, error) {
+	return c.coord.stats(tr)
 }
 
 // Partition reports the live fragmentation, whatever the request names.
@@ -456,7 +449,9 @@ func (c *conn) Partition(*server.Request) ([]int, error) {
 	return c.coord.FragmentSizes(), nil
 }
 
-func (c *conn) Explain(q *core.Pattern) (any, error) { return c.coord.Explain(q) }
+func (c *conn) Explain(q *core.Pattern, tr *obs.Trace) (any, error) {
+	return c.coord.explain(q, tr)
+}
 
 // Ping reports liveness only: the cluster's state is /healthz's.
 func (c *conn) Ping(*server.Response) {}

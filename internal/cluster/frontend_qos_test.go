@@ -151,7 +151,8 @@ func TestFrontendTwoTenantFairness(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		oversized = append(oversized, server.UpdateSpec{Op: "addNode", Label: "person"})
 	}
-	if _, _, err := ca.Update(oversized...); err != nil {
+	own, err := ca.UpdateWithDeltas(oversized...)
+	if err != nil {
 		t.Fatalf("tenant a's oversized update: %v", err)
 	}
 
@@ -217,19 +218,19 @@ func TestFrontendTwoTenantFairness(t *testing.T) {
 		t.Errorf("tenant b throttled %d times; only A was misbehaving", b.Throttled)
 	}
 
-	// A's drain reports the hole in its delta stream.
-	ds, err := ca.Deltas()
-	if err != nil {
-		t.Fatalf("drain: %v", err)
-	}
+	// A's next write reports the hole in its delta stream, the overflowed
+	// inbox entry folded into its own delta, and leaves nothing to drain.
 	resync := false
-	for _, d := range ds {
+	for _, d := range own.Deltas {
 		if d.Watch == "w" && d.Resync {
 			resync = true
 		}
 	}
 	if !resync {
-		t.Errorf("overflowed watch drained without a resync marker: %+v", ds)
+		t.Errorf("overflowed watch's entry came back without a resync marker: %+v", own.Deltas)
+	}
+	if ds, err := ca.Deltas(); err != nil || len(ds) != 0 {
+		t.Errorf("drain after the folded reply: %+v (%v), want nothing", ds, err)
 	}
 
 	// Per-tenant series: B's served matches landed in its latency

@@ -4,11 +4,13 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -200,6 +202,57 @@ func TestFrontendEphemeralSessionDiesWithConnection(t *testing.T) {
 	// Its watch left the shared coordinator too.
 	if ws := fe.Tenants().List(); len(ws) != 0 {
 		t.Fatalf("tenant manager still tracks %+v", ws)
+	}
+}
+
+// TestFrontendEphemeralSeriesGo: an ephemeral session's tenant.<name>.*
+// series leave the registry with the session, so 10 000 connections that
+// come and go leave the registry's series names as they found them. A
+// named session keeps its series past its last connection.
+func TestFrontendEphemeralSeriesGo(t *testing.T) {
+	reg := obs.NewRegistry()
+	fe := NewFrontend(FrontendConfig{
+		Cluster:    Config{D: 2, Metrics: reg},
+		NewWorkers: func() ([]Transport, error) { return InProcessN(2, server.Config{}), nil },
+		Logf:       func(string, ...interface{}) {},
+	})
+	defer fe.Shutdown(context.Background())
+	cycle := func(session string) {
+		cs, ss := net.Pipe()
+		done := make(chan struct{})
+		go func() { defer close(done); fe.ServeConn(ss) }()
+		c := client.NewClient(cs)
+		if _, err := c.Do(&server.Request{Cmd: "session", Session: session}); err != nil {
+			t.Fatalf("session %q: %v", session, err)
+		}
+		c.Close()
+		<-done // the connection's release ran
+	}
+	names := func() []string {
+		s := reg.Snapshot()
+		var out []string
+		for _, m := range []map[string]int64{s.Counters, s.Gauges} {
+			for name := range m {
+				out = append(out, name)
+			}
+		}
+		for name := range s.Histograms {
+			out = append(out, name)
+		}
+		sort.Strings(out)
+		return out
+	}
+	cycle("")
+	before := names()
+	for i := 0; i < 10_000; i++ {
+		cycle("")
+	}
+	if after := names(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("10 000 ephemeral sessions left %d series, %d before:\n%q", len(after), len(before), after)
+	}
+	cycle("named")
+	if after := names(); len(after) != len(before)+5 {
+		t.Fatalf("a named session's series went with its connection: %d series, %d before", len(after), len(before))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -145,17 +146,39 @@ func TestFrontendNoGraph(t *testing.T) {
 	}
 }
 
-// TestFrontendRejectsWorkerRouting: the combined batch's owned field is
-// coordinator→worker vocabulary; a client sending it to the front end gets
-// an explicit error, not silently dropped assignment.
+// TestFrontendRejectsWorkerRouting: the combined batch's owned field and
+// the trace id are coordinator→worker vocabulary; a client sending either
+// to the front end gets an explicit error, not silently dropped assignment
+// or a trace under an id it picked.
 func TestFrontendRejectsWorkerRouting(t *testing.T) {
-	c := startFrontend(t, 2)
+	ring := obs.NewTraceBuffer(64, 0)
+	_, c := startFrontendWith(t, FrontendConfig{
+		Cluster:    Config{D: 2, Tracer: obs.NewTracer(nil, ring)},
+		NewWorkers: func() ([]Transport, error) { return InProcessN(2, server.Config{}), nil },
+	})
 	if _, _, err := c.Gen("social", 100, 3); err != nil {
 		t.Fatalf("gen: %v", err)
 	}
 	req := &server.Request{Cmd: "update", Updates: []server.UpdateSpec{{Op: "addNode", Label: "person"}}, Owned: []int64{0}}
 	if _, err := c.Do(req); err == nil {
 		t.Error("update with the owned field succeeded at the front end")
+	}
+	const clientID = 1 << 40
+	for _, req := range []*server.Request{
+		{Cmd: "match", Pattern: "qgp\nn xo person *\n"},
+		{Cmd: "update", Updates: []server.UpdateSpec{{Op: "addNode", Label: "person"}}},
+		{Cmd: "profile", Pattern: "qgp\nn xo person *\n"},
+		{Cmd: "stats"},
+	} {
+		req.Trace = clientID
+		if _, err := c.Do(req); err == nil || !strings.Contains(err.Error(), "field trace is not served") {
+			t.Errorf("%s carrying a trace id: err %v, want the refusal", req.Cmd, err)
+		}
+	}
+	for _, rec := range ring.Snapshot(false, 0) {
+		if rec.ID == clientID {
+			t.Errorf("a %s trace was kept under the client's id", rec.Op)
+		}
 	}
 	// A plain update on the same connection still works.
 	if _, _, err := c.Update(server.UpdateSpec{Op: "addNode", Label: "person"}); err != nil {

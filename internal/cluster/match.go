@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/match"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -33,21 +34,22 @@ type MatchOptions struct {
 // Match evaluates a quantified pattern across the cluster: the pattern is
 // fanned out to every worker, each evaluates it over its fragment
 // restricted to its owned focus candidates, and the coordinator merges the
-// disjoint partial answers. ClusterMatch of the ISSUE's API naming.
+// disjoint partial answers.
 func (c *Coordinator) Match(q *core.Pattern) (*MatchResult, error) {
 	return c.MatchWith(q, nil)
 }
 
-// MatchWith is Match with per-call options.
-func (c *Coordinator) MatchWith(q *core.Pattern, opts *MatchOptions) (*MatchResult, error) {
-	return c.matchWith(q, opts, nil)
+// MatchWith is Match with per-call options, traced by Config.Tracer.
+func (c *Coordinator) MatchWith(q *core.Pattern, opts *MatchOptions) (res *MatchResult, err error) {
+	tr := c.cfg.Tracer.Start("match")
+	defer func() { tr.Finish(err) }()
+	return c.matchWith(q, opts, tr)
 }
 
-// matchWith runs one cluster match through routedRead. A non-nil prof
-// switches the workers to the profile command and fills the merged
-// cluster-level profile: per-fragment compute/round-trip timings with the
-// workers' own stage documents embedded verbatim.
-func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *MatchProfile) (res *MatchResult, err error) {
+// matchWith runs one cluster match through routedRead, recording it in tr
+// (nil: untraced): an rtt span per worker, holding the worker's own record
+// when tr is deep, the merge and the answers count.
+func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, tr *obs.Trace) (res *MatchResult, err error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -55,10 +57,7 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *Match
 		return nil, fmt.Errorf("cluster: pattern needs %d-hop preservation but the fragmentation has d=%d", need, c.cfg.D)
 	}
 	start := time.Now()
-	tr := c.cfg.Tracer.Start("match")
-	defer func() { tr.Finish(err) }()
-
-	req := server.Request{Cmd: "match", Pattern: q.String(), Engine: c.cfg.Engine, Budget: c.cfg.Budget}
+	req := server.Request{Cmd: "match", Pattern: q.String(), Engine: c.cfg.Engine, Budget: c.cfg.Budget, Trace: tr.HopID()}
 	if opts != nil {
 		if opts.Engine != "" {
 			req.Engine = opts.Engine
@@ -68,16 +67,12 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *Match
 		}
 		req.Planner = opts.Planner
 	}
-	if prof != nil {
-		req.Cmd = "profile"
-	}
 	err = c.routedRead(tr, req, func(replies []workerReply) error {
 		tm := time.Now()
 		out := &MatchResult{PerWorker: make([]int, len(replies))}
 		runs := make([][]graph.NodeID, len(replies))
 		for i, r := range replies {
-			tr.Annotatef("w%d:compute=%.2fms answers=%d", i, r.resp.ElapsedMS, len(r.resp.Matches))
-			c.om.workerMatchMS[i].Observe(r.rttMS)
+			c.om.workerMatchMS[i].Observe(float64(r.rtt.Microseconds()) / 1000)
 			out.PerWorker[i] = len(r.resp.Matches)
 			var err error
 			if runs[i], err = c.workers[i].globalRun(r.resp.Matches); err != nil {
@@ -92,27 +87,7 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, prof *Match
 		}
 		out.Matches = mergeRuns(runs)
 		tr.Span(-1, "merge", tm)
-		if prof != nil {
-			prof.Op, prof.Engine = "match", req.Engine
-			if prof.Engine == "" {
-				prof.Engine = "qmatch"
-			}
-			prof.Workers = len(replies)
-			prof.Fragments = make([]FragmentProfile, len(replies))
-			for i, r := range replies {
-				prof.Fragments[i] = FragmentProfile{
-					Worker:    i,
-					Answers:   len(r.resp.Matches),
-					ComputeMS: r.resp.ElapsedMS,
-					RTTMS:     r.rttMS,
-					Profile:   r.resp.Profile,
-				}
-			}
-			prof.Matches = len(out.Matches)
-			prof.MergeMS = server.MsSince(tm)
-			prof.TotalMS = server.MsSince(start)
-			prof.Metrics = out.Metrics
-		}
+		tr.Count("answers", len(out.Matches))
 		c.om.matchCount.Inc()
 		c.om.matchMS.ObserveSince(start)
 		res = out

@@ -3,18 +3,47 @@ package cluster
 import (
 	"encoding/json"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/match"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
+// traced runs f under a forced trace, as a profile request does, and
+// returns its record.
+func traced(f func(tr *obs.Trace) error) (*obs.TraceRecord, error) {
+	tr := (*obs.Tracer)(nil).Join("test", 0)
+	err := f(tr)
+	return tr.Finish(err), err
+}
+
+// workerRecords returns the records the workers hung under rec's rtt
+// spans, each required to carry rec's trace id.
+func workerRecords(t *testing.T, rec *obs.TraceRecord) []*obs.TraceRecord {
+	t.Helper()
+	var out []*obs.TraceRecord
+	for _, sp := range rec.Spans {
+		if sp.Name != "rtt" {
+			continue
+		}
+		w := new(obs.TraceRecord)
+		if err := json.Unmarshal(sp.Child, w); err != nil || w.ID != rec.ID {
+			t.Fatalf("worker %d's rtt span holds no record under trace %d (%v): %s", sp.Worker, rec.ID, err, sp.Child)
+		}
+		out = append(out, w)
+	}
+	return out
+}
+
 // TestProfileMatchMergedDocument is the cluster acceptance criterion for
-// profiled matches: a workers=2 cluster returns one merged document whose
-// per-fragment stages are consistent with the totals — fragment answers
-// sum to the merged count, per-fragment compute fits inside the measured
-// round trip, and each embedded worker document parses as the server's
-// own profile shape.
+// profiled matches: a workers=2 cluster's trace record nests one record
+// per worker, consistent with the totals — worker answers sum to the
+// merged count, each worker's own time fits inside the round trip that
+// waited for it, and the engine profiles they carry sum to the result's
+// metrics.
 func TestProfileMatchMergedDocument(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(400, 7))
 	c := newEmbedded(t, g, 2, Config{D: 2})
@@ -24,65 +53,59 @@ func TestProfileMatchMergedDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := &MatchProfile{}
-	res, err := c.matchWith(q, nil, prof)
+	var res *MatchResult
+	rec, err := traced(func(tr *obs.Trace) (err error) {
+		res, err = c.matchWith(q, nil, tr)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(nodeIDs(res.Matches), nodeIDs(plain.Matches)) {
 		t.Fatalf("profiled answers %v != plain answers %v", res.Matches, plain.Matches)
 	}
-	if prof.Op != "match" || prof.Engine != "qmatch" || prof.Workers != 2 {
-		t.Fatalf("profile header wrong: %+v", prof)
+	if rec.Counts["answers"] != len(res.Matches) {
+		t.Fatalf("record counts %d answers, want %d", rec.Counts["answers"], len(res.Matches))
 	}
-	if prof.Matches != len(res.Matches) {
-		t.Fatalf("prof.Matches = %d, want %d", prof.Matches, len(res.Matches))
-	}
-	if len(prof.Fragments) != 2 {
-		t.Fatalf("fragments = %d, want 2", len(prof.Fragments))
+	workers := workerRecords(t, rec)
+	if len(workers) != 2 {
+		t.Fatalf("%d worker records, want 2", len(workers))
 	}
 	answers := 0
-	for i, f := range prof.Fragments {
-		if f.Worker != i {
-			t.Errorf("fragment %d has worker id %d", i, f.Worker)
+	var metrics match.Metrics
+	for i, sp := range rec.Spans[:2] {
+		w := workers[i]
+		if sp.Worker != i || w.Op != "match" || len(w.Spans) != 1 || w.Spans[0].Name != "match.qmatch" {
+			t.Errorf("span %d is worker %d's %+v", i, sp.Worker, w)
 		}
-		answers += f.Answers
-		if f.ComputeMS > f.RTTMS {
-			t.Errorf("fragment %d compute %vms exceeds round trip %vms", i, f.ComputeMS, f.RTTMS)
+		answers += w.Counts["answers"]
+		if w.DurMS > sp.DurMS {
+			t.Errorf("worker %d took %vms inside a %vms round trip", i, w.DurMS, sp.DurMS)
 		}
-		if f.RTTMS > prof.TotalMS {
-			t.Errorf("fragment %d rtt %vms exceeds total %vms", i, f.RTTMS, prof.TotalMS)
+		if sp.DurMS > rec.DurMS {
+			t.Errorf("worker %d rtt %vms exceeds total %vms", i, sp.DurMS, rec.DurMS)
 		}
-		// The embedded worker document is the server's own profile shape.
-		var wd server.MatchProfileDoc
-		if err := json.Unmarshal(f.Profile, &wd); err != nil {
-			t.Fatalf("fragment %d profile does not parse: %v\n%s", i, err, f.Profile)
+		var mp match.Profile
+		if err := json.Unmarshal(w.Attachment, &mp); err != nil || len(mp.Patterns) == 0 {
+			t.Errorf("worker %d's engine profile missing (%v): %s", i, err, w.Attachment)
 		}
-		if wd.Op != "match" || wd.Profile == nil {
-			t.Errorf("fragment %d worker document incomplete: %s", i, f.Profile)
-		}
-		if wd.Matches != f.Answers {
-			t.Errorf("fragment %d worker reports %d matches, coordinator saw %d", i, wd.Matches, f.Answers)
-		}
-	}
-	// Ownership partitions the candidates, so fragment answers sum to the
-	// merged global count.
-	if answers != prof.Matches {
-		t.Fatalf("fragment answers sum to %d, merged count is %d", answers, prof.Matches)
+		metrics.Add(mp.Metrics)
 	}
 	// The aggregate metrics fold exactly as Match's do.
-	if prof.Metrics != res.Metrics {
-		t.Fatalf("profile metrics %+v != result metrics %+v", prof.Metrics, res.Metrics)
+	if metrics != res.Metrics {
+		t.Errorf("worker profiles sum to metrics %+v, result %+v", metrics, res.Metrics)
 	}
-	// The whole document serializes.
-	if _, err := json.Marshal(prof); err != nil {
-		t.Fatalf("marshal merged profile: %v", err)
+	// Ownership partitions the candidates, so worker answers sum to the
+	// merged global count.
+	if answers != len(res.Matches) {
+		t.Fatalf("worker answers sum to %d, merged count is %d", answers, len(res.Matches))
 	}
 }
 
 // TestUpdateProfiledWorkRatio is the incremental acceptance criterion: a
-// 1-edge batch on a 400-node graph reports an affected region far below
-// |V| and stage timings for the contacted workers only.
+// 1-edge batch on a 400-node graph reports an affected count far below
+// |V|, equal to the result's and to the sum over the nested records of
+// the contacted workers, which alone appear.
 func TestUpdateProfiledWorkRatio(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(400, 7))
 	c := newEmbedded(t, g, 2, Config{D: 2})
@@ -93,49 +116,44 @@ func TestUpdateProfiledWorkRatio(t *testing.T) {
 
 	// The generator gives 1 -follow-> 2, so removing it is a real change;
 	// re-adding it would be a no-op batch, which can flip nobody.
-	prof := &UpdateProfile{}
-	res, err := c.update([]server.UpdateSpec{
-		{Op: "removeEdge", From: 1, To: 2, Label: "follow"},
-	}, prof)
+	var res *UpdateResult
+	rec, err := traced(func(tr *obs.Trace) (err error) {
+		res, err = c.update([]server.UpdateSpec{{Op: "removeEdge", From: 1, To: 2, Label: "follow"}}, tr)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prof.Op != "update" || prof.BatchSize != 1 {
-		t.Fatalf("profile header wrong: %+v", prof)
+	if rec.Counts["batch"] != 1 || rec.Counts["nodes"] != c.Graph().NumNodes() || rec.DurMS <= 0 {
+		t.Fatalf("record counts %v over %vms, want batch 1 and nodes |V| = %d", rec.Counts, rec.DurMS, c.Graph().NumNodes())
 	}
-	if prof.Nodes != c.Graph().NumNodes() {
-		t.Fatalf("prof.Nodes = %d, want |V| = %d", prof.Nodes, c.Graph().NumNodes())
-	}
-	if prof.AffectedSize != res.AffectedSize {
-		t.Fatalf("prof.AffectedSize = %d, result says %d", prof.AffectedSize, res.AffectedSize)
+	affected := rec.Counts["affected"]
+	if affected != res.AffectedSize {
+		t.Fatalf("record counts %d affected, result says %d", affected, res.AffectedSize)
 	}
 	// work ∝ change: a 1-edge batch must re-verify far less than |V|.
-	if prof.AffectedSize <= 0 || prof.AffectedSize >= prof.Nodes/2 {
-		t.Fatalf("AffectedSize = %d on |V| = %d; want 0 < affected << |V|", prof.AffectedSize, prof.Nodes)
+	if affected <= 0 || affected >= rec.Counts["nodes"]/2 {
+		t.Fatalf("affected = %d on |V| = %d; want 0 < affected << |V|", affected, rec.Counts["nodes"])
 	}
-	if prof.WorkRatio <= 0 || prof.WorkRatio >= 0.5 {
-		t.Fatalf("WorkRatio = %v, want well below 1", prof.WorkRatio)
+	var rtts []int
+	sum := 0
+	for _, sp := range rec.Spans {
+		if sp.Name == "rtt" {
+			rtts = append(rtts, sp.Worker)
+			if sp.DurMS <= 0 {
+				t.Errorf("worker %d's rtt took %vms", sp.Worker, sp.DurMS)
+			}
+		}
 	}
-	if prof.TotalMS <= 0 || prof.FanoutMS <= 0 {
-		t.Fatalf("stage timings missing: %+v", prof)
+	for _, w := range workerRecords(t, rec) {
+		sum += w.Counts["affected"]
+		if w.Op != "update" || w.Counts["batch"] == 0 {
+			t.Errorf("worker record is no update's: %+v", w)
+		}
 	}
-	if len(prof.Workers) != len(res.Contacted) {
-		t.Fatalf("profile has %d worker entries, result contacted %d", len(prof.Workers), len(res.Contacted))
-	}
-	for i, wp := range prof.Workers {
-		if wp.Worker != res.Contacted[i] {
-			t.Errorf("worker entry %d is for worker %d, contacted order says %d", i, wp.Worker, res.Contacted[i])
-		}
-		if wp.RTTMS <= 0 {
-			t.Errorf("worker %d missing rtt", wp.Worker)
-		}
-		var wd server.UpdateProfileDoc
-		if err := json.Unmarshal(wp.Profile, &wd); err != nil {
-			t.Fatalf("worker %d profile does not parse: %v\n%s", wp.Worker, err, wp.Profile)
-		}
-		if wd.Op != "update" {
-			t.Errorf("worker %d document wrong (want an update): %s", wp.Worker, wp.Profile)
-		}
+	sort.Ints(rtts) // the fan-out records round trips as they end
+	if !reflect.DeepEqual(rtts, res.Contacted) || sum != affected {
+		t.Fatalf("records of workers %v sum to %d affected; contacted %v, %d affected", rtts, sum, res.Contacted, affected)
 	}
 	// Profiled and plain updates converge to the same graph state.
 	res2, err := c.Update([]server.UpdateSpec{{Op: "addEdge", From: 1, To: 2, Label: "follow"}})
@@ -180,8 +198,8 @@ func TestFrontendProfileCommands(t *testing.T) {
 	if !reflect.DeepEqual(resp.Matches, plain.Matches) {
 		t.Fatalf("profiled matches %v != plain matches %v", resp.Matches, plain.Matches)
 	}
-	var mp MatchProfile
-	if err := json.Unmarshal(resp.Profile, &mp); err != nil || mp.Workers != 2 || mp.Matches != resp.Total {
+	var mp obs.TraceRecord
+	if err := json.Unmarshal(resp.Profile, &mp); err != nil || mp.Op != "profile" || mp.Counts["answers"] != resp.Total || len(workerRecords(t, &mp)) != 2 {
 		t.Fatalf("match profile document wrong: %v %s", err, resp.Profile)
 	}
 
@@ -189,12 +207,12 @@ func TestFrontendProfileCommands(t *testing.T) {
 	if err != nil {
 		t.Fatalf("profile update: %v", err)
 	}
-	var up UpdateProfile
-	if err := json.Unmarshal(uresp.Profile, &up); err != nil || up.Op != "update" || up.BatchSize != 1 {
+	var up obs.TraceRecord
+	if err := json.Unmarshal(uresp.Profile, &up); err != nil || up.Counts["batch"] != 1 {
 		t.Fatalf("update profile document wrong: %v %s", err, uresp.Profile)
 	}
-	if up.AffectedSize >= up.Nodes {
-		t.Fatalf("AffectedSize %d not below |V| %d", up.AffectedSize, up.Nodes)
+	if up.Counts["affected"] >= up.Counts["nodes"] {
+		t.Fatalf("affected %d not below |V| %d", up.Counts["affected"], up.Counts["nodes"])
 	}
 
 	// The coordinator-internal routing field stays rejected on the
@@ -203,6 +221,69 @@ func TestFrontendProfileCommands(t *testing.T) {
 		Updates: []server.UpdateSpec{{Op: "addEdge", From: 0, To: 1, Label: "follow"}},
 		Owned:   server.IDList{0}}); err == nil {
 		t.Fatal("profile update with the owned routing field succeeded")
+	}
+}
+
+// TestFrontendTracesStayLocal: a front end's always-on tracer records every
+// request with its per-worker round trips, watch, stats and explain
+// included, but only a profile request asks the workers for their records.
+// (A watch's round trips are in the coordinator's own watch record.)
+func TestFrontendTracesStayLocal(t *testing.T) {
+	ring := obs.NewTraceBuffer(64, 0)
+	_, c := startFrontendWith(t, FrontendConfig{
+		Cluster:    Config{D: 2, Tracer: obs.NewTracer(nil, ring)},
+		NewWorkers: func() ([]Transport, error) { return InProcessN(2, server.Config{}), nil },
+	})
+	pattern := testPatterns[0]
+	if _, _, err := c.Gen("social", 200, 9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Watch("w", pattern); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Match(pattern, nil); err != nil {
+		t.Fatal(err)
+	}
+	// A new node is assigned to a worker, which is contacted.
+	if _, _, err := c.Update(server.UpdateSpec{Op: "addNode", Label: "person"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Stats(1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Explain(pattern); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ProfileMatch(pattern, nil); err != nil {
+		t.Fatal(err)
+	}
+	most := map[string]int{} // the most rtt spans one record of an op holds
+	for _, rec := range ring.Snapshot(false, 0) {
+		var rtts, nested int
+		for _, sp := range rec.Spans {
+			if sp.Name == "rtt" {
+				rtts++
+				if len(sp.Child) > 0 {
+					nested++
+				}
+			}
+		}
+		want := 0
+		if rec.Op == "profile" {
+			want = 2
+		}
+		if nested != want || len(rec.Attachment) > 0 {
+			t.Errorf("%s record: %d rtt spans, %d holding a worker record (want %d): %+v", rec.Op, rtts, nested, want, rec)
+		}
+		most[rec.Op] = max(most[rec.Op], rtts)
+	}
+	for _, op := range []string{"watch", "match", "stats", "explain", "profile"} {
+		if most[op] != 2 {
+			t.Errorf("no %s record holds both workers' round trips: %v", op, most)
+		}
+	}
+	if most["update"] == 0 {
+		t.Errorf("no update record holds a round trip: %v", most)
 	}
 }
 

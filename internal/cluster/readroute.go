@@ -26,6 +26,7 @@ package cluster
 // copy is current.
 
 import (
+	"encoding/json"
 	"errors"
 	"time"
 
@@ -40,12 +41,14 @@ import (
 var errReadFailover = errors.New("cluster: read routing: no live fragment copy")
 
 // workerReply is one fragment's answer to a routed read and the
-// coordinator-measured round trip that fetched it. The round trip minus
-// the worker-reported compute time (resp.ElapsedMS) is serialization +
-// wire + queueing, which tells a slow worker from a slow link.
+// coordinator-measured round trip that fetched it, sent at t0. The round
+// trip minus the worker-reported compute time (resp.ElapsedMS) is
+// serialization + wire + queueing, which tells a slow worker from a slow
+// link.
 type workerReply struct {
-	resp  *server.Response
-	rttMS float64
+	resp *server.Response
+	t0   time.Time
+	rtt  time.Duration
 }
 
 // routedRead is the one read-only fan-out behind Match, Explain and
@@ -57,7 +60,9 @@ type workerReply struct {
 // sendPrimary, which fails over (promotion or re-ship) as needed; reads
 // do not change fragment state, so the rerun is always safe. merge runs
 // on the replies (indexed by worker id) under whichever lock the
-// successful fan-out held, so it may read coordinator bookkeeping.
+// successful fan-out held, so it may read coordinator bookkeeping. tr gets
+// the successful fan-out's rtt spans, each with the record its worker
+// returned when req carries a trace id.
 func (c *Coordinator) routedRead(tr *obs.Trace, req server.Request, merge func([]workerReply) error) error {
 	run := func(readPath bool) error {
 		if err := c.refuseLocked(); err != nil {
@@ -79,13 +84,19 @@ func (c *Coordinator) routedRead(tr *obs.Trace, req server.Request, merge func([
 			if err != nil {
 				return err
 			}
-			tr.Span(w.id, "rtt", t0)
 			// Each goroutine writes only its own slot; no lock needed.
-			replies[w.id] = workerReply{resp: resp, rttMS: server.MsSince(t0)}
+			replies[w.id] = workerReply{resp: resp, t0: t0, rtt: time.Since(t0)}
 			return nil
 		})
 		if err != nil {
 			return err
+		}
+		for id, r := range replies {
+			var child json.RawMessage // an explain's Profile is its plan
+			if req.Trace != 0 {
+				child = r.resp.Profile
+			}
+			tr.Nest(id, "rtt", r.t0, r.rtt, child)
 		}
 		return merge(replies)
 	}

@@ -154,10 +154,11 @@ func TestReadsSpreadAcrossCopies(t *testing.T) {
 }
 
 // TestReadFailoverKeepsProfile: a profiled match that trips read
-// failover still returns a profile document. Regression: the failed
-// first attempt returns (nil, nil, err), and matchWith used to let that
-// nil overwrite the profile pointer, so the write-locked retry ran an
-// unprofiled match and handleProfile serialized Profile as JSON null.
+// failover still returns a full trace record: one worker record per
+// fragment, from the fan-out that answered, and the answers count.
+// Regression: the failed first attempt returns (nil, nil, err), and
+// matchWith used to let that nil overwrite the profile pointer, so the
+// write-locked retry ran an unprofiled match.
 func TestReadFailoverKeepsProfile(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(200, 13))
 	pool := newTestPool(6)
@@ -172,22 +173,26 @@ func TestReadFailoverKeepsProfile(t *testing.T) {
 	for _, r := range c.workers[0].copies {
 		r.t.Close()
 	}
-	prof := &MatchProfile{}
-	res, err := c.matchWith(q, nil, prof)
+	var res *MatchResult
+	rec, err := traced(func(tr *obs.Trace) (err error) {
+		res, err = c.matchWith(q, nil, tr)
+		return err
+	})
 	if err != nil {
 		t.Fatalf("profiled match after killing every copy of fragment 0: %v", err)
 	}
 	if c.om.readFallbacks.Value() == 0 {
 		t.Fatal("profiled match did not trip the read-failover retry; the test exercised nothing")
 	}
-	if prof == nil {
-		t.Fatal("profile document lost across the read-failover retry")
+	answers := 0
+	for _, w := range workerRecords(t, rec) {
+		answers += w.Counts["answers"]
 	}
-	if prof.Workers != 2 || len(prof.Fragments) != 2 {
-		t.Fatalf("profile covers %d workers / %d fragments, want 2/2", prof.Workers, len(prof.Fragments))
+	if n := len(workerRecords(t, rec)); n != 2 {
+		t.Fatalf("record nests %d worker records, want 2", n)
 	}
-	if prof.Matches != len(res.Matches) {
-		t.Fatalf("profile reports %d matches, result has %d", prof.Matches, len(res.Matches))
+	if rec.Counts["answers"] != len(res.Matches) || answers != len(res.Matches) {
+		t.Fatalf("record reports %d answers, its workers %d, the result has %d", rec.Counts["answers"], answers, len(res.Matches))
 	}
 }
 

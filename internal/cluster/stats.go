@@ -3,6 +3,7 @@ package cluster
 import (
 	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -21,10 +22,15 @@ import (
 // and merges the owned-restricted summaries. The merged summary is exact
 // — equal to collecting over the whole graph in one process — because
 // ownership partitions the nodes and each owned node's full neighborhood
-// is materialized in its owner's fragment.
+// is materialized in its owner's fragment. Config.Tracer traces it.
 func (c *Coordinator) Stats() (res *server.StatsSummary, err error) {
 	tr := c.cfg.Tracer.Start("stats")
 	defer func() { tr.Finish(err) }()
+	return c.stats(tr)
+}
+
+// stats runs Stats, recording an rtt span per worker in tr.
+func (c *Coordinator) stats(tr *obs.Trace) (res *server.StatsSummary, err error) {
 	// TopK 1 keeps the workers' rendered-string work minimal; the merge
 	// consumes only the complete structured rows.
 	req := server.Request{Cmd: "stats", TopK: 1}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -63,17 +64,18 @@ func (p *workerPlan) empty() bool {
 // owned nodes travel in a single request, so routing a batch costs one
 // round trip per contacted worker. Each worker finds the candidates the
 // batch can flip over its own fragment and reports how many it re-judged;
-// their sum is UpdateResult.AffectedSize.
-// ClusterUpdate of the ISSUE's API naming.
-func (c *Coordinator) Update(specs []server.UpdateSpec) (*UpdateResult, error) {
-	return c.update(specs, nil)
+// their sum is UpdateResult.AffectedSize. Config.Tracer traces it.
+func (c *Coordinator) Update(specs []server.UpdateSpec) (res *UpdateResult, err error) {
+	tr := c.cfg.Tracer.Start("update")
+	defer func() { tr.Finish(err) }()
+	return c.update(specs, tr)
 }
 
-// update runs one global batch. A non-nil prof switches the contacted
-// workers to the profile command, so their replies carry per-stage update
-// documents for their fragments, and fills the merged cluster-level
-// profile around them: the coordinator's own stages — apply, journal,
-// materialization ball, fan-out, merge.
+// update runs one global batch, recording it in tr (nil: untraced): the
+// coordinator's own stages (graph.apply, ha.journal_append, the
+// materialization ball, merge), per contacted worker its plan, its rtt —
+// holding the worker's own record when tr is deep — and ha.mirror, and
+// the batch, touched, nodes and affected counts.
 //
 // The fan-out is pipelined: per-worker planning, serialization and I/O
 // run concurrently across workers (each plan touches only its own
@@ -85,13 +87,11 @@ func (c *Coordinator) Update(specs []server.UpdateSpec) (*UpdateResult, error) {
 // replays the batch exactly once. Only when no session survives
 // failover does the coordinator mark itself failed and refuse further
 // requests rather than serve possibly inconsistent answers.
-func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (res *UpdateResult, err error) {
+func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *UpdateResult, err error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: update: empty batch")
 	}
 	start := time.Now()
-	tr := c.cfg.Tracer.Start("update")
-	defer func() { tr.Finish(err) }()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.refuseLocked(); err != nil {
@@ -114,10 +114,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	newG := c.vg.Graph()
-	tr.Span(-1, "apply", tapply)
-	if prof != nil {
-		prof.Op, prof.ApplyMS = "update", server.MsSince(tapply)
-	}
+	tr.Span(-1, "graph.apply", tapply)
 	// The batch is accepted: journal it before any worker sees it, so a
 	// coordinator crash during fan-out cannot lose an applied batch.
 	// A journal append failure rejects the batch with the cluster still
@@ -134,11 +131,9 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 			}
 			return nil, fmt.Errorf("cluster: journal: %w", err)
 		}
-		if prof != nil {
-			prof.JournalMS = server.MsSince(tj)
-		}
+		tr.Span(-1, "ha.journal_append", tj)
 	}
-	taff := time.Now()
+	tball := time.Now()
 	// Fragment materialization upkeep is bounded by the (D-1)-ball around
 	// inserted-edge endpoints and batch-created nodes — a node can only
 	// move into an owned node's D-hop ball along a path through an
@@ -161,13 +156,10 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	if len(insEnds) > 0 {
 		matCand = c.ball.Ball(newG, insEnds, c.cfg.D-1)
 	}
-	tr.Annotatef("batch=%d touched=%d matcand=%d", len(specs), len(touched), len(matCand))
-	if prof != nil {
-		prof.AffectedMS = server.MsSince(taff)
-		prof.BatchSize = len(specs)
-		prof.Touched = len(touched)
-		prof.Nodes = newG.NumNodes()
-	}
+	tr.Span(-1, "ball", tball)
+	tr.Count("batch", len(specs))
+	tr.Count("touched", len(touched))
+	tr.Count("nodes", newG.NumNodes())
 	c.om.updateBatch.Observe(float64(len(specs)))
 
 	// Assign each node the batch created to the worker owning the fewest:
@@ -196,13 +188,6 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	contacted := make([]bool, len(c.workers))
 	updDeltas := make([][]server.WatchDelta, len(c.workers))
 	judged := make([]int, len(c.workers))
-	cmd := "update"
-	var workerProfs []*WorkerUpdateProfile
-	if prof != nil {
-		cmd = "profile"
-		workerProfs = make([]*WorkerUpdateProfile, len(c.workers))
-	}
-	tfan := time.Now()
 	err = c.fanOut(func(w *worker) error {
 		tplan := time.Now()
 		p := c.planFor(w, oldG, newG, edits, touched, matCand, assignTo)
@@ -213,18 +198,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		tr.Span(w.id, "plan", tplan)
 		contacted[w.id] = true
 		c.om.workersRouted.Inc()
-		var wp *WorkerUpdateProfile
-		if prof != nil {
-			// Each goroutine writes only its own slot; no lock needed.
-			wp = &WorkerUpdateProfile{
-				Worker:    w.id,
-				PlanMS:    server.MsSince(tplan),
-				Mutations: len(p.batch),
-				Assigned:  len(p.assignL),
-			}
-			workerProfs[w.id] = wp
-		}
-		req := &server.Request{Cmd: cmd, Updates: p.batch, Owned: p.assignL}
+		req := &server.Request{Cmd: "update", Updates: p.batch, Owned: p.assignL, Trace: tr.HopID()}
 		// The id mapping is extended only after the primary holds the
 		// batch: failover before that point re-ships the pre-batch
 		// fragment (from the oldG view over the unextended id space) and
@@ -237,14 +211,8 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		if err != nil {
 			return err
 		}
-		tr.Span(w.id, "rtt", trtt)
-		tr.Annotatef("w%d:muts=%d affected=%d", w.id, len(p.batch), resp.Total)
+		tr.Nest(w.id, "rtt", trtt, time.Since(trtt), resp.Profile)
 		c.om.workerUpdateMS[w.id].ObserveSince(trtt)
-		if wp != nil {
-			wp.RTTMS = server.MsSince(trtt)
-			wp.Affected = resp.Total
-			wp.Profile = resp.Profile
-		}
 		updDeltas[w.id], judged[w.id] = resp.Deltas, resp.Total
 		for _, gv := range p.newMat {
 			w.ids.add(gv)
@@ -254,11 +222,9 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		}
 		if len(w.copies) > 1 {
 			tmir := time.Now()
+			req.Trace = 0 // a replica's record would have nowhere to go
 			c.mirror(w, req)
-			tr.Span(w.id, "mirror", tmir)
-			if wp != nil {
-				wp.MirrorMS = server.MsSince(tmir)
-			}
+			tr.Span(w.id, "ha.mirror", tmir)
 		}
 		return nil
 	})
@@ -276,18 +242,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 	}
 	c.om.updateAffected.Observe(float64(out.AffectedSize))
 	c.om.affectedRatio.Set(int64(out.AffectedSize) * 1_000_000 / int64(out.Nodes))
-	if prof != nil {
-		prof.FanoutMS = server.MsSince(tfan)
-		for _, wp := range workerProfs {
-			if wp != nil {
-				prof.Workers = append(prof.Workers, *wp)
-			}
-		}
-		prof.AffectedSize = out.AffectedSize
-		if prof.Nodes > 0 {
-			prof.WorkRatio = float64(prof.AffectedSize) / float64(prof.Nodes)
-		}
-	}
+	tr.Count("affected", out.AffectedSize)
 	tm := time.Now()
 	if len(out.Contacted) > 0 {
 		if out.Deltas, err = c.mergeDeltas(updDeltas, out.AffectedSize); err != nil {
@@ -296,10 +251,6 @@ func (c *Coordinator) update(specs []server.UpdateSpec, prof *UpdateProfile) (re
 		}
 	}
 	tr.Span(-1, "merge", tm)
-	if prof != nil {
-		prof.MergeMS = server.MsSince(tm)
-		prof.TotalMS = server.MsSince(start)
-	}
 	c.om.updateCount.Inc()
 	c.om.updateFanout.Observe(float64(len(out.Contacted)))
 	c.om.updateMS.ObserveSince(start)

@@ -13,13 +13,17 @@ import (
 
 // Watch registers a standing pattern on every worker under the given name
 // and returns the merged initial answer set; every later Update reports
-// the watch's merged answer delta. ClusterWatch of the ISSUE's API naming.
+// the watch's merged answer delta.
 //
 // Each worker maintains the answers of its owned focus candidates in its
 // session's dynamic.Engine (one restricted evaluation per distinct
 // pattern, however many names hold it), so maintenance work is sharded
 // the same way matching is. Watches live only on primaries: a replica
 // promoted by failover re-registers them before serving.
+//
+// Config.Tracer traces it with an rtt span per worker. Through the front
+// end this is a record of its own beside the request's: tenant watches
+// reach here through tenant.Registrar, which carries no trace.
 func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeID, err error) {
 	if name == "" {
 		return nil, fmt.Errorf("cluster: watch: empty name")
@@ -32,7 +36,6 @@ func (c *Coordinator) Watch(name string, q *core.Pattern) (initial []graph.NodeI
 	}
 	tr := c.cfg.Tracer.Start("watch")
 	defer func() { tr.Finish(err) }()
-	tr.Annotatef("name=%s", name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.refuseLocked(); err != nil {

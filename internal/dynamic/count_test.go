@@ -93,7 +93,7 @@ func TestCountsFollowChurn(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
-				deltas, err := e.Apply(old, vg.Graph(), touched)
+				deltas, err := e.Apply(old, vg.Graph(), touched, nil)
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}

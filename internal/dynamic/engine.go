@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // Engine holds every standing watch of one session over one graph. Watches
@@ -37,10 +38,6 @@ type group struct {
 type NamedDelta struct {
 	Name string
 	Delta
-	// AffectedTime and VerifyTime are the group's stage timings, for profile
-	// documents: finding the candidates (carrying the counts over the batch,
-	// or walking the reach plan) and re-judging them.
-	AffectedTime, VerifyTime time.Duration
 }
 
 // NewEngine returns an engine with no watches over g. A non-nil owned
@@ -123,18 +120,21 @@ func (e *Engine) Unwatch(name string) error {
 // group then re-judges the owned candidates Matcher.candidates names. A
 // fragment's engine needs nothing else: its graph holds every owned
 // candidate's neighbourhood, so its own walk finds what the batch can flip.
-func (e *Engine) Apply(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID) ([]NamedDelta, error) {
+// tr, when traced, gets two spans per group evaluated, in group order:
+// dynamic.affected (finding the candidates) and dynamic.verify
+// (re-judging them).
+func (e *Engine) Apply(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID, tr *obs.Trace) ([]NamedDelta, error) {
 	e.g = newG
 	var edits []graph.EdgeEdit
 	if len(e.groups) > 0 {
 		edits = old.Edits()
 	}
-	return e.run(func(m *Matcher) []graph.NodeID { return m.candidates(old, newG, touched, edits) })
+	return e.run(func(m *Matcher) []graph.NodeID { return m.candidates(old, newG, touched, edits) }, tr)
 }
 
 // Assign extends a fragment engine's owned set and returns, per name, the
-// answers the new candidates contribute.
-func (e *Engine) Assign(add []graph.NodeID) ([]NamedDelta, error) {
+// answers the new candidates contribute; tr as for Apply.
+func (e *Engine) Assign(add []graph.NodeID, tr *obs.Trace) ([]NamedDelta, error) {
 	if e.owned == nil {
 		return nil, fmt.Errorf("dynamic: Assign on an unrestricted engine")
 	}
@@ -142,22 +142,24 @@ func (e *Engine) Assign(add []graph.NodeID) ([]NamedDelta, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.run(func(*Matcher) []graph.NodeID { return fresh })
+	return e.run(func(*Matcher) []graph.NodeID { return fresh }, tr)
 }
 
 // run evaluates every group once over the engine's graph — scope picks
 // the group's candidates, all within the owned set — and fans the results
 // out per name.
-func (e *Engine) run(scope func(*Matcher) []graph.NodeID) ([]NamedDelta, error) {
+func (e *Engine) run(scope func(*Matcher) []graph.NodeID, tr *obs.Trace) ([]NamedDelta, error) {
 	for _, gr := range e.groups {
 		t0 := time.Now()
 		cands := scope(gr.m)
 		t1 := time.Now()
+		tr.Nest(-1, "dynamic.affected", t0, t1.Sub(t0), nil)
 		d, err := gr.m.verify(e.g, cands)
 		if err != nil {
 			return nil, fmt.Errorf("watch pattern %q: %w", gr.pattern, err)
 		}
-		gr.last = NamedDelta{Delta: d, AffectedTime: t1.Sub(t0), VerifyTime: time.Since(t1)}
+		tr.Span(-1, "dynamic.verify", t1)
+		gr.last = NamedDelta{Delta: d}
 	}
 	out := make([]NamedDelta, len(e.names))
 	for i, name := range e.names {

@@ -93,7 +93,7 @@ func TestEngineSharesEvaluation(t *testing.T) {
 					t.Fatal(err)
 				}
 				before := verified(e)
-				deltas, err := e.Apply(old, vg.Graph(), touched)
+				deltas, err := e.Apply(old, vg.Graph(), touched, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -230,7 +230,7 @@ func TestEngineAssign(t *testing.T) {
 		}
 	}
 	before := verified(e)
-	deltas, err := e.Assign(append([]graph.NodeID{first[0]}, rest...)) // first[0] is already owned
+	deltas, err := e.Assign(append([]graph.NodeID{first[0]}, rest...), nil) // first[0] is already owned
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,11 +270,11 @@ func TestEngineAssign(t *testing.T) {
 	if added == 0 {
 		t.Fatal("assignment added no answer under any name")
 	}
-	if _, err := e.Assign([]graph.NodeID{graph.NodeID(g.NumNodes())}); err == nil {
+	if _, err := e.Assign([]graph.NodeID{graph.NodeID(g.NumNodes())}, nil); err == nil {
 		t.Fatal("assignment of a node outside the graph accepted")
 	}
 	free, _ := NewEngine(g, nil)
-	if _, err := free.Assign(rest); err == nil {
+	if _, err := free.Assign(rest, nil); err == nil {
 		t.Fatal("assignment on an unrestricted engine accepted")
 	}
 }

@@ -25,8 +25,11 @@ import (
 // benchmark's 4 watch patterns held under 2 names each by 2 tenants, and a
 // primary killed mid-script so a batch replays through failover. Run
 // against cluster.New, every UpdateResult.Deltas entry is recorded; run
-// through a cluster.Frontend, every reply line. Both transcripts were
-// recorded at 6ecd0ac, when every worker reply still listed every watch.
+// through a cluster.Frontend, every reply line. The coordinator's was
+// recorded at 6ecd0ac, when every worker reply still listed every watch;
+// the front end's again when a writer's reply began to carry its watches'
+// inbox entries folded with its own deltas (tenant.RecordDeltas), since
+// the tenants write in turn and so nearly every reply changed.
 const (
 	goldenPersons = 1000
 	goldenBatches = 1024
@@ -274,7 +277,7 @@ func TestMergedDeltasGolden(t *testing.T) {
 }
 
 // TestFrontendRepliesGolden: every reply line the front end writes over the
-// same script is what it was at 6ecd0ac.
+// same script is what it was when recorded.
 func TestFrontendRepliesGolden(t *testing.T) {
-	checkTranscript(t, "testdata/frontend-replies-6ecd0ac.txt.gz", frontendTranscript(t))
+	checkTranscript(t, "testdata/frontend-replies-folded.txt.gz", frontendTranscript(t))
 }

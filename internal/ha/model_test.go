@@ -629,24 +629,33 @@ func (h *harness) update(tn string) {
 			h.watches[d.Watch].stale = true
 		}
 	}
-	// The writer's own deltas come back at once, ahead of older ones still
-	// in its inbox; the inbox is drained first so they fold in batch order.
-	for name, w := range h.watches {
-		if wt, _ := tenant.SplitName(name); wt == tn && w.stale {
-			h.drain(tn)
-			break
-		}
-	}
+	// The writer folds its reply as it arrives: a watch's delta carries
+	// whatever older deltas waited in its inbox, so the folded answers are
+	// the model's.
 	for name, w := range h.watches {
 		wt, local := tenant.SplitName(name)
 		if wt != tn {
 			continue
 		}
-		got := own[local]
-		if !sameIDs(got.Added, want[name].Added) || !sameIDs(got.Removed, want[name].Removed) {
+		got, ok := own[local]
+		if !ok {
+			if len(want[name].Added)+len(want[name].Removed) > 0 {
+				h.fatalf("%s: no delta, oracle +%v -%v", name, want[name].Added, want[name].Removed)
+			}
+			continue
+		}
+		if got.Resync {
+			h.reread(w)
+			continue
+		}
+		if !w.stale && (!sameIDs(got.Added, want[name].Added) || !sameIDs(got.Removed, want[name].Removed)) {
 			h.fatalf("%s: delta +%v -%v, oracle +%v -%v", name, got.Added, got.Removed, want[name].Added, want[name].Removed)
 		}
 		w.fold(got)
+		w.stale = false
+		if acc := sortedNodes(w.acc); !reflect.DeepEqual(emptyNotNil(acc), emptyNotNil(w.m.Answers())) {
+			h.fatalf("%s: delta +%v -%v folds to %v, oracle %v", name, got.Added, got.Removed, acc, w.m.Answers())
+		}
 	}
 }
 

@@ -274,6 +274,23 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
+// Remove drops the named instruments of any kind, for series whose
+// subject is gone for good (an ephemeral tenant session). A holder of a
+// removed instrument may still write to it; nothing reads it any more.
+// A later lookup of the name creates a fresh one.
+func (r *Registry) Remove(names ...string) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range names {
+		delete(r.counters, name)
+		delete(r.gauges, name)
+		delete(r.hists, name)
+	}
+}
+
 // Snapshot is a point-in-time copy of every instrument, in the shape the
 // JSON export serializes. Maps marshal with sorted keys, so the export
 // is deterministic for a fixed state.

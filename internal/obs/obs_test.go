@@ -34,6 +34,7 @@ func TestNilSafety(t *testing.T) {
 	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x", nil) != nil {
 		t.Fatal("nil registry must yield nil instruments")
 	}
+	r.Remove("x")
 	if string(r.JSON()) != "{}" {
 		t.Fatalf("nil registry JSON = %s", r.JSON())
 	}
@@ -43,9 +44,10 @@ func TestNilSafety(t *testing.T) {
 	}
 	var trace *Trace
 	trace.Span(0, "x", time.Now())
-	trace.Annotatef("note=%d", 1)
-	trace.Finish(nil)
-	if trace.ID() != 0 {
+	trace.Nest(0, "x", time.Now(), 0, []byte(`{}`))
+	trace.Count("n", 1)
+	trace.Attach(1)
+	if trace.Finish(nil) != nil || trace.ID() != 0 {
 		t.Fatal("nil trace id")
 	}
 	if NewTracer(nil, nil) != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -107,9 +108,10 @@ func TestTraceRecordJSONDeterministic(t *testing.T) {
 		Op:    "update",
 		Start: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC),
 		DurMS: 1.25,
-		Spans: []SpanRecord{{Worker: 0, Name: "rtt", OffsetMS: 0.1, DurMS: 1.0}, {Worker: -1, Name: "merge", OffsetMS: 1.1, DurMS: 0.1}},
-		Notes: []string{"affected=3"},
-		Slow:  true,
+		Spans: []SpanRecord{{Worker: 0, Name: "rtt", OffsetMS: 0.1, DurMS: 1.0, Child: json.RawMessage(`{"id":7,"op":"update","counts":{"affected":3,"touched":2}}`)},
+			{Worker: -1, Name: "merge", OffsetMS: 1.1, DurMS: 0.1}},
+		Counts: map[string]int{"batch": 1, "affected": 3, "touched": 2, "nodes": 9},
+		Slow:   true,
 	}
 	a, err := json.Marshal(rec)
 	if err != nil {
@@ -126,7 +128,7 @@ func TestTraceRecordJSONDeterministic(t *testing.T) {
 	if err := json.Unmarshal(a, &back); err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	if back.ID != rec.ID || back.Op != rec.Op || len(back.Spans) != 2 || !back.Slow {
+	if !reflect.DeepEqual(back, rec) {
 		t.Fatalf("round trip lost fields: %+v", back)
 	}
 }
@@ -183,6 +185,17 @@ func TestWindowsPercentiles(t *testing.T) {
 	s = w.Snapshot()
 	if wh := s.Histograms["req.ms"]; wh.Count != 1 || wh.P50 != 100 {
 		t.Fatalf("delta window wrong: %+v", wh)
+	}
+
+	// Window 4: a removed series stays gone, though a holder still writes
+	// to it.
+	h.Observe(5)
+	reg.Remove("req.ms")
+	h.Observe(5)
+	w.Roll()
+	w.Roll()
+	if _, ok := w.Snapshot().Histograms["req.ms"]; ok || len(reg.Snapshot().Histograms) != 0 {
+		t.Fatalf("removed series came back: window %+v, registry %+v", w.Snapshot(), reg.Snapshot())
 	}
 }
 

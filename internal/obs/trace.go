@@ -1,21 +1,26 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Tracer hands out per-request traces with process-unique ids. A nil
-// Tracer (tracing disabled) yields nil traces whose methods are no-ops,
-// so instrumented code never branches on whether tracing is on.
+// Tracer hands out per-request traces. A nil Tracer (tracing disabled)
+// yields nil traces from Start, whose methods are no-ops, so instrumented
+// code never branches on whether tracing is on.
 type Tracer struct {
-	next atomic.Uint64
 	logf func(format string, args ...interface{})
 	buf  *TraceBuffer
 }
+
+// traceIDs numbers the process's traces. One counter for every tracer,
+// the nil one included, keeps the ids of forced traces (Join) unique too.
+var traceIDs atomic.Uint64
 
 // NewTracer returns a tracer that emits finished traces through logf
 // (when non-nil) — the same diagnostics hook the servers already expose —
@@ -31,43 +36,56 @@ func NewTracer(logf func(format string, args ...interface{}), buf *TraceBuffer) 
 	return &Tracer{logf: logf, buf: buf}
 }
 
-// Start opens a trace for one request. op names the request kind
-// ("match", "update", "watch"); the returned trace carries a
-// process-unique id so a slow request in the log can be followed across
-// its per-worker spans.
+// Start opens a trace for one request, nil when t is. op names the
+// request kind ("match", "update", "watch").
 func (t *Tracer) Start(op string) *Trace {
 	if t == nil {
 		return nil
 	}
-	return &Trace{id: t.next.Add(1), op: op, start: time.Now(), logf: t.logf, buf: t.buf}
+	return t.open(op, 0, false)
 }
 
-// Trace accumulates the spans of one request — which worker was doing
-// what, when, for how long — and emits a single structured log line at
-// Finish. Span and Annotatef are safe to call from concurrent fan-out
+// Join opens a deep trace, even when t is nil: a profile request, or a
+// worker's share of one, needs its record whether or not this process
+// keeps one. id is the trace id the worker's record shares with the
+// coordinator's (Request.Trace); 0 draws a fresh one. Only a deep trace
+// crosses the hop (HopID) and carries the engine's profile, so the
+// traces an always-on tracer opens stay as cheap as their spans.
+func (t *Tracer) Join(op string, id uint64) *Trace {
+	return t.open(op, id, true)
+}
+
+func (t *Tracer) open(op string, id uint64, deep bool) *Trace {
+	if id == 0 {
+		id = traceIDs.Add(1)
+	}
+	tr := &Trace{id: id, op: op, start: time.Now(), deep: deep}
+	if t != nil {
+		tr.logf, tr.buf = t.logf, t.buf
+	}
+	return tr
+}
+
+// Trace accumulates the record of one request: its timed spans — which
+// worker was doing what, when, for how long, and under a span that waited
+// for a worker, that worker's own record — its counts and an attachment.
+// Span, Nest, Count and Attach are safe to call from concurrent fan-out
 // goroutines. All methods are no-ops on a nil receiver.
 type Trace struct {
 	id    uint64
 	op    string
 	start time.Time
+	deep  bool
 	logf  func(format string, args ...interface{})
 	buf   *TraceBuffer
 
-	mu    sync.Mutex
-	spans []span
-	notes []string
+	mu     sync.Mutex
+	spans  []SpanRecord
+	counts map[string]int
+	attach json.RawMessage
 }
 
-// span is one timed step; worker -1 marks coordinator-side work (merge,
-// plan) as opposed to a specific worker's.
-type span struct {
-	worker int
-	name   string
-	offset time.Duration // since the trace started
-	dur    time.Duration
-}
-
-// ID returns the trace's process-unique id (0 on nil).
+// ID returns the trace's id (0 on nil).
 func (tr *Trace) ID() uint64 {
 	if tr == nil {
 		return 0
@@ -75,92 +93,145 @@ func (tr *Trace) ID() uint64 {
 	return tr.id
 }
 
+// Deep reports whether the trace was opened by Join.
+func (tr *Trace) Deep() bool {
+	return tr != nil && tr.deep
+}
+
+// HopID returns what a request sent on behalf of this one carries as its
+// trace id (Request.Trace): the id of a deep trace, else 0.
+func (tr *Trace) HopID() uint64 {
+	if !tr.Deep() {
+		return 0
+	}
+	return tr.id
+}
+
 // Span records a step that started at t0 and ends now. worker is the
-// fragment/worker id the step belongs to, or -1 for coordinator-side
+// fragment/worker id the step belongs to, or -1 for the process's own
 // work.
 func (tr *Trace) Span(worker int, name string, t0 time.Time) {
+	if tr != nil {
+		tr.Nest(worker, name, t0, time.Since(t0), nil)
+	}
+}
+
+// Nest records a step that started at t0 and took d, and hangs child under
+// it: the record of the traced request the step waited for, as its reply
+// carried it (Response.Profile: valid JSON, or empty for none). The record
+// is kept as JSON: every hop of a traced request brings one, and nothing
+// but a log line needs it decoded.
+func (tr *Trace) Nest(worker int, name string, t0 time.Time, d time.Duration, child json.RawMessage) {
 	if tr == nil {
 		return
 	}
-	sp := span{worker: worker, name: name, offset: t0.Sub(tr.start), dur: time.Since(t0)}
+	sp := SpanRecord{Worker: worker, Name: name, OffsetMS: ms(t0.Sub(tr.start)), DurMS: ms(d), Child: child}
 	tr.mu.Lock()
 	tr.spans = append(tr.spans, sp)
 	tr.mu.Unlock()
 }
 
-// Annotatef attaches a free-form key=value note ("affected=3",
-// "w1 compute=0.42ms") to the trace.
-func (tr *Trace) Annotatef(format string, args ...interface{}) {
+// Count sets one of the request's counts: "batch" mutations, "touched"
+// nodes, "nodes" in the graph, candidates re-judged ("affected"),
+// "answers".
+func (tr *Trace) Count(name string, n int) {
 	if tr == nil {
 		return
 	}
-	note := fmt.Sprintf(format, args...)
 	tr.mu.Lock()
-	tr.notes = append(tr.notes, note)
+	if tr.counts == nil {
+		tr.counts = make(map[string]int)
+	}
+	tr.counts[name] = n
 	tr.mu.Unlock()
 }
 
-// Finish emits the trace as one structured log line:
-//
-//	trace id=7 op=update dur=1.84ms spans=[w0:rtt@0.12+1.40 w1:rtt@0.13+0.61 merge@1.60+0.09] notes=[affected=3] err=<nil>
-//
-// Span offsets and durations are milliseconds relative to the trace
-// start, so overlap (the pipelined fan-out) is visible: two spans with
-// the same offset ran concurrently. When the tracer carries a
-// TraceBuffer, the same data is retained there as a TraceRecord.
-func (tr *Trace) Finish(err error) {
+// Attach sets the record's attachment to v as JSON: a traced match's
+// engine profile. A value that does not marshal is left off.
+func (tr *Trace) Attach(v any) {
 	if tr == nil {
 		return
 	}
-	total := time.Since(tr.start)
-	tr.mu.Lock()
-	spans, notes := tr.spans, tr.notes
-	tr.mu.Unlock()
-
-	if tr.buf != nil {
-		rec := TraceRecord{
-			ID:    tr.id,
-			Op:    tr.op,
-			Start: tr.start.UTC(),
-			DurMS: ms(total),
-			Notes: append([]string(nil), notes...),
-		}
-		if err != nil {
-			rec.Error = err.Error()
-		}
-		for _, sp := range spans {
-			rec.Spans = append(rec.Spans, SpanRecord{
-				Worker:   sp.worker,
-				Name:     sp.name,
-				OffsetMS: ms(sp.offset),
-				DurMS:    ms(sp.dur),
-			})
-		}
-		tr.buf.Record(rec)
-	}
-	if tr.logf == nil {
+	b, err := json.Marshal(v)
+	if err != nil {
 		return
+	}
+	tr.mu.Lock()
+	tr.attach = b
+	tr.mu.Unlock()
+}
+
+// Finish closes the trace and returns its record (nil on a nil trace).
+// When the tracer carries a TraceBuffer the record is retained there, and
+// with a log hook it is emitted as one structured line:
+//
+//	trace id=7 op=update dur=1.84ms spans=[graph.apply@0.01+0.05 w0:rtt@0.12+1.40{graph.apply@0.02+0.01 dynamic.affected@0.04+0.02 dynamic.verify@0.06+0.28} merge@1.60+0.09] counts=[affected=3 batch=1] err=<nil>
+//
+// Span offsets and durations are milliseconds relative to the start of
+// the trace holding them (a nested worker record keeps its own clock), so
+// overlap (the pipelined fan-out) is visible: two spans with the same
+// offset ran concurrently.
+func (tr *Trace) Finish(err error) *TraceRecord {
+	if tr == nil {
+		return nil
+	}
+	dur := time.Since(tr.start)
+	tr.mu.Lock()
+	rec := &TraceRecord{ID: tr.id, Op: tr.op, Start: tr.start.UTC(), DurMS: ms(dur),
+		Spans: tr.spans, Counts: tr.counts, Attachment: tr.attach}
+	tr.mu.Unlock()
+	if err != nil {
+		rec.Error = err.Error()
+	}
+	tr.buf.Record(*rec)
+	if tr.logf == nil {
+		return rec
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace id=%d op=%s dur=%.2fms spans=[", tr.id, tr.op, ms(total))
-	for i, sp := range spans {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		if sp.worker >= 0 {
-			fmt.Fprintf(&b, "w%d:", sp.worker)
-		}
-		fmt.Fprintf(&b, "%s@%.2f+%.2f", sp.name, ms(sp.offset), ms(sp.dur))
-	}
+	fmt.Fprintf(&b, "trace id=%d op=%s dur=%.2fms spans=[", rec.ID, rec.Op, rec.DurMS)
+	writeSpans(&b, rec.Spans)
 	b.WriteByte(']')
-	if len(notes) > 0 {
-		fmt.Fprintf(&b, " notes=[%s]", strings.Join(notes, " "))
+	if len(rec.Counts) > 0 {
+		names := make([]string, 0, len(rec.Counts))
+		for name := range rec.Counts {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		b.WriteString(" counts=[")
+		for i, name := range names {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%s=%d", name, rec.Counts[name])
+		}
+		b.WriteByte(']')
 	}
 	if err != nil {
 		fmt.Fprintf(&b, " err=%v", err)
 	}
 	tr.logf("%s", b.String())
+	return rec
+}
+
+// writeSpans renders spans for the log line, a nested record's in braces
+// after the span that waited for it.
+func writeSpans(b *strings.Builder, spans []SpanRecord) {
+	for i, sp := range spans {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		if sp.Worker >= 0 {
+			fmt.Fprintf(b, "w%d:", sp.Worker)
+		}
+		fmt.Fprintf(b, "%s@%.2f+%.2f", sp.Name, sp.OffsetMS, sp.DurMS)
+		var child TraceRecord
+		if len(sp.Child) > 0 && json.Unmarshal(sp.Child, &child) == nil {
+			b.WriteByte('{')
+			writeSpans(b, child.Spans)
+			b.WriteByte('}')
+		}
+	}
 }
 
 func ms(d time.Duration) float64 {
@@ -168,27 +239,31 @@ func ms(d time.Duration) float64 {
 }
 
 // SpanRecord is the structured form of one trace span. Worker is the
-// fragment/worker id, or -1 for coordinator-side work; offsets and
+// fragment/worker id, or -1 for the process's own work; offsets and
 // durations are milliseconds relative to the trace start, mirroring the
-// log-line rendering.
+// log-line rendering. Child is the JSON TraceRecord of the traced request
+// the span waited for, under the same trace id.
 type SpanRecord struct {
-	Worker   int     `json:"worker"`
-	Name     string  `json:"name"`
-	OffsetMS float64 `json:"offset_ms"`
-	DurMS    float64 `json:"dur_ms"`
+	Worker   int             `json:"worker"`
+	Name     string          `json:"name"`
+	OffsetMS float64         `json:"offset_ms"`
+	DurMS    float64         `json:"dur_ms"`
+	Child    json.RawMessage `json:"child,omitempty"`
 }
 
 // TraceRecord is the structured form of one finished trace, as retained
-// by a TraceBuffer and served at /debug/traces.
+// by a TraceBuffer, served at /debug/traces and returned as the profile
+// command's document.
 type TraceRecord struct {
-	ID    uint64       `json:"id"`
-	Op    string       `json:"op"`
-	Start time.Time    `json:"start"`
-	DurMS float64      `json:"dur_ms"`
-	Spans []SpanRecord `json:"spans,omitempty"`
-	Notes []string     `json:"notes,omitempty"`
-	Error string       `json:"error,omitempty"`
-	Slow  bool         `json:"slow,omitempty"`
+	ID         uint64          `json:"id"`
+	Op         string          `json:"op"`
+	Start      time.Time       `json:"start"`
+	DurMS      float64         `json:"dur_ms"`
+	Spans      []SpanRecord    `json:"spans,omitempty"`
+	Counts     map[string]int  `json:"counts,omitempty"`
+	Attachment json.RawMessage `json:"attachment,omitempty"`
+	Error      string          `json:"error,omitempty"`
+	Slow       bool            `json:"slow,omitempty"`
 }
 
 // TraceBuffer retains the last N finished traces as structured records —

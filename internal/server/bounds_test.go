@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -225,12 +224,8 @@ func TestBoundCacheLogOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc server.MatchProfileDoc
-	if err := json.Unmarshal(got.Profile, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if o := doc.Profile.Patterns[0].Bound; o != "built" {
-		t.Fatalf("cold pattern past the log: sets were %q, want built", o)
+	if _, mp := profileOf(t, got); mp.Patterns[0].Bound != "built" {
+		t.Fatalf("cold pattern past the log: sets were %q, want built", mp.Patterns[0].Bound)
 	}
 	if _, _, built, _ := w.outcomes(); built != builtBefore+1 {
 		t.Fatalf("cold pattern past the log: bound_built moved by %d, want 1", built-builtBefore)
@@ -334,11 +329,8 @@ func TestProfileReportsBoundOutcome(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var doc server.MatchProfileDoc
-		if err := json.Unmarshal(resp.Profile, &doc); err != nil {
-			t.Fatal(err)
-		}
-		return doc.Profile.Patterns[0].Bound
+		_, mp := profileOf(t, resp)
+		return mp.Patterns[0].Bound
 	}
 	if o := origin(); o != "built" {
 		t.Fatalf("first read: bound = %q, want built", o)

@@ -127,6 +127,9 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	w.str(`,"watch":`, r.Watch)
 	w.str(`,"session":`, r.Session)
 	w.ids(`,"owned":`, r.Owned)
+	if r.Trace != 0 {
+		w.b = strconv.AppendUint(append(w.b, `,"trace":`...), r.Trace, 10)
+	}
 	return w.done(dst)
 }
 
@@ -384,6 +387,8 @@ func readRequest(line []byte, r *Request) bool {
 			return seen.once(21) && d.str(&r.Session)
 		case "owned":
 			return seen.once(22) && packed(&d, &r.Owned, packedIDs)
+		case "trace":
+			return seen.once(23) && d.u64(&r.Trace)
 		}
 		return false
 	}) && d.end()
@@ -614,6 +619,28 @@ func (d *wireReader) i64(p *int64) bool {
 	default:
 		return false
 	}
+	return true
+}
+
+// u64 reads an unsigned integer. A sign, which encoding/json refuses into
+// an unsigned field (-0 included), and a value past MaxUint64 are left to
+// encoding/json.
+func (d *wireReader) u64(p *uint64) bool {
+	d.ws()
+	start := d.off
+	var u uint64
+	for d.off < len(d.data) && '0' <= d.data[d.off] && d.data[d.off] <= '9' {
+		c := uint64(d.data[d.off] - '0')
+		if u > (math.MaxUint64-c)/10 {
+			return false
+		}
+		u = u*10 + c
+		d.off++
+	}
+	if n := d.off - start; n == 0 || n > 1 && d.data[start] == '0' {
+		return false
+	}
+	*p = u
 	return true
 }
 

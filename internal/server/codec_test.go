@@ -3,6 +3,8 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"testing"
@@ -23,6 +25,8 @@ func filled[T any]() *T {
 			v.SetString("s" + strconv.Itoa(n) + "<&>\u2028\x01\xff")
 		case reflect.Int, reflect.Int64:
 			v.SetInt(int64(n))
+		case reflect.Uint64:
+			v.SetUint(uint64(n))
 		case reflect.Float64:
 			v.SetFloat(float64(n) / 1e7)
 		case reflect.Bool:
@@ -78,6 +82,10 @@ func TestCodecIsEncodingJSON(t *testing.T) {
 	req.Updates = server.Batch{{Op: "addEdge", From: 1, To: 2, Label: req.Cmd}, {Op: "removeNode", From: 3}}
 	checkCodec(t, "every request field", req, server.AppendRequest, server.DecodeRequest)
 	checkCodec(t, "every response field", filled[server.Response](), server.AppendResponse, server.DecodeResponse)
+	// A trace id past MaxInt64 is read by encoding/json alone.
+	for _, id := range []uint64{1, math.MaxInt64, math.MaxInt64 + 1, math.MaxUint64} {
+		checkCodec(t, fmt.Sprintf("trace %d", id), &server.Request{ID: 5, Cmd: "match", Pattern: "qgp", Trace: id}, server.AppendRequest, server.DecodeRequest)
+	}
 
 	golden := readWireGolden(t)
 	for _, c := range wireCases() {

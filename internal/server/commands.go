@@ -30,17 +30,18 @@ type Backend interface {
 	// SetGraph replaces the graph (gen, load) and reports its size.
 	SetGraph(g *graph.Graph) (nodes, edges int, err error)
 	// Match takes the pattern as the request's text: a worker session keys
-	// its bounds on the text and parses only on a miss.
-	Match(req *Request, profile bool) (Answer, error)
-	// Update fills the reply's counts and deltas; with profile it returns
-	// the profile document.
-	Update(req *Request, resp *Response, profile bool) (doc any, err error)
+	// its bounds on the text and parses only on a miss. Match, Update,
+	// Stats and Explain get the request's trace (nil when untraced) to
+	// record their stages in.
+	Match(req *Request, tr *obs.Trace) (Answer, error)
+	// Update fills the reply's counts and deltas.
+	Update(req *Request, resp *Response, tr *obs.Trace) error
 	Watch(name string, q *core.Pattern, resp *Response) ([]graph.NodeID, error)
 	Unwatch(name string) error
-	Stats() (*StatsSummary, error)
+	Stats(tr *obs.Trace) (*StatsSummary, error)
 	// Partition reports the node count of each fragment.
 	Partition(req *Request) ([]int, error)
-	Explain(q *core.Pattern) (doc any, err error)
+	Explain(q *core.Pattern, tr *obs.Trace) (doc any, err error)
 	// Ping adds what a ping reports beyond liveness.
 	Ping(resp *Response)
 }
@@ -49,7 +50,6 @@ type Backend interface {
 type Answer struct {
 	Matches []graph.NodeID
 	Metrics *match.Metrics
-	Profile any // the profile document, when one was asked for
 }
 
 // Tenancy is the session vocabulary (protocol.go) of the multi-tenant
@@ -61,10 +61,11 @@ type Tenancy interface {
 	Deltas(req *Request, resp *Response) error
 }
 
-// Table serves the commands to Backends. qgpd's (New) also bounds the
-// commands running at once, traces each and counts it per command; the
-// cluster front end's (NewTable) does none of that: its registry is shared
-// with embedded workers, whose per-command counts are the ones it reports.
+// Table serves the commands to Backends and traces each with its tracer.
+// qgpd's (New) also bounds the commands running at once and counts each
+// per command; the cluster front end's (NewTable) does not: its registry
+// is shared with embedded workers, whose per-command counts are the ones
+// it reports.
 type Table struct {
 	maxGraphSize int
 	metrics      *obs.Registry // what the metrics command exports
@@ -74,9 +75,10 @@ type Table struct {
 }
 
 // NewTable returns a table that builds gen and load graphs up to
-// maxGraphSize (|V|+|E|) and exports reg through the metrics command.
-func NewTable(maxGraphSize int, reg *obs.Registry) *Table {
-	return &Table{maxGraphSize: maxGraphSize, metrics: reg}
+// maxGraphSize (|V|+|E|), exports reg through the metrics command and
+// traces requests with tracer.
+func NewTable(maxGraphSize int, reg *obs.Registry, tracer *obs.Tracer) *Table {
+	return &Table{maxGraphSize: maxGraphSize, metrics: reg, tracer: tracer}
 }
 
 // Handler is one connection's request handler over b, what a Host's open
@@ -89,7 +91,7 @@ type command struct {
 	engine bool                  // names an engine, checked before anything runs
 	graph  bool                  // runs over the graph: Backend.Ready first
 	class  func(*Request) string // admission class; nil admits freely
-	run    func(*Table, Backend, *Request, *Response) error
+	run    func(*Table, Backend, *Request, *Response, *obs.Trace) error
 }
 
 func reads(*Request) string   { return "match" }
@@ -136,8 +138,8 @@ var sessionCommands = map[string]func(Tenancy, *Request, *Response) error{
 }
 
 // qgpdOnly is a command only a session over its own graph serves.
-func qgpdOnly(run func(*session, *Request, *Response) error) func(*Table, Backend, *Request, *Response) error {
-	return func(_ *Table, b Backend, req *Request, resp *Response) error {
+func qgpdOnly(run func(*session, *Request, *Response) error) func(*Table, Backend, *Request, *Response, *obs.Trace) error {
+	return func(_ *Table, b Backend, req *Request, resp *Response, _ *obs.Trace) error {
 		sess, ok := b.(*session)
 		if !ok {
 			return fmt.Errorf("command %q is not served by the cluster front end; connect to a worker qgpd for it", req.Cmd)
@@ -152,9 +154,15 @@ func (t *Table) handle(b Backend, req *Request) Response {
 		defer func() { <-t.sem }()
 	}
 	start := time.Now()
-	tr := t.tracer.Start(req.Cmd)
 	var resp Response
-	err := t.dispatch(b, req, &resp, start)
+	tr, err := t.open(b, req)
+	if err == nil {
+		err = t.dispatch(b, req, &resp, start, tr)
+	}
+	rec := tr.Finish(err)
+	if err == nil && tr.Deep() && resp.Profile == nil { // explain keeps its plan
+		resp.Profile, err = json.Marshal(rec)
+	}
 	if err != nil {
 		resp.Error = err.Error()
 		// An admission refusal carries its backoff on the wire, so a
@@ -164,7 +172,7 @@ func (t *Table) handle(b Backend, req *Request) Response {
 			resp.RetryAfterMS = throttled.RetryAfterMS()
 		}
 	}
-	resp.ElapsedMS = MsSince(start)
+	resp.ElapsedMS = msSince(start)
 	if t.om != nil {
 		m, ok := t.om[req.Cmd]
 		if !ok {
@@ -176,11 +184,26 @@ func (t *Table) handle(b Backend, req *Request) Response {
 		}
 		m.ms.ObserveSince(start)
 	}
-	tr.Finish(err)
 	return resp
 }
 
-func (t *Table) dispatch(b Backend, req *Request, resp *Response, start time.Time) error {
+// open starts req's trace. A profile request and a traced hop get a deep
+// one, even without a tracer: its record is the reply's document. The
+// trace field is a coordinator's to its workers, so the front end refuses
+// it from clients as it refuses owned; a client asks with profile.
+func (t *Table) open(b Backend, req *Request) (*obs.Trace, error) {
+	if req.Trace != 0 {
+		if _, ok := b.(Tenancy); ok {
+			return nil, errors.New("field trace is not served by the cluster front end; ask for a trace record with profile")
+		}
+	}
+	if req.Cmd == "profile" || req.Trace != 0 {
+		return t.tracer.Join(req.Cmd, req.Trace), nil
+	}
+	return t.tracer.Start(req.Cmd), nil
+}
+
+func (t *Table) dispatch(b Backend, req *Request, resp *Response, start time.Time, tr *obs.Trace) error {
 	c, ok := commands[req.Cmd]
 	if !ok {
 		run, ok := sessionCommands[req.Cmd]
@@ -210,7 +233,7 @@ func (t *Table) dispatch(b Backend, req *Request, resp *Response, start time.Tim
 			return err
 		}
 	}
-	if err := c.run(t, b, req, resp); err != nil {
+	if err := c.run(t, b, req, resp, tr); err != nil {
 		return err
 	}
 	if class != "" {
@@ -219,13 +242,13 @@ func (t *Table) dispatch(b Backend, req *Request, resp *Response, start time.Tim
 	return nil
 }
 
-func (t *Table) ping(b Backend, _ *Request, resp *Response) error {
+func (t *Table) ping(b Backend, _ *Request, resp *Response, _ *obs.Trace) error {
 	resp.Pong = true
 	b.Ping(resp)
 	return nil
 }
 
-func (t *Table) setGraph(b Backend, req *Request, resp *Response) error {
+func (t *Table) setGraph(b Backend, req *Request, resp *Response, _ *obs.Trace) error {
 	g, err := buildGraph(req, t.maxGraphSize)
 	if err != nil {
 		return err
@@ -234,23 +257,19 @@ func (t *Table) setGraph(b Backend, req *Request, resp *Response) error {
 	return err
 }
 
-func (t *Table) exportMetrics(_ Backend, _ *Request, resp *Response) error {
+func (t *Table) exportMetrics(_ Backend, _ *Request, resp *Response, _ *obs.Trace) error {
 	resp.Obs = t.metrics.JSON()
 	return nil
 }
 
 // answer serves match, and the pattern form of profile.
-func (t *Table) answer(b Backend, req *Request, resp *Response) error {
-	profile := req.Cmd == "profile"
-	a, err := b.Match(req, profile)
+func (t *Table) answer(b Backend, req *Request, resp *Response, tr *obs.Trace) error {
+	a, err := b.Match(req, tr)
 	if err != nil {
 		return err
 	}
 	fillMatches(resp, a.Matches, req.Limit)
 	resp.Metrics = a.Metrics
-	if profile {
-		return marshalProfile(resp, a.Profile)
-	}
 	return nil
 }
 
@@ -262,29 +281,24 @@ func carriesBatch(req *Request) bool {
 }
 
 // apply serves update, and the batch form of profile.
-func (t *Table) apply(b Backend, req *Request, resp *Response) error {
+func (t *Table) apply(b Backend, req *Request, resp *Response, tr *obs.Trace) error {
 	if !carriesBatch(req) {
 		return errors.New("update: empty batch")
 	}
-	profile := req.Cmd == "profile"
-	doc, err := b.Update(req, resp, profile)
-	if err != nil || !profile {
-		return err
-	}
-	return marshalProfile(resp, doc)
+	return b.Update(req, resp, tr)
 }
 
-func (t *Table) profile(b Backend, req *Request, resp *Response) error {
+func (t *Table) profile(b Backend, req *Request, resp *Response, tr *obs.Trace) error {
 	switch {
 	case carriesBatch(req):
-		return t.apply(b, req, resp)
+		return t.apply(b, req, resp, tr)
 	case req.Pattern != "":
-		return t.answer(b, req, resp)
+		return t.answer(b, req, resp, tr)
 	}
 	return errors.New("profile: request carries neither a pattern nor an update batch")
 }
 
-func (t *Table) watch(b Backend, req *Request, resp *Response) error {
+func (t *Table) watch(b Backend, req *Request, resp *Response, _ *obs.Trace) error {
 	if req.Watch == "" {
 		return errors.New("watch: empty name")
 	}
@@ -300,12 +314,12 @@ func (t *Table) watch(b Backend, req *Request, resp *Response) error {
 	return nil
 }
 
-func (t *Table) unwatch(b Backend, req *Request, _ *Response) error {
+func (t *Table) unwatch(b Backend, req *Request, _ *Response, _ *obs.Trace) error {
 	return b.Unwatch(req.Watch)
 }
 
-func (t *Table) stats(b Backend, req *Request, resp *Response) error {
-	sum, err := b.Stats()
+func (t *Table) stats(b Backend, req *Request, resp *Response, tr *obs.Trace) error {
+	sum, err := b.Stats(tr)
 	if err != nil {
 		return err
 	}
@@ -316,7 +330,7 @@ func (t *Table) stats(b Backend, req *Request, resp *Response) error {
 // partition's skew is over the non-empty fragments (partition.SkewOf): an
 // empty one means the graph populated fewer workers, not that a balanced
 // partition is skewed.
-func (t *Table) partition(b Backend, req *Request, resp *Response) error {
+func (t *Table) partition(b Backend, req *Request, resp *Response, _ *obs.Trace) error {
 	sizes, err := b.Partition(req)
 	if err != nil {
 		return err
@@ -325,16 +339,19 @@ func (t *Table) partition(b Backend, req *Request, resp *Response) error {
 	return nil
 }
 
-func (t *Table) explain(b Backend, req *Request, resp *Response) error {
+func (t *Table) explain(b Backend, req *Request, resp *Response, tr *obs.Trace) error {
 	q, err := parsePattern(req)
 	if err != nil {
 		return err
 	}
-	doc, err := b.Explain(q)
+	doc, err := b.Explain(q, tr)
 	if err != nil {
 		return err
 	}
-	return marshalProfile(resp, doc)
+	if resp.Profile, err = json.Marshal(doc); err != nil {
+		return fmt.Errorf("explain: %w", err)
+	}
+	return nil
 }
 
 func parsePattern(req *Request) (*core.Pattern, error) {
@@ -352,16 +369,6 @@ func fillMatches(resp *Response, matches []graph.NodeID, limit int) {
 		matches = matches[:limit]
 	}
 	resp.Matches = IDs(matches)
-}
-
-// marshalProfile writes a profile or explain document into the reply.
-func marshalProfile(resp *Response, doc any) error {
-	b, err := json.Marshal(doc)
-	if err != nil {
-		return fmt.Errorf("profile: %w", err)
-	}
-	resp.Profile = b
-	return nil
 }
 
 // cmdMetrics is one command's instruments.

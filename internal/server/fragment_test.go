@@ -112,9 +112,8 @@ func TestFragmentRestrictsAnswers(t *testing.T) {
 			t.Errorf("%s on a fragment owning nothing = %v (total %d), want no answer", a.cmd, resp.Matches, resp.Total)
 		}
 		if a.cmd == "profile" {
-			var doc server.MatchProfileDoc
-			if err := json.Unmarshal(resp.Profile, &doc); err != nil || doc.Profile == nil || len(doc.Profile.Patterns) != 0 {
-				t.Errorf("profile on a fragment owning nothing = %s (%v), want an empty profile", resp.Profile, err)
+			if _, mp := profileOf(t, resp); mp == nil || len(mp.Patterns) != 0 {
+				t.Errorf("profile on a fragment owning nothing = %s, want an empty engine profile", resp.Profile)
 			}
 		}
 	}

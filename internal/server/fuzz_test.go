@@ -76,6 +76,13 @@ var codecSeeds = []string{
 	`{"id":11,"ok":true,"tenants":[{"name":"a","watches":1,"idleMs":2,"conns":1}],"fragments":[1,2],"triples":["a<b"]}`,
 	`{"id":12,"ok":true,"profile":{"a":[1,2,{"b":"]}\""}]},"obs":{ "x" : [ ] }}`,
 	`{"id":13,"cmd":3}`, `{"id":13,"cmd":"x","size":1.5}`, `{"id":14,"cmd":"update","owned":"AAQ"}`, `not json`,
+	// A coordinator's traced hop, and the worker's reply carrying its trace
+	// record; then trace ids encoding/json refuses or reads alone: a sign
+	// (-0 included), a fraction, past MaxInt64, past MaxUint64.
+	`{"id":15,"cmd":"update","updates":"AQZmb2xsb3cCAgQA","owned":"Bg==","trace":7}`,
+	`{"id":15,"ok":true,"total":1,"profile":{"id":7,"op":"update","start":"2026-01-02T03:04:05.000000006Z","dur_ms":0.02,"spans":[{"worker":-1,"name":"graph.apply","offset_ms":0,"dur_ms":0.01,"child":{"id":7,"op":"x","start":"0001-01-01T00:00:00Z","dur_ms":0}}],"counts":{"affected":1,"batch":1},"attachment":{"patterns":null}}}`,
+	`{"id":16,"cmd":"match","trace":-0}`, `{"id":16,"cmd":"match","trace":-1}`, `{"id":16,"cmd":"match","trace":1.0}`,
+	`{"id":16,"cmd":"match","trace":9223372036854775808}`, `{"id":16,"cmd":"match","trace":18446744073709551616}`,
 }
 
 // seedCodec adds protocolSeeds, every value of the wire golden
@@ -172,7 +179,7 @@ func FuzzRequestRoundTrip(f *testing.F) {
 	seedCodec(f)
 	f.Fuzz(func(t *testing.T, line []byte) {
 		differential(t, line, DecodeRequest, readRequest, AppendRequest, func(raw []byte) *Request {
-			return &Request{ID: int64(len(raw)), Cmd: string(raw), Data: string(raw), Eta: rawFloat(raw), Updates: fuzzBatch(raw)}
+			return &Request{ID: int64(len(raw)), Cmd: string(raw), Data: string(raw), Eta: rawFloat(raw), Updates: fuzzBatch(raw), Trace: math.Float64bits(rawFloat(raw))}
 		})
 		var req Request
 		if err := json.Unmarshal(line, &req); err != nil {

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/match"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -44,6 +45,34 @@ func TestExplainCommand(t *testing.T) {
 	}
 }
 
+// profileOf decodes a profile reply's document, the request's trace
+// record, and the engine profile a match attaches to it (nil for none).
+func profileOf(t *testing.T, resp *server.Response) (obs.TraceRecord, *match.Profile) {
+	t.Helper()
+	var rec obs.TraceRecord
+	if err := json.Unmarshal(resp.Profile, &rec); err != nil {
+		t.Fatalf("profile document does not parse: %v\n%s", err, resp.Profile)
+	}
+	var mp *match.Profile
+	if len(rec.Attachment) > 0 {
+		if err := json.Unmarshal(rec.Attachment, &mp); err != nil {
+			t.Fatalf("engine profile does not parse: %v\n%s", err, rec.Attachment)
+		}
+	}
+	return rec, mp
+}
+
+// spanCount counts rec's spans named name.
+func spanCount(rec obs.TraceRecord, name string) int {
+	n := 0
+	for _, sp := range rec.Spans {
+		if sp.Name == name {
+			n++
+		}
+	}
+	return n
+}
+
 func TestProfileMatchCommand(t *testing.T) {
 	c, _ := startServer(t, server.Config{})
 	if _, _, err := c.LoadText(tinyGraphText); err != nil {
@@ -61,23 +90,17 @@ func TestProfileMatchCommand(t *testing.T) {
 	if fmt.Sprint(resp.Matches) != fmt.Sprint(plain.Matches) {
 		t.Fatalf("profiled matches %v != plain matches %v", resp.Matches, plain.Matches)
 	}
-	var doc server.MatchProfileDoc
-	if err := json.Unmarshal(resp.Profile, &doc); err != nil {
-		t.Fatalf("profile document does not parse: %v\n%s", err, resp.Profile)
+	rec, mp := profileOf(t, resp)
+	if rec.Op != "profile" || rec.ID == 0 || spanCount(rec, "match.qmatch") != 1 {
+		t.Fatalf("record header wrong: %s", resp.Profile)
 	}
-	if doc.Op != "match" || doc.Engine != "qmatch" {
-		t.Fatalf("document header wrong: %s", resp.Profile)
+	if rec.Counts["answers"] != resp.Total {
+		t.Errorf("record counts %d answers, response total = %d", rec.Counts["answers"], resp.Total)
 	}
-	if doc.Matches != resp.Total {
-		t.Errorf("doc.Matches = %d, response total = %d", doc.Matches, resp.Total)
+	if mp == nil || len(mp.Patterns) == 0 {
+		t.Fatalf("record missing the engine profile: %s", resp.Profile)
 	}
-	if doc.Plan == nil || len(doc.Plan.Patterns) == 0 {
-		t.Errorf("document missing plan estimates: %s", resp.Profile)
-	}
-	if doc.Profile == nil || len(doc.Profile.Patterns) == 0 {
-		t.Fatalf("document missing stage profile: %s", resp.Profile)
-	}
-	pi := doc.Profile.Patterns[0]
+	pi := mp.Patterns[0]
 	if pi.Pattern != "pi" {
 		t.Errorf("first stage = %q, want pi", pi.Pattern)
 	}
@@ -95,12 +118,12 @@ func TestProfileMatchCommand(t *testing.T) {
 	if len(pi.Order) == 0 || pi.Order[0] != "xo" {
 		t.Errorf("pi order = %v, want focus first", pi.Order)
 	}
-	if pi.Answers != doc.Matches {
-		t.Errorf("pi answers = %d, want %d (no negated edges)", pi.Answers, doc.Matches)
+	if pi.Answers != resp.Total {
+		t.Errorf("pi answers = %d, want %d (no negated edges)", pi.Answers, resp.Total)
 	}
 	// Stage metrics sum to the response's aggregate metrics.
-	if doc.Profile.Metrics != *resp.Metrics {
-		t.Errorf("profile metrics %+v != response metrics %+v", doc.Profile.Metrics, *resp.Metrics)
+	if mp.Metrics != *resp.Metrics {
+		t.Errorf("profile metrics %+v != response metrics %+v", mp.Metrics, *resp.Metrics)
 	}
 }
 
@@ -123,34 +146,25 @@ func TestProfileUpdateCommand(t *testing.T) {
 	if len(resp.Deltas) != 1 {
 		t.Fatalf("deltas = %+v, want the watch's delta", resp.Deltas)
 	}
-	var doc server.UpdateProfileDoc
-	if err := json.Unmarshal(resp.Profile, &doc); err != nil {
-		t.Fatalf("profile document does not parse: %v\n%s", err, resp.Profile)
+	rec, mp := profileOf(t, resp)
+	if rec.Counts["batch"] != 2 || rec.Counts["nodes"] != 5 || mp != nil {
+		t.Fatalf("record header wrong: %s", resp.Profile)
 	}
-	if doc.Op != "update" || doc.BatchSize != 2 || doc.Nodes != 5 {
-		t.Fatalf("document header wrong: %s", resp.Profile)
+	if spanCount(rec, "graph.apply") != 1 || spanCount(rec, "dynamic.affected") != 1 ||
+		spanCount(rec, "dynamic.verify") != 1 || rec.DurMS <= 0 {
+		t.Errorf("stage spans missing: %s", resp.Profile)
 	}
-	if doc.ApplyMS < 0 || doc.TotalMS <= 0 {
-		t.Errorf("timings missing: %s", resp.Profile)
+	if d := resp.Deltas[0]; d.Watch != "w" || d.Affected <= 0 || rec.Counts["affected"] != d.Affected {
+		t.Errorf("record counts %d affected, want the widest watch region %+v", rec.Counts["affected"], d)
 	}
-	if len(doc.Watches) != 1 {
-		t.Fatalf("watch stages = %+v, want 1", doc.Watches)
-	}
-	ws := doc.Watches[0]
-	if ws.Watch != "w" || ws.Affected <= 0 {
-		t.Errorf("watch stage wrong: %+v", ws)
-	}
-	if doc.AffectedSize != ws.Affected {
-		t.Errorf("AffectedSize = %d, want widest watch region %d", doc.AffectedSize, ws.Affected)
-	}
-	if doc.WorkRatio <= 0 || doc.WorkRatio > 1 {
-		t.Errorf("WorkRatio = %v, want within (0, 1]", doc.WorkRatio)
+	if rec.Counts["affected"] > rec.Counts["nodes"] {
+		t.Errorf("affected %d of %d nodes", rec.Counts["affected"], rec.Counts["nodes"])
 	}
 }
 
 // TestProfileUpdateGroups: names holding one pattern share an evaluation.
-// The document says how many distinct patterns were evaluated, and the
-// shared names' rows repeat their group's numbers.
+// The record holds one dynamic.affected and one dynamic.verify span per
+// distinct pattern, and the shared names' deltas repeat their group's.
 func TestProfileUpdateGroups(t *testing.T) {
 	c, _ := startServer(t, server.Config{})
 	if _, _, err := c.LoadText(tinyGraphText); err != nil {
@@ -172,19 +186,16 @@ func TestProfileUpdateGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc server.UpdateProfileDoc
-	if err := json.Unmarshal(resp.Profile, &doc); err != nil {
-		t.Fatalf("profile document does not parse: %v\n%s", err, resp.Profile)
+	rec, _ := profileOf(t, resp)
+	if n := spanCount(rec, "dynamic.verify"); n != 2 || spanCount(rec, "dynamic.affected") != 2 || len(resp.Deltas) != 3 {
+		t.Fatalf("evaluations=%d deltas=%d, want 2 patterns under 3 names: %s", n, len(resp.Deltas), resp.Profile)
 	}
-	if doc.Groups != 2 || len(doc.Watches) != 3 || len(resp.Deltas) != 3 {
-		t.Fatalf("groups=%d rows=%d deltas=%d, want 2 patterns under 3 names: %s", doc.Groups, len(doc.Watches), len(resp.Deltas), resp.Profile)
+	a, b := resp.Deltas[0], resp.Deltas[1]
+	if a.Watch != "a" || b.Watch != "b" || a.Affected <= 0 || a.Affected != b.Affected {
+		t.Errorf("deltas of one pattern differ: %+v vs %+v", a, b)
 	}
-	a, b := doc.Watches[0], doc.Watches[1]
-	if a.Watch != "a" || b.Watch != "b" || a.Affected <= 0 || a.Affected != b.Affected || a.Added != b.Added || a.VerifyMS != b.VerifyMS {
-		t.Errorf("rows of one pattern differ: %+v vs %+v", a, b)
-	}
-	if !reflect.DeepEqual(resp.Deltas[0].Added, resp.Deltas[1].Added) || len(resp.Deltas[0].Added) != 1 {
-		t.Errorf("names of one pattern got deltas %+v and %+v, want p3 added under both", resp.Deltas[0], resp.Deltas[1])
+	if !reflect.DeepEqual(a.Added, b.Added) || len(a.Added) != 1 {
+		t.Errorf("names of one pattern got deltas %+v and %+v, want p3 added under both", a, b)
 	}
 }
 

@@ -72,14 +72,13 @@ import (
 //	            matching order and per-step cardinality estimates for
 //	            every positive pattern, as a JSON document in Profile
 //	            (the front end's holds one per fragment)
-//	profile   — execute and report: a match request (Pattern) returns the
-//	            match result plus a per-stage profile (prefilter sizes,
-//	            order, timings, plan estimates); an update request
-//	            (Updates) applies the batch and returns per-stage update
-//	            timings (apply, per-watch affected/verify) and the
-//	            affected-vs-|G| work ratio — both as a JSON document in
-//	            Profile alongside the normal response fields (the front
-//	            end's merges one per fragment)
+//	profile   — execute a match (Pattern) or an update (Updates) traced,
+//	            and return its trace record (obs.TraceRecord) in Profile
+//	            alongside the normal response fields: timed spans, counts
+//	            (answers; batch, touched, nodes, affected) and, for a match,
+//	            the engine's profile (prefilter sizes, order, bound origin)
+//	            as the attachment. The front end's record nests each
+//	            worker's under the span that waited for it
 //
 // Only qgpd, whose session holds a graph of its own, serves
 //
@@ -194,6 +193,12 @@ type Request struct {
 	// one round trip. Nothing else rides along: the worker finds the
 	// candidates the batch can flip over its own fragment.
 	Owned IDList `json:"owned,omitempty"`
+
+	// Trace is hop plumbing, not a client option: a cluster coordinator
+	// sets it on the match and update requests of a traced request to its
+	// trace id. The worker traces its share under that id and returns the
+	// record in Response.Profile, where the coordinator nests it.
+	Trace uint64 `json:"trace,omitempty"`
 }
 
 // UpdateSpec is one graph mutation in the wire format of the update
@@ -315,11 +320,10 @@ type Response struct {
 	// registry's internal layout and the document round-trips verbatim.
 	Obs json.RawMessage `json:"obs,omitempty"`
 
-	// explain / profile: the structured plan or per-stage profile
-	// document (MatchProfileDoc, UpdateProfileDoc, or an explain
-	// document). RawMessage for the same reason as Obs — and so the
-	// cluster coordinator can embed each worker's document verbatim in
-	// its merged cluster-level profile.
+	// explain / profile / a traced hop: the explain document, or the
+	// request's trace record (obs.TraceRecord). RawMessage for the same
+	// reason as Obs — and so the cluster coordinator can embed each
+	// worker's plan verbatim in its merged explain document.
 	Profile json.RawMessage `json:"profile,omitempty"`
 }
 

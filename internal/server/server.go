@@ -8,6 +8,7 @@
 package server
 
 import (
+	"cmp"
 	"encoding/base64"
 	"errors"
 	"fmt"
@@ -294,15 +295,14 @@ func decodeGraph(format, data string, maxSize int) (*graph.Graph, error) {
 // after the batch applies — one combined round trip. A fragment session
 // finds its re-verification candidates over its own graph, as any session
 // does, and its reply names only the watches whose answers changed.
-func (sess *session) Update(req *Request, resp *Response, profile bool) (any, error) {
-	t0 := time.Now()
-	var prof *UpdateProfileDoc
-	if profile {
-		prof = &UpdateProfileDoc{Op: "update"}
-	}
+//
+// tr receives the graph.apply span, dynamic.affected and dynamic.verify
+// spans per watch group evaluated, and the batch, touched, nodes and
+// affected (Total) counts.
+func (sess *session) Update(req *Request, resp *Response, tr *obs.Trace) error {
 	fragment := sess.eng.Restricted()
 	if len(req.Owned) > 0 && !fragment {
-		return nil, fmt.Errorf("update: owning update on a session holding no fragment: run fragment first")
+		return fmt.Errorf("update: owning update on a session holding no fragment: run fragment first")
 	}
 	ng := sess.g
 	var touched []graph.NodeID
@@ -310,16 +310,14 @@ func (sess *session) Update(req *Request, resp *Response, profile bool) (any, er
 	if len(req.Updates) > 0 {
 		ups, err := ToUpdates(req.Updates)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		tApply := time.Now()
 		old, touched, err = sess.vg.Apply(ups)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if prof != nil {
-			prof.ApplyMS = MsSince(tApply)
-		}
+		tr.Span(-1, "graph.apply", tApply)
 		ng = sess.vg.Graph() // same pointer as sess.g: the batch applied in place
 	}
 	// The batch is already applied, so revert undoes it when a later
@@ -337,13 +335,13 @@ func (sess *session) Update(req *Request, resp *Response, profile bool) (any, er
 		return cause
 	}
 	if max := sess.s.cfg.MaxGraphSize; old != nil && ng.Size() > max {
-		return nil, revert(fmt.Errorf("updated graph size %d exceeds server cap %d", ng.Size(), max))
+		return revert(fmt.Errorf("updated graph size %d exceeds server cap %d", ng.Size(), max))
 	}
 	// Validate the assigned nodes, in the post-batch id space, before the
 	// watches see the batch.
 	assign, err := localNodes(ng, req.Owned)
 	if err != nil {
-		return nil, revert(fmt.Errorf("update: %w", err))
+		return revert(fmt.Errorf("update: %w", err))
 	}
 	// The batch is validated; commit. The graph already mutated in
 	// place, so only the cached statistics reset.
@@ -352,46 +350,27 @@ func (sess *session) Update(req *Request, resp *Response, profile bool) (any, er
 		// An assign-only batch skips this: nothing changed in the graph,
 		// Assign below reports the new candidates.
 		sess.bounds.noteBatch(ng, touched)
-		deltas, err := sess.eng.Apply(old, ng, touched)
+		deltas, err := sess.eng.Apply(old, ng, touched, tr)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		appendDeltas(resp, deltas, fragment)
 		resp.Total = widest(deltas)
-		if prof != nil {
-			prof.AffectedSize = resp.Total
-			prof.Groups = sess.eng.Groups()
-			for _, d := range deltas {
-				prof.Watches = append(prof.Watches, WatchStageProfile{
-					Watch:      d.Name,
-					Affected:   d.Affected,
-					AffectedMS: durMS(d.AffectedTime),
-					VerifyMS:   durMS(d.VerifyTime),
-					Added:      len(d.Added),
-					Removed:    len(d.Removed),
-				})
-			}
-		}
 	}
 	if len(assign) > 0 {
-		deltas, err := sess.eng.Assign(assign)
+		deltas, err := sess.eng.Assign(assign, tr)
 		if err != nil {
-			return nil, fmt.Errorf("update: %w", err)
+			return fmt.Errorf("update: %w", err)
 		}
 		appendDeltas(resp, deltas, fragment)
 		resp.Total += widest(deltas)
 	}
 	resp.Nodes, resp.Edges = ng.NumNodes(), ng.NumEdges()
-	if prof != nil {
-		prof.BatchSize = len(req.Updates)
-		prof.Touched = len(touched)
-		prof.Nodes = ng.NumNodes()
-		if prof.Nodes > 0 {
-			prof.WorkRatio = float64(prof.AffectedSize) / float64(prof.Nodes)
-		}
-		prof.TotalMS = MsSince(t0)
-	}
-	return prof, nil
+	tr.Count("batch", len(req.Updates))
+	tr.Count("touched", len(touched))
+	tr.Count("nodes", ng.NumNodes())
+	tr.Count("affected", resp.Total)
+	return nil
 }
 
 // widest returns the most candidates one watch group re-judged, 0 with no
@@ -433,7 +412,7 @@ func (sess *session) Watch(name string, q *core.Pattern, _ *Response) ([]graph.N
 
 func (sess *session) Unwatch(name string) error { return sess.eng.Unwatch(name) }
 
-func (sess *session) Stats() (*StatsSummary, error) {
+func (sess *session) Stats(*obs.Trace) (*StatsSummary, error) {
 	if sess.eng.Restricted() {
 		// A fragment worker reports its owned share only: the fragment
 		// also materializes other workers' nodes (neighborhood shipped
@@ -468,38 +447,25 @@ func (sess *session) evaluate(req *Request, collectProfile bool) (*match.Result,
 	return b.Run(opts)
 }
 
-// Match evaluates a pattern over the session graph; with profile it also
-// collects the per-stage profile and the planner's estimates.
-func (sess *session) Match(req *Request, profile bool) (Answer, error) {
-	var doc *MatchProfileDoc
-	if profile {
-		engine := req.Engine
-		if engine == "" {
-			engine = "qmatch"
-		}
-		doc = &MatchProfileDoc{Op: "match", Engine: engine, Planner: req.Planner}
-		q, err := core.Parse(req.Pattern)
-		if err != nil {
-			return Answer{}, err
-		}
-		if ex, exErr := plan.Explain(sess.g, sess.stats(), q); exErr == nil {
-			doc.Plan = ex
-		}
-	}
+// Match evaluates a pattern over the session graph, recording the
+// evaluation's span (match.<engine>) and its answers count in tr. A deep
+// trace (a profile, or a worker's share of one) also collects the
+// engine's profile and attaches it.
+func (sess *session) Match(req *Request, tr *obs.Trace) (Answer, error) {
 	t0 := time.Now()
-	res, err := sess.evaluate(req, profile)
+	res, err := sess.evaluate(req, tr.Deep())
 	if err != nil {
 		return Answer{}, err
 	}
-	if profile {
-		doc.Profile = res.Profile
-		doc.Matches = len(res.Matches)
-		doc.TotalMS = MsSince(t0)
+	tr.Span(-1, "match."+cmp.Or(req.Engine, "qmatch"), t0)
+	tr.Count("answers", len(res.Matches))
+	if tr.Deep() {
+		tr.Attach(res.Profile)
 	}
-	return Answer{Matches: res.Matches, Metrics: &res.Metrics, Profile: doc}, nil
+	return Answer{Matches: res.Matches, Metrics: &res.Metrics}, nil
 }
 
-func (sess *session) Explain(q *core.Pattern) (any, error) {
+func (sess *session) Explain(q *core.Pattern, _ *obs.Trace) (any, error) {
 	ex, err := plan.Explain(sess.g, sess.stats(), q)
 	if err != nil {
 		return nil, err

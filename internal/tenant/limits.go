@@ -105,9 +105,10 @@ func durationFor(tokens, rate float64) time.Duration {
 
 // instruments is one tenant's metric set, resolved once at session
 // creation. Fields are nil without a registry; the obs types no-op on
-// nil receivers. Like every registry instrument the series live for the
-// process lifetime — they are keyed by session name, so dashboards keep
-// a tenant's history across reconnects and idle evictions.
+// nil receivers. A named session's series live for the process lifetime
+// — they are keyed by session name, so dashboards keep a tenant's history
+// across reconnects and idle evictions. An ephemeral session's generated
+// name never comes back, so its series are removed when it is evicted.
 type instruments struct {
 	matchMS   *obs.Histogram // tenant.<name>.match.ms — served reads (match/explain/profile/watch)
 	updateMS  *obs.Histogram // tenant.<name>.update.ms — served writes
@@ -121,14 +122,20 @@ func (m *Manager) instruments(name string) *instruments {
 	if r == nil {
 		return &instruments{}
 	}
-	p := "tenant." + name + "."
+	s := seriesOf(name)
 	return &instruments{
-		matchMS:   r.Histogram(p+"match.ms", obs.LatencyBucketsMS),
-		updateMS:  r.Histogram(p+"update.ms", obs.LatencyBucketsMS),
-		ops:       r.Counter(p + "ops"),
-		throttled: r.Counter(p + "throttled"),
-		overflow:  r.Counter(p + "inbox_overflow"),
+		matchMS:   r.Histogram(s[0], obs.LatencyBucketsMS),
+		updateMS:  r.Histogram(s[1], obs.LatencyBucketsMS),
+		ops:       r.Counter(s[2]),
+		throttled: r.Counter(s[3]),
+		overflow:  r.Counter(s[4]),
 	}
+}
+
+// seriesOf names a tenant's series, in the order of instruments' fields.
+func seriesOf(name string) []string {
+	p := "tenant." + name + "."
+	return []string{p + "match.ms", p + "update.ms", p + "ops", p + "throttled", p + "inbox_overflow"}
 }
 
 // Admit charges one command against the tenant's admission limits and

@@ -189,6 +189,31 @@ type pending struct {
 	resync bool
 }
 
+// fold coalesces one update's delta into the entry: an id added and then
+// removed (or the reverse) cancels out.
+func (p *pending) fold(d server.WatchDelta) {
+	for _, v := range d.Added {
+		if p.removed[v] {
+			delete(p.removed, v)
+		} else {
+			p.added[v] = true
+		}
+	}
+	for _, v := range d.Removed {
+		if p.added[v] {
+			delete(p.added, v)
+		} else {
+			p.removed[v] = true
+		}
+	}
+	p.affected += d.Affected
+}
+
+// delta is the entry as the watch's one delta, id lists sorted.
+func (p *pending) delta(watch string) server.WatchDelta {
+	return server.WatchDelta{Watch: watch, Added: sortedIDs(p.added), Removed: sortedIDs(p.removed), Affected: p.affected, Resync: p.resync}
+}
+
 // state is one live tenant session.
 type state struct {
 	watches   map[string]string   // local watch name -> pattern
@@ -203,6 +228,7 @@ type state struct {
 	budget    bucket       // affected-set units, post-paid (limits.go)
 	im        *instruments // per-tenant metric series
 	gone      bool         // evicted; a concurrent Watch must not resurrect it
+	ephemeral bool         // generated name: its series go with it
 }
 
 // ensurePending returns the watch's inbox, creating it empty if needed.
@@ -281,7 +307,8 @@ func (m *Manager) Attach(name string) (string, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if name == "" {
+	ephemeral := name == ""
+	if ephemeral {
 		for {
 			m.nextAuto++
 			name = fmt.Sprintf("s-%d", m.nextAuto)
@@ -296,9 +323,10 @@ func (m *Manager) Attach(name string) (string, error) {
 			return "", fmt.Errorf("tenant: session limit of %d reached", max)
 		}
 		st = &state{
-			watches: make(map[string]string),
-			pend:    make(map[string]*pending),
-			im:      m.instruments(name),
+			watches:   make(map[string]string),
+			pend:      make(map[string]*pending),
+			im:        m.instruments(name),
+			ephemeral: ephemeral,
 		}
 		m.tenants[name] = st
 		m.mCreated.Inc()
@@ -437,7 +465,11 @@ func (m *Manager) Unwatch(tenant, watch string) error {
 // RecordDeltas routes one update's merged watch deltas (global names) to
 // their tenants. The writer's own deltas are returned immediately, renamed
 // to local watch names — its response carries them, read-your-writes
-// style. Every other tenant's deltas are coalesced into that tenant's
+// style. A watch of the writer's with deltas still waiting in its inbox
+// (other tenants' earlier updates) gets its own delta folded into them and
+// the coalesced entry returned in their place, so a client that folds
+// replies and drains in arrival order never applies an older change after
+// a newer one. Every other tenant's deltas are coalesced into that tenant's
 // pending inbox for its next Drain, bounded per watch by
 // Config.MaxPendingIDs: a tenant that never drains overflows, loses its
 // coalesced state, and is told to resync — it cannot grow the manager
@@ -464,27 +496,17 @@ func (m *Manager) RecordDeltas(writer string, deltas []server.WatchDelta) []serv
 			continue
 		}
 		if tn == writer {
-			own = append(own, server.WatchDelta{
-				Watch: watch, Added: d.Added, Removed: d.Removed, Affected: d.Affected,
-			})
+			if p := st.pend[watch]; p != nil {
+				p.fold(d)
+				own = append(own, p.delta(watch))
+				delete(st.pend, watch)
+			} else {
+				own = append(own, server.WatchDelta{Watch: watch, Added: d.Added, Removed: d.Removed, Affected: d.Affected})
+			}
 			continue
 		}
 		p := st.ensurePending(watch)
-		for _, v := range d.Added {
-			if p.removed[v] {
-				delete(p.removed, v)
-			} else {
-				p.added[v] = true
-			}
-		}
-		for _, v := range d.Removed {
-			if p.added[v] {
-				delete(p.added, v)
-			} else {
-				p.removed[v] = true
-			}
-		}
-		p.affected += d.Affected
+		p.fold(d)
 		if limit > 0 && len(p.added)+len(p.removed) > limit {
 			// Overflow: drop the oldest state — everything coalesced so
 			// far — and flag the watch. The flag survives until drained,
@@ -519,13 +541,7 @@ func (m *Manager) Drain(tenant string) ([]server.WatchDelta, error) {
 		if len(p.added) == 0 && len(p.removed) == 0 && p.affected == 0 && !p.resync {
 			continue
 		}
-		out = append(out, server.WatchDelta{
-			Watch:    watch,
-			Added:    sortedIDs(p.added),
-			Removed:  sortedIDs(p.removed),
-			Affected: p.affected,
-			Resync:   p.resync,
-		})
+		out = append(out, p.delta(watch))
 	}
 	st.pend = make(map[string]*pending)
 	sort.Slice(out, func(i, j int) bool { return out[i].Watch < out[j].Watch })
@@ -643,6 +659,9 @@ func (m *Manager) evict(name string, unattachedOnly bool) bool {
 	m.mEvicted.Inc()
 	m.mActive.Set(int64(len(m.tenants)))
 	m.mWatches.Add(-int64(len(watches)))
+	if st.ephemeral {
+		m.cfg.Metrics.Remove(seriesOf(name)...)
+	}
 	m.mu.Unlock()
 
 	for _, w := range watches {

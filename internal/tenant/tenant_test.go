@@ -201,6 +201,18 @@ func TestDeltaRoutingAndCoalescing(t *testing.T) {
 	if ds, _ := m.Drain("reader"); len(ds) != 0 {
 		t.Fatalf("second drain not empty: %+v", ds)
 	}
+
+	// The reader writes while the writer's older delta waits in its inbox:
+	// its reply folds its own delta in after the waiting one and empties
+	// the inbox, so a client folding in arrival order keeps 6 an answer.
+	m.RecordDeltas("writer", []server.WatchDelta{{Watch: GlobalName("reader", "w"), Removed: []int64{6}, Affected: 1}})
+	own = m.RecordDeltas("reader", []server.WatchDelta{{Watch: GlobalName("reader", "w"), Added: []int64{6}, Affected: 2}})
+	if len(own) != 1 || len(own[0].Added) != 0 || len(own[0].Removed) != 0 || own[0].Affected != 3 {
+		t.Fatalf("reader's own delta after a waiting one: %+v, want -6 then +6, netted out", own)
+	}
+	if ds, _ := m.Drain("reader"); len(ds) != 0 {
+		t.Fatalf("reader inbox kept the folded delta: %+v", ds)
+	}
 }
 
 func TestNoteCounts(t *testing.T) {
