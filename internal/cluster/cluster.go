@@ -98,7 +98,7 @@ type Config struct {
 // knows which worker owns and materializes which nodes, and drives the
 // workers through the wire protocol. Methods are safe for concurrent use;
 // requests to distinct workers run in parallel, and read-only operations
-// (Match, Explain, ProfileMatch, status inspection) additionally run
+// (Match, Explain, Stats, status inspection) additionally run
 // concurrently with each other under the read side of mu, routed across
 // fragment copies (readroute.go).
 type Coordinator struct {

@@ -203,6 +203,9 @@ func TestIncrementalEquivalence(t *testing.T) {
 				"qgp\nn xo person *\nn z person\nn y person\ne xo z follow >=1\ne z y follow >=2\n",
 				"qgp\nn xo person *\nn z person\nn p product\ne xo z follow >=1\ne z p recom >=1\ne xo p recom >=1\n",
 			}
+			// The single-process side: one versioned copy of the graph
+			// that every matcher follows, as a server session's do.
+			vg := graph.NewVersioned(ref.Clone())
 			matchers := make(map[string]*dynamic.Matcher, len(watched))
 			for i, dsl := range watched {
 				name := fmt.Sprintf("w%d", i)
@@ -211,7 +214,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Watch %s: %v", name, err)
 				}
-				m, err := dynamic.NewMatcher(ref, q)
+				m, err := dynamic.NewMatcher(vg.Graph(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -264,8 +267,12 @@ func TestIncrementalEquivalence(t *testing.T) {
 					deltaByWatch[d.Watch] = d
 				}
 				ups, _ := server.ToUpdates(specs)
+				old, touched, err := vg.Apply(ups)
+				if err != nil {
+					t.Fatal(err)
+				}
 				for name, m := range matchers {
-					want, err := m.Apply(ups)
+					want, err := m.ApplyShared(old, vg.Graph(), touched)
 					if err != nil {
 						t.Fatal(err)
 					}

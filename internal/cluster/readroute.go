@@ -1,13 +1,13 @@
 package cluster
 
-// Replica-read routing: Match, Explain, ProfileMatch and Stats do not
-// change fragment state, so they need not pin the primary the way
-// updates do. (Partition needs no routing at all — it reports
-// coordinator bookkeeping without worker round trips.)
-// Each fragment's request is routed to the least-loaded live copy —
-// primary or warm replica — which lets k copies serve k overlapping read
-// streams (one wire session per copy, each serialized by its transport)
-// and scales read throughput with the replication factor.
+// Replica-read routing: Match, Explain and Stats do not change fragment
+// state, so they need not pin the primary the way updates do. (Partition
+// needs no routing at all — it reports coordinator bookkeeping without
+// worker round trips.) Each fragment's request is routed to the live copy
+// — primary or warm replica — with the fewest of the coordinator's reads
+// in flight, which lets k copies serve k overlapping read streams (one
+// wire session per copy, each serialized by its transport) and scales
+// read throughput with the replication factor.
 //
 // The routing runs under the read side of c.mu, concurrent with other
 // reads, so it must not mutate coordinator bookkeeping:
@@ -152,9 +152,11 @@ func (c *Coordinator) sendRead(w *worker, op string, req *server.Request) (*serv
 	}
 }
 
-// leastLoadedCopy picks the copy with the lowest read load that is not
-// suspect, the earliest in the list on a tie. Returns nil when every
-// copy is suspect.
+// leastLoadedCopy picks the copy with the fewest routed reads in flight
+// that is not suspect, the earliest in the list on a tie. Each copy is
+// scored by its own count only, so one fragment's choice does not move
+// with other fragments' concurrent reads. Returns nil when every copy is
+// suspect.
 func (w *worker) leastLoadedCopy() *replica {
 	var best *replica
 	var bestScore int64
@@ -162,22 +164,11 @@ func (w *worker) leastLoadedCopy() *replica {
 		if r.suspect.Load() {
 			continue
 		}
-		if s := r.readScore(); best == nil || s < bestScore {
+		if s := r.inflight.Load(); best == nil || s < bestScore {
 			best, bestScore = r, s
 		}
 	}
 	return best
-}
-
-// readScore is the copy's current read load: the endpoint-wide
-// in-flight routed-read count when the transport is pool-tracked (reads
-// from other fragments and sessions on the endpoint count too), the
-// copy's own in-flight count otherwise.
-func (r *replica) readScore() int64 {
-	if rt, ok := r.t.(ReadTracker); ok {
-		return int64(rt.ReadLoad())
-	}
-	return r.inflight.Load()
 }
 
 // pruneSuspectsLocked drops every replica a routed read marked suspect,

@@ -182,7 +182,8 @@ func TestFailedReshipIsRetried(t *testing.T) {
 	if _, err := c.Watch("w", q); err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := dynamic.NewMatcher(c.Graph(), q)
+	vg := graph.NewVersioned(c.Graph().Clone())
+	oracle, err := dynamic.NewMatcher(vg.Graph(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,11 @@ func TestFailedReshipIsRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.Apply(ups)
+	old, touched, err := vg.Apply(ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.ApplyShared(old, vg.Graph(), touched)
 	if err != nil || len(want.Added) == 0 {
 		t.Fatalf("single process: %+v, %v; want the new followers added", want, err)
 	}

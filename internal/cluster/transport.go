@@ -40,16 +40,12 @@ type Endpointer interface {
 
 // ReadTracker is optionally implemented by pool-backed transports
 // (ha.pooled): the coordinator's replica-read router brackets every
-// routed read with ReadStart/ReadEnd and consults ReadLoad — the
-// endpoint-wide in-flight routed-read count — when picking the
-// least-loaded live copy of a fragment. Counting at the endpoint rather
-// than the copy means reads issued by other fragments and sessions on
-// the same endpoint steer routing too. Transports without it are scored
-// by the coordinator's own per-copy in-flight count.
+// routed read with ReadStart/ReadEnd, so the pool sees each endpoint's
+// in-flight reads when it places new copies. Which copy serves a read is
+// the router's own choice, by the copies' in-flight counts.
 type ReadTracker interface {
 	ReadStart()
 	ReadEnd()
-	ReadLoad() int
 }
 
 // UpdateJournal receives the coordinator's durable state: the graph a

@@ -150,6 +150,16 @@ func TestAffectedWithin(t *testing.T) {
 	}
 }
 
+// step applies ups to vg and carries m over the batch, as every product
+// caller does: the versioned core applies it once, the matcher follows.
+func step(vg *graph.Versioned, m *Matcher, ups []graph.Mutation) (Delta, error) {
+	old, touched, err := vg.Apply(ups)
+	if err != nil {
+		return Delta{}, err
+	}
+	return m.ApplyShared(old, vg.Graph(), touched)
+}
+
 // buyPattern: people who buy at least 2 products.
 func buyPattern() *core.Pattern {
 	p := core.NewPattern()
@@ -168,7 +178,8 @@ func TestMatcherTracksQuantifierFlips(t *testing.T) {
 	g.AddEdge(pers, p1, "buy")
 	g.Finalize()
 
-	m, err := NewMatcher(g, buyPattern())
+	vg := graph.NewVersioned(g)
+	m, err := NewMatcher(vg.Graph(), buyPattern())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +188,7 @@ func TestMatcherTracksQuantifierFlips(t *testing.T) {
 	}
 
 	// Second buy edge flips the person in.
-	d, err := m.Apply([]graph.Mutation{graph.AddEdge(pers, p2, "buy")})
+	d, err := step(vg, m, []graph.Mutation{graph.AddEdge(pers, p2, "buy")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +200,7 @@ func TestMatcherTracksQuantifierFlips(t *testing.T) {
 	}
 
 	// Removing a buy edge flips them back out.
-	d, err = m.Apply([]graph.Mutation{graph.RemoveEdge(pers, p1, "buy")})
+	d, err = step(vg, m, []graph.Mutation{graph.RemoveEdge(pers, p1, "buy")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +227,8 @@ func TestMatcherSkipsUnaffectedRegions(t *testing.T) {
 	}
 	g.Finalize()
 
-	m, err := NewMatcher(g, buyPattern())
+	vg := graph.NewVersioned(g)
+	m, err := NewMatcher(vg.Graph(), buyPattern())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +238,11 @@ func TestMatcherSkipsUnaffectedRegions(t *testing.T) {
 
 	// Add a product bought by person 0 only.
 	id := graph.NodeID(g.NumNodes())
-	d, err := m.Apply([]graph.Mutation{graph.AddNode("Product"), graph.AddEdge(persons[0], id, "buy")})
+	old, touched, err := vg.Apply([]graph.Mutation{graph.AddNode("Product"), graph.AddEdge(persons[0], id, "buy")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := m.ApplyShared(old, vg.Graph(), touched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,14 +251,14 @@ func TestMatcherSkipsUnaffectedRegions(t *testing.T) {
 	}
 	// The affected set must not include the second community's person.
 	for _, v := range []graph.NodeID{persons[1]} {
-		affected := AffectedWithin(g, m.Graph(), []graph.NodeID{persons[0], graph.NodeID(id)}, m.Hops())
+		affected := AffectedWithin(old, m.Graph(), []graph.NodeID{persons[0], graph.NodeID(id)}, m.Hops())
 		for _, a := range affected {
 			if a == v {
 				t.Fatalf("unaffected person %d re-verified (affected=%v)", v, affected)
 			}
 		}
 	}
-	if d.Affected >= g.NumNodes() {
+	if d.Affected >= m.Graph().NumNodes() {
 		t.Fatalf("affected = %d, want a local set", d.Affected)
 	}
 }
@@ -255,12 +271,13 @@ func TestMatcherDifferentialSoak(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 
 	for pi, q := range pats {
-		m, err := NewMatcher(g, q)
+		vg := graph.NewVersioned(g.Clone())
+		m, err := NewMatcher(vg.Graph(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur := g
-		for step := 0; step < 25; step++ {
+		cur, judged := vg.Graph(), 0
+		for i := 0; i < 25; i++ {
 			var ups []graph.Mutation
 			for k := 0; k < 1+r.Intn(3); k++ {
 				switch r.Intn(4) {
@@ -285,10 +302,11 @@ func TestMatcherDifferentialSoak(t *testing.T) {
 			if len(ups) == 0 {
 				continue
 			}
-			if _, err := m.Apply(ups); err != nil {
-				t.Fatalf("pattern %d step %d: %v", pi, step, err)
+			d, err := step(vg, m, ups)
+			if err != nil {
+				t.Fatalf("pattern %d step %d: %v", pi, i, err)
 			}
-			cur = m.Graph()
+			cur, judged = m.Graph(), judged+d.Affected
 
 			want, err := match.QMatch(cur, q, nil)
 			if err != nil {
@@ -299,10 +317,10 @@ func TestMatcherDifferentialSoak(t *testing.T) {
 				continue
 			}
 			if !reflect.DeepEqual(got, want.Matches) {
-				t.Fatalf("pattern %d step %d: incremental %v != recompute %v", pi, step, got, want.Matches)
+				t.Fatalf("pattern %d step %d: incremental %v != recompute %v", pi, i, got, want.Matches)
 			}
 		}
-		if m.Verified == 0 {
+		if judged == 0 {
 			t.Errorf("pattern %d: matcher never verified anything", pi)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // enginePatterns are four distinct radius-1 patterns; name i holds pattern
@@ -30,11 +31,13 @@ func enginePattern(t *testing.T, i int) *core.Pattern {
 	return q
 }
 
-// verified is the number of focus candidates the engine's matchers have
-// evaluated so far: one count per candidate per evaluation.
-func verified(e *Engine) (n int) {
-	for _, gr := range e.groups {
-		n += gr.m.Verified
+// evaluations finishes tr, the trace of one Apply or Assign, and counts
+// the group evaluations it made: one dynamic.verify span each.
+func evaluations(tr *obs.Trace) (n int) {
+	for _, sp := range tr.Finish(nil).Spans {
+		if sp.Name == "dynamic.verify" {
+			n++
+		}
 	}
 	return n
 }
@@ -92,17 +95,17 @@ func TestEngineSharesEvaluation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				before := verified(e)
-				deltas, err := e.Apply(old, vg.Graph(), touched, nil)
+				tr := (*obs.Tracer)(nil).Join("update", 0)
+				deltas, err := e.Apply(old, vg.Graph(), touched, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(deltas) != 8 {
 					t.Fatalf("round %d: %d deltas, want one per name", round, len(deltas))
 				}
-				// One evaluation per pattern: the work done is the four
-				// groups' candidates, where per-name evaluation would
-				// have done every name's.
+				// One evaluation per pattern: four groups' candidates
+				// re-judged, where per-name evaluation would have
+				// re-judged every name's.
 				perGroup, perName := 0, 0
 				seen := make(map[*group]bool)
 				for i, d := range deltas {
@@ -127,8 +130,8 @@ func TestEngineSharesEvaluation(t *testing.T) {
 					}
 					changed += len(d.Added) + len(d.Removed)
 				}
-				if got := verified(e) - before; got != perGroup || perName != 2*perGroup {
-					t.Fatalf("round %d: verified %d candidates; one evaluation per pattern is %d, one per name %d", round, got, perGroup, perName)
+				if n := evaluations(tr); n != 4 || perName != 2*perGroup {
+					t.Fatalf("round %d: %d evaluations re-judging %d candidates per name, %d per pattern; want 4 and twice as many per name", round, n, perName, perGroup)
 				}
 			}
 			if changed == 0 {
@@ -229,13 +232,18 @@ func TestEngineAssign(t *testing.T) {
 			t.Fatalf("w%d: fragment answers %v, owned share of the whole graph's %v", i, initial[i], want)
 		}
 	}
-	before := verified(e)
-	deltas, err := e.Assign(append([]graph.NodeID{first[0]}, rest...), nil) // first[0] is already owned
+	tr := (*obs.Tracer)(nil).Join("update", 0)
+	deltas, err := e.Assign(append([]graph.NodeID{first[0]}, rest...), tr) // first[0] is already owned
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := verified(e) - before; got != 4*len(rest) {
-		t.Fatalf("assignment verified %d candidates, want %d new nodes × 4 patterns", got, len(rest))
+	if n := evaluations(tr); n != 4 {
+		t.Fatalf("assignment made %d evaluations, want one per pattern (4)", n)
+	}
+	for _, d := range deltas {
+		if d.Affected != len(rest) {
+			t.Fatalf("%s: assignment re-judged %d candidates, want the %d new nodes", d.Name, d.Affected, len(rest))
+		}
 	}
 	if len(e.Owned()) != g.NumNodes() {
 		t.Fatalf("owned %d nodes, want all %d", len(e.Owned()), g.NumNodes())

@@ -29,21 +29,12 @@ type Matcher struct {
 	counts []*counts
 	hops   int
 	g      *graph.Graph
-	// vg is the matcher's private versioned core, adopted lazily on the
-	// first self-applied batch (Apply clones the caller's graph so the
-	// original is never mutated). Nil while the matcher only follows
-	// externally applied batches via ApplyShared.
-	vg  *graph.Versioned
-	ans map[graph.NodeID]bool
+	ans    map[graph.NodeID]bool
 	// restrict, when non-nil, limits the maintained answer set to these
 	// focus candidates (a cluster worker answers only for the nodes it
 	// owns); nil means every node is a candidate. An Engine's matchers
 	// all share the engine's one set.
 	restrict *focusSet
-
-	// Verified counts the focus candidates re-judged by Apply calls — the
-	// measurable saving over full recomputation.
-	Verified int
 }
 
 // Delta reports how an update batch changed the answer set.
@@ -130,28 +121,6 @@ func (m *Matcher) Answers() []graph.NodeID {
 	return sortedNodeSet(m.ans)
 }
 
-// Apply applies an update batch and incrementally maintains the answers,
-// splicing the re-judged candidates into the cached set. The returned
-// delta lists the membership changes.
-//
-// The batch runs through a private versioned core: the first Apply
-// clones the construction-time graph (so the caller's graph is never
-// mutated) and every later batch edits that clone in place, costing
-// |batch| + |affected candidates| instead of |G|.
-func (m *Matcher) Apply(ups []graph.Mutation) (Delta, error) {
-	if m.vg == nil || m.vg.Graph() != m.g {
-		// Adopt (or re-adopt, after an interleaved ApplyShared moved the
-		// matcher onto an external graph) a private versioned copy.
-		m.vg = graph.NewVersioned(m.g.Clone())
-		m.g = m.vg.Graph()
-	}
-	old, touched, err := m.vg.Apply(ups)
-	if err != nil {
-		return Delta{}, err
-	}
-	return m.ApplyShared(old, m.g, touched)
-}
-
 // ApplyShared maintains the answers for a batch the caller already
 // applied: old, newG and touched are Versioned.Apply's pre-batch view, live
 // graph and touched set, and the matcher must have seen every earlier
@@ -197,7 +166,6 @@ func (m *Matcher) verify(newG *graph.Graph, cands []graph.NodeID) (Delta, error)
 		answers = func(v graph.NodeID) bool { return now[v] }
 	}
 	d := Delta{Affected: len(cands)}
-	m.Verified += len(cands)
 	for _, v := range cands {
 		switch is, was := answers(v), m.ans[v]; {
 		case is && !was:

@@ -16,6 +16,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -335,26 +336,32 @@ func (g *Graph) Labels() int { return g.interner.Len() }
 // (including v itself), in ascending order. This is the node set of Nd(v).
 func (g *Graph) Neighborhood(v NodeID, d int) []NodeID {
 	g.mustFinal()
-	return viewNeighborhood(g, v, d)
-}
-
-// NeighborhoodSize returns |Nd(v)| measured as nodes + edges of the induced
-// subgraph, the size measure used by DPar's knapsack weights.
-func (g *Graph) NeighborhoodSize(v NodeID, d int) int {
-	nodes := g.Neighborhood(v, d)
-	in := make(map[NodeID]bool, len(nodes))
-	for _, u := range nodes {
-		in[u] = true
-	}
-	edges := 0
-	for _, u := range nodes {
-		for _, e := range g.out[u] {
-			if in[e.To] {
-				edges++
+	seen := map[NodeID]struct{}{v: {}}
+	frontier := []NodeID{v}
+	for hop := 0; hop < d; hop++ {
+		var next []NodeID
+		visit := func(u NodeID) {
+			if _, ok := seen[u]; !ok {
+				seen[u] = struct{}{}
+				next = append(next, u)
 			}
 		}
+		for _, u := range frontier {
+			for _, e := range g.Out(u) {
+				visit(e.To)
+			}
+			for _, e := range g.In(u) {
+				visit(e.To)
+			}
+		}
+		frontier = next
 	}
-	return len(nodes) + edges
+	out := make([]NodeID, 0, len(seen))
+	for u := range seen {
+		out = append(out, u)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Induced returns the subgraph induced by nodes, along with the mapping from

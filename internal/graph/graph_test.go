@@ -154,18 +154,6 @@ func TestNeighborhood(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodSize(t *testing.T) {
-	g := buildTriangle(t)
-	// N1(0) covers all 3 nodes and all 3 edges.
-	if got := g.NeighborhoodSize(0, 1); got != 6 {
-		t.Fatalf("NeighborhoodSize(0,1) = %d, want 6", got)
-	}
-	// N0(0) is just the node itself, no edges.
-	if got := g.NeighborhoodSize(0, 0); got != 1 {
-		t.Fatalf("NeighborhoodSize(0,0) = %d, want 1", got)
-	}
-}
-
 func TestInduced(t *testing.T) {
 	g := buildTriangle(t)
 	sub, toGlobal := g.Induced([]NodeID{0, 2})

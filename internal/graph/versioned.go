@@ -124,7 +124,6 @@ type View interface {
 	Out(v NodeID) []Edge
 	In(v NodeID) []Edge
 	HasEdge(from, to NodeID, l LabelID) bool
-	Neighborhood(v NodeID, d int) []NodeID
 }
 
 var (
@@ -437,43 +436,6 @@ func (ov *OldView) Edits() []EdgeEdit {
 		i = j
 	}
 	return net
-}
-
-// Neighborhood returns the nodes within d undirected hops of v in the
-// pre-batch graph (including v), ascending — Nd(v) over the old view.
-func (ov *OldView) Neighborhood(v NodeID, d int) []NodeID {
-	ov.check()
-	return viewNeighborhood(ov, v, d)
-}
-
-// viewNeighborhood is Graph.Neighborhood generalized to any View.
-func viewNeighborhood(g View, v NodeID, d int) []NodeID {
-	seen := map[NodeID]struct{}{v: {}}
-	frontier := []NodeID{v}
-	for hop := 0; hop < d; hop++ {
-		var next []NodeID
-		visit := func(u NodeID) {
-			if _, ok := seen[u]; !ok {
-				seen[u] = struct{}{}
-				next = append(next, u)
-			}
-		}
-		for _, u := range frontier {
-			for _, e := range g.Out(u) {
-				visit(e.To)
-			}
-			for _, e := range g.In(u) {
-				visit(e.To)
-			}
-		}
-		frontier = next
-	}
-	out := make([]NodeID, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // InducedOf returns the subgraph induced by nodes over any View, with

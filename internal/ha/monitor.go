@@ -14,14 +14,6 @@ import (
 type MonitorConfig struct {
 	// Interval between supervision passes (default 2s).
 	Interval time.Duration
-	// FailureThreshold is how many consecutive failed probes declare a
-	// primary dead and trigger failover (default 2: one lost probe is
-	// tolerated as a blip, matching the usual phi-accrual-lite
-	// practice of not failing over on a single timeout).
-	FailureThreshold int
-	// OnFailover, when set, is notified after the monitor fails a
-	// fragment's primary over (err is nil on success).
-	OnFailover func(fragment int, err error)
 	// Logf receives diagnostics; nil silences them.
 	Logf func(format string, args ...interface{})
 	// Metrics, when set, mirrors MonitorStats into the registry
@@ -30,12 +22,14 @@ type MonitorConfig struct {
 	Metrics *obs.Registry
 }
 
+// failureThreshold is how many consecutive failed probes declare a
+// primary dead and trigger failover: one lost probe is tolerated as a
+// blip, the usual practice of not failing over on a single timeout.
+const failureThreshold = 2
+
 func (c *MonitorConfig) fill() {
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Second
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 2
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...interface{}) {}
@@ -78,7 +72,7 @@ func newMonitorMetrics(reg *obs.Registry) monitorMetrics {
 
 // Monitor supervises a coordinator's workers: it probes every fragment
 // copy over the wire protocol's ping path on a fixed cadence, fails a
-// primary over once it misses FailureThreshold consecutive probes, and
+// primary over once it misses failureThreshold consecutive probes, and
 // repairs the replication factor after any replica loss. The probing
 // and failover mechanics live in the cluster package (Probe, FailOver,
 // Repair); the monitor is the policy loop driving them.
@@ -193,7 +187,7 @@ func (m *Monitor) Check() error {
 			m.mu.Lock()
 			m.consecutive[pr.Fragment]++
 			m.stats.ProbeFailures++
-			trip := m.consecutive[pr.Fragment] >= m.cfg.FailureThreshold
+			trip := m.consecutive[pr.Fragment] >= failureThreshold
 			m.mu.Unlock()
 			m.om.probeFailures.Inc()
 			m.cfg.Logf("ha: monitor: fragment %d probe failed: %v", pr.Fragment, pr.Primary)
@@ -211,9 +205,6 @@ func (m *Monitor) Check() error {
 				m.mu.Unlock()
 				if ferr != nil {
 					m.cfg.Logf("ha: monitor: fragment %d failover: %v", pr.Fragment, ferr)
-				}
-				if m.cfg.OnFailover != nil {
-					m.cfg.OnFailover(pr.Fragment, ferr)
 				}
 				needRepair = true
 			}

@@ -32,15 +32,7 @@ func TestMonitorFailoverPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	failedOver := -1
-	m := NewMonitor(c, MonitorConfig{
-		FailureThreshold: 2,
-		OnFailover: func(fragment int, err error) {
-			if err == nil {
-				failedOver = fragment
-			}
-		},
-	})
+	m := NewMonitor(c, MonitorConfig{})
 	// Healthy pass: nothing to do.
 	if err := m.Check(); err != nil {
 		t.Fatal(err)
@@ -54,19 +46,17 @@ func TestMonitorFailoverPolicy(t *testing.T) {
 	if err := m.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if st := m.Stats(); st.Failovers != 0 || st.ProbeFailures == 0 {
+	if st := m.Stats(); st.Failovers != 0 || st.ProbeFailures != 1 {
 		t.Fatalf("one missed probe must not fail over: %+v", st)
 	}
 	// Second consecutive miss: failover plus replica repair.
 	if err := m.Check(); err != nil {
 		t.Fatal(err)
 	}
+	// Only fragment 0's primary was dead, so the one failover was its.
 	st := m.Stats()
-	if st.Failovers != 1 {
-		t.Fatalf("stats after threshold: %+v, want 1 failover", st)
-	}
-	if failedOver != 0 {
-		t.Fatalf("OnFailover reported fragment %d, want 0", failedOver)
+	if st.Failovers != 1 || st.ProbeFailures != 2 {
+		t.Fatalf("stats after threshold: %+v, want 1 failover after 2 missed probes", st)
 	}
 	if st.ReplicasAdded == 0 {
 		t.Fatalf("repair added no replicas: %+v", st)
@@ -108,7 +98,7 @@ func TestMonitorLoop(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	m := NewMonitor(c, MonitorConfig{Interval: 5 * time.Millisecond, FailureThreshold: 2})
+	m := NewMonitor(c, MonitorConfig{Interval: 5 * time.Millisecond})
 	m.Start()
 	m.Start() // idempotent
 	defer m.Stop()

@@ -79,13 +79,15 @@ func TestMonitorMetricsMirrorStats(t *testing.T) {
 	t.Cleanup(func() { c.Close() })
 
 	reg := obs.NewRegistry()
-	m := NewMonitor(c, MonitorConfig{FailureThreshold: 1, Metrics: reg})
+	m := NewMonitor(c, MonitorConfig{Metrics: reg})
 	if err := m.Check(); err != nil {
 		t.Fatal(err)
 	}
-	ts[0].Close() // kill a primary; threshold 1 fails it over on the next pass
-	if err := m.Check(); err != nil {
-		t.Fatal(err)
+	ts[0].Close() // kill a primary; the second missed probe fails it over
+	for i := 0; i < 2; i++ {
+		if err := m.Check(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := m.Stats()
 	s := reg.Snapshot()
@@ -99,7 +101,7 @@ func TestMonitorMetricsMirrorStats(t *testing.T) {
 		}
 	}
 	if st.Failovers == 0 {
-		t.Error("killing a primary at threshold 1 did not fail over")
+		t.Error("a primary that missed two probes was not failed over")
 	}
 }
 

@@ -183,10 +183,9 @@ type pooled struct {
 // Endpoint implements cluster.Endpointer.
 func (t *pooled) Endpoint() int { return t.ep }
 
-// ReadStart, ReadEnd and ReadLoad implement cluster.ReadTracker: the
-// coordinator's replica-read router brackets each routed read so the
-// endpoint-wide in-flight count steers both copy selection (least-loaded
-// live copy) and later placement decisions.
+// ReadStart and ReadEnd implement cluster.ReadTracker: the coordinator's
+// replica-read router brackets each routed read, so the endpoint-wide
+// in-flight count breaks placement ties (pickLocked).
 func (t *pooled) ReadStart() {
 	t.pool.mu.Lock()
 	t.pool.reads[t.ep]++
@@ -197,12 +196,6 @@ func (t *pooled) ReadEnd() {
 	t.pool.mu.Lock()
 	t.pool.reads[t.ep]--
 	t.pool.mu.Unlock()
-}
-
-func (t *pooled) ReadLoad() int {
-	t.pool.mu.Lock()
-	defer t.pool.mu.Unlock()
-	return t.pool.reads[t.ep]
 }
 
 func (t *pooled) Close() error {

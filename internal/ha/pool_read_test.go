@@ -44,9 +44,6 @@ func TestPoolReadSkew(t *testing.T) {
 	if got := p.ReadLoads(); !reflect.DeepEqual(got, []int{8, 0, 0}) {
 		t.Fatalf("ReadLoads = %v, want [8 0 0]", got)
 	}
-	if got := rt.ReadLoad(); got != 8 {
-		t.Fatalf("ReadLoad = %d, want 8", got)
-	}
 
 	// Tied placement loads: the pick must avoid the read-hammered
 	// endpoint. Endpoint 1 and 2 are equally idle; open-session and id

@@ -167,15 +167,6 @@ func TestFocusRestrictNilAndEmpty(t *testing.T) {
 			t.Errorf("%s: empty FocusRestrict profile = %+v, want an empty profile, not a nil one", name, nobody.Profile)
 		}
 	}
-	sets, err := MatchSets(f.G, fixture.Q2(), &Options{FocusRestrict: []graph.NodeID{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, vs := range sets {
-		if len(vs) != 0 {
-			t.Errorf("MatchSets with an empty FocusRestrict: %s = %v, want nothing", name, vs)
-		}
-	}
 }
 
 func TestInvalidPatternRejected(t *testing.T) {

@@ -18,7 +18,6 @@ package plan
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -37,19 +36,6 @@ type Plan struct {
 	// Cost is the sum of step cardinalities — the planner's estimate of
 	// total work.
 	Cost float64
-}
-
-// String renders the plan with node names for diagnostics.
-func (pl *Plan) Describe(p *core.Pattern) string {
-	var b strings.Builder
-	for i, u := range pl.Order {
-		if i > 0 {
-			b.WriteString(" -> ")
-		}
-		fmt.Fprintf(&b, "%s(%.3g)", p.Nodes[u].Name, pl.StepCost[i])
-	}
-	fmt.Fprintf(&b, " cost=%.4g", pl.Cost)
-	return b.String()
 }
 
 // Choose computes a plan for pattern p over the graph summarized by s.

@@ -180,8 +180,29 @@ func TestGenStatsPartitionPMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Nodes != nodes || st.Labels == 0 || len(st.Triples) == 0 {
+	if st.Nodes != nodes || st.Labels == 0 || len(st.Triples) != 5 || len(st.TripleRows) <= 5 {
 		t.Fatalf("stats = %+v", st)
+	}
+	for i := 1; i < len(st.TripleRows); i++ {
+		if st.TripleRows[i-1].Count < st.TripleRows[i].Count {
+			t.Fatalf("triple rows not by descending count at %d: %+v", i, st.TripleRows)
+		}
+	}
+	// On a hand-checked graph every rendered row is exact: Person follows
+	// Person 3 times from 2 sources to 2 targets; 2 Persons buy 1 Product.
+	tiny, _ := startServer(t, server.Config{})
+	if _, _, err := tiny.LoadText(tinyGraphText); err != nil {
+		t.Fatal(err)
+	}
+	ts, err := tiny.Stats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{
+		"Person -follow-> Person: count=3 srcs=2 dsts=2 fanOut=1.50",
+		"Person -buy-> Product: count=2 srcs=2 dsts=1 fanOut=1.00",
+	}; !reflect.DeepEqual(ts.Triples, want) {
+		t.Fatalf("rendered triples %q, want %q", ts.Triples, want)
 	}
 
 	part, err := c.Partition(4, 2)

@@ -84,8 +84,8 @@ func fillStats(resp *Response, sum *StatsSummary, topK int) {
 	}
 }
 
-// describeRow renders one triple row in the exact format of
-// stats.Describe, so the wire and the offline tools read alike.
+// describeRow renders one triple row, the one text form of a triple
+// class: "Src -edge-> Dst: count=… srcs=… dsts=… fanOut=…".
 func describeRow(r TripleRow) string {
 	fan := 0.0
 	if r.Srcs > 0 {

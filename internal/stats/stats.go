@@ -10,7 +10,6 @@
 package stats
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -176,39 +175,11 @@ func CollectOwned(g *graph.Graph, owned []graph.NodeID) *Stats {
 	return s
 }
 
-// NodesWithLabel returns the number of nodes carrying label l.
-func (s *Stats) NodesWithLabel(l graph.LabelID) int { return s.LabelCount[l] }
-
 // TripleFor returns the aggregate for a triple class and whether the class
 // occurs at all.
 func (s *Stats) TripleFor(t Triple) (TripleStats, bool) {
 	ts, ok := s.Triples[t]
 	return ts, ok
-}
-
-// Selectivity estimates, for a pattern edge (u -label-> u′) between nodes
-// with the given labels, the expected number of graph edges realizing it.
-// It returns 0 when the class is absent.
-func (s *Stats) Selectivity(src, edge, dst graph.LabelID) float64 {
-	ts, ok := s.Triples[Triple{Src: src, Edge: edge, Dst: dst}]
-	if !ok {
-		return 0
-	}
-	return float64(ts.Count)
-}
-
-// EstimateEdge resolves a pattern edge's labels against the graph and
-// returns the estimated number of realizing edges. Unresolvable labels
-// estimate to 0.
-func EstimateEdge(g *graph.Graph, s *Stats, p *core.Pattern, ei int) float64 {
-	e := p.Edges[ei]
-	src := g.LookupLabel(p.Nodes[e.From].Label)
-	el := g.LookupLabel(e.Label)
-	dst := g.LookupLabel(p.Nodes[e.To].Label)
-	if src == graph.NoLabel || el == graph.NoLabel || dst == graph.NoLabel {
-		return 0
-	}
-	return s.Selectivity(src, el, dst)
 }
 
 // EstimateNode returns the estimated candidate count of a pattern node:
@@ -219,40 +190,4 @@ func EstimateNode(g *graph.Graph, s *Stats, p *core.Pattern, u int) float64 {
 		return 0
 	}
 	return float64(s.LabelCount[l])
-}
-
-// TopTriples returns the k most frequent triple classes, most frequent
-// first (all classes when k ≤ 0 or k exceeds the class count). Ties break
-// by ascending (Src, Edge, Dst) for determinism.
-func (s *Stats) TopTriples(k int) []Triple {
-	out := make([]Triple, 0, len(s.Triples))
-	for t := range s.Triples {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ci, cj := s.Triples[out[i]].Count, s.Triples[out[j]].Count
-		if ci != cj {
-			return ci > cj
-		}
-		a, b := out[i], out[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Edge != b.Edge {
-			return a.Edge < b.Edge
-		}
-		return a.Dst < b.Dst
-	})
-	if k > 0 && k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
-// Describe renders a triple class with label names for human consumption.
-func (s *Stats) Describe(g *graph.Graph, t Triple) string {
-	ts := s.Triples[t]
-	return fmt.Sprintf("%s -%s-> %s: count=%d srcs=%d dsts=%d fanOut=%.2f",
-		g.LabelName(t.Src), g.LabelName(t.Edge), g.LabelName(t.Dst),
-		ts.Count, ts.SrcNodes, ts.DstNodes, ts.AvgFanOut())
 }

@@ -39,13 +39,13 @@ func TestCollectCounts(t *testing.T) {
 	if s.Nodes != 5 || s.Edges != 4 {
 		t.Fatalf("Nodes=%d Edges=%d, want 5/4", s.Nodes, s.Edges)
 	}
-	if got := s.NodesWithLabel(g.LookupLabel("A")); got != 2 {
+	if got := s.LabelCount[g.LookupLabel("A")]; got != 2 {
 		t.Errorf("A count = %d, want 2", got)
 	}
-	if got := s.NodesWithLabel(g.LookupLabel("B")); got != 2 {
+	if got := s.LabelCount[g.LookupLabel("B")]; got != 2 {
 		t.Errorf("B count = %d, want 2", got)
 	}
-	if got := s.NodesWithLabel(g.LookupLabel("C")); got != 1 {
+	if got := s.LabelCount[g.LookupLabel("C")]; got != 1 {
 		t.Errorf("C count = %d, want 1", got)
 	}
 }
@@ -92,83 +92,19 @@ func TestCollectDegrees(t *testing.T) {
 	}
 }
 
-func TestSelectivityAbsentClass(t *testing.T) {
-	g := tiny(t)
-	s := Collect(g)
-	if got := s.Selectivity(g.LookupLabel("C"), g.LookupLabel("f"), g.LookupLabel("A")); got != 0 {
-		t.Errorf("absent class selectivity = %v, want 0", got)
-	}
-}
-
-func TestEstimateEdgeAndNode(t *testing.T) {
+func TestEstimateNode(t *testing.T) {
 	g := tiny(t)
 	s := Collect(g)
 	p := core.NewPattern()
 	p.AddNode("x", "A")
-	p.AddNode("y", "B")
-	p.AddEdge("x", "y", "f", core.Exists())
-	if got := EstimateEdge(g, s, p, 0); got != 3 {
-		t.Errorf("EstimateEdge = %v, want 3", got)
-	}
+	p.AddNode("y", "Zed")
 	if got := EstimateNode(g, s, p, 0); got != 2 {
 		t.Errorf("EstimateNode(x) = %v, want 2", got)
 	}
-
-	// Unresolvable labels estimate to zero.
-	q := core.NewPattern()
-	q.AddNode("x", "A")
-	q.AddNode("y", "Zed")
-	q.AddEdge("x", "y", "f", core.Exists())
-	if got := EstimateEdge(g, s, q, 0); got != 0 {
-		t.Errorf("EstimateEdge unresolvable = %v, want 0", got)
-	}
-	if got := EstimateNode(g, s, q, 1); got != 0 {
+	// An unresolvable label estimates to zero.
+	if got := EstimateNode(g, s, p, 1); got != 0 {
 		t.Errorf("EstimateNode unresolvable = %v, want 0", got)
 	}
-}
-
-func TestTopTriples(t *testing.T) {
-	g := tiny(t)
-	s := Collect(g)
-	top := s.TopTriples(1)
-	if len(top) != 1 {
-		t.Fatalf("TopTriples(1) len = %d", len(top))
-	}
-	if top[0] != triple(g, "A", "f", "B") {
-		t.Errorf("top triple = %+v, want A-f->B", top[0])
-	}
-	all := s.TopTriples(0)
-	if len(all) != 2 {
-		t.Errorf("TopTriples(0) len = %d, want 2", len(all))
-	}
-	for i := 1; i < len(all); i++ {
-		if s.Triples[all[i-1]].Count < s.Triples[all[i]].Count {
-			t.Errorf("TopTriples not sorted at %d", i)
-		}
-	}
-}
-
-func TestDescribeMentionsLabels(t *testing.T) {
-	g := tiny(t)
-	s := Collect(g)
-	d := s.Describe(g, triple(g, "A", "f", "B"))
-	if d == "" {
-		t.Fatal("empty description")
-	}
-	for _, want := range []string{"A", "f", "B", "count=3"} {
-		if !contains(d, want) {
-			t.Errorf("Describe = %q, missing %q", d, want)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 // Property: triple counts sum to the edge count, label counts sum to the
