@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -96,47 +97,19 @@ func BenchmarkReplicaReads(b *testing.B) {
 }
 
 // BenchmarkUpdateThroughput: a 4-worker cluster with two standing watches
-// absorbs 8-op batches mixing edge churn with periodic node add/remove —
-// steady write pressure through the batched, pipelined fan-out (concurrent
-// plan + send per worker) at twice the worker count benchmark/'s
-// update-watch runs.
+// absorbs the update-watch schedule (fixture.WatchBatch: 4 follow edges
+// inserted, the 4 of four batches ago removed, a person born or tombstoned
+// every 8th batch) — steady write pressure through the batched, pipelined
+// fan-out (concurrent plan + send per worker) at twice the worker count
+// benchmark/'s update-watch runs. Every batch has net edits, so each one
+// runs the materialization ball and plans every worker.
 func BenchmarkUpdateThroughput(b *testing.B) {
-	const graphSize = 2000
-	const opsPerBatch = 8
-	g := gen.Social(gen.DefaultSocial(graphSize, 42))
+	const persons = 2000
+	g := gen.Social(gen.DefaultSocial(persons, 42))
+	base := g.NumNodes()
 	patterns := []string{
 		"qgp\nn xo person *\nn z person\ne xo z follow >=3\n",
 		"qgp\nn xo person *\nn z person\nn p product\ne xo z follow >=1\ne z p bad_rating =0\n",
-	}
-
-	// Batch i: opsPerBatch edge ops walking a pseudo-random schedule;
-	// every op at slot 2k+1 removes the edge slot 2k added, so the graph
-	// stays bounded over arbitrarily many iterations. Every 16th batch
-	// additionally churns one node: add a fresh person, then tombstone it
-	// on the following multiple of 16 — node count grows slowly (the
-	// tombstone keeps the slot) but edge mass stays flat.
-	batchFor := func(i int) []server.UpdateSpec {
-		specs := make([]server.UpdateSpec, 0, opsPerBatch+1)
-		for j := 0; j < opsPerBatch; j++ {
-			s := i*opsPerBatch + j
-			k := s / 2
-			from := int64((k*7919 + 13) % graphSize)
-			to := int64((k*104729 + 31) % graphSize)
-			if from == to {
-				to = (to + 1) % graphSize
-			}
-			op := "addEdge"
-			if s%2 == 1 {
-				op = "removeEdge"
-			}
-			specs = append(specs, server.UpdateSpec{Op: op, From: from, To: to, Label: "follow"})
-		}
-		if i%16 == 0 {
-			specs = append(specs, server.UpdateSpec{Op: "addNode", Label: "person"})
-		} else if i%16 == 8 {
-			specs = append(specs, server.UpdateSpec{Op: "removeNode", From: int64((i/16)%graphSize) + 100})
-		}
-		return specs
 	}
 
 	c, err := New(g, InProcessN(4, server.Config{}), Config{D: 2})
@@ -155,7 +128,7 @@ func BenchmarkUpdateThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Update(batchFor(i)); err != nil {
+		if _, err := c.Update(specsOf(fixture.WatchBatch(persons, base, i))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,6 +43,26 @@ func newEmbedded(t testing.TB, g *graph.Graph, workers int, cfg Config) *Coordin
 	return c
 }
 
+// requireInducedCopies fails unless every copy of every fragment holds as
+// many nodes and edges as the subgraph of the coordinator's graph induced
+// by the fragment's global ids.
+func requireInducedCopies(t testing.TB, c *Coordinator, when string) {
+	t.Helper()
+	for _, w := range c.workers {
+		sub, _ := graph.InducedOf(c.Graph(), w.ids.toGlobal)
+		for i, cp := range w.copies {
+			resp, err := cp.t.Do(&server.Request{Cmd: "ping"})
+			if err != nil {
+				t.Fatalf("%s: fragment %d copy %d: ping: %v", when, w.id, i, err)
+			}
+			if resp.Nodes != sub.NumNodes() || resp.Edges != sub.NumEdges() {
+				t.Fatalf("%s: fragment %d copy %d holds %d nodes and %d edges, the induced subgraph %d and %d",
+					when, w.id, i, resp.Nodes, resp.Edges, sub.NumNodes(), sub.NumEdges())
+			}
+		}
+	}
+}
+
 func globalAnswers(t testing.TB, g *graph.Graph, q *core.Pattern) []graph.NodeID {
 	t.Helper()
 	res, err := match.QMatch(g, q, nil)
@@ -256,6 +276,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d: Update: %v", round, err)
 				}
+				requireInducedCopies(t, c, fmt.Sprintf("round %d", round))
 				ref = applySpecs(t, ref, specs)
 				if res.Nodes != ref.NumNodes() || res.Edges != ref.NumEdges() {
 					t.Fatalf("round %d: cluster graph %d/%d != single-process %d/%d",

@@ -136,6 +136,7 @@ func TestFragmentExtendedWithLowerID(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Update %d: %v", i, err)
 		}
+		requireInducedCopies(t, c, fmt.Sprintf("batch %d", i))
 		for _, d := range res.Deltas {
 			if d.Watch != "before" {
 				t.Fatalf("batch %d: delta for unknown watch %q", i, d.Watch)

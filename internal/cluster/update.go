@@ -190,7 +190,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	judged := make([]int, len(c.workers))
 	err = c.fanOut(func(w *worker) error {
 		tplan := time.Now()
-		p := c.planFor(w, oldG, newG, edits, touched, matCand, assignTo)
+		p := c.planFor(w, oldG.NumNodes(), newG, edits, touched, matCand, assignTo)
 		if p == nil || p.empty() {
 			c.om.workersSkipped.Inc()
 			return nil
@@ -258,26 +258,39 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 }
 
 // planFor computes one worker's share of a global batch, or nil when the
-// batch cannot affect the worker: no touched node is materialized there,
-// no owned candidate needs materialization upkeep, and no new node is
-// being assigned to it. An owned candidate the batch can flip lies within
+// batch cannot affect the worker: nothing is assigned to it, no owned
+// candidate needs materialization upkeep, and no touched node is
+// materialized there. An owned candidate the batch can flip lies within
 // d hops of a touched node, which is then materialized here. matCand is
 // the (D-1)-ball around inserted-edge endpoints and batch-created nodes
-// (it bounds materialization maintenance), ascending. edits are the
-// batch's net edge edits (OldView.Edits); assignTo[i] is the worker the
-// batch's i-th created node goes to. planFor only reads its inputs and
-// the worker's id space: the caller extends the latter once the primary
-// holds the batch.
-func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph, edits []graph.EdgeEdit, touched, matCand []graph.NodeID, assignTo []int) *workerPlan {
+// (it bounds materialization maintenance), ascending; the owned
+// candidates in it are gathered only when some node of it is not
+// materialized here, the only case in which they can need anything.
+// edits are the batch's net edge edits (OldView.Edits): each edge present
+// on exactly one side of the batch, its Added bit saying which, so an
+// edge's presence before and after is read off its edit, never probed in
+// a row. assignTo[i] is the worker the batch's i-th created node, oldN+i,
+// goes to. planFor only reads its inputs and the worker's id space: the
+// caller extends the latter once the primary holds the batch.
+func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []graph.EdgeEdit, touched, matCand []graph.NodeID, assignTo []int) *workerPlan {
 	ids := &w.ids
-	oldN := oldG.NumNodes()
+	// The candidate pool: the part of matCand not materialized here.
+	var pool []graph.NodeID
+	for _, u := range matCand {
+		if !ids.has(u) {
+			pool = append(pool, u)
+		}
+	}
 	// Owned candidates whose d-hop neighborhood must stay materialized,
-	// followed by the nodes the batch assigns here (all ≥ oldN, so the
-	// list ascends): the roots of the expansion below.
+	// when there is a pool to draw from, followed by the nodes the batch
+	// assigns here (all ≥ oldN, so the list ascends): the roots of the
+	// expansion below.
 	var roots []graph.NodeID
-	for _, v := range matCand {
-		if ids.owns(v) {
-			roots = append(roots, v)
+	if len(pool) > 0 {
+		for _, v := range matCand {
+			if ids.owns(v) {
+				roots = append(roots, v)
+			}
 		}
 	}
 	var assign []graph.NodeID
@@ -311,12 +324,6 @@ func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph,
 	// either is a binary search and newMat comes out ascending.
 	var newMat []graph.NodeID
 	if len(roots) > 0 {
-		var pool []graph.NodeID
-		for _, u := range matCand {
-			if !ids.has(u) {
-				pool = append(pool, u)
-			}
-		}
 		if len(pool) <= len(roots) {
 			for _, u := range pool {
 				if slices.ContainsFunc(newG.Neighborhood(u, c.cfg.D), func(r graph.NodeID) bool {
@@ -367,21 +374,22 @@ func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph,
 
 	// Edge diff between the old and new induced subgraphs. The global
 	// edge delta is edits, and the mirror additionally gains every edge
-	// incident to a newly materialized node — so the candidate set comes
-	// straight from the batch and newMat adjacency instead of rescanning
-	// every touched node's (possibly hub-sized) neighborhood. Keys are
-	// compared by edge alone; the pre-batch view and the post-batch graph
-	// share one label id space.
+	// incident to a newly materialized node — an edge of the new graph no
+	// fragment copy held, so Added — so the candidate set comes straight
+	// from the batch and newMat adjacency instead of rescanning every
+	// touched node's (possibly hub-sized) neighborhood. Keys are compared
+	// by edge alone (the pre-batch view and the post-batch graph share one
+	// label id space); a duplicate pairs two Added keys, so either may stay.
 	keys := slices.Clone(edits)
 	for _, v := range newMat {
 		for _, e := range newG.Out(v) {
 			if matNew(e.To) {
-				keys = append(keys, graph.EdgeEdit{From: v, To: e.To, Label: e.Label})
+				keys = append(keys, graph.EdgeEdit{From: v, To: e.To, Label: e.Label, Added: true})
 			}
 		}
 		for _, e := range newG.In(v) {
 			if matNew(e.To) {
-				keys = append(keys, graph.EdgeEdit{From: e.To, To: v, Label: e.Label})
+				keys = append(keys, graph.EdgeEdit{From: e.To, To: v, Label: e.Label, Added: true})
 			}
 		}
 	}
@@ -390,8 +398,8 @@ func (c *Coordinator) planFor(w *worker, oldG *graph.OldView, newG *graph.Graph,
 	}
 	slices.SortFunc(keys, edge)
 	for _, k := range slices.CompactFunc(keys, func(a, b graph.EdgeEdit) bool { return edge(a, b) == 0 }) {
-		oldHas := ids.has(k.From) && ids.has(k.To) && oldG.HasEdge(k.From, k.To, k.Label)
-		newHas := matNew(k.From) && matNew(k.To) && newG.HasEdge(k.From, k.To, k.Label)
+		oldHas := !k.Added && ids.has(k.From) && ids.has(k.To)
+		newHas := k.Added && matNew(k.From) && matNew(k.To)
 		if oldHas == newHas {
 			continue
 		}

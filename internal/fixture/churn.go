@@ -112,3 +112,40 @@ func (c *Churn) Next(g *graph.Graph) []graph.Mutation {
 	}
 	return muts
 }
+
+// WatchBatch is batch i of the benchmark's update-watch schedule
+// (benchmark/workloads.go, batchFor) in the core's vocabulary, over a
+// gen.Social graph whose persons are ids [0, persons): 4 follow edges
+// inserted between hashed person pairs, the 4 that batch i-4 inserted
+// removed again, and every 16th batch a person added that is tombstoned 8
+// batches later. base is the node count before batch 0; batches run from
+// 0 in order.
+func WatchBatch(persons, base, i int) []graph.Mutation {
+	pair := func(k int) (graph.NodeID, graph.NodeID) {
+		x := uint64(k) + 0x9e3779b97f4a7c15
+		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+		x ^= x >> 31
+		from, to := x%uint64(persons), (x>>32)%uint64(persons)
+		if to == from {
+			to = (to + 1) % uint64(persons)
+		}
+		return graph.NodeID(from), graph.NodeID(to)
+	}
+	muts := make([]graph.Mutation, 0, 9)
+	for j := 0; j < 4; j++ {
+		from, to := pair(4*i + j)
+		muts = append(muts, graph.Mutation{Op: graph.MutAddEdge, From: from, To: to, Label: "follow"})
+	}
+	for j := 0; j < 4 && i >= 4; j++ {
+		from, to := pair(4*(i-4) + j)
+		muts = append(muts, graph.Mutation{Op: graph.MutRemoveEdge, From: from, To: to, Label: "follow"})
+	}
+	switch i % 16 {
+	case 0:
+		muts = append(muts, graph.Mutation{Op: graph.MutAddNode, Label: "person"})
+	case 8:
+		muts = append(muts, graph.Mutation{Op: graph.MutRemoveNode, From: graph.NodeID(base + i/16)})
+	}
+	return muts
+}

@@ -1,12 +1,17 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CheckIndex verifies the label-run index against the adjacency rows it
-// summarizes, through the public read API only: for every node and every
-// interned label (plus one id past the interner, a label no row carries),
-// OutByLabel/InByLabel must equal the label-filter of Out/In, CountOut
-// the length of that filter, and HasEdge a linear scan of Out. Every
+// summarizes. Each row's runs must be exactly the runs a rebuild makes
+// (appendRuns), no empty or stale run left in place. Then, through the
+// public read API: for every node and every interned label (plus one id
+// past the interner, a label no row carries), OutByLabel/InByLabel must
+// equal the label-filter of Out/In, CountOut the length of that filter,
+// and HasEdge a linear scan of Out. Every
 // maintenance path — Finalize, Clone, Induced, the loaders, and
 // Versioned.Apply/Rollback — must leave a graph that passes; tests of
 // this and other packages call it after each of them.
@@ -30,6 +35,11 @@ func (g *Graph) CheckIndex() error {
 			}
 		}
 		return true
+	}
+	for v := range g.out {
+		if out, in := appendRuns(nil, g.out[v]), appendRuns(nil, g.in[v]); !slices.Equal(g.outRuns[v], out) || !slices.Equal(g.inRuns[v], in) {
+			return fmt.Errorf("graph: runs of node %d are %v out, %v in; a rebuild gives %v, %v", v, g.outRuns[v], g.inRuns[v], out, in)
+		}
 	}
 	for vi := 0; vi < g.NumNodes(); vi++ {
 		v := NodeID(vi)

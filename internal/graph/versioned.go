@@ -133,11 +133,11 @@ var (
 
 // Versioned wraps a finalized Graph and maintains it in place under
 // mutation batches. The wrapped graph stays finalized at all times:
-// adjacency rows keep their (label, endpoint) sort order, every row a
-// batch edits gets its label-run index recomputed with it, and byLabel
-// is edited incrementally, so queries never pay a re-Finalize. Not safe
-// for concurrent use; callers serialize Apply/Rollback against readers
-// the same way they would serialize rebuilds. A row slice read from the
+// adjacency rows keep their (label, endpoint) sort order, each edit of a
+// row shifts that row's label runs by one edge, O(labels in the row), and
+// byLabel is edited incrementally, so queries never pay a re-Finalize.
+// Not safe for concurrent use; callers serialize Apply/Rollback against
+// readers the same way they would serialize rebuilds. A row slice read from the
 // graph is good until the next Apply or Rollback, which edit it in place.
 type Versioned struct {
 	g *Graph
@@ -177,12 +177,13 @@ const (
 	opDrop
 )
 
-// rows returns the adjacency table of a direction and its mark bit.
-func (vg *Versioned) rows(in bool) ([][]Edge, uint8) {
+// rows returns the adjacency table of a direction, its label runs and its
+// mark bit.
+func (vg *Versioned) rows(in bool) ([][]Edge, [][]labelRun, uint8) {
 	if in {
-		return vg.g.in, markIn
+		return vg.g.in, vg.g.inRuns, markIn
 	}
-	return vg.g.out, markOut
+	return vg.g.out, vg.g.outRuns, markOut
 }
 
 // touch puts v into the batch's touched set, with bits for an edited row.
@@ -201,9 +202,10 @@ func (vg *Versioned) record(op rowOp, bit uint8) {
 }
 
 // edit inserts e into (opInsert) or removes it from (opRemove) a row of v,
-// where the row lies, and logs the edit if the row changed.
+// where the row lies, shifts the row's runs with it, and logs the edit if
+// the row changed.
 func (vg *Versioned) edit(kind uint8, in bool, v NodeID, e Edge) bool {
-	rows, bit := vg.rows(in)
+	rows, runs, bit := vg.rows(in)
 	var changed bool
 	if kind == opInsert {
 		rows[v], changed = insertSorted(rows[v], e)
@@ -211,20 +213,51 @@ func (vg *Versioned) edit(kind uint8, in bool, v NodeID, e Edge) bool {
 		rows[v], changed = removeSorted(rows[v], e)
 	}
 	if changed {
+		runs[v] = shiftRuns(runs[v], e.Label, kind == opInsert)
 		vg.record(rowOp{v: v, kind: kind, in: in, e: e}, bit)
 	}
 	return changed
 }
 
-// drop empties a row of v; the log keeps the slice.
+// drop empties a row of v and its runs; the log keeps the row's slice.
 func (vg *Versioned) drop(in bool, v NodeID) {
-	rows, bit := vg.rows(in)
+	rows, runs, bit := vg.rows(in)
 	if len(rows[v]) == 0 {
 		return
 	}
 	vg.record(rowOp{v: v, kind: opDrop, in: in, e: Edge{To: NodeID(len(vg.dropped))}}, bit)
 	vg.dropped = append(vg.dropped, rows[v])
 	rows[v] = nil
+	runs[v] = runs[v][:0]
+}
+
+// shiftRuns moves the label runs of a row by the one edge of label l just
+// inserted into it (grow) or removed from it: l's run grows or shrinks,
+// every later run shifts, a label new to the row gets a run and a run left
+// empty goes. O(labels in the row), not O(degree).
+func shiftRuns(runs []labelRun, l LabelID, grow bool) []labelRun {
+	i := 0
+	for i < len(runs) && runs[i].label < l {
+		i++
+	}
+	start := int32(0)
+	if i > 0 {
+		start = runs[i-1].end
+	}
+	if i == len(runs) || runs[i].label != l {
+		runs = slices.Insert(runs, i, labelRun{l, start})
+	}
+	d := int32(-1)
+	if grow {
+		d = 1
+	}
+	for j := i; j < len(runs); j++ {
+		runs[j].end += d
+	}
+	if runs[i].end == start {
+		runs = slices.Delete(runs, i, i+1)
+	}
+	return runs
 }
 
 // undo reverses one logged edit on row. After an opDrop the result is the
@@ -240,17 +273,6 @@ func (vg *Versioned) undo(op rowOp, row []Edge) []Edge {
 		row = vg.dropped[op.e.To]
 	}
 	return row
-}
-
-// reindex recomputes the label runs of the rows of v that bits name.
-func (vg *Versioned) reindex(v NodeID, bits uint8) {
-	g := vg.g
-	if bits&markOut != 0 {
-		g.outRuns[v] = appendRuns(g.outRuns[v][:0], g.out[v])
-	}
-	if bits&markIn != 0 {
-		g.inRuns[v] = appendRuns(g.inRuns[v][:0], g.in[v])
-	}
 }
 
 // NewVersioned wraps g (finalizing it if needed) for in-place
@@ -318,7 +340,7 @@ func (ov *OldView) row(in bool, v NodeID) []Edge {
 		return nil
 	}
 	vg := ov.vg
-	rows, bit := vg.rows(in)
+	rows, _, bit := vg.rows(in)
 	if vg.mark[v]&bit == 0 {
 		return rows[v]
 	}
@@ -638,12 +660,6 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 			vg.drop(true, v)
 		}
 	}
-	// A row and its runs change together: exactly the rows the batch
-	// edited are re-indexed, O(degree) each, into the storage of the runs
-	// they replace.
-	for _, v := range vg.marked {
-		vg.reindex(v, vg.mark[v])
-	}
 
 	g.version++
 	ov.validAt = g.version
@@ -666,11 +682,18 @@ func (vg *Versioned) Rollback(ov *OldView) error {
 	if g.version != ov.validAt {
 		return fmt.Errorf("graph: rollback of a stale view (version %d, now %d)", ov.validAt, g.version)
 	}
-	// One pass over the log, newest edit first, on the live rows.
+	// One pass over the log, newest edit first, on the live rows and their
+	// runs: an undone edit shifts the runs back, a restored row gets them
+	// afresh.
 	for i := len(vg.log) - 1; i >= 0; i-- {
 		op := vg.log[i]
-		rows, _ := vg.rows(op.in)
+		rows, runs, _ := vg.rows(op.in)
 		rows[op.v] = vg.undo(op, rows[op.v])
+		if op.kind == opDrop {
+			runs[op.v] = appendRuns(runs[op.v][:0], rows[op.v])
+		} else {
+			runs[op.v] = shiftRuns(runs[op.v], op.e.Label, op.kind == opRemove)
+		}
 	}
 	// Un-append the batch's new nodes. Their byLabel entries are the
 	// tails of their rows: every pre-batch entry is a smaller id.
@@ -684,11 +707,6 @@ func (vg *Versioned) Rollback(ov *OldView) error {
 	g.in = g.in[:ov.numNodes]
 	g.outRuns = g.outRuns[:ov.numNodes]
 	g.inRuns = g.inRuns[:ov.numNodes]
-	for _, v := range vg.marked {
-		if int(v) < ov.numNodes {
-			vg.reindex(v, vg.mark[v])
-		}
-	}
 	g.numEdges = ov.numEdges
 	g.version++
 	return nil

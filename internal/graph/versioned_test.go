@@ -225,3 +225,77 @@ func TestInducedOfOldView(t *testing.T) {
 		t.Fatalf("induced edges = %d, want 3", sub.NumEdges())
 	}
 }
+
+// Each edit shifts its row's label runs in place; CheckIndex holds them to
+// the runs a rebuild makes after every Apply and every Rollback. The
+// batches: the first edge of a label new to a row, sorting between two it
+// carries; the removal of the last edge of a middle run; a hub's removal;
+// a node added and connected in the same batch; then all four at once.
+func TestVersionedRunsMatchRebuild(t *testing.T) {
+	build := func() *Graph {
+		g := New(8)
+		for i := 0; i < 8; i++ {
+			g.AddNode("n")
+		}
+		for _, e := range []struct {
+			from, to NodeID
+			label    string
+		}{
+			// Labels intern in first-use order: a < b < c. Node 0 is the hub.
+			{0, 1, "a"}, {0, 2, "a"}, {0, 3, "a"}, {0, 4, "b"}, {0, 5, "c"}, {0, 6, "c"},
+			{1, 0, "a"}, {2, 0, "c"}, {7, 0, "b"},
+			{1, 2, "a"}, {1, 3, "c"}, // row 1 carries a and c, not b
+			{2, 3, "a"}, {2, 4, "b"}, {2, 5, "c"}, // row 2's b run is one edge
+		} {
+			g.AddEdge(e.from, e.to, e.label)
+		}
+		g.Finalize()
+		requireIndex(t, g, "finalize")
+		return g
+	}
+	g := build()
+	vg := NewVersioned(g)
+
+	middle := []Mutation{AddEdge(1, 4, "b")}
+	lastOfMiddle := []Mutation{RemoveEdge(2, 4, "b")}
+	hub := []Mutation{RemoveNode(0)}
+	born := []Mutation{AddNode("n"), AddEdge(8, 3, "b"), AddEdge(5, 8, "c"), AddEdge(8, 8, "a")}
+	for _, step := range []struct {
+		name  string
+		batch []Mutation
+		fresh bool // from the built graph, not the previous step's
+	}{
+		{"new middle label", middle, false},
+		{"last edge of a middle run", lastOfMiddle, false},
+		{"hub removal", hub, false},
+		{"node added and connected", born, false},
+		{"all at once", slices.Concat(middle, lastOfMiddle, hub, born), true},
+	} {
+		if step.fresh {
+			g = build()
+			vg = NewVersioned(g)
+		}
+		before := canon(g)
+		old, _, err := vg.Apply(step.batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIndex(t, g, step.name+": apply")
+		after := canon(g)
+		if err := vg.Rollback(old); err != nil {
+			t.Fatal(err)
+		}
+		requireIndex(t, g, step.name+": rollback")
+		if !reflect.DeepEqual(canon(g), before) {
+			t.Fatalf("%s: rollback did not restore the graph", step.name)
+		}
+		// Re-apply, so the next step starts from this one's graph.
+		if _, _, err := vg.Apply(step.batch); err != nil {
+			t.Fatal(err)
+		}
+		requireIndex(t, g, step.name+": re-apply")
+		if !reflect.DeepEqual(canon(g), after) {
+			t.Fatalf("%s: re-apply diverges from the first apply", step.name)
+		}
+	}
+}

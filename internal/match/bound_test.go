@@ -336,10 +336,11 @@ func TestBoundSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// BenchmarkBoundAdvance: one benchmark-shaped batch (4 follow inserts, the
-// 4 of four batches ago removed, a person born or tombstoned now and
-// then) carried into the bounds of the six mix patterns by Advance,
-// against binding and building them afresh. Per op: all six patterns.
+// BenchmarkBoundAdvance: one benchmark-shaped batch (fixture.WatchBatch:
+// 4 follow inserts, the 4 of four batches ago removed, a person born or
+// tombstoned now and then) carried into the bounds of the six mix
+// patterns by Advance, against binding and building them afresh. Per op:
+// all six patterns.
 func BenchmarkBoundAdvance(b *testing.B) {
 	for _, persons := range []int{2_000, 32_000} {
 		vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(persons, 1)))
@@ -352,31 +353,10 @@ func BenchmarkBoundAdvance(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		pair := func(k int) (graph.NodeID, graph.NodeID) {
-			h := uint64(k)*0x9e3779b97f4a7c15 + 1
-			h ^= h >> 29
-			return people[h%uint64(len(people))], people[(h>>32)%uint64(len(people))]
-		}
-		batches := 0
+		base, batches := g.NumNodes(), 0
 		next := func() []graph.NodeID {
-			i := batches
+			_, touched, err := vg.Apply(fixture.WatchBatch(persons, base, batches))
 			batches++
-			var muts []graph.Mutation
-			for j := 0; j < 4; j++ {
-				from, to := pair(4*i + j)
-				muts = append(muts, graph.Mutation{Op: graph.MutAddEdge, From: from, To: to, Label: "follow"})
-				if i >= 4 {
-					from, to = pair(4*(i-4) + j)
-					muts = append(muts, graph.Mutation{Op: graph.MutRemoveEdge, From: from, To: to, Label: "follow"})
-				}
-			}
-			switch i % 16 {
-			case 0:
-				muts = append(muts, graph.Mutation{Op: graph.MutAddNode, Label: "person"})
-			case 8:
-				muts = append(muts, graph.Mutation{Op: graph.MutRemoveNode, From: graph.NodeID(g.NumNodes() - 1)})
-			}
-			_, touched, err := vg.Apply(muts)
 			if err != nil {
 				b.Fatal(err)
 			}
