@@ -36,8 +36,8 @@ func Dial(addr string) (*Client, error) {
 	return NewClient(conn), nil
 }
 
-// NewClient wraps an established connection (useful with net.Pipe in
-// tests).
+// NewClient wraps an established connection, such as one end of an
+// in-memory pair (tests, the cluster's embedded workers).
 func NewClient(conn net.Conn) *Client {
 	return &Client{conn: conn, in: server.NewLineReader(conn, 64<<20), out: server.NewLineWriter(conn)}
 }

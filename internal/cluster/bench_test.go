@@ -102,7 +102,8 @@ func BenchmarkReplicaReads(b *testing.B) {
 // every 8th batch) — steady write pressure through the batched, pipelined
 // fan-out (concurrent plan + send per worker) at twice the worker count
 // benchmark/'s update-watch runs. Every batch has net edits, so each one
-// runs the materialization ball and plans every worker.
+// tests every worker for settled, walks the materialization ball when one
+// is not, and plans every worker.
 func BenchmarkUpdateThroughput(b *testing.B) {
 	const persons = 2000
 	g := gen.Social(gen.DefaultSocial(persons, 42))
@@ -129,6 +130,37 @@ func BenchmarkUpdateThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Update(specsOf(fixture.WatchBatch(persons, base, i))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInProcessHop: one benchmark-shaped worker update — 4 follow
+// edges in, 4 out, on social persons=4000 — and its reply through
+// InProcess, the hop an embedded worker's every request crosses. The
+// worker holds no watch, so its own work is the apply, and its reply names
+// no watch, as a fragment's does for most batches. Iterations alternate
+// the batch and its inverse, so each one changes the graph.
+func BenchmarkInProcessHop(b *testing.B) {
+	t := InProcess(server.Config{})
+	defer t.Close()
+	if _, err := t.Do(&server.Request{Cmd: "gen", Kind: "social", Size: 4000, Seed: 42}); err != nil {
+		b.Fatal(err)
+	}
+	var batches [2]server.Batch
+	for i := int64(0); i < 8; i++ {
+		in, out := "addEdge", "removeEdge"
+		if i >= 4 {
+			in, out = out, in
+		}
+		from, to := 97+431*i, 3911-389*i
+		batches[0] = append(batches[0], server.UpdateSpec{Op: in, From: from, To: to, Label: "follow"})
+		batches[1] = append(batches[1], server.UpdateSpec{Op: out, From: from, To: to, Label: "follow"})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := t.Do(&server.Request{Cmd: "update", Updates: batches[i%2]}); err != nil {
 			b.Fatal(err)
 		}
 	}

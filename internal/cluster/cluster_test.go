@@ -63,6 +63,26 @@ func requireInducedCopies(t testing.TB, c *Coordinator, when string) {
 	}
 }
 
+// requireCovered fails unless every fragment materializes the D-ball of
+// every node it owns in the coordinator's graph: the covering property
+// partition.Validate checks at build, which every update must keep, since
+// planning an update relies on it.
+func requireCovered(t testing.TB, c *Coordinator, when string) {
+	t.Helper()
+	for _, w := range c.workers {
+		for _, v := range w.ids.toGlobal {
+			if !w.ids.owns(v) {
+				continue
+			}
+			for _, u := range c.Graph().Neighborhood(v, c.cfg.D) {
+				if !w.ids.has(u) {
+					t.Fatalf("%s: fragment %d owns %d but misses %d, %d hops or fewer away", when, w.id, v, u, c.cfg.D)
+				}
+			}
+		}
+	}
+}
+
 func globalAnswers(t testing.TB, g *graph.Graph, q *core.Pattern) []graph.NodeID {
 	t.Helper()
 	res, err := match.QMatch(g, q, nil)
@@ -277,6 +297,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 					t.Fatalf("round %d: Update: %v", round, err)
 				}
 				requireInducedCopies(t, c, fmt.Sprintf("round %d", round))
+				requireCovered(t, c, fmt.Sprintf("round %d", round))
 				ref = applySpecs(t, ref, specs)
 				if res.Nodes != ref.NumNodes() || res.Edges != ref.NumEdges() {
 					t.Fatalf("round %d: cluster graph %d/%d != single-process %d/%d",

@@ -137,6 +137,7 @@ func TestFragmentExtendedWithLowerID(t *testing.T) {
 			t.Fatalf("Update %d: %v", i, err)
 		}
 		requireInducedCopies(t, c, fmt.Sprintf("batch %d", i))
+		requireCovered(t, c, fmt.Sprintf("batch %d", i))
 		for _, d := range res.Deltas {
 			if d.Watch != "before" {
 				t.Fatalf("batch %d: delta for unknown watch %q", i, d.Watch)

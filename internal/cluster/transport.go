@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"net"
-
 	"repro/internal/client"
 	"repro/internal/graph"
 	"repro/internal/server"
@@ -80,15 +78,16 @@ func Dial(addr string) (Transport, error) {
 }
 
 // InProcess starts an embedded worker: a server.Server speaking the real
-// wire protocol over a net.Pipe, so the embedded cluster exercises exactly
-// the code paths of a distributed one. Server diagnostics are silenced
-// unless cfg.Logf is set (a closing pipe is routine here, not noteworthy).
+// wire protocol over a buffered in-memory connection (memConn), so the
+// embedded cluster exercises exactly the code paths of a distributed one.
+// Server diagnostics are silenced unless cfg.Logf is set (a closing
+// connection is routine here, not noteworthy).
 func InProcess(cfg server.Config) Transport {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...interface{}) {}
 	}
 	srv := server.New(cfg)
-	clientEnd, serverEnd := net.Pipe()
+	clientEnd, serverEnd := memConnPair()
 	go srv.ServeConn(serverEnd)
 	return client.NewClient(clientEnd)
 }

@@ -59,12 +59,13 @@ func (p *workerPlan) empty() bool {
 // Update applies a global mutation batch: the coordinator applies it to
 // its authoritative graph, journals it (when configured) before any
 // fan-out, computes the ball around the batch's insertions for
-// materialization upkeep, and routes one combined wire batch to only the
-// workers whose fragments it changes — local mutations and newly assigned
-// owned nodes travel in a single request, so routing a batch costs one
-// round trip per contacted worker. Each worker finds the candidates the
-// batch can flip over its own fragment and reports how many it re-judged;
-// their sum is UpdateResult.AffectedSize. Config.Tracer traces it.
+// materialization upkeep unless no worker needs it, and routes one
+// combined wire batch to only the workers whose fragments it changes —
+// local mutations and newly assigned owned nodes travel in a single
+// request, so routing a batch costs one round trip per contacted worker.
+// Each worker finds the candidates the batch can flip over its own
+// fragment and reports how many it re-judged; their sum is
+// UpdateResult.AffectedSize. Config.Tracer traces it.
 func (c *Coordinator) Update(specs []server.UpdateSpec) (res *UpdateResult, err error) {
 	tr := c.cfg.Tracer.Start("update")
 	defer func() { tr.Finish(err) }()
@@ -73,9 +74,9 @@ func (c *Coordinator) Update(specs []server.UpdateSpec) (res *UpdateResult, err 
 
 // update runs one global batch, recording it in tr (nil: untraced): the
 // coordinator's own stages (graph.apply, ha.journal_append, the
-// materialization ball, merge), per contacted worker its plan, its rtt —
-// holding the worker's own record when tr is deep — and ha.mirror, and
-// the batch, touched, nodes and affected counts.
+// materialization ball with the settled tests, merge), per contacted
+// worker its plan, its rtt — holding the worker's own record when tr is
+// deep — and ha.mirror, and the batch, touched, nodes and affected counts.
 //
 // The fan-out is pipelined: per-worker planning, serialization and I/O
 // run concurrently across workers (each plan touches only its own
@@ -141,7 +142,8 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	// D-hop ball of the whole touched set, which for a 1-edge batch can
 	// cover most of a dense graph. The batch's net edge edits, a removed
 	// node's lost edges included, are every edge a fragment can have to
-	// change.
+	// change. The ball is walked only when some worker is not settled:
+	// a settled worker holds all of it already.
 	edits := oldG.Edits()
 	var insEnds []graph.NodeID
 	for _, e := range edits {
@@ -152,9 +154,17 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	for v := oldG.NumNodes(); v < newG.NumNodes(); v++ {
 		insEnds = append(insEnds, graph.NodeID(v))
 	}
-	var matCand []graph.NodeID
-	if len(insEnds) > 0 {
-		matCand = c.ball.Ball(newG, insEnds, c.cfg.D-1)
+	slices.Sort(insEnds)
+	insEnds = slices.Compact(insEnds)
+	matCand := make([][]graph.NodeID, len(c.workers)) // nil: settled
+	var ball []graph.NodeID
+	for _, w := range c.workers {
+		if !settled(&w.ids, newG, insEnds) {
+			if ball == nil { // else: walked, and not empty
+				ball = c.ball.Ball(newG, insEnds, c.cfg.D-1)
+			}
+			matCand[w.id] = ball
+		}
 	}
 	tr.Span(-1, "ball", tball)
 	tr.Count("batch", len(specs))
@@ -190,7 +200,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	judged := make([]int, len(c.workers))
 	err = c.fanOut(func(w *worker) error {
 		tplan := time.Now()
-		p := c.planFor(w, oldG.NumNodes(), newG, edits, touched, matCand, assignTo)
+		p := c.planFor(w, oldG.NumNodes(), newG, edits, touched, matCand[w.id], assignTo)
 		if p == nil || p.empty() {
 			c.om.workersSkipped.Inc()
 			return nil
@@ -257,14 +267,43 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	return out, nil
 }
 
+// settled reports, without walking the ball, that the fragment of ids
+// holds every node of the new graph g within D-1 hops of the batch's
+// insertion ends (ascending, distinct), for any D ≥ 1: each end is owned
+// there, or next to a node owned there over an edge the batch did not
+// insert (one that is not itself an end). A fragment holds its owned
+// nodes' old D-balls, so such an end's old (D-1)-ball is held; and a path
+// from an end runs over old edges after the last end on it, since an
+// inserted edge joins two ends. A created node is held nowhere yet.
+func settled(ids *idSpace, g *graph.Graph, ends []graph.NodeID) bool {
+	ownedOld := func(e graph.Edge) bool {
+		if !ids.owns(e.To) {
+			return false
+		}
+		_, isEnd := slices.BinarySearch(ends, e.To)
+		return !isEnd
+	}
+	for _, v := range ends {
+		switch {
+		case ids.owns(v):
+		case !ids.has(v): // an owned node's neighbours are all held
+			return false
+		case !slices.ContainsFunc(g.Out(v), ownedOld) && !slices.ContainsFunc(g.In(v), ownedOld):
+			return false
+		}
+	}
+	return true
+}
+
 // planFor computes one worker's share of a global batch, or nil when the
 // batch cannot affect the worker: nothing is assigned to it, no owned
 // candidate needs materialization upkeep, and no touched node is
 // materialized there. An owned candidate the batch can flip lies within
 // d hops of a touched node, which is then materialized here. matCand is
 // the (D-1)-ball around inserted-edge endpoints and batch-created nodes
-// (it bounds materialization maintenance), ascending; the owned
-// candidates in it are gathered only when some node of it is not
+// (it bounds materialization maintenance), ascending, or nil when the
+// worker is settled, which proves the fragment holds all of it; the
+// owned candidates in it are gathered only when some node of it is not
 // materialized here, the only case in which they can need anything.
 // edits are the batch's net edge edits (OldView.Edits): each edge present
 // on exactly one side of the batch, its Added bit saying which, so an

@@ -103,8 +103,9 @@ func (h *Host) Serve(ln net.Listener) error {
 
 // ServeConn serves the protocol on one established connection and blocks
 // until it closes. It lets a server be embedded without a listener — the
-// cluster's in-process transport pairs it with net.Pipe. Connections
-// served this way are not tracked by Shutdown; close them directly.
+// cluster's in-process transport pairs it with a buffered in-memory
+// connection. Connections served this way are not tracked by Shutdown;
+// close them directly.
 func (h *Host) ServeConn(conn net.Conn) {
 	handle, onClose := h.open()
 	if onClose != nil {
@@ -269,9 +270,10 @@ func (h *Host) serveProtocol(conn net.Conn, handle func(*Request) Response) {
 				cfg.Logf("%s: %v: read: %v", cfg.Name, conn.RemoteAddr(), err)
 			}
 			if _, tooLong := err.(LineTooLong); tooLong {
-				// A peer still writing its line is not reading, and net.Pipe
-				// buffers nothing: the refusal gets a second, not forever.
-				// Whether it arrives or not, the connection closes.
+				// A peer still writing its line is not reading, and what a
+				// connection buffers is bounded (an in-memory one's 64 KiB,
+				// a socket's window): the refusal gets a second, not
+				// forever. Whether it arrives or not, the connection closes.
 				conn.SetWriteDeadline(time.Now().Add(time.Second))
 				_ = out.WriteResponse(&Response{Error: fmt.Sprintf("bad request: %v", err)})
 			}
