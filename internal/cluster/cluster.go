@@ -114,9 +114,11 @@ type Coordinator struct {
 	// and hands the pre-batch OldView to update planning and failover
 	// re-shipping.
 	vg *graph.Versioned
-	// ball is Update's scratch for the ball around a batch's insertions;
-	// guarded by the write side of mu, like the graph it walks.
+	// ball and upd are Update's scratch — the ball around a batch's
+	// insertions, and everything else a batch needs only while it runs;
+	// guarded by the write side of mu, like the graph they describe.
 	ball    dynamic.BallScratch
+	upd     updateScratch
 	workers []*worker
 	watches map[string]string // watch name → pattern DSL (for failover re-registration)
 	closed  bool
@@ -299,6 +301,10 @@ func build(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 type coordMetrics struct {
 	matchCount, updateCount, watchCount *obs.Counter
 	matchMS, updateMS                   *obs.Histogram
+	// An update's wait for the write lock and its hold of it, from
+	// request to lock and from lock to reply: what a batch makes the
+	// routed reads and the next batch wait for.
+	updateLockWait, updateLockHold *obs.Histogram
 	// watchGroups is the number of distinct standing patterns (watchCount
 	// counts registered names); affectedRatio the last batch's
 	// AffectedSize over |V|, in parts per million.
@@ -329,6 +335,8 @@ func newCoordMetrics(reg *obs.Registry, workers int) coordMetrics {
 		affectedRatio:  reg.Gauge("cluster.update.affected_ratio"),
 		matchMS:        reg.Histogram("cluster.match.ms", obs.LatencyBucketsMS),
 		updateMS:       reg.Histogram("cluster.update.ms", obs.LatencyBucketsMS),
+		updateLockWait: reg.Histogram("cluster.update.lock_wait.ms", obs.LatencyBucketsMS),
+		updateLockHold: reg.Histogram("cluster.update.lock_hold.ms", obs.LatencyBucketsMS),
 		updateBatch:    reg.Histogram("cluster.update.batch_size", obs.SizeBuckets),
 		updateAffected: reg.Histogram("cluster.update.affected_size", obs.SizeBuckets),
 		updateFanout:   reg.Histogram("cluster.update.fanout", obs.SizeBuckets),
@@ -423,9 +431,14 @@ func (c *Coordinator) fanOut(fn func(w *worker) error) error {
 // each runs fn(i) for every i in [0, n) concurrently and returns once all
 // have. fn(0) runs on the calling goroutine, whose stack has already grown
 // to what encoding a request takes; a fresh goroutine starts from the
-// minimum and grows again. So n = 1 starts no goroutine.
+// minimum and grows again. So n = 1 starts no goroutine, and waits for
+// none.
 func each(n int, fn func(i int)) {
-	if n == 0 {
+	switch n {
+	case 0:
+		return
+	case 1:
+		fn(0)
 		return
 	}
 	var wg sync.WaitGroup

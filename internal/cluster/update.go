@@ -43,17 +43,60 @@ type UpdateResult struct {
 // keeping its fragment mirror equal to the induced subgraph of the new
 // global graph, the globals it newly materializes (local ids follow its
 // current id space, in order) and the new nodes it will own (as post-batch
-// local ids).
+// local ids). batch and assignL go on the wire and are the batch's own;
+// the other slices are the worker's scratch, reused by the next batch.
 type workerPlan struct {
 	batch   []server.UpdateSpec
 	newMat  []graph.NodeID
 	assign  []graph.NodeID // global ids, for owned-set bookkeeping
 	assignL []int64        // the same nodes as post-batch local ids
+
+	// Planning scratch: the candidate pool, the expansion roots, the pool
+	// nodes a root needs, and the mirror's edge keys.
+	pool, roots []graph.NodeID
+	needed      []bool
+	keys        []graph.EdgeEdit
 }
 
 // empty reports whether the plan carries no traffic at all.
 func (p *workerPlan) empty() bool {
 	return len(p.batch) == 0 && len(p.assignL) == 0
+}
+
+// updateScratch is Update's working memory, kept from batch to batch under
+// the write side of mu, so that a batch allocates only what outlives it:
+// the result, the touched set and the requests handed to the transports.
+// An entry of workers is read and written only by its worker's fan-out
+// goroutine, and by the caller before and after the fan-out.
+type updateScratch struct {
+	muts     []graph.Mutation
+	insEnds  []graph.NodeID
+	assignTo []int // worker of the batch's i-th created node
+	owned    []int // owned count per worker, while assigning
+	names    []string
+	runs     [][2][][]graph.NodeID // per watch name: added runs, removed runs
+	workers  []workerScratch
+}
+
+// workerScratch is one worker's share of a batch.
+type workerScratch struct {
+	matCand   []graph.NodeID // the ball, or nil: settled
+	contacted bool
+	deltas    []server.WatchDelta // its reply's, in local ids
+	judged    int                 // its reply's Total
+	err       error
+	plan      workerPlan
+}
+
+// reset readies s for a batch over n workers.
+func (s *updateScratch) reset(n int) {
+	if len(s.workers) != n {
+		s.workers = make([]workerScratch, n)
+	}
+	for i := range s.workers {
+		ws := &s.workers[i]
+		ws.matCand, ws.contacted, ws.deltas, ws.judged, ws.err = nil, false, nil, 0, nil
+	}
 }
 
 // Update applies a global mutation batch: the coordinator applies it to
@@ -77,6 +120,8 @@ func (c *Coordinator) Update(specs []server.UpdateSpec) (res *UpdateResult, err 
 // materialization ball with the settled tests, merge), per contacted
 // worker its plan, its rtt — holding the worker's own record when tr is
 // deep — and ha.mirror, and the batch, touched, nodes and affected counts.
+// A span's start is tr.Now(), so an untraced batch reads the clock only
+// for its metrics.
 //
 // The fan-out is pipelined: per-worker planning, serialization and I/O
 // run concurrently across workers (each plan touches only its own
@@ -95,14 +140,18 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	start := time.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	locked := time.Now()
+	c.om.updateLockWait.Observe(msOf(locked.Sub(start)))
 	if err := c.refuseLocked(); err != nil {
 		return nil, err
 	}
 	// Replicas a routed read found dead are dropped now, before the
 	// mirror fan-out pays round trips to them.
 	c.pruneSuspectsLocked()
-	tapply := time.Now()
-	ups, err := server.ToUpdates(specs)
+	s := &c.upd
+	s.reset(len(c.workers))
+	tapply := tr.Now()
+	s.muts, err = server.AppendUpdates(s.muts[:0], specs)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -110,7 +159,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	// pre-batch view the versioned core hands back — the source of the
 	// batch's net edits and the sync-point state a mid-batch failover
 	// re-ships from.
-	oldG, touched, err := c.vg.Apply(ups)
+	oldG, touched, err := c.vg.Apply(s.muts)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -122,7 +171,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	// consistent (no fragment has been touched yet — the in-place apply
 	// is rolled back).
 	if c.cfg.Journal != nil {
-		tj := time.Now()
+		tj := tr.Now()
 		if err := c.cfg.Journal.AppendBatch(specs); err != nil {
 			if rerr := c.vg.Rollback(oldG); rerr != nil {
 				// The authoritative graph is ahead of both journal and
@@ -134,7 +183,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 		}
 		tr.Span(-1, "ha.journal_append", tj)
 	}
-	tball := time.Now()
+	tball := tr.Now()
 	// Fragment materialization upkeep is bounded by the (D-1)-ball around
 	// inserted-edge endpoints and batch-created nodes — a node can only
 	// move into an owned node's D-hop ball along a path through an
@@ -145,7 +194,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	// change. The ball is walked only when some worker is not settled:
 	// a settled worker holds all of it already.
 	edits := oldG.Edits()
-	var insEnds []graph.NodeID
+	insEnds := s.insEnds[:0]
 	for _, e := range edits {
 		if e.Added {
 			insEnds = append(insEnds, e.From, e.To)
@@ -156,14 +205,14 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	}
 	slices.Sort(insEnds)
 	insEnds = slices.Compact(insEnds)
-	matCand := make([][]graph.NodeID, len(c.workers)) // nil: settled
+	s.insEnds = insEnds
 	var ball []graph.NodeID
 	for _, w := range c.workers {
 		if !settled(&w.ids, newG, insEnds) {
 			if ball == nil { // else: walked, and not empty
 				ball = c.ball.Ball(newG, insEnds, c.cfg.D-1)
 			}
-			matCand[w.id] = ball
+			s.workers[w.id].matCand = ball
 		}
 	}
 	tr.Span(-1, "ball", tball)
@@ -174,8 +223,9 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 
 	// Assign each node the batch created to the worker owning the fewest:
 	// assignTo[i] is the worker of node oldG.NumNodes()+i.
-	assignTo := make([]int, newG.NumNodes()-oldG.NumNodes())
-	ownedCount := make([]int, len(c.workers))
+	assignTo := resize(s.assignTo, newG.NumNodes()-oldG.NumNodes())
+	ownedCount := resize(s.owned, len(c.workers))
+	s.assignTo, s.owned = assignTo, ownedCount
 	for i, w := range c.workers {
 		ownedCount[i] = w.ids.owned
 	}
@@ -190,23 +240,21 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 		ownedCount[best]++
 	}
 
-	// Plan and execute concurrently across workers: planning reads only
-	// shared immutable inputs plus the worker's own state, so computing it
-	// inside the fan-out overlaps the planning of one worker with the
-	// serialization and I/O of another. Per worker: the reply's deltas and
-	// its Total, the candidates it re-judged.
-	contacted := make([]bool, len(c.workers))
-	updDeltas := make([][]server.WatchDelta, len(c.workers))
-	judged := make([]int, len(c.workers))
-	err = c.fanOut(func(w *worker) error {
-		tplan := time.Now()
-		p := c.planFor(w, oldG.NumNodes(), newG, edits, touched, matCand[w.id], assignTo)
-		if p == nil || p.empty() {
+	// Plan and execute concurrently across workers (each): planning reads
+	// only shared immutable inputs plus the worker's own state, so
+	// computing it inside the fan-out overlaps the planning of one worker
+	// with the serialization and I/O of another. Per worker: the reply's
+	// deltas and its Total, the candidates it re-judged, or its error.
+	each(len(c.workers), func(i int) {
+		w, ws := c.workers[i], &s.workers[i]
+		tplan := tr.Now()
+		p := &ws.plan
+		if !c.planFor(w, p, oldG.NumNodes(), newG, edits, touched, ws.matCand, assignTo) || p.empty() {
 			c.om.workersSkipped.Inc()
-			return nil
+			return
 		}
 		tr.Span(w.id, "plan", tplan)
-		contacted[w.id] = true
+		ws.contacted = true
 		c.om.workersRouted.Inc()
 		req := &server.Request{Cmd: "update", Updates: p.batch, Owned: p.assignL, Trace: tr.HopID()}
 		// The id mapping is extended only after the primary holds the
@@ -219,11 +267,12 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 		trtt := time.Now()
 		resp, err := c.sendPrimary(w, "update", req, oldG)
 		if err != nil {
-			return err
+			ws.err = err
+			return
 		}
-		tr.Nest(w.id, "rtt", trtt, time.Since(trtt), resp.Profile)
+		tr.Nest(w.id, "rtt", trtt, tr.Now().Sub(trtt), resp.Profile)
 		c.om.workerUpdateMS[w.id].ObserveSince(trtt)
-		updDeltas[w.id], judged[w.id] = resp.Deltas, resp.Total
+		ws.deltas, ws.judged = resp.Deltas, resp.Total
 		for _, gv := range p.newMat {
 			w.ids.add(gv)
 		}
@@ -231,31 +280,35 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 			w.ids.setOwned(gv)
 		}
 		if len(w.copies) > 1 {
-			tmir := time.Now()
+			tmir := tr.Now()
 			req.Trace = 0 // a replica's record would have nowhere to go
 			c.mirror(w, req)
 			tr.Span(w.id, "ha.mirror", tmir)
 		}
-		return nil
 	})
-	if err != nil {
-		c.failed = err
-		return nil, err
+	for i := range s.workers {
+		if err := s.workers[i].err; err != nil { // the first, by worker id
+			c.failed = err
+			return nil, err
+		}
 	}
 	c.batches++
 	out := &UpdateResult{Nodes: newG.NumNodes(), Edges: newG.NumEdges(), Version: c.batches}
-	for i, hit := range contacted {
-		if hit {
+	for i := range s.workers {
+		if ws := &s.workers[i]; ws.contacted {
+			if out.Contacted == nil {
+				out.Contacted = make([]int, 0, len(s.workers)-i)
+			}
 			out.Contacted = append(out.Contacted, i)
-			out.AffectedSize += judged[i]
+			out.AffectedSize += ws.judged
 		}
 	}
 	c.om.updateAffected.Observe(float64(out.AffectedSize))
 	c.om.affectedRatio.Set(int64(out.AffectedSize) * 1_000_000 / int64(out.Nodes))
 	tr.Count("affected", out.AffectedSize)
-	tm := time.Now()
+	tm := tr.Now()
 	if len(out.Contacted) > 0 {
-		if out.Deltas, err = c.mergeDeltas(updDeltas, out.AffectedSize); err != nil {
+		if out.Deltas, err = c.mergeDeltas(out.AffectedSize); err != nil {
 			c.failed = err
 			return nil, err
 		}
@@ -263,8 +316,22 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	tr.Span(-1, "merge", tm)
 	c.om.updateCount.Inc()
 	c.om.updateFanout.Observe(float64(len(out.Contacted)))
-	c.om.updateMS.ObserveSince(start)
+	done := time.Now()
+	c.om.updateMS.Observe(msOf(done.Sub(start)))
+	c.om.updateLockHold.Observe(msOf(done.Sub(locked)))
 	return out, nil
+}
+
+// msOf converts d to the milliseconds a latency histogram observes.
+func msOf(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // settled reports, without walking the ball, that the fragment of ids
@@ -295,8 +362,8 @@ func settled(ids *idSpace, g *graph.Graph, ends []graph.NodeID) bool {
 	return true
 }
 
-// planFor computes one worker's share of a global batch, or nil when the
-// batch cannot affect the worker: nothing is assigned to it, no owned
+// planFor computes one worker's share of a global batch into p, and
+// reports false, leaving p unset, when the batch cannot affect the worker: nothing is assigned to it, no owned
 // candidate needs materialization upkeep, and no touched node is
 // materialized there. An owned candidate the batch can flip lies within
 // d hops of a touched node, which is then materialized here. matCand is
@@ -310,11 +377,12 @@ func settled(ids *idSpace, g *graph.Graph, ends []graph.NodeID) bool {
 // edge's presence before and after is read off its edit, never probed in
 // a row. assignTo[i] is the worker the batch's i-th created node, oldN+i,
 // goes to. planFor only reads its inputs and the worker's id space: the
-// caller extends the latter once the primary holds the batch.
-func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []graph.EdgeEdit, touched, matCand []graph.NodeID, assignTo []int) *workerPlan {
+// caller extends the latter once the primary holds the batch. p's slices
+// are the worker's from the batch before, overwritten here.
+func (c *Coordinator) planFor(w *worker, p *workerPlan, oldN int, newG *graph.Graph, edits []graph.EdgeEdit, touched, matCand []graph.NodeID, assignTo []int) bool {
 	ids := &w.ids
 	// The candidate pool: the part of matCand not materialized here.
-	var pool []graph.NodeID
+	pool := p.pool[:0]
 	for _, u := range matCand {
 		if !ids.has(u) {
 			pool = append(pool, u)
@@ -324,7 +392,8 @@ func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []gr
 	// when there is a pool to draw from, followed by the nodes the batch
 	// assigns here (all ≥ oldN, so the list ascends): the roots of the
 	// expansion below.
-	var roots []graph.NodeID
+	p.pool = pool
+	roots := p.roots[:0]
 	if len(pool) > 0 {
 		for _, v := range matCand {
 			if ids.owns(v) {
@@ -332,15 +401,16 @@ func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []gr
 			}
 		}
 	}
-	var assign []graph.NodeID
+	assign := p.assign[:0]
 	for i, wid := range assignTo {
 		if wid == w.id {
 			assign = append(assign, graph.NodeID(oldN+i))
 		}
 	}
 	roots = append(roots, assign...)
+	p.roots, p.assign = roots, assign
 	if len(roots) == 0 && !slices.ContainsFunc(touched, ids.has) {
-		return nil
+		return false
 	}
 
 	// Expansion: every affected owned candidate and every newly assigned
@@ -361,7 +431,7 @@ func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []gr
 	// hops?" when a multi-region batch makes the pool large while this
 	// worker has few roots. Pool and roots ascend, so membership in
 	// either is a binary search and newMat comes out ascending.
-	var newMat []graph.NodeID
+	newMat := p.newMat[:0]
 	if len(roots) > 0 {
 		if len(pool) <= len(roots) {
 			for _, u := range pool {
@@ -373,7 +443,9 @@ func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []gr
 				}
 			}
 		} else {
-			needed := make([]bool, len(pool))
+			needed := resize(p.needed, len(pool))
+			clear(needed)
+			p.needed = needed
 			for _, root := range roots {
 				for _, u := range newG.Neighborhood(root, c.cfg.D) {
 					if i, inPool := slices.BinarySearch(pool, u); inPool {
@@ -388,6 +460,8 @@ func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []gr
 			}
 		}
 	}
+
+	p.newMat = newMat
 
 	// Local ids after the batch: a newly materialized node follows the
 	// current id space in newMat order.
@@ -406,11 +480,6 @@ func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []gr
 		return ok
 	}
 
-	batch := make([]server.UpdateSpec, 0, len(newMat))
-	for _, gv := range newMat {
-		batch = append(batch, server.UpdateSpec{Op: "addNode", Label: newG.NodeLabelName(gv)})
-	}
-
 	// Edge diff between the old and new induced subgraphs. The global
 	// edge delta is edits, and the mirror additionally gains every edge
 	// incident to a newly materialized node — an edge of the new graph no
@@ -419,7 +488,7 @@ func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []gr
 	// touched node's (possibly hub-sized) neighborhood. Keys are compared
 	// by edge alone (the pre-batch view and the post-batch graph share one
 	// label id space); a duplicate pairs two Added keys, so either may stay.
-	keys := slices.Clone(edits)
+	keys := append(p.keys[:0], edits...)
 	for _, v := range newMat {
 		for _, e := range newG.Out(v) {
 			if matNew(e.To) {
@@ -436,7 +505,23 @@ func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []gr
 		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(a.Label, b.Label))
 	}
 	slices.SortFunc(keys, edge)
-	for _, k := range slices.CompactFunc(keys, func(a, b graph.EdgeEdit) bool { return edge(a, b) == 0 }) {
+	keys = slices.CompactFunc(keys, func(a, b graph.EdgeEdit) bool { return edge(a, b) == 0 })
+	p.keys = keys
+
+	// The batch goes on the wire, so it is the batch's own, allocated on
+	// its first op for the most it can hold: an addNode per newly
+	// materialized node and an edge op per key.
+	var batch []server.UpdateSpec
+	emit := func(u server.UpdateSpec) {
+		if batch == nil {
+			batch = make([]server.UpdateSpec, 0, len(newMat)+len(keys))
+		}
+		batch = append(batch, u)
+	}
+	for _, gv := range newMat {
+		emit(server.UpdateSpec{Op: "addNode", Label: newG.NodeLabelName(gv)})
+	}
+	for _, k := range keys {
 		oldHas := !k.Added && ids.has(k.From) && ids.has(k.To)
 		newHas := k.Added && matNew(k.From) && matNew(k.To)
 		if oldHas == newHas {
@@ -446,7 +531,7 @@ func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []gr
 		if oldHas {
 			op = "removeEdge"
 		}
-		batch = append(batch, server.UpdateSpec{
+		emit(server.UpdateSpec{
 			Op:    op,
 			From:  int64(localOf(k.From)),
 			To:    int64(localOf(k.To)),
@@ -454,23 +539,35 @@ func (c *Coordinator) planFor(w *worker, oldN int, newG *graph.Graph, edits []gr
 		})
 	}
 
-	assignL := make([]int64, len(assign))
+	p.batch, p.assignL = batch, make([]int64, len(assign))
 	for i, gv := range assign {
-		assignL[i] = int64(localOf(gv))
+		p.assignL[i] = int64(localOf(gv))
 	}
-	return &workerPlan{batch: batch, newMat: newMat, assign: assign, assignL: assignL}
+	return true
 }
 
-// mergeDeltas folds the contacted workers' replies (indexed by worker id)
-// into one entry per registered watch, in name order. A worker's reply
-// names only the watches whose answers changed there, in local ids,
-// possibly twice — a re-verification delta and an assignment delta; the
-// added and removed sets are disjoint unions (ownership partitions the
-// nodes). Every entry's Affected is affected, the workers' summed work.
-func (c *Coordinator) mergeDeltas(byWorker [][]server.WatchDelta, affected int) ([]server.WatchDelta, error) {
-	runs := make(map[string]*[2][][]graph.NodeID) // watch → added runs, removed runs
-	for wid, deltas := range byWorker {
-		for _, d := range deltas {
+// mergeDeltas folds the contacted workers' replies (the scratch's deltas,
+// by worker id) into one entry per registered watch, in name order. A
+// worker's reply names only the watches whose answers changed there, in
+// local ids, possibly twice — a re-verification delta and an assignment
+// delta; the added and removed sets are disjoint unions (ownership
+// partitions the nodes). Every entry's Affected is affected, the workers'
+// summed work.
+func (c *Coordinator) mergeDeltas(affected int) ([]server.WatchDelta, error) {
+	s := &c.upd
+	names := s.names[:0]
+	for name := range c.watches {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	s.names = names
+	runs := resize(s.runs, len(names))
+	s.runs = runs
+	for i := range runs {
+		runs[i][0], runs[i][1] = runs[i][0][:0], runs[i][1][:0]
+	}
+	for wid := range s.workers {
+		for _, d := range s.workers[wid].deltas {
 			added, err := c.workers[wid].globalRun(d.Added)
 			if err != nil {
 				return nil, err
@@ -479,19 +576,17 @@ func (c *Coordinator) mergeDeltas(byWorker [][]server.WatchDelta, affected int) 
 			if err != nil {
 				return nil, err
 			}
-			r := runs[d.Watch]
-			if r == nil {
-				r = new([2][][]graph.NodeID)
-				runs[d.Watch] = r
+			i, ok := slices.BinarySearch(names, d.Watch)
+			if !ok {
+				continue
 			}
-			r[0], r[1] = append(r[0], added), append(r[1], removed)
+			runs[i][0], runs[i][1] = append(runs[i][0], added), append(runs[i][1], removed)
 		}
 	}
-	names := sortedKeys(c.watches)
 	out := make([]server.WatchDelta, len(names))
 	for i, name := range names {
 		out[i] = server.WatchDelta{Watch: name, Affected: affected}
-		if r := runs[name]; r != nil {
+		if r := runs[i]; len(r[0]) > 0 {
 			out[i].Added, out[i].Removed = server.IDs(mergeRuns(r[0])), server.IDs(mergeRuns(r[1]))
 		}
 	}

@@ -25,8 +25,10 @@
 package dynamic
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/graph"
 )
@@ -100,15 +102,8 @@ func Apply(g *graph.Graph, ups []graph.Mutation) (*graph.Graph, []graph.NodeID, 
 	for k := range edges {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.from != b.from {
-			return a.from < b.from
-		}
-		if a.to != b.to {
-			return a.to < b.to
-		}
-		return a.label < b.label
+	slices.SortFunc(keys, func(a, b edgeKey) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to), strings.Compare(a.label, b.label))
 	})
 	for _, k := range keys {
 		ng.AddEdge(k.from, k.to, k.label)
@@ -119,7 +114,7 @@ func Apply(g *graph.Graph, ups []graph.Mutation) (*graph.Graph, []graph.NodeID, 
 	for v := range touched {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return ng, out, nil
 }
 

@@ -2,8 +2,7 @@ package dynamic
 
 import (
 	"fmt"
-	"sort"
-	"time"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -22,7 +21,8 @@ type Engine struct {
 	owned  *focusSet         // nil: unrestricted
 	groups map[string]*group // by pattern text
 	byName map[string]*group
-	names  []string // subscribed names, ascending
+	names  []string     // subscribed names, ascending
+	out    []NamedDelta // run's result, reused by the next run
 }
 
 // group is one distinct pattern and the number of names subscribed to it.
@@ -92,10 +92,8 @@ func (e *Engine) Watch(name string, q *core.Pattern) ([]graph.NodeID, error) {
 	}
 	gr.refs++
 	e.byName[name] = gr
-	i := sort.SearchStrings(e.names, name)
-	e.names = append(e.names, "")
-	copy(e.names[i+1:], e.names[i:])
-	e.names[i] = name
+	i, _ := slices.BinarySearch(e.names, name)
+	e.names = slices.Insert(e.names, i, name)
 	return gr.m.Answers(), nil
 }
 
@@ -106,8 +104,8 @@ func (e *Engine) Unwatch(name string) error {
 		return fmt.Errorf("no watch named %q", name)
 	}
 	delete(e.byName, name)
-	i := sort.SearchStrings(e.names, name)
-	e.names = append(e.names[:i], e.names[i+1:]...)
+	i, _ := slices.BinarySearch(e.names, name)
+	e.names = slices.Delete(e.names, i, i+1)
 	if gr.refs--; gr.refs == 0 {
 		delete(e.groups, gr.pattern)
 	}
@@ -122,7 +120,8 @@ func (e *Engine) Unwatch(name string) error {
 // candidate's neighbourhood, so its own walk finds what the batch can flip.
 // tr, when traced, gets two spans per group evaluated, in group order:
 // dynamic.affected (finding the candidates) and dynamic.verify
-// (re-judging them).
+// (re-judging them). The returned slice is the engine's, good until its
+// next Apply or Assign; the deltas' node lists are the caller's.
 func (e *Engine) Apply(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID, tr *obs.Trace) ([]NamedDelta, error) {
 	e.g = newG
 	var edits []graph.EdgeEdit
@@ -133,7 +132,7 @@ func (e *Engine) Apply(old *graph.OldView, newG *graph.Graph, touched []graph.No
 }
 
 // Assign extends a fragment engine's owned set and returns, per name, the
-// answers the new candidates contribute; tr as for Apply.
+// answers the new candidates contribute; tr and the result as for Apply.
 func (e *Engine) Assign(add []graph.NodeID, tr *obs.Trace) ([]NamedDelta, error) {
 	if e.owned == nil {
 		return nil, fmt.Errorf("dynamic: Assign on an unrestricted engine")
@@ -150,9 +149,9 @@ func (e *Engine) Assign(add []graph.NodeID, tr *obs.Trace) ([]NamedDelta, error)
 // out per name.
 func (e *Engine) run(scope func(*Matcher) []graph.NodeID, tr *obs.Trace) ([]NamedDelta, error) {
 	for _, gr := range e.groups {
-		t0 := time.Now()
+		t0 := tr.Now()
 		cands := scope(gr.m)
-		t1 := time.Now()
+		t1 := tr.Now()
 		tr.Nest(-1, "dynamic.affected", t0, t1.Sub(t0), nil)
 		d, err := gr.m.verify(e.g, cands)
 		if err != nil {
@@ -161,10 +160,12 @@ func (e *Engine) run(scope func(*Matcher) []graph.NodeID, tr *obs.Trace) ([]Name
 		tr.Span(-1, "dynamic.verify", t1)
 		gr.last = NamedDelta{Delta: d}
 	}
-	out := make([]NamedDelta, len(e.names))
-	for i, name := range e.names {
-		out[i] = e.byName[name].last
-		out[i].Name = name
+	out := e.out[:0]
+	for _, name := range e.names {
+		nd := e.byName[name].last
+		nd.Name = name
+		out = append(out, nd)
 	}
+	e.out = out
 	return out, nil
 }

@@ -3,7 +3,6 @@ package dynamic
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -35,6 +34,10 @@ type Matcher struct {
 	// owns); nil means every node is a candidate. An Engine's matchers
 	// all share the engine's one set.
 	restrict *focusSet
+	// union and kept are candidates' storage, reused from batch to batch:
+	// the union of the counts' re-judged nodes, and those of them the
+	// restriction keeps.
+	union, kept []graph.NodeID
 }
 
 // Delta reports how an update batch changed the answer set.
@@ -132,20 +135,36 @@ func (m *Matcher) ApplyShared(old *graph.OldView, newG *graph.Graph, touched []g
 }
 
 // candidates returns the owned focus candidates a batch can have flipped,
-// ascending. A counted pattern carries its counts over the batch's net edits
-// (old.Edits(), which a holder of several matchers reads once for all of
-// them) and names what they re-judged; any other walks its reach plan from
-// touched.
+// ascending, in a slice that is good until the next call. A counted pattern
+// carries its counts over the batch's net edits (old.Edits(), which a
+// holder of several matchers reads once for all of them) and names what
+// they re-judged; any other walks its reach plan from touched.
 func (m *Matcher) candidates(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID, edits []graph.EdgeEdit) []graph.NodeID {
 	if m.counts == nil {
-		return m.restrict.filter(m.plan.Affected(old, newG, touched))
+		return m.filter(m.plan.Affected(old, newG, touched))
 	}
 	born := graph.NodeID(old.NumNodes())
 	judged := m.counts[0].advance(newG, edits, born)
-	for _, c := range m.counts[1:] {
-		judged = unionSorted(judged, c.advance(newG, edits, born))
+	if len(m.counts) > 1 {
+		union := append(m.union[:0], judged...)
+		for _, c := range m.counts[1:] {
+			union = append(union, c.advance(newG, edits, born)...)
+		}
+		slices.Sort(union)
+		judged = slices.Compact(union)
+		m.union = judged
 	}
-	return m.restrict.filter(judged)
+	return m.filter(judged)
+}
+
+// filter returns the members of the restriction among vs, in order: vs
+// itself when there is none, else the matcher's kept storage.
+func (m *Matcher) filter(vs []graph.NodeID) []graph.NodeID {
+	if m.restrict == nil {
+		return vs
+	}
+	m.kept = m.restrict.appendMembers(m.kept[:0], vs)
+	return m.kept
 }
 
 // verify re-judges the candidates (already within the restriction) over
@@ -177,8 +196,8 @@ func (m *Matcher) verify(newG *graph.Graph, cands []graph.NodeID) (Delta, error)
 		}
 	}
 	m.g = newG
-	sortNodeIDs(d.Added)
-	sortNodeIDs(d.Removed)
+	slices.Sort(d.Added)
+	slices.Sort(d.Removed)
 	return d, nil
 }
 
@@ -193,32 +212,12 @@ func (m *Matcher) answers(v graph.NodeID) bool {
 	return true
 }
 
-// unionSorted returns a ∪ b for ascending slices, as a fresh slice.
-func unionSorted(a, b []graph.NodeID) []graph.NodeID {
-	out := make([]graph.NodeID, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] < b[0]:
-			out, a = append(out, a[0]), a[1:]
-		case b[0] < a[0]:
-			out, b = append(out, b[0]), b[1:]
-		default:
-			out, a, b = append(out, a[0]), a[1:], b[1:]
-		}
-	}
-	return append(append(out, a...), b...)
-}
-
-func sortNodeIDs(vs []graph.NodeID) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-}
-
 func sortedNodeSet(m map[graph.NodeID]bool) []graph.NodeID {
 	out := make([]graph.NodeID, 0, len(m))
 	for v := range m {
 		out = append(out, v)
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -251,25 +250,19 @@ func (s *focusSet) add(g *graph.Graph, vs []graph.NodeID) (fresh []graph.NodeID,
 			continue
 		}
 		s.bits.Add(int(v))
-		i := sort.Search(len(s.ids), func(i int) bool { return s.ids[i] > v })
-		s.ids = append(s.ids, 0)
-		copy(s.ids[i+1:], s.ids[i:])
-		s.ids[i] = v
+		i, _ := slices.BinarySearch(s.ids, v)
+		s.ids = slices.Insert(s.ids, i, v)
 		fresh = append(fresh, v)
 	}
 	return fresh, nil
 }
 
-// filter returns the members among vs, in order; a nil set admits all.
-func (s *focusSet) filter(vs []graph.NodeID) []graph.NodeID {
-	if s == nil {
-		return vs
-	}
-	kept := make([]graph.NodeID, 0, len(vs))
+// appendMembers appends the members among vs to dst, in order.
+func (s *focusSet) appendMembers(dst, vs []graph.NodeID) []graph.NodeID {
 	for _, v := range vs {
 		if int(v) < s.bits.Len() && s.bits.Contains(int(v)) {
-			kept = append(kept, v)
+			dst = append(dst, v)
 		}
 	}
-	return kept
+	return dst
 }

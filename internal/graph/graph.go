@@ -15,9 +15,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // NodeID identifies a node within a Graph. IDs are dense, starting at 0.
@@ -225,11 +225,10 @@ func (g *Graph) Finalize() {
 		removed := 0
 		for v := range adj {
 			es := adj[v]
-			sort.Slice(es, func(i, j int) bool {
-				if es[i].Label != es[j].Label {
-					return es[i].Label < es[j].Label
-				}
-				return es[i].To < es[j].To
+			// (label, endpoint) orders a row totally, so any sort gives
+			// the same row.
+			slices.SortFunc(es, func(a, b Edge) int {
+				return cmp.Or(cmp.Compare(a.Label, b.Label), cmp.Compare(a.To, b.To))
 			})
 			w := 0
 			for i, e := range es {

@@ -151,6 +151,9 @@ type Versioned struct {
 	marked  []NodeID
 	log     []rowOp
 	dropped [][]Edge
+	// edits is the storage OldView.Edits returns the latest batch's net
+	// edits in.
+	edits []EdgeEdit
 
 	// visits counts log entries written or read, for the tests that pin
 	// what a hub's removal costs.
@@ -311,6 +314,10 @@ type OldView struct {
 	// row once it is rebuilt.
 	mu  sync.Mutex
 	old []oldRow
+	// edits is Edits' result once computed, in the Versioned's storage;
+	// hasEdits says it is.
+	edits    []EdgeEdit
+	hasEdits bool
 }
 
 type oldRow struct {
@@ -422,15 +429,25 @@ type EdgeEdit struct {
 
 // Edits returns the batch's net edge edits, ascending by (From, Label, To):
 // each edge present on one side of the batch and not on the other, once. It
-// reads the undo log alone, O(|log| log |log|). An edge's logged edits
-// alternate, since an insert only logs when the edge is absent and a removal
-// when it is present, so its first edit says whether it existed before the
-// batch and its last whether it exists now: an edge inserted and removed
-// again within the batch is no edit.
+// reads the undo log alone, O(|log| log |log|), on the first call; later
+// calls return the same slice. An edge's logged edits alternate, since an
+// insert only logs when the edge is absent and a removal when it is
+// present, so its first edit says whether it existed before the batch and
+// its last whether it exists now: an edge inserted and removed again within
+// the batch is no edit.
+//
+// The slice lives in storage the Versioned reuses from batch to batch, so
+// it is valid as long as the view is, until the next Apply or Rollback,
+// and is read-only: a caller that keeps edits longer copies them.
 func (ov *OldView) Edits() []EdgeEdit {
 	ov.check()
+	ov.mu.Lock()
+	defer ov.mu.Unlock()
+	if ov.hasEdits {
+		return ov.edits
+	}
 	vg := ov.vg
-	var all []EdgeEdit // every logged out-row edit, in log order
+	all := vg.edits[:0] // every logged out-row edit, in log order
 	for _, op := range vg.log {
 		switch {
 		case op.in:
@@ -457,6 +474,8 @@ func (ov *OldView) Edits() []EdgeEdit {
 		}
 		i = j
 	}
+	vg.edits = all
+	ov.edits, ov.hasEdits = net, true
 	return net
 }
 

@@ -89,6 +89,7 @@ type Journal struct {
 	st      *store.Store
 	g       *graph.Graph // the graph the store persists; every appended batch is applied to it
 	watches map[string]string
+	muts    []graph.Mutation // AppendBatch's, reused from batch to batch
 }
 
 // OpenJournal opens (or initializes) the journal directory, replaying
@@ -234,12 +235,13 @@ func (j *Journal) SetGraph(g *graph.Graph) error {
 // Once the journal has outgrown Options.CompactBytes it then snapshots that
 // graph, which already holds the batch. Implements cluster.UpdateJournal.
 func (j *Journal) AppendBatch(specs []server.UpdateSpec) error {
-	muts, err := server.ToUpdates(specs)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	muts, err := server.AppendUpdates(j.muts[:0], specs)
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.muts = muts
 	if err := j.st.Append(muts...); err != nil {
 		return err
 	}

@@ -107,6 +107,19 @@ func (tr *Trace) HopID() uint64 {
 	return tr.id
 }
 
+// Now returns the time a span of tr starts at: the clock on a live trace,
+// the zero time on a nil one, whose Span and Nest drop it unread. A step
+// timed for its span alone takes its start from here, so an untraced
+// request pays no clock read for it and the call site still does not
+// branch; a time a metric or a deadline consumes as well comes from
+// time.Now.
+func (tr *Trace) Now() time.Time {
+	if tr == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // Span records a step that started at t0 and ends now. worker is the
 // fragment/worker id the step belongs to, or -1 for the process's own
 // work.

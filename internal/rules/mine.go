@@ -65,6 +65,10 @@ func Mine(g *graph.Graph, cfg MineConfig) ([]MinedRule, error) {
 		}
 	}
 
+	// The seeds share antecedents and consequents, and a ratio ladder
+	// repeats its consequent on every rung: each distinct pattern is
+	// matched once per call.
+	memo := make(answerMemo)
 	var mined []MinedRule
 	for _, f1 := range feats {
 		for _, f2 := range feats {
@@ -81,7 +85,7 @@ func Mine(g *graph.Graph, cfg MineConfig) ([]MinedRule, error) {
 				if f3.Edge == f1.Edge && f3.Dst == f1.Dst {
 					continue // consequent would share the antecedent edge
 				}
-				mined = appendRule(mined, g, cfg, f1, f2, f3, extend)
+				mined = appendRule(mined, g, memo, cfg, f1, f2, f3, extend)
 			}
 		}
 	}
@@ -104,13 +108,14 @@ func Mine(g *graph.Graph, cfg MineConfig) ([]MinedRule, error) {
 }
 
 // appendRule evaluates the seed rule built from (f1, f2, f3), extends its
-// ratio while it stays confident, and appends the strongest variant.
-func appendRule(mined []MinedRule, g *graph.Graph, cfg MineConfig, f1, f2, f3 gen.Feature, extend map[string]gen.Feature) []MinedRule {
+// ratio while it stays confident, and appends the strongest variant; memo
+// holds the answers of the patterns matched so far.
+func appendRule(mined []MinedRule, g *graph.Graph, memo answerMemo, cfg MineConfig, f1, f2, f3 gen.Feature, extend map[string]gen.Feature) []MinedRule {
 	rule, err := seedRule(f1, f2, f3, extend, cfg.StartRatioBP)
 	if err != nil {
 		return mined
 	}
-	ev, err := rule.Evaluate(g)
+	ev, err := rule.evaluate(g, memo)
 	if err != nil || ev.Support < cfg.MinSupport || ev.Confidence < cfg.MinConfidence {
 		return mined
 	}
@@ -123,7 +128,7 @@ func appendRule(mined []MinedRule, g *graph.Graph, cfg MineConfig, f1, f2, f3 ge
 		if err != nil {
 			break
 		}
-		ev2, err := stronger.Evaluate(g)
+		ev2, err := stronger.evaluate(g, memo)
 		if err != nil || ev2.Support < cfg.MinSupport || ev2.Confidence < cfg.MinConfidence ||
 			(cfg.MinLift > 0 && ev2.Lift < cfg.MinLift) {
 			break

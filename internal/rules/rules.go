@@ -70,11 +70,16 @@ type Evaluation struct {
 
 // Evaluate applies the rule with sequential QMatch.
 func (r *QGAR) Evaluate(g *graph.Graph) (*Evaluation, error) {
-	a, err := match.QMatch(g, r.Antecedent, nil)
+	return r.evaluate(g, nil)
+}
+
+// evaluate is Evaluate taking each pattern's answers from memo.
+func (r *QGAR) evaluate(g *graph.Graph, memo answerMemo) (*Evaluation, error) {
+	a, err := memo.qmatch(g, r.Antecedent)
 	if err != nil {
 		return nil, err
 	}
-	c, err := match.QMatch(g, r.Consequent, nil)
+	c, err := memo.qmatch(g, r.Consequent)
 	if err != nil {
 		return nil, err
 	}
@@ -82,6 +87,28 @@ func (r *QGAR) Evaluate(g *graph.Graph) (*Evaluation, error) {
 	ev.Metrics.Add(a.Metrics)
 	ev.Metrics.Add(c.Metrics)
 	return ev, nil
+}
+
+// answerMemo holds QMatch's result per pattern, keyed by the pattern's
+// canonical text, over one graph: a miner's rules share antecedents and
+// consequents, and each distinct pattern is matched once. A nil memo
+// matches every time.
+type answerMemo map[string]*match.Result
+
+func (m answerMemo) qmatch(g *graph.Graph, q *core.Pattern) (*match.Result, error) {
+	if m == nil {
+		return match.QMatch(g, q, nil)
+	}
+	key := q.String()
+	if res, ok := m[key]; ok {
+		return res, nil
+	}
+	res, err := match.QMatch(g, q, nil)
+	if err != nil {
+		return nil, err
+	}
+	m[key] = res
+	return res, nil
 }
 
 // EvaluateParallel applies the rule over a partitioned cluster (the

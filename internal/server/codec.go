@@ -344,7 +344,7 @@ func readRequest(line []byte, r *Request) bool {
 		case "id":
 			return seen.once(0) && d.i64(&r.ID)
 		case "cmd":
-			return seen.once(1) && d.str(&r.Cmd)
+			return seen.once(1) && d.cmd(&r.Cmd)
 		case "kind":
 			return seen.once(2) && d.str(&r.Kind)
 		case "size":
@@ -577,11 +577,40 @@ func (d *wireReader) literal() (lit []byte, plain, ok bool) {
 	return nil, false, false
 }
 
-func (d *wireReader) str(p *string) bool {
+// cmd reads a command name: a name the server serves is its table's own
+// string, so decoding a request's command allocates nothing.
+func (d *wireReader) cmd(p *string) bool {
 	lit, plain, ok := d.literal()
 	if !ok {
 		return false
 	}
+	if name, known := commandNames[string(lit[1:len(lit)-1])]; plain && known {
+		*p = name
+		return true
+	}
+	return setString(p, lit, plain)
+}
+
+// commandNames maps every command name the servers serve to itself.
+var commandNames = func() map[string]string {
+	m := make(map[string]string, len(commands)+len(sessionCommands))
+	for name := range commands {
+		m[name] = name
+	}
+	for name := range sessionCommands {
+		m[name] = name
+	}
+	return m
+}()
+
+func (d *wireReader) str(p *string) bool {
+	lit, plain, ok := d.literal()
+	return ok && setString(p, lit, plain)
+}
+
+// setString sets *p to the string the literal lit spells; plain says it
+// holds no escape.
+func setString(p *string, lit []byte, plain bool) bool {
 	if plain {
 		*p = string(lit[1 : len(lit)-1])
 		return true

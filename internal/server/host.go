@@ -262,6 +262,7 @@ func (h *Host) serveProtocol(conn net.Conn, handle func(*Request) Response) {
 	in := NewLineReader(conn, cfg.MaxLineBytes)
 	out := NewLineWriter(conn)
 
+	var req Request // one for the connection: no handler keeps its request
 	for {
 		conn.SetReadDeadline(time.Now().Add(cfg.IdleTimeout))
 		line, err := in.ReadLine()
@@ -282,7 +283,7 @@ func (h *Host) serveProtocol(conn net.Conn, handle func(*Request) Response) {
 		if len(line) == 0 {
 			continue
 		}
-		var req Request
+		req = Request{}
 		resp := Response{}
 		if err := DecodeRequest(line, &req); err != nil {
 			resp.Error = fmt.Sprintf("bad request: %v", err)

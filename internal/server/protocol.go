@@ -217,13 +217,19 @@ type UpdateSpec struct {
 // one is refused: narrowed, it would name some other node, and every later
 // check would see an id in range.
 func ToUpdates(specs []UpdateSpec) ([]graph.Mutation, error) {
+	return AppendUpdates(nil, specs)
+}
+
+// AppendUpdates is ToUpdates appending to dst, for a caller that keeps one
+// mutation slice from batch to batch; it returns nil on error.
+func AppendUpdates(dst []graph.Mutation, specs []UpdateSpec) ([]graph.Mutation, error) {
 	nodeID := func(i int, id int64) (graph.NodeID, error) {
 		if id < 0 || id > math.MaxInt32 {
 			return 0, fmt.Errorf("update %d: %s names node %d, outside [0, %d]", i, specs[i].Op, id, math.MaxInt32)
 		}
 		return graph.NodeID(id), nil
 	}
-	muts := make([]graph.Mutation, len(specs))
+	muts := slices.Grow(dst, len(specs))
 	for i, u := range specs {
 		// batchOps is in opcode order, and the opcodes are graph.MutationOp's values.
 		m := graph.Mutation{Op: graph.MutationOp(slices.Index(batchOps[1:], u.Op) + 1)}
@@ -244,7 +250,7 @@ func ToUpdates(specs []UpdateSpec) ([]graph.Mutation, error) {
 		if err != nil {
 			return nil, err
 		}
-		muts[i] = m
+		muts = append(muts, m)
 	}
 	return muts, nil
 }
@@ -465,7 +471,12 @@ func packedBatch(lit []byte) (Batch, error) {
 		return nil, errBatchBlock
 	}
 	raw = raw[w:]
-	labels := make([]string, n)
+	var small [4]string // a batch names a label or two: its table stays on the stack
+	labels := small[:]
+	if n > uint64(len(small)) {
+		labels = make([]string, n)
+	}
+	labels = labels[:n]
 	for i := range labels {
 		size, w := binary.Uvarint(raw)
 		if w <= 0 || size > uint64(len(raw)-w) {

@@ -132,6 +132,8 @@ type session struct {
 	// bounds holds one match.Bound per pattern the session was asked to
 	// match, and the touched sets that advance them (bounds.go).
 	bounds boundCache
+	// muts is Update's mutation slice, reused from batch to batch.
+	muts []graph.Mutation
 }
 
 // setGraph replaces the session graph wholesale (gen/load/fragment);
@@ -308,12 +310,12 @@ func (sess *session) Update(req *Request, resp *Response, tr *obs.Trace) error {
 	var touched []graph.NodeID
 	var old *graph.OldView
 	if len(req.Updates) > 0 {
-		ups, err := ToUpdates(req.Updates)
-		if err != nil {
+		var err error
+		if sess.muts, err = AppendUpdates(sess.muts[:0], req.Updates); err != nil {
 			return err
 		}
-		tApply := time.Now()
-		old, touched, err = sess.vg.Apply(ups)
+		tApply := tr.Now()
+		old, touched, err = sess.vg.Apply(sess.muts)
 		if err != nil {
 			return err
 		}

@@ -38,18 +38,22 @@ const maxRecordSize = 1 << 20 // 1 MiB; a single mutation is tiny
 // torn tail (e.g. a bad magic header).
 var ErrCorruptJournal = errors.New("store: corrupt journal")
 
+// encodeRecord appends one record to buf: the payload is written in place
+// after room for the header, which is filled in once the payload is known.
 func encodeRecord(buf []byte, seq uint64, m graph.Mutation) []byte {
-	var payload []byte
-	payload = binary.AppendUvarint(payload, seq)
-	payload = append(payload, byte(m.Op))
-	payload = binary.AppendUvarint(payload, uint64(m.From+1))
-	payload = binary.AppendUvarint(payload, uint64(m.To+1))
-	payload = binary.AppendUvarint(payload, uint64(len(m.Label)))
-	payload = append(payload, m.Label...)
+	head := len(buf)
+	buf = append(buf, make([]byte, 8)...)
+	buf = binary.AppendUvarint(buf, seq)
+	buf = append(buf, byte(m.Op))
+	buf = binary.AppendUvarint(buf, uint64(m.From+1))
+	buf = binary.AppendUvarint(buf, uint64(m.To+1))
+	buf = binary.AppendUvarint(buf, uint64(len(m.Label)))
+	buf = append(buf, m.Label...)
 
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...)
+	payload := buf[head+8:]
+	binary.LittleEndian.PutUint32(buf[head:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[head+4:], crc32.Checksum(payload, crcTable))
+	return buf
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -24,7 +24,7 @@ package tenant
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -519,7 +519,7 @@ func (m *Manager) RecordDeltas(writer string, deltas []server.WatchDelta) []serv
 			st.im.overflow.Inc()
 		}
 	}
-	sort.Slice(own, func(i, j int) bool { return own[i].Watch < own[j].Watch })
+	slices.SortFunc(own, byWatch)
 	return own
 }
 
@@ -544,9 +544,12 @@ func (m *Manager) Drain(tenant string) ([]server.WatchDelta, error) {
 		out = append(out, p.delta(watch))
 	}
 	st.pend = make(map[string]*pending)
-	sort.Slice(out, func(i, j int) bool { return out[i].Watch < out[j].Watch })
+	slices.SortFunc(out, byWatch)
 	return out, nil
 }
+
+// byWatch orders deltas by watch name.
+func byWatch(a, b server.WatchDelta) int { return strings.Compare(a.Watch, b.Watch) }
 
 func sortedIDs(set map[int64]bool) []int64 {
 	if len(set) == 0 {
@@ -556,7 +559,7 @@ func sortedIDs(set map[int64]bool) []int64 {
 	for v := range set {
 		ids = append(ids, v)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -593,7 +596,7 @@ func (m *Manager) Watches(tenant string) []string {
 	for w := range st.watches {
 		names = append(names, w)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -621,7 +624,7 @@ func (m *Manager) List() []server.TenantInfo {
 			Conns:      st.refs,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b server.TenantInfo) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -655,7 +658,7 @@ func (m *Manager) evict(name string, unattachedOnly bool) bool {
 		}
 		watches = append(watches, w)
 	}
-	sort.Strings(watches)
+	slices.Sort(watches)
 	m.mEvicted.Inc()
 	m.mActive.Set(int64(len(m.tenants)))
 	m.mWatches.Add(-int64(len(watches)))
@@ -690,7 +693,7 @@ func (m *Manager) EvictIdle() []string {
 		}
 	}
 	m.mu.Unlock()
-	sort.Strings(idle)
+	slices.Sort(idle)
 	evicted := idle[:0]
 	for _, name := range idle {
 		// Conditionally: a client may have attached since the scan above.
