@@ -1,8 +1,8 @@
 // Subsystem benchmarks for the extensions beyond the paper's evaluation
 // section: the persistent store's write/compact/recover path, bounded
-// regular path queries, and statistics collection. The planner and
-// incremental-maintenance ablations are internal/bench's Exp-14 and Exp-15
-// (bench_test.go wraps them).
+// regular path queries, and statistics collection. The matching-order and
+// incremental-maintenance measurements are internal/bench's Exp-14 and
+// Exp-15 (bench_test.go wraps them).
 package repro
 
 import (

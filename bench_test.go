@@ -334,8 +334,8 @@ e xo z follow >=80%
 	// e xo z follow >=80%
 }
 
-// BenchmarkExp14PlannerAblation — extension ablation Ext-1.
-func BenchmarkExp14PlannerAblation(b *testing.B) { runExperiment(b, 14) }
+// BenchmarkExp14MatchingOrder — extension measurement Ext-1.
+func BenchmarkExp14MatchingOrder(b *testing.B) { runExperiment(b, 14) }
 
 // BenchmarkExp15DynamicMaintenance — extension ablation Ext-2.
 func BenchmarkExp15DynamicMaintenance(b *testing.B) { runExperiment(b, 15) }

@@ -32,8 +32,8 @@
 // command. -trace additionally logs one structured line per finished
 // request; the trace ring buffer (-trace-buf, -trace-slow) is always on.
 //
-// EXPLAIN/PROFILE: the explain command returns the planner's matching
-// order and cardinality estimates without executing; profile executes a
+// EXPLAIN/PROFILE: the explain command returns the engine's matching
+// order and the class sizes that ranked it without executing; profile executes a
 // match or update traced, with or without -trace, and returns the
 // request's trace record in the response's profile field: timed spans
 // (graph.apply, dynamic.affected and dynamic.verify per watch group,

@@ -8,14 +8,14 @@
 // With -workers > 1 the graph is partitioned with DPar and evaluated per
 // fragment by the -algo engine (PQMatch, PQMatchn, PEnum); otherwise that
 // engine runs sequentially. -stats prints work
-// metrics alongside the matches. -planner chooses the matching order from
-// collected graph statistics. -format selects the graph input format:
+// metrics alongside the matches. -format selects the graph input format:
 // auto (native text/binary, default), csv (edge list: from,to,label), or
 // json (property-graph document). -rpq applies a quantified path
 // constraint ("expr within N quant") to the matches as a post-filter.
-// -profile prints the planner's explanation (matching order, per-step
-// cardinality estimates) and the per-pattern stage profile (candidate
-// sizes, order, timings) as one JSON document after the matches.
+// -profile prints the explanation (each positive pattern's matching order,
+// ranked by label-class sizes) and the per-pattern stage profile
+// (candidate sizes, order, timings) as one JSON document after the
+// matches.
 package main
 
 import (
@@ -31,9 +31,7 @@ import (
 	"repro/internal/match"
 	"repro/internal/parallel"
 	"repro/internal/partition"
-	"repro/internal/plan"
 	"repro/internal/rpq"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -46,7 +44,6 @@ func main() {
 		showStats   = flag.Bool("stats", false, "print work metrics")
 		limit       = flag.Int("limit", 20, "print at most this many matches (0 = all)")
 		format      = flag.String("format", "auto", "graph input format: auto, csv, json")
-		planner     = flag.Bool("planner", false, "choose the matching order from graph statistics")
 		constraint  = flag.String("rpq", "", "quantified path constraint post-filter, e.g. \"follow.follow within 2 >=5\"")
 		profile     = flag.Bool("profile", false, "print the plan explanation and per-stage profile as JSON (sequential engines)")
 	)
@@ -86,17 +83,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		var opts *match.Options
-		if *planner {
-			opts = &match.Options{OrderBy: plan.OrderFunc(g, stats.Collect(g))}
-		}
-		if *profile {
-			if opts == nil {
-				opts = &match.Options{}
-			}
-			opts.CollectProfile = true
-		}
-		res, err := prep.Run(g, opts)
+		res, err := prep.Run(g, &match.Options{CollectProfile: *profile})
 		if err != nil {
 			fatal(err)
 		}
@@ -131,10 +118,10 @@ func main() {
 	}
 	if *profile && prof != nil {
 		doc := struct {
-			Plan    *plan.Explanation `json:"plan,omitempty"`
-			Profile *match.Profile    `json:"profile"`
+			Plan    *match.Explanation `json:"plan,omitempty"`
+			Profile *match.Profile     `json:"profile"`
 		}{Profile: prof}
-		if ex, err := plan.Explain(g, stats.Collect(g), q); err == nil {
+		if ex, err := match.Explain(g, q); err == nil {
 			doc.Plan = ex
 		}
 		b, err := json.MarshalIndent(doc, "", "  ")

@@ -108,9 +108,9 @@ func extractMatchCount(t *testing.T, out string) string {
 	return ""
 }
 
-// TestCLIFormatsAndPlanner drives qgpmatch through the interchange
-// formats, the planner, and the path-constraint filter.
-func TestCLIFormatsAndPlanner(t *testing.T) {
+// TestCLIFormats drives qgpmatch through the interchange formats and the
+// path-constraint filter.
+func TestCLIFormats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI test skipped in -short mode")
 	}
@@ -147,7 +147,7 @@ func TestCLIFormatsAndPlanner(t *testing.T) {
 	}
 
 	// CSV: alice follows 3, bob follows 1 — only alice matches ≥2.
-	out := run("-graph", csvFile, "-format", "csv", "-pattern", patFile, "-planner")
+	out := run("-graph", csvFile, "-format", "csv", "-pattern", patFile)
 	if !strings.Contains(out, "1 matches") {
 		t.Fatalf("csv run:\n%s", out)
 	}

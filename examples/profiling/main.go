@@ -1,5 +1,5 @@
 // Profiling walkthrough: EXPLAIN a query before running it, PROFILE the
-// execution, compare the planner's estimates with the observed candidate
+// execution, compare the order's class sizes with the observed candidate
 // counts, then profile an incremental update and read the work∝change
 // ratio off its trace record. Runs a qgpd server in-process and drives it
 // with the stock client — everything shown here works identically over
@@ -56,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// EXPLAIN: what order would the planner run, at what estimated cost?
+	// EXPLAIN: which order would the engine run, ranked by which class sizes?
 	raw, err := c.Explain(pattern)
 	if err != nil {
 		log.Fatal(err)
@@ -66,7 +66,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, pp := range ex.Plan.Patterns {
-		fmt.Printf("explain %s: order=%v estimated cost=%.0f\n", pp.Pattern, pp.Order, pp.Cost)
+		fmt.Printf("explain %s: order=%v class sizes=%v\n", pp.Pattern, pp.Order, pp.Class)
 	}
 
 	// PROFILE: execute traced. The document is the request's trace record:

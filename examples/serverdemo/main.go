@@ -1,8 +1,7 @@
 // Server demo: start a qgpd query server in-process, connect with the Go
 // client, and run a marketing-analytics session against a generated
-// social graph — statistics, a quantified pattern with the planner, the
-// same query in parallel, an association rule, and a path-constrained
-// refinement.
+// social graph — statistics, a quantified pattern, the same query in
+// parallel, an association rule, and a path-constrained refinement.
 //
 // Run with: go run ./examples/serverdemo
 package main
@@ -68,7 +67,7 @@ e xo z follow >=30%
 e z y recom
 e xo y buy
 `
-	seq, err := c.Match(pattern, &client.MatchOptions{Planner: true, Limit: 5})
+	seq, err := c.Match(pattern, &client.MatchOptions{Limit: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func All() []Experiment {
 		{11, "Fig 8(k)", "varying pa (knowledge)", exp11},
 		{12, "Fig 8(l)", "varying |G| (synthetic)", exp12},
 		{13, "Exp-3", "QGAR mining effectiveness", exp13},
-		{14, "Ext-1", "planner ablation: default vs statistics-driven order", exp14},
+		{14, "Ext-1", "matching order", exp14},
 		{15, "Ext-2", "dynamic maintenance: candidates reached, re-judged and flipped per batch", exp15},
 		{16, "Ext-3", "a read answered from counts vs QMatch vs a bound-cache hit", exp16},
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -65,5 +66,39 @@ func TestExperimentsSmoke(t *testing.T) {
 		if e.ID != 13 && lines == 0 {
 			t.Errorf("exp %d produced no rows", e.ID)
 		}
+	}
+}
+
+// TestExp14OrderWork pins the matching order's work on exp 14 at small
+// scale, seed 1: each shape's total_work stays within 5% of what the
+// statistics-driven planner the one order replaced read there (55 432,
+// 80 675 and 193 465), so an order that searches more shows here.
+func TestExp14OrderWork(t *testing.T) {
+	var buf bytes.Buffer
+	if err := exp14(Small(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	planned := map[string]int64{"(4,5)": 55_432, "(5,6)": 80_675, "(6,7)": 193_465}
+	rows := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var x string
+		var work int64
+		for _, f := range strings.Fields(line) {
+			if v, ok := strings.CutPrefix(f, "x="); ok {
+				x = v
+			} else if v, ok := strings.CutPrefix(f, "total_work="); ok {
+				fmt.Sscan(v, &work)
+			}
+		}
+		want, ok := planned[x]
+		if !ok {
+			t.Fatalf("unexpected row %q", line)
+		}
+		if rows++; work*100 > want*105 {
+			t.Errorf("exp 14 %s: total_work %d, more than 1.05 × %d", x, work, want)
+		}
+	}
+	if rows != len(planned) {
+		t.Fatalf("exp 14 printed %d rows, want %d:\n%s", rows, len(planned), buf.String())
 	}
 }

@@ -13,21 +13,17 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/plan"
-	"repro/internal/stats"
 )
 
 // Experiments 14 to 16 are not paper figures: they measure the extension
-// subsystems (planner, dynamic maintenance, counted reads) with the same
-// row format as the paper experiments, so qgpbench serves both.
+// subsystems (the matching order, dynamic maintenance, counted reads) with
+// the same row format as the paper experiments, so qgpbench serves both.
 
-// exp14 — planner ablation: QMatch with the default breadth-first order
-// vs the statistics-driven order, per pattern size.
+// exp14 — matching order: QMatch's work under the engine's one order,
+// ranked by label-class sizes, per pattern size. Its total_work is the
+// number an order regression moves.
 func exp14(sc Scale, w io.Writer) error {
 	g := gen.Social(gen.DefaultSocial(sc.SocialPersons, sc.Seed))
-	st := stats.Collect(g)
-	orderBy := plan.OrderFunc(g, st)
-
 	for _, shape := range []struct{ nodes, edges int }{{4, 5}, {5, 6}, {6, 7}} {
 		patterns := patternsWithHops(g, gen.PatternConfig{
 			Nodes: shape.nodes, Edges: shape.edges, RatioBP: 3000, Seed: sc.Seed + int64(shape.nodes),
@@ -35,27 +31,18 @@ func exp14(sc Scale, w io.Writer) error {
 		if len(patterns) == 0 {
 			continue
 		}
-		x := fmt.Sprintf("(%d,%d)", shape.nodes, shape.edges)
-		for _, series := range []struct {
-			name string
-			opts *match.Options
-		}{
-			{"default", nil},
-			{"planned", &match.Options{OrderBy: orderBy}},
-		} {
-			start := time.Now()
-			var work int64
-			matches := 0
-			for _, p := range patterns {
-				res, err := match.QMatch(g, p, series.opts)
-				if err != nil {
-					return err
-				}
-				work += res.Metrics.Extensions + int64(res.Metrics.Verifications)
-				matches += len(res.Matches)
+		start := time.Now()
+		var work int64
+		matches := 0
+		for _, p := range patterns {
+			res, err := match.QMatch(g, p, nil)
+			if err != nil {
+				return err
 			}
-			row(w, 14, x, series.name, time.Since(start), work, work, matches)
+			work += res.Metrics.Extensions + int64(res.Metrics.Verifications)
+			matches += len(res.Matches)
 		}
+		row(w, 14, fmt.Sprintf("(%d,%d)", shape.nodes, shape.edges), "order", time.Since(start), work, work, matches)
 	}
 	return nil
 }

@@ -173,10 +173,9 @@ func (c *Client) Fragment(data string, owned []int64) (nodes, edges int, err err
 
 // MatchOptions tunes a Match call.
 type MatchOptions struct {
-	Engine  string // qmatch (default) | qmatchn | enum
-	Planner bool
-	Budget  int64
-	Limit   int
+	Engine string // qmatch (default) | qmatchn | enum
+	Budget int64
+	Limit  int
 }
 
 // Match evaluates a QGP (DSL text) and returns the focus matches.
@@ -184,7 +183,6 @@ func (c *Client) Match(pattern string, opts *MatchOptions) (*server.Response, er
 	req := &server.Request{Cmd: "match", Pattern: pattern}
 	if opts != nil {
 		req.Engine = opts.Engine
-		req.Planner = opts.Planner
 		req.Budget = opts.Budget
 		req.Limit = opts.Limit
 	}
@@ -245,7 +243,6 @@ func (c *Client) ProfileMatch(pattern string, opts *MatchOptions) (*server.Respo
 	req := &server.Request{Cmd: "profile", Pattern: pattern}
 	if opts != nil {
 		req.Engine = opts.Engine
-		req.Planner = opts.Planner
 		req.Budget = opts.Budget
 		req.Limit = opts.Limit
 	}

@@ -392,7 +392,7 @@ func (c *conn) Match(req *server.Request, tr *obs.Trace) (server.Answer, error) 
 		return server.Answer{}, err
 	}
 	c.f.tenants.NoteRead(c.tenant)
-	opts := &MatchOptions{Engine: req.Engine, Budget: req.Budget, Planner: req.Planner}
+	opts := &MatchOptions{Engine: req.Engine, Budget: req.Budget}
 	res, err := c.coord.matchWith(q, opts, tr)
 	if err != nil {
 		return server.Answer{}, err

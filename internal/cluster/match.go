@@ -26,9 +26,8 @@ type MatchResult struct {
 // MatchOptions tunes one Match call; zero values fall back to the
 // coordinator's Config.
 type MatchOptions struct {
-	Engine  string // per-worker engine: qmatch | qmatchn | enum
-	Budget  int64  // extension budget forwarded to workers
-	Planner bool   // let each worker plan its matching order from fragment stats
+	Engine string // per-worker engine: qmatch | qmatchn | enum
+	Budget int64  // extension budget forwarded to workers
 }
 
 // Match evaluates a quantified pattern across the cluster: the pattern is
@@ -65,7 +64,6 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, tr *obs.Tra
 		if opts.Budget > 0 {
 			req.Budget = opts.Budget
 		}
-		req.Planner = opts.Planner
 	}
 	err = c.routedRead(tr, req, func(replies []workerReply) error {
 		tm := time.Now()

@@ -32,14 +32,6 @@ type Options struct {
 	// extensions. Use it to bound worst-case exponential searches (cost
 	// probes, interactive time limits).
 	ExtensionBudget int64
-	// OrderBy, when non-nil, proposes a matching order for each positive
-	// pattern the evaluation compiles (Π(Q) and every positified Q+e). It
-	// receives the pattern and returns a permutation of its node indexes;
-	// the engine follows the proposal as far as connectivity allows and
-	// falls back to its default breadth-first order when the proposal is
-	// nil or not a permutation. internal/plan provides a statistics-driven
-	// implementation.
-	OrderBy func(p *core.Pattern) []int
 	// CollectProfile, when set, records a per-stage Profile (prefilter
 	// sizes, matching order, timings) into Result.Profile. Collection
 	// cost is a handful of bitset counts and clock reads per compiled

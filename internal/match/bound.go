@@ -12,10 +12,11 @@ import (
 
 // Bound is a Prepared bound to one graph at one version: what evaluation
 // derives from the pattern and the graph's state but not from a run's
-// options. Labels are resolved when binding; each positive pattern's
+// options. Labels are resolved when binding, and with them each positive
+// pattern's matching order, ranked by the graph's label-class sizes; its
 // candidate and acceptance sets — the O(|Q|·|G|) prefilter — are built by
 // the first Run that leaves the focus-scoped fast path and read by every
-// later one, whatever its FocusRestrict, OrderBy or budget. A scoped
+// later one, whatever its FocusRestrict or budget. A scoped
 // re-verification never builds them, so it still allocates nothing sized
 // by |V|.
 //
@@ -39,6 +40,7 @@ type boundPositive struct {
 
 	edgeLabel []graph.LabelID // per pattern edge
 	nodeLabel []graph.LabelID // per pattern node
+	ord       matchOrder      // ranked by this version's class sizes (rank)
 	// unlabelled: the graph has not interned one of the pattern's labels, or
 	// no node carries one of its node labels — no answer at this version.
 	unlabelled bool
@@ -67,10 +69,10 @@ const (
 // O(|Q|): the sets are built by the first Run that needs them.
 func (p *Prepared) Bind(g *graph.Graph) *Bound {
 	b := &Bound{prep: p, g: g, pos: make([]boundPositive, 1+len(p.neg))}
-	b.pos[0].positive = p.pi
+	b.pos[0].positive, b.pos[0].ord = p.pi, p.pi.flat
 	slab := len(p.pi.p.Edges) + len(p.pi.p.Nodes)
 	for i, pp := range p.neg {
-		b.pos[i+1].positive = pp
+		b.pos[i+1].positive, b.pos[i+1].ord = pp, pp.flat
 		slab += len(pp.p.Edges) + len(pp.p.Nodes)
 	}
 	labels := make([]graph.LabelID, slab)
@@ -99,8 +101,8 @@ func (b *Bound) rebind() {
 	}
 }
 
-// resolve looks the pattern's labels up in g: a later version may intern
-// one that was absent.
+// resolve looks the pattern's labels up in g — a later version may intern
+// one that was absent — and ranks the matching order by their class sizes.
 func (bp *boundPositive) resolve(g *graph.Graph) {
 	bp.unlabelled = false
 	for i, e := range bp.p.Edges {
@@ -108,12 +110,19 @@ func (bp *boundPositive) resolve(g *graph.Graph) {
 			bp.unlabelled = true
 		}
 	}
+	var buf [16]int
+	size := buf[:]
+	if len(bp.p.Nodes) > len(buf) {
+		size = make([]int, len(bp.p.Nodes))
+	}
+	size = size[:len(bp.p.Nodes)]
 	for u, n := range bp.p.Nodes {
 		bp.nodeLabel[u] = g.LookupLabel(n.Label)
-		if bp.nodeLabel[u] == graph.NoLabel || len(g.NodesByLabel(bp.nodeLabel[u])) == 0 {
+		if size[u] = len(g.NodesByLabel(bp.nodeLabel[u])); size[u] == 0 {
 			bp.unlabelled = true
 		}
 	}
+	bp.ord = bp.ordered(size, &bp.ord)
 }
 
 func (bp *boundPositive) drop() {
@@ -310,21 +319,15 @@ func (bp *boundPositive) reaccept(g *graph.Graph, touched []graph.NodeID, change
 	}
 }
 
-// program allocates one run's program over the bound's labels and the
-// given sets (nil: the label classes as a predicate). pref, when a valid
-// permutation of node indexes, replaces the default matching order (see
-// buildOrder).
-func (bp *boundPositive) program(g *graph.Graph, cand, accept []*bitset.Set, pref []int) *program {
-	pr := &program{
-		g: g, p: bp.p, quant: bp.quant, quantOut: bp.quantOut, hasEQ: bp.hasEQ, matchOrder: bp.def,
+// program allocates one run's program over the bound's labels, order and
+// the given sets (nil: the label classes as a predicate).
+func (bp *boundPositive) program(g *graph.Graph, cand, accept []*bitset.Set) *program {
+	return &program{
+		g: g, p: bp.p, quant: bp.quant, quantOut: bp.quantOut, hasEQ: bp.hasEQ, matchOrder: bp.ord,
 		edgeLabel: bp.edgeLabel, nodeLabel: bp.nodeLabel, cand: cand, accept: accept,
 		assign: make([]graph.NodeID, len(bp.p.Nodes)),
 		need:   make([]int, len(bp.p.Edges)),
 	}
-	if rank := prefRank(pref, len(bp.p.Nodes)); rank != nil {
-		pr.matchOrder = buildOrder(bp.p, rank)
-	}
-	return pr
 }
 
 // Run evaluates the bound pattern over its graph. If the graph has moved
@@ -396,10 +399,6 @@ func (b *Bound) eval(bp *boundPositive, opts *Options, restrict []graph.NodeID, 
 		before = *m
 		t0 = time.Now()
 	}
-	var pref []int
-	if opts != nil && opts.OrderBy != nil {
-		pref = opts.OrderBy(bp.p)
-	}
 	set, err := combineRestrictions(b.g.NumNodes(), opts, restrict)
 	if err != nil {
 		return nil, err
@@ -443,7 +442,7 @@ func (b *Bound) eval(bp *boundPositive, opts *Options, restrict []graph.NodeID, 
 		}
 		return nil, nil
 	}
-	pr := bp.program(b.g, cand, accept, pref)
+	pr := bp.program(b.g, cand, accept)
 	if pp != nil {
 		for u := range bp.p.Nodes {
 			pp.Nodes = append(pp.Nodes, NodeProfile{

@@ -13,19 +13,6 @@ import (
 	"repro/internal/graph"
 )
 
-// reversed is an OrderBy that proposes the focus first and every other
-// node in descending index order: a valid proposal that differs from the
-// default breadth-first order on three-node patterns.
-func reversed(p *core.Pattern) []int {
-	order := []int{p.Focus}
-	for u := len(p.Nodes) - 1; u >= 0; u-- {
-		if u != p.Focus {
-			order = append(order, u)
-		}
-	}
-	return order
-}
-
 // boundCase is one pattern under one engine, with the Bound that follows
 // the graph.
 type boundCase struct {
@@ -88,8 +75,8 @@ func boundCases(t *testing.T, g *graph.Graph) []*boundCase {
 // TestBoundFollowsVersions: one Bound per pattern, advanced by each
 // batch's touched set through 300 churn batches, gives at every version
 // the answers and the Metrics of a fresh evaluation — unrestricted, for an
-// owned half and scoped to eight candidates, with the default order and a
-// proposed one — and after the first build it never builds sets again
+// owned half and scoped to eight candidates, with the order the advanced
+// class sizes rank — and after the first build it never builds sets again
 // except where a verdict was "no answer".
 func TestBoundFollowsVersions(t *testing.T) {
 	const rounds = 300
@@ -112,32 +99,30 @@ func TestBoundFollowsVersions(t *testing.T) {
 				c.checkSets(t, g, round)
 			}
 			for s, scope := range scopes {
-				for _, orderBy := range []func(*core.Pattern) []int{nil, reversed} {
-					opts := &Options{FocusRestrict: scope, OrderBy: orderBy, CollectProfile: true}
-					want, err := c.fresh(g, c.q, opts)
-					if err != nil {
-						t.Fatalf("round %d, %s: fresh: %v", round, c.name, err)
+				opts := &Options{FocusRestrict: scope, CollectProfile: true}
+				want, err := c.fresh(g, c.q, opts)
+				if err != nil {
+					t.Fatalf("round %d, %s: fresh: %v", round, c.name, err)
+				}
+				got, err := c.bound.Run(opts)
+				if err != nil {
+					t.Fatalf("round %d, %s: bound: %v", round, c.name, err)
+				}
+				if !reflect.DeepEqual(got.Matches, want.Matches) || got.Metrics != want.Metrics {
+					t.Fatalf("round %d, %s, scope %d: advanced Bound gives %d matches %+v, fresh %d matches %+v",
+						round, c.name, s, len(got.Matches), got.Metrics, len(want.Matches), want.Metrics)
+				}
+				for i, pp := range got.Profile.Patterns {
+					wp := want.Profile.Patterns[i]
+					if !reflect.DeepEqual(pp.Nodes, wp.Nodes) || !reflect.DeepEqual(pp.Order, wp.Order) || pp.Empty != wp.Empty || pp.FastPath != wp.FastPath {
+						t.Fatalf("round %d, %s, scope %d: profile of %s differs: %+v, fresh %+v", round, c.name, s, pp.Pattern, pp, wp)
 					}
-					got, err := c.bound.Run(opts)
-					if err != nil {
-						t.Fatalf("round %d, %s: bound: %v", round, c.name, err)
+					if (pp.Bound == "") != (wp.Bound == "") || pp.FastPath && pp.Bound != "" {
+						t.Fatalf("round %d, %s, scope %d: %s reports bound=%q (fresh %q) on fast_path=%v", round, c.name, s, pp.Pattern, pp.Bound, wp.Bound, pp.FastPath)
 					}
-					if !reflect.DeepEqual(got.Matches, want.Matches) || got.Metrics != want.Metrics {
-						t.Fatalf("round %d, %s, scope %d, ordered=%v: advanced Bound gives %d matches %+v, fresh %d matches %+v",
-							round, c.name, s, orderBy != nil, len(got.Matches), got.Metrics, len(want.Matches), want.Metrics)
-					}
-					for i, pp := range got.Profile.Patterns {
-						wp := want.Profile.Patterns[i]
-						if !reflect.DeepEqual(pp.Nodes, wp.Nodes) || !reflect.DeepEqual(pp.Order, wp.Order) || pp.Empty != wp.Empty || pp.FastPath != wp.FastPath {
-							t.Fatalf("round %d, %s, scope %d: profile of %s differs: %+v, fresh %+v", round, c.name, s, pp.Pattern, pp, wp)
-						}
-						if (pp.Bound == "") != (wp.Bound == "") || pp.FastPath && pp.Bound != "" {
-							t.Fatalf("round %d, %s, scope %d: %s reports bound=%q (fresh %q) on fast_path=%v", round, c.name, s, pp.Pattern, pp.Bound, wp.Bound, pp.FastPath)
-						}
-						origins[pp.Bound]++
-						if pp.Bound == "built" && round%7 != 3 {
-							c.builds++
-						}
+					origins[pp.Bound]++
+					if pp.Bound == "built" && round%7 != 3 {
+						c.builds++
 					}
 				}
 			}

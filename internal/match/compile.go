@@ -8,13 +8,15 @@
 // Evaluation is split by what it depends on, in three tiers. Prepare does,
 // once per pattern, everything the pattern alone decides: validation, Π(Q)
 // and each Π(Q+e), and per positive pattern (a positive) the
-// quantified-edge tables and the default matching order with its anchors,
-// checks and rivals. A Prepared is immutable and shared: a standing watch
-// holds one for its lifetime and every worker session may run it at once.
-// Bind does, once per graph version, what the pattern and the graph's state
-// decide (a Bound): labels are resolved — a later batch may intern a label
-// that was absent — and, for the first run that needs them, each positive's
-// candidate and acceptance sets are built, the O(|Q|·|G|) prefilter. A
+// quantified-edge tables and its adjacency. A Prepared is immutable and
+// shared: a standing watch holds one for its lifetime and every worker
+// session may run it at once. Bind does, once per graph version, what the
+// pattern and the graph's state decide (a Bound): labels are resolved — a
+// later batch may intern a label that was absent — and with them each
+// positive's matching order, ranked by the sizes of its label classes in
+// that graph (rank), so a fragment orders by its own; and, for the first
+// run that needs them, each positive's candidate and acceptance sets are
+// built, the O(|Q|·|G|) prefilter. A
 // holder that sees the graph change calls Advance with the touched nodes
 // and the sets are repaired instead of rebuilt; a Bound nobody advanced
 // notices the graph's version moved and rebinds. Run allocates, per run, a
@@ -33,6 +35,8 @@
 package match
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -50,7 +54,11 @@ type positive struct {
 	// (count == total); such patterns cannot early-accept.
 	hasEQ bool
 
-	def matchOrder // the default (breadth-first) matching order
+	adj [][]half // per pattern node: its edges, in edge order
+	// flat is the matching order when every label class has one size: a
+	// Bound starts from it and derives its own only where its graph's class
+	// sizes rank the nodes otherwise.
+	flat matchOrder
 }
 
 // matchOrder is a connected matching order anchored at the focus, with the
@@ -89,8 +97,36 @@ func newPositive(name string, p *core.Pattern) *positive {
 			}
 		}
 	}
-	ps.def = buildOrder(p, nil)
+	ps.adj = make([][]half, len(p.Nodes))
+	for i, e := range p.Edges {
+		ps.adj[e.From] = append(ps.adj[e.From], half{e.To, i})
+		ps.adj[e.To] = append(ps.adj[e.To], half{e.From, i})
+	}
+	size := make([]int, len(p.Nodes))
+	for u := range size {
+		size[u] = 1
+	}
+	ps.flat = ps.ordered(size, nil)
 	return ps
+}
+
+// ordered returns the matching order rank gives for the class sizes size:
+// cur itself when cur is not nil and already follows it, so a Bound whose
+// ranking did not change allocates nothing.
+func (ps *positive) ordered(size []int, cur *matchOrder) matchOrder {
+	n := len(size)
+	var buf [2 * 16]int
+	var seen [16]bool
+	s, placed := buf[:], seen[:]
+	if n > len(seen) {
+		s, placed = make([]int, 2*n), make([]bool, n)
+	}
+	order, via := s[:n], s[n:2*n]
+	rank(ps.adj, ps.p.Focus, size, order, via, placed[:n])
+	if cur != nil && cur.follows(order, via) {
+		return *cur
+	}
+	return buildOrder(ps.p, order, via)
 }
 
 // program is a bound positive set up for one run: the Bound's resolved
@@ -145,72 +181,71 @@ func (pr *program) size(sets []*bitset.Set, u int) int {
 	return sets[u].Count()
 }
 
-// buildOrder computes a matching order of p: every position after the
-// first is adjacent to the matched prefix, with an anchor edge into the
-// prefix and the set of edges that become fully bound at that position.
-// Without a preference the order is breadth-first from the focus; with
-// one (rank[u] is u's position in a planner's proposal, from prefRank) it
-// greedily follows the preference, at each step placing the
-// most-preferred node that is connected to the prefix.
-func buildOrder(p *core.Pattern, rank []int) matchOrder {
-	n := len(p.Nodes)
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	type half struct{ other, edge int }
-	adj := make([][]half, n)
-	for i, e := range p.Edges {
-		adj[e.From] = append(adj[e.From], half{e.To, i})
-		adj[e.To] = append(adj[e.To], half{e.From, i})
-	}
+// half is one pattern edge seen from one of its ends: the node at the
+// other end and the edge's index.
+type half struct{ other, edge int }
 
-	order := []int{p.Focus}
-	pos[p.Focus] = 0
-	if rank != nil {
-		for len(order) < n {
-			best := -1
-			for u := 0; u < n; u++ {
-				if pos[u] >= 0 {
+// rank places p's nodes in the one matching order, given size[u] =
+// |class(u)|, the number of graph nodes carrying u's label. The focus comes
+// first. Each next node is the unplaced one with an edge into the prefix
+// whose estimate — the smallest |class(u)| / max(|class(a)|, 1) over its
+// placed neighbours a — is least; ties go to the node with more edges into
+// the prefix, then to the lower index. Its anchor is its first edge, in edge
+// order, to a neighbour attaining that estimate. rank writes the order into
+// order and each position's anchor edge into via (via[0] is unused), and
+// uses placed, all false on entry, as scratch; adj lists each node's edges
+// in edge order.
+func rank(adj [][]half, focus int, size, order, via []int, placed []bool) {
+	order[0], placed[focus] = focus, true
+	for i := 1; i < len(order); i++ {
+		best, bestVia, bestEdges := -1, -1, 0
+		var bestNum, bestDen int // the best estimate, bestNum/bestDen
+		for u := range adj {
+			if placed[u] {
+				continue
+			}
+			v, num, den, edges := -1, 0, 1, 0
+			for _, h := range adj[u] {
+				if !placed[h.other] {
 					continue
 				}
-				connected := false
-				for _, h := range adj[u] {
-					if pos[h.other] >= 0 {
-						connected = true
-						break
-					}
-				}
-				if connected && (best < 0 || rank[u] < rank[best]) {
-					best = u
+				edges++
+				// size[u]/d < num/den, in integers: class sizes are node
+				// counts, so the products fit.
+				if d := max(size[h.other], 1); v < 0 || size[u]*den < num*d {
+					v, num, den = h.edge, size[u], d
 				}
 			}
-			if best < 0 {
-				break // disconnected pattern; caller validates connectivity
+			if v < 0 {
+				continue
 			}
-			pos[best] = len(order)
-			order = append(order, best)
-		}
-	}
-	for qi := 0; qi < len(order); qi++ {
-		u := order[qi]
-		// Default breadth-first completion: visit neighbors in edge order
-		// for determinism; candidate ordering happens at run time.
-		for _, h := range adj[u] {
-			if pos[h.other] < 0 {
-				pos[h.other] = len(order)
-				order = append(order, h.other)
+			if c := num*bestDen - bestNum*den; best < 0 || c < 0 || c == 0 && edges > bestEdges {
+				best, bestVia, bestEdges, bestNum, bestDen = u, v, edges, num, den
 			}
 		}
+		if best < 0 {
+			panic("match: disconnected pattern in rank")
+		}
+		order[i], via[i], placed[best] = best, bestVia, true
 	}
+}
 
+// buildOrder derives the per-step work of a matching order from the order
+// and its anchor edges (rank's output): each position's anchor, the other
+// edges into the prefix it checks once bound, and its rivals.
+func buildOrder(p *core.Pattern, order, via []int) matchOrder {
+	n := len(order)
 	mo := matchOrder{
-		order:   order,
-		anchors: make([]anchorInfo, len(order)),
-		checks:  make([][]int, len(order)),
+		order:   slices.Clone(order),
+		anchors: make([]anchorInfo, n),
+		checks:  make([][]int, n),
 		// Candidate sets are label-exact, so only an earlier node with the
 		// same label can already hold the image a later one is offered.
-		rivals: make([][]int, len(order)),
+		rivals: make([][]int, n),
+	}
+	pos := make([]int, len(p.Nodes))
+	for i, u := range order {
+		pos[u] = i
 	}
 	for i, u := range order {
 		for _, r := range order[:i] {
@@ -218,57 +253,29 @@ func buildOrder(p *core.Pattern, rank []int) matchOrder {
 				mo.rivals[i] = append(mo.rivals[i], r)
 			}
 		}
-	}
-	seen := make([]bool, len(p.Edges))
-	for i := 1; i < len(order); i++ {
-		u := order[i]
-		anchorSet := false
-		for ei, e := range p.Edges {
-			var other int
-			var out bool
-			switch {
-			case e.From == u && pos[e.To] < i:
-				other, out = e.To, false // u is the source; matched node is target
-			case e.To == u && pos[e.From] < i:
-				other, out = e.From, true // matched node is the source
-			default:
-				continue
-			}
-			if !anchorSet {
-				mo.anchors[i] = anchorInfo{at: other, edge: ei, out: out}
-				anchorSet = true
-				seen[ei] = true
-				continue
-			}
-			if !seen[ei] {
-				mo.checks[i] = append(mo.checks[i], ei)
-				seen[ei] = true
-			}
+		if i == 0 {
+			continue
 		}
-		if !anchorSet {
-			panic("match: disconnected pattern in buildOrder")
+		if e := p.Edges[via[i]]; e.From == u {
+			mo.anchors[i] = anchorInfo{at: e.To, edge: via[i], out: false} // u is the source; matched node is target
+		} else {
+			mo.anchors[i] = anchorInfo{at: e.From, edge: via[i], out: true} // matched node is the source
+		}
+		for ei, e := range p.Edges {
+			if ei != via[i] && (e.From == u && pos[e.To] < i || e.To == u && pos[e.From] < i) {
+				mo.checks[i] = append(mo.checks[i], ei)
+			}
 		}
 	}
 	return mo
 }
 
-// prefRank validates a proposed order and converts it to a rank lookup:
-// rank[u] is u's position in the proposal. It returns nil when the
-// proposal is not a permutation of 0..n-1 (the engine then keeps its
-// default order rather than failing the query).
-func prefRank(pref []int, n int) []int {
-	if len(pref) != n {
-		return nil
-	}
-	rank := make([]int, n)
-	for i := range rank {
-		rank[i] = -1
-	}
-	for i, u := range pref {
-		if u < 0 || u >= n || rank[u] >= 0 {
-			return nil
+// follows reports whether mo is the order that order and via describe.
+func (mo *matchOrder) follows(order, via []int) bool {
+	for i, u := range order {
+		if mo.order[i] != u || i > 0 && mo.anchors[i].edge != via[i] {
+			return false
 		}
-		rank[u] = i
 	}
-	return rank
+	return true
 }

@@ -1,5 +1,10 @@
 package match
 
+import (
+	"repro/internal/core"
+	"repro/internal/graph"
+)
+
 // Profile is the structured per-stage record of one evaluation — what
 // the prefilters kept, which matching order ran, and where the time
 // went. It is the PROFILE document's match section: Metrics says how
@@ -40,9 +45,9 @@ type PatternProfile struct {
 	Empty bool `json:"empty,omitempty"`
 	// Nodes reports the per-pattern-node prefilter sizes.
 	Nodes []NodeProfile `json:"nodes,omitempty"`
-	// Order is the matching order actually used (node names; the focus
-	// first). It may differ from a planner's proposal when connectivity
-	// forced a deviation.
+	// Order is the matching order used (node names; the focus first), as
+	// ranked by the graph's label-class sizes when the bound resolved its
+	// labels (see Explain).
 	Order []string `json:"order,omitempty"`
 	// CompileMS and EvalMS split the pattern's time into the prefilter/
 	// compile stage and the backtracking search.
@@ -75,4 +80,51 @@ func metricsDelta(after, before Metrics) Metrics {
 		IncRuns:         after.IncRuns - before.IncRuns,
 		IncCandidates:   after.IncCandidates - before.IncCandidates,
 	}
+}
+
+// Explanation is the explain command's plan: the matching order of every
+// positive pattern an evaluation of the query runs, Π(Q) first and then
+// each positified Q+e, as binding the query to a graph ranks it. Nothing
+// is evaluated.
+type Explanation struct {
+	Patterns []PatternPlan `json:"patterns"`
+}
+
+// PatternPlan is one positive pattern's matching order and what ranked it.
+type PatternPlan struct {
+	// Pattern names the pattern within the query, as PatternProfile does.
+	Pattern string `json:"pattern"`
+	// Order is the matching order as node names, the focus first.
+	Order []string `json:"order"`
+	// Class[i] is the size of Order[i]'s label class in the graph.
+	// Estimate[i] is what step i was ranked by: Class[i] over the class
+	// size (at least 1) of the node it is anchored at. The focus is placed
+	// first, unranked, and reads 1.
+	Class    []int     `json:"class"`
+	Estimate []float64 `json:"estimate"`
+}
+
+// Explain returns the matching orders an evaluation of q over g would run.
+func Explain(g *graph.Graph, q *core.Pattern) (*Explanation, error) {
+	p, err := Prepare(q)
+	if err != nil {
+		return nil, err
+	}
+	b := p.Bind(g)
+	ex := &Explanation{}
+	for _, bp := range b.pos {
+		pp := PatternPlan{Pattern: bp.name}
+		class := func(u int) int { return len(g.NodesByLabel(bp.nodeLabel[u])) }
+		for i, u := range bp.ord.order {
+			est := 1.0
+			if i > 0 {
+				est = float64(class(u)) / float64(max(class(bp.ord.anchors[i].at), 1))
+			}
+			pp.Order = append(pp.Order, bp.p.Nodes[u].Name)
+			pp.Class = append(pp.Class, class(u))
+			pp.Estimate = append(pp.Estimate, est)
+		}
+		ex.Patterns = append(ex.Patterns, pp)
+	}
+	return ex, nil
 }

@@ -11,9 +11,9 @@
 // registry pays a single nil check, so the instrumented and
 // uninstrumented code paths are the same code.
 //
-// This is the sensor layer the ROADMAP's elastic re-fragmentation and
-// global-planner items will read from: per-fragment load lives here as
-// routed-update counters and per-worker latency histograms, and the
+// This is the sensor layer the ROADMAP's elastic re-fragmentation item
+// will read from: per-fragment load lives here as routed-update counters
+// and per-worker latency histograms, and the
 // "work proportional to the change" claim (Berkholz–Keppeler–Schweikardt
 // framing, PAPERS.md) becomes checkable as the affected-set-size
 // histogram of the update path.

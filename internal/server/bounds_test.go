@@ -131,7 +131,7 @@ func socialGraph() *graph.Graph { return gen.Social(gen.DefaultSocial(300, 3)) }
 
 // TestBoundCacheFollowsUpdates: match → update → match on one session
 // equals a fresh session loaded with the post-batch graph, through 60
-// churn batches, all three engines and the planner, with bounds read at
+// churn batches and all three engines, with bounds read at
 // once and bounds left a batch or two behind.
 func TestBoundCacheFollowsUpdates(t *testing.T) {
 	w := newWarmSession(t, server.Config{}, socialGraph(), nil)
@@ -143,7 +143,7 @@ func TestBoundCacheFollowsUpdates(t *testing.T) {
 		{0, nil}, {1, nil}, {2, nil}, {3, nil}, {4, nil}, {5, nil},
 		{3, &client.MatchOptions{Engine: "qmatchn"}},
 		{1, &client.MatchOptions{Engine: "enum"}},
-		{1, &client.MatchOptions{Planner: true}},
+		{1, &client.MatchOptions{Limit: 5}}, // path2's key again: a hit at its version
 	}
 	for round := 0; round < 60; round++ {
 		if round > 0 {

@@ -107,7 +107,6 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	w.str(`,"data":`, r.Data)
 	w.str(`,"pattern":`, r.Pattern)
 	w.str(`,"engine":`, r.Engine)
-	w.bool(`,"planner":`, r.Planner)
 	w.int(`,"budget":`, r.Budget)
 	w.int(`,"limit":`, int64(r.Limit))
 	w.int(`,"workers":`, int64(r.Workers))
@@ -359,36 +358,34 @@ func readRequest(line []byte, r *Request) bool {
 			return seen.once(7) && d.str(&r.Pattern)
 		case "engine":
 			return seen.once(8) && d.str(&r.Engine)
-		case "planner":
-			return seen.once(9) && d.bool(&r.Planner)
 		case "budget":
-			return seen.once(10) && d.i64(&r.Budget)
+			return seen.once(9) && d.i64(&r.Budget)
 		case "limit":
-			return seen.once(11) && d.int(&r.Limit)
+			return seen.once(10) && d.int(&r.Limit)
 		case "workers":
-			return seen.once(12) && d.int(&r.Workers)
+			return seen.once(11) && d.int(&r.Workers)
 		case "threads":
-			return seen.once(13) && d.int(&r.Threads)
+			return seen.once(12) && d.int(&r.Threads)
 		case "d":
-			return seen.once(14) && d.int(&r.D)
+			return seen.once(13) && d.int(&r.D)
 		case "consequent":
-			return seen.once(15) && d.str(&r.Consequent)
+			return seen.once(14) && d.str(&r.Consequent)
 		case "eta":
-			return seen.once(16) && d.float(&r.Eta)
+			return seen.once(15) && d.float(&r.Eta)
 		case "constraint":
-			return seen.once(17) && d.str(&r.Constraint)
+			return seen.once(16) && d.str(&r.Constraint)
 		case "topK":
-			return seen.once(18) && d.int(&r.TopK)
+			return seen.once(17) && d.int(&r.TopK)
 		case "updates":
-			return seen.once(19) && packed(&d, &r.Updates, packedBatch)
+			return seen.once(18) && packed(&d, &r.Updates, packedBatch)
 		case "watch":
-			return seen.once(20) && d.str(&r.Watch)
+			return seen.once(19) && d.str(&r.Watch)
 		case "session":
-			return seen.once(21) && d.str(&r.Session)
+			return seen.once(20) && d.str(&r.Session)
 		case "owned":
-			return seen.once(22) && packed(&d, &r.Owned, packedIDs)
+			return seen.once(21) && packed(&d, &r.Owned, packedIDs)
 		case "trace":
-			return seen.once(23) && d.u64(&r.Trace)
+			return seen.once(22) && d.u64(&r.Trace)
 		}
 		return false
 	}) && d.end()

@@ -37,11 +37,10 @@ func TestExplainCommand(t *testing.T) {
 	if pp.Pattern != "pi" {
 		t.Errorf("first pattern = %q, want pi", pp.Pattern)
 	}
-	if len(pp.Order) != 3 || pp.Order[0] != "xo" {
-		t.Errorf("order = %v, want 3 nodes with the focus first", pp.Order)
-	}
-	if len(pp.StepCost) != len(pp.Order) || pp.Cost <= 0 {
-		t.Errorf("step costs malformed: %+v", pp)
+	// 4 Persons and 1 Product: z is ranked at 4/4 from xo, y at 1/4 from z.
+	if !reflect.DeepEqual(pp.Order, []string{"xo", "z", "y"}) ||
+		!reflect.DeepEqual(pp.Class, []int{4, 4, 1}) || !reflect.DeepEqual(pp.Estimate, []float64{1, 1, 0.25}) {
+		t.Errorf("plan = %+v, want order [xo z y], class sizes [4 4 1], estimates [1 1 0.25]", pp)
 	}
 }
 

@@ -68,10 +68,10 @@ import (
 //	            newline-JSON client can scrape a session without the
 //	            debug HTTP listener; empty ({}) when the server was
 //	            built without a registry
-//	explain   — plan a QGP without executing it: the statistics-driven
-//	            matching order and per-step cardinality estimates for
-//	            every positive pattern, as a JSON document in Profile
-//	            (the front end's holds one per fragment)
+//	explain   — rank a QGP's matching order without executing it: for
+//	            every positive pattern the order, each step's label-class
+//	            size and the estimate it was ranked by, as a JSON document
+//	            in Profile (the front end's holds one per fragment)
 //	profile   — execute a match (Pattern) or an update (Updates) traced,
 //	            and return its trace record (obs.TraceRecord) in Profile
 //	            alongside the normal response fields: timed spans, counts
@@ -154,7 +154,6 @@ type Request struct {
 	// match / pmatch / rpqfilter / rule
 	Pattern string `json:"pattern,omitempty"` // QGP DSL
 	Engine  string `json:"engine,omitempty"`  // qmatch (default) | qmatchn | enum
-	Planner bool   `json:"planner,omitempty"` // use the statistics-driven order
 	Budget  int64  `json:"budget,omitempty"`  // extension budget (0 = server default)
 	Limit   int    `json:"limit,omitempty"`   // cap returned matches (0 = all)
 

@@ -25,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/partition"
-	"repro/internal/plan"
 	"repro/internal/rpq"
 	"repro/internal/rules"
 	"repro/internal/stats"
@@ -120,7 +119,6 @@ type session struct {
 	// batches as deltas instead of rebuilding the graph, so g's pointer
 	// stays stable across updates (only setGraph replaces it).
 	vg *graph.Versioned
-	st *stats.Stats // lazily computed, reset on graph change
 	// eng holds the standing watches (one evaluation per distinct
 	// pattern) and, when the session is a cluster worker holding a
 	// d-hop-preserving fragment, the owned set: the focus candidates
@@ -148,16 +146,9 @@ func (sess *session) setGraph(g *graph.Graph, owned []graph.NodeID) error {
 	if err != nil {
 		return err
 	}
-	sess.vg, sess.g, sess.st, sess.eng = vg, vg.Graph(), nil, eng
+	sess.vg, sess.g, sess.eng = vg, vg.Graph(), eng
 	sess.bounds.reset() // bounds are over the old graph
 	return nil
-}
-
-func (sess *session) stats() *stats.Stats {
-	if sess.st == nil && sess.g != nil {
-		sess.st = stats.Collect(sess.g)
-	}
-	return sess.st
 }
 
 // ErrNoGraph answers every graph-backed command before gen or load; the
@@ -345,9 +336,7 @@ func (sess *session) Update(req *Request, resp *Response, tr *obs.Trace) error {
 	if err != nil {
 		return revert(fmt.Errorf("update: %w", err))
 	}
-	// The batch is validated; commit. The graph already mutated in
-	// place, so only the cached statistics reset.
-	sess.st = nil
+	// The batch is validated; commit: the graph already mutated in place.
 	if len(req.Updates) > 0 {
 		// An assign-only batch skips this: nothing changed in the graph,
 		// Assign below reports the new candidates.
@@ -414,6 +403,8 @@ func (sess *session) Watch(name string, q *core.Pattern, _ *Response) ([]graph.N
 
 func (sess *session) Unwatch(name string) error { return sess.eng.Unwatch(name) }
 
+// Stats collects the session graph's statistics on each call: the pass is
+// O(|G|) and stats calls are rare.
 func (sess *session) Stats(*obs.Trace) (*StatsSummary, error) {
 	if sess.eng.Restricted() {
 		// A fragment worker reports its owned share only: the fragment
@@ -422,11 +413,10 @@ func (sess *session) Stats(*obs.Trace) (*StatsSummary, error) {
 		// would double count across the cluster. Owned-restricted rows
 		// sum exactly — see stats.CollectOwned — which is what lets the
 		// coordinator serve stats from fragment copies instead of
-		// pinning a frontend-side graph clone. Not cached: the owned
-		// pass is O(|fragment|) and stats calls are rare.
+		// pinning a frontend-side graph clone.
 		return summarize(sess.g, stats.CollectOwned(sess.g, sess.eng.Owned())), nil
 	}
-	return summarize(sess.g, sess.stats()), nil
+	return summarize(sess.g, stats.Collect(sess.g)), nil
 }
 
 // evaluate runs the request's pattern over the session graph through the
@@ -440,9 +430,6 @@ func (sess *session) evaluate(req *Request, collectProfile bool) (*match.Result,
 	opts := &match.Options{ExtensionBudget: req.Budget, CollectProfile: collectProfile}
 	if req.Budget <= 0 {
 		opts.ExtensionBudget = max(sess.s.cfg.DefaultBudget, 0) // -1 disables
-	}
-	if req.Planner {
-		opts.OrderBy = plan.OrderFunc(sess.g, sess.stats())
 	}
 	// Nil outside fragment mode; a fragment that owns nothing asks about nobody.
 	opts.FocusRestrict = sess.eng.Owned()
@@ -468,7 +455,7 @@ func (sess *session) Match(req *Request, tr *obs.Trace) (Answer, error) {
 }
 
 func (sess *session) Explain(q *core.Pattern, _ *obs.Trace) (any, error) {
-	ex, err := plan.Explain(sess.g, sess.stats(), q)
+	ex, err := match.Explain(sess.g, q)
 	if err != nil {
 		return nil, err
 	}

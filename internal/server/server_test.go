@@ -130,15 +130,6 @@ func TestLoadAndMatch(t *testing.T) {
 			t.Fatalf("%s matches = %v", engine, r.Matches)
 		}
 	}
-
-	// The planner path returns the same answers.
-	r, err := c.Match(followPattern, &client.MatchOptions{Planner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Matches) != 1 || r.Matches[0] != 0 {
-		t.Fatalf("planner matches = %v", r.Matches)
-	}
 }
 
 func TestLoadJSONAndBadInputs(t *testing.T) {
@@ -437,6 +428,46 @@ func TestBadRequestReplies(t *testing.T) {
 		if err != nil || string(reply) != c.reply {
 			t.Fatalf("%s: reply\n%s (%v)\nwant\n%s", c.line, reply, err, c.reply)
 		}
+	}
+}
+
+// TestPlannerFieldIgnored: a client from before the engine had one matching
+// order may still send "planner":true. The field is no longer part of a
+// request, so the line is read as if it were absent: the same match with
+// and without it returns the same answers and the same work.
+func TestPlannerFieldIgnored(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	in := server.NewLineReader(conn, 1<<20)
+	send := func(req map[string]any) server.Response {
+		t.Helper()
+		line, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(append(line, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := in.ReadLine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp server.Response
+		if err := server.DecodeResponse(reply, &resp); err != nil || !resp.OK {
+			t.Fatalf("%s: %s (%v)", line, reply, err)
+		}
+		return resp
+	}
+	send(map[string]any{"id": 1, "cmd": "gen", "kind": "social", "size": 300, "seed": 3})
+	plain := send(map[string]any{"id": 2, "cmd": "match", "pattern": genPattern})
+	planned := send(map[string]any{"id": 3, "cmd": "match", "pattern": genPattern, "planner": true})
+	if len(plain.Matches) == 0 || !reflect.DeepEqual(plain.Matches, planned.Matches) || *plain.Metrics != *planned.Metrics {
+		t.Fatalf("with planner: %d matches %+v; without: %d matches %+v",
+			len(planned.Matches), planned.Metrics, len(plain.Matches), plain.Metrics)
 	}
 }
 

@@ -1,18 +1,14 @@
-// Package stats computes graph summary statistics used for cardinality
-// estimation and query planning: node-label histograms, edge-triple
-// (source label, edge label, target label) frequencies, and per-triple
-// fan-out/fan-in averages.
+// Package stats computes graph summary statistics: node-label histograms,
+// edge-triple (source label, edge label, target label) frequencies, and
+// per-triple participating source and target counts.
 //
 // The statistics are a single O(|G|) pass over the graph and are
-// deterministic. They power the selectivity estimates that internal/plan
-// uses to choose a matching order for a pattern, and they are served by
-// the STATS command of the query server.
+// deterministic. They are served by the STATS command of the query server.
 package stats
 
 import (
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -30,24 +26,6 @@ type TripleStats struct {
 	// edge in the class; DstNodes likewise for targets.
 	SrcNodes int
 	DstNodes int
-}
-
-// AvgFanOut returns the average number of class edges per participating
-// source node (≥ 1 when Count > 0).
-func (t TripleStats) AvgFanOut() float64 {
-	if t.SrcNodes == 0 {
-		return 0
-	}
-	return float64(t.Count) / float64(t.SrcNodes)
-}
-
-// AvgFanIn returns the average number of class edges per participating
-// target node.
-func (t TripleStats) AvgFanIn() float64 {
-	if t.DstNodes == 0 {
-		return 0
-	}
-	return float64(t.Count) / float64(t.DstNodes)
 }
 
 // Stats is the statistics summary of one graph. Build it with Collect.
@@ -173,21 +151,4 @@ func CollectOwned(g *graph.Graph, owned []graph.NodeID) *Stats {
 		}
 	}
 	return s
-}
-
-// TripleFor returns the aggregate for a triple class and whether the class
-// occurs at all.
-func (s *Stats) TripleFor(t Triple) (TripleStats, bool) {
-	ts, ok := s.Triples[t]
-	return ts, ok
-}
-
-// EstimateNode returns the estimated candidate count of a pattern node:
-// the frequency of its label. Unresolvable labels estimate to 0.
-func EstimateNode(g *graph.Graph, s *Stats, p *core.Pattern, u int) float64 {
-	l := g.LookupLabel(p.Nodes[u].Label)
-	if l == graph.NoLabel {
-		return 0
-	}
-	return float64(s.LabelCount[l])
 }

@@ -1,11 +1,9 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -54,21 +52,15 @@ func TestCollectTriples(t *testing.T) {
 	g := tiny(t)
 	s := Collect(g)
 
-	ts, ok := s.TripleFor(triple(g, "A", "f", "B"))
+	ts, ok := s.Triples[triple(g, "A", "f", "B")]
 	if !ok {
 		t.Fatal("A-f->B class missing")
 	}
 	if ts.Count != 3 || ts.SrcNodes != 2 || ts.DstNodes != 2 {
 		t.Errorf("A-f->B = %+v, want Count=3 SrcNodes=2 DstNodes=2", ts)
 	}
-	if got := ts.AvgFanOut(); got != 1.5 {
-		t.Errorf("AvgFanOut = %v, want 1.5", got)
-	}
-	if got := ts.AvgFanIn(); got != 1.5 {
-		t.Errorf("AvgFanIn = %v, want 1.5", got)
-	}
 
-	ts, ok = s.TripleFor(triple(g, "A", "g", "C"))
+	ts, ok = s.Triples[triple(g, "A", "g", "C")]
 	if !ok {
 		t.Fatal("A-g->C class missing")
 	}
@@ -76,7 +68,7 @@ func TestCollectTriples(t *testing.T) {
 		t.Errorf("A-g->C = %+v, want 1/1/1", ts)
 	}
 
-	if _, ok := s.TripleFor(triple(g, "B", "f", "A")); ok {
+	if _, ok := s.Triples[triple(g, "B", "f", "A")]; ok {
 		t.Error("B-f->A class should be absent")
 	}
 }
@@ -89,21 +81,6 @@ func TestCollectDegrees(t *testing.T) {
 	}
 	if s.MaxInDegree != 2 {
 		t.Errorf("MaxInDegree = %d, want 2", s.MaxInDegree)
-	}
-}
-
-func TestEstimateNode(t *testing.T) {
-	g := tiny(t)
-	s := Collect(g)
-	p := core.NewPattern()
-	p.AddNode("x", "A")
-	p.AddNode("y", "Zed")
-	if got := EstimateNode(g, s, p, 0); got != 2 {
-		t.Errorf("EstimateNode(x) = %v, want 2", got)
-	}
-	// An unresolvable label estimates to zero.
-	if got := EstimateNode(g, s, p, 1); got != 0 {
-		t.Errorf("EstimateNode unresolvable = %v, want 0", got)
 	}
 }
 
@@ -125,9 +102,6 @@ func TestCollectInvariantsProperty(t *testing.T) {
 				return false
 			}
 			if ts.SrcNodes < 1 || ts.DstNodes < 1 {
-				return false
-			}
-			if ts.AvgFanOut() < 1 || ts.AvgFanIn() < 1 {
 				return false
 			}
 		}
@@ -174,15 +148,5 @@ func TestCollectMatchesNaiveRecount(t *testing.T) {
 			t.Fatalf("class %+v: got %+v, want count=%d srcs=%d dsts=%d",
 				tr, ts, c, len(srcs[tr]), len(dsts[tr]))
 		}
-	}
-}
-
-func TestFanOutZeroValue(t *testing.T) {
-	var ts TripleStats
-	if !(ts.AvgFanOut() == 0 && ts.AvgFanIn() == 0) {
-		t.Error("zero-value TripleStats must have zero fan averages")
-	}
-	if math.IsNaN(ts.AvgFanOut()) {
-		t.Error("AvgFanOut NaN")
 	}
 }
