@@ -17,7 +17,7 @@ import (
 func watchRig(t *testing.T, persons int, journal UpdateJournal, reg *obs.Registry) (c *Coordinator, base int) {
 	t.Helper()
 	g := gen.Social(gen.DefaultSocial(persons, 42))
-	c, err := New(g, InProcessN(2, server.Config{}), Config{D: 2, Replicas: 2, Pool: newTestPool(4),
+	c, err := New(g.Clone(), InProcessN(2, server.Config{}), Config{D: 2, Replicas: 2, Pool: newTestPool(4),
 		Journal: journal, Metrics: reg, Logf: quietLogf})
 	if err != nil {
 		t.Fatal(err)

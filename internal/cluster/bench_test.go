@@ -50,7 +50,7 @@ func BenchmarkReplicaReads(b *testing.B) {
 				prim[i] = &latencyTransport{inner: InProcess(server.Config{}), d: rtt}
 			}
 			pool := &latencyPool{d: rtt, next: len(prim)}
-			c, err := New(g, prim, Config{D: 2, Replicas: bc.replicas, Pool: pool})
+			c, err := New(g.Clone(), prim, Config{D: 2, Replicas: bc.replicas, Pool: pool})
 			if err != nil {
 				b.Fatal(err)
 			}

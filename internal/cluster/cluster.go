@@ -105,9 +105,9 @@ type Coordinator struct {
 	mu  sync.RWMutex
 	cfg Config
 	om  coordMetrics
-	// g is the authoritative global graph: New's private copy, or the graph
-	// Recover adopted. Its pointer never changes, and Config.Journal
-	// persists it without a copy of its own.
+	// g is the authoritative global graph, the one New or Recover adopted.
+	// Its pointer never changes, and Config.Journal persists it without a
+	// copy of its own.
 	g *graph.Graph
 	// vg maintains g in place: Update applies each accepted batch as a
 	// delta through the versioned core instead of rebuilding the graph,
@@ -166,21 +166,23 @@ type worker struct {
 // New fragments g across the given worker transports (one fragment per
 // transport) and ships each fragment with the fragment command; with
 // cfg.Replicas=k > 1 each fragment is also shipped to k-1 replica
-// sessions from cfg.Pool. The coordinator works on a private copy of the
-// input graph — edge-set semantics already hold for it, Finalize having
-// collapsed duplicate parallel edges — which Graph returns and updates
-// advance in place.
+// sessions from cfg.Pool. New adopts g, as Recover does: g becomes the
+// coordinator's authoritative graph, which Graph copies and updates
+// advance in place, so there is one graph in memory and the caller must
+// not touch g afterwards (a caller that keeps using it passes g.Clone()).
+// Edge-set semantics already hold for g, Finalize having collapsed
+// duplicate parallel edges.
 //
-// With cfg.Journal set, that copy becomes the durable graph and the
-// durable watch set is cleared (UpdateJournal.SetGraph): New is for a new
-// graph, a restart over what the journal holds goes through Recover.
+// With cfg.Journal set, g becomes the durable graph and the durable watch
+// set is cleared (UpdateJournal.SetGraph): New is for a new graph, a
+// restart over what the journal holds goes through Recover.
 //
 // On success the coordinator owns every transport it holds — ts and any
 // pool acquisitions — and releases them in Close. On error the caller
 // keeps ownership of ts; sessions New acquired from the pool are closed
 // before returning.
 func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
-	c, err := build(g.Clone(), ts, cfg)
+	c, err := build(g, ts, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -195,10 +197,9 @@ func New(g *graph.Graph, ts []Transport, cfg Config) (*Coordinator, error) {
 
 // Recover rebuilds a coordinator after a restart from what the journal
 // read back: g is fragmented and shipped as in New and every watch (name →
-// pattern DSL) registered in ascending name order. Unlike New, Recover
-// adopts g as its authoritative graph, without a copy: g is the graph the
-// journal recovered and goes on persisting, so there is one graph in
-// memory, and the caller must not touch it afterwards. cfg.Journal is
+// pattern DSL) registered in ascending name order. Like New, Recover
+// adopts g: it is the graph the journal recovered and goes on persisting,
+// and the caller must not touch it afterwards. cfg.Journal is
 // attached only once all of that has succeeded, so recovery writes nothing
 // to it — it already holds this state — and a failed or interrupted
 // recovery leaves the durable state as it was. Ownership of ts is as with

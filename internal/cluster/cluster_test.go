@@ -36,7 +36,7 @@ func newEmbedded(t testing.TB, g *graph.Graph, workers int, cfg Config) *Coordin
 	t.Helper()
 	ts := InProcessN(workers, server.Config{})
 	t.Cleanup(func() { CloseAll(ts) })
-	c, err := New(g, ts, cfg)
+	c, err := New(g.Clone(), ts, cfg)
 	if err != nil {
 		t.Fatalf("cluster.New: %v", err)
 	}

@@ -367,8 +367,9 @@ func (c *conn) Served(class string, start time.Time) {
 	c.f.tenants.Observe(c.tenant, class, start)
 }
 
-// SetGraph rebuilds the one cluster over g (gen, load) and resets every
-// tenant's watch table: their watches died with the old coordinator.
+// SetGraph rebuilds the one cluster over g (gen, load), which the new
+// coordinator adopts, and resets every tenant's watch table: their watches
+// died with the old coordinator.
 func (c *conn) SetGraph(g *graph.Graph) (nodes, edges int, err error) {
 	f := c.f
 	f.smu.Lock()

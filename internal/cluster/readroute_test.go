@@ -54,7 +54,7 @@ func TestLeastLoadedCopy(t *testing.T) {
 func TestReplicaServesOwnWrite(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(200, 13))
 	pool := newTestPool(4)
-	c, err := New(g, InProcessN(2, server.Config{}), Config{D: 2, Replicas: 3, Pool: pool})
+	c, err := New(g.Clone(), InProcessN(2, server.Config{}), Config{D: 2, Replicas: 3, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}

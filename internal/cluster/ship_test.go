@@ -173,7 +173,7 @@ func TestFailedReshipIsRetried(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(200, 5))
 	pool := &flakyPool{testPool: newTestPool(4), failOn: []string{"fragment"}, applied: true}
 	ts := InProcessN(2, server.Config{})
-	c, err := New(g, ts, Config{D: 2, Pool: pool, Logf: t.Logf})
+	c, err := New(g.Clone(), ts, Config{D: 2, Pool: pool, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

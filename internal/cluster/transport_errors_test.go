@@ -199,7 +199,7 @@ func TestWorkerReplyIsOutsideInput(t *testing.T) {
 			t.Cleanup(func() { CloseAll(ts) })
 			tamper := &tampered{Transport: ts[tc.worker]}
 			ts[tc.worker] = tamper
-			c, err := New(g, ts, Config{D: 2})
+			c, err := New(g.Clone(), ts, Config{D: 2})
 			if err != nil {
 				t.Fatalf("cluster.New: %v", err)
 			}

@@ -74,7 +74,8 @@ func sameGraph(a, b *Graph) bool {
 // FuzzReadBinary: the binary reader faces the network (a fragment command
 // carries this format) and the disk (snapshots). On any input it returns
 // a graph or an error, never panics, and never builds a graph over the
-// size cap; a graph it accepts has a sound index and survives
+// size cap; it accepts what the append-and-sort reference accepts,
+// building the same graph; a graph it accepts has a sound index and survives
 // WriteBinary → ReadBinary with node ids, labels and adjacency order
 // intact; every strict prefix of a valid encoding is an error (all counts
 // are declared up front, so a torn tail cannot pass for a smaller graph);
@@ -87,8 +88,15 @@ func FuzzReadBinary(f *testing.F) {
 	const maxSize = 1 << 14
 	f.Fuzz(func(t *testing.T, data []byte, cut, flip uint16) {
 		g, err := ReadBinary(bytes.NewReader(data), maxSize)
+		ref, refErr := referenceReadBinary(bytes.NewReader(data), maxSize)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("ReadBinary: %v; the reference: %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if err := sameBuild(g, ref); err != nil {
+			t.Fatalf("ReadBinary and the reference differ: %v", err)
 		}
 		if g.Size() > maxSize {
 			t.Fatalf("accepted a graph of size %d over the cap %d", g.Size(), maxSize)

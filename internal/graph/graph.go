@@ -15,7 +15,6 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -102,27 +101,6 @@ func indexRows(adj [][]Edge) [][]labelRun {
 		runs[v] = backing[lo:len(backing):len(backing)]
 	}
 	return runs
-}
-
-// compactRows moves the rows into one backing array, dropping the growth
-// slack AddEdge's appends left behind (about two fifths of the edge
-// storage of a generated social graph). Rows are carved with full slice
-// expressions, so a later append to one cannot reach its neighbour.
-func compactRows(adj [][]Edge) {
-	total := 0
-	for _, row := range adj {
-		total += len(row)
-	}
-	backing := make([]Edge, 0, total)
-	for v, row := range adj {
-		if len(row) == 0 {
-			adj[v] = nil
-			continue
-		}
-		lo := len(backing)
-		backing = append(backing, row...)
-		adj[v] = backing[lo:len(backing):len(backing)]
-	}
 }
 
 // labelSlice returns the stretch of row carrying label l: a scan of the
@@ -216,46 +194,21 @@ func (g *Graph) NodeLabelName(v NodeID) string { return g.interner.Name(g.nodeLa
 
 // Finalize sorts adjacency, removes duplicate parallel edges with identical
 // labels, packs the rows of each direction into one array, and builds the
-// node-label index and the rows' label-run indexes.
+// node-label index and the rows' label-run indexes: the out-rows, laid
+// out back to back, go through the same build as a loaded graph's edges.
 func (g *Graph) Finalize() {
 	if g.finalized {
 		return
 	}
-	dedup := func(adj [][]Edge) int {
-		removed := 0
-		for v := range adj {
-			es := adj[v]
-			// (label, endpoint) orders a row totally, so any sort gives
-			// the same row.
-			slices.SortFunc(es, func(a, b Edge) int {
-				return cmp.Or(cmp.Compare(a.Label, b.Label), cmp.Compare(a.To, b.To))
-			})
-			w := 0
-			for i, e := range es {
-				if i > 0 && e == es[i-1] {
-					removed++
-					continue
-				}
-				es[w] = e
-				w++
-			}
-			adj[v] = es[:w]
-		}
-		return removed
+	backing := make([]Edge, 0, g.numEdges)
+	end := make([]int, len(g.out))
+	for v, row := range g.out {
+		backing = append(backing, row...)
+		end[v] = len(backing)
 	}
-	removedOut := dedup(g.out)
-	dedup(g.in)
-	g.numEdges -= removedOut
-	compactRows(g.out)
-	compactRows(g.in)
-
-	g.byLabel = make(map[LabelID][]NodeID)
-	for v, l := range g.nodeLabel {
-		g.byLabel[l] = append(g.byLabel[l], NodeID(v))
-	}
-	g.outRuns = indexRows(g.out)
-	g.inRuns = indexRows(g.in)
-	g.finalized = true
+	// The build makes both directions afresh: the old rows can go first.
+	g.out, g.in = nil, nil
+	g.build(backing, end)
 }
 
 func (g *Graph) mustFinal() {

@@ -208,6 +208,8 @@ func TestReadErrors(t *testing.T) {
 		"graph 2\nn 1 person",
 		"graph 2\nn 0 a\nn 1 b\ne 0 5 r",
 		"graph 1\nz 0",
+		"graph 5\nn 0 a\nn 1 b",
+		"graph 2\nn 0 a\nn 1 b\ngraph 1\nn 0 c",
 	}
 	for _, in := range cases {
 		if _, err := Read(strings.NewReader(in), math.MaxInt); err == nil {

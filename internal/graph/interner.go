@@ -22,6 +22,15 @@ func (in *Interner) Intern(s string) LabelID {
 	return id
 }
 
+// internBytes is Intern for a label read into a buffer: the string is
+// allocated once per distinct label, not once per occurrence.
+func (in *Interner) internBytes(b []byte) LabelID {
+	if id, ok := in.byName[string(b)]; ok {
+		return id
+	}
+	return in.Intern(string(b))
+}
+
 // Lookup returns the id for s, or NoLabel when s has not been interned.
 func (in *Interner) Lookup(s string) LabelID {
 	if id, ok := in.byName[s]; ok {

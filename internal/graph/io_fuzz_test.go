@@ -11,7 +11,9 @@ import (
 
 // textSeeds are inputs the text fuzzer starts from: a small social graph,
 // labels that need quoting, a header over the cap, a node before the
-// header, and an edge to a node that does not exist.
+// header, an edge to a node that does not exist, a header promising more
+// nodes than follow, a second header, and odd whitespace, a comment after
+// a non-ASCII space and a non-ASCII label.
 func textSeeds(t testing.TB) []string {
 	social := New(0)
 	for i := 0; i < 12; i++ {
@@ -32,6 +34,9 @@ func textSeeds(t testing.TB) []string {
 		"graph 3000000000\n",
 		"n 0 person\ngraph 1\n",
 		"graph 2\nn 0 a\nn 1 b\ne 0 5 r\n",
+		"graph 5\nn 0 a\nn 1 b\n",
+		"graph 2\nn 0 a\nn 1 b\ngraph 1\nn 0 c\n",
+		"  graph\t1 \r\n\u00a0# comment \"\nn 0 caf\u00e9\ne 0 0 \"a b\"\n",
 	}
 }
 
@@ -40,7 +45,9 @@ const textCap = 1 << 10
 
 // FuzzReadText: the text reader faces the network (a load command carries
 // this format). On any input it returns a graph or an error and never
-// panics; it refuses a header that declares more nodes than the cap; and a
+// panics; it accepts what the append-and-sort reference accepts, building
+// the same graph with a sound index; it refuses a header that declares
+// more nodes than the cap; and a
 // graph it accepts survives WriteTo → Read → WriteTo: the edge relation is
 // kept, and from the second write on the text is a fixed point.
 func FuzzReadText(f *testing.F) {
@@ -49,6 +56,18 @@ func FuzzReadText(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := Read(strings.NewReader(in), textCap)
+		ref, refErr := referenceRead(strings.NewReader(in), textCap)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("Read: %v; the reference: %v", err, refErr)
+		}
+		if err == nil {
+			if err := sameBuild(g, ref); err != nil {
+				t.Fatalf("Read and the reference differ: %v", err)
+			}
+			if err := g.CheckIndex(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if fields := strings.Fields(in); err == nil && len(fields) > 1 && fields[0] == "graph" {
 			if n, aerr := strconv.Atoi(fields[1]); aerr == nil && n > textCap {
 				t.Fatalf("a header of %d nodes accepted under the cap %d", n, textCap)

@@ -482,28 +482,53 @@ func (ov *OldView) Edits() []EdgeEdit {
 // InducedOf returns the subgraph induced by nodes over any View, with
 // the local→global id mapping. It preserves the input node order
 // exactly as (*Graph).Induced does — failover re-ships depend on that
-// for local-id stability.
+// for local-id stability — and interns labels in first-use order, node
+// labels first, so the same nodes give the same bytes.
 func InducedOf(g View, nodes []NodeID) (*Graph, []NodeID) {
-	local := make(map[NodeID]NodeID, len(nodes))
-	sub := New(len(nodes))
-	var toGlobal []NodeID
+	// local[v] is v's local id plus one, 0 while v is not taken.
+	local := make([]NodeID, g.NumNodes())
+	sub := &Graph{nodeLabel: make([]LabelID, 0, len(nodes))}
+	toGlobal := make([]NodeID, 0, len(nodes))
 	for _, v := range nodes {
-		if _, ok := local[v]; ok {
+		if local[v] != 0 {
 			continue
 		}
-		id := sub.AddNode(g.NodeLabelName(v))
-		local[v] = id
 		toGlobal = append(toGlobal, v)
+		local[v] = NodeID(len(toGlobal))
+		sub.nodeLabel = append(sub.nodeLabel, sub.interner.Intern(g.NodeLabelName(v)))
 	}
+	// labels[l] is global edge label l's local id plus one, 0 until an
+	// edge kept carries it.
+	var labels []LabelID
+	kept := 0
 	for _, v := range toGlobal {
-		lv := local[v]
 		for _, e := range g.Out(v) {
-			if lu, ok := local[e.To]; ok {
-				sub.AddEdge(lv, lu, g.LabelName(e.Label))
+			if local[e.To] != 0 {
+				kept++
 			}
 		}
 	}
-	sub.Finalize()
+	// Local ids ascend with toGlobal, so the kept edges lie out row after
+	// row as they are found.
+	backing := make([]Edge, 0, kept)
+	end := make([]int, len(toGlobal))
+	for lv, v := range toGlobal {
+		for _, e := range g.Out(v) {
+			lu := local[e.To]
+			if lu == 0 {
+				continue
+			}
+			if int(e.Label) >= len(labels) {
+				labels = append(labels, make([]LabelID, int(e.Label)+1-len(labels))...)
+			}
+			if labels[e.Label] == 0 {
+				labels[e.Label] = sub.interner.Intern(g.LabelName(e.Label)) + 1
+			}
+			backing = append(backing, Edge{lu - 1, labels[e.Label] - 1})
+		}
+		end[lv] = len(backing)
+	}
+	sub.build(backing, end)
 	return sub, toGlobal
 }
 

@@ -79,7 +79,7 @@ func TestJournalCompactionBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := gen.Social(gen.DefaultSocial(120, 17))
-	c, err := cluster.New(g, ts, cluster.Config{D: 2, Pool: pool, Journal: j})
+	c, err := cluster.New(g.Clone(), ts, cluster.Config{D: 2, Pool: pool, Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +181,9 @@ func TestJournalBytes(t *testing.T) {
 }
 
 // TestJournalKeepsTheCoordinatorsGraph: the journal holds no graph of its
-// own. After New it holds the coordinator's, which advances with every
-// batch although the journal applies none; after a reopen it holds the
+// own. After New it holds the coordinator's, the graph New adopted, which
+// advances with every batch although the journal applies none; after a
+// reopen it holds the
 // recovered graph, which Recover adopts, so the pointer the journal gave
 // Recover is the graph the recovered coordinator updates. Snapshots are
 // taken of that one graph: a run crossing the compaction threshold
@@ -205,8 +206,8 @@ func TestJournalKeepsTheCoordinatorsGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	jg := j.Graph()
-	if jg == g {
-		t.Fatal("the journal holds the caller's graph, not the coordinator's copy")
+	if jg != g {
+		t.Fatal("the journal holds a graph other than the one New adopted")
 	}
 	for i := 0; i < 120; i++ {
 		if _, err := c.Update(churn(i, 120)); err != nil {

@@ -99,7 +99,7 @@ func coordinatorTranscript(t *testing.T) string {
 		t.Fatal(err)
 	}
 	var promoted failovers
-	c, err := cluster.New(g, ts, cluster.Config{D: 2, Replicas: 2, Pool: pool, Journal: j, Logf: promoted.logf})
+	c, err := cluster.New(g.Clone(), ts, cluster.Config{D: 2, Replicas: 2, Pool: pool, Journal: j, Logf: promoted.logf})
 	if err != nil {
 		t.Fatal(err)
 	}
