@@ -14,12 +14,12 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/server"
 )
@@ -264,17 +264,18 @@ func BenchmarkDParSocial(b *testing.B) {
 
 func BenchmarkSocialPQMatch(b *testing.B) {
 	g, q := socialFixture(b, 2000)
-	if core.RequiredHops(q) > 2 {
-		b.Skip("generated pattern exceeds d=2")
-	}
-	part, err := partition.DPar(g, partition.Config{Workers: 4, D: 2})
+	// The fragmentation preserves the radius the pattern needs, as
+	// qgpmatch -workers does.
+	ts := cluster.InProcessN(4, server.Config{})
+	c, err := cluster.New(g, ts, cluster.Config{D: core.RequiredHops(q)})
 	if err != nil {
+		cluster.CloseAll(ts)
 		b.Fatal(err)
 	}
-	c := parallel.NewCluster(part)
+	defer c.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := parallel.PQMatch(c, q, 2); err != nil {
+		if _, err := c.Match(q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,11 +3,13 @@
 // Usage:
 //
 //	qgpmatch -graph social.g -pattern q.qgp [-algo qmatch|qmatchn|enum]
-//	qgpmatch -graph social.g -pattern q.qgp -workers 4 -threads 2 [-algo ...]
+//	qgpmatch -graph social.g -pattern q.qgp -workers 4 [-algo ...]
 //
-// With -workers > 1 the graph is partitioned with DPar and evaluated per
-// fragment by the -algo engine (PQMatch, PQMatchn, PEnum); otherwise that
-// engine runs sequentially. -stats prints work
+// With -workers > 1 the graph is served by an in-process cluster, the one
+// qgpcluster runs: a coordinator fragments it with DPar across that many
+// workers, each evaluates its fragment with the -algo engine (PQMatch,
+// PQMatchn, PEnum), and the coordinator merges their answers; otherwise
+// that engine runs sequentially. -stats prints work
 // metrics alongside the matches. -format selects the graph input format:
 // auto (native text/binary, default), csv (edge list: from,to,label), or
 // json (property-graph document). -rpq applies a quantified path
@@ -25,13 +27,13 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/load"
 	"repro/internal/match"
-	"repro/internal/parallel"
-	"repro/internal/partition"
 	"repro/internal/rpq"
+	"repro/internal/server"
 )
 
 func main() {
@@ -40,7 +42,6 @@ func main() {
 		patternFile = flag.String("pattern", "", "pattern file in the QGP DSL (required)")
 		algo        = flag.String("algo", "qmatch", "engine: qmatch, qmatchn, enum (with -workers: PQMatch, PQMatchn, PEnum)")
 		workers     = flag.Int("workers", 1, "parallel workers (n > 1 partitions with DPar and evaluates per fragment)")
-		threads     = flag.Int("threads", 2, "intra-fragment threads b (with -workers)")
 		showStats   = flag.Bool("stats", false, "print work metrics")
 		limit       = flag.Int("limit", 20, "print at most this many matches (0 = all)")
 		format      = flag.String("format", "auto", "graph input format: auto, csv, json")
@@ -66,18 +67,22 @@ func main() {
 		if *profile {
 			fatal(fmt.Errorf("-profile applies to the sequential engines; drop -workers"))
 		}
-		d := core.RequiredHops(q)
-		part, err := partition.DPar(g, partition.Config{Workers: *workers, D: d})
+		// Unbudgeted, like the sequential engines.
+		ts := cluster.InProcessN(*workers, server.Config{DefaultBudget: -1})
+		c, err := cluster.New(g.Clone(), ts, cluster.Config{D: max(core.RequiredHops(q), 1)})
 		if err != nil {
+			cluster.CloseAll(ts)
 			fatal(err)
 		}
-		res, err := parallel.Run(parallel.NewCluster(part), q, *algo, *threads)
+		res, err := c.MatchWith(q, &cluster.MatchOptions{Engine: *algo})
+		c.Close()
 		if err != nil {
 			fatal(err)
 		}
 		matches, metrics = res.Matches, res.Metrics
-		fmt.Printf("PQMatch n=%d b=%d d=%d algo=%s: sim_work=%d total_work=%d\n",
-			*workers, *threads, d, *algo, res.SimWork, res.TotalWork)
+		total, slowest := res.Work()
+		fmt.Printf("PQMatch n=%d d=%d algo=%s: sim_work=%d total_work=%d\n",
+			*workers, c.D(), *algo, slowest, total)
 	} else {
 		prep, err := match.PrepareEngine(*algo, q)
 		if err != nil {

@@ -1,7 +1,8 @@
 // Server demo: start a qgpd query server in-process, connect with the Go
 // client, and run a marketing-analytics session against a generated
-// social graph — statistics, a quantified pattern, the same query in
-// parallel, an association rule, and a path-constrained refinement.
+// social graph — statistics, a quantified pattern, the d-hop preserving
+// partition its parallel evaluation would use, an association rule, and a
+// path-constrained refinement.
 //
 // Run with: go run ./examples/serverdemo
 package main
@@ -74,15 +75,14 @@ e xo y buy
 	fmt.Printf("matches: %d (showing %v), %.1fms, %d verifications\n",
 		seq.Total, seq.Matches, seq.ElapsedMS, seq.Metrics.Verifications)
 
-	// The same query over a 4-worker d-hop partition.
-	par, err := c.PMatch(pattern, 4, 2)
+	// The 2-hop preserving partition a 4-worker cluster (qgpcluster) would
+	// serve the query from: each fragment materializes its owned nodes'
+	// 2-hop neighbourhoods, so fragments overlap.
+	part, err := c.Partition(4, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if par.Total != seq.Total {
-		log.Fatalf("parallel total %d != sequential %d", par.Total, seq.Total)
-	}
-	fmt.Printf("parallel run agrees: %d matches in %.1fms\n", par.Total, par.ElapsedMS)
+	fmt.Printf("4-worker partition: fragments of %v nodes, skew %.2f\n", part.Fragments, part.Skew)
 
 	// An association rule: "follows ≥3 people who recommend a product" ⇒
 	// "buys a product".

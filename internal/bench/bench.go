@@ -14,12 +14,12 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/parallel"
-	"repro/internal/partition"
+	"repro/internal/server"
 )
 
 // Scale sizes the workloads. Full() mirrors the paper's setup (scaled to a
@@ -31,7 +31,6 @@ type Scale struct {
 	SmallWorldNodes  int // base size; E12 sweeps multiples
 	SmallWorldEdges  int
 	Workers          []int // the paper sweeps 4..20; we sweep within the machine
-	Threads          int   // b, intra-fragment threads
 	PatternsPerPoint int   // patterns averaged per data point
 	Seed             int64
 }
@@ -44,7 +43,6 @@ func Full() Scale {
 		SmallWorldNodes:  10000,
 		SmallWorldEdges:  20000,
 		Workers:          []int{1, 2, 4, 8, 16},
-		Threads:          4,
 		PatternsPerPoint: 3,
 		Seed:             1,
 	}
@@ -58,7 +56,6 @@ func Small() Scale {
 		SmallWorldNodes:  1500,
 		SmallWorldEdges:  3000,
 		Workers:          []int{1, 2, 4},
-		Threads:          2,
 		PatternsPerPoint: 2,
 		Seed:             1,
 	}
@@ -120,21 +117,12 @@ var sequentialAlgos = []struct {
 	{"Enum", match.Enum},
 }
 
-// parallelAlgos are the Exp-2 contestants; threads applies to the engines
-// that use intra-fragment parallelism.
-type parallelAlgo struct {
-	name    string
-	engine  string // wire name, resolved by match.PrepareEngine
-	threads func(b int) int
-}
-
-func parallelAlgos() []parallelAlgo {
-	return []parallelAlgo{
-		{"PQMatch", "qmatch", func(b int) int { return b }},
-		{"PQMatchs", "qmatch", func(int) int { return 1 }},
-		{"PQMatchn", "qmatchn", func(b int) int { return b }},
-		{"PEnum", "enum", func(int) int { return 1 }},
-	}
+// parallelEngines are the Exp-2 contestants: the engine every fragment
+// runs, by its wire name (match.PrepareEngine).
+var parallelEngines = []struct{ name, engine string }{
+	{"PQMatch", "qmatch"},
+	{"PQMatchn", "qmatchn"},
+	{"PEnum", "enum"},
 }
 
 // patternsWithHops generates patterns whose RequiredHops fit a partition
@@ -220,11 +208,49 @@ func enumFeasible(g *graph.Graph, p *core.Pattern, budget time.Duration) bool {
 	return projected <= budget
 }
 
-// cluster builds a validated d-hop cluster.
-func cluster(g *graph.Graph, workers, d int) (*parallel.Cluster, error) {
-	part, err := partition.DPar(g, partition.Config{Workers: workers, D: d})
+// served starts n in-process workers, the qgpd sessions qgpcluster
+// serves, and a coordinator that fragments a copy of g across them with
+// the d-hop preserving DPar and ships each its fragment. The workers run
+// without an extension budget, so PEnum runs to the end as Enum does.
+func served(g *graph.Graph, n int) (*cluster.Coordinator, error) {
+	ts := cluster.InProcessN(n, server.Config{DefaultBudget: -1})
+	c, err := cluster.New(g.Clone(), ts, cluster.Config{D: maxPatternHops})
 	if err != nil {
-		return nil, err
+		cluster.CloseAll(ts)
 	}
-	return parallel.NewCluster(part), nil
+	return c, err
+}
+
+// servedRows prints parallelRows for the patterns on a served cluster of
+// n workers over g.
+func servedRows(w io.Writer, exp int, x string, g *graph.Graph, n int, patterns []*core.Pattern) error {
+	c, err := served(g, n)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	return parallelRows(w, exp, x, c, patterns)
+}
+
+// parallelRows prints one row per parallel engine for the patterns
+// matched on c, summing each match's total and critical-path work
+// (MatchResult.Work) over the patterns.
+func parallelRows(w io.Writer, exp int, x string, c *cluster.Coordinator, patterns []*core.Pattern) error {
+	for _, e := range parallelEngines {
+		start := time.Now()
+		var sim, total int64
+		matches := 0
+		for _, q := range patterns {
+			res, err := c.MatchWith(q, &cluster.MatchOptions{Engine: e.engine})
+			if err != nil {
+				return fmt.Errorf("exp%d %s %s: %w", exp, x, e.name, err)
+			}
+			t, slowest := res.Work()
+			total += t
+			sim += slowest
+			matches += len(res.Matches)
+		}
+		row(w, exp, x, e.name, time.Since(start), sim, total, matches)
+	}
+	return nil
 }

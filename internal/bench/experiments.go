@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/rules"
 )
@@ -62,30 +61,15 @@ func exp1(sc Scale, w io.Writer) error {
 	return nil
 }
 
-// varyN runs the Figure 8(b)/8(c) sweep on one graph.
+// varyN runs the Figure 8(b)/8(c) sweep on one graph: the same patterns
+// on a served cluster of each n.
 func varyN(exp int, sc Scale, w io.Writer, g *graph.Graph, nodes, edges int) error {
 	patterns := patternsWithHops(g, gen.PatternConfig{
 		Nodes: nodes, Edges: edges, RatioBP: 3000, NegEdges: 1, Seed: sc.Seed,
 	}, sc.PatternsPerPoint, maxPatternHops)
 	for _, n := range sc.Workers {
-		c, err := cluster(g, n, maxPatternHops)
-		if err != nil {
+		if err := servedRows(w, exp, fmt.Sprintf("n=%d", n), g, n, patterns); err != nil {
 			return err
-		}
-		for _, algo := range parallelAlgos() {
-			start := time.Now()
-			var sim, total int64
-			matches := 0
-			for _, q := range patterns {
-				res, err := parallel.Run(c, q, algo.engine, algo.threads(sc.Threads))
-				if err != nil {
-					return fmt.Errorf("exp%d n=%d %s: %w", exp, n, algo.name, err)
-				}
-				sim += res.SimWork
-				total += res.TotalWork
-				matches += len(res.Matches)
-			}
-			row(w, exp, fmt.Sprintf("n=%d", n), algo.name, time.Since(start), sim, total, matches)
 		}
 	}
 	return nil
@@ -136,35 +120,39 @@ func exp5(sc Scale, w io.Writer) error {
 	return varyNDPar(5, sc, w, gen.Knowledge(gen.DefaultKnowledge(sc.KnowledgePersons, sc.Seed)))
 }
 
-// varyQ runs the Figure 8(f)/8(g) sweep over pattern sizes.
-func varyQ(exp int, sc Scale, w io.Writer, g *graph.Graph, sizes [][2]int) error {
-	n := sc.Workers[len(sc.Workers)-1]
-	c, err := cluster(g, n, maxPatternHops)
+// point is one x of a pattern sweep: its label and what the patterns
+// generated for it look like.
+type point struct {
+	x   string
+	cfg gen.PatternConfig
+}
+
+// sweep runs the Figure 8(f)–8(k) sweeps: one served cluster of the
+// largest n, and the patterns of each point on it.
+func sweep(exp int, sc Scale, w io.Writer, g *graph.Graph, points []point) error {
+	c, err := served(g, sc.Workers[len(sc.Workers)-1])
 	if err != nil {
 		return err
 	}
-	for _, size := range sizes {
-		patterns := patternsWithHops(g, gen.PatternConfig{
-			Nodes: size[0], Edges: size[1], RatioBP: 3000, NegEdges: 1, Seed: sc.Seed,
-		}, sc.PatternsPerPoint, maxPatternHops)
-		x := fmt.Sprintf("(%d,%d)", size[0], size[1])
-		for _, algo := range parallelAlgos() {
-			start := time.Now()
-			var sim, total int64
-			matches := 0
-			for _, q := range patterns {
-				res, err := parallel.Run(c, q, algo.engine, algo.threads(sc.Threads))
-				if err != nil {
-					return fmt.Errorf("exp%d %s %s: %w", exp, x, algo.name, err)
-				}
-				sim += res.SimWork
-				total += res.TotalWork
-				matches += len(res.Matches)
-			}
-			row(w, exp, x, algo.name, time.Since(start), sim, total, matches)
+	defer c.Close()
+	for _, p := range points {
+		p.cfg.Seed = sc.Seed
+		patterns := patternsWithHops(g, p.cfg, sc.PatternsPerPoint, maxPatternHops)
+		if err := parallelRows(w, exp, p.x, c, patterns); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// varyQ sweeps the pattern size.
+func varyQ(exp int, sc Scale, w io.Writer, g *graph.Graph, sizes [][2]int) error {
+	var points []point
+	for _, size := range sizes {
+		points = append(points, point{fmt.Sprintf("(%d,%d)", size[0], size[1]),
+			gen.PatternConfig{Nodes: size[0], Edges: size[1], RatioBP: 3000, NegEdges: 1}})
+	}
+	return sweep(exp, sc, w, g, points)
 }
 
 // exp6 — Figure 8(f): varying |Q| from (4,6) to (8,10) on the social graph.
@@ -180,36 +168,14 @@ func exp7(sc Scale, w io.Writer) error {
 		[][2]int{{3, 5}, {4, 6}, {5, 7}, {6, 8}, {7, 9}})
 }
 
-// varyNeg runs the Figure 8(h)/8(i) sweep over the number of negated
-// edges, the IncQMatch ablation.
+// varyNeg sweeps the number of negated edges, the IncQMatch ablation.
 func varyNeg(exp int, sc Scale, w io.Writer, g *graph.Graph, nodes, edges int) error {
-	n := sc.Workers[len(sc.Workers)-1]
-	c, err := cluster(g, n, maxPatternHops)
-	if err != nil {
-		return err
-	}
+	var points []point
 	for neg := 0; neg <= 4; neg++ {
-		patterns := patternsWithHops(g, gen.PatternConfig{
-			Nodes: nodes, Edges: edges, RatioBP: 3000, NegEdges: neg, Seed: sc.Seed,
-		}, sc.PatternsPerPoint, maxPatternHops)
-		x := fmt.Sprintf("neg=%d", neg)
-		for _, algo := range parallelAlgos() {
-			start := time.Now()
-			var sim, total int64
-			matches := 0
-			for _, q := range patterns {
-				res, err := parallel.Run(c, q, algo.engine, algo.threads(sc.Threads))
-				if err != nil {
-					return fmt.Errorf("exp%d %s %s: %w", exp, x, algo.name, err)
-				}
-				sim += res.SimWork
-				total += res.TotalWork
-				matches += len(res.Matches)
-			}
-			row(w, exp, x, algo.name, time.Since(start), sim, total, matches)
-		}
+		points = append(points, point{fmt.Sprintf("neg=%d", neg),
+			gen.PatternConfig{Nodes: nodes, Edges: edges, RatioBP: 3000, NegEdges: neg}})
 	}
-	return nil
+	return sweep(exp, sc, w, g, points)
 }
 
 // exp8 — Figure 8(h): varying |E−Q| on the social graph.
@@ -222,35 +188,14 @@ func exp9(sc Scale, w io.Writer) error {
 	return varyNeg(9, sc, w, gen.Knowledge(gen.DefaultKnowledge(sc.KnowledgePersons, sc.Seed)), 5, 7)
 }
 
-// varyP runs the Figure 8(j)/8(k) sweep over the ratio aggregate pa.
+// varyP sweeps the ratio aggregate pa.
 func varyP(exp int, sc Scale, w io.Writer, g *graph.Graph, nodes, edges int) error {
-	n := sc.Workers[len(sc.Workers)-1]
-	c, err := cluster(g, n, maxPatternHops)
-	if err != nil {
-		return err
-	}
+	var points []point
 	for _, pa := range []int{1000, 3000, 5000, 7000, 9000} {
-		patterns := patternsWithHops(g, gen.PatternConfig{
-			Nodes: nodes, Edges: edges, RatioBP: pa, NegEdges: 1, Seed: sc.Seed,
-		}, sc.PatternsPerPoint, maxPatternHops)
-		x := fmt.Sprintf("p=%d%%", pa/100)
-		for _, algo := range parallelAlgos() {
-			start := time.Now()
-			var sim, total int64
-			matches := 0
-			for _, q := range patterns {
-				res, err := parallel.Run(c, q, algo.engine, algo.threads(sc.Threads))
-				if err != nil {
-					return fmt.Errorf("exp%d %s %s: %w", exp, x, algo.name, err)
-				}
-				sim += res.SimWork
-				total += res.TotalWork
-				matches += len(res.Matches)
-			}
-			row(w, exp, x, algo.name, time.Since(start), sim, total, matches)
-		}
+		points = append(points, point{fmt.Sprintf("p=%d%%", pa/100),
+			gen.PatternConfig{Nodes: nodes, Edges: edges, RatioBP: pa, NegEdges: 1}})
 	}
-	return nil
+	return sweep(exp, sc, w, g, points)
 }
 
 // exp10 — Figure 8(j): varying pa on the social graph.
@@ -275,25 +220,9 @@ func exp12(sc Scale, w io.Writer) error {
 		patterns := sampledPatternsWithHops(g, gen.PatternConfig{
 			Nodes: 4, Edges: 5, RatioBP: 3000, NegEdges: 1, Seed: sc.Seed,
 		}, sc.PatternsPerPoint, maxPatternHops)
-		c, err := cluster(g, 4, maxPatternHops)
-		if err != nil {
-			return err
-		}
 		x := fmt.Sprintf("|G|=%dk", (g.NumNodes()+g.NumEdges())/1000)
-		for _, algo := range parallelAlgos() {
-			start := time.Now()
-			var sim, total int64
-			matches := 0
-			for _, q := range patterns {
-				res, err := parallel.Run(c, q, algo.engine, algo.threads(sc.Threads))
-				if err != nil {
-					return fmt.Errorf("exp12 %s %s: %w", x, algo.name, err)
-				}
-				sim += res.SimWork
-				total += res.TotalWork
-				matches += len(res.Matches)
-			}
-			row(w, 12, x, algo.name, time.Since(start), sim, total, matches)
+		if err := servedRows(w, 12, x, g, 4, patterns); err != nil {
+			return err
 		}
 	}
 	return nil

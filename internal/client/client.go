@@ -189,11 +189,6 @@ func (c *Client) Match(pattern string, opts *MatchOptions) (*server.Response, er
 	return c.Do(req)
 }
 
-// PMatch evaluates a QGP in parallel over a d-hop partition.
-func (c *Client) PMatch(pattern string, workers, threads int) (*server.Response, error) {
-	return c.Do(&server.Request{Cmd: "pmatch", Pattern: pattern, Workers: workers, Threads: threads})
-}
-
 // Rule evaluates a QGAR Q1 ⇒ Q2 and returns support, confidence and (when
 // confidence ≥ eta > 0) the identified entities.
 func (c *Client) Rule(q1, q2 string, eta float64) (*server.Response, error) {

@@ -83,7 +83,7 @@ type DurableState struct {
 //
 // Requests go through qgpd's command table (server.Table) over one conn
 // per connection, so the two servers answer a request alike; the table
-// refuses the commands that need a local graph (pmatch, rule, rpqfilter,
+// refuses the commands that need a local graph (rule, rpqfilter,
 // fragment), and the front end adds the session vocabulary.
 type Frontend struct {
 	*server.Host

@@ -129,8 +129,8 @@ func TestFrontendEndToEnd(t *testing.T) {
 	}
 
 	// Unsupported commands fail loudly instead of answering wrong.
-	if _, err := c.PMatch(pattern, 2, 2); err == nil {
-		t.Fatal("pmatch should not be served by the front end")
+	if _, err := c.Rule(pattern, pattern, 0); err == nil {
+		t.Fatal("rule should not be served by the front end")
 	}
 	// The connection stays usable after a command error.
 	if err := c.Ping(); err != nil {

@@ -19,8 +19,21 @@ type MatchResult struct {
 	Matches []graph.NodeID
 	// Metrics aggregates the per-worker engine metrics.
 	Metrics match.Metrics
-	// PerWorker is each worker's contributed answer count.
-	PerWorker []int
+	// PerWorker is each worker's engine metrics, by fragment: their sum
+	// is the run's total work, their maximum its critical path (§5).
+	PerWorker []match.Metrics
+}
+
+// Work returns the match's work as §5 accounts it: total, the summed work
+// (extensions + verifications) of every worker, the sequential cost; and
+// slowest, the largest worker's, the critical path of a parallel run.
+func (r *MatchResult) Work() (total, slowest int64) {
+	for _, m := range r.PerWorker {
+		work := m.Extensions + int64(m.Verifications)
+		total += work
+		slowest = max(slowest, work)
+	}
+	return total, slowest
 }
 
 // MatchOptions tunes one Match call; zero values fall back to the
@@ -67,11 +80,10 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, tr *obs.Tra
 	}
 	err = c.routedRead(tr, req, func(replies []workerReply) error {
 		tm := time.Now()
-		out := &MatchResult{PerWorker: make([]int, len(replies))}
+		out := &MatchResult{PerWorker: make([]match.Metrics, len(replies))}
 		runs := make([][]graph.NodeID, len(replies))
 		for i, r := range replies {
 			c.om.workerMatchMS[i].Observe(float64(r.rtt.Microseconds()) / 1000)
-			out.PerWorker[i] = len(r.resp.Matches)
 			var err error
 			if runs[i], err = c.workers[i].globalRun(r.resp.Matches); err != nil {
 				return err
@@ -80,6 +92,7 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, tr *obs.Tra
 			// ownership partitions the focus candidates, so sums over the
 			// workers are exactly the single-process work counts.
 			if r.resp.Metrics != nil {
+				out.PerWorker[i] = *r.resp.Metrics
 				out.Metrics.Add(*r.resp.Metrics)
 			}
 		}

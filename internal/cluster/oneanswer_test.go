@@ -100,6 +100,8 @@ func TestOneRequestOneAnswer(t *testing.T) {
 	}
 	refused("with a graph", []string{
 		`"cmd":"fhqwhgads"`,
+		// A retired command reads as any unknown one.
+		`"cmd":"pmatch","pattern":` + onePattern + `,"workers":2`,
 		`"cmd":"match","pattern":` + onePattern + `,"engine":"bogus"`,
 		`"cmd":"profile","pattern":` + onePattern + `,"engine":"bogus"`,
 		`"cmd":"rpqfilter","pattern":` + onePattern + `,"constraint":"follow within 2 >=1","engine":"bogus"`,

@@ -4,47 +4,26 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/graph"
+	"repro/internal/fixture"
 )
 
-func TestSplitChunks(t *testing.T) {
-	mk := func(n int) []graph.NodeID {
-		out := make([]graph.NodeID, n)
-		for i := range out {
-			out[i] = graph.NodeID(i)
-		}
-		return out
+func TestRequiredHops(t *testing.T) {
+	if got := RequiredHops(fixture.Q2()); got != 2 {
+		// Q2: radius 2; the ratio edge (=100%) leaves the focus, 0+1=1 < 2.
+		t.Errorf("RequiredHops(Q2) = %d, want 2", got)
 	}
-	cases := []struct {
-		n, threads, wantChunks int
-	}{
-		{0, 4, 1}, // empty input still yields one (empty) chunk
-		{1, 4, 1}, // never more chunks than items
-		{10, 1, 1},
-		{10, 3, 3},
-		{10, 4, 4},
-		{9, 4, 3}, // ceil(9/4)=3 per chunk → 3 chunks
+	if got := RequiredHops(fixture.Q3(2)); got != 2 {
+		t.Errorf("RequiredHops(Q3) = %d, want 2", got)
 	}
-	for _, c := range cases {
-		chunks := splitChunks(mk(c.n), c.threads)
-		if len(chunks) != c.wantChunks {
-			t.Errorf("splitChunks(%d items, %d threads) = %d chunks, want %d",
-				c.n, c.threads, len(chunks), c.wantChunks)
-		}
-		total := 0
-		seen := map[graph.NodeID]bool{}
-		for _, ch := range chunks {
-			total += len(ch)
-			for _, v := range ch {
-				if seen[v] {
-					t.Fatalf("node %d appears in two chunks", v)
-				}
-				seen[v] = true
-			}
-		}
-		if total != c.n {
-			t.Errorf("chunks cover %d of %d items", total, c.n)
-		}
+	// A ratio edge two hops out forces an extra hop.
+	p := core.NewPattern()
+	p.AddNode("xo", "a")
+	p.AddNode("b", "b")
+	p.AddNode("c", "c")
+	p.AddEdge("xo", "b", "r", core.Exists())
+	p.AddEdge("b", "c", "s", core.RatioPercent(core.GE, 50))
+	if got := RequiredHops(p); got != 2 {
+		t.Errorf("RequiredHops = %d, want 2 (dist(b)+1)", got)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/parallel"
 )
 
 // QGAR is a quantified graph association rule R(xo): Q1(xo) ⇒ Q2(xo).
@@ -109,25 +108,6 @@ func (m answerMemo) qmatch(g *graph.Graph, q *core.Pattern) (*match.Result, erro
 	}
 	m[key] = res
 	return res, nil
-}
-
-// EvaluateParallel applies the rule over a partitioned cluster (the
-// dgarMatch algorithm of Corollary 11): each worker evaluates both
-// patterns on its fragment; the coordinator assembles support and
-// confidence. The cluster must preserve enough hops for both patterns.
-func (r *QGAR) EvaluateParallel(c *parallel.Cluster, threads int) (*Evaluation, error) {
-	a, err := parallel.PQMatch(c, r.Antecedent, threads)
-	if err != nil {
-		return nil, err
-	}
-	co, err := parallel.PQMatch(c, r.Consequent, threads)
-	if err != nil {
-		return nil, err
-	}
-	ev := r.assemble(c.Part.G, a.Matches, co.Matches)
-	ev.Metrics.Add(a.Metrics)
-	ev.Metrics.Add(co.Metrics)
-	return ev, nil
 }
 
 // assemble computes matches, support and LCWA confidence from the two

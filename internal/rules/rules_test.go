@@ -8,8 +8,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/match"
-	"repro/internal/parallel"
-	"repro/internal/partition"
 )
 
 // r1Graph builds a graph for an R1-style rule (Q1 of the paper's Fig. 7:
@@ -225,32 +223,6 @@ func TestSupportAntiMonotone(t *testing.T) {
 	}
 	if evExt.Support > evBase.Support {
 		t.Fatalf("support grew after adding an edge: %d > %d", evExt.Support, evBase.Support)
-	}
-}
-
-func TestEvaluateParallelAgreesWithSequential(t *testing.T) {
-	g, _, _, _ := r1Graph()
-	r := r1Rule(t)
-	seq, err := r.Evaluate(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	need := core.RequiredHops(r.Antecedent)
-	if c := core.RequiredHops(r.Consequent); c > need {
-		need = c
-	}
-	part, err := partition.DPar(g, partition.Config{Workers: 3, D: need})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := parallel.NewCluster(part)
-	par, err := r.EvaluateParallel(cl, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Matches, par.Matches) ||
-		seq.Support != par.Support || seq.XoSize != par.XoSize {
-		t.Fatalf("parallel evaluation differs: seq=%+v par=%+v", seq, par)
 	}
 }
 

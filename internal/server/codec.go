@@ -110,7 +110,6 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	w.int(`,"budget":`, r.Budget)
 	w.int(`,"limit":`, int64(r.Limit))
 	w.int(`,"workers":`, int64(r.Workers))
-	w.int(`,"threads":`, int64(r.Threads))
 	w.int(`,"d":`, int64(r.D))
 	w.str(`,"consequent":`, r.Consequent)
 	w.float(`,"eta":`, r.Eta)
@@ -364,8 +363,6 @@ func readRequest(line []byte, r *Request) bool {
 			return seen.once(10) && d.int(&r.Limit)
 		case "workers":
 			return seen.once(11) && d.int(&r.Workers)
-		case "threads":
-			return seen.once(12) && d.int(&r.Threads)
 		case "d":
 			return seen.once(13) && d.int(&r.D)
 		case "consequent":

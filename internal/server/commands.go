@@ -122,7 +122,6 @@ var commands = map[string]command{
 	"partition": {graph: true, run: (*Table).partition},
 	"explain":   {graph: true, class: reads, run: (*Table).explain},
 
-	"pmatch":    {engine: true, graph: true, run: qgpdOnly((*session).pmatch)},
 	"rule":      {graph: true, run: qgpdOnly((*session).rule)},
 	"rpqfilter": {engine: true, graph: true, run: qgpdOnly((*session).rpqFilter)},
 	"fragment":  {run: qgpdOnly((*session).fragment)},

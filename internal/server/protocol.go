@@ -82,7 +82,6 @@ import (
 //
 // Only qgpd, whose session holds a graph of its own, serves
 //
-//	pmatch    — evaluate a QGP over a d-hop partition in parallel
 //	rule      — evaluate a QGAR (support, confidence, matches)
 //	rpqfilter — evaluate a QGP, then filter by a quantified path constraint
 //	fragment  — load a d-hop-preserving fragment (subgraph + owned nodes):
@@ -151,15 +150,14 @@ type Request struct {
 	Format string `json:"format,omitempty"` // text (default) | json | binary (graph.WriteBinary, base64 in Data)
 	Data   string `json:"data,omitempty"`
 
-	// match / pmatch / rpqfilter / rule
+	// match / rpqfilter / rule
 	Pattern string `json:"pattern,omitempty"` // QGP DSL
 	Engine  string `json:"engine,omitempty"`  // qmatch (default) | qmatchn | enum
 	Budget  int64  `json:"budget,omitempty"`  // extension budget (0 = server default)
 	Limit   int    `json:"limit,omitempty"`   // cap returned matches (0 = all)
 
-	// pmatch / partition
+	// partition
 	Workers int `json:"workers,omitempty"`
-	Threads int `json:"threads,omitempty"`
 	D       int `json:"d,omitempty"`
 
 	// rule

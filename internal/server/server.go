@@ -23,7 +23,6 @@ import (
 	"repro/internal/load"
 	"repro/internal/match"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/rpq"
 	"repro/internal/rules"
@@ -463,8 +462,13 @@ func (sess *session) Explain(q *core.Pattern, _ *obs.Trace) (any, error) {
 }
 
 // Partition builds a d-hop preserving partition of the session graph and
-// reports its fragments' materialized node counts.
+// reports its fragments' materialized node counts. DPar allocates a
+// fragment per worker before it looks at the graph, so asking for more
+// workers than the graph has nodes is refused before it runs.
 func (sess *session) Partition(req *Request) ([]int, error) {
+	if bound := max(sess.g.NumNodes(), 1); req.Workers > bound {
+		return nil, fmt.Errorf("partition: %d workers exceed the graph's %d nodes", req.Workers, bound)
+	}
 	workers := req.Workers
 	if workers <= 0 {
 		workers = 4
@@ -482,36 +486,6 @@ func (sess *session) Partition(req *Request) ([]int, error) {
 		sizes[i] = len(f.Nodes)
 	}
 	return sizes, nil
-}
-
-func (sess *session) pmatch(req *Request, resp *Response) error {
-	q, err := core.Parse(req.Pattern)
-	if err != nil {
-		return err
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	threads := req.Threads
-	if threads <= 0 {
-		threads = 2
-	}
-	d := req.D
-	if need := core.RequiredHops(q); d < need {
-		d = need
-	}
-	p, err := partition.DPar(sess.g, partition.Config{Workers: workers, D: d})
-	if err != nil {
-		return err
-	}
-	res, err := parallel.Run(parallel.NewCluster(p), q, req.Engine, threads)
-	if err != nil {
-		return err
-	}
-	fillMatches(resp, res.Matches, req.Limit)
-	resp.Metrics = &res.Metrics
-	return nil
 }
 
 func (sess *session) rule(req *Request, resp *Response) error {

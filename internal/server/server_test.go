@@ -157,7 +157,7 @@ func TestLoadJSONAndBadInputs(t *testing.T) {
 	}
 }
 
-func TestGenStatsPartitionPMatch(t *testing.T) {
+func TestGenStatsPartition(t *testing.T) {
 	c, _ := startServer(t, server.Config{})
 	nodes, edges, err := c.Gen("social", 300, 7)
 	if err != nil {
@@ -202,30 +202,6 @@ func TestGenStatsPartitionPMatch(t *testing.T) {
 	}
 	if len(part.Fragments) != 4 || part.Skew <= 0 {
 		t.Fatalf("partition = %+v", part)
-	}
-
-	// Sequential and parallel answers agree.
-	seq, err := c.Match(genPattern, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Total == 0 {
-		t.Fatal("generated workload produced no matches; the test is vacuous")
-	}
-	par, err := c.PMatch(genPattern, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(seq.Matches) != fmt.Sprint(par.Matches) {
-		t.Fatalf("parallel %v != sequential %v", par.Matches, seq.Matches)
-	}
-	// pmatch forwards the engine name: enum is PEnum, an unknown one fails.
-	penum, err := c.Do(&server.Request{Cmd: "pmatch", Pattern: genPattern, Engine: "enum", Workers: 3})
-	if err != nil || fmt.Sprint(seq.Matches) != fmt.Sprint(penum.Matches) {
-		t.Fatalf("pmatch engine=enum: %v (err %v) != sequential %v", penum, err, seq.Matches)
-	}
-	if _, err := c.Do(&server.Request{Cmd: "pmatch", Pattern: genPattern, Engine: "bogus"}); err == nil || !strings.Contains(err.Error(), `unknown engine "bogus"`) {
-		t.Fatalf("pmatch with an unknown engine: err = %v", err)
 	}
 }
 
@@ -431,19 +407,17 @@ func TestBadRequestReplies(t *testing.T) {
 	}
 }
 
-// TestPlannerFieldIgnored: a client from before the engine had one matching
-// order may still send "planner":true. The field is no longer part of a
-// request, so the line is read as if it were absent: the same match with
-// and without it returns the same answers and the same work.
-func TestPlannerFieldIgnored(t *testing.T) {
-	_, addr := startServer(t, server.Config{})
+// rawSender returns a function that sends one request, spelled as a map
+// so it may carry fields Request does not have, on one connection to addr
+// and returns the reply.
+func rawSender(t *testing.T, addr string) func(req map[string]any) server.Response {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	in := server.NewLineReader(conn, 1<<20)
-	send := func(req map[string]any) server.Response {
+	return func(req map[string]any) server.Response {
 		t.Helper()
 		line, err := json.Marshal(req)
 		if err != nil {
@@ -457,17 +431,68 @@ func TestPlannerFieldIgnored(t *testing.T) {
 			t.Fatal(err)
 		}
 		var resp server.Response
-		if err := server.DecodeResponse(reply, &resp); err != nil || !resp.OK {
+		if err := server.DecodeResponse(reply, &resp); err != nil {
 			t.Fatalf("%s: %s (%v)", line, reply, err)
+		}
+		return resp
+	}
+}
+
+// retiredFieldIgnored: a match carrying a field that is no longer part of
+// a request is read as if the field were absent, returning the same
+// answers and the same work as without it.
+func retiredFieldIgnored(t *testing.T, field string, value any) {
+	_, addr := startServer(t, server.Config{})
+	raw := rawSender(t, addr)
+	send := func(req map[string]any) server.Response {
+		t.Helper()
+		resp := raw(req)
+		if !resp.OK {
+			t.Fatalf("%v: %s", req, resp.Error)
 		}
 		return resp
 	}
 	send(map[string]any{"id": 1, "cmd": "gen", "kind": "social", "size": 300, "seed": 3})
 	plain := send(map[string]any{"id": 2, "cmd": "match", "pattern": genPattern})
-	planned := send(map[string]any{"id": 3, "cmd": "match", "pattern": genPattern, "planner": true})
-	if len(plain.Matches) == 0 || !reflect.DeepEqual(plain.Matches, planned.Matches) || *plain.Metrics != *planned.Metrics {
-		t.Fatalf("with planner: %d matches %+v; without: %d matches %+v",
-			len(planned.Matches), planned.Metrics, len(plain.Matches), plain.Metrics)
+	with := send(map[string]any{"id": 3, "cmd": "match", "pattern": genPattern, field: value})
+	if len(plain.Matches) == 0 || !reflect.DeepEqual(plain.Matches, with.Matches) || *plain.Metrics != *with.Metrics {
+		t.Fatalf("with %s: %d matches %+v; without: %d matches %+v",
+			field, len(with.Matches), with.Metrics, len(plain.Matches), plain.Metrics)
+	}
+}
+
+// TestPlannerFieldIgnored: a client from before the engine had one matching
+// order may still send "planner":true.
+func TestPlannerFieldIgnored(t *testing.T) { retiredFieldIgnored(t, "planner", true) }
+
+// TestThreadsFieldIgnored: a client from before §5 had one execution path
+// may still send the intra-fragment thread count pmatch took.
+func TestThreadsFieldIgnored(t *testing.T) { retiredFieldIgnored(t, "threads", 2) }
+
+// TestPartitionRefusesMoreWorkersThanNodes: DPar allocates a fragment per
+// worker before it looks at the graph, so one partition line asking for
+// two billion workers would reserve hundreds of gigabytes. It is refused
+// with the bound it broke, and the connection goes on serving.
+func TestPartitionRefusesMoreWorkersThanNodes(t *testing.T) {
+	_, addr := startServer(t, server.Config{})
+	send := rawSender(t, addr)
+	var text strings.Builder
+	text.WriteString("graph 50\n")
+	for i := 0; i < 50; i++ {
+		fmt.Fprintf(&text, "n %d person\n", i)
+	}
+	for i := 0; i < 50; i++ {
+		fmt.Fprintf(&text, "e %d %d follow\n", i, (i+1)%50)
+	}
+	if r := send(map[string]any{"id": 1, "cmd": "load", "data": text.String()}); !r.OK || r.Nodes != 50 {
+		t.Fatalf("load: %+v", r)
+	}
+	r := send(map[string]any{"id": 2, "cmd": "partition", "workers": 2_000_000_000})
+	if want := "partition: 2000000000 workers exceed the graph's 50 nodes"; r.OK || r.Error != want {
+		t.Fatalf("partition with 2e9 workers: ok=%v error=%q, want %q", r.OK, r.Error, want)
+	}
+	if r := send(map[string]any{"id": 3, "cmd": "partition", "workers": 50, "d": 2}); !r.OK || len(r.Fragments) != 50 {
+		t.Fatalf("partition with 50 workers after the refusal: ok=%v error=%q fragments=%d", r.OK, r.Error, len(r.Fragments))
 	}
 }
 
