@@ -54,6 +54,9 @@ func main() {
 		os.Exit(2)
 	}
 
+	if err := match.CheckEngine(*algo); err != nil {
+		fatal(err)
+	}
 	g := readGraph(*graphFile, *format)
 	q := readPattern(*patternFile)
 	fmt.Printf("graph: %s\npattern:\n%s", g.ComputeStats(), q)

@@ -154,7 +154,7 @@ func patternsFrom(generate func(*graph.Graph, gen.PatternConfig) *core.Pattern, 
 		// Probe before the full evaluation: the sample-projected Enum cost
 		// upper-bounds QMatch too, so this also guards the satisfiability
 		// check below against combinatorial blowups.
-		if !enumFeasible(g, p, 15*time.Second) {
+		if !enumFeasible(g, p, enumWorkBudget) {
 			continue
 		}
 		res, err := match.QMatch(g, p, nil)
@@ -174,14 +174,23 @@ func patternsFrom(generate func(*graph.Graph, gen.PatternConfig) *core.Pattern, 
 	return matched
 }
 
-// enumFeasible estimates the enumerate-then-verify cost of a pattern by
+// enumWorkBudget is the projected Enum work (extensions + verifications)
+// past which a pattern is left out: a work count, so that which patterns
+// an experiment runs depends only on the graph and the seed. At small
+// scale, seed 1, every probe of exps 1–16 projects at most 24.3M but
+// exp 6's one at 327.8M, which takes 15–18 s of Enum on a 2-vCPU VM
+// (about 50 ns per unit); 200M keeps every pattern the pinned tests read
+// and leaves that one out.
+const enumWorkBudget = 200_000_000
+
+// enumFeasible estimates the enumerate-then-verify work of a pattern by
 // probing a sample of focus candidates and rejects patterns whose
 // projected full Enum run exceeds the budget. Occasional hub-driven
 // isomorphism explosions would otherwise dominate every sweep that
 // includes the Enum baselines; the paper's workloads (mined from real
 // graphs with a production-grade engine) sit in the feasible regime, so
 // this keeps the comparison in the same regime.
-func enumFeasible(g *graph.Graph, p *core.Pattern, budget time.Duration) bool {
+func enumFeasible(g *graph.Graph, p *core.Pattern, budget int64) bool {
 	cands := g.NodesByLabelName(p.Nodes[p.Focus].Label)
 	if len(cands) == 0 {
 		return true
@@ -198,14 +207,13 @@ func enumFeasible(g *graph.Graph, p *core.Pattern, budget time.Duration) bool {
 	for i := 0; i < k; i++ {
 		sample = append(sample, cands[i*step])
 	}
-	start := time.Now()
 	// The probe itself is hard-capped: a single hub candidate can explode.
-	_, err := match.Enum(g, p, &match.Options{FocusRestrict: sample, ExtensionBudget: 30_000_000})
+	res, err := match.Enum(g, p, &match.Options{FocusRestrict: sample, ExtensionBudget: 30_000_000})
 	if err != nil {
 		return false // budget blown or otherwise unevaluable: infeasible
 	}
-	projected := time.Duration(int64(time.Since(start)) * int64(len(cands)) / int64(k))
-	return projected <= budget
+	work := res.Metrics.Extensions + int64(res.Metrics.Verifications)
+	return work*int64(len(cands))/int64(k) <= budget
 }
 
 // served starts n in-process workers, the qgpd sessions qgpcluster

@@ -60,7 +60,9 @@ func (c *Coordinator) MatchWith(q *core.Pattern, opts *MatchOptions) (res *Match
 
 // matchWith runs one cluster match through routedRead, recording it in tr
 // (nil: untraced): an rtt span per worker, holding the worker's own record
-// when tr is deep, the merge and the answers count.
+// when tr is deep, the merge and the answers count. An engine no worker
+// would run is refused here, in the front end's words, before any worker
+// is contacted.
 func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, tr *obs.Trace) (res *MatchResult, err error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
@@ -77,6 +79,9 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, tr *obs.Tra
 		if opts.Budget > 0 {
 			req.Budget = opts.Budget
 		}
+	}
+	if err := match.CheckEngine(req.Engine); err != nil {
+		return nil, err
 	}
 	err = c.routedRead(tr, req, func(replies []workerReply) error {
 		tm := time.Now()

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
-	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/gen"
@@ -91,10 +93,56 @@ func TestInsufficientHopsRejected(t *testing.T) {
 	}
 }
 
+// matchCounter counts the match requests that reach a worker.
+type matchCounter struct {
+	Transport
+	matches *atomic.Int64
+}
+
+func (m matchCounter) Do(req *server.Request) (*server.Response, error) {
+	if req.Cmd == "match" {
+		m.matches.Add(1)
+	}
+	return m.Transport.Do(req)
+}
+
+// TestUnknownEngineRejected: an engine no worker runs is refused by the
+// coordinator before any worker is asked, with the text the front end
+// answers the same request with.
 func TestUnknownEngineRejected(t *testing.T) {
-	c := pqCluster(t, fixture.NewG1().G, 2, 2)
-	if _, err := c.MatchWith(fixture.Q2(), &MatchOptions{Engine: "bogus"}); err == nil || !strings.Contains(err.Error(), `unknown engine "bogus"`) {
-		t.Fatalf("match with an unknown engine: err = %v", err)
+	var matches atomic.Int64
+	ts := InProcessN(2, server.Config{})
+	for i, tr := range ts {
+		ts[i] = matchCounter{tr, &matches}
+	}
+	c, err := New(fixture.NewG1().G.Clone(), ts, Config{D: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	_, err = c.MatchWith(fixture.Q2(), &MatchOptions{Engine: "bogus"})
+	if err == nil {
+		t.Fatal("match with an unknown engine accepted")
+	}
+	if n := matches.Load(); n != 0 {
+		t.Fatalf("an unknown engine reached the workers: %d match requests", n)
+	}
+
+	fe := startFrontend(t, 2)
+	if _, _, err := fe.Gen("social", 50, 1); err != nil {
+		t.Fatal(err)
+	}
+	_, ferr := fe.Match(fixture.Q2().String(), &client.MatchOptions{Engine: "bogus"})
+	var want *client.ServerError
+	if !errors.As(ferr, &want) || err.Error() != want.Msg || want.Msg != `unknown engine "bogus"` {
+		t.Fatalf("coordinator answers %q, front end %v", err, ferr)
+	}
+
+	if _, err := c.MatchWith(fixture.Q2(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := matches.Load(); n != 2 {
+		t.Fatalf("a match reached %d workers, want 2", n)
 	}
 }
 

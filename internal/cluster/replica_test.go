@@ -177,10 +177,12 @@ func TestProtocolErrorDoesNotFailOver(t *testing.T) {
 	t.Cleanup(func() { c.Close() })
 	handedBefore := pool.handedCount()
 
+	// An engine the workers do not know never reaches them, so a budget
+	// of one extension draws the error response instead.
 	q := mustParse(t, testPatterns[0])
-	if _, err := c.MatchWith(q, &MatchOptions{Engine: "bogus"}); err == nil {
-		t.Fatal("bogus engine accepted")
-	} else if !strings.Contains(err.Error(), "unknown engine") {
+	if _, err := c.MatchWith(q, &MatchOptions{Budget: 1}); err == nil {
+		t.Fatal("a one-extension budget held")
+	} else if !strings.Contains(err.Error(), "budget exceeded") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	if got := pool.handedCount(); got != handedBefore {

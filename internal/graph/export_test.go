@@ -7,5 +7,6 @@ var (
 	ReferenceInducedOf  = referenceInducedOf
 	ReferenceRead       = referenceRead
 	ReferenceReadBinary = referenceReadBinary
+	ReferenceWriteTo    = referenceWriteTo
 	SameBuild           = sameBuild
 )

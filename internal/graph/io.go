@@ -22,30 +22,49 @@ import (
 // order, all of it. Lines starting with '#' are comments.
 
 // WriteTo serializes g in the text format. It returns the number of bytes
-// written.
+// written. Lines are appended to one buffer, handed to w whenever it
+// passes 64 KiB, and each label is quoted once, not once per line.
 func (g *Graph) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
+	const chunk = 64 << 10
+	buf := make([]byte, 0, chunk+256) // room for the line that crosses the mark
 	var n int64
-	count := func(c int, err error) error {
+	flush := func() error {
+		c, err := w.Write(buf)
 		n += int64(c)
+		buf = buf[:0]
 		return err
 	}
-	if err := count(fmt.Fprintf(bw, "graph %d\n", g.NumNodes())); err != nil {
-		return n, err
-	}
-	for v := 0; v < g.NumNodes(); v++ {
-		if err := count(fmt.Fprintf(bw, "n %d %s\n", v, scan.Quote(g.NodeLabelName(NodeID(v))))); err != nil {
-			return n, err
+	quoted := make([]string, g.interner.Len())
+	label := func(l LabelID) string {
+		if quoted[l] == "" { // a quoted label is never empty: "" quotes as `""`
+			quoted[l] = scan.Quote(g.interner.Name(l))
 		}
+		return quoted[l]
 	}
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, e := range g.out[v] {
-			if err := count(fmt.Fprintf(bw, "e %d %d %s\n", v, e.To, scan.Quote(g.interner.Name(e.Label)))); err != nil {
+	buf = strconv.AppendInt(append(buf, "graph "...), int64(g.NumNodes()), 10)
+	buf = append(buf, '\n')
+	for v, l := range g.nodeLabel {
+		buf = strconv.AppendInt(append(buf, "n "...), int64(v), 10)
+		buf = append(append(append(buf, ' '), label(l)...), '\n')
+		if len(buf) >= chunk {
+			if err := flush(); err != nil {
 				return n, err
 			}
 		}
 	}
-	return n, bw.Flush()
+	for v, row := range g.out {
+		for _, e := range row {
+			buf = strconv.AppendInt(append(buf, "e "...), int64(v), 10)
+			buf = strconv.AppendInt(append(buf, ' '), int64(e.To), 10)
+			buf = append(append(append(buf, ' '), label(e.Label)...), '\n')
+			if len(buf) >= chunk {
+				if err := flush(); err != nil {
+					return n, err
+				}
+			}
+		}
+	}
+	return n, flush()
 }
 
 // Read parses a graph in the text format and finalizes it. The input may

@@ -144,6 +144,69 @@ func BenchmarkLoad(b *testing.B) {
 	})
 }
 
+// TestWriteToMatchesReference: the append writer writes the bytes the
+// fmt writer wrote, over the generators' graphs (one left unfinalized,
+// rows in insertion order and with repeats) and over labels that must be
+// quoted — empty, spaced, holding a quote, a backslash, a control byte or
+// invalid UTF-8 — beside ones that need not be.
+func TestWriteToMatchesReference(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"empty":     graph.New(0),
+		"social":    gen.Social(gen.DefaultSocial(1500, 2)),
+		"knowledge": gen.Knowledge(gen.DefaultKnowledge(800, 3)),
+		"smallw":    gen.SmallWorld(gen.SmallWorldConfig{Nodes: 3000, Edges: 9000, Seed: 4}),
+		"replayed":  replay(gen.Social(gen.DefaultSocial(300, 5)), rand.New(rand.NewSource(5))),
+	}
+	labels := []string{"", " ", "a b", `say"hi"`, `back\slash`, "tab\there", "bell\x07", "\xff\xfe", "zero\x00", "über", "日本", "plain", "#hash", "e"}
+	q := graph.New(len(labels))
+	for _, l := range labels {
+		q.AddNode(l)
+	}
+	for i, l := range labels {
+		q.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%len(labels)), l)
+		q.AddEdge(graph.NodeID(i), graph.NodeID((i+3)%len(labels)), labels[(i+5)%len(labels)])
+	}
+	q.Finalize()
+	graphs["quoted"] = q
+	for name, g := range graphs {
+		var got, want bytes.Buffer
+		n, err := g.WriteTo(&got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := graph.ReferenceWriteTo(g, &want); err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(got.Len()) {
+			t.Errorf("%s: WriteTo reported %d bytes and wrote %d", name, n, got.Len())
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			a, b := got.Bytes(), want.Bytes()
+			i := 0
+			for i < min(len(a), len(b)) && a[i] == b[i] {
+				i++
+			}
+			t.Fatalf("%s: %d bytes against the reference's %d, first difference at byte %d:\n got %q\nwant %q",
+				name, len(a), len(b), i, a[i:min(i+40, len(a))], b[i:min(i+40, len(b))])
+		}
+	}
+}
+
+// BenchmarkWriteTo times the text writer on the 6 000-person social graph,
+// the text the benchmark's cold start writes before loading it.
+func BenchmarkWriteTo(b *testing.B) {
+	g := gen.Social(gen.DefaultSocial(6000, 1))
+	var text bytes.Buffer
+	b.ReportAllocs()
+	for b.Loop() {
+		text.Reset()
+		if _, err := g.WriteTo(&text); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(text.Len()))
+}
+
 // replay rebuilds g unfinalized through the public building calls: its
 // edges in row order, or, with r, shuffled and with every seventh one
 // added twice.

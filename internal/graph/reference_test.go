@@ -76,6 +76,33 @@ func compactRows(adj [][]Edge) {
 	}
 }
 
+// referenceWriteTo is WriteTo as it was before the append writer: one
+// fmt.Fprintf and one scan.Quote per line, through a bufio.Writer.
+func referenceWriteTo(g *Graph, w io.Writer) (int64, error) {
+	bw := bufio.NewWriter(w)
+	var n int64
+	count := func(c int, err error) error {
+		n += int64(c)
+		return err
+	}
+	if err := count(fmt.Fprintf(bw, "graph %d\n", g.NumNodes())); err != nil {
+		return n, err
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		if err := count(fmt.Fprintf(bw, "n %d %s\n", v, scan.Quote(g.NodeLabelName(NodeID(v))))); err != nil {
+			return n, err
+		}
+	}
+	for v := 0; v < g.NumNodes(); v++ {
+		for _, e := range g.out[v] {
+			if err := count(fmt.Fprintf(bw, "e %d %d %s\n", v, e.To, scan.Quote(g.interner.Name(e.Label)))); err != nil {
+				return n, err
+			}
+		}
+	}
+	return n, bw.Flush()
+}
+
 // referenceRead is Read line by line through TrimSpace and scan.Fields,
 // under the same header rules.
 func referenceRead(r io.Reader, maxSize int) (*Graph, error) {

@@ -13,13 +13,50 @@ import (
 // with bit i in seen[a] & seen[b]: exact — a bit is membership. What
 // BFS-adjacent border nodes share of their neighborhoods is walked and
 // scanned once per block, not once per node. Scratch is O(|V|) words.
+//
+// The hops before the last push from the frontier. The last one needs no
+// next frontier, so when its frontier's adjacency is a large share of the
+// graph's it is pulled instead (Beamer, Asanović, Patterson, SC 2012):
+// fin[x] = seen[x] | OR seen[y] over x's neighbours, branch-free over
+// every node, which is exact because a source that reached y within d-1
+// hops reaches x within d.
 type blockBFS struct {
 	seen                      []uint64 // sources that reached the node
 	cur, next                 []uint64 // sources reaching it at this hop / the next
+	fin                       []uint64 // seen after a pulled last hop
 	touched, front, nextFront []graph.NodeID
 	nodes, edges              laneCounter
 	visits                    int // adjacency slots read: the unit the tests compare cost in
+	last                      direction
+	pushed, pulled            int // last hops taken each way
 }
+
+// direction picks how the last hop runs: auto by the frontier's
+// adjacency volume (DPar), or forced either way (tests).
+type direction int
+
+const (
+	auto direction = iota
+	push
+	pull
+)
+
+// pullShare is the rule for the last hop: pull it when its frontier's
+// adjacency volume is at least 1/pullShare of the graph's (2|E| slots).
+// A pushed slot costs a test and, for a fresh bit, two scattered writes
+// and a list append; a pulled slot costs an OR, and the count pass then
+// walks nodes in id order rather than discovery order. Timed per block,
+// each direction forced, best of three, two sessions (2-vCPU VM, Go 1.24,
+// DPar's borders at 2 and 4 workers), pulled/pushed time by the
+// frontier's share of 2|E|:
+//   - social, 6 000 persons (the benchmark's graph), d=2: 0.46–0.50 at
+//     1/1, 0.51–0.55 at 1/2, 0.60–0.63 at 1/3, 0.63–0.68 at 1/4; the
+//     whole kernel 231–257 → 133–139 ms. At d=1 every share is under
+//     1/20 and pulling costs 2.1–2.3×.
+//   - the 46×45 grid: shares of 1/10 and under at d ≤ 3, where pulling
+//     costs 1.7–4.5×; it never pulls.
+//   - smallworld and knowledge graphs cross over between 1/3 and 1/8.
+const pullShare = 4
 
 func newBlockBFS(n int) *blockBFS {
 	return &blockBFS{seen: make([]uint64, n), cur: make([]uint64, n), next: make([]uint64, n)}
@@ -43,26 +80,30 @@ func (k *blockBFS) block(g *graph.Graph, srcs []graph.NodeID, d int, count, size
 	}
 	k.touched = append(k.touched[:0], srcs...)
 	k.front = append(k.front[:0], srcs...)
+	member := k.seen
 	for hop := 0; hop < d && len(k.front) > 0; hop++ {
-		for _, u := range k.front {
-			from := k.cur[u]
-			k.cur[u] = 0
-			k.reach(g.Out(u), from)
-			k.reach(g.In(u), from)
+		if hop == d-1 && k.pulls(g) {
+			k.pull(g)
+			member = k.fin
+			break
 		}
-		k.front, k.nextFront = k.nextFront, k.front[:0]
-		k.cur, k.next = k.next, k.cur
+		k.push(g)
 	}
 	for _, u := range k.front {
 		k.cur[u] = 0
 	}
+	// Count each reached node, and each out-edge with both ends reached,
+	// to the sources member (seen, or fin after a pulled hop) names.
 	for _, a := range k.touched {
-		sa := k.seen[a]
+		sa := member[a]
 		k.nodes.add(sa)
 		out := g.Out(a)
 		k.visits += len(out)
+		if len(out) >= 8 {
+			out = k.edges.addGroups(sa, out, member)
+		}
 		for _, e := range out {
-			k.edges.add(sa & k.seen[e.To])
+			k.edges.add(sa & member[e.To])
 		}
 	}
 	k.nodes.drain(count)
@@ -72,6 +113,63 @@ func (k *blockBFS) block(g *graph.Graph, srcs []graph.NodeID, d int, count, size
 	}
 	for _, u := range k.touched {
 		k.seen[u] = 0
+	}
+}
+
+// pulls reports whether the last hop is pulled, and tallies the choice.
+func (k *blockBFS) pulls(g *graph.Graph) bool {
+	p := k.last == pull
+	if k.last == auto {
+		volume := 0
+		for _, u := range k.front {
+			volume += len(g.Out(u)) + len(g.In(u))
+		}
+		p = volume*pullShare >= 2*g.NumEdges()
+	}
+	if p {
+		k.pulled++
+	} else {
+		k.pushed++
+	}
+	return p
+}
+
+// push walks one hop out of the frontier.
+func (k *blockBFS) push(g *graph.Graph) {
+	for _, u := range k.front {
+		from := k.cur[u]
+		k.cur[u] = 0
+		k.reach(g.Out(u), from)
+		k.reach(g.In(u), from)
+	}
+	k.front, k.nextFront = k.nextFront, k.front[:0]
+	k.cur, k.next = k.next, k.cur
+}
+
+// pull computes fin, seen one hop further, for every node, and lists the
+// nodes it reaches in touched, in id order: they include every node seen
+// so far, so clearing seen over them stays exact. Every word of fin is
+// written, so it needs no clearing between blocks.
+func (k *blockBFS) pull(g *graph.Graph) {
+	if k.fin == nil {
+		k.fin = make([]uint64, len(k.seen))
+	}
+	seen := k.seen
+	k.touched = k.touched[:0]
+	for x := range k.fin {
+		w := seen[x]
+		out, in := g.Out(graph.NodeID(x)), g.In(graph.NodeID(x))
+		for _, e := range out {
+			w |= seen[e.To]
+		}
+		for _, e := range in {
+			w |= seen[e.To]
+		}
+		k.fin[x] = w
+		k.visits += len(out) + len(in)
+		if w != 0 {
+			k.touched = append(k.touched, graph.NodeID(x))
+		}
 	}
 }
 
@@ -113,6 +211,30 @@ func (c *laneCounter) add(x uint64) {
 	if c.n == len(c.buf) {
 		c.reduce()
 	}
+}
+
+// addGroups adds sa & member[e.To] for the edges e of row's whole groups
+// of eight, through the adder tree held in locals, and returns the rest of
+// the row. The buffer may hold words meanwhile: the order words are added
+// in does not change the sums.
+func (c *laneCounter) addGroups(sa uint64, row []graph.Edge, member []uint64) []graph.Edge {
+	ones, twos, four := c.ones, c.twos, c.four
+	for ; len(row) >= 8; row = row[8:] {
+		r := row[:8]
+		var t0, t1, f0, f1, eights uint64
+		t0, ones = csa(ones, sa&member[r[0].To], sa&member[r[1].To])
+		t1, ones = csa(ones, sa&member[r[2].To], sa&member[r[3].To])
+		f0, twos = csa(twos, t0, t1)
+		t0, ones = csa(ones, sa&member[r[4].To], sa&member[r[5].To])
+		t1, ones = csa(ones, sa&member[r[6].To], sa&member[r[7].To])
+		f1, twos = csa(twos, t0, t1)
+		eights, four = csa(four, f0, f1)
+		if eights != 0 {
+			c.ripple(3, eights)
+		}
+	}
+	c.ones, c.twos, c.four = ones, twos, four
+	return row
 }
 
 // csa adds three words lane by lane: sum is the low bit, carry the high.

@@ -55,6 +55,12 @@ type Partition struct {
 //     fragment, so the partition is complete; each fragment then loads
 //     its chunk plus the neighborhoods it was assigned in one BFS.
 func DPar(g *graph.Graph, cfg Config) (*Partition, error) {
+	return dpar(g, cfg, newBlockBFS(g.NumNodes()))
+}
+
+// dpar is DPar sizing border neighborhoods with k, a kernel over g's
+// nodes that the tests read back.
+func dpar(g *graph.Graph, cfg Config, k *blockBFS) (*Partition, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("partition: need at least 1 worker, got %d", cfg.Workers)
 	}
@@ -98,7 +104,7 @@ func DPar(g *graph.Graph, cfg Config) (*Partition, error) {
 			borders = append(borders, v)
 		}
 	}
-	count, size := newBlockBFS(g.NumNodes()).sizeAll(g, borders, cfg.D)
+	count, size := k.sizeAll(g, borders, cfg.D)
 	for i, v := range borders {
 		p.Fragments[home[v]].Work += count[i]
 	}

@@ -375,9 +375,12 @@ func bordersOf(g *graph.Graph, workers, d int) []graph.NodeID {
 	return borders
 }
 
-func equalToReference(t *testing.T, what string, g *graph.Graph, cfg Config) {
+// equalToReference runs DPar against the reference and returns the
+// kernel that sized its border neighborhoods.
+func equalToReference(t *testing.T, what string, g *graph.Graph, cfg Config) *blockBFS {
 	t.Helper()
-	got, err := DPar(g, cfg)
+	k := newBlockBFS(g.NumNodes())
+	got, err := dpar(g, cfg, k)
 	if err != nil {
 		t.Fatalf("%s: DPar: %v", what, err)
 	}
@@ -392,6 +395,7 @@ func equalToReference(t *testing.T, what string, g *graph.Graph, cfg Config) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
+	return k
 }
 
 // sweepGraph draws a small multigraph with self-loops, parallel edges
@@ -422,13 +426,14 @@ func sweepGraph(r *rand.Rand) *graph.Graph {
 }
 
 // TestDParEqualsReferenceSweep: the block kernel changes how the border
-// phase is computed, not what it computes.
+// phase is computed, not what it computes, whichever way it takes each
+// block's last hop.
 func TestDParEqualsReferenceSweep(t *testing.T) {
 	graphs := 2500
 	if testing.Short() {
 		graphs = 300
 	}
-	completed := 0
+	completed, pushed, pulled := 0, 0, 0
 	for seed := 0; seed < graphs; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		g := sweepGraph(r)
@@ -439,10 +444,16 @@ func TestDParEqualsReferenceSweep(t *testing.T) {
 			cfg.BalanceC = 0.2 + r.Float64()
 			completed++
 		}
-		equalToReference(t, fmt.Sprintf("seed %d (|V|=%d |E|=%d %+v)", seed, g.NumNodes(), g.NumEdges(), cfg), g, cfg)
+		k := equalToReference(t, fmt.Sprintf("seed %d (|V|=%d |E|=%d %+v)", seed, g.NumNodes(), g.NumEdges(), cfg), g, cfg)
+		pushed += k.pushed
+		pulled += k.pulled
 	}
 	if completed < graphs/3 {
 		t.Fatalf("only %d of %d graphs ran with a tight cap", completed, graphs)
+	}
+	t.Logf("last hops: %d pushed, %d pulled", pushed, pulled)
+	if pushed == 0 || pulled == 0 {
+		t.Fatalf("the sweep pushed %d last hops and pulled %d: both ways must be taken", pushed, pulled)
 	}
 }
 
@@ -463,24 +474,30 @@ func TestDParEqualsReferenceBenchmarkShapes(t *testing.T) {
 
 // TestBlockEdges pins the source counts at which a block is empty,
 // alone, one short of full, full, one over and two full plus one — first
-// on the kernel, whose sources may be any nodes, then through DPar on
-// paths cut in the middle (being a border node is mutual, so no graph has
-// exactly one: 2 stands in).
+// on the kernel, whose sources may be any nodes, with the last hop pushed
+// and pulled, then through DPar on paths cut in the middle (being a
+// border node is mutual, so no graph has exactly one: 2 stands in).
 func TestBlockEdges(t *testing.T) {
 	g := gen.SmallWorld(gen.SmallWorldConfig{Nodes: 400, Edges: 1200, Seed: 3})
 	order := bfsOrder(g)
 	k := newBlockBFS(g.NumNodes())
-	for _, n := range []int{0, 1, 63, 64, 65, 129} {
-		for d := 0; d <= 3; d++ {
-			count, size := k.sizeAll(g, order[:n], d)
-			for i, v := range order[:n] {
-				nd := g.Neighborhood(v, d)
-				sub, _ := g.Induced(nd)
-				if count[i] != len(nd) || size[i] != sub.Size() {
-					t.Fatalf("%d sources, d=%d, source %d: got |Nd|=%d size=%d, want %d and %d", n, d, i, count[i], size[i], len(nd), sub.Size())
+	for _, last := range []direction{push, pull} {
+		k.last = last
+		for _, n := range []int{0, 1, 63, 64, 65, 129} {
+			for d := 0; d <= 3; d++ {
+				count, size := k.sizeAll(g, order[:n], d)
+				for i, v := range order[:n] {
+					nd := g.Neighborhood(v, d)
+					sub, _ := g.Induced(nd)
+					if count[i] != len(nd) || size[i] != sub.Size() {
+						t.Fatalf("last hop %s, %d sources, d=%d, source %d: got |Nd|=%d size=%d, want %d and %d", [...]string{push: "pushed", pull: "pulled"}[last], n, d, i, count[i], size[i], len(nd), sub.Size())
+					}
 				}
 			}
 		}
+	}
+	if k.pushed == 0 || k.pulled == 0 {
+		t.Fatalf("forced last hops ran %d pushed and %d pulled", k.pushed, k.pulled)
 	}
 
 	// A path of n nodes in BFS order 0..n-1, cut at ⌈n/2⌉: the d nodes on
@@ -505,22 +522,44 @@ func TestBlockEdges(t *testing.T) {
 }
 
 // TestLaneCounter holds the bit-sliced counter to plain per-lane
-// counting: random words, more than 2^16 additions so the ripple reaches
-// plane 16, drained at lengths that leave the adder tree's buffer empty,
-// full-but-one and part full.
+// counting: random words, added one by one or a row at a time, more than
+// 2^16 additions so the ripple reaches plane 16, drained at lengths that
+// leave the adder tree's buffer empty, full-but-one and part full.
 func TestLaneCounter(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var c laneCounter
+	member := make([]uint64, 50)
+	for i := range member {
+		member[i] = r.Uint64() | r.Uint64()
+	}
 	for _, adds := range []int{0, 1, 7, 8, 9, 1<<16 + 8, 1<<17 + 5, 3} {
 		var want [64]int
-		for i := 0; i < adds; i++ {
+		count := func(x uint64) {
+			for l := range want {
+				want[l] += int(x >> l & 1)
+			}
+		}
+		for i := 0; i < adds; {
 			x := r.Uint64()
 			if i%5 == 0 {
 				x |= 1 // lane 0 is incremented on most additions
 			}
-			c.add(x)
-			for l := range want {
-				want[l] += int(x >> l & 1)
+			if r.Intn(2) == 0 {
+				c.add(x)
+				count(x)
+				i++
+				continue
+			}
+			// A row of up to 20 edges into member, ANDed with x: its
+			// groups of eight at once, the rest one by one.
+			row := make([]graph.Edge, min(r.Intn(21), adds-i))
+			for j := range row {
+				row[j].To = graph.NodeID(r.Intn(len(member)))
+				count(x & member[row[j].To])
+			}
+			i += len(row)
+			for _, e := range c.addGroups(x, row, member) {
+				c.add(x & member[e.To])
 			}
 		}
 		lanes := 1 + r.Intn(64)
@@ -574,7 +613,10 @@ var benchShapes = []struct {
 // grid — nothing shared beyond the block — its word-wide bookkeeping has
 // to be paid for by that alone, so it may not read more than the
 // reference does there either (the bar is 1.5×; it is in fact under 1×).
+// A pulled last hop reads every row of the graph, and those reads count:
+// the rule may pull only where the bar still holds.
 func TestBlockKernelEdgeVisits(t *testing.T) {
+	pulled := 0
 	for _, s := range benchShapes {
 		g := s.g()
 		for _, d := range []int{1, 2, 3} {
@@ -583,12 +625,16 @@ func TestBlockKernelEdgeVisits(t *testing.T) {
 			borders := bordersOf(g, cfg.Workers, d)
 			k := newBlockBFS(g.NumNodes())
 			k.sizeAll(g, borders, d)
-			t.Logf("%s d=%d: %d border nodes, %d slots read against the reference's %d (%.2fx)",
-				s.name, d, len(borders), k.visits, ref, float64(k.visits)/float64(max(ref, 1)))
+			pulled += k.pulled
+			t.Logf("%s d=%d: %d border nodes, %d slots read against the reference's %d (%.2fx), %d of %d last hops pulled",
+				s.name, d, len(borders), k.visits, ref, float64(k.visits)/float64(max(ref, 1)), k.pulled, k.pulled+k.pushed)
 			if 2*k.visits > 3*ref {
 				t.Errorf("%s d=%d: block kernel read %d adjacency slots, reference %d", s.name, d, k.visits, ref)
 			}
 		}
+	}
+	if pulled == 0 {
+		t.Error("no last hop was pulled, so no pulled read was held to the bar")
 	}
 }
 
