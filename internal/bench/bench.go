@@ -177,10 +177,10 @@ func patternsFrom(generate func(*graph.Graph, gen.PatternConfig) *core.Pattern, 
 // enumWorkBudget is the projected Enum work (extensions + verifications)
 // past which a pattern is left out: a work count, so that which patterns
 // an experiment runs depends only on the graph and the seed. At small
-// scale, seed 1, every probe of exps 1–16 projects at most 24.3M but
-// exp 6's one at 327.8M, which takes 15–18 s of Enum on a 2-vCPU VM
-// (about 50 ns per unit); 200M keeps every pattern the pinned tests read
-// and leaves that one out.
+// scale, seed 1, the probes run over the simulation sets, and every probe
+// of exps 1–16 projects at most 22.7M but exp 6's one at 327.7M, which
+// takes 15–18 s of Enum on a 2-vCPU VM (about 50 ns per unit); 200M keeps
+// every pattern the pinned tests read and leaves that one out.
 const enumWorkBudget = 200_000_000
 
 // enumFeasible estimates the enumerate-then-verify work of a pattern by

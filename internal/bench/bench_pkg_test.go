@@ -109,48 +109,56 @@ func TestExp14OrderWork(t *testing.T) {
 }
 
 // TestServedParallelWork pins §5 as the cluster serves it, on exps 2 and 3
-// at small scale, seed 1: every (x, series) row keeps its matches and does
-// no more total_work than the in-process evaluation the served cluster
-// replaced read there. Routing or shipping that loses answers or searches
-// more shows here; a fix of the |V|/8 cliff (the n=4 PQMatch row) shows as
-// a deliberate drop.
+// at small scale, seed 1, over n = 1, 2, 4, 8 and 16 workers. Every row
+// keeps its series' recorded matches and does no more total_work than
+// recorded, and within a series no n answers differently from n = 1 or
+// does more total work: fragments split the search, they never widen it.
+// Routing or shipping that loses answers, or a fragment run that prunes
+// less than a whole-graph run, shows here.
 func TestServedParallelWork(t *testing.T) {
 	type want struct {
 		work    int64
 		matches string
 	}
-	recorded := map[string]want{}
-	for _, n := range []string{"n=1", "n=2", "n=4"} {
-		recorded["2 "+n+" PQMatch"] = want{86_625, "368"}
-		recorded["2 "+n+" PQMatchn"] = want{86_998, "368"}
-		recorded["2 "+n+" PEnum"] = want{45_817_784, "368"}
-		recorded["3 "+n+" PQMatch"] = want{1_099, "11"}
-		recorded["3 "+n+" PQMatchn"] = want{1_378, "11"}
-		recorded["3 "+n+" PEnum"] = want{1_504, "11"}
+	recorded := map[string]want{
+		"2 PQMatch":  {86_625, "368"},
+		"2 PQMatchn": {86_998, "368"},
+		"2 PEnum":    {45_817_784, "368"},
+		"3 PQMatch":  {1_083, "11"},
+		"3 PQMatchn": {1_378, "11"},
+		"3 PEnum":    {1_504, "11"},
 	}
-	recorded["2 n=4 PQMatch"] = want{107_801, "368"}
+	sc := Small()
+	sc.Workers = []int{1, 2, 4, 8, 16}
 	var buf bytes.Buffer
 	for _, run := range []func(Scale, io.Writer) error{exp2, exp3} {
-		if err := run(Small(), &buf); err != nil {
+		if err := run(sc, &buf); err != nil {
 			t.Fatal(err)
 		}
 	}
+	first := map[string]want{} // per series, its n = 1 row
 	rows := 0
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		f := rowFields(line)
-		key := strings.Fields(line)[1] + " " + f["x"] + " " + f["series"]
+		key := strings.Fields(line)[1] + " " + f["series"]
 		w, ok := recorded[key]
 		if !ok {
 			t.Fatalf("unexpected row %q", line)
 		}
 		rows++
-		var work int64
-		fmt.Sscan(f["total_work"], &work)
-		if f["matches"] != w.matches || work > w.work {
-			t.Errorf("exp %s: matches %s, total_work %d; recorded %s matches, at most %d", key, f["matches"], work, w.matches, w.work)
+		var got want
+		fmt.Sscan(f["total_work"], &got.work)
+		got.matches = f["matches"]
+		if got.matches != w.matches || got.work > w.work {
+			t.Errorf("exp %s %s: matches %s, total_work %d; recorded %s matches, at most %d", key, f["x"], got.matches, got.work, w.matches, w.work)
+		}
+		if f["x"] == "n=1" {
+			first[key] = got
+		} else if one := first[key]; got.matches != one.matches || got.work > one.work {
+			t.Errorf("exp %s %s: matches %s, total_work %d; at n=1 %s matches, total_work %d", key, f["x"], got.matches, got.work, one.matches, one.work)
 		}
 	}
-	if rows != len(recorded) {
-		t.Fatalf("exps 2 and 3 printed %d rows, want %d:\n%s", rows, len(recorded), buf.String())
+	if rows != len(recorded)*len(sc.Workers) {
+		t.Fatalf("exps 2 and 3 printed %d rows, want %d:\n%s", rows, len(recorded)*len(sc.Workers), buf.String())
 	}
 }

@@ -48,6 +48,18 @@ func (s *Set) Count() int {
 	return c
 }
 
+// AtLeast reports whether the set has at least k elements, reading words
+// only until it has counted k.
+func (s *Set) AtLeast(k int) bool {
+	for _, w := range s.words {
+		if k <= 0 {
+			return true
+		}
+		k -= bits.OnesCount64(w)
+	}
+	return k <= 0
+}
+
 // Empty reports whether the set has no elements.
 func (s *Set) Empty() bool {
 	for _, w := range s.words {
@@ -63,20 +75,6 @@ func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
 	copy(c.words, s.words)
 	return c
-}
-
-// IntersectWith removes elements not in t.
-func (s *Set) IntersectWith(t *Set) {
-	for i := range s.words {
-		s.words[i] &= t.words[i]
-	}
-}
-
-// UnionWith adds all elements of t.
-func (s *Set) UnionWith(t *Set) {
-	for i := range s.words {
-		s.words[i] |= t.words[i]
-	}
 }
 
 // Clear removes all elements.

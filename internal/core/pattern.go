@@ -300,17 +300,6 @@ func (p *Pattern) hops() int {
 	return need
 }
 
-// OutEdges returns the indexes of edges leaving pattern node u.
-func (p *Pattern) OutEdges(u int) []int {
-	var es []int
-	for i, e := range p.Edges {
-		if e.From == u {
-			es = append(es, i)
-		}
-	}
-	return es
-}
-
 // Connected reports whether the pattern is connected, treating edges as
 // undirected (negated edges included; a QGP must be connected as a whole).
 func (p *Pattern) Connected() bool {

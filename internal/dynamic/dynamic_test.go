@@ -263,21 +263,33 @@ func TestMatcherSkipsUnaffectedRegions(t *testing.T) {
 	}
 }
 
-// Differential soak: random update streams on a social graph; the matcher
-// must always agree with full recomputation.
+// Differential soak: random update streams on a social graph — edge
+// inserts and deletes, node births and tombstones; every standing pattern
+// must always agree with full recomputation, maintained from its counts
+// (where countable) and by a search over its advanced Bound alike. The
+// last pattern has no answer at the start: persons like products, not each
+// other, so its Bound begins from all-empty sets.
 func TestMatcherDifferentialSoak(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(150, 9))
 	pats := gen.Patterns(g, gen.PatternConfig{Nodes: 3, Edges: 3, RatioBP: 3000, NegEdges: 1, Seed: 31}, 3)
+	pats = append(pats, parsePattern(t, "qgp\nn xo person *\nn z person\ne xo z like\n"))
+	if res, err := match.QMatch(g, pats[len(pats)-1], nil); err != nil || len(res.Matches) != 0 {
+		t.Fatalf("the last pattern answers %v at the start (%v)", res, err)
+	}
 	r := rand.New(rand.NewSource(77))
 
 	for pi, q := range pats {
 		vg := graph.NewVersioned(g.Clone())
-		m, err := NewMatcher(vg.Graph(), q)
+		counted, err := NewMatcher(vg.Graph(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, judged := vg.Graph(), 0
-		for i := 0; i < 25; i++ {
+		ms := []*Matcher{searching(t, vg.Graph(), q)}
+		if counted.counts != nil {
+			ms = append(ms, counted)
+		}
+		cur, judged, found := vg.Graph(), 0, false
+		for i := 0; i < 40; i++ {
 			var ups []graph.Mutation
 			for k := 0; k < 1+r.Intn(3); k++ {
 				switch r.Intn(4) {
@@ -302,26 +314,31 @@ func TestMatcherDifferentialSoak(t *testing.T) {
 			if len(ups) == 0 {
 				continue
 			}
-			d, err := step(vg, m, ups)
+			old, touched, err := vg.Apply(ups)
 			if err != nil {
 				t.Fatalf("pattern %d step %d: %v", pi, i, err)
 			}
-			cur, judged = m.Graph(), judged+d.Affected
-
 			want, err := match.QMatch(cur, q, nil)
 			if err != nil {
 				t.Fatalf("recompute: %v", err)
 			}
-			got := m.Answers()
-			if len(got) == 0 && len(want.Matches) == 0 {
-				continue
-			}
-			if !reflect.DeepEqual(got, want.Matches) {
-				t.Fatalf("pattern %d step %d: incremental %v != recompute %v", pi, i, got, want.Matches)
+			found = found || len(want.Matches) > 0
+			for _, m := range ms {
+				d, err := m.ApplyShared(old, vg.Graph(), touched)
+				if err != nil {
+					t.Fatalf("pattern %d step %d: %v", pi, i, err)
+				}
+				judged += d.Affected
+				if got := m.Answers(); !reflect.DeepEqual(got, want.Matches) && len(got)+len(want.Matches) > 0 {
+					t.Fatalf("pattern %d step %d, counted=%v: incremental %v != recompute %v", pi, i, m.counts != nil, got, want.Matches)
+				}
 			}
 		}
 		if judged == 0 {
-			t.Errorf("pattern %d: matcher never verified anything", pi)
+			t.Errorf("pattern %d: matchers never verified anything", pi)
+		}
+		if pi == len(pats)-1 && !found {
+			t.Errorf("pattern %d never gained an answer", pi)
 		}
 	}
 }

@@ -18,11 +18,12 @@ import (
 // the batch can have flipped. Either way every other cached answer is
 // reused.
 type Matcher struct {
-	// prep is the pattern prepared once; every search, the initial one and
-	// each batch's re-verification, is a Run of it over the graph's current
-	// version.
-	prep *match.Prepared
-	plan *ReachPlan
+	// bound is the pattern bound to the graph when it re-verifies by a
+	// search: the initial evaluation builds its sets, each batch advances
+	// them by its touched nodes, and every search is a Run of it. Nil when
+	// counts is not.
+	bound *match.Bound
+	plan  *ReachPlan
 	// counts holds Π(Q), then Π(Q+e) per negated edge, when all of them are
 	// countable; nil otherwise, and then every batch searches.
 	counts []*counts
@@ -66,7 +67,7 @@ func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, 
 	if err != nil {
 		return nil, err
 	}
-	m := &Matcher{prep: prep, plan: NewReachPlan(q), counts: countsOf(q), hops: core.RequiredHops(q), g: g, restrict: restrict, ans: make(map[graph.NodeID]bool)}
+	m := &Matcher{plan: NewReachPlan(q), counts: countsOf(q), hops: core.RequiredHops(q), g: g, restrict: restrict, ans: make(map[graph.NodeID]bool)}
 	var cands []graph.NodeID
 	if restrict != nil {
 		// ids is never nil: a fragment owning nothing asks about nobody
@@ -87,7 +88,8 @@ func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, 
 		}
 		return m, nil
 	}
-	res, err := prep.Run(g, &match.Options{FocusRestrict: cands})
+	m.bound = prep.Bind(g)
+	res, err := m.bound.Run(&match.Options{FocusRestrict: cands})
 	if err != nil {
 		return nil, err
 	}
@@ -127,9 +129,10 @@ func (m *Matcher) Answers() []graph.NodeID {
 // ApplyShared maintains the answers for a batch the caller already
 // applied: old, newG and touched are Versioned.Apply's pre-batch view, live
 // graph and touched set, and the matcher must have seen every earlier
-// batch. A holder of several matchers over one graph (a server session with
-// many standing watches) applies the batch once and shares the result,
-// instead of applying it per watch.
+// batch. newG is the graph the matcher was made over: a Versioned's live
+// graph, which every batch edits in place. A holder of several matchers
+// over one graph (a server session with many standing watches) applies the
+// batch once and shares the result, instead of applying it per watch.
 func (m *Matcher) ApplyShared(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID) (Delta, error) {
 	return m.verify(newG, m.candidates(old, newG, touched, old.Edits()))
 }
@@ -138,9 +141,11 @@ func (m *Matcher) ApplyShared(old *graph.OldView, newG *graph.Graph, touched []g
 // ascending, in a slice that is good until the next call. A counted pattern
 // carries its counts over the batch's net edits (old.Edits(), which a
 // holder of several matchers reads once for all of them) and names what
-// they re-judged; any other walks its reach plan from touched.
+// they re-judged; any other carries its Bound's sets over touched and walks
+// its reach plan from there.
 func (m *Matcher) candidates(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID, edits []graph.EdgeEdit) []graph.NodeID {
 	if m.counts == nil {
+		m.bound.Advance(touched)
 		return m.filter(m.plan.Affected(old, newG, touched))
 	}
 	born := graph.NodeID(old.NumNodes())
@@ -174,7 +179,7 @@ func (m *Matcher) filter(vs []graph.NodeID) []graph.NodeID {
 func (m *Matcher) verify(newG *graph.Graph, cands []graph.NodeID) (Delta, error) {
 	answers := m.answers
 	if m.counts == nil && len(cands) > 0 {
-		res, err := m.prep.Run(newG, &match.Options{FocusRestrict: cands})
+		res, err := m.bound.Run(&match.Options{FocusRestrict: cands})
 		if err != nil {
 			return Delta{}, err
 		}

@@ -136,14 +136,23 @@ var scopedWatches = []struct{ name, dsl string }{
 	{"follow=0", "qgp\nn xo person *\nn z person\ne xo z follow =0\n"},
 }
 
-// searching returns a matcher of dsl over g that re-verifies by a search,
-// as a pattern outside the countable class does.
-func searching(t testing.TB, g *graph.Graph, dsl string) *Matcher {
-	m, err := NewMatcher(g, parsePattern(t, dsl))
+// searching returns a matcher of q over g that re-verifies by a search,
+// as a pattern outside the countable class does: its Bound is built by a
+// first search, as NewMatcher's would be.
+func searching(t testing.TB, g *graph.Graph, q *core.Pattern) *Matcher {
+	t.Helper()
+	m, err := NewMatcher(g, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.counts = nil
+	prep, err := match.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.counts, m.bound = nil, prep.Bind(g)
+	if _, err := m.bound.Run(nil); err != nil {
+		t.Fatal(err)
+	}
 	return m
 }
 
@@ -175,7 +184,7 @@ func TestScopedReverifyAllocatesNothingSizedByV(t *testing.T) {
 		var bytes [2]uint64
 		for i, n := range scopedSizes {
 			g, affected := scopedGraph(n)
-			m := searching(t, g, w.dsl)
+			m := searching(t, g, parsePattern(t, w.dsl))
 			allocs[i], bytes[i] = perRun(func() {
 				if d, err := m.verify(g, affected); err != nil || d.Affected != len(affected) {
 					t.Fatalf("verify: %+v, %v", d, err)
@@ -189,10 +198,37 @@ func TestScopedReverifyAllocatesNothingSizedByV(t *testing.T) {
 	}
 }
 
-// TestCountedBatchAllocatesNothingSizedByV: a batch that gives each of the
-// eight candidates one more followee, and the batch that takes it back,
-// cost a counted watch — apply, counts carried over, candidates re-judged —
-// the same objects and bytes on a graph sixteen times the size.
+// batchPair returns the batch that gives each of the eight candidates one
+// more followee and the batch that takes it back.
+func batchPair(affected []graph.NodeID) [2][]graph.Mutation {
+	var pair [2][]graph.Mutation
+	for _, c := range affected {
+		pair[0] = append(pair[0], graph.AddEdge(c, c+7, "follow"))
+		pair[1] = append(pair[1], graph.RemoveEdge(c, c+7, "follow"))
+	}
+	return pair
+}
+
+// applyPair takes m through the batch pair over vg, each batch through
+// ApplyShared, and fails unless every batch re-judged at least the eight
+// candidates. It returns the two deltas.
+func applyPair(t testing.TB, vg *graph.Versioned, m *Matcher, pair [2][]graph.Mutation) (ds [2]Delta) {
+	for i, ups := range pair {
+		old, touched, err := vg.Apply(ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds[i], err = m.ApplyShared(old, vg.Graph(), touched); err != nil || ds[i].Affected < len(ups) {
+			t.Fatalf("ApplyShared: %+v, %v", ds[i], err)
+		}
+	}
+	return ds
+}
+
+// TestCountedBatchAllocatesNothingSizedByV: the batch pair costs a counted
+// watch — apply, counts carried over, exactly the eight candidates
+// re-judged — the same objects and bytes on a graph sixteen times the
+// size.
 func TestCountedBatchAllocatesNothingSizedByV(t *testing.T) {
 	for _, w := range scopedWatches {
 		var allocs [2]float64
@@ -204,21 +240,46 @@ func TestCountedBatchAllocatesNothingSizedByV(t *testing.T) {
 			if err != nil || m.counts == nil {
 				t.Fatalf("%s is not counted (%v)", w.name, err)
 			}
-			add, remove := make([]graph.Mutation, len(affected)), make([]graph.Mutation, len(affected))
-			for k, c := range affected {
-				add[k], remove[k] = graph.AddEdge(c, c+7, "follow"), graph.RemoveEdge(c, c+7, "follow")
-			}
+			pair := batchPair(affected)
 			allocs[i], bytes[i] = perRun(func() {
-				for _, ups := range [][]graph.Mutation{add, remove} {
-					old, touched, err := vg.Apply(ups)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d, err := m.ApplyShared(old, g, touched); err != nil || d.Affected != len(affected) {
-						t.Fatalf("ApplyShared: %+v, %v", d, err)
+				for _, d := range applyPair(t, vg, m, pair) {
+					if d.Affected != len(affected) {
+						t.Fatalf("%s: a batch re-judged %d candidates, want the %d it touched", w.name, d.Affected, len(affected))
 					}
 				}
 			})
+		}
+		if allocs[0] != allocs[1] || bytes[0] != bytes[1] {
+			t.Errorf("%s: %v allocs, %d B per batch pair at |V|=%d; %v allocs, %d B at |V|=%d",
+				w.name, allocs[0], bytes[0], scopedSizes[0], allocs[1], bytes[1], scopedSizes[1])
+		}
+	}
+}
+
+// searchedWatches are the scoped watches and one with no answer before
+// the batch pair's first batch: every person follows at most five.
+var searchedWatches = append(scopedWatches[:len(scopedWatches):len(scopedWatches)],
+	struct{ name, dsl string }{"follow>=6", "qgp\nn xo person *\nn z person\ne xo z follow >=6\n"})
+
+// TestSearchedBatchAllocatesNothingSizedByV: the batch pair costs a watch
+// that re-verifies by a search — apply, its Bound advanced over the
+// touched nodes, the reached candidates searched — the same objects and
+// bytes on a graph sixteen times the size, a Bound whose verdict was "no
+// answer" included.
+func TestSearchedBatchAllocatesNothingSizedByV(t *testing.T) {
+	for _, w := range searchedWatches {
+		var allocs [2]float64
+		var bytes [2]uint64
+		for i, n := range scopedSizes {
+			g, affected := scopedGraph(n)
+			vg := graph.NewVersioned(g)
+			m := searching(t, g, parsePattern(t, w.dsl))
+			pair := batchPair(affected)
+			if ds := applyPair(t, vg, m, pair); w.name == "follow>=6" &&
+				(!slices.Equal(ds[0].Added, affected) || !slices.Equal(ds[1].Removed, affected)) {
+				t.Fatalf("%s at |V|=%d: the pair gives %+v, want the eight candidates added, then removed", w.name, n, ds)
+			}
+			allocs[i], bytes[i] = perRun(func() { applyPair(t, vg, m, pair) })
 		}
 		if allocs[0] != allocs[1] || bytes[0] != bytes[1] {
 			t.Errorf("%s: %v allocs, %d B per batch pair at |V|=%d; %v allocs, %d B at |V|=%d",
@@ -237,13 +298,35 @@ func BenchmarkReverifyScoped(b *testing.B) {
 		for _, n := range scopedSizes {
 			b.Run(fmt.Sprintf("%s/V=%d", w.name, n), func(b *testing.B) {
 				g, affected := scopedGraph(n)
-				m := searching(b, g, w.dsl)
+				m := searching(b, g, parsePattern(b, w.dsl))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if _, err := m.verify(g, affected); err != nil {
 						b.Fatal(err)
 					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSearchedBatch is the batch pair of
+// TestSearchedBatchAllocatesNothingSizedByV through a searched watch: per
+// op, both batches applied and the watch's Bound advanced and searched.
+// B/op and allocs/op must read the same at both graph sizes.
+func BenchmarkSearchedBatch(b *testing.B) {
+	for _, w := range searchedWatches {
+		for _, n := range scopedSizes {
+			b.Run(fmt.Sprintf("%s/V=%d", w.name, n), func(b *testing.B) {
+				g, affected := scopedGraph(n)
+				vg := graph.NewVersioned(g)
+				m := searching(b, g, parsePattern(b, w.dsl))
+				pair := batchPair(affected)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					applyPair(b, vg, m, pair)
 				}
 			})
 		}

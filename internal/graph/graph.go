@@ -143,9 +143,6 @@ func (g *Graph) Version() Version { return g.version }
 // Size returns |G| = |V| + |E|, the size measure used by the paper.
 func (g *Graph) Size() int { return g.NumNodes() + g.NumEdges() }
 
-// Interner exposes the graph's label interner (read-only use by callers).
-func (g *Graph) Interner() *Interner { return &g.interner }
-
 // Label interns s and returns its id.
 func (g *Graph) Label(s string) LabelID { return g.interner.Intern(s) }
 

@@ -9,9 +9,10 @@ import (
 )
 
 // Ablation benchmarks for QMatch's design choices (DESIGN.md §4): each
-// lever — simulation-based candidate filtering, the quantifier-threshold
-// acceptance filter, early acceptance, incremental negation handling — is
-// toggled independently against the same seeded workload. Run with
+// lever — the quantifier-threshold acceptance filter, early acceptance,
+// incremental negation handling — is toggled independently against the
+// same seeded workload; simulation-based candidate filtering is on in
+// every variant, the Enum baseline's included. Run with
 //
 //	go test -bench=Ablation -benchmem ./internal/match/
 
@@ -33,23 +34,19 @@ func runAblation(b *testing.B, cfg evalConfig) {
 }
 
 func BenchmarkAblationFull(b *testing.B) {
-	runAblation(b, evalConfig{useSim: true, quantFilter: true, earlyAccept: true, incremental: true})
-}
-
-func BenchmarkAblationNoSimulation(b *testing.B) {
-	runAblation(b, evalConfig{useSim: false, quantFilter: true, earlyAccept: true, incremental: true})
+	runAblation(b, evalConfig{quantFilter: true, earlyAccept: true, incremental: true})
 }
 
 func BenchmarkAblationNoQuantFilter(b *testing.B) {
-	runAblation(b, evalConfig{useSim: true, quantFilter: false, earlyAccept: true, incremental: true})
+	runAblation(b, evalConfig{quantFilter: false, earlyAccept: true, incremental: true})
 }
 
 func BenchmarkAblationNoEarlyAccept(b *testing.B) {
-	runAblation(b, evalConfig{useSim: true, quantFilter: true, earlyAccept: false, incremental: true})
+	runAblation(b, evalConfig{quantFilter: true, earlyAccept: false, incremental: true})
 }
 
 func BenchmarkAblationNoIncremental(b *testing.B) {
-	runAblation(b, evalConfig{useSim: true, quantFilter: true, earlyAccept: true, incremental: false})
+	runAblation(b, evalConfig{quantFilter: true, earlyAccept: true, incremental: false})
 }
 
 func BenchmarkAblationNone(b *testing.B) {
@@ -62,11 +59,10 @@ func TestAblationConfigsAgree(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(600, 7))
 	q := gen.Pattern(g, gen.PatternConfig{Nodes: 4, Edges: 5, RatioBP: 4000, NegEdges: 1, Seed: 3})
 	configs := []evalConfig{
-		{useSim: true, quantFilter: true, earlyAccept: true, incremental: true},
-		{useSim: false, quantFilter: true, earlyAccept: true, incremental: true},
-		{useSim: true, quantFilter: false, earlyAccept: true, incremental: true},
-		{useSim: true, quantFilter: true, earlyAccept: false, incremental: true},
-		{useSim: true, quantFilter: true, earlyAccept: true, incremental: false},
+		{quantFilter: true, earlyAccept: true, incremental: true},
+		{quantFilter: false, earlyAccept: true, incremental: true},
+		{quantFilter: true, earlyAccept: false, incremental: true},
+		{quantFilter: true, earlyAccept: true, incremental: false},
 		{},
 	}
 	var want []graph.NodeID

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -45,40 +44,30 @@ type Options struct {
 // exact semantics admit no sound partial answer.
 var ErrBudgetExceeded = fmt.Errorf("match: extension budget exceeded")
 
-// restriction is a set of focus candidates: the ascending, distinct ids,
-// and a bitset over the graph's nodes only when there are too many of them
-// (more than |V|/8) for the focus-scoped fast path, which walks the list.
-type restriction struct {
-	ids  []graph.NodeID
-	bits *bitset.Set
-}
-
 // combineRestrictions intersects the caller's FocusRestrict option with an
 // algorithm-internal restriction (IncQMatch: ascending, distinct answers
-// of an earlier pattern). A nil result means no restriction; a nil
-// FocusRestrict is none, an empty one restricts to nobody. FocusRestrict
-// arrives from outside the engine, so an id that is not a node of the
-// graph is an error, not a bitset panic. A small restriction allocates
-// nothing when it is the only one and already ascending.
-func combineRestrictions(n int, opts *Options, internal []graph.NodeID) (*restriction, error) {
-	var r *restriction
+// of an earlier pattern) into one ascending list of distinct focus
+// candidates. A nil result means no restriction; a nil FocusRestrict is
+// none, an empty one restricts to nobody. FocusRestrict arrives from
+// outside the engine, so an id that is not a node of the graph is an
+// error, not a bitset panic. A restriction allocates nothing when it is
+// the only one and already ascending.
+func combineRestrictions(n int, opts *Options, internal []graph.NodeID) ([]graph.NodeID, error) {
+	var r []graph.NodeID
 	if opts != nil && opts.FocusRestrict != nil {
 		for _, v := range opts.FocusRestrict {
 			if v < 0 || int(v) >= n {
 				return nil, fmt.Errorf("match: FocusRestrict names node %d, outside the graph's [0, %d)", v, n)
 			}
 		}
-		r = &restriction{ids: ascending(opts.FocusRestrict)}
+		r = ascending(opts.FocusRestrict)
 	}
-	if internal != nil {
-		if r == nil {
-			r = &restriction{ids: internal}
-		} else {
-			r.ids = intersectSorted(r.ids, internal)
-		}
-	}
-	if r != nil && len(r.ids)*8 > n {
-		r.bits = toBitset(r.ids, n)
+	switch {
+	case internal == nil:
+	case r == nil:
+		r = internal
+	default:
+		r = intersectSorted(r, internal)
 	}
 	return r, nil
 }
@@ -139,16 +128,15 @@ func Enum(g *graph.Graph, q *core.Pattern, opts *Options) (*Result, error) {
 // evalConfig is the engine variant: which of the paper's optimizations an
 // evaluation applies.
 type evalConfig struct {
-	useSim      bool
 	quantFilter bool
 	earlyAccept bool
 	incremental bool
 }
 
 var (
-	qmatchConfig  = evalConfig{useSim: true, quantFilter: true, earlyAccept: true, incremental: true}
-	qmatchNConfig = evalConfig{useSim: true, quantFilter: true, earlyAccept: true}
-	enumConfig    = evalConfig{useSim: true}
+	qmatchConfig  = evalConfig{quantFilter: true, earlyAccept: true, incremental: true}
+	qmatchNConfig = evalConfig{quantFilter: true, earlyAccept: true}
+	enumConfig    = evalConfig{}
 )
 
 func prepareRun(g *graph.Graph, q *core.Pattern, opts *Options, cfg evalConfig) (*Result, error) {

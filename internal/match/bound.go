@@ -15,15 +15,16 @@ import (
 // options. Labels are resolved when binding, and with them each positive
 // pattern's matching order, ranked by the graph's label-class sizes; its
 // candidate and acceptance sets — the O(|Q|·|G|) prefilter — are built by
-// the first Run that leaves the focus-scoped fast path and read by every
-// later one, whatever its FocusRestrict or budget. A scoped
-// re-verification never builds them, so it still allocates nothing sized
-// by |V|.
+// the first Run and read by every later one, whatever its FocusRestrict or
+// budget. A scoped re-verification over built sets allocates nothing
+// sized by |V|.
 //
-// A Bound follows its graph by Advance. A Run on a graph that moved without
-// one rebinds from scratch rather than read sets of another version. Runs
-// may be concurrent; Advance, like the graph write before it, needs them
-// excluded.
+// A Bound follows its graph by Advance, at a cost that depends on what the
+// batches touched: a standing watch that re-verifies a few candidates per
+// batch keeps one Bound for its lifetime. A Run on a graph that moved
+// without one rebinds from scratch rather than read sets of another
+// version. Runs may be concurrent; Advance, like the graph write before
+// it, needs them excluded.
 type Bound struct {
 	prep *Prepared
 	g    *graph.Graph
@@ -45,25 +46,28 @@ type boundPositive struct {
 	// no node carries one of its node labels — no answer at this version.
 	unlabelled bool
 
-	state setState
+	// built says cand and accept hold this version's sets; a Run builds
+	// them, Advance carries them.
+	built bool
+	// vacant says a set ran empty: then every set is empty, the exact
+	// fixpoint, and Advance repairs them from there.
+	vacant bool
+	// none is the verdict "no answer": the sets are vacant or a threshold
+	// test failed. The sets are kept, so Advance repairs them like any
+	// others.
+	none bool
+	// accepted is the size of accept[focus], kept up to date by whoever
+	// edits the set so that the verdict reads no set over every node.
+	accepted int
 	// origin is what the next run to read the sets reports in its profile:
 	// "built" or "repaired" once after the work, "hit" from then on.
 	origin string
 	// cand[u] over-approximates the stratified-isomorphism images of u:
-	// dual simulation, or the label classes when the engine variant runs
-	// without it. accept[u] ⊆ cand[u] keeps the candidates that can appear
-	// in a quantifier-valid match (Lemma 13); without that filter it is
-	// cand. Read-only between Advances. Both nil unless state is setsBuilt.
+	// plain dual simulation. accept[u] ⊆ cand[u] keeps the candidates that
+	// can appear in a quantifier-valid match (Lemma 13); for an engine
+	// variant without that filter it is cand. Read-only between Advances.
 	cand, accept []*bitset.Set
 }
-
-type setState uint8
-
-const (
-	setsUnbuilt setState = iota // no full-path run yet at this version
-	setsBuilt
-	setsEmpty // the verdict "no answer": a set ran empty or a threshold test failed
-)
 
 // Bind binds the prepared pattern to g at its current version. It costs
 // O(|Q|): the sets are built by the first Run that needs them.
@@ -126,7 +130,7 @@ func (bp *boundPositive) resolve(g *graph.Graph) {
 }
 
 func (bp *boundPositive) drop() {
-	bp.state, bp.cand, bp.accept = setsUnbuilt, nil, nil
+	bp.built, bp.vacant, bp.none, bp.cand, bp.accept = false, false, false, nil, nil
 }
 
 // Advance carries the bound to the graph's current version. touched must
@@ -134,12 +138,12 @@ func (bp *boundPositive) drop() {
 // valid at, and every node born since (Versioned.Apply's touched sets of
 // the batches in between, concatenated); node ids must only have grown.
 // Simulation sets are repaired at a cost that depends on touched, not on
-// |G| (simulation.Repair: exactly the sets a fresh bind computes), and
-// acceptance sets re-judged around what that changed. It reports whether
-// every built
-// positive was carried over; one that could not be — a set ran empty, its
-// verdict was "no answer", the engine variant runs without simulation — is
-// dropped and rebuilt by the next run that needs it.
+// |G| (simulation.Repair: exactly the sets a fresh bind computes, from
+// all-empty sets too), acceptance sets re-judged around what that changed,
+// and the verdict taken again: a Bound whose pattern had no answer is
+// carried like any other. It reports whether every built positive was
+// carried over; one whose sets outgrew the graph — it lost nodes since,
+// which only a Rollback does — is dropped and rebuilt by the next run.
 func (b *Bound) Advance(touched []graph.NodeID) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -153,18 +157,21 @@ func (b *Bound) Advance(touched []graph.NodeID) bool {
 		bp := &b.pos[i]
 		bp.resolve(b.g)
 		switch {
-		case bp.state == setsUnbuilt:
-		case bp.state == setsBuilt && cfg.useSim && bp.cand[0].Len() <= b.g.NumNodes():
-			changed, ok := simulation.Repair(b.g, bp.p, bp.cand, touched)
-			if !ok {
-				bp.drop()
-				carried = false
-				break
-			}
+		case !bp.built:
+		case bp.cand[0].Len() <= b.g.NumNodes():
+			changed, ok := simulation.Repair(b.g, bp.p, bp.cand, touched, !bp.vacant)
 			if cfg.quantFilter {
-				bp.reaccept(b.g, touched, changed)
+				switch {
+				case ok:
+					bp.reaccept(b.g, touched, changed)
+				case !bp.vacant:
+					for _, set := range bp.accept {
+						set.Clear()
+					}
+					bp.accepted = 0
+				}
 			}
-			bp.verdict(cfg)
+			bp.verdict(cfg, ok)
 			bp.origin = "repaired"
 		default:
 			bp.drop()
@@ -175,65 +182,54 @@ func (b *Bound) Advance(touched []graph.NodeID) bool {
 }
 
 // sets returns bp's candidate and acceptance sets, building them on first
-// use at this version, and what to report about them. Nil sets are the
-// verdict that the pattern has no answer.
-func (b *Bound) sets(bp *boundPositive) (cand, accept []*bitset.Set, origin string) {
+// use at this version, and what to report about them. none is the verdict
+// that the pattern has no answer.
+func (b *Bound) sets(bp *boundPositive) (cand, accept []*bitset.Set, none bool, origin string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if bp.state == setsUnbuilt {
+	if !bp.built {
 		bp.build(b.g, b.prep.cfg)
 		bp.origin = "built"
 	}
 	origin, bp.origin = bp.origin, "hit"
-	return bp.cand, bp.accept, origin
+	return bp.cand, bp.accept, bp.none, origin
 }
 
-// build computes the candidate sets: plain dual simulation
-// (stratified-sound, so counting may run against it) or, for an engine
-// variant without it, the label classes as bitsets for the acceptance
-// filter to carve subsets out of.
+// build computes the candidate sets — plain dual simulation,
+// stratified-sound, so counting may run against it — and the acceptance
+// sets the engine variant carves out of them.
 func (bp *boundPositive) build(g *graph.Graph, cfg evalConfig) {
-	bp.state = setsEmpty
-	if cfg.useSim {
-		sets, ok := simulation.Candidates(g, bp.p, false)
-		if !ok {
-			return
-		}
-		bp.cand = sets
-	} else {
-		bp.cand = make([]*bitset.Set, len(bp.p.Nodes))
-		for u := range bp.p.Nodes {
-			bp.cand[u] = toBitset(g.NodesByLabel(bp.nodeLabel[u]), g.NumNodes())
-		}
-	}
+	var ok bool
+	bp.cand, ok = simulation.Candidates(g, bp.p, false)
 	bp.accept = bp.cand
 	if cfg.quantFilter {
 		bp.accept = bp.acceptanceFilter(g)
+		bp.accepted = bp.accept[bp.p.Focus].Count()
 	}
-	bp.verdict(cfg)
+	bp.built = true
+	bp.verdict(cfg, ok)
 }
 
-// verdict judges non-empty candidate sets and their acceptance sets by the
-// threshold tests: the sets stand, or the pattern has no answer.
-func (bp *boundPositive) verdict(cfg evalConfig) {
-	bp.state = setsBuilt
-	if !cfg.quantFilter {
+// verdict judges the sets: ok is false when a candidate set ran empty, and
+// otherwise the threshold tests decide whether the pattern has an answer.
+// It reads the sets only as far as the thresholds need.
+func (bp *boundPositive) verdict(cfg evalConfig, ok bool) {
+	bp.vacant, bp.none = !ok, !ok
+	if !ok || !cfg.quantFilter {
 		return
 	}
-	empty := bp.accept[bp.p.Focus].Empty()
+	empty := bp.accepted == 0
 	// Global pruning rule (Lemma 12): the focus has a match only if every
 	// pattern node u′ has at least pm candidates, where pm is the largest
 	// numeric GE threshold over u′'s incoming quantified edges — a match of
 	// u needs that many distinct children matching u′.
 	for _, ei := range bp.quant {
 		e := bp.p.Edges[ei]
-		if !e.Q.IsRatio() && e.Q.Op() == core.GE && bp.cand[e.To].Count() < e.Q.N() {
+		if !e.Q.IsRatio() && e.Q.Op() == core.GE && !bp.cand[e.To].AtLeast(e.Q.N()) {
 			empty = true
 		}
 	}
-	if empty {
-		bp.state, bp.cand, bp.accept = setsEmpty, nil, nil
-	}
+	bp.none = empty
 }
 
 // acceptanceFilter computes accept[u] ⊆ cand[u]: candidates whose viable
@@ -296,10 +292,18 @@ func (bp *boundPositive) reaccept(g *graph.Graph, touched []graph.NodeID, change
 		for _, ei := range bp.quantOut[u] {
 			ok = ok && bp.viable(g, ei, v)
 		}
+		if ok == bp.accept[u].Contains(int(v)) {
+			return
+		}
+		d := -1
 		if ok {
 			bp.accept[u].Add(int(v))
+			d = 1
 		} else {
 			bp.accept[u].Remove(int(v))
+		}
+		if u == bp.p.Focus {
+			bp.accepted += d
 		}
 	}
 	for _, v := range touched {
@@ -320,11 +324,11 @@ func (bp *boundPositive) reaccept(g *graph.Graph, touched []graph.NodeID, change
 }
 
 // program allocates one run's program over the bound's labels, order and
-// the given sets (nil: the label classes as a predicate).
+// the given sets.
 func (bp *boundPositive) program(g *graph.Graph, cand, accept []*bitset.Set) *program {
 	return &program{
 		g: g, p: bp.p, quant: bp.quant, quantOut: bp.quantOut, hasEQ: bp.hasEQ, matchOrder: bp.ord,
-		edgeLabel: bp.edgeLabel, nodeLabel: bp.nodeLabel, cand: cand, accept: accept,
+		edgeLabel: bp.edgeLabel, cand: cand, accept: accept,
 		assign: make([]graph.NodeID, len(bp.p.Nodes)),
 		need:   make([]int, len(bp.p.Edges)),
 	}
@@ -403,32 +407,14 @@ func (b *Bound) eval(bp *boundPositive, opts *Options, restrict []graph.NodeID, 
 	if err != nil {
 		return nil, err
 	}
-	cfg := b.prep.cfg
-	if cfg.useSim && set != nil && set.bits == nil {
-		// Focus-scoped fast path (at most |V|/8 focus candidates: every
-		// watch re-verification, every small IncQMatch restriction):
-		// simulation and the acceptance filter cost O(|G|) per graph
-		// version no matter how few focus candidates are asked about,
-		// while the anchored search itself only visits the candidates'
-		// neighborhoods. The label classes win outright, and since the
-		// search only asks them for membership they stay a predicate on
-		// the node's label: nothing on this path is sized by |V|. Answers
-		// are identical: the filters are sound over-approximations that
-		// prune the search without changing the enumerated isomorphisms.
-		cfg.useSim, cfg.quantFilter = false, false
-		if pp != nil {
-			pp.FastPath = true
-		}
-	}
 	if pp != nil && set != nil {
-		pp.Restricted = len(set.ids)
+		pp.Restricted = len(set)
 	}
-	var cand, accept []*bitset.Set
 	empty := bp.unlabelled
-	if !empty && (cfg.useSim || cfg.quantFilter) {
+	var cand, accept []*bitset.Set
+	if !empty {
 		var origin string
-		cand, accept, origin = b.sets(bp)
-		empty = cand == nil
+		cand, accept, empty, origin = b.sets(bp)
 		if pp != nil {
 			pp.Bound = origin
 		}
@@ -447,8 +433,8 @@ func (b *Bound) eval(bp *boundPositive, opts *Options, restrict []graph.NodeID, 
 		for u := range bp.p.Nodes {
 			pp.Nodes = append(pp.Nodes, NodeProfile{
 				Name:       bp.p.Nodes[u].Name,
-				Candidates: pr.size(pr.cand, u),
-				Accepted:   pr.size(pr.accept, u),
+				Candidates: cand[u].Count(),
+				Accepted:   accept[u].Count(),
 			})
 		}
 		for _, u := range pr.order {
@@ -459,7 +445,7 @@ func (b *Bound) eval(bp *boundPositive, opts *Options, restrict []graph.NodeID, 
 		pr.budget = opts.ExtensionBudget
 	}
 	t1 := time.Now()
-	answers := evalPositive(pr, set, cfg.earlyAccept, m)
+	answers := evalPositive(pr, set, b.prep.cfg.earlyAccept, m)
 	if pr.budgetExceeded {
 		return nil, ErrBudgetExceeded
 	}

@@ -29,9 +29,9 @@
 // pattern, acceptance over finished counts — are one recursion
 // (program.extend). Injectivity is a comparison against the at most
 // |pattern| nodes already bound (and of those only the ones sharing the new
-// node's label), not a |V|-sized stamp array, and a candidate set that is
-// only ever asked for membership is a label predicate, not a |V|-bit set:
-// a scoped re-verification allocates nothing proportional to |V|.
+// node's label), not a |V|-sized stamp array, and a focus restriction is
+// walked as its list against the Bound's acceptance set: a scoped
+// re-verification over a Bound allocates nothing proportional to |V|.
 package match
 
 import (
@@ -144,10 +144,7 @@ type program struct {
 
 	// From the Bound (shared, read-only).
 	edgeLabel []graph.LabelID // per pattern edge
-	nodeLabel []graph.LabelID // per pattern node
-	// cand and accept are the bound positive's sets, or nil on the
-	// focus-scoped fast path: the label classes in predicate form,
-	// w ∈ cand[u] iff g.NodeLabel(w) == nodeLabel[u]. Counting runs against
+	// cand and accept are the bound positive's sets. Counting runs against
 	// cand (sound: it over-approximates the stratified isomorphisms); only
 	// the acceptance search may use the threshold-filtered accept.
 	cand, accept []*bitset.Set
@@ -163,22 +160,6 @@ type program struct {
 	// set when the cap fires and the evaluation must be discarded.
 	budget         int64
 	budgetExceeded bool
-}
-
-// admits reports w ∈ sets[u], where nil sets are the label classes.
-func (pr *program) admits(sets []*bitset.Set, u int, w graph.NodeID) bool {
-	if sets == nil {
-		return pr.g.NodeLabel(w) == pr.nodeLabel[u]
-	}
-	return sets[u].Contains(int(w))
-}
-
-// size returns |sets[u]|, where nil sets are the label classes.
-func (pr *program) size(sets []*bitset.Set, u int) int {
-	if sets == nil {
-		return len(pr.g.NodesByLabel(pr.nodeLabel[u]))
-	}
-	return sets[u].Count()
 }
 
 // half is one pattern edge seen from one of its ends: the node at the

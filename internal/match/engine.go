@@ -33,8 +33,8 @@ func (m *Metrics) Add(other Metrics) {
 }
 
 // run enumerates isomorphisms of the bound pattern with the focus bound
-// to vx, over the candidate sets in sets (one bitset per pattern node, or
-// nil for the label classes: pr.cand or pr.accept).
+// to vx, over the candidate sets in sets (one bitset per pattern node:
+// pr.cand or pr.accept).
 // With exact non-nil, a node additionally binds only to images whose
 // finished child counts satisfy its quantified out-edges — the acceptance
 // search over a completed count. With early set (a counting search that
@@ -86,10 +86,7 @@ func (pr *program) extend(i int, sets []*bitset.Set, exact witnesses, early bool
 	} else {
 		edges = pr.g.InByLabel(pr.assign[a.at], pr.edgeLabel[a.edge])
 	}
-	var set *bitset.Set // nil: u's label class
-	if sets != nil {
-		set = sets[u]
-	}
+	set := sets[u]
 next:
 	for _, ge := range edges {
 		w := ge.To
@@ -98,11 +95,7 @@ next:
 			pr.budgetExceeded = true
 			return false
 		}
-		if set != nil {
-			if !set.Contains(int(w)) {
-				continue
-			}
-		} else if pr.g.NodeLabel(w) != pr.nodeLabel[u] {
+		if !set.Contains(int(w)) {
 			continue
 		}
 		// Injectivity: only an earlier node with u's label can hold w.

@@ -1,9 +1,6 @@
 package match
 
-import (
-	"repro/internal/bitset"
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // realizedKey identifies the pair (pattern edge, image of its source).
 type realizedKey struct {
@@ -44,10 +41,10 @@ func (ws witnesses) count(ei int, v graph.NodeID) int {
 // (pr.cand); only acceptance may use the threshold-filtered sets.
 //
 // restrict, when non-nil, limits the focus candidates (used by IncQMatch
-// and by parallel workers). earlyAccept enables QMatch's early
+// and by fragment sessions). earlyAccept enables QMatch's early
 // termination: once some isomorphism's images all meet their (monotone)
 // thresholds, vx is accepted without exhausting the search.
-func evalPositive(pr *program, restrict *restriction, earlyAccept bool, m *Metrics) []graph.NodeID {
+func evalPositive(pr *program, restrict []graph.NodeID, earlyAccept bool, m *Metrics) []graph.NodeID {
 	early := earlyAccept && !pr.hasEQ
 	var answers []graph.NodeID
 	pr.eachFocus(restrict, func(vx graph.NodeID) bool {
@@ -64,38 +61,19 @@ func evalPositive(pr *program, restrict *restriction, earlyAccept bool, m *Metri
 }
 
 // eachFocus visits accept[focus] ∩ restrict in ascending order, stopping
-// when visit returns false. It walks whichever side is cheaper to
-// enumerate: a short restriction list as it stands — a scoped
-// re-verification restricts to a handful of nodes and must not pay a sweep
-// over, or a bitset of, every label-compatible candidate — otherwise the
-// smaller of the two bitsets.
-func (pr *program) eachFocus(restrict *restriction, visit func(vx graph.NodeID) bool) {
-	focus := pr.p.Focus
-	switch {
-	case restrict != nil && (restrict.bits == nil || pr.accept == nil):
-		for _, v := range restrict.ids {
-			if pr.admits(pr.accept, focus, v) && !visit(v) {
-				return
-			}
+// when visit returns false: the restriction's list, when there is one,
+// each id a membership test — a scoped re-verification walks its handful
+// of nodes, not a set over every node — and accept[focus] otherwise.
+func (pr *program) eachFocus(restrict []graph.NodeID, visit func(vx graph.NodeID) bool) {
+	accept := pr.accept[pr.p.Focus]
+	if restrict == nil {
+		accept.ForEach(func(vi int) bool { return visit(graph.NodeID(vi)) })
+		return
+	}
+	for _, v := range restrict {
+		if accept.Contains(int(v)) && !visit(v) {
+			return
 		}
-	case pr.accept == nil:
-		for _, v := range pr.g.NodesByLabel(pr.nodeLabel[focus]) {
-			if !visit(v) {
-				return
-			}
-		}
-	default:
-		iter := pr.accept[focus]
-		var filter *bitset.Set
-		if restrict != nil {
-			filter = restrict.bits
-			if filter.Count() < iter.Count() {
-				iter, filter = filter, iter
-			}
-		}
-		iter.ForEach(func(vi int) bool {
-			return (filter != nil && !filter.Contains(vi)) || visit(graph.NodeID(vi))
-		})
 	}
 }
 
@@ -176,13 +154,4 @@ func (pr *program) imagesSatisfied(realized witnesses, assign []graph.NodeID) bo
 		}
 	}
 	return true
-}
-
-// toBitset converts a node list into a bitset of capacity n.
-func toBitset(nodes []graph.NodeID, n int) *bitset.Set {
-	s := bitset.New(n)
-	for _, v := range nodes {
-		s.Add(int(v))
-	}
-	return s
 }

@@ -20,9 +20,9 @@ func spread(vs []graph.NodeID, k int) []graph.NodeID {
 }
 
 // TestPreparedSharedAcrossGoroutines: a Prepared is immutable, so eight
-// goroutines running it at once over one graph — unrestricted, on the
-// focus-scoped fast path and with a large restriction — each get the
-// answers and metrics of a fresh QMatch. Run with -race.
+// goroutines running it at once over one graph — unrestricted, with eight
+// candidates and with half the persons — each get the answers and metrics
+// of a fresh QMatch. Run with -race.
 func TestPreparedSharedAcrossGoroutines(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(300, 3))
 	persons := g.NodesByLabelName("person")
@@ -62,42 +62,45 @@ func TestPreparedSharedAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// TestProfileOnFastPath: with a small restriction the candidate sets are a
-// label predicate, and the profile still reports them — the label classes'
-// sizes, unfiltered — and says which path ran.
-func TestProfileOnFastPath(t *testing.T) {
+// TestProfileScoped: a run restricted to eight candidates reads the same
+// candidate and acceptance sets as an unrestricted one — it builds them on
+// a fresh Bound and hits them on the next run — and its profile says how
+// many candidates it was restricted to.
+func TestProfileScoped(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(300, 3))
 	persons := g.NodesByLabelName("person")
 	q := mixPattern(t, 1) // path2: person, person, product
-	res, err := QMatch(g, q, &Options{FocusRestrict: spread(persons, 8), CollectProfile: true})
+	prep, err := Prepare(q)
 	if err != nil {
 		t.Fatal(err)
-	}
-	pp := res.Profile.Patterns[0]
-	if !pp.FastPath || pp.Restricted != 8 || pp.Empty {
-		t.Fatalf("scoped profile: fast_path=%v restricted=%d empty=%v, want true, 8, false", pp.FastPath, pp.Restricted, pp.Empty)
-	}
-	if len(pp.Nodes) != len(q.Nodes) || len(pp.Order) != len(q.Nodes) {
-		t.Fatalf("scoped profile reports %d nodes, %d order entries for a %d-node pattern", len(pp.Nodes), len(pp.Order), len(q.Nodes))
-	}
-	for u, n := range pp.Nodes {
-		class := len(g.NodesByLabelName(q.Nodes[u].Label))
-		if n.Candidates != class || n.Accepted != class {
-			t.Errorf("node %s: candidates %d, accepted %d, want the label class's %d", n.Name, n.Candidates, n.Accepted, class)
-		}
 	}
 	full, err := QMatch(g, q, &Options{CollectProfile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp := full.Profile.Patterns[0]; fp.FastPath || fp.Restricted != 0 {
-		t.Errorf("unrestricted profile: fast_path=%v restricted=%d", fp.FastPath, fp.Restricted)
+	fp := full.Profile.Patterns[0]
+	if fp.Restricted != 0 || fp.Bound != "built" {
+		t.Fatalf("unrestricted profile: restricted=%d bound=%q, want 0, built", fp.Restricted, fp.Bound)
+	}
+	b := prep.Bind(g)
+	for _, origin := range []string{"built", "hit"} {
+		res, err := b.Run(&Options{FocusRestrict: spread(persons, 8), CollectProfile: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp := res.Profile.Patterns[0]
+		if pp.Restricted != 8 || pp.Bound != origin || pp.Empty {
+			t.Fatalf("scoped profile: restricted=%d bound=%q empty=%v, want 8, %s, false", pp.Restricted, pp.Bound, pp.Empty, origin)
+		}
+		if !reflect.DeepEqual(pp.Nodes, fp.Nodes) || !reflect.DeepEqual(pp.Order, fp.Order) {
+			t.Errorf("scoped run %s: nodes %+v, order %v; unrestricted %+v, %v", origin, pp.Nodes, pp.Order, fp.Nodes, fp.Order)
+		}
 	}
 }
 
 // TestFocusRestrictAnyOrder: FocusRestrict is a set — order and repeats in
-// the caller's list change neither the answers nor the work, on the fast
-// path (walked as a list) and past it (a bitset).
+// the caller's list change neither the answers nor the work, for a short
+// list and for half the persons.
 func TestFocusRestrictAnyOrder(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(300, 3))
 	persons := g.NodesByLabelName("person")

@@ -27,14 +27,11 @@ type PatternProfile struct {
 	// Pattern names the pattern within the query: "pi" for Π(Q), or
 	// "pi+e<i>" for the positified pattern of negated edge i.
 	Pattern string `json:"pattern"`
-	// FastPath reports the focus-scoped fast path: the restriction was
-	// small enough that label-based candidates beat paying O(|G|)
-	// simulation and acceptance filtering.
-	FastPath bool `json:"fast_path,omitempty"`
 	// Bound says where the candidate and acceptance sets came from: "built"
 	// by this run, "repaired" by the Bound's Advance since the last run, or
-	// a "hit" on sets an earlier run at this graph version left. Omitted on
-	// the fast path, which has none.
+	// a "hit" on sets an earlier run at this graph version left. Omitted
+	// when a label of the pattern is absent from the graph, which needs no
+	// sets.
 	Bound string `json:"bound,omitempty"`
 	// Restricted is the focus-restriction size (0 = unrestricted): the
 	// candidate cap IncQMatch or a scoped re-verification imposed.
@@ -60,9 +57,9 @@ type PatternProfile struct {
 }
 
 // NodeProfile reports the prefilter sizes of one pattern node:
-// Candidates is the stratified-sound candidate set (dual simulation for
-// QMatch, label-based otherwise), Accepted the quantifier-threshold
-// acceptance filter (Lemma 13) on top of it.
+// Candidates is the stratified-sound candidate set (dual simulation),
+// Accepted the quantifier-threshold acceptance filter (Lemma 13) on top of
+// it, or the candidates again for an engine variant without the filter.
 type NodeProfile struct {
 	Name       string `json:"name"`
 	Candidates int    `json:"candidates"`

@@ -18,9 +18,11 @@ const (
 	// maxBounds caps the bounds a session keeps; past it the least
 	// recently used one goes.
 	maxBounds = 64
-	// touchLogShare caps the touched ids a session logs at |V|/8 — the
-	// share of |V| past which the match fast path, too, stops treating a
-	// set as small. A bound further behind than the log reaches rebuilds.
+	// touchLogShare caps the touched ids a session logs at |V|/8: a bound
+	// that far behind would re-check every logged id under every pattern
+	// node, nearing the O(|Q|·|G|) build the repair saves, while the log
+	// holds the ids in memory. A bound further behind than the log
+	// reaches rebuilds.
 	touchLogShare = 8
 )
 

@@ -16,14 +16,22 @@ import (
 )
 
 // repaired follows one pattern's candidate sets through a graph's
-// versions the way a holder of simulation.Repair must: repair while the
-// sets are non-empty, compute afresh after they ran empty.
+// versions the way a holder of simulation.Repair does: repair from
+// whatever the last step left, all-empty sets included, and compute afresh
+// only after the graph lost nodes.
 type repaired struct {
-	name string
-	p    *core.Pattern
-	sets []*bitset.Set // nil: the last verdict was "empty"
+	name  string
+	p     *core.Pattern
+	sets  []*bitset.Set
+	empty bool // the last verdict was "no candidates": every set is empty
 
 	repairs, fresh, emptied, refilled int
+}
+
+// newRepaired starts following p's sets at g's state.
+func newRepaired(name string, g *graph.Graph, p *core.Pattern) *repaired {
+	sets, ok := simulation.Candidates(g, p, false)
+	return &repaired{name: name, p: p, sets: sets, empty: !ok}
 }
 
 // step brings the sets to g's current state and compares them with a fresh
@@ -32,34 +40,31 @@ type repaired struct {
 func (f *repaired) step(t *testing.T, g *graph.Graph, touched []graph.NodeID, canRepair bool, what string) {
 	t.Helper()
 	want, wantOK := simulation.Candidates(g, f.p, false)
-	if f.sets != nil && canRepair {
+	ok := wantOK
+	if canRepair {
 		f.repairs++
 		before := make([][]int, len(f.sets))
 		for u := range f.sets {
 			before[u] = f.sets[u].Slice()
 		}
-		changed, ok := simulation.Repair(g, f.p, f.sets, touched)
-		if !ok {
-			f.sets = nil
-			f.emptied++
-		} else {
+		var changed []simulation.Pair
+		changed, ok = simulation.Repair(g, f.p, f.sets, touched, !f.empty)
+		switch {
+		case ok && f.empty:
+			f.refilled++
 			f.checkChanged(t, before, changed, what)
+		case ok:
+			f.checkChanged(t, before, changed, what)
+		case !f.empty:
+			f.emptied++
 		}
 	} else {
 		f.fresh++
-		was := f.sets
-		if f.sets = nil; wantOK {
-			f.sets, _ = simulation.Candidates(g, f.p, false)
-			if was == nil {
-				f.refilled++
-			}
-		}
+		f.sets, ok = simulation.Candidates(g, f.p, false)
 	}
-	if (f.sets != nil) != wantOK {
-		t.Fatalf("%s, %s: repaired sets non-empty = %v, fresh Candidates says %v\n%s", what, f.name, f.sets != nil, wantOK, f.p)
-	}
-	if !wantOK {
-		return
+	f.empty = !ok
+	if ok != wantOK {
+		t.Fatalf("%s, %s: repaired sets non-empty = %v, fresh Candidates says %v\n%s", what, f.name, ok, wantOK, f.p)
 	}
 	for u := range want {
 		if f.sets[u].Len() != g.NumNodes() {
@@ -114,14 +119,14 @@ func repairPatterns(t testing.TB, g *graph.Graph) []*repaired {
 	for _, m := range fixture.Mix {
 		q := parse(t, m.DSL)
 		pi, _ := q.Pi()
-		out = append(out, &repaired{name: m.Name, p: pi})
+		out = append(out, newRepaired(m.Name, g, pi))
 		for _, ei := range q.NegatedEdges() {
 			pp, _ := q.PiPlus(ei)
-			out = append(out, &repaired{name: fmt.Sprintf("%s+e%d", m.Name, ei), p: pp})
+			out = append(out, newRepaired(fmt.Sprintf("%s+e%d", m.Name, ei), g, pp))
 		}
 	}
 	for i, dsl := range fixture.ChurnLate {
-		out = append(out, &repaired{name: fmt.Sprintf("late%d", i), p: parse(t, dsl)})
+		out = append(out, newRepaired(fmt.Sprintf("late%d", i), g, parse(t, dsl)))
 	}
 	for _, cfg := range []gen.PatternConfig{
 		{Nodes: 3, Edges: 2, RatioBP: 3000, Seed: 1},
@@ -130,7 +135,7 @@ func repairPatterns(t testing.TB, g *graph.Graph) []*repaired {
 	} {
 		for i, p := range gen.Patterns(g, cfg, 4) {
 			pi, _ := p.Pi()
-			out = append(out, &repaired{name: fmt.Sprintf("gen%d.%d", cfg.Seed, i), p: pi})
+			out = append(out, newRepaired(fmt.Sprintf("gen%d.%d", cfg.Seed, i), g, pi))
 		}
 	}
 	return out
@@ -149,9 +154,6 @@ func TestRepairEqualsCandidates(t *testing.T) {
 	for _, f := range follow {
 		if cyclic(f.p) {
 			cycles++
-		}
-		if sets, ok := simulation.Candidates(g, f.p, false); ok {
-			f.sets = sets
 		}
 	}
 	if cycles == 0 {
@@ -271,9 +273,12 @@ func decodeRepairCase(data []byte) (*graph.Graph, *core.Pattern, [][]graph.Mutat
 }
 
 // FuzzRepair: on arbitrary small instances and streams, Repair agrees with
-// Candidates after every batch.
+// Candidates after every batch, starting from whatever the last batch
+// left. Seeds 0–23 are random streams; the seeds after them are the first
+// instances past 1 000 that start with no candidates and gain some later,
+// so a Repair from all-empty sets is always among the seeds.
 func FuzzRepair(f *testing.F) {
-	for seed := uint64(0); seed < 24; seed++ {
+	stream := func(seed uint64) []byte {
 		r := rand.New(rand.NewSource(int64(seed)))
 		data := binary.LittleEndian.AppendUint64(nil, seed)
 		for i := 6 + r.Intn(40); i > 0; i-- {
@@ -283,15 +288,21 @@ func FuzzRepair(f *testing.F) {
 			}
 			data = append(data, op, byte(r.Intn(256)), byte(r.Intn(256)))
 		}
-		f.Add(data)
+		return data
+	}
+	for seed := uint64(0); seed < 24; seed++ {
+		f.Add(stream(seed))
+	}
+	for seed, found := uint64(1000), 0; found < 8; seed++ {
+		if data := stream(seed); startsEmptyThenFills(data) {
+			f.Add(data)
+			found++
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, p, batches := decodeRepairCase(data)
 		vg := graph.NewVersioned(g)
-		follow := &repaired{name: "fuzz", p: p}
-		if sets, ok := simulation.Candidates(g, p, false); ok {
-			follow.sets = sets
-		}
+		follow := newRepaired("fuzz", g, p)
 		for i, batch := range batches {
 			_, touched, err := vg.Apply(batch)
 			if err != nil {
@@ -300,4 +311,23 @@ func FuzzRepair(f *testing.F) {
 			follow.step(t, g, touched, true, fmt.Sprintf("batch %d", i))
 		}
 	})
+}
+
+// startsEmptyThenFills reports whether the decoded instance has no
+// candidates before its first batch and some after a later one.
+func startsEmptyThenFills(data []byte) bool {
+	g, p, batches := decodeRepairCase(data)
+	if _, ok := simulation.Candidates(g, p, false); ok {
+		return false
+	}
+	vg := graph.NewVersioned(g)
+	for _, batch := range batches {
+		if _, _, err := vg.Apply(batch); err != nil {
+			return false
+		}
+		if _, ok := simulation.Candidates(g, p, false); ok {
+			return true
+		}
+	}
+	return false
 }

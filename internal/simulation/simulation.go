@@ -22,7 +22,11 @@
 // graph, larger than its greatest one. Hence every group contains a
 // touched node, and the flood, which starts at the touched nodes and
 // follows exactly those joins, reaches all of it. Refining S ∪ F, with
-// the touched members and F to re-check, then yields S′ exactly.
+// the touched members and F to re-check, then yields S′ exactly. Nothing
+// in the argument needs S to be non-empty: when a set runs empty, every
+// set of a connected pattern follows it, the all-empty sets are the exact
+// greatest fixpoint, and a later Repair starts from them — which is why a
+// failed refinement clears every set rather than stopping half-way.
 //
 // The flood only enters a non-member that passes round zero of the
 // refinement — every pattern edge at u finds, at v, a neighbour over its
@@ -36,6 +40,8 @@
 package simulation
 
 import (
+	"slices"
+
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -60,70 +66,81 @@ import (
 // (plain dual simulation); this is used for differential testing.
 //
 // The boolean result is false when some pattern node ends up with an empty
-// candidate set (the pattern has no matches at all).
+// candidate set (the pattern has no matches at all); every set is then
+// empty.
 func Candidates(g *graph.Graph, p *core.Pattern, quantified bool) ([]*bitset.Set, bool) {
 	n := g.NumNodes()
 	sets := make([]*bitset.Set, len(p.Nodes))
-	for u, pn := range p.Nodes {
+	for u := range sets {
 		sets[u] = bitset.New(n)
-		for _, v := range g.NodesByLabelName(pn.Label) {
-			sets[u].Add(int(v))
-		}
-		if sets[u].Empty() {
-			return sets, false
-		}
 	}
-
 	edgeLabel := make([]graph.LabelID, len(p.Edges))
 	for i, e := range p.Edges {
 		edgeLabel[i] = g.LookupLabel(e.Label)
 		if edgeLabel[i] == graph.NoLabel && !e.IsNegated() {
-			// A required edge label absent from the graph: no matches.
-			for u := range sets {
-				sets[u].Clear()
-			}
+			return sets, false // a required edge label absent from the graph
+		}
+	}
+	for _, pn := range p.Nodes {
+		if len(g.NodesByLabelName(pn.Label)) == 0 {
 			return sets, false
+		}
+	}
+	for u, pn := range p.Nodes {
+		for _, v := range g.NodesByLabelName(pn.Label) {
+			sets[u].Add(int(v))
 		}
 	}
 
 	r := newRefiner(g, p, sets, edgeLabel, quantified)
-	// Round one re-checks everything; each later round only the marked.
-	marked := make([]*bitset.Set, len(sets))
-	for u := range marked {
-		marked[u] = sets[u].Clone()
+	// Round one re-checks everything: a share of |V| per pattern node, so
+	// the marks are a bitset per node.
+	r.bits = make([]*bitset.Set, len(sets))
+	for u := range sets {
+		r.bits[u] = sets[u].Clone()
 	}
-	return sets, r.refine(marked)
+	if !r.refine(false) {
+		for _, s := range sets {
+			s.Clear()
+		}
+		return sets, false
+	}
+	return sets, true
 }
 
 // Repair carries sets — Candidates(old, p, false) of an earlier state of g,
-// every set non-empty — to g's current state, in place, at a cost that
-// depends on touched and what it unsettles rather than on |G|. touched
-// must name every node whose adjacency differs between the two states and
-// every node born since (Versioned.Apply's touched sets, concatenated over
-// the batches in between, in any order, repeats allowed); node labels are
-// immutable and node ids only grow. The result is exactly
-// Candidates(g, p, false): see the package comment. changed lists the
-// pairs that entered or left a set (a superset: a pair may be listed and
-// end up where it was), for holders of state derived from the sets. On
-// false some set ran empty — the pattern has no match now — and sets is
-// left unspecified: the caller drops it.
-func Repair(g *graph.Graph, p *core.Pattern, sets []*bitset.Set, touched []graph.NodeID) (changed []Pair, ok bool) {
+// or the sets an earlier Repair left — to g's current state, in place, at
+// a cost that depends on touched and what it unsettles rather than on |G|.
+// p must be connected. touched must name every node whose adjacency
+// differs between the two states and every node born since
+// (Versioned.Apply's touched sets, concatenated over the batches in
+// between, in any order, repeats allowed); node labels are immutable and
+// node ids only grow. wasOK is the verdict the sets were left with
+// (Candidates' or the last Repair's): false says every set is empty, and
+// the repair then reads only what it re-admits, never a whole set. The
+// result is exactly Candidates(g, p, false): see the package comment,
+// which covers a start from all-empty sets too. changed lists the pairs
+// that entered or left a set (a superset: a pair may be listed and end up
+// where it was), for holders of state derived from the sets. On false
+// some set ran empty — the pattern has no match now — and every set is
+// cleared; changed is then incomplete, and the holder treats every pair
+// as gone.
+func Repair(g *graph.Graph, p *core.Pattern, sets []*bitset.Set, touched []graph.NodeID, wasOK bool) (changed []Pair, ok bool) {
 	edgeLabel := make([]graph.LabelID, len(p.Edges))
 	for i, e := range p.Edges {
-		// Non-empty sets over the earlier state mean every required label
-		// was interned then, and the interner only grows.
+		// A label the graph never interned is NoLabel, whose runs are
+		// empty: nothing is admitted over it until a batch brings it.
 		edgeLabel[i] = g.LookupLabel(e.Label)
 	}
 	nodeLabel := make([]graph.LabelID, len(p.Nodes))
-	marked := make([]*bitset.Set, len(sets))
 	n := g.NumNodes()
 	for u, pn := range p.Nodes {
 		nodeLabel[u] = g.LookupLabel(pn.Label)
 		sets[u].Grow(n)
-		marked[u] = bitset.New(n)
 	}
 	r := newRefiner(g, p, sets, edgeLabel, false)
 	r.keep = true
+	r.pairs = make([]uint64, 0, 2*len(touched)*len(p.Nodes))
 
 	// plausible is round zero of the refinement, judged on labels alone:
 	// every pattern edge at u has, at v, a neighbour over its label that
@@ -149,15 +166,14 @@ func Repair(g *graph.Graph, p *core.Pattern, sets []*bitset.Set, touched []graph
 	admit := func(u int, v graph.NodeID) {
 		if g.NodeLabel(v) == nodeLabel[u] && !sets[u].Contains(int(v)) && plausible(u, v) {
 			sets[u].Add(int(v))
-			r.left[u]++
-			marked[u].Add(int(v))
+			r.mark(u, v)
 			changed = append(changed, Pair{u, v})
 		}
 	}
 	for _, v := range touched {
 		for u := range p.Nodes {
 			if sets[u].Contains(int(v)) {
-				marked[u].Add(int(v)) // its rows changed: re-check
+				r.mark(u, v) // its rows changed: re-check
 			} else {
 				admit(u, v)
 			}
@@ -181,8 +197,27 @@ func Repair(g *graph.Graph, p *core.Pattern, sets []*bitset.Set, touched []graph
 			}
 		}
 	}
-	ok = r.refine(marked)
-	return append(changed, r.removed...), ok
+	// From all-empty sets a set is non-empty exactly when the flood
+	// admitted into it, and the admitted pairs are all there is to clear.
+	empty := false
+	if !wasOK {
+		for u := range sets {
+			empty = empty || !slices.ContainsFunc(changed, func(c Pair) bool { return c.U == u })
+		}
+	}
+	if !r.refine(empty) {
+		if wasOK {
+			for _, s := range sets {
+				s.Clear()
+			}
+		} else {
+			for _, c := range changed {
+				sets[c.U].Remove(int(c.V))
+			}
+		}
+		return changed, false
+	}
+	return append(changed, r.removed...), true
 }
 
 // hasLabelled reports whether some edge of the run ends at a node
@@ -204,12 +239,20 @@ type refiner struct {
 	edgeLabel  []graph.LabelID
 	quantified bool
 
-	left []int  // per pattern node: candidates remaining
 	gone []Pair // this round's removals; their neighbours are re-checked next round
+	lost []bool // per pattern node: whether this round removed from its set
 	// removed collects every round's removals when keep is set (Repair
 	// reports them).
 	keep    bool
 	removed []Pair
+
+	// The candidates the next round re-checks: a bitset per pattern node
+	// when bits is set (Candidates, whose rounds re-check a share of |V|),
+	// else a list of pattern node<<32 | graph node, sorted and deduplicated
+	// per round (Repair, whose rounds re-check what a batch unsettled:
+	// nothing sized by |V|).
+	bits  []*bitset.Set
+	pairs []uint64
 }
 
 // Pair is a graph node V as a candidate of pattern node U.
@@ -219,36 +262,67 @@ type Pair struct {
 }
 
 func newRefiner(g *graph.Graph, p *core.Pattern, sets []*bitset.Set, edgeLabel []graph.LabelID, quantified bool) *refiner {
-	r := &refiner{g: g, p: p, sets: sets, edgeLabel: edgeLabel, quantified: quantified, left: make([]int, len(sets))}
-	for u := range sets {
-		r.left[u] = sets[u].Count()
+	return &refiner{g: g, p: p, sets: sets, edgeLabel: edgeLabel, quantified: quantified, lost: make([]bool, len(sets))}
+}
+
+// mark has the next round re-check v as a candidate of u.
+func (r *refiner) mark(u int, v graph.NodeID) {
+	if r.bits != nil {
+		r.bits[u].Add(int(v))
+	} else {
+		r.pairs = append(r.pairs, uint64(u)<<32|uint64(v))
 	}
-	return r
+}
+
+// check re-checks each marked candidate once, removing those whose local
+// conditions fail, and unmarks them all.
+func (r *refiner) check() {
+	recheck := func(u int, v graph.NodeID) {
+		if r.sets[u].Contains(int(v)) && !r.simOK(u, v) {
+			r.remove(u, v)
+		}
+	}
+	if r.bits != nil {
+		for u, marked := range r.bits {
+			marked.ForEach(func(vi int) bool {
+				recheck(u, graph.NodeID(vi))
+				return true
+			})
+			marked.Clear()
+		}
+		return
+	}
+	slices.Sort(r.pairs)
+	for _, k := range slices.Compact(r.pairs) {
+		recheck(int(k>>32), graph.NodeID(uint32(k)))
+	}
+	r.pairs = r.pairs[:0]
 }
 
 // refine runs the refinement rounds to the greatest fixpoint below sets:
 // each round re-checks the marked candidates, and marks for the next the
 // neighbours of what it removed. Every unmarked member must satisfy its
-// local conditions against sets as they stand. It reports whether every
-// set stayed non-empty.
-func (r *refiner) refine(marked []*bitset.Set) bool {
+// local conditions against sets as they stand. empty says some set is
+// empty at the start, which the caller knows without reading the sets.
+// It reports whether every set stayed non-empty, and stops as soon as one
+// did not, leaving the clearing to the caller. Emptiness is asked only of
+// the sets a round removed from: a non-empty set answers at its first
+// non-zero word, where counting would read all of it.
+func (r *refiner) refine(empty bool) bool {
 	g, p, sets := r.g, r.p, r.sets
-	for {
-		for u := range p.Nodes {
-			marked[u].IntersectWith(sets[u])
-			marked[u].ForEach(func(vi int) bool {
-				if !r.simOK(u, graph.NodeID(vi)) {
-					r.remove(u, graph.NodeID(vi))
-				}
-				return true
-			})
-			marked[u].Clear()
-			if r.left[u] == 0 {
-				return false
+	for !empty {
+		r.check()
+		for _, rm := range r.gone {
+			r.lost[rm.U] = true
+		}
+		for u, lost := range r.lost {
+			if lost {
+				r.lost[u] = false
+				empty = empty || sets[u].Empty()
 			}
 		}
-		if len(r.gone) == 0 {
-			return true
+		if empty || len(r.gone) == 0 {
+			break
 		}
 		// The removal of v from C(u) can only invalidate parents of v in
 		// C(u″) for an edge (u″, u), which lose a child, and children of v
@@ -262,12 +336,16 @@ func (r *refiner) refine(marked []*bitset.Set) bool {
 				}
 				if e.To == rm.U {
 					for _, ge := range g.InByLabel(rm.V, r.edgeLabel[i]) {
-						marked[e.From].Add(int(ge.To))
+						if sets[e.From].Contains(int(ge.To)) {
+							r.mark(e.From, ge.To)
+						}
 					}
 				}
 				if e.From == rm.U {
 					for _, ge := range g.OutByLabel(rm.V, r.edgeLabel[i]) {
-						marked[e.To].Add(int(ge.To))
+						if sets[e.To].Contains(int(ge.To)) {
+							r.mark(e.To, ge.To)
+						}
 					}
 				}
 			}
@@ -277,11 +355,11 @@ func (r *refiner) refine(marked []*bitset.Set) bool {
 		}
 		r.gone = r.gone[:0]
 	}
+	return !empty
 }
 
 func (r *refiner) remove(u int, v graph.NodeID) {
 	r.sets[u].Remove(int(v))
-	r.left[u]--
 	r.gone = append(r.gone, Pair{u, v})
 }
 

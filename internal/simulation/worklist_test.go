@@ -88,9 +88,8 @@ func sweepCandidates(g *graph.Graph, p *core.Pattern, quantified bool) ([]*bitse
 }
 
 // agree compares Candidates with the sweep in both modes. When a set
-// empties the sets themselves are unspecified (Candidates stops early),
-// so only the verdict is compared. It reports whether the fixpoint was
-// non-empty.
+// empties, Candidates must have cleared every set. It reports whether the
+// fixpoint was non-empty.
 func agree(t *testing.T, g *graph.Graph, p *core.Pattern, what string) (nonEmpty bool) {
 	t.Helper()
 	for _, quantified := range []bool{false, true} {
@@ -100,6 +99,11 @@ func agree(t *testing.T, g *graph.Graph, p *core.Pattern, what string) (nonEmpty
 			t.Fatalf("%s quantified=%v: ok = %v, sweep says %v\n%s", what, quantified, gotOK, wantOK, p)
 		}
 		if !gotOK {
+			for u := range got {
+				if !got[u].Empty() {
+					t.Fatalf("%s quantified=%v: no candidates, yet C(%s) = %v\n%s", what, quantified, p.Nodes[u].Name, got[u].Slice(), p)
+				}
+			}
 			continue
 		}
 		nonEmpty = true
