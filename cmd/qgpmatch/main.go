@@ -54,7 +54,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := match.CheckEngine(*algo); err != nil {
+	engine, err := match.ParseEngine(*algo)
+	if err != nil {
 		fatal(err)
 	}
 	g := readGraph(*graphFile, *format)
@@ -87,11 +88,11 @@ func main() {
 		fmt.Printf("PQMatch n=%d d=%d algo=%s: sim_work=%d total_work=%d\n",
 			*workers, c.D(), *algo, slowest, total)
 	} else {
-		prep, err := match.PrepareEngine(*algo, q)
+		prep, err := match.Prepare(q)
 		if err != nil {
 			fatal(err)
 		}
-		res, err := prep.Run(g, &match.Options{CollectProfile: *profile})
+		res, err := prep.Bind(g).Run(engine, &match.Options{CollectProfile: *profile})
 		if err != nil {
 			fatal(err)
 		}

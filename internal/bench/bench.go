@@ -7,6 +7,12 @@
 //
 // The same experiments back both cmd/qgpbench (full scale) and the
 // testing.B benchmarks in bench_test.go (reduced scale).
+//
+// A timing caveat for the served experiments: every worker session keeps
+// one bound per pattern, whatever the engine, so at a served point only
+// the first engine row's wall_ms includes building the simulation sets;
+// the rows after it read them. sim_work, total_work and matches count
+// the search alone and are unaffected.
 package bench
 
 import (
@@ -118,7 +124,9 @@ var sequentialAlgos = []struct {
 }
 
 // parallelEngines are the Exp-2 contestants: the engine every fragment
-// runs, by its wire name (match.PrepareEngine).
+// runs, by its wire name (match.ParseEngine). They share each worker
+// session's one bound per pattern: the first row builds the candidate
+// sets, the rows after it read them.
 var parallelEngines = []struct{ name, engine string }{
 	{"PQMatch", "qmatch"},
 	{"PQMatchn", "qmatchn"},
@@ -151,13 +159,18 @@ func patternsFrom(generate func(*graph.Graph, gen.PatternConfig) *core.Pattern, 
 		if core.RequiredHops(p) > maxHops {
 			continue
 		}
-		// Probe before the full evaluation: the sample-projected Enum cost
-		// upper-bounds QMatch too, so this also guards the satisfiability
-		// check below against combinatorial blowups.
-		if !enumFeasible(g, p, enumWorkBudget) {
+		prep, err := match.Prepare(p)
+		if err != nil {
 			continue
 		}
-		res, err := match.QMatch(g, p, nil)
+		// Probe before the full evaluation, over the same bound: the
+		// sample-projected Enum cost upper-bounds QMatch too, so this also
+		// guards the satisfiability check against combinatorial blowups.
+		b := prep.Bind(g)
+		if !enumFeasible(g, p, b, enumWorkBudget) {
+			continue
+		}
+		res, err := b.Run(match.EngineQMatch, nil)
 		if err != nil {
 			continue
 		}
@@ -189,8 +202,8 @@ const enumWorkBudget = 200_000_000
 // isomorphism explosions would otherwise dominate every sweep that
 // includes the Enum baselines; the paper's workloads (mined from real
 // graphs with a production-grade engine) sit in the feasible regime, so
-// this keeps the comparison in the same regime.
-func enumFeasible(g *graph.Graph, p *core.Pattern, budget int64) bool {
+// this keeps the comparison in the same regime. b is p bound to g.
+func enumFeasible(g *graph.Graph, p *core.Pattern, b *match.Bound, budget int64) bool {
 	cands := g.NodesByLabelName(p.Nodes[p.Focus].Label)
 	if len(cands) == 0 {
 		return true
@@ -208,7 +221,7 @@ func enumFeasible(g *graph.Graph, p *core.Pattern, budget int64) bool {
 		sample = append(sample, cands[i*step])
 	}
 	// The probe itself is hard-capped: a single hub candidate can explode.
-	res, err := match.Enum(g, p, &match.Options{FocusRestrict: sample, ExtensionBudget: 30_000_000})
+	res, err := b.Run(match.EngineEnum, &match.Options{FocusRestrict: sample, ExtensionBudget: 30_000_000})
 	if err != nil {
 		return false // budget blown or otherwise unevaluable: infeasible
 	}

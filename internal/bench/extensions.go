@@ -115,7 +115,7 @@ func exp15(sc Scale, w io.Writer) error {
 // persons (6 000 at full scale), per pattern: series "counts" is
 // dynamic.NewMatcher, the counts built and the answers listed; "qmatch" is
 // match.QMatch; "bound-hit" is a second Run of one Bound at the same graph
-// version, the cost a read pays when the session's bound cache hits. Each
+// version, the cost a read pays when the session's bound store hits. Each
 // time is the median of five runs, and the three answer sets must be equal.
 func exp16(sc Scale, w io.Writer) error {
 	const reps = 5
@@ -144,7 +144,7 @@ func exp16(sc Scale, w io.Writer) error {
 			return err
 		}
 		b := prep.Bind(g)
-		if _, err := b.Run(nil); err != nil { // builds the bound's sets
+		if _, err := b.Run(match.EngineQMatch, nil); err != nil { // builds the bound's sets
 			return err
 		}
 		series := []struct {
@@ -166,7 +166,7 @@ func exp16(sc Scale, w io.Writer) error {
 				return res.Matches, nil
 			}},
 			{"bound-hit", func() ([]graph.NodeID, error) {
-				res, err := b.Run(nil)
+				res, err := b.Run(match.EngineQMatch, nil)
 				if err != nil {
 					return nil, err
 				}

@@ -54,7 +54,7 @@ func TestAffectedSizeIsWorkersJudged(t *testing.T) {
 	t.Run("one worker is the unrestricted engine", func(t *testing.T) {
 		c := newEmbedded(t, g, 1, Config{D: 2})
 		vg := graph.NewVersioned(c.Graph())
-		eng, err := dynamic.NewEngine(vg.Graph(), nil)
+		eng, err := dynamic.NewEngine(vg.Graph(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

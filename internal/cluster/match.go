@@ -80,7 +80,7 @@ func (c *Coordinator) matchWith(q *core.Pattern, opts *MatchOptions, tr *obs.Tra
 			req.Budget = opts.Budget
 		}
 	}
-	if err := match.CheckEngine(req.Engine); err != nil {
+	if _, err := match.ParseEngine(req.Engine); err != nil {
 		return nil, err
 	}
 	err = c.routedRead(tr, req, func(replies []workerReply) error {

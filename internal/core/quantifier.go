@@ -197,20 +197,6 @@ func (q Quantifier) Threshold(total int) (need int, ok bool) {
 	}
 }
 
-// MaxSatisfiableBelow reports whether q could still be satisfied when at
-// most upper of the total children can match. It is the pruning test on
-// upper bounds U(v, e) used by DMatch.
-func (q Quantifier) MaxSatisfiableBelow(upper, total int) bool {
-	if upper < 0 {
-		upper = 0
-	}
-	need, ok := q.Threshold(total)
-	if !ok {
-		return false
-	}
-	return upper >= need
-}
-
 func (q Quantifier) String() string {
 	if q.ratio {
 		if q.bp%100 == 0 {

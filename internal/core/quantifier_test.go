@@ -131,19 +131,6 @@ func TestThreshold(t *testing.T) {
 	}
 }
 
-func TestMaxSatisfiableBelow(t *testing.T) {
-	q := RatioPercent(GE, 80)
-	if q.MaxSatisfiableBelow(3, 5) {
-		t.Error("3 of 5 cannot reach 80%")
-	}
-	if !q.MaxSatisfiableBelow(4, 5) {
-		t.Error("4 of 5 can reach 80%")
-	}
-	if Count(GE, 2).MaxSatisfiableBelow(-1, 5) {
-		t.Error("negative upper must clamp to 0")
-	}
-}
-
 // Property: Threshold is the exact satisfiability frontier for GE
 // quantifiers — counts below it fail Satisfied, counts at/above pass.
 func TestQuickThresholdFrontier(t *testing.T) {

@@ -66,7 +66,7 @@ func TestCountsFollowChurn(t *testing.T) {
 	}{{"unrestricted", nil}, {"fragment", half}} {
 		t.Run(tc.name, func(t *testing.T) {
 			vg := graph.NewVersioned(base.Clone())
-			e, err := NewEngine(vg.Graph(), tc.owned)
+			e, err := NewEngine(vg.Graph(), tc.owned, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

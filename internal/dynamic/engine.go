@@ -6,23 +6,26 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/match"
 	"repro/internal/obs"
 )
 
-// Engine holds every standing watch of one session over one graph. Watches
-// are grouped by canonical pattern text: each distinct pattern is
-// maintained by one Matcher and evaluated once per batch, and its delta is
-// reported under every name subscribed to it — per-batch work follows the
-// distinct patterns and the candidates a batch can flip, not the number of
-// names. On a fragment session the engine also holds the one owned set
-// every group's evaluation is restricted to.
+// Engine holds every standing watch of one session over one graph, and
+// the session's one store of match.Bounds (bounds.go). Watches are grouped
+// by canonical pattern text: each distinct pattern is maintained by one
+// Matcher and evaluated once per batch, and its delta is reported under
+// every name subscribed to it — per-batch work follows the distinct
+// patterns and the candidates a batch can flip, not the number of names.
+// On a fragment session the engine also holds the one owned set every
+// group's evaluation and every read is restricted to.
 type Engine struct {
-	g      *graph.Graph
-	owned  *focusSet         // nil: unrestricted
-	groups map[string]*group // by pattern text
-	byName map[string]*group
-	names  []string     // subscribed names, ascending
-	out    []NamedDelta // run's result, reused by the next run
+	g        *graph.Graph
+	owned    *focusSet         // nil: unrestricted
+	patterns map[string]*entry // by pattern text: every pattern watched or read
+	byName   map[string]*group
+	names    []string     // subscribed names, ascending
+	out      []NamedDelta // run's result, reused by the next run
+	store    boundStore
 }
 
 // group is one distinct pattern and the number of names subscribed to it.
@@ -40,11 +43,12 @@ type NamedDelta struct {
 	Delta
 }
 
-// NewEngine returns an engine with no watches over g. A non-nil owned
-// (even empty) makes it a fragment's engine: only those candidates are
-// evaluated and maintained, and Assign extends them.
-func NewEngine(g *graph.Graph, owned []graph.NodeID) (*Engine, error) {
-	e := &Engine{g: g, groups: make(map[string]*group), byName: make(map[string]*group)}
+// NewEngine returns an engine with no watches and no bounds over g, whose
+// store counts into reg (nil: nowhere). A non-nil owned (even empty) makes
+// it a fragment's engine: only those candidates are evaluated and
+// maintained, and Assign extends them.
+func NewEngine(g *graph.Graph, owned []graph.NodeID, reg *obs.Registry) (*Engine, error) {
+	e := &Engine{g: g, patterns: make(map[string]*entry), byName: make(map[string]*group), store: newBoundStore(reg)}
 	if owned != nil {
 		var err error
 		if e.owned, err = newFocusSet(g, owned); err != nil {
@@ -54,10 +58,8 @@ func NewEngine(g *graph.Graph, owned []graph.NodeID) (*Engine, error) {
 	return e, nil
 }
 
-// Names returns the number of registered watch names; Groups the number
-// of distinct patterns they hold.
-func (e *Engine) Names() int  { return len(e.names) }
-func (e *Engine) Groups() int { return len(e.groups) }
+// Names returns the number of registered watch names.
+func (e *Engine) Names() int { return len(e.names) }
 
 // Restricted reports whether the engine is a fragment's: evaluation is
 // limited to an owned set.
@@ -75,20 +77,32 @@ func (e *Engine) Owned() []graph.NodeID {
 }
 
 // Watch registers q under name and returns its current answers. A pattern
-// some other name already holds joins that group without an evaluation.
+// some other name already holds joins that group without an evaluation. A
+// pattern that is not countable searches over the store's Bound of its
+// text, which the watch pins: a read of the same text shares its sets.
 func (e *Engine) Watch(name string, q *core.Pattern) ([]graph.NodeID, error) {
 	if _, dup := e.byName[name]; dup {
 		return nil, fmt.Errorf("watch %q already registered", name)
 	}
 	pattern := q.String()
-	gr := e.groups[pattern]
+	en := e.patterns[pattern]
+	if en == nil {
+		en = &entry{}
+		e.patterns[pattern] = en
+	}
+	gr := en.gr
 	if gr == nil {
-		m, err := newMatcher(e.g, q, e.owned)
+		m, err := newMatcher(e.g, q, e.owned, func(prep *match.Prepared) *match.Bound { return e.lookup(en, prep) })
 		if err != nil {
+			if en.b == nil {
+				delete(e.patterns, pattern)
+			}
 			return nil, err
 		}
 		gr = &group{pattern: pattern, m: m}
-		e.groups[pattern] = gr
+		if en.gr = gr; en.pinned() {
+			e.store.unpinned--
+		}
 	}
 	gr.refs++
 	e.byName[name] = gr
@@ -107,7 +121,15 @@ func (e *Engine) Unwatch(name string) error {
 	i, _ := slices.BinarySearch(e.names, name)
 	e.names = slices.Delete(e.names, i, i+1)
 	if gr.refs--; gr.refs == 0 {
-		delete(e.groups, gr.pattern)
+		en := e.patterns[gr.pattern]
+		pinned := en.pinned()
+		en.gr = nil
+		switch {
+		case pinned:
+			e.unpin(en) // a read may still want the sets; the cap decides
+		case en.b == nil:
+			delete(e.patterns, gr.pattern)
+		}
 	}
 	return nil
 }
@@ -124,8 +146,9 @@ func (e *Engine) Unwatch(name string) error {
 // next Apply or Assign; the deltas' node lists are the caller's.
 func (e *Engine) Apply(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID, tr *obs.Trace) ([]NamedDelta, error) {
 	e.g = newG
+	e.noteBatch(touched)
 	var edits []graph.EdgeEdit
-	if len(e.groups) > 0 {
+	if len(e.byName) > 0 {
 		edits = old.Edits()
 	}
 	return e.run(func(m *Matcher) []graph.NodeID { return m.candidates(old, newG, touched, edits) }, tr)
@@ -148,7 +171,11 @@ func (e *Engine) Assign(add []graph.NodeID, tr *obs.Trace) ([]NamedDelta, error)
 // the group's candidates, all within the owned set — and fans the results
 // out per name.
 func (e *Engine) run(scope func(*Matcher) []graph.NodeID, tr *obs.Trace) ([]NamedDelta, error) {
-	for _, gr := range e.groups {
+	for _, en := range e.patterns {
+		gr := en.gr
+		if gr == nil {
+			continue
+		}
 		t0 := tr.Now()
 		cands := scope(gr.m)
 		t1 := tr.Now()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/match"
 	"repro/internal/obs"
 )
 
@@ -29,6 +30,16 @@ func enginePattern(t *testing.T, i int) *core.Pattern {
 		t.Fatal(err)
 	}
 	return q
+}
+
+// groups returns the number of distinct patterns e's names hold.
+func groups(e *Engine) (n int) {
+	for _, en := range e.patterns {
+		if en.gr != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // evaluations finishes tr, the trace of one Apply or Assign, and counts
@@ -58,7 +69,7 @@ func TestEngineSharesEvaluation(t *testing.T) {
 	}{{"unrestricted", nil}, {"fragment", half}} {
 		t.Run(tc.name, func(t *testing.T) {
 			vg := graph.NewVersioned(base.Clone())
-			e, err := NewEngine(vg.Graph(), tc.owned)
+			e, err := NewEngine(vg.Graph(), tc.owned, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -75,7 +86,7 @@ func TestEngineSharesEvaluation(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				m, err := newMatcher(vg.Graph(), q, own)
+				m, err := newMatcher(vg.Graph(), q, own, func(prep *match.Prepared) *match.Bound { return prep.Bind(vg.Graph()) })
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,8 +95,8 @@ func TestEngineSharesEvaluation(t *testing.T) {
 				}
 				oracles[name] = m
 			}
-			if e.Names() != 8 || e.Groups() != 4 {
-				t.Fatalf("names=%d groups=%d, want 8 and 4", e.Names(), e.Groups())
+			if e.Names() != 8 || groups(e) != 4 {
+				t.Fatalf("names=%d groups=%d, want 8 and 4", e.Names(), groups(e))
 			}
 
 			r := rand.New(rand.NewSource(17))
@@ -150,7 +161,7 @@ func TestEngineSharesEvaluation(t *testing.T) {
 // pattern; duplicate and unknown names are errors.
 func TestEngineGroupLifetime(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(60, 3))
-	e, err := NewEngine(g, nil)
+	e, err := NewEngine(g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +176,8 @@ func TestEngineGroupLifetime(t *testing.T) {
 	if _, err := e.Watch("a", enginePattern(t, 2)); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if e.Names() != 3 || e.Groups() != 2 {
-		t.Fatalf("names=%d groups=%d, want 3 and 2", e.Names(), e.Groups())
+	if e.Names() != 3 || groups(e) != 2 {
+		t.Fatalf("names=%d groups=%d, want 3 and 2", e.Names(), groups(e))
 	}
 	shared := e.byName["a"]
 	if shared != e.byName["b"] || shared == e.byName["c"] {
@@ -175,14 +186,14 @@ func TestEngineGroupLifetime(t *testing.T) {
 	if err := e.Unwatch("a"); err != nil {
 		t.Fatal(err)
 	}
-	if e.Groups() != 2 || e.byName["b"] != shared {
+	if groups(e) != 2 || e.byName["b"] != shared {
 		t.Fatal("unwatching one of two names dropped their group")
 	}
 	if err := e.Unwatch("b"); err != nil {
 		t.Fatal(err)
 	}
-	if e.Names() != 1 || e.Groups() != 1 {
-		t.Fatalf("names=%d groups=%d after the pattern's last name left, want 1 and 1", e.Names(), e.Groups())
+	if e.Names() != 1 || groups(e) != 1 {
+		t.Fatalf("names=%d groups=%d after the pattern's last name left, want 1 and 1", e.Names(), groups(e))
 	}
 	if err := e.Unwatch("b"); err == nil {
 		t.Fatal("unwatch of an unknown name accepted")
@@ -206,7 +217,7 @@ func TestEngineAssign(t *testing.T) {
 			rest = append(rest, graph.NodeID(v))
 		}
 	}
-	e, err := NewEngine(g, first)
+	e, err := NewEngine(g, first, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +292,7 @@ func TestEngineAssign(t *testing.T) {
 	if _, err := e.Assign([]graph.NodeID{graph.NodeID(g.NumNodes())}, nil); err == nil {
 		t.Fatal("assignment of a node outside the graph accepted")
 	}
-	free, _ := NewEngine(g, nil)
+	free, _ := NewEngine(g, nil, nil)
 	if _, err := free.Assign(rest, nil); err == nil {
 		t.Fatal("assignment on an unrestricted engine accepted")
 	}

@@ -19,9 +19,9 @@ import (
 // reused.
 type Matcher struct {
 	// bound is the pattern bound to the graph when it re-verifies by a
-	// search: the initial evaluation builds its sets, each batch advances
-	// them by its touched nodes, and every search is a Run of it. Nil when
-	// counts is not.
+	// search, held by the matcher's maker: the initial evaluation builds
+	// its sets, each batch advances them by its touched nodes, and every
+	// search is a QMatch Run of it. Nil when counts is not.
 	bound *match.Bound
 	plan  *ReachPlan
 	// counts holds Π(Q), then Π(Q+e) per negated edge, when all of them are
@@ -52,7 +52,7 @@ type Delta struct {
 
 // NewMatcher evaluates q over g once and caches the answers.
 func NewMatcher(g *graph.Graph, q *core.Pattern) (*Matcher, error) {
-	return newMatcher(g, q, nil)
+	return newMatcher(g, q, nil, func(prep *match.Prepared) *match.Bound { return prep.Bind(g) })
 }
 
 // newMatcher is NewMatcher limited to the focus candidates of restrict
@@ -61,8 +61,8 @@ func NewMatcher(g *graph.Graph, q *core.Pattern) (*Matcher, error) {
 // this way — non-owned nodes of a d-hop-preserving fragment may lack part
 // of their neighborhood, so their local answers would be wrong anyway. The
 // counts, though, cover every node of g: an owned node's verdict reads its
-// neighbours'.
-func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, error) {
+// neighbours'. A searched pattern runs over the Bound that bound hands out.
+func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet, bound func(*match.Prepared) *match.Bound) (*Matcher, error) {
 	prep, err := match.Prepare(q)
 	if err != nil {
 		return nil, err
@@ -88,8 +88,8 @@ func newMatcher(g *graph.Graph, q *core.Pattern, restrict *focusSet) (*Matcher, 
 		}
 		return m, nil
 	}
-	m.bound = prep.Bind(g)
-	res, err := m.bound.Run(&match.Options{FocusRestrict: cands})
+	m.bound = bound(prep)
+	res, err := m.bound.Run(match.EngineQMatch, &match.Options{FocusRestrict: cands})
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func (m *Matcher) filter(vs []graph.NodeID) []graph.NodeID {
 func (m *Matcher) verify(newG *graph.Graph, cands []graph.NodeID) (Delta, error) {
 	answers := m.answers
 	if m.counts == nil && len(cands) > 0 {
-		res, err := m.bound.Run(&match.Options{FocusRestrict: cands})
+		res, err := m.bound.Run(match.EngineQMatch, &match.Options{FocusRestrict: cands})
 		if err != nil {
 			return Delta{}, err
 		}

@@ -26,13 +26,13 @@ func parsePattern(t testing.TB, dsl string) *core.Pattern {
 }
 
 // TestPreparedFollowsVersions: one match.Prepared per pattern, prepared
-// before the first batch, is run at every version of a graph.Versioned
-// that random batches edit in place (inserts, deletes, node creation,
-// tombstones) and equals a fresh QMatch there — answers and metrics,
+// before the first batch, is bound and run at every version of a
+// graph.Versioned that random batches edit in place (inserts, deletes,
+// node creation, tombstones) and equals a fresh QMatch there — answers and metrics,
 // unrestricted and scoped to eight candidates. Two patterns name a label
 // the graph only learns mid-stream, an edge label and a node label: empty
 // before, and matched by the batch that brings the label, because labels
-// are resolved per run and never kept in the Prepared.
+// are resolved per bind and never kept in the Prepared.
 func TestPreparedFollowsVersions(t *testing.T) {
 	const batches, lateAt = 230, 100
 	patterns := make([]*core.Pattern, 0, len(fixture.Mix)+2)
@@ -77,7 +77,7 @@ func TestPreparedFollowsVersions(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d, pattern %d: QMatch: %v", round, i, err)
 				}
-				got, err := preps[i].Run(g, opts)
+				got, err := preps[i].Bind(g).Run(match.EngineQMatch, opts)
 				if err != nil {
 					t.Fatalf("round %d, pattern %d: Run: %v", round, i, err)
 				}
@@ -150,7 +150,7 @@ func searching(t testing.TB, g *graph.Graph, q *core.Pattern) *Matcher {
 		t.Fatal(err)
 	}
 	m.counts, m.bound = nil, prep.Bind(g)
-	if _, err := m.bound.Run(nil); err != nil {
+	if _, err := m.bound.Run(match.EngineQMatch, nil); err != nil {
 		t.Fatal(err)
 	}
 	return m

@@ -8,7 +8,7 @@ import (
 
 // Churn is a seeded stream of mutation batches over a gen.Social graph,
 // shared by the differentials that hold incrementally repaired state
-// (simulation.Repair, match.Bound, a server session's bound cache) against
+// (simulation.Repair, match.Bound, a session's bound store) against
 // a fresh computation after every batch. Most edge inserts copy the
 // endpoint labels of an existing edge, so they land where the mix patterns
 // look; the rest is noise. Three rounds are scripted, because random churn

@@ -23,34 +23,34 @@ func ablationWorkload(b *testing.B) (*graph.Graph, *core.Pattern) {
 	return g, q
 }
 
-func runAblation(b *testing.B, cfg evalConfig) {
+func runAblation(b *testing.B, e Engine) {
 	g, q := ablationWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := prepareRun(g, q, nil, cfg); err != nil {
+		if _, err := prepareRun(g, q, nil, e); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkAblationFull(b *testing.B) {
-	runAblation(b, evalConfig{quantFilter: true, earlyAccept: true, incremental: true})
+	runAblation(b, quantFilter|earlyAccept|incremental)
 }
 
 func BenchmarkAblationNoQuantFilter(b *testing.B) {
-	runAblation(b, evalConfig{quantFilter: false, earlyAccept: true, incremental: true})
+	runAblation(b, earlyAccept|incremental)
 }
 
 func BenchmarkAblationNoEarlyAccept(b *testing.B) {
-	runAblation(b, evalConfig{quantFilter: true, earlyAccept: false, incremental: true})
+	runAblation(b, quantFilter|incremental)
 }
 
 func BenchmarkAblationNoIncremental(b *testing.B) {
-	runAblation(b, evalConfig{quantFilter: true, earlyAccept: true, incremental: false})
+	runAblation(b, quantFilter|earlyAccept)
 }
 
 func BenchmarkAblationNone(b *testing.B) {
-	runAblation(b, evalConfig{})
+	runAblation(b, 0)
 }
 
 // TestAblationConfigsAgree pins the ablation benchmarks to identical
@@ -58,16 +58,16 @@ func BenchmarkAblationNone(b *testing.B) {
 func TestAblationConfigsAgree(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(600, 7))
 	q := gen.Pattern(g, gen.PatternConfig{Nodes: 4, Edges: 5, RatioBP: 4000, NegEdges: 1, Seed: 3})
-	configs := []evalConfig{
-		{quantFilter: true, earlyAccept: true, incremental: true},
-		{quantFilter: false, earlyAccept: true, incremental: true},
-		{quantFilter: true, earlyAccept: false, incremental: true},
-		{quantFilter: true, earlyAccept: true, incremental: false},
-		{},
+	configs := []Engine{
+		quantFilter | earlyAccept | incremental,
+		earlyAccept | incremental,
+		quantFilter | incremental,
+		quantFilter | earlyAccept,
+		0,
 	}
 	var want []graph.NodeID
-	for i, cfg := range configs {
-		res, err := prepareRun(g, q, nil, cfg)
+	for i, e := range configs {
+		res, err := prepareRun(g, q, nil, e)
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}

@@ -105,14 +105,14 @@ func intersectSorted(a, b []graph.NodeID) []graph.NodeID {
 // processing of negated edges against the cached Π(Q) answers. It is
 // Prepare followed by one Run.
 func QMatch(g *graph.Graph, q *core.Pattern, opts *Options) (*Result, error) {
-	return prepareRun(g, q, opts, qmatchConfig)
+	return prepareRun(g, q, opts, EngineQMatch)
 }
 
 // QMatchN is QMatch without IncQMatch: each positified pattern Q+e is
 // re-evaluated from scratch over the full candidate space (the ablation
 // baseline of Exp-1 and Exp-2).
 func QMatchN(g *graph.Graph, q *core.Pattern, opts *Options) (*Result, error) {
-	return prepareRun(g, q, opts, qmatchNConfig)
+	return prepareRun(g, q, opts, EngineQMatchN)
 }
 
 // Enum is the enumerate-then-verify baseline (§7): a conventional
@@ -122,80 +122,64 @@ func QMatchN(g *graph.Graph, q *core.Pattern, opts *Options) (*Result, error) {
 // verifies quantifiers afterwards — no quantifier-aware pruning, no early
 // acceptance, no incremental negation handling.
 func Enum(g *graph.Graph, q *core.Pattern, opts *Options) (*Result, error) {
-	return prepareRun(g, q, opts, enumConfig)
+	return prepareRun(g, q, opts, EngineEnum)
 }
 
-// evalConfig is the engine variant: which of the paper's optimizations an
-// evaluation applies.
-type evalConfig struct {
-	quantFilter bool
-	earlyAccept bool
-	incremental bool
-}
+// Engine is the evaluation variant a Run applies: the set of the paper's
+// optimizations it uses. All of them read one Bound's candidate sets — the
+// dual simulation each filters by — and differ in what they do on top.
+type Engine uint8
 
-var (
-	qmatchConfig  = evalConfig{quantFilter: true, earlyAccept: true, incremental: true}
-	qmatchNConfig = evalConfig{quantFilter: true, earlyAccept: true}
-	enumConfig    = evalConfig{}
+const (
+	quantFilter Engine = 1 << iota // acceptance sets and the Lemma 12 threshold verdict
+	earlyAccept
+	incremental // IncQMatch: each Π(Q+e) only over the Π(Q) answers
+
+	// The engines a server runs by wire name.
+	EngineQMatch         = quantFilter | earlyAccept | incremental
+	EngineQMatchN        = quantFilter | earlyAccept
+	EngineEnum    Engine = 0
 )
 
-func prepareRun(g *graph.Graph, q *core.Pattern, opts *Options, cfg evalConfig) (*Result, error) {
-	p, err := prepare(q, cfg)
+// ParseEngine returns the engine of the given wire name: "qmatch" (or
+// empty) for QMatch, "qmatchn" for QMatchN, "enum" for Enum. A server
+// checks a request's engine with it before anything runs.
+func ParseEngine(name string) (Engine, error) {
+	switch name {
+	case "qmatch", "":
+		return EngineQMatch, nil
+	case "qmatchn":
+		return EngineQMatchN, nil
+	case "enum":
+		return EngineEnum, nil
+	}
+	return 0, fmt.Errorf("unknown engine %q", name)
+}
+
+func prepareRun(g *graph.Graph, q *core.Pattern, opts *Options, e Engine) (*Result, error) {
+	p, err := Prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	return p.Run(g, opts)
+	return p.Bind(g).Run(e, opts)
 }
 
-// Prepared is a QGP ready to be evaluated with one engine variant over any
-// graph, any number of times: everything evaluation derives from the
-// pattern alone — validation, Π(Q) and every Π(Q+e) with their
-// connectivity checks, quantified-edge tables, matching orders — is done.
-// It does not follow later changes to the pattern it was prepared from. A
-// Prepared is immutable and safe for concurrent Run and Bind.
+// Prepared is a QGP ready to be bound to any graph, any number of times,
+// and run by any engine: everything evaluation derives from the pattern
+// alone — validation, Π(Q) and every Π(Q+e) with their connectivity
+// checks, quantified-edge tables, matching orders — is done. It does not
+// follow later changes to the pattern it was prepared from. A Prepared is
+// immutable and safe for concurrent Bind.
 type Prepared struct {
-	cfg evalConfig
 	pi  *positive
 	neg []*positive // Π(Q+e) per negated edge e of Q, in edge order
 }
 
 // Prepare validates q and analyses it for repeated evaluation: a standing
-// pattern is prepared once and Run after every batch.
+// pattern is prepared once and bound to every graph version it is run at
+// (Bind), which resolves its labels per version — including a label the
+// graph first interns in a later batch.
 func Prepare(q *core.Pattern) (*Prepared, error) {
-	return prepare(q, qmatchConfig)
-}
-
-// PrepareEngine is Prepare for the engine variant of the given wire name:
-// "qmatch" (or empty) for QMatch, "qmatchn" for QMatchN, "enum" for Enum.
-func PrepareEngine(engine string, q *core.Pattern) (*Prepared, error) {
-	cfg, err := engineConfig(engine)
-	if err != nil {
-		return nil, err
-	}
-	return prepare(q, cfg)
-}
-
-// CheckEngine refuses the engine names PrepareEngine refuses, with the same
-// error, before there is a pattern to prepare: a server checks a request's
-// engine before anything runs it.
-func CheckEngine(engine string) error {
-	_, err := engineConfig(engine)
-	return err
-}
-
-func engineConfig(engine string) (evalConfig, error) {
-	switch engine {
-	case "qmatch", "":
-		return qmatchConfig, nil
-	case "qmatchn":
-		return qmatchNConfig, nil
-	case "enum":
-		return enumConfig, nil
-	}
-	return evalConfig{}, fmt.Errorf("unknown engine %q", engine)
-}
-
-func prepare(q *core.Pattern, cfg evalConfig) (*Prepared, error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("match: %w", err)
 	}
@@ -203,7 +187,7 @@ func prepare(q *core.Pattern, cfg evalConfig) (*Prepared, error) {
 	if !pi.Connected() {
 		return nil, fmt.Errorf("match: Π(Q) is disconnected; the pattern cannot be evaluated")
 	}
-	p := &Prepared{cfg: cfg, pi: newPositive("pi", pi)}
+	p := &Prepared{pi: newPositive("pi", pi)}
 	for _, ei := range q.NegatedEdges() {
 		pp, _ := q.PiPlus(ei)
 		if !pp.Connected() {
@@ -212,15 +196,6 @@ func prepare(q *core.Pattern, cfg evalConfig) (*Prepared, error) {
 		p.neg = append(p.neg, newPositive(fmt.Sprintf("pi+e%d", ei), pp))
 	}
 	return p, nil
-}
-
-// Run evaluates the prepared pattern over g as it stands: Bind followed by
-// one Run of the Bound, so labels are resolved per call and one Prepared
-// follows a graph through its versions — including a label the graph
-// first interns in a later batch. A caller that evaluates the same graph
-// version repeatedly keeps the Bound instead.
-func (p *Prepared) Run(g *graph.Graph, opts *Options) (*Result, error) {
-	return p.Bind(g).Run(opts)
 }
 
 // subtractSorted returns a \ b for ascending slices, as a fresh slice.

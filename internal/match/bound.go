@@ -12,12 +12,14 @@ import (
 
 // Bound is a Prepared bound to one graph at one version: what evaluation
 // derives from the pattern and the graph's state but not from a run's
-// options. Labels are resolved when binding, and with them each positive
-// pattern's matching order, ranked by the graph's label-class sizes; its
-// candidate and acceptance sets — the O(|Q|·|G|) prefilter — are built by
-// the first Run and read by every later one, whatever its FocusRestrict or
-// budget. A scoped re-verification over built sets allocates nothing
-// sized by |V|.
+// engine or options. Labels are resolved when binding, and with them each
+// positive pattern's matching order, ranked by the graph's label-class
+// sizes. Its candidate sets — the O(|Q|·|G|) dual simulation every engine
+// filters by — are built by the first Run of any engine, and its
+// acceptance sets by the first Run of an engine that prunes by quantifiers
+// (QMatch, QMatchN); every later Run reads them, whatever its engine,
+// FocusRestrict or budget. A scoped re-verification over built sets
+// allocates nothing sized by |V|.
 //
 // A Bound follows its graph by Advance, at a cost that depends on what the
 // batches touched: a standing watch that re-verifies a few candidates per
@@ -46,27 +48,28 @@ type boundPositive struct {
 	// no node carries one of its node labels — no answer at this version.
 	unlabelled bool
 
-	// built says cand and accept hold this version's sets; a Run builds
-	// them, Advance carries them.
-	built bool
-	// vacant says a set ran empty: then every set is empty, the exact
-	// fixpoint, and Advance repairs them from there.
+	// cand[u] over-approximates the stratified-isomorphism images of u:
+	// plain dual simulation, which every engine reads. accept[u] ⊆ cand[u]
+	// keeps the candidates that can appear in a quantifier-valid match
+	// (Lemma 13), which only the engines that prune by quantifiers read.
+	// Each is nil until a Run builds it; Advance carries what was built.
+	// Read-only between Advances.
+	cand, accept []*bitset.Set
+	// vacant says a candidate set ran empty: then every set is empty, the
+	// exact fixpoint, no engine finds an answer, and Advance repairs them
+	// from there.
 	vacant bool
-	// none is the verdict "no answer": the sets are vacant or a threshold
-	// test failed. The sets are kept, so Advance repairs them like any
-	// others.
-	none bool
 	// accepted is the size of accept[focus], kept up to date by whoever
 	// edits the set so that the verdict reads no set over every node.
 	accepted int
+	// pruned is the threshold verdict over built acceptance sets: no focus
+	// candidate is accepted, or Lemma 12 rules every match out. Only the
+	// engines that prune by quantifiers read it. The sets are kept, so
+	// Advance repairs them like any others.
+	pruned bool
 	// origin is what the next run to read the sets reports in its profile:
 	// "built" or "repaired" once after the work, "hit" from then on.
 	origin string
-	// cand[u] over-approximates the stratified-isomorphism images of u:
-	// plain dual simulation. accept[u] ⊆ cand[u] keeps the candidates that
-	// can appear in a quantifier-valid match (Lemma 13); for an engine
-	// variant without that filter it is cand. Read-only between Advances.
-	cand, accept []*bitset.Set
 }
 
 // Bind binds the prepared pattern to g at its current version. It costs
@@ -130,7 +133,7 @@ func (bp *boundPositive) resolve(g *graph.Graph) {
 }
 
 func (bp *boundPositive) drop() {
-	bp.built, bp.vacant, bp.none, bp.cand, bp.accept = false, false, false, nil, nil
+	bp.cand, bp.accept, bp.vacant, bp.pruned = nil, nil, false, false
 }
 
 // Advance carries the bound to the graph's current version. touched must
@@ -139,11 +142,12 @@ func (bp *boundPositive) drop() {
 // the batches in between, concatenated); node ids must only have grown.
 // Simulation sets are repaired at a cost that depends on touched, not on
 // |G| (simulation.Repair: exactly the sets a fresh bind computes, from
-// all-empty sets too), acceptance sets re-judged around what that changed,
-// and the verdict taken again: a Bound whose pattern had no answer is
-// carried like any other. It reports whether every built positive was
-// carried over; one whose sets outgrew the graph — it lost nodes since,
-// which only a Rollback does — is dropped and rebuilt by the next run.
+// all-empty sets too), acceptance sets, where built, re-judged around what
+// that changed, and the verdicts taken again: a Bound whose pattern had no
+// answer is carried like any other. It reports whether every built
+// positive was carried over; one whose sets outgrew the graph — it lost
+// nodes since, which only a Rollback does — is dropped and rebuilt by the
+// next run.
 func (b *Bound) Advance(touched []graph.NodeID) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -151,16 +155,15 @@ func (b *Bound) Advance(touched []graph.NodeID) bool {
 		return true
 	}
 	b.version = b.g.Version()
-	cfg := b.prep.cfg
 	carried := true
 	for i := range b.pos {
 		bp := &b.pos[i]
 		bp.resolve(b.g)
 		switch {
-		case !bp.built:
+		case bp.cand == nil:
 		case bp.cand[0].Len() <= b.g.NumNodes():
 			changed, ok := simulation.Repair(b.g, bp.p, bp.cand, touched, !bp.vacant)
-			if cfg.quantFilter {
+			if bp.accept != nil {
 				switch {
 				case ok:
 					bp.reaccept(b.g, touched, changed)
@@ -170,8 +173,9 @@ func (b *Bound) Advance(touched []graph.NodeID) bool {
 					}
 					bp.accepted = 0
 				}
+				bp.prune()
 			}
-			bp.verdict(cfg, ok)
+			bp.vacant = !ok
 			bp.origin = "repaired"
 		default:
 			bp.drop()
@@ -181,44 +185,40 @@ func (b *Bound) Advance(touched []graph.NodeID) bool {
 	return carried
 }
 
-// sets returns bp's candidate and acceptance sets, building them on first
-// use at this version, and what to report about them. none is the verdict
-// that the pattern has no answer.
-func (b *Bound) sets(bp *boundPositive) (cand, accept []*bitset.Set, none bool, origin string) {
+// sets returns the candidate and acceptance sets engine e reads of bp —
+// the acceptance sets are the candidate sets for an engine that does not
+// prune by quantifiers — building what e needs and no Run built yet at
+// this version, and what to report about them. none is e's verdict that
+// the pattern has no answer.
+func (b *Bound) sets(bp *boundPositive, e Engine) (cand, accept []*bitset.Set, none bool, origin string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !bp.built {
-		bp.build(b.g, b.prep.cfg)
+	if bp.cand == nil {
+		var ok bool
+		bp.cand, ok = simulation.Candidates(b.g, bp.p, false)
+		bp.vacant = !ok
 		bp.origin = "built"
 	}
-	origin, bp.origin = bp.origin, "hit"
-	return bp.cand, bp.accept, bp.none, origin
-}
-
-// build computes the candidate sets — plain dual simulation,
-// stratified-sound, so counting may run against it — and the acceptance
-// sets the engine variant carves out of them.
-func (bp *boundPositive) build(g *graph.Graph, cfg evalConfig) {
-	var ok bool
-	bp.cand, ok = simulation.Candidates(g, bp.p, false)
-	bp.accept = bp.cand
-	if cfg.quantFilter {
-		bp.accept = bp.acceptanceFilter(g)
-		bp.accepted = bp.accept[bp.p.Focus].Count()
+	cand, accept, none = bp.cand, bp.cand, bp.vacant
+	if e&quantFilter != 0 {
+		if bp.accept == nil {
+			bp.accept = bp.acceptanceFilter(b.g)
+			bp.accepted = bp.accept[bp.p.Focus].Count()
+			bp.prune()
+			bp.origin = "built"
+		}
+		accept, none = bp.accept, bp.vacant || bp.pruned
 	}
-	bp.built = true
-	bp.verdict(cfg, ok)
+	origin, bp.origin = bp.origin, "hit"
+	return cand, accept, none, origin
 }
 
-// verdict judges the sets: ok is false when a candidate set ran empty, and
-// otherwise the threshold tests decide whether the pattern has an answer.
-// It reads the sets only as far as the thresholds need.
-func (bp *boundPositive) verdict(cfg evalConfig, ok bool) {
-	bp.vacant, bp.none = !ok, !ok
-	if !ok || !cfg.quantFilter {
+// prune takes the threshold verdict over the acceptance sets. It reads
+// the sets only as far as the thresholds need.
+func (bp *boundPositive) prune() {
+	if bp.pruned = bp.accepted == 0; bp.pruned {
 		return
 	}
-	empty := bp.accepted == 0
 	// Global pruning rule (Lemma 12): the focus has a match only if every
 	// pattern node u′ has at least pm candidates, where pm is the largest
 	// numeric GE threshold over u′'s incoming quantified edges — a match of
@@ -226,10 +226,10 @@ func (bp *boundPositive) verdict(cfg evalConfig, ok bool) {
 	for _, ei := range bp.quant {
 		e := bp.p.Edges[ei]
 		if !e.Q.IsRatio() && e.Q.Op() == core.GE && !bp.cand[e.To].AtLeast(e.Q.N()) {
-			empty = true
+			bp.pruned = true
+			return
 		}
 	}
-	bp.none = empty
 }
 
 // acceptanceFilter computes accept[u] ⊆ cand[u]: candidates whose viable
@@ -334,11 +334,11 @@ func (bp *boundPositive) program(g *graph.Graph, cand, accept []*bitset.Set) *pr
 	}
 }
 
-// Run evaluates the bound pattern over its graph. If the graph has moved
-// since the bound was last valid and nobody called Advance, everything
-// bound earlier is discarded first: a stale bound costs a rebuild, never a
-// wrong answer.
-func (b *Bound) Run(opts *Options) (*Result, error) {
+// Run evaluates the bound pattern over its graph with engine e. If the
+// graph has moved since the bound was last valid and nobody called
+// Advance, everything bound earlier is discarded first: a stale bound
+// costs a rebuild, never a wrong answer.
+func (b *Bound) Run(e Engine, opts *Options) (*Result, error) {
 	b.mu.Lock()
 	if b.g.Version() != b.version {
 		b.rebind()
@@ -357,7 +357,7 @@ func (b *Bound) Run(opts *Options) (*Result, error) {
 		return res, nil
 	}
 
-	base, err := b.eval(&b.pos[0], opts, nil, &res.Metrics, res.Profile)
+	base, err := b.eval(&b.pos[0], e, opts, nil, &res.Metrics, res.Profile)
 	if err != nil {
 		return nil, err
 	}
@@ -373,12 +373,12 @@ func (b *Bound) Run(opts *Options) (*Result, error) {
 	out := base
 	for i := range b.pos[1:] {
 		var restrict []graph.NodeID
-		if b.prep.cfg.incremental {
+		if e&incremental != 0 {
 			res.Metrics.IncRuns++
 			restrict = base
 			res.Metrics.IncCandidates += len(base)
 		}
-		minus, err := b.eval(&b.pos[i+1], opts, restrict, &res.Metrics, res.Profile)
+		minus, err := b.eval(&b.pos[i+1], e, opts, restrict, &res.Metrics, res.Profile)
 		if err != nil {
 			return nil, err
 		}
@@ -389,11 +389,11 @@ func (b *Bound) Run(opts *Options) (*Result, error) {
 	return res, nil
 }
 
-// eval evaluates one bound positive pattern. restrict, when non-nil, limits
-// focus candidates (incremental evaluation); the caller's FocusRestrict
-// option is applied on top. prof, when non-nil, receives one
+// eval evaluates one bound positive pattern with engine e. restrict, when
+// non-nil, limits focus candidates (incremental evaluation); the caller's
+// FocusRestrict option is applied on top. prof, when non-nil, receives one
 // PatternProfile entry.
-func (b *Bound) eval(bp *boundPositive, opts *Options, restrict []graph.NodeID, m *Metrics, prof *Profile) ([]graph.NodeID, error) {
+func (b *Bound) eval(bp *boundPositive, e Engine, opts *Options, restrict []graph.NodeID, m *Metrics, prof *Profile) ([]graph.NodeID, error) {
 	var pp *PatternProfile
 	var before Metrics
 	var t0 time.Time
@@ -414,7 +414,7 @@ func (b *Bound) eval(bp *boundPositive, opts *Options, restrict []graph.NodeID, 
 	var cand, accept []*bitset.Set
 	if !empty {
 		var origin string
-		cand, accept, empty, origin = b.sets(bp)
+		cand, accept, empty, origin = b.sets(bp, e)
 		if pp != nil {
 			pp.Bound = origin
 		}
@@ -445,7 +445,7 @@ func (b *Bound) eval(bp *boundPositive, opts *Options, restrict []graph.NodeID, 
 		pr.budget = opts.ExtensionBudget
 	}
 	t1 := time.Now()
-	answers := evalPositive(pr, set, b.prep.cfg.earlyAccept, m)
+	answers := evalPositive(pr, set, e&earlyAccept != 0, m)
 	if pr.budgetExceeded {
 		return nil, ErrBudgetExceeded
 	}

@@ -13,35 +13,52 @@ import (
 	"repro/internal/graph"
 )
 
-// boundCase is one pattern under one engine, with the Bound that follows
-// the graph.
+// engines are the three engines with the one-shot function each equals.
+var engines = []struct {
+	name  string
+	e     Engine
+	fresh func(*graph.Graph, *core.Pattern, *Options) (*Result, error)
+}{
+	{"qmatch", EngineQMatch, QMatch},
+	{"qmatchn", EngineQMatchN, QMatchN},
+	{"enum", EngineEnum, Enum},
+}
+
+// boundCase is one pattern with the Bound that follows the graph, which
+// every engine reads.
 type boundCase struct {
 	name   string
 	q      *core.Pattern
-	fresh  func(*graph.Graph, *core.Pattern, *Options) (*Result, error)
 	bound  *Bound
-	builds map[string]int // per positive: runs that reported building its sets
+	builds map[string]map[int]int // per positive: per round, runs that reported building sets
 }
 
-// checkSets compares every set the advanced bound holds, and its verdict,
+// checkSets compares every set the advanced bound holds, and its verdicts,
 // with the ones a fresh bind builds.
 func (c *boundCase) checkSets(t *testing.T, g *graph.Graph, round int) {
 	t.Helper()
 	fresh := c.bound.prep.Bind(g)
 	for i := range c.bound.pos {
 		bp := &c.bound.pos[i]
-		if !bp.built {
+		if bp.cand == nil {
+			if bp.accept != nil {
+				t.Fatalf("round %d, %s: %s holds acceptance sets without candidate sets", round, c.name, bp.name)
+			}
 			continue
 		}
-		cand, accept, none, _ := fresh.sets(&fresh.pos[i])
-		if bp.none != none {
-			t.Fatalf("round %d, %s: %s carries the verdict none=%v, a fresh bind %v", round, c.name, bp.name, bp.none, none)
+		e := EngineEnum
+		if bp.accept != nil {
+			e = EngineQMatch
+		}
+		cand, accept, none, _ := fresh.sets(&fresh.pos[i], e)
+		if got := bp.vacant || (bp.accept != nil && bp.pruned); got != none {
+			t.Fatalf("round %d, %s: %s carries the verdict none=%v, a fresh bind %v", round, c.name, bp.name, got, none)
 		}
 		for u := range cand {
 			if !reflect.DeepEqual(bp.cand[u].Slice(), cand[u].Slice()) {
 				t.Fatalf("round %d, %s: %s cand[%d] = %v, fresh %v", round, c.name, bp.name, u, bp.cand[u].Slice(), cand[u].Slice())
 			}
-			if !reflect.DeepEqual(bp.accept[u].Slice(), accept[u].Slice()) {
+			if bp.accept != nil && !reflect.DeepEqual(bp.accept[u].Slice(), accept[u].Slice()) {
 				t.Fatalf("round %d, %s: %s accept[%d] = %v, fresh %v", round, c.name, bp.name, u, bp.accept[u].Slice(), accept[u].Slice())
 			}
 		}
@@ -50,33 +67,36 @@ func (c *boundCase) checkSets(t *testing.T, g *graph.Graph, round int) {
 
 func boundCases(t *testing.T, g *graph.Graph) []*boundCase {
 	var cases []*boundCase
-	add := func(name, engine string, q *core.Pattern, fresh func(*graph.Graph, *core.Pattern, *Options) (*Result, error)) {
-		prep, err := PrepareEngine(engine, q)
+	add := func(name string, q *core.Pattern) {
+		prep, err := Prepare(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, &boundCase{name: name + "/" + engine, q: q, fresh: fresh, bound: prep.Bind(g), builds: map[string]int{}})
+		cases = append(cases, &boundCase{name: name, q: q, bound: prep.Bind(g), builds: map[string]map[int]int{}})
 	}
 	for i, m := range fixture.Mix {
-		add(m.Name, "qmatch", mixPattern(t, i), QMatch)
+		add(m.Name, mixPattern(t, i))
 	}
 	for i, dsl := range fixture.ChurnLate {
 		q, err := core.Parse(dsl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		add(fmt.Sprintf("late%d", i), "qmatch", q, QMatch)
+		add(fmt.Sprintf("late%d", i), q)
 	}
-	add("negation", "qmatchn", mixPattern(t, 3), QMatchN)
-	add("path2", "enum", mixPattern(t, 1), Enum)
 	return cases
 }
 
 // TestBoundFollowsVersions: one Bound per pattern, advanced by each
-// batch's touched set through 300 churn batches, gives at every version
-// the answers and the Metrics of a fresh evaluation — unrestricted, for an
-// owned half and scoped to eight candidates, with the order the advanced
-// class sizes rank — and after the first build it never builds sets
+// batch's touched set through 300 churn batches and read by all three
+// engines in every round, gives at every version the answers, the Metrics
+// and the profile of a fresh QMatch, QMatchN and Enum — unrestricted, for
+// an owned half and scoped to eight candidates, with the order the
+// advanced class sizes rank. The engine that reads first changes from
+// round to round, so candidate sets are built for Enum alone and
+// acceptance sets later over them, and an Enum run after the acceptance
+// sets were built still reads the candidate sets (its profile's accepted
+// counts are a fresh Enum's). After the first build no set is built
 // again, a verdict of "no answer" included.
 func TestBoundFollowsVersions(t *testing.T) {
 	const rounds = 300
@@ -98,38 +118,44 @@ func TestBoundFollowsVersions(t *testing.T) {
 				c.bound.Advance(touched)
 				c.checkSets(t, g, round)
 			}
-			for s, scope := range scopes {
-				opts := &Options{FocusRestrict: scope, CollectProfile: true}
-				want, err := c.fresh(g, c.q, opts)
-				if err != nil {
-					t.Fatalf("round %d, %s: fresh: %v", round, c.name, err)
-				}
-				got, err := c.bound.Run(opts)
-				if err != nil {
-					t.Fatalf("round %d, %s: bound: %v", round, c.name, err)
-				}
-				if !reflect.DeepEqual(got.Matches, want.Matches) || got.Metrics != want.Metrics {
-					t.Fatalf("round %d, %s, scope %d: advanced Bound gives %d matches %+v, fresh %d matches %+v",
-						round, c.name, s, len(got.Matches), got.Metrics, len(want.Matches), want.Metrics)
-				}
-				for i, pp := range got.Profile.Patterns {
-					wp := want.Profile.Patterns[i]
-					if !reflect.DeepEqual(pp.Nodes, wp.Nodes) || !reflect.DeepEqual(pp.Order, wp.Order) || pp.Empty != wp.Empty || pp.Restricted != wp.Restricted {
-						t.Fatalf("round %d, %s, scope %d: profile of %s differs: %+v, fresh %+v", round, c.name, s, pp.Pattern, pp, wp)
+			for k := range engines {
+				en := engines[(len(engines)-1+round+k)%len(engines)] // Enum first in round 0
+				for s, scope := range scopes {
+					opts := &Options{FocusRestrict: scope, CollectProfile: true}
+					want, err := en.fresh(g, c.q, opts)
+					if err != nil {
+						t.Fatalf("round %d, %s/%s: fresh: %v", round, c.name, en.name, err)
 					}
-					if (pp.Bound == "") != (wp.Bound == "") {
-						t.Fatalf("round %d, %s, scope %d: %s reports bound=%q, fresh %q", round, c.name, s, pp.Pattern, pp.Bound, wp.Bound)
+					got, err := c.bound.Run(en.e, opts)
+					if err != nil {
+						t.Fatalf("round %d, %s/%s: bound: %v", round, c.name, en.name, err)
 					}
-					origins[pp.Bound]++
-					if pp.Bound == "built" && round%7 != 3 {
-						c.builds[pp.Pattern]++
+					if !reflect.DeepEqual(got.Matches, want.Matches) || got.Metrics != want.Metrics {
+						t.Fatalf("round %d, %s/%s, scope %d: advanced Bound gives %d matches %+v, fresh %d matches %+v",
+							round, c.name, en.name, s, len(got.Matches), got.Metrics, len(want.Matches), want.Metrics)
+					}
+					for i, pp := range got.Profile.Patterns {
+						wp := want.Profile.Patterns[i]
+						if !reflect.DeepEqual(pp.Nodes, wp.Nodes) || !reflect.DeepEqual(pp.Order, wp.Order) || pp.Empty != wp.Empty || pp.Restricted != wp.Restricted {
+							t.Fatalf("round %d, %s/%s, scope %d: profile of %s differs: %+v, fresh %+v", round, c.name, en.name, s, pp.Pattern, pp, wp)
+						}
+						if (pp.Bound == "") != (wp.Bound == "") {
+							t.Fatalf("round %d, %s/%s, scope %d: %s reports bound=%q, fresh %q", round, c.name, en.name, s, pp.Pattern, pp.Bound, wp.Bound)
+						}
+						origins[pp.Bound]++
+						if pp.Bound == "built" && round%7 != 3 {
+							if c.builds[pp.Pattern] == nil {
+								c.builds[pp.Pattern] = map[int]int{}
+							}
+							c.builds[pp.Pattern][round]++
+						}
 					}
 				}
 			}
 		}
 		if round == fixture.ChurnLabelsAt {
-			for _, c := range cases[len(fixture.Mix) : len(fixture.Mix)+len(fixture.ChurnLate)] {
-				if res, _ := c.bound.Run(nil); len(res.Matches) == 0 {
+			for _, c := range cases[len(fixture.Mix):] {
+				if res, _ := c.bound.Run(EngineQMatch, nil); len(res.Matches) == 0 {
 					t.Fatalf("%s: no match right after the batch that brought its label", c.name)
 				}
 			}
@@ -140,14 +166,70 @@ func TestBoundFollowsVersions(t *testing.T) {
 		t.Fatalf("coverage: set origins %v", origins)
 	}
 	for _, c := range cases {
-		// Sets are built once and repaired from then on, through verdicts
-		// of "no answer" too (ratio loses its candidates while the albums
-		// are drained).
-		for pattern, n := range c.builds {
-			if n > 1 {
-				t.Errorf("%s: %s built its sets %d times on advanced versions", c.name, pattern, n)
+		// Sets are built in one round — candidate sets by the first engine,
+		// acceptance sets by the first that prunes by quantifiers — and
+		// repaired from then on, through verdicts of "no answer" too (ratio
+		// loses its candidates while the albums are drained).
+		for pattern, byRound := range c.builds {
+			for round, n := range byRound {
+				if len(byRound) > 1 || n > 2 {
+					t.Errorf("%s: %s built sets %d times in round %d, and in %d rounds on advanced versions", c.name, pattern, n, round, len(byRound))
+				}
 			}
 		}
+	}
+}
+
+// TestBoundBuildsAcceptanceLazily: a Bound read only by Enum builds and
+// repairs candidate sets and no acceptance sets; the first QMatch run
+// builds them over the repaired candidate sets and equals a fresh QMatch,
+// and Enum runs after it still equal a fresh Enum.
+func TestBoundBuildsAcceptanceLazily(t *testing.T) {
+	vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(300, 3)))
+	g := vg.Graph()
+	churn := fixture.NewChurn(5)
+	for i := range fixture.Mix {
+		q := mixPattern(t, i)
+		prep, err := Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &boundCase{name: fixture.Mix[i].Name, q: q, bound: prep.Bind(g)}
+		check := func(what string, en int, origin string) {
+			t.Helper()
+			got, err := c.bound.Run(engines[en].e, &Options{CollectProfile: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := engines[en].fresh(g, q, &Options{CollectProfile: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Matches, want.Matches) || got.Metrics != want.Metrics || !reflect.DeepEqual(got.Profile.Patterns[0].Nodes, want.Profile.Patterns[0].Nodes) {
+				t.Fatalf("%s, %s: %s gives %d matches %+v, fresh %d matches %+v", c.name, what, engines[en].name, len(got.Matches), got.Metrics, len(want.Matches), want.Metrics)
+			}
+			if o := got.Profile.Patterns[0].Bound; o != origin {
+				t.Fatalf("%s, %s: sets were %q, want %q", c.name, what, o, origin)
+			}
+		}
+		check("first run", 2, "built")
+		for round := 0; round < 3; round++ {
+			_, touched, err := vg.Apply(churn.Next(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.bound.Advance(touched)
+			check(fmt.Sprintf("round %d", round), 2, "repaired")
+			for k := range c.bound.pos {
+				if c.bound.pos[k].accept != nil {
+					t.Fatalf("%s: Enum runs built acceptance sets", c.name)
+				}
+			}
+		}
+		check("first QMatch", 0, "built")
+		check("Enum after QMatch", 2, "hit")
+		check("QMatchN after QMatch", 1, "hit")
+		c.checkSets(t, g, 3)
 	}
 }
 
@@ -164,7 +246,7 @@ func TestBoundSurvivesBornAndTombstonedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := prep.Bind(g)
-	if _, err := b.Run(nil); err != nil {
+	if _, err := b.Run(EngineQMatch, nil); err != nil {
 		t.Fatal(err)
 	}
 	persons := g.NodesByLabelName("person")
@@ -191,7 +273,7 @@ func TestBoundSurvivesBornAndTombstonedNode(t *testing.T) {
 		if b.Version() != g.Version() {
 			t.Fatalf("step %d: bound at version %d, graph at %d", i, b.Version(), g.Version())
 		}
-		got, err := b.Run(&Options{CollectProfile: true})
+		got, err := b.Run(EngineQMatch, &Options{CollectProfile: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +305,7 @@ func TestStaleBoundRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := prep.Bind(g)
-	if _, err := b.Run(nil); err != nil {
+	if _, err := b.Run(EngineQMatch, nil); err != nil {
 		t.Fatal(err)
 	}
 	persons := g.NodesByLabelName("person")
@@ -238,7 +320,7 @@ func TestStaleBoundRebuilds(t *testing.T) {
 	}
 	check := func(what, origin string) {
 		t.Helper()
-		got, err := b.Run(&Options{CollectProfile: true})
+		got, err := b.Run(EngineQMatch, &Options{CollectProfile: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,9 +349,11 @@ func TestStaleBoundRebuilds(t *testing.T) {
 }
 
 // TestBoundSharedAcrossGoroutines: between advances a Bound is read-only
-// apart from the lazy build its mutex orders, so eight goroutines may run
-// it at once — the first runs after a bind, after a repair and after an
-// unannounced batch included. Run with -race.
+// apart from the lazy builds its mutex orders, so eight goroutines may run
+// it at once with different engines — the first runs after a bind, after
+// a repair and after an unannounced batch included, where one goroutine's
+// Enum run may build the candidate sets while another's QMatch run builds
+// the acceptance sets over them. Run with -race.
 func TestBoundSharedAcrossGoroutines(t *testing.T) {
 	vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(300, 3)))
 	g := vg.Graph()
@@ -293,10 +377,13 @@ func TestBoundSharedAcrossGoroutines(t *testing.T) {
 			}
 			persons := g.NodesByLabelName("person")
 			scopes := [][]graph.NodeID{nil, spread(persons, 8), persons[:len(persons)/2]}
-			want := make([]*Result, len(scopes))
-			for s, scope := range scopes {
-				if want[s], err = QMatch(g, q, &Options{FocusRestrict: scope}); err != nil {
-					t.Fatal(err)
+			want := make([][]*Result, len(engines))
+			for en := range engines {
+				want[en] = make([]*Result, len(scopes))
+				for s, scope := range scopes {
+					if want[en][s], err = engines[en].fresh(g, q, &Options{FocusRestrict: scope}); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			var wg sync.WaitGroup
@@ -305,15 +392,15 @@ func TestBoundSharedAcrossGoroutines(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for k := 0; k < 3; k++ {
-						s := (w + k) % len(scopes)
-						got, err := b.Run(&Options{FocusRestrict: scopes[s]})
+						s, en := (w+k)%len(scopes), (w+round)%len(engines)
+						got, err := b.Run(engines[en].e, &Options{FocusRestrict: scopes[s]})
 						if err != nil {
 							t.Errorf("%s: goroutine %d: %v", fixture.Mix[i].Name, w, err)
 							return
 						}
-						if !reflect.DeepEqual(got.Matches, want[s].Matches) || got.Metrics != want[s].Metrics {
-							t.Errorf("%s, round %d: goroutine %d, scope %d: %d matches %+v, fresh QMatch %d matches %+v",
-								fixture.Mix[i].Name, round, w, s, len(got.Matches), got.Metrics, len(want[s].Matches), want[s].Metrics)
+						if wt := want[en][s]; !reflect.DeepEqual(got.Matches, wt.Matches) || got.Metrics != wt.Metrics {
+							t.Errorf("%s, round %d: goroutine %d, %s, scope %d: %d matches %+v, fresh %d matches %+v",
+								fixture.Mix[i].Name, round, w, engines[en].name, s, len(got.Matches), got.Metrics, len(wt.Matches), wt.Metrics)
 						}
 					}
 				}(w)
@@ -354,7 +441,7 @@ func BenchmarkBoundAdvance(b *testing.B) {
 			bounds := make([]*Bound, len(preps))
 			for i, p := range preps {
 				bounds[i] = p.Bind(g)
-				if _, err := bounds[i].Run(full); err != nil {
+				if _, err := bounds[i].Run(EngineQMatch, full); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -380,7 +467,7 @@ func BenchmarkBoundAdvance(b *testing.B) {
 				for _, p := range preps {
 					bd := p.Bind(g)
 					for i := range bd.pos {
-						bd.sets(&bd.pos[i])
+						bd.sets(&bd.pos[i], EngineQMatch)
 					}
 				}
 			}

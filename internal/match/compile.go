@@ -16,13 +16,14 @@
 // positive's matching order, ranked by the sizes of its label classes in
 // that graph (rank), so a fragment orders by its own; and, for the first
 // run that needs them, each positive's candidate and acceptance sets are
-// built, the O(|Q|·|G|) prefilter. A
-// holder that sees the graph change calls Advance with the touched nodes
-// and the sets are repaired instead of rebuilt; a Bound nobody advanced
-// notices the graph's version moved and rebinds. Run allocates, per run, a
-// program with O(|Q|) search scratch over the Bound's read-only sets, which
-// makes the program, not the Bound, single-goroutine. Prepared.Run and the
-// one-shot QMatch/QMatchN/Enum are Bind + Run: one path, and for a single
+// built, the O(|Q|·|G|) prefilter. Run takes the engine, so QMatch,
+// QMatchN and Enum read one Bound's candidate sets. A holder that sees the
+// graph change calls Advance with the touched nodes and the sets are
+// repaired instead of rebuilt; a Bound nobody advanced notices the graph's
+// version moved and rebinds. Run allocates, per run, a program with
+// O(|Q|) search scratch over the Bound's read-only sets, which makes the
+// program, not the Bound, single-goroutine. The one-shot
+// QMatch/QMatchN/Enum are Prepare + Bind + Run: one path, and for a single
 // evaluation the same work.
 //
 // All three search phases — counting, acceptance of a conventional

@@ -181,7 +181,7 @@ func TestDifferentialLabelOnlyCandidates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := prepareRun(g, q, nil, evalConfig{})
+		res, err := prepareRun(g, q, nil, EngineEnum)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

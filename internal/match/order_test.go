@@ -111,7 +111,7 @@ func TestAnswersIndependentOfOrder(t *testing.T) {
 						runs = append(runs, alt)
 					}
 					for k, b := range runs {
-						got, err := b.Run(nil)
+						got, err := b.Run(EngineQMatch, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -185,7 +185,7 @@ func TestRankToleratesDegenerateSizes(t *testing.T) {
 					t.Fatalf("sizes %d, %s: %v\n%s", bi, bp.name, err, bp.p)
 				}
 			}
-			got, err := alt.Run(nil)
+			got, err := alt.Run(EngineQMatch, nil)
 			if err != nil {
 				t.Fatalf("sizes %d: %v", bi, err)
 			}

@@ -20,7 +20,7 @@ func spread(vs []graph.NodeID, k int) []graph.NodeID {
 }
 
 // TestPreparedSharedAcrossGoroutines: a Prepared is immutable, so eight
-// goroutines running it at once over one graph — unrestricted, with eight
+// goroutines binding and running it at once over one graph — unrestricted, with eight
 // candidates and with half the persons — each get the answers and metrics
 // of a fresh QMatch. Run with -race.
 func TestPreparedSharedAcrossGoroutines(t *testing.T) {
@@ -46,7 +46,7 @@ func TestPreparedSharedAcrossGoroutines(t *testing.T) {
 				defer wg.Done()
 				for round := 0; round < 6; round++ {
 					s := (w + round) % len(scopes)
-					got, err := prep.Run(g, &Options{FocusRestrict: scopes[s]})
+					got, err := prep.Bind(g).Run(EngineQMatch, &Options{FocusRestrict: scopes[s]})
 					if err != nil {
 						t.Errorf("%s: goroutine %d: %v", fixture.Mix[i].Name, w, err)
 						return
@@ -84,7 +84,7 @@ func TestProfileScoped(t *testing.T) {
 	}
 	b := prep.Bind(g)
 	for _, origin := range []string{"built", "hit"} {
-		res, err := b.Run(&Options{FocusRestrict: spread(persons, 8), CollectProfile: true})
+		res, err := b.Run(EngineQMatch, &Options{FocusRestrict: spread(persons, 8), CollectProfile: true})
 		if err != nil {
 			t.Fatal(err)
 		}

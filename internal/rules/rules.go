@@ -193,40 +193,3 @@ func (r *QGAR) Identify(g *graph.Graph, eta float64) ([]graph.NodeID, error) {
 	}
 	return ev.Matches, nil
 }
-
-// Combined merges the antecedent and consequent into the single QGP the
-// paper says R can be treated as (§6): nodes are unified by name (the
-// focus and any shared landmarks like album y in R1), edges concatenated.
-// Note the paper *evaluates* R as the intersection of the two answer sets
-// — which this library follows in Evaluate — so Combined is a stricter
-// view: its matches bind shared non-focus nodes to the same graph nodes.
-// Combined returns an error when the merged pattern is not a valid QGP
-// (e.g. the merge exceeds the quantifier-per-path budget).
-func (r *QGAR) Combined() (*core.Pattern, error) {
-	out := core.NewPattern()
-	for _, n := range r.Antecedent.Nodes {
-		out.AddNode(n.Name, n.Label)
-	}
-	out.Focus = r.Antecedent.Focus
-	out.Edges = append(out.Edges, r.Antecedent.Edges...)
-
-	for _, n := range r.Consequent.Nodes {
-		if idx, ok := out.NodeIndex(n.Name); ok {
-			if out.Nodes[idx].Label != n.Label {
-				return nil, fmt.Errorf("rules: node %q has label %q in Q1 but %q in Q2",
-					n.Name, out.Nodes[idx].Label, n.Label)
-			}
-			continue
-		}
-		out.AddNode(n.Name, n.Label)
-	}
-	for _, e := range r.Consequent.Edges {
-		from, _ := out.NodeIndex(r.Consequent.Nodes[e.From].Name)
-		to, _ := out.NodeIndex(r.Consequent.Nodes[e.To].Name)
-		out.Edges = append(out.Edges, core.PEdge{From: from, To: to, Label: e.Label, Q: e.Q})
-	}
-	if err := out.Validate(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/match"
 )
 
 // r1Graph builds a graph for an R1-style rule (Q1 of the paper's Fig. 7:
@@ -246,61 +245,5 @@ func TestMineFindsCommunityRules(t *testing.T) {
 		if mined[i].Eval.Lift > mined[i-1].Eval.Lift {
 			t.Fatal("mined rules not sorted by lift")
 		}
-	}
-}
-
-func TestCombined(t *testing.T) {
-	g, buyer, _, _ := r1Graph()
-	r := r1Rule(t)
-	combined, err := r.Combined()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Q1 has 4 nodes; Q2 shares xo and y, adding nothing.
-	if len(combined.Nodes) != 4 {
-		t.Fatalf("combined has %d nodes, want 4\n%s", len(combined.Nodes), combined)
-	}
-	if len(combined.Edges) != 4 {
-		t.Fatalf("combined has %d edges, want 4", len(combined.Edges))
-	}
-	// The combined pattern is at least as strict as the intersection
-	// semantics: its answers are a subset of Evaluate's matches.
-	res, err := match.QMatch(g, combined, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := r.Evaluate(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inEval := map[graph.NodeID]bool{}
-	for _, v := range ev.Matches {
-		inEval[v] = true
-	}
-	for _, v := range res.Matches {
-		if !inEval[v] {
-			t.Fatalf("combined matched %d which intersection semantics excludes", v)
-		}
-	}
-	if len(res.Matches) != 1 || res.Matches[0] != buyer {
-		t.Fatalf("combined matches = %v, want [%d]", res.Matches, buyer)
-	}
-}
-
-func TestCombinedLabelConflict(t *testing.T) {
-	q1 := core.NewPattern()
-	q1.AddNode("xo", "person")
-	q1.AddNode("y", "album")
-	q1.AddEdge("xo", "y", "like", core.Exists())
-	q2 := core.NewPattern()
-	q2.AddNode("xo", "person")
-	q2.AddNode("y", "product") // same name, different label
-	q2.AddEdge("xo", "y", "buy", core.Exists())
-	r, err := New("conflict", q1, q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Combined(); err == nil {
-		t.Fatal("label conflict not detected")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -15,7 +16,7 @@ import (
 	"repro/internal/server"
 )
 
-// warmSession is a long-lived session whose bound cache is under test,
+// warmSession is a long-lived session whose bound store is under test,
 // beside a mirror of its graph from which a fresh session — no bound, no
 // log — is loaded whenever an answer is to be checked.
 type warmSession struct {
@@ -131,8 +132,8 @@ func socialGraph() *graph.Graph { return gen.Social(gen.DefaultSocial(300, 3)) }
 
 // TestBoundCacheFollowsUpdates: match → update → match on one session
 // equals a fresh session loaded with the post-batch graph, through 60
-// churn batches and all three engines, with bounds read at
-// once and bounds left a batch or two behind.
+// churn batches and all three engines, with bounds read at once and bounds
+// left a batch or two behind. The engines share one bound per pattern.
 func TestBoundCacheFollowsUpdates(t *testing.T) {
 	w := newWarmSession(t, server.Config{}, socialGraph(), nil)
 	churn := fixture.NewChurn(5)
@@ -143,7 +144,7 @@ func TestBoundCacheFollowsUpdates(t *testing.T) {
 		{0, nil}, {1, nil}, {2, nil}, {3, nil}, {4, nil}, {5, nil},
 		{3, &client.MatchOptions{Engine: "qmatchn"}},
 		{1, &client.MatchOptions{Engine: "enum"}},
-		{1, &client.MatchOptions{Limit: 5}}, // path2's key again: a hit at its version
+		{1, &client.MatchOptions{Limit: 5}}, // path2 again: a hit at its version
 	}
 	for round := 0; round < 60; round++ {
 		if round > 0 {
@@ -158,14 +159,13 @@ func TestBoundCacheFollowsUpdates(t *testing.T) {
 	}
 	hit, repaired, built, live := w.outcomes()
 	// Fresh sessions share the registry: each of their reads is one build.
-	// The warm session's own builds are the first read of each of its 8
-	// distinct (engine, pattern) keys; selective never has an answer on
-	// this graph, so its verdict is rebuilt at every version.
+	// The warm session's own builds are the first read of each of its 6
+	// patterns, whatever the engine.
 	t.Logf("hit %d, repaired %d, built %d, live %d", hit, repaired, built, live)
 	if repaired == 0 || hit == 0 {
 		t.Fatalf("outcomes: hit %d, repaired %d, built %d", hit, repaired, built)
 	}
-	w.wantLive("nine reads over eight keys", 8)
+	w.wantLive("nine reads over six patterns", 6)
 }
 
 // TestBoundCacheRejectedBatch: a batch rejected after it was applied is
@@ -344,5 +344,122 @@ func TestProfileReportsBoundOutcome(t *testing.T) {
 	}
 	if hit, repaired, built, _ := w.outcomes(); hit != 1 || repaired != 1 || built != 1 {
 		t.Fatalf("counters: hit %d, repaired %d, built %d, want 1 each", hit, repaired, built)
+	}
+}
+
+// TestSearchedWatchSharesBound: a searched watch and match reads of its
+// pattern text share the session's one bound. The watch builds it and its
+// batches advance it, so every read after a batch is a hit: bound_built
+// moves once and one bound is live, while the answers — the reads' and
+// the watch's — equal a fresh session's at every step. A pinned bound is
+// not evicted however many other patterns are read; after Unwatch the
+// least-recently-used rule may evict it again, and a read then rebuilds.
+func TestSearchedWatchSharesBound(t *testing.T) {
+	w := newWarmSession(t, server.Config{}, socialGraph(), nil)
+	_, oracleAddr := startServer(t, server.Config{})
+	q, err := core.Parse("qgp\nn xo person *\nn z person\ne xo z follow >=1\ne z xo follow >=1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := q.String() // the text a watch is keyed by, as the coordinator sends it
+	fresh := func() *server.Response {
+		t.Helper()
+		c, err := client.Dial(oracleAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		w.load(c)
+		resp, err := c.Match(cycle, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp, err := w.c.Watch("cycle", cycle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watched := map[int64]bool{}
+	for _, v := range resp.Matches {
+		watched[v] = true
+	}
+	churn := fixture.NewChurn(5)
+	const rounds = 40
+	flips := 0
+	for round := 0; round < rounds; round++ {
+		if round > 0 {
+			muts := churn.Next(w.mirror.Graph())
+			resp, err := w.c.UpdateWithDeltas(specs(muts)...)
+			if err != nil {
+				t.Fatalf("round %d: update: %v", round, err)
+			}
+			if _, _, err := w.mirror.Apply(muts); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range resp.Deltas {
+				flips += len(d.Added) + len(d.Removed)
+				for _, v := range d.Added {
+					watched[v] = true
+				}
+				for _, v := range d.Removed {
+					delete(watched, v)
+				}
+			}
+		}
+		got, err := w.c.Match(cycle, nil)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		want := fresh()
+		if !reflect.DeepEqual(got.Matches, want.Matches) || *got.Metrics != *want.Metrics {
+			t.Fatalf("round %d: warm session gives %d matches %+v, a fresh one %d matches %+v",
+				round, len(got.Matches), *got.Metrics, len(want.Matches), *want.Metrics)
+		}
+		if len(watched) != len(want.Matches) {
+			t.Fatalf("round %d: the watch holds %d answers, a fresh read %d", round, len(watched), len(want.Matches))
+		}
+		for _, v := range want.Matches {
+			if !watched[v] {
+				t.Fatalf("round %d: the watch misses answer %d", round, v)
+			}
+		}
+		if hit, repaired, built, live := w.outcomes(); hit != int64(round+1) || repaired != 0 || built != 1 || live != 1 {
+			t.Fatalf("round %d: hit %d, repaired %d, built %d, live %d; want %d, 0, 1, 1", round, hit, repaired, built, live, round+1)
+		}
+	}
+	if flips == 0 || len(watched) == 0 {
+		t.Fatalf("coverage: %d flips, %d answers at the end", flips, len(watched))
+	}
+	other := func(k int) string {
+		return fmt.Sprintf("qgp\nn xo person *\nn z person\ne xo z follow >=%d\n", k)
+	}
+	for k := 1; k <= 64; k++ {
+		if _, err := w.c.Match(other(k), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.wantLive("64 patterns read beside the pinned one", 65)
+	if _, err := w.c.Match(cycle, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, built, _ := w.outcomes(); built != 65 {
+		t.Fatalf("pinned bound rebuilt: %d built, want 65", built)
+	}
+	if err := w.c.Unwatch("cycle"); err != nil {
+		t.Fatal(err)
+	}
+	w.wantLive("after Unwatch", 64)
+	for k := 65; k <= 128; k++ {
+		if _, err := w.c.Match(other(k), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, before, _ := w.outcomes()
+	if _, err := w.c.Match(cycle, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, built, live := w.outcomes(); built != before+1 || live != 64 {
+		t.Fatalf("unwatched bound past the cap: built moved by %d, live %d; want 1, 64", built-before, live)
 	}
 }

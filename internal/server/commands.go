@@ -29,8 +29,9 @@ type Backend interface {
 	Served(class string, start time.Time)
 	// SetGraph replaces the graph (gen, load) and reports its size.
 	SetGraph(g *graph.Graph) (nodes, edges int, err error)
-	// Match takes the pattern as the request's text: a worker session keys
-	// its bounds on the text and parses only on a miss. Match, Update,
+	// Match takes the pattern as the request's text: a worker session's
+	// Engine keys its one store of bounds on the text, whatever the
+	// engine, and parses only on a miss. Match, Update,
 	// Stats and Explain get the request's trace (nil when untraced) to
 	// record their stages in.
 	Match(req *Request, tr *obs.Trace) (Answer, error)
@@ -216,7 +217,7 @@ func (t *Table) dispatch(b Backend, req *Request, resp *Response, start time.Tim
 		return run(tb, req, resp)
 	}
 	if c.engine {
-		if err := match.CheckEngine(req.Engine); err != nil {
+		if _, err := match.ParseEngine(req.Engine); err != nil {
 			return err
 		}
 	}

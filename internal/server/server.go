@@ -83,14 +83,13 @@ func (c *Config) fill() {
 type Server struct {
 	*Host
 	cfg     Config
-	bm      boundMetrics
 	started time.Time
 }
 
 // New returns a server with the given configuration.
 func New(cfg Config) *Server {
 	cfg.fill()
-	s := &Server{cfg: cfg, bm: newBoundMetrics(cfg.Metrics), started: time.Now()}
+	s := &Server{cfg: cfg, started: time.Now()}
 	t := &Table{
 		maxGraphSize: cfg.MaxGraphSize,
 		metrics:      cfg.Metrics,
@@ -104,8 +103,8 @@ func New(cfg Config) *Server {
 		Logf:         cfg.Logf,
 		Name:         "server",
 	}, func() (func(*Request) Response, func()) {
-		sess := &session{s: s, bounds: boundCache{m: s.bm}}
-		return t.Handler(sess), sess.bounds.reset // the live-bounds gauge outlives the session
+		sess := &session{s: s}
+		return t.Handler(sess), func() { sess.eng.Close() }
 	})
 	return s
 }
@@ -119,16 +118,15 @@ type session struct {
 	// stays stable across updates (only setGraph replaces it).
 	vg *graph.Versioned
 	// eng holds the standing watches (one evaluation per distinct
-	// pattern) and, when the session is a cluster worker holding a
-	// d-hop-preserving fragment, the owned set: the focus candidates
-	// (local ids) the worker answers for. match restricts evaluation to
-	// them and watch maintains only their membership; non-owned fragment
-	// nodes may lack part of their neighborhood, so their local answers
-	// would be wrong. Nil until the session has a graph.
+	// pattern), the session's one match.Bound per pattern text that match
+	// reads and searched watches share, and, when the session is a cluster
+	// worker holding a d-hop-preserving fragment, the owned set: the focus
+	// candidates (local ids) the worker answers for. match restricts
+	// evaluation to them and watch maintains only their membership;
+	// non-owned fragment nodes may lack part of their neighborhood, so
+	// their local answers would be wrong. Nil until the session has a
+	// graph.
 	eng *dynamic.Engine
-	// bounds holds one match.Bound per pattern the session was asked to
-	// match, and the touched sets that advance them (bounds.go).
-	bounds boundCache
 	// muts is Update's mutation slice, reused from batch to batch.
 	muts []graph.Mutation
 }
@@ -141,12 +139,12 @@ type session struct {
 // instead.
 func (sess *session) setGraph(g *graph.Graph, owned []graph.NodeID) error {
 	vg := graph.NewVersioned(g)
-	eng, err := dynamic.NewEngine(vg.Graph(), owned)
+	eng, err := dynamic.NewEngine(vg.Graph(), owned, sess.s.cfg.Metrics)
 	if err != nil {
 		return err
 	}
+	sess.eng.Close() // its bounds are over the old graph
 	sess.vg, sess.g, sess.eng = vg, vg.Graph(), eng
-	sess.bounds.reset() // bounds are over the old graph
 	return nil
 }
 
@@ -323,7 +321,7 @@ func (sess *session) Update(req *Request, resp *Response, tr *obs.Trace) error {
 		if rerr := sess.vg.Rollback(old); rerr != nil {
 			return fmt.Errorf("%w (rollback failed: %v)", cause, rerr)
 		}
-		sess.bounds.breakLog(ng)
+		sess.eng.BreakLog()
 		return cause
 	}
 	if max := sess.s.cfg.MaxGraphSize; old != nil && ng.Size() > max {
@@ -339,7 +337,6 @@ func (sess *session) Update(req *Request, resp *Response, tr *obs.Trace) error {
 	if len(req.Updates) > 0 {
 		// An assign-only batch skips this: nothing changed in the graph,
 		// Assign below reports the new candidates.
-		sess.bounds.noteBatch(ng, touched)
 		deltas, err := sess.eng.Apply(old, ng, touched, tr)
 		if err != nil {
 			return err
@@ -418,11 +415,14 @@ func (sess *session) Stats(*obs.Trace) (*StatsSummary, error) {
 	return summarize(sess.g, stats.Collect(sess.g)), nil
 }
 
-// evaluate runs the request's pattern over the session graph through the
-// session's bound for it: built by the first request, hit while the graph
-// stands still, repaired across the batches in between when it moved.
+// evaluate runs the request's pattern with the request's engine over the
+// session's bound for the pattern text (dynamic.Engine.Bound).
 func (sess *session) evaluate(req *Request, collectProfile bool) (*match.Result, error) {
-	b, err := sess.bounds.bound(sess.g, req)
+	e, err := match.ParseEngine(req.Engine)
+	if err != nil {
+		return nil, err
+	}
+	b, err := sess.eng.Bound(req.Pattern)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +432,7 @@ func (sess *session) evaluate(req *Request, collectProfile bool) (*match.Result,
 	}
 	// Nil outside fragment mode; a fragment that owns nothing asks about nobody.
 	opts.FocusRestrict = sess.eng.Owned()
-	return b.Run(opts)
+	return b.Run(e, opts)
 }
 
 // Match evaluates a pattern over the session graph, recording the
