@@ -86,31 +86,37 @@ func newBoundStore(reg *obs.Registry) boundStore {
 
 // Bound returns the session's bound for the pattern of the given text,
 // valid at the graph's current version whenever the log allows, and counts
-// what it took. The text is parsed only when the store holds no bound for
-// it.
+// what it took. The store keys a pattern by its canonical text, as Watch
+// does, so a text is parsed only when no bound is held under it as it
+// stands: one that is not canonical finds its pattern's bound after the
+// parse.
 func (e *Engine) Bound(text string) (*match.Bound, error) {
 	en := e.patterns[text]
 	var prep *match.Prepared
 	if en == nil || en.b == nil {
 		q, err := core.Parse(text)
-		if err == nil {
-			prep, err = match.Prepare(q)
-		}
 		if err != nil {
 			return nil, err
+		}
+		text = q.String()
+		if en = e.patterns[text]; en == nil || en.b == nil {
+			if prep, err = match.Prepare(q); err != nil {
+				return nil, err
+			}
 		}
 		if en == nil {
 			en = &entry{}
 			e.patterns[text] = en
 		}
 	}
-	return e.lookup(en, prep), nil
+	return e.lookup(en, prep, false), nil
 }
 
-// lookup returns en's bound — bound afresh from prep, unpinned, when en
-// holds none — valid at the graph's version where the log reaches, and
-// counts what it took. A bound the log cannot carry is returned as it is.
-func (e *Engine) lookup(en *entry, prep *match.Prepared) *match.Bound {
+// lookup returns en's bound — bound afresh from prep when en holds none,
+// unpinned unless pin says the caller is a searched watch about to pin it —
+// valid at the graph's version where the log reaches, and counts what it
+// took. A bound the log cannot carry is returned as it is.
+func (e *Engine) lookup(en *entry, prep *match.Prepared, pin bool) *match.Bound {
 	s := &e.store
 	s.clock++
 	en.used = s.clock
@@ -119,7 +125,9 @@ func (e *Engine) lookup(en *entry, prep *match.Prepared) *match.Bound {
 	case en.b == nil:
 		en.b = prep.Bind(e.g)
 		s.live.Add(1)
-		e.unpin(en)
+		if !pin {
+			e.unpin(en)
+		}
 	case en.b.Version() == e.g.Version():
 		outcome = hit
 	case !en.pinned():

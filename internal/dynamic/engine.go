@@ -92,15 +92,22 @@ func (e *Engine) Watch(name string, q *core.Pattern) ([]graph.NodeID, error) {
 	}
 	gr := en.gr
 	if gr == nil {
-		m, err := newMatcher(e.g, q, e.owned, func(prep *match.Prepared) *match.Bound { return e.lookup(en, prep) })
+		// A bound held before the watch is a read's, unpinned; one the
+		// watch binds is pinned from the start, so the cap on unpinned
+		// bounds never evicts a read's to make room for it.
+		read := en.b != nil
+		m, err := newMatcher(e.g, q, e.owned, func(prep *match.Prepared) *match.Bound { return e.lookup(en, prep, true) })
 		if err != nil {
-			if en.b == nil {
+			switch {
+			case en.b == nil:
 				delete(e.patterns, pattern)
+			case !read:
+				e.unpin(en) // bound for a watch that failed: a read may still want it
 			}
 			return nil, err
 		}
 		gr = &group{pattern: pattern, m: m}
-		if en.gr = gr; en.pinned() {
+		if en.gr = gr; en.pinned() && read {
 			e.store.unpinned--
 		}
 	}

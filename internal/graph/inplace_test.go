@@ -248,3 +248,62 @@ func TestEdgeOntoNodeRemovedInTheSameBatch(t *testing.T) {
 	}
 	requireIndex(t, g, "after rollback")
 }
+
+// A batch that opens with a re-pack is still one batch: its old view reads
+// the rows as they were, Rollback gives them back, and the index holds.
+// Small rows under many inserts and node removals (dropped rows) leave
+// their arena fast, so both directions re-pack many times in the run.
+func TestRepackKeepsBatchesWhole(t *testing.T) {
+	g := indexGraph(5)
+	vg := NewVersioned(g)
+	r := rand.New(rand.NewSource(5))
+	var repacks [2]int
+	for step := 0; step < 300; step++ {
+		n := g.NumNodes()
+		var batch []Mutation
+		for i := 0; i < 8; i++ {
+			from := NodeID(r.Intn(n))
+			switch row := g.Out(from); {
+			case i == 0 && step%7 == 0:
+				batch = append(batch, Mutation{Op: MutRemoveNode, From: from})
+			case i%3 == 2 && len(row) > 0:
+				e := row[r.Intn(len(row))]
+				batch = append(batch, Mutation{Op: MutRemoveEdge, From: from, To: e.To, Label: g.LabelName(e.Label)})
+			default:
+				batch = append(batch, Mutation{Op: MutAddEdge, From: from, To: NodeID(r.Intn(n)), Label: string(rune('A' + r.Intn(12)))})
+			}
+		}
+		due := [2]bool{vg.deadOut > g.numEdges/repackShare, vg.deadIn > g.numEdges/repackShare}
+		before := rowsOf(g)
+		old, _, err := vg.Apply(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIndex(t, g, "after a batch")
+		if !sameRows(rowsOf(old), before) {
+			t.Fatalf("step %d (re-pack due: %v): old view diverges from the pre-batch rows", step, due)
+		}
+		if !due[0] && !due[1] {
+			continue
+		}
+		for d, ok := range due {
+			if ok {
+				repacks[d]++
+			}
+		}
+		if err := vg.Rollback(old); err != nil {
+			t.Fatal(err)
+		}
+		if !sameRows(rowsOf(g), before) {
+			t.Fatalf("step %d: rollback of a re-packing batch did not restore the rows", step)
+		}
+		requireIndex(t, g, "after rolling back a re-packing batch")
+		if _, _, err := vg.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if repacks[0] < 3 || repacks[1] < 3 {
+		t.Fatalf("re-packs out, in: %v; the run should see several of each", repacks)
+	}
+	t.Logf("re-packs out, in: %v", repacks)
+}

@@ -138,9 +138,18 @@ var (
 // byLabel is edited incrementally, so queries never pay a re-Finalize.
 // Not safe for concurrent use; callers serialize Apply/Rollback against
 // readers the same way they would serialize rebuilds. A row slice read from the
-// graph is good until the next Apply or Rollback, which edit it in place.
+// graph is good until the next Apply or Rollback, which edit it in place or
+// move it.
 type Versioned struct {
 	g *Graph
+
+	// moved has, per node, the markOut/markIn bit of each row that left
+	// the arena (the build array, or the last re-pack's) since; deadOut and
+	// deadIn count the capacity those rows left there, which any row still
+	// in the arena keeps reachable. Past a quarter of the live edges, Apply
+	// re-packs the direction.
+	moved           []uint8
+	deadOut, deadIn int
 
 	// State of the latest batch, reused by the next. mark has one byte per
 	// node — out-row edited, in-row edited, touched — and marked lists the
@@ -172,6 +181,8 @@ type rowOp struct {
 	kind uint8 // opInsert, opRemove or opDrop
 	in   bool  // the in-row of v, not the out-row
 	e    Edge  // the edge inserted or removed; for opDrop, e.To indexes dropped
+	// vacated says that an opDrop took the row out of the arena.
+	vacated bool
 }
 
 const (
@@ -187,6 +198,62 @@ func (vg *Versioned) rows(in bool) ([][]Edge, [][]labelRun, uint8) {
 		return vg.g.in, vg.g.inRuns, markIn
 	}
 	return vg.g.out, vg.g.outRuns, markOut
+}
+
+// dead returns the dead capacity count of a direction.
+func (vg *Versioned) dead(in bool) *int {
+	if in {
+		return &vg.deadIn
+	}
+	return &vg.deadOut
+}
+
+// vacate notes that a row of v of the given capacity is leaving the arena,
+// and reports whether it was there: a row that left before is on the heap
+// of its own, garbage once it moves.
+func (vg *Versioned) vacate(in bool, v NodeID, capacity int) bool {
+	_, _, bit := vg.rows(in)
+	if vg.moved[v]&bit != 0 {
+		return false
+	}
+	vg.moved[v] |= bit
+	*vg.dead(in) += capacity
+	return true
+}
+
+// repackShare is the share of the live edges a direction's dead capacity
+// may reach before the direction is re-packed: at a quarter the held rows
+// stay within 1.25 times the live ones, plus the rows' own slack.
+const repackShare = 4
+
+// repack copies every row of a direction, each with the capacity it has
+// grown to, into one fresh array, and the rows' label runs into another:
+// the old arenas, and every row that moved out of them, become garbage.
+func (vg *Versioned) repack(in bool) {
+	rows, runs, bit := vg.rows(in)
+	edges, labels := 0, 0
+	for v, row := range rows {
+		edges += cap(row)
+		labels += len(runs[v])
+	}
+	arena, runArena := make([]Edge, edges), make([]labelRun, 0, labels)
+	off := 0
+	for v, row := range rows {
+		lo := len(runArena)
+		runArena = append(runArena, runs[v]...)
+		runs[v] = runArena[lo:len(runArena):len(runArena)]
+		if cap(row) == 0 {
+			rows[v] = nil
+			continue
+		}
+		copy(arena[off:], row)
+		rows[v] = arena[off : off+len(row) : off+cap(row)]
+		off += cap(row)
+	}
+	for v := range vg.moved {
+		vg.moved[v] &^= bit
+	}
+	*vg.dead(in) = 0
 }
 
 // touch puts v into the batch's touched set, with bits for an edited row.
@@ -209,11 +276,15 @@ func (vg *Versioned) record(op rowOp, bit uint8) {
 // the row changed.
 func (vg *Versioned) edit(kind uint8, in bool, v NodeID, e Edge) bool {
 	rows, runs, bit := vg.rows(in)
+	row := rows[v]
 	var changed bool
 	if kind == opInsert {
-		rows[v], changed = insertSorted(rows[v], e)
+		rows[v], changed = insertSorted(row, e)
 	} else {
-		rows[v], changed = removeSorted(rows[v], e)
+		rows[v], changed = removeSorted(row, e)
+	}
+	if cap(rows[v]) != cap(row) {
+		vg.vacate(in, v, cap(row))
 	}
 	if changed {
 		runs[v] = shiftRuns(runs[v], e.Label, kind == opInsert)
@@ -228,7 +299,8 @@ func (vg *Versioned) drop(in bool, v NodeID) {
 	if len(rows[v]) == 0 {
 		return
 	}
-	vg.record(rowOp{v: v, kind: opDrop, in: in, e: Edge{To: NodeID(len(vg.dropped))}}, bit)
+	vacated := vg.vacate(in, v, cap(rows[v]))
+	vg.record(rowOp{v: v, kind: opDrop, in: in, e: Edge{To: NodeID(len(vg.dropped))}, vacated: vacated}, bit)
 	vg.dropped = append(vg.dropped, rows[v])
 	rows[v] = nil
 	runs[v] = runs[v][:0]
@@ -641,6 +713,15 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 	vg.dropped = vg.dropped[:0]
 	if n > len(vg.mark) {
 		vg.mark = append(vg.mark, make([]uint8, n-len(vg.mark))...)
+		vg.moved = append(vg.moved, make([]uint8, n-len(vg.moved))...)
+	}
+	// The view that could read the rows where they lie is stale too, so
+	// this is where a direction whose arena holds too much dead capacity
+	// moves to a fresh one.
+	for _, in := range []bool{false, true} {
+		if *vg.dead(in) > g.numEdges/repackShare {
+			vg.repack(in)
+		}
 	}
 	ov := &OldView{vg: vg, numNodes: g.NumNodes(), numEdges: g.numEdges}
 
@@ -731,10 +812,14 @@ func (vg *Versioned) Rollback(ov *OldView) error {
 	// afresh.
 	for i := len(vg.log) - 1; i >= 0; i-- {
 		op := vg.log[i]
-		rows, runs, _ := vg.rows(op.in)
+		rows, runs, bit := vg.rows(op.in)
 		rows[op.v] = vg.undo(op, rows[op.v])
 		if op.kind == opDrop {
 			runs[op.v] = appendRuns(runs[op.v][:0], rows[op.v])
+			if op.vacated { // back in the arena
+				vg.moved[op.v] &^= bit
+				*vg.dead(op.in) -= cap(rows[op.v])
+			}
 		} else {
 			runs[op.v] = shiftRuns(runs[op.v], op.e.Label, op.kind == opRemove)
 		}
