@@ -92,7 +92,7 @@ func exp15(sc Scale, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			reach += len(reachPlan.Affected(old, vg.Graph(), touched))
+			reach += len(reachPlan.Affected(old, vg.Graph(), old.Edits()))
 			start := time.Now()
 			d, err := m.ApplyShared(old, vg.Graph(), touched)
 			if err != nil {

@@ -95,12 +95,6 @@ type ServerError struct {
 
 func (e *ServerError) Error() string { return "server: " + e.Msg }
 
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	_, err := c.Do(&server.Request{Cmd: "ping"})
-	return err
-}
-
 // Gen generates a synthetic session graph ("social", "knowledge" or
 // "smallworld") and returns its node and edge counts.
 func (c *Client) Gen(kind string, size int, seed int64) (nodes, edges int, err error) {
@@ -114,15 +108,6 @@ func (c *Client) Gen(kind string, size int, seed int64) (nodes, edges int, err e
 // LoadText loads a graph in the native text format.
 func (c *Client) LoadText(data string) (nodes, edges int, err error) {
 	resp, err := c.Do(&server.Request{Cmd: "load", Format: "text", Data: data})
-	if err != nil {
-		return 0, 0, err
-	}
-	return resp.Nodes, resp.Edges, nil
-}
-
-// LoadJSON loads a graph in the JSON property-graph format.
-func (c *Client) LoadJSON(data string) (nodes, edges int, err error) {
-	resp, err := c.Do(&server.Request{Cmd: "load", Format: "json", Data: data})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -157,18 +142,6 @@ func (c *Client) Unwatch(name string) error {
 // per-watch answer deltas.
 func (c *Client) UpdateWithDeltas(updates ...server.UpdateSpec) (*server.Response, error) {
 	return c.Do(&server.Request{Cmd: "update", Updates: updates})
-}
-
-// Fragment loads a d-hop-preserving fragment into the session, turning it
-// into a cluster worker: data is the fragment subgraph in the graph text
-// format (local node ids) and owned lists the local ids of the focus
-// candidates this worker answers for. See internal/cluster.
-func (c *Client) Fragment(data string, owned []int64) (nodes, edges int, err error) {
-	resp, err := c.Do(&server.Request{Cmd: "fragment", Data: data, Owned: owned})
-	if err != nil {
-		return 0, 0, err
-	}
-	return resp.Nodes, resp.Edges, nil
 }
 
 // MatchOptions tunes a Match call.
@@ -209,16 +182,6 @@ func (c *Client) Partition(workers, d int) (*server.Response, error) {
 // Stats returns graph summary statistics with the topK triple classes.
 func (c *Client) Stats(topK int) (*server.Response, error) {
 	return c.Do(&server.Request{Cmd: "stats", TopK: topK})
-}
-
-// Metrics returns the server's metrics-registry snapshot as raw JSON
-// (obs.Snapshot shape); "{}" when the server runs without a registry.
-func (c *Client) Metrics() (json.RawMessage, error) {
-	resp, err := c.Do(&server.Request{Cmd: "metrics"})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Obs, nil
 }
 
 // Explain plans a QGP without executing it and returns the plan document

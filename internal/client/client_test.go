@@ -38,7 +38,7 @@ func TestDoRoundTrip(t *testing.T) {
 	c := fakeServer(t, func(req server.Request) server.Response {
 		return server.Response{ID: req.ID, OK: true, Pong: req.Cmd == "ping"}
 	})
-	if err := c.Ping(); err != nil {
+	if _, err := c.Do(&server.Request{Cmd: "ping"}); err != nil {
 		t.Fatal(err)
 	}
 	// IDs increment per request.
@@ -160,7 +160,7 @@ func TestClientKeepsNoLine(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapInuse)
 	}
-	if err := c.Ping(); err != nil {
+	if _, err := c.Do(&server.Request{Cmd: "ping"}); err != nil {
 		t.Fatal(err)
 	}
 	before := heapInuse()
@@ -170,7 +170,7 @@ func TestClientKeepsNoLine(t *testing.T) {
 	}
 	resp = nil
 	for i := 0; i < 100; i++ {
-		if err := c.Ping(); err != nil {
+		if _, err := c.Do(&server.Request{Cmd: "ping"}); err != nil {
 			t.Fatal(err)
 		}
 	}

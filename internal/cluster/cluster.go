@@ -137,11 +137,9 @@ type Coordinator struct {
 type replica struct {
 	t        Transport
 	endpoint int // pool endpoint hosting the session, -1 unknown
-	// inflight counts read-routed requests currently on this copy and
-	// reads the total it has served; both are atomics because the read
-	// path runs under c.mu's read side only.
+	// inflight counts read-routed requests currently on this copy; an
+	// atomic because the read path runs under c.mu's read side only.
 	inflight atomic.Int64
-	reads    atomic.Int64
 	// suspect marks a copy whose transport failed a routed read: reads
 	// skip it (no failover runs under the read lock) and the next
 	// write-locked operation prunes or replaces it.
@@ -389,9 +387,6 @@ func (c *Coordinator) Size() (nodes, edges int) {
 
 // D returns the hop radius the fragmentation preserves.
 func (c *Coordinator) D() int { return c.cfg.D }
-
-// Workers returns the number of workers.
-func (c *Coordinator) Workers() int { return len(c.workers) }
 
 // FragmentSizes returns each worker's materialized node count.
 func (c *Coordinator) FragmentSizes() []int {

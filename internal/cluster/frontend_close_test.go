@@ -12,10 +12,20 @@ import (
 	"repro/internal/server"
 )
 
-// closeCounting wraps a transport and records whether it was closed.
+// closeCounting wraps a transport and records whether it was closed and
+// how many match requests it answered.
 type closeCounting struct {
 	Transport
-	closed atomic.Bool
+	closed  atomic.Bool
+	matches atomic.Int64
+}
+
+func (t *closeCounting) Do(req *server.Request) (*server.Response, error) {
+	resp, err := t.Transport.Do(req)
+	if err == nil && req.Cmd == "match" {
+		t.matches.Add(1)
+	}
+	return resp, err
 }
 
 func (t *closeCounting) Close() error {

@@ -53,7 +53,7 @@ func startFrontendWith(t *testing.T, cfg FrontendConfig) (*Frontend, *client.Cli
 // stats and partition introspection.
 func TestFrontendEndToEnd(t *testing.T) {
 	c := startFrontend(t, 2)
-	if err := c.Ping(); err != nil {
+	if _, err := c.Do(&server.Request{Cmd: "ping"}); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
 	nodes, edges, err := c.Gen("social", 200, 9)
@@ -133,7 +133,7 @@ func TestFrontendEndToEnd(t *testing.T) {
 		t.Fatal("rule should not be served by the front end")
 	}
 	// The connection stays usable after a command error.
-	if err := c.Ping(); err != nil {
+	if _, err := c.Do(&server.Request{Cmd: "ping"}); err != nil {
 		t.Fatalf("ping after error: %v", err)
 	}
 }
@@ -210,7 +210,7 @@ func TestFrontendOversizedLine(t *testing.T) {
 	if err == nil || err.Error() != "client: bad request: line exceeds 1024 bytes" {
 		t.Fatalf("2 KiB load under a 1 KiB cap: %v", err)
 	}
-	if err := c.Ping(); err == nil {
+	if _, err := c.Do(&server.Request{Cmd: "ping"}); err == nil {
 		t.Fatal("the connection survived an over-long line")
 	}
 }

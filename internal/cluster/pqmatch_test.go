@@ -74,7 +74,7 @@ func TestPQMatchEqualsSequentialPaperExamples(t *testing.T) {
 
 func TestPQMatchEqualsSequentialGenerated(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(600, 17))
-	patterns := gen.Patterns(g, gen.PatternConfig{Nodes: 4, Edges: 4, RatioBP: 3000, NegEdges: 1, Seed: 23}, 4)
+	patterns := fixture.Patterns(g, gen.PatternConfig{Nodes: 4, Edges: 4, RatioBP: 3000, NegEdges: 1, Seed: 23}, 4)
 	for pi, q := range patterns {
 		want := globalAnswers(t, g, q)
 		c := pqCluster(t, g, 4, core.RequiredHops(q))

@@ -24,16 +24,10 @@ type FragmentExplain struct {
 	Plan   json.RawMessage `json:"plan,omitempty"`
 }
 
-// Explain fans the explain command out to every worker (routedRead:
+// explain fans the explain command out to every worker (routedRead:
 // nothing is executed, so it routes across fragment copies like Match)
-// and merges the per-fragment plan documents. Config.Tracer traces it.
-func (c *Coordinator) Explain(q *core.Pattern) (res *ExplainResult, err error) {
-	tr := c.cfg.Tracer.Start("explain")
-	defer func() { tr.Finish(err) }()
-	return c.explain(q, tr)
-}
-
-// explain runs Explain, recording an rtt span per worker in tr.
+// and merges the per-fragment plan documents, recording an rtt span per
+// worker in tr.
 func (c *Coordinator) explain(q *core.Pattern, tr *obs.Trace) (res *ExplainResult, err error) {
 	if err := q.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)

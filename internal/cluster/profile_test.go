@@ -292,7 +292,7 @@ func TestFrontendTracesStayLocal(t *testing.T) {
 func TestExplainMerged(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(200, 5))
 	c := newEmbedded(t, g, 2, Config{D: 2})
-	ex, err := c.Explain(mustParse(t, testPatterns[0]))
+	ex, err := c.explain(mustParse(t, testPatterns[0]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,6 @@ func (c *Coordinator) sendRead(w *worker, op string, req *server.Request) (*serv
 		}
 		r.inflight.Add(-1)
 		if err == nil {
-			r.reads.Add(1)
 			if r == w.copies[0] {
 				c.om.readPrimary.Inc()
 			} else {
@@ -188,21 +187,4 @@ func (c *Coordinator) pruneSuspectsLocked() int {
 		}
 	}
 	return n
-}
-
-// ReadDistribution reports, per fragment, how many routed reads each
-// copy has served (index 0 is the primary, then the warm replicas in
-// promotion order) — the observable behind "a Match burst does not pile
-// onto one copy".
-func (c *Coordinator) ReadDistribution() [][]int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([][]int64, len(c.workers))
-	for i, w := range c.workers {
-		out[i] = make([]int64, len(w.copies))
-		for j, r := range w.copies {
-			out[i][j] = r.reads.Load()
-		}
-	}
-	return out
 }

@@ -11,6 +11,31 @@ import (
 	"repro/internal/server"
 )
 
+// counting wraps each transport in a closeCounting, so readDistribution
+// can read what it served.
+func counting(ts []Transport) []Transport {
+	for i, t := range ts {
+		ts[i] = &closeCounting{Transport: t}
+	}
+	return ts
+}
+
+// readDistribution reports, per fragment, how many match requests each
+// copy has answered (index 0 is the primary, then the warm replicas in
+// promotion order), counted on the closeCounting transports of counting
+// and testPool.
+func readDistribution(c *Coordinator) [][]int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([][]int64, len(c.workers))
+	for i, w := range c.workers {
+		for _, r := range w.copies {
+			out[i] = append(out[i], r.t.(*closeCounting).matches.Load())
+		}
+	}
+	return out
+}
+
 // TestLeastLoadedCopy: the router picks by read score and skips suspects.
 func TestLeastLoadedCopy(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(200, 13))
@@ -54,7 +79,7 @@ func TestLeastLoadedCopy(t *testing.T) {
 func TestReplicaServesOwnWrite(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(200, 13))
 	pool := newTestPool(4)
-	c, err := New(g.Clone(), InProcessN(2, server.Config{}), Config{D: 2, Replicas: 3, Pool: pool})
+	c, err := New(g.Clone(), counting(InProcessN(2, server.Config{})), Config{D: 2, Replicas: 3, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +101,7 @@ func TestReplicaServesOwnWrite(t *testing.T) {
 	for _, w := range c.workers {
 		w.copies[0].inflight.Add(100)
 	}
-	pre := c.ReadDistribution()
+	pre := readDistribution(c)
 	got, err := c.Match(q)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +109,7 @@ func TestReplicaServesOwnWrite(t *testing.T) {
 	if want := globalAnswers(t, ref, q); !reflect.DeepEqual(nodeIDs(got.Matches), nodeIDs(want)) {
 		t.Fatalf("read after the write = %v, single process %v", got.Matches, want)
 	}
-	post := c.ReadDistribution()
+	post := readDistribution(c)
 	for i := range post {
 		served := int64(0)
 		for j := 1; j < len(post[i]); j++ {
@@ -102,7 +127,7 @@ func TestReplicaServesOwnWrite(t *testing.T) {
 func TestReadsSpreadAcrossCopies(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(300, 13))
 	pool := newTestPool(6)
-	c, err := New(g, InProcessN(2, server.Config{}), Config{D: 2, Replicas: 3, Pool: pool})
+	c, err := New(g, counting(InProcessN(2, server.Config{})), Config{D: 2, Replicas: 3, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +160,7 @@ func TestReadsSpreadAcrossCopies(t *testing.T) {
 		t.Fatalf("concurrent match: %v", err)
 	}
 
-	dist := c.ReadDistribution()
+	dist := readDistribution(c)
 	spread := false
 	for _, counts := range dist {
 		busy := 0
@@ -225,9 +250,9 @@ func TestReadFailoverFallback(t *testing.T) {
 			}
 			return res.Matches, nil
 		}},
-		{"Explain", func() (interface{}, error) { return c.Explain(q) }},
+		{"Explain", func() (interface{}, error) { return c.explain(q, nil) }},
 		{"Stats", func() (interface{}, error) {
-			st, err := c.Stats()
+			st, err := c.stats(nil)
 			if err != nil {
 				return nil, err
 			}

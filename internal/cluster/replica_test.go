@@ -314,7 +314,7 @@ func TestPromotedReplicaAdvancesOlderBounds(t *testing.T) {
 	replicaMetrics := obs.NewRegistry()
 	pool := newTestPool(4)
 	pool.cfg = server.Config{Metrics: replicaMetrics}
-	ts := InProcessN(2, server.Config{})
+	ts := counting(InProcessN(2, server.Config{}))
 	c, err := New(g, ts, Config{D: 2, Replicas: 2, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
@@ -324,7 +324,7 @@ func TestPromotedReplicaAdvancesOlderBounds(t *testing.T) {
 
 	// Bursts of concurrent reads until every fragment's replica served one.
 	replicasRead := func() bool {
-		for _, counts := range c.ReadDistribution() {
+		for _, counts := range readDistribution(c) {
 			if counts[1] == 0 {
 				return false
 			}
@@ -333,7 +333,7 @@ func TestPromotedReplicaAdvancesOlderBounds(t *testing.T) {
 	}
 	for burst := 0; !replicasRead(); burst++ {
 		if burst == 50 {
-			t.Fatalf("replicas served no read in 50 bursts: %v", c.ReadDistribution())
+			t.Fatalf("replicas served no read in 50 bursts: %v", readDistribution(c))
 		}
 		var wg sync.WaitGroup
 		for i := 0; i < 12; i++ {

@@ -55,7 +55,7 @@ func (r *replyLost) Do(req *server.Request) (*server.Response, error) {
 
 // TestShippedFragmentEqualsText: what shipRequest puts on the wire — the
 // binary graph format — leaves a worker session holding exactly what the
-// text format through client.Fragment leaves: the same counts, the same
+// text format through the fragment command leaves: the same counts, the same
 // owned set, the same local answers to the six-pattern mix. And a
 // fragment re-shipped after its primary was killed — the first attempt
 // dying in the fragment command itself — still answers like a single
@@ -89,7 +89,7 @@ func TestShippedFragmentEqualsText(t *testing.T) {
 		}
 		tc := InProcess(server.Config{}).(*client.Client)
 		t.Cleanup(func() { tc.Close() })
-		if _, _, err := tc.Fragment(text.String(), ship.Owned); err != nil {
+		if _, err := tc.Do(&server.Request{Cmd: "fragment", Data: text.String(), Owned: ship.Owned}); err != nil {
 			t.Fatalf("text fragment %d: %v", w.id, err)
 		}
 		both := func(req server.Request) (*server.Response, *server.Response) {

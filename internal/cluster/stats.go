@@ -18,18 +18,12 @@ import (
 // read-only command that pinned the primary/front end now scales with
 // the replication factor like every other read.
 
-// Stats fans the stats command out across fragment copies (routedRead)
-// and merges the owned-restricted summaries. The merged summary is exact
-// — equal to collecting over the whole graph in one process — because
-// ownership partitions the nodes and each owned node's full neighborhood
-// is materialized in its owner's fragment. Config.Tracer traces it.
-func (c *Coordinator) Stats() (res *server.StatsSummary, err error) {
-	tr := c.cfg.Tracer.Start("stats")
-	defer func() { tr.Finish(err) }()
-	return c.stats(tr)
-}
-
-// stats runs Stats, recording an rtt span per worker in tr.
+// stats fans the stats command out across fragment copies (routedRead)
+// and merges the owned-restricted summaries, recording an rtt span per
+// worker in tr. The merged summary is exact — equal to collecting over
+// the whole graph in one process — because ownership partitions the nodes
+// and each owned node's full neighborhood is materialized in its owner's
+// fragment.
 func (c *Coordinator) stats(tr *obs.Trace) (res *server.StatsSummary, err error) {
 	// TopK 1 keeps the workers' rendered-string work minimal; the merge
 	// consumes only the complete structured rows.

@@ -254,7 +254,7 @@ func TestMalformedIDBlock(t *testing.T) {
 			}
 		}
 		c := client.NewClient(clientEnd)
-		if err := c.Ping(); err != nil {
+		if _, err := c.Do(&server.Request{Cmd: "ping"}); err != nil {
 			t.Fatalf("ping after the malformed requests: %v", err)
 		}
 	})

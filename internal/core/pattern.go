@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/scan"
@@ -91,9 +90,6 @@ func (p *Pattern) AddEdge(from, to, label string, q Quantifier) int {
 	return len(p.Edges) - 1
 }
 
-// FocusName returns the name of the focus node.
-func (p *Pattern) FocusName() string { return p.Nodes[p.Focus].Name }
-
 // IsPositive reports whether the pattern has no negated edges.
 func (p *Pattern) IsPositive() bool { return len(p.NegatedEdges()) == 0 }
 
@@ -128,16 +124,6 @@ func (p *Pattern) clone() *Pattern {
 	}
 	q.Focus = p.Focus
 	q.Edges = append([]PEdge(nil), p.Edges...)
-	return q
-}
-
-// Stratified returns Qπ: the same topology with every quantifier replaced
-// by the existential quantifier.
-func (p *Pattern) Stratified() *Pattern {
-	q := p.clone()
-	for i := range q.Edges {
-		q.Edges[i].Q = Exists()
-	}
 	return q
 }
 
@@ -266,10 +252,6 @@ func (p *Pattern) undirectedDistances() []int {
 	return dist
 }
 
-// Radius returns the longest shortest undirected distance from the focus
-// to any node of a connected pattern (§5.2).
-func (p *Pattern) Radius() int { return slices.Max(p.undirectedDistances()) }
-
 // RequiredHops returns the partition radius a pattern needs for
 // fragment-local evaluation to be exact (Lemma 9(1)): the largest need over
 // Π(Q) and every Π(Q+e), where a sub-pattern needs its own radius, plus one
@@ -329,9 +311,6 @@ func (p *Pattern) Connected() bool {
 	return count == len(p.Nodes)
 }
 
-// Size returns (|VQ|, |EQ|).
-func (p *Pattern) Size() (nodes, edges int) { return len(p.Nodes), len(p.Edges) }
-
 // String renders the pattern in the DSL accepted by Parse.
 func (p *Pattern) String() string {
 	var b strings.Builder
@@ -351,14 +330,4 @@ func (p *Pattern) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortedNodeNames returns the node names in sorted order (testing helper).
-func (p *Pattern) SortedNodeNames() []string {
-	names := make([]string, len(p.Nodes))
-	for i, n := range p.Nodes {
-		names[i] = n.Name
-	}
-	sort.Strings(names)
-	return names
 }

@@ -37,7 +37,10 @@ func q5() *Pattern {
 }
 
 func names(p *Pattern) []string {
-	out := p.SortedNodeNames()
+	var out []string
+	for _, n := range p.Nodes {
+		out = append(out, n.Name)
+	}
 	sort.Strings(out)
 	return out
 }
@@ -47,15 +50,15 @@ func TestBuildAndFocus(t *testing.T) {
 	p.AddNode("a", "person")
 	p.AddNode("b", "person")
 	p.AddEdge("a", "b", "follow", Exists())
-	if p.FocusName() != "a" {
-		t.Fatalf("default focus = %q, want a", p.FocusName())
+	if p.Nodes[p.Focus].Name != "a" {
+		t.Fatalf("default focus = %q, want a", p.Nodes[p.Focus].Name)
 	}
 	p.SetFocus("b")
-	if p.FocusName() != "b" {
-		t.Fatalf("focus = %q, want b", p.FocusName())
+	if p.Nodes[p.Focus].Name != "b" {
+		t.Fatalf("focus = %q, want b", p.Nodes[p.Focus].Name)
 	}
-	if n, e := p.Size(); n != 2 || e != 1 {
-		t.Fatalf("Size = (%d,%d), want (2,1)", n, e)
+	if n, e := len(p.Nodes), len(p.Edges); n != 2 || e != 1 {
+		t.Fatalf("size = (%d,%d), want (2,1)", n, e)
 	}
 }
 
@@ -70,23 +73,6 @@ func TestDuplicateNodePanics(t *testing.T) {
 	p.AddNode("a", "y")
 }
 
-func TestStratified(t *testing.T) {
-	q := q3(2)
-	s := q.Stratified()
-	for i, e := range s.Edges {
-		if !e.Q.IsExistential() {
-			t.Errorf("stratified edge %d has quantifier %v", i, e.Q)
-		}
-	}
-	// The original is untouched.
-	if q.Edges[0].Q.IsExistential() {
-		t.Error("Stratified mutated the original pattern")
-	}
-	if len(s.Edges) != len(q.Edges) || len(s.Nodes) != len(q.Nodes) {
-		t.Error("Stratified changed topology")
-	}
-}
-
 func TestNegatedEdges(t *testing.T) {
 	q := q3(2)
 	neg := q.NegatedEdges()
@@ -95,9 +81,6 @@ func TestNegatedEdges(t *testing.T) {
 	}
 	if q.IsPositive() {
 		t.Error("q3 should be negative")
-	}
-	if !q.Stratified().IsPositive() {
-		t.Error("stratified pattern should be positive")
 	}
 	if qs := q.QuantifiedEdges(); len(qs) != 1 || qs[0] != 0 {
 		t.Fatalf("QuantifiedEdges = %v, want [0]", qs)
@@ -135,8 +118,8 @@ func TestPiQ3(t *testing.T) {
 	if !pi.Edges[0].Q.Satisfied(2, 5) || pi.Edges[0].Q.Satisfied(1, 5) {
 		t.Error("Π(Q3) lost the ≥2 quantifier on (xo,z1)")
 	}
-	if pi.FocusName() != "xo" {
-		t.Errorf("Π(Q3) focus = %q", pi.FocusName())
+	if pi.Nodes[pi.Focus].Name != "xo" {
+		t.Errorf("Π(Q3) focus = %q", pi.Nodes[pi.Focus].Name)
 	}
 	// back maps Π indexes to original indexes.
 	for newIdx, oldIdx := range back {
@@ -199,15 +182,17 @@ func TestPiPositiveIsIdentity(t *testing.T) {
 	}
 }
 
+// TestRadius: a pattern without ratio edges needs its radius, the
+// longest shortest undirected distance from the focus (§5.2).
 func TestRadius(t *testing.T) {
 	q := q3(2)
-	if r := q.Radius(); r != 2 {
-		t.Fatalf("Radius(Q3) = %d, want 2", r)
+	if r := q.hops(); r != 2 {
+		t.Fatalf("radius(Q3) = %d, want 2", r)
 	}
 	p := NewPattern()
 	p.AddNode("a", "x")
-	if r := p.Radius(); r != 0 {
-		t.Fatalf("Radius(single node) = %d, want 0", r)
+	if r := p.hops(); r != 0 {
+		t.Fatalf("radius(single node) = %d, want 0", r)
 	}
 }
 
@@ -314,8 +299,8 @@ e z r like
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.FocusName() != "xo" {
-		t.Errorf("focus = %q", p.FocusName())
+	if p.Nodes[p.Focus].Name != "xo" {
+		t.Errorf("focus = %q", p.Nodes[p.Focus].Name)
 	}
 	if len(p.Nodes) != 3 || len(p.Edges) != 2 {
 		t.Fatalf("parsed %d nodes %d edges", len(p.Nodes), len(p.Edges))

@@ -1,8 +1,8 @@
 // Package core implements the quantified graph pattern (QGP) model of
 // Fan, Wu and Xu, "Adding Counting Quantifiers to Graph Patterns"
-// (SIGMOD 2016): counting quantifiers on pattern edges, the stratified
-// pattern Qπ, the negation-free projection Π(Q), positified patterns Q+e,
-// pattern well-formedness (the l-restriction and single-negation rule),
+// (SIGMOD 2016): counting quantifiers on pattern edges, the
+// negation-free projection Π(Q), positified patterns Q+e, pattern
+// well-formedness (the l-restriction and single-negation rule),
 // and a small textual DSL for patterns.
 package core
 

@@ -37,7 +37,7 @@ func canon(g graph.View) (nodes, edges []string) {
 	return nodes, edges
 }
 
-func requireCanonEqual(t *testing.T, want, got graph.View, ctx string) {
+func requireCanonEqual(t *testing.T, want, got *graph.Graph, ctx string) {
 	t.Helper()
 	wn, we := canon(want)
 	gn, ge := canon(got)
@@ -109,7 +109,7 @@ func randomBatch(r *rand.Rand, g graph.View, invalid bool) []graph.Mutation {
 					}
 				}
 			}
-			ups = append(ups, graph.RemoveNode(v))
+			ups = append(ups, graph.Mutation{Op: graph.MutRemoveNode, From: v})
 		default:
 			ups = append(ups, graph.AddEdge(graph.NodeID(r.Int31n(int32(lim))), graph.NodeID(r.Int31n(int32(lim))), batchLabels[r.Intn(len(batchLabels))]))
 		}
@@ -118,7 +118,7 @@ func randomBatch(r *rand.Rand, g graph.View, invalid bool) []graph.Mutation {
 		at := r.Intn(len(ups) + 1)
 		bad := graph.AddEdge(n+added+5, 0, "follow")
 		if r.Intn(2) == 0 {
-			bad = graph.RemoveNode(-1)
+			bad = graph.Mutation{Op: graph.MutRemoveNode, From: -1}
 		}
 		ups = append(ups[:at:at], append([]graph.Mutation{bad}, ups[at:]...)...)
 	}

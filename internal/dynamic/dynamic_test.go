@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -57,7 +58,7 @@ func TestApplyRemoveEdgeAndNode(t *testing.T) {
 		t.Errorf("touched = %v", touched)
 	}
 
-	ng2, touched2, err := Apply(g, []graph.Mutation{graph.RemoveNode(1)})
+	ng2, touched2, err := Apply(g, []graph.Mutation{graph.Mutation{Op: graph.MutRemoveNode, From: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestApplyRejectsBadUpdates(t *testing.T) {
 	g := line(t)
 	for _, ups := range [][]graph.Mutation{
 		{graph.AddEdge(0, 9, "x")},
-		{graph.RemoveNode(-1)},
+		{graph.Mutation{Op: graph.MutRemoveNode, From: -1}},
 		{{Op: 99}},
 	} {
 		if _, _, err := Apply(g, ups); err == nil {
@@ -271,7 +272,7 @@ func TestMatcherSkipsUnaffectedRegions(t *testing.T) {
 // other, so its Bound begins from all-empty sets.
 func TestMatcherDifferentialSoak(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(150, 9))
-	pats := gen.Patterns(g, gen.PatternConfig{Nodes: 3, Edges: 3, RatioBP: 3000, NegEdges: 1, Seed: 31}, 3)
+	pats := fixture.Patterns(g, gen.PatternConfig{Nodes: 3, Edges: 3, RatioBP: 3000, NegEdges: 1, Seed: 31}, 3)
 	pats = append(pats, parsePattern(t, "qgp\nn xo person *\nn z person\ne xo z like\n"))
 	if res, err := match.QMatch(g, pats[len(pats)-1], nil); err != nil || len(res.Matches) != 0 {
 		t.Fatalf("the last pattern answers %v at the start (%v)", res, err)
@@ -308,7 +309,7 @@ func TestMatcherDifferentialSoak(t *testing.T) {
 						ups = append(ups, graph.RemoveEdge(v, e.To, cur.LabelName(e.Label)))
 					}
 				case 3:
-					ups = append(ups, graph.RemoveNode(graph.NodeID(r.Intn(cur.NumNodes()))))
+					ups = append(ups, graph.Mutation{Op: graph.MutRemoveNode, From: graph.NodeID(r.Intn(cur.NumNodes()))})
 				}
 			}
 			if len(ups) == 0 {

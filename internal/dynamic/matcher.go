@@ -142,11 +142,11 @@ func (m *Matcher) ApplyShared(old *graph.OldView, newG *graph.Graph, touched []g
 // carries its counts over the batch's net edits (old.Edits(), which a
 // holder of several matchers reads once for all of them) and names what
 // they re-judged; any other carries its Bound's sets over touched and walks
-// its reach plan from there.
+// its reach plan from the same edits.
 func (m *Matcher) candidates(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID, edits []graph.EdgeEdit) []graph.NodeID {
 	if m.counts == nil {
 		m.bound.Advance(touched)
-		return m.filter(m.plan.Affected(old, newG, touched))
+		return m.filter(m.plan.Affected(old, newG, edits))
 	}
 	born := graph.NodeID(old.NumNodes())
 	judged := m.counts[0].advance(newG, edits, born)

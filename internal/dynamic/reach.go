@@ -115,38 +115,33 @@ func (p *ReachPlan) addPositive(pos *core.Pattern, have map[string]bool) {
 }
 
 // Affected returns the sorted focus candidates whose membership the batch
-// that turned old into newG can have changed; touched is the batch's
-// touched set (Versioned.Apply's, or Apply's with the pre-batch graph as
-// old).
-func (p *ReachPlan) Affected(old, newG graph.View, touched []graph.NodeID) []graph.NodeID {
+// that turned old into newG can have changed; edits are the batch's net
+// edge edits (old.Edits()), whose label ids old and newG share. A removed
+// edge seeds its rules' walks over old, where the isomorphism through it
+// existed; an inserted one over newG. Net edits are exactly the edges on
+// one side of the batch only, so no row needs comparing.
+func (p *ReachPlan) Affected(old, newG graph.View, edits []graph.EdgeEdit) []graph.NodeID {
 	dst := make(map[graph.NodeID]bool)
-	for _, v := range touched {
-		if int(v) >= old.NumNodes() && newG.NodeLabelName(v) == p.focus {
+	for v := graph.NodeID(old.NumNodes()); int(v) < newG.NumNodes(); v++ {
+		if newG.NodeLabelName(v) == p.focus {
 			dst[v] = true
 		}
 	}
 	for _, r := range p.rules {
-		// The changed edges come from a row diff of the touched nodes:
-		// every inserted or removed edge has its source among them (a
-		// removed node's in-edges sit in its former neighbours' rows).
-		// Labels resolve per graph — old may be a rebuilt graph with its
-		// own interner.
-		lo, ln := old.LookupLabel(r.edge), newG.LookupLabel(r.edge)
+		l := newG.LookupLabel(r.edge)
 		var lost, gained []graph.NodeID
-		for _, a := range touched {
-			if newG.NodeLabelName(a) != r.src {
+		for _, e := range edits {
+			if e.Label != l || newG.NodeLabelName(e.From) != r.src {
 				continue
 			}
-			var was, now []graph.Edge
-			if int(a) < old.NumNodes() {
-				was = labelRun(old.Out(a), lo)
+			// Edits ascend by (From, Label, To): a source repeats only
+			// next to itself.
+			seeds := &lost
+			if e.Added {
+				seeds = &gained
 			}
-			now = labelRun(newG.Out(a), ln)
-			if missesAny(was, now) {
-				lost = append(lost, a)
-			}
-			if missesAny(now, was) {
-				gained = append(gained, a)
+			if n := len(*seeds); n == 0 || (*seeds)[n-1] != e.From {
+				*seeds = append(*seeds, e.From)
 			}
 		}
 		walk(dst, old, lost, r.path)
@@ -164,21 +159,6 @@ func labelRun(row []graph.Edge, l graph.LabelID) []graph.Edge {
 	lo := sort.Search(len(row), func(i int) bool { return row[i].Label >= l })
 	hi := sort.Search(len(row), func(i int) bool { return row[i].Label > l })
 	return row[lo:hi]
-}
-
-// missesAny reports whether some endpoint of run a is absent from run b;
-// both are one label's edges, ascending by endpoint.
-func missesAny(a, b []graph.Edge) bool {
-	j := 0
-	for _, e := range a {
-		for j < len(b) && b[j].To < e.To {
-			j++
-		}
-		if j == len(b) || b[j].To != e.To {
-			return true
-		}
-	}
-	return false
 }
 
 // walk follows path from the seeds over g and marks the nodes it ends on.

@@ -7,14 +7,17 @@ package dynamic
 //
 // The left inclusion is what lets Matcher re-verify the reach alone; the
 // right one says the reach never leaves the locality bound of Lemma 9.
+// Beside both, the reach seeded from the batch's net edits must equal the
+// reach seeded from a row diff of the touched nodes (rowDiffAffected).
 // TestReachAffectedSound draws random small graphs with hub nodes and
-// random batches; FuzzReachAffected drives the same check from
+// random batches; FuzzReachAffected drives the same checks from
 // FuzzVersionedApply's byte decoder over its fixed host graph.
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -100,7 +103,7 @@ func reachBatch(r *rand.Rand, g *graph.Graph) []graph.Mutation {
 			}
 			n++
 		case 1:
-			ups = append(ups, graph.RemoveNode(graph.NodeID(r.Int31n(int32(n)))))
+			ups = append(ups, graph.Mutation{Op: graph.MutRemoveNode, From: graph.NodeID(r.Int31n(int32(n)))})
 		case 2, 3, 4:
 			v := graph.NodeID(r.Intn(g.NumNodes()))
 			if out := g.Out(v); len(out) > 0 {
@@ -115,9 +118,11 @@ func reachBatch(r *rand.Rand, g *graph.Graph) []graph.Mutation {
 }
 
 // checkReach applies ups to a copy of g and checks the two inclusions for
-// q, through the versioned core and through the rebuild oracle (whose new
-// graph has its own label ids). It reports how many answers flipped and
-// the sizes of the reach and the ball; ok is false for a rejected batch.
+// q, and that the reach seeded from the batch's net edits equals the one
+// rowDiffAffected seeds by comparing rows, over the rebuild oracle's graphs
+// (whose new graph has its own label ids). It reports how many answers
+// flipped and the sizes of the reach and the ball; ok is false for a
+// rejected batch.
 func checkReach(t *testing.T, g *graph.Graph, q *core.Pattern, ups []graph.Mutation) (flips, reach, ball int, ok bool) {
 	t.Helper()
 	vg := graph.NewVersioned(g.Clone())
@@ -127,15 +132,15 @@ func checkReach(t *testing.T, g *graph.Graph, q *core.Pattern, ups []graph.Mutat
 	}
 	ng := vg.Graph()
 	plan := NewReachPlan(q)
-	got := plan.Affected(old, ng, touched)
+	got := plan.Affected(old, ng, old.Edits())
 	bound := AffectedWithin(old, ng, touched, core.RequiredHops(q))
 
 	rebuilt, touchedR, err := Apply(g, ups)
 	if err != nil {
 		t.Fatalf("oracle rejected a batch the versioned core took: %v", err)
 	}
-	if viaRebuilt := plan.Affected(g, rebuilt, touchedR); !reflect.DeepEqual(got, viaRebuilt) {
-		t.Fatalf("reach differs between old views: versioned %v, rebuilt %v (batch %+v)", got, viaRebuilt, ups)
+	if want := rowDiffAffected(plan, g, rebuilt, touchedR); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reach from the edits %v, from the row diff %v (batch %+v)", got, want, ups)
 	}
 
 	in := func(set []graph.NodeID) map[graph.NodeID]bool {
@@ -200,6 +205,52 @@ func TestReachAffectedSound(t *testing.T) {
 			t.Logf("flips=%d reach=%d ball=%d", flips, reach, ball)
 		})
 	}
+}
+
+// rowDiffAffected is the reach plan seeded the long way, the oracle
+// checkReach holds Affected against: every touched node's rows of a rule's
+// label are compared across the batch, and a node that lost an edge seeds
+// the walk over old, one that gained an edge over newG. Labels resolve per
+// graph, so old and newG may have interners of their own.
+func rowDiffAffected(p *ReachPlan, old, newG graph.View, touched []graph.NodeID) []graph.NodeID {
+	dst := make(map[graph.NodeID]bool)
+	for _, v := range touched {
+		if int(v) >= old.NumNodes() && newG.NodeLabelName(v) == p.focus {
+			dst[v] = true
+		}
+	}
+	// missing reports whether some endpoint of run a is absent from run b.
+	missing := func(a, b []graph.Edge) bool {
+		for _, e := range a {
+			if !slices.ContainsFunc(b, func(f graph.Edge) bool { return f.To == e.To }) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, r := range p.rules {
+		lo, ln := old.LookupLabel(r.edge), newG.LookupLabel(r.edge)
+		var lost, gained []graph.NodeID
+		for _, a := range touched {
+			if newG.NodeLabelName(a) != r.src {
+				continue
+			}
+			var was []graph.Edge
+			if int(a) < old.NumNodes() {
+				was = labelRun(old.Out(a), lo)
+			}
+			now := labelRun(newG.Out(a), ln)
+			if missing(was, now) {
+				lost = append(lost, a)
+			}
+			if missing(now, was) {
+				gained = append(gained, a)
+			}
+		}
+		walk(dst, old, lost, r.path)
+		walk(dst, newG, gained, r.path)
+	}
+	return sortedNodeSet(dst)
 }
 
 // TestReachPlanRules pins the compiled form: which changed edges seed a

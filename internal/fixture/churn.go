@@ -3,8 +3,22 @@ package fixture
 import (
 	"math/rand"
 
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
+
+// Patterns generates count patterns over g by gen.Pattern, the i-th with
+// seed cfg.Seed + i·104729.
+func Patterns(g *graph.Graph, cfg gen.PatternConfig, count int) []*core.Pattern {
+	out := make([]*core.Pattern, count)
+	for i := range out {
+		c := cfg
+		c.Seed = cfg.Seed + int64(i)*104729
+		out[i] = gen.Pattern(g, c)
+	}
+	return out
+}
 
 // Churn is a seeded stream of mutation batches over a gen.Social graph,
 // shared by the differentials that hold incrementally repaired state

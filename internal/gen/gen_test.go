@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/match"
@@ -128,7 +129,7 @@ func TestPatternGeneration(t *testing.T) {
 	}
 
 	// Distinct seeds give distinct patterns (almost surely).
-	ps := gen.Patterns(g, cfg, 5)
+	ps := fixture.Patterns(g, cfg, 5)
 	distinct := map[string]bool{}
 	for _, q := range ps {
 		distinct[q.String()] = true
@@ -142,7 +143,7 @@ func TestGeneratedPatternsEvaluate(t *testing.T) {
 	// Generated patterns must evaluate without error, and frequent-feature
 	// seeding should make at least some of them non-empty.
 	g := gen.Social(gen.DefaultSocial(1500, 11))
-	ps := gen.Patterns(g, gen.PatternConfig{Nodes: 4, Edges: 4, RatioBP: 3000, NegEdges: 1, Seed: 5}, 6)
+	ps := fixture.Patterns(g, gen.PatternConfig{Nodes: 4, Edges: 4, RatioBP: 3000, NegEdges: 1, Seed: 5}, 6)
 	nonEmpty := 0
 	for _, p := range ps {
 		res, err := match.QMatch(g, p, nil)

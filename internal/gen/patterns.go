@@ -90,17 +90,6 @@ func Pattern(g *graph.Graph, cfg PatternConfig) *core.Pattern {
 	}
 }
 
-// Patterns generates count patterns with distinct derived seeds.
-func Patterns(g *graph.Graph, cfg PatternConfig, count int) []*core.Pattern {
-	out := make([]*core.Pattern, count)
-	for i := range out {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)*104729
-		out[i] = Pattern(g, c)
-	}
-	return out
-}
-
 func tryPattern(r *rand.Rand, cfg PatternConfig, seeds []Feature, bySrc, byDst map[string][]Feature) *core.Pattern {
 	p := core.NewPattern()
 	// Focus: source label of one of the top seeds (biased to the top).

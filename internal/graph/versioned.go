@@ -69,9 +69,6 @@ func RemoveEdge(from, to NodeID, label string) Mutation {
 	return Mutation{Op: MutRemoveEdge, From: from, To: to, Label: label}
 }
 
-// RemoveNode returns a mutation isolating node v (dropping its edges).
-func RemoveNode(v NodeID) Mutation { return Mutation{Op: MutRemoveNode, From: v} }
-
 func (m Mutation) String() string {
 	switch m.Op {
 	case MutAddNode:
@@ -117,13 +114,11 @@ func CheckBatch(muts []Mutation, numNodes int) (int, error) {
 // (re-)shipping need. *Graph satisfies it directly.
 type View interface {
 	NumNodes() int
-	NumEdges() int
 	NodeLabelName(v NodeID) string
 	LabelName(id LabelID) string
 	LookupLabel(s string) LabelID
 	Out(v NodeID) []Edge
 	In(v NodeID) []Edge
-	HasEdge(from, to NodeID, l LabelID) bool
 }
 
 var (
@@ -361,9 +356,6 @@ func NewVersioned(g *Graph) *Versioned {
 // across Apply calls — the graph mutates in place.
 func (vg *Versioned) Graph() *Graph { return vg.g }
 
-// Version returns the live graph's current version token.
-func (vg *Versioned) Version() Version { return vg.g.version }
-
 // OldView is a read-only handle on the graph as it was immediately
 // before one Apply batch. A row the batch did not edit is the live row;
 // an edited one is rebuilt from the live row and the batch's undo log the
@@ -458,9 +450,6 @@ func (ov *OldView) row(in bool, v NodeID) []Edge {
 // NumNodes returns the pre-batch node count.
 func (ov *OldView) NumNodes() int { ov.check(); return ov.numNodes }
 
-// NumEdges returns the pre-batch edge count.
-func (ov *OldView) NumEdges() int { ov.check(); return ov.numEdges }
-
 // NodeLabelName returns the pre-batch label of v. Node labels are
 // immutable once assigned (tombstones keep theirs), so this delegates.
 func (ov *OldView) NodeLabelName(v NodeID) string { ov.check(); return ov.vg.g.NodeLabelName(v) }
@@ -480,17 +469,6 @@ func (ov *OldView) Out(v NodeID) []Edge { return ov.row(false, v) }
 
 // In returns the pre-batch in-adjacency of v (Edge.To is the source).
 func (ov *OldView) In(v NodeID) []Edge { return ov.row(true, v) }
-
-// HasEdge reports whether (from, to, l) existed before the batch.
-func (ov *OldView) HasEdge(from, to NodeID, l LabelID) bool {
-	ov.check()
-	if int(from) >= ov.numNodes || int(to) >= ov.numNodes {
-		return false
-	}
-	row, e := ov.Out(from), Edge{To: to, Label: l}
-	i := findEdge(row, e)
-	return i < len(row) && row[i] == e
-}
 
 // EdgeEdit is one edge a batch inserted (Added) or removed.
 type EdgeEdit struct {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -304,30 +305,21 @@ func (j *Journal) Close() error {
 	return j.st.Close()
 }
 
-// writeWatchesLocked replaces watches.json atomically (tmp + rename);
-// under Options.Fsync the temp file is synced before the rename, as the
-// store's snapshot write does, so an acknowledged watch change is as
-// durable as an acknowledged batch. The on-disk shape is the v2
-// tenant-grouped manifest; the in-memory map stays flat (global names).
+// writeWatchesLocked replaces watches.json atomically (store.WriteFile);
+// under Options.Fsync the new file is synced before the rename, as the
+// store's snapshot is, so an acknowledged watch change is as durable as an
+// acknowledged batch. The on-disk shape is the v2 tenant-grouped manifest;
+// the in-memory map stays flat (global names).
 func (j *Journal) writeWatchesLocked() error {
 	b, err := encodeWatches(j.watches)
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(j.dir, watchesName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := store.WriteFile(filepath.Join(j.dir, watchesName), j.opts.Fsync, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	}); err != nil {
 		return fmt.Errorf("ha: %w", err)
 	}
-	if _, err = f.Write(b); err == nil && j.opts.Fsync {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("ha: %w", err)
-	}
-	return os.Rename(tmp, path)
+	return nil
 }

@@ -71,28 +71,6 @@ func NewSpawnPool(n int, cfg server.Config) *Pool {
 	return p
 }
 
-// Endpoints returns the number of endpoints in the pool.
-func (p *Pool) Endpoints() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.load)
-}
-
-// Loads returns the current per-endpoint placement load.
-func (p *Pool) Loads() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]int(nil), p.load...)
-}
-
-// ReadLoads returns the current per-endpoint in-flight routed-read
-// counts.
-func (p *Pool) ReadLoads() []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]int(nil), p.reads...)
-}
-
 // Get opens a fresh worker session on the least-loaded endpoint not in
 // avoid, falling back to the least-loaded endpoint overall when avoid
 // covers the whole pool (an embedded pool co-locates by nature; a

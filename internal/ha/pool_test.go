@@ -1,7 +1,6 @@
 package ha
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -10,11 +9,21 @@ import (
 
 // TestSpawnPoolPlacement: Get places sessions on the least-loaded
 // allowed endpoint, falls back to the pool-wide least-loaded one when
-// avoid covers everything, and closing a session returns its weight.
+// avoid covers everything, and closing a session returns its weight —
+// once, however often it is closed. Loads are read where the next
+// session lands.
 func TestSpawnPoolPlacement(t *testing.T) {
 	p := NewSpawnPool(3, server.Config{})
-	if p.Endpoints() != 3 {
-		t.Fatalf("Endpoints = %d", p.Endpoints())
+	lands := func(weight, want int, when string) cluster.Transport {
+		t.Helper()
+		tr, ep, err := p.Get(weight, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ep != want {
+			t.Fatalf("%s: a session of weight %d landed on endpoint %d, want %d", when, weight, ep, want)
+		}
+		return tr
 	}
 	t0, e0, err := p.Get(10, nil)
 	if err != nil {
@@ -39,16 +48,15 @@ func TestSpawnPoolPlacement(t *testing.T) {
 	if e2 != 2 {
 		t.Fatalf("fallback landed on endpoint %d, want 2 (the only empty one)", e2)
 	}
-	if got := p.Loads(); !reflect.DeepEqual(got, []int{10, 10, 5}) {
-		t.Fatalf("Loads = %v, want [10 10 5]", got)
-	}
+	lands(1, 2, "loads [10 10 5]").Close()
 	if err := t0.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	t0.Close() // double close must not double-release
-	if got := p.Loads(); !reflect.DeepEqual(got, []int{0, 10, 5}) {
-		t.Fatalf("Loads after close = %v, want [0 10 5]", got)
-	}
+	// Loads [0 10 5]; a double release would leave endpoint 0 at -10, and
+	// a session of weight 10 there would not lift it above endpoint 2.
+	lands(10, 0, "loads [0 10 5]")
+	lands(1, 2, "loads [10 10 5] after the close")
 	// Pooled sessions report their endpoint to the cluster layer.
 	var ep cluster.Endpointer = t0.(cluster.Endpointer)
 	if ep.Endpoint() != 0 {
@@ -89,11 +97,19 @@ func TestPoolPrimaries(t *testing.T) {
 // TestDialPoolError: a dead endpoint surfaces a dial error and does not
 // leak placement load.
 func TestDialPoolError(t *testing.T) {
-	p := NewDialPool([]string{"127.0.0.1:1"}) // reserved port: nothing listens
+	p := NewDialPool([]string{"127.0.0.1:1", "127.0.0.1:1"}) // reserved port: nothing listens
 	if _, _, err := p.Get(7, nil); err == nil {
 		t.Fatal("dial to a dead endpoint succeeded")
 	}
-	if got := p.Loads(); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("failed Get leaked load: %v", got)
+	// Had the failed Get kept its weight on endpoint 0, the next session
+	// would land on endpoint 1.
+	p.dial = func(int) (cluster.Transport, error) { return cluster.InProcess(server.Config{}), nil }
+	tr, ep, err := p.Get(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if ep != 0 {
+		t.Fatalf("failed Get leaked load: the next session landed on endpoint %d, want 0", ep)
 	}
 }

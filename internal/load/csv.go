@@ -1,9 +1,8 @@
-// Package load reads and writes graphs in common interchange formats:
+// Package load reads graphs in common interchange formats:
 // CSV/TSV edge lists (the format of public datasets such as SNAP's Pokec
 // dump the paper evaluates on) and a JSON property-graph document. Node
 // ids in these formats are arbitrary strings; loaders intern them densely
-// in first-appearance order and return the mapping, so external ids
-// survive a round trip.
+// in first-appearance order and return the mapping.
 package load
 
 import (
@@ -132,34 +131,11 @@ func CSV(r io.Reader, opts CSVOptions) (*Result, error) {
 		// written back, it would read as "\n" and name another node.
 		for _, s := range []string{fromID, toID, label} {
 			if strings.Contains(s, "\r\n") {
-				return nil, fmt.Errorf("load: line %d: %q holds a CR LF pair, which WriteCSV cannot write back", line, s)
+				return nil, fmt.Errorf("load: line %d: %q holds a CR LF pair, which no edge list can hold", line, s)
 			}
 		}
 		res.Graph.AddEdge(intern(fromID, srcLabel), intern(toID, opts.DefaultNodeLabel), label)
 	}
 	res.Graph.Finalize()
 	return res, nil
-}
-
-// WriteCSV writes the graph as a "from,to,label" edge list using the
-// external ids when provided (ids[v] == "" or ids == nil falls back to
-// the numeric id).
-func WriteCSV(w io.Writer, g *graph.Graph, ids []string) error {
-	cw := csv.NewWriter(w)
-	name := func(v graph.NodeID) string {
-		if int(v) < len(ids) && ids[v] != "" {
-			return ids[v]
-		}
-		return fmt.Sprint(int(v))
-	}
-	for vi := 0; vi < g.NumNodes(); vi++ {
-		v := graph.NodeID(vi)
-		for _, e := range g.Out(v) {
-			if err := cw.Write([]string{name(v), name(e.To), g.LabelName(e.Label)}); err != nil {
-				return fmt.Errorf("load: %w", err)
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

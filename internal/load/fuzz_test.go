@@ -25,7 +25,7 @@ func edgeSet(res *Result) []string {
 
 // FuzzCSV: the edge-list reader, with the label column qgpmatch reads, never
 // panics, and an edge list it accepts keeps its edge relation over external
-// ids through WriteCSV and a second read.
+// ids through writeCSV and a second read.
 func FuzzCSV(f *testing.F) {
 	for _, s := range []string{
 		"alice,bob,follow\nbob,carol,follow\nalice,carol,like\n",
@@ -43,7 +43,7 @@ func FuzzCSV(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteCSV(&buf, res.Graph, res.IDs); err != nil {
+		if err := writeCSV(&buf, res.Graph, res.IDs); err != nil {
 			t.Fatalf("write %q: %v", data, err)
 		}
 		again, err := CSV(bytes.NewReader(buf.Bytes()), opts)
@@ -58,7 +58,7 @@ func FuzzCSV(f *testing.F) {
 
 // FuzzJSON: the property-graph reader behind inline load requests never
 // panics, and a document it accepts keeps its nodes — external ids and
-// labels, in order — and its edge relation through WriteJSON and a second
+// labels, in order — and its edge relation through writeJSON and a second
 // read.
 func FuzzJSON(f *testing.F) {
 	for _, s := range []string{
@@ -79,7 +79,7 @@ func FuzzJSON(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteJSON(&buf, res.Graph, res.IDs); err != nil {
+		if err := writeJSON(&buf, res.Graph, res.IDs); err != nil {
 			t.Fatalf("write %q: %v", data, err)
 		}
 		again, err := JSON(bytes.NewReader(buf.Bytes()))

@@ -80,36 +80,3 @@ func FromDocument(doc *JSONGraph) (*Result, error) {
 	res.Graph.Finalize()
 	return res, nil
 }
-
-// ToDocument converts a graph to the JSON document model, using the
-// external ids when provided (falling back to "n<id>").
-func ToDocument(g *graph.Graph, ids []string) *JSONGraph {
-	doc := &JSONGraph{}
-	name := func(v graph.NodeID) string {
-		if int(v) < len(ids) && ids[v] != "" {
-			return ids[v]
-		}
-		return fmt.Sprintf("n%d", int(v))
-	}
-	for vi := 0; vi < g.NumNodes(); vi++ {
-		v := graph.NodeID(vi)
-		doc.Nodes = append(doc.Nodes, JSONNode{ID: name(v), Label: g.NodeLabelName(v)})
-	}
-	for vi := 0; vi < g.NumNodes(); vi++ {
-		v := graph.NodeID(vi)
-		for _, e := range g.Out(v) {
-			doc.Edges = append(doc.Edges, JSONEdge{From: name(v), To: name(e.To), Label: g.LabelName(e.Label)})
-		}
-	}
-	return doc
-}
-
-// WriteJSON writes the graph as an indented JSON document.
-func WriteJSON(w io.Writer, g *graph.Graph, ids []string) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(ToDocument(g, ids)); err != nil {
-		return fmt.Errorf("load: json: %w", err)
-	}
-	return nil
-}

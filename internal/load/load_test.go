@@ -99,7 +99,7 @@ func TestCSVErrors(t *testing.T) {
 func TestCSVRoundTrip(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(50, 2))
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, g, nil); err != nil {
+	if err := writeCSV(&buf, g, nil); err != nil {
 		t.Fatal(err)
 	}
 	res, err := CSV(bytes.NewReader(buf.Bytes()), CSVOptions{LabelCol: 2, DefaultNodeLabel: "node"})
@@ -178,7 +178,7 @@ func TestJSONErrors(t *testing.T) {
 func TestJSONRoundTrip(t *testing.T) {
 	g := gen.Knowledge(gen.DefaultKnowledge(40, 3))
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, g, nil); err != nil {
+	if err := writeJSON(&buf, g, nil); err != nil {
 		t.Fatal(err)
 	}
 	res, err := JSON(bytes.NewReader(buf.Bytes()))

@@ -30,7 +30,7 @@ func TestAnswersIndependentOfOrder(t *testing.T) {
 		patterns func(*graph.Graph, gen.PatternConfig) []*core.Pattern
 	}{
 		{"social", gen.Social(gen.DefaultSocial(200, 5)), func(g *graph.Graph, cfg gen.PatternConfig) []*core.Pattern {
-			return gen.Patterns(g, cfg, 2)
+			return fixture.Patterns(g, cfg, 2)
 		}},
 		{"knowledge", gen.Knowledge(gen.DefaultKnowledge(300, 5)), func(g *graph.Graph, cfg gen.PatternConfig) []*core.Pattern {
 			cfg2 := cfg
@@ -152,7 +152,7 @@ func orderKey(p *core.Pattern, order []int) string {
 // its later end; and runs under those orders answer as QMatch does.
 func TestRankToleratesDegenerateSizes(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(200, 5))
-	pats := gen.Patterns(g, gen.PatternConfig{Nodes: 4, Edges: 4, RatioBP: 3000, Seed: 29}, 10)
+	pats := fixture.Patterns(g, gen.PatternConfig{Nodes: 4, Edges: 4, RatioBP: 3000, Seed: 29}, 10)
 	const huge = 1 << 30
 	bad := []func(u int) int{
 		func(int) int { return 0 },

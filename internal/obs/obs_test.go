@@ -47,7 +47,7 @@ func TestNilSafety(t *testing.T) {
 	trace.Nest(0, "x", time.Now(), 0, []byte(`{}`))
 	trace.Count("n", 1)
 	trace.Attach(1)
-	if trace.Finish(nil) != nil || trace.ID() != 0 {
+	if trace.Finish(nil) != nil || trace.HopID() != 0 {
 		t.Fatal("nil trace id")
 	}
 	if NewTracer(nil, nil) != nil {

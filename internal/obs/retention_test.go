@@ -21,8 +21,8 @@ func TestTraceBufferBounded(t *testing.T) {
 	if b.Len() != 4 {
 		t.Fatalf("Len = %d, want 4 (bounded)", b.Len())
 	}
-	if b.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", b.Total())
+	if b.total != 10 {
+		t.Fatalf("total = %d, want 10", b.total)
 	}
 	recs := b.Snapshot(false, 0)
 	if len(recs) != 4 {
@@ -92,8 +92,8 @@ func TestTraceBufferConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if b.Total() != 400 {
-		t.Fatalf("Total = %d, want 400", b.Total())
+	if b.total != 400 {
+		t.Fatalf("total = %d, want 400", b.total)
 	}
 	if b.Len() != 16 {
 		t.Fatalf("Len = %d, want 16", b.Len())
@@ -136,7 +136,7 @@ func TestTraceRecordJSONDeterministic(t *testing.T) {
 func TestNilTraceBuffer(t *testing.T) {
 	var b *TraceBuffer
 	b.Record(TraceRecord{ID: 1}) // must not panic
-	if b.Len() != 0 || b.Total() != 0 || b.Snapshot(false, 0) != nil {
+	if b.Len() != 0 || b.Snapshot(false, 0) != nil {
 		t.Fatal("nil buffer must be inert")
 	}
 	if NewTracer(nil, nil) != nil {

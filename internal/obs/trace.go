@@ -85,14 +85,6 @@ type Trace struct {
 	attach json.RawMessage
 }
 
-// ID returns the trace's id (0 on nil).
-func (tr *Trace) ID() uint64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.id
-}
-
 // Deep reports whether the trace was opened by Join.
 func (tr *Trace) Deep() bool {
 	return tr != nil && tr.deep
@@ -328,17 +320,6 @@ func (b *TraceBuffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.recs)
-}
-
-// Total returns the number of records ever written (retained or
-// evicted).
-func (b *TraceBuffer) Total() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
 }
 
 // Snapshot returns retained records newest-first. slowOnly keeps only

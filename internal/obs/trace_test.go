@@ -35,8 +35,8 @@ func TestTraceOutput(t *testing.T) {
 
 	tr1 := tracer.Start("match")
 	tr2 := tracer.Start("update")
-	if tr1.ID() == tr2.ID() || tr1.ID() == 0 {
-		t.Fatalf("trace ids must be unique and non-zero: %d, %d", tr1.ID(), tr2.ID())
+	if tr1.id == tr2.id || tr1.id == 0 {
+		t.Fatalf("trace ids must be unique and non-zero: %d, %d", tr1.id, tr2.id)
 	}
 
 	t0 := time.Now()
@@ -81,12 +81,12 @@ func TestTraceNests(t *testing.T) {
 	buf := NewTraceBuffer(4, 0)
 	coord := NewTracer(nil, buf).Start("match")
 
-	worker := (*Tracer)(nil).Join("match", coord.ID())
+	worker := (*Tracer)(nil).Join("match", coord.id)
 	worker.Span(-1, "match.qmatch", time.Now())
 	worker.Count("answers", 3)
 	worker.Attach(map[string]int{"candidates": 7})
 	wrec := worker.Finish(nil)
-	if wrec.ID != coord.ID() || wrec.Counts["answers"] != 3 || string(wrec.Attachment) != `{"candidates":7}` {
+	if wrec.ID != coord.id || wrec.Counts["answers"] != 3 || string(wrec.Attachment) != `{"candidates":7}` {
 		t.Fatalf("worker record %+v", wrec)
 	}
 	raw, err := json.Marshal(wrec)
@@ -114,7 +114,7 @@ func TestTraceNests(t *testing.T) {
 	if child := back.Spans[0].Child; child == nil || !reflect.DeepEqual(*child, *wrec) {
 		t.Fatalf("nested record %+v, want the worker's %+v", child, wrec)
 	}
-	if (*Tracer)(nil).Join("profile", 0).ID() == 0 {
+	if (*Tracer)(nil).Join("profile", 0).HopID() == 0 {
 		t.Fatal("a forced trace without a tracer has no id")
 	}
 }

@@ -18,11 +18,12 @@ import (
 type Config struct {
 	Workers int
 	D       int // hop radius to preserve (the paper's d; queries need radius ≤ d)
-	// BalanceC is the fragment capacity multiplier c: each fragment's
-	// size (nodes + edges, counting loaded neighborhoods) is capped at
-	// c·|G|/n during the knapsack phase. Default 2.5.
-	BalanceC float64
 }
+
+// balanceC is the fragment capacity multiplier c: each fragment's size
+// (nodes + edges, counting loaded neighborhoods) is capped at c·|G|/n
+// during the knapsack phase.
+const balanceC = 2.5
 
 // Fragment is the data one worker manages: the nodes materialized at the
 // worker (base chunk plus loaded neighborhoods) and the nodes it owns —
@@ -55,20 +56,17 @@ type Partition struct {
 //     fragment, so the partition is complete; each fragment then loads
 //     its chunk plus the neighborhoods it was assigned in one BFS.
 func DPar(g *graph.Graph, cfg Config) (*Partition, error) {
-	return dpar(g, cfg, newBlockBFS(g.NumNodes()))
+	return dpar(g, cfg, balanceC, newBlockBFS(g.NumNodes()))
 }
 
-// dpar is DPar sizing border neighborhoods with k, a kernel over g's
-// nodes that the tests read back.
-func dpar(g *graph.Graph, cfg Config, k *blockBFS) (*Partition, error) {
+// dpar is DPar with capacity multiplier c, sizing border neighborhoods
+// with k, a kernel over g's nodes that the tests read back.
+func dpar(g *graph.Graph, cfg Config, c float64, k *blockBFS) (*Partition, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("partition: need at least 1 worker, got %d", cfg.Workers)
 	}
 	if cfg.D < 0 {
 		return nil, fmt.Errorf("partition: negative hop radius %d", cfg.D)
-	}
-	if cfg.BalanceC == 0 {
-		cfg.BalanceC = 2.5
 	}
 	n := cfg.Workers
 	p := &Partition{G: g, D: cfg.D, Fragments: make([]*Fragment, n)}
@@ -110,7 +108,7 @@ func dpar(g *graph.Graph, cfg Config, k *blockBFS) (*Partition, error) {
 	}
 
 	// (3) Balanced neighborhood loading via MKP.
-	capTotal := int(cfg.BalanceC * float64(g.Size()) / float64(n))
+	capTotal := int(c * float64(g.Size()) / float64(n))
 	loads := make([]int, n) // base chunk sizes, then plus what each bin is given
 	for v, h := range home {
 		loads[h]++

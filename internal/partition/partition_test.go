@@ -220,11 +220,9 @@ func TestSkewOfIgnoresEmptyFragments(t *testing.T) {
 // one BFS and one induced-edge scan per border node, every Nd(v) stored,
 // one membership set per fragment — kept as the oracle DPar must equal field
 // by field. It also returns the adjacency slots its per-node sizing read,
-// the unit the block kernel's cost is compared in.
-func referenceDPar(g *graph.Graph, cfg Config) (*Partition, int) {
-	if cfg.BalanceC == 0 {
-		cfg.BalanceC = 2.5
-	}
+// the unit the block kernel's cost is compared in. c is the capacity
+// multiplier, as for dpar.
+func referenceDPar(g *graph.Graph, cfg Config, c float64) (*Partition, int) {
 	n := cfg.Workers
 	p := &Partition{G: g, D: cfg.D, Fragments: make([]*Fragment, n)}
 	for i := range p.Fragments {
@@ -309,7 +307,7 @@ func referenceDPar(g *graph.Graph, cfg Config) (*Partition, int) {
 		}
 		return size
 	}
-	capTotal := int(cfg.BalanceC * float64(g.Size()) / float64(n))
+	capTotal := int(c * float64(g.Size()) / float64(n))
 	caps := make([]int, n)
 	loads := make([]int, n)
 	for i := range caps {
@@ -375,16 +373,16 @@ func bordersOf(g *graph.Graph, workers, d int) []graph.NodeID {
 	return borders
 }
 
-// equalToReference runs DPar against the reference and returns the
-// kernel that sized its border neighborhoods.
-func equalToReference(t *testing.T, what string, g *graph.Graph, cfg Config) *blockBFS {
+// equalToReference runs DPar with capacity multiplier c against the
+// reference and returns the kernel that sized its border neighborhoods.
+func equalToReference(t *testing.T, what string, g *graph.Graph, cfg Config, c float64) *blockBFS {
 	t.Helper()
 	k := newBlockBFS(g.NumNodes())
-	got, err := dpar(g, cfg, k)
+	got, err := dpar(g, cfg, c, k)
 	if err != nil {
 		t.Fatalf("%s: DPar: %v", what, err)
 	}
-	want, _ := referenceDPar(g, cfg)
+	want, _ := referenceDPar(g, cfg, c)
 	for i, w := range want.Fragments {
 		f := got.Fragments[i]
 		if !slices.Equal(f.Nodes, w.Nodes) || !slices.Equal(f.Owned, w.Owned) || f.Size != w.Size || f.Work != w.Work {
@@ -437,14 +435,14 @@ func TestDParEqualsReferenceSweep(t *testing.T) {
 	for seed := 0; seed < graphs; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		g := sweepGraph(r)
-		cfg := Config{Workers: 1 + r.Intn(6), D: r.Intn(4)}
+		cfg, c := Config{Workers: 1 + r.Intn(6), D: r.Intn(4)}, float64(balanceC)
 		if r.Intn(2) == 0 {
 			// Caps at or under the base chunks: the knapsack places little
 			// and completion most.
-			cfg.BalanceC = 0.2 + r.Float64()
+			c = 0.2 + r.Float64()
 			completed++
 		}
-		k := equalToReference(t, fmt.Sprintf("seed %d (|V|=%d |E|=%d %+v)", seed, g.NumNodes(), g.NumEdges(), cfg), g, cfg)
+		k := equalToReference(t, fmt.Sprintf("seed %d (|V|=%d |E|=%d %+v c=%.3f)", seed, g.NumNodes(), g.NumEdges(), cfg, c), g, cfg, c)
 		pushed += k.pushed
 		pulled += k.pulled
 	}
@@ -467,7 +465,7 @@ func TestDParEqualsReferenceBenchmarkShapes(t *testing.T) {
 	for _, persons := range []int{4000, 6000} {
 		g := gen.Social(gen.DefaultSocial(persons, 1))
 		for _, workers := range []int{2, 4} {
-			equalToReference(t, fmt.Sprintf("persons=%d workers=%d", persons, workers), g, Config{Workers: workers, D: 2})
+			equalToReference(t, fmt.Sprintf("persons=%d workers=%d", persons, workers), g, Config{Workers: workers, D: 2}, balanceC)
 		}
 	}
 }
@@ -517,7 +515,7 @@ func TestBlockEdges(t *testing.T) {
 		if got := len(bordersOf(g, 2, c.d)); got != c.borders {
 			t.Fatalf("path n=%d d=%d has %d border nodes, want %d", c.n, c.d, got, c.borders)
 		}
-		equalToReference(t, fmt.Sprintf("path n=%d d=%d", c.n, c.d), g, cfg)
+		equalToReference(t, fmt.Sprintf("path n=%d d=%d", c.n, c.d), g, cfg, balanceC)
 	}
 }
 
@@ -621,7 +619,7 @@ func TestBlockKernelEdgeVisits(t *testing.T) {
 		g := s.g()
 		for _, d := range []int{1, 2, 3} {
 			cfg := Config{Workers: 4, D: d}
-			_, ref := referenceDPar(g, cfg)
+			_, ref := referenceDPar(g, cfg, balanceC)
 			borders := bordersOf(g, cfg.Workers, d)
 			k := newBlockBFS(g.NumNodes())
 			k.sizeAll(g, borders, d)
@@ -654,7 +652,7 @@ func BenchmarkDPar(b *testing.B) {
 		})
 		b.Run(s.name+"/reference", func(b *testing.B) {
 			for b.Loop() {
-				sinkPartition, _ = referenceDPar(g, Config{Workers: 4, D: 2})
+				sinkPartition, _ = referenceDPar(g, Config{Workers: 4, D: 2}, balanceC)
 			}
 		})
 	}

@@ -30,7 +30,6 @@ import (
 // Expr is a parsed path expression.
 type Expr struct {
 	root node
-	src  string
 }
 
 // node is the expression AST.
@@ -64,9 +63,6 @@ func (n starNode) String() string { return n.inner.String() + "*" }
 func (n plusNode) String() string { return n.inner.String() + "+" }
 func (n optNode) String() string  { return n.inner.String() + "?" }
 
-// String returns the original expression source.
-func (e *Expr) String() string { return e.src }
-
 // Parse parses a path expression.
 func Parse(src string) (*Expr, error) {
 	p := &parser{src: src}
@@ -78,7 +74,7 @@ func Parse(src string) (*Expr, error) {
 	if p.pos != len(p.src) {
 		return nil, fmt.Errorf("rpq: unexpected %q at offset %d", p.src[p.pos], p.pos)
 	}
-	return &Expr{root: root, src: src}, nil
+	return &Expr{root: root}, nil
 }
 
 // MustParse is Parse for static expressions; it panics on error.

@@ -46,7 +46,7 @@ func (w *warmSession) load(c *client.Client) {
 	}
 	var err error
 	if w.owned != nil {
-		_, _, err = c.Fragment(text.String(), w.owned)
+		_, err = c.Do(&server.Request{Cmd: "fragment", Data: text.String(), Owned: w.owned})
 	} else {
 		_, _, err = c.LoadText(text.String())
 	}

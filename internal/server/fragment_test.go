@@ -40,12 +40,12 @@ const fragPattern = "qgp\nn xo person *\nn z person\ne xo z follow >=2\n"
 // only for the owned focus candidates — for none when nothing is owned.
 func TestFragmentRestrictsAnswers(t *testing.T) {
 	c, _ := startServer(t, server.Config{})
-	nodes, edges, err := c.Fragment(fragGraph, []int64{0, 2})
+	fresp, err := c.Do(&server.Request{Cmd: "fragment", Data: fragGraph, Owned: server.IDList{0, 2}})
 	if err != nil {
 		t.Fatalf("fragment: %v", err)
 	}
-	if nodes != 5 || edges != 5 {
-		t.Fatalf("fragment loaded %d/%d, want 5/5", nodes, edges)
+	if fresp.Nodes != 5 || fresp.Edges != 5 {
+		t.Fatalf("fragment loaded %d/%d, want 5/5", fresp.Nodes, fresp.Edges)
 	}
 	// Unrestricted, both 0 and 1 match; this session owns only 0 and 2.
 	resp, err := c.Match(fragPattern, nil)
@@ -91,7 +91,7 @@ func TestFragmentRestrictsAnswers(t *testing.T) {
 
 	// A fragment that materialises nodes and owns none answers nothing, on
 	// every path that evaluates a pattern (unrestricted, 1 still matches).
-	if _, _, err := c.Fragment(fragGraph, []int64{}); err != nil {
+	if _, err := c.Do(&server.Request{Cmd: "fragment", Data: fragGraph, Owned: []int64{}}); err != nil {
 		t.Fatalf("fragment owning nothing: %v", err)
 	}
 	asks := []struct {
@@ -210,11 +210,11 @@ func TestFragmentValidation(t *testing.T) {
 	if _, err := assign(c, 0); err == nil {
 		t.Fatal("assign without fragment succeeded")
 	}
-	if _, _, err := c.Fragment(fragGraph, []int64{99}); err == nil {
+	if _, err := c.Do(&server.Request{Cmd: "fragment", Data: fragGraph, Owned: []int64{99}}); err == nil {
 		t.Fatal("fragment accepted an out-of-range owned id")
 	}
 	// A fresh gen clears fragment mode: match is unrestricted again.
-	if _, _, err := c.Fragment(fragGraph, []int64{0}); err != nil {
+	if _, err := c.Do(&server.Request{Cmd: "fragment", Data: fragGraph, Owned: []int64{0}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.Gen("social", 50, 1); err != nil {

@@ -240,10 +240,11 @@ func TestMetricsWireMatchesHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wireDoc, err := c.Metrics()
+	resp, err := c.Do(&server.Request{Cmd: "metrics"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wireDoc := resp.Obs
 	if !bytes.Equal(bytes.TrimSpace(httpDoc), bytes.TrimSpace(wireDoc)) {
 		t.Fatalf("wire and HTTP snapshots differ:\nHTTP: %s\nwire: %s", httpDoc, wireDoc)
 	}

@@ -80,7 +80,7 @@ e 3 1 follow
 
 func TestPingAndErrors(t *testing.T) {
 	c, _ := startServer(t, server.Config{})
-	if err := c.Ping(); err != nil {
+	if _, err := c.Do(&server.Request{Cmd: "ping"}); err != nil {
 		t.Fatal(err)
 	}
 	// Querying before loading a graph is a command error, not a
@@ -95,7 +95,7 @@ func TestPingAndErrors(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	// The connection survives errors.
-	if err := c.Ping(); err != nil {
+	if _, err := c.Do(&server.Request{Cmd: "ping"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,14 +136,14 @@ func TestLoadJSONAndBadInputs(t *testing.T) {
 	c, _ := startServer(t, server.Config{})
 	doc := `{"nodes":[{"id":"a","label":"Person"},{"id":"b","label":"Person"}],
 	         "edges":[{"from":"a","to":"b","label":"follow"}]}`
-	nodes, edges, err := c.LoadJSON(doc)
+	resp, err := c.Do(&server.Request{Cmd: "load", Format: "json", Data: doc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nodes != 2 || edges != 1 {
-		t.Fatalf("loaded %d/%d", nodes, edges)
+	if resp.Nodes != 2 || resp.Edges != 1 {
+		t.Fatalf("loaded %d/%d", resp.Nodes, resp.Edges)
 	}
-	if _, _, err := c.LoadJSON(`{"nodes": [}`); err == nil {
+	if _, err := c.Do(&server.Request{Cmd: "load", Format: "json", Data: `{"nodes": [}`}); err == nil {
 		t.Error("bad JSON accepted")
 	}
 	if _, _, err := c.LoadText("not a graph"); err == nil {
@@ -509,7 +509,7 @@ func TestShutdownClosesConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Ping(); err != nil {
+	if _, err := c.Do(&server.Request{Cmd: "ping"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -518,7 +518,7 @@ func TestShutdownClosesConnections(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Ping(); err == nil {
+	if _, err := c.Do(&server.Request{Cmd: "ping"}); err == nil {
 		t.Error("ping succeeded after shutdown")
 	}
 	// Serving again after shutdown refuses.

@@ -133,7 +133,7 @@ func repairPatterns(t testing.TB, g *graph.Graph) []*repaired {
 		{Nodes: 4, Edges: 6, RatioBP: 3000, NegEdges: 1, Seed: 2},
 		{Nodes: 5, Edges: 7, RatioBP: 9000, Seed: 4},
 	} {
-		for i, p := range gen.Patterns(g, cfg, 4) {
+		for i, p := range fixture.Patterns(g, cfg, 4) {
 			pi, _ := p.Pi()
 			out = append(out, newRepaired(fmt.Sprintf("gen%d.%d", cfg.Seed, i), g, pi))
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/core"
+	"repro/internal/fixture"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/simulation"
@@ -139,7 +140,7 @@ func TestWorklistEqualsSweepOnGeneratedPatterns(t *testing.T) {
 		{Nodes: 5, Edges: 8, RatioBP: 6000, NegEdges: 1, Seed: 3},
 		{Nodes: 5, Edges: 7, RatioBP: 9000, Seed: 4},
 	} {
-		for i, p := range gen.Patterns(g, cfg, 12) {
+		for i, p := range fixture.Patterns(g, cfg, 12) {
 			if cyclic(p) {
 				cycles++
 			}

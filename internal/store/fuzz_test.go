@@ -26,7 +26,7 @@ func FuzzOpen(f *testing.F) {
 		graph.AddNode("A"), graph.AddNode("B"), graph.AddNode("C"),
 		graph.AddEdge(0, 1, "x"), graph.AddEdge(1, 2, "y"), graph.AddEdge(2, 0, "z"),
 		graph.RemoveEdge(0, 1, "x"), graph.AddNode("D"), graph.AddEdge(3, 0, "w"),
-		graph.RemoveNode(2),
+		graph.Mutation{Op: graph.MutRemoveNode, From: 2},
 	}
 	empty := new(bytes.Buffer)
 	g := graph.New(0)

@@ -26,8 +26,8 @@ var goldenBatch = []graph.Mutation{
 	graph.AddNode("persön"),
 	graph.AddEdge(0, math.MaxInt32, "föllow→"),
 	graph.RemoveEdge(math.MaxInt32, 0, "föllow→"),
-	graph.RemoveNode(math.MaxInt32),
-	graph.RemoveNode(0),
+	graph.Mutation{Op: graph.MutRemoveNode, From: math.MaxInt32},
+	graph.Mutation{Op: graph.MutRemoveNode, From: 0},
 }
 
 func TestJournalRecordGolden(t *testing.T) {

@@ -92,8 +92,9 @@ func decodePayload(payload []byte) (seq uint64, m graph.Mutation, err error) {
 	return seq, m, nil
 }
 
-// journalFile is what a journalWriter needs of its file; *os.File has it.
-type journalFile interface {
+// storeFile is what the store needs of a file it writes: the journal, and
+// the temporary file WriteFile renames into place. *os.File has it.
+type storeFile interface {
 	io.Writer
 	io.Seeker
 	Sync() error
@@ -105,7 +106,7 @@ type journalFile interface {
 // file's length: learnt when the file is created or opened, advanced by
 // every append, so nobody has to ask the file system per batch.
 type journalWriter struct {
-	f     journalFile
+	f     storeFile
 	buf   []byte
 	size  int64
 	fsync bool

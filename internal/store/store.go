@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -227,28 +228,18 @@ func (s *Store) snapshotLocked(g *graph.Graph) error {
 // it, and removes superseded snapshots.
 func (s *Store) writeSnapshotLocked(g *graph.Graph, seq uint64) error {
 	name := fmt.Sprintf("snapshot-%d.qg", seq)
-	tmp := filepath.Join(s.dir, name+".tmp")
-	f, err := os.Create(tmp)
+	if err := WriteFile(filepath.Join(s.dir, name), true, g.WriteBinary); err != nil {
+		return fmt.Errorf("store: snapshot write: %w", err)
+	}
+	b, err := json.Marshal(manifest{Snapshot: name, Seq: seq})
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := g.WriteBinary(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("store: snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, name)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := writeManifest(filepath.Join(s.dir, manifestName), manifest{Snapshot: name, Seq: seq}); err != nil {
+	if err := WriteFile(filepath.Join(s.dir, manifestName), true, func(w io.Writer) error {
+		_, err := w.Write(b)
 		return err
+	}); err != nil {
+		return fmt.Errorf("store: manifest write: %w", err)
 	}
 	s.snapSeq, s.nodes = seq, g.NumNodes()
 	// Best-effort cleanup of superseded snapshots.
@@ -294,13 +285,17 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.jw != nil {
-		if s.opts.Fsync {
-			s.jw.f.Sync()
-		}
-		return s.jw.Close()
+	if s.jw == nil {
+		return nil
 	}
-	return nil
+	var err error
+	if s.opts.Fsync {
+		err = s.jw.f.Sync()
+	}
+	if cerr := s.jw.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func loadSnapshot(path string) (*graph.Graph, error) {
@@ -331,14 +326,33 @@ func readManifest(path string) (manifest, error) {
 	return m, nil
 }
 
-func writeManifest(path string, m manifest) error {
-	b, err := json.Marshal(m)
+// createFile creates the temporary file WriteFile writes; tests replace
+// it to inject faults.
+var createFile = func(name string) (storeFile, error) { return os.Create(name) }
+
+// WriteFile replaces the file at path with what write writes, by way of
+// path+".tmp": it writes the temporary file, syncs it when sync is set,
+// closes it and renames it over path. With sync set a crash leaves the old
+// file or the whole new one, never a torn or empty one. On failure the
+// temporary file is removed and path is untouched.
+func WriteFile(path string, sync bool, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := createFile(tmp)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return fmt.Errorf("store: %w", err)
+	err = write(f)
+	if err == nil && sync {
+		err = f.Sync()
 	}
-	return os.Rename(tmp, path)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }

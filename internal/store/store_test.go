@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -99,7 +100,7 @@ func TestRemoveEdgeAndNode(t *testing.T) {
 	h.mustApply(t, graph.RemoveEdge(0, 1, "x"))
 	// Removing an absent edge is a no-op.
 	h.mustApply(t, graph.RemoveEdge(0, 1, "x"))
-	h.mustApply(t, graph.RemoveNode(2))
+	h.mustApply(t, graph.Mutation{Op: graph.MutRemoveNode, From: 2})
 	h.Close()
 
 	g := openT(t, dir).g()
@@ -124,7 +125,7 @@ func TestApplyValidation(t *testing.T) {
 	size, _ := h.JournalBytes()
 	for _, bad := range [][]graph.Mutation{
 		{{Op: 99}},
-		{graph.RemoveNode(7)},
+		{graph.Mutation{Op: graph.MutRemoveNode, From: 7}},
 		{graph.AddEdge(1, 2, "x")},
 	} {
 		if err := h.Append(bad...); err == nil {
@@ -220,6 +221,50 @@ func TestFailedJournalRewriteKeepsAppending(t *testing.T) {
 	}
 	if rec := h2.Recovery(); rec.Applied != 2 || rec.SkippedOld != 3 || rec.TornTail {
 		t.Errorf("recovery = %+v, want the 3 folded records skipped and 2 applied", rec)
+	}
+}
+
+// TestManifestSyncFailureKeepsCommit: CURRENT is the commit point, so its
+// new content is synced before the rename that commits it. A sync that
+// fails fails the snapshot and renames nothing: CURRENT still names the
+// previous snapshot, no temporary file is left, and a reopen recovers
+// every record from that snapshot and the journal.
+func TestManifestSyncFailureKeepsCommit(t *testing.T) {
+	dir := t.TempDir()
+	h := openT(t, dir)
+	h.mustApply(t, graph.AddNode("A"), graph.AddNode("B"))
+	if err := h.compact(); err != nil {
+		t.Fatal(err)
+	}
+	committed, err := readManifest(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.mustApply(t, graph.AddEdge(0, 1, "x"))
+
+	create := createFile
+	t.Cleanup(func() { createFile = create })
+	createFile = func(name string) (storeFile, error) {
+		f, err := create(name)
+		if err != nil || filepath.Base(name) != manifestName+".tmp" {
+			return f, err
+		}
+		return &faultyFile{storeFile: f, failSync: true}, nil
+	}
+	if err := h.compact(); err == nil || !strings.Contains(err.Error(), "injected: fsync failed") {
+		t.Fatalf("snapshot with a failing manifest sync: %v, want the injected error", err)
+	}
+	createFile = create
+	if m, err := readManifest(filepath.Join(dir, manifestName)); err != nil || m != committed {
+		t.Fatalf("CURRENT after the failed snapshot: %+v (%v), want %+v", m, err, committed)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestName+".tmp")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the manifest's temporary file is left behind: %v", err)
+	}
+	want := h.g()
+	h.Close()
+	if g := openT(t, dir).g(); !graphsEqual(g, want) {
+		t.Fatalf("reopened %d/%d, want %d/%d", g.NumNodes(), g.NumEdges(), want.NumNodes(), want.NumEdges())
 	}
 }
 
@@ -319,17 +364,17 @@ func TestJournalBytesTracksTheFile(t *testing.T) {
 // faultyFile is a journal file that fails on request, once per request:
 // a write that stops halfway, an fsync after a full write, a truncate.
 type faultyFile struct {
-	journalFile
+	storeFile
 	tornWrite, failSync, failTruncate bool
 }
 
 func (f *faultyFile) Write(p []byte) (int, error) {
 	if f.tornWrite {
 		f.tornWrite = false
-		n, _ := f.journalFile.Write(p[:len(p)/2])
+		n, _ := f.storeFile.Write(p[:len(p)/2])
 		return n, errors.New("injected: disk full")
 	}
-	return f.journalFile.Write(p)
+	return f.storeFile.Write(p)
 }
 
 func (f *faultyFile) Sync() error {
@@ -337,7 +382,7 @@ func (f *faultyFile) Sync() error {
 		f.failSync = false
 		return errors.New("injected: fsync failed")
 	}
-	return f.journalFile.Sync()
+	return f.storeFile.Sync()
 }
 
 func (f *faultyFile) Truncate(size int64) error {
@@ -345,7 +390,7 @@ func (f *faultyFile) Truncate(size int64) error {
 		f.failTruncate = false
 		return errors.New("injected: truncate failed")
 	}
-	return f.journalFile.Truncate(size)
+	return f.storeFile.Truncate(size)
 }
 
 // TestFailedAppendLeavesNoBytes: a batch whose append failed — a write that
@@ -375,7 +420,7 @@ func TestFailedAppendLeavesNoBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fault := &faultyFile{journalFile: s.jw.f}
+		fault := &faultyFile{storeFile: s.jw.f}
 		s.jw.f = fault
 		for i, name := range names {
 			fault.tornWrite, fault.failSync = i == 1, i == 3
@@ -397,7 +442,7 @@ func TestFailedAppendLeavesNoBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.jw.f = &faultyFile{journalFile: s.jw.f, tornWrite: true, failTruncate: true}
+	s.jw.f = &faultyFile{storeFile: s.jw.f, tornWrite: true, failTruncate: true}
 	for _, name := range []string{"k", "l"} {
 		if err := s.Append(graph.AddNode(name)); err == nil {
 			t.Fatalf("append %s accepted after a failed append stayed in the journal", name)
@@ -535,7 +580,7 @@ func TestRandomizedModelEquivalence(t *testing.T) {
 			delete(model.edges, edgeKey{f, to, l})
 		case op < 9: // remove node (isolate)
 			v := graph.NodeID(r.Intn(len(model.labels)))
-			h.mustApply(t, graph.RemoveNode(v))
+			h.mustApply(t, graph.Mutation{Op: graph.MutRemoveNode, From: v})
 			for k := range model.edges {
 				if k.from == v || k.to == v {
 					delete(model.edges, k)

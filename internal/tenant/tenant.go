@@ -584,22 +584,6 @@ func (m *Manager) NoteRead(tenant string) {
 	}
 }
 
-// Watches returns the tenant's local watch names, sorted.
-func (m *Manager) Watches(tenant string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st, ok := m.tenants[tenant]
-	if !ok {
-		return nil
-	}
-	names := make([]string, 0, len(st.watches))
-	for w := range st.watches {
-		names = append(names, w)
-	}
-	slices.Sort(names)
-	return names
-}
-
 // List describes the live sessions, sorted by name.
 func (m *Manager) List() []server.TenantInfo {
 	now := m.now()

@@ -97,6 +97,23 @@ func (r *fakeRegistrar) names() []string {
 	return out
 }
 
+// watchNames returns the tenant's local watch names, sorted; nil when the
+// tenant has no session.
+func watchNames(m *Manager, tenant string) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st, ok := m.tenants[tenant]
+	if !ok {
+		return nil
+	}
+	names := make([]string, 0, len(st.watches))
+	for w := range st.watches {
+		names = append(names, w)
+	}
+	sort.Strings(names)
+	return names
+}
+
 func testPattern(t *testing.T) *core.Pattern {
 	t.Helper()
 	q, err := core.Parse("qgp\nn xo person *\nn z person\ne xo z follow >=2\n")
@@ -309,7 +326,7 @@ func TestEvictSparesReattachedSession(t *testing.T) {
 	if m.evict(name, true) { // conn1's deferred eviction stands down
 		t.Fatal("conditional eviction removed a re-attached session")
 	}
-	if got := m.Watches(name); !reflect.DeepEqual(got, []string{"w"}) {
+	if got := watchNames(m, name); !reflect.DeepEqual(got, []string{"w"}) {
 		t.Fatalf("re-attached session lost its watches: %v", got)
 	}
 	if len(reg.unwatched) != 0 {
@@ -317,7 +334,7 @@ func TestEvictSparesReattachedSession(t *testing.T) {
 	}
 	// The explicit Evict (endsession) is unconditional, as before.
 	m.Evict(name)
-	if got := m.Watches(name); got != nil {
+	if got := watchNames(m, name); got != nil {
 		t.Fatalf("explicit Evict left the session: %v", got)
 	}
 }
@@ -361,13 +378,13 @@ func TestRestoreAndReset(t *testing.T) {
 	if len(infos) != 1 || infos[0].Name != "alice" || infos[0].Watches != 1 {
 		t.Fatalf("restored sessions: %+v", infos)
 	}
-	if ws := m.Watches("alice"); !reflect.DeepEqual(ws, []string{"w"}) {
+	if ws := watchNames(m, "alice"); !reflect.DeepEqual(ws, []string{"w"}) {
 		t.Fatalf("restored watches: %q", ws)
 	}
 	// Restored sessions have no connections: they idle-evict eventually,
 	// but survive a Reset (graph rebuild) with cleared namespaces.
 	m.Reset()
-	if ws := m.Watches("alice"); len(ws) != 0 {
+	if ws := watchNames(m, "alice"); len(ws) != 0 {
 		t.Fatalf("watch table survived reset: %q", ws)
 	}
 }
