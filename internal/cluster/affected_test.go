@@ -78,11 +78,11 @@ func TestAffectedSizeIsWorkersJudged(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
-			old, touched, err := vg.Apply(muts)
+			old, _, err := vg.Apply(muts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			deltas, err := eng.Apply(old, vg.Graph(), touched, nil)
+			deltas, err := eng.Apply(old, vg.Graph(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -368,7 +368,7 @@ func TestPromotedReplicaAdvancesOlderBounds(t *testing.T) {
 	}
 	persons := ref.NodesByLabelName("person")
 	// Small batches: what they touch must stay within the |V|/8 ids a
-	// worker session logs, or the replicas would rebuild instead.
+	// worker's graph logs, or the replicas would rebuild instead.
 	for round := 0; round < 4; round++ {
 		a, b := persons[7*round], persons[7*round+3]
 		specs := []server.UpdateSpec{

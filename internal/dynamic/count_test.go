@@ -89,11 +89,11 @@ func TestCountsFollowChurn(t *testing.T) {
 			flips, lateFlips := 0, 0
 			for round := 0; round < 160; round++ {
 				ups := churn.Next(vg.Graph())
-				old, touched, err := vg.Apply(ups)
+				old, _, err := vg.Apply(ups)
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
-				deltas, err := e.Apply(old, vg.Graph(), touched, nil)
+				deltas, err := e.Apply(old, vg.Graph(), nil)
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}

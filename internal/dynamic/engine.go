@@ -141,9 +141,9 @@ func (e *Engine) Unwatch(name string) error {
 	return nil
 }
 
-// Apply maintains every group for a batch the caller already applied (old,
-// newG and touched as for Matcher.ApplyShared) and returns one delta per
-// name, ascending. The batch's edits are read once for all groups; each
+// Apply maintains every group for a batch the caller already applied (old
+// and newG as for Matcher.ApplyShared) and returns one delta per name,
+// ascending. The batch's edits are read once for all groups; each
 // group then re-judges the owned candidates Matcher.candidates names. A
 // fragment's engine needs nothing else: its graph holds every owned
 // candidate's neighbourhood, so its own walk finds what the batch can flip.
@@ -151,14 +151,13 @@ func (e *Engine) Unwatch(name string) error {
 // dynamic.affected (finding the candidates) and dynamic.verify
 // (re-judging them). The returned slice is the engine's, good until its
 // next Apply or Assign; the deltas' node lists are the caller's.
-func (e *Engine) Apply(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID, tr *obs.Trace) ([]NamedDelta, error) {
+func (e *Engine) Apply(old *graph.OldView, newG *graph.Graph, tr *obs.Trace) ([]NamedDelta, error) {
 	e.g = newG
-	e.noteBatch(touched)
 	var edits []graph.EdgeEdit
 	if len(e.byName) > 0 {
 		edits = old.Edits()
 	}
-	return e.run(func(m *Matcher) []graph.NodeID { return m.candidates(old, newG, touched, edits) }, tr)
+	return e.run(func(m *Matcher) []graph.NodeID { return m.candidates(old, newG, edits) }, tr)
 }
 
 // Assign extends a fragment engine's owned set and returns, per name, the

@@ -107,7 +107,7 @@ func TestEngineSharesEvaluation(t *testing.T) {
 					t.Fatal(err)
 				}
 				tr := (*obs.Tracer)(nil).Join("update", 0)
-				deltas, err := e.Apply(old, vg.Graph(), touched, tr)
+				deltas, err := e.Apply(old, vg.Graph(), tr)
 				if err != nil {
 					t.Fatal(err)
 				}

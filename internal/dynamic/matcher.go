@@ -20,8 +20,8 @@ import (
 type Matcher struct {
 	// bound is the pattern bound to the graph when it re-verifies by a
 	// search, held by the matcher's maker: the initial evaluation builds
-	// its sets, each batch advances them by its touched nodes, and every
-	// search is a QMatch Run of it. Nil when counts is not.
+	// its sets, and every search is a QMatch Run of it, which advances it
+	// over the batches since the last. Nil when counts is not.
 	bound *match.Bound
 	plan  *ReachPlan
 	// counts holds Π(Q), then Π(Q+e) per negated edge, when all of them are
@@ -127,25 +127,24 @@ func (m *Matcher) Answers() []graph.NodeID {
 }
 
 // ApplyShared maintains the answers for a batch the caller already
-// applied: old, newG and touched are Versioned.Apply's pre-batch view, live
-// graph and touched set, and the matcher must have seen every earlier
-// batch. newG is the graph the matcher was made over: a Versioned's live
-// graph, which every batch edits in place. A holder of several matchers
-// over one graph (a server session with many standing watches) applies the
-// batch once and shares the result, instead of applying it per watch.
+// applied: old and newG are Versioned.Apply's pre-batch view and live
+// graph, and the matcher must have seen every earlier batch. newG is the
+// graph the matcher was made over: a Versioned's live graph, which every
+// batch edits in place. A holder of several matchers over one graph (a
+// server session with many standing watches) applies the batch once and
+// shares the result, instead of applying it per watch. touched is unread:
+// benchmark/ passes it; drop after ROADMAP 1(a).
 func (m *Matcher) ApplyShared(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID) (Delta, error) {
-	return m.verify(newG, m.candidates(old, newG, touched, old.Edits()))
+	return m.verify(newG, m.candidates(old, newG, old.Edits()))
 }
 
 // candidates returns the owned focus candidates a batch can have flipped,
 // ascending, in a slice that is good until the next call. A counted pattern
 // carries its counts over the batch's net edits (old.Edits(), which a
 // holder of several matchers reads once for all of them) and names what
-// they re-judged; any other carries its Bound's sets over touched and walks
-// its reach plan from the same edits.
-func (m *Matcher) candidates(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID, edits []graph.EdgeEdit) []graph.NodeID {
+// they re-judged; any other walks its reach plan from the same edits.
+func (m *Matcher) candidates(old *graph.OldView, newG *graph.Graph, edits []graph.EdgeEdit) []graph.NodeID {
 	if m.counts == nil {
-		m.bound.Advance(touched)
 		return m.filter(m.plan.Affected(old, newG, edits))
 	}
 	born := graph.NodeID(old.NumNodes())

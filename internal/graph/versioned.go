@@ -24,6 +24,83 @@ import (
 // to the version its batch created and panics if read after a later one.
 type Version uint64
 
+// touchLog records the nodes whose rows each of the graph's latest
+// versions changed, as Versioned.Apply and Rollback name them, for state
+// derived from an older version (a match.Bound) to catch up from. Entry i
+// is version from+1+i's; a bump it did not record (a building call) ends
+// it. It keeps at most |V|/touchLogShare ids and as many entries, oldest
+// out first — a reader further behind would re-check every logged id under
+// every pattern node, nearing the O(|Q|·|G|) build a catch-up saves — in
+// reused storage of twice that.
+type touchLog struct {
+	from  Version
+	ids   []NodeID // the entries' ids back to back; ids[:start] are dropped
+	start int
+	ends  []int32 // where each entry's ids end; ends[:head] are dropped
+	head  int
+}
+
+const touchLogShare = 8
+
+// reaches reports whether the entries run up to version v.
+func (l *touchLog) reaches(v Version) bool { return l.from+Version(len(l.ends)-l.head) == v }
+
+// after returns where the ids of the entries after version v begin.
+func (l *touchLog) after(v Version) int {
+	if v == l.from {
+		return l.start
+	}
+	return int(l.ends[l.head+int(v-l.from)-1])
+}
+
+// logVersion advances g's version and logs touched as what it changed.
+func (g *Graph) logVersion(touched []NodeID) {
+	l := &g.touched
+	if !l.reaches(g.version) {
+		l.from, l.ids, l.start, l.ends, l.head = g.version, l.ids[:0], 0, l.ends[:0], 0
+	}
+	g.version++
+	limit := g.NumNodes() / touchLogShare
+	for l.head < len(l.ends) && (len(l.ids)-l.start+len(touched) > limit || len(l.ends)-l.head >= limit) {
+		l.start = int(l.ends[l.head])
+		l.head++
+		l.from++
+	}
+	if len(touched) > limit || limit == 0 {
+		l.from++ // the log is empty and starts after this version
+		return
+	}
+	if len(l.ids)+len(touched) > cap(l.ids) || len(l.ends) == cap(l.ends) {
+		// Move the live entries to the front, a limit's appends apart.
+		ids, ends := l.ids[:0], l.ends[:0]
+		if cap(ids) < 2*limit {
+			ids, ends = make([]NodeID, 0, 2*limit), make([]int32, 0, 2*limit)
+		}
+		ids = append(ids, l.ids[l.start:]...)
+		for _, end := range l.ends[l.head:] {
+			ends = append(ends, end-int32(l.start))
+		}
+		l.ids, l.start, l.ends, l.head = ids, 0, ends, 0
+	}
+	l.ids = append(l.ids, touched...)
+	l.ends = append(l.ends, int32(len(l.ids)))
+}
+
+// TouchedSince returns the nodes whose rows changed after version v: the
+// touched sets of the batches applied and rolled back since, oldest first,
+// concatenated. It reports false when the log does not reach back to v.
+// The slice is the log's storage, good until the next Apply or Rollback.
+func (g *Graph) TouchedSince(v Version) ([]NodeID, bool) {
+	l := &g.touched
+	switch {
+	case v == g.version:
+		return nil, true
+	case v < l.from || !l.reaches(g.version):
+		return nil, false
+	}
+	return l.ids[l.after(v):len(l.ids):len(l.ids)], true
+}
+
 // MutationOp enumerates the graph's write vocabulary — the one every
 // layer from the wire to the journal speaks. The values are the journal's
 // on-disk opcodes and the packed wire batch's: do not renumber.
@@ -764,10 +841,10 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 		}
 	}
 
-	g.version++
-	ov.validAt = g.version
 	ts := slices.Clone(vg.marked)
 	slices.Sort(ts)
+	g.logVersion(ts)
+	ov.validAt = g.version
 	return ov, ts, nil
 }
 
@@ -815,6 +892,18 @@ func (vg *Versioned) Rollback(ov *OldView) error {
 	g.outRuns = g.outRuns[:ov.numNodes]
 	g.inRuns = g.inRuns[:ov.numNodes]
 	g.numEdges = ov.numEdges
-	g.version++
+	// The rows restored, the batch's touched nodes that remain, replace its
+	// entry too: a reader from before it re-checks no node past the graph.
+	restored := make([]NodeID, 0, len(vg.marked))
+	for _, v := range vg.marked {
+		if int(v) < ov.numNodes {
+			restored = append(restored, v)
+		}
+	}
+	if l := &g.touched; l.reaches(g.version) && g.version > l.from {
+		l.ids = append(l.ids[:l.after(g.version-1)], restored...)
+		l.ends[len(l.ends)-1] = int32(len(l.ids))
+	}
+	g.logVersion(restored)
 	return nil
 }

@@ -21,17 +21,16 @@ import (
 // FocusRestrict or budget. A scoped re-verification over built sets
 // allocates nothing sized by |V|.
 //
-// A Bound follows its graph by Advance, at a cost that depends on what the
-// batches touched: a standing watch that re-verifies a few candidates per
-// batch keeps one Bound for its lifetime. A Run on a graph that moved
-// without one rebinds from scratch rather than read sets of another
-// version. Runs may be concurrent; Advance, like the graph write before
-// it, needs them excluded.
+// A Bound follows its graph by Advance, which every Run calls first, at a
+// cost that depends on what the batches since touched, as the graph's log
+// names them: a standing watch that re-verifies a few candidates per batch
+// keeps one Bound for its lifetime. Runs and Advances may be concurrent;
+// the graph write that moves the version needs them excluded.
 type Bound struct {
 	prep *Prepared
 	g    *graph.Graph
 
-	// mu orders concurrent Runs' lazy builds and staleness checks.
+	// mu orders concurrent Runs' lazy builds and catch-ups.
 	mu      sync.Mutex
 	version graph.Version   // the graph version labels and sets are valid at
 	pos     []boundPositive // Π(Q), then Π(Q+e) per negated edge, as in prep
@@ -88,24 +87,11 @@ func (p *Prepared) Bind(g *graph.Graph) *Bound {
 		ne, nn := len(bp.p.Edges), len(bp.p.Nodes)
 		bp.edgeLabel, bp.nodeLabel, labels = labels[:ne:ne], labels[ne:ne+nn:ne+nn], labels[ne+nn:]
 	}
-	b.rebind()
-	return b
-}
-
-// Version returns the graph version the bound is valid at.
-func (b *Bound) Version() graph.Version {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.version
-}
-
-// rebind binds to the graph's current version from scratch.
-func (b *Bound) rebind() {
-	b.version = b.g.Version()
+	b.version = g.Version()
 	for i := range b.pos {
-		b.pos[i].resolve(b.g)
-		b.pos[i].drop()
+		b.pos[i].resolve(g)
 	}
+	return b
 }
 
 // resolve looks the pattern's labels up in g — a later version may intern
@@ -136,32 +122,43 @@ func (bp *boundPositive) drop() {
 	bp.cand, bp.accept, bp.vacant, bp.pruned = nil, nil, false, false
 }
 
-// Advance carries the bound to the graph's current version. touched must
-// name every node whose adjacency changed since the version the bound is
-// valid at, and every node born since (Versioned.Apply's touched sets of
-// the batches in between, concatenated); node ids must only have grown.
-// Simulation sets are repaired at a cost that depends on touched, not on
-// |G| (simulation.Repair: exactly the sets a fresh bind computes, from
-// all-empty sets too), acceptance sets, where built, re-judged around what
-// that changed, and the verdicts taken again: a Bound whose pattern had no
-// answer is carried like any other. It reports whether every built
-// positive was carried over; one whose sets outgrew the graph — it lost
-// nodes since, which only a Rollback does — is dropped and rebuilt by the
-// next run.
-func (b *Bound) Advance(touched []graph.NodeID) bool {
+// Outcome says what Advance took: nothing (Hit), a repair over the graph's
+// log (Repaired), or dropping sets for the next Run to build (Built).
+type Outcome int
+
+const (
+	Hit Outcome = iota
+	Repaired
+	Built
+)
+
+// Advance carries the bound to the graph's current version. Where the
+// graph's log reaches back to the bound's version (graph.TouchedSince),
+// the sets built are repaired over the nodes it names, at a cost that
+// depends on them, not on |G| (simulation.Repair: exactly the sets a fresh
+// bind computes, from all-empty sets too); acceptance sets, where built,
+// are re-judged around what that changed, and the verdicts taken again: a
+// Bound whose pattern had no answer is carried like any other. Sets that
+// outgrew the graph — it lost nodes since, which only a Rollback does —
+// are dropped, as is every set where the log does not reach back: a stale
+// bound costs a rebuild, never a wrong answer.
+func (b *Bound) Advance() Outcome {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.g.Version() == b.version {
-		return true
+		return Hit
 	}
+	touched, ok := b.g.TouchedSince(b.version)
 	b.version = b.g.Version()
-	carried := true
+	out := Repaired
 	for i := range b.pos {
 		bp := &b.pos[i]
 		bp.resolve(b.g)
 		switch {
-		case bp.cand == nil:
-		case bp.cand[0].Len() <= b.g.NumNodes():
+		case !ok || bp.cand != nil && bp.cand[0].Len() > b.g.NumNodes():
+			bp.drop()
+			out = Built
+		case bp.cand != nil:
 			changed, ok := simulation.Repair(b.g, bp.p, bp.cand, touched, !bp.vacant)
 			if bp.accept != nil {
 				switch {
@@ -177,12 +174,9 @@ func (b *Bound) Advance(touched []graph.NodeID) bool {
 			}
 			bp.vacant = !ok
 			bp.origin = "repaired"
-		default:
-			bp.drop()
-			carried = false
 		}
 	}
-	return carried
+	return out
 }
 
 // sets returns the candidate and acceptance sets engine e reads of bp —
@@ -334,16 +328,10 @@ func (bp *boundPositive) program(g *graph.Graph, cand, accept []*bitset.Set) *pr
 	}
 }
 
-// Run evaluates the bound pattern over its graph with engine e. If the
-// graph has moved since the bound was last valid and nobody called
-// Advance, everything bound earlier is discarded first: a stale bound
-// costs a rebuild, never a wrong answer.
+// Run evaluates the bound pattern over its graph with engine e, advancing
+// the bound first.
 func (b *Bound) Run(e Engine, opts *Options) (*Result, error) {
-	b.mu.Lock()
-	if b.g.Version() != b.version {
-		b.rebind()
-	}
-	b.mu.Unlock()
+	b.Advance()
 
 	res := &Result{}
 	var t0 time.Time

@@ -87,8 +87,8 @@ func boundCases(t *testing.T, g *graph.Graph) []*boundCase {
 	return cases
 }
 
-// TestBoundFollowsVersions: one Bound per pattern, advanced by each
-// batch's touched set through 300 churn batches and read by all three
+// TestBoundFollowsVersions: one Bound per pattern, advanced over the
+// graph's log after each of 300 churn batches and read by all three
 // engines in every round, gives at every version the answers, the Metrics
 // and the profile of a fresh QMatch, QMatchN and Enum — unrestricted, for
 // an owned half and scoped to eight candidates, with the order the
@@ -97,7 +97,8 @@ func boundCases(t *testing.T, g *graph.Graph) []*boundCase {
 // acceptance sets later over them, and an Enum run after the acceptance
 // sets were built still reads the candidate sets (its profile's accepted
 // counts are a fresh Enum's). After the first build no set is built
-// again, a verdict of "no answer" included.
+// again, a verdict of "no answer" included, but after a batch that alone
+// touched more than the graph's log holds: Advance rebuilds there.
 func TestBoundFollowsVersions(t *testing.T) {
 	const rounds = 300
 	vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(300, 3)))
@@ -106,16 +107,23 @@ func TestBoundFollowsVersions(t *testing.T) {
 	churn := fixture.NewChurn(7)
 	origins := map[string]int{}
 	for round := 0; round < rounds; round++ {
-		_, touched, err := vg.Apply(churn.Next(g))
-		if err != nil {
+		before := g.Version()
+		if _, _, err := vg.Apply(churn.Next(g)); err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		_, logged := g.TouchedSince(before)
+		want := Repaired
+		if !logged {
+			want = Built
 		}
 		persons := g.NodesByLabelName("person")
 		scopes := [][]graph.NodeID{nil, persons[:len(persons)/2], spread(persons, 8)}
 		for _, c := range cases {
 			if round%7 != 3 {
 				// Every seventh version is left for Run to notice on its own.
-				c.bound.Advance(touched)
+				if o := c.bound.Advance(); o != want {
+					t.Fatalf("round %d, %s: Advance gave outcome %d, want %d", round, c.name, o, want)
+				}
 				c.checkSets(t, g, round)
 			}
 			for k := range engines {
@@ -143,7 +151,7 @@ func TestBoundFollowsVersions(t *testing.T) {
 							t.Fatalf("round %d, %s/%s, scope %d: %s reports bound=%q, fresh %q", round, c.name, en.name, s, pp.Pattern, pp.Bound, wp.Bound)
 						}
 						origins[pp.Bound]++
-						if pp.Bound == "built" && round%7 != 3 {
+						if pp.Bound == "built" && round%7 != 3 && logged {
 							if c.builds[pp.Pattern] == nil {
 								c.builds[pp.Pattern] = map[int]int{}
 							}
@@ -169,7 +177,8 @@ func TestBoundFollowsVersions(t *testing.T) {
 		// Sets are built in one round — candidate sets by the first engine,
 		// acceptance sets by the first that prunes by quantifiers — and
 		// repaired from then on, through verdicts of "no answer" too (ratio
-		// loses its candidates while the albums are drained).
+		// loses its candidates while the albums are drained), but where the
+		// log could not carry them.
 		for pattern, byRound := range c.builds {
 			for round, n := range byRound {
 				if len(byRound) > 1 || n > 2 {
@@ -181,9 +190,10 @@ func TestBoundFollowsVersions(t *testing.T) {
 }
 
 // TestBoundBuildsAcceptanceLazily: a Bound read only by Enum builds and
-// repairs candidate sets and no acceptance sets; the first QMatch run
-// builds them over the repaired candidate sets and equals a fresh QMatch,
-// and Enum runs after it still equal a fresh Enum.
+// repairs candidate sets — or rebuilds them, after a batch that touched
+// more than the graph's log holds — and no acceptance sets; the first
+// QMatch run builds them over the candidate sets and equals a fresh
+// QMatch, and Enum runs after it still equal a fresh Enum.
 func TestBoundBuildsAcceptanceLazily(t *testing.T) {
 	vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(300, 3)))
 	g := vg.Graph()
@@ -214,12 +224,16 @@ func TestBoundBuildsAcceptanceLazily(t *testing.T) {
 		}
 		check("first run", 2, "built")
 		for round := 0; round < 3; round++ {
-			_, touched, err := vg.Apply(churn.Next(g))
-			if err != nil {
+			before := g.Version()
+			if _, _, err := vg.Apply(churn.Next(g)); err != nil {
 				t.Fatal(err)
 			}
-			c.bound.Advance(touched)
-			check(fmt.Sprintf("round %d", round), 2, "repaired")
+			c.bound.Advance()
+			origin := "repaired"
+			if _, logged := g.TouchedSince(before); !logged {
+				origin = "built"
+			}
+			check(fmt.Sprintf("round %d", round), 2, origin)
 			for k := range c.bound.pos {
 				if c.bound.pos[k].accept != nil {
 					t.Fatalf("%s: Enum runs built acceptance sets", c.name)
@@ -263,15 +277,14 @@ func TestBoundSurvivesBornAndTombstonedNode(t *testing.T) {
 	}
 	wantBorn := []bool{false, true, false}
 	for i, muts := range steps {
-		_, touched, err := vg.Apply(muts)
-		if err != nil {
+		if _, _, err := vg.Apply(muts); err != nil {
 			t.Fatal(err)
 		}
-		if !b.Advance(touched) {
-			t.Fatalf("step %d: Advance rebuilt instead of repairing", i)
+		if o := b.Advance(); o != Repaired {
+			t.Fatalf("step %d: Advance gave outcome %d, want repaired", i, o)
 		}
-		if b.Version() != g.Version() {
-			t.Fatalf("step %d: bound at version %d, graph at %d", i, b.Version(), g.Version())
+		if b.version != g.Version() {
+			t.Fatalf("step %d: bound at version %d, graph at %d", i, b.version, g.Version())
 		}
 		got, err := b.Run(EngineQMatch, &Options{CollectProfile: true})
 		if err != nil {
@@ -294,8 +307,9 @@ func TestBoundSurvivesBornAndTombstonedNode(t *testing.T) {
 }
 
 // TestStaleBoundRebuilds: a Bound whose graph moved without Advance
-// rebinds on the next Run — including when the move made the graph larger
-// than its sets — and says so.
+// catches up on its next Run, over the graph's log, and says so; where the
+// log cannot carry it — a rollback took away a node its sets had grown
+// over — it rebuilds.
 func TestStaleBoundRebuilds(t *testing.T) {
 	vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(300, 3)))
 	g := vg.Graph()
@@ -335,17 +349,125 @@ func TestStaleBoundRebuilds(t *testing.T) {
 			t.Fatalf("%s: sets were %q, want %q", what, o, origin)
 		}
 	}
-	check("after an unannounced batch", "built")
+	check("after an unannounced batch", "repaired")
 	check("again", "hit")
 	// A rollback takes the born node away again: sets grown over it cannot
-	// be repaired, whatever Advance is told.
+	// be repaired, whatever the log says.
 	if err := vg.Rollback(old); err != nil {
 		t.Fatal(err)
 	}
-	if b.Advance([]graph.NodeID{persons[0], persons[1]}) {
-		t.Fatal("Advance claims to have repaired sets larger than the graph")
-	}
 	check("after a rollback", "built")
+}
+
+// TestBoundFollowsTheGraphsLog holds one Bound, and one left behind, across
+// every way the graph's log goes on or ends: batches and their rollbacks
+// (with and without nodes the rollback takes away), a building call that
+// bumps the version unlogged, and batches that together touch more than
+// |V|/8 ids. At each step the bound's sets equal a fresh bind's, and
+// Advance rebuilds exactly where the log cannot carry it.
+func TestBoundFollowsTheGraphsLog(t *testing.T) {
+	vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(300, 3)))
+	g := vg.Graph()
+	persons := g.NodesByLabelName("person")
+	follow := func(from, to int) graph.Mutation {
+		return graph.AddEdge(persons[from%len(persons)], persons[to%len(persons)], "follow")
+	}
+	unfollow := func(v graph.NodeID) graph.Mutation {
+		e := g.Out(v)[0]
+		return graph.RemoveEdge(v, e.To, g.LabelName(e.Label))
+	}
+	cases := boundCases(t, g)[:len(fixture.Mix)] // every one holds sets a node's loss outgrows
+	for _, c := range cases {
+		if _, err := c.bound.Run(EngineQMatch, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// behind[i] is cases[i]'s pattern bound at the start of a step and left
+	// there until its end.
+	behind := make([]*Bound, len(cases))
+	hold := func() {
+		for i, c := range cases {
+			behind[i] = c.bound.prep.Bind(g)
+			if _, err := behind[i].Run(EngineQMatch, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	advance := func(step string, b *Bound, want Outcome, c *boundCase) {
+		t.Helper()
+		if o := b.Advance(); o != want {
+			t.Fatalf("%s, %s: Advance gave outcome %d, want %d", step, c.name, o, want)
+		}
+		(&boundCase{name: c.name, bound: b}).checkSets(t, g, 0)
+	}
+	apply := func(muts ...graph.Mutation) *graph.OldView {
+		t.Helper()
+		old, _, err := vg.Apply(muts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return old
+	}
+	rollback := func(old *graph.OldView) {
+		t.Helper()
+		if err := vg.Rollback(old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := []struct {
+		name          string
+		run           func()
+		bound, behind Outcome
+	}{
+		{"apply, rollback, apply", func() {
+			old := apply(follow(0, 1), follow(2, 3), unfollow(persons[4]))
+			for _, c := range cases {
+				if o := c.bound.Advance(); o != Repaired {
+					t.Fatalf("%s: Advance gave outcome %d, want repaired", c.name, o)
+				}
+			}
+			rollback(old)
+			apply(follow(5, 6), unfollow(persons[7]))
+		}, Repaired, Repaired},
+		{"a rollback takes away a node born", func() {
+			born := graph.NodeID(g.NumNodes())
+			old := apply(graph.AddNode("person"), graph.AddEdge(born, persons[8], "follow"),
+				graph.AddEdge(born, persons[9], "follow"), graph.AddEdge(born, persons[10], "follow"), follow(11, 12))
+			for _, c := range cases {
+				c.bound.Advance()
+			}
+			rollback(old)
+			apply(follow(13, 14))
+		}, Built, Repaired},
+		{"a building call between applies", func() {
+			apply(follow(15, 16))
+			for _, c := range cases {
+				c.bound.Advance()
+			}
+			g.AddEdge(persons[17], persons[18], "follow")
+			g.Finalize()
+			apply(follow(19, 20), unfollow(persons[21]))
+		}, Built, Built},
+		{"batches past |V|/8 ids together", func() {
+			for i, touched := 0, 0; touched <= g.NumNodes()/8; i++ {
+				apply(follow(30+4*i, 31+4*i), follow(32+4*i, 33+4*i))
+				touched += 4
+				for _, c := range cases {
+					if o := c.bound.Advance(); o != Repaired {
+						t.Fatalf("batch %d, %s: Advance gave outcome %d, want repaired", i, c.name, o)
+					}
+				}
+			}
+		}, Hit, Built},
+	}
+	for _, step := range steps {
+		hold()
+		step.run()
+		for i, c := range cases {
+			advance(step.name, c.bound, step.bound, c)
+			advance(step.name+", left behind", behind[i], step.behind, c)
+		}
+	}
 }
 
 // TestBoundSharedAcrossGoroutines: between advances a Bound is read-only
@@ -367,12 +489,11 @@ func TestBoundSharedAcrossGoroutines(t *testing.T) {
 		b := prep.Bind(g)
 		for round := 0; round < 4; round++ {
 			if round > 0 {
-				_, touched, err := vg.Apply(churn.Next(g))
-				if err != nil {
+				if _, _, err := vg.Apply(churn.Next(g)); err != nil {
 					t.Fatal(err)
 				}
 				if round != 2 {
-					b.Advance(touched)
+					b.Advance()
 				}
 			}
 			persons := g.NodesByLabelName("person")
@@ -412,9 +533,10 @@ func TestBoundSharedAcrossGoroutines(t *testing.T) {
 
 // BenchmarkBoundAdvance: one benchmark-shaped batch (fixture.WatchBatch:
 // 4 follow inserts, the 4 of four batches ago removed, a person born or
-// tombstoned now and then) carried into the bounds of the six mix
-// patterns by Advance, against binding and building them afresh. Per op:
-// all six patterns.
+// tombstoned now and then) applied by Versioned.Apply, untimed, and the
+// bounds of the six mix patterns caught up over the graph's log by
+// Advance, against binding and building them afresh. Per op: all six
+// patterns.
 func BenchmarkBoundAdvance(b *testing.B) {
 	for _, persons := range []int{2_000, 32_000} {
 		vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(persons, 1)))
@@ -428,13 +550,11 @@ func BenchmarkBoundAdvance(b *testing.B) {
 			}
 		}
 		base, batches := g.NumNodes(), 0
-		next := func() []graph.NodeID {
-			_, touched, err := vg.Apply(fixture.WatchBatch(persons, base, batches))
-			batches++
-			if err != nil {
+		next := func() {
+			if _, _, err := vg.Apply(fixture.WatchBatch(persons, base, batches)); err != nil {
 				b.Fatal(err)
 			}
-			return touched
+			batches++
 		}
 		full := &Options{FocusRestrict: people[:len(people)/2]}
 		b.Run(fmt.Sprintf("V=%d/repair", g.NumNodes()), func(b *testing.B) {
@@ -449,10 +569,10 @@ func BenchmarkBoundAdvance(b *testing.B) {
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
 				b.StopTimer()
-				touched := next()
+				next()
 				b.StartTimer()
 				for _, bd := range bounds {
-					if !bd.Advance(touched) {
+					if bd.Advance() != Repaired {
 						b.Fatal("Advance rebuilt")
 					}
 				}

@@ -65,12 +65,11 @@ func TestAnswersIndependentOfOrder(t *testing.T) {
 			checked, answered, orders := 0, 0, map[string]bool{}
 			for round := 0; round <= rounds; round++ {
 				if round > 0 {
-					_, touched, err := vg.Apply(churn.Next(g))
-					if err != nil {
+					if _, _, err := vg.Apply(churn.Next(g)); err != nil {
 						t.Fatalf("round %d: %v", round, err)
 					}
 					for _, b := range bounds {
-						b.Advance(touched)
+						b.Advance()
 					}
 				}
 				if round%every != 0 {

@@ -321,7 +321,6 @@ func (sess *session) Update(req *Request, resp *Response, tr *obs.Trace) error {
 		if rerr := sess.vg.Rollback(old); rerr != nil {
 			return fmt.Errorf("%w (rollback failed: %v)", cause, rerr)
 		}
-		sess.eng.BreakLog()
 		return cause
 	}
 	if max := sess.s.cfg.MaxGraphSize; old != nil && ng.Size() > max {
@@ -337,7 +336,7 @@ func (sess *session) Update(req *Request, resp *Response, tr *obs.Trace) error {
 	if len(req.Updates) > 0 {
 		// An assign-only batch skips this: nothing changed in the graph,
 		// Assign below reports the new candidates.
-		deltas, err := sess.eng.Apply(old, ng, touched, tr)
+		deltas, err := sess.eng.Apply(old, ng, tr)
 		if err != nil {
 			return err
 		}

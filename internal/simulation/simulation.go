@@ -62,8 +62,10 @@ import (
 //   - some non-negated in-edge (u″, u) leaves v without any candidate
 //     parent in C(u″).
 //
-// When quantified is false, thresholds are ignored and need is always 1
-// (plain dual simulation); this is used for differential testing.
+// When quantified is false, thresholds are ignored and need is always 1:
+// plain dual simulation, which every product caller asks for (a
+// match.Bound's candidate sets, on which its acceptance filter judges the
+// thresholds). Only tests ask for the quantified refinement.
 //
 // The boolean result is false when some pattern node ends up with an empty
 // candidate set (the pattern has no matches at all); every set is then
