@@ -50,7 +50,7 @@ func BenchmarkStore(b *testing.B) {
 		return s, vg
 	}
 	apply := func(b *testing.B, s *store.Store, vg *graph.Versioned, muts ...graph.Mutation) {
-		if _, _, err := vg.Apply(muts); err != nil {
+		if _, err := vg.Apply(muts); err != nil {
 			b.Fatal(err)
 		}
 		if err := s.Append(muts...); err != nil {

@@ -38,7 +38,7 @@
 // request's trace record in the response's profile field: timed spans
 // (graph.apply, dynamic.affected and dynamic.verify per watch group,
 // match.qmatch), counts
-// (answers; batch, touched, nodes, affected) and a match's engine profile
+// (answers; batch, edits, nodes, affected) and a match's engine profile
 // (candidate sizes, order, bound origin). A cluster coordinator's traced
 // hop gets the same record under the coordinator's trace id.
 //

@@ -38,15 +38,15 @@ func main() {
 	defer st.Close()
 	vg := graph.NewVersioned(g)
 	// ...where every batch is applied first and then journaled.
-	apply := func(batch ...graph.Mutation) (*graph.OldView, []graph.NodeID) {
-		old, touched, err := vg.Apply(batch)
+	apply := func(batch ...graph.Mutation) *graph.OldView {
+		old, err := vg.Apply(batch)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if err := st.Append(batch...); err != nil {
 			log.Fatal(err)
 		}
-		return old, touched
+		return old
 	}
 
 	// Seeded with three people and two products.
@@ -77,8 +77,8 @@ func main() {
 		{graph.AddNode("person"), graph.AddEdge(5, 3, "buy"), graph.AddEdge(5, 4, "buy")},
 	}
 	for i, batch := range batches {
-		old, touched := apply(batch...)
-		delta, err := m.ApplyShared(old, vg.Graph(), touched)
+		old := apply(batch...)
+		delta, err := m.ApplyShared(old, vg.Graph(), nil)
 		if err != nil {
 			log.Fatal(err)
 		}

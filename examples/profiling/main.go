@@ -118,8 +118,8 @@ func main() {
 		log.Fatal(err)
 	}
 	affected, nodes := up.Counts["affected"], up.Counts["nodes"]
-	fmt.Printf("update profile: batch=%d touched=%d affected=%d of %d nodes (work ratio %.4f)\n",
-		up.Counts["batch"], up.Counts["touched"], affected, nodes, float64(affected)/float64(nodes))
+	fmt.Printf("update profile: batch=%d edits=%d affected=%d of %d nodes (work ratio %.4f)\n",
+		up.Counts["batch"], up.Counts["edits"], affected, nodes, float64(affected)/float64(nodes))
 	for _, sp := range up.Spans {
 		fmt.Printf("  %s %.3fms\n", sp.Name, sp.DurMS)
 	}

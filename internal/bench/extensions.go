@@ -88,13 +88,13 @@ func exp15(sc Scale, w io.Writer) error {
 					ups = append(ups, graph.RemoveEdge(f.From, f.To, f.Label))
 				}
 			}
-			old, touched, err := vg.Apply(ups)
+			old, err := vg.Apply(ups)
 			if err != nil {
 				return err
 			}
 			reach += len(reachPlan.Affected(old, vg.Graph(), old.Edits()))
 			start := time.Now()
-			d, err := m.ApplyShared(old, vg.Graph(), touched)
+			d, err := m.ApplyShared(old, vg.Graph(), nil)
 			if err != nil {
 				return err
 			}

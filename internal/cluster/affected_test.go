@@ -78,7 +78,7 @@ func TestAffectedSizeIsWorkersJudged(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
-			old, _, err := vg.Apply(muts)
+			old, err := vg.Apply(muts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -309,12 +309,12 @@ func TestIncrementalEquivalence(t *testing.T) {
 					deltaByWatch[d.Watch] = d
 				}
 				ups, _ := server.ToUpdates(specs)
-				old, touched, err := vg.Apply(ups)
+				old, err := vg.Apply(ups)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for name, m := range matchers {
-					want, err := m.ApplyShared(old, vg.Graph(), touched)
+					want, err := m.ApplyShared(old, vg.Graph(), nil)
 					if err != nil {
 						t.Fatal(err)
 					}

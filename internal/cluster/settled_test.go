@@ -55,7 +55,7 @@ func TestSettledRuleIsExact(t *testing.T) {
 						if len(muts) == 0 {
 							continue
 						}
-						old, _, err := vg.Apply(muts)
+						old, err := vg.Apply(muts)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -134,7 +134,7 @@ func TestSettledRuleRefusesAnInsertedNeighbour(t *testing.T) {
 
 	batch := []graph.Mutation{{Op: graph.MutAddEdge, From: a, To: x, Label: "follow"}}
 	vg := graph.NewVersioned(g.Clone())
-	old, _, err := vg.Apply(batch)
+	old, err := vg.Apply(batch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,11 +206,11 @@ func TestFailedReshipIsRetried(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, touched, err := vg.Apply(ups)
+	old, err := vg.Apply(ups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := oracle.ApplyShared(old, vg.Graph(), touched)
+	want, err := oracle.ApplyShared(old, vg.Graph(), nil)
 	if err != nil || len(want.Added) == 0 {
 		t.Fatalf("single process: %+v, %v; want the new followers added", want, err)
 	}

@@ -65,7 +65,7 @@ func (p *workerPlan) empty() bool {
 
 // updateScratch is Update's working memory, kept from batch to batch under
 // the write side of mu, so that a batch allocates only what outlives it:
-// the result, the touched set and the requests handed to the transports.
+// the result, the pre-batch view and the requests handed to the transports.
 // An entry of workers is read and written only by its worker's fan-out
 // goroutine, and by the caller before and after the fan-out.
 type updateScratch struct {
@@ -119,7 +119,7 @@ func (c *Coordinator) Update(specs []server.UpdateSpec) (res *UpdateResult, err 
 // coordinator's own stages (graph.apply, ha.journal_append, the
 // materialization ball with the settled tests, merge), per contacted
 // worker its plan, its rtt — holding the worker's own record when tr is
-// deep — and ha.mirror, and the batch, touched, nodes and affected counts.
+// deep — and ha.mirror, and the batch, edits, nodes and affected counts.
 // A span's start is tr.Now(), so an untraced batch reads the clock only
 // for its metrics.
 //
@@ -159,7 +159,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	// pre-batch view the versioned core hands back — the source of the
 	// batch's net edits and the sync-point state a mid-batch failover
 	// re-ships from.
-	oldG, touched, err := c.vg.Apply(s.muts)
+	oldG, err := c.vg.Apply(s.muts)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
@@ -188,7 +188,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	// inserted-edge endpoints and batch-created nodes — a node can only
 	// move into an owned node's D-hop ball along a path through an
 	// inserted edge, and deletions never extend a fragment — not by the
-	// D-hop ball of the whole touched set, which for a 1-edge batch can
+	// D-hop ball of every node the batch names, which for a 1-edge batch can
 	// cover most of a dense graph. The batch's net edge edits, a removed
 	// node's lost edges included, are every edge a fragment can have to
 	// change. The ball is walked only when some worker is not settled:
@@ -217,7 +217,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 	}
 	tr.Span(-1, "ball", tball)
 	tr.Count("batch", len(specs))
-	tr.Count("touched", len(touched))
+	tr.Count("edits", len(edits))
 	tr.Count("nodes", newG.NumNodes())
 	c.om.updateBatch.Observe(float64(len(specs)))
 
@@ -249,7 +249,7 @@ func (c *Coordinator) update(specs []server.UpdateSpec, tr *obs.Trace) (res *Upd
 		w, ws := c.workers[i], &s.workers[i]
 		tplan := tr.Now()
 		p := &ws.plan
-		if !c.planFor(w, p, oldG.NumNodes(), newG, edits, touched, ws.matCand, assignTo) || p.empty() {
+		if !c.planFor(w, p, oldG.NumNodes(), newG, edits, ws.matCand, assignTo) || p.empty() {
 			c.om.workersSkipped.Inc()
 			return
 		}
@@ -364,9 +364,9 @@ func settled(ids *idSpace, g *graph.Graph, ends []graph.NodeID) bool {
 
 // planFor computes one worker's share of a global batch into p, and
 // reports false, leaving p unset, when the batch cannot affect the worker: nothing is assigned to it, no owned
-// candidate needs materialization upkeep, and no touched node is
+// candidate needs materialization upkeep, and no edit's endpoint is
 // materialized there. An owned candidate the batch can flip lies within
-// d hops of a touched node, which is then materialized here. matCand is
+// d hops of an edit's endpoint, which is then materialized here. matCand is
 // the (D-1)-ball around inserted-edge endpoints and batch-created nodes
 // (it bounds materialization maintenance), ascending, or nil when the
 // worker is settled, which proves the fragment holds all of it; the
@@ -379,7 +379,7 @@ func settled(ids *idSpace, g *graph.Graph, ends []graph.NodeID) bool {
 // goes to. planFor only reads its inputs and the worker's id space: the
 // caller extends the latter once the primary holds the batch. p's slices
 // are the worker's from the batch before, overwritten here.
-func (c *Coordinator) planFor(w *worker, p *workerPlan, oldN int, newG *graph.Graph, edits []graph.EdgeEdit, touched, matCand []graph.NodeID, assignTo []int) bool {
+func (c *Coordinator) planFor(w *worker, p *workerPlan, oldN int, newG *graph.Graph, edits []graph.EdgeEdit, matCand []graph.NodeID, assignTo []int) bool {
 	ids := &w.ids
 	// The candidate pool: the part of matCand not materialized here.
 	pool := p.pool[:0]
@@ -409,7 +409,7 @@ func (c *Coordinator) planFor(w *worker, p *workerPlan, oldN int, newG *graph.Gr
 	}
 	roots = append(roots, assign...)
 	p.roots, p.assign = roots, assign
-	if len(roots) == 0 && !slices.ContainsFunc(touched, ids.has) {
+	if len(roots) == 0 && !slices.ContainsFunc(edits, func(e graph.EdgeEdit) bool { return ids.has(e.From) || ids.has(e.To) }) {
 		return false
 	}
 
@@ -485,7 +485,7 @@ func (c *Coordinator) planFor(w *worker, p *workerPlan, oldN int, newG *graph.Gr
 	// incident to a newly materialized node — an edge of the new graph no
 	// fragment copy held, so Added — so the candidate set comes straight
 	// from the batch and newMat adjacency instead of rescanning every
-	// touched node's (possibly hub-sized) neighborhood. Keys are compared
+	// edited node's (possibly hub-sized) neighborhood. Keys are compared
 	// by edge alone (the pre-batch view and the post-batch graph share one
 	// label id space); a duplicate pairs two Added keys, so either may stay.
 	keys := append(p.keys[:0], edits...)

@@ -89,7 +89,7 @@ func TestCountsFollowChurn(t *testing.T) {
 			flips, lateFlips := 0, 0
 			for round := 0; round < 160; round++ {
 				ups := churn.Next(vg.Graph())
-				old, _, err := vg.Apply(ups)
+				old, err := vg.Apply(ups)
 				if err != nil {
 					t.Fatalf("round %d: %v", round, err)
 				}
@@ -164,11 +164,11 @@ func TestCountableClass(t *testing.T) {
 				}
 				for step := 0; step < 4; step++ {
 					before := m.Answers()
-					old, touched, err := vg.Apply(reachBatch(r, vg.Graph()))
+					old, err := vg.Apply(reachBatch(r, vg.Graph()))
 					if err != nil {
 						t.Fatal(err)
 					}
-					d, err := m.ApplyShared(old, vg.Graph(), touched)
+					d, err := m.ApplyShared(old, vg.Graph(), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -239,13 +239,13 @@ func FuzzWatchCounters(f *testing.F) {
 			}
 		}
 		for k, batch := range [][]byte{data, data[min(1, len(data)):]} {
-			old, touched, err := vg.Apply(decodeBatch(batch))
+			old, err := vg.Apply(decodeBatch(batch))
 			if err != nil {
 				return
 			}
 			for i, m := range ms {
 				before := m.Answers()
-				d, err := m.ApplyShared(old, vg.Graph(), touched)
+				d, err := m.ApplyShared(old, vg.Graph(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

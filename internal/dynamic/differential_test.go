@@ -4,9 +4,10 @@ package dynamic
 // the rebuild-the-world oracle. Apply (the legacy path) re-materializes a
 // fresh finalized graph per batch and is easy to trust; graph.Versioned.Apply
 // edits the same graph in place under copy-on-write. The two must stay
-// bit-exact on everything observable: the finalized graph, the touched
-// set, error behaviour (including leaving the versioned state untouched
-// on rejected batches), and the answer deltas of standing matchers.
+// bit-exact on everything observable: the finalized graph, error behaviour
+// (including leaving the versioned state untouched on rejected batches),
+// and the answer deltas of standing matchers; and the versioned graph's log
+// must replay every version since one it reaches back to.
 //
 // Comparisons are canonical — node label names by id and "from to label"
 // edge strings — never LabelID values or byLabel order: the in-place
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -35,6 +37,48 @@ func canon(g graph.View) (nodes, edges []string) {
 	}
 	sort.Strings(edges)
 	return nodes, edges
+}
+
+// checkLog holds g's log against the edge sets of earlier versions, held
+// in canon's form: for each held version the log reaches back to, the
+// edits logged since, folded over that version's edges, give g's edges, and
+// none contradicts the set it folds over (an edge added that is there, or
+// removed that is not). It returns the held versions the log reached.
+func checkLog(t *testing.T, g *graph.Graph, held map[graph.Version][]string, what string) map[graph.Version]bool {
+	t.Helper()
+	_, now := canon(g)
+	reached := make(map[graph.Version]bool)
+	for v, edges := range held {
+		edits, ok := g.EditsSince(v)
+		if !ok {
+			continue
+		}
+		reached[v] = true
+		set := make(map[string]bool, len(edges))
+		for _, s := range edges {
+			set[s] = true
+		}
+		for _, ed := range edits {
+			s := fmt.Sprintf("%d %d %s", ed.From, ed.To, g.LabelName(ed.Label))
+			if set[s] == ed.Added {
+				t.Fatalf("%s: the log since version %d edits %q (added %v) against its edge set", what, v, s, ed.Added)
+			}
+			if ed.Added {
+				set[s] = true
+			} else {
+				delete(set, s)
+			}
+		}
+		folded := make([]string, 0, len(set))
+		for s := range set {
+			folded = append(folded, s)
+		}
+		sort.Strings(folded)
+		if !reflect.DeepEqual(folded, now) {
+			t.Fatalf("%s: the log since version %d folds to %d edges, the graph has %d", what, v, len(folded), len(now))
+		}
+	}
+	return reached
 }
 
 func requireCanonEqual(t *testing.T, want, got *graph.Graph, ctx string) {
@@ -127,7 +171,9 @@ func randomBatch(r *rand.Rand, g graph.View, invalid bool) []graph.Mutation {
 
 // TestDifferentialVersionedVsOracle drives the versioned core and the
 // rebuild oracle through the same randomized batch sequences and demands
-// identical graphs, touched sets, error behaviour, and matcher answers.
+// identical graphs, error behaviour, and matcher answers; the versioned
+// batch's net edits are the oracle's edge-set difference, and the log
+// replays every version since one it reaches back to.
 func TestDifferentialVersionedVsOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -145,6 +191,8 @@ func TestDifferentialVersionedVsOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			held := make(map[graph.Version][]string)
+			spanned := 0 // checks over more than one logged version
 
 			for round := 0; round < 30; round++ {
 				ctx := fmt.Sprintf("round %d", round)
@@ -152,8 +200,10 @@ func TestDifferentialVersionedVsOracle(t *testing.T) {
 				ups := randomBatch(r, vg.Graph(), wantErr)
 
 				preNodes, preEdges := canon(vg.Graph())
-				ng, touchedO, errO := Apply(oracle, ups)
-				old, touchedV, errV := vg.Apply(ups)
+				pre := vg.Graph().Version()
+				held[pre] = preEdges
+				ng, _, errO := Apply(oracle, ups)
+				old, errV := vg.Apply(ups)
 
 				if (errO == nil) != (errV == nil) {
 					t.Fatalf("%s: error divergence: oracle=%v versioned=%v (batch %+v)", ctx, errO, errV, ups)
@@ -168,10 +218,20 @@ func TestDifferentialVersionedVsOracle(t *testing.T) {
 					continue
 				}
 				oracle = ng
-				if !reflect.DeepEqual(touchedO, touchedV) {
-					t.Fatalf("%s: touched sets diverge: oracle %v vs versioned %v (batch %+v)", ctx, touchedO, touchedV, ups)
-				}
 				requireCanonEqual(t, oracle, vg.Graph(), ctx)
+				_, postEdges := canon(ng)
+				if gotNew, gotGone := editStrings(vg.Graph(), old.Edits()); !slices.Equal(gotNew, sortedMinus(postEdges, preEdges)) || !slices.Equal(gotGone, sortedMinus(preEdges, postEdges)) {
+					t.Fatalf("%s: edits +%v -%v, the oracle's edge sets differ by +%v -%v (batch %+v)", ctx, gotNew, gotGone, sortedMinus(postEdges, preEdges), sortedMinus(preEdges, postEdges), ups)
+				}
+				reached := checkLog(t, vg.Graph(), held, ctx)
+				if !reached[pre] && len(old.Edits()) <= vg.Graph().NumNodes()/8 {
+					t.Fatalf("%s: the log dropped a batch of %d edits on %d nodes", ctx, len(old.Edits()), vg.Graph().NumNodes())
+				}
+				for v := range reached {
+					if v+1 < vg.Graph().Version() {
+						spanned++
+					}
+				}
 				if oracle.NumNodes() != vg.Graph().NumNodes() {
 					t.Fatalf("%s: NumNodes %d vs %d", ctx, oracle.NumNodes(), vg.Graph().NumNodes())
 				}
@@ -179,7 +239,7 @@ func TestDifferentialVersionedVsOracle(t *testing.T) {
 				// Matcher deltas: the incrementally maintained answers must
 				// equal a from-scratch evaluation over the oracle graph, and
 				// the delta must be consistent with the answer set.
-				d, err := mv.ApplyShared(old, vg.Graph(), touchedV)
+				d, err := mv.ApplyShared(old, vg.Graph(), nil)
 				if err != nil {
 					t.Fatalf("%s: ApplyShared: %v", ctx, err)
 				}
@@ -205,6 +265,9 @@ func TestDifferentialVersionedVsOracle(t *testing.T) {
 					}
 				}
 			}
+			if spanned == 0 {
+				t.Fatal("coverage: the log never reached back over two versions")
+			}
 		})
 	}
 }
@@ -218,13 +281,20 @@ func TestVersionedRollbackRestoresCanonical(t *testing.T) {
 	g := gen.Social(gen.DefaultSocial(80, 99))
 	vg := graph.NewVersioned(g.Clone())
 	wantNodes, wantEdges := canon(g)
+	held := make(map[graph.Version][]string)
+	spanned := 0 // checks after a rollback over more than its own version
 
 	for round := 0; round < 25; round++ {
 		ups := randomBatch(r, vg.Graph(), false)
-		old, _, err := vg.Apply(ups)
+		held[vg.Graph().Version()] = wantEdges
+		old, err := vg.Apply(ups)
 		if err != nil {
 			continue
 		}
+		checkLog(t, vg.Graph(), held, fmt.Sprintf("round %d", round))
+		_, edges := canon(vg.Graph())
+		held[vg.Graph().Version()] = edges
+		n := len(old.Edits())
 		if err := vg.Rollback(old); err != nil {
 			t.Fatalf("round %d: rollback: %v", round, err)
 		}
@@ -235,5 +305,17 @@ func TestVersionedRollbackRestoresCanonical(t *testing.T) {
 		if vg.Graph().NumEdges() != g.NumEdges() || vg.Graph().NumNodes() != g.NumNodes() {
 			t.Fatalf("round %d: counts diverge after rollback", round)
 		}
+		reached := checkLog(t, vg.Graph(), held, fmt.Sprintf("round %d rolled back", round))
+		if !reached[vg.Graph().Version()-1] && n <= g.NumNodes()/8 {
+			t.Fatalf("round %d: the log dropped a rollback of %d edits on %d nodes", round, n, g.NumNodes())
+		}
+		for v := range reached {
+			if v+1 < vg.Graph().Version() {
+				spanned++
+			}
+		}
+	}
+	if spanned == 0 {
+		t.Fatal("coverage: the log never reached back over a rollback and its batch")
 	}
 }

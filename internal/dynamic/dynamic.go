@@ -118,10 +118,22 @@ func Apply(g *graph.Graph, ups []graph.Mutation) (*graph.Graph, []graph.NodeID, 
 	return ng, out, nil
 }
 
-// ApplyVersioned is vg.Apply(ups). benchmark/ imports this name; delete
-// after ROADMAP 1(a).
+// ApplyVersioned is vg.Apply(ups) plus the nodes the batch named: its
+// edits' endpoints and the nodes it created. benchmark/ imports this name
+// and seeds AffectedWithin with the nodes; delete after ROADMAP 1(a).
 func ApplyVersioned(vg *graph.Versioned, ups []graph.Mutation) (*graph.OldView, []graph.NodeID, error) {
-	return vg.Apply(ups)
+	old, err := vg.Apply(ups)
+	if err != nil {
+		return nil, nil, err
+	}
+	var nodes []graph.NodeID
+	for _, e := range old.Edits() {
+		nodes = append(nodes, e.From, e.To)
+	}
+	for v := old.NumNodes(); v < vg.Graph().NumNodes(); v++ {
+		nodes = append(nodes, graph.NodeID(v))
+	}
+	return old, nodes, nil
 }
 
 // AffectedWithin returns the sorted set of nodes within hops undirected

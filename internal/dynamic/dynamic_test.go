@@ -154,11 +154,11 @@ func TestAffectedWithin(t *testing.T) {
 // step applies ups to vg and carries m over the batch, as every product
 // caller does: the versioned core applies it once, the matcher follows.
 func step(vg *graph.Versioned, m *Matcher, ups []graph.Mutation) (Delta, error) {
-	old, touched, err := vg.Apply(ups)
+	old, err := vg.Apply(ups)
 	if err != nil {
 		return Delta{}, err
 	}
-	return m.ApplyShared(old, vg.Graph(), touched)
+	return m.ApplyShared(old, vg.Graph(), nil)
 }
 
 // buyPattern: people who buy at least 2 products.
@@ -239,11 +239,11 @@ func TestMatcherSkipsUnaffectedRegions(t *testing.T) {
 
 	// Add a product bought by person 0 only.
 	id := graph.NodeID(g.NumNodes())
-	old, touched, err := vg.Apply([]graph.Mutation{graph.AddNode("Product"), graph.AddEdge(persons[0], id, "buy")})
+	old, err := vg.Apply([]graph.Mutation{graph.AddNode("Product"), graph.AddEdge(persons[0], id, "buy")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := m.ApplyShared(old, vg.Graph(), touched)
+	d, err := m.ApplyShared(old, vg.Graph(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestMatcherDifferentialSoak(t *testing.T) {
 			if len(ups) == 0 {
 				continue
 			}
-			old, touched, err := vg.Apply(ups)
+			old, err := vg.Apply(ups)
 			if err != nil {
 				t.Fatalf("pattern %d step %d: %v", pi, i, err)
 			}
@@ -325,7 +325,7 @@ func TestMatcherDifferentialSoak(t *testing.T) {
 			}
 			found = found || len(want.Matches) > 0
 			for _, m := range ms {
-				d, err := m.ApplyShared(old, vg.Graph(), touched)
+				d, err := m.ApplyShared(old, vg.Graph(), nil)
 				if err != nil {
 					t.Fatalf("pattern %d step %d: %v", pi, i, err)
 				}

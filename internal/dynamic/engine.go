@@ -153,10 +153,7 @@ func (e *Engine) Unwatch(name string) error {
 // next Apply or Assign; the deltas' node lists are the caller's.
 func (e *Engine) Apply(old *graph.OldView, newG *graph.Graph, tr *obs.Trace) ([]NamedDelta, error) {
 	e.g = newG
-	var edits []graph.EdgeEdit
-	if len(e.byName) > 0 {
-		edits = old.Edits()
-	}
+	edits := old.Edits()
 	return e.run(func(m *Matcher) []graph.NodeID { return m.candidates(old, newG, edits) }, tr)
 }
 

@@ -102,7 +102,7 @@ func TestEngineSharesEvaluation(t *testing.T) {
 			r := rand.New(rand.NewSource(17))
 			changed := 0
 			for round := 0; round < 40; round++ {
-				old, touched, err := vg.Apply(randomBatch(r, vg.Graph(), false))
+				old, err := vg.Apply(randomBatch(r, vg.Graph(), false))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +128,7 @@ func TestEngineSharesEvaluation(t *testing.T) {
 						seen[gr] = true
 						perGroup += d.Affected
 					}
-					want, err := oracles[d.Name].ApplyShared(old, vg.Graph(), touched)
+					want, err := oracles[d.Name].ApplyShared(old, vg.Graph(), nil)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -3,11 +3,12 @@ package dynamic
 // FuzzVersionedApply decodes arbitrary bytes into an update batch, applies
 // it through the versioned in-place core and through the rebuild oracle,
 // and demands the two paths agree: same accept/reject decision, and on
-// acceptance a canonically identical finalized graph plus the same
-// touched set, net edits that are the two edge sets' difference, an old
-// view equal to the pre-batch graph however it is read, and a rollback that restores that graph — after which a second
-// batch goes through the same. A rejected batch must leave the versioned
-// graph untouched.
+// acceptance a canonically identical finalized graph, net edits that are
+// the two edge sets' difference, a log that replays the batch and its
+// rollback wherever it reaches back, an old view equal to the pre-batch
+// graph however it is read, and a rollback that restores that graph — after
+// which a second batch goes through the same. A rejected batch must leave
+// the versioned graph untouched.
 //
 // The byte decoder is deliberately total — every input decodes to SOME
 // batch (possibly invalid, exercising the rejection path), so the fuzzer
@@ -111,14 +112,15 @@ func FuzzVersionedApply(f *testing.F) {
 // fuzzApplyBoth applies ups to vg in place and to base through the rebuild
 // oracle, which leaves base as it was: the pre-batch graph the old view is
 // held against, row for row — vg began as base's clone, so the two agree
-// on the id of every label base knows. It compares decision, result,
-// touched set, old view and rollback, and reports whether the batch was
+// on the id of every label base knows. It compares decision, result, net
+// edits, log, old view and rollback, and reports whether the batch was
 // accepted; vg is back at base's state either way. reads picks the rows of
 // the old view that are read before all of them are.
 func fuzzApplyBoth(t *testing.T, base *graph.Graph, vg *graph.Versioned, ups []graph.Mutation, reads []byte) bool {
 	preNodes, preEdges := canon(base)
-	ng, touchedO, errO := Apply(base, ups)
-	old, touchedV, errV := vg.Apply(ups)
+	pre := vg.Graph().Version()
+	ng, _, errO := Apply(base, ups)
+	old, errV := vg.Apply(ups)
 
 	if (errO == nil) != (errV == nil) {
 		t.Fatalf("error divergence: oracle=%v versioned=%v (batch %+v)", errO, errV, ups)
@@ -133,9 +135,6 @@ func fuzzApplyBoth(t *testing.T, base *graph.Graph, vg *graph.Versioned, ups []g
 		}
 		return false
 	}
-	if !reflect.DeepEqual(touchedO, touchedV) {
-		t.Fatalf("touched sets diverge: oracle %v vs versioned %v (batch %+v)", touchedO, touchedV, ups)
-	}
 	requireCanonEqual(t, ng, vg.Graph(), "fuzz")
 	// The label-run index is replaced with the rows it summarizes.
 	if err := vg.Graph().CheckIndex(); err != nil {
@@ -144,19 +143,15 @@ func fuzzApplyBoth(t *testing.T, base *graph.Graph, vg *graph.Versioned, ups []g
 
 	// The net edits are the two edge sets' difference, once each.
 	_, postEdges := canon(ng)
-	var gotGone, gotNew []string
-	for _, ed := range old.Edits() {
-		s := fmt.Sprintf("%d %d %s", ed.From, ed.To, vg.Graph().LabelName(ed.Label))
-		if ed.Added {
-			gotNew = append(gotNew, s)
-		} else {
-			gotGone = append(gotGone, s)
-		}
-	}
-	slices.Sort(gotGone)
-	slices.Sort(gotNew)
+	gotNew, gotGone := editStrings(vg.Graph(), old.Edits())
 	if added, removed := sortedMinus(postEdges, preEdges), sortedMinus(preEdges, postEdges); !slices.Equal(gotNew, added) || !slices.Equal(gotGone, removed) {
 		t.Fatalf("edits +%v -%v, the batch moved +%v -%v (batch %+v)", gotNew, gotGone, added, removed, ups)
+	}
+	// The log holds the batch wherever it fits, |V|/8 edits.
+	held := map[graph.Version][]string{pre: preEdges}
+	fits := func(edits int) bool { return edits <= vg.Graph().NumNodes()/8 }
+	if reached := checkLog(t, vg.Graph(), held, "after the batch"); !reached[pre] && fits(len(old.Edits())) {
+		t.Fatalf("the log dropped a batch of %d edits (batch %+v)", len(old.Edits()), ups)
 	}
 
 	// The old view builds a pre-batch row when it is first read. Read it
@@ -198,6 +193,9 @@ func fuzzApplyBoth(t *testing.T, base *graph.Graph, vg *graph.Versioned, ups []g
 	if !reflect.DeepEqual(on, preNodes) || !reflect.DeepEqual(oe, preEdges) {
 		t.Fatalf("old view diverges from the pre-batch graph (batch %+v)", ups)
 	}
+	post := vg.Graph().Version()
+	held[post] = postEdges
+	edits := len(old.Edits())
 	if err := vg.Rollback(old); err != nil {
 		t.Fatalf("rollback: %v", err)
 	}
@@ -205,10 +203,29 @@ func fuzzApplyBoth(t *testing.T, base *graph.Graph, vg *graph.Versioned, ups []g
 	if !reflect.DeepEqual(gn, preNodes) || !reflect.DeepEqual(ge, preEdges) {
 		t.Fatalf("rollback did not restore the pre-batch graph (batch %+v)", ups)
 	}
+	if reached := checkLog(t, vg.Graph(), held, "after the rollback"); !reached[post] && fits(edits) {
+		t.Fatalf("the log dropped the rollback of %d edits (batch %+v)", edits, ups)
+	}
 	if err := vg.Graph().CheckIndex(); err != nil {
 		t.Fatalf("after rollback: %v (batch %+v)", err, ups)
 	}
 	return true
+}
+
+// editStrings splits edits into the edges they add and remove, in canon's
+// form, ascending.
+func editStrings(g graph.View, edits []graph.EdgeEdit) (added, removed []string) {
+	for _, ed := range edits {
+		s := fmt.Sprintf("%d %d %s", ed.From, ed.To, g.LabelName(ed.Label))
+		if ed.Added {
+			added = append(added, s)
+		} else {
+			removed = append(removed, s)
+		}
+	}
+	slices.Sort(added)
+	slices.Sort(removed)
+	return added, removed
 }
 
 // sortedMinus returns a \ b for ascending string slices.

@@ -132,9 +132,9 @@ func (m *Matcher) Answers() []graph.NodeID {
 // graph the matcher was made over: a Versioned's live graph, which every
 // batch edits in place. A holder of several matchers over one graph (a
 // server session with many standing watches) applies the batch once and
-// shares the result, instead of applying it per watch. touched is unread:
-// benchmark/ passes it; drop after ROADMAP 1(a).
-func (m *Matcher) ApplyShared(old *graph.OldView, newG *graph.Graph, touched []graph.NodeID) (Delta, error) {
+// shares the result, instead of applying it per watch. The node list is
+// unread: benchmark/ passes ApplyVersioned's; drop after ROADMAP 1(a).
+func (m *Matcher) ApplyShared(old *graph.OldView, newG *graph.Graph, _ []graph.NodeID) (Delta, error) {
 	return m.verify(newG, m.candidates(old, newG, old.Edits()))
 }
 

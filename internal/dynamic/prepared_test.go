@@ -61,7 +61,7 @@ func TestPreparedFollowsVersions(t *testing.T) {
 			n := graph.NodeID(vg.Graph().NumNodes())
 			ups = []graph.Mutation{graph.AddNode("gadget"), graph.AddEdge(0, n, "follow"), graph.AddEdge(1, 2, "endorse")}
 		}
-		if _, _, err := vg.Apply(ups); err != nil {
+		if _, err := vg.Apply(ups); err != nil {
 			t.Fatalf("round %d: %v (batch %+v)", round, err, ups)
 		}
 		applied++
@@ -214,11 +214,11 @@ func batchPair(affected []graph.NodeID) [2][]graph.Mutation {
 // candidates. It returns the two deltas.
 func applyPair(t testing.TB, vg *graph.Versioned, m *Matcher, pair [2][]graph.Mutation) (ds [2]Delta) {
 	for i, ups := range pair {
-		old, touched, err := vg.Apply(ups)
+		old, err := vg.Apply(ups)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ds[i], err = m.ApplyShared(old, vg.Graph(), touched); err != nil || ds[i].Affected < len(ups) {
+		if ds[i], err = m.ApplyShared(old, vg.Graph(), nil); err != nil || ds[i].Affected < len(ups) {
 			t.Fatalf("ApplyShared: %+v, %v", ds[i], err)
 		}
 	}

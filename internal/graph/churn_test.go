@@ -24,7 +24,7 @@ func BenchmarkVersionedApply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := vg.Apply(fixture.WatchBatch(persons, base, i)); err != nil {
+		if _, err := vg.Apply(fixture.WatchBatch(persons, base, i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func TestRowSlackStaysBounded(t *testing.T) {
 	base := g.NumNodes()
 	vg := graph.NewVersioned(g)
 	for i := 0; i < 10000; i++ {
-		if _, _, err := vg.Apply(fixture.WatchBatch(persons, base, i)); err != nil {
+		if _, err := vg.Apply(fixture.WatchBatch(persons, base, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,7 +97,7 @@ func TestHeldMemoryFollowsLiveEdges(t *testing.T) {
 	vg := graph.NewVersioned(g)
 	fresh := heapHeld() - before
 	for i := 0; i < batches; i++ {
-		if _, _, err := vg.Apply(fixture.WatchBatch(persons, base, i)); err != nil {
+		if _, err := vg.Apply(fixture.WatchBatch(persons, base, i)); err != nil {
 			t.Fatal(err)
 		}
 	}

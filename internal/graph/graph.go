@@ -48,7 +48,7 @@ type Graph struct {
 	// Versioned.Apply, Versioned.Rollback), so state derived from the graph
 	// can tell whether it still describes it.
 	version Version
-	touched touchLog // what the latest versions touched (versioned.go)
+	edits   editLog // the latest versions' net edge edits (versioned.go)
 
 	finalized bool
 	byLabel   map[LabelID][]NodeID

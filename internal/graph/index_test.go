@@ -84,7 +84,7 @@ func TestIndexApplyRollbackApply(t *testing.T) {
 			}
 
 			before := canon(g)
-			old, _, err := vg.Apply(batch)
+			old, err := vg.Apply(batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,7 +97,7 @@ func TestIndexApplyRollbackApply(t *testing.T) {
 			if !reflect.DeepEqual(canon(g), before) {
 				t.Fatal("rollback did not restore the graph")
 			}
-			if _, _, err := vg.Apply(batch); err != nil {
+			if _, err := vg.Apply(batch); err != nil {
 				t.Fatal(err)
 			}
 			requireIndex(t, g, "after re-apply")
@@ -144,7 +144,7 @@ func TestIndexAcrossCopies(t *testing.T) {
 	cl := g.Clone()
 	requireIndex(t, cl, "clone")
 	vg := NewVersioned(cl)
-	if _, _, err := vg.Apply([]Mutation{
+	if _, err := vg.Apply([]Mutation{
 		{Op: MutRemoveNode, From: 0},
 		{Op: MutRemoveEdge, From: 1, To: g.Out(1)[0].To, Label: g.LabelName(g.Out(1)[0].Label)},
 		{Op: MutAddEdge, From: 2, To: 3, Label: "fresh-label"},

@@ -72,7 +72,7 @@ func TestHubRemovalVisitsLogOncePerEntry(t *testing.T) {
 	var old *OldView
 	spent("apply", func() {
 		var err error
-		if old, _, err = vg.Apply(batch); err != nil {
+		if old, err = vg.Apply(batch); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -109,7 +109,7 @@ func TestOldViewSharedBetweenReaders(t *testing.T) {
 	g := indexGraph(5)
 	before := rowsOf(g)
 	vg := NewVersioned(g)
-	old, _, err := vg.Apply([]Mutation{
+	old, err := vg.Apply([]Mutation{
 		{Op: MutRemoveNode, From: 3},
 		{Op: MutAddEdge, From: 1, To: 2, Label: "fresh-label"},
 		{Op: MutRemoveEdge, From: 4, To: g.Out(4)[0].To, Label: g.LabelName(g.Out(4)[0].Label)},
@@ -148,7 +148,7 @@ func TestCloneTakenBeforeApplyIsUnchanged(t *testing.T) {
 			}
 			batch = append(batch, Mutation{Op: op, From: NodeID(r.Intn(n)), To: NodeID(r.Intn(n)), Label: string(rune('A' + r.Intn(12)))})
 		}
-		if _, _, err := vg.Apply(batch); err != nil {
+		if _, err := vg.Apply(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestApplyOnPackedRowsLeavesNeighboursAlone(t *testing.T) {
 	// inside the packed array as well as full ones; then the removed edges
 	// go back in.
 	for _, batch := range [][]Mutation{gone, second, first} {
-		if _, _, err := vg.Apply(batch); err != nil {
+		if _, err := vg.Apply(batch); err != nil {
 			t.Fatal(err)
 		}
 		requireIndex(t, vg.Graph(), "after a batch on packed rows")
@@ -219,7 +219,7 @@ func TestEdgeOntoNodeRemovedInTheSameBatch(t *testing.T) {
 	g := testGraph()
 	before := rowsOf(g)
 	vg := NewVersioned(g)
-	old, touched, err := vg.Apply([]Mutation{
+	old, err := vg.Apply([]Mutation{
 		{Op: MutRemoveEdge, From: 0, To: 3, Label: "rate"},
 		{Op: MutRemoveNode, From: 0},
 		{Op: MutAddEdge, From: 0, To: 4, Label: "rate"},
@@ -228,8 +228,8 @@ func TestEdgeOntoNodeRemovedInTheSameBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []NodeID{0, 1, 2, 3, 4}; !slices.Equal(touched, want) {
-		t.Fatalf("touched = %v, want %v", touched, want)
+	if got, want := editLines(old, old.Edits()), []string{"0 1 follow -", "0 3 rate -", "0 4 rate +", "1 0 follow +", "2 0 follow -"}; !slices.Equal(got, want) {
+		t.Fatalf("edits = %v, want %v", got, want)
 	}
 	want := []string{"n 0 person", "n 1 person", "n 2 person", "n 3 item", "n 4 item",
 		"e 0 4 rate", "e 1 0 follow", "e 1 2 follow", "e 1 3 rate", "e 2 4 rate"}
@@ -275,7 +275,7 @@ func TestRepackKeepsBatchesWhole(t *testing.T) {
 		}
 		due := [2]bool{vg.deadOut > g.numEdges/repackShare, vg.deadIn > g.numEdges/repackShare}
 		before := rowsOf(g)
-		old, _, err := vg.Apply(batch)
+		old, err := vg.Apply(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestRepackKeepsBatchesWhole(t *testing.T) {
 			t.Fatalf("step %d: rollback of a re-packing batch did not restore the rows", step)
 		}
 		requireIndex(t, g, "after rolling back a re-packing batch")
-		if _, _, err := vg.Apply(batch); err != nil {
+		if _, err := vg.Apply(batch); err != nil {
 			t.Fatal(err)
 		}
 	}

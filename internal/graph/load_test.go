@@ -297,7 +297,7 @@ func TestBuildMatchesReference(t *testing.T) {
 							batch = append(batch, graph.AddEdge(v, graph.NodeID(r.Intn(g.NumNodes())), "added"))
 						}
 					}
-					ov, _, err := vg.Apply(batch)
+					ov, err := vg.Apply(batch)
 					if err != nil {
 						t.Fatal(err)
 					}

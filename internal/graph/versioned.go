@@ -7,7 +7,7 @@
 // computation ("deletions in the old graph, insertions in the new") works
 // without two full graphs, and a caller that never looks back pays
 // nothing for the view. Per-batch cost is proportional to |batch| plus
-// the degree of the touched nodes, the Berkholz–Keppeler–Schweikardt
+// the degree of the nodes it names, the Berkholz–Keppeler–Schweikardt
 // target of cost proportional to the change rather than the database.
 package graph
 
@@ -24,81 +24,80 @@ import (
 // to the version its batch created and panics if read after a later one.
 type Version uint64
 
-// touchLog records the nodes whose rows each of the graph's latest
-// versions changed, as Versioned.Apply and Rollback name them, for state
-// derived from an older version (a match.Bound) to catch up from. Entry i
-// is version from+1+i's; a bump it did not record (a building call) ends
-// it. It keeps at most |V|/touchLogShare ids and as many entries, oldest
-// out first — a reader further behind would re-check every logged id under
-// every pattern node, nearing the O(|Q|·|G|) build a catch-up saves — in
-// reused storage of twice that.
-type touchLog struct {
+// editLog records the net edge edits of each of the graph's latest
+// versions, as Versioned.Apply and Rollback make them, for state derived
+// from an older version (a match.Bound) to catch up from. Entry i is
+// version from+1+i's; a bump it did not record (a building call) ends it.
+// It keeps at most |V|/editLogShare edits and as many entries, oldest out
+// first — a reader further behind would re-check every logged edit's
+// endpoints under every pattern node, nearing the O(|Q|·|G|) build a
+// catch-up saves — in reused storage of twice that.
+type editLog struct {
 	from  Version
-	ids   []NodeID // the entries' ids back to back; ids[:start] are dropped
+	edits []EdgeEdit // the entries' edits back to back; edits[:start] are dropped
 	start int
-	ends  []int32 // where each entry's ids end; ends[:head] are dropped
+	ends  []int32 // where each entry's edits end; ends[:head] are dropped
 	head  int
 }
 
-const touchLogShare = 8
+const editLogShare = 8
 
 // reaches reports whether the entries run up to version v.
-func (l *touchLog) reaches(v Version) bool { return l.from+Version(len(l.ends)-l.head) == v }
+func (l *editLog) reaches(v Version) bool { return l.from+Version(len(l.ends)-l.head) == v }
 
-// after returns where the ids of the entries after version v begin.
-func (l *touchLog) after(v Version) int {
-	if v == l.from {
-		return l.start
-	}
-	return int(l.ends[l.head+int(v-l.from)-1])
-}
-
-// logVersion advances g's version and logs touched as what it changed.
-func (g *Graph) logVersion(touched []NodeID) {
-	l := &g.touched
+// logVersion advances g's version and logs edits as what it changed.
+func (g *Graph) logVersion(edits []EdgeEdit) {
+	l := &g.edits
 	if !l.reaches(g.version) {
-		l.from, l.ids, l.start, l.ends, l.head = g.version, l.ids[:0], 0, l.ends[:0], 0
+		l.from, l.edits, l.start, l.ends, l.head = g.version, l.edits[:0], 0, l.ends[:0], 0
 	}
 	g.version++
-	limit := g.NumNodes() / touchLogShare
-	for l.head < len(l.ends) && (len(l.ids)-l.start+len(touched) > limit || len(l.ends)-l.head >= limit) {
+	limit := g.NumNodes() / editLogShare
+	for l.head < len(l.ends) && (len(l.edits)-l.start+len(edits) > limit || len(l.ends)-l.head >= limit) {
 		l.start = int(l.ends[l.head])
 		l.head++
 		l.from++
 	}
-	if len(touched) > limit || limit == 0 {
+	if len(edits) > limit || limit == 0 {
 		l.from++ // the log is empty and starts after this version
 		return
 	}
-	if len(l.ids)+len(touched) > cap(l.ids) || len(l.ends) == cap(l.ends) {
+	if len(l.edits)+len(edits) > cap(l.edits) || len(l.ends) == cap(l.ends) {
 		// Move the live entries to the front, a limit's appends apart.
-		ids, ends := l.ids[:0], l.ends[:0]
-		if cap(ids) < 2*limit {
-			ids, ends = make([]NodeID, 0, 2*limit), make([]int32, 0, 2*limit)
+		kept, ends := l.edits[:0], l.ends[:0]
+		if cap(kept) < 2*limit {
+			kept, ends = make([]EdgeEdit, 0, 2*limit), make([]int32, 0, 2*limit)
 		}
-		ids = append(ids, l.ids[l.start:]...)
+		kept = append(kept, l.edits[l.start:]...)
 		for _, end := range l.ends[l.head:] {
 			ends = append(ends, end-int32(l.start))
 		}
-		l.ids, l.start, l.ends, l.head = ids, 0, ends, 0
+		l.edits, l.start, l.ends, l.head = kept, 0, ends, 0
 	}
-	l.ids = append(l.ids, touched...)
-	l.ends = append(l.ends, int32(len(l.ids)))
+	l.edits = append(l.edits, edits...)
+	l.ends = append(l.ends, int32(len(l.edits)))
 }
 
-// TouchedSince returns the nodes whose rows changed after version v: the
-// touched sets of the batches applied and rolled back since, oldest first,
-// concatenated. It reports false when the log does not reach back to v.
-// The slice is the log's storage, good until the next Apply or Rollback.
-func (g *Graph) TouchedSince(v Version) ([]NodeID, bool) {
-	l := &g.touched
+// EditsSince returns the net edge edits of the versions after v, oldest
+// first: each batch's OldView.Edits, and each rollback's the batch's with
+// Added flipped, back to back. Folded in order over version v's edge set
+// they give the current one. An edit may name a node a later rollback took
+// away, at or past NumNodes. It reports false when the log does not reach
+// back to v. The slice is the log's storage, good until the next Apply or
+// Rollback.
+func (g *Graph) EditsSince(v Version) ([]EdgeEdit, bool) {
+	l := &g.edits
 	switch {
 	case v == g.version:
 		return nil, true
 	case v < l.from || !l.reaches(g.version):
 		return nil, false
 	}
-	return l.ids[l.after(v):len(l.ids):len(l.ids)], true
+	i := l.start
+	if v > l.from {
+		i = int(l.ends[l.head+int(v-l.from)-1])
+	}
+	return l.edits[i:len(l.edits):len(l.edits)], true
 }
 
 // MutationOp enumerates the graph's write vocabulary — the one every
@@ -224,16 +223,15 @@ type Versioned struct {
 	deadOut, deadIn int
 
 	// State of the latest batch, reused by the next. mark has one byte per
-	// node — out-row edited, in-row edited, touched — and marked lists the
-	// nodes carrying any, so a batch resets what its predecessor set and
+	// node — out-row edited, in-row edited — and marked lists the nodes
+	// carrying either, so a batch resets what its predecessor set and
 	// nothing else. log holds the batch's row edits in application order;
 	// dropped the rows a removed node lost whole (kept, not copied).
 	mark    []uint8
 	marked  []NodeID
 	log     []rowOp
 	dropped [][]Edge
-	// edits is the storage OldView.Edits returns the latest batch's net
-	// edits in.
+	// edits is the storage of the latest batch's net edits (OldView.Edits).
 	edits []EdgeEdit
 
 	// visits counts log entries written or read, for the tests that pin
@@ -242,9 +240,8 @@ type Versioned struct {
 }
 
 const (
-	markOut     uint8 = 1 << iota // out-row edited by the latest batch
-	markIn                        // in-row edited
-	markTouched                   // in the batch's touched set
+	markOut uint8 = 1 << iota // out-row edited by the latest batch
+	markIn                    // in-row edited
 )
 
 // rowOp is one edit of one adjacency row, as the undo log records it.
@@ -328,17 +325,12 @@ func (vg *Versioned) repack(in bool) {
 	*vg.dead(in) = 0
 }
 
-// touch puts v into the batch's touched set, with bits for an edited row.
-func (vg *Versioned) touch(v NodeID, bits uint8) {
-	if vg.mark[v] == 0 {
-		vg.marked = append(vg.marked, v)
-	}
-	vg.mark[v] |= bits | markTouched
-}
-
 // record logs one edit of a row of v.
 func (vg *Versioned) record(op rowOp, bit uint8) {
-	vg.touch(op.v, bit)
+	if vg.mark[op.v] == 0 {
+		vg.marked = append(vg.marked, op.v)
+	}
+	vg.mark[op.v] |= bit
 	vg.log = append(vg.log, op)
 	vg.visits++
 }
@@ -455,10 +447,8 @@ type OldView struct {
 	// row once it is rebuilt.
 	mu  sync.Mutex
 	old []oldRow
-	// edits is Edits' result once computed, in the Versioned's storage;
-	// hasEdits says it is.
-	edits    []EdgeEdit
-	hasEdits bool
+	// edits is the batch's net edits, in the Versioned's storage.
+	edits []EdgeEdit
 }
 
 type oldRow struct {
@@ -555,25 +545,19 @@ type EdgeEdit struct {
 }
 
 // Edits returns the batch's net edge edits, ascending by (From, Label, To):
-// each edge present on one side of the batch and not on the other, once. It
-// reads the undo log alone, O(|log| log |log|), on the first call; later
-// calls return the same slice. An edge's logged edits alternate, since an
-// insert only logs when the edge is absent and a removal when it is
-// present, so its first edit says whether it existed before the batch and
-// its last whether it exists now: an edge inserted and removed again within
-// the batch is no edit.
-//
+// each edge present on one side of the batch and not on the other, once.
 // The slice lives in storage the Versioned reuses from batch to batch, so
 // it is valid as long as the view is, until the next Apply or Rollback,
 // and is read-only: a caller that keeps edits longer copies them.
-func (ov *OldView) Edits() []EdgeEdit {
-	ov.check()
-	ov.mu.Lock()
-	defer ov.mu.Unlock()
-	if ov.hasEdits {
-		return ov.edits
-	}
-	vg := ov.vg
+func (ov *OldView) Edits() []EdgeEdit { ov.check(); return ov.edits }
+
+// netEdits reduces the batch's undo log to its net edge edits, O(|log| log
+// |log|), in the Versioned's storage. An edge's logged edits alternate,
+// since an insert only logs when the edge is absent and a removal when it
+// is present, so its first edit says whether it existed before the batch
+// and its last whether it exists now: an edge inserted and removed again
+// within the batch is no edit.
+func (vg *Versioned) netEdits() []EdgeEdit {
 	all := vg.edits[:0] // every logged out-row edit, in log order
 	for _, op := range vg.log {
 		switch {
@@ -602,7 +586,6 @@ func (ov *OldView) Edits() []EdgeEdit {
 		i = j
 	}
 	vg.edits = all
-	ov.edits, ov.hasEdits = net, true
 	return net
 }
 
@@ -741,20 +724,18 @@ func removeSorted(row []Edge, e Edge) ([]Edge, bool) {
 	return row[:len(row)-1], true
 }
 
-// Apply applies the batch in place and returns the pre-batch OldView
-// plus the sorted touched set: endpoints of inserted or removed edges
-// (named by the batch even when the op was a no-op), newly added
-// nodes, isolated nodes and their former neighbors — bit-exact with
-// the legacy rebuild path's touched semantics.
+// Apply applies the batch in place and returns the pre-batch OldView,
+// which holds the batch's net edits (OldView.Edits); the graph logs them
+// as the new version's (EditsSince).
 //
 // The whole batch is validated up front (CheckBatch), so an error leaves
 // the graph untouched at its prior version.
 // On success the version advances and any earlier OldView goes stale.
-func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
+func (vg *Versioned) Apply(muts []Mutation) (*OldView, error) {
 	g := vg.g
 	n, err := CheckBatch(muts, g.NumNodes())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// The batch before this one is history: its view goes stale below,
@@ -792,7 +773,6 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 			g.inRuns = append(g.inRuns, nil)
 			// Ids ascend, so appending keeps byLabel rows sorted.
 			g.byLabel[l] = append(g.byLabel[l], id)
-			vg.touch(id, 0)
 
 		case MutAddEdge:
 			// If the edge already exists its label is already interned,
@@ -802,8 +782,6 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 				vg.edit(opInsert, true, m.To, Edge{To: m.From, Label: l})
 				g.numEdges++
 			}
-			vg.touch(m.From, 0)
-			vg.touch(m.To, 0)
 
 		case MutRemoveEdge:
 			// Lookup, not Intern: removing via a never-seen label must
@@ -812,16 +790,12 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 				vg.edit(opRemove, true, m.To, Edge{To: m.From, Label: l})
 				g.numEdges--
 			}
-			vg.touch(m.From, 0)
-			vg.touch(m.To, 0)
 
 		case MutRemoveNode:
 			v := m.From
-			vg.touch(v, 0)
 			outs, ins := g.out[v], g.in[v]
 			selfLoops := 0
 			for _, e := range outs {
-				vg.touch(e.To, 0)
 				if e.To == v {
 					selfLoops++
 					continue
@@ -829,7 +803,6 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 				vg.edit(opRemove, true, e.To, Edge{To: v, Label: e.Label})
 			}
 			for _, e := range ins {
-				vg.touch(e.To, 0)
 				if e.To == v {
 					continue // its mirror died with out[v]
 				}
@@ -841,11 +814,10 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, []NodeID, error) {
 		}
 	}
 
-	ts := slices.Clone(vg.marked)
-	slices.Sort(ts)
-	g.logVersion(ts)
+	ov.edits = vg.netEdits()
+	g.logVersion(ov.edits)
 	ov.validAt = g.version
-	return ov, ts, nil
+	return ov, nil
 }
 
 // Rollback undoes the batch that produced ov, restoring the exact
@@ -892,18 +864,11 @@ func (vg *Versioned) Rollback(ov *OldView) error {
 	g.outRuns = g.outRuns[:ov.numNodes]
 	g.inRuns = g.inRuns[:ov.numNodes]
 	g.numEdges = ov.numEdges
-	// The rows restored, the batch's touched nodes that remain, replace its
-	// entry too: a reader from before it re-checks no node past the graph.
-	restored := make([]NodeID, 0, len(vg.marked))
-	for _, v := range vg.marked {
-		if int(v) < ov.numNodes {
-			restored = append(restored, v)
-		}
+	// The log takes the batch back as a version of its own: its edits
+	// flipped, so a reader from before the batch folds the two to nothing.
+	for i := range ov.edits {
+		ov.edits[i].Added = !ov.edits[i].Added
 	}
-	if l := &g.touched; l.reaches(g.version) && g.version > l.from {
-		l.ids = append(l.ids[:l.after(g.version-1)], restored...)
-		l.ends[len(l.ends)-1] = int32(len(l.ids))
-	}
-	g.logVersion(restored)
+	g.logVersion(ov.edits)
 	return nil
 }

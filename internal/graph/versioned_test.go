@@ -27,6 +27,19 @@ func canon(g *Graph) []string {
 	return append(lines, edges...)
 }
 
+// editLines renders edits as "from to label +|-", in their order.
+func editLines(g View, edits []EdgeEdit) []string {
+	var lines []string
+	for _, e := range edits {
+		sign := "-"
+		if e.Added {
+			sign = "+"
+		}
+		lines = append(lines, fmt.Sprintf("%d %d %s %s", e.From, e.To, g.LabelName(e.Label), sign))
+	}
+	return lines
+}
+
 func testGraph() *Graph {
 	g := New(5)
 	for _, l := range []string{"person", "person", "person", "item", "item"} {
@@ -52,7 +65,7 @@ func TestVersionedApplyMatchesRebuild(t *testing.T) {
 		{Op: MutRemoveEdge, From: 3, To: 4, Label: "never"}, // absent: no-op
 		{Op: MutRemoveNode, From: 2},
 	}
-	old, touched, err := vg.Apply(batch)
+	old, err := vg.Apply(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +87,10 @@ func TestVersionedApplyMatchesRebuild(t *testing.T) {
 	if vg.Graph().NumEdges() != 4 {
 		t.Fatalf("NumEdges = %d, want 4", vg.Graph().NumEdges())
 	}
-	// 0,1 (edge endpoints incl. no-op dup), 2 (removed) + former
-	// neighbors 0,4, new node 5, absent-remove endpoints 3,4.
-	if want := []NodeID{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(touched, want) {
-		t.Fatalf("touched = %v, want %v", touched, want)
+	// The dup and the absent remove are no edits; the removed node's
+	// edges are.
+	if got, want := editLines(old, old.Edits()), []string{"1 2 follow -", "2 0 follow -", "2 4 rate -", "5 0 follow +"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("edits = %v, want %v", got, want)
 	}
 
 	// The old view still answers pre-batch questions.
@@ -131,7 +144,7 @@ func TestVersionedApplyValidatesUpfront(t *testing.T) {
 		{{Op: MutAddEdge, From: 0, To: 1, Label: "x"}, {Op: MutInvalid, From: 0}},
 	}
 	for i, batch := range bad {
-		if _, _, err := vg.Apply(batch); err == nil {
+		if _, err := vg.Apply(batch); err == nil {
 			t.Fatalf("batch %d: expected error", i)
 		}
 		if got := canon(vg.Graph()); !reflect.DeepEqual(got, before) {
@@ -142,7 +155,7 @@ func TestVersionedApplyValidatesUpfront(t *testing.T) {
 		}
 	}
 	// A node added earlier in the batch is addressable later in it.
-	if _, _, err := vg.Apply([]Mutation{
+	if _, err := vg.Apply([]Mutation{
 		{Op: MutAddNode, Label: "p"},
 		{Op: MutAddEdge, From: 5, To: 5, Label: "self"},
 	}); err != nil {
@@ -153,7 +166,7 @@ func TestVersionedApplyValidatesUpfront(t *testing.T) {
 func TestVersionedRollback(t *testing.T) {
 	vg := NewVersioned(testGraph())
 	before := canon(vg.Graph())
-	old, _, err := vg.Apply([]Mutation{
+	old, err := vg.Apply([]Mutation{
 		{Op: MutAddNode, Label: "extra"},
 		{Op: MutAddEdge, From: 5, To: 2, Label: "follow"},
 		{Op: MutRemoveNode, From: 0},
@@ -184,11 +197,11 @@ func TestVersionedRollback(t *testing.T) {
 
 func TestOldViewGoesStale(t *testing.T) {
 	vg := NewVersioned(testGraph())
-	old, _, err := vg.Apply([]Mutation{{Op: MutAddEdge, From: 0, To: 4, Label: "rate"}})
+	old, err := vg.Apply([]Mutation{{Op: MutAddEdge, From: 0, To: 4, Label: "rate"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := vg.Apply([]Mutation{{Op: MutRemoveEdge, From: 0, To: 4, Label: "rate"}}); err != nil {
+	if _, err := vg.Apply([]Mutation{{Op: MutRemoveEdge, From: 0, To: 4, Label: "rate"}}); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -206,7 +219,7 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatal("clone differs")
 	}
 	vg := NewVersioned(cl)
-	if _, _, err := vg.Apply([]Mutation{{Op: MutRemoveNode, From: 0}}); err != nil {
+	if _, err := vg.Apply([]Mutation{{Op: MutRemoveNode, From: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if g.NumEdges() != 6 || len(g.Out(0)) != 2 {
@@ -216,7 +229,7 @@ func TestCloneIsIndependent(t *testing.T) {
 
 func TestInducedOfOldView(t *testing.T) {
 	vg := NewVersioned(testGraph())
-	old, _, err := vg.Apply([]Mutation{{Op: MutRemoveNode, From: 1}})
+	old, err := vg.Apply([]Mutation{{Op: MutRemoveNode, From: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +293,7 @@ func TestVersionedRunsMatchRebuild(t *testing.T) {
 			vg = NewVersioned(g)
 		}
 		before := canon(g)
-		old, _, err := vg.Apply(step.batch)
+		old, err := vg.Apply(step.batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +307,7 @@ func TestVersionedRunsMatchRebuild(t *testing.T) {
 			t.Fatalf("%s: rollback did not restore the graph", step.name)
 		}
 		// Re-apply, so the next step starts from this one's graph.
-		if _, _, err := vg.Apply(step.batch); err != nil {
+		if _, err := vg.Apply(step.batch); err != nil {
 			t.Fatal(err)
 		}
 		requireIndex(t, g, step.name+": re-apply")

@@ -24,7 +24,7 @@ func applyAndAppend(t *testing.T, j *Journal, vg *graph.Versioned, specs ...serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := vg.Apply(ups); err != nil {
+	if _, err := vg.Apply(ups); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.AppendBatch(specs); err != nil {

@@ -608,13 +608,13 @@ func (h *harness) update(tn string) {
 	}
 	// Applied, or fail-stopped after the journal took it (ii).
 	ups, perr := server.ToUpdates(batch)
-	old, touched, aerr := h.model.Apply(ups)
+	old, aerr := h.model.Apply(ups)
 	if perr != nil || aerr != nil {
 		h.fatalf("model apply: %v, %v", perr, aerr)
 	}
 	want := make(map[string]dynamic.Delta)
 	for name, w := range h.watches {
-		if want[name], aerr = w.m.ApplyShared(old, h.model.Graph(), touched); aerr != nil {
+		if want[name], aerr = w.m.ApplyShared(old, h.model.Graph(), nil); aerr != nil {
 			h.fatalf("oracle: %v", aerr)
 		}
 	}

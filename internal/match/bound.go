@@ -22,7 +22,7 @@ import (
 // allocates nothing sized by |V|.
 //
 // A Bound follows its graph by Advance, which every Run calls first, at a
-// cost that depends on what the batches since touched, as the graph's log
+// cost that depends on what the batches since edited, as the graph's log
 // names them: a standing watch that re-verifies a few candidates per batch
 // keeps one Bound for its lifetime. Runs and Advances may be concurrent;
 // the graph write that moves the version needs them excluded.
@@ -122,8 +122,10 @@ func (bp *boundPositive) drop() {
 	bp.cand, bp.accept, bp.vacant, bp.pruned = nil, nil, false, false
 }
 
-// Outcome says what Advance took: nothing (Hit), a repair over the graph's
-// log (Repaired), or dropping sets for the next Run to build (Built).
+// Outcome says what Advance, and the Run after it, take: nothing, where no
+// positive holds sets and none's labels came since (Hit); a build, where
+// some positive's sets were dropped or its labels came (Built); else a
+// repair over the graph's log (Repaired).
 type Outcome int
 
 const (
@@ -133,11 +135,11 @@ const (
 )
 
 // Advance carries the bound to the graph's current version. Where the
-// graph's log reaches back to the bound's version (graph.TouchedSince),
-// the sets built are repaired over the nodes it names, at a cost that
-// depends on them, not on |G| (simulation.Repair: exactly the sets a fresh
-// bind computes, from all-empty sets too); acceptance sets, where built,
-// are re-judged around what that changed, and the verdicts taken again: a
+// graph's log reaches back to the bound's version (graph.EditsSince), the
+// sets built are repaired over the edits it holds, at a cost that depends
+// on them, not on |G| (simulation.Repair: exactly the sets a fresh bind
+// computes, from all-empty sets too); acceptance sets, where built, are
+// re-judged around what that changed, and the verdicts taken again: a
 // Bound whose pattern had no answer is carried like any other. Sets that
 // outgrew the graph — it lost nodes since, which only a Rollback does —
 // are dropped, as is every set where the log does not reach back: a stale
@@ -148,22 +150,28 @@ func (b *Bound) Advance() Outcome {
 	if b.g.Version() == b.version {
 		return Hit
 	}
-	touched, ok := b.g.TouchedSince(b.version)
+	edits, ok := b.g.EditsSince(b.version)
 	b.version = b.g.Version()
-	out := Repaired
+	out := Hit
 	for i := range b.pos {
 		bp := &b.pos[i]
+		unlabelled := bp.unlabelled
 		bp.resolve(b.g)
 		switch {
-		case !ok || bp.cand != nil && bp.cand[0].Len() > b.g.NumNodes():
+		case bp.cand == nil:
+			if unlabelled && !bp.unlabelled {
+				out = Built // its label came: the next Run builds its sets
+			}
+		case !ok || bp.cand[0].Len() > b.g.NumNodes():
 			bp.drop()
 			out = Built
-		case bp.cand != nil:
-			changed, ok := simulation.Repair(b.g, bp.p, bp.cand, touched, !bp.vacant)
+		default:
+			out = max(out, Repaired)
+			changed, ok := simulation.Repair(b.g, bp.p, bp.cand, edits, !bp.vacant)
 			if bp.accept != nil {
 				switch {
 				case ok:
-					bp.reaccept(b.g, touched, changed)
+					bp.reaccept(b.g, edits, changed)
 				case !bp.vacant:
 					for _, set := range bp.accept {
 						set.Clear()
@@ -272,11 +280,12 @@ func (bp *boundPositive) viable(g *graph.Graph, ei int, v graph.NodeID) bool {
 }
 
 // reaccept brings the acceptance sets in line with repaired candidate sets
-// by re-judging only what can have changed: a touched node (its own rows
-// differ), a pair that entered or left a candidate set, and the parents,
-// over a quantified edge into that set, of such a pair's node (their viable
-// child count differs).
-func (bp *boundPositive) reaccept(g *graph.Graph, touched []graph.NodeID, changed []simulation.Pair) {
+// by re-judging only what can have changed: an edit's endpoint (its own
+// rows differ), a pair that entered or left a candidate set, and the
+// parents, over a quantified edge into that set, of such a pair's node
+// (their viable child count differs). A node born since is a candidate only
+// if it entered a candidate set, so changed names it.
+func (bp *boundPositive) reaccept(g *graph.Graph, edits []graph.EdgeEdit, changed []simulation.Pair) {
 	n := g.NumNodes()
 	for _, set := range bp.accept {
 		set.Grow(n)
@@ -300,9 +309,14 @@ func (bp *boundPositive) reaccept(g *graph.Graph, touched []graph.NodeID, change
 			bp.accepted += d
 		}
 	}
-	for _, v := range touched {
-		for u := range bp.p.Nodes {
-			rejudge(u, v)
+	for _, e := range edits {
+		for _, v := range [2]graph.NodeID{e.From, e.To} {
+			if int(v) >= n {
+				continue // a node a rollback took away
+			}
+			for u := range bp.p.Nodes {
+				rejudge(u, v)
+			}
 		}
 	}
 	for _, c := range changed {

@@ -97,8 +97,11 @@ func boundCases(t *testing.T, g *graph.Graph) []*boundCase {
 // acceptance sets later over them, and an Enum run after the acceptance
 // sets were built still reads the candidate sets (its profile's accepted
 // counts are a fresh Enum's). After the first build no set is built
-// again, a verdict of "no answer" included, but after a batch that alone
-// touched more than the graph's log holds: Advance rebuilds there.
+// again, a verdict of "no answer" included, but after a batch whose edits
+// alone are more than the graph's log holds (EditsSince reports false):
+// Advance rebuilds there. A bound that holds no sets reports a hit: every
+// one in round 0, before any run, and a late pattern until the batch that
+// brings its labels, at which Advance reports the build it needs.
 func TestBoundFollowsVersions(t *testing.T) {
 	const rounds = 300
 	vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(300, 3)))
@@ -106,19 +109,27 @@ func TestBoundFollowsVersions(t *testing.T) {
 	cases := boundCases(t, g)
 	churn := fixture.NewChurn(7)
 	origins := map[string]int{}
+	var rebuilt []int // the rounds past the log
 	for round := 0; round < rounds; round++ {
 		before := g.Version()
-		if _, _, err := vg.Apply(churn.Next(g)); err != nil {
+		if _, err := vg.Apply(churn.Next(g)); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		_, logged := g.TouchedSince(before)
-		want := Repaired
+		_, logged := g.EditsSince(before)
 		if !logged {
-			want = Built
+			rebuilt = append(rebuilt, round)
 		}
 		persons := g.NodesByLabelName("person")
 		scopes := [][]graph.NodeID{nil, persons[:len(persons)/2], spread(persons, 8)}
-		for _, c := range cases {
+		for ci, c := range cases {
+			late := ci >= len(fixture.Mix)
+			want := Repaired
+			switch {
+			case round == 0, late && round < fixture.ChurnLabelsAt:
+				want = Hit
+			case late && round == fixture.ChurnLabelsAt, !logged:
+				want = Built
+			}
 			if round%7 != 3 {
 				// Every seventh version is left for Run to notice on its own.
 				if o := c.bound.Advance(); o != want {
@@ -169,7 +180,7 @@ func TestBoundFollowsVersions(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("set origins over all runs: %v", origins)
+	t.Logf("set origins over all runs: %v; rounds past the log: %v", origins, rebuilt)
 	if origins["repaired"] == 0 || origins["hit"] == 0 || origins["built"] == 0 {
 		t.Fatalf("coverage: set origins %v", origins)
 	}
@@ -225,12 +236,12 @@ func TestBoundBuildsAcceptanceLazily(t *testing.T) {
 		check("first run", 2, "built")
 		for round := 0; round < 3; round++ {
 			before := g.Version()
-			if _, _, err := vg.Apply(churn.Next(g)); err != nil {
+			if _, err := vg.Apply(churn.Next(g)); err != nil {
 				t.Fatal(err)
 			}
 			c.bound.Advance()
 			origin := "repaired"
-			if _, logged := g.TouchedSince(before); !logged {
+			if _, logged := g.EditsSince(before); !logged {
 				origin = "built"
 			}
 			check(fmt.Sprintf("round %d", round), 2, origin)
@@ -277,7 +288,7 @@ func TestBoundSurvivesBornAndTombstonedNode(t *testing.T) {
 	}
 	wantBorn := []bool{false, true, false}
 	for i, muts := range steps {
-		if _, _, err := vg.Apply(muts); err != nil {
+		if _, err := vg.Apply(muts); err != nil {
 			t.Fatal(err)
 		}
 		if o := b.Advance(); o != Repaired {
@@ -324,7 +335,7 @@ func TestStaleBoundRebuilds(t *testing.T) {
 	}
 	persons := g.NodesByLabelName("person")
 	born := graph.NodeID(g.NumNodes())
-	old, _, err := vg.Apply([]graph.Mutation{
+	old, err := vg.Apply([]graph.Mutation{
 		{Op: graph.MutAddNode, Label: "person"},
 		{Op: graph.MutAddEdge, From: persons[0], To: born, Label: "follow"},
 		{Op: graph.MutAddEdge, From: born, To: persons[1], Label: "follow"},
@@ -362,8 +373,8 @@ func TestStaleBoundRebuilds(t *testing.T) {
 // TestBoundFollowsTheGraphsLog holds one Bound, and one left behind, across
 // every way the graph's log goes on or ends: batches and their rollbacks
 // (with and without nodes the rollback takes away), a building call that
-// bumps the version unlogged, and batches that together touch more than
-// |V|/8 ids. At each step the bound's sets equal a fresh bind's, and
+// bumps the version unlogged, and batches whose edits together are more
+// than |V|/8. At each step the bound's sets equal a fresh bind's, and
 // Advance rebuilds exactly where the log cannot carry it.
 func TestBoundFollowsTheGraphsLog(t *testing.T) {
 	vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(300, 3)))
@@ -377,16 +388,15 @@ func TestBoundFollowsTheGraphsLog(t *testing.T) {
 		return graph.RemoveEdge(v, e.To, g.LabelName(e.Label))
 	}
 	cases := boundCases(t, g)[:len(fixture.Mix)] // every one holds sets a node's loss outgrows
-	for _, c := range cases {
-		if _, err := c.bound.Run(EngineQMatch, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
 	// behind[i] is cases[i]'s pattern bound at the start of a step and left
-	// there until its end.
+	// there until its end. Both hold sets at the start: a run builds what
+	// the step before dropped.
 	behind := make([]*Bound, len(cases))
 	hold := func() {
 		for i, c := range cases {
+			if _, err := c.bound.Run(EngineQMatch, nil); err != nil {
+				t.Fatal(err)
+			}
 			behind[i] = c.bound.prep.Bind(g)
 			if _, err := behind[i].Run(EngineQMatch, nil); err != nil {
 				t.Fatal(err)
@@ -402,7 +412,7 @@ func TestBoundFollowsTheGraphsLog(t *testing.T) {
 	}
 	apply := func(muts ...graph.Mutation) *graph.OldView {
 		t.Helper()
-		old, _, err := vg.Apply(muts)
+		old, err := vg.Apply(muts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,10 +439,15 @@ func TestBoundFollowsTheGraphsLog(t *testing.T) {
 			rollback(old)
 			apply(follow(5, 6), unfollow(persons[7]))
 		}, Repaired, Repaired},
-		{"a rollback takes away a node born", func() {
-			born := graph.NodeID(g.NumNodes())
-			old := apply(graph.AddNode("person"), graph.AddEdge(born, persons[8], "follow"),
-				graph.AddEdge(born, persons[9], "follow"), graph.AddEdge(born, persons[10], "follow"), follow(11, 12))
+		{"a rollback takes away nodes born", func() {
+			// 64 of them: the edits name one past the words of every set.
+			var muts []graph.Mutation
+			for range 64 {
+				muts = append(muts, graph.AddNode("person"))
+			}
+			born := graph.NodeID(g.NumNodes() + 63)
+			old := apply(append(muts, graph.AddEdge(born, persons[8], "follow"),
+				graph.AddEdge(born, persons[9], "follow"), graph.AddEdge(born, persons[10], "follow"), follow(11, 12))...)
 			for _, c := range cases {
 				c.bound.Advance()
 			}
@@ -448,10 +463,9 @@ func TestBoundFollowsTheGraphsLog(t *testing.T) {
 			g.Finalize()
 			apply(follow(19, 20), unfollow(persons[21]))
 		}, Built, Built},
-		{"batches past |V|/8 ids together", func() {
-			for i, touched := 0, 0; touched <= g.NumNodes()/8; i++ {
-				apply(follow(30+4*i, 31+4*i), follow(32+4*i, 33+4*i))
-				touched += 4
+		{"batches past |V|/8 edits together", func() {
+			for i, edits := 0, 0; edits <= g.NumNodes()/8; i++ {
+				edits += len(apply(follow(30+4*i, 31+4*i), follow(32+4*i, 33+4*i)).Edits())
 				for _, c := range cases {
 					if o := c.bound.Advance(); o != Repaired {
 						t.Fatalf("batch %d, %s: Advance gave outcome %d, want repaired", i, c.name, o)
@@ -489,7 +503,7 @@ func TestBoundSharedAcrossGoroutines(t *testing.T) {
 		b := prep.Bind(g)
 		for round := 0; round < 4; round++ {
 			if round > 0 {
-				if _, _, err := vg.Apply(churn.Next(g)); err != nil {
+				if _, err := vg.Apply(churn.Next(g)); err != nil {
 					t.Fatal(err)
 				}
 				if round != 2 {
@@ -551,7 +565,7 @@ func BenchmarkBoundAdvance(b *testing.B) {
 		}
 		base, batches := g.NumNodes(), 0
 		next := func() {
-			if _, _, err := vg.Apply(fixture.WatchBatch(persons, base, batches)); err != nil {
+			if _, err := vg.Apply(fixture.WatchBatch(persons, base, batches)); err != nil {
 				b.Fatal(err)
 			}
 			batches++

@@ -17,10 +17,10 @@
 // that graph (rank), so a fragment orders by its own; and, for the first
 // run that needs them, each positive's candidate and acceptance sets are
 // built, the O(|Q|·|G|) prefilter. Run takes the engine, so QMatch,
-// QMatchN and Enum read one Bound's candidate sets. A holder that sees the
-// graph change calls Advance with the touched nodes and the sets are
-// repaired instead of rebuilt; a Bound nobody advanced notices the graph's
-// version moved and rebinds. Run allocates, per run, a program with
+// QMatchN and Enum read one Bound's candidate sets. Every Run first
+// advances the Bound over the edits the graph logged since its version
+// (graph.EditsSince), so the sets are repaired instead of rebuilt, and
+// rebuilt only where the log does not reach back. Run allocates, per run, a program with
 // O(|Q|) search scratch over the Bound's read-only sets, which makes the
 // program, not the Bound, single-goroutine. The one-shot
 // QMatch/QMatchN/Enum are Prepare + Bind + Run: one path, and for a single

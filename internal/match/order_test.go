@@ -65,7 +65,7 @@ func TestAnswersIndependentOfOrder(t *testing.T) {
 			checked, answered, orders := 0, 0, map[string]bool{}
 			for round := 0; round <= rounds; round++ {
 				if round > 0 {
-					if _, _, err := vg.Apply(churn.Next(g)); err != nil {
+					if _, err := vg.Apply(churn.Next(g)); err != nil {
 						t.Fatalf("round %d: %v", round, err)
 					}
 					for _, b := range bounds {

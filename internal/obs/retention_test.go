@@ -108,9 +108,9 @@ func TestTraceRecordJSONDeterministic(t *testing.T) {
 		Op:    "update",
 		Start: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC),
 		DurMS: 1.25,
-		Spans: []SpanRecord{{Worker: 0, Name: "rtt", OffsetMS: 0.1, DurMS: 1.0, Child: json.RawMessage(`{"id":7,"op":"update","counts":{"affected":3,"touched":2}}`)},
+		Spans: []SpanRecord{{Worker: 0, Name: "rtt", OffsetMS: 0.1, DurMS: 1.0, Child: json.RawMessage(`{"id":7,"op":"update","counts":{"affected":3,"edits":2}}`)},
 			{Worker: -1, Name: "merge", OffsetMS: 1.1, DurMS: 0.1}},
-		Counts: map[string]int{"batch": 1, "affected": 3, "touched": 2, "nodes": 9},
+		Counts: map[string]int{"batch": 1, "affected": 3, "edits": 2, "nodes": 9},
 		Slow:   true,
 	}
 	a, err := json.Marshal(rec)

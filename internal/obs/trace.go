@@ -136,8 +136,8 @@ func (tr *Trace) Nest(worker int, name string, t0 time.Time, d time.Duration, ch
 	tr.mu.Unlock()
 }
 
-// Count sets one of the request's counts: "batch" mutations, "touched"
-// nodes, "nodes" in the graph, candidates re-judged ("affected"),
+// Count sets one of the request's counts: "batch" mutations, net edge
+// "edits", "nodes" in the graph, candidates re-judged ("affected"),
 // "answers".
 func (tr *Trace) Count(name string, n int) {
 	if tr == nil {

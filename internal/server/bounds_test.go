@@ -67,15 +67,18 @@ func specs(muts []graph.Mutation) []server.UpdateSpec {
 	return out
 }
 
-// update applies a batch to the warm session and to the mirror.
-func (w *warmSession) update(muts []graph.Mutation) {
+// update applies a batch to the warm session and to the mirror, and
+// returns the number of its net edits.
+func (w *warmSession) update(muts []graph.Mutation) int {
 	w.t.Helper()
 	if _, _, err := w.c.Update(specs(muts)...); err != nil {
 		w.t.Fatalf("update: %v", err)
 	}
-	if _, _, err := w.mirror.Apply(muts); err != nil {
+	old, err := w.mirror.Apply(muts)
+	if err != nil {
 		w.t.Fatal(err)
 	}
+	return len(old.Edits())
 }
 
 // check matches pattern on the warm session and on a fresh session loaded
@@ -200,7 +203,7 @@ func TestBoundCacheRejectedBatch(t *testing.T) {
 }
 
 // TestBoundCacheLogOverflow: a pattern read again after the batches in
-// between touched more than |V|/8 ids is past the end of the graph's log;
+// between edited more than |V|/8 edges is past the end of the graph's log;
 // it rebuilds, and answers right.
 func TestBoundCacheLogOverflow(t *testing.T) {
 	g := socialGraph()
@@ -208,15 +211,13 @@ func TestBoundCacheLogOverflow(t *testing.T) {
 	cold, warm := fixture.Mix[1].DSL, fixture.Mix[0].DSL
 	w.check("cold pattern, first read", cold, nil)
 	persons := g.NodesByLabelName("person")
-	touched := 0
-	for i := 0; touched <= g.NumNodes()/8; i++ {
+	for i, edits := 0, 0; edits <= g.NumNodes()/8; i++ {
 		var muts []graph.Mutation
 		for j := 0; j < 8; j++ {
 			from, to := persons[(16*i+2*j)%len(persons)], persons[(16*i+2*j+1)%len(persons)]
 			muts = append(muts, graph.Mutation{Op: graph.MutAddEdge, From: from, To: to, Label: "follow"})
-			touched += 2
 		}
-		w.update(muts)
+		edits += w.update(muts)
 		w.check(fmt.Sprintf("warm pattern, batch %d", i), warm, nil)
 	}
 	_, _, builtBefore, _ := w.outcomes()
@@ -231,6 +232,46 @@ func TestBoundCacheLogOverflow(t *testing.T) {
 		t.Fatalf("cold pattern past the graph's log: bound_built moved by %d, want 1", built-builtBefore)
 	}
 	w.check("cold pattern, read again", cold, nil)
+}
+
+// TestBoundOutcomeFollowsAbsentLabel: a pattern over a label the graph
+// lacks holds no sets, so a read after a batch counts a hit, not a repair;
+// the batch that brings the label has the next read build the sets, and
+// count a build; a read after the batch after it counts a repair.
+func TestBoundOutcomeFollowsAbsentLabel(t *testing.T) {
+	g := socialGraph()
+	w := newWarmSession(t, server.Config{}, g, nil)
+	pattern := "qgp\nn xo person *\nn z person\ne xo z mentor >=1\n"
+	persons := g.NodesByLabelName("person")
+	edge := func(i int, label string) []graph.Mutation {
+		return []graph.Mutation{graph.AddEdge(persons[2*i], persons[2*i+1], label)}
+	}
+	steps := []struct {
+		what                 string
+		muts                 []graph.Mutation
+		hit, repaired, built int64
+	}{
+		{"first read", nil, 0, 0, 1},
+		{"read again", nil, 1, 0, 0},
+		{"after a batch, the label still absent", edge(0, "follow"), 1, 0, 0},
+		{"after the batch that brings the label", edge(1, "mentor"), 0, 0, 1},
+		{"after the batch after it", edge(2, "mentor"), 0, 1, 0},
+	}
+	for _, s := range steps {
+		if s.muts != nil {
+			w.update(s.muts)
+		}
+		hit0, repaired0, built0, _ := w.outcomes()
+		if _, err := w.c.Match(pattern, nil); err != nil {
+			t.Fatalf("%s: %v", s.what, err)
+		}
+		hit, repaired, built, _ := w.outcomes()
+		if hit-hit0 != s.hit || repaired-repaired0 != s.repaired || built-built0 != s.built {
+			t.Fatalf("%s: counted hit %d, repaired %d, built %d; want %d, %d, %d",
+				s.what, hit-hit0, repaired-repaired0, built-built0, s.hit, s.repaired, s.built)
+		}
+		w.check(s.what, pattern, nil)
+	}
 }
 
 // TestBoundCacheAssign: a bound's sets do not depend on the owned set, so
@@ -396,7 +437,7 @@ func TestSearchedWatchSharesBound(t *testing.T) {
 			if err != nil {
 				t.Fatalf("round %d: update: %v", round, err)
 			}
-			if _, _, err := w.mirror.Apply(muts); err != nil {
+			if _, err := w.mirror.Apply(muts); err != nil {
 				t.Fatal(err)
 			}
 			for _, d := range resp.Deltas {

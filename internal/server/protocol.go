@@ -75,7 +75,7 @@ import (
 //	profile   — execute a match (Pattern) or an update (Updates) traced,
 //	            and return its trace record (obs.TraceRecord) in Profile
 //	            alongside the normal response fields: timed spans, counts
-//	            (answers; batch, touched, nodes, affected) and, for a match,
+//	            (answers; batch, edits, nodes, affected) and, for a match,
 //	            the engine's profile (prefilter sizes, order, bound origin)
 //	            as the attachment. The front end's record nests each
 //	            worker's under the span that waited for it

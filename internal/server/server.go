@@ -287,15 +287,14 @@ func decodeGraph(format, data string, maxSize int) (*graph.Graph, error) {
 // does, and its reply names only the watches whose answers changed.
 //
 // tr receives the graph.apply span, dynamic.affected and dynamic.verify
-// spans per watch group evaluated, and the batch, touched, nodes and
-// affected (Total) counts.
+// spans per watch group evaluated, and the batch, edits (the batch's net
+// edge edits), nodes and affected (Total) counts.
 func (sess *session) Update(req *Request, resp *Response, tr *obs.Trace) error {
 	fragment := sess.eng.Restricted()
 	if len(req.Owned) > 0 && !fragment {
 		return fmt.Errorf("update: owning update on a session holding no fragment: run fragment first")
 	}
 	ng := sess.g
-	var touched []graph.NodeID
 	var old *graph.OldView
 	if len(req.Updates) > 0 {
 		var err error
@@ -303,11 +302,12 @@ func (sess *session) Update(req *Request, resp *Response, tr *obs.Trace) error {
 			return err
 		}
 		tApply := tr.Now()
-		old, touched, err = sess.vg.Apply(sess.muts)
+		old, err = sess.vg.Apply(sess.muts)
 		if err != nil {
 			return err
 		}
 		tr.Span(-1, "graph.apply", tApply)
+		tr.Count("edits", len(old.Edits()))
 		ng = sess.vg.Graph() // same pointer as sess.g: the batch applied in place
 	}
 	// The batch is already applied, so revert undoes it when a later
@@ -353,7 +353,6 @@ func (sess *session) Update(req *Request, resp *Response, tr *obs.Trace) error {
 	}
 	resp.Nodes, resp.Edges = ng.NumNodes(), ng.NumEdges()
 	tr.Count("batch", len(req.Updates))
-	tr.Count("touched", len(touched))
 	tr.Count("nodes", ng.NumNodes())
 	tr.Count("affected", resp.Total)
 	return nil

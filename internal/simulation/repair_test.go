@@ -37,7 +37,7 @@ func newRepaired(name string, g *graph.Graph, p *core.Pattern) *repaired {
 // step brings the sets to g's current state and compares them with a fresh
 // Candidates. canRepair is false when the graph lost nodes since the last
 // step (a Rollback), which Repair's contract excludes.
-func (f *repaired) step(t *testing.T, g *graph.Graph, touched []graph.NodeID, canRepair bool, what string) {
+func (f *repaired) step(t *testing.T, g *graph.Graph, edits []graph.EdgeEdit, canRepair bool, what string) {
 	t.Helper()
 	want, wantOK := simulation.Candidates(g, f.p, false)
 	ok := wantOK
@@ -48,7 +48,7 @@ func (f *repaired) step(t *testing.T, g *graph.Graph, touched []graph.NodeID, ca
 			before[u] = f.sets[u].Slice()
 		}
 		var changed []simulation.Pair
-		changed, ok = simulation.Repair(g, f.p, f.sets, touched, !f.empty)
+		changed, ok = simulation.Repair(g, f.p, f.sets, edits, !f.empty)
 		switch {
 		case ok && f.empty:
 			f.refilled++
@@ -71,8 +71,8 @@ func (f *repaired) step(t *testing.T, g *graph.Graph, touched []graph.NodeID, ca
 			t.Fatalf("%s, %s: C(%s) has capacity %d on a graph of %d nodes", what, f.name, f.p.Nodes[u].Name, f.sets[u].Len(), g.NumNodes())
 		}
 		if fmt.Sprint(f.sets[u].Slice()) != fmt.Sprint(want[u].Slice()) {
-			t.Fatalf("%s, %s: repaired C(%s) = %v, fresh = %v\ntouched %v\n%s",
-				what, f.name, f.p.Nodes[u].Name, f.sets[u].Slice(), want[u].Slice(), touched, f.p)
+			t.Fatalf("%s, %s: repaired C(%s) = %v, fresh = %v\nedits %v\n%s",
+				what, f.name, f.p.Nodes[u].Name, f.sets[u].Slice(), want[u].Slice(), edits, f.p)
 		}
 	}
 }
@@ -163,30 +163,26 @@ func TestRepairEqualsCandidates(t *testing.T) {
 	churn := fixture.NewChurn(7)
 	rollbacks := 0
 	for round := 0; round < rounds; round++ {
-		old, touched, err := vg.Apply(churn.Next(g))
+		old, err := vg.Apply(churn.Next(g))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		for _, f := range follow {
-			f.step(t, g, touched, true, fmt.Sprintf("round %d", round))
+			f.step(t, g, old.Edits(), true, fmt.Sprintf("round %d", round))
 		}
 		if round%9 == 5 {
-			// The batch is withdrawn. Its touched set covers the rows the
-			// rollback restores; nodes it created are gone again, and
-			// sets grown over them cannot be shrunk back.
+			// The batch is withdrawn: the log holds its edits flipped,
+			// where they fit. Nodes it created are gone again, and sets
+			// grown over them cannot be shrunk back.
 			grew := g.NumNodes() > old.NumNodes()
+			before := g.Version()
 			if err := vg.Rollback(old); err != nil {
 				t.Fatal(err)
 			}
 			rollbacks++
-			kept := touched[:0:0]
-			for _, v := range touched {
-				if int(v) < g.NumNodes() {
-					kept = append(kept, v)
-				}
-			}
+			edits, logged := g.EditsSince(before)
 			for _, f := range follow {
-				f.step(t, g, kept, !grew, fmt.Sprintf("round %d rolled back", round))
+				f.step(t, g, edits, !grew && logged, fmt.Sprintf("round %d rolled back", round))
 			}
 		}
 	}
@@ -304,11 +300,11 @@ func FuzzRepair(f *testing.F) {
 		vg := graph.NewVersioned(g)
 		follow := newRepaired("fuzz", g, p)
 		for i, batch := range batches {
-			_, touched, err := vg.Apply(batch)
+			old, err := vg.Apply(batch)
 			if err != nil {
 				t.Fatalf("batch %d: %v", i, err)
 			}
-			follow.step(t, g, touched, true, fmt.Sprintf("batch %d", i))
+			follow.step(t, g, old.Edits(), true, fmt.Sprintf("batch %d", i))
 		}
 	})
 }
@@ -322,7 +318,7 @@ func startsEmptyThenFills(data []byte) bool {
 	}
 	vg := graph.NewVersioned(g)
 	for _, batch := range batches {
-		if _, _, err := vg.Apply(batch); err != nil {
+		if _, err := vg.Apply(batch); err != nil {
 			return false
 		}
 		if _, ok := simulation.Candidates(g, p, false); ok {

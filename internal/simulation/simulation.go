@@ -14,19 +14,20 @@
 // of recomputing it. The new fixpoint S′ may hold pairs (u, v) that S
 // lacked, so Repair first re-admits candidates and then refines from the
 // pairs whose conditions can have broken. The re-admitted set F is found
-// by a flood from the touched nodes, and S′ ⊆ S ∪ F: take the pairs of
-// S′ outside S and join two of them when a pattern edge and a graph edge
-// under its label connect them. A group without a touched node has, in
-// the old graph, the same rows it has now, and its witnesses lie in S or
-// in the group — so S plus the group was a dual simulation of the old
-// graph, larger than its greatest one. Hence every group contains a
-// touched node, and the flood, which starts at the touched nodes and
-// follows exactly those joins, reaches all of it. Refining S ∪ F, with
-// the touched members and F to re-check, then yields S′ exactly. Nothing
-// in the argument needs S to be non-empty: when a set runs empty, every
-// set of a connected pattern follows it, the all-empty sets are the exact
-// greatest fixpoint, and a later Repair starts from them — which is why a
-// failed refinement clears every set rather than stopping half-way.
+// by a flood from the seeds — the endpoints of the edges edited since and
+// the nodes born since — and S′ ⊆ S ∪ F: take the pairs of S′ outside S
+// and join two of them when a pattern edge and a graph edge under its
+// label connect them. A group without a seed has, in the old graph, the
+// same rows it has now, and its witnesses lie in S or in the group — so S
+// plus the group was a dual simulation of the old graph, larger than its
+// greatest one. Hence every group contains a seed, and the flood, which
+// starts at the seeds and follows exactly those joins, reaches all of it.
+// Refining S ∪ F, with the seeds that are members and F to re-check, then
+// yields S′ exactly. Nothing in the argument needs S to be non-empty: when
+// a set runs empty, every set of a connected pattern follows it, the
+// all-empty sets are the exact greatest fixpoint, and a later Repair
+// starts from them — which is why a failed refinement clears every set
+// rather than stopping half-way.
 //
 // The flood only enters a non-member that passes round zero of the
 // refinement — every pattern edge at u finds, at v, a neighbour over its
@@ -112,22 +113,22 @@ func Candidates(g *graph.Graph, p *core.Pattern, quantified bool) ([]*bitset.Set
 
 // Repair carries sets — Candidates(old, p, false) of an earlier state of g,
 // or the sets an earlier Repair left — to g's current state, in place, at
-// a cost that depends on touched and what it unsettles rather than on |G|.
-// p must be connected. touched must name every node whose adjacency
-// differs between the two states and every node born since
-// (Versioned.Apply's touched sets, concatenated over the batches in
-// between, in any order, repeats allowed); node labels are immutable and
-// node ids only grow. wasOK is the verdict the sets were left with
-// (Candidates' or the last Repair's): false says every set is empty, and
-// the repair then reads only what it re-admits, never a whole set. The
-// result is exactly Candidates(g, p, false): see the package comment,
-// which covers a start from all-empty sets too. changed lists the pairs
-// that entered or left a set (a superset: a pair may be listed and end up
-// where it was), for holders of state derived from the sets. On false
-// some set ran empty — the pattern has no match now — and every set is
-// cleared; changed is then incomplete, and the holder treats every pair
-// as gone.
-func Repair(g *graph.Graph, p *core.Pattern, sets []*bitset.Set, touched []graph.NodeID, wasOK bool) (changed []Pair, ok bool) {
+// a cost that depends on edits and what they unsettle rather than on |G|.
+// p must be connected. edits must hold every edge present in one state and
+// not the other (graph.EditsSince the earlier state's version: edits undone
+// since are allowed); an endpoint past g, a node a rollback took away, is
+// skipped. The nodes past the sets' length were born since; node labels
+// are immutable and the sets no longer than g. wasOK is the verdict the
+// sets were left with (Candidates' or the last Repair's): false says every
+// set is empty, and the repair then reads only what it re-admits, never a
+// whole set. The result is exactly Candidates(g, p, false): see the
+// package comment, which covers a start from all-empty sets too. changed
+// lists the pairs that entered or left a set (a superset: a pair may be
+// listed and end up where it was), for holders of state derived from the
+// sets. On false some set ran empty — the pattern has no match now — and
+// every set is cleared; changed is then incomplete, and the holder treats
+// every pair as gone.
+func Repair(g *graph.Graph, p *core.Pattern, sets []*bitset.Set, edits []graph.EdgeEdit, wasOK bool) (changed []Pair, ok bool) {
 	edgeLabel := make([]graph.LabelID, len(p.Edges))
 	for i, e := range p.Edges {
 		// A label the graph never interned is NoLabel, whose runs are
@@ -135,14 +136,14 @@ func Repair(g *graph.Graph, p *core.Pattern, sets []*bitset.Set, touched []graph
 		edgeLabel[i] = g.LookupLabel(e.Label)
 	}
 	nodeLabel := make([]graph.LabelID, len(p.Nodes))
-	n := g.NumNodes()
+	n, born := g.NumNodes(), sets[0].Len()
 	for u, pn := range p.Nodes {
 		nodeLabel[u] = g.LookupLabel(pn.Label)
 		sets[u].Grow(n)
 	}
 	r := newRefiner(g, p, sets, edgeLabel, false)
 	r.keep = true
-	r.pairs = make([]uint64, 0, 2*len(touched)*len(p.Nodes))
+	r.pairs = make([]uint64, 0, 2*(2*len(edits)+n-born)*len(p.Nodes))
 
 	// plausible is round zero of the refinement, judged on labels alone:
 	// every pattern edge at u has, at v, a neighbour over its label that
@@ -172,7 +173,7 @@ func Repair(g *graph.Graph, p *core.Pattern, sets []*bitset.Set, touched []graph
 			changed = append(changed, Pair{u, v})
 		}
 	}
-	for _, v := range touched {
+	seed := func(v graph.NodeID) {
 		for u := range p.Nodes {
 			if sets[u].Contains(int(v)) {
 				r.mark(u, v) // its rows changed: re-check
@@ -180,6 +181,16 @@ func Repair(g *graph.Graph, p *core.Pattern, sets []*bitset.Set, touched []graph
 				admit(u, v)
 			}
 		}
+	}
+	for _, e := range edits {
+		for _, v := range [2]graph.NodeID{e.From, e.To} {
+			if int(v) < n {
+				seed(v)
+			}
+		}
+	}
+	for v := born; v < n; v++ {
+		seed(graph.NodeID(v))
 	}
 	for flooded := 0; flooded < len(changed); flooded++ {
 		at := changed[flooded]

@@ -127,7 +127,7 @@ func replayReference(snapshot, journal []byte, seq uint64) (g *graph.Graph, ok b
 		if rs != next {
 			return nil, false
 		}
-		if _, _, err := vg.Apply([]graph.Mutation{m}); err != nil {
+		if _, err := vg.Apply([]graph.Mutation{m}); err != nil {
 			return nil, false
 		}
 		next++

@@ -127,7 +127,7 @@ func Open(dir string, opts Options) (*Store, *graph.Graph, error) {
 		if seq != s.nextSeq {
 			return fmt.Errorf("%w: sequence gap: got %d, want %d", ErrCorruptJournal, seq, s.nextSeq)
 		}
-		if _, _, err := vg.Apply([]graph.Mutation{m}); err != nil {
+		if _, err := vg.Apply([]graph.Mutation{m}); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 		s.nextSeq = seq + 1

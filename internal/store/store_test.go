@@ -42,7 +42,7 @@ func (h *held) g() *graph.Graph { return h.vg.Graph() }
 
 // apply applies a batch to the held graph, then journals it.
 func (h *held) apply(muts ...graph.Mutation) error {
-	if _, _, err := h.vg.Apply(muts); err != nil {
+	if _, err := h.vg.Apply(muts); err != nil {
 		return err
 	}
 	return h.Append(muts...)
