@@ -38,8 +38,14 @@ for b in "$out"/bin/*; do go tool nm "$b"; done | awk '
     print r
   }' | sort -u > "$out/linked.txt"
 
-# Declared: every top-level func and method, spelled as nm spells it.
-for f in $(git ls-files 'internal/*.go' | grep -v '_test.go$'); do
+# Declared: every top-level func and method, spelled as nm spells it. The
+# files come from git: outside a work tree, or with none listed, the survey
+# would pass over nothing, so it fails instead.
+files=$(git ls-files 'internal/*.go' | grep -v '_test.go$') || {
+  echo "linker survey: git ls-files lists no non-test file under internal/" >&2
+  exit 1
+}
+for f in $files; do
   awk -v pkg="repro/$(dirname "$f")" -v file="$f" '/^func / {
     l = $0; sub(/^func /, "", l)
     if (l ~ /^\(/) {
@@ -68,6 +74,10 @@ ALLOW
 awk -F'\t' 'NR == FNR { l[$1] = 1; next } !($1 in l) && $1 !~ /\.init$/' \
   "$out/linked.txt" "$out/declared.txt" > "$out/unlinked.txt"
 declared=$(wc -l < "$out/declared.txt")
+if [ "$declared" -eq 0 ]; then
+  echo "linker survey: no declared function found under internal/" >&2
+  exit 1
+fi
 unlinked=$(wc -l < "$out/unlinked.txt")
 awk -F'\t' -v all=$all '
   NR == FNR { re[NR] = "^" $1 "$"; why[NR] = $2; n = NR; next }

@@ -295,6 +295,7 @@ func TestVersionedRollbackRestoresCanonical(t *testing.T) {
 		_, edges := canon(vg.Graph())
 		held[vg.Graph().Version()] = edges
 		n := len(old.Edits())
+		took := vg.Graph().NumNodes() - old.NumNodes() // nodes the rollback takes away
 		if err := vg.Rollback(old); err != nil {
 			t.Fatalf("round %d: rollback: %v", round, err)
 		}
@@ -306,7 +307,10 @@ func TestVersionedRollbackRestoresCanonical(t *testing.T) {
 			t.Fatalf("round %d: counts diverge after rollback", round)
 		}
 		reached := checkLog(t, vg.Graph(), held, fmt.Sprintf("round %d rolled back", round))
-		if !reached[vg.Graph().Version()-1] && n <= g.NumNodes()/8 {
+		switch {
+		case took > 0 && len(reached) > 0:
+			t.Fatalf("round %d: the log reaches across a rollback that took %d nodes away", round, took)
+		case took == 0 && !reached[vg.Graph().Version()-1] && n <= g.NumNodes()/8:
 			t.Fatalf("round %d: the log dropped a rollback of %d edits on %d nodes", round, n, g.NumNodes())
 		}
 		for v := range reached {

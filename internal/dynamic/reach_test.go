@@ -84,6 +84,7 @@ func reachGraph(r *rand.Rand) *graph.Graph {
 			g.AddEdge(from, to, reachEdgeLabels[r.Intn(len(reachEdgeLabels))])
 		}
 	}
+	g.Finalize()            // rows are read once built
 	g, _, _ = Apply(g, nil) // edge-set normalize
 	return g
 }

@@ -63,7 +63,7 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 	}
 	prev := uint64(0)
 	for v := 0; v < g.NumNodes(); v++ {
-		for _, e := range g.out[v] {
+		for _, e := range g.Out(NodeID(v)) {
 			if err := put(uint64(v) - prev); err != nil {
 				return err
 			}
@@ -170,7 +170,9 @@ func ReadBinary(r io.Reader, maxSize int) (*Graph, error) {
 		}
 		edges = append(grow(edges, nEdges-i), srcEdge{NodeID(from), Edge{NodeID(to), LabelID(l)}})
 	}
-	g.build(scatter(len(g.nodeLabel), edges))
+	if err := g.build(g.layOut(edges)); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 

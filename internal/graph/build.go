@@ -8,21 +8,28 @@ import (
 // build finalizes g from its node labels and its out-edges, laid out row
 // after row in backing: v's row is backing[end[v-1]:end[v]] (from 0 for
 // v = 0), its edges in input order, duplicates allowed. It is the one
-// construction path behind Finalize, the text and binary readers and
-// InducedOf, and it works in counting passes, never by appending to a
+// construction path behind Finalize, Clone, the text and binary readers
+// and InducedOf, and it works in counting passes, never by appending to a
 // row: out-rows keep their input order, in-rows are filled by source, so
 // a row that arrived in (label, endpoint) order comes out sorted, and
 // only a row found out of order is sorted (and an out-row deduplicated).
-// Each direction's rows are packed into one array, each carved with a
-// full slice expression, so a later append to one row cannot reach its
-// neighbour. build takes backing and end over.
-func (g *Graph) build(backing []Edge, end []int) {
-	g.out, g.numEdges = outRows(backing, end)
-	g.in = inRows(g.out, g.numEdges)
-	g.outRuns = indexRows(g.out)
-	g.inRuns = indexRows(g.in)
+// Each direction's rows are then laid out in an arena of exactly their
+// regions. A layout past the int32 offset range is refused, and g is left
+// as it was. build takes backing and end over.
+func (g *Graph) build(backing []Edge, end []int) error {
+	n := sortRows(backing, end)
+	out, err := layout(backing[:n], end)
+	if err != nil {
+		return err
+	}
+	in, err := layout(mirror(backing[:n], end))
+	if err != nil {
+		return err
+	}
+	g.out, g.in, g.numEdges, g.staged = out, in, n, nil
 	g.byLabel = labelIndex(g.nodeLabel, g.interner.Len())
 	g.finalized = true
+	return nil
 }
 
 // srcEdge is one edge of a flat edge list: its source and its out-row
@@ -32,29 +39,34 @@ type srcEdge struct {
 	Edge
 }
 
-// scatter lays a flat edge list out for build: a counting pass by source
-// sizes the rows, and each edge goes to its source's row in input order.
-func scatter(n int, edges []srcEdge) ([]Edge, []int) {
+// layOut lays g's edges out row after row for build: each node's built
+// row, then its edges in staged, in input order. A counting pass by source
+// sizes the rows.
+func (g *Graph) layOut(staged []srcEdge) ([]Edge, []int) {
 	// end[v] counts v's edges, then becomes the start of v's row, and
-	// after the scatter the end of it.
-	end := make([]int, n)
-	for _, e := range edges {
+	// after the copies the end of it.
+	end, built := make([]int, len(g.nodeLabel)), len(g.out.off)
+	for v := range built {
+		end[v] = g.OutDegree(NodeID(v))
+	}
+	for _, e := range staged {
 		end[e.From]++
 	}
-	startsOf(end)
-	backing := make([]Edge, len(edges))
-	for _, e := range edges {
+	backing := make([]Edge, startsOf(end))
+	for v := range built {
+		end[v] += copy(backing[end[v]:], g.Out(NodeID(v)))
+	}
+	for _, e := range staged {
 		backing[end[e.From]] = e.Edge
 		end[e.From]++
 	}
 	return backing, end
 }
 
-// outRows carves the out-rows from backing, sorting and deduplicating any
-// row found out of order, and returns them with the number of edges they
-// keep.
-func outRows(backing []Edge, end []int) ([][]Edge, int) {
-	rows := make([][]Edge, len(end))
+// sortRows sorts and deduplicates any row found out of order, moves the
+// rows together over the duplicates dropped, and returns the number of
+// edges they keep; end follows the rows.
+func sortRows(backing []Edge, end []int) int {
 	w, lo := 0, 0
 	for v, hi := range end {
 		row := backing[lo:hi]
@@ -66,29 +78,13 @@ func outRows(backing []Edge, end []int) ([][]Edge, int) {
 			})
 			row = slices.Compact(row)
 		}
-		if len(row) > 0 {
-			if w != lo {
-				copy(backing[w:], row)
-			}
-			rows[v] = backing[w : w+len(row) : w+len(row)]
-			w += len(row)
+		if w != lo {
+			copy(backing[w:], row)
 		}
-		lo = hi
+		w += len(row)
+		end[v], lo = w, hi
 	}
-	if w < cap(backing) {
-		// Duplicates were dropped, or the array had room to spare: move the
-		// rows to an array of their size.
-		packed := make([]Edge, w)
-		copy(packed, backing)
-		off := 0
-		for v, row := range rows {
-			if len(row) > 0 {
-				rows[v] = packed[off : off+len(row) : off+len(row)]
-				off += len(row)
-			}
-		}
-	}
-	return rows, w
+	return w
 }
 
 // ordered reports whether a row ascends strictly by (label, endpoint):
@@ -102,49 +98,75 @@ func ordered(row []Edge) bool {
 	return true
 }
 
-// inRows mirrors the finalized out-rows, which hold total edges: a
-// counting pass by target sizes the in-rows, and filling them source by
-// source leaves each one ascending by source. A row that then has its
-// labels out of order is stable-sorted by label, which makes it ascend
-// by (label, source).
-func inRows(out [][]Edge, total int) [][]Edge {
-	end := make([]int, len(out))
-	for _, row := range out {
-		for _, e := range row {
-			end[e.To]++
-		}
+// mirror lays out the in-rows of the sorted out-rows in backing: a
+// counting pass by target sizes them, and filling them source by source
+// leaves each one ascending by source, which layout sorts by label.
+func mirror(backing []Edge, end []int) ([]Edge, []int) {
+	inEnd := make([]int, len(end))
+	for _, e := range backing {
+		inEnd[e.To]++
 	}
-	startsOf(end)
-	backing := make([]Edge, total)
-	for v, row := range out {
-		for _, e := range row {
-			backing[end[e.To]] = Edge{To: NodeID(v), Label: e.Label}
-			end[e.To]++
-		}
-	}
-	rows := make([][]Edge, len(out))
+	startsOf(inEnd)
+	in := make([]Edge, len(backing))
 	lo := 0
 	for v, hi := range end {
-		if hi > lo {
-			row := backing[lo:hi:hi]
-			if !ordered(row) {
-				slices.SortStableFunc(row, func(a, b Edge) int { return cmp.Compare(a.Label, b.Label) })
-			}
-			rows[v] = row
+		for _, e := range backing[lo:hi] {
+			in[inEnd[e.To]] = Edge{To: NodeID(v), Label: e.Label}
+			inEnd[e.To]++
 		}
 		lo = hi
 	}
-	return rows
+	return in, inEnd
+}
+
+// layout lays rows, v's being backing[end[v-1]:end[v]], out in an arena of
+// exactly their regions, each with no spare room. The rows ascend by
+// endpoint within each label; a row with its labels out of order is
+// stable-sorted by label, which makes it ascend by (label, endpoint).
+func layout(backing []Edge, end []int) (adjacency, error) {
+	slots, lo := header, 0
+	for _, hi := range end {
+		if row := backing[lo:hi]; !ordered(row) {
+			slices.SortStableFunc(row, func(a, b Edge) int { return cmp.Compare(a.Label, b.Label) })
+		}
+		for i := lo; i < hi; i++ {
+			if endsRun(backing[lo:hi], i-lo) {
+				slots++
+			}
+		}
+		if hi > lo {
+			slots += header + hi - lo
+		}
+		lo = hi
+	}
+	if err := fitsOffsets(slots); err != nil {
+		return adjacency{}, err
+	}
+	a := adjacency{arena: make([]Edge, header, slots), off: make([]int32, len(end))}
+	lo = 0
+	for v, hi := range end {
+		if row := backing[lo:hi]; len(row) > 0 {
+			o := len(a.arena)
+			a.off[v] = int32(o)
+			a.arena = appendRuns(append(a.arena, Edge{}), row)
+			a.arena[o].To = NodeID(len(a.arena) - o - header)
+			a.arena = append(a.arena, row...)
+			a.arena[o].Label = LabelID(len(a.arena) - o - header)
+		}
+		lo = hi
+	}
+	return a, nil
 }
 
 // startsOf turns counts into the offsets where each count's stretch
-// starts in one array.
-func startsOf(counts []int) {
+// starts in one array, and returns their sum.
+func startsOf(counts []int) int {
 	sum := 0
 	for i, c := range counts {
 		counts[i] = sum
 		sum += c
 	}
+	return sum
 }
 
 // labelIndex lists the nodes of each label, ascending, in one array.

@@ -6,7 +6,7 @@ import (
 )
 
 // CheckIndex verifies the label-run index against the adjacency rows it
-// summarizes. Each row's runs must be exactly the runs a rebuild makes
+// summarizes. Each region's runs must be exactly the runs a rebuild makes
 // (appendRuns), no empty or stale run left in place. Then, through the
 // public read API: for every node and every interned label (plus one id
 // past the interner, a label no row carries), OutByLabel/InByLabel must
@@ -25,33 +25,25 @@ func (g *Graph) CheckIndex() error {
 		}
 		return out
 	}
-	same := func(a, b []Edge) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
+	for v := range g.nodeLabel {
+		for d, a := range []*adjacency{&g.out, &g.in} {
+			body, r := a.region(int(a.off[v]))
+			if want := appendRuns(nil, body[r:]); !slices.Equal(body[:r], want) {
+				return fmt.Errorf("graph: %s-runs of node %d are %v; a rebuild gives %v", [2]string{"out", "in"}[d], v, body[:r], want)
 			}
-		}
-		return true
-	}
-	for v := range g.out {
-		if out, in := appendRuns(nil, g.out[v]), appendRuns(nil, g.in[v]); !slices.Equal(g.outRuns[v], out) || !slices.Equal(g.inRuns[v], in) {
-			return fmt.Errorf("graph: runs of node %d are %v out, %v in; a rebuild gives %v, %v", v, g.outRuns[v], g.inRuns[v], out, in)
 		}
 	}
 	for vi := 0; vi < g.NumNodes(); vi++ {
 		v := NodeID(vi)
 		for l := LabelID(0); int(l) <= g.Labels(); l++ {
 			want := filter(g.Out(v), l)
-			if got := g.OutByLabel(v, l); !same(got, want) {
+			if got := g.OutByLabel(v, l); !slices.Equal(got, want) {
 				return fmt.Errorf("graph: OutByLabel(%d, %d) = %v, row filter gives %v", v, l, got, want)
 			}
 			if got := g.CountOut(v, l); got != len(want) {
 				return fmt.Errorf("graph: CountOut(%d, %d) = %d, row filter gives %d", v, l, got, len(want))
 			}
-			if got, want := g.InByLabel(v, l), filter(g.In(v), l); !same(got, want) {
+			if got, want := g.InByLabel(v, l), filter(g.In(v), l); !slices.Equal(got, want) {
 				return fmt.Errorf("graph: InByLabel(%d, %d) = %v, row filter gives %v", v, l, got, want)
 			}
 			// Probe every real target plus both neighbours of each, so

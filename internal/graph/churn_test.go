@@ -34,13 +34,14 @@ func BenchmarkVersionedApply(b *testing.B) {
 }
 
 // Rows are edited where they lie for as long as the graph lives, and a
-// re-pack keeps the capacity each row has grown to, so the room a full row
-// gains when it moves is memory held for good, five graph copies over in
-// the update-watch rig. Growing by an eighth keeps it bounded: after 10 000
-// benchmark-shaped batches the rows' capacity is within a quarter of their
-// length plus a few edges per row. (With append's doubling it is not: that
-// read +18% peak RSS on the benchmark.) This sums the rows alone; the arrays
-// they keep reachable are TestHeldMemoryFollowsLiveEdges'.
+// re-pack keeps the capacity each region has grown to, so the room a full
+// row gains when it moves is memory held for good, five graph copies over
+// in the update-watch rig. Growing by an eighth keeps it bounded: after
+// 10 000 benchmark-shaped batches the regions' room for edges is within a
+// quarter of the rows' length plus a few edges per row. (With append's
+// doubling it is not: that read +18% peak RSS on the benchmark.) This sums
+// the regions alone; the arenas that hold them are
+// TestHeldMemoryFollowsLiveEdges'.
 func TestRowSlackStaysBounded(t *testing.T) {
 	const persons = 2000
 	g := gen.Social(gen.DefaultSocial(persons, 1))
@@ -53,9 +54,9 @@ func TestRowSlackStaysBounded(t *testing.T) {
 	}
 	var length, capacity, rows int
 	for v := 0; v < g.NumNodes(); v++ {
-		for _, row := range [][]graph.Edge{g.Out(graph.NodeID(v)), g.In(graph.NodeID(v))} {
-			length += len(row)
-			capacity += cap(row)
+		length += len(g.Out(graph.NodeID(v))) + len(g.In(graph.NodeID(v)))
+		for _, in := range []bool{false, true} {
+			capacity += graph.RowCap(g, in, graph.NodeID(v))
 			rows++
 		}
 	}
@@ -79,21 +80,23 @@ func heapHeld() int {
 
 // TestHeldMemoryFollowsLiveEdges: what a maintained graph holds after a
 // long run of benchmark-shaped batches is sized by its live edges, not by
-// the batches it has seen. A row that outgrows its place moves to the heap,
-// while a row never edited keeps the build array it left reachable; so
-// without re-packing the graph holds that array whole plus a moved copy of
-// every person row. Per direction, the rows' capacity (the live edges plus
-// each row's slack) and the dead capacity a re-pack is due at (a quarter of
-// the live edges) may be held past what the fresh graph's edges took, and
-// the node-indexed slices may have grown to twice the final node count.
+// the batches it has seen. A region that outgrows its place moves to its
+// arena's tail and leaves dead slots behind; so without re-packing the
+// arenas would hold the build's regions whole plus a moved copy of every
+// person row. Per direction the arena may hold the rows' regions (the live
+// edges, their runs and headers, and each region's slack), the dead slots
+// a re-pack is due at (a quarter of the live edges) and a 32nd of spare
+// room past what the fresh graph's arenas took, and the node-indexed
+// slices may have grown to twice the final node count.
 func TestHeldMemoryFollowsLiveEdges(t *testing.T) {
-	const persons, batches = 2000, 10000
-	// Per node: four row headers (out, in and their label runs), the node's
-	// label and byLabel entry, and Versioned's two marks.
-	const perNode = 4*24 + 4 + 4 + 2
+	const persons, batches = 2000, 40000
+	// Per node: its two region offsets, its label and byLabel entry, and
+	// Versioned's mark.
+	const perNode = 2*4 + 4 + 4 + 1
 	before := heapHeld()
 	g := gen.Social(gen.DefaultSocial(persons, 1))
-	base, built := g.NumNodes(), g.NumEdges()
+	base := g.NumNodes()
+	_, built := graph.Slots(g)
 	vg := graph.NewVersioned(g)
 	fresh := heapHeld() - before
 	for i := 0; i < batches; i++ {
@@ -102,14 +105,13 @@ func TestHeldMemoryFollowsLiveEdges(t *testing.T) {
 		}
 	}
 	held := heapHeld() - before
-	capacity := 0
-	for v := 0; v < g.NumNodes(); v++ {
-		capacity += cap(g.Out(graph.NodeID(v))) + cap(g.In(graph.NodeID(v)))
-	}
+	regions, arenas := graph.Slots(g)
+	allowed := regions + 2*(g.NumEdges()/4)
+	allowed += allowed / 32
 	edge := int(unsafe.Sizeof(graph.Edge{}))
-	limit := fresh + edge*(capacity+2*(g.NumEdges()/4)-2*built) + perNode*(2*g.NumNodes()-base)
-	t.Logf("%d nodes, %d edges in capacity %d: fresh %d B, after %d batches %d B (%.1f B per live edge), limit %d B",
-		g.NumNodes(), g.NumEdges(), capacity, fresh, batches, held, float64(held)/float64(g.NumEdges()), limit)
+	limit := fresh + edge*(allowed-built) + perNode*(2*g.NumNodes()-base)
+	t.Logf("%d nodes, %d edges in regions of %d slots, arenas of %d: fresh %d B, after %d batches %d B (%.1f B per live edge), limit %d B",
+		g.NumNodes(), g.NumEdges(), regions, arenas, fresh, batches, held, float64(held)/float64(g.NumEdges()), limit)
 	if held > limit {
 		t.Fatalf("after %d batches the graph holds %d B, past the limit of %d B (fresh: %d B)", batches, held, limit, fresh)
 	}

@@ -7,15 +7,21 @@
 // with Finalize before queries. Finalize sorts adjacency lists (by label,
 // then endpoint) and builds the label index; it is idempotent.
 //
-// Every adjacency row carries a label-run index: the (label, end offset)
-// of each maximal same-label stretch of the row. Rows hold a handful of
-// distinct labels, so Me(v) — OutByLabel/InByLabel, and with it CountOut
-// and HasEdge — is a scan of a few pairs instead of binary searches over
-// the whole row. A row and its runs are always replaced together.
+// A direction's adjacency rows are regions of one arena, found through one
+// int32 offset per node. A region is an 8-byte header (the row's run count
+// and the region's capacity), the row's label runs — the (label, end
+// offset) of each maximal same-label stretch — its edges and any spare
+// room. Rows hold a handful of distinct labels, so Me(v) — OutByLabel/
+// InByLabel, and with it CountOut and HasEdge — is a scan of a few runs
+// right after the header and a slice of the edges right after them, in one
+// contiguous region. Every empty row shares the empty region at offset 0:
+// a node without edges, a tombstone included, costs its two offsets and no
+// arena slots.
 package graph
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -40,9 +46,9 @@ type Edge struct {
 type Graph struct {
 	interner  Interner
 	nodeLabel []LabelID
-	out       [][]Edge
-	in        [][]Edge
+	out, in   adjacency
 	numEdges  int
+	staged    []srcEdge // edges the building calls added since the last build
 
 	// version advances on every change to nodes or edges (building calls,
 	// Versioned.Apply, Versioned.Rollback), so state derived from the graph
@@ -52,18 +58,79 @@ type Graph struct {
 
 	finalized bool
 	byLabel   map[LabelID][]NodeID
-	// outRuns[v] / inRuns[v] index the label runs of out[v] / in[v]; valid
-	// while finalized.
-	outRuns [][]labelRun
-	inRuns  [][]labelRun
 }
 
-// labelRun closes one same-label stretch of a sorted adjacency row: the
-// run's edges end at offset end (exclusive) and begin where the previous
-// run ended.
-type labelRun struct {
-	label LabelID
-	end   int32
+// adjacency holds one direction's rows as regions of one arena. The
+// region at offset o is a header slot {To: the row's run count, Label: the
+// region's capacity}, then capacity slots holding the row's label runs,
+// its edges and spare room. A run slot is the Edge {To: where the run ends
+// in the row, Label: its label}, so the last run ends at the row's length,
+// and a read finds the runs and the head of the row next to the header.
+// Offset 0 is the empty region every empty row shares.
+type adjacency struct {
+	arena []Edge
+	off   []int32
+	dead  int // slots of regions no row points at any more
+}
+
+// header is a region's header, in slots.
+const header = 1
+
+// maxSlots is as far as an int32 offset reaches: a variable, for tests.
+var maxSlots = math.MaxInt32
+
+// fitsOffsets refuses an arena of more slots than maxSlots.
+func fitsOffsets(slots int) error {
+	if slots > maxSlots {
+		return fmt.Errorf("graph: %d adjacency slots pass the offset range of %d", slots, maxSlots)
+	}
+	return nil
+}
+
+// addRow gives a new node an empty row.
+func (a *adjacency) addRow() {
+	if len(a.arena) == 0 {
+		a.arena = make([]Edge, header)
+	}
+	a.off = append(a.off, 0)
+}
+
+// region returns the region at o — its runs and then its edges, with the
+// region's capacity — and its run count. Without runs, arena[o+r] is the
+// header, whose To is 0: the row's length either way.
+func (a *adjacency) region(o int) ([]Edge, int) {
+	r := int(a.arena[o].To)
+	lo := o + header
+	return a.arena[lo : lo+r+int(a.arena[o+r].To) : lo+int(a.arena[o].Label)], r
+}
+
+// rowAt returns the row of the region at o.
+func (a *adjacency) rowAt(o int) []Edge {
+	r := int(a.arena[o].To)
+	lo := o + header + r
+	hi := lo + int(a.arena[o+r].To)
+	return a.arena[lo:hi:hi]
+}
+
+func (a *adjacency) row(v NodeID) []Edge { return a.rowAt(int(a.off[v])) }
+
+// labelSlice returns the stretch of v's row carrying label l: a scan of the
+// row's runs, which are as many as the row has distinct labels.
+func (a *adjacency) labelSlice(v NodeID, l LabelID) []Edge {
+	o := int(a.off[v])
+	r, start := int(a.arena[o].To), 0
+	for i := o + header; i <= o+r; i++ {
+		run := a.arena[i]
+		if run.Label == l {
+			lo := o + header + r
+			return a.arena[lo+start : lo+int(run.To) : lo+int(run.To)]
+		}
+		if run.Label > l {
+			break
+		}
+		start = int(run.To)
+	}
+	return nil
 }
 
 // endsRun reports whether row[i] is the last edge of its label run.
@@ -71,63 +138,21 @@ func endsRun(row []Edge, i int) bool {
 	return i+1 == len(row) || row[i+1].Label != row[i].Label
 }
 
-// appendRuns appends the label runs of a sorted row to dst.
-func appendRuns(dst []labelRun, row []Edge) []labelRun {
+// appendRuns appends the run slots of a sorted row to dst.
+func appendRuns(dst []Edge, row []Edge) []Edge {
 	for i, e := range row {
 		if endsRun(row, i) {
-			dst = append(dst, labelRun{e.Label, int32(i + 1)})
+			dst = append(dst, Edge{To: NodeID(i + 1), Label: e.Label})
 		}
 	}
 	return dst
 }
 
-// indexRows rebuilds the run index of every row into one backing array
-// per direction.
-func indexRows(adj [][]Edge) [][]labelRun {
-	total := 0
-	for _, row := range adj {
-		for i := range row {
-			if endsRun(row, i) {
-				total++
-			}
-		}
-	}
-	backing := make([]labelRun, 0, total)
-	runs := make([][]labelRun, len(adj))
-	for v, row := range adj {
-		lo := len(backing)
-		backing = appendRuns(backing, row)
-		// Full slice expression: a later in-place rebuild of this row's
-		// runs must not grow into its neighbour's.
-		runs[v] = backing[lo:len(backing):len(backing)]
-	}
-	return runs
-}
-
-// labelSlice returns the stretch of row carrying label l: a scan of the
-// row's runs, which are as many as the row has distinct labels.
-func labelSlice(row []Edge, runs []labelRun, l LabelID) []Edge {
-	i := 0
-	for i < len(runs) && runs[i].label < l {
-		i++
-	}
-	if i == len(runs) || runs[i].label != l {
-		return nil
-	}
-	start := int32(0)
-	if i > 0 {
-		start = runs[i-1].end
-	}
-	return row[start:runs[i].end]
-}
-
 // New returns an empty graph with capacity hints for n nodes.
 func New(n int) *Graph {
-	return &Graph{
-		nodeLabel: make([]LabelID, 0, n),
-		out:       make([][]Edge, 0, n),
-		in:        make([][]Edge, 0, n),
-	}
+	g := &Graph{nodeLabel: make([]LabelID, 0, n)}
+	g.out.off, g.in.off = make([]int32, 0, n), make([]int32, 0, n)
+	return g
 }
 
 // NumNodes returns the number of nodes.
@@ -162,8 +187,8 @@ func (g *Graph) AddNode(label string) NodeID {
 func (g *Graph) AddNodeLabel(l LabelID) NodeID {
 	id := NodeID(len(g.nodeLabel))
 	g.nodeLabel = append(g.nodeLabel, l)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
+	g.out.addRow()
+	g.in.addRow()
 	g.finalized = false
 	g.version++
 	return id
@@ -174,11 +199,11 @@ func (g *Graph) AddEdge(from, to NodeID, label string) {
 	g.AddEdgeLabel(from, to, g.Label(label))
 }
 
-// AddEdgeLabel adds a directed edge with an already-interned label.
-// Duplicate (from, to, label) triples are ignored at Finalize time.
+// AddEdgeLabel adds a directed edge with an already-interned label. It
+// is staged: Out, In and the other reads see it after Finalize, which also
+// ignores duplicate (from, to, label) triples.
 func (g *Graph) AddEdgeLabel(from, to NodeID, l LabelID) {
-	g.out[from] = append(g.out[from], Edge{To: to, Label: l})
-	g.in[to] = append(g.in[to], Edge{To: from, Label: l})
+	g.staged = append(g.staged, srcEdge{from, Edge{To: to, Label: l}})
 	g.numEdges++
 	g.finalized = false
 	g.version++
@@ -191,22 +216,17 @@ func (g *Graph) NodeLabel(v NodeID) LabelID { return g.nodeLabel[v] }
 func (g *Graph) NodeLabelName(v NodeID) string { return g.interner.Name(g.nodeLabel[v]) }
 
 // Finalize sorts adjacency, removes duplicate parallel edges with identical
-// labels, packs the rows of each direction into one array, and builds the
-// node-label index and the rows' label-run indexes: the out-rows, laid
-// out back to back, go through the same build as a loaded graph's edges.
+// labels, lays each direction's rows out in one arena, and builds the
+// node-label index: the rows built before and the staged edges go through
+// the same build as a loaded graph's edges. It panics on a graph whose
+// layout passes the int32 offset range.
 func (g *Graph) Finalize() {
 	if g.finalized {
 		return
 	}
-	backing := make([]Edge, 0, g.numEdges)
-	end := make([]int, len(g.out))
-	for v, row := range g.out {
-		backing = append(backing, row...)
-		end[v] = len(backing)
+	if err := g.build(g.layOut(g.staged)); err != nil {
+		panic(err)
 	}
-	// The build makes both directions afresh: the old rows can go first.
-	g.out, g.in = nil, nil
-	g.build(backing, end)
 }
 
 func (g *Graph) mustFinal() {
@@ -216,28 +236,28 @@ func (g *Graph) mustFinal() {
 }
 
 // Out returns the sorted out-adjacency of v. The slice must not be modified.
-func (g *Graph) Out(v NodeID) []Edge { return g.out[v] }
+func (g *Graph) Out(v NodeID) []Edge { return g.out.row(v) }
 
 // In returns the sorted in-adjacency of v (Edge.To is the source node).
-func (g *Graph) In(v NodeID) []Edge { return g.in[v] }
+func (g *Graph) In(v NodeID) []Edge { return g.in.row(v) }
 
 // OutDegree returns the total out-degree of v.
-func (g *Graph) OutDegree(v NodeID) int { return len(g.out[v]) }
+func (g *Graph) OutDegree(v NodeID) int { return len(g.Out(v)) }
 
 // InDegree returns the total in-degree of v.
-func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
+func (g *Graph) InDegree(v NodeID) int { return len(g.In(v)) }
 
 // OutByLabel returns the contiguous sub-slice of Out(v) whose edges carry
 // label l. This is Me(v) from the paper for an edge labeled l.
 func (g *Graph) OutByLabel(v NodeID, l LabelID) []Edge {
 	g.mustFinal()
-	return labelSlice(g.out[v], g.outRuns[v], l)
+	return g.out.labelSlice(v, l)
 }
 
 // InByLabel returns the in-edges of v carrying label l.
 func (g *Graph) InByLabel(v NodeID, l LabelID) []Edge {
 	g.mustFinal()
-	return labelSlice(g.in[v], g.inRuns[v], l)
+	return g.in.labelSlice(v, l)
 }
 
 // CountOut returns |Me(v)| — the number of out-edges of v labeled l. Rows
@@ -338,8 +358,8 @@ func (g *Graph) ComputeStats() Stats {
 		seen[l] = true
 	}
 	s.NodeLabels = len(seen)
-	for v := range g.out {
-		if d := len(g.out[v]); d > s.MaxOutDeg {
+	for v := range g.nodeLabel {
+		if d := g.OutDegree(NodeID(v)); d > s.MaxOutDeg {
 			s.MaxOutDeg = d
 		}
 	}

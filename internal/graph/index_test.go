@@ -26,19 +26,25 @@ func requireIndex(t *testing.T, g *Graph, when string) {
 }
 
 // The checker must not be vacuous: it reads the index only through the
-// public API, so damage to the runs has to surface as an error.
+// public API, so damage to the runs inlined in a region has to surface as
+// an error.
 func TestCheckIndexCatchesDamage(t *testing.T) {
+	// runs returns the run slots of a row of v, where they lie.
+	runs := func(g *Graph, in bool, v NodeID) []Edge {
+		body, r := g.adj(in).region(int(g.adj(in).off[v]))
+		return body[:r]
+	}
 	damage := []func(g *Graph, v NodeID){
-		func(g *Graph, v NodeID) { g.outRuns[v][0].end-- },                          // a run one edge short
-		func(g *Graph, v NodeID) { g.outRuns[v] = g.outRuns[v][1:] },                // first label of the row lost
-		func(g *Graph, v NodeID) { g.inRuns[v] = g.inRuns[v][:len(g.inRuns[v])-1] }, // last label of the row lost
-		func(g *Graph, v NodeID) { g.outRuns[v][0].label = LabelID(g.Labels()) },    // a run under a label the row does not carry
+		func(g *Graph, v NodeID) { runs(g, false, v)[0].To-- },                              // a run one edge short
+		func(g *Graph, v NodeID) { r := runs(g, false, v); r[0].Label = r[1].Label },        // first label of the row lost
+		func(g *Graph, v NodeID) { r := runs(g, true, v); r[len(r)-2].To = r[len(r)-1].To }, // last label of the row lost
+		func(g *Graph, v NodeID) { runs(g, false, v)[0].Label = LabelID(g.Labels()) },       // a run under a label the row does not carry
 	}
 	for i, d := range damage {
 		g := indexGraph(1)
 		requireIndex(t, g, "fresh graph")
 		v := NodeID(0)
-		for len(g.outRuns[v]) < 2 || len(g.inRuns[v]) < 2 || g.outRuns[v][0].end < 2 {
+		for len(runs(g, false, v)) < 2 || len(runs(g, true, v)) < 2 || runs(g, false, v)[0].To < 2 {
 			v++
 		}
 		d(g, v)

@@ -273,7 +273,7 @@ func TestRepackKeepsBatchesWhole(t *testing.T) {
 				batch = append(batch, Mutation{Op: MutAddEdge, From: from, To: NodeID(r.Intn(n)), Label: string(rune('A' + r.Intn(12)))})
 			}
 		}
-		due := [2]bool{vg.deadOut > g.numEdges/repackShare, vg.deadIn > g.numEdges/repackShare}
+		due := [2]bool{g.out.dead > g.numEdges/repackShare, g.in.dead > g.numEdges/repackShare}
 		before := rowsOf(g)
 		old, err := vg.Apply(batch)
 		if err != nil {

@@ -52,8 +52,8 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 	}
-	for v, row := range g.out {
-		for _, e := range row {
+	for v := range g.nodeLabel {
+		for _, e := range g.Out(NodeID(v)) {
 			buf = strconv.AppendInt(append(buf, "e "...), int64(v), 10)
 			buf = strconv.AppendInt(append(buf, ' '), int64(e.To), 10)
 			buf = append(append(append(buf, ' '), label(e.Label)...), '\n')
@@ -150,7 +150,9 @@ func Read(r io.Reader, maxSize int) (*Graph, error) {
 	if g.NumNodes() != declared {
 		return nil, fmt.Errorf("graph: the header declares %d nodes, %d node lines follow", declared, g.NumNodes())
 	}
-	g.build(scatter(len(g.nodeLabel), edges))
+	if err := g.build(g.layOut(edges)); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 

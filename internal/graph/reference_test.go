@@ -9,20 +9,27 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"unsafe"
 
 	"repro/internal/scan"
 )
 
 // The append-and-sort builders the counting build replaced, kept as the
 // oracles it must equal: every row appended edge by edge, then sorted,
-// deduplicated and packed.
+// deduplicated and laid out region after region.
 
-// referenceFinalize sorts and deduplicates every row in place, packs each
-// direction into one array and indexes the result.
+// referenceFinalize sorts and deduplicates every row, rows built before
+// and staged edges alike, and lays each direction out in one arena.
 func referenceFinalize(g *Graph) {
 	if g.finalized {
 		return
+	}
+	out, in := make([][]Edge, g.NumNodes()), make([][]Edge, g.NumNodes())
+	for v := range out {
+		out[v], in[v] = slices.Clone(g.Out(NodeID(v))), slices.Clone(g.In(NodeID(v)))
+	}
+	for _, e := range g.staged {
+		out[e.From] = append(out[e.From], e.Edge)
+		in[e.To] = append(in[e.To], Edge{To: e.From, Label: e.Label})
 	}
 	dedup := func(adj [][]Edge) int {
 		removed := 0
@@ -44,36 +51,35 @@ func referenceFinalize(g *Graph) {
 		}
 		return removed
 	}
-	g.numEdges -= dedup(g.out)
-	dedup(g.in)
-	compactRows(g.out)
-	compactRows(g.in)
+	g.numEdges -= dedup(out)
+	dedup(in)
+	g.out, g.in, g.staged = referenceLayout(out), referenceLayout(in), nil
 	g.byLabel = make(map[LabelID][]NodeID)
 	for v, l := range g.nodeLabel {
 		g.byLabel[l] = append(g.byLabel[l], NodeID(v))
 	}
-	g.outRuns = indexRows(g.out)
-	g.inRuns = indexRows(g.in)
 	g.finalized = true
 }
 
-// compactRows moves the rows into one backing array, carved with full
-// slice expressions.
-func compactRows(adj [][]Edge) {
-	total := 0
-	for _, row := range adj {
-		total += len(row)
-	}
-	backing := make([]Edge, 0, total)
-	for v, row := range adj {
+// referenceLayout lays rows out region after region behind the empty
+// region: a header, the runs a scan of the row finds, the edges.
+func referenceLayout(rows [][]Edge) adjacency {
+	a := adjacency{arena: make([]Edge, header), off: make([]int32, len(rows))}
+	for v, row := range rows {
 		if len(row) == 0 {
-			adj[v] = nil
 			continue
 		}
-		lo := len(backing)
-		backing = append(backing, row...)
-		adj[v] = backing[lo:len(backing):len(backing)]
+		var runs []Edge
+		for i, e := range row {
+			if i+1 == len(row) || row[i+1].Label != e.Label {
+				runs = append(runs, Edge{To: NodeID(i + 1), Label: e.Label})
+			}
+		}
+		a.off[v] = int32(len(a.arena))
+		a.arena = append(a.arena, Edge{To: NodeID(len(runs)), Label: LabelID(len(runs) + len(row))})
+		a.arena = append(append(a.arena, runs...), row...)
 	}
+	return a
 }
 
 // referenceWriteTo is WriteTo as it was before the append writer: one
@@ -94,7 +100,7 @@ func referenceWriteTo(g *Graph, w io.Writer) (int64, error) {
 		}
 	}
 	for v := 0; v < g.NumNodes(); v++ {
-		for _, e := range g.out[v] {
+		for _, e := range g.Out(NodeID(v)) {
 			if err := count(fmt.Fprintf(bw, "e %d %d %s\n", v, e.To, scan.Quote(g.interner.Name(e.Label)))); err != nil {
 				return n, err
 			}
@@ -257,8 +263,9 @@ func referenceInducedOf(g View, nodes []NodeID) (*Graph, []NodeID) {
 
 // sameBuild reports how two finalized graphs differ, if they do, in
 // anything a build sets: node labels, interner order, both directions'
-// rows and runs with their capacities, the packing of rows into one array,
-// the label index and the edge count.
+// arenas slot for slot (rows, runs and capacities, and the order of the
+// regions) with their offsets, an arena with no spare room, the label
+// index and the edge count.
 func sameBuild(got, want *Graph) error {
 	switch {
 	case !got.finalized || !want.finalized:
@@ -279,43 +286,16 @@ func sameBuild(got, want *Graph) error {
 			return fmt.Errorf("label %d lists %v, want %v", l, got.byLabel[l], vs)
 		}
 	}
-	for _, dir := range []struct {
-		name             string
-		got, want        [][]Edge
-		gotRuns, wantRun [][]labelRun
-	}{{"out", got.out, want.out, got.outRuns, want.outRuns}, {"in", got.in, want.in, got.inRuns, want.inRuns}} {
-		if len(dir.got) != len(dir.want) || len(dir.gotRuns) != len(dir.wantRun) {
-			return fmt.Errorf("%s: %d rows, want %d", dir.name, len(dir.got), len(dir.want))
+	for d, name := range []string{"out", "in"} {
+		a, b := got.adj(d == 1), want.adj(d == 1)
+		switch {
+		case !slices.Equal(a.off, b.off):
+			return fmt.Errorf("%s: region offsets %v, want %v", name, a.off, b.off)
+		case !slices.Equal(a.arena, b.arena):
+			return fmt.Errorf("%s: arena %v, want %v", name, a.arena, b.arena)
+		case cap(a.arena) != len(a.arena) || a.dead != 0:
+			return fmt.Errorf("%s: arena of %d slots has capacity %d and %d dead", name, len(a.arena), cap(a.arena), a.dead)
 		}
-		for v := range dir.want {
-			a, b := dir.got[v], dir.want[v]
-			if !slices.Equal(a, b) || cap(a) != cap(b) || (a == nil) != (b == nil) {
-				return fmt.Errorf("%s-row %d is %v (cap %d), want %v (cap %d)", dir.name, v, a, cap(a), b, cap(b))
-			}
-			ra, rb := dir.gotRuns[v], dir.wantRun[v]
-			if !slices.Equal(ra, rb) || cap(ra) != cap(rb) || (ra == nil) != (rb == nil) {
-				return fmt.Errorf("%s-runs %d are %v (cap %d), want %v (cap %d)", dir.name, v, ra, cap(ra), rb, cap(rb))
-			}
-		}
-		if err := packed(dir.got); err != nil {
-			return fmt.Errorf("%s: %v", dir.name, err)
-		}
-	}
-	return nil
-}
-
-// packed reports whether the non-empty rows lie back to back in one array.
-func packed(rows [][]Edge) error {
-	var next uintptr
-	for v, row := range rows {
-		if len(row) == 0 {
-			continue
-		}
-		at := uintptr(unsafe.Pointer(&row[0]))
-		if next != 0 && at != next {
-			return fmt.Errorf("row %d does not follow its predecessor", v)
-		}
-		next = at + uintptr(len(row))*unsafe.Sizeof(Edge{})
 	}
 	return nil
 }

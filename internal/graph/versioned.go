@@ -14,6 +14,7 @@ package graph
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 )
@@ -203,34 +204,26 @@ var (
 )
 
 // Versioned wraps a finalized Graph and maintains it in place under
-// mutation batches. The wrapped graph stays finalized at all times:
-// adjacency rows keep their (label, endpoint) sort order, each edit of a
-// row shifts that row's label runs by one edge, O(labels in the row), and
-// byLabel is edited incrementally, so queries never pay a re-Finalize.
-// Not safe for concurrent use; callers serialize Apply/Rollback against
-// readers the same way they would serialize rebuilds. A row slice read from the
-// graph is good until the next Apply or Rollback, which edit it in place or
-// move it.
+// mutation batches. The wrapped graph stays finalized at all times: an
+// edit shifts a row and its label runs by one edge within the row's region,
+// and byLabel is edited incrementally, so queries never pay a re-Finalize.
+// A full region moves to its arena's tail and leaves dead slots, which the
+// next Apply re-packs past a quarter of the live edges. Not safe for
+// concurrent use; callers serialize Apply/Rollback against readers. A row
+// slice read from the graph is good until the next Apply or Rollback,
+// which edit it in place or move it.
 type Versioned struct {
 	g *Graph
 
-	// moved has, per node, the markOut/markIn bit of each row that left
-	// the arena (the build array, or the last re-pack's) since; deadOut and
-	// deadIn count the capacity those rows left there, which any row still
-	// in the arena keeps reachable. Past a quarter of the live edges, Apply
-	// re-packs the direction.
-	moved           []uint8
-	deadOut, deadIn int
-
-	// State of the latest batch, reused by the next. mark has one byte per
-	// node — out-row edited, in-row edited — and marked lists the nodes
-	// carrying either, so a batch resets what its predecessor set and
-	// nothing else. log holds the batch's row edits in application order;
-	// dropped the rows a removed node lost whole (kept, not copied).
-	mark    []uint8
-	marked  []NodeID
-	log     []rowOp
-	dropped [][]Edge
+	// State of the latest batch, reused by the next: at is the version it
+	// made, while its view may read this state. mark has one byte per node
+	// — out-row edited, in-row edited — and marked lists the nodes carrying
+	// either, so a batch resets what its predecessor set and nothing else.
+	// log holds the batch's row edits in application order.
+	at     Version
+	mark   []uint8
+	marked []NodeID
+	log    []rowOp
 	// edits is the storage of the latest batch's net edits (OldView.Edits).
 	edits []EdgeEdit
 
@@ -239,179 +232,160 @@ type Versioned struct {
 	visits int
 }
 
-const (
-	markOut uint8 = 1 << iota // out-row edited by the latest batch
-	markIn                    // in-row edited
-)
+// markOf is the mark bit of a row edited by the latest batch: 1 for an
+// out-row, 2 for an in-row.
+func markOf(in bool) uint8 {
+	if in {
+		return 2
+	}
+	return 1
+}
 
 // rowOp is one edit of one adjacency row, as the undo log records it.
 type rowOp struct {
 	v    NodeID
-	kind uint8 // opInsert, opRemove or opDrop
+	kind uint8 // opInsert, opRemove, opDrop or opMove
 	in   bool  // the in-row of v, not the out-row
-	e    Edge  // the edge inserted or removed; for opDrop, e.To indexes dropped
-	// vacated says that an opDrop took the row out of the arena.
-	vacated bool
+	e    Edge  // the edge inserted or removed; else e.To is the region left
 }
 
 const (
 	opInsert uint8 = iota
 	opRemove
 	opDrop
+	opMove
 )
 
-// rows returns the adjacency table of a direction, its label runs and its
-// mark bit.
-func (vg *Versioned) rows(in bool) ([][]Edge, [][]labelRun, uint8) {
+// adj returns the rows of a direction.
+func (g *Graph) adj(in bool) *adjacency {
 	if in {
-		return vg.g.in, vg.g.inRuns, markIn
+		return &g.in
 	}
-	return vg.g.out, vg.g.outRuns, markOut
+	return &g.out
 }
 
-// dead returns the dead capacity count of a direction.
-func (vg *Versioned) dead(in bool) *int {
-	if in {
-		return &vg.deadIn
-	}
-	return &vg.deadOut
-}
-
-// vacate notes that a row of v of the given capacity is leaving the arena,
-// and reports whether it was there: a row that left before is on the heap
-// of its own, garbage once it moves.
-func (vg *Versioned) vacate(in bool, v NodeID, capacity int) bool {
-	_, _, bit := vg.rows(in)
-	if vg.moved[v]&bit != 0 {
-		return false
-	}
-	vg.moved[v] |= bit
-	*vg.dead(in) += capacity
-	return true
-}
-
-// repackShare is the share of the live edges a direction's dead capacity
-// may reach before the direction is re-packed: at a quarter the held rows
-// stay within 1.25 times the live ones, plus the rows' own slack.
+// repackShare is the share of the live edges a direction's dead slots may
+// reach before the direction is re-packed: at a quarter the arena stays
+// within 1.25 times the live regions, plus a batch's moves.
 const repackShare = 4
 
-// repack copies every row of a direction, each with the capacity it has
-// grown to, into one fresh array, and the rows' label runs into another:
-// the old arenas, and every row that moved out of them, become garbage.
-func (vg *Versioned) repack(in bool) {
-	rows, runs, bit := vg.rows(in)
-	edges, labels := 0, 0
-	for v, row := range rows {
-		edges += cap(row)
-		labels += len(runs[v])
-	}
-	arena, runArena := make([]Edge, edges), make([]labelRun, 0, labels)
-	off := 0
-	for v, row := range rows {
-		lo := len(runArena)
-		runArena = append(runArena, runs[v]...)
-		runs[v] = runArena[lo:len(runArena):len(runArena)]
-		if cap(row) == 0 {
-			rows[v] = nil
-			continue
+// arenaSpare is the share of its slots an arena gains when it grows or is
+// re-packed: not append's double, as every graph copy holds the spare, and
+// a 32nd copies an arena at most 32 times per slot appended.
+const arenaSpare = 32
+
+// repack copies every region that holds edges, with the capacity it has
+// grown to, into a fresh arena; a row without edges goes to the empty one.
+func (a *adjacency) repack() {
+	slots := header
+	for _, o := range a.off {
+		if a.arena[o].To > 0 {
+			slots += header + int(a.arena[o].Label)
 		}
-		copy(arena[off:], row)
-		rows[v] = arena[off : off+len(row) : off+cap(row)]
-		off += cap(row)
 	}
-	for v := range vg.moved {
-		vg.moved[v] &^= bit
+	arena := make([]Edge, header, slots+slots/arenaSpare)
+	for v, o := range a.off {
+		a.off[v] = 0
+		if a.arena[o].To > 0 {
+			a.off[v] = int32(len(arena))
+			arena = append(arena, a.arena[o:int(o)+header+int(a.arena[o].Label)]...)
+		}
 	}
-	*vg.dead(in) = 0
+	a.arena, a.dead = arena, 0
+}
+
+// shift inserts e at place i of the row of the region at o (grow), or
+// removes the edge there, and moves the label runs with it: every run from
+// e's on moves by one, a label new to the row gets a run and a run left
+// empty goes. An insert needs room for an edge and a run.
+func (a *adjacency) shift(o, i int, e Edge, grow bool) {
+	body, r := a.region(o)
+	j, start := 0, NodeID(0)
+	for j < r && body[j].Label < e.Label {
+		start = body[j].To
+		j++
+	}
+	d := NodeID(-1)
+	if grow {
+		if j == r || body[j].Label != e.Label {
+			body, r = slices.Insert(body, j, Edge{To: start, Label: e.Label}), r+1
+		}
+		body, d = slices.Insert(body, r+i, e), 1
+	} else {
+		body = slices.Delete(body, r+i, r+i+1)
+	}
+	for k := j; k < r; k++ {
+		body[k].To += d
+	}
+	if body[j].To == start {
+		body, r = slices.Delete(body, j, j+1), r-1
+	}
+	a.arena[o].To = NodeID(r)
 }
 
 // record logs one edit of a row of v.
-func (vg *Versioned) record(op rowOp, bit uint8) {
+func (vg *Versioned) record(op rowOp) {
 	if vg.mark[op.v] == 0 {
 		vg.marked = append(vg.marked, op.v)
 	}
-	vg.mark[op.v] |= bit
+	vg.mark[op.v] |= markOf(op.in)
 	vg.log = append(vg.log, op)
 	vg.visits++
 }
 
 // edit inserts e into (opInsert) or removes it from (opRemove) a row of v,
-// where the row lies, shifts the row's runs with it, and logs the edit if
-// the row changed.
-func (vg *Versioned) edit(kind uint8, in bool, v NodeID, e Edge) bool {
-	rows, runs, bit := vg.rows(in)
-	row := rows[v]
-	var changed bool
-	if kind == opInsert {
-		rows[v], changed = insertSorted(row, e)
-	} else {
-		rows[v], changed = removeSorted(row, e)
+// where the row lies, and logs the edit if the row changed, which it
+// reports. An insert into a full region first moves it; it fails, changing
+// nothing, when the arena cannot grow within the offset range.
+func (vg *Versioned) edit(kind uint8, in bool, v NodeID, e Edge) (bool, error) {
+	a, grow := vg.g.adj(in), kind == opInsert
+	row := a.row(v)
+	i := findEdge(row, e)
+	if (i < len(row) && row[i] == e) == grow {
+		return false, nil
 	}
-	if cap(rows[v]) != cap(row) {
-		vg.vacate(in, v, cap(row))
+	if o := a.off[v]; grow && int(a.arena[o].To)+len(row)+2 > int(a.arena[o].Label) {
+		if err := vg.move(a, in, v); err != nil {
+			return false, err
+		}
 	}
-	if changed {
-		runs[v] = shiftRuns(runs[v], e.Label, kind == opInsert)
-		vg.record(rowOp{v: v, kind: kind, in: in, e: e}, bit)
-	}
-	return changed
+	a.shift(int(a.off[v]), i, e, grow)
+	vg.record(rowOp{v: v, kind: kind, in: in, e: e})
+	return true, nil
 }
 
-// drop empties a row of v and its runs; the log keeps the row's slice.
-func (vg *Versioned) drop(in bool, v NodeID) {
-	rows, runs, bit := vg.rows(in)
-	if len(rows[v]) == 0 {
-		return
+// move copies a row's region to the arena's tail with an eighth more room
+// and two slots, for an edge and its run. A full region moves to one an
+// eighth larger, not to append's double: a maintained row is edited for as
+// long as the graph lives, and doubling left the benchmark's graphs up to
+// twice the size of their edges.
+func (vg *Versioned) move(a *adjacency, in bool, v NodeID) error {
+	body, r := a.region(int(a.off[v]))
+	c, t := len(body)+len(body)/8+2, len(a.arena)
+	if err := fitsOffsets(t + header + c); err != nil {
+		return err
 	}
-	vacated := vg.vacate(in, v, cap(rows[v]))
-	vg.record(rowOp{v: v, kind: opDrop, in: in, e: Edge{To: NodeID(len(vg.dropped))}, vacated: vacated}, bit)
-	vg.dropped = append(vg.dropped, rows[v])
-	rows[v] = nil
-	runs[v] = runs[v][:0]
+	if t+header+c > cap(a.arena) {
+		a.arena = append(make([]Edge, 0, t+t/arenaSpare+header+c), a.arena...)
+	}
+	a.arena = a.arena[:t+header+c]
+	a.arena[t] = Edge{To: NodeID(r), Label: LabelID(c)}
+	copy(a.arena[t+header:], body)
+	vg.leave(opMove, in, v, t)
+	return nil
 }
 
-// shiftRuns moves the label runs of a row by the one edge of label l just
-// inserted into it (grow) or removed from it: l's run grows or shrinks,
-// every later run shifts, a label new to the row gets a run and a run left
-// empty goes. O(labels in the row), not O(degree).
-func shiftRuns(runs []labelRun, l LabelID, grow bool) []labelRun {
-	i := 0
-	for i < len(runs) && runs[i].label < l {
-		i++
+// leave points a row of v at the region at t and logs the region it
+// leaves, which stays as it was, for the batch's old view and Rollback,
+// and counts as dead. An opDrop leaves for the empty region.
+func (vg *Versioned) leave(kind uint8, in bool, v NodeID, t int) {
+	a := vg.g.adj(in)
+	o := int(a.off[v])
+	if o != 0 {
+		a.dead += header + int(a.arena[o].Label)
 	}
-	start := int32(0)
-	if i > 0 {
-		start = runs[i-1].end
-	}
-	if i == len(runs) || runs[i].label != l {
-		runs = slices.Insert(runs, i, labelRun{l, start})
-	}
-	d := int32(-1)
-	if grow {
-		d = 1
-	}
-	for j := i; j < len(runs); j++ {
-		runs[j].end += d
-	}
-	if runs[i].end == start {
-		runs = slices.Delete(runs, i, i+1)
-	}
-	return runs
-}
-
-// undo reverses one logged edit on row. After an opDrop the result is the
-// log's own slice.
-func (vg *Versioned) undo(op rowOp, row []Edge) []Edge {
-	vg.visits++
-	switch op.kind {
-	case opInsert:
-		row, _ = removeSorted(row, op.e)
-	case opRemove:
-		row, _ = insertSorted(row, op.e)
-	default:
-		row = vg.dropped[op.e.To]
-	}
-	return row
+	a.off[v] = int32(t)
+	vg.record(rowOp{v: v, kind: kind, in: in, e: Edge{To: NodeID(o)}})
 }
 
 // NewVersioned wraps g (finalizing it if needed) for in-place
@@ -437,8 +411,8 @@ type OldView struct {
 	vg      *Versioned
 	validAt Version
 
-	numNodes int
-	numEdges int
+	numNodes, numEdges int
+	tails, dead        [2]int // the arenas' pre-batch lengths and dead slots, out then in
 
 	// mu guards old, the batch's log indexed by row on the first read of
 	// an edited row: one entry per log entry, sorted by (node, direction,
@@ -465,8 +439,11 @@ func rowKey(v NodeID, in bool) uint64 {
 	return k
 }
 
+// stale reports whether ov is no longer the view of the latest batch.
+func (ov *OldView) stale() bool { return ov.vg.g.version != ov.validAt || ov.vg.at != ov.validAt }
+
 func (ov *OldView) check() {
-	if ov.vg.g.version != ov.validAt {
+	if ov.stale() {
 		panic("graph: OldView read after a later Apply/Rollback")
 	}
 }
@@ -478,9 +455,9 @@ func (ov *OldView) row(in bool, v NodeID) []Edge {
 		return nil
 	}
 	vg := ov.vg
-	rows, _, bit := vg.rows(in)
-	if vg.mark[v]&bit == 0 {
-		return rows[v]
+	a := vg.g.adj(in)
+	if vg.mark[v]&markOf(in) == 0 {
+		return a.row(v)
 	}
 	ov.mu.Lock()
 	defer ov.mu.Unlock()
@@ -503,11 +480,20 @@ func (ov *OldView) row(in bool, v NodeID) []Edge {
 	}
 	// Undo the row's edits newest first, on a copy with room for every edge
 	// they removed: the live row stays as it is.
-	row := append(make([]Edge, 0, len(rows[v])+hi-lo), rows[v]...)
+	row := append(make([]Edge, 0, len(a.row(v))+hi-lo), a.row(v)...)
 	for i := hi - 1; i >= lo; i-- {
 		op := vg.log[uint32(ov.old[i].key)]
-		if row = vg.undo(op, row); op.kind == opDrop && i > lo {
-			row = slices.Clone(row) // the log's own slice, and Rollback wants it back unchanged
+		vg.visits++
+		switch j := findEdge(row, op.e); op.kind {
+		case opInsert:
+			row = slices.Delete(row, j, j+1)
+		case opRemove:
+			row = slices.Insert(row, j, op.e)
+		case opDrop:
+			// The dropped region's own row, which Rollback wants back unchanged.
+			if row = a.rowAt(int(op.e.To)); i > lo {
+				row = slices.Clone(row)
+			}
 		}
 	}
 	ov.old[lo].row, ov.old[lo].built = row, true
@@ -561,9 +547,9 @@ func (vg *Versioned) netEdits() []EdgeEdit {
 	all := vg.edits[:0] // every logged out-row edit, in log order
 	for _, op := range vg.log {
 		switch {
-		case op.in:
+		case op.in || op.kind == opMove:
 		case op.kind == opDrop:
-			for _, e := range vg.dropped[op.e.To] {
+			for _, e := range vg.g.out.rowAt(int(op.e.To)) {
 				all = append(all, EdgeEdit{From: op.v, To: e.To, Label: e.Label})
 			}
 		default:
@@ -638,43 +624,20 @@ func InducedOf(g View, nodes []NodeID) (*Graph, []NodeID) {
 		}
 		end[lv] = len(backing)
 	}
-	sub.build(backing, end)
+	if err := sub.build(backing, end); err != nil {
+		panic(err) // a subgraph's regions take no more slots than its graph's
+	}
 	return sub, toGlobal
 }
 
-// Clone returns a deep copy of g sharing no mutable state, preserving
-// finalization, interner order, and all indexes.
+// Clone returns a finalized deep copy of g sharing no mutable state: the
+// same nodes, edges, interner order and version, its rows laid out afresh.
 func (g *Graph) Clone() *Graph {
-	ng := &Graph{
-		nodeLabel: append([]LabelID(nil), g.nodeLabel...),
-		out:       make([][]Edge, len(g.out)),
-		in:        make([][]Edge, len(g.in)),
-		numEdges:  g.numEdges,
-		version:   g.version,
-		finalized: g.finalized,
-	}
-	for v := range g.out {
-		ng.out[v] = append([]Edge(nil), g.out[v]...)
-	}
-	for v := range g.in {
-		ng.in[v] = append([]Edge(nil), g.in[v]...)
-	}
-	ng.interner.names = append([]string(nil), g.interner.names...)
-	if g.interner.byName != nil {
-		ng.interner.byName = make(map[string]LabelID, len(g.interner.byName))
-		for s, id := range g.interner.byName {
-			ng.interner.byName[s] = id
-		}
-	}
-	if g.byLabel != nil {
-		ng.byLabel = make(map[LabelID][]NodeID, len(g.byLabel))
-		for l, vs := range g.byLabel {
-			ng.byLabel[l] = append([]NodeID(nil), vs...)
-		}
-	}
-	if g.finalized {
-		ng.outRuns = indexRows(ng.out)
-		ng.inRuns = indexRows(ng.in)
+	ng := &Graph{nodeLabel: slices.Clone(g.nodeLabel), version: g.version}
+	ng.interner.names = slices.Clone(g.interner.names)
+	ng.interner.byName = maps.Clone(g.interner.byName)
+	if err := ng.build(g.layOut(g.staged)); err != nil {
+		panic(err)
 	}
 	return ng
 }
@@ -694,43 +657,16 @@ func findEdge(row []Edge, e Edge) int {
 	return lo
 }
 
-// insertSorted inserts e into a (label, endpoint)-sorted row, in place
-// when the row has room, reporting whether it was absent (and therefore
-// inserted). A full row moves to one an eighth longer, not to append's
-// double: a maintained row is edited for as long as the graph lives, and
-// doubling left the benchmark's graphs up to twice the size of their edges.
-func insertSorted(row []Edge, e Edge) ([]Edge, bool) {
-	i := findEdge(row, e)
-	if i < len(row) && row[i] == e {
-		return row, false
-	}
-	if len(row) == cap(row) {
-		row = append(make([]Edge, 0, len(row)+len(row)/8+2), row...)
-	}
-	row = row[:len(row)+1]
-	copy(row[i+1:], row[i:])
-	row[i] = e
-	return row, true
-}
-
-// removeSorted removes e from a sorted row, reporting whether it was
-// present (and therefore removed).
-func removeSorted(row []Edge, e Edge) ([]Edge, bool) {
-	i := findEdge(row, e)
-	if i >= len(row) || row[i] != e {
-		return row, false
-	}
-	copy(row[i:], row[i+1:])
-	return row[:len(row)-1], true
-}
-
 // Apply applies the batch in place and returns the pre-batch OldView,
 // which holds the batch's net edits (OldView.Edits); the graph logs them
 // as the new version's (EditsSince).
 //
-// The whole batch is validated up front (CheckBatch), so an error leaves
-// the graph untouched at its prior version.
-// On success the version advances and any earlier OldView goes stale.
+// The whole batch is validated up front (CheckBatch), so an invalid batch
+// leaves the graph untouched at its prior version. A batch whose regions
+// would pass the int32 offset range is undone where it stops, so it too
+// leaves the graph as it was and at its version, but ends the latest
+// batch's view. On success the version advances and any earlier OldView
+// goes stale.
 func (vg *Versioned) Apply(muts []Mutation) (*OldView, error) {
 	g := vg.g
 	n, err := CheckBatch(muts, g.NumNodes())
@@ -739,27 +675,24 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, error) {
 	}
 
 	// The batch before this one is history: its view goes stale below,
-	// so its marks, log and dropped rows make room for this batch's.
+	// so its marks and log make room for this batch's.
 	for _, v := range vg.marked {
 		vg.mark[v] = 0
 	}
-	vg.marked = vg.marked[:0]
-	vg.log = vg.log[:0]
-	clear(vg.dropped)
-	vg.dropped = vg.dropped[:0]
+	vg.at, vg.marked, vg.log = 0, vg.marked[:0], vg.log[:0]
 	if n > len(vg.mark) {
 		vg.mark = append(vg.mark, make([]uint8, n-len(vg.mark))...)
-		vg.moved = append(vg.moved, make([]uint8, n-len(vg.moved))...)
-	}
-	// The view that could read the rows where they lie is stale too, so
-	// this is where a direction whose arena holds too much dead capacity
-	// moves to a fresh one.
-	for _, in := range []bool{false, true} {
-		if *vg.dead(in) > g.numEdges/repackShare {
-			vg.repack(in)
-		}
 	}
 	ov := &OldView{vg: vg, numNodes: g.NumNodes(), numEdges: g.numEdges}
+	// No view reads the regions where they lie any more, so this is where
+	// a direction whose arena holds too many dead slots moves to a fresh
+	// one.
+	for d, a := range []*adjacency{&g.out, &g.in} {
+		if a.dead > g.numEdges/repackShare {
+			a.repack()
+		}
+		ov.tails[d], ov.dead[d] = len(a.arena), a.dead
+	}
 
 	for _, m := range muts {
 		switch m.Op {
@@ -767,10 +700,8 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, error) {
 			l := g.interner.Intern(m.Label)
 			id := NodeID(len(g.nodeLabel))
 			g.nodeLabel = append(g.nodeLabel, l)
-			g.out = append(g.out, nil)
-			g.in = append(g.in, nil)
-			g.outRuns = append(g.outRuns, nil)
-			g.inRuns = append(g.inRuns, nil)
+			g.out.addRow()
+			g.in.addRow()
 			// Ids ascend, so appending keeps byLabel rows sorted.
 			g.byLabel[l] = append(g.byLabel[l], id)
 
@@ -778,22 +709,29 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, error) {
 			// If the edge already exists its label is already interned,
 			// so Intern never adds a label on a no-op.
 			l := g.interner.Intern(m.Label)
-			if vg.edit(opInsert, false, m.From, Edge{To: m.To, Label: l}) {
-				vg.edit(opInsert, true, m.To, Edge{To: m.From, Label: l})
+			added, err := vg.edit(opInsert, false, m.From, Edge{To: m.To, Label: l})
+			if added {
+				_, err = vg.edit(opInsert, true, m.To, Edge{To: m.From, Label: l})
 				g.numEdges++
+			}
+			if err != nil {
+				vg.restore(ov)
+				return nil, err
 			}
 
 		case MutRemoveEdge:
 			// Lookup, not Intern: removing via a never-seen label must
-			// not grow the interner.
-			if l := g.interner.Lookup(m.Label); l != NoLabel && vg.edit(opRemove, false, m.From, Edge{To: m.To, Label: l}) {
-				vg.edit(opRemove, true, m.To, Edge{To: m.From, Label: l})
-				g.numEdges--
+			// not grow the interner. A removal never moves a region.
+			if l := g.interner.Lookup(m.Label); l != NoLabel {
+				if removed, _ := vg.edit(opRemove, false, m.From, Edge{To: m.To, Label: l}); removed {
+					vg.edit(opRemove, true, m.To, Edge{To: m.From, Label: l})
+					g.numEdges--
+				}
 			}
 
 		case MutRemoveNode:
 			v := m.From
-			outs, ins := g.out[v], g.in[v]
+			outs, ins := g.Out(v), g.In(v)
 			selfLoops := 0
 			for _, e := range outs {
 				if e.To == v {
@@ -809,15 +747,47 @@ func (vg *Versioned) Apply(muts []Mutation) (*OldView, error) {
 				vg.edit(opRemove, false, e.To, Edge{To: v, Label: e.Label})
 			}
 			g.numEdges -= len(outs) + len(ins) - selfLoops
-			vg.drop(false, v)
-			vg.drop(true, v)
+			for _, in := range []bool{false, true} {
+				if g.adj(in).off[v] != 0 {
+					vg.leave(opDrop, in, v, 0)
+				}
+			}
 		}
 	}
 
 	ov.edits = vg.netEdits()
 	g.logVersion(ov.edits)
-	ov.validAt = g.version
+	ov.validAt, vg.at = g.version, g.version
 	return ov, nil
+}
+
+// restore undoes the latest batch, which ov began: its row edits newest
+// first, on the live regions, each row that left a region back to it, and
+// its new nodes taken away. The rows, the arenas' lengths and their dead
+// slots are the pre-batch ones again.
+func (vg *Versioned) restore(ov *OldView) {
+	g := vg.g
+	for i := len(vg.log) - 1; i >= 0; i-- {
+		op := vg.log[i]
+		a := g.adj(op.in)
+		vg.visits++
+		switch op.kind {
+		case opInsert, opRemove:
+			a.shift(int(a.off[op.v]), findEdge(a.row(op.v), op.e), op.e, op.kind == opRemove)
+		default:
+			a.off[op.v] = int32(op.e.To)
+		}
+	}
+	// Un-append the batch's new nodes. Their byLabel entries are the
+	// tails of their rows: every pre-batch entry is a smaller id.
+	for _, l := range g.nodeLabel[ov.numNodes:] {
+		g.byLabel[l] = g.byLabel[l][:len(g.byLabel[l])-1]
+	}
+	g.nodeLabel = g.nodeLabel[:ov.numNodes]
+	for d, a := range []*adjacency{&g.out, &g.in} {
+		a.off, a.arena, a.dead = a.off[:ov.numNodes], a.arena[:ov.tails[d]], ov.dead[d]
+	}
+	g.numEdges = ov.numEdges
 }
 
 // Rollback undoes the batch that produced ov, restoring the exact
@@ -831,39 +801,17 @@ func (vg *Versioned) Rollback(ov *OldView) error {
 		return fmt.Errorf("graph: rollback with a view from a different graph")
 	}
 	g := vg.g
-	if g.version != ov.validAt {
+	if ov.stale() {
 		return fmt.Errorf("graph: rollback of a stale view (version %d, now %d)", ov.validAt, g.version)
 	}
-	// One pass over the log, newest edit first, on the live rows and their
-	// runs: an undone edit shifts the runs back, a restored row gets them
-	// afresh.
-	for i := len(vg.log) - 1; i >= 0; i-- {
-		op := vg.log[i]
-		rows, runs, bit := vg.rows(op.in)
-		rows[op.v] = vg.undo(op, rows[op.v])
-		if op.kind == opDrop {
-			runs[op.v] = appendRuns(runs[op.v][:0], rows[op.v])
-			if op.vacated { // back in the arena
-				vg.moved[op.v] &^= bit
-				*vg.dead(op.in) -= cap(rows[op.v])
-			}
-		} else {
-			runs[op.v] = shiftRuns(runs[op.v], op.e.Label, op.kind == opRemove)
-		}
+	took := len(g.nodeLabel) > ov.numNodes
+	vg.restore(ov)
+	if took {
+		// Nodes went, which no edit says: the log ends here, as at a
+		// building call's unlogged bump, and a reader from before rebuilds.
+		g.version++
+		return nil
 	}
-	// Un-append the batch's new nodes. Their byLabel entries are the
-	// tails of their rows: every pre-batch entry is a smaller id.
-	for v := ov.numNodes; v < len(g.nodeLabel); v++ {
-		l := g.nodeLabel[v]
-		row := g.byLabel[l]
-		g.byLabel[l] = row[:len(row)-1]
-	}
-	g.nodeLabel = g.nodeLabel[:ov.numNodes]
-	g.out = g.out[:ov.numNodes]
-	g.in = g.in[:ov.numNodes]
-	g.outRuns = g.outRuns[:ov.numNodes]
-	g.inRuns = g.inRuns[:ov.numNodes]
-	g.numEdges = ov.numEdges
 	// The log takes the batch back as a version of its own: its edits
 	// flipped, so a reader from before the batch folds the two to nothing.
 	for i := range ov.edits {

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -315,4 +317,63 @@ func TestVersionedRunsMatchRebuild(t *testing.T) {
 			t.Fatalf("%s: re-apply diverges from the first apply", step.name)
 		}
 	}
+}
+
+// Region offsets are int32s: a layout of more slots than one reaches is
+// refused, and the graph is left as it was. The limit is lowered to the
+// size of a small graph's arenas rather than reached with 16 GiB of them.
+func TestOffsetRangeGuard(t *testing.T) {
+	if err := fitsOffsets(math.MaxInt32); err != nil {
+		t.Fatalf("the last slot an int32 offset reaches refused: %v", err)
+	}
+	if fitsOffsets(math.MaxInt32+1) == nil {
+		t.Fatal("a slot past the int32 offset range accepted")
+	}
+	defer func(limit int) { maxSlots = limit }(maxSlots)
+	g := indexGraph(3)
+	// A build lays out exactly the slots it counted against the limit.
+	var text bytes.Buffer
+	if _, err := g.WriteTo(&text); err != nil {
+		t.Fatal(err)
+	}
+	maxSlots = max(len(g.out.arena), len(g.in.arena))
+	if cap(g.out.arena) != len(g.out.arena) || cap(g.in.arena) != len(g.in.arena) {
+		t.Fatalf("arenas of %d and %d slots have capacity %d and %d", len(g.out.arena), len(g.in.arena), cap(g.out.arena), cap(g.in.arena))
+	}
+	if _, err := Read(bytes.NewReader(text.Bytes()), math.MaxInt); err != nil {
+		t.Fatalf("a layout at the limit refused: %v", err)
+	}
+	maxSlots--
+	if _, err := Read(bytes.NewReader(text.Bytes()), math.MaxInt); err == nil {
+		t.Fatal("a layout past the limit was built")
+	}
+
+	// An Apply that has to move a region past the limit stops there, undoes
+	// what it did, and ends the latest batch's view.
+	maxSlots++
+	vg := NewVersioned(g)
+	prev, err := vg.Apply([]Mutation{{Op: MutRemoveEdge, From: 0, To: g.Out(0)[0].To, Label: g.LabelName(g.Out(0)[0].Label)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, version, tails := canon(g), g.Version(), [2]int{len(g.out.arena), len(g.in.arena)}
+	batch := []Mutation{{Op: MutAddNode, Label: "born"}, {Op: MutRemoveNode, From: 1}}
+	for to := 0; to < 30; to++ {
+		batch = append(batch, Mutation{Op: MutAddEdge, From: 2, To: NodeID(to), Label: "fresh-label"})
+	}
+	if _, err := vg.Apply(batch); err == nil {
+		t.Fatal("a batch past the offset range applied")
+	}
+	if !reflect.DeepEqual(canon(g), before) || g.Version() != version || [2]int{len(g.out.arena), len(g.in.arena)} != tails {
+		t.Fatal("a refused batch left the graph changed")
+	}
+	requireIndex(t, g, "after a refused batch")
+	if vg.Rollback(prev) == nil {
+		t.Fatal("the view of the batch before a refused one rolled back")
+	}
+	maxSlots = math.MaxInt32
+	if _, err := vg.Apply(batch); err != nil {
+		t.Fatal(err)
+	}
+	requireIndex(t, g, "after the batch within the range")
 }

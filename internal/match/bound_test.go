@@ -372,7 +372,7 @@ func TestStaleBoundRebuilds(t *testing.T) {
 
 // TestBoundFollowsTheGraphsLog holds one Bound, and one left behind, across
 // every way the graph's log goes on or ends: batches and their rollbacks
-// (with and without nodes the rollback takes away), a building call that
+// (a rollback that takes nodes away ends the log), a building call that
 // bumps the version unlogged, and batches whose edits together are more
 // than |V|/8. At each step the bound's sets equal a fresh bind's, and
 // Advance rebuilds exactly where the log cannot carry it.
@@ -453,7 +453,15 @@ func TestBoundFollowsTheGraphsLog(t *testing.T) {
 			}
 			rollback(old)
 			apply(follow(13, 14))
-		}, Built, Repaired},
+		}, Built, Built},
+		{"a rollback takes a node away, one of another label comes", func() {
+			old := apply(graph.AddNode("person"))
+			for _, c := range cases {
+				c.bound.Advance()
+			}
+			rollback(old)
+			apply(graph.AddNode("product"))
+		}, Built, Built},
 		{"a building call between applies", func() {
 			apply(follow(15, 16))
 			for _, c := range cases {
@@ -481,6 +489,47 @@ func TestBoundFollowsTheGraphsLog(t *testing.T) {
 			advance(step.name, c.bound, step.bound, c)
 			advance(step.name+", left behind", behind[i], step.behind, c)
 		}
+	}
+}
+
+// TestRollbackOfANodeLeavesNoMember: a rollback that takes a node away
+// logs no edit that says so. Were the log to go on across it, a Bound
+// advanced over the batch that added a person, then over one that adds a
+// product, would find sets as long as the graph again and no edit naming
+// the product: the new node would keep the person's membership, 301
+// matches where there are 300.
+func TestRollbackOfANodeLeavesNoMember(t *testing.T) {
+	vg := graph.NewVersioned(gen.Social(gen.DefaultSocial(300, 3)))
+	g := vg.Graph()
+	q, err := core.Parse("qgp\nn x person *\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := prep.Bind(g)
+	if _, err := b.Run(EngineQMatch, nil); err != nil {
+		t.Fatal(err)
+	}
+	old, err := vg.Apply([]graph.Mutation{graph.AddNode("person")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Advance()
+	if err := vg.Rollback(old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vg.Apply([]graph.Mutation{graph.AddNode("product")}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Run(EngineQMatch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if persons := len(g.NodesByLabelName("person")); len(got.Matches) != persons || persons != 300 {
+		t.Fatalf("%d matches over %d persons, want 300", len(got.Matches), persons)
 	}
 }
 
