@@ -14,8 +14,8 @@ import (
 // a row that arrived in (label, endpoint) order comes out sorted, and
 // only a row found out of order is sorted (and an out-row deduplicated).
 // Each direction's rows are then laid out in an arena of exactly their
-// regions. A layout past the int32 offset range is refused, and g is left
-// as it was. build takes backing and end over.
+// regions, with a 32nd of spare room. A layout past the int32 offset range
+// is refused, and g is left as it was. build takes backing and end over.
 func (g *Graph) build(backing []Edge, end []int) error {
 	n := sortRows(backing, end)
 	out, err := layout(backing[:n], end)
@@ -120,7 +120,7 @@ func mirror(backing []Edge, end []int) ([]Edge, []int) {
 }
 
 // layout lays rows, v's being backing[end[v-1]:end[v]], out in an arena of
-// exactly their regions, each with no spare room. The rows ascend by
+// exactly their regions, each with no spare room, and a 32nd to spare. The rows ascend by
 // endpoint within each label; a row with its labels out of order is
 // stable-sorted by label, which makes it ascend by (label, endpoint).
 func layout(backing []Edge, end []int) (adjacency, error) {
@@ -142,7 +142,7 @@ func layout(backing []Edge, end []int) (adjacency, error) {
 	if err := fitsOffsets(slots); err != nil {
 		return adjacency{}, err
 	}
-	a := adjacency{arena: make([]Edge, header, slots), off: make([]int32, len(end))}
+	a := adjacency{arena: make([]Edge, header, slots+slots/arenaSpare), off: make([]int32, len(end))}
 	lo = 0
 	for v, hi := range end {
 		if row := backing[lo:hi]; len(row) > 0 {

@@ -269,9 +269,11 @@ func (g *Graph) adj(in bool) *adjacency {
 // within 1.25 times the live regions, plus a batch's moves.
 const repackShare = 4
 
-// arenaSpare is the share of its slots an arena gains when it grows or is
-// re-packed: not append's double, as every graph copy holds the spare, and
-// a 32nd copies an arena at most 32 times per slot appended.
+// arenaSpare is the share of its slots an arena gains when it is laid out,
+// grows or is re-packed: not append's double, as every graph copy holds
+// the spare, and a 32nd copies an arena at most 32 times per slot
+// appended. Laid out with it, a fresh graph's first batches move regions
+// without copying the arena.
 const arenaSpare = 32
 
 // repack copies every region that holds edges, with the capacity it has

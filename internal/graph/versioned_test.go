@@ -331,15 +331,13 @@ func TestOffsetRangeGuard(t *testing.T) {
 	}
 	defer func(limit int) { maxSlots = limit }(maxSlots)
 	g := indexGraph(3)
-	// A build lays out exactly the slots it counted against the limit.
+	// A build lays out exactly the slots it counted against the limit; the
+	// spare room past them is capacity, which no offset reaches.
 	var text bytes.Buffer
 	if _, err := g.WriteTo(&text); err != nil {
 		t.Fatal(err)
 	}
 	maxSlots = max(len(g.out.arena), len(g.in.arena))
-	if cap(g.out.arena) != len(g.out.arena) || cap(g.in.arena) != len(g.in.arena) {
-		t.Fatalf("arenas of %d and %d slots have capacity %d and %d", len(g.out.arena), len(g.in.arena), cap(g.out.arena), cap(g.in.arena))
-	}
 	if _, err := Read(bytes.NewReader(text.Bytes()), math.MaxInt); err != nil {
 		t.Fatalf("a layout at the limit refused: %v", err)
 	}
